@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet staticcheck race bench-smoke bench-guard bench-baseline profile smoke-ringmeshd fuzz-smoke ci
+.PHONY: all build test vet fmt-check staticcheck race bench-smoke bench-guard bench-baseline bench-test bench-run-smoke profile smoke-ringmeshd fuzz-smoke ci
 
 all: build
 
@@ -9,6 +9,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fail when any Go file is not gofmt-clean (.bench_build is the
+# benchmark's module cache, not our source).
+fmt-check:
+	@test -z "$$(gofmt -l . | grep -v .bench_build)" || \
+		{ echo "gofmt -l reports:"; gofmt -l . | grep -v .bench_build; exit 1; }
 
 # Skipped with a note when the tool isn't installed, so `make ci`
 # works on a bare toolchain; CI installs it explicitly.
@@ -30,17 +36,32 @@ race:
 bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkEngineStep|BenchmarkSimRing24|BenchmarkSimMesh16' -benchtime=100x .
 
-# Fail if the engine hot loop regressed >15% vs ci/bench-baseline.txt.
-# Guards both the serial dispatch path and the sharded parallel tick
-# (Workers=2 on the 8x8 mesh, one shard per row); every guarded
+# Fail if a hot loop regressed >15% vs ci/bench-baseline.txt. Guards
+# the serial dispatch path, the sharded parallel tick (Workers=2 on the
+# 8x8 mesh, one shard per row), the analytic tier and the two
+# whole-system model ticks (11x11 mesh, 3:3:8 ring); every guarded
 # benchmark is measured even after one regresses, so the report names
-# each offender and its slowdown.
+# each offender and its slowdown. The baseline carries the fingerprint
+# of the machine that recorded it; anywhere else the guard prints "not
+# comparable, skipped" instead of a verdict.
+GUARD_THRESHOLD ?= 15
+GUARDED = BenchmarkEngineStepUniform,BenchmarkEngineStepParallel2,BenchmarkAnalyticEstimate,BenchmarkSimMesh121,BenchmarkSimRing72
 bench-guard:
-	$(GO) run ./cmd/benchguard -bench BenchmarkEngineStepUniform,BenchmarkEngineStepParallel2,BenchmarkAnalyticEstimate
+	$(GO) run ./cmd/benchguard -threshold $(GUARD_THRESHOLD) -bench $(GUARDED)
 
-# Re-record the hot-loop baselines (after an intentional change).
+# Re-record the hot-loop baselines (after an intentional change, or on
+# a new machine).
 bench-baseline:
-	$(GO) run ./cmd/benchguard -update -bench BenchmarkEngineStepUniform,BenchmarkEngineStepParallel1,BenchmarkEngineStepParallel2,BenchmarkAnalyticEstimate
+	$(GO) run ./cmd/benchguard -update -bench $(GUARDED),BenchmarkEngineStepParallel1
+
+# The benchmark under bench/ is a module of its own, so `go test ./...`
+# at the root never descends into it: vet and test it here, and run
+# every workload once at 1/50 length as a functional check.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+bench-run-smoke:
+	bash bench/run.sh -all -smoke
 
 # CPU- and heap-profile the engine hot loop; inspect the output with
 # `go tool pprof cpu.prof`. For live profiles of the serving daemon,
@@ -64,4 +85,4 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s
 
 # The gate run by .github/workflows/ci.yml.
-ci: vet staticcheck build race bench-smoke bench-guard fuzz-smoke smoke-ringmeshd
+ci: vet fmt-check staticcheck build race bench-test bench-run-smoke bench-smoke bench-guard fuzz-smoke smoke-ringmeshd

@@ -15,6 +15,11 @@
 // run down. Every guarded benchmark is measured even after one fails,
 // so a regression report names everything that regressed and by how
 // much, not just the first offender.
+//
+// ns/op only compares on one machine class, so -update stamps the
+// baseline file with a fingerprint (go version, CPU model, CPU count)
+// and the guard gives no verdict against a baseline stamped elsewhere:
+// it prints "not comparable, skipped" and exits 0.
 package main
 
 import (
@@ -22,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -42,6 +48,18 @@ func main() {
 	for i := range benches {
 		benches[i] = strings.TrimSpace(benches[i])
 	}
+	here := fingerprint()
+	if !*update {
+		body, err := os.ReadFile(*baseline)
+		if err != nil {
+			fail(fmt.Errorf("no baseline (run with -update to record one): %w", err))
+		}
+		if there := stampOf(body); there != here {
+			fmt.Printf("benchguard: %s was recorded on [%s], this is [%s]: not comparable, skipped\n",
+				*baseline, there, here)
+			return
+		}
+	}
 
 	var regressions []string
 	for _, b := range benches {
@@ -55,7 +73,7 @@ func main() {
 		fmt.Printf("benchguard: %s = %.1f ns/op (best of %d)\n", b, got, *count)
 
 		if *update {
-			if err := writeBaseline(*baseline, b, got); err != nil {
+			if err := writeBaseline(*baseline, here, b, got); err != nil {
 				fail(err)
 			}
 			continue
@@ -125,12 +143,44 @@ func parseNsPerOp(line, bench string) (float64, bool) {
 	return 0, false
 }
 
-// writeBaseline records one benchmark's measurement, merging with any
-// baselines already in the file: the file holds one "name value" line
-// per guarded benchmark, so re-recording one never drops the others.
-func writeBaseline(path, bench string, got float64) error {
+// fingerprintPrefix starts the baseline file's machine-class line.
+const fingerprintPrefix = "# fingerprint: "
+
+// fingerprint names this machine class: go version and platform, CPU
+// model (where /proc/cpuinfo has one) and CPU count.
+func fingerprint() string {
+	cpu := "unknown cpu"
+	if body, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(body), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				cpu = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return fmt.Sprintf("%s %s/%s, %s, %d cpus",
+		runtime.Version(), runtime.GOOS, runtime.GOARCH, cpu, runtime.NumCPU())
+}
+
+// stampOf returns the fingerprint a baseline file's body was stamped
+// with, "" when the file is missing or predates the stamp.
+func stampOf(body []byte) string {
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, fingerprintPrefix) {
+			return strings.TrimPrefix(line, fingerprintPrefix)
+		}
+	}
+	return ""
+}
+
+// writeBaseline records one benchmark's measurement, merging with the
+// baselines already in the file when they carry this machine's
+// fingerprint: the file holds one "name value" line per guarded
+// benchmark, so re-recording one never drops the others. Rows stamped
+// by another machine are dropped — they would not compare.
+func writeBaseline(path, here, bench string, got float64) error {
 	var lines []string
-	if body, err := os.ReadFile(path); err == nil {
+	if body, err := os.ReadFile(path); err == nil && stampOf(body) == here {
 		replaced := false
 		for _, line := range strings.Split(strings.TrimRight(string(body), "\n"), "\n") {
 			if f := strings.Fields(strings.TrimSpace(line)); len(f) == 2 && f[0] == bench {
@@ -146,6 +196,7 @@ func writeBaseline(path, bench string, got float64) error {
 		lines = []string{
 			"# Baseline ns/op recorded by cmd/benchguard -update.",
 			"# Regenerate on the machine that runs the guard.",
+			fingerprintPrefix + here,
 			fmt.Sprintf("%s %.1f", bench, got),
 		}
 	}

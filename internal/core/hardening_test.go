@@ -32,11 +32,11 @@ func (p *panicNet) Compute(now int64) {
 		panic("paniktest: synthetic model bug")
 	}
 }
-func (p *panicNet) Commit(int64)                    {}
-func (p *panicNet) BufferedFlits() int              { return 0 }
-func (p *panicNet) Stats() network.Stats            { return network.Stats{} }
-func (p *panicNet) ResetUtilization()               {}
-func (p *panicNet) SetTracer(*trace.Recorder)       {}
+func (p *panicNet) Commit(int64)                      {}
+func (p *panicNet) BufferedFlits() int                { return 0 }
+func (p *panicNet) Stats() network.Stats              { return network.Stats{} }
+func (p *panicNet) ResetUtilization()                 {}
+func (p *panicNet) SetTracer(*trace.Recorder)         {}
 func (p *panicNet) DescribeMetrics(*metrics.Registry) {}
 
 func init() {

@@ -45,14 +45,14 @@ func TestParseNone(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	for _, s := range []string{
 		"",
-		"melt@0+10:node=1",          // unknown kind
-		"stutter@0+10",              // missing node
-		"stutter@0:node=1",          // missing duration
-		"stutter@0+10:node=1,x=2",   // unknown key
-		"rand:seed=1",               // missing events
-		"rand:events=4",             // missing horizon
+		"melt@0+10:node=1",                     // unknown kind
+		"stutter@0+10",                         // missing node
+		"stutter@0:node=1",                     // missing duration
+		"stutter@0+10:node=1,x=2",              // unknown key
+		"rand:seed=1",                          // missing events
+		"rand:events=4",                        // missing horizon
 		"rand:events=4,horizon=1,max-factor=1", // factor < 2
-		"stutter@0+10:node=a",       // non-integer
+		"stutter@0+10:node=a",                  // non-integer
 	} {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) accepted", s)

@@ -150,22 +150,23 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 				}
 			}
 		}
+		var h heads
+		n.decode(r, &h)
 		for o := topo.Direction(0); o < topo.NumPorts; o++ {
-			in, f, ok := n.pickMove(r, o)
+			_, f, ok := r.pickMove(&h, o)
 			if !ok {
 				// A locked worm whose next flit has not arrived waits
 				// on the upstream router feeding that input.
 				if r.outLock[o] != nil && r.outLockIn[o] != topo.Local {
-					if up := n.cfg.Spec.Neighbor(r.id, r.outLockIn[o]); up >= 0 {
+					if up := r.nbr[r.outLockIn[o]]; up != nil {
 						rep.WaitFor = append(rep.WaitFor, sim.WaitEdge{
-							From: rname(r.id), To: rname(up),
+							From: rname(r.id), To: rname(up.id),
 							Why: fmt.Sprintf("committed worm on %s output, flits still upstream", o),
 						})
 					}
 				}
 				continue
 			}
-			_ = in
 			if r.flt != nil && now < r.flt.until[o] && r.flt.factor[o] == 0 {
 				rep.WaitFor = append(rep.WaitFor, sim.WaitEdge{
 					From: rname(r.id), To: rname(r.id),
@@ -176,10 +177,9 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 			if o == topo.Local {
 				continue // ejection always succeeds
 			}
-			nb := n.cfg.Spec.Neighbor(r.id, o)
-			if nb >= 0 && n.routers[nb].inputs[o.Opposite()].Space() < 1 {
+			if nb := r.nbr[o]; nb != nil && nb.inputs[opposite[o]].Space() < 1 {
 				rep.WaitFor = append(rep.WaitFor, sim.WaitEdge{
-					From: rname(r.id), To: rname(nb),
+					From: rname(r.id), To: rname(nb.id),
 					Why: fmt.Sprintf("%s carrying %s: downstream input full", o, f.Pkt),
 				})
 			}

@@ -112,3 +112,41 @@ func TestApplyFaultPlanValidates(t *testing.T) {
 		t.Fatal("out-of-range port accepted")
 	}
 }
+
+// BuildStallReport asks pickMove the same question the switching logic
+// asks, so the waits it names are pinned here edge for edge: a dead
+// output (self-edge), a full downstream input, and a locked worm whose
+// next flit is still upstream of a slowed router (the strings are what
+// the per-call Spec.Route/Neighbor implementation reported).
+func TestStallReportWaitEdges(t *testing.T) {
+	cases := []struct {
+		plan string
+		at   int
+		want []string
+	}{
+		{"stutter@0+100000:node=1", 60, []string{
+			"router0 -> router1: east carrying #1 write-req 0→2 (12 flits): downstream input full",
+			"router1 -> router1: east output port faulted",
+		}},
+		{"slowdown@0+100000:node=0,factor=4", 14, []string{
+			"router1 -> router0: committed worm on east output, flits still upstream",
+			"router3 -> router0: north carrying #2 write-req 3→0 (12 flits): downstream input full",
+		}},
+	}
+	for _, tc := range cases {
+		h := newHarness(t, Config{Spec: topo.MustMeshSpec(3), LineBytes: 32, BufferFlits: 4})
+		if err := h.net.ApplyFaultPlan(mustPlan(t, tc.plan)); err != nil {
+			t.Fatal(err)
+		}
+		h.pms[0].pendReq = append(h.pms[0].pendReq, mkPkt(1, packet.WriteRequest, 0, 2, 32))
+		h.pms[3].pendReq = append(h.pms[3].pendReq, mkPkt(2, packet.WriteRequest, 3, 0, 32))
+		h.run(t, tc.at)
+		var got []string
+		for _, e := range h.net.BuildStallReport(int64(tc.at)).WaitFor {
+			got = append(got, e.From+" -> "+e.To+": "+e.Why)
+		}
+		if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+			t.Errorf("%s at tick %d: waits\n%q\nwant\n%q", tc.plan, tc.at, got, tc.want)
+		}
+	}
+}

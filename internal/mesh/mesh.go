@@ -73,10 +73,31 @@ type move struct {
 	f  packet.Flit
 }
 
+// heads is a router's five input heads as decoded at the start of a
+// cycle. f[i].Pkt is nil when input i is empty; want[i] is the output a
+// packet head is routed to — noPort for an empty input and for body
+// flits, which follow their worm's lock instead — and bit o of wanted
+// is set when some packet head wants output o.
+type heads struct {
+	f      [topo.NumPorts]packet.Flit
+	want   [topo.NumPorts]topo.Direction
+	wanted uint
+}
+
+const noPort topo.Direction = -1
+
+// opposite is topo.Direction.Opposite for the four neighbour ports.
+var opposite = [topo.Local]topo.Direction{topo.South, topo.North, topo.West, topo.East}
+
 // router is one mesh NIC: a 5x5 crossbar with input buffering.
 type router struct {
-	id     int
-	inputs [topo.NumPorts]*packet.FIFO
+	id int
+	// Geometry fixed at build time, so the tick never divides: own
+	// position (y is also the owning row shard) and the neighbour behind
+	// each output port, nil at the mesh edge and for Local.
+	x, y   int
+	nbr    [topo.NumPorts]*router
+	inputs [topo.NumPorts]packet.FIFO
 	// outLock / outLockIn implement wormhole: while a packet is in
 	// flight through output o, the crossbar connection from input
 	// outLockIn[o] is held.
@@ -110,8 +131,15 @@ type router struct {
 type Network struct {
 	cfg     Config
 	routers []*router
-	engine  *sim.Engine
-	tracer  *trace.Recorder
+	// coord is each PM id's (x, y): with the router's own position, all
+	// that routing a packet head needs.
+	coord  []struct{ x, y int }
+	engine *sim.Engine
+	// tracer is the optional lifecycle recorder; labels holds each
+	// router's per-port "where" strings, built once when a recorder is
+	// attached so that no event formats one.
+	tracer *trace.Recorder
+	labels [][topo.NumPorts]string
 
 	// faults is the installed fault schedule; nil for fault-free runs.
 	faults *fault.Driver
@@ -123,7 +151,18 @@ type Network struct {
 }
 
 // SetTracer attaches an optional lifecycle recorder (nil-safe).
-func (n *Network) SetTracer(t *trace.Recorder) { n.tracer = t }
+func (n *Network) SetTracer(t *trace.Recorder) {
+	n.tracer, n.labels = t, nil
+	if t == nil {
+		return
+	}
+	n.labels = make([][topo.NumPorts]string, len(n.routers))
+	for id := range n.labels {
+		for o := topo.Direction(0); o < topo.NumPorts; o++ {
+			n.labels[id][o] = fmt.Sprintf("router%d %s", id, o)
+		}
+	}
+}
 
 // New builds the mesh network connecting the given PMs (len must be
 // Spec.PMs()).
@@ -137,13 +176,23 @@ func New(cfg Config, pms []PMPort, engine *sim.Engine) (*Network, error) {
 	}
 	n := &Network{cfg: cfg, engine: engine}
 	depth := cfg.bufferFlits()
-	for id := 0; id < cfg.Spec.PMs(); id++ {
+	n.coord = make([]struct{ x, y int }, cfg.Spec.PMs())
+	for id := range n.coord {
 		r := &router{id: id, pm: pms[id]}
+		r.x, r.y = cfg.Spec.Coord(id)
+		n.coord[id].x, n.coord[id].y = r.x, r.y
 		for p := topo.Direction(0); p < topo.NumPorts; p++ {
-			r.inputs[p] = packet.NewFIFO(depth)
+			r.inputs[p] = *packet.NewFIFO(depth)
 			r.outLockIn[p] = -1
 		}
 		n.routers = append(n.routers, r)
+	}
+	for _, r := range n.routers {
+		for o := topo.Direction(0); o < topo.Local; o++ {
+			if nb := cfg.Spec.Neighbor(r.id, o); nb >= 0 {
+				r.nbr[o] = n.routers[nb]
+			}
+		}
 	}
 	return n, nil
 }
@@ -159,73 +208,89 @@ func (n *Network) Compute(now int64) {
 	}
 }
 
-// pickMove returns the flit output o would carry this cycle and the
-// input it comes from, judged from start-of-cycle state. It is pure
-// (Peek-only) so the stall forensics can re-ask the same question the
-// switching logic asks.
-func (n *Network) pickMove(r *router, o topo.Direction) (in topo.Direction, f packet.Flit, ok bool) {
-	if r.outLock[o] != nil {
-		// Continue the locked worm; bubbles keep the lock.
-		i := r.outLockIn[o]
-		head, has := r.inputs[i].Peek()
-		if !has {
-			return -1, packet.Flit{}, false
-		}
-		if head.Pkt != r.outLock[o] {
-			panic(fmt.Sprintf("mesh: router %d would interleave %s into %s",
-				r.id, head.Pkt, r.outLock[o]))
-		}
-		return i, head, true
-	}
-	// Round-robin arbitration among inputs whose head flit is a packet
-	// head routed to this output.
-	for k := 0; k < int(topo.NumPorts); k++ {
-		i := topo.Direction((r.rr[o] + k) % int(topo.NumPorts))
-		head, has := r.inputs[i].Peek()
-		if !has || !head.Head() {
+// decode reads r's five input heads once from start-of-cycle state,
+// routing each packet head, and reports whether any input holds a flit.
+func (n *Network) decode(r *router, h *heads) (busy bool) {
+	for i := range h.f {
+		f, _ := r.inputs[i].Peek()
+		h.f[i], h.want[i] = f, noPort
+		if f.Pkt == nil {
 			continue
 		}
-		if n.cfg.Spec.Route(r.id, head.Pkt.Dst) != o {
-			continue
+		busy = true
+		if f.Head() {
+			d := n.coord[f.Pkt.Dst]
+			h.want[i] = topo.ECube(r.x, r.y, d.x, d.y)
+			h.wanted |= 1 << h.want[i]
 		}
-		return i, head, true
 	}
-	return -1, packet.Flit{}, false
+	return busy
 }
 
+// pickMove returns the flit output o would carry this cycle and the
+// input it comes from, judged from the decoded start-of-cycle heads. It
+// is pure, so the stall forensics can re-ask the same question the
+// switching logic asks.
+func (r *router) pickMove(h *heads, o topo.Direction) (in topo.Direction, f packet.Flit, ok bool) {
+	if lock := r.outLock[o]; lock != nil {
+		// Continue the locked worm; bubbles keep the lock.
+		i := r.outLockIn[o]
+		if h.f[i].Pkt == nil {
+			return -1, packet.Flit{}, false
+		}
+		if h.f[i].Pkt != lock {
+			panic(fmt.Sprintf("mesh: router %d would interleave %s into %s",
+				r.id, h.f[i].Pkt, lock))
+		}
+		return i, h.f[i], true
+	}
+	if h.wanted&(1<<o) == 0 {
+		return -1, packet.Flit{}, false
+	}
+	// Round-robin arbitration among inputs whose head flit is a packet
+	// head routed to this output (wanted says there is one).
+	for i := topo.Direction(r.rr[o]); ; i = (i + 1) % topo.NumPorts {
+		if h.want[i] == o {
+			return i, h.f[i], true
+		}
+	}
+}
+
+// computeRouter stages r's crossbar transfers and injection. r.staged
+// is all clear on entry — commitRouter clears every move it applies —
+// so a router holding no flits stages nothing after the decode.
 func (n *Network) computeRouter(r *router, now int64) {
 	if r.flt != nil && now >= r.flt.maxUntil {
 		r.flt = nil // every fault window has passed
 	}
-	spec := n.cfg.Spec
-	for o := topo.Direction(0); o < topo.NumPorts; o++ {
-		r.staged[o] = move{}
-		if r.flt != nil && r.flt.blocked(o, now) {
-			continue // this output port is faulted this cycle
-		}
-		in, f, ok := n.pickMove(r, o)
-		if !ok {
-			continue
-		}
-		// Downstream acceptance.
-		if o == topo.Local {
-			// Ejection to the PM always succeeds (perfect sink).
-			r.staged[o] = move{ok: true, in: in, f: f}
-			continue
-		}
-		nb := spec.Neighbor(r.id, o)
-		if nb < 0 {
-			panic(fmt.Sprintf("mesh: router %d routed %s off the edge (%s)",
-				r.id, f.Pkt, o))
-		}
-		if n.routers[nb].inputs[o.Opposite()].Space() >= 1 {
+	var h heads
+	if n.decode(r, &h) {
+		for o := topo.Direction(0); o < topo.NumPorts; o++ {
+			if r.flt != nil && r.flt.blocked(o, now) {
+				continue // this output port is faulted this cycle
+			}
+			in, f, ok := r.pickMove(&h, o)
+			if !ok {
+				continue
+			}
+			// Downstream acceptance; ejection to the PM always succeeds
+			// (perfect sink).
+			if o != topo.Local {
+				nb := r.nbr[o]
+				if nb == nil {
+					panic(fmt.Sprintf("mesh: router %d routed %s off the edge (%s)",
+						r.id, f.Pkt, o))
+				}
+				if nb.inputs[opposite[o]].Space() < 1 {
+					continue
+				}
+			}
 			r.staged[o] = move{ok: true, in: in, f: f}
 		}
 	}
 
 	// Injection: stream the current packet into the local input FIFO,
 	// one flit per cycle.
-	r.stagedInj = move{}
 	if r.injPkt != nil && r.inputs[topo.Local].Space() >= 1 {
 		r.stagedInj = move{ok: true, f: packet.Flit{Pkt: r.injPkt, Index: r.injIdx}}
 	}
@@ -250,9 +315,9 @@ func (n *Network) Commit(now int64) {
 // are staged in the shard's outbox instead of performed (see
 // partition.go) — everything else is byte-for-byte the serial commit.
 func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
-	spec := n.cfg.Spec
 	for o := topo.Direction(0); o < topo.NumPorts; o++ {
-		if o != topo.Local && spec.Neighbor(r.id, o) >= 0 {
+		nb := r.nbr[o]
+		if nb != nil {
 			r.linkUtil[o].Tick(1)
 		}
 		mv := r.staged[o]
@@ -287,12 +352,10 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 				r.pm.Deliver(mv.f.Pkt, now)
 			}
 		} else {
-			nb := spec.Neighbor(r.id, o)
-			if mv.f.Head() {
-				n.tracer.Record(now, trace.Hop, mv.f.Pkt,
-					fmt.Sprintf("router%d %s", r.id, o))
+			if n.tracer != nil && mv.f.Head() {
+				n.tracer.Record(now, trace.Hop, mv.f.Pkt, n.labels[r.id][o])
 			}
-			dst := n.routers[nb].inputs[o.Opposite()]
+			dst := &nb.inputs[opposite[o]]
 			if sh != nil && !sh.owns(nb) {
 				sh.outbox = append(sh.outbox, deferredPush{fifo: dst, f: mv.f})
 			} else {
@@ -307,9 +370,8 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 	// packet (possibly issued by the PM's commit earlier this tick)
 	// starts streaming next cycle.
 	if r.stagedInj.ok {
-		if r.stagedInj.f.Head() {
-			n.tracer.Record(now, trace.Inject, r.stagedInj.f.Pkt,
-				fmt.Sprintf("router%d local", r.id))
+		if n.tracer != nil && r.stagedInj.f.Head() {
+			n.tracer.Record(now, trace.Inject, r.stagedInj.f.Pkt, n.labels[r.id][topo.Local])
 		}
 		r.inputs[topo.Local].Push(r.stagedInj.f)
 		r.injIdx++

@@ -325,3 +325,43 @@ func TestUtilizationAccounting(t *testing.T) {
 		t.Fatal("reset failed")
 	}
 }
+
+// The build-time geometry the tick runs on must be topo.MeshSpec's: for
+// every router, each neighbour pointer equals Neighbor, and a packet
+// head decoded at that router wants exactly the port Route names, for
+// every destination.
+func TestGeometryMatchesSpec(t *testing.T) {
+	for k := 1; k <= 12; k++ {
+		spec := topo.MustMeshSpec(k)
+		h := newHarness(t, Config{Spec: spec, LineBytes: 32, BufferFlits: 1})
+		for id, r := range h.net.routers {
+			if x, y := spec.Coord(id); r.id != id || r.x != x || r.y != y {
+				t.Fatalf("K=%d router %d: built as id %d at (%d,%d)", k, id, r.id, r.x, r.y)
+			}
+			for o := topo.Direction(0); o < topo.NumPorts; o++ {
+				want := -1
+				if o != topo.Local {
+					want = spec.Neighbor(id, o)
+					if opposite[o] != o.Opposite() {
+						t.Fatalf("opposite[%s] = %s", o, opposite[o])
+					}
+				}
+				if got := r.nbr[o]; (got == nil) != (want < 0) || got != nil && got.id != want {
+					t.Fatalf("K=%d router %d %s: neighbour %v, want id %d", k, id, o, got, want)
+				}
+			}
+			for dst := 0; dst < spec.PMs(); dst++ {
+				in := topo.Direction(dst % int(topo.NumPorts))
+				r.inputs[in].Push(packet.Flit{Pkt: mkPkt(1, packet.ReadRequest, 0, dst, 32)})
+				var hd heads
+				busy := h.net.decode(r, &hd)
+				r.inputs[in].Pop()
+				want := spec.Route(id, dst)
+				if !busy || hd.want[in] != want || hd.wanted != 1<<want {
+					t.Fatalf("K=%d router %d → %d via %s input: decoded want %s (mask %b), Route says %s",
+						k, id, dst, in, hd.want[in], hd.wanted, want)
+				}
+			}
+		}
+	}
+}

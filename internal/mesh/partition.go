@@ -39,8 +39,8 @@ type rowShard struct {
 	outbox  []deferredPush
 }
 
-// owns reports whether router id belongs to this shard's row.
-func (s *rowShard) owns(id int) bool { return id/s.n.cfg.Spec.K == s.row }
+// owns reports whether router r belongs to this shard's row.
+func (s *rowShard) owns(r *router) bool { return r.y == s.row }
 
 // Compute implements sim.Shard: stage this row's crossbar transfers
 // and injections. Reads of neighbouring rows' FIFO occupancy are safe

@@ -259,6 +259,10 @@ type PM struct {
 	memServing *packet.Packet
 
 	memLatency int
+
+	// label is the "where" of this PM's trace events, built once when
+	// a tracer is attached (no event formats it).
+	label string
 }
 
 // NewPM builds one processing module.
@@ -276,6 +280,9 @@ func NewPM(id int, cfg Config, col *Collector) (*PM, error) {
 		col:        col,
 		rnd:        rng.Derive(cfg.Seed, uint64(id)),
 		memLatency: ml,
+	}
+	if cfg.Tracer != nil {
+		pm.label = fmt.Sprintf("pm%d", id)
 	}
 	pm.gap = pm.sampleGap()
 	return pm, nil
@@ -397,7 +404,8 @@ func (pm *PM) stepProcessor(now int64) {
 	if open {
 		for len(pm.queuedMisses) > 0 && pm.outstanding < pm.cfg.Workload.T {
 			at := pm.queuedMisses[0]
-			pm.queuedMisses = pm.queuedMisses[1:]
+			copy(pm.queuedMisses, pm.queuedMisses[1:])
+			pm.queuedMisses = pm.queuedMisses[:len(pm.queuedMisses)-1]
 			pm.issueMiss(at)
 		}
 	}
@@ -427,7 +435,7 @@ func (pm *PM) issueMiss(genTime int64) {
 		Issue: genTime,
 	}
 	req.Flits = pm.cfg.Sizing.PacketFlits(typ, pm.cfg.LineBytes)
-	pm.cfg.Tracer.Record(genTime, trace.Issue, req, fmt.Sprintf("pm%d", pm.ID))
+	pm.cfg.Tracer.Record(genTime, trace.Issue, req, pm.label)
 	pm.pendingReq = append(pm.pendingReq, req)
 	pm.outstanding++
 	pm.noteIssued(read)
@@ -438,7 +446,7 @@ func (pm *PM) Deliver(p *packet.Packet, now int64) {
 	if p.Dst != pm.ID {
 		panic(fmt.Sprintf("node: PM %d received %s", pm.ID, p))
 	}
-	pm.cfg.Tracer.Record(now, trace.Deliver, p, fmt.Sprintf("pm%d", pm.ID))
+	pm.cfg.Tracer.Record(now, trace.Deliver, p, pm.label)
 	if p.Type.IsResponse() {
 		pm.outstanding--
 		if pm.outstanding < 0 {

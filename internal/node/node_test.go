@@ -291,3 +291,38 @@ func TestInjectionQueuesFIFO(t *testing.T) {
 		}
 	}
 }
+
+// In open-loop mode a miss queues when the window is full and issues
+// when a response frees a slot. Draining the queue must shift in place:
+// re-slicing from the front creeps the backing array forward and
+// reallocates it forever.
+func TestOpenLoopMissQueueDoesNotCreep(t *testing.T) {
+	col := NewCollector(1)
+	cfg := testConfig()
+	cfg.Workload.OpenLoop = true
+	cfg.Workload.Deterministic = true
+	cfg.Workload.T = 1
+	cfg.Pattern = workload.Hotspot{P: 4, Hot: 1, Fraction: 1}
+	pm := mustPM(t, 0, cfg, col)
+	step := func(now int64) {
+		pm.Commit(now)
+		if req, ok := pm.PendingRequest(); ok { // answer at once: the window never stays full
+			pm.PopPendingRequest()
+			pm.Deliver(&packet.Packet{Type: packet.ReadResponse, Src: 1, Dst: 0, Issue: req.Issue, Flits: 5}, now)
+		}
+	}
+	for now := int64(0); now < 1000; now++ {
+		step(now)
+	}
+	if col.Issued == 0 {
+		t.Fatal("no misses issued")
+	}
+	// 400 misses, each one request packet plus the test's response.
+	if avg := testing.AllocsPerRun(1, func() {
+		for now := int64(1000); now < 11000; now++ {
+			step(now)
+		}
+	}); avg != 2*400 {
+		t.Fatalf("%.0f allocations for 400 open-loop misses, want 800 (the packets)", avg)
+	}
+}

@@ -165,8 +165,12 @@ func (f Flit) String() string {
 // arrival order and the network's acceptance rules guarantee packets
 // arrive contiguously per link.
 type FIFO struct {
-	cap   int
-	items []Flit
+	cap int
+	// buf is a ring of cap slots, allocated on the first push (many
+	// FIFOs — mesh edge inputs, idle VCs — never hold a flit); the n
+	// buffered flits start at head and wrap.
+	buf     []Flit
+	head, n int
 }
 
 // NewFIFO returns a FIFO holding at most capacity flits.
@@ -181,13 +185,13 @@ func NewFIFO(capacity int) *FIFO {
 func (q *FIFO) Cap() int { return q.cap }
 
 // Len returns the number of buffered flits.
-func (q *FIFO) Len() int { return len(q.items) }
+func (q *FIFO) Len() int { return q.n }
 
 // Space returns the free capacity in flits.
-func (q *FIFO) Space() int { return q.cap - len(q.items) }
+func (q *FIFO) Space() int { return q.cap - q.n }
 
 // Empty reports whether the FIFO holds no flits.
-func (q *FIFO) Empty() bool { return len(q.items) == 0 }
+func (q *FIFO) Empty() bool { return q.n == 0 }
 
 // Push appends a flit. It panics if the FIFO is full — callers must
 // check Space first; a violation indicates a flow-control bug.
@@ -195,36 +199,47 @@ func (q *FIFO) Push(f Flit) {
 	if q.Space() <= 0 {
 		panic("packet: push into full FIFO (flow-control violation)")
 	}
-	q.items = append(q.items, f)
+	if q.buf == nil {
+		q.buf = make([]Flit, q.cap)
+	}
+	q.buf[q.slot(q.n)] = f
+	q.n++
+}
+
+// slot returns the ring position of the k-th buffered flit.
+func (q *FIFO) slot(k int) int {
+	if i := q.head + k; i < q.cap {
+		return i
+	}
+	return q.head + k - q.cap
 }
 
 // Peek returns the head flit without removing it. ok is false when
 // empty.
 func (q *FIFO) Peek() (f Flit, ok bool) {
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return Flit{}, false
 	}
-	return q.items[0], true
+	return q.buf[q.head], true
 }
 
 // Pop removes and returns the head flit. It panics when empty.
 func (q *FIFO) Pop() Flit {
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		panic("packet: pop from empty FIFO")
 	}
-	f := q.items[0]
-	// Shift; FIFOs are tiny (≤ 36 flits) so O(n) copy is cheaper than
-	// a ring index for these sizes and keeps the code obvious.
-	copy(q.items, q.items[1:])
-	q.items = q.items[:len(q.items)-1]
+	f := q.buf[q.head]
+	q.buf[q.head] = Flit{} // do not pin the popped packet while the FIFO idles
+	q.head = q.slot(1)
+	q.n--
 	return f
 }
 
 // HoldsOnly reports whether every buffered flit belongs to pkt (used
 // by acceptance rules that admit one packet at a time).
 func (q *FIFO) HoldsOnly(pkt *Packet) bool {
-	for _, f := range q.items {
-		if f.Pkt != pkt {
+	for k := 0; k < q.n; k++ {
+		if q.buf[q.slot(k)].Pkt != pkt {
 			return false
 		}
 	}
@@ -234,7 +249,7 @@ func (q *FIFO) HoldsOnly(pkt *Packet) bool {
 // EachPacket calls fn once per buffered flit's packet (callers dedup;
 // used by the ring bubble rule's residency count).
 func (q *FIFO) EachPacket(fn func(*Packet)) {
-	for _, f := range q.items {
-		fn(f.Pkt)
+	for k := 0; k < q.n; k++ {
+		fn(q.buf[q.slot(k)].Pkt)
 	}
 }

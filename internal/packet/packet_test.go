@@ -242,3 +242,35 @@ func TestQuickSizing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The FIFO is a ring: order, HoldsOnly and EachPacket must hold across
+// the wrap, and a popped slot must not keep its packet reachable.
+func TestFIFOWrapAndRelease(t *testing.T) {
+	q := NewFIFO(3)
+	a := &Packet{ID: 1, Flits: 1 << 30}
+	b := &Packet{ID: 2, Flits: 1 << 30}
+	for i := 0; i < 2; i++ {
+		q.Push(Flit{b, i})
+	}
+	for i := 0; i < 10; i++ { // head walks the ring several times
+		q.Push(Flit{a, i})
+		if got := q.Pop(); i >= 2 && got != (Flit{a, i - 2}) {
+			t.Fatalf("pop %d = %v", i, got)
+		}
+	}
+	if q.Len() != 2 || !q.HoldsOnly(a) || q.HoldsOnly(b) {
+		t.Fatalf("after wrap: len %d, HoldsOnly(a) %v", q.Len(), q.HoldsOnly(a))
+	}
+	var seen []int
+	q.EachPacket(func(p *Packet) { seen = append(seen, int(p.ID)) })
+	if len(seen) != 2 || seen[0] != 1 || seen[1] != 1 {
+		t.Fatalf("EachPacket saw %v", seen)
+	}
+	q.Pop()
+	q.Pop()
+	for i, f := range q.buf {
+		if f.Pkt != nil {
+			t.Fatalf("slot %d still references %s after its flit was popped", i, f.Pkt)
+		}
+	}
+}

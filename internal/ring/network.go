@@ -158,7 +158,10 @@ type Network struct {
 func (n *Network) SetTracer(t *trace.Recorder) {
 	n.tracer = t
 	for _, st := range n.stations {
-		st.tracer = t
+		st.tracer, st.hopLabel = t, ""
+		if t != nil {
+			st.hopLabel = st.name + "->" + st.downstream.name
+		}
 	}
 }
 

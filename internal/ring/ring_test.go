@@ -93,7 +93,7 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Spec: topo.RingSpec{}, LineBytes: 32},
 		{Spec: topo.MustRingSpec(4), LineBytes: 0},
-		{Spec: topo.MustRingSpec(4), LineBytes: 48}, // not a paper sizing
+		{Spec: topo.MustRingSpec(4), LineBytes: 48},    // not a paper sizing
 		{Spec: topo.MustRingSpec(1, 4), LineBytes: 32}, // 1-child global
 		{Spec: topo.MustRingSpec(4), LineBytes: 32, IRIQueueFlits: -1},
 		// Queue smaller than one cache-line worm: would wedge forever.

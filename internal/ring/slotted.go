@@ -502,7 +502,7 @@ func (n *SlottedNetwork) DescribeMetrics(reg *metrics.Registry) {
 	for _, ir := range n.iris {
 		node := fmt.Sprintf("iri[%d,%d)", ir.lo, ir.hi)
 		for _, q := range []struct {
-			queue        *spktQueue
+			queue       *spktQueue
 			kind, class string
 		}{
 			{ir.upReq, "up", "req"},

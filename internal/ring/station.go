@@ -201,8 +201,12 @@ type station struct {
 	stagedSrc   *packet.FIFO // nil means the channel's transit buffer
 	stagedRoute routeKind
 
-	util   *stats.Utilization
-	tracer *trace.Recorder
+	util *stats.Utilization
+	// tracer is the optional lifecycle recorder; hopLabel is the
+	// "where" of this station's hop and exit events, built once when a
+	// recorder is attached (see Network.SetTracer).
+	tracer   *trace.Recorder
+	hopLabel string
 
 	// stall, when non-nil (metrics enabled, NIC stations only), counts
 	// injection-stall cycles: active cycles where an injection queue
@@ -386,14 +390,14 @@ func (s *station) commit(now int64) bool {
 	} else {
 		vc.txPkt, vc.txSrc = f.Pkt, s.stagedSrc
 	}
-	if f.Head() {
+	if s.tracer != nil && f.Head() {
 		kind := trace.Hop
 		if s.stagedRoute == routeExit && s.downstream.exitSink != nil {
 			if _, isQueue := s.downstream.exitSink.(*queueSink); isQueue {
 				kind = trace.Exit
 			}
 		}
-		s.tracer.Record(now, kind, f.Pkt, s.name+"->"+s.downstream.name)
+		s.tracer.Record(now, kind, f.Pkt, s.hopLabel)
 	}
 	// Residency bookkeeping for the bubble rule: an injected head that
 	// continues on the ring becomes a resident; a tail leaving the

@@ -37,9 +37,9 @@ func fuzzSeedLines(f *testing.F) [][]byte {
 func FuzzDecodeRecord(f *testing.F) {
 	for _, line := range fuzzSeedLines(f) {
 		f.Add(line)
-		f.Add(line[:len(line)/2])              // torn write
-		f.Add(append([]byte("x"), line...))    // shifted framing
-		f.Add(bytes.ToUpper(line))             // checksum mismatch
+		f.Add(line[:len(line)/2])                                       // torn write
+		f.Add(append([]byte("x"), line...))                             // shifted framing
+		f.Add(bytes.ToUpper(line))                                      // checksum mismatch
 		f.Add(bytes.ReplaceAll(line, []byte(`"op"`), []byte(`"oops"`))) // schema drift
 	}
 	f.Add([]byte(nil))

@@ -178,6 +178,12 @@ func (m MeshSpec) Neighbor(id int, d Direction) int {
 func (m MeshSpec) Route(current, dst int) Direction {
 	cx, cy := m.Coord(current)
 	dx, dy := m.Coord(dst)
+	return ECube(cx, cy, dx, dy)
+}
+
+// ECube is Route on coordinates: the output port at (cx, cy) toward
+// (dx, dy). The mesh model calls it with positions fixed at build time.
+func ECube(cx, cy, dx, dy int) Direction {
 	switch {
 	case dx > cx:
 		return East

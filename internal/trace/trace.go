@@ -1,8 +1,10 @@
 // Package trace captures per-packet lifecycle events from the
 // simulators — issue, per-hop movement, exits and delivery — for
 // debugging and for the cmd/ringmesh -trace flag. Recording is
-// optional and nil-safe: a nil *Recorder ignores every call, so the
-// networks trace unconditionally without branching at call sites.
+// optional and nil-safe: a nil *Recorder ignores every call. Callers
+// pass a ready-made "where" string — the models build theirs once, when
+// a recorder is attached — so an event never formats one and a run with
+// tracing off allocates nothing for it.
 package trace
 
 import (
@@ -119,6 +121,13 @@ func (r *Recorder) Record(tick int64, kind Kind, p *packet.Packet, where string)
 		r.start = (r.start + 1) % len(r.events)
 		r.dropped++
 		return
+	}
+	if len(r.events) == cap(r.events) {
+		// Double: append grows a large slice by a quarter, which clears
+		// and copies a long trace five times over.
+		grown := make([]Event, len(r.events), min(max, 2*cap(r.events)+1024))
+		copy(grown, r.events)
+		r.events = grown
 	}
 	r.events = append(r.events, ev)
 }

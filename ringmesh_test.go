@@ -534,3 +534,33 @@ func TestMetricsExportAndUserHookCompose(t *testing.T) {
 		t.Fatalf("snapshot missing TYPE line:\n%s", snap.String())
 	}
 }
+
+// TestStepCyclesAllocationBound pins whole-system ticks with tracing
+// off: what a steady-state tick allocates is the packets it issues
+// (about 1 per tick on the 72-PM ring and 2 on the 121-PM mesh at the
+// paper's workload) — no trace label, no queue growth. The parent of
+// this pin formatted a label per hop, inject, issue and deliver with
+// the tracer nil: 18 objects a tick on the ring and 27 on the mesh.
+func TestStepCyclesAllocationBound(t *testing.T) {
+	for _, cfg := range []Config{
+		{Network: "ring", Topology: "3:3:8", LineBytes: 32},
+		{Network: "mesh", Topology: "11x11", LineBytes: 32, BufferFlits: 4},
+	} {
+		cfg.Workload, cfg.Seed = PaperWorkload(), 1
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const ticks = 500
+		step := func() {
+			if err := sys.StepCycles(ticks); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step() // reach steady state: queues and FIFOs at their working size
+		if perTick := testing.AllocsPerRun(3, step) / ticks; perTick > 3 {
+			t.Errorf("%s %s: %.1f objects allocated per tick with tracing off; want <= 3",
+				cfg.Network, cfg.Topology, perTick)
+		}
+	}
+}
