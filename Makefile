@@ -32,20 +32,22 @@ race:
 	$(GO) test -race ./...
 
 # A short benchmark pass that exercises the engine fast paths without
-# running the full figure sweeps.
+# running the full figure sweeps: both models, the ring at low load (the
+# empty-station gate) and with a double-speed global ring (the period-2
+# path).
 bench-smoke:
-	$(GO) test -run=NONE -bench='BenchmarkEngineStep|BenchmarkSimRing24|BenchmarkSimMesh16' -benchtime=100x .
+	$(GO) test -run=NONE -bench='BenchmarkEngineStep|BenchmarkSimRing24|BenchmarkSimMesh16|BenchmarkSimRing72LowLoad|BenchmarkSimRing72DoubleSpeed' -benchtime=100x .
 
 # Fail if a hot loop regressed >15% vs ci/bench-baseline.txt. Guards
 # the serial dispatch path, the sharded parallel tick (Workers=2 on the
 # 8x8 mesh, one shard per row), the analytic tier and the two
-# whole-system model ticks (11x11 mesh, 3:3:8 ring); every guarded
-# benchmark is measured even after one regresses, so the report names
-# each offender and its slowdown. The baseline carries the fingerprint
-# of the machine that recorded it; anywhere else the guard prints "not
-# comparable, skipped" instead of a verdict.
+# whole-system model ticks (11x11 mesh, 3:3:8 ring at high and at low
+# load); every guarded benchmark is measured even after one regresses,
+# so the report names each offender and its slowdown. The baseline
+# carries the fingerprint of the machine that recorded it; anywhere
+# else the guard prints "not comparable, skipped" instead of a verdict.
 GUARD_THRESHOLD ?= 15
-GUARDED = BenchmarkEngineStepUniform,BenchmarkEngineStepParallel2,BenchmarkAnalyticEstimate,BenchmarkSimMesh121,BenchmarkSimRing72
+GUARDED = BenchmarkEngineStepUniform,BenchmarkEngineStepParallel2,BenchmarkAnalyticEstimate,BenchmarkSimMesh121,BenchmarkSimRing72,BenchmarkSimRing72LowLoad
 bench-guard:
 	$(GO) run ./cmd/benchguard -threshold $(GUARD_THRESHOLD) -bench $(GUARDED)
 
@@ -63,13 +65,17 @@ bench-test:
 bench-run-smoke:
 	bash bench/run.sh -all -smoke
 
-# CPU- and heap-profile the engine hot loop; inspect the output with
-# `go tool pprof cpu.prof`. For live profiles of the serving daemon,
-# boot it with -pprof and fetch /debug/pprof/profile instead.
+# CPU- and heap-profile one benchmark — by default the whole-system ring
+# tick, long enough for a few seconds of samples; e.g.
+# `make profile BENCH=BenchmarkSimMesh121 BENCHTIME=100000x`. Inspect with
+# `go tool pprof ringmesh.test cpu.prof`. For live profiles of the serving
+# daemon, boot it with -pprof and fetch /debug/pprof/profile instead.
+BENCH ?= BenchmarkSimRing72
+BENCHTIME ?= 300000x
 profile:
-	$(GO) test -run=NONE -bench=BenchmarkEngineStepUniform -benchtime=20000x \
+	$(GO) test -run=NONE -bench='^$(BENCH)$$' -benchtime=$(BENCHTIME) \
 		-cpuprofile cpu.prof -memprofile mem.prof .
-	@echo "profiles written: cpu.prof mem.prof (go tool pprof <file>)"
+	@echo "profiles written: cpu.prof mem.prof (go tool pprof ringmesh.test <file>)"
 
 # Boot the serving daemon, submit the same run twice, and assert the
 # second is answered from the result cache (end-to-end, over HTTP).

@@ -79,7 +79,9 @@ func BenchmarkAblateSwitching(b *testing.B) { runExperiment(b, "ablate-switching
 
 // --- simulator micro-benchmarks ----------------------------------------
 
-// benchCycles measures raw simulated-cycle throughput of a system.
+// benchCycles measures raw simulated-cycle throughput of a system: one
+// op is one PM clock cycle of the whole system, so ns/op divided by
+// PMcycles/op (the PM count) is the cost of one PM-cycle.
 func benchCycles(b *testing.B, build func() (*System, error)) {
 	b.Helper()
 	sys, err := build()
@@ -94,7 +96,7 @@ func benchCycles(b *testing.B, build func() (*System, error)) {
 	if err := sys.StepCycles(int64(b.N)); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportMetric(float64(sys.PMs())*float64(b.N), "PMcycles/op")
+	b.ReportMetric(float64(sys.PMs()), "PMcycles/op")
 }
 
 func BenchmarkSimRing24(b *testing.B) {
@@ -108,6 +110,16 @@ func BenchmarkSimRing72(b *testing.B) {
 	benchCycles(b, func() (*System, error) {
 		return NewRingSystem(RingConfig{Topology: "3:3:8", LineBytes: 32,
 			Workload: PaperWorkload(), Seed: 1})
+	})
+}
+
+// BenchmarkSimRing72LowLoad is the paper's low-load regime (R=0.2,
+// T=1: most stations idle on most cycles, as in most points of Figs
+// 6-21), where the tick's cost is the station visit, not the flits.
+func BenchmarkSimRing72LowLoad(b *testing.B) {
+	benchCycles(b, func() (*System, error) {
+		return NewSystem(Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
+			Workload: Workload{R: 0.2, C: 0.04, T: 1, ReadProb: 0.7}, Seed: 1})
 	})
 }
 
@@ -206,7 +218,7 @@ func benchParallelMesh(b *testing.B, workers int) {
 	if err := sys.StepCycles(int64(b.N)); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportMetric(float64(sys.PMs())*float64(b.N), "PMcycles/op")
+	b.ReportMetric(float64(sys.PMs()), "PMcycles/op")
 }
 
 // Flat names (no sub-benchmarks): benchguard's baseline file and the

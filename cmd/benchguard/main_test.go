@@ -49,3 +49,25 @@ func TestBaselineFingerprint(t *testing.T) {
 		t.Fatalf("odd fingerprint %q", fp)
 	}
 }
+
+// ns/op is read wherever it sits on the line: the whole-system ticks
+// report a PMcycles/op column after it, -benchmem two more, and a
+// benchmark whose name merely starts with the guarded one is ignored.
+func TestParseNsPerOp(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		want float64
+		ok   bool
+	}{
+		{"BenchmarkSimRing72-2   \t  300000\t      5136 ns/op\t        72.00 PMcycles/op", 5136, true},
+		{"BenchmarkSimRing72-2 300000 5136 ns/op 72.00 PMcycles/op 76 B/op 1 allocs/op", 5136, true},
+		{"BenchmarkSimRing72 2000 845.2 ns/op", 845.2, true},
+		{"BenchmarkSimRing72LowLoad-2 300000 4000 ns/op 72.00 PMcycles/op", 0, false},
+		{"ok  \tringmesh\t3.1s", 0, false},
+	} {
+		got, ok := parseNsPerOp(tc.line, "BenchmarkSimRing72")
+		if ok != tc.ok || got != tc.want {
+			t.Errorf("parseNsPerOp(%q) = %v, %v; want %v, %v", tc.line, got, ok, tc.want, tc.ok)
+		}
+	}
+}

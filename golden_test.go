@@ -1,6 +1,8 @@
 package ringmesh
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 )
@@ -277,5 +279,48 @@ func TestGoldenResultsViaDeprecatedAPI(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotMesh, meshCase.want) {
 		t.Errorf("RunMesh diverged from generic Run\n got: %#v\nwant: %#v", gotMesh, meshCase.want)
+	}
+}
+
+// TestGoldenMetricsSeries pins the metrics-on time series themselves,
+// not just the Result they must not perturb: nic_inject_stall_cycles
+// is evaluated inside the ring station's commit from live queue
+// lengths and ring_link_util reads the per-station link counters, so
+// a rewrite of the station tick has to reproduce every sampled value.
+// The digests are sha256 of WriteMetricsCSV; re-record them only with
+// a deliberate modelling change.
+func TestGoldenMetricsSeries(t *testing.T) {
+	cases := []struct {
+		name        string
+		doubleSpeed bool
+		want        string
+	}{
+		{"ring-3:3:8-32B", false, "e2abd784eb5afa1b88eeccfd7534cffafa9c63a4b6105e911f52b79846db6ecc"},
+		{"ring-3:3:8-32B-double-global", true, "4ddbf74ffce6b326c87d49eb0051ed00a255b745aedebf28915416da95b06dab"},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			sys, err := NewSystem(Config{
+				Network: "ring", Topology: "3:3:8", LineBytes: 32,
+				DoubleSpeedGlobal: tc.doubleSpeed,
+				Workload:          PaperWorkload(), Seed: goldenSeed,
+				Metrics: true, MetricsIntervalCycles: 50,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Run(QuickRunOptions()); err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			if err := sys.WriteMetricsCSV(h); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("metrics series digest = %s, want %s", got, tc.want)
+			}
+		})
 	}
 }

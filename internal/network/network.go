@@ -88,6 +88,9 @@ type Stats struct {
 type Port interface {
 	node.Injector
 	node.Deliverer
+	// HasPending reports whether the Injector holds a packet of either
+	// class, so a model can ask once per cycle before peeking twice.
+	HasPending() bool
 }
 
 // Model is one interconnect: a synchronously clocked component that

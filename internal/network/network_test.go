@@ -152,6 +152,7 @@ func (stubPort) PopPendingResponse() *packet.Packet      { panic("empty") }
 func (stubPort) PendingRequest() (*packet.Packet, bool)  { return nil, false }
 func (stubPort) PopPendingRequest() *packet.Packet       { panic("empty") }
 func (stubPort) Deliver(*packet.Packet, int64)           {}
+func (stubPort) HasPending() bool                        { return false }
 
 // TestBuiltinsAdvertiseCapabilities builds every registered built-in
 // and asserts it implements the full optional-capability set —

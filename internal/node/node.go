@@ -458,6 +458,10 @@ func (pm *PM) Deliver(p *packet.Packet, now int64) {
 	pm.memQ = append(pm.memQ, p)
 }
 
+// HasPending reports whether a packet of either class awaits NIC
+// pickup — the one question an idle NIC asks every cycle.
+func (pm *PM) HasPending() bool { return len(pm.pendingResp)+len(pm.pendingReq) > 0 }
+
 // PendingResponse implements Injector.
 func (pm *PM) PendingResponse() (*packet.Packet, bool) {
 	if len(pm.pendingResp) == 0 {

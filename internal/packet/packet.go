@@ -175,10 +175,18 @@ type FIFO struct {
 
 // NewFIFO returns a FIFO holding at most capacity flits.
 func NewFIFO(capacity int) *FIFO {
+	q := MakeFIFO(capacity)
+	return &q
+}
+
+// MakeFIFO is NewFIFO by value, for owners that keep their queues
+// inside their own struct (the ring station). Use the result in place:
+// a copy of a FIFO that has held a flit shares its storage.
+func MakeFIFO(capacity int) FIFO {
 	if capacity <= 0 {
 		panic("packet: FIFO capacity must be positive")
 	}
-	return &FIFO{cap: capacity}
+	return FIFO{cap: capacity}
 }
 
 // Cap returns the capacity in flits.

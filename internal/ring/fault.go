@@ -41,10 +41,10 @@ func (s *station) fltBlocked(now int64) bool {
 	if s.flt.factor == 0 {
 		return true
 	}
-	// now/s.period is this station's cycle index (compute only runs on
-	// ticks divisible by period), so the station acts on every
-	// factor-th of its own cycles regardless of clocking.
-	return (now/s.period)%s.flt.factor != 0
+	// now/period is this station's cycle index (compute only runs on
+	// ticks divisible by its ring's period), so the station acts on
+	// every factor-th of its own cycles regardless of clocking.
+	return (now/s.ring.period)%s.flt.factor != 0
 }
 
 // fltBlockedSlot is the slotted-station equivalent, keyed on the
@@ -71,7 +71,7 @@ func (n *Network) ApplyFaultPlan(p *fault.Plan) error {
 	tpc := n.cfg.TicksPerCycle()
 	sched := make([]fault.Scheduled, 0, len(events))
 	for _, ev := range events {
-		st := n.stations[ev.Node]
+		st := &n.stations[ev.Node]
 		f := &stFault{until: ev.End() * tpc, factor: fault.SlowFactor(ev)}
 		sched = append(sched, fault.Scheduled{
 			At:    ev.Start * tpc,

@@ -38,22 +38,13 @@ func faultDescr(name string, f *stFault) string {
 func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 	rep := &sim.StallReport{BufferedFlits: n.BufferedFlits()}
 
-	// Who drains and who fills each IRI queue: the station injecting
-	// from it, and the station whose exit feeds it.
-	drain := map[*packet.FIFO]*station{}
-	fill := map[*packet.FIFO]*station{}
-	for _, ir := range n.iris {
-		drain[ir.upResp], drain[ir.upReq] = ir.upper, ir.upper
-		drain[ir.downResp], drain[ir.downReq] = ir.lower, ir.lower
-		fill[ir.upResp], fill[ir.upReq] = ir.lower, ir.lower
-		fill[ir.downResp], fill[ir.downReq] = ir.upper, ir.upper
-	}
 	pred := map[*station]*station{}
-	for _, st := range n.stations {
-		pred[st.downstream] = st
+	for i := range n.stations {
+		pred[n.stations[i].downstream] = &n.stations[i]
 	}
 
-	for _, st := range n.stations {
+	for i := range n.stations {
+		st := &n.stations[i]
 		if b := st.bufferedFlits(); b > 0 {
 			rep.Buffers = append(rep.Buffers, sim.BufferStat{
 				Node: st.name, Flits: b, Capacity: numVCs * n.clFlits,
@@ -66,11 +57,13 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 			f, src, ok := st.candidate(v)
 			if !ok {
 				// A committed worm whose next flit has not arrived
-				// waits on whoever feeds its source queue.
-				if vc := st.vcs[v]; vc.txPkt != nil {
+				// waits on whoever feeds its source queue: the upstream
+				// station, or — locked on an IRI queue — the peer whose
+				// exit fills it (a NIC's registers hold whole packets).
+				if vc := &st.vcs[v]; vc.txPkt != nil {
 					from, why := pred[st], "committed to a worm whose flits are still upstream"
 					if vc.txSrc != nil {
-						from, why = fill[vc.txSrc], "committed to a worm still crossing the IRI queue"
+						from, why = st.peer, "committed to a worm still crossing the IRI queue"
 					}
 					if from != nil {
 						rep.WaitFor = append(rep.WaitFor,
@@ -90,15 +83,15 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 			d := st.downstream
 			exiting := false
 			if f.Head() {
-				exiting = d.exits != nil && d.exits(f.Pkt.Dst)
+				exiting = d.exits(f.Pkt.Dst)
 			} else {
 				exiting = d.vcs[v].inPkt == f.Pkt && d.vcs[v].inRoute == routeExit
 			}
 			to, why := d, fmt.Sprintf("vc%d transit buffer full", v)
 			if exiting {
-				if qs, isQueue := d.exitSink.(*queueSink); isQueue {
-					to = drain[qs.pick(f.Pkt)]
-					why = "IRI transfer queue full"
+				// The peer drains the queue this exit fills.
+				if d.peer != nil {
+					to, why = d.peer, "IRI transfer queue full"
 				}
 			} else if src != nil && d.vcs[v].buf.Space() >= 1 {
 				why = fmt.Sprintf("bubble rule: vc%d transit path full ring-wide", v)
@@ -108,17 +101,16 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 		}
 	}
 
-	for _, ir := range n.iris {
-		name := fmt.Sprintf("iri[%d,%d)", ir.lo, ir.hi)
-		if l := ir.upResp.Len() + ir.upReq.Len(); l > 0 {
-			rep.Buffers = append(rep.Buffers, sim.BufferStat{
-				Node: name + ".up", Flits: l, Capacity: ir.upResp.Cap() + ir.upReq.Cap(),
-			})
-		}
-		if l := ir.downResp.Len() + ir.downReq.Len(); l > 0 {
-			rep.Buffers = append(rep.Buffers, sim.BufferStat{
-				Node: name + ".down", Flits: l, Capacity: ir.downResp.Cap() + ir.downReq.Cap(),
-			})
+	// An IRI station is named after the buffers it injects from
+	// ("iri[lo,hi).up" drains the up buffers).
+	for _, upper := range n.iris {
+		for _, st := range [...]*station{upper, upper.peer} {
+			if l := st.queuedFlits(); l > 0 {
+				rep.Buffers = append(rep.Buffers, sim.BufferStat{
+					Node: st.name, Flits: l,
+					Capacity: st.inject[qResp].Cap() + st.inject[qReq].Cap(),
+				})
+			}
 		}
 	}
 
@@ -144,22 +136,22 @@ func (n *Network) stuckPackets(now int64) []sim.StuckPacket {
 			})
 		})
 	}
-	for _, st := range n.stations {
-		for v := 0; v < numVCs; v++ {
-			collect(st.name, st.vcs[v].buf)
+	for i := range n.stations {
+		st := &n.stations[i]
+		for v := range st.vcs {
+			collect(st.name, &st.vcs[v].buf)
 		}
 	}
-	for id, nc := range n.nics {
-		loc := fmt.Sprintf("nic%d.out", id)
-		collect(loc, nc.outResp)
-		collect(loc, nc.outReq)
+	queues := func(where string, st *station) {
+		collect(where, &st.inject[qResp])
+		collect(where, &st.inject[qReq])
 	}
-	for _, ir := range n.iris {
-		name := fmt.Sprintf("iri[%d,%d)", ir.lo, ir.hi)
-		collect(name+".up", ir.upResp)
-		collect(name+".up", ir.upReq)
-		collect(name+".down", ir.downResp)
-		collect(name+".down", ir.downReq)
+	for id := range n.nics {
+		queues(n.nics[id].st.name+".out", n.nics[id].st)
+	}
+	for _, upper := range n.iris {
+		queues(upper.name, upper)
+		queues(upper.peer.name, upper.peer)
 	}
 	return out
 }

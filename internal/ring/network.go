@@ -92,60 +92,65 @@ func (c Config) TicksPerCycle() int64 {
 type PMPort interface {
 	node.Injector
 	node.Deliverer
+	// HasPending reports whether either pending list holds a packet,
+	// so a NIC with a free output register asks its PM once per cycle.
+	HasPending() bool
 }
 
-// nic couples a station with its PM-side buffers: the paper's output
-// request and response queues (each holding exactly one packet), kept
-// filled from the PM's pending lists.
+// nic couples a leaf-ring station with its PM. The station's
+// injection queues are the paper's output response and request
+// registers (each holding exactly one packet), kept filled from the
+// PM's pending lists.
 type nic struct {
-	st      *station
-	pm      PMPort
-	outResp *packet.FIFO
-	outReq  *packet.FIFO
+	st *station
+	pm PMPort
 }
 
 // refill moves whole pending packets from the PM into empty NIC
-// output queues (commit phase; the PM pending lists are written only
-// by the PM's own commit, which runs earlier in the tick — see the
-// registration order in internal/core).
+// output registers (commit phase; the PM pending lists are written
+// only by the PM's own commit, which runs earlier in the tick — see
+// the registration order in internal/core).
 func (n *nic) refill() {
-	if n.outResp.Empty() {
-		if p, ok := n.pm.PendingResponse(); ok && p.Flits <= n.outResp.Cap() {
+	resp, req := &n.st.inject[qResp], &n.st.inject[qReq]
+	if !(resp.Empty() || req.Empty()) || !n.pm.HasPending() {
+		return
+	}
+	if resp.Empty() {
+		if p, ok := n.pm.PendingResponse(); ok && p.Flits <= resp.Cap() {
 			n.pm.PopPendingResponse()
 			for i := 0; i < p.Flits; i++ {
-				n.outResp.Push(packet.Flit{Pkt: p, Index: i})
+				resp.Push(packet.Flit{Pkt: p, Index: i})
 			}
 		}
 	}
-	if n.outReq.Empty() {
-		if p, ok := n.pm.PendingRequest(); ok && p.Flits <= n.outReq.Cap() {
+	if req.Empty() {
+		if p, ok := n.pm.PendingRequest(); ok && p.Flits <= req.Cap() {
 			n.pm.PopPendingRequest()
 			for i := 0; i < p.Flits; i++ {
-				n.outReq.Push(packet.Flit{Pkt: p, Index: i})
+				req.Push(packet.Flit{Pkt: p, Index: i})
 			}
 		}
 	}
-}
-
-// iri is the Inter-Ring Interface: a 2x2 crossbar between a lower and
-// an upper ring, with request/response-split up and down buffers.
-type iri struct {
-	lower                            *station // sits on the child ring; exit feeds up buffers
-	upper                            *station // sits on the parent ring; exit feeds down buffers
-	upResp, upReq, downResp, downReq *packet.FIFO
-	// lo, hi is the contiguous PM range of the subtree below this IRI.
-	lo, hi int
 }
 
 // Network is the hierarchical ring interconnect as a sim.Component.
 type Network struct {
-	cfg      Config
-	clFlits  int
-	stations []*station // deterministic order for iteration
-	nics     []*nic     // indexed by PM id
-	iris     []*iri
-	rings    []*ringInst
-	engine   *sim.Engine
+	cfg     Config
+	clFlits int
+	// stations holds every station by value in build order — the
+	// deterministic DFS order the tick, the fault plan's node indices
+	// and the delivery order all follow.
+	stations []station
+	nics     []nic // indexed by PM id
+	// iris lists the Inter-Ring Interfaces, parents first, by their
+	// upper station. An IRI, a 2x2 crossbar between a lower and an upper
+	// ring, is a pair of stations that are each other's peer: the upper
+	// one sits on the parent ring, injects from the up buffers and exits
+	// into the down buffers; the lower one sits on the child ring,
+	// injects from the down buffers and exits into the up buffers.
+	iris   []*station
+	rings  []*ringInst // post-order: the global ring is last
+	engine *sim.Engine
 
 	// faults is the installed fault schedule; nil for fault-free runs
 	// (the common case), keeping the hot path at one nil check.
@@ -157,7 +162,8 @@ type Network struct {
 // SetTracer attaches an optional lifecycle recorder (nil-safe).
 func (n *Network) SetTracer(t *trace.Recorder) {
 	n.tracer = t
-	for _, st := range n.stations {
+	for i := range n.stations {
+		st := &n.stations[i]
 		st.tracer, st.hopLabel = t, ""
 		if t != nil {
 			st.hopLabel = st.name + "->" + st.downstream.name
@@ -166,8 +172,8 @@ func (n *Network) SetTracer(t *trace.Recorder) {
 }
 
 // New builds the network for cfg connecting the given PMs (len must
-// equal cfg.Spec.PMs()). The network registers per-station clock
-// periods itself; register the Network on the engine with period 1.
+// equal cfg.Spec.PMs()). The network clocks its rings itself (see
+// ringInst.period); register the Network on the engine with period 1.
 func New(cfg Config, pms []PMPort, engine *sim.Engine) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -176,124 +182,128 @@ func New(cfg Config, pms []PMPort, engine *sim.Engine) (*Network, error) {
 		return nil, fmt.Errorf("ring: %d PMs supplied for a %s topology (%d)",
 			len(pms), cfg.Spec, cfg.Spec.PMs())
 	}
+	// One station per PM plus two per IRI; an IRI hangs below every
+	// branch of every internal level.
+	spec := cfg.Spec
+	numIRIs := 0
+	for level, rings := 0, 1; level < spec.NumLevels()-1; level++ {
+		rings *= spec.Levels[level]
+		numIRIs += rings
+	}
 	n := &Network{
-		cfg:     cfg,
-		clFlits: packet.RingSizing.CacheLineFlits(cfg.LineBytes),
-		nics:    make([]*nic, len(pms)),
-		engine:  engine,
+		cfg:      cfg,
+		clFlits:  packet.RingSizing.CacheLineFlits(cfg.LineBytes),
+		stations: make([]station, 0, len(pms)+2*numIRIs),
+		nics:     make([]nic, len(pms)),
+		iris:     make([]*station, 0, numIRIs),
+		engine:   engine,
 	}
 	n.buildRing(0, 0, pms, nil)
-	// Clock periods: with a double-speed global ring, the engine tick
-	// is the global ring cycle and every non-global station runs at
-	// half rate.
-	if cfg.DoubleSpeedGlobal {
-		for _, st := range n.stations {
-			if st.level != 0 {
-				st.period = 2
-			}
-		}
-	}
 	return n, nil
 }
 
+// addStation appends a station to the preallocated slab (stations
+// point at each other, so the slab must never grow) and returns it.
+func (n *Network) addStation(name string, level, injectFlits int) *station {
+	if len(n.stations) == cap(n.stations) {
+		panic("ring: station slab undersized")
+	}
+	n.stations = n.stations[:len(n.stations)+1]
+	st := &n.stations[len(n.stations)-1]
+	st.init(name, level, n.clFlits, injectFlits)
+	return st
+}
+
 // buildRing recursively constructs the ring at the given level whose
-// subtree covers PM ids [base, base+SubtreeSize(level)). parentLower,
-// when non-nil, is the parent IRI's lower-side station which joins
-// this ring as its last slot. It returns nothing; stations are
+// subtree covers PM ids [base, base+SubtreeSize(level)). parentUpper,
+// when non-nil, is the upper station of the IRI above this ring; the
+// IRI's lower station joins this ring as the last slot. Stations are
 // appended to n.stations and wired in ring order.
-func (n *Network) buildRing(level, base int, pms []PMPort, parentLower *station) {
+func (n *Network) buildRing(level, base int, pms []PMPort, parentUpper *station) {
 	spec := n.cfg.Spec
 	branches := spec.Levels[level]
-	var slots []*station
+	inst := &ringInst{
+		lo:         base,
+		hi:         base + spec.SubtreeSize(level),
+		unsafeNoVC: n.cfg.UnsafeNoVC,
+		period:     1,
+	}
+	// With a double-speed global ring the engine tick is the global
+	// ring cycle and every other ring runs at half rate.
+	if n.cfg.DoubleSpeedGlobal && level != 0 {
+		inst.period = 2
+	}
+	iriQ := n.cfg.IRIQueueFlits
+	if iriQ == 0 {
+		iriQ = n.clFlits
+	}
 
 	if level == spec.NumLevels()-1 {
 		// Leaf ring: one NIC per PM.
 		for j := 0; j < branches; j++ {
-			pmID := base + j
-			st := newStation(fmt.Sprintf("nic%d", pmID), level, n.clFlits)
-			outResp := packet.NewFIFO(n.clFlits)
-			outReq := packet.NewFIFO(n.clFlits)
-			st.inject = []*packet.FIFO{outResp, outReq}
-			pm := pms[pmID]
-			id := pmID
-			st.exits = func(dst int) bool { return dst == id }
-			st.exitSink = &pmSink{deliver: pm.Deliver}
-			n.nics[pmID] = &nic{st: st, pm: pm, outResp: outResp, outReq: outReq}
-			n.stations = append(n.stations, st)
-			slots = append(slots, st)
+			id := base + j
+			st := n.addStation(fmt.Sprintf("nic%d", id), level, n.clFlits)
+			st.exitLo, st.exitHi = id, id+1
+			st.deliver = pms[id].Deliver
+			n.nics[id] = nic{st: st, pm: pms[id]}
+			inst.stations = append(inst.stations, st)
 		}
 	} else {
 		// Internal ring: one child IRI upper station per child ring.
 		sub := spec.SubtreeSize(level + 1)
-		iriQ := n.cfg.IRIQueueFlits
-		if iriQ == 0 {
-			iriQ = n.clFlits
-		}
 		for j := 0; j < branches; j++ {
 			lo := base + j*sub
-			hi := lo + sub
-			ir := &iri{
-				lo: lo, hi: hi,
-				upResp:   packet.NewFIFO(iriQ),
-				upReq:    packet.NewFIFO(iriQ),
-				downResp: packet.NewFIFO(iriQ),
-				downReq:  packet.NewFIFO(iriQ),
-			}
-			upper := newStation(fmt.Sprintf("iri[%d,%d).up", lo, hi), level, n.clFlits)
-			upper.exits = func(dst int) bool { return dst >= ir.lo && dst < ir.hi }
-			upper.exitSink = &queueSink{resp: ir.downResp, req: ir.downReq}
-			upper.inject = []*packet.FIFO{ir.upResp, ir.upReq}
-
-			lower := newStation(fmt.Sprintf("iri[%d,%d).down", lo, hi), level+1, n.clFlits)
-			lower.exits = func(dst int) bool { return dst < ir.lo || dst >= ir.hi }
-			lower.exitSink = &queueSink{resp: ir.upResp, req: ir.upReq}
-			lower.inject = []*packet.FIFO{ir.downResp, ir.downReq}
-
-			ir.upper, ir.lower = upper, lower
-			n.iris = append(n.iris, ir)
-			n.stations = append(n.stations, upper)
-			slots = append(slots, upper)
-			// Build the child ring with the lower station as its
-			// parent slot; the child appends `lower` to n.stations.
-			n.buildRing(level+1, lo, pms, lower)
+			upper := n.addStation(fmt.Sprintf("iri[%d,%d).up", lo, lo+sub), level, iriQ)
+			upper.exitLo, upper.exitHi = lo, lo+sub
+			inst.stations = append(inst.stations, upper)
+			n.iris = append(n.iris, upper)
+			// The child ring adds the IRI's lower station as its last
+			// slot.
+			n.buildRing(level+1, lo, pms, upper)
 		}
 	}
 
-	if parentLower != nil {
-		n.stations = append(n.stations, parentLower)
-		slots = append(slots, parentLower)
+	if parentUpper != nil {
+		lower := n.addStation(fmt.Sprintf("iri[%d,%d).down", inst.lo, inst.hi), level, iriQ)
+		lower.exitLo, lower.exitHi, lower.exitOutside = inst.lo, inst.hi, true
+		lower.peer, parentUpper.peer = parentUpper, lower
+		inst.stations = append(inst.stations, lower)
 	}
 	// Close the ring: slot i sends to slot i+1 (mod size), and bind
 	// every station to the ring instance (virtual-channel classing
 	// and the bubble rule need the ring's subtree range).
-	inst := &ringInst{
-		stations:   slots,
-		lo:         base,
-		hi:         base + spec.SubtreeSize(level),
-		unsafeNoVC: n.cfg.UnsafeNoVC,
-	}
-	for v := 0; v < numVCs; v++ {
-		inst.resident[v] = map[*packet.Packet]bool{}
-	}
 	n.rings = append(n.rings, inst)
-	for i, st := range slots {
-		st.downstream = slots[(i+1)%len(slots)]
+	for i, st := range inst.stations {
+		st.downstream = inst.stations[(i+1)%len(inst.stations)]
 		st.ring = inst
 	}
 }
+
+// pmTick reports whether now is a tick of the PM clock, on which
+// every ring acts. On the ticks between (they exist only under a
+// double-speed global ring) the global ring alone does.
+func (n *Network) pmTick(now int64) bool {
+	tpc := n.cfg.TicksPerCycle()
+	return tpc == 1 || now%tpc == 0
+}
+
+// global returns the top-level ring (built last).
+func (n *Network) global() *ringInst { return n.rings[len(n.rings)-1] }
 
 // Compute implements sim.Component.
 func (n *Network) Compute(now int64) {
 	if n.faults != nil {
 		n.faults.Step(now)
 	}
+	if !n.pmTick(now) {
+		n.global().compute(now)
+		return
+	}
 	for _, r := range n.rings {
 		r.stagedInj = [numVCs]int{}
 	}
-	for _, st := range n.stations {
-		if st.active(now) {
-			st.compute(now)
-		}
+	for i := range n.stations {
+		n.stations[i].compute(now)
 	}
 }
 
@@ -301,20 +311,22 @@ func (n *Network) Compute(now int64) {
 // engine once per commit (batched) rather than per station.
 func (n *Network) Commit(now int64) {
 	moved := 0
-	for _, st := range n.stations {
-		if !st.active(now) {
-			continue
+	if n.pmTick(now) {
+		for i := range n.stations {
+			if n.stations[i].commit(now) {
+				moved++
+			}
 		}
-		if st.commit(now) {
-			moved++
-		}
+	} else {
+		moved = n.global().commit(now)
 	}
 	if moved > 0 {
 		n.engine.ProgressN(moved)
 	}
-	for _, nc := range n.nics {
-		if nc.st.active(now) {
-			nc.refill()
+	// Every NIC sits on a leaf ring, and all leaf rings share a clock.
+	if n.nics[0].st.ring.active(now) {
+		for i := range n.nics {
+			n.nics[i].refill()
 		}
 	}
 }
@@ -340,23 +352,23 @@ func (n *Network) DescribeMetrics(reg *metrics.Registry) {
 		return
 	}
 	perLevel := make([][]*stats.Utilization, n.cfg.Spec.NumLevels())
-	for _, st := range n.stations {
-		perLevel[st.level] = append(perLevel[st.level], st.util)
+	for i := range n.stations {
+		st := &n.stations[i]
+		perLevel[st.level] = append(perLevel[st.level], &st.util)
 	}
 	for lvl, backing := range perLevel {
 		reg.Ratio("ring_link_util", metrics.Labels{Link: levelLabel(lvl)}, backing...)
 	}
-	for _, ir := range n.iris {
-		ir := ir
-		node := fmt.Sprintf("iri[%d,%d)", ir.lo, ir.hi)
+	for _, upper := range n.iris {
+		node := fmt.Sprintf("iri[%d,%d)", upper.exitLo, upper.exitHi)
 		for _, q := range []struct {
 			fifo         *packet.FIFO
 			queue, class string
 		}{
-			{ir.upReq, "up", "req"},
-			{ir.upResp, "up", "rsp"},
-			{ir.downReq, "down", "req"},
-			{ir.downResp, "down", "rsp"},
+			{&upper.inject[qReq], "up", "req"},
+			{&upper.inject[qResp], "up", "rsp"},
+			{&upper.peer.inject[qReq], "down", "req"},
+			{&upper.peer.inject[qResp], "down", "rsp"},
 		} {
 			fifo := q.fifo
 			reg.Gauge("iri_queue_flits",
@@ -364,8 +376,8 @@ func (n *Network) DescribeMetrics(reg *metrics.Registry) {
 				func() float64 { return float64(fifo.Len()) })
 		}
 	}
-	for id, nc := range n.nics {
-		nc.st.stall = reg.Counter("nic_inject_stall_cycles",
+	for id := range n.nics {
+		n.nics[id].st.stall = reg.Counter("nic_inject_stall_cycles",
 			metrics.Labels{Node: fmt.Sprintf("nic%d", id)})
 	}
 	if n.faults != nil {
@@ -379,8 +391,9 @@ func (n *Network) UtilizationByLevel() []float64 {
 	levels := n.cfg.Spec.NumLevels()
 	out := make([]float64, levels)
 	aggr := make([]stats.Utilization, levels)
-	for _, st := range n.stations {
-		aggr[st.level].Merge(st.util)
+	for i := range n.stations {
+		st := &n.stations[i]
+		aggr[st.level].Merge(&st.util)
 	}
 	for i := range aggr {
 		out[i] = aggr[i].Value()
@@ -391,8 +404,8 @@ func (n *Network) UtilizationByLevel() []float64 {
 // ResetUtilization clears all link utilization counters (called at
 // warmup end).
 func (n *Network) ResetUtilization() {
-	for _, st := range n.stations {
-		st.util.Reset()
+	for i := range n.stations {
+		n.stations[i].util.Reset()
 	}
 }
 
@@ -401,14 +414,8 @@ func (n *Network) ResetUtilization() {
 // accounting and tests.
 func (n *Network) BufferedFlits() int {
 	total := 0
-	for _, st := range n.stations {
-		total += st.bufferedFlits()
-	}
-	for _, nc := range n.nics {
-		total += nc.outResp.Len() + nc.outReq.Len()
-	}
-	for _, ir := range n.iris {
-		total += ir.upResp.Len() + ir.upReq.Len() + ir.downResp.Len() + ir.downReq.Len()
+	for i := range n.stations {
+		total += n.stations[i].bufferedFlits() + n.stations[i].queuedFlits()
 	}
 	return total
 }
@@ -417,11 +424,13 @@ func (n *Network) BufferedFlits() int {
 func (n *Network) NumStations() int { return len(n.stations) }
 
 // CheckInvariants returns an error if any transit buffer exceeds its
-// capacity or any ring violates the bubble bound; used by property
-// tests.
+// capacity, any ring violates the bubble bound, or a ring's residency
+// counters differ from a recount of the packets on its transit paths;
+// used by property tests.
 func (n *Network) CheckInvariants() error {
-	for _, st := range n.stations {
-		for v := 0; v < numVCs; v++ {
+	for i := range n.stations {
+		st := &n.stations[i]
+		for v := range st.vcs {
 			if st.vcs[v].buf.Len() > st.vcs[v].buf.Cap() {
 				return fmt.Errorf("ring: %s vc%d transit over capacity", st.name, v)
 			}
@@ -431,24 +440,35 @@ func (n *Network) CheckInvariants() error {
 		for v := 0; v < numVCs; v++ {
 			// With UnsafeNoVC the bubble rule is deliberately off, so
 			// the residency bound does not hold; the residency
-			// *tracking* below still must.
-			if res := r.residents(v); !r.unsafeNoVC && res > len(r.stations)-1 {
+			// *counting* below still must.
+			if res := r.resident[v]; !r.unsafeNoVC && res > len(r.stations)-1 {
 				return fmt.Errorf("ring: ring %d vc%d has %d residents in %d buffers (bubble violated)",
 					i, v, res, len(r.stations))
 			}
-			// Every packet with flits buffered must be a tracked
-			// resident.
-			buffered := map[*packet.Packet]bool{}
-			for _, st := range r.stations {
-				st.vcs[v].buf.EachPacket(func(p *packet.Packet) { buffered[p] = true })
-			}
-			for p := range buffered {
-				if !r.resident[v][p] {
-					return fmt.Errorf("ring: ring %d vc%d holds flits of untracked packet %s",
-						i, v, p)
-				}
+			if got := r.recountResidents(v); got != r.resident[v] {
+				return fmt.Errorf("ring: ring %d vc%d counts %d residents but %d packets are on its transit path",
+					i, v, r.resident[v], got)
 			}
 		}
 	}
 	return nil
+}
+
+// recountResidents counts, from the buffers and locks alone, the
+// packets on channel v's transit path: every packet with a flit in a
+// transit buffer, plus every worm still streaming out of an injection
+// queue whose head continued on the ring (its flits may all have left
+// the transit buffers again while its body is still crossing).
+func (r *ringInst) recountResidents(v int) int {
+	on := map[*packet.Packet]bool{}
+	for _, st := range r.stations {
+		vc := &st.vcs[v]
+		vc.buf.EachPacket(func(p *packet.Packet) { on[p] = true })
+		// While the lock holds, downstream's inPkt is this worm and
+		// inRoute is where its head went.
+		if vc.txSrc != nil && st.downstream.vcs[v].inRoute == routeContinue {
+			on[vc.txPkt] = true
+		}
+	}
+	return len(on)
 }

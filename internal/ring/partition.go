@@ -22,7 +22,7 @@ import (
 // start-of-tick state; the two models just need the producer and the
 // consumer never to mutate one queue concurrently:
 //
-//   - Wormhole: the exit push is deferred. queueSink routes it into
+//   - Wormhole: the exit push is deferred. station.receive routes it into
 //     the committing ring's outbox during commit phase 0 (where the
 //     consumer's pop runs) and the outbox flushes in phase 1, behind a
 //     barrier. A pop takes the start-of-tick head and a push appends to
@@ -45,7 +45,7 @@ type ringShard struct {
 	ring *ringInst
 	// nics are the NIC couplings on this ring (leaf rings only), in
 	// PM-id order — the serial refill order restricted to the shard.
-	nics   []*nic
+	nics   []nic
 	outbox []deferredPush
 }
 
@@ -56,11 +56,8 @@ type ringShard struct {
 // by the ring's own stations. Fault stepping is not repeated here; the
 // partition's Prologue runs it serially.
 func (s *ringShard) Compute(now int64) {
-	s.ring.stagedInj = [numVCs]int{}
-	for _, st := range s.ring.stations {
-		if st.active(now) {
-			st.compute(now)
-		}
+	if s.ring.active(now) {
+		s.ring.compute(now)
 	}
 }
 
@@ -77,16 +74,12 @@ func (s *ringShard) CommitPhase(phase int, now int64) int {
 		s.outbox = s.outbox[:0]
 		return 0
 	}
-	moved := 0
-	for _, st := range s.ring.stations {
-		if st.active(now) && st.commit(now) {
-			moved++
-		}
+	if !s.ring.active(now) {
+		return 0
 	}
-	for _, nc := range s.nics {
-		if nc.st.active(now) {
-			nc.refill()
-		}
+	moved := s.ring.commit(now)
+	for i := range s.nics {
+		s.nics[i].refill()
 	}
 	return moved
 }
@@ -101,10 +94,6 @@ func (n *Network) Partition() *sim.Partition {
 	if len(n.rings) < 2 {
 		return nil
 	}
-	nicOf := make(map[*station]int, len(n.nics))
-	for id, nc := range n.nics {
-		nicOf[nc.st] = id
-	}
 	p := &sim.Partition{
 		CommitPhases: 2,
 		Prologue: func(now int64) {
@@ -116,16 +105,17 @@ func (n *Network) Partition() *sim.Partition {
 	for i, r := range n.rings {
 		sh := &ringShard{ring: r}
 		lo, hi := r.lo, r.lo // internal rings own no PMs
-		if _, leaf := nicOf[r.stations[0]]; leaf {
+		// A leaf ring's first slot is a NIC.
+		if r.stations[0].deliver != nil {
 			lo, hi = r.lo, r.hi
 			sh.nics = n.nics[lo:hi]
 		}
-		// Route this ring's IRI exits through the shard outbox. The
-		// sink of a station on ring r is only ever written during ring
-		// r's own commit (the pushing station's downstream is on r).
+		// Route this ring's IRI exits through the shard outbox. A
+		// station on ring r only ever exits flits during ring r's own
+		// commit (the pushing station's downstream is on r).
 		for _, st := range r.stations {
-			if qs, ok := st.exitSink.(*queueSink); ok {
-				qs.outbox = &sh.outbox
+			if st.peer != nil {
+				st.outbox = &sh.outbox
 			}
 		}
 		p.Shards = append(p.Shards, sim.PartitionShard{
@@ -141,9 +131,9 @@ func (n *Network) Partition() *sim.Partition {
 	// n.stations position of each NIC's upstream neighbour, not PM-id
 	// order (a leaf ring's parent IRI station commits last but delivers
 	// to the ring's first NIC).
-	for _, st := range n.stations {
-		if id, ok := nicOf[st.downstream]; ok {
-			p.DeliverOrder = append(p.DeliverOrder, id)
+	for i := range n.stations {
+		if d := n.stations[i].downstream; d.deliver != nil {
+			p.DeliverOrder = append(p.DeliverOrder, d.exitLo) // a NIC exits its PM's id
 		}
 	}
 	return p

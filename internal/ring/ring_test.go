@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ringmesh/internal/packet"
+	"ringmesh/internal/rng"
 	"ringmesh/internal/sim"
 	"ringmesh/internal/topo"
 )
@@ -39,6 +40,7 @@ func (f *fakePM) PopPendingRequest() *packet.Packet {
 	f.pendReq = f.pendReq[1:]
 	return p
 }
+func (f *fakePM) HasPending() bool { return len(f.pendResp)+len(f.pendReq) > 0 }
 func (f *fakePM) Deliver(p *packet.Packet, now int64) {
 	f.delivered = append(f.delivered, p)
 	f.deliverAt = append(f.deliverAt, now)
@@ -215,12 +217,10 @@ func TestResponsePriorityAtInjection(t *testing.T) {
 // holds both a transit packet and an injectable packet of the same
 // channel, the transit packet is selected.
 func TestTransitPriority(t *testing.T) {
-	st := newStation("s", 0, 3)
-	inst := &ringInst{stations: []*station{st}, lo: 0, hi: 8}
-	st.ring = inst
-	outResp := packet.NewFIFO(3)
-	outReq := packet.NewFIFO(3)
-	st.inject = []*packet.FIFO{outResp, outReq}
+	st := &station{}
+	st.init("s", 0, 3, 3)
+	st.ring = &ringInst{stations: []*station{st}, lo: 0, hi: 8, period: 1}
+	outResp, outReq := &st.inject[qResp], &st.inject[qReq]
 
 	transit := &packet.Packet{ID: 1, Type: packet.ReadResponse, Dst: 3, Flits: 3}
 	local := &packet.Packet{ID: 2, Type: packet.ReadResponse, Dst: 3, Flits: 3}
@@ -386,9 +386,10 @@ func TestUtilizationCounts(t *testing.T) {
 // IRI queue capacity override is honoured.
 func TestIRIQueueOverride(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustRingSpec(2, 2), LineBytes: 32, IRIQueueFlits: 12})
-	for _, ir := range h.net.iris {
-		if ir.upResp.Cap() != 12 || ir.downReq.Cap() != 12 {
-			t.Fatalf("IRI queue caps = %d/%d, want 12", ir.upResp.Cap(), ir.downReq.Cap())
+	for _, upper := range h.net.iris {
+		up, down := upper.inject[qResp].Cap(), upper.peer.inject[qReq].Cap()
+		if up != 12 || down != 12 {
+			t.Fatalf("IRI queue caps = %d/%d, want 12", up, down)
 		}
 	}
 }
@@ -405,40 +406,116 @@ func TestVCClassing(t *testing.T) {
 	}
 }
 
-// Bubble rule bookkeeping: residency is tracked from admission to
-// departure, idempotently.
-func TestResidentsCount(t *testing.T) {
-	st := newStation("s", 0, 3)
-	r := &ringInst{stations: []*station{st}, lo: 0, hi: 4}
-	for v := 0; v < numVCs; v++ {
-		r.resident[v] = map[*packet.Packet]bool{}
+// The residency counters behind the bubble rule equal a recount of the
+// packets actually on each ring's transit paths after every tick of a
+// saturated hierarchy — CheckInvariants (run by harness.run each tick)
+// requires the equality — with the virtual channels on and off. The
+// counters must also be doing something: residents must appear, and a
+// drained network must count none.
+func TestResidencyCountersMatchRecount(t *testing.T) {
+	spec := topo.MustRingSpec(2, 3, 4)
+	for _, noVC := range []bool{false, true} {
+		h := newHarness(t, Config{Spec: spec, LineBytes: 128, UnsafeNoVC: noVC})
+		r := rng.New(11)
+		id := uint64(1)
+		for s := 0; s < spec.PMs(); s++ {
+			for k := 0; k < 12; k++ {
+				dst := r.Intn(spec.PMs())
+				if dst == s {
+					dst = (dst + 1) % spec.PMs()
+				}
+				typ := packet.ReadResponse
+				if k%3 == 0 {
+					typ = packet.ReadRequest // 1-flit packets: head is tail
+				}
+				p := mkPkt(id, typ, s, dst, 128)
+				id++
+				if typ.IsResponse() {
+					h.pms[s].pendResp = append(h.pms[s].pendResp, p)
+				} else {
+					h.pms[s].pendReq = append(h.pms[s].pendReq, p)
+				}
+			}
+		}
+		peak := 0
+		for tick := 0; tick < 6000; tick++ {
+			h.engine.Step()
+			if err := h.net.CheckInvariants(); err != nil {
+				t.Fatalf("noVC=%v tick %d: %v", noVC, tick, err)
+			}
+			for _, ring := range h.net.rings {
+				for v := 0; v < numVCs; v++ {
+					if ring.resident[v] > peak {
+						peak = ring.resident[v]
+					}
+				}
+			}
+		}
+		if peak < 2 {
+			t.Fatalf("noVC=%v: peak residency %d; the storm never loaded a transit path", noVC, peak)
+		}
+		if h.net.BufferedFlits() == 0 {
+			for i, ring := range h.net.rings {
+				if ring.resident != [numVCs]int{} {
+					t.Fatalf("noVC=%v: drained ring %d still counts residents %v", noVC, i, ring.resident)
+				}
+			}
+		} else if !noVC {
+			t.Fatalf("%d flits still buffered with the VCs on", h.net.BufferedFlits())
+		}
 	}
-	st.ring = r
-	if r.residents(vcDescent) != 0 {
-		t.Fatal("fresh ring has residents")
-	}
-	p := &packet.Packet{ID: 1, Flits: 3, Dst: 1}
-	r.admit(vcDescent, p)
-	r.admit(vcDescent, p) // double admit must not double count
-	if r.residents(vcDescent) != 1 {
-		t.Fatal("admit not idempotent")
-	}
-	q := &packet.Packet{ID: 2, Flits: 1, Dst: 2}
-	r.admit(vcDescent, q)
-	if r.residents(vcDescent) != 2 {
-		t.Fatal("second packet not counted")
-	}
-	if r.residents(vcAscent) != 0 {
-		t.Fatal("channels must be independent")
-	}
-	r.depart(vcDescent, p)
-	r.depart(vcDescent, p) // idempotent
-	if r.residents(vcDescent) != 1 {
-		t.Fatal("departure not applied")
-	}
-	// The bubble bound: with 1 station, S-2 < 0 so nothing more may be
-	// admitted.
-	if r.mayAdmitNewResident(vcDescent) {
-		t.Fatal("tiny ring admitted beyond the bubble bound")
+}
+
+// Static route walk against the topology oracle: following the exit
+// rule from every source NIC to every destination takes exactly
+// topo.RingSpec.RingHops link crossings, climbs only while the
+// destination lies outside the ring's subtree and descends only into
+// the subtree that holds it (the ring analogue of the mesh's
+// TestGeometryMatchesSpec).
+func TestRouteWalkMatchesSpec(t *testing.T) {
+	for _, levels := range [][]int{{8}, {3, 8}, {3, 3, 8}, {2, 2, 2, 4}, {2, 3, 4}} {
+		spec := topo.MustRingSpec(levels...)
+		h := newHarness(t, Config{Spec: spec, LineBytes: 32})
+		for src := 0; src < spec.PMs(); src++ {
+			for dst := 0; dst < spec.PMs(); dst++ {
+				if src == dst {
+					continue
+				}
+				at, hops := h.net.nics[src].st, 0
+				for delivered := false; !delivered; {
+					if hops > 4*h.net.NumStations() {
+						t.Fatalf("%s: %d->%d does not terminate", spec, src, dst)
+					}
+					next := at.downstream
+					hops++ // the link at -> next
+					switch {
+					case !next.exits(dst):
+						at = next
+					case next.deliver != nil:
+						if next != h.net.nics[dst].st {
+							t.Fatalf("%s: %d->%d delivered at %s", spec, src, dst, next.name)
+						}
+						delivered = true
+					default:
+						// An IRI crossing: the packet continues from the
+						// peer station on the other ring.
+						in := dst >= next.ring.lo && dst < next.ring.hi
+						up := next.peer.level < next.level
+						if up == in {
+							t.Fatalf("%s: %d->%d crosses %s the wrong way (dst inside ring subtree: %v)",
+								spec, src, dst, next.name, in)
+						}
+						if !up && (dst < next.peer.ring.lo || dst >= next.peer.ring.hi) {
+							t.Fatalf("%s: %d->%d descends at %s into a subtree without it",
+								spec, src, dst, next.name)
+						}
+						at = next.peer
+					}
+				}
+				if want := spec.RingHops(src, dst); hops != want {
+					t.Fatalf("%s: %d->%d walks %d hops, RingHops says %d", spec, src, dst, hops, want)
+				}
+			}
+		}
 	}
 }

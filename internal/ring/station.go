@@ -7,7 +7,7 @@
 // Both node types share one building block, the station: a single
 // attachment point on a ring with an incoming link, transit ("ring")
 // buffers holding one cache-line packet each, an ordered set of
-// injection queues, and an exit sink. A NIC is a station whose exit
+// injection queues, and an exit. A NIC is a station whose exit
 // is the local PM and whose injection queues are the PM's output
 // request/response buffers; an IRI is a pair of stations — one on the
 // lower ring whose exit feeds the up buffer, one on the upper ring
@@ -67,7 +67,7 @@ type routeKind uint8
 
 const (
 	routeContinue routeKind = iota // stay on this ring
-	routeExit                      // leave through the exit sink
+	routeExit                      // leave through the station's exit
 )
 
 // Virtual channel indices.
@@ -76,6 +76,22 @@ const (
 	vcAscent  = 1 // destination outside: climbing to the LCA
 	numVCs    = 2
 )
+
+// Injection queue indices, in injection priority order (responses
+// before requests, both after transit traffic).
+const (
+	qResp     = 0
+	qReq      = 1
+	numInject = 2
+)
+
+// injectClass returns the injection queue index of p's class.
+func injectClass(p *packet.Packet) int {
+	if p.Type.IsResponse() {
+		return qResp
+	}
+	return qReq
+}
 
 // ringInst groups the stations of one physical ring and owns the
 // bubble flow-control bookkeeping per virtual channel.
@@ -88,18 +104,27 @@ type ringInst struct {
 	// Config.UnsafeNoVC): every packet classes as descent and the
 	// bubble rule admits unconditionally.
 	unsafeNoVC bool
+	// period is the clock divider, in engine ticks, of every station on
+	// this ring: 1 except on the PM-clocked rings below a double-speed
+	// global ring, which act every second tick.
+	period int64
 	// stagedInj counts injections granted per channel during the
 	// current compute phase, so simultaneous injections cannot
 	// overshoot the bubble bound.
 	stagedInj [numVCs]int
-	// resident tracks packets admitted to each channel's transit path
-	// from head acceptance until their tail flit leaves it. Counting
+	// resident counts the packets admitted to each channel's transit
+	// path, from the commit of an injected head that continues on the
+	// ring until the commit of the tail flit that leaves it. Counting
 	// buffered flits alone is not enough: a worm streaming in from an
-	// IRI queue can momentarily have no flit buffered (its head
-	// already exited downstream, its body still crossing) while still
-	// owning transit capacity.
-	resident [numVCs]map[*packet.Packet]bool
+	// IRI queue can momentarily have no flit buffered (its head already
+	// exited downstream, its body still crossing) while still owning
+	// transit capacity. CheckInvariants recounts from the buffers and
+	// locks and requires equality.
+	resident [numVCs]int
 }
+
+// active reports whether the ring's stations act on this tick.
+func (r *ringInst) active(now int64) bool { return r.period == 1 || now%r.period == 0 }
 
 // class returns the virtual channel a packet to dst uses on this ring.
 func (r *ringInst) class(dst int) int {
@@ -112,43 +137,42 @@ func (r *ringInst) class(dst int) int {
 	return vcAscent
 }
 
-// residents returns the number of packets currently admitted to
-// channel v's transit path.
-func (r *ringInst) residents(v int) int { return len(r.resident[v]) }
-
 // mayAdmitNewResident reports whether one more packet may start using
 // channel v's transit buffers (bubble rule: keep one buffer free).
 func (r *ringInst) mayAdmitNewResident(v int) bool {
 	if r.unsafeNoVC {
 		return true
 	}
-	return r.residents(v)+r.stagedInj[v] <= len(r.stations)-2
+	return r.resident[v]+r.stagedInj[v] <= len(r.stations)-2
 }
 
-// admit registers a packet on channel v's transit path.
-func (r *ringInst) admit(v int, p *packet.Packet) { r.resident[v][p] = true }
+// compute stages this cycle's transfer at every station of the ring
+// (all stations of a ring share its clock).
+func (r *ringInst) compute(now int64) {
+	r.stagedInj = [numVCs]int{}
+	for _, st := range r.stations {
+		st.compute(now)
+	}
+}
 
-// depart removes a packet once its tail flit has left the channel's
-// transit path (idempotent; packets that exited without ever entering
-// transit are simply absent).
-func (r *ringInst) depart(v int, p *packet.Packet) { delete(r.resident[v], p) }
-
-// sink absorbs flits that exit a ring at a station (a PM delivery
-// port or an IRI up/down buffer).
-type sink interface {
-	// spaceFor reports, from start-of-cycle state, whether the sink
-	// can absorb this flit now.
-	spaceFor(f packet.Flit) bool
-	// accept absorbs the flit (commit phase).
-	accept(f packet.Flit, now int64)
+// commit applies the ring's staged transfers and returns how many
+// flits moved.
+func (r *ringInst) commit(now int64) int {
+	moved := 0
+	for _, st := range r.stations {
+		if st.commit(now) {
+			moved++
+		}
+	}
+	return moved
 }
 
 // vcState is one virtual channel's state at a station.
 type vcState struct {
 	// buf is the transit buffer (capacity: one cache-line packet).
-	buf *packet.FIFO
+	buf packet.FIFO
 	// txPkt/txSrc: wormhole lock within this channel; txSrc nil means
-	// the transit buffer.
+	// the transit buffer, else one of the station's injection queues.
 	txPkt *packet.Packet
 	txSrc *packet.FIFO
 	// inPkt/inRoute: the packet currently streaming in from upstream
@@ -157,95 +181,125 @@ type vcState struct {
 	inRoute routeKind
 }
 
-// station is one attachment on a unidirectional ring.
+// station is one attachment on a unidirectional ring. All of a
+// station's state sits in the struct itself (the queues by value), and
+// a network's stations are allocated as one slice in tick order, so a
+// station-cycle walks memory forwards. The fields the tick reads on
+// every visit come first.
 type station struct {
-	// name is used in panic messages and traces.
-	name string
-	// level is the ring level (0 = global) for utilization grouping.
-	level int
-	// period is the clock divider in engine ticks (1 = every tick).
-	period int64
-
-	// downstream is the next station around the ring.
-	downstream *station
-
-	// ring is the physical ring this station sits on.
-	ring *ringInst
-
-	// vcs are the per-virtual-channel transit paths.
-	vcs [numVCs]*vcState
-
-	// exits decides whether a packet leaves the ring here.
-	exits func(dst int) bool
-	// exitSink absorbs exiting flits (non-nil when exits can fire).
-	exitSink sink
-
-	// inject is the priority-ordered list of injection queues
-	// (responses before requests, after transit traffic).
-	inject []*packet.FIFO
-
+	// Per-cycle staging: the single flit crossing this station's
+	// output link this cycle.
+	staged      bool
+	stagedRoute routeKind
+	stagedVC    uint8
 	// lastVC is the round-robin pointer for link arbitration between
 	// channels.
-	lastVC int
+	lastVC    uint8
+	stagedF   packet.Flit
+	stagedSrc *packet.FIFO // nil means the channel's transit buffer
 
 	// flt is the installed fault on this station's output link; nil
 	// (the common case) costs one pointer check per compute. See
 	// fault.go.
 	flt *stFault
 
-	// Per-cycle staging: the single flit crossing this station's
-	// output link this cycle.
-	staged      bool
-	stagedF     packet.Flit
-	stagedVC    int
-	stagedSrc   *packet.FIFO // nil means the channel's transit buffer
-	stagedRoute routeKind
+	util stats.Utilization
+	// stall, when non-nil (metrics enabled, NIC stations only), counts
+	// injection-stall cycles: active cycles where an injection queue
+	// held flits but no injection-queue flit crossed the output link
+	// (either nothing moved or transit traffic won the link).
+	stall *metrics.Counter
 
-	util *stats.Utilization
+	// vcs are the per-virtual-channel transit paths.
+	vcs [numVCs]vcState
+	// inject are the injection queues this station drains onto the
+	// ring: a NIC's output response/request registers (filled from the
+	// PM by nic.refill), or the IRI buffers filled by the exit of the
+	// peer station on the other ring.
+	inject [numInject]packet.FIFO
+
+	// downstream is the next station around the ring.
+	downstream *station
+	// ring is the physical ring this station sits on.
+	ring *ringInst
+
+	// The exit rule: a packet to dst leaves the ring here when dst's
+	// membership of [exitLo, exitHi) differs from exitOutside — a NIC
+	// exits its own PM id, an IRI's upper station the subtree below
+	// it, its lower station everything outside that subtree. The zero
+	// value exits nothing.
+	exitLo, exitHi int
+	exitOutside    bool
+	// The exit itself: deliver is the local PM's delivery port (NIC
+	// stations; a perfect sink, called when the tail flit lands), peer
+	// is the other half of the IRI, whose injection queues this
+	// station's exit fills (IRI stations). Exactly one is set on every
+	// station of a built network.
+	deliver func(p *packet.Packet, now int64)
+	peer    *station
+	// outbox, when non-nil (a parallel partition is installed; see
+	// partition.go), receives flits exiting into the peer's queues as
+	// deferred pushes applied in the cross-ring commit phase instead of
+	// being pushed live — those queues are the only state shared
+	// between ring shards. Serial runs never set it.
+	outbox *[]deferredPush
+
 	// tracer is the optional lifecycle recorder; hopLabel is the
 	// "where" of this station's hop and exit events, built once when a
 	// recorder is attached (see Network.SetTracer).
 	tracer   *trace.Recorder
 	hopLabel string
 
-	// stall, when non-nil (metrics enabled, NIC stations only), counts
-	// injection-stall cycles: active cycles where an injection queue
-	// held a whole packet but no injection-queue flit crossed the
-	// output link (either nothing moved or transit traffic won the
-	// link).
-	stall *metrics.Counter
+	// name is used in panic messages, traces and stall reports.
+	name string
+	// level is the ring level (0 = global) for utilization grouping.
+	level int
 }
 
-func newStation(name string, level int, clFlits int) *station {
-	s := &station{
-		name:   name,
-		level:  level,
-		period: 1,
-		util:   &stats.Utilization{},
+// init prepares a zeroed station: transit buffers of one cache-line
+// packet each and injection queues of injectFlits.
+func (s *station) init(name string, level, clFlits, injectFlits int) {
+	s.name, s.level = name, level
+	for v := range s.vcs {
+		s.vcs[v].buf = packet.MakeFIFO(clFlits)
 	}
-	for v := 0; v < numVCs; v++ {
-		s.vcs[v] = &vcState{buf: packet.NewFIFO(clFlits)}
+	for i := range s.inject {
+		s.inject[i] = packet.MakeFIFO(injectFlits)
 	}
-	return s
 }
 
-// active reports whether the station acts on this tick.
-func (s *station) active(now int64) bool { return now%s.period == 0 }
+// exits reports whether a packet to dst leaves the ring at this
+// station.
+func (s *station) exits(dst int) bool {
+	return (dst >= s.exitLo && dst < s.exitHi) != s.exitOutside
+}
 
-// sourceQueue returns the queue channel v's lock draws from.
-func (s *station) sourceQueue(v int) *packet.FIFO {
-	if s.vcs[v].txSrc != nil {
-		return s.vcs[v].txSrc
-	}
-	return s.vcs[v].buf
+// exitSpace reports, from start-of-cycle state, whether the exit can
+// absorb this flit now. The PM is a perfect sink (DESIGN.md):
+// responses are consumed immediately and requests join the unbounded
+// memory queue.
+func (s *station) exitSpace(f packet.Flit) bool {
+	return s.deliver != nil || s.peer.inject[injectClass(f.Pkt)].Space() >= 1
+}
+
+// idle reports whether the station holds no flit in any of its
+// queues. Then no channel has a candidate: an unlocked channel finds
+// neither a transit head nor an injectable head, and a lock held over
+// an empty source is a bubble.
+func (s *station) idle() bool {
+	return s.vcs[vcDescent].buf.Empty() && s.vcs[vcAscent].buf.Empty() &&
+		s.inject[qResp].Empty() && s.inject[qReq].Empty()
 }
 
 // candidate returns the flit channel v would send this cycle, its
 // source queue (nil = transit buffer), and whether one exists.
 func (s *station) candidate(v int) (packet.Flit, *packet.FIFO, bool) {
-	vc := s.vcs[v]
+	vc := &s.vcs[v]
 	if vc.txPkt != nil {
-		q := s.sourceQueue(v)
+		q := vc.txSrc
+		if q == nil {
+			q = &vc.buf
+		}
 		head, ok := q.Peek()
 		if !ok {
 			return packet.Flit{}, nil, false // bubble: wait for the worm
@@ -263,17 +317,12 @@ func (s *station) candidate(v int) (packet.Flit, *packet.FIFO, bool) {
 		}
 		return head, nil, true
 	}
-	for _, q := range s.inject {
+	for i := range s.inject {
+		q := &s.inject[i]
 		head, ok := q.Peek()
-		if !ok {
-			continue
-		}
-		if !head.Head() {
-			// Mid-packet inject heads belong to a locked worm of some
-			// channel; skip (the locked path above consumes them).
-			continue
-		}
-		if s.ring.class(head.Pkt.Dst) != v {
+		// Mid-packet inject heads belong to a locked worm of some
+		// channel; skip (the locked path above consumes them).
+		if !ok || !head.Head() || s.ring.class(head.Pkt.Dst) != v {
 			continue
 		}
 		return head, q, true
@@ -289,8 +338,14 @@ func (s *station) compute(now int64) {
 	if s.flt != nil && s.fltBlocked(now) {
 		return // output link faulted: nothing crosses this cycle
 	}
-	for k := 1; k <= numVCs; k++ {
-		v := (s.lastVC + k) % numVCs
+	if s.idle() {
+		return
+	}
+	v := int(s.lastVC)
+	for k := 0; k < numVCs; k++ {
+		if v++; v == numVCs {
+			v = 0
+		}
 		f, src, ok := s.candidate(v)
 		if !ok {
 			continue
@@ -308,7 +363,7 @@ func (s *station) compute(now int64) {
 		}
 		s.staged = true
 		s.stagedF = f
-		s.stagedVC = v
+		s.stagedVC = uint8(v)
 		s.stagedSrc = src
 		s.stagedRoute = route
 		return
@@ -322,44 +377,28 @@ func (s *station) compute(now int64) {
 // residents of this ring, so continuing subjects them to the bubble
 // rule.
 func (s *station) accepts(f packet.Flit, v int, fromInject bool) (routeKind, bool) {
-	vc := s.vcs[v]
+	vc := &s.vcs[v]
 	if f.Head() {
-		if s.exits != nil && s.exits(f.Pkt.Dst) {
-			if s.exitSink.spaceFor(f) {
-				return routeExit, true
-			}
-			return 0, false // blocked on the exit queue
+		if s.exits(f.Pkt.Dst) {
+			return routeExit, s.exitSpace(f) // false: blocked on the exit queue
 		}
-		if fromInject {
-			// Bubble rule: admit a new resident only while the
-			// channel keeps at least one buffer's worth of packets
-			// free ring-wide. Since every packet fits in one buffer,
-			// S-1 residents can never fill all S buffers, so transit
-			// traffic always finds space somewhere and the ring keeps
-			// moving.
-			if vc.buf.Space() >= 1 && s.ring.mayAdmitNewResident(v) {
-				return routeContinue, true
-			}
-			return 0, false
+		// Bubble rule: admit a new resident only while the channel
+		// keeps at least one buffer's worth of packets free ring-wide.
+		// Since every packet fits in one buffer, S-1 residents can
+		// never fill all S buffers, so transit traffic always finds
+		// space somewhere and the ring keeps moving.
+		if fromInject && !s.ring.mayAdmitNewResident(v) {
+			return routeContinue, false
 		}
-		if vc.buf.Space() >= 1 {
-			return routeContinue, true
-		}
-		return 0, false
+		return routeContinue, vc.buf.Space() >= 1
 	}
 	if vc.inPkt != f.Pkt {
 		panic(fmt.Sprintf("ring: %s vc%d got body flit %s before its head", s.name, v, f))
 	}
 	if vc.inRoute == routeExit {
-		if s.exitSink.spaceFor(f) {
-			return routeExit, true
-		}
-		return 0, false
+		return routeExit, s.exitSpace(f)
 	}
-	if vc.buf.Space() >= 1 {
-		return routeContinue, true
-	}
-	return 0, false
+	return routeContinue, vc.buf.Space() >= 1
 }
 
 // commit applies this cycle's staged transfer: pop from the source,
@@ -367,22 +406,21 @@ func (s *station) accepts(f packet.Flit, v int, fromInject bool) (routeKind, boo
 // Returns true when a flit moved (for the engine's progress counter).
 func (s *station) commit(now int64) bool {
 	s.util.Tick(1)
-	if s.stall != nil && (!s.staged || s.stagedSrc == nil) && s.injectWaiting() {
+	if s.stall != nil && (!s.staged || s.stagedSrc == nil) && s.queuedFlits() > 0 {
 		s.stall.Inc()
 	}
 	if !s.staged {
 		return false
 	}
 	s.staged = false
-	f, v := s.stagedF, s.stagedVC
-	s.lastVC = v
-	vc := s.vcs[v]
+	f, v, route := s.stagedF, int(s.stagedVC), s.stagedRoute
+	s.lastVC = s.stagedVC
+	vc := &s.vcs[v]
 	src := s.stagedSrc
 	if src == nil {
-		src = vc.buf
+		src = &vc.buf
 	}
-	got := src.Pop()
-	if got != f {
+	if got := src.Pop(); got != f {
 		panic(fmt.Sprintf("ring: %s staged %s but popped %s", s.name, f, got))
 	}
 	if f.Tail() {
@@ -392,24 +430,27 @@ func (s *station) commit(now int64) bool {
 	}
 	if s.tracer != nil && f.Head() {
 		kind := trace.Hop
-		if s.stagedRoute == routeExit && s.downstream.exitSink != nil {
-			if _, isQueue := s.downstream.exitSink.(*queueSink); isQueue {
-				kind = trace.Exit
-			}
+		if route == routeExit && s.downstream.peer != nil {
+			kind = trace.Exit
 		}
 		s.tracer.Record(now, kind, f.Pkt, s.hopLabel)
 	}
 	// Residency bookkeeping for the bubble rule: an injected head that
-	// continues on the ring becomes a resident; a tail leaving the
-	// transit path releases it (idempotent for packets that exited
-	// without ever entering transit).
-	if f.Head() && s.stagedSrc != nil && s.stagedRoute == routeContinue {
-		s.ring.admit(v, f.Pkt)
+	// continues on the ring becomes a resident. Body flits follow the
+	// head's route, so every flit of a resident enters the next
+	// station's transit buffer and its tail can only leave the ring
+	// from a transit buffer; a packet whose head exits straight from an
+	// injection queue streams its tail out of that same queue and never
+	// was one. So a tail exiting from a transit buffer is exactly a
+	// resident leaving.
+	if route == routeContinue {
+		if f.Head() && s.stagedSrc != nil {
+			s.ring.resident[v]++
+		}
+	} else if f.Tail() && s.stagedSrc == nil {
+		s.ring.resident[v]--
 	}
-	if f.Tail() && s.stagedRoute == routeExit {
-		s.ring.depart(v, f.Pkt)
-	}
-	s.downstream.receive(f, v, s.stagedRoute, now)
+	s.downstream.receive(f, v, route, now)
 	s.util.Busy(1)
 	return true
 }
@@ -418,7 +459,7 @@ func (s *station) commit(now int64) bool {
 // phase). For head flits the route was decided by accepts during
 // compute and is passed through; body flits must follow their head.
 func (s *station) receive(f packet.Flit, v int, route routeKind, now int64) {
-	vc := s.vcs[v]
+	vc := &s.vcs[v]
 	if f.Head() {
 		vc.inPkt = f.Pkt
 		vc.inRoute = route
@@ -429,81 +470,30 @@ func (s *station) receive(f packet.Flit, v int, route routeKind, now int64) {
 	if f.Tail() {
 		vc.inPkt = nil
 	}
-	if route == routeExit {
-		s.exitSink.accept(f, now)
-		return
-	}
-	vc.buf.Push(f)
-}
-
-// injectWaiting reports whether any injection queue holds flits —
-// with the staged-source check in commit, a true result on a cycle
-// that moved no injection flit is an injection stall. Only evaluated
-// when the stall counter is attached (metrics enabled).
-func (s *station) injectWaiting() bool {
-	for _, q := range s.inject {
-		if q.Len() > 0 {
-			return true
+	switch {
+	case route != routeExit:
+		vc.buf.Push(f)
+	case s.deliver != nil:
+		if f.Tail() {
+			s.deliver(f.Pkt, now)
+		}
+	default:
+		q := &s.peer.inject[injectClass(f.Pkt)]
+		if s.outbox != nil {
+			*s.outbox = append(*s.outbox, deferredPush{fifo: q, f: f})
+		} else {
+			q.Push(f)
 		}
 	}
-	return false
 }
 
 // bufferedFlits counts flits resident in this station's transit
 // buffers.
 func (s *station) bufferedFlits() int {
-	n := 0
-	for v := 0; v < numVCs; v++ {
-		n += s.vcs[v].buf.Len()
-	}
-	return n
+	return s.vcs[vcDescent].buf.Len() + s.vcs[vcAscent].buf.Len()
 }
 
-// pmSink delivers exiting packets to the local processing module. The
-// PM is a perfect sink (DESIGN.md): responses are consumed
-// immediately and requests join the unbounded memory queue, so
-// spaceFor is always true. Delivery fires when the tail flit lands.
-type pmSink struct {
-	deliver func(p *packet.Packet, now int64)
-}
-
-func (k *pmSink) spaceFor(packet.Flit) bool { return true }
-
-func (k *pmSink) accept(f packet.Flit, now int64) {
-	if f.Tail() {
-		k.deliver(f.Pkt, now)
-	}
-}
-
-// queueSink absorbs exiting flits into a request/response split pair
-// of bounded FIFOs (an IRI's up or down buffer).
-type queueSink struct {
-	resp, req *packet.FIFO
-
-	// outbox, when non-nil (a parallel partition is installed; see
-	// partition.go), receives accepted flits as deferred pushes applied
-	// in the cross-ring commit phase instead of being pushed live —
-	// these FIFOs are the only state shared between ring shards. Serial
-	// runs never set it, keeping the direct push path.
-	outbox *[]deferredPush
-}
-
-func (k *queueSink) pick(p *packet.Packet) *packet.FIFO {
-	if p.Type.IsResponse() {
-		return k.resp
-	}
-	return k.req
-}
-
-func (k *queueSink) spaceFor(f packet.Flit) bool {
-	return k.pick(f.Pkt).Space() >= 1
-}
-
-func (k *queueSink) accept(f packet.Flit, now int64) {
-	q := k.pick(f.Pkt)
-	if k.outbox != nil {
-		*k.outbox = append(*k.outbox, deferredPush{fifo: q, f: f})
-		return
-	}
-	q.Push(f)
+// queuedFlits counts flits waiting in this station's injection queues.
+func (s *station) queuedFlits() int {
+	return s.inject[qResp].Len() + s.inject[qReq].Len()
 }
