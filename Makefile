@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check staticcheck race bench-smoke bench-guard bench-baseline bench-test bench-run-smoke profile smoke-ringmeshd fuzz-smoke ci
+.PHONY: all build test vet fmt-check staticcheck race loc bench-smoke bench-guard bench-baseline bench-test bench-run-smoke profile smoke-ringmeshd fuzz-smoke ci
 
 all: build
 
@@ -30,6 +30,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Non-test Go lines per package and for the whole repo, outside the
+# benchmark module — the number ROADMAP aim 2 tracks. A report, never a
+# gate.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
 # A short benchmark pass that exercises the engine fast paths without
 # running the full figure sweeps: both models, the ring at low load (the
@@ -91,4 +99,4 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s
 
 # The gate run by .github/workflows/ci.yml.
-ci: vet fmt-check staticcheck build race bench-test bench-run-smoke bench-smoke bench-guard fuzz-smoke smoke-ringmeshd
+ci: vet fmt-check staticcheck build race loc bench-test bench-run-smoke bench-smoke bench-guard fuzz-smoke smoke-ringmeshd

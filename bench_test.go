@@ -101,14 +101,14 @@ func benchCycles(b *testing.B, build func() (*System, error)) {
 
 func BenchmarkSimRing24(b *testing.B) {
 	benchCycles(b, func() (*System, error) {
-		return NewRingSystem(RingConfig{Topology: "3:8", LineBytes: 32,
+		return NewSystem(Config{Network: "ring", Topology: "3:8", LineBytes: 32,
 			Workload: PaperWorkload(), Seed: 1})
 	})
 }
 
 func BenchmarkSimRing72(b *testing.B) {
 	benchCycles(b, func() (*System, error) {
-		return NewRingSystem(RingConfig{Topology: "3:3:8", LineBytes: 32,
+		return NewSystem(Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
 			Workload: PaperWorkload(), Seed: 1})
 	})
 }
@@ -136,35 +136,35 @@ func BenchmarkSimRing72Metrics(b *testing.B) {
 
 func BenchmarkSimRing72Slotted(b *testing.B) {
 	benchCycles(b, func() (*System, error) {
-		return NewRingSystem(RingConfig{Topology: "3:3:8", LineBytes: 32,
+		return NewSystem(Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
 			SlottedSwitching: true, Workload: PaperWorkload(), Seed: 1})
 	})
 }
 
 func BenchmarkSimRing72DoubleSpeed(b *testing.B) {
 	benchCycles(b, func() (*System, error) {
-		return NewRingSystem(RingConfig{Topology: "3:3:8", LineBytes: 32,
+		return NewSystem(Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
 			DoubleSpeedGlobal: true, Workload: PaperWorkload(), Seed: 1})
 	})
 }
 
 func BenchmarkSimMesh16(b *testing.B) {
 	benchCycles(b, func() (*System, error) {
-		return NewMeshSystem(MeshConfig{Nodes: 16, LineBytes: 32, BufferFlits: 4,
+		return NewSystem(Config{Network: "mesh", Nodes: 16, LineBytes: 32, BufferFlits: 4,
 			Workload: PaperWorkload(), Seed: 1})
 	})
 }
 
 func BenchmarkSimMesh121(b *testing.B) {
 	benchCycles(b, func() (*System, error) {
-		return NewMeshSystem(MeshConfig{Nodes: 121, LineBytes: 32, BufferFlits: 4,
+		return NewSystem(Config{Network: "mesh", Nodes: 121, LineBytes: 32, BufferFlits: 4,
 			Workload: PaperWorkload(), Seed: 1})
 	})
 }
 
 func BenchmarkSimMesh121OneFlit(b *testing.B) {
 	benchCycles(b, func() (*System, error) {
-		return NewMeshSystem(MeshConfig{Nodes: 121, LineBytes: 128, BufferFlits: 1,
+		return NewSystem(Config{Network: "mesh", Nodes: 121, LineBytes: 128, BufferFlits: 1,
 			Workload: PaperWorkload(), Seed: 1})
 	})
 }

@@ -35,7 +35,8 @@ func main() {
 		var util [2]float64
 		var sat [2]bool
 		for i, dbl := range []bool{false, true} {
-			res, err := ringmesh.RunRing(ringmesh.RingConfig{
+			res, err := ringmesh.Run(ringmesh.Config{
+				Network:           "ring",
 				Topology:          topoStr,
 				LineBytes:         lineBytes,
 				DoubleSpeedGlobal: dbl,

@@ -27,7 +27,8 @@ func main() {
 		wl := ringmesh.PaperWorkload()
 		wl.R = r
 
-		ringRes, err := ringmesh.RunRing(ringmesh.RingConfig{
+		ringRes, err := ringmesh.Run(ringmesh.Config{
+			Network:   "ring",
 			Topology:  "3:3:6", // paper Table 2 for 54 PMs at 64B
 			LineBytes: lineBytes,
 			Workload:  wl,
@@ -36,7 +37,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		meshRes, err := ringmesh.RunMesh(ringmesh.MeshConfig{
+		meshRes, err := ringmesh.Run(ringmesh.Config{
+			Network:     "mesh",
 			Nodes:       49,
 			LineBytes:   lineBytes,
 			BufferFlits: 4,

@@ -22,7 +22,8 @@ func main() {
 	// 1. Latency distribution: mean vs median vs tail on a loaded
 	// 48-processor hierarchy.
 	fmt.Println("latency distribution, ring 2:3:8 (48 PMs), 32B lines, R=1.0:")
-	res, err := ringmesh.RunRing(ringmesh.RingConfig{
+	res, err := ringmesh.Run(ringmesh.Config{
+		Network:   "ring",
 		Topology:  "2:3:8",
 		LineBytes: 32,
 		Workload:  ringmesh.PaperWorkload(),
@@ -40,7 +41,8 @@ func main() {
 	fmt.Printf("  p95/p50 = %.1fx — wormhole blocking makes the tail heavy\n\n", skew)
 
 	// 2. Trace one packet end to end across the hierarchy.
-	sys, err := ringmesh.NewRingSystem(ringmesh.RingConfig{
+	sys, err := ringmesh.NewSystem(ringmesh.Config{
+		Network:   "ring",
 		Topology:  "2:3:4",
 		LineBytes: 64,
 		Workload:  ringmesh.PaperWorkload(),

@@ -21,7 +21,8 @@ func main() {
 	// Table 2 choice for 72 processors with 32-byte cache lines: one
 	// global ring connecting 3 intermediate rings, each connecting 3
 	// local rings of 8 processors.
-	ringRes, err := ringmesh.RunRing(ringmesh.RingConfig{
+	ringRes, err := ringmesh.Run(ringmesh.Config{
+		Network:   "ring",
 		Topology:  "3:3:8",
 		LineBytes: 32,
 		Workload:  wl,
@@ -33,7 +34,8 @@ func main() {
 
 	// The nearest square mesh (8x8 = 64 processors) with the paper's
 	// 4-flit router buffers.
-	meshRes, err := ringmesh.RunMesh(ringmesh.MeshConfig{
+	meshRes, err := ringmesh.Run(ringmesh.Config{
+		Network:     "mesh",
 		Nodes:       64,
 		LineBytes:   32,
 		BufferFlits: 4,

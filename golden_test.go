@@ -248,40 +248,6 @@ func TestMetricsGlobalRingRunsHotter(t *testing.T) {
 	}
 }
 
-// TestGoldenResultsViaDeprecatedAPI pins the thin RunRing/RunMesh
-// wrappers to the same numbers as the generic Run path: the wrappers
-// must be pure repackaging, never a second pipeline.
-func TestGoldenResultsViaDeprecatedAPI(t *testing.T) {
-	base := goldenCases()[0]
-	got, err := RunRing(RingConfig{
-		Topology:  base.cfg.Topology,
-		LineBytes: base.cfg.LineBytes,
-		Workload:  base.cfg.Workload,
-		Seed:      base.cfg.Seed,
-	}, base.opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, base.want) {
-		t.Errorf("RunRing diverged from generic Run\n got: %#v\nwant: %#v", got, base.want)
-	}
-
-	meshCase := goldenCases()[3]
-	gotMesh, err := RunMesh(MeshConfig{
-		Nodes:       meshCase.cfg.Nodes,
-		LineBytes:   meshCase.cfg.LineBytes,
-		BufferFlits: meshCase.cfg.BufferFlits,
-		Workload:    meshCase.cfg.Workload,
-		Seed:        meshCase.cfg.Seed,
-	}, meshCase.opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotMesh, meshCase.want) {
-		t.Errorf("RunMesh diverged from generic Run\n got: %#v\nwant: %#v", gotMesh, meshCase.want)
-	}
-}
-
 // TestGoldenMetricsSeries pins the metrics-on time series themselves,
 // not just the Result they must not perturb: nic_inject_stall_cycles
 // is evaluated inside the ring station's commit from live queue

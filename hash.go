@@ -98,15 +98,7 @@ func CacheKey(cfg Config, opt RunOptions) (string, error) {
 		// it would let one key alias two different answers.
 		return "", err
 	}
-	plan, err := network.New(cfg.Network, network.Config{
-		Topology:          cfg.Topology,
-		Nodes:             cfg.Nodes,
-		LineBytes:         cfg.LineBytes,
-		BufferFlits:       cfg.BufferFlits,
-		DoubleSpeedGlobal: cfg.DoubleSpeedGlobal,
-		SlottedSwitching:  cfg.SlottedSwitching,
-		UnsafeNoVC:        cfg.UnsafeNoVC,
-	})
+	plan, err := network.New(cfg.Network, cfg.netConfig())
 	if err != nil {
 		return "", err
 	}

@@ -5,10 +5,9 @@ import (
 	"testing"
 
 	"ringmesh/internal/core"
-	"ringmesh/internal/mesh"
+	"ringmesh/internal/network"
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
-	"ringmesh/internal/ring"
 	"ringmesh/internal/topo"
 	"ringmesh/internal/workload"
 )
@@ -68,8 +67,9 @@ func TestRingSimulatorMatchesZeroLoadModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := core.NewRingSystem(core.RingSystemConfig{
-			Net:      ring.Config{Spec: tc.spec, LineBytes: tc.line},
+		sys, err := core.NewSystem(core.SystemConfig{
+			Network:  "ring",
+			Net:      network.Config{Topology: tc.spec.String(), LineBytes: tc.line},
 			Workload: lowLoad(),
 			Seed:     3,
 		})
@@ -104,8 +104,9 @@ func TestMeshSimulatorMatchesZeroLoadModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := core.NewMeshSystem(core.MeshSystemConfig{
-			Net:      mesh.Config{Spec: spec, LineBytes: tc.line, BufferFlits: tc.buf},
+		sys, err := core.NewSystem(core.SystemConfig{
+			Network:  "mesh",
+			Net:      network.Config{Nodes: tc.k * tc.k, LineBytes: tc.line, BufferFlits: tc.buf},
 			Workload: lowLoad(),
 			Seed:     3,
 		})

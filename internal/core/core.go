@@ -21,15 +21,12 @@ import (
 	"time"
 
 	"ringmesh/internal/fault"
-	"ringmesh/internal/mesh"
 	"ringmesh/internal/metrics"
 	"ringmesh/internal/network"
 	"ringmesh/internal/node"
 	"ringmesh/internal/obs"
-	"ringmesh/internal/ring"
 	"ringmesh/internal/sim"
 	"ringmesh/internal/stats"
-	"ringmesh/internal/topo"
 	"ringmesh/internal/trace"
 	"ringmesh/internal/workload"
 )
@@ -81,14 +78,13 @@ type SystemConfig struct {
 	// interval.
 	MetricsInterval int64
 	// FaultPlan, when non-nil, is installed into the network before
-	// the first tick (the model must implement
-	// network.FaultInjector). An empty plan exercises the subsystem
-	// without scheduling anything and leaves results bit-identical to
-	// a nil plan.
+	// the first tick (network.Model.ApplyFaultPlan). An empty plan
+	// exercises the subsystem without scheduling anything and leaves
+	// results bit-identical to a nil plan.
 	FaultPlan *fault.Plan
 	// Workers, when > 1, runs the tick loop across a goroutine pool if
-	// the network model supports ownership partitioning (see
-	// network.Partitioner and internal/core/parallel.go). Execution-only:
+	// the network model partitions itself (see network.Model.Partition
+	// and internal/core/parallel.go). Execution-only:
 	// any worker count produces results bit-identical to Workers <= 1,
 	// so Workers never enters result cache keys. Falls back to the
 	// serial engine when the model declines to partition or a tracer is
@@ -170,13 +166,9 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 	model.SetTracer(cfg.Tracer)
 	if cfg.FaultPlan != nil {
-		inj, ok := model.(network.FaultInjector)
-		if !ok {
-			return nil, fmt.Errorf("core: network %q does not support fault injection", cfg.Network)
-		}
 		// Before DescribeMetrics, so the model can attach its
 		// fault-event counter to the installed schedule.
-		if err := inj.ApplyFaultPlan(cfg.FaultPlan); err != nil {
+		if err := model.ApplyFaultPlan(cfg.FaultPlan); err != nil {
 			return nil, err
 		}
 	}
@@ -188,10 +180,8 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	s.net = model
 	s.engine.Register(model, 1)
 	s.engine.InFlight = s.col.InFlight
-	if rep, ok := model.(network.StallReporter); ok {
-		engine := s.engine
-		s.engine.Diagnose = func() *sim.StallReport { return rep.BuildStallReport(engine.Now()) }
-	}
+	engine := s.engine
+	s.engine.Diagnose = func() *sim.StallReport { return model.BuildStallReport(engine.Now()) }
 	if err := s.applyParallel(cfg); err != nil {
 		return nil, err
 	}
@@ -225,92 +215,6 @@ func (s *System) wireOnCycle() {
 func (s *System) OnCycle(f func(now int64, moved uint64)) {
 	s.userHook = f
 	s.wireOnCycle()
-}
-
-// RingSystemConfig configures a hierarchical-ring system.
-//
-// Deprecated: use SystemConfig with Network "ring".
-type RingSystemConfig struct {
-	// Net is the network configuration (topology, line size, global
-	// ring speed).
-	Net ring.Config
-	// Workload is the M-MRP attribute set.
-	Workload workload.MMRP
-	// MemLatency is the memory service time in PM cycles (0 = default).
-	MemLatency int
-	// Seed makes runs reproducible.
-	Seed uint64
-	// Histogram, when true, also collects the full latency
-	// distribution so Result can report percentiles.
-	Histogram bool
-	// Tracer optionally records per-packet lifecycle events.
-	Tracer *trace.Recorder
-}
-
-// NewRingSystem builds a hierarchical-ring multiprocessor.
-//
-// Deprecated: thin wrapper over NewSystem; use the generic API.
-func NewRingSystem(cfg RingSystemConfig) (*System, error) {
-	if err := cfg.Net.Validate(); err != nil {
-		return nil, err
-	}
-	return NewSystem(SystemConfig{
-		Network: "ring",
-		Net: network.Config{
-			Topology:          cfg.Net.Spec.String(),
-			LineBytes:         cfg.Net.LineBytes,
-			DoubleSpeedGlobal: cfg.Net.DoubleSpeedGlobal,
-			SlottedSwitching:  cfg.Net.Switching == ring.Slotted,
-			IRIQueueFlits:     cfg.Net.IRIQueueFlits,
-		},
-		Workload:   cfg.Workload,
-		MemLatency: cfg.MemLatency,
-		Seed:       cfg.Seed,
-		Histogram:  cfg.Histogram,
-		Tracer:     cfg.Tracer,
-	})
-}
-
-// MeshSystemConfig configures a 2D mesh system.
-//
-// Deprecated: use SystemConfig with Network "mesh".
-type MeshSystemConfig struct {
-	// Net is the network configuration (geometry, line size, buffer
-	// depth).
-	Net mesh.Config
-	// Workload is the M-MRP attribute set.
-	Workload workload.MMRP
-	// MemLatency is the memory service time in PM cycles (0 = default).
-	MemLatency int
-	// Seed makes runs reproducible.
-	Seed uint64
-	// Histogram, when true, also collects the full latency
-	// distribution so Result can report percentiles.
-	Histogram bool
-	// Tracer optionally records per-packet lifecycle events.
-	Tracer *trace.Recorder
-}
-
-// NewMeshSystem builds a mesh multiprocessor.
-//
-// Deprecated: thin wrapper over NewSystem; use the generic API.
-func NewMeshSystem(cfg MeshSystemConfig) (*System, error) {
-	if err := cfg.Net.Validate(); err != nil {
-		return nil, err
-	}
-	return NewSystem(SystemConfig{
-		Network: "mesh",
-		Net: network.Config{
-			Nodes:       cfg.Net.Spec.PMs(),
-			LineBytes:   cfg.Net.LineBytes,
-			BufferFlits: cfg.Net.BufferFlits,
-		},
-		Workload:   cfg.Workload,
-		MemLatency: cfg.MemLatency,
-		Seed:       cfg.Seed,
-		Histogram:  cfg.Histogram,
-		Tracer:     cfg.Tracer,
-	})
 }
 
 // Collector exposes the measurement aggregate (for tests).
@@ -435,7 +339,7 @@ type Result struct {
 	// fields then describe the run up to the stall.
 	Stalled bool
 	// Stall carries the model's forensic snapshot when Stalled is set
-	// and the model implements network.StallReporter; nil otherwise.
+	// and the model's BuildStallReport produced one; nil otherwise.
 	Stall *sim.StallReport
 	// Saturated is set when processors spent most of their time
 	// blocked on the T-window: the realized miss-generation rate fell
@@ -516,14 +420,12 @@ func (s *System) RunCtx(ctx context.Context, rc RunConfig) (res Result, err erro
 			return
 		}
 		pe := &PanicError{Value: r, Stack: debug.Stack()}
-		if rep, ok := s.net.(network.StallReporter); ok {
-			func() {
-				// The forensic walk runs over the very state that just
-				// panicked; a second panic must not mask the first.
-				defer func() { recover() }()
-				pe.Report = rep.BuildStallReport(s.engine.Now())
-			}()
-		}
+		func() {
+			// The forensic walk runs over the very state that just
+			// panicked; a second panic must not mask the first.
+			defer func() { recover() }()
+			pe.Report = s.net.BuildStallReport(s.engine.Now())
+		}()
 		res, err = Result{}, pe
 	}()
 	if err := rc.validate(); err != nil {
@@ -566,10 +468,8 @@ func (s *System) RunCtx(ctx context.Context, rc RunConfig) (res Result, err erro
 			s.col.Latency.CloseBatch()
 		}
 	}
-	if ic, ok := s.net.(network.InvariantChecker); ok {
-		if err := ic.CheckInvariants(); err != nil {
-			return Result{}, err
-		}
+	if err := s.net.CheckInvariants(); err != nil {
+		return Result{}, err
 	}
 	if stalled && rc.FailOnStall {
 		return Result{}, stallErr
@@ -616,17 +516,3 @@ func (s *System) RunCtx(ctx context.Context, rc RunConfig) (res Result, err erro
 	}
 	return res, nil
 }
-
-// RingTopologyFor returns the paper's Table 2 hierarchy for the given
-// PM count and cache line size.
-//
-// Deprecated: use network.RingTopologyFor.
-func RingTopologyFor(pms, lineBytes int) (topo.RingSpec, error) {
-	return network.RingTopologyFor(pms, lineBytes)
-}
-
-// SingleRingCapacity is the paper's conservative single-ring node
-// count per cache line size (Section 3, Figure 6).
-//
-// Deprecated: use network.SingleRingCapacity.
-var SingleRingCapacity = network.SingleRingCapacity

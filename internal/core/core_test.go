@@ -3,28 +3,24 @@ package core
 import (
 	"testing"
 
-	"ringmesh/internal/mesh"
-	"ringmesh/internal/ring"
-	"ringmesh/internal/topo"
+	"ringmesh/internal/network"
 	"ringmesh/internal/trace"
 	"ringmesh/internal/workload"
 )
 
-func ringCfg(spec string, line int) RingSystemConfig {
-	rs, err := topo.ParseRingSpec(spec)
-	if err != nil {
-		panic(err)
-	}
-	return RingSystemConfig{
-		Net:      ring.Config{Spec: rs, LineBytes: line},
+func ringCfg(spec string, line int) SystemConfig {
+	return SystemConfig{
+		Network:  "ring",
+		Net:      network.Config{Topology: spec, LineBytes: line},
 		Workload: workload.PaperDefaults(),
 		Seed:     1,
 	}
 }
 
-func meshCfg(k, line, buf int) MeshSystemConfig {
-	return MeshSystemConfig{
-		Net:      mesh.Config{Spec: topo.MustMeshSpec(k), LineBytes: line, BufferFlits: buf},
+func meshCfg(k, line, buf int) SystemConfig {
+	return SystemConfig{
+		Network:  "mesh",
+		Net:      network.Config{Nodes: k * k, LineBytes: line, BufferFlits: buf},
 		Workload: workload.PaperDefaults(),
 		Seed:     1,
 	}
@@ -36,7 +32,7 @@ func quickRun(t *testing.T) RunConfig {
 }
 
 func TestRingSystemEndToEnd(t *testing.T) {
-	sys, err := NewRingSystem(ringCfg("2:4", 32))
+	sys, err := NewSystem(ringCfg("2:4", 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +61,7 @@ func TestRingSystemEndToEnd(t *testing.T) {
 }
 
 func TestMeshSystemEndToEnd(t *testing.T) {
-	sys, err := NewMeshSystem(meshCfg(3, 32, 4))
+	sys, err := NewSystem(meshCfg(3, 32, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +82,7 @@ func TestMeshSystemEndToEnd(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() Result {
-		sys, err := NewRingSystem(ringCfg("2:3:4", 64))
+		sys, err := NewSystem(ringCfg("2:3:4", 64))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +102,7 @@ func TestSeedsChangeResults(t *testing.T) {
 	mk := func(seed uint64) Result {
 		cfg := ringCfg("2:4", 32)
 		cfg.Seed = seed
-		sys, _ := NewRingSystem(cfg)
+		sys, _ := NewSystem(cfg)
 		res, err := sys.Run(quickRun(t))
 		if err != nil {
 			t.Fatal(err)
@@ -121,29 +117,26 @@ func TestSeedsChangeResults(t *testing.T) {
 func TestBadConfigsRejected(t *testing.T) {
 	cfg := ringCfg("2:4", 32)
 	cfg.Workload.C = 0
-	if _, err := NewRingSystem(cfg); err == nil {
+	if _, err := NewSystem(cfg); err == nil {
 		t.Fatal("bad workload accepted")
 	}
 	cfg = ringCfg("2:4", 0)
-	if _, err := NewRingSystem(cfg); err == nil {
+	if _, err := NewSystem(cfg); err == nil {
 		t.Fatal("bad line size accepted")
 	}
-	mcfg := MeshSystemConfig{
-		Net:      mesh.Config{Spec: topo.MeshSpec{K: 0}, LineBytes: 32},
-		Workload: workload.PaperDefaults(),
-	}
-	if _, err := NewMeshSystem(mcfg); err == nil {
+	mcfg := meshCfg(0, 32, 0)
+	if _, err := NewSystem(mcfg); err == nil {
 		t.Fatal("bad mesh accepted")
 	}
 	mcfg = meshCfg(2, 32, 4)
 	mcfg.Workload.R = 2
-	if _, err := NewMeshSystem(mcfg); err == nil {
+	if _, err := NewSystem(mcfg); err == nil {
 		t.Fatal("bad R accepted")
 	}
 }
 
 func TestRunConfigValidation(t *testing.T) {
-	sys, _ := NewRingSystem(ringCfg("4", 32))
+	sys, _ := NewSystem(ringCfg("4", 32))
 	if _, err := sys.Run(RunConfig{BatchCycles: 0, Batches: 1}); err == nil {
 		t.Fatal("zero batch cycles accepted")
 	}
@@ -156,7 +149,7 @@ func TestRunConfigValidation(t *testing.T) {
 // (the paper's core scaling observation).
 func TestLatencyGrowsWithRingSize(t *testing.T) {
 	lat := func(spec string) float64 {
-		sys, err := NewRingSystem(ringCfg(spec, 32))
+		sys, err := NewSystem(ringCfg(spec, 32))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +169,7 @@ func TestLatencyGrowsWithRingSize(t *testing.T) {
 // paper's Figure 12 ordering).
 func TestMeshBufferOrdering(t *testing.T) {
 	lat := func(buf int) float64 {
-		sys, err := NewMeshSystem(meshCfg(4, 64, buf))
+		sys, err := NewSystem(meshCfg(4, 64, buf))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +190,7 @@ func TestLocalityHelpsRings(t *testing.T) {
 	lat := func(r float64) float64 {
 		cfg := ringCfg("3:3:4", 32)
 		cfg.Workload.R = r
-		sys, err := NewRingSystem(cfg)
+		sys, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +211,7 @@ func TestDoubleSpeedGlobalHelps(t *testing.T) {
 	lat := func(dbl bool) float64 {
 		cfg := ringCfg("3:3:4", 64)
 		cfg.Net.DoubleSpeedGlobal = dbl
-		sys, err := NewRingSystem(cfg)
+		sys, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +228,7 @@ func TestDoubleSpeedGlobalHelps(t *testing.T) {
 }
 
 func TestStepCyclesAndAccessors(t *testing.T) {
-	sys, _ := NewRingSystem(ringCfg("2:4", 32))
+	sys, _ := NewSystem(ringCfg("2:4", 32))
 	if sys.PMs() != 8 {
 		t.Fatalf("PMs = %d", sys.PMs())
 	}
@@ -251,7 +244,7 @@ func TestStepCyclesAndAccessors(t *testing.T) {
 	// Double-speed systems advance two ticks per cycle.
 	cfg := ringCfg("2:2:2", 32)
 	cfg.Net.DoubleSpeedGlobal = true
-	sys2, _ := NewRingSystem(cfg)
+	sys2, _ := NewSystem(cfg)
 	if err := sys2.StepCycles(10); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +268,7 @@ func TestRingTopologyForPaperTable(t *testing.T) {
 		{4, 128, 1}, {12, 128, 2}, {36, 128, 3}, {108, 128, 4},
 	}
 	for _, c := range cases {
-		spec, err := RingTopologyFor(c.pms, c.line)
+		spec, err := network.RingTopologyFor(c.pms, c.line)
 		if err != nil {
 			t.Fatalf("RingTopologyFor(%d, %d): %v", c.pms, c.line, err)
 		}
@@ -287,14 +280,14 @@ func TestRingTopologyForPaperTable(t *testing.T) {
 				spec, c.pms, c.line, spec.NumLevels(), c.wantLevels)
 		}
 		leaf := spec.Levels[spec.NumLevels()-1]
-		if leaf > SingleRingCapacity[c.line] {
+		if leaf > network.SingleRingCapacity[c.line] {
 			t.Fatalf("topology %v leaf %d exceeds single-ring capacity", spec, leaf)
 		}
 	}
-	if _, err := RingTopologyFor(24, 48); err == nil {
+	if _, err := network.RingTopologyFor(24, 48); err == nil {
 		t.Fatal("unsupported line size accepted")
 	}
-	if _, err := RingTopologyFor(7, 128); err == nil {
+	if _, err := network.RingTopologyFor(7, 128); err == nil {
 		t.Fatal("7 PMs at 128B has no admissible topology but none reported")
 	}
 }
@@ -304,7 +297,7 @@ func TestRingTopologyForPaperTable(t *testing.T) {
 func TestSaturationFlag(t *testing.T) {
 	cfg := ringCfg("3:3:8", 16) // small lines, huge hierarchy load
 	cfg.Workload.C = 0.5        // absurd miss rate
-	sys, err := NewRingSystem(cfg)
+	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +311,7 @@ func TestSaturationFlag(t *testing.T) {
 }
 
 func TestThroughputReported(t *testing.T) {
-	sys, _ := NewMeshSystem(meshCfg(3, 32, 4))
+	sys, _ := NewSystem(meshCfg(3, 32, 4))
 	res, err := sys.Run(quickRun(t))
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +325,7 @@ func TestTraceCapturesLifecycles(t *testing.T) {
 	rec := &trace.Recorder{}
 	cfg := ringCfg("2:3", 32)
 	cfg.Tracer = rec
-	sys, err := NewRingSystem(cfg)
+	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +365,7 @@ func TestTraceMesh(t *testing.T) {
 	rec := &trace.Recorder{}
 	cfg := meshCfg(3, 32, 4)
 	cfg.Tracer = rec
-	sys, err := NewMeshSystem(cfg)
+	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 package core
 
 // Hardened-execution tests: panic recovery at the Run boundary,
-// wall-clock timeouts, context cancellation, and the fault-injection
-// capability gate. The stub "paniktest" network below is registered
+// wall-clock timeouts, context cancellation, and a model's refusal of
+// a fault plan. The stub "paniktest" network below is registered
 // once for the whole test binary; it moves no packets and detonates
 // at a fixed tick, which is all the recovery path needs.
 
@@ -23,8 +23,9 @@ import (
 )
 
 // panicNet is a minimal network.Model that panics in Compute at a
-// fixed tick. It implements none of the optional capabilities, which
-// doubles as coverage for the capability gates.
+// fixed tick. It refuses fault plans, declines to partition and has no
+// stall report to give, which doubles as coverage for each of those
+// answers.
 type panicNet struct{ at int64 }
 
 func (p *panicNet) Compute(now int64) {
@@ -32,12 +33,18 @@ func (p *panicNet) Compute(now int64) {
 		panic("paniktest: synthetic model bug")
 	}
 }
-func (p *panicNet) Commit(int64)                      {}
-func (p *panicNet) BufferedFlits() int                { return 0 }
-func (p *panicNet) Stats() network.Stats              { return network.Stats{} }
-func (p *panicNet) ResetUtilization()                 {}
-func (p *panicNet) SetTracer(*trace.Recorder)         {}
-func (p *panicNet) DescribeMetrics(*metrics.Registry) {}
+func (p *panicNet) Commit(int64)                            {}
+func (p *panicNet) BufferedFlits() int                      { return 0 }
+func (p *panicNet) Stats() network.Stats                    { return network.Stats{} }
+func (p *panicNet) ResetUtilization()                       {}
+func (p *panicNet) SetTracer(*trace.Recorder)               {}
+func (p *panicNet) DescribeMetrics(*metrics.Registry)       {}
+func (p *panicNet) CheckInvariants() error                  { return nil }
+func (p *panicNet) Partition() *sim.Partition               { return nil }
+func (p *panicNet) BuildStallReport(int64) *sim.StallReport { return nil }
+func (p *panicNet) ApplyFaultPlan(*fault.Plan) error {
+	return errors.New("paniktest does not support fault injection")
+}
 
 func init() {
 	network.Register("paniktest", func(cfg network.Config) (*network.Plan, error) {
@@ -110,7 +117,7 @@ func TestFaultPlanRejectedWithoutCapability(t *testing.T) {
 }
 
 func TestRunTimeout(t *testing.T) {
-	sys, err := NewRingSystem(ringCfg("2:4", 32))
+	sys, err := NewSystem(ringCfg("2:4", 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +129,7 @@ func TestRunTimeout(t *testing.T) {
 }
 
 func TestRunContextCanceled(t *testing.T) {
-	sys, err := NewRingSystem(ringCfg("2:4", 32))
+	sys, err := NewSystem(ringCfg("2:4", 32))
 	if err != nil {
 		t.Fatal(err)
 	}

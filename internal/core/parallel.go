@@ -5,15 +5,14 @@
 // switches the collector into per-PM staging cells, and installs the
 // drain (in the partition's serial delivery order) as the plan's
 // epilogue. The serial fallbacks live here too: one worker, a model
-// without the Partitioner capability (or one that declines), or an
-// attached tracer (the trace recorder is unsynchronized) all leave the
-// engine on its exact serial path.
+// that declines to partition, or an attached tracer (the trace
+// recorder is unsynchronized) all leave the engine on its exact serial
+// path.
 package core
 
 import (
 	"fmt"
 
-	"ringmesh/internal/network"
 	"ringmesh/internal/node"
 	"ringmesh/internal/sim"
 )
@@ -59,11 +58,7 @@ func (s *System) applyParallel(cfg SystemConfig) error {
 	if cfg.Workers <= 1 || cfg.Tracer != nil {
 		return nil
 	}
-	pt, ok := s.net.(network.Partitioner)
-	if !ok {
-		return nil
-	}
-	part := pt.Partition()
+	part := s.net.Partition()
 	if part == nil {
 		return nil
 	}

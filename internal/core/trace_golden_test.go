@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"testing"
 
-	"ringmesh/internal/ring"
 	"ringmesh/internal/trace"
 )
 
@@ -22,17 +21,17 @@ func TestTraceTextGolden(t *testing.T) {
 		{"ring", func(rec *trace.Recorder) (*System, error) {
 			cfg := ringCfg("2:3", 32)
 			cfg.Tracer = rec
-			return NewRingSystem(cfg)
+			return NewSystem(cfg)
 		}, "4f01cfb690978e0bc76ffff48c1e1624c72a9145e7e9fa9343ca494fbbad450f"},
 		{"slotted", func(rec *trace.Recorder) (*System, error) {
 			cfg := ringCfg("2:3", 32)
-			cfg.Net.Switching, cfg.Tracer = ring.Slotted, rec
-			return NewRingSystem(cfg)
+			cfg.Net.SlottedSwitching, cfg.Tracer = true, rec
+			return NewSystem(cfg)
 		}, "94b7eae8a0cb8d86ff17176dd827fe203b4d43bb89ab784b913094acb6331d3d"},
 		{"mesh", func(rec *trace.Recorder) (*System, error) {
 			cfg := meshCfg(3, 32, 4)
 			cfg.Tracer = rec
-			return NewMeshSystem(cfg)
+			return NewSystem(cfg)
 		}, "6d4a0d34d46e9dbf1579590a2ca78c22c9c5eed5189bf404abb09dc78eeb18c0"},
 	}
 	for _, tc := range cases {

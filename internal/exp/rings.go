@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ringmesh/internal/core"
+	"ringmesh/internal/network"
 	"ringmesh/internal/topo"
 	"ringmesh/internal/workload"
 )
@@ -24,7 +25,7 @@ func specsForSizes(line int, sizes []int) []topo.RingSpec {
 // line size: j second-level rings (each maxed at 3 local rings of the
 // single-ring capacity), j = 2..6, capped at 121 PMs.
 func threeLevelSweep(line int) []topo.RingSpec {
-	leaf := core.SingleRingCapacity[line]
+	leaf := network.SingleRingCapacity[line]
 	out := []topo.RingSpec{topo.MustRingSpec(2, 2, leaf)}
 	for j := 2; j <= 10; j++ {
 		spec := topo.MustRingSpec(j, 3, leaf)
@@ -39,7 +40,7 @@ func threeLevelSweep(line int) []topo.RingSpec {
 // twoLevelSweep returns k local rings of the line size's single-ring
 // capacity, k = 2..6.
 func twoLevelSweep(line int) []topo.RingSpec {
-	leaf := core.SingleRingCapacity[line]
+	leaf := network.SingleRingCapacity[line]
 	var out []topo.RingSpec
 	for k := 2; k <= 6; k++ {
 		out = append(out, topo.MustRingSpec(k, leaf))
@@ -168,7 +169,7 @@ func runFig7(spec Spec) (Output, error) {
 	for _, line := range lineSizes {
 		si := len(out.Series)
 		out.Series = append(out.Series, Series{Label: fmt.Sprintf("%dB cache line", line)})
-		leaf := core.SingleRingCapacity[line]
+		leaf := network.SingleRingCapacity[line]
 		// Single maximal ring first, then 2..6 local rings.
 		sweep := append([]topo.RingSpec{topo.MustRingSpec(leaf)}, twoLevelSweep(line)...)
 		for _, ts := range sweep {

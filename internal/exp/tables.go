@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"ringmesh/internal/core"
+	"ringmesh/internal/network"
 	"ringmesh/internal/packet"
 )
 
@@ -90,7 +90,7 @@ func runTable2(Spec) (Output, error) {
 		row := []string{fmt.Sprintf("%d", p)}
 		for _, line := range lineSizes {
 			cell := "-"
-			spec, err := core.RingTopologyFor(p, line)
+			spec, err := network.RingTopologyFor(p, line)
 			if err == nil {
 				cell = spec.String()
 				want := paperTable2[[2]int{p, line}]

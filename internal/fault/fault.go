@@ -1,7 +1,6 @@
 // Package fault defines the deterministic, seed-driven fault-injection
 // subsystem: a Plan of scheduled degradation events that a network
-// model applies to itself through the network.FaultInjector
-// capability.
+// model applies to itself through network.Model's ApplyFaultPlan.
 //
 // The design constraints, in order:
 //

@@ -1,9 +1,9 @@
 package mesh
 
-// Fault injection and stall forensics for the mesh model
-// (network.FaultInjector and network.StallReporter). Event node
-// indices are router ids (row-major, same as PM ids); event times are
-// PM cycles, which equal engine ticks for the mesh.
+// Fault injection and stall forensics for the mesh model (the
+// ApplyFaultPlan and BuildStallReport halves of network.Model). Event
+// node indices are router ids (row-major, same as PM ids); event times
+// are PM cycles, which equal engine ticks for the mesh.
 //
 // Fault semantics, per event kind:
 //
@@ -69,7 +69,7 @@ func faultPorts(ev fault.Event) []topo.Direction {
 	}
 }
 
-// ApplyFaultPlan implements network.FaultInjector. Call once, after
+// ApplyFaultPlan implements network.Model. Call once, after
 // construction and before the first tick.
 func (n *Network) ApplyFaultPlan(p *fault.Plan) error {
 	events, err := p.Materialize(len(n.routers), neighbourPorts)
@@ -101,7 +101,7 @@ func (n *Network) ApplyFaultPlan(p *fault.Plan) error {
 	return nil
 }
 
-// BuildStallReport implements network.StallReporter. E-cube routing
+// BuildStallReport implements network.Model. E-cube routing
 // on a mesh is deadlock-free, so a watchdog trip here means either a
 // fault pinned traffic (dead ports show up as self-loop cycles) or a
 // flow-control bug; either way the wait-for graph names the culprit.

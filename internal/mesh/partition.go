@@ -70,7 +70,7 @@ func (s *rowShard) CommitPhase(phase int, now int64) int {
 	return moved
 }
 
-// Partition implements the network layer's Partitioner capability:
+// Partition implements network.Model:
 // one shard per router row, two commit phases (row-local commit, then
 // the cross-row exchange). A single-row mesh has nothing to cut and
 // declines.

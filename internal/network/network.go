@@ -115,63 +115,37 @@ type Model interface {
 	// observation-only: attaching a registry must not change any
 	// simulation result.
 	DescribeMetrics(reg *metrics.Registry)
-}
-
-// The optional model capabilities. A Model advertises each by
-// implementing the interface; callers discover them with type
-// assertions, so a third-party model participates in exactly the
-// subsystems it supports and the Model contract stays minimal.
-
-// InvariantChecker is the optional self-check capability: a model
-// that can audit its internal invariants (buffer bounds, flow-control
-// bookkeeping, deadlock-freedom preconditions) implements it, and the
-// runner and test harnesses call it after every run (or every tick in
-// property tests). All built-in models implement it.
-type InvariantChecker interface {
-	// CheckInvariants returns an error naming the first violated
-	// internal invariant, or nil.
+	// CheckInvariants audits the model's internal invariants (buffer
+	// bounds, flow-control bookkeeping, deadlock-freedom
+	// preconditions) and returns an error naming the first one
+	// violated, or nil. The runner calls it after every run, property
+	// tests after every tick.
 	CheckInvariants() error
-}
-
-// FaultInjector is the optional fault-injection capability: a model
-// that can degrade itself on schedule accepts a fault.Plan before the
-// run starts. Implementations must be deterministic — the same
-// (plan, topology) pair always yields the same fault schedule — and
-// an empty plan must leave results bit-identical to no plan at all.
-type FaultInjector interface {
-	// ApplyFaultPlan materializes and installs the plan's schedule.
-	// Called once, after construction and before the first tick.
+	// ApplyFaultPlan materializes and installs the plan's fault
+	// schedule. Called at most once, after construction and before the
+	// first tick. Implementations must be deterministic — the same
+	// (plan, topology) pair always yields the same schedule — and an
+	// empty plan must leave results bit-identical to no plan at all.
 	ApplyFaultPlan(p *fault.Plan) error
-}
-
-// Partitioner is the optional parallel-execution capability: a model
-// that can cut itself into ownership shards — groups of components
-// such that no two shards commit to the same buffers (per-ring for the
-// hierarchies, per-row for the mesh) — describes the cut as a
-// sim.Partition, and the assembly layer runs the shards across the
-// engine's worker gang. Partitions must be observation-equivalent:
-// executing a model's partition at any worker count yields results
-// bit-identical to the serial schedule (the golden fixed-seed tests
-// pin this). A model may return nil to decline for a configuration it
-// cannot shard; callers then stay on the serial path. A non-nil
-// partition must hold at least two shards, and may rewire internal
-// hand-off paths for sharded commit — so callers that receive one
-// must drive the model through its shards, not the serial Commit.
-type Partitioner interface {
-	// Partition describes the model's ownership sharding, or nil.
-	// Called once, after construction and any fault-plan installation,
-	// before the first tick.
+	// Partition describes the model's ownership sharding for parallel
+	// execution — groups of components such that no two shards commit
+	// to the same buffers (per-ring for the hierarchies, per-row for
+	// the mesh) — or nil to decline for a configuration it cannot
+	// shard; callers then stay on the serial path. Partitions must be
+	// observation-equivalent: executing one at any worker count yields
+	// results bit-identical to the serial schedule (the golden
+	// fixed-seed tests pin this). A non-nil partition must hold at
+	// least two shards, and may rewire internal hand-off paths for
+	// sharded commit — so callers that receive one must drive the model
+	// through its shards, not the serial Commit. Called at most once,
+	// after construction and any fault-plan installation, before the
+	// first tick.
 	Partition() *sim.Partition
-}
-
-// StallReporter is the optional forensics capability: a model that
-// can explain a stall builds a structured snapshot of its blocked
-// state when the engine watchdog trips (wired to sim.Engine.Diagnose
-// by the assembly layer). Builders run on a frozen system, may be
-// O(network size), and must not mutate model state.
-type StallReporter interface {
 	// BuildStallReport snapshots buffer occupancy, the wait-for graph
-	// among blocked senders, and the oldest in-flight packets.
+	// among blocked senders, and the oldest in-flight packets when the
+	// engine watchdog trips (wired to sim.Engine.Diagnose by the
+	// assembly layer). It runs on a frozen system, may be O(network
+	// size), and must not mutate model state.
 	BuildStallReport(now int64) *sim.StallReport
 }
 

@@ -8,10 +8,9 @@ import (
 )
 
 // Gang is a reusable, fixed-size set of worker goroutines that execute
-// a body in lockstep. It is the third concurrency primitive of this
-// package, built for the parallel tick engine: unlike ForEach and
-// Workers, which hand independent items to whichever worker is free, a
-// Gang runs the *same* body on every worker and lets the body
+// a body in lockstep, built for the parallel tick engine: unlike
+// ForEach, which hands independent items to whichever worker is free,
+// a Gang runs the *same* body on every worker and lets the body
 // rendezvous at barriers (Sync), which is what a phased
 // compute/commit-per-shard tick loop needs.
 //

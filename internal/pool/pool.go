@@ -1,12 +1,12 @@
-// Package pool provides the two bounded-concurrency primitives the
+// Package pool provides the bounded-concurrency primitives the
 // simulator's fan-out layers share: ForEach, a slice-shaped fan-out
-// with stop-on-fatal scheduling (size sweeps, experiment point grids),
-// and Workers, a channel-fed pool for long-lived queues (the serving
-// daemon's job queue).
+// with stop-on-fatal scheduling (size sweeps, experiment point grids,
+// the serving daemon's executor), and Gang, the lockstep worker set
+// under the parallel tick engine (gang.go).
 //
-// Both primitives treat a worker count below 1 as 1 — serial
-// execution — so callers can pass a zero value through unchanged.
-// That contract is relied on by SweepOptions.Workers and exp.Spec.
+// ForEach treats a worker count below 1 as 1 — serial execution — so
+// callers can pass a zero value through unchanged. That contract is
+// relied on by SweepOptions.Workers and exp.Spec.
 package pool
 
 import (
@@ -66,25 +66,4 @@ func ForEach(ctx context.Context, workers, n int, fatal func(error) bool, fn fun
 	}
 	wg.Wait()
 	return errs
-}
-
-// Workers starts n goroutines (n < 1 means 1) that each call fn for
-// values received on jobs until the channel is closed and drained.
-// The returned wait function blocks until every worker has exited;
-// the caller closes jobs to begin the shutdown.
-func Workers[T any](n int, jobs <-chan T, fn func(T)) (wait func()) {
-	if n < 1 {
-		n = 1
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				fn(j)
-			}
-		}()
-	}
-	return wg.Wait
 }

@@ -124,40 +124,3 @@ func TestForEachContextCancelStopsScheduling(t *testing.T) {
 		t.Fatalf("fn ran %d times after cancel, want 3", got)
 	}
 }
-
-func TestWorkersDrainsQueue(t *testing.T) {
-	jobs := make(chan int, 32)
-	var sum int64
-	wait := Workers(4, jobs, func(j int) { atomic.AddInt64(&sum, int64(j)) })
-	want := int64(0)
-	for i := 1; i <= 32; i++ {
-		jobs <- i
-		want += int64(i)
-	}
-	close(jobs)
-	wait()
-	if got := atomic.LoadInt64(&sum); got != want {
-		t.Fatalf("sum = %d, want %d", got, want)
-	}
-}
-
-func TestWorkersZeroMeansOne(t *testing.T) {
-	jobs := make(chan int)
-	var cur, max int32
-	wait := Workers(0, jobs, func(int) {
-		c := atomic.AddInt32(&cur, 1)
-		if c > atomic.LoadInt32(&max) {
-			atomic.StoreInt32(&max, c)
-		}
-		time.Sleep(time.Millisecond)
-		atomic.AddInt32(&cur, -1)
-	})
-	for i := 0; i < 8; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wait()
-	if max != 1 {
-		t.Fatalf("observed %d concurrent workers, want 1", max)
-	}
-}

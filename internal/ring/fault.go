@@ -1,6 +1,6 @@
 package ring
 
-// Fault injection for the ring family (network.FaultInjector). Event
+// Fault injection for the ring family (Model.ApplyFaultPlan). Event
 // node indices address n.stations in build order — the same
 // deterministic DFS order the builders append them in, so NICs and
 // IRI stations of both switching techniques map identically for one
@@ -61,7 +61,7 @@ func (s *sstation) fltBlockedSlot(now, stepIdx int64) bool {
 	return stepIdx%s.flt.factor != 0
 }
 
-// ApplyFaultPlan implements network.FaultInjector for the wormhole
+// ApplyFaultPlan implements network.Model for the wormhole
 // network. Call once, after construction and before the first tick.
 func (n *Network) ApplyFaultPlan(p *fault.Plan) error {
 	events, err := p.Materialize(len(n.stations), 1)
@@ -82,7 +82,7 @@ func (n *Network) ApplyFaultPlan(p *fault.Plan) error {
 	return nil
 }
 
-// ApplyFaultPlan implements network.FaultInjector for the slotted
+// ApplyFaultPlan implements network.Model for the slotted
 // network, with the same station indexing and time scaling as the
 // wormhole model.
 func (n *SlottedNetwork) ApplyFaultPlan(p *fault.Plan) error {

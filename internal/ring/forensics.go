@@ -1,6 +1,6 @@
 package ring
 
-// Stall forensics for the ring family (network.StallReporter). The
+// Stall forensics for the ring family (Model.BuildStallReport). The
 // builders run on a frozen system after the engine watchdog trips:
 // they re-ask each station the same question compute asks every cycle
 // — "what would you send, and would downstream take it?" — and turn
@@ -33,7 +33,7 @@ func faultDescr(name string, f *stFault) string {
 	return fmt.Sprintf("%s: slowed x%d until tick %d", name, f.factor, f.until)
 }
 
-// BuildStallReport implements network.StallReporter for the wormhole
+// BuildStallReport implements network.Model for the wormhole
 // network.
 func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 	rep := &sim.StallReport{BufferedFlits: n.BufferedFlits()}
@@ -156,7 +156,7 @@ func (n *Network) stuckPackets(now int64) []sim.StuckPacket {
 	return out
 }
 
-// BuildStallReport implements network.StallReporter for the slotted
+// BuildStallReport implements network.Model for the slotted
 // network. Slotted rings cannot gridlock (slots advance regardless),
 // so a trip here is a livelock: packets NACKed around their ring
 // because an IRI transfer queue never drains, or injections starved

@@ -84,7 +84,7 @@ func (s *ringShard) CommitPhase(phase int, now int64) int {
 	return moved
 }
 
-// Partition implements network.Partitioner for the wormhole network:
+// Partition implements network.Model for the wormhole network:
 // one shard per physical ring, two commit phases (ring-local commit,
 // then the cross-ring exchange). Installing the partition reroutes the
 // IRI exit sinks through the shard outboxes, so a non-nil return must
@@ -178,7 +178,7 @@ func (s *sringShard) CommitPhase(phase int, now int64) int {
 	return moved
 }
 
-// Partition implements network.Partitioner for the slotted network:
+// Partition implements network.Model for the slotted network:
 // one shard per ring, one commit phase per hierarchy level. A
 // single-ring hierarchy declines. Slotted deliveries happen leaf-ring
 // by leaf-ring in increasing PM-id order (post-order ring walk,

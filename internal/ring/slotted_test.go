@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -143,95 +144,114 @@ func TestSlottedStormDrains(t *testing.T) {
 	}
 }
 
-// Property: random traffic over random small slotted hierarchies is
-// delivered exactly once, in per-(src,dst,class) order.
-func TestQuickSlottedConservation(t *testing.T) {
-	f := func(seed uint64, shape, nPkts uint8) bool {
-		shapes := []topo.RingSpec{
-			topo.MustRingSpec(4),
-			topo.MustRingSpec(2, 3),
-			topo.MustRingSpec(2, 2, 3),
-		}
-		spec := shapes[int(shape)%len(shapes)]
-		lines := []int{16, 32, 128}
-		line := lines[int(seed%uint64(len(lines)))]
-		engine := &sim.Engine{}
-		pms := make([]*fakePM, spec.PMs())
-		ports := make([]PMPort, len(pms))
-		for i := range pms {
-			pms[i] = &fakePM{id: i}
-			ports[i] = pms[i]
-		}
-		net, err := NewSlotted(Config{Spec: spec, LineBytes: line, Switching: Slotted}, ports, engine)
-		if err != nil {
-			return false
-		}
-		engine.Register(net, 1)
-		r := rng.New(seed)
-		total := int(nPkts%30) + 1
-		type key struct {
-			src, dst int
-			resp     bool
-		}
-		order := map[key][]uint64{}
-		for i := 0; i < total; i++ {
-			src := r.Intn(spec.PMs())
-			dst := r.Intn(spec.PMs())
-			if dst == src {
-				dst = (dst + 1) % spec.PMs()
-			}
-			typ := packet.ReadRequest
-			if r.Bernoulli(0.5) {
-				typ = packet.ReadResponse
-			}
-			p := mkPkt(uint64(i+1), typ, src, dst, line)
-			if typ.IsResponse() {
-				pms[src].pendResp = append(pms[src].pendResp, p)
-			} else {
-				pms[src].pendReq = append(pms[src].pendReq, p)
-			}
-			k := key{src, dst, typ.IsResponse()}
-			order[k] = append(order[k], p.ID)
-		}
-		for tick := 0; tick < 60000; tick++ {
-			engine.Step()
-			if net.CheckInvariants() != nil {
-				return false
-			}
-			done := 0
-			for _, pm := range pms {
-				done += len(pm.delivered)
-			}
-			if done == total && net.BufferedFlits() == 0 {
-				break
-			}
-		}
-		seen := map[uint64]bool{}
-		got := 0
-		pos := map[uint64]int{}
-		for id, pm := range pms {
-			for i, p := range pm.delivered {
-				if p.Dst != id || seen[p.ID] {
-					return false
-				}
-				seen[p.ID] = true
-				pos[p.ID] = i
-				got++
-			}
-		}
-		if got != total {
-			return false
-		}
-		for _, ids := range order {
-			for i := 1; i < len(ids); i++ {
-				if pos[ids[i]] < pos[ids[i-1]] {
-					return false
-				}
-			}
-		}
-		return true
+// slottedConservation drives random traffic over one of a few small
+// slotted hierarchies until it drains. ok reports the properties the
+// model promises: the invariants hold at every tick and every packet
+// is delivered exactly once, to its destination. reordered reports
+// whether two packets of one (src, dst, class) arrived out of
+// injection order, which the model does not promise to avoid.
+func slottedConservation(seed uint64, shape, nPkts uint8) (ok, reordered bool) {
+	shapes := []topo.RingSpec{
+		topo.MustRingSpec(4),
+		topo.MustRingSpec(2, 3),
+		topo.MustRingSpec(2, 2, 3),
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	spec := shapes[int(shape)%len(shapes)]
+	lines := []int{16, 32, 128}
+	line := lines[int(seed%uint64(len(lines)))]
+	engine := &sim.Engine{}
+	pms := make([]*fakePM, spec.PMs())
+	ports := make([]PMPort, len(pms))
+	for i := range pms {
+		pms[i] = &fakePM{id: i}
+		ports[i] = pms[i]
+	}
+	net, err := NewSlotted(Config{Spec: spec, LineBytes: line, Switching: Slotted}, ports, engine)
+	if err != nil {
+		return false, false
+	}
+	engine.Register(net, 1)
+	r := rng.New(seed)
+	total := int(nPkts%30) + 1
+	type key struct {
+		src, dst int
+		resp     bool
+	}
+	order := map[key][]uint64{}
+	for i := 0; i < total; i++ {
+		src := r.Intn(spec.PMs())
+		dst := r.Intn(spec.PMs())
+		if dst == src {
+			dst = (dst + 1) % spec.PMs()
+		}
+		typ := packet.ReadRequest
+		if r.Bernoulli(0.5) {
+			typ = packet.ReadResponse
+		}
+		p := mkPkt(uint64(i+1), typ, src, dst, line)
+		if typ.IsResponse() {
+			pms[src].pendResp = append(pms[src].pendResp, p)
+		} else {
+			pms[src].pendReq = append(pms[src].pendReq, p)
+		}
+		k := key{src, dst, typ.IsResponse()}
+		order[k] = append(order[k], p.ID)
+	}
+	for tick := 0; tick < 60000; tick++ {
+		engine.Step()
+		if net.CheckInvariants() != nil {
+			return false, false
+		}
+		done := 0
+		for _, pm := range pms {
+			done += len(pm.delivered)
+		}
+		if done == total && net.BufferedFlits() == 0 {
+			break
+		}
+	}
+	seen := map[uint64]bool{}
+	got := 0
+	pos := map[uint64]int{}
+	for id, pm := range pms {
+		for i, p := range pm.delivered {
+			if p.Dst != id || seen[p.ID] {
+				return false, false
+			}
+			seen[p.ID] = true
+			pos[p.ID] = i
+			got++
+		}
+	}
+	for _, ids := range order {
+		for i := 1; i < len(ids); i++ {
+			if pos[ids[i]] < pos[ids[i-1]] {
+				reordered = true
+			}
+		}
+	}
+	return got == total, reordered
+}
+
+// Property: random traffic over random small slotted hierarchies is
+// delivered exactly once, to the right PM, with the invariants holding
+// at every tick. Delivery order within one (src, dst, class) is not
+// part of the property, unlike the wormhole network's
+// (TestQuickRandomTrafficConservation): a packet NACKed at a full IRI
+// queue goes round its ring again while its successor exits (see the
+// header of slotted.go and processOccupied), as in Hector, and the PM
+// matches responses by transaction, not by arrival order.
+func TestQuickSlottedConservation(t *testing.T) {
+	// Pinned: on slotted 2:2:3, two read-responses 4->2 arrive in the
+	// opposite order, and every packet is still delivered once.
+	if ok, reordered := slottedConservation(0x772d4d8d1a4f0299, 0x50, 0xe6); !ok || !reordered {
+		t.Fatalf("pinned NACK-reorder case: ok=%v reordered=%v; want every packet delivered once, with a reorder", ok, reordered)
+	}
+	f := func(seed uint64, shape, nPkts uint8) bool {
+		ok, _ := slottedConservation(seed, shape, nPkts)
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

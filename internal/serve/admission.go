@@ -262,25 +262,29 @@ func classFromCtx(ctx context.Context) (class, bool) {
 	return c, ok
 }
 
-// costMinObs is how many completed runs of a family the run-duration
-// histogram must hold before the admission-time deadline feasibility
-// check trusts its p95; below it, optimistic admission (the in-queue
-// expiry check still catches doomed jobs).
+// costMinObs is how many computed points of a network the per-point
+// duration histogram must hold before the admission-time deadline
+// feasibility check trusts its p95; below it, optimistic admission
+// (the in-queue expiry check still catches doomed jobs).
 const costMinObs = 8
 
-// estimateCost predicts one unit of work's end-to-end time for a
-// family from the telemetry the daemon already collects: p95 queue
-// wait plus units times the p95 run duration. ok=false (not enough
-// completed runs observed yet) means "no idea" — admit optimistically.
-func (s *Server) estimateCost(family string, units int) (time.Duration, bool) {
-	run := s.histogram("ringmeshd_job_run_seconds",
-		metrics.Labels{Family: family, Outcome: "done"}, secondsBuckets)
-	if run.Count() < costMinObs {
-		return 0, false
+// estimateCost predicts a job's end-to-end time from the telemetry the
+// daemon already collects: the p95 queue wait of its family plus, for
+// every point, the p95 duration of one computed point of that point's
+// network. ok=false (some network not observed enough yet) means "no
+// idea" — admit optimistically.
+func (s *Server) estimateCost(j *job) (time.Duration, bool) {
+	var est float64
+	for _, p := range j.points {
+		h := s.histogram("ringmeshd_point_run_seconds",
+			metrics.Labels{Family: p.cfg.Network}, pointBuckets)
+		if h.Count() < costMinObs {
+			return 0, false
+		}
+		est += h.Quantile(0.95)
 	}
-	est := float64(units) * run.Quantile(0.95)
 	if wait := s.histogram("ringmeshd_job_queue_wait_seconds",
-		metrics.Labels{Family: family}, secondsBuckets); wait.Count() > 0 {
+		metrics.Labels{Family: j.family}, secondsBuckets); wait.Count() > 0 {
 		est += wait.Quantile(0.95)
 	}
 	return time.Duration(est * float64(time.Second)), true

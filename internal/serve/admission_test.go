@@ -32,8 +32,14 @@ func testAdmitter(total int) *admitter {
 	return newAdmitter(total, [numClasses]int{}, [numClasses]int{}, &metrics.Registry{})
 }
 
+// testJob builds a bare job of the given kind with n points, for
+// tests that drive the queues or finish directly.
+func testJob(id, kind string, n int) *job {
+	return newJob(id, journalRecord{Kind: kind}, make([]point, n), "", 8)
+}
+
 func classedJob(id string, c class) *job {
-	j := newJob(id, kindRun, 8)
+	j := testJob(id, kindRun, 1)
 	j.class = c
 	return j
 }
@@ -370,6 +376,47 @@ func TestDeadlineInfeasibleRejectedAtAdmission(t *testing.T) {
 	}
 }
 
+// TestDeadlineCostIsPerPoint: the feasibility estimate prices a job as
+// the sum of its points, each at the p95 of one computed point. Pricing
+// a four-entry batch at four whole-batch durations (units x the p95 of
+// job durations, which for a batch are whole batches) refused any
+// deadline under ~4x the true cost.
+func TestDeadlineCostIsPerPoint(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+
+	seed := uint64(5000)
+	batch := func(deadlineMS int64) batchRequest {
+		req := batchRequest{DeadlineMS: deadlineMS}
+		for range 4 {
+			cfg := testConfig()
+			cfg.Seed = seed
+			seed++
+			req.Runs = append(req.Runs, batchRunRequest{Config: cfg,
+				Options: &ringmesh.RunOptions{WarmupCycles: 1000, BatchCycles: 2000, Batches: 3}})
+		}
+		return req
+	}
+	// Train past costMinObs batches, timing each from the outside (the
+	// poll cadence only lengthens t, which loosens the deadline below).
+	var t95 time.Duration
+	for i := range costMinObs {
+		start := time.Now()
+		resp, raw := postJSON(t, ts.URL+"/v1/batch", batch(0))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("training batch %d = %d: %s", i, resp.StatusCode, raw)
+		}
+		awaitJob(t, ts.URL, decodeDoc(t, raw).ID, false)
+		t95 = max(t95, time.Since(start))
+	}
+
+	resp, raw := postJSON(t, ts.URL+"/v1/batch", batch(2*t95.Milliseconds()))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("batch with a deadline of twice a batch's duration (%s) = %d: %s; want 202",
+			2*t95, resp.StatusCode, raw)
+	}
+	awaitJob(t, ts.URL, decodeDoc(t, raw).ID, false)
+}
+
 func TestDeadlineHeaderParsedAndBodyWins(t *testing.T) {
 	r, _ := http.NewRequest(http.MethodPost, "/v1/runs", nil)
 	r.Header.Set(deadlineHeader, "10s")
@@ -449,12 +496,9 @@ func TestBatchEndpoint(t *testing.T) {
 }
 
 func TestFinishBatchClassifiesWholesaleFailure(t *testing.T) {
-	j := newJob("b1", kindBatch, 8)
-	err := j.finishBatch([]BatchItem{
-		{Index: 0, Error: &JobError{Status: 422, Kind: "stall", Message: "stalled"}},
-		{Index: 1, Error: &JobError{Status: 500, Kind: "runtime", Message: "boom"}},
-	}, false)
-	if err == nil {
+	stall := fmt.Errorf("stalled: %w", ringmesh.ErrStalled)
+	j := testJob("b1", kindBatch, 2)
+	if failed := j.finish([]outcome{{err: stall}, {err: errors.New("boom")}}, nil); !failed {
 		t.Fatal("all-failed batch reported success")
 	}
 	v := j.view()
@@ -462,13 +506,9 @@ func TestFinishBatchClassifiesWholesaleFailure(t *testing.T) {
 		t.Fatalf("wholesale failure = %+v; want first item's classification", v.Error)
 	}
 
-	j2 := newJob("b2", kindBatch, 8)
-	res := ringmesh.Result{}
-	if err := j2.finishBatch([]BatchItem{
-		{Index: 0, Result: &res},
-		{Index: 1, Error: &JobError{Status: 500, Kind: "runtime", Message: "boom"}},
-	}, false); err != nil {
-		t.Fatalf("partial batch = %v; want degraded success", err)
+	j2 := testJob("b2", kindBatch, 2)
+	if failed := j2.finish([]outcome{{}, {err: errors.New("boom")}}, nil); failed {
+		t.Fatal("partial batch failed; want degraded success")
 	}
 	if v := j2.view(); v.State != JobDone || !v.Degraded {
 		t.Fatalf("partial batch view = state %s degraded %v; want done/degraded", v.State, v.Degraded)

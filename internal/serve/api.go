@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"time"
 
 	"ringmesh"
@@ -80,14 +81,16 @@ type errorBody struct {
 
 // Handler returns the daemon's route table:
 //
-//	POST /v1/runs              submit one simulation (202, or 200 on a cache hit)
-//	POST /v1/sweeps            submit a size sweep (202)
-//	POST /v1/batch             submit many runs as one prioritized unit (202)
+//	POST /v1/runs              submit one simulation
+//	POST /v1/sweeps            submit a size sweep
+//	POST /v1/batch             submit many runs as one prioritized unit
+//	                           (each: 202, or 200 when every point was answered
+//	                           at submission — cache hits, analytic estimates)
 //	GET  /v1/jobs/{id}         poll a job document; ?watch=1 streams SSE
 //	GET  /v1/jobs/{id}/trace   job lifecycle spans as Chrome trace-event JSON
 //	GET  /healthz              liveness: 200 while the process serves at all
-//	GET  /readyz               readiness: 503 while draining or replaying the
-//	                           journal, else 200 with per-class queue depths
+//	GET  /readyz               readiness: 503 while draining, else 200 with
+//	                           per-class queue depths
 //	GET  /metrics              Prometheus-style text snapshot
 //	GET  /debug/pprof/...      Go profiling endpoints (only with EnablePprof)
 func (s *Server) Handler() http.Handler {
@@ -149,9 +152,9 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
-// gate applies the submission-path request checks shared by runs and
-// sweeps: drain state (a draining server accepts no new jobs, cached
-// or not), rate limit, then body decode with unknown fields rejected.
+// gate applies the request checks every submission endpoint shares:
+// drain state (a draining server accepts no new jobs, cached or not),
+// rate limit, then body decode with unknown fields rejected.
 // It reports false after writing the error response.
 func (s *Server) gate(w http.ResponseWriter, r *http.Request, into any) bool {
 	if s.drainingNow() {
@@ -205,6 +208,15 @@ func validateRunOptions(o ringmesh.RunOptions) error {
 	}
 }
 
+// optionsOr resolves a request's optional schedule (omitted:
+// DefaultRunOptions).
+func optionsOr(o *ringmesh.RunOptions) ringmesh.RunOptions {
+	if o == nil {
+		return ringmesh.DefaultRunOptions()
+	}
+	return *o
+}
+
 // submitMeta resolves a submission's priority class and absolute
 // deadline. The deadline is relative at the wire (header: a Go
 // duration; body: milliseconds, winning over the header) and absolute
@@ -241,122 +253,40 @@ func (s *Server) rejectInfeasible(w http.ResponseWriter, j *job) bool {
 	if j.deadline.IsZero() {
 		return false
 	}
-	est, ok := s.estimateCost(j.family(), j.units())
+	est, ok := s.estimateCost(j)
 	if !ok || time.Until(j.deadline) >= est {
 		return false
 	}
 	s.deadlineRej[j.class].Inc()
 	s.log.Warn("deadline infeasible at admission", "class", j.class.String(),
-		"family", j.family(), "budget", time.Until(j.deadline), "estimate", est)
+		"family", j.family, "budget", time.Until(j.deadline), "estimate", est)
 	writeError(w, http.StatusGatewayTimeout,
 		"deadline infeasible: %s remaining, estimated cost %s", time.Until(j.deadline).Round(time.Millisecond), est.Round(time.Millisecond))
 	return true
 }
 
-// submitJob runs the shared tail of every submission handler:
-// admission (with the backpressure contract on shed), the enqueue
-// span, and the 202 response.
-func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, j *job, what string) {
-	s.register(j)
-	// enqueuedAt is set before admission: a worker may pick the job up
-	// the instant it enters its class queue, and it reads this field to
-	// reconstruct the queue-wait span.
-	enqStart := time.Now()
-	j.enqueuedAt = enqStart
-	if err := s.admit(j); err != nil {
-		// A background run the client left fidelity-agnostic can degrade
-		// to an analytic answer (with a best-effort upgrade job) instead
-		// of a 503 when admission sheds it.
-		var se *shedError
-		if errors.As(err, &se) && j.allowDegrade && j.kind == kindRun &&
-			s.degradeRun(w, r, j) {
-			return
-		}
-		s.unregister(j)
-		s.rejected.Inc()
-		s.log.Warn(what+" rejected", "client", clientKey(r), "class", j.class.String(), "err", err)
-		writeBackoff(w, http.StatusServiceUnavailable, j.class.String(), s.retryAfter(j.family()), "%v", err)
-		return
-	}
-	j.tr.Record(obs.SpanRecord{Name: "enqueue", Start: enqStart, Dur: time.Since(enqStart)})
-	s.accepted.Inc()
-	s.log.Info(what+" accepted", "job", j.id, "class", j.class.String(),
-		"family", j.family(), "client", clientKey(r))
-	writeJSON(w, http.StatusAccepted, j.view())
-}
+// The three submission endpoints are decoders: each reads its own
+// request shape, resolves the fidelity policy into the submission, has
+// buildJob expand that into a job, and hands the job to submit.
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
 	if !s.gate(w, r, &req) {
 		return
 	}
-	validateStart := time.Now()
-	opt := ringmesh.DefaultRunOptions()
-	if req.Options != nil {
-		opt = *req.Options
-	}
-	if err := validateRunOptions(opt); err != nil {
-		s.log.Warn("run rejected", "client", clientKey(r), "err", err)
-		writeError(w, http.StatusBadRequest, "invalid options: %v", err)
-		return
-	}
-	cls, deadline, err := submitMeta(r, req.Class, req.DeadlineMS, classInteractive)
-	if err != nil {
-		s.log.Warn("run rejected", "client", clientKey(r), "err", err)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	mode, explicit, err := s.resolveFidelity(req.Fidelity, &req.Config)
 	if err != nil {
-		s.log.Warn("run rejected", "client", clientKey(r), "err", err)
-		writeError(w, http.StatusBadRequest, "%v", err)
+		s.badRequest(w, r, err)
 		return
 	}
-	if mode == fidelity.Analytic {
-		// Explicit analytic runs are answered inline — microseconds of
-		// closed-form evaluation never take a queue slot.
-		s.serveAnalyticRun(w, r, req.Config, opt, cls, deadline)
+	opt := optionsOr(req.Options)
+	j := s.buildJob(w, r, journalRecord{Kind: kindRun, Config: &req.Config, Options: &opt,
+		auto: mode == fidelity.Auto}, req.Class, req.DeadlineMS, classInteractive)
+	if j == nil {
 		return
 	}
-	key, err := ringmesh.CacheKey(req.Config, opt)
-	if err != nil {
-		// The model's own validation message, verbatim — the same text
-		// NewSystem would produce.
-		s.log.Warn("run rejected", "client", clientKey(r), "err", err)
-		writeError(w, http.StatusBadRequest, "invalid config: %v", err)
-		return
-	}
-
-	j := newJob("", kindRun, s.opt.TraceSpans)
-	j.cfg, j.opt, j.key = req.Config, opt, key
-	j.class, j.deadline = cls, deadline
-	j.allowDegrade = cls == classBackground && !explicit && mode == fidelity.Simulate
-	j.tr.Record(obs.SpanRecord{
-		Name: "validate", Start: validateStart, Dur: time.Since(validateStart),
-		Attrs: []obs.Attr{{Key: "key", Value: key[:8]}},
-	})
-
-	// Submission-time cache probe: a hit completes the job without it
-	// ever touching the queue (or its deadline), so cached replays cost
-	// one map lookup even when the queue is saturated. Auto requests
-	// take this same path — a cached exact result beats an estimate.
-	if res, ok := s.cache.get(key); ok {
-		j.finish(&res, nil, true, nil)
-		s.register(j)
-		s.accepted.Inc()
-		s.completed.Inc()
-		s.log.Info("run served from cache", "job", j.id,
-			"family", j.family(), "client", clientKey(r))
-		writeJSON(w, http.StatusOK, j.view())
-		return
-	}
-	if mode == fidelity.Auto && s.serveAutoRun(w, r, j) {
-		return
-	}
-	if s.rejectInfeasible(w, j) {
-		return
-	}
-	s.submitJob(w, r, j, "run")
+	j.allowDegrade = j.class == classBackground && !explicit && mode == fidelity.Simulate
+	s.submit(w, r, j)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -364,55 +294,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.gate(w, r, &req) {
 		return
 	}
-	validateStart := time.Now()
-	opt := ringmesh.DefaultRunOptions()
-	if req.Options != nil {
-		opt = *req.Options
-	}
-	if err := validateRunOptions(opt); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid options: %v", err)
-		return
-	}
-	cls, deadline, err := submitMeta(r, req.Class, req.DeadlineMS, classInteractive)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if len(req.Sizes) == 0 {
-		writeError(w, http.StatusBadRequest, "sizes must name at least one node count")
-		return
-	}
 	mode, _, err := s.resolveFidelity(req.Fidelity, &req.Config)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		s.badRequest(w, r, err)
 		return
 	}
-	// Validate every size up front so a doomed sweep fails at submit
-	// with the model's message, not halfway through the job.
-	for _, n := range req.Sizes {
-		cfg := req.Config
-		cfg.Topology = ""
-		cfg.Nodes = n
-		if _, err := ringmesh.CacheKey(cfg, opt); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid config at size %d: %v", n, err)
-			return
-		}
-	}
-
-	j := newJob("", kindSweep, s.opt.TraceSpans)
-	j.cfg, j.opt = req.Config, opt
-	j.class, j.deadline = cls, deadline
-	j.sizes = append([]int(nil), req.Sizes...)
-	j.tr.Record(obs.SpanRecord{
-		Name: "validate", Start: validateStart, Dur: time.Since(validateStart),
-	})
-	if mode == fidelity.Auto && s.serveAutoSweep(w, r, j) {
+	opt := optionsOr(req.Options)
+	j := s.buildJob(w, r, journalRecord{Kind: kindSweep, Config: &req.Config, Options: &opt,
+		Sizes: req.Sizes, auto: mode == fidelity.Auto}, req.Class, req.DeadlineMS, classInteractive)
+	if j == nil {
 		return
 	}
-	if s.rejectInfeasible(w, j) {
-		return
-	}
-	s.submitJob(w, r, j, "sweep")
+	s.submit(w, r, j)
 }
 
 // handleBatch accepts many runs as one prioritized unit: one job, one
@@ -424,70 +317,113 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.gate(w, r, &req) {
 		return
 	}
-	validateStart := time.Now()
-	cls, deadline, err := submitMeta(r, req.Class, req.DeadlineMS, classBatch)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if len(req.Runs) == 0 {
-		writeError(w, http.StatusBadRequest, "runs must hold at least one entry")
-		return
-	}
 	// Per-entry fidelity: the batch-level field applies to entries whose
 	// config does not set its own. Auto is resolved here (the policy
 	// never reaches a cache key); concrete tiers stay in the config,
 	// where cache keys and the executor read them.
-	autoEntry := make([]bool, len(req.Runs))
-	anyAuto := false
-	// Validate every entry up front so a doomed batch fails at submit
-	// with the model's message, not halfway through the job.
 	entries := make([]batchEntry, len(req.Runs))
+	anyAuto := false
 	for i, br := range req.Runs {
-		opt := ringmesh.DefaultRunOptions()
-		if br.Options != nil {
-			opt = *br.Options
+		if br.Config.Fidelity == "" {
+			br.Config.Fidelity = req.Fidelity
 		}
-		if err := validateRunOptions(opt); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid options at entry %d: %v", i, err)
-			return
-		}
-		eff := br.Config.Fidelity
-		if eff == "" {
-			eff = req.Fidelity
-		}
-		if eff == fidelity.Auto {
-			autoEntry[i], anyAuto = true, true
+		auto := br.Config.Fidelity == fidelity.Auto
+		if auto {
+			anyAuto = true
 			br.Config.Fidelity = ""
-		} else {
-			br.Config.Fidelity = eff
 		}
-		if _, err := ringmesh.CacheKey(br.Config, opt); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid config at entry %d: %v", i, err)
-			return
-		}
-		entries[i] = batchEntry{Config: br.Config, Options: opt}
+		entries[i] = batchEntry{Config: br.Config, Options: optionsOr(br.Options), auto: auto}
+	}
+	j := s.buildJob(w, r, journalRecord{Kind: kindBatch, Entries: entries},
+		req.Class, req.DeadlineMS, classBatch)
+	if j == nil {
+		return
 	}
 	if anyAuto {
 		s.fidRequests[fidelity.Auto].Inc()
 	} else if mode, err := fidelity.Normalize(req.Fidelity); err == nil {
 		s.fidRequests[mode].Inc()
 	}
+	s.submit(w, r, j)
+}
 
-	j := newJob("", kindBatch, s.opt.TraceSpans)
-	j.entries = entries
+// badRequest refuses a submission the client got wrong.
+func (s *Server) badRequest(w http.ResponseWriter, r *http.Request, err error) {
+	s.log.Warn("submission rejected", "client", clientKey(r), "err", err)
+	writeError(w, http.StatusBadRequest, "%v", err)
+}
+
+// buildJob resolves a decoded submission's class and deadline and
+// expands it into a job of validated points. It reports nil after
+// writing the 400.
+func (s *Server) buildJob(w http.ResponseWriter, r *http.Request, sub journalRecord,
+	bodyClass string, deadlineMS int64, def class) *job {
+	start := time.Now()
+	cls, deadline, err := submitMeta(r, bodyClass, deadlineMS, def)
+	if err != nil {
+		s.badRequest(w, r, err)
+		return nil
+	}
+	points, family, err := expand(sub)
+	if err != nil {
+		s.badRequest(w, r, err)
+		return nil
+	}
+	j := newJob("", sub, points, family, s.opt.TraceSpans)
 	j.class, j.deadline = cls, deadline
 	j.tr.Record(obs.SpanRecord{
-		Name: "validate", Start: validateStart, Dur: time.Since(validateStart),
-		Attrs: []obs.Attr{{Key: "entries", Value: fmt.Sprint(len(entries))}},
+		Name: "validate", Start: start, Dur: time.Since(start),
+		Attrs: []obs.Attr{{Key: "points", Value: strconv.Itoa(len(points))}},
 	})
-	if anyAuto && s.serveAutoBatch(w, r, j, autoEntry) {
+	return j
+}
+
+// submit is the one tail of every submission, ending in the first of:
+// an inline answer (every point an exact cache hit or answerable
+// analytically: 200, the job never queued), a deadline the telemetry
+// rules out (504), admission into the class queues (202), or its
+// refusal (503 with Retry-After, unless the job may degrade to an
+// analytic answer).
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, j *job) {
+	start := time.Now()
+	// A job answered here never touches the queue (or its deadline), so
+	// cached replays cost one map lookup per point even when the queue
+	// is saturated.
+	outs, err := s.answerInline(j, false)
+	if err != nil {
+		s.rejected.Inc()
+		s.badRequest(w, r, fmt.Errorf("analytic fidelity: %w", err))
+		return
+	}
+	if outs != nil {
+		s.respondInline(w, r, j, outs, start, false)
 		return
 	}
 	if s.rejectInfeasible(w, j) {
 		return
 	}
-	s.submitJob(w, r, j, "batch")
+	if err := s.admit(j); err != nil {
+		// A background run the client left fidelity-agnostic degrades to
+		// an analytic answer (with a best-effort upgrade job) instead of
+		// a 503 when admission sheds it. Its journal record is already
+		// terminal — a crash cannot resurrect it.
+		var se *shedError
+		if errors.As(err, &se) && j.allowDegrade {
+			if outs, _ := s.answerInline(j, true); outs != nil {
+				s.respondInline(w, r, j, outs, j.enqueuedAt, true)
+				return
+			}
+		}
+		s.rejected.Inc()
+		s.log.Warn(j.sub.Kind+" rejected", "client", clientKey(r), "class", j.class.String(), "err", err)
+		writeBackoff(w, http.StatusServiceUnavailable, j.class.String(), s.retryAfter(j.family), "%v", err)
+		return
+	}
+	j.tr.Record(obs.SpanRecord{Name: "enqueue", Start: j.enqueuedAt, Dur: time.Since(j.enqueuedAt)})
+	s.accepted.Inc()
+	s.log.Info(j.sub.Kind+" accepted", "job", j.id, "class", j.class.String(),
+		"family", j.family, "client", clientKey(r))
+	writeJSON(w, http.StatusAccepted, j.view())
 }
 
 // handleJobTrace serves a job's lifecycle spans as Chrome trace-event
@@ -581,8 +517,8 @@ type readyBody struct {
 
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	body := readyBody{Status: "ready", Queues: s.adm.classDepths()}
-	if reason, notReady := s.notReady(); notReady {
-		body.Status = reason
+	if s.drainingNow() {
+		body.Status = "draining"
 		writeJSON(w, http.StatusServiceUnavailable, body)
 		return
 	}

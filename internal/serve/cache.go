@@ -116,10 +116,7 @@ func (c *resultCache) get(key string) (ringmesh.Result, bool) {
 		return res, true
 	}
 	c.mu.Unlock()
-	if res, ok := c.loadDisk(key); ok {
-		return res, true
-	}
-	return ringmesh.Result{}, false
+	return c.loadDisk(key)
 }
 
 // loadDisk probes the durable tier (outside c.mu: file I/O must not
@@ -263,11 +260,4 @@ func shortKey(key string) string {
 		return key[:8]
 	}
 	return key
-}
-
-// len reports the number of stored entries.
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }

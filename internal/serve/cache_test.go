@@ -15,6 +15,13 @@ func res(latency float64) ringmesh.Result {
 	return ringmesh.Result{LatencyCycles: latency}
 }
 
+// len reports the number of stored entries.
+func (c *resultCache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
 func TestCacheHitAfterCompute(t *testing.T) {
 	reg := &metrics.Registry{}
 	c := newResultCache(4, nil, reg)

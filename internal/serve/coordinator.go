@@ -19,9 +19,10 @@ import (
 )
 
 // dispatchError is a coordinator-side failure to obtain a point's
-// result from a worker, carrying the error-taxonomy class the merged
-// sweep response reports. Transient classes (connect errors, 503/504
-// submit rejections, canceled/timed-out jobs, all breakers open) are
+// result from a worker, carrying the error-taxonomy class and status
+// the job document reports for it (see classify). Transient classes
+// (connect errors, 503/504 submit rejections, canceled/timed-out jobs,
+// all breakers open) are
 // retried with backoff; deterministic classes (config, stall, model
 // panic) are not — the same inputs fail the same way on every
 // replica, so retrying only burns budget.
@@ -41,24 +42,6 @@ func (e *dispatchError) Error() string {
 }
 
 func (e *dispatchError) Unwrap() error { return e.err }
-
-// jobError renders the failure for the job document's structured
-// per-point error report.
-func (e *dispatchError) jobError() *JobError {
-	return &JobError{Status: e.status, Kind: e.class, Message: e.Error()}
-}
-
-// classifyPointErr maps a coordinated point's failure onto the job
-// error taxonomy: dispatch errors carry their own classification,
-// anything else (e.g. the job's own context dying) goes through the
-// local classifier.
-func classifyPointErr(err error) *JobError {
-	var de *dispatchError
-	if errors.As(err, &de) {
-		return de.jobError()
-	}
-	return classify(err)
-}
 
 // workerClient is one worker daemon the coordinator dispatches to.
 type workerClient struct {
@@ -147,15 +130,12 @@ func newCoordinator(addrs []string, reg *metrics.Registry, log *slog.Logger) *co
 			dispatched: reg.Counter("ringmeshd_coord_worker_dispatches_total", metrics.Labels{Node: addr}),
 			failures:   reg.Counter("ringmeshd_coord_worker_failures_total", metrics.Labels{Node: addr}),
 		}
-		if reg != nil {
-			br := w.br
-			reg.Gauge("ringmeshd_coord_worker_admitted", metrics.Labels{Node: addr}, func() float64 {
-				if br.admitted() {
-					return 1
-				}
-				return 0
-			})
-		}
+		reg.Gauge("ringmeshd_coord_worker_admitted", metrics.Labels{Node: addr}, func() float64 {
+			if w.br.admitted() {
+				return 1
+			}
+			return 0
+		})
 		co.workers = append(co.workers, w)
 	}
 	return co
@@ -186,8 +166,8 @@ func (co *coordinator) probeLoop(ctx context.Context) {
 }
 
 // probe asks one worker's /readyz whether it is accepting work —
-// readiness, not liveness: a draining or journal-replaying worker is
-// alive but must not be re-admitted for dispatch yet.
+// readiness, not liveness: a draining worker is alive but must
+// not be re-admitted for dispatch yet.
 func (co *coordinator) probe(ctx context.Context, w *workerClient) bool {
 	pctx, cancel := context.WithTimeout(ctx, co.probeTimeout)
 	defer cancel()
@@ -290,7 +270,6 @@ func (co *coordinator) runPoint(ctx context.Context, cfg ringmesh.Config, opt ri
 type dial struct {
 	res    ringmesh.Result
 	err    error
-	worker string
 	hedged bool
 }
 
@@ -309,7 +288,7 @@ func (co *coordinator) attempt(ctx context.Context, cfg ringmesh.Config, opt rin
 	launch := func(w *workerClient, hedged bool) {
 		go func() {
 			res, err := co.dispatch(actx, w, cfg, opt, tr, attempt, hedged)
-			ch <- dial{res: res, err: err, worker: w.name, hedged: hedged}
+			ch <- dial{res: res, err: err, hedged: hedged}
 		}()
 	}
 	launch(primary, false)

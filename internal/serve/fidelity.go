@@ -6,34 +6,29 @@ package serve
 // and the exact simulator. Clients pick a tier with the request's
 // fidelity field:
 //
-//	"simulate" (or omitted)  exact simulation, exactly as before
+//	"simulate" (or omitted)  exact simulation
 //	"analytic"               inline closed-form estimate, never queued
 //	"auto"                   cache hit if available, else an analytic
 //	                         answer plus a background "upgrade to
 //	                         exact" job whose ID rides in the response
 //
 // Auto is an admission policy, not an answer tier: it is resolved
-// here, before cache keys exist, and never enters a key. Analytic
-// results live under their own cache keys (fidelity joins the key),
-// so an estimate can never be served as an exact result. When the
-// analytic model refuses a configuration (ErrUnsupported), auto falls
-// back to a normal exact enqueue — refusal costs a queue slot, never
-// a wrong labeled answer.
-//
-// Under admission pressure, background-class runs whose client did
-// not name a tier degrade to analytic-with-upgrade instead of 503:
-// the caller gets a bounded estimate now and (best-effort) the exact
-// result later, observable via the ringmeshd_fidelity_* counters.
+// before cache keys exist and never enters one. Analytic results live
+// under their own cache keys (fidelity joins the key), so an estimate
+// can never be served as an exact result. Under admission pressure,
+// background-class runs whose client did not name a tier degrade to
+// analytic-with-upgrade instead of 503, observable via the
+// ringmeshd_fidelity_* counters. answerInline is the one place all of
+// this is decided.
 
 import (
 	"net/http"
-	"sort"
+	"slices"
 	"time"
 
 	"ringmesh"
 	"ringmesh/internal/fidelity"
 	"ringmesh/internal/metrics"
-	"ringmesh/internal/obs"
 )
 
 // fidelityBuckets spans 1µs to ~16s in x4 steps: inline analytic
@@ -68,290 +63,124 @@ func (s *Server) resolveFidelity(reqFid string, cfg *ringmesh.Config) (mode stri
 	return mode, raw != "", nil
 }
 
-// jobFidelity labels a queued job's answer tier for the per-fidelity
-// latency histograms.
-func jobFidelity(j *job) string {
-	if f, err := fidelity.Normalize(j.cfg.Fidelity); err == nil {
-		return f
+// answerInline resolves every point of j without the queue: an exact
+// cache hit keeps its full fidelity, and a point that asked for the
+// analytic tier — or may be answered from it: auto, or any point when
+// force is set (the shed-pressure degrade) — is estimated through the
+// result cache under its analytic key, so estimates and exact results
+// never collide and identical estimates coalesce. It returns nil
+// outcomes when some point needs the simulator, including an auto
+// point the analytic model refuses (counted as a fallback): refusal
+// costs a queue slot, never a wrong labeled answer. Only a refused
+// point that asked for the analytic tier by name is an error — the
+// client named a tier that cannot answer this configuration.
+func (s *Server) answerInline(j *job, force bool) ([]outcome, error) {
+	outs := make([]outcome, len(j.points))
+	for i := range j.points {
+		p := &j.points[i]
+		named := p.cfg.Fidelity == fidelity.Analytic
+		if !named {
+			if res, ok := s.cache.get(p.key); ok {
+				outs[i] = outcome{res: res, cached: true, attempts: 1}
+				continue
+			}
+			if !p.auto && !force {
+				return nil, nil
+			}
+		}
+		res, cached, err := s.estimate(j, p)
+		if err != nil && named {
+			return nil, err
+		}
+		if err != nil {
+			if p.auto {
+				s.fidFallback.Inc()
+			}
+			s.log.Info("analytic model refused the point; it needs the queue", "err", err)
+			return nil, nil
+		}
+		outs[i] = outcome{res: res, cached: cached, attempts: 1}
 	}
-	return fidelity.Simulate
+	return outs, nil
 }
 
-// observeFidelityAnswer records one inline analytic answer's latency.
-func (s *Server) observeFidelityAnswer(start time.Time) {
-	s.histogram("ringmeshd_fidelity_answer_seconds",
-		metrics.Labels{Fidelity: fidelity.Analytic}, fidelityBuckets).
-		Observe(time.Since(start).Seconds())
-}
-
-// answerAnalytic computes the analytic-tier answer for one run
-// configuration through the result cache, under the analytic cache
-// key — estimates and exact results never collide, and identical
-// estimates coalesce. The result carries the "analytic" fidelity
-// label and its recorded error bound, attached by ringmesh.Estimate.
-func (s *Server) answerAnalytic(cfg ringmesh.Config, opt ringmesh.RunOptions, tr *obs.Trace) (ringmesh.Result, bool, error) {
-	acfg := cfg
-	acfg.Fidelity = fidelity.Analytic
-	key, err := ringmesh.CacheKey(acfg, opt)
-	if err != nil {
-		return ringmesh.Result{}, false, err
-	}
-	return s.cache.do(s.baseCtx, key, tr, func() (ringmesh.Result, error) {
-		return ringmesh.Estimate(acfg, opt)
+// estimate answers one point from the analytic tier, through the
+// result cache under the point's analytic key. (Its own function so
+// the cached-run path through answerInline allocates no closure.)
+func (s *Server) estimate(j *job, p *point) (ringmesh.Result, bool, error) {
+	cfg := p.cfg
+	cfg.Fidelity = fidelity.Analytic
+	// The point validated at submission and fidelity does not enter
+	// validation: keying its analytic spelling cannot fail.
+	key, _ := ringmesh.CacheKey(cfg, p.opt)
+	return s.cache.do(s.baseCtx, key, j.tr, func() (ringmesh.Result, error) {
+		return ringmesh.Estimate(cfg, p.opt)
 	})
 }
 
-// tryUpgrade admits a background-class job that will land the exact
-// result under the exact cache key, upgrading an analytic answer
-// after the fact. Admission is best-effort: under the same pressure
+// upgradeOf builds the background job that lands the exact results of
+// the points answered from the analytic tier without having asked for
+// it: same kind, those points only. Nil when there are none.
+func (s *Server) upgradeOf(j *job, outs []outcome) *job {
+	sub := journalRecord{Kind: j.sub.Kind, Config: j.sub.Config, Options: j.sub.Options}
+	var points []point
+	for i := range outs {
+		if outs[i].res.Fidelity == "" || j.points[i].cfg.Fidelity == fidelity.Analytic {
+			continue
+		}
+		p := j.points[i]
+		p.auto = false
+		points = append(points, p)
+		if j.sub.Sizes != nil {
+			sub.Sizes = append(sub.Sizes, p.nodes)
+		}
+		if j.sub.Entries != nil {
+			sub.Entries = append(sub.Entries, j.sub.Entries[i])
+		}
+	}
+	if points == nil {
+		return nil
+	}
+	u := newJob("", sub, points, j.family, s.opt.TraceSpans)
+	u.class = classBackground
+	return u
+}
+
+// respondInline finishes a job answerInline resolved and writes the
+// 200, with the ID of its upgrade job in the document when one was
+// admitted. That admission is best-effort: under the same pressure
 // that degraded the original request the upgrade is usually shed too,
 // and the caller simply gets no upgrade ID.
-func (s *Server) tryUpgrade(u *job) (string, bool) {
-	u.class = classBackground
-	s.register(u)
-	u.enqueuedAt = time.Now()
-	if err := s.admit(u); err != nil {
-		s.unregister(u)
-		s.log.Info("upgrade job not admitted", "kind", u.kind, "err", err)
-		return "", false
+func (s *Server) respondInline(w http.ResponseWriter, r *http.Request, j *job, outs []outcome, start time.Time, degraded bool) {
+	upgradeID := ""
+	if u := s.upgradeOf(j, outs); u != nil {
+		if err := s.admit(u); err != nil {
+			s.log.Info("upgrade job not admitted", "kind", u.sub.Kind, "err", err)
+		} else {
+			upgradeID = u.id
+			s.accepted.Inc()
+			s.fidUpgrades.Inc()
+		}
 	}
-	s.accepted.Inc()
-	s.fidUpgrades.Inc()
-	s.log.Info("upgrade job enqueued", "job", u.id, "kind", u.kind)
-	return u.id, true
-}
-
-// upgradeRun builds and admits the exact-tier upgrade for one run.
-func (s *Server) upgradeRun(cfg ringmesh.Config, opt ringmesh.RunOptions, key string) (string, bool) {
-	u := newJob("", kindRun, s.opt.TraceSpans)
-	u.cfg, u.opt, u.key = cfg, opt, key
-	u.cfg.Fidelity = ""
-	return s.tryUpgrade(u)
-}
-
-// serveAnalyticRun answers an explicit analytic-fidelity run inline:
-// microseconds of closed-form evaluation instead of a queue slot. An
-// estimator refusal is a 400 — the client asked for a tier that
-// cannot answer this configuration.
-func (s *Server) serveAnalyticRun(w http.ResponseWriter, r *http.Request, cfg ringmesh.Config, opt ringmesh.RunOptions, cls class, deadline time.Time) {
-	start := time.Now()
-	j := newJob("", kindRun, s.opt.TraceSpans)
-	j.cfg, j.opt = cfg, opt
-	j.cfg.Fidelity = fidelity.Analytic
-	j.class, j.deadline = cls, deadline
-	res, cached, err := s.answerAnalytic(cfg, opt, j.tr)
-	if err != nil {
-		s.rejected.Inc()
-		s.log.Warn("analytic run rejected", "client", clientKey(r), "err", err)
-		writeError(w, http.StatusBadRequest, "analytic fidelity: %v", err)
-		return
-	}
-	j.key, _ = ringmesh.CacheKey(j.cfg, opt)
-	j.finish(&res, nil, cached, nil)
-	s.register(j)
+	j.mu.Lock()
+	j.degraded, j.upgradeID = degraded, upgradeID
+	j.mu.Unlock()
+	j.finish(outs, nil)
+	s.register(j) // last: an inline answer takes the ID after its upgrade's
 	s.accepted.Inc()
 	s.completed.Inc()
-	s.fidAnalyticAnswers.Inc()
-	s.observeFidelityAnswer(start)
-	s.log.Info("run answered analytically", "job", j.id,
-		"family", j.family(), "client", clientKey(r))
-	writeJSON(w, http.StatusOK, j.view())
-}
-
-// serveAutoRun implements the auto policy for one run after the exact
-// cache probe missed: an inline analytic answer plus a background
-// upgrade job. Reports whether the request was answered; an estimator
-// refusal falls back to the normal exact enqueue (counted).
-func (s *Server) serveAutoRun(w http.ResponseWriter, r *http.Request, j *job) bool {
-	start := time.Now()
-	res, cached, err := s.answerAnalytic(j.cfg, j.opt, j.tr)
-	if err != nil {
-		s.fidFallback.Inc()
-		s.log.Info("auto fidelity falling back to exact",
-			"client", clientKey(r), "err", err)
-		return false
+	if degraded {
+		s.fidDegraded.Inc()
 	}
-	if id, ok := s.upgradeRun(j.cfg, j.opt, j.key); ok {
-		j.setUpgrade(id)
-	}
-	j.finish(&res, nil, cached, nil)
-	s.register(j)
-	s.accepted.Inc()
-	s.completed.Inc()
-	s.fidAnalyticAnswers.Inc()
-	s.observeFidelityAnswer(start)
-	s.log.Info("run answered analytically (auto)", "job", j.id,
-		"family", j.family(), "upgrade", j.upgradeID, "client", clientKey(r))
-	writeJSON(w, http.StatusOK, j.view())
-	return true
-}
-
-// degradeRun answers a background run that admission just shed with
-// an analytic estimate instead of a 503, attaching a best-effort
-// upgrade job. Reports whether the degrade succeeded; an estimator
-// refusal leaves the shed rejection in place. The job stays
-// registered (it holds the answer) and its journal record is already
-// terminal — a crash cannot resurrect it.
-func (s *Server) degradeRun(w http.ResponseWriter, r *http.Request, j *job) bool {
-	start := time.Now()
-	res, cached, err := s.answerAnalytic(j.cfg, j.opt, j.tr)
-	if err != nil {
-		return false
-	}
-	if id, ok := s.upgradeRun(j.cfg, j.opt, j.key); ok {
-		j.setUpgrade(id)
-	}
-	j.markDegraded()
-	j.finish(&res, nil, cached, nil)
-	s.accepted.Inc()
-	s.completed.Inc()
-	s.fidDegraded.Inc()
-	s.fidAnalyticAnswers.Inc()
-	s.observeFidelityAnswer(start)
-	s.log.Warn("background run degraded to analytic under pressure",
-		"job", j.id, "upgrade", j.upgradeID, "client", clientKey(r))
-	writeJSON(w, http.StatusOK, j.view())
-	return true
-}
-
-// serveAutoSweep answers an auto sweep inline when every point is
-// available from the exact cache or the analytic model: cached exact
-// points keep their full fidelity, the rest are analytic-labeled, and
-// one background upgrade sweep lands the exact curve later. Reports
-// whether the request was answered; any estimator refusal falls back
-// to the normal exact enqueue (counted).
-func (s *Server) serveAutoSweep(w http.ResponseWriter, r *http.Request, j *job) bool {
-	start := time.Now()
-	points := make([]ringmesh.SweepPoint, 0, len(j.sizes))
-	analytic := 0
-	allCached := len(j.sizes) > 0
-	for _, n := range j.sizes {
-		cfg := j.cfg
-		cfg.Topology = ""
-		cfg.Nodes = n
-		key, err := ringmesh.CacheKey(cfg, j.opt)
-		if err != nil {
-			return false // unreachable: every size validated at submission
-		}
-		if res, ok := s.cache.get(key); ok {
-			points = append(points, ringmesh.SweepPoint{
-				Nodes: n, Topology: resolveTopology(cfg), Result: res, Attempts: 1,
-			})
-			continue
-		}
-		res, cached, err := s.answerAnalytic(cfg, j.opt, j.tr)
-		if err != nil {
-			s.fidFallback.Inc()
-			s.log.Info("auto sweep falling back to exact", "nodes", n,
-				"client", clientKey(r), "err", err)
-			return false
-		}
-		analytic++
-		if !cached {
-			allCached = false
-		}
-		points = append(points, ringmesh.SweepPoint{
-			Nodes: n, Topology: resolveTopology(cfg), Result: res, Attempts: 1,
-		})
-	}
-	sort.Slice(points, func(a, b int) bool { return points[a].Nodes < points[b].Nodes })
-	if analytic > 0 {
-		u := newJob("", kindSweep, s.opt.TraceSpans)
-		u.cfg, u.opt = j.cfg, j.opt
-		u.cfg.Fidelity = ""
-		u.sizes = append([]int(nil), j.sizes...)
-		if id, ok := s.tryUpgrade(u); ok {
-			j.setUpgrade(id)
-		}
+	analytic := slices.ContainsFunc(outs, func(o outcome) bool { return o.res.Fidelity != "" })
+	if analytic {
 		s.fidAnalyticAnswers.Inc()
-		s.observeFidelityAnswer(start)
+		s.histogram("ringmeshd_fidelity_answer_seconds",
+			metrics.Labels{Fidelity: fidelity.Analytic}, fidelityBuckets).
+			Observe(time.Since(start).Seconds())
 	}
-	j.finish(nil, points, allCached, nil)
-	s.register(j)
-	s.accepted.Inc()
-	s.completed.Inc()
-	s.log.Info("sweep answered analytically (auto)", "job", j.id,
-		"points", len(points), "analytic", analytic, "upgrade", j.upgradeID,
-		"client", clientKey(r))
+	// Five attributes: slog keeps that many in the record itself.
+	s.log.Info(j.sub.Kind+" answered inline", "job", j.id, "family", j.family,
+		"degraded", degraded, "upgrade", upgradeID, "client", clientKey(r))
 	writeJSON(w, http.StatusOK, j.view())
-	return true
-}
-
-// serveAutoBatch answers a batch inline when every entry is available
-// without simulating: auto entries from the exact cache or the
-// analytic model, explicit-analytic entries from the model, and
-// explicit-simulate entries only on a cache hit. One background
-// upgrade batch re-runs the analytically-answered auto entries at
-// exact fidelity. Reports whether the request was answered; anything
-// requiring a simulation falls back to the normal enqueue (counted).
-func (s *Server) serveAutoBatch(w http.ResponseWriter, r *http.Request, j *job, autoEntry []bool) bool {
-	start := time.Now()
-	items := make([]BatchItem, len(j.entries))
-	var upgrade []batchEntry
-	allCached := len(j.entries) > 0
-	fallback := func(reason string, err error) bool {
-		s.fidFallback.Inc()
-		s.log.Info("auto batch falling back to exact", "reason", reason,
-			"client", clientKey(r), "err", err)
-		return false
-	}
-	for i, e := range j.entries {
-		items[i].Index = i
-		items[i].Topology = resolveTopology(e.Config)
-		mode, err := fidelity.Normalize(e.Config.Fidelity)
-		if err != nil {
-			return fallback("entry fidelity", err) // unreachable: validated
-		}
-		if mode == fidelity.Analytic {
-			res, cached, err := s.answerAnalytic(e.Config, e.Options, j.tr)
-			if err != nil {
-				return fallback("analytic entry refused", err)
-			}
-			items[i].Result, items[i].Cached = &res, cached
-			if !cached {
-				allCached = false
-			}
-			continue
-		}
-		key, err := ringmesh.CacheKey(e.Config, e.Options)
-		if err != nil {
-			return fallback("entry key", err) // unreachable: validated
-		}
-		if res, ok := s.cache.get(key); ok {
-			items[i].Result, items[i].Cached = &res, true
-			continue
-		}
-		if !autoEntry[i] {
-			// An explicit-simulate entry with no cached result needs the
-			// simulator; the whole batch takes the queue path.
-			return fallback("uncached simulate entry", nil)
-		}
-		res, cached, err := s.answerAnalytic(e.Config, e.Options, j.tr)
-		if err != nil {
-			return fallback("analytic refused", err)
-		}
-		items[i].Result, items[i].Cached = &res, cached
-		if !cached {
-			allCached = false
-		}
-		upgrade = append(upgrade, batchEntry{Config: e.Config, Options: e.Options})
-	}
-	if len(upgrade) > 0 {
-		u := newJob("", kindBatch, s.opt.TraceSpans)
-		u.entries = upgrade
-		if id, ok := s.tryUpgrade(u); ok {
-			j.setUpgrade(id)
-		}
-		s.fidAnalyticAnswers.Inc()
-		s.observeFidelityAnswer(start)
-	}
-	_ = j.finishBatch(items, allCached)
-	s.register(j)
-	s.accepted.Inc()
-	s.completed.Inc()
-	s.log.Info("batch answered analytically (auto)", "job", j.id,
-		"entries", len(items), "upgraded", len(upgrade), "upgrade", j.upgradeID,
-		"client", clientKey(r))
-	writeJSON(w, http.StatusOK, j.view())
-	return true
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +15,9 @@ import (
 )
 
 // Job kinds: a single run, a size sweep, or a batch of runs submitted
-// as one prioritized unit.
+// as one prioritized unit. The kind is the wire shape — how a
+// submission expands into points and how the document renders them;
+// everything in between works on the point list alone.
 const (
 	kindRun   = "run"
 	kindSweep = "sweep"
@@ -58,7 +61,8 @@ func (e *configError) Unwrap() error { return e.err }
 // was still queued: it is failed without ever occupying a worker.
 var errDeadlineExpired = errors.New("serve: deadline expired before execution")
 
-// classify maps a run error onto the job-document error taxonomy.
+// classify maps a run error onto the job-document error taxonomy. A
+// coordinator dispatch error carries its own classification.
 func classify(err error) *JobError {
 	if err == nil {
 		return nil
@@ -66,7 +70,10 @@ func classify(err error) *JobError {
 	je := &JobError{Message: err.Error()}
 	var ce *configError
 	var se *shedError
+	var de *dispatchError
 	switch {
+	case errors.As(err, &de):
+		je.Status, je.Kind, je.Message = de.status, de.class, de.Error()
 	case errors.As(err, &ce):
 		je.Status, je.Kind = http.StatusBadRequest, "config"
 	case errors.Is(err, ringmesh.ErrStalled):
@@ -90,10 +97,10 @@ func classify(err error) *JobError {
 	return je
 }
 
-// PointError is one failed point in a coordinated sweep's structured
-// error report: the size that failed and its classified error. The
-// sweep's completed points ride alongside in Points — a partial
-// failure degrades the response, it does not void it.
+// PointError is one failed point in a sweep's structured error report:
+// the size that failed and its classified error. The sweep's completed
+// points ride alongside in Points — a partial failure degrades the
+// response, it does not void it.
 type PointError struct {
 	Nodes int       `json:"nodes"`
 	Error *JobError `json:"error"`
@@ -106,6 +113,9 @@ type PointError struct {
 type batchEntry struct {
 	Config  ringmesh.Config     `json:"config"`
 	Options ringmesh.RunOptions `json:"options"`
+	// auto marks an entry submitted under the auto policy (never
+	// journaled: a replayed job goes straight to the queue).
+	auto bool
 }
 
 // BatchItem is one entry's outcome in a batch job document: either a
@@ -118,35 +128,120 @@ type BatchItem struct {
 	Error    *JobError        `json:"error,omitempty"`
 }
 
-// job is one accepted unit of work: a single run, a size sweep, or a
-// batch of runs.
+// point is one resolved (Config, RunOptions) of a job, keyed once.
+type point struct {
+	cfg ringmesh.Config
+	opt ringmesh.RunOptions
+	key string // ringmesh.CacheKey(cfg, opt)
+	// topo is the canonical geometry and nodes the size label, for the
+	// documents that list their points (sweep points, batch items).
+	topo  string
+	nodes int
+	// auto lets the point be answered analytically at submission, with
+	// the exact result landing later through an upgrade job.
+	auto bool
+}
+
+// outcome is what became of one point.
+type outcome struct {
+	res      ringmesh.Result
+	cached   bool // replayed from the cache or a coalesced computation
+	attempts int  // dispatches it took (1 unless a coordinator retried)
+	err      error
+}
+
+// newPoint validates one configuration and schedule and keys it; where
+// locates it in error messages (" at size 16", " at entry 3").
+func newPoint(cfg ringmesh.Config, opt ringmesh.RunOptions, where string) (point, error) {
+	if err := validateRunOptions(opt); err != nil {
+		return point{}, fmt.Errorf("invalid options%s: %w", where, err)
+	}
+	// The model's own validation message, verbatim — the same text
+	// NewSystem would produce.
+	key, err := ringmesh.CacheKey(cfg, opt)
+	if err != nil {
+		return point{}, fmt.Errorf("invalid config%s: %w", where, err)
+	}
+	return point{cfg: cfg, opt: opt, key: key}, nil
+}
+
+// expand resolves a submission — as an endpoint decoded it or replay
+// read it back — into its points, every point validated up front, so a
+// doomed job fails at submit with the model's message, not halfway
+// through; family labels the job's metrics (a batch may mix networks,
+// so it has its own). A run is one point; a sweep one per size, its
+// topology re-derived from the node count as SweepSizes does, in
+// ascending size order (the document's); a batch one per entry.
+func expand(sub journalRecord) (points []point, family string, err error) {
+	if sub.Kind == kindBatch {
+		if len(sub.Entries) == 0 {
+			return nil, "", errors.New("runs must hold at least one entry")
+		}
+		points = make([]point, len(sub.Entries))
+		for i, e := range sub.Entries {
+			if points[i], err = newPoint(e.Config, e.Options, fmt.Sprintf(" at entry %d", i)); err != nil {
+				return nil, "", err
+			}
+			// Validated above, so the geometry resolves.
+			points[i].topo, _ = ringmesh.CanonicalTopology(e.Config)
+			points[i].auto = e.auto
+		}
+		return points, "batch", nil
+	}
+	if sub.Config == nil || sub.Options == nil {
+		return nil, "", errors.New("missing config or options")
+	}
+	if sub.Kind != kindSweep {
+		p, err := newPoint(*sub.Config, *sub.Options, "")
+		p.auto = sub.auto
+		return []point{p}, sub.Config.Network, err
+	}
+	if len(sub.Sizes) == 0 {
+		return nil, "", errors.New("sizes must name at least one node count")
+	}
+	points = make([]point, len(sub.Sizes))
+	for i, n := range sub.Sizes {
+		cfg := *sub.Config
+		cfg.Topology = ""
+		cfg.Nodes = n
+		if points[i], err = newPoint(cfg, *sub.Options, fmt.Sprintf(" at size %d", n)); err != nil {
+			return nil, "", err
+		}
+		points[i].topo, _ = ringmesh.CanonicalTopology(cfg)
+		points[i].nodes, points[i].auto = n, sub.auto
+	}
+	sort.SliceStable(points, func(a, b int) bool { return points[a].nodes < points[b].nodes })
+	return points, sub.Config.Network, nil
+}
+
+// job is one accepted unit of work: a list of points and, once
+// finished, one outcome per point.
 type job struct {
-	id    string
-	kind  string // kindRun, kindSweep or kindBatch
-	cfg   ringmesh.Config
-	opt   ringmesh.RunOptions
-	key   string // CacheKey (runs only; sweeps and batches key per point)
-	sizes []int  // sweeps only
+	id string
+	// sub is the submission, fidelity policy already resolved, in the
+	// shape the journal's accepted record stores it; points is what
+	// expand made of it.
+	sub    journalRecord
+	points []point
+	family string // topology family, for metric labels
 
 	// class is the admission priority; deadline, when set, is the
 	// absolute wall-clock instant after which the client no longer wants
-	// the answer (zero: no deadline). entries holds a batch's runs.
+	// the answer (zero: no deadline).
 	class    class
 	deadline time.Time
-	entries  []batchEntry
 	// journaled marks jobs whose accepted record landed in the WAL, so
 	// terminal transitions know whether to journal too.
 	journaled bool
-	// allowDegrade permits answering this run analytically (with a
+	// allowDegrade permits answering the job analytically (with a
 	// best-effort upgrade job) if admission would shed it: set only for
 	// background-class runs whose client did not name a fidelity tier,
 	// so an explicit "simulate" request is never silently downgraded.
 	allowDegrade bool
 
-	// Progress. For runs, tick counts engine ticks out of totalTicks
-	// (fed by the engine's per-cycle hook; totalTicks is written by the
-	// executing worker and read by watchers, hence atomic). For sweeps,
-	// pointsDone counts finished sizes out of len(sizes).
+	// Progress: finished points, plus — for a single-point job — engine
+	// ticks out of totalTicks, fed by the engine's per-cycle hook (the
+	// executing worker writes, watchers read, hence atomic).
 	tick       atomic.Int64
 	totalTicks atomic.Int64
 	pointsDone atomic.Int64
@@ -160,14 +255,10 @@ type job struct {
 
 	mu        sync.Mutex
 	state     JobState
-	cached    bool
 	degraded  bool
 	upgradeID string
-	result    *ringmesh.Result
-	points    []ringmesh.SweepPoint
-	pointErrs []PointError
-	items     []BatchItem
-	errObj    *JobError
+	outcomes  []outcome     // index-aligned with points; nil until finished
+	err       error         // job-level failure: shed, expired or canceled
 	done      chan struct{} // closed on completion (done or failed)
 }
 
@@ -190,9 +281,10 @@ type JobView struct {
 	Result   *ringmesh.Result      `json:"result,omitempty"`
 	Points   []ringmesh.SweepPoint `json:"points,omitempty"`
 	// Degraded marks a response that is less than what was asked for: a
-	// coordinated sweep that completed with some points missing (Points
-	// holds every size that succeeded, PointErrors classifies the rest),
-	// or a background run answered analytically under shed pressure.
+	// sweep or batch that completed with some points missing (Points
+	// holds every size that succeeded and PointErrors classifies the
+	// rest; a batch item carries its own error), or a background run
+	// answered analytically under shed pressure.
 	Degraded    bool         `json:"degraded,omitempty"`
 	PointErrors []PointError `json:"point_errors,omitempty"`
 	// UpgradeJobID names the background job enqueued to land the exact
@@ -205,38 +297,12 @@ type JobView struct {
 
 // newJob builds a queued job with a completion channel and a bounded
 // span timeline.
-func newJob(id, kind string, traceSpans int) *job {
+func newJob(id string, sub journalRecord, points []point, family string, traceSpans int) *job {
 	return &job{
-		id: id, kind: kind, state: JobQueued,
-		done: make(chan struct{}),
-		tr:   obs.NewTrace(traceSpans),
-	}
-}
-
-// family names the job's topology family for metric labels. A batch
-// may mix families, so it gets its own label value.
-func (j *job) family() string {
-	if j.kind == kindBatch {
-		return "batch"
-	}
-	return j.cfg.Network
-}
-
-// expired reports whether the job's client deadline has passed.
-func (j *job) expired(now time.Time) bool {
-	return !j.deadline.IsZero() && now.After(j.deadline)
-}
-
-// units is the job's work-unit count for admission-time cost
-// estimation: sweep points, batch entries, or one run.
-func (j *job) units() int {
-	switch j.kind {
-	case kindSweep:
-		return max(1, len(j.sizes))
-	case kindBatch:
-		return max(1, len(j.entries))
-	default:
-		return 1
+		id: id, sub: sub, points: points, family: family,
+		state: JobQueued,
+		done:  make(chan struct{}),
+		tr:    obs.NewTrace(traceSpans),
 	}
 }
 
@@ -251,169 +317,106 @@ func (j *job) progress() float64 {
 	case JobQueued:
 		return 0
 	}
-	switch j.kind {
-	case kindSweep:
-		if n := len(j.sizes); n > 0 {
-			return float64(j.pointsDone.Load()) / float64(n)
-		}
-		return 0
-	case kindBatch:
-		if n := len(j.entries); n > 0 {
-			return float64(j.pointsDone.Load()) / float64(n)
-		}
-		return 0
+	done := float64(j.pointsDone.Load())
+	if total := j.totalTicks.Load(); total > 0 {
+		done += float64(j.tick.Load()) / float64(total)
 	}
-	total := j.totalTicks.Load()
-	if total <= 0 {
-		return 0
-	}
-	p := float64(j.tick.Load()) / float64(total)
-	if p > 1 {
-		p = 1
-	}
-	return p
+	return min(1, done/float64(len(j.points)))
 }
 
-// view snapshots the job document.
+// view snapshots the job document, rendering the outcomes in the
+// kind's wire shape: a run's result, a sweep's points and point
+// errors, a batch's items.
 func (j *job) view() JobView {
 	p := j.progress()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := JobView{
 		ID:           j.id,
-		Kind:         j.kind,
+		Kind:         j.sub.Kind,
 		State:        j.state,
 		Class:        j.class.String(),
-		Cached:       j.cached,
 		Degraded:     j.degraded,
 		UpgradeJobID: j.upgradeID,
 		Progress:     p,
-		Error:        j.errObj,
+		Error:        classify(j.err),
 	}
 	if !j.deadline.IsZero() {
 		v.DeadlineUnixNS = j.deadline.UnixNano()
 	}
-	if j.result != nil {
-		r := *j.result
-		v.Result = &r
+	if j.outcomes == nil {
+		return v
 	}
-	if j.points != nil {
-		v.Points = append([]ringmesh.SweepPoint(nil), j.points...)
+	v.Cached = true
+	var firstErr *JobError
+	for i, o := range j.outcomes {
+		pt := j.points[i]
+		v.Cached = v.Cached && o.cached
+		je := classify(o.err)
+		if firstErr == nil {
+			firstErr = je
+		}
+		res := o.res
+		switch j.sub.Kind {
+		case kindBatch:
+			it := BatchItem{Index: i, Error: je}
+			if je == nil {
+				it.Topology, it.Cached, it.Result = pt.topo, o.cached, &res
+			}
+			v.Items = append(v.Items, it)
+		case kindSweep:
+			if je != nil {
+				v.PointErrors = append(v.PointErrors, PointError{Nodes: pt.nodes, Error: je})
+				break
+			}
+			v.Points = append(v.Points, ringmesh.SweepPoint{
+				Nodes: pt.nodes, Topology: pt.topo, Result: res, Attempts: o.attempts,
+			})
+		default:
+			if je == nil {
+				v.Result = &res
+			}
+		}
 	}
-	if j.pointErrs != nil {
-		v.PointErrors = append([]PointError(nil), j.pointErrs...)
-	}
-	if j.items != nil {
-		v.Items = append([]BatchItem(nil), j.items...)
+	// Every point failed: the job carries the first point's
+	// classification, so a sweep that died entirely of connect errors
+	// reports as such, not as a generic 500.
+	if j.state == JobFailed && firstErr != nil {
+		v.Error = firstErr
+		if noun, listed := map[string]string{kindSweep: "points", kindBatch: "batch entries"}[j.sub.Kind]; listed {
+			v.Error = &JobError{Status: firstErr.Status, Kind: firstErr.Kind,
+				Message: fmt.Sprintf("all %d %s failed; first: %s", len(j.outcomes), noun, firstErr.Message)}
+		}
 	}
 	return v
 }
 
-// setUpgrade records the background upgrade job's ID for the document.
-func (j *job) setUpgrade(id string) {
-	j.mu.Lock()
-	j.upgradeID = id
-	j.mu.Unlock()
-}
-
-// markDegraded flags the document as answered below the requested
-// fidelity (shed-pressure analytic degrade).
-func (j *job) markDegraded() {
-	j.mu.Lock()
-	j.degraded = true
-	j.mu.Unlock()
-}
-
-// start transitions queued -> running.
-func (j *job) start() {
-	j.mu.Lock()
-	j.state = JobRunning
-	j.mu.Unlock()
-}
-
-// finish records the outcome and closes the completion channel.
-func (j *job) finish(res *ringmesh.Result, points []ringmesh.SweepPoint, cached bool, err error) {
+// finish records the outcome and closes the completion channel, with
+// one rule for every kind: the job failed when err is set (shed,
+// expired or canceled: an aborted attempt, not an answer) or no point
+// succeeded; otherwise it is done, and degraded when some point failed.
+func (j *job) finish(outs []outcome, err error) (failed bool) {
+	ok := 0
+	for _, o := range outs {
+		if o.err == nil {
+			ok++
+		}
+	}
 	j.mu.Lock()
 	if err != nil {
-		j.state = JobFailed
-		j.errObj = classify(err)
+		j.state, j.err = JobFailed, err
 	} else {
+		j.outcomes = outs
 		j.state = JobDone
-		j.result = res
-		j.points = points
+		if ok == 0 {
+			j.state = JobFailed
+		}
+		j.degraded = j.degraded || (ok > 0 && ok < len(outs))
 	}
-	j.cached = cached
+	failed = j.state == JobFailed
 	j.mu.Unlock()
 	close(j.done)
-}
-
-// finishSweep records a coordinated sweep's merged outcome: the
-// completed points plus a structured per-point error report. Some
-// failures degrade the response; only a sweep with zero completed
-// points fails wholesale (classified by its first point error, so a
-// sweep that died entirely of connect errors reports as such, not as
-// a generic 500).
-func (j *job) finishSweep(points []ringmesh.SweepPoint, perrs []PointError, cached bool) error {
-	var err error
-	j.mu.Lock()
-	j.pointErrs = perrs
-	if len(points) == 0 && len(perrs) > 0 {
-		first := perrs[0].Error
-		j.state = JobFailed
-		j.errObj = &JobError{
-			Status:  first.Status,
-			Kind:    first.Kind,
-			Message: fmt.Sprintf("all %d points failed; first: %s", len(perrs), first.Message),
-		}
-		err = errors.New(j.errObj.Message)
-	} else {
-		j.state = JobDone
-		j.points = points
-		j.degraded = len(perrs) > 0
-	}
-	j.cached = cached
-	j.mu.Unlock()
-	close(j.done)
-	return err
-}
-
-// finishBatch records a batch's merged outcome: per-entry items in
-// submission order, some of which may carry classified errors. Like a
-// coordinated sweep, partial failure degrades the response; only a
-// batch with zero successful entries fails wholesale (classified by
-// its first item error).
-func (j *job) finishBatch(items []BatchItem, cached bool) error {
-	succeeded, failed := 0, 0
-	var firstErr *JobError
-	for _, it := range items {
-		if it.Error != nil {
-			failed++
-			if firstErr == nil {
-				firstErr = it.Error
-			}
-		} else {
-			succeeded++
-		}
-	}
-	var err error
-	j.mu.Lock()
-	j.items = items
-	if succeeded == 0 && failed > 0 {
-		j.state = JobFailed
-		j.errObj = &JobError{
-			Status:  firstErr.Status,
-			Kind:    firstErr.Kind,
-			Message: fmt.Sprintf("all %d batch entries failed; first: %s", failed, firstErr.Message),
-		}
-		err = errors.New(j.errObj.Message)
-	} else {
-		j.state = JobDone
-		j.degraded = failed > 0
-	}
-	j.cached = cached
-	j.mu.Unlock()
-	close(j.done)
-	return err
+	return failed
 }
 
 // finished reports whether the job has completed (either way).

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -35,7 +34,8 @@ const (
 )
 
 // journalRecord is one WAL line's payload. accepted records carry the
-// full submission (enough to rebuild and re-run the job); later
+// full submission (enough to rebuild and re-run the job: a job keeps
+// its submission in this shape, and expand reads it); later
 // transitions carry only the ID and op. Results are deliberately NOT
 // journaled — the disk cache tier already persists them, and a
 // replayed job whose work finished before the crash re-resolves
@@ -50,6 +50,9 @@ type journalRecord struct {
 	Options  *ringmesh.RunOptions `json:"options,omitempty"`
 	Sizes    []int                `json:"sizes,omitempty"`
 	Entries  []batchEntry         `json:"entries,omitempty"`
+	// auto marks a run or sweep submitted under the auto policy (never
+	// journaled, like batchEntry.auto).
+	auto bool
 }
 
 // encodeRecord frames one record as a single self-checking line:
@@ -152,9 +155,6 @@ func openJournal(dir string, reg *metrics.Registry, log *slog.Logger) (*jobJourn
 	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("serve: journal open: %w", err)
-	}
-	if log == nil {
-		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	return &jobJournal{
 		dir: dir,
@@ -349,61 +349,33 @@ func numericID(id string) (int64, bool) {
 
 // acceptedRecord builds the opAccepted record for a job — the one
 // record that must carry everything needed to rebuild it after a
-// crash.
+// crash: its submission, class and deadline.
 func acceptedRecord(j *job) journalRecord {
-	rec := journalRecord{
-		Op:    opAccepted,
-		ID:    j.id,
-		Kind:  j.kind,
-		Class: j.class.String(),
-		Sizes: j.sizes,
-	}
+	rec := j.sub
+	rec.Op, rec.ID, rec.Class = opAccepted, j.id, j.class.String()
 	if !j.deadline.IsZero() {
 		rec.Deadline = j.deadline.UnixNano()
-	}
-	if j.kind == kindBatch {
-		rec.Entries = j.entries
-	} else {
-		cfg, opt := j.cfg, j.opt
-		rec.Config = &cfg
-		rec.Options = &opt
 	}
 	return rec
 }
 
-// jobFromRecord rebuilds a job from its accepted record during replay.
-// Cache keys are recomputed rather than journaled — key derivation may
+// jobFromRecord rebuilds a job from its accepted record during replay,
+// expanding the stored submission exactly as the endpoints do. Cache
+// keys are recomputed rather than journaled — key derivation may
 // evolve between versions and must stay authoritative.
 func jobFromRecord(rec journalRecord, traceSpans int) (*job, error) {
 	cls, err := parseClass(rec.Class, classInteractive)
 	if err != nil {
 		return nil, err
 	}
-	j := newJob(rec.ID, rec.Kind, traceSpans)
+	points, family, err := expand(rec)
+	if err != nil {
+		return nil, fmt.Errorf("record %s: %w", rec.ID, err)
+	}
+	j := newJob(rec.ID, rec, points, family, traceSpans)
 	j.class = cls
 	if rec.Deadline != 0 {
 		j.deadline = time.Unix(0, rec.Deadline)
-	}
-	j.sizes = rec.Sizes
-	switch rec.Kind {
-	case kindBatch:
-		if len(rec.Entries) == 0 {
-			return nil, fmt.Errorf("batch record %s has no entries", rec.ID)
-		}
-		j.entries = rec.Entries
-	default:
-		if rec.Config == nil || rec.Options == nil {
-			return nil, fmt.Errorf("record %s missing config or options", rec.ID)
-		}
-		j.cfg = *rec.Config
-		j.opt = *rec.Options
-		if rec.Kind == kindRun {
-			key, err := ringmesh.CacheKey(j.cfg, j.opt)
-			if err != nil {
-				return nil, fmt.Errorf("record %s: %w", rec.ID, err)
-			}
-			j.key = key
-		}
 	}
 	return j, nil
 }

@@ -7,14 +7,13 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"ringmesh"
 	"ringmesh/internal/fidelity"
 	"ringmesh/internal/metrics"
-	"ringmesh/internal/network"
 	"ringmesh/internal/obs"
 	"ringmesh/internal/pool"
 )
@@ -55,7 +54,7 @@ type Options struct {
 	// an fsync'd append-only log of job state transitions, replayed on
 	// startup so accepted-but-unfinished jobs survive kill -9 and
 	// re-enqueue under their original IDs and classes. Empty disables
-	// journaling (accepted jobs die with the process, as before).
+	// journaling (accepted jobs die with the process).
 	JournalDir string
 	// CacheEntries bounds the result cache (default 256).
 	CacheEntries int
@@ -69,7 +68,7 @@ type Options struct {
 	// of simulating locally, it fans work out to the worker daemons at
 	// these base URLs (e.g. "http://10.0.0.7:8080") with retries,
 	// hedging and per-worker circuit breakers, and merges partial
-	// failures into degraded sweep responses. Empty means normal
+	// failures into degraded responses. Empty means normal
 	// (simulating) mode.
 	WorkerAddrs []string
 	// Rate is the per-client request budget in requests/second
@@ -117,16 +116,14 @@ type Server struct {
 	cancel  context.CancelFunc
 
 	// adm is the priority admission layer: per-class bounded queues
-	// drained by a weighted scheduler (replaces the old single FIFO
-	// channel). journal, when non-nil, is the crash-safe WAL of job
-	// state transitions.
+	// drained by a weighted scheduler. journal, when non-nil, is the
+	// crash-safe WAL of job state transitions.
 	adm     *admitter
 	journal *jobJournal
 	wait    func()
 
-	submitMu  sync.Mutex // orders draining checks, journal appends and enqueues
-	draining  bool
-	replaying bool // journal replay in progress: not ready for traffic
+	submitMu sync.Mutex // orders draining checks, journal appends and enqueues
+	draining bool
 
 	jobsMu   sync.Mutex
 	jobs     map[string]*job
@@ -156,10 +153,8 @@ type Server struct {
 
 	log *slog.Logger
 
-	// histMu guards lazy registration of label-fanned histograms
-	// (queue-wait by family, run duration by family and outcome); the
-	// registry itself panics on duplicate registration, so dynamic
-	// label values need a lookup-or-register layer.
+	// histMu guards hists, the label-fanned histograms registered on
+	// first use (see histogram).
 	histMu sync.Mutex
 	hists  map[string]*metrics.Histogram
 }
@@ -212,11 +207,7 @@ func New(opt Options) (*Server, error) {
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	var depths, weights [numClasses]int
-	for c := range depths {
-		depths[c] = opt.ClassDepth
-		weights[c] = opt.ClassWeights[c]
-	}
+	depths := [numClasses]int{opt.ClassDepth, opt.ClassDepth, opt.ClassDepth}
 	s := &Server{
 		opt:     opt,
 		reg:     reg,
@@ -224,7 +215,7 @@ func New(opt Options) (*Server, error) {
 		limit:   newRateLimiter(opt.Rate, opt.Burst),
 		baseCtx: ctx,
 		cancel:  cancel,
-		adm:     newAdmitter(opt.QueueDepth, depths, weights, reg),
+		adm:     newAdmitter(opt.QueueDepth, depths, opt.ClassWeights, reg),
 		jobs:    map[string]*job{},
 		log:     opt.Logger,
 		hists:   map[string]*metrics.Histogram{},
@@ -315,14 +306,6 @@ func New(opt Options) (*Server, error) {
 // (e.g. a config the current version rejects) are journaled as failed
 // rather than dropped, so they never resurrect again.
 func (s *Server) replayJournal() error {
-	s.submitMu.Lock()
-	s.replaying = true
-	s.submitMu.Unlock()
-	defer func() {
-		s.submitMu.Lock()
-		s.replaying = false
-		s.submitMu.Unlock()
-	}()
 	unfinished, maxID, err := s.journal.replay()
 	if err != nil {
 		return err
@@ -347,7 +330,7 @@ func (s *Server) replayJournal() error {
 		s.journal.replayed.Inc()
 		live = append(live, rec)
 		s.log.Info("job replayed from journal", "job", j.id,
-			"kind", j.kind, "class", j.class.String())
+			"kind", j.sub.Kind, "class", j.class.String())
 	}
 	if err := s.journal.compact(live); err != nil {
 		// Compaction is an optimization; a journal that still holds
@@ -362,10 +345,6 @@ func (s *Server) replayJournal() error {
 func (s *Server) jobWorkers() int {
 	return max(1, s.opt.Workers/s.opt.EngineWorkers)
 }
-
-// Registry returns the server's instrument registry (the one exported
-// at /metrics).
-func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // Drain stops accepting new jobs (submissions get 503), lets queued
 // and in-flight jobs finish, and returns when the pool is idle. If
@@ -419,27 +398,13 @@ func (s *Server) drainingNow() bool {
 	return s.draining
 }
 
-// notReady reports whether the server should tell load balancers and
-// coordinators to stop routing: draining or mid-journal-replay.
-func (s *Server) notReady() (reason string, notReady bool) {
-	s.submitMu.Lock()
-	defer s.submitMu.Unlock()
-	switch {
-	case s.draining:
-		return "draining", true
-	case s.replaying:
-		return "replaying", true
-	default:
-		return "", false
-	}
-}
-
-// admit runs the admission pipeline for a registered job: drain check,
-// journal the acceptance (before the queues ever see the job, so a
-// crash can never find a running job the journal has not accepted),
-// then class-queue admission. A shed victim — a queued lower-class job
-// evicted to make room — is failed and journaled here; a rejection of
-// j itself journals a terminal record so the accepted record never
+// admit runs the admission pipeline for a job: drain check, a place in
+// the job table (and with it an ID), the journaled acceptance (before
+// the queues ever see the job, so a crash can never find a running job
+// the journal has not accepted), then class-queue admission. A shed
+// victim — a queued lower-class job evicted to make room — is failed
+// and journaled here; a rejection of j itself takes it out of the table
+// again and journals a terminal record so the accepted record never
 // resurrects it.
 func (s *Server) admit(j *job) error {
 	s.submitMu.Lock()
@@ -447,15 +412,19 @@ func (s *Server) admit(j *job) error {
 	if s.draining {
 		return errDraining
 	}
+	s.register(j)
+	// Stamped before the queues see the job: a worker may pick it up the
+	// instant it enters its class queue, and reads this to reconstruct
+	// the queue-wait span.
+	j.enqueuedAt = time.Now()
 	if s.journal != nil {
 		s.journal.append(acceptedRecord(j))
 		j.journaled = true
 	}
 	victim, err := s.adm.enqueue(j)
 	if err != nil {
-		if j.journaled {
-			s.journal.append(journalRecord{Op: opFailed, ID: j.id})
-		}
+		s.unregister(j)
+		s.journalTerminal(j, true)
 		var se *shedError
 		if errors.As(err, &se) {
 			s.shed[j.class].Inc()
@@ -464,11 +433,7 @@ func (s *Server) admit(j *job) error {
 	}
 	if victim != nil {
 		s.shed[victim.class].Inc()
-		s.failed.Inc()
-		if victim.journaled {
-			s.journal.append(journalRecord{Op: opFailed, ID: victim.id})
-		}
-		victim.finish(nil, nil, false, &shedError{
+		s.abort(victim, &shedError{
 			class:  victim.class,
 			reason: fmt.Sprintf("evicted by %s arrival under full queue", j.class),
 		})
@@ -477,6 +442,13 @@ func (s *Server) admit(j *job) error {
 	}
 	s.admitted[j.class].Inc()
 	return nil
+}
+
+// abort fails a queued job that will never run.
+func (s *Server) abort(j *job, err error) {
+	s.failed.Inc()
+	s.journalTerminal(j, true)
+	j.finish(nil, err)
 }
 
 // journalTerminal records a job's final transition and compacts the
@@ -528,16 +500,13 @@ func (s *Server) register(j *job) {
 	}
 }
 
-// unregister removes a job that was never accepted into the queue.
+// unregister removes a job the queues refused.
 func (s *Server) unregister(j *job) {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
 	delete(s.jobs, j.id)
-	for i, id := range s.jobOrder {
-		if id == j.id {
-			s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-			break
-		}
+	if i := slices.Index(s.jobOrder, j.id); i >= 0 {
+		s.jobOrder = slices.Delete(s.jobOrder, i, i+1)
 	}
 }
 
@@ -565,16 +534,25 @@ func (s *Server) histogram(name string, l metrics.Labels, buckets []float64) *me
 	return h
 }
 
-// execute runs one job on a pool worker.
+// execute is the one executor: it resolves every point of a job
+// through the result cache (single-flight: concurrent identical points
+// compute once and share the result), computing a missed point by
+// simulating it here or, in coordinator mode, by dispatching it to the
+// worker fleet — same cache, same key, same result. A simulating
+// daemon works through its points one at a time (cross-job parallelism
+// comes from the worker pool, and burning the whole pool on one sweep
+// or batch would defeat the admission classes); a coordinator keeps
+// twice the fleet size in flight, which keeps every worker's queue fed
+// without flooding a small fleet with a large grid all at once. One
+// dead worker or one doomed point degrades the response instead of
+// voiding it (see job.finish).
 func (s *Server) execute(j *job) {
 	// A deadline that expired while the job sat in queue terminates it
 	// here, before it occupies the worker for any simulation time.
-	if j.expired(time.Now()) {
+	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
 		s.deadlineExp[j.class].Inc()
-		s.failed.Inc()
-		s.journalTerminal(j, true)
-		j.finish(nil, nil, false, errDeadlineExpired)
-		s.log.Warn("job expired in queue", "job", j.id, "kind", j.kind,
+		s.abort(j, errDeadlineExpired)
+		s.log.Warn("job expired in queue", "job", j.id, "kind", j.sub.Kind,
 			"class", j.class.String(), "deadline", j.deadline)
 		return
 	}
@@ -584,11 +562,13 @@ func (s *Server) execute(j *job) {
 		wait := time.Since(j.enqueuedAt)
 		j.tr.Record(obs.SpanRecord{Name: "queue-wait", Start: j.enqueuedAt, Dur: wait})
 		s.histogram("ringmeshd_job_queue_wait_seconds",
-			metrics.Labels{Family: j.family()}, secondsBuckets).Observe(wait.Seconds())
-		s.log.Info("job started", "job", j.id, "kind", j.kind,
-			"class", j.class.String(), "family", j.family(), "queue_wait", wait)
+			metrics.Labels{Family: j.family}, secondsBuckets).Observe(wait.Seconds())
+		s.log.Info("job started", "job", j.id, "kind", j.sub.Kind,
+			"class", j.class.String(), "family", j.family, "queue_wait", wait)
 	}
-	j.start()
+	j.mu.Lock()
+	j.state = JobRunning
+	j.mu.Unlock()
 	if s.journal != nil && j.journaled {
 		s.journal.append(journalRecord{Op: opRunning, ID: j.id})
 	}
@@ -609,265 +589,105 @@ func (s *Server) execute(j *job) {
 	}
 	ctx = ctxWithClass(ctx, j.class)
 	runStart := time.Now()
-	var err error
-	switch j.kind {
-	case kindSweep:
-		err = s.executeSweep(ctx, j)
-	case kindBatch:
-		err = s.executeBatch(ctx, j)
-	default:
-		err = s.executeRun(ctx, j)
+
+	width := 1
+	if s.coord != nil {
+		width = 2 * len(s.coord.workers)
 	}
+	// A point the loop never reaches (the context died first) counts as
+	// failed, not as an empty success.
+	outs := make([]outcome, len(j.points))
+	for i := range outs {
+		outs[i].err = context.Canceled
+	}
+	pool.ForEach(ctx, width, len(j.points), nil, func(i int) error {
+		outs[i] = s.resolve(ctx, j, j.points[i])
+		j.pointsDone.Add(1)
+		return nil
+	})
+	// A context that died under a failing point fails the job wholesale:
+	// a canceled or out-of-time job is an aborted attempt, not a degraded
+	// answer.
+	var err error
+	if ctx.Err() != nil && slices.ContainsFunc(outs, func(o outcome) bool { return o.err != nil }) {
+		err = fmt.Errorf("%s canceled: %w", j.sub.Kind, ctx.Err())
+	}
+	failed := j.finish(outs, err)
+
 	runDur := time.Since(runStart)
-	outcome := "done"
-	if err != nil {
-		outcome = classify(err).Kind
+	how := "done"
+	if failed {
+		how = j.view().Error.Kind
 		s.failed.Inc()
 	} else {
 		s.completed.Inc()
 	}
-	s.journalTerminal(j, err != nil)
+	s.journalTerminal(j, failed)
 	j.tr.Record(obs.SpanRecord{
 		Name: "run", Start: runStart, Dur: runDur,
-		Attrs: []obs.Attr{{Key: "outcome", Value: outcome}},
+		Attrs: []obs.Attr{{Key: "outcome", Value: how}},
 	})
 	s.histogram("ringmeshd_job_run_seconds",
-		metrics.Labels{Family: j.family(), Outcome: outcome}, secondsBuckets).Observe(runDur.Seconds())
-	if err == nil {
-		s.histogram("ringmeshd_fidelity_answer_seconds",
-			metrics.Labels{Fidelity: jobFidelity(j)}, fidelityBuckets).Observe(runDur.Seconds())
+		metrics.Labels{Family: j.family, Outcome: how}, secondsBuckets).Observe(runDur.Seconds())
+	if failed {
+		s.log.Warn("job failed", "job", j.id, "kind", j.sub.Kind,
+			"family", j.family, "outcome", how, "dur", runDur)
+		return
 	}
-	if err != nil {
-		s.log.Warn("job failed", "job", j.id, "kind", j.kind,
-			"family", j.family(), "outcome", outcome, "dur", runDur, "err", err)
-	} else {
-		s.log.Info("job finished", "job", j.id, "kind", j.kind,
-			"family", j.family(), "dur", runDur)
-	}
+	// Whatever the analytic tier can answer never queues (answerInline).
+	s.histogram("ringmeshd_fidelity_answer_seconds",
+		metrics.Labels{Fidelity: fidelity.Simulate}, fidelityBuckets).Observe(runDur.Seconds())
+	s.log.Info("job finished", "job", j.id, "kind", j.sub.Kind,
+		"family", j.family, "dur", runDur)
 }
 
-// executeRun resolves a single run through the cache (single-flight:
-// concurrent identical jobs simulate once and share the result). In
-// coordinator mode the computation is a dispatch to the worker fleet
-// instead of a local simulation — same cache, same key, same result.
-func (s *Server) executeRun(ctx context.Context, j *job) error {
-	compute := func() (ringmesh.Result, error) {
-		return s.simulate(ctx, j, j.cfg, j.opt)
-	}
-	if s.coord != nil {
-		compute = func() (ringmesh.Result, error) {
-			res, _, err := s.coord.runPoint(ctx, j.cfg, j.opt, j.tr)
-			return res, err
-		}
-	}
-	res, cached, err := s.cache.do(ctx, j.key, j.tr, compute)
-	if err != nil {
-		j.finish(nil, nil, false, err)
-		return err
-	}
-	j.finish(&res, nil, cached, nil)
-	return nil
-}
+// pointBuckets spans 1ms to ~2 minutes in x1.5 steps. The admission
+// cost estimate sums one p95 per point of a job, so the quantile's
+// error — a bucket's width — multiplies by the point count: the x4
+// steps of secondsBuckets would price a batch up to four times over.
+var pointBuckets = metrics.ExpBuckets(0.001, 1.5, 30)
 
-// executeSweep runs one cached simulation per size, serially within
-// the job (cross-job parallelism comes from the worker pool). Each
-// point uses the same cache key a single run of that size would, so
-// sweeps populate — and benefit from — the same cache. In
-// coordinator mode the sweep instead fans out to the worker fleet
-// and merges partial failures.
-func (s *Server) executeSweep(ctx context.Context, j *job) error {
-	if s.coord != nil {
-		return s.executeSweepCoordinated(ctx, j)
-	}
-	points := make([]ringmesh.SweepPoint, 0, len(j.sizes))
-	allCached := len(j.sizes) > 0
-	for _, n := range j.sizes {
-		cfg := j.cfg
-		cfg.Topology = ""
-		cfg.Nodes = n
-		key, err := ringmesh.CacheKey(cfg, j.opt)
-		if err != nil {
-			err = &configError{fmt.Errorf("size %d: %w", n, err)}
-			j.finish(nil, nil, false, err)
-			return err
-		}
-		res, cached, err := s.cache.do(ctx, key, j.tr, func() (ringmesh.Result, error) {
-			return s.simulate(ctx, nil, cfg, j.opt)
-		})
-		if err != nil {
-			err = fmt.Errorf("size %d: %w", n, err)
-			j.finish(nil, nil, false, err)
-			return err
-		}
-		if !cached {
-			allCached = false
-		}
-		points = append(points, ringmesh.SweepPoint{
-			Nodes: n, Topology: resolveTopology(cfg), Result: res, Attempts: 1,
-		})
-		j.pointsDone.Add(1)
-	}
-	sort.Slice(points, func(a, b int) bool { return points[a].Nodes < points[b].Nodes })
-	j.finish(nil, points, allCached, nil)
-	return nil
-}
-
-// executeSweepCoordinated fans a sweep's points out to the worker
-// fleet concurrently and merges whatever comes back: completed points
-// plus a structured per-point error report for the rest. One dead
-// worker (or one doomed size) degrades the response instead of
-// voiding it — the only wholesale failures are cancellation (drain)
-// and every single point failing.
-func (s *Server) executeSweepCoordinated(ctx context.Context, j *job) error {
-	type slot struct {
-		point  *ringmesh.SweepPoint
-		perr   *PointError
-		cached bool
-	}
-	slots := make([]slot, len(j.sizes))
-	// Concurrency: twice the fleet size keeps every worker's queue fed
-	// without flooding a small fleet with a large grid all at once.
-	width := 2 * len(s.coord.workers)
-	if width > len(j.sizes) {
-		width = len(j.sizes)
-	}
-	pool.ForEach(ctx, width, len(j.sizes), nil, func(i int) error {
-		n := j.sizes[i]
-		cfg := j.cfg
-		cfg.Topology = ""
-		cfg.Nodes = n
-		key, err := ringmesh.CacheKey(cfg, j.opt)
-		if err != nil {
-			// Unreachable in practice: every size was validated at
-			// submission. Classified rather than dropped, defensively.
-			slots[i].perr = &PointError{Nodes: n, Error: classify(&configError{err})}
-			j.pointsDone.Add(1)
-			return nil
-		}
-		attempts := 1
-		res, cached, err := s.cache.do(ctx, key, j.tr, func() (ringmesh.Result, error) {
-			r, a, err := s.coord.runPoint(ctx, cfg, j.opt, j.tr)
-			attempts = a
-			return r, err
-		})
-		if err != nil {
-			s.coord.pointsFailed.Inc()
-			slots[i].perr = &PointError{Nodes: n, Error: classifyPointErr(err)}
-			s.log.Warn("sweep point failed", "job", j.id, "nodes", n,
-				"kind", slots[i].perr.Error.Kind, "err", err)
-		} else {
-			slots[i].cached = cached
-			slots[i].point = &ringmesh.SweepPoint{
-				Nodes: n, Topology: resolveTopology(cfg), Result: res, Attempts: attempts,
-			}
-		}
-		j.pointsDone.Add(1)
-		return nil
-	})
-	// Drain-cancellation fails the job wholesale, exactly like the
-	// local sweep path: a canceled sweep is an aborted attempt, not a
-	// degraded answer.
-	if err := ctx.Err(); err != nil {
-		err = fmt.Errorf("sweep canceled: %w", err)
-		j.finish(nil, nil, false, err)
-		return err
-	}
-	var (
-		points    []ringmesh.SweepPoint
-		perrs     []PointError
-		allCached = len(slots) > 0
-	)
-	for _, sl := range slots {
-		if sl.point != nil {
-			points = append(points, *sl.point)
-			allCached = allCached && sl.cached
-		}
-		if sl.perr != nil {
-			perrs = append(perrs, *sl.perr)
-			allCached = false
-		}
-	}
-	sort.Slice(points, func(a, b int) bool { return points[a].Nodes < points[b].Nodes })
-	sort.Slice(perrs, func(a, b int) bool { return perrs[a].Nodes < perrs[b].Nodes })
-	if len(perrs) > 0 {
-		s.log.Warn("sweep degraded", "job", j.id,
-			"completed", len(points), "failed", len(perrs))
-	}
-	return j.finishSweep(points, perrs, allCached)
-}
-
-// executeBatch resolves a batch's entries serially through the cache
-// (cross-job parallelism comes from the worker pool, and a batch is by
-// definition bulk work — burning the whole pool on one batch would
-// defeat the admission classes). Entry failures degrade the response
-// with per-item classified errors; cancellation (drain, deadline)
-// fails the job wholesale, like a sweep.
-func (s *Server) executeBatch(ctx context.Context, j *job) error {
-	items := make([]BatchItem, len(j.entries))
-	allCached := len(j.entries) > 0
-	for i, e := range j.entries {
-		items[i].Index = i
-		if err := ctx.Err(); err != nil {
-			err = fmt.Errorf("batch canceled at entry %d: %w", i, err)
-			j.finish(nil, nil, false, err)
-			return err
-		}
-		cfg, opt := e.Config, e.Options
-		key, err := ringmesh.CacheKey(cfg, opt)
-		if err != nil {
-			// Unreachable in practice: every entry was validated at
-			// submission. Classified rather than dropped, defensively.
-			items[i].Error = classify(&configError{err})
-			allCached = false
-			j.pointsDone.Add(1)
-			continue
-		}
-		compute := func() (ringmesh.Result, error) {
-			return s.simulate(ctx, nil, cfg, opt)
-		}
+// resolve obtains one point's result through the cache, timing each
+// computation it actually performs into the per-point duration
+// histogram of the point's own network — the admission cost estimate's
+// input (see estimateCost).
+func (s *Server) resolve(ctx context.Context, j *job, p point) outcome {
+	o := outcome{attempts: 1}
+	o.res, o.cached, o.err = s.cache.do(ctx, p.key, j.tr, func() (res ringmesh.Result, err error) {
+		start := time.Now()
 		if s.coord != nil {
-			compute = func() (ringmesh.Result, error) {
-				res, _, err := s.coord.runPoint(ctx, cfg, opt, j.tr)
-				return res, err
-			}
+			res, o.attempts, err = s.coord.runPoint(ctx, p.cfg, p.opt, j.tr)
+		} else {
+			res, err = s.simulate(ctx, j, p)
 		}
-		res, cached, err := s.cache.do(ctx, key, j.tr, compute)
-		switch {
-		case err != nil && ctx.Err() != nil:
-			err = fmt.Errorf("batch canceled at entry %d: %w", i, ctx.Err())
-			j.finish(nil, nil, false, err)
-			return err
-		case err != nil:
-			items[i].Error = classify(err)
-			allCached = false
-			s.log.Warn("batch entry failed", "job", j.id, "entry", i,
-				"kind", items[i].Error.Kind, "err", err)
-		default:
-			items[i].Result = &res
-			items[i].Cached = cached
-			items[i].Topology = resolveTopology(cfg)
-			if !cached {
-				allCached = false
-			}
+		if err == nil {
+			s.histogram("ringmeshd_point_run_seconds",
+				metrics.Labels{Family: p.cfg.Network}, pointBuckets).Observe(time.Since(start).Seconds())
 		}
-		j.pointsDone.Add(1)
+		return res, err
+	})
+	if o.err != nil {
+		if s.coord != nil {
+			s.coord.pointsFailed.Inc()
+		}
+		s.log.Warn("point failed", "job", j.id, "nodes", p.cfg.Nodes,
+			"kind", classify(o.err).Kind, "err", o.err)
 	}
-	return j.finishBatch(items, allCached)
+	return o
 }
 
-// simulate builds and runs one system. When j is a single-run job its
+// simulate builds and runs one point's system. A single-point job's
 // progress atomics are wired to the engine's per-cycle hook so
 // watchers see live completion fractions.
-func (s *Server) simulate(ctx context.Context, j *job, cfg ringmesh.Config, opt ringmesh.RunOptions) (ringmesh.Result, error) {
+func (s *Server) simulate(ctx context.Context, j *job, p point) (ringmesh.Result, error) {
+	cfg := p.cfg
 	// Analytic-fidelity work routes to the closed-form estimator: no
 	// system is built, no ticks run, and the result comes back labeled
 	// with its recorded error bound. Estimator refusals (unsupported
 	// features) are configuration errors — the client asked for a tier
 	// that cannot answer this config.
-	if fid, err := fidelity.Normalize(cfg.Fidelity); err != nil {
-		return ringmesh.Result{}, &configError{err}
-	} else if fid == fidelity.Analytic {
-		res, err := ringmesh.Estimate(cfg, opt)
+	if cfg.Fidelity == fidelity.Analytic {
+		res, err := ringmesh.Estimate(cfg, p.opt)
 		if err != nil {
 			return ringmesh.Result{}, &configError{err}
 		}
@@ -885,30 +705,10 @@ func (s *Server) simulate(ctx context.Context, j *job, cfg ringmesh.Config, opt 
 	if err != nil {
 		return ringmesh.Result{}, &configError{err}
 	}
-	if j != nil {
-		cycles := opt.WarmupCycles + opt.BatchCycles*int64(opt.Batches)
+	if len(j.points) == 1 {
+		cycles := p.opt.WarmupCycles + p.opt.BatchCycles*int64(p.opt.Batches)
 		j.totalTicks.Store(cycles * sys.TicksPerCycle())
 		sys.OnCycle(func(tick int64, _ uint64) { j.tick.Store(tick) })
 	}
-	return sys.RunContext(ctx, opt)
-}
-
-// resolveTopology renders a config's geometry in the model's canonical
-// notation. The config is already validated (CacheKey succeeded), so
-// resolution cannot fail; the empty string on a registry miss is
-// defensive.
-func resolveTopology(cfg ringmesh.Config) string {
-	plan, err := network.New(cfg.Network, network.Config{
-		Topology:          cfg.Topology,
-		Nodes:             cfg.Nodes,
-		LineBytes:         cfg.LineBytes,
-		BufferFlits:       cfg.BufferFlits,
-		DoubleSpeedGlobal: cfg.DoubleSpeedGlobal,
-		SlottedSwitching:  cfg.SlottedSwitching,
-		UnsafeNoVC:        cfg.UnsafeNoVC,
-	})
-	if err != nil {
-		return ""
-	}
-	return plan.Topology
+	return sys.RunContext(ctx, p.opt)
 }

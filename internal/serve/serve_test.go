@@ -335,19 +335,19 @@ func TestQueueBounds(t *testing.T) {
 	// deterministic. One total slot, background queued first: a batch
 	// arrival evicts it, and a second batch arrival — with nothing less
 	// urgent queued — is shed itself.
-	s := &Server{reg: &metrics.Registry{}, log: slog.New(slog.NewTextHandler(io.Discard, nil))}
+	s := &Server{reg: &metrics.Registry{}, log: slog.New(slog.NewTextHandler(io.Discard, nil)), jobs: map[string]*job{}}
 	s.adm = newAdmitter(1, [numClasses]int{}, [numClasses]int{}, s.reg)
 	for c := class(0); c < numClasses; c++ {
 		l := metrics.Labels{Class: c.String()}
 		s.admitted[c] = s.reg.Counter("ringmeshd_admit_total", l)
 		s.shed[c] = s.reg.Counter("ringmeshd_shed_total", l)
 	}
-	bg := newJob("a", kindRun, 8)
+	bg := testJob("a", kindRun, 1)
 	bg.class = classBackground
 	if err := s.admit(bg); err != nil {
 		t.Fatalf("admit into empty queue: %v", err)
 	}
-	batch := newJob("b", kindRun, 8)
+	batch := testJob("b", kindRun, 1)
 	batch.class = classBatch
 	if err := s.admit(batch); err != nil {
 		t.Fatalf("admit at full queue with lower class queued: %v; want eviction", err)
@@ -359,13 +359,13 @@ func TestQueueBounds(t *testing.T) {
 		t.Fatalf("victim error = %+v; want kind shed", bg.view().Error)
 	}
 	var se *shedError
-	batch2 := newJob("c", kindRun, 8)
+	batch2 := testJob("c", kindRun, 1)
 	batch2.class = classBatch
 	if err := s.admit(batch2); !errors.As(err, &se) {
 		t.Fatalf("admit into full queue = %v; want shedError", err)
 	}
 	s.draining = true
-	d := newJob("d", kindRun, 8)
+	d := testJob("d", kindRun, 1)
 	if err := s.admit(d); !errors.Is(err, errDraining) {
 		t.Fatalf("admit while draining = %v; want errDraining", err)
 	}
@@ -532,8 +532,8 @@ func TestJobRetention(t *testing.T) {
 	s := &Server{jobs: map[string]*job{}}
 	var first string
 	for i := 0; i < jobRetain+10; i++ {
-		j := newJob("", "run", 8)
-		j.finish(&ringmesh.Result{}, nil, false, nil)
+		j := testJob("", kindRun, 1)
+		j.finish([]outcome{{}}, nil)
 		s.register(j)
 		if i == 0 {
 			first = j.id

@@ -64,7 +64,7 @@ type PartitionShard struct {
 }
 
 // Partition is a model's description of its ownership sharding, the
-// payload of the network layer's Partitioner capability. The PM ranges
+// result of the network layer's Model.Partition. The PM ranges
 // of all shards must tile [0, nPMs) without overlap.
 type Partition struct {
 	// Shards lists the ownership shards. Within a shard, components

@@ -25,10 +25,7 @@
 //	    Workload:    ringmesh.PaperWorkload(),
 //	}, ringmesh.DefaultRunOptions())
 //
-// Topologies lists the registered network names. The earlier
-// per-topology entry points (RunRing, RunMesh, NewRingSystem,
-// NewMeshSystem, SweepRingSizes, SweepMeshSizes) remain as thin
-// deprecated wrappers over the generic API.
+// Topologies lists the registered network names.
 //
 // Results report the paper's metrics: average round-trip access
 // latency in processor clock cycles (with a 95% confidence interval
@@ -192,105 +189,6 @@ type Config struct {
 	// (cache hit → analytic now → exact upgrade job), resolved at
 	// admission; "auto" is invalid here and in CacheKey.
 	Fidelity string `json:"fidelity,omitempty"`
-}
-
-// RingConfig describes a hierarchical-ring system.
-//
-// Deprecated: use Config with Network "ring".
-type RingConfig struct {
-	// Topology in the paper's colon notation, e.g. "2:3:4" (one
-	// global ring of 2 intermediate rings, each with 3 local rings of
-	// 4 PMs) or "12" (a single 12-PM ring). Leave empty and set Nodes
-	// to pick the paper's Table 2 topology automatically.
-	Topology string `json:"topology,omitempty"`
-	// Nodes is used when Topology is empty: the number of PMs for
-	// which to derive the best hierarchy.
-	Nodes int `json:"nodes,omitempty"`
-	// LineBytes is the cache line size: 16, 32, 64 or 128.
-	LineBytes int `json:"line_bytes"`
-	// DoubleSpeedGlobal clocks the global ring at twice the PM clock
-	// (paper Section 6).
-	DoubleSpeedGlobal bool `json:"double_speed_global,omitempty"`
-	// SlottedSwitching selects the Hector/NUMAchine slotted-ring
-	// technique instead of the paper's wormhole switching (extension;
-	// see internal/ring/slotted.go).
-	SlottedSwitching bool `json:"slotted_switching,omitempty"`
-	// Workload is the M-MRP attribute set.
-	Workload Workload `json:"workload"`
-	// MemLatencyCycles is the memory service time (0 = default 10).
-	MemLatencyCycles int `json:"mem_latency_cycles,omitempty"`
-	// Seed makes the run reproducible (same seed, same result).
-	Seed uint64 `json:"seed,omitempty"`
-	// Histogram also collects the latency distribution so the result
-	// can report percentiles (small extra memory cost).
-	Histogram bool `json:"histogram,omitempty"`
-	// Trace records per-packet lifecycle events (issue, hops, exits,
-	// delivery), retrievable via System.TraceEvents. Tracing large
-	// runs is memory-hungry; see TraceOnlyPacket to narrow it.
-	Trace bool `json:"trace,omitempty"`
-	// TraceOnlyPacket restricts tracing to one packet id (0 = all).
-	TraceOnlyPacket uint64 `json:"trace_only_packet,omitempty"`
-}
-
-// generic converts to the topology-agnostic configuration.
-func (cfg RingConfig) generic() Config {
-	return Config{
-		Network:           "ring",
-		Topology:          cfg.Topology,
-		Nodes:             cfg.Nodes,
-		LineBytes:         cfg.LineBytes,
-		DoubleSpeedGlobal: cfg.DoubleSpeedGlobal,
-		SlottedSwitching:  cfg.SlottedSwitching,
-		Workload:          cfg.Workload,
-		MemLatencyCycles:  cfg.MemLatencyCycles,
-		Seed:              cfg.Seed,
-		Histogram:         cfg.Histogram,
-		Trace:             cfg.Trace,
-		TraceOnlyPacket:   cfg.TraceOnlyPacket,
-	}
-}
-
-// MeshConfig describes a square 2D bi-directional mesh system.
-//
-// Deprecated: use Config with Network "mesh".
-type MeshConfig struct {
-	// Nodes is the processor count; it must be a perfect square.
-	Nodes int `json:"nodes,omitempty"`
-	// LineBytes is the cache line size: 16, 32, 64 or 128.
-	LineBytes int `json:"line_bytes"`
-	// BufferFlits is the router input buffer depth in flits; the
-	// paper evaluates 1, 4 and cache-line-sized (0 selects cl).
-	BufferFlits int `json:"buffer_flits,omitempty"`
-	// Workload is the M-MRP attribute set.
-	Workload Workload `json:"workload"`
-	// MemLatencyCycles is the memory service time (0 = default 10).
-	MemLatencyCycles int `json:"mem_latency_cycles,omitempty"`
-	// Seed makes the run reproducible.
-	Seed uint64 `json:"seed,omitempty"`
-	// Histogram also collects the latency distribution so the result
-	// can report percentiles (small extra memory cost).
-	Histogram bool `json:"histogram,omitempty"`
-	// Trace records per-packet lifecycle events (issue, hops, exits,
-	// delivery), retrievable via System.TraceEvents.
-	Trace bool `json:"trace,omitempty"`
-	// TraceOnlyPacket restricts tracing to one packet id (0 = all).
-	TraceOnlyPacket uint64 `json:"trace_only_packet,omitempty"`
-}
-
-// generic converts to the topology-agnostic configuration.
-func (cfg MeshConfig) generic() Config {
-	return Config{
-		Network:          "mesh",
-		Nodes:            cfg.Nodes,
-		LineBytes:        cfg.LineBytes,
-		BufferFlits:      cfg.BufferFlits,
-		Workload:         cfg.Workload,
-		MemLatencyCycles: cfg.MemLatencyCycles,
-		Seed:             cfg.Seed,
-		Histogram:        cfg.Histogram,
-		Trace:            cfg.Trace,
-		TraceOnlyPacket:  cfg.TraceOnlyPacket,
-	}
 }
 
 // RunOptions controls the batch-means measurement schedule.
@@ -551,54 +449,52 @@ func NewSystem(cfg Config) (*System, error) {
 			interval = 100
 		}
 	}
-	var plan *fault.Plan
-	if cfg.FaultPlan != "" {
-		var err error
-		plan, err = fault.Parse(cfg.FaultPlan)
-		if err != nil {
-			return nil, err
-		}
+	sc, err := cfg.coreConfig()
+	if err != nil {
+		return nil, err
 	}
-	sys, err := core.NewSystem(core.SystemConfig{
-		Network: cfg.Network,
-		Net: network.Config{
-			Topology:          cfg.Topology,
-			Nodes:             cfg.Nodes,
-			LineBytes:         cfg.LineBytes,
-			BufferFlits:       cfg.BufferFlits,
-			DoubleSpeedGlobal: cfg.DoubleSpeedGlobal,
-			SlottedSwitching:  cfg.SlottedSwitching,
-			UnsafeNoVC:        cfg.UnsafeNoVC,
-		},
-		Workload:        cfg.Workload.internal(),
-		MemLatency:      cfg.MemLatencyCycles,
-		Seed:            cfg.Seed,
-		Histogram:       cfg.Histogram,
-		Tracer:          rec,
-		Metrics:         reg,
-		MetricsInterval: interval,
-		FaultPlan:       plan,
-		Workers:         cfg.Workers,
-		PhaseStats:      cfg.PhaseStats,
-	})
+	sc.Tracer, sc.Metrics, sc.MetricsInterval, sc.PhaseStats = rec, reg, interval, cfg.PhaseStats
+	sys, err := core.NewSystem(sc)
 	if err != nil {
 		return nil, err
 	}
 	return &System{inner: sys, rec: rec}, nil
 }
 
-// NewRingSystem builds a hierarchical-ring multiprocessor.
-//
-// Deprecated: thin wrapper over NewSystem with Network "ring".
-func NewRingSystem(cfg RingConfig) (*System, error) {
-	return NewSystem(cfg.generic())
+// netConfig is the interconnect half of the configuration, as the
+// topology registry's factories read it.
+func (cfg Config) netConfig() network.Config {
+	return network.Config{
+		Topology:          cfg.Topology,
+		Nodes:             cfg.Nodes,
+		LineBytes:         cfg.LineBytes,
+		BufferFlits:       cfg.BufferFlits,
+		DoubleSpeedGlobal: cfg.DoubleSpeedGlobal,
+		SlottedSwitching:  cfg.SlottedSwitching,
+		UnsafeNoVC:        cfg.UnsafeNoVC,
+	}
 }
 
-// NewMeshSystem builds a mesh multiprocessor.
-//
-// Deprecated: thin wrapper over NewSystem with Network "mesh".
-func NewMeshSystem(cfg MeshConfig) (*System, error) {
-	return NewSystem(cfg.generic())
+// coreConfig is what every answer tier reads of the configuration: the
+// network, the workload, the seed and the parsed fault plan.
+func (cfg Config) coreConfig() (core.SystemConfig, error) {
+	var plan *fault.Plan
+	if cfg.FaultPlan != "" {
+		var err error
+		if plan, err = fault.Parse(cfg.FaultPlan); err != nil {
+			return core.SystemConfig{}, err
+		}
+	}
+	return core.SystemConfig{
+		Network:    cfg.Network,
+		Net:        cfg.netConfig(),
+		Workload:   cfg.Workload.internal(),
+		MemLatency: cfg.MemLatencyCycles,
+		Seed:       cfg.Seed,
+		Histogram:  cfg.Histogram,
+		FaultPlan:  plan,
+		Workers:    cfg.Workers,
+	}, nil
 }
 
 // Run executes the batch-means schedule and returns the measurements.
@@ -771,39 +667,19 @@ func Estimate(cfg Config, opt RunOptions) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	netCfg := network.Config{
-		Topology:          cfg.Topology,
-		Nodes:             cfg.Nodes,
-		LineBytes:         cfg.LineBytes,
-		BufferFlits:       cfg.BufferFlits,
-		DoubleSpeedGlobal: cfg.DoubleSpeedGlobal,
-		SlottedSwitching:  cfg.SlottedSwitching,
-		UnsafeNoVC:        cfg.UnsafeNoVC,
+	sc, err := cfg.coreConfig()
+	if err != nil {
+		return Result{}, err
 	}
-	var plan *fault.Plan
-	if cfg.FaultPlan != "" {
-		if plan, err = fault.Parse(cfg.FaultPlan); err != nil {
-			return Result{}, err
-		}
-	}
-	r, err := est.Estimate(context.Background(), core.SystemConfig{
-		Network:    cfg.Network,
-		Net:        netCfg,
-		Workload:   cfg.Workload.internal(),
-		MemLatency: cfg.MemLatencyCycles,
-		Seed:       cfg.Seed,
-		Histogram:  cfg.Histogram,
-		FaultPlan:  plan,
-		Workers:    cfg.Workers,
-		Fidelity:   name,
-	}, opt.internal())
+	sc.Fidelity = name
+	r, err := est.Estimate(context.Background(), sc, opt.internal())
 	if err != nil {
 		return Result{}, err
 	}
 	res := fromCore(r)
 	if name != fidelity.Simulate {
 		res.Fidelity = name
-		if b, ok := fidelity.BoundFor(cfg.Network, netCfg); ok {
+		if b, ok := fidelity.BoundFor(cfg.Network, sc.Net); ok {
 			res.ErrorBound = &ErrorBound{MaxRelErr: b.MaxRelErr, Basis: b.Basis}
 		}
 	}
@@ -815,18 +691,15 @@ func Estimate(cfg Config, opt RunOptions) (Result, error) {
 // accepts "auto").
 func Fidelities() []string { return fidelity.Names() }
 
-// RunRing builds and measures a hierarchical-ring system in one call.
-//
-// Deprecated: thin wrapper over Run with Network "ring".
-func RunRing(cfg RingConfig, opt RunOptions) (Result, error) {
-	return Run(cfg.generic(), opt)
-}
-
-// RunMesh builds and measures a mesh system in one call.
-//
-// Deprecated: thin wrapper over Run with Network "mesh".
-func RunMesh(cfg MeshConfig, opt RunOptions) (Result, error) {
-	return Run(cfg.generic(), opt)
+// CanonicalTopology returns the configuration's resolved geometry in
+// the model's canonical notation — what System.Topology would report —
+// without building the system.
+func CanonicalTopology(cfg Config) (string, error) {
+	plan, err := network.New(cfg.Network, cfg.netConfig())
+	if err != nil {
+		return "", err
+	}
+	return plan.Topology, nil
 }
 
 // Topologies returns the names of all registered interconnect models,

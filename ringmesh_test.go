@@ -16,7 +16,8 @@ func TestPaperWorkloadDefaults(t *testing.T) {
 }
 
 func TestRunRingByTopology(t *testing.T) {
-	res, err := RunRing(RingConfig{
+	res, err := Run(Config{
+		Network:   "ring",
 		Topology:  "2:4",
 		LineBytes: 32,
 		Workload:  PaperWorkload(),
@@ -34,7 +35,8 @@ func TestRunRingByTopology(t *testing.T) {
 }
 
 func TestRunRingByNodes(t *testing.T) {
-	sys, err := NewRingSystem(RingConfig{
+	sys, err := NewSystem(Config{
+		Network:   "ring",
 		Nodes:     24,
 		LineBytes: 32,
 		Workload:  PaperWorkload(),
@@ -52,14 +54,15 @@ func TestRunRingByNodes(t *testing.T) {
 }
 
 func TestRunRingNeedsTopologyOrNodes(t *testing.T) {
-	_, err := NewRingSystem(RingConfig{LineBytes: 32, Workload: PaperWorkload()})
+	_, err := NewSystem(Config{Network: "ring", LineBytes: 32, Workload: PaperWorkload()})
 	if err == nil {
 		t.Fatal("config without topology or nodes accepted")
 	}
 }
 
 func TestRunMesh(t *testing.T) {
-	res, err := RunMesh(MeshConfig{
+	res, err := Run(Config{
+		Network:     "mesh",
 		Nodes:       16,
 		LineBytes:   64,
 		BufferFlits: 4,
@@ -75,14 +78,14 @@ func TestRunMesh(t *testing.T) {
 }
 
 func TestRunMeshRejectsNonSquare(t *testing.T) {
-	_, err := NewMeshSystem(MeshConfig{Nodes: 15, LineBytes: 32, Workload: PaperWorkload()})
+	_, err := NewSystem(Config{Network: "mesh", Nodes: 15, LineBytes: 32, Workload: PaperWorkload()})
 	if err == nil {
 		t.Fatal("non-square mesh accepted")
 	}
 }
 
 func TestStepCycles(t *testing.T) {
-	sys, err := NewRingSystem(RingConfig{Topology: "4", LineBytes: 32,
+	sys, err := NewSystem(Config{Network: "ring", Topology: "4", LineBytes: 32,
 		Workload: PaperWorkload(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +135,8 @@ func TestSingleRingCapacity(t *testing.T) {
 }
 
 func TestSweepRingSizes(t *testing.T) {
-	pts, err := SweepRingSizes(RingConfig{
+	pts, err := SweepSizes(Config{
+		Network:   "ring",
 		LineBytes: 32,
 		Workload:  PaperWorkload(),
 		Seed:      1,
@@ -154,7 +158,8 @@ func TestSweepRingSizes(t *testing.T) {
 }
 
 func TestSweepMeshSizes(t *testing.T) {
-	pts, err := SweepMeshSizes(MeshConfig{
+	pts, err := SweepSizes(Config{
+		Network:     "mesh",
 		LineBytes:   32,
 		BufferFlits: 4,
 		Workload:    PaperWorkload(),
@@ -199,7 +204,8 @@ func TestSweepWorkersZeroIsSerial(t *testing.T) {
 }
 
 func TestSweepPropagatesErrors(t *testing.T) {
-	_, err := SweepMeshSizes(MeshConfig{
+	_, err := SweepSizes(Config{
+		Network:   "mesh",
 		LineBytes: 32,
 		Workload:  PaperWorkload(),
 	}, []int{5}, SweepOptions{Run: QuickRunOptions()})
@@ -209,12 +215,12 @@ func TestSweepPropagatesErrors(t *testing.T) {
 }
 
 func TestDeterministicAcrossAPIs(t *testing.T) {
-	cfg := RingConfig{Topology: "2:3:4", LineBytes: 64, Workload: PaperWorkload(), Seed: 9}
-	a, err := RunRing(cfg, QuickRunOptions())
+	cfg := Config{Network: "ring", Topology: "2:3:4", LineBytes: 64, Workload: PaperWorkload(), Seed: 9}
+	a, err := Run(cfg, QuickRunOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunRing(cfg, QuickRunOptions())
+	b, err := Run(cfg, QuickRunOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +230,8 @@ func TestDeterministicAcrossAPIs(t *testing.T) {
 }
 
 func TestHistogramPercentiles(t *testing.T) {
-	res, err := RunRing(RingConfig{
+	res, err := Run(Config{
+		Network:   "ring",
 		Topology:  "2:4",
 		LineBytes: 32,
 		Workload:  PaperWorkload(),
@@ -246,12 +253,12 @@ func TestHistogramPercentiles(t *testing.T) {
 func TestOpenLoopWorkload(t *testing.T) {
 	wl := PaperWorkload()
 	wl.OpenLoop = true
-	closed, err := RunRing(RingConfig{Topology: "3:8", LineBytes: 32,
+	closed, err := Run(Config{Network: "ring", Topology: "3:8", LineBytes: 32,
 		Workload: PaperWorkload(), Seed: 1}, QuickRunOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	open, err := RunRing(RingConfig{Topology: "3:8", LineBytes: 32,
+	open, err := Run(Config{Network: "ring", Topology: "3:8", LineBytes: 32,
 		Workload: wl, Seed: 1}, QuickRunOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +276,8 @@ func TestOpenLoopWorkload(t *testing.T) {
 }
 
 func TestSlottedSwitchingAPI(t *testing.T) {
-	res, err := RunRing(RingConfig{
+	res, err := Run(Config{
+		Network:          "ring",
 		Topology:         "2:3:4",
 		LineBytes:        32,
 		SlottedSwitching: true,
@@ -288,7 +296,8 @@ func TestSlottedSwitchingAPI(t *testing.T) {
 }
 
 func TestTraceAPI(t *testing.T) {
-	sys, err := NewRingSystem(RingConfig{
+	sys, err := NewSystem(Config{
+		Network:  "ring",
 		Topology: "2:3", LineBytes: 32,
 		Workload: PaperWorkload(), Seed: 1, Trace: true,
 	})
@@ -318,7 +327,7 @@ func TestTraceAPI(t *testing.T) {
 		t.Fatalf("odd timeline: %+v", tl)
 	}
 	// Untraced systems return nil.
-	sys2, _ := NewRingSystem(RingConfig{Topology: "4", LineBytes: 32,
+	sys2, _ := NewSystem(Config{Network: "ring", Topology: "4", LineBytes: 32,
 		Workload: PaperWorkload(), Seed: 1})
 	if sys2.TraceEvents() != nil {
 		t.Fatal("untraced system returned events")
@@ -326,7 +335,8 @@ func TestTraceAPI(t *testing.T) {
 }
 
 func TestTopologyNodesConsistency(t *testing.T) {
-	_, err := NewRingSystem(RingConfig{
+	_, err := NewSystem(Config{
+		Network:  "ring",
 		Topology: "3:3:8", Nodes: 24, LineBytes: 32,
 		Workload: PaperWorkload(),
 	})
@@ -334,7 +344,8 @@ func TestTopologyNodesConsistency(t *testing.T) {
 		t.Fatal("contradictory Topology/Nodes accepted")
 	}
 	// Matching values are fine.
-	if _, err := NewRingSystem(RingConfig{
+	if _, err := NewSystem(Config{
+		Network:  "ring",
 		Topology: "3:8", Nodes: 24, LineBytes: 32,
 		Workload: PaperWorkload(),
 	}); err != nil {

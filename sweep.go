@@ -164,26 +164,9 @@ func sweepPoint(ctx context.Context, base Config, n int, opt SweepOptions) (Swee
 	}
 }
 
-// SweepRingSizes measures the base ring configuration at each node
-// count, deriving the hierarchy per size via the Table 2 methodology
-// (base.Topology is ignored). Points come back sorted by size.
-//
-// Deprecated: thin wrapper over SweepSizes with Network "ring".
-func SweepRingSizes(base RingConfig, sizes []int, opt SweepOptions) ([]SweepPoint, error) {
-	return SweepSizes(base.generic(), sizes, opt)
-}
-
-// SweepMeshSizes measures the base mesh configuration at each (square)
-// node count. Points come back sorted by size.
-//
-// Deprecated: thin wrapper over SweepSizes with Network "mesh".
-func SweepMeshSizes(base MeshConfig, sizes []int, opt SweepOptions) ([]SweepPoint, error) {
-	return SweepSizes(base.generic(), sizes, opt)
-}
-
 // sweep fans the per-point function out over the shared bounded
 // worker pool (internal/pool, also behind exp's point grids and the
-// serving daemon's job queue). Every error is collected (never just
+// serving daemon's executor). Every error is collected (never just
 // the first). Fatal errors — configuration mistakes and cancellation —
 // stop new points from being scheduled; runtime failures leave the
 // rest of the sweep running. Completed points are always returned,
