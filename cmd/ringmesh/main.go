@@ -15,30 +15,21 @@
 //
 // -fidelity selects the answer tier: "simulate" (default) runs the
 // exact engine; "analytic" evaluates the closed-form models in
-// microseconds and prints the estimate with its recorded error bound
-// (see internal/fidelity).
+// microseconds and prints the estimate with its recorded error bound.
 //
 // Exit codes: 0 success, 1 runtime failure, 2 configuration error,
 // 3 stall (watchdog tripped; forensic summary goes to stderr).
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
-	"time"
 
-	"ringmesh/internal/core"
-	"ringmesh/internal/fault"
-	"ringmesh/internal/fidelity"
-	"ringmesh/internal/metrics"
-	"ringmesh/internal/network"
-	"ringmesh/internal/sim"
-	"ringmesh/internal/trace"
-	"ringmesh/internal/workload"
+	"ringmesh"
 )
 
 // Exit codes. Scripts sweeping parameter spaces branch on these to
@@ -50,262 +41,223 @@ const (
 	exitStall   = 3
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit code as values, so the golden
+// test can drive the whole command in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ringmesh", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		netKind = flag.String("net", "ring",
-			"network type: "+strings.Join(network.Names(), " or "))
-		topoStr = flag.String("topo", "", "geometry in the model's notation, e.g. 2:3:4 or 8x8 (default: derived from -nodes)")
-		nodes   = flag.Int("nodes", 16, "number of processors, used when -topo is empty (mesh: must be a square; ring: picks the optimal hierarchy)")
-		line    = flag.Int("line", 32, "cache line size in bytes (16/32/64/128)")
-		buf     = flag.Int("buf", 4, "mesh input buffer depth in flits (0 = cache-line sized)")
-		dbl     = flag.Bool("double-global", false, "clock the global ring at 2x (ring only)")
-		slotted = flag.Bool("slotted", false, "slotted instead of wormhole ring switching (ring only)")
-		rFlag   = flag.Float64("R", 1.0, "access region fraction (locality)")
-		cFlag   = flag.Float64("C", 0.04, "cache miss rate per cycle")
-		tFlag   = flag.Int("T", 4, "outstanding transactions before blocking")
-		readP   = flag.Float64("read-prob", 0.7, "probability a miss is a read")
-		memLat  = flag.Int("mem", 0, "memory service latency in cycles (0 = default)")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		warmup  = flag.Int64("warmup", 4000, "warmup cycles (discarded batch)")
-		batch   = flag.Int64("batch", 4000, "cycles per batch")
-		batches = flag.Int("batches", 8, "retained batches")
-		tracePk = flag.Uint64("trace-packet", 0, "print the lifecycle of this packet id (0 = off)")
+		netKind = fs.String("net", "ring",
+			"network type: "+strings.Join(ringmesh.Topologies(), " or "))
+		topoStr = fs.String("topo", "", "geometry in the model's notation, e.g. 2:3:4 or 8x8 (default: derived from -nodes)")
+		nodes   = fs.Int("nodes", 16, "number of processors, used when -topo is empty (mesh: must be a square; ring: picks the optimal hierarchy)")
+		line    = fs.Int("line", 32, "cache line size in bytes (16/32/64/128)")
+		buf     = fs.Int("buf", 4, "mesh input buffer depth in flits (0 = cache-line sized)")
+		dbl     = fs.Bool("double-global", false, "clock the global ring at 2x (ring only)")
+		slotted = fs.Bool("slotted", false, "slotted instead of wormhole ring switching (ring only)")
+		rFlag   = fs.Float64("R", 1.0, "access region fraction (locality)")
+		cFlag   = fs.Float64("C", 0.04, "cache miss rate per cycle")
+		tFlag   = fs.Int("T", 4, "outstanding transactions before blocking")
+		readP   = fs.Float64("read-prob", 0.7, "probability a miss is a read")
+		memLat  = fs.Int("mem", 0, "memory service latency in cycles (0 = default)")
+		seed    = fs.Uint64("seed", 1, "random seed")
+		warmup  = fs.Int64("warmup", 4000, "warmup cycles (discarded batch)")
+		batch   = fs.Int64("batch", 4000, "cycles per batch")
+		batches = fs.Int("batches", 8, "retained batches")
+		tracePk = fs.Uint64("trace-packet", 0, "print the lifecycle of this packet id (0 = off)")
 
-		faultPlan = flag.String("fault-plan", "", `fault plan DSL: ";"-separated events "kind@start+dur:node=N[,port=P][,factor=F]" (kinds stutter/slowdown/degrade), or "rand:events=E,seed=S,horizon=H"`)
-		timeout   = flag.Duration("timeout", 0, "wall-clock bound for the run, e.g. 30s (0 = none)")
-		noVC      = flag.Bool("unsafe-no-vc", false, "disable the ring's deadlock-avoidance virtual channels (forensics demos; wormhole ring only)")
-		workersF  = flag.Int("workers", 1, "parallel tick workers (1 = serial engine; results are bit-identical at any count)")
-		fidelityF = flag.String("fidelity", "simulate", `answer tier: "simulate" (exact engine) or "analytic" (closed-form estimate with its recorded error bound)`)
+		faultPlan = fs.String("fault-plan", "", `fault plan DSL: ";"-separated events "kind@start+dur:node=N[,port=P][,factor=F]" (kinds stutter/slowdown/degrade), or "rand:events=E,seed=S,horizon=H"`)
+		timeout   = fs.Duration("timeout", 0, "wall-clock bound for the run, e.g. 30s (0 = none)")
+		noVC      = fs.Bool("unsafe-no-vc", false, "disable the ring's deadlock-avoidance virtual channels (forensics demos; wormhole ring only)")
+		workersF  = fs.Int("workers", 1, "parallel tick workers (1 = serial engine; results are bit-identical at any count)")
+		fidelityF = fs.String("fidelity", "simulate", `answer tier: "simulate" (exact engine) or "analytic" (closed-form estimate with its recorded error bound)`)
 
-		verbose    = flag.Bool("v", false, "collect the full latency distribution and print a p50/p95/p99 summary line")
-		metricsOn  = flag.Bool("metrics", false, "collect link/queue/stall instruments and print a snapshot after the run")
-		metricsInt = flag.Int64("metrics-interval", 100, "metrics sampling period in PM cycles (with -metrics)")
-		metricsOut = flag.String("metrics-out", "", "write the sampled metrics time series to this file; .jsonl suffix selects JSON Lines, anything else CSV (with -metrics)")
+		verbose    = fs.Bool("v", false, "collect the full latency distribution and print a p50/p95/p99 summary line")
+		metricsOn  = fs.Bool("metrics", false, "collect link/queue/stall instruments and print a snapshot after the run")
+		metricsInt = fs.Int64("metrics-interval", 100, "metrics sampling period in PM cycles (with -metrics)")
+		metricsOut = fs.String("metrics-out", "", "write the sampled metrics time series to this file; .jsonl suffix selects JSON Lines, anything else CSV (with -metrics)")
 	)
-	flag.Parse()
-
-	// Validate what the flag layer owns before constructing anything,
-	// so a typo fails in microseconds with a message naming the flag.
-	plan, err := validateFlags(*faultPlan, *timeout, *rFlag, *cFlag, *tFlag, *readP,
-		*warmup, *batch, *batches, *metricsInt, *workersF)
-	if err != nil {
-		fail(exitConfig, err)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return exitConfig
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "ringmesh:", err)
+		return code
 	}
 
-	wl := workload.MMRP{R: *rFlag, C: *cFlag, T: *tFlag, ReadProb: *readP}
-	rc := core.RunConfig{WarmupCycles: *warmup, BatchCycles: *batch, Batches: *batches,
-		Timeout: *timeout}
-	var rec *trace.Recorder
-	if *tracePk != 0 {
-		rec = &trace.Recorder{OnlyPacket: *tracePk}
-	}
-	var reg *metrics.Registry
-	if *metricsOn || *metricsOut != "" {
-		reg = &metrics.Registry{}
-	}
+	cfg := ringmesh.Config{
+		Network:           *netKind,
+		Topology:          *topoStr,
+		Nodes:             *nodes,
+		LineBytes:         *line,
+		BufferFlits:       *buf,
+		DoubleSpeedGlobal: *dbl,
+		SlottedSwitching:  *slotted,
+		UnsafeNoVC:        *noVC,
+		Workload:          ringmesh.Workload{R: *rFlag, C: *cFlag, T: *tFlag, ReadProb: *readP},
+		MemLatencyCycles:  *memLat,
+		Seed:              *seed,
+		Histogram:         *verbose,
+		Workers:           *workersF,
+		Trace:             *tracePk != 0,
+		TraceOnlyPacket:   *tracePk,
+		Metrics:           *metricsOn || *metricsOut != "",
+		FaultPlan:         *faultPlan,
+		Fidelity:          *fidelityF,
 
-	fid, err := fidelity.Normalize(*fidelityF)
-	if err != nil {
-		fail(exitConfig, fmt.Errorf("-fidelity: %w", err))
+		MetricsIntervalCycles: *metricsInt,
 	}
-
-	n := *nodes
 	if *topoStr != "" {
 		// The geometry is fully named; don't cross-check the -nodes
 		// default against it.
-		n = 0
+		cfg.Nodes = 0
 	}
-	sysCfg := core.SystemConfig{
-		Network: *netKind,
-		Net: network.Config{
-			Topology:          *topoStr,
-			Nodes:             n,
-			LineBytes:         *line,
-			BufferFlits:       *buf,
-			DoubleSpeedGlobal: *dbl,
-			SlottedSwitching:  *slotted,
-			UnsafeNoVC:        *noVC,
-		},
-		Workload:        wl,
-		MemLatency:      *memLat,
-		Seed:            *seed,
-		Histogram:       *verbose,
-		Workers:         *workersF,
-		Tracer:          rec,
-		Metrics:         reg,
-		MetricsInterval: *metricsInt,
-		FaultPlan:       plan,
-		Fidelity:        fid,
+	opt := ringmesh.RunOptions{WarmupCycles: *warmup, BatchCycles: *batch, Batches: *batches,
+		Timeout: *timeout}
+
+	// The two rules the flag layer owns (the library reads Workers 0
+	// and MetricsIntervalCycles 0 as defaults; a flag spelling them is
+	// a typo); every other range is the library's to check, so a bad
+	// value fails before anything is built, with one wording.
+	switch {
+	case *workersF < 1:
+		return fail(exitConfig, fmt.Errorf("-workers %d < 1", *workersF))
+	case *metricsInt < 1:
+		return fail(exitConfig, fmt.Errorf("-metrics-interval %d < 1", *metricsInt))
+	}
+	if err := opt.Validate(); err != nil {
+		return fail(exitConfig, err)
 	}
 
-	if fid != fidelity.Simulate {
-		// Estimator tiers never build the engine, so the instruments
+	if *fidelityF == "analytic" {
+		// The estimate never builds the engine, so the instruments
 		// that ride on it have nothing to observe.
-		if *tracePk != 0 || *metricsOn || *metricsOut != "" || *verbose {
-			fail(exitConfig, fmt.Errorf("-fidelity %s is engine-free; -trace-packet, -metrics, -metrics-out and -v need the simulator", fid))
+		if cfg.Trace || cfg.Metrics || *verbose {
+			return fail(exitConfig, fmt.Errorf("-fidelity analytic is engine-free; -trace-packet, -metrics, -metrics-out and -v need the simulator"))
 		}
-		runEstimate(fid, sysCfg, rc, wl)
-		return
+		// Refusals (features outside the validated envelope) are
+		// configuration errors: rerun without -fidelity for the exact
+		// answer.
+		if err := printEstimate(stdout, cfg, opt); err != nil {
+			return fail(exitConfig, err)
+		}
+		return 0
 	}
 
-	sys, err := core.NewSystem(sysCfg)
+	sys, err := ringmesh.NewSystem(cfg)
 	if err != nil {
-		fail(exitConfig, err)
+		return fail(exitConfig, err)
 	}
-
-	res, err := sys.Run(rc)
+	res, err := sys.Run(opt)
 	if err != nil {
-		var se *sim.StallError
-		if errors.As(err, &se) {
-			fmt.Fprintln(os.Stderr, "ringmesh:", se.Report.Summary())
-			fail(exitStall, err)
-		}
-		fail(exitRuntime, err)
+		return fail(exitRuntime, err)
 	}
-	fmt.Printf("system:       %s (%d PMs)\n", sys.Describe(), sys.PMs())
-	fmt.Printf("workload:     R=%.2f C=%.3f T=%d read-prob=%.2f\n", wl.R, wl.C, wl.T, wl.ReadProb)
-	fmt.Printf("latency:      %.1f cycles (95%% CI ±%.1f, %d observations)\n",
-		res.Latency, res.LatencyCI, res.Observations)
-	fmt.Printf("throughput:   %.3f transactions/cycle (%d issued, %d completed, %d local)\n",
+	wl := cfg.Workload
+	fmt.Fprintf(stdout, "system:       %s (%d PMs)\n", sys.Describe(), sys.PMs())
+	fmt.Fprintf(stdout, "workload:     R=%.2f C=%.3f T=%d read-prob=%.2f\n", wl.R, wl.C, wl.T, wl.ReadProb)
+	fmt.Fprintf(stdout, "latency:      %.1f cycles (95%% CI ±%.1f, %d observations)\n",
+		res.LatencyCycles, res.LatencyCI95, res.Observations)
+	fmt.Fprintf(stdout, "throughput:   %.3f transactions/cycle (%d issued, %d completed, %d local)\n",
 		res.Throughput, res.Issued, res.Completed, res.Local)
 	if *verbose {
-		fmt.Printf("latency dist: p50=%.0f p95=%.0f p99=%.0f max=%.0f cycles\n",
+		fmt.Fprintf(stdout, "latency dist: p50=%.0f p95=%.0f p99=%.0f max=%.0f cycles\n",
 			res.LatencyP50, res.LatencyP95, res.LatencyP99, res.LatencyMax)
 	}
-	if res.RingUtil != nil {
-		fmt.Printf("ring util:    ")
-		for lvl, u := range res.RingUtil {
+	if res.RingUtilization != nil {
+		fmt.Fprintf(stdout, "ring util:    ")
+		for lvl, u := range res.RingUtilization {
 			name := fmt.Sprintf("L%d", lvl)
 			if lvl == 0 {
 				name = "global"
 			}
-			if lvl == len(res.RingUtil)-1 && lvl > 0 {
+			if lvl == len(res.RingUtilization)-1 && lvl > 0 {
 				name = "local"
 			}
-			fmt.Printf("%s=%.1f%% ", name, 100*u)
+			fmt.Fprintf(stdout, "%s=%.1f%% ", name, 100*u)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	} else {
-		fmt.Printf("mesh util:    %.1f%%\n", 100*res.MeshUtil)
+		fmt.Fprintf(stdout, "mesh util:    %.1f%%\n", 100*res.MeshUtilization)
 	}
 	if res.Saturated {
-		fmt.Println("note:         network past saturation (processors mostly blocked)")
+		fmt.Fprintln(stdout, "note:         network past saturation (processors mostly blocked)")
 	}
-	if rec != nil {
-		fmt.Printf("\ntrace of packet #%d:\n", *tracePk)
-		if err := rec.Write(os.Stdout); err != nil {
-			fail(exitRuntime, err)
+	if cfg.Trace {
+		fmt.Fprintf(stdout, "\ntrace of packet #%d:\n", *tracePk)
+		if err := sys.WriteTrace(stdout); err != nil {
+			return fail(exitRuntime, err)
 		}
 	}
 	if *metricsOut != "" {
 		f, err := os.Create(*metricsOut)
 		if err != nil {
-			fail(exitRuntime, err)
+			return fail(exitRuntime, err)
 		}
-		samp := sys.Sampler()
 		if strings.HasSuffix(*metricsOut, ".jsonl") {
-			err = samp.WriteJSONL(f)
+			err = sys.WriteMetricsJSONL(f)
 		} else {
-			err = samp.WriteCSV(f)
+			err = sys.WriteMetricsCSV(f)
 		}
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			fail(exitRuntime, err)
+			return fail(exitRuntime, err)
 		}
-		fmt.Printf("\nmetrics:      %d samples x %d series -> %s\n",
-			len(samp.Samples()), len(samp.Keys()), *metricsOut)
+		fmt.Fprintf(stdout, "\nmetrics:      %d samples x %d series -> %s\n",
+			len(sys.MetricSamples()), len(sys.MetricNames()), *metricsOut)
 	}
 	if *metricsOn {
-		fmt.Println("\nmetrics snapshot (measured interval):")
-		if err := reg.WriteText(os.Stdout); err != nil {
-			fail(exitRuntime, err)
+		fmt.Fprintln(stdout, "\nmetrics snapshot (measured interval):")
+		if err := sys.WriteMetricsSnapshot(stdout); err != nil {
+			return fail(exitRuntime, err)
 		}
 	}
 	if res.Stalled {
-		fmt.Println("note:         watchdog tripped (no forward progress)")
-		fmt.Fprintln(os.Stderr, "ringmesh:", res.Stall.Summary())
-		os.Exit(exitStall)
+		fmt.Fprintln(stdout, "note:         watchdog tripped (no forward progress)")
+		summary := "no stall report"
+		if res.Stall != nil {
+			summary = res.Stall.Summary
+		}
+		fmt.Fprintln(stderr, "ringmesh:", summary)
+		return exitStall
 	}
+	return 0
 }
 
-// runEstimate answers the configuration through the fidelity registry
+// printEstimate answers the configuration from the closed-form models
 // instead of the engine and prints the estimate with its recorded
-// validation bound. Estimator refusals (features outside the validated
-// envelope) are configuration errors: rerun without -fidelity for the
-// exact answer.
-func runEstimate(fid string, sysCfg core.SystemConfig, rc core.RunConfig, wl workload.MMRP) {
-	est, err := fidelity.Get(fid)
+// validation bound.
+func printEstimate(stdout io.Writer, cfg ringmesh.Config, opt ringmesh.RunOptions) error {
+	res, err := ringmesh.Run(cfg, opt)
 	if err != nil {
-		fail(exitConfig, err)
+		return err
 	}
-	res, err := est.Estimate(context.Background(), sysCfg, rc)
+	// The header the engine path gets from sys.Describe().
+	topology, pms, err := ringmesh.CanonicalTopology(cfg)
 	if err != nil {
-		fail(exitConfig, err)
+		return err
 	}
-	// The geometry resolved through the registry, for the header the
-	// engine path gets from sys.Describe().
-	plan, err := network.New(sysCfg.Network, sysCfg.Net)
-	if err != nil {
-		fail(exitConfig, err)
+	wl := cfg.Workload
+	fmt.Fprintf(stdout, "system:       %s %s (%d PMs), %s estimate\n", cfg.Network, topology, pms, res.Fidelity)
+	fmt.Fprintf(stdout, "workload:     R=%.2f C=%.3f T=%d read-prob=%.2f\n", wl.R, wl.C, wl.T, wl.ReadProb)
+	fmt.Fprintf(stdout, "latency:      %.1f cycles (closed-form, zero-load)\n", res.LatencyCycles)
+	fmt.Fprintf(stdout, "throughput:   %.3f transactions/cycle (estimated)\n", res.Throughput)
+	if b := res.ErrorBound; b != nil {
+		fmt.Fprintf(stdout, "error bound:  max rel err %.1f%% (%s)\n", 100*b.MaxRelErr, b.Basis)
 	}
-	fmt.Printf("system:       %s %s (%d PMs), %s estimate\n",
-		sysCfg.Network, plan.Topology, plan.PMs, fid)
-	fmt.Printf("workload:     R=%.2f C=%.3f T=%d read-prob=%.2f\n", wl.R, wl.C, wl.T, wl.ReadProb)
-	fmt.Printf("latency:      %.1f cycles (closed-form, zero-load)\n", res.Latency)
-	fmt.Printf("throughput:   %.3f transactions/cycle (estimated)\n", res.Throughput)
-	if b, ok := fidelity.BoundFor(sysCfg.Network, sysCfg.Net); ok {
-		fmt.Printf("error bound:  max rel err %.1f%% (%s)\n", 100*b.MaxRelErr, b.Basis)
-	}
-	if res.RingUtil != nil {
-		fmt.Printf("ring util:    global=%.1f%% (bisection bound)\n", 100*res.RingUtil[0])
+	if res.RingUtilization != nil {
+		fmt.Fprintf(stdout, "ring util:    global=%.1f%% (bisection bound)\n", 100*res.RingUtilization[0])
 	} else {
-		fmt.Printf("mesh util:    %.1f%% (bisection bound)\n", 100*res.MeshUtil)
+		fmt.Fprintf(stdout, "mesh util:    %.1f%% (bisection bound)\n", 100*res.MeshUtilization)
 	}
 	if res.Saturated {
-		fmt.Println("note:         estimated past saturation (offered load exceeds the bisection bound)")
+		fmt.Fprintln(stdout, "note:         estimated past saturation (offered load exceeds the bisection bound)")
 	}
-}
-
-// validateFlags checks everything the flag layer owns — value ranges
-// and the fault-plan syntax — before a system is built. Topology and
-// line-size checks stay with the models, which own those rules.
-func validateFlags(faultPlan string, timeout time.Duration, r, c float64, t int,
-	readP float64, warmup, batch int64, batches int, metricsInt int64, workers int) (*fault.Plan, error) {
-	switch {
-	case workers < 1:
-		return nil, fmt.Errorf("-workers %d < 1", workers)
-	case r < 0 || r > 1:
-		return nil, fmt.Errorf("-R %g outside [0,1]", r)
-	case c <= 0 || c > 1:
-		return nil, fmt.Errorf("-C %g outside (0,1]", c)
-	case t < 1:
-		return nil, fmt.Errorf("-T %d < 1", t)
-	case readP < 0 || readP > 1:
-		return nil, fmt.Errorf("-read-prob %g outside [0,1]", readP)
-	case warmup < 0:
-		return nil, fmt.Errorf("-warmup %d < 0", warmup)
-	case batch < 1:
-		return nil, fmt.Errorf("-batch %d < 1", batch)
-	case batches < 1:
-		return nil, fmt.Errorf("-batches %d < 1", batches)
-	case timeout < 0:
-		return nil, fmt.Errorf("-timeout %s < 0", timeout)
-	case metricsInt < 1:
-		return nil, fmt.Errorf("-metrics-interval %d < 1", metricsInt)
-	}
-	if faultPlan == "" {
-		return nil, nil
-	}
-	plan, err := fault.Parse(faultPlan)
-	if err != nil {
-		return nil, fmt.Errorf("-fault-plan: %w", err)
-	}
-	return plan, nil
-}
-
-func fail(code int, err error) {
-	fmt.Fprintln(os.Stderr, "ringmesh:", err)
-	os.Exit(code)
+	return nil
 }

@@ -3,9 +3,8 @@
 // simulation procedure behind the paper's Table 2 ("the topology of a
 // hierarchical ring system greatly affects its performance").
 //
-// Every candidate is first scored through the fidelity registry's
-// analytic backend (microseconds per topology, labeled with its
-// recorded error bound); only the top few estimates are then measured
+// Every candidate is first scored by the analytic tier (microseconds
+// per topology, labeled with its recorded error bound); only the top few estimates are then measured
 // exactly, showing estimate and simulation side by side.
 //
 // Run with:

@@ -1,6 +1,6 @@
 package ringmesh
 
-// Facade-level fault-injection, forensics and sweep-hardening tests.
+// Facade-level fault-injection and forensics tests.
 // Golden compatibility (an enabled-but-empty plan changing nothing)
 // lives in golden_test.go next to the pinned results.
 
@@ -134,6 +134,24 @@ func TestDiagnoseStallFacade(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeWatchdog: a negative watchdog horizon or
+// timeout must be refused, not read as "off" — on the deadlocking
+// configuration above the run would otherwise burn its whole schedule
+// stalled and come back as an ordinary result.
+func TestRunRejectsNegativeWatchdog(t *testing.T) {
+	cfg := Config{Network: "ring", Topology: "2:4", LineBytes: 32, Workload: stressWorkload(),
+		Seed: 1, UnsafeNoVC: true, FaultPlan: "stutter@3000+4000:node=0"}
+	for name, opt := range map[string]RunOptions{
+		"watchdog_cycles": {WarmupCycles: 2000, BatchCycles: 30000, Batches: 4, WatchdogCycles: -1},
+		"timeout_ns":      {WarmupCycles: 2000, BatchCycles: 30000, Batches: 4, Timeout: -time.Second},
+	} {
+		res, err := Run(cfg, opt)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("negative %s: Run returned %+v, %v; want a validation error naming it", name, res, err)
+		}
+	}
+}
+
 func TestRunTimeoutFacade(t *testing.T) {
 	sys, err := NewSystem(Config{
 		Network: "ring", Topology: "2:4", LineBytes: 32,
@@ -162,147 +180,5 @@ func TestRunContextCancelFacade(t *testing.T) {
 	_, err = sys.RunContext(ctx, RunOptions{WarmupCycles: 1 << 40, BatchCycles: 1 << 40, Batches: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestSweepContinuesPastRuntimeFailure exercises the scheduler's
-// failure classification directly: a runtime failure on one size must
-// not stop the remaining sizes, and the completed points must come
-// back alongside the joined error.
-func TestSweepContinuesPastRuntimeFailure(t *testing.T) {
-	pts, err := sweep(context.Background(), []int{4, 8, 16},
-		SweepOptions{Workers: 2},
-		func(ctx context.Context, n int) (SweepPoint, error) {
-			if n == 8 {
-				return SweepPoint{}, fmt.Errorf("ringmesh: size 8 failed after 3 attempt(s): %w", ErrTimeout)
-			}
-			return SweepPoint{Nodes: n, Topology: fmt.Sprint(n), Attempts: 1}, nil
-		})
-	if err == nil {
-		t.Fatal("failing point reported no error")
-	}
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("joined error %v does not unwrap to ErrTimeout", err)
-	}
-	if !strings.Contains(err.Error(), "3 attempt(s)") {
-		t.Errorf("error %q does not report the retry count", err)
-	}
-	if len(pts) != 2 || pts[0].Nodes != 4 || pts[1].Nodes != 16 {
-		t.Fatalf("surviving points = %+v, want sizes 4 and 16", pts)
-	}
-}
-
-// TestSweepFatalStopsScheduling: a configuration error on an early
-// size must stop later sizes from being scheduled at all.
-func TestSweepFatalStopsScheduling(t *testing.T) {
-	var ran []int
-	_, err := sweep(context.Background(), []int{4, 8, 16},
-		SweepOptions{Workers: 1},
-		func(ctx context.Context, n int) (SweepPoint, error) {
-			ran = append(ran, n)
-			return SweepPoint{}, &fatalPointError{fmt.Errorf("size %d: bad config", n)}
-		})
-	if err == nil {
-		t.Fatal("fatal point reported no error")
-	}
-	if len(ran) != 1 {
-		t.Fatalf("scheduled %v after a fatal failure, want just the first size", ran)
-	}
-}
-
-// TestSweepPointTimeoutRetries drives the real retry pipeline: every
-// attempt times out, so the point must be retried exactly Retries
-// times on derived seeds and the final error must carry both the
-// timeout and the attempt count.
-func TestSweepPointTimeoutRetries(t *testing.T) {
-	base := Config{Network: "ring", LineBytes: 32, Workload: PaperWorkload(), Seed: 5}
-	pts, err := SweepSizes(base, []int{8}, SweepOptions{
-		Run:          RunOptions{WarmupCycles: 1 << 40, BatchCycles: 1 << 40, Batches: 1},
-		PointTimeout: 2 * time.Millisecond,
-		Retries:      2,
-		RetryBackoff: time.Millisecond,
-	})
-	if len(pts) != 0 {
-		t.Fatalf("timing-out sweep returned points: %+v", pts)
-	}
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	if !strings.Contains(err.Error(), "after 3 attempt(s)") {
-		t.Fatalf("err %q does not report 3 attempts", err)
-	}
-}
-
-// TestSweepMixedTimeout is the acceptance scenario end to end: one
-// point times out (run schedule far beyond the budget is only
-// reachable for it via per-point wall clock), the rest complete.
-func TestSweepMixedTimeout(t *testing.T) {
-	base := Config{Network: "ring", LineBytes: 32, Workload: PaperWorkload(), Seed: 5}
-	pts, err := sweep(context.Background(), []int{4, 8, 16},
-		SweepOptions{Workers: 3},
-		func(ctx context.Context, n int) (SweepPoint, error) {
-			opt := SweepOptions{Run: QuickRunOptions()}
-			if n == 8 {
-				// This size gets an impossible schedule and a tiny
-				// budget: the real sweepPoint path must time out,
-				// retry on derived seeds, and report the attempts.
-				opt.Run = RunOptions{WarmupCycles: 1 << 40, BatchCycles: 1 << 40, Batches: 1}
-				opt.PointTimeout = 2 * time.Millisecond
-				opt.Retries = 1
-			}
-			return sweepPoint(ctx, base, n, opt)
-		})
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	if !strings.Contains(err.Error(), "size 8 failed after 2 attempt(s)") {
-		t.Fatalf("err %q does not name size 8 with 2 attempts", err)
-	}
-	if len(pts) != 2 || pts[0].Nodes != 4 || pts[1].Nodes != 16 {
-		t.Fatalf("surviving points = %+v, want sizes 4 and 16", pts)
-	}
-	for _, p := range pts {
-		if p.Attempts != 1 {
-			t.Errorf("size %d Attempts = %d, want 1", p.Nodes, p.Attempts)
-		}
-	}
-}
-
-func TestSweepContextCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	base := Config{Network: "ring", LineBytes: 32, Workload: PaperWorkload(), Seed: 1}
-	pts, err := SweepSizesContext(ctx, base, []int{4, 8}, SweepOptions{Run: QuickRunOptions()})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(pts) != 0 {
-		t.Fatalf("canceled sweep returned points: %+v", pts)
-	}
-}
-
-// TestSweepCanceledMidSweep cancels after the first point completes:
-// finished work is returned, unstarted sizes never run, and the error
-// wraps context.Canceled.
-func TestSweepCanceledMidSweep(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var ran []int
-	pts, err := sweep(ctx, []int{4, 8, 16}, SweepOptions{Workers: 1},
-		func(ctx context.Context, n int) (SweepPoint, error) {
-			ran = append(ran, n)
-			if n == 4 {
-				cancel() // the operator hits ^C while the first point runs
-			}
-			return SweepPoint{Nodes: n, Attempts: 1}, nil
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(ran) != 1 || ran[0] != 4 {
-		t.Fatalf("ran %v after cancellation, want just size 4", ran)
-	}
-	if len(pts) != 1 || pts[0].Nodes != 4 {
-		t.Fatalf("completed points = %+v, want the finished size 4", pts)
 	}
 }

@@ -9,8 +9,6 @@ import (
 
 	"ringmesh/internal/fault"
 	"ringmesh/internal/fidelity"
-	"ringmesh/internal/network"
-	"ringmesh/internal/node"
 )
 
 // cacheKeyVersion tags the canonical form; bump it whenever the
@@ -92,20 +90,9 @@ type canonicalRun struct {
 // are possible (a harmless cache miss) but one key for differing
 // results is not.
 func CacheKey(cfg Config, opt RunOptions) (string, error) {
-	fid, err := fidelity.Normalize(cfg.Fidelity)
-	if err != nil {
-		// "auto" lands here too: it is an admission policy, and keying
-		// it would let one key alias two different answers.
-		return "", err
-	}
-	plan, err := network.New(cfg.Network, cfg.netConfig())
-	if err != nil {
-		return "", err
-	}
-	if err := cfg.Workload.internal().Validate(); err != nil {
-		return "", err
-	}
-	faultKey, err := canonicalFaultPlan(cfg.FaultPlan)
+	// Fidelity "auto" fails to resolve: it is an admission policy, and
+	// keying it would let one key alias two different answers.
+	r, err := resolve(cfg)
 	if err != nil {
 		return "", err
 	}
@@ -113,8 +100,8 @@ func CacheKey(cfg Config, opt RunOptions) (string, error) {
 	c := canonicalRun{
 		Version:  cacheKeyVersion,
 		Network:  cfg.Network,
-		Topology: plan.Topology,
-		PMs:      plan.PMs,
+		Topology: r.plan.Topology,
+		PMs:      r.plan.PMs,
 
 		LineBytes:         cfg.LineBytes,
 		BufferFlits:       cfg.BufferFlits,
@@ -124,18 +111,15 @@ func CacheKey(cfg Config, opt RunOptions) (string, error) {
 		UnsafeNoVC:        cfg.UnsafeNoVC,
 
 		Workload:   cfg.Workload,
-		MemLatency: cfg.MemLatencyCycles,
+		MemLatency: r.sys.MemLatency,
 		Seed:       cfg.Seed,
 		Histogram:  cfg.Histogram,
-		FaultPlan:  faultKey,
+		FaultPlan:  canonicalFaultPlan(r.sys.FaultPlan),
 
 		WarmupCycles:   opt.WarmupCycles,
 		BatchCycles:    opt.BatchCycles,
 		Batches:        opt.Batches,
 		WatchdogCycles: opt.WatchdogCycles,
-	}
-	if c.MemLatency == 0 {
-		c.MemLatency = node.DefaultMemLatency
 	}
 	if c.WatchdogCycles == 0 {
 		c.WatchdogCycles = 20000 // core.RunCtx's default horizon
@@ -158,8 +142,8 @@ func CacheKey(cfg Config, opt RunOptions) (string, error) {
 	// backend reads no RNG and runs no schedule, so seed, histogram and
 	// the warmup/batch/watchdog schedule are zeroed for analytic keys:
 	// equivalent analytic requests collapse onto one cache entry.
-	if fid != fidelity.Simulate {
-		c.Fidelity = fid
+	if r.fidelity != fidelity.Simulate {
+		c.Fidelity = r.fidelity
 		c.Seed = 0
 		c.Histogram = false
 		c.WarmupCycles = 0
@@ -176,23 +160,16 @@ func CacheKey(cfg Config, opt RunOptions) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// canonicalFaultPlan parses the fault DSL and re-renders it in a
-// canonical spelling: "" for every observationally-free plan (empty
+// canonicalFaultPlan re-renders a parsed fault plan in a canonical
+// spelling: "" for every observationally-free plan (empty
 // string, "none", a generator asked for zero events — the golden
 // tests prove these bit-identical to no plan at all), the
 // round-trippable event DSL otherwise. Event order is preserved, not
 // sorted: Plan.Materialize breaks start-cycle ties by plan order, so
 // reordered events are not provably equivalent.
-func canonicalFaultPlan(spec string) (string, error) {
-	if spec == "" {
-		return "", nil
-	}
-	plan, err := fault.Parse(spec)
-	if err != nil {
-		return "", err
-	}
-	if plan.Empty() {
-		return "", nil
+func canonicalFaultPlan(plan *fault.Plan) string {
+	if plan == nil || plan.Empty() {
+		return ""
 	}
 	parts := make([]string, 0, len(plan.Events)+1)
 	for _, e := range plan.Events {
@@ -209,5 +186,5 @@ func canonicalFaultPlan(spec string) (string, error) {
 		parts = append(parts, fmt.Sprintf("rand:events=%d,seed=%d,horizon=%d,mean-dur=%d,max-factor=%d",
 			g.Events, g.Seed, g.Horizon, mean, factor))
 	}
-	return strings.Join(parts, ";"), nil
+	return strings.Join(parts, ";")
 }

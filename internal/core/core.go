@@ -96,25 +96,22 @@ type SystemConfig struct {
 	// schedule and results are bit-identical with it on or off, so it
 	// never enters result cache keys. Ignored on the serial path.
 	PhaseStats bool
-	// Fidelity names the answer tier this configuration was submitted
-	// under ("" or "simulate": the exact engine; "analytic": the
-	// closed-form models). NewSystem builds exact systems only and
-	// rejects any other value — analytic answers go through the
-	// fidelity registry (internal/fidelity), which reads this field
-	// as provenance, never as a construction input.
-	Fidelity string
 }
 
 // NewSystem builds a multiprocessor around any registered
 // interconnect model.
 func NewSystem(cfg SystemConfig) (*System, error) {
-	if cfg.Fidelity != "" && cfg.Fidelity != "simulate" {
-		return nil, fmt.Errorf("core: fidelity %q cannot build a steppable system; use the fidelity registry", cfg.Fidelity)
-	}
 	plan, err := network.New(cfg.Network, cfg.Net)
 	if err != nil {
 		return nil, err
 	}
+	return NewSystemOn(plan, cfg)
+}
+
+// NewSystemOn is NewSystem for a caller that already resolved the
+// geometry: plan must be what network.New returns for cfg.Network and
+// cfg.Net.
+func NewSystemOn(plan *network.Plan, cfg SystemConfig) (*System, error) {
 	if err := cfg.Workload.Validate(); err != nil {
 		return nil, err
 	}

@@ -126,40 +126,51 @@ func FormatBounds(rows []BoundRow) string {
 	return b.String()
 }
 
-// BoundFor returns the recorded error bound for a configuration: the
-// gated row matching its exact geometry when one exists, else the
-// worst gated bound across its network family (conservative — the
-// family-wide envelope always covers the per-config one), else not
-// found (third-party networks are never analytically answerable
-// anyway).
+// BoundFor returns the recorded error bound for a configuration, or
+// not found when it does not resolve or its family has no validated
+// rows (third-party networks are never analytically answerable
+// anyway). Estimate attaches the same bound to every answer; this
+// wrapper serves callers that hold a configuration but no estimate.
 func BoundFor(networkName string, cfg network.Config) (Bound, bool) {
-	rows, err := Bounds()
-	if err != nil {
-		return Bound{}, false
-	}
 	plan, err := network.New(networkName, cfg)
 	if err != nil {
 		return Bound{}, false
+	}
+	b := boundFor(plan, cfg)
+	if b == nil {
+		return Bound{}, false
+	}
+	return *b, true
+}
+
+// boundFor looks a resolved geometry up in the validation table: the
+// gated row matching it exactly when one exists, else the worst gated
+// bound across its network family (conservative — the family-wide
+// envelope always covers the per-config one), else nil.
+func boundFor(plan *network.Plan, cfg network.Config) *Bound {
+	rows, err := Bounds()
+	if err != nil {
+		return nil
 	}
 	var (
 		familyMax  float64
 		familyRows int
 	)
 	for _, r := range rows {
-		if !r.Gate || r.Network != networkName {
+		if !r.Gate || r.Network != plan.Name {
 			continue
 		}
 		// Mesh buffer depth changes the round-trip formula, so it joins
 		// the exact match; rings ignore BufferFlits entirely (exactly as
 		// CacheKey zeroes it).
 		exact := r.Topology == plan.Topology && r.LineBytes == cfg.LineBytes &&
-			(networkName != "mesh" || r.BufferFlits == cfg.BufferFlits)
+			(plan.Name != "mesh" || r.BufferFlits == cfg.BufferFlits)
 		if exact {
-			return Bound{
+			return &Bound{
 				MaxRelErr: r.Bound,
 				Basis: fmt.Sprintf("low-load validation of %s %s @%dB (C=%g)",
 					r.Network, r.Topology, r.LineBytes, r.C),
-			}, true
+			}
 		}
 		if r.Bound > familyMax {
 			familyMax = r.Bound
@@ -167,11 +178,11 @@ func BoundFor(networkName string, cfg network.Config) (Bound, bool) {
 		familyRows++
 	}
 	if familyRows == 0 {
-		return Bound{}, false
+		return nil
 	}
-	return Bound{
+	return &Bound{
 		MaxRelErr: familyMax,
 		Basis: fmt.Sprintf("worst case over %d validated %s configs at low load",
-			familyRows, networkName),
-	}, true
+			familyRows, plan.Name),
+	}
 }

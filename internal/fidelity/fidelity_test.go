@@ -1,7 +1,6 @@
 package fidelity
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -12,6 +11,7 @@ import (
 	"ringmesh/internal/core"
 	"ringmesh/internal/fault"
 	"ringmesh/internal/network"
+	"ringmesh/internal/node"
 	"ringmesh/internal/workload"
 )
 
@@ -59,28 +59,48 @@ func validationConfig(netName, topology string, line, buf int, c float64) core.S
 			LineBytes:   line,
 			BufferFlits: buf,
 		},
-		Workload: workload.MMRP{R: 1.0, C: c, T: 1, ReadProb: 0.7},
-		Seed:     1,
+		Workload:   workload.MMRP{R: 1.0, C: c, T: 1, ReadProb: 0.7},
+		MemLatency: node.DefaultMemLatency,
+		Seed:       1,
 	}
 }
 
+// estimate resolves the geometry as the facade does and answers the
+// configuration analytically.
+func estimate(cfg core.SystemConfig) (core.Result, *Bound, error) {
+	plan, err := network.New(cfg.Network, cfg.Net)
+	if err != nil {
+		return core.Result{}, nil, err
+	}
+	return Estimate(plan, cfg)
+}
+
+// bothTiers answers one configuration analytically and by running the
+// flit-level engine on the given schedule.
+func bothTiers(t *testing.T, cfg core.SystemConfig, rc core.RunConfig) (est, exact core.Result) {
+	t.Helper()
+	est, _, err := estimate(cfg)
+	if err != nil {
+		t.Fatalf("analytic: %v", err)
+	}
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("simulate: %v", err)
+	}
+	if exact, err = sys.Run(rc); err != nil {
+		t.Fatalf("simulate: %v", err)
+	}
+	return est, exact
+}
+
 // TestAnalyticWithinRecordedBounds is the validation harness: it runs
-// both backends over the golden configs and the load sweep, and fails
+// both tiers over the golden configs and the load sweep, and fails
 // if the analytic estimate drifts outside the recorded bound on any
 // gated (low-load) row. With FIDELITY_RECORD=1 it instead re-measures
 // every row and rewrites both copies of analytic-bounds.csv (the
 // embedded one and results/).
 func TestAnalyticWithinRecordedBounds(t *testing.T) {
 	record := os.Getenv("FIDELITY_RECORD") == "1"
-	sim, err := Get(Simulate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ana, err := Get(Analytic)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	var recorded []BoundRow
 	existing := map[string]BoundRow{}
 	if !record {
@@ -101,14 +121,7 @@ func TestAnalyticWithinRecordedBounds(t *testing.T) {
 					t.Skip("ungated load point: recorded for documentation only")
 				}
 				cfg := validationConfig(gc.network, gc.topology, gc.line, gc.buf, pt.c)
-				est, err := ana.Estimate(context.Background(), cfg, validationRun)
-				if err != nil {
-					t.Fatalf("analytic: %v", err)
-				}
-				exact, err := sim.Estimate(context.Background(), cfg, validationRun)
-				if err != nil {
-					t.Fatalf("simulate: %v", err)
-				}
+				est, exact := bothTiers(t, cfg, validationRun)
 				if exact.Latency <= 0 {
 					t.Fatalf("simulator produced latency %v", exact.Latency)
 				}
@@ -244,33 +257,6 @@ func TestBoundFor(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	names := Names()
-	want := map[string]bool{Simulate: false, Analytic: false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
-	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("registry missing %q (have %v)", n, names)
-		}
-	}
-	for _, n := range names {
-		e, err := Get(n)
-		if err != nil {
-			t.Fatalf("Get(%q): %v", n, err)
-		}
-		if e.Name() != n {
-			t.Errorf("Get(%q).Name() = %q", n, e.Name())
-		}
-	}
-	if _, err := Get("nonesuch"); err == nil {
-		t.Error("Get of unknown estimator succeeded")
-	}
-}
-
 func TestNormalize(t *testing.T) {
 	for _, tc := range []struct {
 		in, want string
@@ -297,10 +283,6 @@ func TestNormalize(t *testing.T) {
 }
 
 func TestAnalyticUnsupported(t *testing.T) {
-	ana, err := Get(Analytic)
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := func() core.SystemConfig {
 		return validationConfig("mesh", "3x3", 32, 4, 0.04)
 	}
@@ -335,7 +317,7 @@ func TestAnalyticUnsupported(t *testing.T) {
 	cases["deterministic"] = c
 
 	for name, cfg := range cases {
-		if _, err := ana.Estimate(context.Background(), cfg, validationRun); !errors.Is(err, ErrUnsupported) {
+		if _, _, err := estimate(cfg); !errors.Is(err, ErrUnsupported) {
 			t.Errorf("%s: err = %v, want ErrUnsupported", name, err)
 		}
 	}
@@ -344,7 +326,7 @@ func TestAnalyticUnsupported(t *testing.T) {
 	// own message), not an unsupported-feature refusal.
 	c = base()
 	c.Network = "nonesuch"
-	if _, err := ana.Estimate(context.Background(), c, validationRun); err == nil {
+	if _, _, err := estimate(c); err == nil {
 		t.Error("unknown network accepted")
 	}
 }
@@ -354,12 +336,8 @@ func TestAnalyticUnsupported(t *testing.T) {
 // agree with the simulator that the configuration saturates, and at
 // trickle load that it does not.
 func TestAnalyticSaturationVerdict(t *testing.T) {
-	ana, err := Get(Analytic)
-	if err != nil {
-		t.Fatal(err)
-	}
 	low := validationConfig("ring", "2:4", 32, 0, 0.0005)
-	res, err := ana.Estimate(context.Background(), low, validationRun)
+	res, _, err := estimate(low)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +349,7 @@ func TestAnalyticSaturationVerdict(t *testing.T) {
 	}
 
 	high := validationConfig("ring", "2:4", 32, 0, 0.5)
-	res, err = ana.Estimate(context.Background(), high, validationRun)
+	res, _, err = estimate(high)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package analytic
+package fidelity
 
 import (
 	"math"
@@ -18,12 +18,21 @@ func lowLoad() workload.MMRP {
 	return workload.MMRP{R: 1.0, C: 0.0005, T: 1, ReadProb: 0.7}
 }
 
+// modelConfig is the slice of a configuration the formulas read.
+func modelConfig(line, memLatency int, readProb float64) core.SystemConfig {
+	return core.SystemConfig{
+		Net:        network.Config{LineBytes: line},
+		MemLatency: memLatency,
+		Workload:   workload.MMRP{ReadProb: readProb},
+	}
+}
+
 func TestRingRoundTripFormula(t *testing.T) {
 	// 2-node ring, 64B lines, read: h=1 each way, req 1 flit, resp 5
 	// flits, mem 10 → 1+1+1+5+10-1 = 17 (matches the timing test in
 	// internal/ring).
 	spec := topo.MustRingSpec(2)
-	p := Params{LineBytes: 64, MemLatency: 10, ReadProb: 0.7}
+	p := modelConfig(64, 10, 0.7)
 	if got := ringRoundTrip(spec, p, 0, 1, true); got != 17 {
 		t.Fatalf("ring round trip = %d, want 17", got)
 	}
@@ -39,13 +48,13 @@ func TestMeshRoundTripFormula(t *testing.T) {
 	// at 1+1+4=6, memory pickup +1 and service 10, response 12 flits
 	// land 1+1+12=14 cycles after they are pending -> 6+11+14 = 31.
 	spec := topo.MustMeshSpec(2)
-	p := Params{LineBytes: 32, MemLatency: 10, ReadProb: 0.7}
+	p := modelConfig(32, 10, 0.7)
 	if got := meshRoundTrip(spec, p, 0, 1, true); got != 31 {
 		t.Fatalf("mesh round trip = %d, want 31", got)
 	}
 	// With 1-flit buffers the streaming terms double:
 	// (1+2*4) + 11 + (1+2*12) = 45.
-	p.MeshBufFlits = 1
+	p.Net.BufferFlits = 1
 	if got := meshRoundTrip(spec, p, 0, 1, true); got != 45 {
 		t.Fatalf("mesh 1-flit round trip = %d, want 45", got)
 	}
@@ -62,24 +71,14 @@ func TestRingSimulatorMatchesZeroLoadModel(t *testing.T) {
 		{topo.MustRingSpec(2, 4), 64},
 		{topo.MustRingSpec(2, 2, 3), 128},
 	} {
-		p := Params{LineBytes: tc.line, MemLatency: node.DefaultMemLatency, ReadProb: 0.7}
-		want, err := RingZeroLoadLatency(tc.spec, p, lowLoad())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys, err := core.NewSystem(core.SystemConfig{
-			Network:  "ring",
-			Net:      network.Config{Topology: tc.spec.String(), LineBytes: tc.line},
-			Workload: lowLoad(),
-			Seed:     3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.Run(core.RunConfig{WarmupCycles: 20000, BatchCycles: 50000, Batches: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
+		est, res := bothTiers(t, core.SystemConfig{
+			Network:    "ring",
+			Net:        network.Config{Topology: tc.spec.String(), LineBytes: tc.line},
+			Workload:   lowLoad(),
+			MemLatency: node.DefaultMemLatency,
+			Seed:       3,
+		}, core.RunConfig{WarmupCycles: 20000, BatchCycles: 50000, Batches: 4})
+		want := est.Latency
 		if res.Observations < 50 {
 			t.Fatalf("%v: too few observations (%d)", tc.spec, res.Observations)
 		}
@@ -97,26 +96,14 @@ func TestMeshSimulatorMatchesZeroLoadModel(t *testing.T) {
 		{4, 64, 0},
 		{2, 128, 1},
 	} {
-		spec := topo.MustMeshSpec(tc.k)
-		p := Params{LineBytes: tc.line, MemLatency: node.DefaultMemLatency,
-			ReadProb: 0.7, MeshBufFlits: tc.buf}
-		want, err := MeshZeroLoadLatency(spec, p, lowLoad())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys, err := core.NewSystem(core.SystemConfig{
-			Network:  "mesh",
-			Net:      network.Config{Nodes: tc.k * tc.k, LineBytes: tc.line, BufferFlits: tc.buf},
-			Workload: lowLoad(),
-			Seed:     3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.Run(core.RunConfig{WarmupCycles: 20000, BatchCycles: 50000, Batches: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
+		est, res := bothTiers(t, core.SystemConfig{
+			Network:    "mesh",
+			Net:        network.Config{Nodes: tc.k * tc.k, LineBytes: tc.line, BufferFlits: tc.buf},
+			Workload:   lowLoad(),
+			MemLatency: node.DefaultMemLatency,
+			Seed:       3,
+		}, core.RunConfig{WarmupCycles: 20000, BatchCycles: 50000, Batches: 4})
+		want := est.Latency
 		if res.Observations < 50 {
 			t.Fatalf("%dx%d: too few observations (%d)", tc.k, tc.k, res.Observations)
 		}
@@ -128,20 +115,15 @@ func TestMeshSimulatorMatchesZeroLoadModel(t *testing.T) {
 }
 
 func TestRingBisectionBoundOrdering(t *testing.T) {
-	p := Params{LineBytes: 32, MemLatency: 10, ReadProb: 0.7}
+	p := modelConfig(32, 10, 0.7)
 	// More children on the global ring tighten the per-PM bound.
-	three := RingBisectionBound(topo.MustRingSpec(3, 3, 8), p, 1)
-	five := RingBisectionBound(topo.MustRingSpec(5, 3, 8), p, 1)
+	three := ringBisectionBound(topo.MustRingSpec(3, 3, 8), p)
+	five := ringBisectionBound(topo.MustRingSpec(5, 3, 8), p)
 	if five >= three {
 		t.Fatalf("bound should tighten with more children: 3->%v 5->%v", three, five)
 	}
-	// A double-speed global ring doubles the bound.
-	dbl := RingBisectionBound(topo.MustRingSpec(3, 3, 8), p, 2)
-	if math.Abs(dbl-2*three) > 1e-12 {
-		t.Fatalf("double speed bound %v, want %v", dbl, 2*three)
-	}
 	// Single rings are not globally bisection bound.
-	if RingBisectionBound(topo.MustRingSpec(8), p, 1) != 1 {
+	if ringBisectionBound(topo.MustRingSpec(8), p) != 1 {
 		t.Fatal("single ring should return the no-bound sentinel")
 	}
 }
@@ -151,40 +133,40 @@ func TestRingBisectionBoundOrdering(t *testing.T) {
 // the 2-child bound but above the bound once more second-level rings
 // are attached at their saturating sizes.
 func TestRingBoundExplainsSaturation(t *testing.T) {
-	p := Params{LineBytes: 32, MemLatency: 10, ReadProb: 0.7}
+	p := modelConfig(32, 10, 0.7)
 	offered := 0.04 * (1 - 1.0/72)
-	b3 := RingBisectionBound(topo.MustRingSpec(3, 3, 8), p, 1)
+	b3 := ringBisectionBound(topo.MustRingSpec(3, 3, 8), p)
 	if b3 > offered {
 		t.Fatalf("3x3x8 should be past saturation at C=0.04: bound %v vs offered %v", b3, offered)
 	}
 	// The mesh bound at 121 nodes must be far looser than the
 	// equivalent ring bound (the paper's scaling argument).
-	mb := MeshBisectionBound(topo.MustMeshSpec(11), p)
-	rb := RingBisectionBound(topo.MustRingSpec(5, 3, 8), p, 1)
+	mb := meshBisectionBound(topo.MustMeshSpec(11), p)
+	rb := ringBisectionBound(topo.MustRingSpec(5, 3, 8), p)
 	if mb <= rb {
 		t.Fatalf("mesh bound %v should exceed ring bound %v at ~121 nodes", mb, rb)
 	}
 }
 
 func TestMeshBisectionBoundShrinksWithSize(t *testing.T) {
-	p := Params{LineBytes: 64, MemLatency: 10, ReadProb: 0.7}
-	small := MeshBisectionBound(topo.MustMeshSpec(4), p)
-	large := MeshBisectionBound(topo.MustMeshSpec(11), p)
+	p := modelConfig(64, 10, 0.7)
+	small := meshBisectionBound(topo.MustMeshSpec(4), p)
+	large := meshBisectionBound(topo.MustMeshSpec(11), p)
 	if large >= small {
 		t.Fatalf("per-PM mesh bound should shrink with size: %v -> %v", small, large)
 	}
-	if MeshBisectionBound(topo.MustMeshSpec(1), p) != 1 {
+	if meshBisectionBound(topo.MustMeshSpec(1), p) != 1 {
 		t.Fatal("1x1 mesh should return the no-bound sentinel")
 	}
 }
 
 func TestAvgTransactionFlits(t *testing.T) {
-	p := Params{LineBytes: 32, ReadProb: 1.0}
+	p := modelConfig(32, 0, 1.0)
 	// All reads on rings: 1 + 3 = 4 flits.
 	if got := avgTransactionFlits(packet.RingSizing, p); got != 4 {
 		t.Fatalf("read flits = %v", got)
 	}
-	p.ReadProb = 0
+	p.Workload.ReadProb = 0
 	// All writes: 3 + 1 = 4 flits.
 	if got := avgTransactionFlits(packet.RingSizing, p); got != 4 {
 		t.Fatalf("write flits = %v", got)

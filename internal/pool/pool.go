@@ -1,12 +1,12 @@
 // Package pool provides the bounded-concurrency primitives the
 // simulator's fan-out layers share: ForEach, a slice-shaped fan-out
-// with stop-on-fatal scheduling (size sweeps, experiment point grids,
+// with stop-on-fatal scheduling (experiment point grids, topofind,
 // the serving daemon's executor), and Gang, the lockstep worker set
 // under the parallel tick engine (gang.go).
 //
 // ForEach treats a worker count below 1 as 1 — serial execution — so
 // callers can pass a zero value through unchanged. That contract is
-// relied on by SweepOptions.Workers and exp.Spec.
+// relied on by exp.Spec.Workers.
 package pool
 
 import (

@@ -47,7 +47,7 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 
 // TestForEachZeroWorkersIsSerial pins the documented contract that a
 // zero (or negative) worker count means serial execution — the
-// SweepOptions{Workers: 0} semantics.
+// exp.Spec{Workers: 0} semantics.
 func TestForEachZeroWorkersIsSerial(t *testing.T) {
 	for _, workers := range []int{0, -3} {
 		var cur, max int32

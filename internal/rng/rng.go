@@ -37,15 +37,6 @@ func Derive(seed uint64, lane uint64) *Source {
 	return New(mix(base + lane*golden))
 }
 
-// DeriveSeed returns a fresh seed for the given lane of a base seed,
-// with the same decorrelation guarantees as Derive. Use it when the
-// consumer wants a seed value rather than a Source — for example, a
-// sweep retry that must re-run a point on an independent stream while
-// staying a pure function of (base seed, lane).
-func DeriveSeed(seed, lane uint64) uint64 {
-	return mix(New(seed).Uint64() + lane*golden)
-}
-
 // mix is the SplitMix64 output function.
 func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9

@@ -33,7 +33,7 @@ type runRequest struct {
 }
 
 // sweepRequest is the POST /v1/sweeps body: a base Config measured at
-// each size (topology re-derived per size, as SweepSizes does).
+// each size (topology re-derived per size).
 type sweepRequest struct {
 	Config     ringmesh.Config      `json:"config"`
 	Sizes      []int                `json:"sizes"`
@@ -187,25 +187,6 @@ func (s *Server) gate(w http.ResponseWriter, r *http.Request, into any) bool {
 		return false
 	}
 	return true
-}
-
-// validateRunOptions checks the schedule fields the models never see
-// (CacheKey validates the config itself).
-func validateRunOptions(o ringmesh.RunOptions) error {
-	switch {
-	case o.WarmupCycles < 0:
-		return fmt.Errorf("warmup_cycles %d < 0", o.WarmupCycles)
-	case o.BatchCycles < 1:
-		return fmt.Errorf("batch_cycles %d < 1", o.BatchCycles)
-	case o.Batches < 1:
-		return fmt.Errorf("batches %d < 1", o.Batches)
-	case o.WatchdogCycles < 0:
-		return fmt.Errorf("watchdog_cycles %d < 0", o.WatchdogCycles)
-	case o.Timeout < 0:
-		return fmt.Errorf("timeout_ns %d < 0", o.Timeout)
-	default:
-		return nil
-	}
 }
 
 // optionsOr resolves a request's optional schedule (omitted:

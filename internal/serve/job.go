@@ -153,7 +153,7 @@ type outcome struct {
 // newPoint validates one configuration and schedule and keys it; where
 // locates it in error messages (" at size 16", " at entry 3").
 func newPoint(cfg ringmesh.Config, opt ringmesh.RunOptions, where string) (point, error) {
-	if err := validateRunOptions(opt); err != nil {
+	if err := opt.Validate(); err != nil {
 		return point{}, fmt.Errorf("invalid options%s: %w", where, err)
 	}
 	// The model's own validation message, verbatim — the same text
@@ -170,8 +170,8 @@ func newPoint(cfg ringmesh.Config, opt ringmesh.RunOptions, where string) (point
 // doomed job fails at submit with the model's message, not halfway
 // through; family labels the job's metrics (a batch may mix networks,
 // so it has its own). A run is one point; a sweep one per size, its
-// topology re-derived from the node count as SweepSizes does, in
-// ascending size order (the document's); a batch one per entry.
+// topology re-derived from the node count, in ascending size order
+// (the document's); a batch one per entry.
 func expand(sub journalRecord) (points []point, family string, err error) {
 	if sub.Kind == kindBatch {
 		if len(sub.Entries) == 0 {
@@ -183,7 +183,7 @@ func expand(sub journalRecord) (points []point, family string, err error) {
 				return nil, "", err
 			}
 			// Validated above, so the geometry resolves.
-			points[i].topo, _ = ringmesh.CanonicalTopology(e.Config)
+			points[i].topo, _, _ = ringmesh.CanonicalTopology(e.Config)
 			points[i].auto = e.auto
 		}
 		return points, "batch", nil
@@ -207,7 +207,7 @@ func expand(sub journalRecord) (points []point, family string, err error) {
 		if points[i], err = newPoint(cfg, *sub.Options, fmt.Sprintf(" at size %d", n)); err != nil {
 			return nil, "", err
 		}
-		points[i].topo, _ = ringmesh.CanonicalTopology(cfg)
+		points[i].topo, _, _ = ringmesh.CanonicalTopology(cfg)
 		points[i].nodes, points[i].auto = n, sub.auto
 	}
 	sort.SliceStable(points, func(a, b int) bool { return points[a].nodes < points[b].nodes })

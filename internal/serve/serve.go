@@ -683,7 +683,7 @@ func (s *Server) simulate(ctx context.Context, j *job, p point) (ringmesh.Result
 	cfg := p.cfg
 	// Analytic-fidelity work routes to the closed-form estimator: no
 	// system is built, no ticks run, and the result comes back labeled
-	// with its recorded error bound. Estimator refusals (unsupported
+	// with its recorded error bound. Its refusals (unsupported
 	// features) are configuration errors — the client asked for a tier
 	// that cannot answer this config.
 	if cfg.Fidelity == fidelity.Analytic {

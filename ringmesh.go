@@ -44,6 +44,7 @@ import (
 	"ringmesh/internal/fidelity"
 	"ringmesh/internal/metrics"
 	"ringmesh/internal/network"
+	"ringmesh/internal/node"
 	"ringmesh/internal/obs"
 	"ringmesh/internal/sim"
 	"ringmesh/internal/topo"
@@ -182,8 +183,8 @@ type Config struct {
 	// Fidelity selects the answer tier: "" or "simulate" runs the
 	// exact flit-level engine (the default, byte-identical cache keys
 	// with pre-fidelity versions), "analytic" answers from the
-	// closed-form models of internal/analytic in microseconds with a
-	// recorded error bound (see Estimate and Result.ErrorBound).
+	// closed-form models in microseconds with a recorded error bound
+	// (see Estimate and Result.ErrorBound).
 	// Fidelity joins the cache key, so analytic and exact results can
 	// never collide. The serving daemon additionally accepts "auto"
 	// (cache hit → analytic now → exact upgrade job), resolved at
@@ -223,6 +224,28 @@ func DefaultRunOptions() RunOptions {
 // QuickRunOptions returns a shortened schedule for smoke tests.
 func QuickRunOptions() RunOptions {
 	return RunOptions{WarmupCycles: 1000, BatchCycles: 1000, Batches: 4}
+}
+
+// Validate range-checks the schedule: the one rule every entry point
+// (System.Run, the serving daemon's admission, the command line)
+// applies. A negative watchdog horizon or timeout is rejected rather
+// than read as "off" — the engine arms either only when positive, so a
+// stalled run would otherwise burn its whole schedule.
+func (o RunOptions) Validate() error {
+	switch {
+	case o.WarmupCycles < 0:
+		return fmt.Errorf("warmup_cycles %d < 0", o.WarmupCycles)
+	case o.BatchCycles < 1:
+		return fmt.Errorf("batch_cycles %d < 1", o.BatchCycles)
+	case o.Batches < 1:
+		return fmt.Errorf("batches %d < 1", o.Batches)
+	case o.WatchdogCycles < 0:
+		return fmt.Errorf("watchdog_cycles %d < 0", o.WatchdogCycles)
+	case o.Timeout < 0:
+		return fmt.Errorf("timeout_ns %d < 0", o.Timeout)
+	default:
+		return nil
+	}
 }
 
 func (o RunOptions) internal() core.RunConfig {
@@ -288,6 +311,22 @@ type Result struct {
 	ErrorBound *ErrorBound `json:"error_bound,omitempty"`
 }
 
+// SweepPoint is one measurement of a size sweep, as the serving
+// daemon's sweep job documents report it (POST /v1/sweeps).
+type SweepPoint struct {
+	// Nodes is the processor count of this point.
+	Nodes int `json:"nodes"`
+	// Topology is the resolved geometry in the model's notation
+	// ("2:3:4" for rings, "8x8" for meshes).
+	Topology string `json:"topology"`
+	// Result holds the measurements.
+	Result Result `json:"result"`
+	// Attempts is how many dispatches this point took (1 = first try;
+	// a coordinator re-dispatches a point whose worker failed, on the
+	// same seed, so a retried point is still reproducible).
+	Attempts int `json:"attempts"`
+}
+
 // ErrorBound is the recorded analytic-vs-simulate validation envelope
 // attached to analytic-fidelity results: the worst relative latency
 // error observed (plus margin) when both backends ran the golden
@@ -325,7 +364,7 @@ type StallDiagnosis struct {
 var ErrStalled = sim.ErrStalled
 
 // ErrTimeout matches (via errors.Is) any run error caused by
-// exceeding RunOptions.Timeout or SweepOptions.PointTimeout.
+// exceeding RunOptions.Timeout.
 var ErrTimeout = core.ErrTimeout
 
 // DiagnoseStall extracts the stall diagnosis from an error returned
@@ -423,48 +462,29 @@ func (s *System) PacketTimeline(id uint64) []TraceEvent {
 	return out
 }
 
-func recorderFor(on bool, only uint64) *trace.Recorder {
-	if !on {
-		return nil
-	}
-	return &trace.Recorder{OnlyPacket: only}
+// resolved is what every entry point reads of a Config: the one place
+// a configuration becomes a geometry, a validated workload and a
+// parsed fault plan. NewSystem, Estimate, CacheKey and
+// CanonicalTopology are each a few lines over it.
+type resolved struct {
+	// fidelity is the normalized answer tier (fidelity.Simulate or
+	// fidelity.Analytic).
+	fidelity string
+	// plan is the geometry as the topology registry resolved it.
+	plan *network.Plan
+	// sys is the configuration as both tiers read it: network,
+	// validated workload, memory latency with its default filled in,
+	// seed, parsed fault plan. The observation attachments (tracer,
+	// metrics) are NewSystem's to add.
+	sys core.SystemConfig
 }
 
-// NewSystem builds a multiprocessor over the interconnect named by
-// cfg.Network, resolved through the topology registry. Only exact
-// (simulate-fidelity) systems can be built and stepped; analytic
-// configurations are answered by Estimate or Run instead.
-func NewSystem(cfg Config) (*System, error) {
-	if name, err := fidelity.Normalize(cfg.Fidelity); err != nil {
-		return nil, err
-	} else if name != fidelity.Simulate {
-		return nil, fmt.Errorf("ringmesh: fidelity %q cannot build a steppable system; use Run or Estimate", cfg.Fidelity)
-	}
-	rec := recorderFor(cfg.Trace, cfg.TraceOnlyPacket)
-	var reg *metrics.Registry
-	interval := cfg.MetricsIntervalCycles
-	if cfg.Metrics {
-		reg = &metrics.Registry{}
-		if interval <= 0 {
-			interval = 100
-		}
-	}
-	sc, err := cfg.coreConfig()
+func resolve(cfg Config) (resolved, error) {
+	fid, err := fidelity.Normalize(cfg.Fidelity)
 	if err != nil {
-		return nil, err
+		return resolved{}, err
 	}
-	sc.Tracer, sc.Metrics, sc.MetricsInterval, sc.PhaseStats = rec, reg, interval, cfg.PhaseStats
-	sys, err := core.NewSystem(sc)
-	if err != nil {
-		return nil, err
-	}
-	return &System{inner: sys, rec: rec}, nil
-}
-
-// netConfig is the interconnect half of the configuration, as the
-// topology registry's factories read it.
-func (cfg Config) netConfig() network.Config {
-	return network.Config{
+	net := network.Config{
 		Topology:          cfg.Topology,
 		Nodes:             cfg.Nodes,
 		LineBytes:         cfg.LineBytes,
@@ -473,28 +493,71 @@ func (cfg Config) netConfig() network.Config {
 		SlottedSwitching:  cfg.SlottedSwitching,
 		UnsafeNoVC:        cfg.UnsafeNoVC,
 	}
-}
-
-// coreConfig is what every answer tier reads of the configuration: the
-// network, the workload, the seed and the parsed fault plan.
-func (cfg Config) coreConfig() (core.SystemConfig, error) {
-	var plan *fault.Plan
+	plan, err := network.New(cfg.Network, net)
+	if err != nil {
+		return resolved{}, err
+	}
+	wl := cfg.Workload.internal()
+	if err := wl.Validate(); err != nil {
+		return resolved{}, err
+	}
+	var faults *fault.Plan
 	if cfg.FaultPlan != "" {
-		var err error
-		if plan, err = fault.Parse(cfg.FaultPlan); err != nil {
-			return core.SystemConfig{}, err
+		if faults, err = fault.Parse(cfg.FaultPlan); err != nil {
+			return resolved{}, err
 		}
 	}
-	return core.SystemConfig{
+	memLatency := cfg.MemLatencyCycles
+	if memLatency == 0 {
+		memLatency = node.DefaultMemLatency
+	}
+	return resolved{fidelity: fid, plan: plan, sys: core.SystemConfig{
 		Network:    cfg.Network,
-		Net:        cfg.netConfig(),
-		Workload:   cfg.Workload.internal(),
-		MemLatency: cfg.MemLatencyCycles,
+		Net:        net,
+		Workload:   wl,
+		MemLatency: memLatency,
 		Seed:       cfg.Seed,
 		Histogram:  cfg.Histogram,
-		FaultPlan:  plan,
+		FaultPlan:  faults,
 		Workers:    cfg.Workers,
-	}, nil
+		PhaseStats: cfg.PhaseStats,
+	}}, nil
+}
+
+// NewSystem builds a multiprocessor over the interconnect named by
+// cfg.Network, resolved through the topology registry. Only exact
+// (simulate-fidelity) systems can be built and stepped; analytic
+// configurations are answered by Estimate or Run instead.
+func NewSystem(cfg Config) (*System, error) {
+	r, err := resolve(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if r.fidelity != fidelity.Simulate {
+		return nil, fmt.Errorf("ringmesh: fidelity %q cannot build a steppable system; use Run or Estimate", cfg.Fidelity)
+	}
+	return r.newSystem(cfg)
+}
+
+// newSystem assembles the engine on the resolved geometry, attaching
+// the observers the configuration asks for.
+func (r resolved) newSystem(cfg Config) (*System, error) {
+	sc := r.sys
+	if cfg.Trace {
+		sc.Tracer = &trace.Recorder{OnlyPacket: cfg.TraceOnlyPacket}
+	}
+	if cfg.Metrics {
+		sc.Metrics = &metrics.Registry{}
+		sc.MetricsInterval = cfg.MetricsIntervalCycles
+		if sc.MetricsInterval <= 0 {
+			sc.MetricsInterval = 100
+		}
+	}
+	sys, err := core.NewSystemOn(r.plan, sc)
+	if err != nil {
+		return nil, err
+	}
+	return &System{inner: sys, rec: sc.Tracer}, nil
 }
 
 // Run executes the batch-means schedule and returns the measurements.
@@ -507,6 +570,9 @@ func (s *System) Run(opt RunOptions) (Result, error) {
 // wall-clock time, and an internal model panic is recovered into an
 // error instead of crashing the caller.
 func (s *System) RunContext(ctx context.Context, opt RunOptions) (Result, error) {
+	if err := opt.Validate(); err != nil {
+		return Result{}, err
+	}
 	r, err := s.inner.RunCtx(ctx, opt.internal())
 	if err != nil {
 		return Result{}, err
@@ -612,6 +678,15 @@ func (s *System) WriteMetricsSnapshot(w io.Writer) error {
 	return fmt.Errorf("ringmesh: metrics disabled (set Config.Metrics)")
 }
 
+// WriteTrace writes the recorded packet lifecycle events, one line
+// each. It errors unless the system was built with Trace.
+func (s *System) WriteTrace(w io.Writer) error {
+	if s.rec != nil {
+		return s.rec.Write(w)
+	}
+	return fmt.Errorf("ringmesh: tracing disabled (set Config.Trace)")
+}
+
 // PMs returns the number of processing modules.
 func (s *System) PMs() int { return s.inner.PMs() }
 
@@ -630,76 +705,73 @@ func (s *System) Describe() string { return s.inner.Describe() }
 func (s *System) Topology() string { return s.inner.Topology() }
 
 // Run builds and measures a system over any registered interconnect
-// in one call, routed by Config.Fidelity: exact simulation by
-// default, the analytic estimator (see Estimate) when the config asks
-// for it.
+// in one call. It is the one place that chooses the answer tier from
+// Config.Fidelity: exact simulation by default, the closed-form models
+// (see Estimate) when the config asks for them.
 func Run(cfg Config, opt RunOptions) (Result, error) {
-	name, err := fidelity.Normalize(cfg.Fidelity)
+	r, err := resolve(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	if name != fidelity.Simulate {
-		return Estimate(cfg, opt)
+	if r.fidelity == fidelity.Analytic {
+		return r.estimate()
 	}
-	sys, err := NewSystem(cfg)
+	sys, err := r.newSystem(cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	return sys.Run(opt)
 }
 
-// Estimate answers the configuration through the fidelity registry
-// without building the engine: Config.Fidelity selects the backend
-// ("" or "simulate" runs the exact engine; "analytic" evaluates the
-// closed-form models in microseconds). Analytic results are labeled
-// (Result.Fidelity) and carry the recorded validation envelope
-// (Result.ErrorBound) when their network family has one. Analytic
-// estimation fails for configurations outside the validated envelope
-// — slotted switching, double-speed global rings, fault plans,
-// open-loop or deterministic workloads — rather than returning an
-// unlabeled guess; callers fall back to exact simulation.
-func Estimate(cfg Config, opt RunOptions) (Result, error) {
-	name, err := fidelity.Normalize(cfg.Fidelity)
+// Estimate answers an analytic-fidelity configuration from the
+// closed-form models, in microseconds, without building the engine
+// (the schedule plays no part). The result is labeled
+// (Result.Fidelity) and carries the recorded validation envelope
+// (Result.ErrorBound) when its network family has one. Estimation
+// fails for configurations outside the validated envelope — slotted
+// switching, double-speed global rings, fault plans, open-loop or
+// deterministic workloads — rather than returning an unlabeled guess;
+// callers fall back to exact simulation. A configuration naming the
+// exact tier is refused, as NewSystem refuses an analytic one: Run is
+// what chooses between them.
+func Estimate(cfg Config, _ RunOptions) (Result, error) {
+	r, err := resolve(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	est, err := fidelity.Get(name)
+	if r.fidelity != fidelity.Analytic {
+		return Result{}, fmt.Errorf("ringmesh: Estimate answers fidelity %q only, not %q; use Run", fidelity.Analytic, r.fidelity)
+	}
+	return r.estimate()
+}
+
+func (r resolved) estimate() (Result, error) {
+	cr, bound, err := fidelity.Estimate(r.plan, r.sys)
 	if err != nil {
 		return Result{}, err
 	}
-	sc, err := cfg.coreConfig()
-	if err != nil {
-		return Result{}, err
-	}
-	sc.Fidelity = name
-	r, err := est.Estimate(context.Background(), sc, opt.internal())
-	if err != nil {
-		return Result{}, err
-	}
-	res := fromCore(r)
-	if name != fidelity.Simulate {
-		res.Fidelity = name
-		if b, ok := fidelity.BoundFor(cfg.Network, sc.Net); ok {
-			res.ErrorBound = &ErrorBound{MaxRelErr: b.MaxRelErr, Basis: b.Basis}
-		}
+	res := fromCore(cr)
+	res.Fidelity = fidelity.Analytic
+	if bound != nil {
+		res.ErrorBound = &ErrorBound{MaxRelErr: bound.MaxRelErr, Basis: bound.Basis}
 	}
 	return res, nil
 }
 
-// Fidelities returns the registered estimator backend names, sorted;
-// valid values for Config.Fidelity (the serving daemon additionally
-// accepts "auto").
-func Fidelities() []string { return fidelity.Names() }
+// Fidelities returns the valid values for Config.Fidelity — the fixed
+// pair of answer tiers (the serving daemon additionally accepts
+// "auto").
+func Fidelities() []string { return []string{fidelity.Analytic, fidelity.Simulate} }
 
-// CanonicalTopology returns the configuration's resolved geometry in
-// the model's canonical notation — what System.Topology would report —
-// without building the system.
-func CanonicalTopology(cfg Config) (string, error) {
-	plan, err := network.New(cfg.Network, cfg.netConfig())
+// CanonicalTopology returns the configuration's resolved geometry —
+// the model's canonical notation, which System.Topology would report,
+// and the processor count — without building the system.
+func CanonicalTopology(cfg Config) (topology string, pms int, err error) {
+	r, err := resolve(cfg)
 	if err != nil {
-		return "", err
+		return "", 0, err
 	}
-	return plan.Topology, nil
+	return r.plan.Topology, r.plan.PMs, nil
 }
 
 // Topologies returns the names of all registered interconnect models,

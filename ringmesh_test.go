@@ -2,8 +2,6 @@ package ringmesh
 
 import (
 	"bytes"
-	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -134,81 +132,68 @@ func TestSingleRingCapacity(t *testing.T) {
 	}
 }
 
+// runSizes is the size sweep as the README spells it: one Run per node
+// count, the geometry re-derived from Nodes alone.
+func runSizes(base Config, sizes []int) ([]SweepPoint, error) {
+	var pts []SweepPoint
+	for _, n := range sizes {
+		cfg := base
+		cfg.Topology, cfg.Nodes = "", n
+		topology, _, err := CanonicalTopology(cfg)
+		if err != nil {
+			return pts, err
+		}
+		res, err := Run(cfg, QuickRunOptions())
+		if err != nil {
+			return pts, err
+		}
+		pts = append(pts, SweepPoint{Nodes: n, Topology: topology, Result: res, Attempts: 1})
+	}
+	return pts, nil
+}
+
 func TestSweepRingSizes(t *testing.T) {
-	pts, err := SweepSizes(Config{
+	pts, err := runSizes(Config{
 		Network:   "ring",
 		LineBytes: 32,
 		Workload:  PaperWorkload(),
 		Seed:      1,
-	}, []int{8, 16, 24}, SweepOptions{Run: QuickRunOptions(), Workers: 2})
+	}, []int{8, 16, 24})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
-	for i, p := range pts {
+	for _, p := range pts {
 		if p.Topology == "" || p.Result.LatencyCycles <= 0 {
 			t.Fatalf("bad point %+v", p)
-		}
-		if i > 0 && pts[i-1].Nodes >= p.Nodes {
-			t.Fatal("points not sorted")
 		}
 	}
 }
 
 func TestSweepMeshSizes(t *testing.T) {
-	pts, err := SweepSizes(Config{
+	pts, err := runSizes(Config{
 		Network:     "mesh",
 		LineBytes:   32,
 		BufferFlits: 4,
 		Workload:    PaperWorkload(),
 		Seed:        1,
-	}, []int{4, 16}, SweepOptions{Run: QuickRunOptions(), Workers: 2})
+	}, []int{4, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 || pts[0].Nodes != 4 || pts[1].Nodes != 16 {
+	if len(pts) != 2 || pts[0].Result.LatencyCycles <= 0 || pts[1].Result.LatencyCycles <= pts[0].Result.LatencyCycles {
 		t.Fatalf("points = %+v", pts)
 	}
 }
 
-// TestSweepWorkersZeroIsSerial pins the documented SweepOptions
-// contract: Workers 0 (the zero value) means 1, a serial sweep — not
-// DefaultSweepOptions' parallel default — and produces exactly the
-// points a parallel sweep does. (The serial-scheduling guarantee
-// itself is pinned at the shared pool: internal/pool's
-// TestForEachZeroWorkersIsSerial.)
-func TestSweepWorkersZeroIsSerial(t *testing.T) {
-	base := Config{
-		Network:   "mesh",
-		LineBytes: 32,
-		Workload:  PaperWorkload(),
-		Seed:      7,
-	}
-	sizes := []int{4, 9, 16}
-	serial, err := SweepSizes(base, sizes, SweepOptions{Run: QuickRunOptions(), Workers: 0})
-	if err != nil {
-		t.Fatalf("Workers:0 sweep: %v", err)
-	}
-	parallel, err := SweepSizes(base, sizes, SweepOptions{Run: QuickRunOptions(), Workers: 3})
-	if err != nil {
-		t.Fatalf("Workers:3 sweep: %v", err)
-	}
-	if len(serial) != len(sizes) {
-		t.Fatalf("serial sweep returned %d points, want %d", len(serial), len(sizes))
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("serial points differ from parallel points:\n%+v\nvs\n%+v", serial, parallel)
-	}
-}
-
 func TestSweepPropagatesErrors(t *testing.T) {
-	_, err := SweepSizes(Config{
+	_, err := runSizes(Config{
 		Network:   "mesh",
 		LineBytes: 32,
 		Workload:  PaperWorkload(),
-	}, []int{5}, SweepOptions{Run: QuickRunOptions()})
+	}, []int{5})
 	if err == nil {
 		t.Fatal("non-square sweep size accepted")
 	}
@@ -395,79 +380,14 @@ func TestGenericRunUnknownNetwork(t *testing.T) {
 }
 
 func TestGenericSweepRecordsMeshTopology(t *testing.T) {
-	pts, err := SweepSizes(Config{Network: "mesh", LineBytes: 32, BufferFlits: 4,
-		Workload: PaperWorkload(), Seed: 3}, []int{4, 9}, SweepOptions{Run: QuickRunOptions(), Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[int]string{4: "2x2", 9: "3x3"}
-	if len(pts) != 2 {
-		t.Fatalf("got %d points, want 2", len(pts))
-	}
-	for _, p := range pts {
-		if p.Topology != want[p.Nodes] {
-			t.Errorf("size %d Topology = %q, want %q", p.Nodes, p.Topology, want[p.Nodes])
+	for nodes, want := range map[int]string{4: "2x2", 9: "3x3"} {
+		got, pms, err := CanonicalTopology(Config{Network: "mesh", Nodes: nodes, LineBytes: 32,
+			BufferFlits: 4, Workload: PaperWorkload()})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestSweepReportsAllErrors(t *testing.T) {
-	// Every point fails (non-square mesh sizes). Scheduling stops once
-	// a failure has been recorded, so between one and all of the
-	// errors surface — every one that does must be in the joined
-	// message, each labelled with its size.
-	_, err := SweepSizes(Config{Network: "mesh", LineBytes: 32,
-		Workload: PaperWorkload()}, []int{5, 7}, SweepOptions{Run: QuickRunOptions(), Workers: 2})
-	if err == nil {
-		t.Fatal("expected errors for non-square mesh sizes")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "size 5") && !strings.Contains(msg, "size 7") {
-		t.Errorf("joined error %q names no failing point", msg)
-	}
-	if !strings.Contains(msg, "square") {
-		t.Errorf("joined error %q lost the underlying cause", msg)
-	}
-}
-
-// TestSweepTelemetry checks the per-point JSONL stream: one valid
-// line per completed point carrying the summary measurements.
-func TestSweepTelemetry(t *testing.T) {
-	var buf bytes.Buffer
-	pts, err := SweepSizes(Config{
-		Network:   "ring",
-		LineBytes: 32,
-		Workload:  PaperWorkload(),
-		Seed:      3,
-	}, []int{8, 16}, SweepOptions{Run: QuickRunOptions(), Workers: 2, Telemetry: &buf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(pts) {
-		t.Fatalf("%d telemetry lines for %d points:\n%s", len(lines), len(pts), buf.String())
-	}
-	byNodes := map[int]SweepPoint{}
-	for _, p := range pts {
-		byNodes[p.Nodes] = p
-	}
-	for _, line := range lines {
-		var tele struct {
-			Nodes      int     `json:"nodes"`
-			Topology   string  `json:"topology"`
-			Latency    float64 `json:"latency_cycles"`
-			Throughput float64 `json:"throughput"`
-		}
-		if err := json.Unmarshal([]byte(line), &tele); err != nil {
-			t.Fatalf("bad telemetry line %q: %v", line, err)
-		}
-		p, ok := byNodes[tele.Nodes]
-		if !ok {
-			t.Fatalf("telemetry for unknown point %d", tele.Nodes)
-		}
-		if tele.Topology != p.Topology || tele.Latency != p.Result.LatencyCycles ||
-			tele.Throughput != p.Result.Throughput {
-			t.Fatalf("telemetry %+v disagrees with point %+v", tele, p)
+		if got != want || pms != nodes {
+			t.Errorf("size %d resolves to %q with %d PMs, want %q", nodes, got, pms, want)
 		}
 	}
 }
