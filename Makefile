@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check staticcheck race loc bench-smoke bench-guard bench-baseline bench-test bench-run-smoke profile smoke-ringmeshd fuzz-smoke ci
+.PHONY: all build test vet fmt-check staticcheck race loc bench-smoke bench-guard bench-baseline bench-test bench-run-smoke bench-probe-smoke profile smoke-ringmeshd fuzz-smoke ci
 
 all: build
 
@@ -73,6 +73,15 @@ bench-test:
 bench-run-smoke:
 	bash bench/run.sh -all -smoke
 
+# The benchmark's per-layer probes fail unless the 8x8 mesh engages the
+# worker gang at Workers=2 (bench/layers.go, sim.par2_*). Run them once
+# at smoke length, so a change cannot shrink the parallel engine past
+# what the benchmark needs without CI saying so.
+bench-probe-smoke:
+	@out=$$(bash bench/run.sh -workload mesh-sim -trace 1 -smoke) || exit 1; \
+	echo "$$out" | grep '^mesh-sim sim\.par2_speedup_mesh8x8 ' || \
+		{ echo "bench probes no longer report sim.par2_speedup_mesh8x8"; exit 1; }
+
 # CPU- and heap-profile one benchmark — by default the whole-system ring
 # tick, long enough for a few seconds of samples; e.g.
 # `make profile BENCH=BenchmarkSimMesh121 BENCHTIME=100000x`. Inspect with
@@ -99,4 +108,4 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s
 
 # The gate run by .github/workflows/ci.yml.
-ci: vet fmt-check staticcheck build race loc bench-test bench-run-smoke bench-smoke bench-guard fuzz-smoke smoke-ringmeshd
+ci: vet fmt-check staticcheck build race loc bench-test bench-run-smoke bench-probe-smoke bench-smoke bench-guard fuzz-smoke smoke-ringmeshd

@@ -11,6 +11,7 @@ package ringmesh
 // (simulated cycles per second) for both network models.
 
 import (
+	"flag"
 	"testing"
 
 	"ringmesh/internal/core"
@@ -79,16 +80,32 @@ func BenchmarkAblateSwitching(b *testing.B) { runExperiment(b, "ablate-switching
 
 // --- simulator micro-benchmarks ----------------------------------------
 
+// benchWorkers is Config.Workers for every BenchmarkSim* system, so one
+// benchmark measures a model serial and at a worker count (DESIGN §8's
+// table): go test -run '^$' -bench 'SimRing72$' -bench-workers 2 .
+var benchWorkers = flag.Int("bench-workers", 0, "Config.Workers for the BenchmarkSim* systems")
+
 // benchCycles measures raw simulated-cycle throughput of a system: one
 // op is one PM clock cycle of the whole system, so ns/op divided by
 // PMcycles/op (the PM count) is the cost of one PM-cycle.
-func benchCycles(b *testing.B, build func() (*System, error)) {
+func benchCycles(b *testing.B, cfg Config) {
 	b.Helper()
-	sys, err := build()
+	cfg.Workers = *benchWorkers
+	benchSystem(b, cfg)
+}
+
+// benchSystem warms cfg's system into steady state and times b.N PM
+// cycles of it. A mesh asked for workers must engage the gang.
+func benchSystem(b *testing.B, cfg Config) {
+	b.Helper()
+	sys, err := NewSystem(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm the system into steady state before timing.
+	defer sys.Close()
+	if cfg.Workers > 1 && cfg.Network == "mesh" && !sys.Parallel() {
+		b.Fatalf("Workers=%d did not engage the parallel engine", cfg.Workers)
+	}
 	if err := sys.StepCycles(1000); err != nil {
 		b.Fatal(err)
 	}
@@ -100,73 +117,55 @@ func benchCycles(b *testing.B, build func() (*System, error)) {
 }
 
 func BenchmarkSimRing24(b *testing.B) {
-	benchCycles(b, func() (*System, error) {
-		return NewSystem(Config{Network: "ring", Topology: "3:8", LineBytes: 32,
-			Workload: PaperWorkload(), Seed: 1})
-	})
+	benchCycles(b, Config{Network: "ring", Topology: "3:8", LineBytes: 32,
+		Workload: PaperWorkload(), Seed: 1})
 }
 
 func BenchmarkSimRing72(b *testing.B) {
-	benchCycles(b, func() (*System, error) {
-		return NewSystem(Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
-			Workload: PaperWorkload(), Seed: 1})
-	})
+	benchCycles(b, Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
+		Workload: PaperWorkload(), Seed: 1})
 }
 
 // BenchmarkSimRing72LowLoad is the paper's low-load regime (R=0.2,
 // T=1: most stations idle on most cycles, as in most points of Figs
 // 6-21), where the tick's cost is the station visit, not the flits.
 func BenchmarkSimRing72LowLoad(b *testing.B) {
-	benchCycles(b, func() (*System, error) {
-		return NewSystem(Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
-			Workload: Workload{R: 0.2, C: 0.04, T: 1, ReadProb: 0.7}, Seed: 1})
-	})
+	benchCycles(b, Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
+		Workload: Workload{R: 0.2, C: 0.04, T: 1, ReadProb: 0.7}, Seed: 1})
 }
 
 // BenchmarkSimRing72Metrics is BenchmarkSimRing72 with the instrument
 // registry and sampler attached — the enabled-path overhead of the
 // metrics subsystem (compare with BenchmarkSimRing72).
 func BenchmarkSimRing72Metrics(b *testing.B) {
-	benchCycles(b, func() (*System, error) {
-		return NewSystem(Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
-			Workload: PaperWorkload(), Seed: 1,
-			Metrics: true, MetricsIntervalCycles: 100})
-	})
+	benchCycles(b, Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
+		Workload: PaperWorkload(), Seed: 1,
+		Metrics: true, MetricsIntervalCycles: 100})
 }
 
 func BenchmarkSimRing72Slotted(b *testing.B) {
-	benchCycles(b, func() (*System, error) {
-		return NewSystem(Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
-			SlottedSwitching: true, Workload: PaperWorkload(), Seed: 1})
-	})
+	benchCycles(b, Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
+		SlottedSwitching: true, Workload: PaperWorkload(), Seed: 1})
 }
 
 func BenchmarkSimRing72DoubleSpeed(b *testing.B) {
-	benchCycles(b, func() (*System, error) {
-		return NewSystem(Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
-			DoubleSpeedGlobal: true, Workload: PaperWorkload(), Seed: 1})
-	})
+	benchCycles(b, Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
+		DoubleSpeedGlobal: true, Workload: PaperWorkload(), Seed: 1})
 }
 
 func BenchmarkSimMesh16(b *testing.B) {
-	benchCycles(b, func() (*System, error) {
-		return NewSystem(Config{Network: "mesh", Nodes: 16, LineBytes: 32, BufferFlits: 4,
-			Workload: PaperWorkload(), Seed: 1})
-	})
+	benchCycles(b, Config{Network: "mesh", Nodes: 16, LineBytes: 32, BufferFlits: 4,
+		Workload: PaperWorkload(), Seed: 1})
 }
 
 func BenchmarkSimMesh121(b *testing.B) {
-	benchCycles(b, func() (*System, error) {
-		return NewSystem(Config{Network: "mesh", Nodes: 121, LineBytes: 32, BufferFlits: 4,
-			Workload: PaperWorkload(), Seed: 1})
-	})
+	benchCycles(b, Config{Network: "mesh", Nodes: 121, LineBytes: 32, BufferFlits: 4,
+		Workload: PaperWorkload(), Seed: 1})
 }
 
 func BenchmarkSimMesh121OneFlit(b *testing.B) {
-	benchCycles(b, func() (*System, error) {
-		return NewSystem(Config{Network: "mesh", Nodes: 121, LineBytes: 128, BufferFlits: 1,
-			Workload: PaperWorkload(), Seed: 1})
-	})
+	benchCycles(b, Config{Network: "mesh", Nodes: 121, LineBytes: 128, BufferFlits: 1,
+		Workload: PaperWorkload(), Seed: 1})
 }
 
 // --- engine micro-benchmarks -------------------------------------------
@@ -201,24 +200,8 @@ func BenchmarkEngineStepUniform(b *testing.B) {
 // overhead.
 func benchParallelMesh(b *testing.B, workers int) {
 	b.Helper()
-	cfg := Config{Network: "mesh", Topology: "8x8", LineBytes: 32,
-		BufferFlits: 4, Workload: PaperWorkload(), Seed: 1, Workers: workers}
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-	if workers > 1 && !sys.Parallel() {
-		b.Fatalf("Workers=%d did not engage the parallel engine", workers)
-	}
-	if err := sys.StepCycles(1000); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	if err := sys.StepCycles(int64(b.N)); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(sys.PMs()), "PMcycles/op")
+	benchSystem(b, Config{Network: "mesh", Topology: "8x8", LineBytes: 32,
+		BufferFlits: 4, Workload: PaperWorkload(), Seed: 1, Workers: workers})
 }
 
 // Flat names (no sub-benchmarks): benchguard's baseline file and the

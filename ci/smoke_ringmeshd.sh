@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Smoke test for the serving daemon: build ringmeshd, boot it with
-# per-job engine parallelism (-engine-workers) and profiling enabled
-# (-pprof), check health and metrics (including latency histogram
-# buckets and a CPU profile fetch), submit the same run twice and
+# profiling enabled (-pprof), check health and metrics (including
+# latency histogram buckets and a CPU profile fetch), submit the same run twice and
 # assert the second is answered from the result cache — including a
 # resubmission with a different "workers" value, which must still hit
 # (the cache key ignores the execution-only Workers field) — fetch the
@@ -32,7 +31,7 @@ bin=$(mktemp -d)/ringmeshd
 log=$(mktemp)
 go build -o "$bin" ./cmd/ringmeshd
 
-"$bin" -addr 127.0.0.1:0 -engine-workers 2 -pprof >"$log" 2>&1 &
+"$bin" -addr 127.0.0.1:0 -pprof >"$log" 2>&1 &
 pid=$!
 cleanup() { kill "$pid" 2>/dev/null || true; }
 trap cleanup EXIT
@@ -85,8 +84,8 @@ case "$second" in
 esac
 
 # The same logical run spelled with an explicit engine worker count
-# must still hit the cache: "workers" is execution-only (the parallel
-# engine is bit-identical to serial) and never enters the cache key.
+# must still hit the cache: "workers" is execution-only (the daemon
+# runs every point serial) and never enters the cache key.
 wbody='{"config":{"network":"mesh","nodes":16,"line_bytes":32,"buffer_flits":4,"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":42,"workers":4},"options":{"warmup_cycles":500,"batch_cycles":500,"batches":2}}'
 third=$(curl -fsS -X POST "$base/v1/runs" -d "$wbody" | tr -d '[:space:]')
 case "$third" in

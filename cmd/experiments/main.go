@@ -34,7 +34,7 @@ func main() {
 		plotIt  = flag.Bool("plot", false, "draw ASCII charts after each experiment")
 		seed    = flag.Uint64("seed", 42, "simulation seed")
 		workers = flag.Int("workers", runtime.NumCPU(), "concurrent simulations (>= 1)")
-		engineW = flag.Int("engine-workers", 1, "parallel tick workers per simulation (>= 1; capped so workers x engine-workers <= NumCPU)")
+		engineW = flag.Int("engine-workers", 1, "parallel tick workers per mesh simulation (>= 1; rings run serial; capped so workers x engine-workers <= NumCPU)")
 	)
 	flag.Parse()
 

@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		faultPlan = fs.String("fault-plan", "", `fault plan DSL: ";"-separated events "kind@start+dur:node=N[,port=P][,factor=F]" (kinds stutter/slowdown/degrade), or "rand:events=E,seed=S,horizon=H"`)
 		timeout   = fs.Duration("timeout", 0, "wall-clock bound for the run, e.g. 30s (0 = none)")
 		noVC      = fs.Bool("unsafe-no-vc", false, "disable the ring's deadlock-avoidance virtual channels (forensics demos; wormhole ring only)")
-		workersF  = fs.Int("workers", 1, "parallel tick workers (1 = serial engine; results are bit-identical at any count)")
+		workersF  = fs.Int("workers", 1, "parallel tick workers (meshes only, rings run serial; 1 = serial engine; results are bit-identical at any count)")
 		fidelityF = fs.String("fidelity", "simulate", `answer tier: "simulate" (exact engine) or "analytic" (closed-form estimate with its recorded error bound)`)
 
 		verbose    = fs.Bool("v", false, "collect the full latency distribution and print a p50/p95/p99 summary line")

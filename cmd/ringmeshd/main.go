@@ -13,6 +13,9 @@
 // GET /v1/jobs/{id} (?watch=1 for SSE), GET /healthz (liveness),
 // GET /readyz (readiness with per-class queue depths), GET /metrics.
 //
+// Execution: -workers jobs run at once, every point on the serial
+// engine (DESIGN.md §8); a request's own "workers" value is ignored.
+//
 // Admission control: every submission carries a priority class
 // (interactive, batch, background; default interactive, /v1/batch
 // defaults to batch) drained by a weighted scheduler so interactive
@@ -79,8 +82,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", 0, "total engine goroutine budget across jobs (0 = GOMAXPROCS)")
-		engineW      = flag.Int("engine-workers", 1, "parallel tick workers per job (1 = serial engine; the job pool shrinks to workers/engine-workers)")
+		workers      = flag.Int("workers", 0, "job pool size: jobs executing at once, each point on the serial engine (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "pending job bound across all classes; at the bound lower classes are shed first")
 		classDepth   = flag.Int("class-depth", 0, "per-class pending job bound (0 = only the shared -queue bound applies)")
 		journalDir   = flag.String("journal-dir", "", "crash-safe job journal directory; accepted jobs survive kill -9 and replay on restart (empty = off)")
@@ -98,7 +100,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validateFlags(*workers, *engineW, *queue, *classDepth, *cacheEntries, *rate, *burst, *maxBody,
+	if err := validateFlags(*workers, *queue, *classDepth, *cacheEntries, *rate, *burst, *maxBody,
 		*jobTimeout, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "ringmeshd:", err)
 		os.Exit(2)
@@ -116,20 +118,19 @@ func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 	srv, err := serve.New(serve.Options{
-		Workers:       *workers,
-		EngineWorkers: *engineW,
-		QueueDepth:    *queue,
-		ClassDepth:    *classDepth,
-		JournalDir:    *journalDir,
-		CacheEntries:  *cacheEntries,
-		CacheDir:      *cacheDir,
-		WorkerAddrs:   addrsList,
-		Rate:          *rate,
-		Burst:         *burst,
-		MaxBody:       *maxBody,
-		JobTimeout:    *jobTimeout,
-		Logger:        logger,
-		EnablePprof:   *pprofOn,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		ClassDepth:   *classDepth,
+		JournalDir:   *journalDir,
+		CacheEntries: *cacheEntries,
+		CacheDir:     *cacheDir,
+		WorkerAddrs:  addrsList,
+		Rate:         *rate,
+		Burst:        *burst,
+		MaxBody:      *maxBody,
+		JobTimeout:   *jobTimeout,
+		Logger:       logger,
+		EnablePprof:  *pprofOn,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ringmeshd:", err)
@@ -223,13 +224,11 @@ func parseLevel(s string) (slog.Level, error) {
 }
 
 // validateFlags rejects nonsense values with messages naming the flag.
-func validateFlags(workers, engineWorkers, queue, classDepth, cacheEntries int, rate float64, burst int,
+func validateFlags(workers, queue, classDepth, cacheEntries int, rate float64, burst int,
 	maxBody int64, jobTimeout, drainTimeout time.Duration) error {
 	switch {
 	case workers < 0:
 		return fmt.Errorf("-workers %d < 0", workers)
-	case engineWorkers < 1:
-		return fmt.Errorf("-engine-workers %d < 1", engineWorkers)
 	case queue < 1:
 		return fmt.Errorf("-queue %d < 1", queue)
 	case classDepth < 0:

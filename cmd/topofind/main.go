@@ -272,7 +272,7 @@ type search struct {
 }
 
 func (se *search) simulate(cands []candidate, indices []int, line int, seed uint64, workers int) error {
-	errs := pool.ForEach(context.Background(), workers, len(indices), nil, func(k int) error {
+	errs := pool.ForEach(context.Background(), workers, len(indices), func(k int) error {
 		c := &cands[indices[k]]
 		name := c.Spec.String()
 		se.mu.Lock()

@@ -6,14 +6,16 @@ import (
 	"testing"
 )
 
-// Parallel determinism tests: the sharded worker engine must be an
-// execution detail, invisible in every Result bit. Each golden
-// configuration runs at Workers 1 (the exact serial path), 2, and
-// NumCPU, and all results must be deeply equal — including the
-// order-dependent Welford statistics behind LatencyCycles and
-// LatencyCI95, which the parallel engine reproduces by draining
-// per-PM completion cells in the serial delivery order. These tests
-// are the bit-identity gate for the Workers mode and run under -race
+// Parallel determinism tests: Config.Workers must be an execution
+// detail, invisible in every Result bit. The mesh is the one model the
+// worker engine shards (per router row): its cases run at Workers 2, 4
+// and NumCPU with the gang engaged and must equal the serial result
+// deeply — including the order-dependent Welford statistics behind
+// LatencyCycles and LatencyCI95, which the parallel engine reproduces
+// by draining per-PM completion cells in PM-id order. Every ring
+// declines to partition (DESIGN §8), so its cases pin the boundary
+// instead: Workers > 1 builds the serial engine, reports no phase
+// stats and returns the Workers=0 result. These tests run under -race
 // in CI.
 
 // parallelWorkerCounts returns the worker counts to pin against the
@@ -28,11 +30,24 @@ func parallelWorkerCounts() []int {
 }
 
 // parallelCases returns every golden configuration on a Quick
-// schedule: the pinned Default-schedule results stay covered by
-// TestGoldenResults, while the Workers sweep — several runs per case —
-// stays fast enough for -race on one core.
+// schedule — the pinned Default-schedule results stay covered by
+// TestGoldenResults, while the Workers sweep, several runs per case,
+// stays fast enough for -race on one core — plus one fault-plan case
+// per family: the mesh steps its fault driver in the partition's
+// serial prologue, a path no fault-free case reaches.
 func parallelCases() []goldenCase {
 	cases := goldenCases()
+	cases = append(cases,
+		goldenCase{name: "ring-2:3:4-32B-faults", cfg: Config{
+			Network: "ring", Topology: "2:3:4", LineBytes: 32,
+			Workload: PaperWorkload(), Seed: goldenSeed,
+			FaultPlan: "slowdown@500+2000:node=3,factor=4; degrade@1000+1500:node=8,factor=2",
+		}},
+		goldenCase{name: "mesh-4x4-32B-faults", cfg: Config{
+			Network: "mesh", Topology: "4x4", LineBytes: 32, BufferFlits: 4,
+			Workload: PaperWorkload(), Seed: goldenSeed,
+			FaultPlan: "slowdown@500+2000:node=3,factor=4; stutter@1000+300:node=5",
+		}})
 	for i := range cases {
 		cases[i].opt = QuickRunOptions()
 	}
@@ -48,19 +63,25 @@ func TestParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			mesh := tc.cfg.Network == "mesh"
 			for _, workers := range parallelWorkerCounts() {
 				cfg := tc.cfg
 				cfg.Workers = workers
+				cfg.PhaseStats = !mesh
 				sys, err := NewSystem(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !sys.Parallel() {
-					t.Fatalf("Workers=%d did not engage the parallel engine", workers)
+				if sys.Parallel() != mesh {
+					t.Fatalf("Workers=%d: Parallel() = %v, want %v (meshes shard, rings run serial)",
+						workers, sys.Parallel(), mesh)
 				}
 				got, err := sys.Run(tc.opt)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !mesh && sys.PhaseStats() != nil {
+					t.Errorf("Workers=%d: a ring reported phase stats from the serial engine", workers)
 				}
 				if !reflect.DeepEqual(got, serial) {
 					t.Errorf("Workers=%d diverged from serial\n got: %#v\nwant: %#v",
@@ -97,35 +118,17 @@ func TestParallelMatchesPinnedGoldens(t *testing.T) {
 	}
 }
 
-// TestParallelFallsBackSerially pins the decline paths: Workers on a
-// model surface that cannot shard (a 1-row... no such mesh is
-// buildable, so the single-ring hierarchy), and Workers combined with
-// tracing, must run — correctly — on the serial engine.
+// TestParallelFallsBackSerially pins the decline path the sweep above
+// does not reach: a model that does shard, with Workers set and tracing
+// on, must run on the serial engine (the trace recorder is
+// unsynchronized).
 func TestParallelFallsBackSerially(t *testing.T) {
 	t.Parallel()
-	single := Config{
-		Network:   "ring",
-		Topology:  "8",
-		LineBytes: 32,
-		Workload:  PaperWorkload(),
-		Seed:      goldenSeed,
-		Workers:   4,
-	}
-	sys, err := NewSystem(single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Parallel() {
-		t.Error("single-ring hierarchy has nothing to shard; want serial fallback")
-	}
-	if _, err := sys.Run(QuickRunOptions()); err != nil {
-		t.Fatal(err)
-	}
-
-	traced := goldenCases()[0].cfg
-	traced.Workers = 4
-	traced.Trace = true
-	tsys, err := NewSystem(traced)
+	tsys, err := NewSystem(Config{
+		Network: "mesh", Topology: "4x4", LineBytes: 32, BufferFlits: 4,
+		Workload: PaperWorkload(), Seed: goldenSeed,
+		Workers: 4, Trace: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,11 +84,11 @@ type SystemConfig struct {
 	FaultPlan *fault.Plan
 	// Workers, when > 1, runs the tick loop across a goroutine pool if
 	// the network model partitions itself (see network.Model.Partition
-	// and internal/core/parallel.go). Execution-only:
-	// any worker count produces results bit-identical to Workers <= 1,
-	// so Workers never enters result cache keys. Falls back to the
-	// serial engine when the model declines to partition or a tracer is
-	// attached.
+	// and internal/core/parallel.go; the mesh does, the rings decline).
+	// Execution-only: any worker count produces results bit-identical
+	// to Workers <= 1, so Workers never enters result cache keys. Falls
+	// back to the serial engine when the model declines to partition or
+	// a tracer is attached.
 	Workers int
 	// PhaseStats, when true together with Workers > 1, times each
 	// shard's compute/commit phases and each worker's barrier waits

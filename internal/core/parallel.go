@@ -3,11 +3,10 @@
 // cannot see — the PMs and the measurement collector — so it wraps
 // each model shard with the PMs the shard declared ownership of,
 // switches the collector into per-PM staging cells, and installs the
-// drain (in the partition's serial delivery order) as the plan's
-// epilogue. The serial fallbacks live here too: one worker, a model
-// that declines to partition, or an attached tracer (the trace
-// recorder is unsynchronized) all leave the engine on its exact serial
-// path.
+// drain as the plan's epilogue. The serial fallbacks live here too: one
+// worker, a model that declines to partition (every ring), or an
+// attached tracer (the trace recorder is unsynchronized) all leave the
+// engine on its exact serial path.
 package core
 
 import (
@@ -50,10 +49,9 @@ func (cs *coreShard) CommitPhase(phase int, now int64) int {
 
 // applyParallel installs the parallel execution plan when cfg asks for
 // workers and the model can shard itself; otherwise it leaves the
-// engine serial. A malformed partition (PM ranges that do not tile,
-// a bad delivery order) is a model bug and fails construction rather
-// than falling back — the partition may already have rewired the
-// model's internal hand-off paths.
+// engine serial. A malformed partition (PM ranges that do not tile
+// [0, PMs) in shard order) is a model bug and fails construction
+// rather than falling back.
 func (s *System) applyParallel(cfg SystemConfig) error {
 	if cfg.Workers <= 1 || cfg.Tracer != nil {
 		return nil
@@ -66,20 +64,15 @@ func (s *System) applyParallel(cfg SystemConfig) error {
 		return fmt.Errorf("core: network %q returned a %d-shard partition (must decline with nil or cut at least two shards)",
 			cfg.Network, len(part.Shards))
 	}
-	covered := make([]bool, s.pmCount)
 	shards := make([]sim.Shard, 0, len(part.Shards))
 	names := make([]string, 0, len(part.Shards))
+	next := 0
 	for _, ps := range part.Shards {
-		if ps.PMLo < 0 || ps.PMHi > s.pmCount || ps.PMLo > ps.PMHi {
-			return fmt.Errorf("core: partition shard %q owns PM range [%d,%d) outside [0,%d)",
-				ps.Name, ps.PMLo, ps.PMHi, s.pmCount)
+		if ps.PMLo != next || ps.PMHi <= ps.PMLo || ps.PMHi > s.pmCount {
+			return fmt.Errorf("core: partition shard %q owns PM range [%d,%d); want a non-empty range from %d within [0,%d)",
+				ps.Name, ps.PMLo, ps.PMHi, next, s.pmCount)
 		}
-		for id := ps.PMLo; id < ps.PMHi; id++ {
-			if covered[id] {
-				return fmt.Errorf("core: partition shard %q claims PM %d, already owned", ps.Name, id)
-			}
-			covered[id] = true
-		}
+		next = ps.PMHi
 		shards = append(shards, &coreShard{
 			pms:  s.pms[ps.PMLo:ps.PMHi],
 			tpc:  s.ticksPerCycle,
@@ -87,32 +80,18 @@ func (s *System) applyParallel(cfg SystemConfig) error {
 		})
 		names = append(names, ps.Name)
 	}
-	for id, c := range covered {
-		if !c {
-			return fmt.Errorf("core: partition owns no shard for PM %d", id)
-		}
-	}
-	if len(part.DeliverOrder) != s.pmCount {
-		return fmt.Errorf("core: partition delivery order lists %d PMs, want %d",
-			len(part.DeliverOrder), s.pmCount)
-	}
-	seen := make([]bool, s.pmCount)
-	for _, id := range part.DeliverOrder {
-		if id < 0 || id >= s.pmCount || seen[id] {
-			return fmt.Errorf("core: partition delivery order is not a permutation of [0,%d)", s.pmCount)
-		}
-		seen[id] = true
+	if next != s.pmCount {
+		return fmt.Errorf("core: partition owns no shard for PMs [%d,%d)", next, s.pmCount)
 	}
 
 	s.col.ShardByPM(s.pmCount)
-	col, order := s.col, part.DeliverOrder
+	col := s.col
 	s.engine.SetParallel(&sim.ParallelPlan{
-		Workers:      cfg.Workers,
-		Shards:       shards,
-		ShardNames:   names,
-		CommitPhases: part.CommitPhases,
-		Prologue:     part.Prologue,
-		Epilogue:     func(now int64) { col.DrainCells(order) },
+		Workers:    cfg.Workers,
+		Shards:     shards,
+		ShardNames: names,
+		Prologue:   part.Prologue,
+		Epilogue:   func(int64) { col.DrainCells() },
 	})
 	if cfg.PhaseStats {
 		s.engine.EnablePhaseStats()

@@ -66,10 +66,10 @@ type Spec struct {
 	Run core.RunConfig
 	// Workers bounds concurrent simulations (0 = 1).
 	Workers int
-	// EngineWorkers is each simulation's parallel tick worker count
-	// (0 or 1 = the exact serial engine). It is capped so
-	// Workers x EngineWorkers never exceeds the machine's CPUs —
-	// point-level and engine-level parallelism share one budget.
+	// EngineWorkers is each mesh simulation's parallel tick worker count
+	// (0 or 1 = the exact serial engine; rings run it at any value). It
+	// is capped so Workers x EngineWorkers never exceeds the machine's
+	// CPUs — point-level and engine-level parallelism share one budget.
 	// Results are identical at any value: the parallel engine is
 	// golden-tested bit-identical to serial.
 	EngineWorkers int
@@ -159,7 +159,7 @@ func runJobs(spec Spec, nSeries int, jobs []job) ([][]Point, error) {
 	}
 	// Each job writes only its own slot, so the fan-out needs no lock.
 	results := make([][]seriesPoint, len(jobs))
-	errs := pool.ForEach(context.Background(), spec.Workers, len(jobs), nil, func(i int) error {
+	errs := pool.ForEach(context.Background(), spec.Workers, len(jobs), func(i int) error {
 		j := jobs[i]
 		sys, err := j.build()
 		if err != nil {
@@ -249,20 +249,9 @@ func sweepTopologyFor(n, line int) (topo.RingSpec, error) {
 		return topo.RingSpec{}, fmt.Errorf("exp: unsupported line size %dB", line)
 	}
 	for branch := 4; branch <= 8; branch++ {
-		specs := topo.EnumerateRingSpecs(n, 4, branch, cap)
-		if len(specs) == 0 {
-			continue
+		if specs := topo.EnumerateRingSpecs(n, 4, branch, cap); len(specs) > 0 {
+			return network.BestRingSpec(specs), nil
 		}
-		best := specs[0]
-		bestH := best.AverageRingHops()
-		for _, s := range specs[1:] {
-			h := s.AverageRingHops()
-			if s.NumLevels() < best.NumLevels() ||
-				(s.NumLevels() == best.NumLevels() && h < bestH) {
-				best, bestH = s, h
-			}
-		}
-		return best, nil
 	}
 	return topo.RingSpec{}, fmt.Errorf("exp: no ring topology for %d PMs at %dB lines", n, line)
 }

@@ -356,7 +356,7 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 				n.tracer.Record(now, trace.Hop, mv.f.Pkt, n.labels[r.id][o])
 			}
 			dst := &nb.inputs[opposite[o]]
-			if sh != nil && !sh.owns(nb) {
+			if sh != nil && nb.y != sh.row {
 				sh.outbox = append(sh.outbox, deferredPush{fifo: dst, f: mv.f})
 			} else {
 				dst.Push(mv.f)

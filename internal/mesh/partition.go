@@ -22,8 +22,8 @@ import (
 // the end-of-tick state is bit-identical to the serial commit.
 //
 // Serial same-tick completions happen in commitRouter's iteration
-// order — increasing router id, which is increasing PM id — so the
-// partition's DeliverOrder is the identity.
+// order — increasing router id, which is increasing PM id — which is
+// the order the measurement layer drains its per-PM cells in.
 
 // deferredPush is one staged cross-row flit transfer.
 type deferredPush struct {
@@ -34,13 +34,10 @@ type deferredPush struct {
 // rowShard is one row of routers plus its cross-row outbox.
 type rowShard struct {
 	n       *Network
-	row     int // row index (routers [row*K, row*K+K))
+	row     int // row index: the y of routers [row*K, row*K+K)
 	routers []*router
 	outbox  []deferredPush
 }
-
-// owns reports whether router r belongs to this shard's row.
-func (s *rowShard) owns(r *router) bool { return r.y == s.row }
 
 // Compute implements sim.Shard: stage this row's crossbar transfers
 // and injections. Reads of neighbouring rows' FIFO occupancy are safe
@@ -70,22 +67,16 @@ func (s *rowShard) CommitPhase(phase int, now int64) int {
 	return moved
 }
 
-// Partition implements network.Model:
-// one shard per router row, two commit phases (row-local commit, then
-// the cross-row exchange). A single-row mesh has nothing to cut and
-// declines.
+// Partition implements network.Model: one shard per router row. A
+// single-row mesh has nothing to cut and declines.
 func (n *Network) Partition() *sim.Partition {
 	k := n.cfg.Spec.K
 	if k < 2 {
 		return nil
 	}
-	p := &sim.Partition{
-		CommitPhases: 2,
-		Prologue: func(now int64) {
-			if n.faults != nil {
-				n.faults.Step(now)
-			}
-		},
+	p := &sim.Partition{}
+	if n.faults != nil { // a fault plan is installed before Partition is called
+		p.Prologue = n.faults.Step
 	}
 	for row := 0; row < k; row++ {
 		p.Shards = append(p.Shards, sim.PartitionShard{
@@ -94,9 +85,6 @@ func (n *Network) Partition() *sim.Partition {
 			PMHi: (row + 1) * k,
 			Comp: &rowShard{n: n, row: row, routers: n.routers[row*k : (row+1)*k]},
 		})
-	}
-	for id := range n.routers {
-		p.DeliverOrder = append(p.DeliverOrder, id)
 	}
 	return p
 }

@@ -12,7 +12,7 @@ type Sample struct {
 	Values []float64
 }
 
-// Sampler snapshots selected registry series every Interval engine
+// Sampler snapshots selected registry series every interval engine
 // ticks into an in-memory time series. It attaches to the engine's
 // per-tick observability hook (sim.Engine.OnCycle); the core runner
 // wires and resets it so the collected rows cover the measured
@@ -73,16 +73,8 @@ func (s *Sampler) Samples() []Sample {
 	return s.samples
 }
 
-// Interval returns the sampling interval in engine ticks.
-func (s *Sampler) Interval() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.interval
-}
-
 // OnCycle is the engine per-tick hook: it takes a sample once every
-// Interval ticks. Assign it to sim.Engine.OnCycle (or call it from a
+// interval ticks. Assign it to sim.Engine.OnCycle (or call it from a
 // composed hook). Nil-safe.
 func (s *Sampler) OnCycle(now int64, moved uint64) {
 	if s == nil {

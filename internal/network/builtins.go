@@ -206,8 +206,7 @@ func meshNodesFor(cfg Config) (int, error) {
 // the single-ring capacity for that line size (12/8/6/4 PMs for
 // 16/32/64/128-byte lines, Section 3) and every internal ring carries
 // at most three children (the bisection-bandwidth limit the paper
-// derives). Among the admissible hierarchies it picks the one with
-// the fewest levels, then the smallest average hop distance.
+// derives). Among the admissible hierarchies it picks BestRingSpec.
 func RingTopologyFor(pms, lineBytes int) (topo.RingSpec, error) {
 	cap, ok := SingleRingCapacity[lineBytes]
 	if !ok {
@@ -217,6 +216,13 @@ func RingTopologyFor(pms, lineBytes int) (topo.RingSpec, error) {
 	if len(specs) == 0 {
 		return topo.RingSpec{}, fmt.Errorf("network: no admissible ring topology for %d PMs at %dB lines", pms, lineBytes)
 	}
+	return BestRingSpec(specs), nil
+}
+
+// BestRingSpec picks, from a non-empty list of candidate hierarchies,
+// the one with the fewest levels, then the smallest average hop
+// distance (the first such in list order).
+func BestRingSpec(specs []topo.RingSpec) topo.RingSpec {
 	best := specs[0]
 	bestHops := best.AverageRingHops()
 	for _, s := range specs[1:] {
@@ -226,7 +232,7 @@ func RingTopologyFor(pms, lineBytes int) (topo.RingSpec, error) {
 			best, bestHops = s, h
 		}
 	}
-	return best, nil
+	return best
 }
 
 // SingleRingCapacity is the paper's conservative single-ring node

@@ -129,17 +129,14 @@ type Model interface {
 	ApplyFaultPlan(p *fault.Plan) error
 	// Partition describes the model's ownership sharding for parallel
 	// execution — groups of components such that no two shards commit
-	// to the same buffers (per-ring for the hierarchies, per-row for
-	// the mesh) — or nil to decline for a configuration it cannot
-	// shard; callers then stay on the serial path. Partitions must be
-	// observation-equivalent: executing one at any worker count yields
-	// results bit-identical to the serial schedule (the golden
+	// to the same buffers (per-row for the mesh) — or nil to decline,
+	// as a model does when sharding would not pay (every ring) or has
+	// nothing to cut; callers then stay on the serial path. Partitions
+	// must be observation-equivalent: executing one at any worker count
+	// yields results bit-identical to the serial schedule (the golden
 	// fixed-seed tests pin this). A non-nil partition must hold at
-	// least two shards, and may rewire internal hand-off paths for
-	// sharded commit — so callers that receive one must drive the model
-	// through its shards, not the serial Commit. Called at most once,
-	// after construction and any fault-plan installation, before the
-	// first tick.
+	// least two shards. Called at most once, after construction and any
+	// fault-plan installation, before the first tick.
 	Partition() *sim.Partition
 	// BuildStallReport snapshots buffer occupancy, the wait-for graph
 	// among blocked senders, and the oldest in-flight packets when the

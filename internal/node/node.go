@@ -82,10 +82,9 @@ type Collector struct {
 
 // cell is one PM's measurement staging slot in sharded mode. The
 // integer counters are commutative deltas; lat holds the tick's
-// completion latencies (at most one per tick in every built-in model:
-// a PM receives at most one packet tail per tick), which must be
-// folded into the order-dependent accumulators in serial delivery
-// order.
+// completion latencies (at most one per tick: a PM receives at most
+// one packet tail per tick), which must be folded into the
+// order-dependent accumulators in serial delivery order.
 type cell struct {
 	issued, completed, local int64
 	reads, writes            int64
@@ -154,30 +153,21 @@ func (c *Collector) ShardByPM(n int) {
 	}
 }
 
-// Sharded reports whether ShardByPM was called.
-func (c *Collector) Sharded() bool { return c.cells != nil }
-
-// DrainCells folds the per-PM cells into the shared aggregates. order
-// lists PM ids in the order the serial engine observes same-tick
-// completions, so the order-dependent Welford accumulation behind
-// Latency and Hist reproduces the serial arithmetic bit for bit; the
-// integer counters are commutative and fold in index order. Runs once
-// per tick on the parallel engine's serial epilogue (worker 0, after
-// the last commit barrier), which also makes InFlight safe for the
-// watchdog that runs right after.
-func (c *Collector) DrainCells(order []int) {
-	for _, id := range order {
-		cl := &c.cells[id]
-		if len(cl.lat) == 0 {
-			continue
-		}
+// DrainCells folds the per-PM cells into the shared aggregates, in
+// PM-id order: that is the order the serial engine observes same-tick
+// completions in (sim.Partition requires it), so the order-dependent
+// Welford accumulation behind Latency and Hist reproduces the serial
+// arithmetic bit for bit; the integer counters are commutative. Runs
+// once per tick on the parallel engine's serial epilogue (worker 0,
+// after the last commit barrier), which also makes InFlight safe for
+// the watchdog that runs right after.
+func (c *Collector) DrainCells() {
+	for i := range c.cells {
+		cl := &c.cells[i]
 		for _, lt := range cl.lat {
 			c.observe(lt)
 		}
 		cl.lat = cl.lat[:0]
-	}
-	for i := range c.cells {
-		cl := &c.cells[i]
 		c.Issued += cl.issued
 		c.Completed += cl.completed
 		c.Local += cl.local

@@ -11,7 +11,7 @@ import (
 // ShardPhase accumulates one shard's time in each phase of the
 // parallel tick loop.
 type ShardPhase struct {
-	// Name is the shard's partition name ("pm[0,8)", "iri1").
+	// Name is the shard's partition name ("row0").
 	Name string
 	// ComputeNS is total nanoseconds spent in this shard's Compute.
 	ComputeNS int64

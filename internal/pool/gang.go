@@ -55,9 +55,6 @@ func NewGang(n int) *Gang {
 	return g
 }
 
-// Workers returns the gang size.
-func (g *Gang) Workers() int { return g.n }
-
 // Run executes body on every worker — body(0) on the calling
 // goroutine — and returns when all of them have finished.
 func (g *Gang) Run(body func(worker int)) {
@@ -130,8 +127,8 @@ func (b *barrier) wait() {
 // CapInner bounds inner (per-task) parallelism so that outer
 // concurrent tasks, each running inner workers, never oversubscribe a
 // budget of cpus: the returned value is at most cpus/outer, and at
-// least 1. Sweeps, experiment grids, and the serving daemon use it to
-// split the machine between task-level and engine-level workers.
+// least 1. The experiment grids use it to split the machine between
+// point-level and engine-level workers.
 func CapInner(cpus, outer, inner int) int {
 	if cpus < 1 {
 		cpus = 1

@@ -52,9 +52,9 @@ func TestGangReusableAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestCapInner pins the oversubscription guard shared by sweeps,
-// experiment grids, and the serving daemon: outer x CapInner(...)
-// never exceeds the CPU budget, and the result is never below 1.
+// TestCapInner pins the experiment grids' oversubscription guard:
+// outer x CapInner(...) never exceeds the CPU budget, and the result is
+// never below 1.
 func TestCapInner(t *testing.T) {
 	cases := []struct {
 		cpus, outer, inner, want int

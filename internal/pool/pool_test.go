@@ -11,7 +11,7 @@ import (
 
 func TestForEachRunsEveryIndex(t *testing.T) {
 	var done [100]int32
-	errs := ForEach(context.Background(), 8, len(done), nil, func(i int) error {
+	errs := ForEach(context.Background(), 8, len(done), func(i int) error {
 		atomic.AddInt32(&done[i], 1)
 		return nil
 	})
@@ -28,7 +28,7 @@ func TestForEachRunsEveryIndex(t *testing.T) {
 func TestForEachBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, max int32
-	ForEach(context.Background(), workers, 50, nil, func(i int) error {
+	ForEach(context.Background(), workers, 50, func(i int) error {
 		c := atomic.AddInt32(&cur, 1)
 		for {
 			m := atomic.LoadInt32(&max)
@@ -53,7 +53,7 @@ func TestForEachZeroWorkersIsSerial(t *testing.T) {
 		var cur, max int32
 		var order []int
 		var mu sync.Mutex
-		ForEach(context.Background(), workers, 20, nil, func(i int) error {
+		ForEach(context.Background(), workers, 20, func(i int) error {
 			c := atomic.AddInt32(&cur, 1)
 			if c > atomic.LoadInt32(&max) {
 				atomic.StoreInt32(&max, c)
@@ -75,34 +75,14 @@ func TestForEachZeroWorkersIsSerial(t *testing.T) {
 	}
 }
 
-func TestForEachFatalStopsScheduling(t *testing.T) {
-	boom := errors.New("boom")
+// TestForEachErrorsKeepGoing pins that a failing call stops nothing:
+// every index still runs and every error is collected.
+func TestForEachErrorsKeepGoing(t *testing.T) {
 	var calls int32
-	errs := ForEach(context.Background(), 1, 10, func(err error) bool { return errors.Is(err, boom) },
-		func(i int) error {
-			atomic.AddInt32(&calls, 1)
-			if i == 2 {
-				return boom
-			}
-			return nil
-		})
-	// Serial execution: indices 0..2 run, the fatal error at 2 stops
-	// index 3 (and everything after) from being scheduled.
-	if got := atomic.LoadInt32(&calls); got != 3 {
-		t.Fatalf("fn ran %d times, want 3", got)
-	}
-	if len(errs) != 1 || !errors.Is(errs[0], boom) {
-		t.Fatalf("errs = %v", errs)
-	}
-}
-
-func TestForEachNonFatalErrorsKeepGoing(t *testing.T) {
-	var calls int32
-	errs := ForEach(context.Background(), 2, 10, func(error) bool { return false },
-		func(i int) error {
-			atomic.AddInt32(&calls, 1)
-			return errors.New("transient")
-		})
+	errs := ForEach(context.Background(), 2, 10, func(i int) error {
+		atomic.AddInt32(&calls, 1)
+		return errors.New("transient")
+	})
 	if got := atomic.LoadInt32(&calls); got != 10 {
 		t.Fatalf("fn ran %d times, want 10", got)
 	}
@@ -114,7 +94,7 @@ func TestForEachNonFatalErrorsKeepGoing(t *testing.T) {
 func TestForEachContextCancelStopsScheduling(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls int32
-	ForEach(ctx, 1, 100, nil, func(i int) error {
+	ForEach(ctx, 1, 100, func(i int) error {
 		if atomic.AddInt32(&calls, 1) == 3 {
 			cancel()
 		}

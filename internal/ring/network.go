@@ -331,6 +331,12 @@ func (n *Network) Commit(now int64) {
 	}
 }
 
+// Partition implements network.Model by declining: a ring tick is a
+// few microseconds of loads and stores, less than the barriers a
+// sharded tick has to cross, so every ring runs on the serial engine at
+// any Workers (the measurement is recorded in DESIGN §8).
+func (n *Network) Partition() *sim.Partition { return nil }
+
 // levelLabel names hierarchy level lvl for metrics ("L0" = global).
 func levelLabel(lvl int) string { return fmt.Sprintf("L%d", lvl) }
 

@@ -382,11 +382,13 @@ func (n *SlottedNetwork) Commit(now int64) {
 	}
 }
 
+// Partition implements network.Model by declining, like the wormhole
+// network's.
+func (n *SlottedNetwork) Partition() *sim.Partition { return nil }
+
 // stepRing advances one ring by one slot position and lets every
 // station process the slot now in front of it. It returns the number
-// of progress events (extractions and injections) — a return value
-// rather than a shared accumulator so ring shards can step
-// concurrently under the parallel engine.
+// of progress events (extractions and injections).
 func (n *SlottedNetwork) stepRing(r *sring, now int64) (moved int) {
 	r.headPos = (r.headPos - 1 + len(r.slots)) % len(r.slots)
 	for i, st := range r.stations {

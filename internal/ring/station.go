@@ -237,12 +237,6 @@ type station struct {
 	// station of a built network.
 	deliver func(p *packet.Packet, now int64)
 	peer    *station
-	// outbox, when non-nil (a parallel partition is installed; see
-	// partition.go), receives flits exiting into the peer's queues as
-	// deferred pushes applied in the cross-ring commit phase instead of
-	// being pushed live — those queues are the only state shared
-	// between ring shards. Serial runs never set it.
-	outbox *[]deferredPush
 
 	// tracer is the optional lifecycle recorder; hopLabel is the
 	// "where" of this station's hop and exit events, built once when a
@@ -478,12 +472,7 @@ func (s *station) receive(f packet.Flit, v int, route routeKind, now int64) {
 			s.deliver(f.Pkt, now)
 		}
 	default:
-		q := &s.peer.inject[injectClass(f.Pkt)]
-		if s.outbox != nil {
-			*s.outbox = append(*s.outbox, deferredPush{fifo: q, f: f})
-		} else {
-			q.Push(f)
-		}
+		s.peer.inject[injectClass(f.Pkt)].Push(f)
 	}
 }
 

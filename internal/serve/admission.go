@@ -300,7 +300,7 @@ func (s *Server) retryAfter(family string) time.Duration {
 		metrics.Labels{Family: family, Outcome: "done"}, secondsBuckets); run.Count() > 0 {
 		mean = run.Sum() / float64(run.Count())
 	}
-	backlog := 1 + s.adm.depth()/s.jobWorkers()
+	backlog := 1 + s.adm.depth()/s.opt.Workers
 	d := time.Duration(float64(backlog) * mean * float64(time.Second))
 	if d < time.Second {
 		d = time.Second

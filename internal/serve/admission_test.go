@@ -35,7 +35,7 @@ func testAdmitter(total int) *admitter {
 // testJob builds a bare job of the given kind with n points, for
 // tests that drive the queues or finish directly.
 func testJob(id, kind string, n int) *job {
-	return newJob(id, journalRecord{Kind: kind}, make([]point, n), "", 8)
+	return newJob(id, journalRecord{Kind: kind}, make([]point, n), "")
 }
 
 func classedJob(id string, c class) *job {

@@ -350,7 +350,7 @@ func (s *Server) buildJob(w http.ResponseWriter, r *http.Request, sub journalRec
 		s.badRequest(w, r, err)
 		return nil
 	}
-	j := newJob("", sub, points, family, s.opt.TraceSpans)
+	j := newJob("", sub, points, family)
 	j.class, j.deadline = cls, deadline
 	j.tr.Record(obs.SpanRecord{
 		Name: "validate", Start: start, Dur: time.Since(start),

@@ -141,7 +141,7 @@ func (s *Server) upgradeOf(j *job, outs []outcome) *job {
 	if points == nil {
 		return nil
 	}
-	u := newJob("", sub, points, j.family, s.opt.TraceSpans)
+	u := newJob("", sub, points, j.family)
 	u.class = classBackground
 	return u
 }

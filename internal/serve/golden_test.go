@@ -343,7 +343,7 @@ func TestJournalGoldenLinesReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("line %d: %v", i, err)
 		}
-		j, err := jobFromRecord(rec, 8)
+		j, err := jobFromRecord(rec)
 		if err != nil {
 			t.Fatalf("line %d: %v", i, err)
 		}

@@ -295,9 +295,13 @@ type JobView struct {
 	Error *JobError   `json:"error,omitempty"`
 }
 
+// traceSpans bounds each job's span timeline; spans past it are
+// counted as dropped, never silently lost.
+const traceSpans = 64
+
 // newJob builds a queued job with a completion channel and a bounded
 // span timeline.
-func newJob(id string, sub journalRecord, points []point, family string, traceSpans int) *job {
+func newJob(id string, sub journalRecord, points []point, family string) *job {
 	return &job{
 		id: id, sub: sub, points: points, family: family,
 		state: JobQueued,

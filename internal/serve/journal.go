@@ -363,7 +363,7 @@ func acceptedRecord(j *job) journalRecord {
 // expanding the stored submission exactly as the endpoints do. Cache
 // keys are recomputed rather than journaled — key derivation may
 // evolve between versions and must stay authoritative.
-func jobFromRecord(rec journalRecord, traceSpans int) (*job, error) {
+func jobFromRecord(rec journalRecord) (*job, error) {
 	cls, err := parseClass(rec.Class, classInteractive)
 	if err != nil {
 		return nil, err
@@ -372,7 +372,7 @@ func jobFromRecord(rec journalRecord, traceSpans int) (*job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("record %s: %w", rec.ID, err)
 	}
-	j := newJob(rec.ID, rec, points, family, traceSpans)
+	j := newJob(rec.ID, rec, points, family)
 	j.class = cls
 	if rec.Deadline != 0 {
 		j.deadline = time.Unix(0, rec.Deadline)

@@ -26,17 +26,10 @@ const jobRetain = 1024
 // Options configures a Server. The zero value selects the defaults
 // noted per field.
 type Options struct {
-	// Workers is the CPU budget: the bound on total engine goroutines
-	// across all in-flight jobs (default GOMAXPROCS).
+	// Workers is the job pool size: how many jobs execute at once
+	// (default GOMAXPROCS). Every served point runs the serial engine —
+	// the job, not the tick, is the unit that scales with cores.
 	Workers int
-	// EngineWorkers is each job's parallel tick worker count (default
-	// 1 = the exact serial engine; capped at Workers). The job-level
-	// pool shrinks to Workers/EngineWorkers, so splitting the budget
-	// between concurrent jobs and per-job parallelism never
-	// oversubscribes it. Results are identical either way — the
-	// parallel engine is golden-tested bit-identical to serial, which
-	// is also why Workers never enters a job's cache key.
-	EngineWorkers int
 	// QueueDepth bounds total pending jobs across all priority classes;
 	// at the bound an arriving job sheds the newest queued job of a
 	// less urgent class, or is shed itself with 503 + Retry-After when
@@ -46,10 +39,6 @@ type Options struct {
 	// single class can occupy the whole daemon (default: QueueDepth,
 	// i.e. only the shared bound applies).
 	ClassDepth int
-	// ClassWeights sets the deficit-round-robin shares for
-	// interactive, batch and background jobs, in that order (entries
-	// < 1 take the defaults 16/4/1).
-	ClassWeights [3]int
 	// JournalDir, when non-empty, enables the crash-safe job journal:
 	// an fsync'd append-only log of job state transitions, replayed on
 	// startup so accepted-but-unfinished jobs survive kill -9 and
@@ -80,9 +69,6 @@ type Options struct {
 	MaxBody int64
 	// JobTimeout bounds each job's wall-clock time (0 = none).
 	JobTimeout time.Duration
-	// Registry receives the daemon's instruments and is exported at
-	// /metrics (nil: the server creates a private one).
-	Registry *metrics.Registry
 	// Logger receives structured job-lifecycle events with request and
 	// job IDs (nil: events are discarded).
 	Logger *slog.Logger
@@ -90,9 +76,6 @@ type Options struct {
 	// Handler. Off by default: the profile endpoints expose goroutine
 	// stacks and heap contents, so they are opt-in.
 	EnablePprof bool
-	// TraceSpans bounds each job's span timeline; spans past it are
-	// counted as dropped, never silently lost (default 64).
-	TraceSpans int
 }
 
 // errDraining rejects submissions once Drain has begun; the HTTP
@@ -171,12 +154,6 @@ func New(opt Options) (*Server, error) {
 	if opt.Workers < 1 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opt.EngineWorkers < 1 {
-		opt.EngineWorkers = 1
-	}
-	if opt.EngineWorkers > opt.Workers {
-		opt.EngineWorkers = opt.Workers
-	}
 	if opt.QueueDepth < 1 {
 		opt.QueueDepth = 64
 	}
@@ -189,16 +166,10 @@ func New(opt Options) (*Server, error) {
 	if opt.MaxBody < 1 {
 		opt.MaxBody = 1 << 20
 	}
-	if opt.TraceSpans < 1 {
-		opt.TraceSpans = 64
-	}
 	if opt.Logger == nil {
 		opt.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	reg := opt.Registry
-	if reg == nil {
-		reg = &metrics.Registry{}
-	}
+	reg := &metrics.Registry{}
 	var disk *diskStore
 	if opt.CacheDir != "" {
 		var err error
@@ -215,7 +186,7 @@ func New(opt Options) (*Server, error) {
 		limit:   newRateLimiter(opt.Rate, opt.Burst),
 		baseCtx: ctx,
 		cancel:  cancel,
-		adm:     newAdmitter(opt.QueueDepth, depths, opt.ClassWeights, reg),
+		adm:     newAdmitter(opt.QueueDepth, depths, defaultClassWeights, reg),
 		jobs:    map[string]*job{},
 		log:     opt.Logger,
 		hists:   map[string]*metrics.Histogram{},
@@ -280,10 +251,8 @@ func New(opt Options) (*Server, error) {
 			return nil, err
 		}
 	}
-	// Split the CPU budget: jobWorkers concurrent jobs, each running
-	// EngineWorkers engine goroutines, stay within opt.Workers total.
 	var wg sync.WaitGroup
-	for range s.jobWorkers() {
+	for range opt.Workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -317,7 +286,7 @@ func (s *Server) replayJournal() error {
 	s.jobsMu.Unlock()
 	var live []journalRecord
 	for _, rec := range unfinished {
-		j, jerr := jobFromRecord(rec, s.opt.TraceSpans)
+		j, jerr := jobFromRecord(rec)
 		if jerr != nil {
 			s.log.Warn("journal record not replayable", "id", rec.ID, "err", jerr)
 			s.journal.append(journalRecord{Op: opFailed, ID: rec.ID})
@@ -338,12 +307,6 @@ func (s *Server) replayJournal() error {
 		s.log.Warn("journal compaction failed", "err", err)
 	}
 	return nil
-}
-
-// jobWorkers is the job-level pool size after the per-job engine
-// parallelism takes its share of the Workers budget.
-func (s *Server) jobWorkers() int {
-	return max(1, s.opt.Workers/s.opt.EngineWorkers)
 }
 
 // Drain stops accepting new jobs (submissions get 503), lets queued
@@ -600,7 +563,7 @@ func (s *Server) execute(j *job) {
 	for i := range outs {
 		outs[i].err = context.Canceled
 	}
-	pool.ForEach(ctx, width, len(j.points), nil, func(i int) error {
+	pool.ForEach(ctx, width, len(j.points), func(i int) error {
 		outs[i] = s.resolve(ctx, j, j.points[i])
 		j.pointsDone.Add(1)
 		return nil
@@ -693,14 +656,11 @@ func (s *Server) simulate(ctx context.Context, j *job, p point) (ringmesh.Result
 		}
 		return res, nil
 	}
-	// The server owns the machine split, not the client: a request's
-	// own workers value is capped at the per-job budget (and an unset
-	// one takes the full budget). Sound to override freely — Workers is
-	// execution-only, excluded from the cache key, and the parallel
-	// engine is bit-identical to serial.
-	if cfg.Workers == 0 || cfg.Workers > s.opt.EngineWorkers {
-		cfg.Workers = s.opt.EngineWorkers
-	}
+	// The server owns the machine split, not the client: the pool runs
+	// Workers jobs at once, so every point runs the serial engine
+	// whatever workers value the request carries. Sound to override —
+	// Workers is execution-only and excluded from the cache key.
+	cfg.Workers = 1
 	sys, err := ringmesh.NewSystem(cfg)
 	if err != nil {
 		return ringmesh.Result{}, &configError{err}

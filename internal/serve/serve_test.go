@@ -145,8 +145,10 @@ func TestRunSubmitAndCacheHit(t *testing.T) {
 		t.Fatalf("first POST = %d: %s", resp.StatusCode, raw)
 	}
 	first := decodeDoc(t, raw)
-	if first.State != JobQueued || first.Cached {
-		t.Fatalf("first submission = %+v; want queued, uncached", first)
+	// A 202 renders the job after it was enqueued, so a worker may
+	// already have picked it up: either non-terminal state is right.
+	if (first.State != JobQueued && first.State != JobRunning) || first.Cached {
+		t.Fatalf("first submission = %+v; want queued or running, uncached", first)
 	}
 	done := awaitJob(t, ts.URL, first.ID, false)
 	if done.Cached || len(done.Result) == 0 {

@@ -2,45 +2,9 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"net/http"
 	"testing"
 )
-
-// TestJobWorkersSplitsBudget pins the pool split: the job-level pool
-// shrinks so jobWorkers x EngineWorkers never exceeds the Workers
-// budget, and degenerate options normalize rather than explode.
-func TestJobWorkersSplitsBudget(t *testing.T) {
-	cases := []struct {
-		name            string
-		workers, engine int
-		wantJobs        int
-	}{
-		{"serial default", 4, 0, 4},
-		{"even split", 8, 2, 4},
-		{"whole budget to one job", 4, 4, 1},
-		{"engine demand past the budget clamps", 2, 16, 1},
-		{"uneven split rounds down", 5, 2, 2},
-		{"single worker", 1, 3, 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s, err := New(Options{Workers: tc.workers, EngineWorkers: tc.engine})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() { _ = s.Drain(context.Background()) }()
-			if got := s.jobWorkers(); got != tc.wantJobs {
-				t.Errorf("Workers=%d EngineWorkers=%d: jobWorkers = %d, want %d",
-					tc.workers, tc.engine, got, tc.wantJobs)
-			}
-			if tot := s.jobWorkers() * s.opt.EngineWorkers; tot > max(1, tc.workers) {
-				t.Errorf("split oversubscribes: %d job x %d engine > %d budget",
-					s.jobWorkers(), s.opt.EngineWorkers, tc.workers)
-			}
-		})
-	}
-}
 
 // TestWorkersFieldDoesNotSplitCache pins the serving-side half of the
 // execution-only contract: the same logical run submitted with
@@ -48,10 +12,10 @@ func TestJobWorkersSplitsBudget(t *testing.T) {
 // cached result is byte-identical — the parallel engine cannot be
 // observed through the API.
 func TestWorkersFieldDoesNotSplitCache(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2, EngineWorkers: 2})
+	_, ts := newTestServer(t, Options{Workers: 2})
 
 	cfg := testConfig()
-	cfg.Workers = 4 // capped to the server's per-job budget
+	cfg.Workers = 4 // overridden: a served point runs serial
 	resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: cfg, Options: testOptions()})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first POST = %d: %s", resp.StatusCode, raw)

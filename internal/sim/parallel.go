@@ -9,7 +9,7 @@
 // goroutine, with a barrier between phases. Writes that would cross a
 // shard boundary (a flit pushed into a queue another shard owns) are
 // not performed in the owning commit phase — the model stages them in
-// a per-shard outbox and applies them in a later commit phase, again
+// a per-shard outbox and applies them in a second commit phase, again
 // separated by a barrier, so no buffer is ever touched by two workers
 // without an intervening synchronization. Because every decision was
 // staged from frozen start-of-tick state, deferring a push never
@@ -19,13 +19,12 @@
 // All order-sensitive work — fault injection, statistics that use
 // order-dependent floating-point accumulation, the progress watchdog,
 // the per-cycle hook — runs in serial sections on worker 0 (the
-// Prologue before Compute and the engine epilogue after the last
+// Prologue before Compute and the engine epilogue after the second
 // commit phase), so a parallel run reproduces the serial run's
 // arithmetic exactly, not just its final buffer states.
 package sim
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,19 +43,23 @@ type Shard interface {
 	// Compute stages the shard's transfer decisions for this tick from
 	// start-of-tick state.
 	Compute(now int64)
-	// CommitPhase applies the shard's staged transfers for one commit
-	// phase and reports the number of progress events (flit movements)
-	// — the per-shard replacement for Engine.Progress/ProgressN, which
-	// must not be called from inside a shard. Phases are globally
-	// barrier-separated: phase p+1 starts only after every shard
-	// finished phase p.
+	// CommitPhase applies the shard's staged transfers for one of the
+	// tick's two commit phases — 0, the shard-local commit with
+	// cross-shard pushes staged in an outbox, then 1, the outbox flush —
+	// and reports the number of progress events (flit movements): the
+	// per-shard replacement for Engine.Progress/ProgressN, which must
+	// not be called from inside a shard. The phases are globally
+	// barrier-separated: phase 1 starts only after every shard finished
+	// phase 0.
 	CommitPhase(phase int, now int64) int
 }
 
+// commitPhases is the number of commit phases in a parallel tick.
+const commitPhases = 2
+
 // PartitionShard describes one shard of a model's Partition: the
-// engine-facing Shard plus the half-open range [PMLo, PMHi) of
-// processing-module ids whose state the shard owns (PMLo == PMHi for
-// shards that own none, e.g. a hierarchy's internal rings).
+// engine-facing Shard plus the non-empty half-open range [PMLo, PMHi)
+// of processing-module ids whose state the shard owns.
 type PartitionShard struct {
 	Name       string
 	PMLo, PMHi int
@@ -64,24 +67,17 @@ type PartitionShard struct {
 }
 
 // Partition is a model's description of its ownership sharding, the
-// result of the network layer's Model.Partition. The PM ranges
-// of all shards must tile [0, nPMs) without overlap.
+// result of the network layer's Model.Partition. The PM ranges of the
+// shards, taken in order, must tile [0, nPMs), and the serial engine
+// must observe same-tick packet completions in increasing PM id: the
+// measurement layer drains its per-PM completion staging in that
+// order, reproducing the serial path's order-dependent accumulator
+// arithmetic bit for bit.
 type Partition struct {
 	// Shards lists the ownership shards. Within a shard, components
 	// commit in their serial order; across shards the engine imposes no
 	// order, which is sound exactly because shards share no buffers.
 	Shards []PartitionShard
-	// CommitPhases is how many barrier-separated commit phases the
-	// model needs (at least 1). Extra phases serialize cross-shard
-	// hand-offs: deferred outbox pushes, or level-ordered commits in a
-	// hierarchy.
-	CommitPhases int
-	// DeliverOrder lists every PM id in the order in which same-tick
-	// packet completions are observed by the serial engine. The
-	// measurement layer drains per-PM completion staging in this order,
-	// reproducing the serial path's order-dependent accumulator
-	// arithmetic bit for bit.
-	DeliverOrder []int
 	// Prologue, when non-nil, runs serially on worker 0 before each
 	// tick's Compute phase (fault injection steps here: the fault
 	// driver is a serial cursor walk the shards must not race on).
@@ -97,13 +93,11 @@ type ParallelPlan struct {
 	// Shards run concurrently, block-partitioned over the workers.
 	Shards []Shard
 	// ShardNames labels the shards for phase-timing reports (parallel
-	// to Shards; optional — unnamed shards report by index).
+	// to Shards).
 	ShardNames []string
-	// CommitPhases is the number of barrier-separated commit phases.
-	CommitPhases int
 	// Prologue, when non-nil, runs serially on worker 0 before Compute.
 	Prologue func(now int64)
-	// Epilogue, when non-nil, runs serially on worker 0 after the last
+	// Epilogue, when non-nil, runs serially on worker 0 after the second
 	// commit phase and before the engine's own end-of-tick bookkeeping
 	// (progress fold, OnCycle, watchdog). The measurement drain — the
 	// order-sensitive statistics work — happens here.
@@ -123,9 +117,6 @@ func (e *Engine) SetParallel(p *ParallelPlan) {
 		e.shardMoved = nil
 		return
 	}
-	if p.CommitPhases < 1 {
-		p.CommitPhases = 1
-	}
 	if p.Workers > len(p.Shards) {
 		p.Workers = len(p.Shards)
 	}
@@ -139,21 +130,11 @@ func (e *Engine) SetParallel(p *ParallelPlan) {
 // calls and its own barrier waits. Strictly observation-only — the
 // schedule, and therefore the simulation result, is unchanged — but
 // not free (two clock reads per shard phase), so it is opt-in. No-op
-// without a plan. Returns the accumulator, which is safe to read after
-// Run returns.
-func (e *Engine) EnablePhaseStats() *obs.PhaseStats {
-	if e.plan == nil {
-		return nil
+// without a plan.
+func (e *Engine) EnablePhaseStats() {
+	if e.plan != nil {
+		e.phaseStats = obs.NewPhaseStats(e.plan.ShardNames, e.plan.Workers)
 	}
-	names := e.plan.ShardNames
-	if len(names) != len(e.plan.Shards) {
-		names = make([]string, len(e.plan.Shards))
-		for i := range names {
-			names[i] = fmt.Sprintf("shard%d", i)
-		}
-	}
-	e.phaseStats = obs.NewPhaseStats(names, e.plan.Workers)
-	return e.phaseStats
 }
 
 // PhaseStats returns the phase-timing accumulator (nil unless
@@ -185,12 +166,13 @@ func (e *Engine) shardRange(w int) (lo, hi int) {
 
 // runParallel advances the simulation by ticks ticks on the worker
 // gang. The whole tick loop runs inside one gang dispatch; per tick
-// the workers cross 2+CommitPhases barriers:
+// the workers cross four barriers:
 //
 //	worker 0: prologue (fault step) — or raise stop
 //	barrier   ── all: Compute own shards
 //	barrier   ── all: CommitPhase 0 own shards
-//	barrier   ── … one barrier per commit phase …
+//	barrier   ── all: CommitPhase 1 own shards
+//	barrier
 //	worker 0: epilogue (measurement drain), progress fold, OnCycle,
 //	          watchdog — then loop
 //
@@ -257,7 +239,7 @@ func (e *Engine) runParallel(ticks int64) error {
 				}
 			})
 			sync(w)
-			for ph := 0; ph < p.CommitPhases; ph++ {
+			for ph := 0; ph < commitPhases; ph++ {
 				seg(func() {
 					for i := lo; i < hi; i++ {
 						if ps == nil {
@@ -285,9 +267,8 @@ func (e *Engine) runParallel(ticks int64) error {
 // finishTick is the serial end-of-tick section of the parallel loop,
 // run by worker 0 while the other workers wait at the loop-head
 // barrier: fold the per-shard progress counters, drain the plan's
-// epilogue (order-sensitive measurement), then do exactly what the
-// serial Step/Run pair does — progress bookkeeping, the tick
-// increment, the per-cycle hook, and the stall watchdog.
+// epilogue (order-sensitive measurement), then close the tick exactly
+// as the serial Step/Run pair does.
 func (e *Engine) finishTick(now int64) error {
 	var moved uint64
 	for i := range e.shardMoved {
@@ -299,25 +280,6 @@ func (e *Engine) finishTick(now int64) error {
 	if e.plan.Epilogue != nil {
 		e.plan.Epilogue(now)
 	}
-	if e.progress != e.lastProgress {
-		e.lastProgress = e.progress
-		e.lastMoveTick = now
-	}
-	e.now++
-	if e.OnCycle != nil {
-		e.OnCycle(now, moved)
-	}
-	if e.WatchdogTicks > 0 && e.now-e.lastMoveTick > e.WatchdogTicks {
-		if e.InFlight == nil || e.InFlight() {
-			if rep := e.diagnose(); rep != nil {
-				rep.Tick = e.now
-				return &StallError{Tick: e.now, Report: rep}
-			}
-			return fmt.Errorf("%w at tick %d", ErrStalled, e.now)
-		}
-		// Idle (no packets anywhere) is fine; reset the clock so we
-		// don't re-check every tick.
-		e.lastMoveTick = e.now
-	}
-	return nil
+	e.endTick(now, moved)
+	return e.checkWatchdog()
 }

@@ -6,21 +6,25 @@ import (
 
 // tickShard is a minimal Shard whose phases each bump a counter, so
 // the tests below isolate the engine's dispatch and barrier cost from
-// any model work.
-type tickShard struct{ computes, commits int64 }
+// any model work. misordered counts commit calls that were not phase 0
+// then phase 1 in turn.
+type tickShard struct{ computes, commits, misordered int64 }
 
 func (s *tickShard) Compute(now int64) { s.computes++ }
 func (s *tickShard) CommitPhase(phase int, now int64) int {
+	if int64(phase) != s.commits%2 {
+		s.misordered++
+	}
 	s.commits++
 	return 1
 }
 
 // parallelEngine builds an engine with nShards trivial shards on
-// workers workers and phases commit phases.
-func parallelEngine(workers, nShards, phases int) (*Engine, []*tickShard) {
+// workers workers.
+func parallelEngine(workers, nShards int) (*Engine, []*tickShard) {
 	var e Engine
 	shards := make([]*tickShard, nShards)
-	plan := &ParallelPlan{Workers: workers, CommitPhases: phases}
+	plan := &ParallelPlan{Workers: workers}
 	for i := range shards {
 		shards[i] = &tickShard{}
 		plan.Shards = append(plan.Shards, shards[i])
@@ -48,16 +52,19 @@ func TestSetParallelDegeneratePlansStaySerial(t *testing.T) {
 }
 
 func TestParallelClampsWorkersToShards(t *testing.T) {
-	e, _ := parallelEngine(16, 3, 1)
+	e, _ := parallelEngine(16, 3)
 	defer e.CloseWorkers()
 	if got := e.plan.Workers; got != 3 {
 		t.Fatalf("Workers = %d after clamp; want 3", got)
 	}
 }
 
+// TestParallelRunsEveryShardEveryPhase pins the two-phase tick: every
+// shard computes once, then sees commit phase 0 and phase 1, in that
+// order, every tick.
 func TestParallelRunsEveryShardEveryPhase(t *testing.T) {
-	const ticks, phases = 100, 3
-	e, shards := parallelEngine(2, 4, phases)
+	const ticks = 100
+	e, shards := parallelEngine(2, 4)
 	defer e.CloseWorkers()
 	if err := e.Run(ticks); err != nil {
 		t.Fatal(err)
@@ -66,8 +73,9 @@ func TestParallelRunsEveryShardEveryPhase(t *testing.T) {
 		if s.computes != ticks {
 			t.Errorf("shard %d: %d computes, want %d", i, s.computes, ticks)
 		}
-		if s.commits != ticks*phases {
-			t.Errorf("shard %d: %d commits, want %d", i, s.commits, ticks*phases)
+		if s.commits != 2*ticks || s.misordered != 0 {
+			t.Errorf("shard %d: %d commit calls, %d out of phase order; want %d, 0",
+				i, s.commits, s.misordered, 2*ticks)
 		}
 	}
 	if e.Now() != ticks {
@@ -97,7 +105,7 @@ func TestSerialStepAllocationFree(t *testing.T) {
 // guarded is an accidental per-tick allocation (1.0+ per tick).
 func TestParallelRunAllocationBound(t *testing.T) {
 	const ticks = 500
-	e, _ := parallelEngine(4, 8, 2)
+	e, _ := parallelEngine(4, 8)
 	defer e.CloseWorkers()
 	if err := e.Run(ticks); err != nil { // warm up: create the gang
 		t.Fatal(err)
@@ -130,7 +138,7 @@ func (s *panicShard) CommitPhase(phase int, now int64) int {
 // goroutine, where core's usual recovery path expects it.
 func TestParallelPanicReachesCaller(t *testing.T) {
 	var e Engine
-	plan := &ParallelPlan{Workers: 2, CommitPhases: 1}
+	plan := &ParallelPlan{Workers: 2}
 	plan.Shards = append(plan.Shards, &panicShard{at: 10}, &tickShard{})
 	e.SetParallel(plan)
 	defer e.CloseWorkers()

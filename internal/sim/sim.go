@@ -185,14 +185,40 @@ func (e *Engine) Step() {
 			}
 		}
 	}
+	e.endTick(now, e.progress-before)
+}
+
+// endTick closes tick now, during which moved progress events were
+// reported: watchdog bookkeeping, the tick increment and the per-cycle
+// hook. Both schedules end every tick here.
+func (e *Engine) endTick(now int64, moved uint64) {
 	if e.progress != e.lastProgress {
 		e.lastProgress = e.progress
 		e.lastMoveTick = now
 	}
 	e.now++
 	if e.OnCycle != nil {
-		e.OnCycle(now, e.progress-before)
+		e.OnCycle(now, moved)
 	}
+}
+
+// checkWatchdog returns the stall error once WatchdogTicks ticks have
+// passed without progress while packets are in flight.
+func (e *Engine) checkWatchdog() error {
+	if e.WatchdogTicks <= 0 || e.now-e.lastMoveTick <= e.WatchdogTicks {
+		return nil
+	}
+	if e.InFlight == nil || e.InFlight() {
+		if rep := e.diagnose(); rep != nil {
+			rep.Tick = e.now
+			return &StallError{Tick: e.now, Report: rep}
+		}
+		return fmt.Errorf("%w at tick %d", ErrStalled, e.now)
+	}
+	// Idle (no packets anywhere) is fine; reset the clock so we don't
+	// re-check every tick.
+	e.lastMoveTick = e.now
+	return nil
 }
 
 // Run advances the simulation by ticks ticks, checking the watchdog.
@@ -205,17 +231,8 @@ func (e *Engine) Run(ticks int64) error {
 	end := e.now + ticks
 	for e.now < end {
 		e.Step()
-		if e.WatchdogTicks > 0 && e.now-e.lastMoveTick > e.WatchdogTicks {
-			if e.InFlight == nil || e.InFlight() {
-				if rep := e.diagnose(); rep != nil {
-					rep.Tick = e.now
-					return &StallError{Tick: e.now, Report: rep}
-				}
-				return fmt.Errorf("%w at tick %d", ErrStalled, e.now)
-			}
-			// Idle (no packets anywhere) is fine; reset the clock so
-			// we don't re-check every tick.
-			e.lastMoveTick = e.now
+		if err := e.checkWatchdog(); err != nil {
+			return err
 		}
 	}
 	return nil

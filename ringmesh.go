@@ -165,13 +165,12 @@ type Config struct {
 	// deadlock. For forensics demonstrations and ablations — never for
 	// measurement runs.
 	UnsafeNoVC bool `json:"unsafe_no_vc,omitempty"`
-	// Workers, when > 1, runs the tick loop across that many worker
-	// goroutines, sharded by the model's ownership partition (per ring
-	// for hierarchies, per router row for meshes). Execution-only:
-	// results are bit-identical at any worker count, so Workers does
-	// not enter result cache keys (see CacheKey). Falls back to the
-	// serial engine for models or configurations that cannot shard, and
-	// whenever Trace is set.
+	// Workers, when > 1, runs a mesh's tick loop across that many
+	// worker goroutines, one shard per router row. Meshes only; rings
+	// run serial at any value (their tick is shorter than the barriers
+	// a sharded one crosses), as does every system with Trace set.
+	// Execution-only: results are bit-identical at any worker count, so
+	// Workers does not enter result cache keys (see CacheKey).
 	Workers int `json:"workers,omitempty"`
 	// PhaseStats, when true together with Workers > 1, times every
 	// shard's compute/commit phases and every worker's barrier waits
@@ -585,8 +584,8 @@ func (s *System) RunContext(ctx context.Context, opt RunOptions) (Result, error)
 func (s *System) StepCycles(n int64) error { return s.inner.StepCycles(n) }
 
 // Parallel reports whether ticks execute on the parallel worker engine
-// (Config.Workers > 1 and the model produced an ownership partition);
-// false means the exact serial path runs.
+// (Config.Workers > 1 on an untraced mesh; meshes only, rings run
+// serial); false means the exact serial path runs.
 func (s *System) Parallel() bool { return s.inner.Engine().Parallel() }
 
 // PhaseStats returns the parallel engine's phase-timing accumulator:
