@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check staticcheck race loc bench-smoke bench-guard bench-baseline bench-test bench-run-smoke bench-probe-smoke profile smoke-ringmeshd fuzz-smoke ci
+.PHONY: all build test vet fmt-check staticcheck race loc bench-smoke bench-guard bench-baseline bench-test bench-run-smoke bench-probe-smoke profile smoke-ringmeshd fuzz-smoke results-check ci
 
 all: build
 
@@ -106,6 +106,15 @@ smoke-ringmeshd:
 fuzz-smoke:
 	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzParse -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s
+
+# Regenerate every table and figure at the paper-fidelity schedule and
+# require results/ to be byte-current (analytic-bounds.csv belongs to
+# internal/fidelity, not to cmd/experiments). About 2.5 minutes on two
+# cores, so ci.yml runs it as its own step and `make ci` leaves it out.
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/experiments -all -out "$$tmp" >/dev/null && \
+	diff -r -x analytic-bounds.csv results "$$tmp"
 
 # The gate run by .github/workflows/ci.yml.
 ci: vet fmt-check staticcheck build race loc bench-test bench-run-smoke bench-probe-smoke bench-smoke bench-guard fuzz-smoke smoke-ringmeshd

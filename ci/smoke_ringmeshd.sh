@@ -94,15 +94,15 @@ case "$third" in
 esac
 
 metrics=$(curl -fsS "$base/metrics")
-echo "$metrics" | grep -q '^ringmeshd_cache_hits_total [1-9]' \
+grep -q '^ringmeshd_cache_hits_total [1-9]' <<<"$metrics" \
   || { echo "FAIL: no cache hit recorded:"; echo "$metrics"; exit 1; }
-echo "$metrics" | grep -q '^ringmeshd_cache_misses_total 1$' \
+grep -q '^ringmeshd_cache_misses_total 1$' <<<"$metrics" \
   || { echo "FAIL: expected exactly one cache miss:"; echo "$metrics"; exit 1; }
 # Telemetry: the completed job left run-duration histogram buckets
 # labeled by family and outcome, and runtime health gauges are live.
-echo "$metrics" | grep -q 'ringmeshd_job_run_seconds_bucket{family="mesh",outcome="done",le="+Inf"}' \
+grep -q 'ringmeshd_job_run_seconds_bucket{family="mesh",outcome="done",le="+Inf"}' <<<"$metrics" \
   || { echo "FAIL: no run-duration histogram buckets:"; echo "$metrics"; exit 1; }
-echo "$metrics" | grep -q '^go_goroutines ' \
+grep -q '^go_goroutines ' <<<"$metrics" \
   || { echo "FAIL: no runtime gauges:"; echo "$metrics"; exit 1; }
 
 # The job's lifecycle trace is served as Chrome trace-event JSON.
@@ -213,9 +213,9 @@ case "$replay" in
   *) echo "FAIL: pre-crash result not served after restart: $replay"; exit 1 ;;
 esac
 dmetrics=$(curl -fsS "$dbase2/metrics")
-echo "$dmetrics" | grep -q '^ringmeshd_disk_cache_hits_total 1$' \
+grep -q '^ringmeshd_disk_cache_hits_total 1$' <<<"$dmetrics" \
   || { echo "FAIL: restart hit not served from the disk tier:"; echo "$dmetrics" | grep disk_cache; exit 1; }
-echo "$dmetrics" | grep -q '^ringmeshd_cache_misses_total 0$' \
+grep -q '^ringmeshd_cache_misses_total 0$' <<<"$dmetrics" \
   || { echo "FAIL: restart caused a recompute:"; echo "$dmetrics" | grep cache_misses; exit 1; }
 kill -TERM "$dpid2"; wait "$dpid2" || { echo "FAIL: durable daemon exited dirty"; exit 1; }
 
@@ -284,11 +284,11 @@ case "$sfinal" in
 esac
 
 cmetrics=$(curl -fsS "$cbase/metrics")
-echo "$cmetrics" | grep -q '^ringmeshd_coord_retries_total [1-9]' \
+grep -q '^ringmeshd_coord_retries_total [1-9]' <<<"$cmetrics" \
   || { echo "FAIL: no retries recorded:"; echo "$cmetrics" | grep coord; exit 1; }
-echo "$cmetrics" | grep -q '^ringmeshd_coord_breaker_trips_total [1-9]' \
+grep -q '^ringmeshd_coord_breaker_trips_total [1-9]' <<<"$cmetrics" \
   || { echo "FAIL: no breaker trips recorded:"; echo "$cmetrics" | grep coord; exit 1; }
-echo "$cmetrics" | grep -q '^ringmeshd_coord_points_failed_total [1-9]' \
+grep -q '^ringmeshd_coord_points_failed_total [1-9]' <<<"$cmetrics" \
   || { echo "FAIL: no failed points recorded:"; echo "$cmetrics" | grep coord; exit 1; }
 
 # Dispatch attempts (including retries against the dead fleet) are
@@ -375,14 +375,14 @@ curl -fsS "$fbase/healthz" | grep -q '"ok"' || { echo "FAIL: healthz under flood
 curl -fsS "$fbase/readyz" | grep -q '"interactive"' || { echo "FAIL: readyz missing class depths"; exit 1; }
 
 fmetrics=$(curl -fsS "$fbase/metrics")
-echo "$fmetrics" | grep -q 'ringmeshd_admit_total{class="interactive"} 2' \
+grep -q 'ringmeshd_admit_total{class="interactive"} 2' <<<"$fmetrics" \
   || { echo "FAIL: interactive admit counter:"; echo "$fmetrics" | grep admit; exit 1; }
 # Four background sheds: the evicted flood job, the explicit-simulate
 # 503, and the degraded run's own failed admit plus its (also shed)
 # upgrade attempt.
-echo "$fmetrics" | grep -q 'ringmeshd_shed_total{class="background"} 4' \
+grep -q 'ringmeshd_shed_total{class="background"} 4' <<<"$fmetrics" \
   || { echo "FAIL: background shed counter:"; echo "$fmetrics" | grep shed; exit 1; }
-echo "$fmetrics" | grep -q '^ringmeshd_fidelity_degraded_total 1$' \
+grep -q '^ringmeshd_fidelity_degraded_total 1$' <<<"$fmetrics" \
   || { echo "FAIL: degrade counter:"; echo "$fmetrics" | grep fidelity; exit 1; }
 
 # The interactive job completes once the occupier finishes; the two
@@ -427,9 +427,9 @@ for jid in "${jids[@]}"; do
 done
 
 jmetrics=$(curl -fsS "$jbase2/metrics")
-echo "$jmetrics" | grep -q '^ringmeshd_journal_replayed_total 4$' \
+grep -q '^ringmeshd_journal_replayed_total 4$' <<<"$jmetrics" \
   || { echo "FAIL: replay counter:"; echo "$jmetrics" | grep journal; exit 1; }
-echo "$jmetrics" | grep -q '^ringmeshd_journal_quarantined_total 0$' \
+grep -q '^ringmeshd_journal_quarantined_total 0$' <<<"$jmetrics" \
   || { echo "FAIL: clean journal quarantined records:"; echo "$jmetrics" | grep journal; exit 1; }
 
 kill -TERM "$jpid2"; wait "$jpid2" || { echo "FAIL: journal daemon exited dirty"; exit 1; }
@@ -492,13 +492,13 @@ case "$again" in
 esac
 
 ametrics=$(curl -fsS "$abase/metrics")
-echo "$ametrics" | grep -q 'ringmeshd_fidelity_requests_total{fidelity="auto"} 2' \
+grep -q 'ringmeshd_fidelity_requests_total{fidelity="auto"} 2' <<<"$ametrics" \
   || { echo "FAIL: auto request counter:"; echo "$ametrics" | grep fidelity; exit 1; }
-echo "$ametrics" | grep -q '^ringmeshd_fidelity_analytic_answers_total 1$' \
+grep -q '^ringmeshd_fidelity_analytic_answers_total 1$' <<<"$ametrics" \
   || { echo "FAIL: analytic answer counter:"; echo "$ametrics" | grep fidelity; exit 1; }
-echo "$ametrics" | grep -q '^ringmeshd_fidelity_upgrades_total 1$' \
+grep -q '^ringmeshd_fidelity_upgrades_total 1$' <<<"$ametrics" \
   || { echo "FAIL: upgrade counter:"; echo "$ametrics" | grep fidelity; exit 1; }
-echo "$ametrics" | grep -q 'ringmeshd_fidelity_answer_seconds_bucket{fidelity="analytic",le="+Inf"}' \
+grep -q 'ringmeshd_fidelity_answer_seconds_bucket{fidelity="analytic",le="+Inf"}' <<<"$ametrics" \
   || { echo "FAIL: no per-fidelity latency histogram:"; echo "$ametrics" | grep fidelity; exit 1; }
 
 kill -TERM "$apid"; wait "$apid" || { echo "FAIL: fidelity daemon exited dirty"; exit 1; }

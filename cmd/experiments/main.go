@@ -34,7 +34,6 @@ func main() {
 		plotIt  = flag.Bool("plot", false, "draw ASCII charts after each experiment")
 		seed    = flag.Uint64("seed", 42, "simulation seed")
 		workers = flag.Int("workers", runtime.NumCPU(), "concurrent simulations (>= 1)")
-		engineW = flag.Int("engine-workers", 1, "parallel tick workers per mesh simulation (>= 1; rings run serial; capped so workers x engine-workers <= NumCPU)")
 	)
 	flag.Parse()
 
@@ -42,10 +41,6 @@ func main() {
 	// negative worker count has a bug it should hear about.
 	if *workers < 1 {
 		fmt.Fprintf(os.Stderr, "experiments: -workers %d < 1\n", *workers)
-		os.Exit(2)
-	}
-	if *engineW < 1 {
-		fmt.Fprintf(os.Stderr, "experiments: -engine-workers %d < 1\n", *engineW)
 		os.Exit(2)
 	}
 
@@ -62,7 +57,6 @@ func main() {
 	}
 	spec.Seed = *seed
 	spec.Workers = *workers
-	spec.EngineWorkers = *engineW
 
 	var todo []exp.Experiment
 	switch {

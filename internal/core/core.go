@@ -214,15 +214,9 @@ func (s *System) OnCycle(f func(now int64, moved uint64)) {
 	s.wireOnCycle()
 }
 
-// Collector exposes the measurement aggregate (for tests).
-func (s *System) Collector() *node.Collector { return s.col }
-
 // Engine exposes the cycle engine (for tests and for attaching the
 // per-cycle observability hook; see sim.Engine.OnCycle).
 func (s *System) Engine() *sim.Engine { return s.engine }
-
-// Network exposes the interconnect model (for tests).
-func (s *System) Network() network.Model { return s.net }
 
 // Metrics returns the instrument registry the system was built with
 // (nil when metrics are disabled).
@@ -296,11 +290,26 @@ func QuickRunConfig() RunConfig {
 	return RunConfig{WarmupCycles: 1000, BatchCycles: 1000, Batches: 4}
 }
 
-func (rc RunConfig) validate() error {
-	if rc.WarmupCycles < 0 || rc.BatchCycles <= 0 || rc.Batches < 1 {
-		return fmt.Errorf("core: bad run config %+v", rc)
+// Validate range-checks the schedule, in the facade's wire names: the
+// one rule behind System.Run, the facade, the daemon's admission and the
+// command line. A negative watchdog horizon or timeout is rejected, not
+// read as "off": the engine arms either only when positive, so a
+// stalled run would otherwise burn its whole schedule.
+func (rc RunConfig) Validate() error {
+	switch {
+	case rc.WarmupCycles < 0:
+		return fmt.Errorf("warmup_cycles %d < 0", rc.WarmupCycles)
+	case rc.BatchCycles < 1:
+		return fmt.Errorf("batch_cycles %d < 1", rc.BatchCycles)
+	case rc.Batches < 1:
+		return fmt.Errorf("batches %d < 1", rc.Batches)
+	case rc.WatchdogCycles < 0:
+		return fmt.Errorf("watchdog_cycles %d < 0", rc.WatchdogCycles)
+	case rc.Timeout < 0:
+		return fmt.Errorf("timeout_ns %d < 0", rc.Timeout)
+	default:
+		return nil
 	}
-	return nil
 }
 
 // Result summarizes one simulation run.
@@ -425,7 +434,7 @@ func (s *System) RunCtx(ctx context.Context, rc RunConfig) (res Result, err erro
 		}()
 		res, err = Result{}, pe
 	}()
-	if err := rc.validate(); err != nil {
+	if err := rc.Validate(); err != nil {
 		return Result{}, err
 	}
 	wd := rc.WatchdogCycles

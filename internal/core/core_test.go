@@ -143,6 +143,10 @@ func TestRunConfigValidation(t *testing.T) {
 	if _, err := sys.Run(RunConfig{BatchCycles: 100, Batches: 0}); err == nil {
 		t.Fatal("zero batches accepted")
 	}
+	// Read as "off", a negative horizon would disarm stall detection.
+	if _, err := sys.Run(RunConfig{BatchCycles: 100, Batches: 1, WatchdogCycles: -1}); err == nil {
+		t.Fatal("negative watchdog accepted")
+	}
 }
 
 // Latency must grow with system size under the no-locality workload

@@ -1,22 +1,18 @@
-// Package exp defines one runnable experiment per table and figure of
-// the paper's evaluation, plus the ablation studies listed in
-// DESIGN.md. Each experiment reproduces the corresponding artifact's
-// data: the same parameter sweep, the same series, rendered as text
-// tables (and CSV) instead of plots.
+// Package exp declares one experiment per table and figure of the
+// paper's evaluation, plus the ablation studies listed in DESIGN.md,
+// as a table of values (figures.go) that one runner (Experiment.Run)
+// executes: the same parameter sweep, the same series, rendered as
+// text tables (and CSV) instead of plots.
 package exp
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sort"
 
 	"ringmesh/internal/core"
-	"ringmesh/internal/network"
 	"ringmesh/internal/pool"
-	"ringmesh/internal/topo"
-	"ringmesh/internal/workload"
 )
 
 // Point is one measurement in a series.
@@ -86,18 +82,43 @@ func QuickSpec() Spec {
 	return Spec{Seed: 42, Run: core.QuickRunConfig(), Workers: 4}
 }
 
-// Experiment is one reproducible paper artifact.
+// Experiment is one reproducible paper artifact, declared as data: its
+// metadata, the curves to simulate and the summary tables derived from
+// them. A table-only artifact has no curves.
 type Experiment struct {
 	ID      string
 	Title   string
 	Caption string
-	Run     func(Spec) (Output, error)
+
+	xLabel, yLabel string
+	// curves lists the figure's series in display order. It is
+	// evaluated per Run, because choosing a sweep's ring hierarchies
+	// costs milliseconds a process that only lists experiments should
+	// not pay.
+	curves func() []curve
+	// tables derives the summary tables from the finished series.
+	tables func([]Series) []Table
 }
 
-// registry holds experiments in paper order.
-var registry []Experiment
+// curve is one series of a figure before it is measured.
+type curve struct {
+	label  string
+	points []point
+	// y reads the plotted value off a run result; nil means latency
+	// (with its confidence interval).
+	y metric
+}
 
-func register(e Experiment) { registry = append(registry, e) }
+// point is one simulation of a curve: the sweep coordinate and the
+// system to build. The runner fills cfg's Seed and Workers from the
+// Spec.
+type point struct {
+	x   float64
+	cfg core.SystemConfig
+}
+
+// metric projects a run result onto a figure's Y axis.
+type metric func(core.Result) float64
 
 // All returns every experiment in paper order.
 func All() []Experiment {
@@ -116,235 +137,68 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// IDs lists registered experiment ids in order.
-func IDs() []string {
-	ids := make([]string, len(registry))
-	for i, e := range registry {
-		ids[i] = e.ID
-	}
-	return ids
-}
-
-// --- simulation point helpers -----------------------------------------
-
-// seriesMetric extracts one series' point from a run result.
-type seriesMetric struct {
-	series int
-	metric func(x float64, r core.Result) Point
-}
-
-// job is one simulation to run. It feeds one series (series/metric)
-// or, when multi is set, several series from the same run.
-type job struct {
-	series int
-	x      float64
-	build  func() (*core.System, error)
-	// metric converts the run result into a point; nil means latency.
-	metric func(x float64, r core.Result) Point
-	// multi, when non-empty, emits one point per entry instead of the
-	// single series/metric pair (used when several series share one
-	// simulation, e.g. global and local utilization).
-	multi []seriesMetric
-}
-
-// runJobs executes jobs over the shared bounded worker pool
-// (internal/pool, the same pool behind facade sweeps and the serving
-// daemon's queue) and fills the given series' points, ordered by X
-// within each series. Every job runs even after a failure; the
-// collected errors come back joined in a deterministic order.
-func runJobs(spec Spec, nSeries int, jobs []job) ([][]Point, error) {
-	type seriesPoint struct {
-		series int
-		p      Point
-	}
-	// Each job writes only its own slot, so the fan-out needs no lock.
-	results := make([][]seriesPoint, len(jobs))
-	errs := pool.ForEach(context.Background(), spec.Workers, len(jobs), func(i int) error {
-		j := jobs[i]
-		sys, err := j.build()
-		if err != nil {
-			return err
-		}
-		r, err := sys.Run(spec.Run)
-		if err != nil {
-			return err
-		}
-		if len(j.multi) > 0 {
-			for _, m := range j.multi {
-				results[i] = append(results[i], seriesPoint{series: m.series, p: m.metric(j.x, r)})
+// distinctConfigs flattens curves to the systems one Run simulates, in
+// series-major order of first occurrence, and maps every configuration
+// to its slot. Curves that plot different values of the same system
+// (fig8's global and local utilization) share one simulation.
+func distinctConfigs(curves []curve) ([]core.SystemConfig, map[core.SystemConfig]int) {
+	var cfgs []core.SystemConfig
+	slot := map[core.SystemConfig]int{}
+	for _, c := range curves {
+		for _, p := range c.points {
+			if _, ok := slot[p.cfg]; !ok {
+				slot[p.cfg] = len(cfgs)
+				cfgs = append(cfgs, p.cfg)
 			}
-			return nil
 		}
-		p := Point{
-			X: j.x, Y: r.Latency, CI: r.LatencyCI,
-			Saturated: r.Saturated, Stalled: r.Stalled,
+	}
+	return cfgs, slot
+}
+
+// Run simulates everything the experiment shows over the shared
+// bounded worker pool (internal/pool, the same pool behind the serving
+// daemon's queue) and returns its series, ordered by X, and tables.
+// Every point runs even after a failure; the collected errors come
+// back joined in a deterministic order.
+func (e Experiment) Run(spec Spec) (Output, error) {
+	out := Output{ID: e.ID, Title: e.Title, Caption: e.Caption, XLabel: e.xLabel, YLabel: e.yLabel}
+	var curves []curve
+	if e.curves != nil {
+		curves = e.curves()
+	}
+	cfgs, slot := distinctConfigs(curves)
+	// Each simulation writes only its own slot, so the fan-out needs no lock.
+	results := make([]core.Result, len(cfgs))
+	engineWorkers := pool.CapInner(runtime.NumCPU(), spec.Workers, spec.EngineWorkers)
+	errs := pool.ForEach(context.Background(), spec.Workers, len(cfgs), func(i int) error {
+		cfg := cfgs[i]
+		cfg.Seed, cfg.Workers = spec.Seed, engineWorkers
+		sys, err := core.NewSystem(cfg)
+		if err != nil {
+			return err
 		}
-		if j.metric != nil {
-			p = j.metric(j.x, r)
-		}
-		results[i] = []seriesPoint{{series: j.series, p: p}}
-		return nil
+		results[i], err = sys.Run(spec.Run)
+		return err
 	})
 	if len(errs) > 0 {
 		sort.Slice(errs, func(a, b int) bool { return errs[a].Error() < errs[b].Error() })
-		return nil, errors.Join(errs...)
+		return Output{}, errors.Join(errs...)
 	}
-	points := make([][]Point, nSeries)
-	for _, rs := range results {
-		for _, sp := range rs {
-			points[sp.series] = append(points[sp.series], sp.p)
-		}
-	}
-	for i := range points {
-		sort.Slice(points[i], func(a, b int) bool { return points[i][a].X < points[i][b].X })
-	}
-	return points, nil
-}
-
-// netBuilder returns a constructor for one simulation point over any
-// registered interconnect; every experiment's points flow through it.
-func netBuilder(spec Spec, name string, net network.Config, wl workload.MMRP, memLat int) func() (*core.System, error) {
-	return func() (*core.System, error) {
-		return core.NewSystem(core.SystemConfig{
-			Network:    name,
-			Net:        net,
-			Workload:   wl,
-			MemLatency: memLat,
-			Seed:       spec.Seed,
-			Workers:    pool.CapInner(runtime.NumCPU(), spec.Workers, spec.EngineWorkers),
-		})
-	}
-}
-
-// ringBuilder returns a constructor for one ring simulation point.
-func ringBuilder(spec Spec, topology topo.RingSpec, line int, wl workload.MMRP, dbl bool) func() (*core.System, error) {
-	return netBuilder(spec, "ring", network.Config{
-		Topology:          topology.String(),
-		LineBytes:         line,
-		DoubleSpeedGlobal: dbl,
-	}, wl, 0)
-}
-
-// meshBuilder returns a constructor for one mesh simulation point.
-func meshBuilder(spec Spec, k, line, buf int, wl workload.MMRP) func() (*core.System, error) {
-	return netBuilder(spec, "mesh", network.Config{
-		Nodes:       k * k,
-		LineBytes:   line,
-		BufferFlits: buf,
-	}, wl, 0)
-}
-
-// sweepTopologyFor returns a hierarchy for n PMs at the given line
-// size, following the paper's construction: leaf rings bounded by the
-// single-ring capacity and internal branching of at most three. Where
-// the paper sweeps past the last balanced configuration (its latency
-// figures extend beyond Table 2's largest entries) the branching
-// bound is widened until a hierarchy exists.
-func sweepTopologyFor(n, line int) (topo.RingSpec, error) {
-	if spec, err := network.RingTopologyFor(n, line); err == nil {
-		return spec, nil
-	}
-	cap := network.SingleRingCapacity[line]
-	if cap == 0 {
-		return topo.RingSpec{}, fmt.Errorf("exp: unsupported line size %dB", line)
-	}
-	for branch := 4; branch <= 8; branch++ {
-		if specs := topo.EnumerateRingSpecs(n, 4, branch, cap); len(specs) > 0 {
-			return network.BestRingSpec(specs), nil
-		}
-	}
-	return topo.RingSpec{}, fmt.Errorf("exp: no ring topology for %d PMs at %dB lines", n, line)
-}
-
-// ringLadder is the node-count sweep the paper uses for each cache
-// line size (drawn from Table 2 plus the figure extents).
-func ringLadder(line int) []int {
-	switch line {
-	case 16:
-		return []int{4, 8, 12, 24, 36, 54, 72, 108}
-	case 32:
-		return []int{4, 8, 16, 24, 48, 72, 96, 120}
-	case 64:
-		return []int{4, 6, 12, 18, 36, 54, 72, 108}
-	case 128:
-		return []int{4, 8, 12, 24, 36, 72, 108}
-	default:
-		return nil
-	}
-}
-
-// meshLadder is the square mesh sweep (2x2 .. 11x11).
-func meshLadder() []int { return []int{4, 9, 16, 25, 36, 49, 64, 81, 100, 121} }
-
-// lineSizes are the paper's four cache line sizes.
-var lineSizes = []int{16, 32, 64, 128}
-
-// baseWorkload is the paper's default (R=1.0, C=0.04, T=4, 70% reads).
-func baseWorkload() workload.MMRP { return workload.PaperDefaults() }
-
-// flag renders saturation/stall markers for tables.
-func flag(p Point) string {
-	switch {
-	case p.Stalled:
-		return " (stalled)"
-	case p.Saturated:
-		return " (saturated)"
-	default:
-		return ""
-	}
-}
-
-// crossover estimates the node count where series b (mesh) drops
-// below series a (ring) by scanning X in merged order and linearly
-// interpolating each curve. Returns 0 when no crossover is found in
-// range.
-func crossover(ringS, meshS Series) float64 {
-	interp := func(s Series, x float64) (float64, bool) {
-		pts := s.Points
-		if len(pts) == 0 || x < pts[0].X || x > pts[len(pts)-1].X {
-			return 0, false
-		}
-		for i := 1; i < len(pts); i++ {
-			if x <= pts[i].X {
-				x0, y0 := pts[i-1].X, pts[i-1].Y
-				x1, y1 := pts[i].X, pts[i].Y
-				if x1 == x0 {
-					return y1, true
-				}
-				return y0 + (y1-y0)*(x-x0)/(x1-x0), true
+	for _, c := range curves {
+		s := Series{Label: c.label}
+		for _, p := range c.points {
+			r := results[slot[p.cfg]]
+			pt := Point{X: p.x, Y: r.Latency, CI: r.LatencyCI, Saturated: r.Saturated, Stalled: r.Stalled}
+			if c.y != nil {
+				pt.Y, pt.CI = c.y(r), 0
 			}
+			s.Points = append(s.Points, pt)
 		}
-		return pts[len(pts)-1].Y, true
+		sort.Slice(s.Points, func(a, b int) bool { return s.Points[a].X < s.Points[b].X })
+		out.Series = append(out.Series, s)
 	}
-	// Collect candidate xs.
-	xs := map[float64]bool{}
-	for _, p := range ringS.Points {
-		xs[p.X] = true
+	if e.tables != nil {
+		out.Tables = e.tables(out.Series)
 	}
-	for _, p := range meshS.Points {
-		xs[p.X] = true
-	}
-	var grid []float64
-	for x := range xs {
-		grid = append(grid, x)
-	}
-	sort.Float64s(grid)
-	prevDiff := 0.0
-	prevX := 0.0
-	havePrev := false
-	for _, x := range grid {
-		ry, ok1 := interp(ringS, x)
-		my, ok2 := interp(meshS, x)
-		if !ok1 || !ok2 {
-			continue
-		}
-		diff := ry - my // positive once mesh is faster
-		if havePrev && prevDiff < 0 && diff >= 0 {
-			// Linear interpolation of the sign change.
-			t := prevDiff / (prevDiff - diff)
-			return prevX + t*(x-prevX)
-		}
-		prevDiff, prevX, havePrev = diff, x, true
-	}
-	return 0
+	return out, nil
 }

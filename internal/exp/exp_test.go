@@ -2,6 +2,11 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	goflag "flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -25,8 +30,8 @@ func TestRegistryComplete(t *testing.T) {
 		"fig19", "fig20", "fig21",
 	}
 	have := map[string]bool{}
-	for _, id := range IDs() {
-		have[id] = true
+	for _, e := range All() {
+		have[e.ID] = true
 	}
 	for _, id := range want {
 		if !have[id] {
@@ -35,9 +40,18 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+func mustByID(t *testing.T, id string) Experiment {
+	t.Helper()
+	e, ok := ByID(id)
+	if !ok {
+		t.Fatalf("%s missing", id)
+	}
+	return e
+}
+
 func TestByID(t *testing.T) {
 	e, ok := ByID("fig6")
-	if !ok || e.ID != "fig6" || e.Run == nil {
+	if !ok || e.ID != "fig6" || e.curves == nil {
 		t.Fatal("ByID(fig6) failed")
 	}
 	if _, ok := ByID("nope"); ok {
@@ -57,7 +71,7 @@ func TestAllCopies(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	out, err := runTable1(tinySpec())
+	out, err := mustByID(t, "table1").Run(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +94,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestTable2MatchesPaperMostly(t *testing.T) {
-	out, err := runTable2(tinySpec())
+	out, err := mustByID(t, "table2").Run(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,31 +160,54 @@ func atoiTrim(s string) (int, error) {
 	return n, nil
 }
 
-// Each figure experiment runs end to end at tiny scale and produces
-// non-empty, ordered series.
+var update = goflag.Bool("update", false, "re-record testdata/tiny.golden (full pass only)")
+
+// artifactDigest is the SHA-256 of an output's text and CSV renderings,
+// the two files cmd/experiments writes per experiment.
+func artifactDigest(t *testing.T, out Output) string {
+	t.Helper()
+	h := sha256.New()
+	if err := WriteText(h, out); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCSV(h, out); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Each experiment runs end to end at tiny scale, produces non-empty,
+// ordered series, and renders byte for byte what testdata/tiny.golden
+// recorded (one "id sha256" line per experiment, in registry order).
 func TestFiguresRunTiny(t *testing.T) {
 	ids := []string{"fig7", "fig13", "fig15"}
 	if !testing.Short() {
-		// The full registry (minus the two analytic tables) at tiny
-		// scale; a couple of minutes of CPU, skipped under -short.
+		// The full registry at tiny scale; a couple of minutes of CPU,
+		// skipped under -short.
 		ids = nil
-		for _, id := range IDs() {
-			if id == "table1" || id == "table2" {
-				continue
-			}
-			ids = append(ids, id)
+		for _, e := range All() {
+			ids = append(ids, e.ID)
 		}
 	}
-	for _, id := range ids {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("%s missing", id)
+	const goldenPath = "testdata/tiny.golden"
+	golden := map[string]string{}
+	if raw, err := os.ReadFile(goldenPath); err == nil {
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			if id, sum, ok := strings.Cut(line, " "); ok {
+				golden[id] = sum
+			}
 		}
+	} else if !*update {
+		t.Fatal(err)
+	}
+	var recorded strings.Builder
+	for _, id := range ids {
+		e := mustByID(t, id)
 		out, err := e.Run(tinySpec())
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if len(out.Series) == 0 {
+		if len(out.Series) == 0 && e.curves != nil {
 			t.Fatalf("%s produced no series", id)
 		}
 		for _, s := range out.Series {
@@ -185,6 +222,38 @@ func TestFiguresRunTiny(t *testing.T) {
 		}
 		if out.Title == "" || out.Caption == "" {
 			t.Fatalf("%s missing metadata", id)
+		}
+		sum := artifactDigest(t, out)
+		fmt.Fprintf(&recorded, "%s %s\n", id, sum)
+		if !*update && sum != golden[id] {
+			t.Errorf("%s: artifact digest %s, golden %s", id, sum, golden[id])
+		}
+	}
+	if *update && !testing.Short() {
+		if err := os.WriteFile(goldenPath, []byte(recorded.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Two curves over the same points run each point once: fig8 plots the
+// global and the local utilization of 4 line sizes x 5 two-level
+// systems, 40 points from 20 simulations, scheduled series-major.
+func TestRunSimulatesSharedPointsOnce(t *testing.T) {
+	curves := mustByID(t, "fig8").curves()
+	points := 0
+	for _, c := range curves {
+		points += len(c.points)
+	}
+	cfgs, slot := distinctConfigs(curves)
+	if points != 40 || len(cfgs) != 20 {
+		t.Fatalf("fig8: %d points over %d systems, want 40 over 20", points, len(cfgs))
+	}
+	for i, c := range curves {
+		for j, p := range c.points {
+			if want := i/2*5 + j; slot[p.cfg] != want {
+				t.Fatalf("curve %q point %d runs in slot %d, want %d", c.label, j, slot[p.cfg], want)
+			}
 		}
 	}
 }

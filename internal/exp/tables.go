@@ -7,29 +7,9 @@ import (
 	"ringmesh/internal/packet"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "table1",
-		Title: "NIC buffer memory requirements, rings vs meshes",
-		Caption: "Paper Table 1: under equal pin budgets a ring NIC needs one cl-sized ring " +
-			"buffer (cl x 16B) while a mesh NIC needs four input buffers (4 x depth x 4B). " +
-			"This reproduction adds a second cl-sized ring buffer per NIC for the virtual-" +
-			"channel deadlock fix (see DESIGN.md), shown alongside the paper's figure.",
-		Run: runTable1,
-	})
-	register(Experiment{
-		ID:    "table2",
-		Title: "Optimal hierarchical ring topology per (processors, cache line size)",
-		Caption: "Paper Table 2: best topology for workloads with no locality (R=1.0 " +
-			"C=0.04). Our search constrains leaf rings to the single-ring capacity " +
-			"(12/8/6/4 PMs at 16/32/64/128B) and internal branching to three (the " +
-			"bisection limit), then minimizes depth and average hop distance.",
-		Run: runTable2,
-	})
-}
-
-func runTable1(Spec) (Output, error) {
-	out := Output{ID: "table1"}
+// nicBufferTable is Table 1: closed-form NIC buffer sizes, no
+// simulation.
+func nicBufferTable([]Series) Table {
 	t := Table{
 		Title:  "NIC buffer memory (bytes)",
 		Header: []string{"network", "line", "cl (paper)", "cl (this impl)", "4-flit", "1-flit"},
@@ -54,11 +34,7 @@ func runTable1(Spec) (Output, error) {
 			fmt.Sprintf("%d", 4*1*fb),
 		})
 	}
-	out.Tables = append(out.Tables, t)
-	if e, ok := ByID(out.ID); ok {
-		out.Title, out.Caption = e.Title, e.Caption
-	}
-	return out, nil
+	return t
 }
 
 // paperTable2 is the published Table 2 for reference, keyed by
@@ -79,8 +55,9 @@ var paperTable2 = map[[2]int]string{
 // table2Sizes is the processor-count column of the paper's Table 2.
 var table2Sizes = []int{4, 6, 8, 12, 18, 24, 36, 54, 72, 108}
 
-func runTable2(Spec) (Output, error) {
-	out := Output{ID: "table2"}
+// topologyTables is Table 2: the topology search's pick per
+// (processors, line size) beside the published one, and how many agree.
+func topologyTables([]Series) []Table {
 	t := Table{
 		Title:  "Optimal hierarchical ring topology (ours vs paper)",
 		Header: []string{"processors", "16B", "32B", "64B", "128B"},
@@ -105,16 +82,11 @@ func runTable2(Spec) (Output, error) {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	out.Tables = append(out.Tables, t)
-	out.Tables = append(out.Tables, Table{
+	return []Table{t, {
 		Title:  "Agreement with the published table",
 		Header: []string{"metric", "value"},
 		Rows: [][]string{{
 			"exact matches", fmt.Sprintf("%d / %d", match, total),
 		}},
-	})
-	if e, ok := ByID(out.ID); ok {
-		out.Title, out.Caption = e.Title, e.Caption
-	}
-	return out, nil
+	}}
 }

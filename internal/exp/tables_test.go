@@ -48,13 +48,13 @@ func TestGrowthTable(t *testing.T) {
 }
 
 func TestCrossoverTable(t *testing.T) {
-	out := &Output{Series: []Series{
+	series := []Series{
 		{Label: "ring", Points: []Point{{X: 4, Y: 10}, {X: 64, Y: 300}}},
 		{Label: "mesh a", Points: []Point{{X: 4, Y: 50}, {X: 64, Y: 100}}},
 		{Label: "ring2", Points: []Point{{X: 4, Y: 10}, {X: 64, Y: 20}}},
 		{Label: "mesh b", Points: []Point{{X: 4, Y: 50}, {X: 64, Y: 90}}},
-	}}
-	tab := crossoverTable(out, [][2]int{{0, 1}, {2, 3}}, " note")
+	}
+	tab := crossoverTable(" note")(series)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -70,11 +70,10 @@ func TestCrossoverTable(t *testing.T) {
 }
 
 func TestRatioTable(t *testing.T) {
-	out := &Output{Series: []Series{
+	tab := ratioTable([]Series{
 		{Label: "ring", Points: []Point{{X: 4, Y: 10}, {X: 16, Y: 20}}},
 		{Label: "mesh", Points: []Point{{X: 4, Y: 20}, {X: 16, Y: 40}}},
-	}}
-	tab := ratioTable(out, [][2]int{{0, 1}})
+	})
 	if len(tab.Rows) != 1 || tab.Rows[0][1] != "2.00" {
 		t.Fatalf("ratio rows = %v", tab.Rows)
 	}
@@ -96,18 +95,18 @@ func TestSpecsForSizesDropsImpossible(t *testing.T) {
 
 func TestUtilMetrics(t *testing.T) {
 	r := resultWithUtil([]float64{0.5, 0.25, 0.125})
-	if p := utilMetric(0)(10, r); p.Y != 50 || p.X != 10 {
-		t.Fatalf("global util point = %+v", p)
+	if y := utilMetric(0)(r); y != 50 {
+		t.Fatalf("global util = %v", y)
 	}
-	if p := localUtilMetric()(10, r); p.Y != 12.5 {
-		t.Fatalf("local util point = %+v", p)
+	if y := localUtilMetric(r); y != 12.5 {
+		t.Fatalf("local util = %v", y)
 	}
 	// Out-of-range level yields zero, not a panic.
-	if p := utilMetric(9)(10, r); p.Y != 0 {
-		t.Fatalf("missing level point = %+v", p)
+	if y := utilMetric(9)(r); y != 0 {
+		t.Fatalf("missing level util = %v", y)
 	}
-	if p := meshUtilMetric()(10, resultWithMeshUtil(0.4)); p.Y != 40 {
-		t.Fatalf("mesh util point = %+v", p)
+	if y := meshUtilMetric(resultWithMeshUtil(0.4)); y != 40 {
+		t.Fatalf("mesh util = %v", y)
 	}
 }
 

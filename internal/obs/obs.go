@@ -65,7 +65,6 @@ func NewTrace(max int) *Trace {
 type Span struct {
 	tr    *Trace
 	name  string
-	tid   int
 	start time.Time
 	attrs []Attr
 }
@@ -79,22 +78,6 @@ func (t *Trace) Start(name string, attrs ...Attr) *Span {
 	return &Span{tr: t, name: name, start: time.Now(), attrs: attrs}
 }
 
-// SetTID moves the span onto a different timeline lane (Chrome tid).
-func (s *Span) SetTID(tid int) *Span {
-	if s != nil {
-		s.tid = tid
-	}
-	return s
-}
-
-// Annotate appends an attribute to the span.
-func (s *Span) Annotate(key, value string) {
-	if s == nil {
-		return
-	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
-}
-
 // End completes the span and records it into the trace.
 func (s *Span) End() {
 	if s == nil {
@@ -102,7 +85,6 @@ func (s *Span) End() {
 	}
 	s.tr.Record(SpanRecord{
 		Name:  s.name,
-		TID:   s.tid,
 		Start: s.start,
 		Dur:   time.Since(s.start),
 		Attrs: s.attrs,

@@ -41,9 +41,6 @@ func (t Type) String() string {
 	}
 }
 
-// IsRequest reports whether the type travels processor → memory.
-func (t Type) IsRequest() bool { return t == ReadRequest || t == WriteRequest }
-
 // IsResponse reports whether the type travels memory → processor.
 func (t Type) IsResponse() bool { return t == ReadResponse || t == WriteResponse }
 

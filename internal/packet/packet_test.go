@@ -7,18 +7,15 @@ import (
 
 func TestTypePredicates(t *testing.T) {
 	cases := []struct {
-		t                  Type
-		isReq, isResp, dat bool
+		t           Type
+		isResp, dat bool
 	}{
-		{ReadRequest, true, false, false},
-		{ReadResponse, false, true, true},
-		{WriteRequest, true, false, true},
-		{WriteResponse, false, true, false},
+		{ReadRequest, false, false},
+		{ReadResponse, true, true},
+		{WriteRequest, false, true},
+		{WriteResponse, true, false},
 	}
 	for _, c := range cases {
-		if c.t.IsRequest() != c.isReq {
-			t.Errorf("%v IsRequest = %v", c.t, c.t.IsRequest())
-		}
 		if c.t.IsResponse() != c.isResp {
 			t.Errorf("%v IsResponse = %v", c.t, c.t.IsResponse())
 		}

@@ -23,9 +23,10 @@ import (
 // misparsed.
 const journalVersion = "ringmeshd-wal-v1"
 
-// Journal ops, one per job state transition. A job is "unfinished" —
-// and replayed on restart — when its newest record is accepted or
-// running.
+// Journal ops. A job is "unfinished" — and replayed on restart — when
+// it has an accepted record and no terminal one. opRunning is never
+// written: logs left by older daemons carry it, and replay decodes and
+// skips it.
 const (
 	opAccepted = "accepted"
 	opRunning  = "running"

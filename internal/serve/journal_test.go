@@ -109,6 +109,7 @@ func TestJournalReplayCompletesUnfinishedJobs(t *testing.T) {
 		Class: "interactive", Config: &cfg, Options: &opt})
 	jl.append(journalRecord{Op: opAccepted, ID: "j000002", Kind: kindSweep,
 		Class: "background", Config: &sweepCfg, Options: &opt, Sizes: []int{4, 16}})
+	jl.append(journalRecord{Op: opRunning, ID: "j000002"}) // as older daemons wrote; still unfinished
 	jl.append(journalRecord{Op: opAccepted, ID: "j000003", Kind: kindBatch,
 		Class: "batch", Entries: []batchEntry{{Config: cfg, Options: opt}}})
 	jl.append(journalRecord{Op: opAccepted, ID: "j000004", Kind: kindRun,
@@ -242,6 +243,10 @@ func TestJournalLifecycleRecords(t *testing.T) {
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
+	}
+	// accepted + done; starting to run appends nothing.
+	if mtext := getMetrics(t, ts.URL); !strings.Contains(mtext, "ringmeshd_journal_appends_total 2\n") {
+		t.Error("one completed job: want ringmeshd_journal_appends_total 2")
 	}
 
 	jl := openTestJournal(t, dir)

@@ -532,9 +532,6 @@ func (s *Server) execute(j *job) {
 	j.mu.Lock()
 	j.state = JobRunning
 	j.mu.Unlock()
-	if s.journal != nil && j.journaled {
-		s.journal.append(journalRecord{Op: opRunning, ID: j.id})
-	}
 	// The execution context stacks the server's per-job timeout and the
 	// client's absolute deadline; whichever is tighter cancels the run,
 	// and in coordinator mode the remaining budget rides along to the

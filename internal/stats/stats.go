@@ -38,13 +38,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
-// AddN records the same observation n times.
-func (a *Accumulator) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		a.Add(x)
-	}
-}
-
 // Merge folds other into a.
 func (a *Accumulator) Merge(other *Accumulator) {
 	if other.n == 0 {
@@ -228,9 +221,6 @@ func (u *Utilization) Value() float64 {
 	return float64(u.busy) / float64(u.capacity)
 }
 
-// Percent returns the utilization as a percentage.
-func (u *Utilization) Percent() float64 { return 100 * u.Value() }
-
 // Counts returns the raw busy and capacity counters (for windowed
 // samplers that difference successive snapshots).
 func (u *Utilization) Counts() (busy, capacity int64) { return u.busy, u.capacity }
@@ -297,9 +287,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	return h.acc.Max()
 }
-
-// Overflow returns the number of values beyond the last bucket.
-func (h *Histogram) Overflow() int64 { return h.over }
 
 // Lag1Autocorrelation estimates the lag-1 autocorrelation of a series
 // — the standard check that batch means are long enough to treat as

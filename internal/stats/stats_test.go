@@ -45,14 +45,6 @@ func TestAccumulatorSingle(t *testing.T) {
 	}
 }
 
-func TestAccumulatorAddN(t *testing.T) {
-	var a Accumulator
-	a.AddN(4, 10)
-	if a.Count() != 10 || a.Mean() != 4 || a.Variance() != 0 {
-		t.Fatalf("AddN: %v", a.String())
-	}
-}
-
 func TestAccumulatorMerge(t *testing.T) {
 	var whole, left, right Accumulator
 	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
@@ -227,9 +219,6 @@ func TestUtilization(t *testing.T) {
 	if !almostEq(u.Value(), 0.4, 1e-12) {
 		t.Fatalf("value = %v", u.Value())
 	}
-	if !almostEq(u.Percent(), 40, 1e-12) {
-		t.Fatalf("percent = %v", u.Percent())
-	}
 	var v Utilization
 	v.Tick(10)
 	v.Busy(6)
@@ -252,8 +241,8 @@ func TestHistogram(t *testing.T) {
 	if h.Count() != 101 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if h.Overflow() != 1 {
-		t.Fatalf("overflow = %d", h.Overflow())
+	if h.over != 1 {
+		t.Fatalf("overflow = %d", h.over)
 	}
 	q50 := h.Quantile(0.5)
 	if q50 < 40 || q50 > 70 {
@@ -347,7 +336,7 @@ func TestUtilizationMergeZeroCapacity(t *testing.T) {
 
 	var a, b Utilization
 	a.Merge(&b) // both empty: still defined, still zero
-	if a.Value() != 0 || a.Percent() != 0 {
+	if a.Value() != 0 {
 		t.Fatalf("empty merge produced %v", a.Value())
 	}
 	if busy, capacity := a.Counts(); busy != 0 || capacity != 0 {

@@ -96,10 +96,6 @@ func (m MeshSpec) HopDistance(a, b int) int {
 	return abs(ax-bx) + abs(ay-by)
 }
 
-// NumLinks returns the number of directed inter-router channels:
-// every adjacent pair contributes two 32-bit uni-directional links.
-func (m MeshSpec) NumLinks() int { return 4 * m.K * (m.K - 1) }
-
 // Direction identifies a mesh router port.
 type Direction int
 
@@ -196,18 +192,6 @@ func ECube(cx, cy, dx, dy int) Direction {
 	default:
 		return Local
 	}
-}
-
-// Path returns the full e-cube sequence of PM ids from src to dst,
-// inclusive of both endpoints.
-func (m MeshSpec) Path(src, dst int) []int {
-	path := []int{src}
-	cur := src
-	for cur != dst {
-		cur = m.Neighbor(cur, m.Route(cur, dst))
-		path = append(path, cur)
-	}
-	return path
 }
 
 func abs(v int) int {

@@ -97,23 +97,6 @@ func (r RingSpec) NumRings() int {
 	return total
 }
 
-// NumIRIs returns the number of inter-ring interfaces (one per
-// non-global ring).
-func (r RingSpec) NumIRIs() int { return r.NumRings() - 1 }
-
-// RingsAtLevel returns how many rings exist at the given level
-// (level 0 = global).
-func (r RingSpec) RingsAtLevel(level int) int {
-	if level < 0 || level >= len(r.Levels) {
-		panic(fmt.Sprintf("topo: level %d out of range", level))
-	}
-	n := 1
-	for i := 0; i < level; i++ {
-		n *= r.Levels[i]
-	}
-	return n
-}
-
 // Digits decomposes PM id p into its per-level child indices
 // (mixed-radix representation): digit[i] selects the child taken at
 // level i on the way from the global ring to the PM. Digits are

@@ -56,12 +56,6 @@ func TestPMsAndRings(t *testing.T) {
 	if spec.NumRings() != 9 {
 		t.Fatalf("rings = %d", spec.NumRings())
 	}
-	if spec.NumIRIs() != 8 {
-		t.Fatalf("IRIs = %d", spec.NumIRIs())
-	}
-	if spec.RingsAtLevel(0) != 1 || spec.RingsAtLevel(1) != 2 || spec.RingsAtLevel(2) != 6 {
-		t.Fatal("RingsAtLevel wrong")
-	}
 }
 
 func TestDigitsRoundTrip(t *testing.T) {

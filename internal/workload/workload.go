@@ -189,45 +189,6 @@ func (h Hotspot) String() string {
 	return fmt.Sprintf("hotspot(pm=%d, f=%.2f)", h.Hot, h.Fraction)
 }
 
-// Transpose maps PM (x, y) to (y, x) on a mesh — a permutation pattern
-// with long dimension-crossing paths, used in extension benches.
-type Transpose struct{ Mesh topo.MeshSpec }
-
-// Target implements Pattern.
-func (t Transpose) Target(src int, r *rng.Source) int {
-	x, y := t.Mesh.Coord(src)
-	return t.Mesh.ID(y, x)
-}
-
-// String implements Pattern.
-func (t Transpose) String() string { return "transpose" }
-
-// BitReverse maps each PM id to its bit-reversed id within the
-// smallest covering power of two (ids that reverse out of range fall
-// back to self). Another classical adversarial permutation.
-type BitReverse struct{ P int }
-
-// Target implements Pattern.
-func (b BitReverse) Target(src int, r *rng.Source) int {
-	bits := 0
-	for 1<<bits < b.P {
-		bits++
-	}
-	rev := 0
-	for i := 0; i < bits; i++ {
-		if src&(1<<i) != 0 {
-			rev |= 1 << (bits - 1 - i)
-		}
-	}
-	if rev >= b.P {
-		return src
-	}
-	return rev
-}
-
-// String implements Pattern.
-func (b BitReverse) String() string { return "bit-reverse" }
-
 // MMRP bundles the paper's three workload attributes plus the
 // read/write mix. It is pure configuration; the processor model
 // consumes it.

@@ -160,34 +160,6 @@ func TestHotspot(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	m := topo.MustMeshSpec(3)
-	tr := Transpose{Mesh: m}
-	r := rng.New(7)
-	if tr.Target(m.ID(2, 0), r) != m.ID(0, 2) {
-		t.Fatal("transpose wrong")
-	}
-	if tr.Target(m.ID(1, 1), r) != m.ID(1, 1) {
-		t.Fatal("diagonal should map to itself")
-	}
-}
-
-func TestBitReverse(t *testing.T) {
-	b := BitReverse{P: 8}
-	r := rng.New(8)
-	if b.Target(1, r) != 4 { // 001 -> 100
-		t.Fatalf("bitrev(1) = %d", b.Target(1, r))
-	}
-	if b.Target(0, r) != 0 {
-		t.Fatal("bitrev(0) != 0")
-	}
-	// Non-power-of-two: out-of-range reversals fall back to self.
-	b = BitReverse{P: 6}
-	if d := b.Target(5, r); d < 0 || d >= 6 {
-		t.Fatalf("bitrev out of range: %d", d)
-	}
-}
-
 func TestMMRPValidate(t *testing.T) {
 	good := PaperDefaults()
 	if err := good.Validate(); err != nil {
@@ -220,8 +192,7 @@ func TestQuickPatternsInRange(t *testing.T) {
 	ring, _ := NewRingLocality(16, 0.3)
 	mesh, _ := NewMeshLocality(m, 0.3)
 	pats := []Pattern{ring, mesh, Uniform{P: 16},
-		Hotspot{P: 16, Hot: 5, Fraction: 0.3},
-		Transpose{Mesh: m}, BitReverse{P: 16}}
+		Hotspot{P: 16, Hot: 5, Fraction: 0.3}}
 	f := func(seed uint64, srcRaw uint8) bool {
 		src := int(srcRaw) % 16
 		r := rng.New(seed)
@@ -266,8 +237,7 @@ func TestPatternStrings(t *testing.T) {
 	ring, _ := NewRingLocality(4, 0.5)
 	mesh, _ := NewMeshLocality(m, 0.5)
 	for _, p := range []Pattern{ring, mesh, Uniform{P: 4},
-		Hotspot{P: 4, Hot: 0, Fraction: 0.1}, Transpose{Mesh: m},
-		BitReverse{P: 4}} {
+		Hotspot{P: 4, Hot: 0, Fraction: 0.1}} {
 		if p.String() == "" {
 			t.Fatalf("%T has empty String()", p)
 		}

@@ -225,27 +225,10 @@ func QuickRunOptions() RunOptions {
 	return RunOptions{WarmupCycles: 1000, BatchCycles: 1000, Batches: 4}
 }
 
-// Validate range-checks the schedule: the one rule every entry point
-// (System.Run, the serving daemon's admission, the command line)
-// applies. A negative watchdog horizon or timeout is rejected rather
-// than read as "off" — the engine arms either only when positive, so a
-// stalled run would otherwise burn its whole schedule.
-func (o RunOptions) Validate() error {
-	switch {
-	case o.WarmupCycles < 0:
-		return fmt.Errorf("warmup_cycles %d < 0", o.WarmupCycles)
-	case o.BatchCycles < 1:
-		return fmt.Errorf("batch_cycles %d < 1", o.BatchCycles)
-	case o.Batches < 1:
-		return fmt.Errorf("batches %d < 1", o.Batches)
-	case o.WatchdogCycles < 0:
-		return fmt.Errorf("watchdog_cycles %d < 0", o.WatchdogCycles)
-	case o.Timeout < 0:
-		return fmt.Errorf("timeout_ns %d < 0", o.Timeout)
-	default:
-		return nil
-	}
-}
+// Validate range-checks the schedule (core.RunConfig.Validate, the one
+// rule every entry point applies): a negative watchdog horizon or
+// timeout is rejected rather than read as "off".
+func (o RunOptions) Validate() error { return o.internal().Validate() }
 
 func (o RunOptions) internal() core.RunConfig {
 	return core.RunConfig{
@@ -569,9 +552,6 @@ func (s *System) Run(opt RunOptions) (Result, error) {
 // wall-clock time, and an internal model panic is recovered into an
 // error instead of crashing the caller.
 func (s *System) RunContext(ctx context.Context, opt RunOptions) (Result, error) {
-	if err := opt.Validate(); err != nil {
-		return Result{}, err
-	}
 	r, err := s.inner.RunCtx(ctx, opt.internal())
 	if err != nil {
 		return Result{}, err
