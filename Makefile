@@ -42,9 +42,10 @@ loc:
 # A short benchmark pass that exercises the engine fast paths without
 # running the full figure sweeps: both models, the ring at low load (the
 # empty-station gate) and with a double-speed global ring (the period-2
-# path).
+# path), and the geometry under the analytic tier (estimates, the Table
+# 2 pick, the 11x11 build).
 bench-smoke:
-	$(GO) test -run=NONE -bench='BenchmarkEngineStep|BenchmarkSimRing24|BenchmarkSimMesh16|BenchmarkSimRing72LowLoad|BenchmarkSimRing72DoubleSpeed' -benchtime=100x .
+	$(GO) test -run=NONE -bench='BenchmarkEngineStep|BenchmarkSimRing24|BenchmarkSimMesh16|BenchmarkSimRing72LowLoad|BenchmarkSimRing72DoubleSpeed|BenchmarkAnalyticEstimate|BenchmarkRingTopologyFor|BenchmarkNewSystemMesh121' -benchtime=100x .
 
 # Fail if a hot loop regressed >15% vs ci/bench-baseline.txt. Guards
 # the serial dispatch path, the sharded parallel tick (Workers=2 on the

@@ -235,18 +235,54 @@ func BenchmarkEngineStepMixed(b *testing.B) {
 // magnitude faster than a simulation, so benchguard holds this to its
 // recorded baseline like the engine hot loop.
 func BenchmarkAnalyticEstimate(b *testing.B) {
-	cfg := Config{
-		Network:   "ring",
-		Topology:  "3:3:8",
-		LineBytes: 32,
-		Workload:  PaperWorkload(),
-		Seed:      1,
-		Fidelity:  "analytic",
-	}
+	benchEstimate(b, Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
+		Workload: PaperWorkload(), Seed: 1, Fidelity: "analytic"})
+}
+
+// BenchmarkAnalyticEstimateMesh121 is the mesh side of the tier: the
+// 11x11 locality table is built inside every estimate.
+func BenchmarkAnalyticEstimateMesh121(b *testing.B) {
+	benchEstimate(b, Config{Network: "mesh", Nodes: 121, LineBytes: 32, BufferFlits: 4,
+		Workload: PaperWorkload(), Seed: 1, Fidelity: "analytic"})
+}
+
+func benchEstimate(b *testing.B, cfg Config) {
+	b.Helper()
+	b.ReportAllocs()
 	opt := DefaultRunOptions()
 	for i := 0; i < b.N; i++ {
 		if _, err := Estimate(cfg, opt); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRingTopologyFor is the Table 2 hierarchy pick under every
+// nodes:N ring resolve (and so under CacheKey); one op is the six
+// sizes of the ledger's topo.ring_for_nodes_us probe at 32-byte lines.
+func BenchmarkRingTopologyFor(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, n := range []int{16, 24, 48, 72, 96, 108} {
+			if _, err := OptimalRingTopology(n, 32); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkNewSystemMesh121 is the build of the paper's largest mesh:
+// routers, PMs and the P x region locality table (the ledger's
+// core.build_ms_mesh121).
+func BenchmarkNewSystemMesh121(b *testing.B) {
+	b.ReportAllocs()
+	cfg := Config{Network: "mesh", Nodes: 121, LineBytes: 32, BufferFlits: 4,
+		Workload: PaperWorkload(), Seed: 1}
+	for i := 0; i < b.N; i++ {
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.Close()
 	}
 }

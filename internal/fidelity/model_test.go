@@ -172,3 +172,16 @@ func TestAvgTransactionFlits(t *testing.T) {
 		t.Fatalf("write flits = %v", got)
 	}
 }
+
+// A ring estimate draws about 2 000 (src, dst) pairs and allocates for
+// the resolve, the locality and the result, never per draw: ring hops
+// used to cost two digit slices a call, 15 838 allocations an estimate.
+func TestEstimateAllocations(t *testing.T) {
+	cfg := validationConfig("ring", "3:3:8", 32, 0, 0.04)
+	if _, _, err := estimate(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() { estimate(cfg) }); n > 64 {
+		t.Errorf("ring 3:3:8: %v allocations per estimate, want <= 64", n)
+	}
+}

@@ -195,6 +195,9 @@ func meshNodesFor(cfg Config) (int, error) {
 	if nodes <= 0 {
 		return 0, fmt.Errorf("network: mesh needs Topology or Nodes")
 	}
+	if nodes > topo.MaxPMs {
+		return 0, fmt.Errorf("network: mesh of %d PMs exceeds %d", nodes, topo.MaxPMs)
+	}
 	if !topo.Square(nodes) {
 		return 0, fmt.Errorf("network: mesh needs a square node count, got %d", nodes)
 	}
@@ -208,11 +211,11 @@ func meshNodesFor(cfg Config) (int, error) {
 // at most three children (the bisection-bandwidth limit the paper
 // derives). Among the admissible hierarchies it picks BestRingSpec.
 func RingTopologyFor(pms, lineBytes int) (topo.RingSpec, error) {
-	cap, ok := SingleRingCapacity[lineBytes]
+	leaf, ok := SingleRingCapacity[lineBytes]
 	if !ok {
 		return topo.RingSpec{}, fmt.Errorf("network: unsupported line size %dB", lineBytes)
 	}
-	specs := topo.EnumerateRingSpecs(pms, 4, 3, cap)
+	specs := topo.EnumerateRingSpecs(pms, 4, 3, leaf)
 	if len(specs) == 0 {
 		return topo.RingSpec{}, fmt.Errorf("network: no admissible ring topology for %d PMs at %dB lines", pms, lineBytes)
 	}

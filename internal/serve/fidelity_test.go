@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"io"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"ringmesh"
 )
@@ -188,6 +190,36 @@ func TestAnalyticRefusalPaths(t *testing.T) {
 
 	if body := getMetrics(t, ts.URL); !strings.Contains(body, "ringmeshd_fidelity_fallback_total 1") {
 		t.Errorf("metrics missing fallback counter:\n%s", body)
+	}
+}
+
+// TestHostileGeometryIs400: a geometry past topo.MaxPMs — eight
+// million PMs, a product that wraps int, a mesh whose locality table
+// would be 64 GB — is a configuration error on the handler, under every
+// fidelity, well inside a second; it used to hang the inline analytic
+// path or exhaust memory.
+func TestHostileGeometryIs400(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	client := &http.Client{Timeout: time.Second}
+	for _, geom := range []string{
+		`"network":"ring","topology":"1000:1000:8"`,
+		`"network":"ring","topology":"3037000500:3037000500"`,
+		`"network":"ring","topology":"65536:65536:65536:65536"`,
+		`"network":"mesh","topology":"300x300"`,
+		`"network":"mesh","nodes":90000`,
+	} {
+		for _, fid := range []string{"analytic", "auto", "simulate"} {
+			body := `{"config":{` + geom + `,"line_bytes":32,"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7}},"fidelity":"` + fid + `"}`
+			resp, err := client.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s %s: %v", geom, fid, err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "invalid config") {
+				t.Errorf("%s %s: POST = %d: %s", geom, fid, resp.StatusCode, raw)
+			}
+		}
 	}
 }
 

@@ -13,10 +13,14 @@ type MeshSpec struct {
 	K int
 }
 
-// NewMeshSpec returns a validated spec for a k x k mesh.
+// NewMeshSpec returns a validated spec for a k x k mesh of at most
+// MaxPMs PMs.
 func NewMeshSpec(k int) (MeshSpec, error) {
 	if k < 1 {
 		return MeshSpec{}, fmt.Errorf("topo: mesh side %d < 1", k)
+	}
+	if k > MaxPMs/k {
+		return MeshSpec{}, fmt.Errorf("topo: mesh %dx%d exceeds %d PMs", k, k, MaxPMs)
 	}
 	return MeshSpec{K: k}, nil
 }

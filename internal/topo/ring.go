@@ -25,16 +25,30 @@ type RingSpec struct {
 	Levels []int
 }
 
+// MaxPMs is the largest machine a spec, ring or mesh, may describe:
+// eight times the paper's largest system (121-128 PMs). At this size
+// the costliest things done per geometry — a 32x32 mesh's P² locality
+// table, a 1024-PM system build — take about 20 ms and 10 MB, so a
+// hostile "1000:1000:8" or "300x300" is refused while it is still a
+// string instead of hanging or exhausting whoever resolves it.
+const MaxPMs = 1024
+
 // NewRingSpec returns a validated spec. Every branching factor must be
-// at least 1 and there must be at least one level.
+// at least 1, there must be at least one level, and the PM count must
+// not exceed MaxPMs.
 func NewRingSpec(levels ...int) (RingSpec, error) {
 	if len(levels) == 0 {
 		return RingSpec{}, fmt.Errorf("topo: ring spec needs at least one level")
 	}
+	pms := 1
 	for i, b := range levels {
 		if b < 1 {
 			return RingSpec{}, fmt.Errorf("topo: level %d branching %d < 1", i, b)
 		}
+		if b > MaxPMs/pms { // pms*b > MaxPMs, without the overflow
+			return RingSpec{}, fmt.Errorf("topo: ring spec exceeds %d PMs at level %d (branching %d)", MaxPMs, i, b)
+		}
+		pms *= b
 	}
 	cp := make([]int, len(levels))
 	copy(cp, levels)
@@ -103,9 +117,7 @@ func (r RingSpec) NumRings() int {
 // ordered most-significant (global) first, so DFS PM numbering makes
 // every subtree a contiguous id range.
 func (r RingSpec) Digits(p int) []int {
-	if p < 0 || p >= r.PMs() {
-		panic(fmt.Sprintf("topo: PM %d out of range [0,%d)", p, r.PMs()))
-	}
+	r.checkPM(p)
 	d := make([]int, len(r.Levels))
 	for i := len(r.Levels) - 1; i >= 0; i-- {
 		d[i] = p % r.Levels[i]
@@ -157,65 +169,82 @@ func (r RingSpec) RingHops(src, dst int) int {
 	if src == dst {
 		return 0
 	}
-	sd := r.Digits(src)
-	dd := r.Digits(dst)
-	m := 0
-	for m < len(sd) && sd[m] == dd[m] {
-		m++
-	}
-	// m is the level of the lowest common ring (digits equal above it).
-	L := len(r.Levels)
+	r.checkPM(src)
+	r.checkPM(dst)
+	// Strip digits leaf-first. While the remaining prefixes differ the
+	// level-i rings of src and dst are distinct: the packet climbs the
+	// source's from its child slot s to the parent-IRI slot Levels[i]
+	// (Levels[i]-s links) and later descends the destination's from
+	// that slot round to child slot d (d+1 links). The first level at
+	// which the prefixes agree is the lowest common ring.
 	hops := 0
-	// Ascend from the leaf ring up to (but excluding) level m: on each
-	// ring the packet enters at its child slot and exits at the parent
-	// IRI slot (index Levels[i], ring size Levels[i]+1).
-	for i := L - 1; i > m; i-- {
-		size := r.Levels[i] + 1
-		enter := sd[i]
-		exit := r.Levels[i] // parent slot
-		hops += mod(exit-enter, size)
+	for i := len(r.Levels) - 1; ; i-- {
+		b := r.Levels[i]
+		s, d := src%b, dst%b
+		src, dst = src/b, dst/b
+		if src == dst {
+			if d < s {
+				d += r.ringSize(i)
+			}
+			return hops + d - s
+		}
+		hops += b - s + d + 1
 	}
-	// Traverse the common ring from the source-side slot to the
-	// destination-side slot.
-	size := r.Levels[m]
-	if m > 0 {
-		size++ // non-global rings also carry a parent-IRI slot
-	}
-	hops += mod(dd[m]-sd[m], size)
-	// Descend: enter each lower ring at its parent slot (index
-	// Levels[i]) and exit at the child slot d[i].
-	for i := m + 1; i < L; i++ {
-		size := r.Levels[i] + 1
-		hops += mod(dd[i]-r.Levels[i], size)
-	}
-	return hops
 }
 
-func mod(a, n int) int {
-	a %= n
-	if a < 0 {
-		a += n
+// RoundTripHops returns RingHops(src, dst) + RingHops(dst, src). On
+// unidirectional rings the request and its response together circle
+// every ring they touch exactly once — the lowest common ring, and the
+// source-side and destination-side ring of each level below it — so
+// the sum depends only on the level at which the two PMs meet.
+func (r RingSpec) RoundTripHops(src, dst int) int {
+	if src == dst {
+		return 0
 	}
-	return a
+	r.checkPM(src)
+	r.checkPM(dst)
+	hops := 0
+	for i := len(r.Levels) - 1; ; i-- {
+		src, dst = src/r.Levels[i], dst/r.Levels[i]
+		if src == dst {
+			return hops + r.ringSize(i)
+		}
+		hops += 2 * r.ringSize(i)
+	}
+}
+
+// ringSize is the slot count of a level-i ring: its children, plus the
+// parent-IRI slot every ring but the global one carries.
+func (r RingSpec) ringSize(i int) int {
+	if i == 0 {
+		return r.Levels[0]
+	}
+	return r.Levels[i] + 1
+}
+
+func (r RingSpec) checkPM(p int) {
+	if p < 0 || p >= r.PMs() {
+		panic(fmt.Sprintf("topo: PM %d out of range [0,%d)", p, r.PMs()))
+	}
 }
 
 // AverageRingHops returns the mean RingHops over all ordered pairs of
 // distinct PMs — a cheap analytic figure of merit used by the
-// topology search to break ties before simulation scoring.
+// topology search to break ties before simulation scoring. Summed over
+// ordered pairs, one-way hops are half the round trips, and
+// P·(Levels[m]-1)·SubtreeSize(m+1) ordered pairs meet at level m.
 func (r RingSpec) AverageRingHops() float64 {
 	p := r.PMs()
 	if p < 2 {
 		return 0
 	}
-	total := 0
-	for s := 0; s < p; s++ {
-		for d := 0; d < p; d++ {
-			if s != d {
-				total += r.RingHops(s, d)
-			}
-		}
+	total, sub, below := 0, 1, 0 // SubtreeSize(m+1); round-trip hops on the rings below level m
+	for m := len(r.Levels) - 1; m >= 0; m-- {
+		total += p * (r.Levels[m] - 1) * sub * (below + r.ringSize(m))
+		sub *= r.Levels[m]
+		below += 2 * r.ringSize(m)
 	}
-	return float64(total) / float64(p*(p-1))
+	return float64(total/2) / float64(p*(p-1))
 }
 
 // EnumerateRingSpecs returns every hierarchy with exactly pms PMs
@@ -224,7 +253,7 @@ func (r RingSpec) AverageRingHops() float64 {
 // between 2 and maxLeaf PMs (a 1-level spec is allowed whenever
 // pms <= maxLeaf). The result is deterministic (lexicographic).
 func EnumerateRingSpecs(pms, maxLevels, maxBranch, maxLeaf int) []RingSpec {
-	if pms < 1 || maxLevels < 1 {
+	if pms < 1 || pms > MaxPMs || maxLevels < 1 {
 		return nil
 	}
 	var out []RingSpec

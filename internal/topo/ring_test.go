@@ -254,3 +254,161 @@ func TestQuickDigitsInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The pre-closed-form geometry, kept as oracles: RingHops on two digit
+// slices and AverageRingHops as the double loop over it.
+
+func mod(a, n int) int {
+	a %= n
+	if a < 0 {
+		a += n
+	}
+	return a
+}
+
+func oracleRingHops(r RingSpec, src, dst int) int {
+	if src == dst {
+		return 0
+	}
+	sd := r.Digits(src)
+	dd := r.Digits(dst)
+	m := 0
+	for m < len(sd) && sd[m] == dd[m] {
+		m++
+	}
+	// m is the level of the lowest common ring (digits equal above it).
+	L := len(r.Levels)
+	hops := 0
+	// Ascend from the leaf ring up to (but excluding) level m: on each
+	// ring the packet enters at its child slot and exits at the parent
+	// IRI slot (index Levels[i], ring size Levels[i]+1).
+	for i := L - 1; i > m; i-- {
+		hops += mod(r.Levels[i]-sd[i], r.Levels[i]+1)
+	}
+	// Traverse the common ring from the source-side slot to the
+	// destination-side slot.
+	size := r.Levels[m]
+	if m > 0 {
+		size++ // non-global rings also carry a parent-IRI slot
+	}
+	hops += mod(dd[m]-sd[m], size)
+	// Descend: enter each lower ring at its parent slot (index
+	// Levels[i]) and exit at the child slot d[i].
+	for i := m + 1; i < L; i++ {
+		hops += mod(dd[i]-r.Levels[i], r.Levels[i]+1)
+	}
+	return hops
+}
+
+func oracleAverageRingHops(r RingSpec) float64 {
+	p := r.PMs()
+	if p < 2 {
+		return 0
+	}
+	total := 0
+	for s := 0; s < p; s++ {
+		for d := 0; d < p; d++ {
+			if s != d {
+				total += oracleRingHops(r, s, d)
+			}
+		}
+	}
+	return float64(total) / float64(p*(p-1))
+}
+
+// Every hierarchy the Table 2 search can enumerate up to 128 PMs, plus
+// shapes it cannot: a lone ring, 1-child rings, a wide global ring.
+func propertySpecs() []RingSpec {
+	specs := []RingSpec{MustRingSpec(5), MustRingSpec(2, 1), MustRingSpec(1, 1, 3), MustRingSpec(7, 2, 3)}
+	for p := 2; p <= 128; p++ {
+		specs = append(specs, EnumerateRingSpecs(p, 4, 3, 12)...)
+	}
+	return specs
+}
+
+func TestClosedFormsMatchOracles(t *testing.T) {
+	for _, spec := range propertySpecs() {
+		p := spec.PMs()
+		for s := 0; s < p; s++ {
+			for d := 0; d < p; d++ {
+				want := oracleRingHops(spec, s, d)
+				if got := spec.RingHops(s, d); got != want {
+					t.Fatalf("%s: RingHops(%d,%d) = %d, oracle %d", spec, s, d, got, want)
+				}
+				if got, want := spec.RoundTripHops(s, d), want+oracleRingHops(spec, d, s); got != want {
+					t.Fatalf("%s: RoundTripHops(%d,%d) = %d, want %d", spec, s, d, got, want)
+				}
+			}
+		}
+		// Bit-equal, not close: BestRingSpec breaks ties on this float.
+		if got, want := spec.AverageRingHops(), oracleAverageRingHops(spec); got != want {
+			t.Fatalf("%s: AverageRingHops = %v, oracle %v", spec, got, want)
+		}
+	}
+}
+
+func TestRingHopsDoesNotAllocate(t *testing.T) {
+	spec := MustRingSpec(3, 3, 8)
+	sink := 0
+	if n := testing.AllocsPerRun(100, func() {
+		sink += spec.RingHops(5, 70) + spec.RoundTripHops(70, 5)
+	}); n != 0 {
+		t.Fatalf("RingHops + RoundTripHops allocate %v times per call", n)
+	}
+}
+
+func TestRingHopsOutOfRangePanics(t *testing.T) {
+	spec := MustRingSpec(2, 3)
+	for _, pair := range [][2]int{{0, 6}, {6, 0}, {-1, 2}, {2, -1}} {
+		for name, hops := range map[string]func(src, dst int) int{
+			"RingHops": spec.RingHops, "RoundTripHops": spec.RoundTripHops, "oracle": func(s, d int) int { return oracleRingHops(spec, s, d) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s(%d,%d) did not panic", name, pair[0], pair[1])
+					}
+				}()
+				hops(pair[0], pair[1])
+			}()
+		}
+	}
+}
+
+func TestSpecsAreBounded(t *testing.T) {
+	for _, levels := range [][]int{
+		{1000, 1000, 8},                   // 8 M PMs
+		{3037000500, 3037000500},          // product just past 2^63
+		{65536, 65536, 65536, 65536},      // product wraps to 0
+		{MaxPMs + 1},                      // one PM too many
+		{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}, // 2048 PMs
+	} {
+		if _, err := NewRingSpec(levels...); err == nil {
+			t.Fatalf("NewRingSpec(%v) accepted", levels)
+		}
+	}
+	for _, levels := range [][]int{{MaxPMs}, {2, 2, 2, 2, 2, 2, 2, 2, 2, 2}, {4, 4, 4, 16}, {MaxPMs, 1, 1}} {
+		if _, err := NewRingSpec(levels...); err != nil {
+			t.Fatalf("NewRingSpec(%v): %v", levels, err)
+		}
+	}
+	if specs := EnumerateRingSpecs(MaxPMs+1, 1, 3, MaxPMs+1); specs != nil {
+		t.Fatalf("EnumerateRingSpecs past MaxPMs = %v", specs)
+	}
+	if _, err := NewMeshSpec(32); err != nil || MaxPMs != 32*32 {
+		t.Fatalf("NewMeshSpec(32): %v (MaxPMs = %d)", err, MaxPMs)
+	}
+	for _, k := range []int{33, 300, 3037000500, 1 << 62} {
+		if _, err := NewMeshSpec(k); err == nil {
+			t.Fatalf("NewMeshSpec(%d) accepted", k)
+		}
+	}
+	for _, s := range []string{"1000:1000:8", "3037000500:3037000500", "65536:65536:65536:65536"} {
+		if _, err := ParseRingSpec(s); err == nil {
+			t.Fatalf("ParseRingSpec(%q) accepted", s)
+		}
+	}
+	if _, err := ParseMeshSpec("300x300"); err == nil {
+		t.Fatal(`ParseMeshSpec("300x300") accepted`)
+	}
+}

@@ -703,8 +703,9 @@ func Run(cfg Config, opt RunOptions) (Result, error) {
 }
 
 // Estimate answers an analytic-fidelity configuration from the
-// closed-form models, in microseconds, without building the engine
-// (the schedule plays no part). The result is labeled
+// closed-form models, in well under a millisecond for a ring and a few
+// milliseconds for the largest meshes, without building the engine (the
+// schedule plays no part). The result is labeled
 // (Result.Fidelity) and carries the recorded validation envelope
 // (Result.ErrorBound) when its network family has one. Estimation
 // fails for configurations outside the validated envelope — slotted

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestPaperWorkloadDefaults(t *testing.T) {
@@ -492,6 +493,59 @@ func TestStepCyclesAllocationBound(t *testing.T) {
 		if perTick := testing.AllocsPerRun(3, step) / ticks; perTick > 3 {
 			t.Errorf("%s %s: %.1f objects allocated per tick with tracing off; want <= 3",
 				cfg.Network, cfg.Topology, perTick)
+		}
+	}
+}
+
+// hostileGeometries are configurations whose PM count is absurd, wraps
+// int, or whose mesh locality table would be P² ints: each must be
+// refused at resolve, before anything is sized by it.
+func hostileGeometries() []Config {
+	return []Config{
+		{Network: "ring", Topology: "1000:1000:8"},
+		{Network: "ring", Topology: "3037000500:3037000500"},
+		{Network: "ring", Topology: "65536:65536:65536:65536"},
+		{Network: "ring", Nodes: 1 << 40},
+		{Network: "mesh", Topology: "300x300"},
+		{Network: "mesh", Nodes: 90000},
+		{Network: "mesh", Nodes: 1 << 62},
+	}
+}
+
+func TestHostileGeometriesRefused(t *testing.T) {
+	for _, cfg := range hostileGeometries() {
+		cfg.LineBytes, cfg.Workload = 32, PaperWorkload()
+		start := time.Now()
+		if _, err := NewSystem(cfg); err == nil {
+			t.Errorf("NewSystem(%s %q nodes=%d) accepted", cfg.Network, cfg.Topology, cfg.Nodes)
+		}
+		if key, err := CacheKey(cfg, DefaultRunOptions()); err == nil {
+			t.Errorf("CacheKey(%s %q nodes=%d) = %s", cfg.Network, cfg.Topology, cfg.Nodes, key)
+		}
+		cfg.Fidelity = "analytic"
+		if res, err := Estimate(cfg, DefaultRunOptions()); err == nil {
+			t.Errorf("Estimate(%s %q nodes=%d) = %+v", cfg.Network, cfg.Topology, cfg.Nodes, res)
+		}
+		if took := time.Since(start); took > 100*time.Millisecond {
+			t.Errorf("%s %q nodes=%d: refusal took %v", cfg.Network, cfg.Topology, cfg.Nodes, took)
+		}
+	}
+}
+
+// The largest admitted geometries stay cheap enough to answer inline.
+func TestLargestGeometriesResolve(t *testing.T) {
+	for _, cfg := range []Config{
+		{Network: "mesh", Topology: "32x32"},
+		{Network: "ring", Topology: "4:4:4:16"},
+	} {
+		cfg.LineBytes, cfg.Workload, cfg.Fidelity = 32, PaperWorkload(), "analytic"
+		start := time.Now()
+		res, err := Estimate(cfg, DefaultRunOptions())
+		if err != nil || !(res.LatencyCycles > 0) {
+			t.Fatalf("Estimate(%s): %+v, %v", cfg.Topology, res, err)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("Estimate(%s) took %v", cfg.Topology, took)
 		}
 	}
 }
