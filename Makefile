@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check staticcheck race loc bench-smoke bench-guard bench-baseline bench-test bench-run-smoke bench-probe-smoke profile smoke-ringmeshd fuzz-smoke results-check ci
+.PHONY: all build test vet fmt-check staticcheck race loc bench-smoke bench-compare bench-test bench-run-smoke bench-probe-smoke profile smoke-ringmeshd fuzz-smoke results-check ci
 
 all: build
 
@@ -47,23 +47,17 @@ loc:
 bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkEngineStep|BenchmarkSimRing24|BenchmarkSimMesh16|BenchmarkSimRing72LowLoad|BenchmarkSimRing72DoubleSpeed|BenchmarkAnalyticEstimate|BenchmarkRingTopologyFor|BenchmarkNewSystemMesh121' -benchtime=100x .
 
-# Fail if a hot loop regressed >15% vs ci/bench-baseline.txt. Guards
-# the serial dispatch path, the sharded parallel tick (Workers=2 on the
-# 8x8 mesh, one shard per row), the analytic tier and the two
-# whole-system model ticks (11x11 mesh, 3:3:8 ring at high and at low
-# load); every guarded benchmark is measured even after one regresses,
-# so the report names each offender and its slowdown. The baseline
-# carries the fingerprint of the machine that recorded it; anywhere
-# else the guard prints "not comparable, skipped" instead of a verdict.
-GUARD_THRESHOLD ?= 15
-GUARDED = BenchmarkEngineStepUniform,BenchmarkEngineStepParallel2,BenchmarkAnalyticEstimate,BenchmarkSimMesh121,BenchmarkSimRing72,BenchmarkSimRing72LowLoad
-bench-guard:
-	$(GO) run ./cmd/benchguard -threshold $(GUARD_THRESHOLD) -bench $(GUARDED)
-
-# Re-record the hot-loop baselines (after an intentional change, or on
-# a new machine).
-bench-baseline:
-	$(GO) run ./cmd/benchguard -update -bench $(GUARDED),BenchmarkEngineStepParallel1
+# The perf gate: compare the two highest-numbered rows of the committed
+# ledger (ci/ledger/BENCH_<pr>.json, each written on the reference box
+# by `bash bench/run.sh -record ci/ledger/BENCH_<pr>.json -repeat 3`).
+# Nothing is timed here, so the verdict is the same on every machine:
+# exit 1 on a metric worse than its bound or a differing simulated
+# output, 2 when the rows carry different machine fingerprints.
+bench-compare:
+	@set -- $$(ls ci/ledger/BENCH_*.json | sort -t_ -k2 -n | tail -2); \
+	test $$# -eq 2 || { echo "bench-compare: need two rows in ci/ledger/"; exit 1; }; \
+	echo "bench-compare: $$1 -> $$2"; \
+	bash bench/run.sh -compare "$$1" "$$2"
 
 # The benchmark under bench/ is a module of its own, so `go test ./...`
 # at the root never descends into it: vet and test it here, and run
@@ -117,5 +111,8 @@ results-check:
 	$(GO) run ./cmd/experiments -all -out "$$tmp" >/dev/null && \
 	diff -r -x analytic-bounds.csv results "$$tmp"
 
-# The gate run by .github/workflows/ci.yml.
-ci: vet fmt-check staticcheck build race loc bench-test bench-run-smoke bench-probe-smoke bench-smoke bench-guard fuzz-smoke smoke-ringmeshd
+# The gate run by .github/workflows/ci.yml, step for step, with two
+# deliberate differences: `race` stands for ci.yml's `test` step (the
+# same tests; ci.yml runs the race pass as a job of its own to keep the
+# main job quick), and results-check (2.5 minutes) is left to ci.yml.
+ci: vet fmt-check staticcheck build loc race fuzz-smoke bench-smoke bench-compare bench-test bench-run-smoke bench-probe-smoke smoke-ringmeshd

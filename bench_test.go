@@ -204,8 +204,8 @@ func benchParallelMesh(b *testing.B, workers int) {
 		BufferFlits: 4, Workload: PaperWorkload(), Seed: 1, Workers: workers})
 }
 
-// Flat names (no sub-benchmarks): benchguard's baseline file and the
-// CI bench-smoke regex match whole benchmark names.
+// Flat names (no sub-benchmarks): `make profile` and the bench-smoke
+// regex match whole benchmark names.
 func BenchmarkEngineStepParallel1(b *testing.B) { benchParallelMesh(b, 1) }
 func BenchmarkEngineStepParallel2(b *testing.B) { benchParallelMesh(b, 2) }
 func BenchmarkEngineStepParallel4(b *testing.B) { benchParallelMesh(b, 4) }
@@ -232,8 +232,8 @@ func BenchmarkEngineStepMixed(b *testing.B) {
 // multi-fidelity serving: one full estimate — zero-load latency,
 // saturation verdict, error bound — for the paper's 72-PM Table 2
 // hierarchy. The analytic tier's whole value is being orders of
-// magnitude faster than a simulation, so benchguard holds this to its
-// recorded baseline like the engine hot loop.
+// magnitude faster than a simulation; the ledger's analytic-triage
+// workload and fidelity.estimate_* probes are what gate it.
 func BenchmarkAnalyticEstimate(b *testing.B) {
 	benchEstimate(b, Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
 		Workload: PaperWorkload(), Seed: 1, Fidelity: "analytic"})

@@ -49,7 +49,7 @@ if [ -z "$addr" ]; then
 fi
 base="http://$addr"
 
-curl -fsS "$base/healthz" | grep -q '"ok"' || { echo "FAIL: healthz"; exit 1; }
+grep -q '"ok"' <<<"$(curl -fsS "$base/healthz")" || { echo "FAIL: healthz"; exit 1; }
 
 body='{"config":{"network":"mesh","nodes":16,"line_bytes":32,"buffer_flits":4,"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":42},"options":{"warmup_cycles":500,"batch_cycles":500,"batches":2}}'
 
@@ -371,8 +371,8 @@ case "$deg" in
 esac
 
 # Liveness vs readiness: both up, readiness carrying per-class depths.
-curl -fsS "$fbase/healthz" | grep -q '"ok"' || { echo "FAIL: healthz under flood"; exit 1; }
-curl -fsS "$fbase/readyz" | grep -q '"interactive"' || { echo "FAIL: readyz missing class depths"; exit 1; }
+grep -q '"ok"' <<<"$(curl -fsS "$fbase/healthz")" || { echo "FAIL: healthz under flood"; exit 1; }
+grep -q '"interactive"' <<<"$(curl -fsS "$fbase/readyz")" || { echo "FAIL: readyz missing class depths"; exit 1; }
 
 fmetrics=$(curl -fsS "$fbase/metrics")
 grep -q 'ringmeshd_admit_total{class="interactive"} 2' <<<"$fmetrics" \

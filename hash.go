@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ringmesh/internal/core"
 	"ringmesh/internal/fault"
 	"ringmesh/internal/fidelity"
 )
@@ -122,7 +123,7 @@ func CacheKey(cfg Config, opt RunOptions) (string, error) {
 		WatchdogCycles: opt.WatchdogCycles,
 	}
 	if c.WatchdogCycles == 0 {
-		c.WatchdogCycles = 20000 // core.RunCtx's default horizon
+		c.WatchdogCycles = core.DefaultWatchdogCycles
 	}
 	// Zero the fields the built-in families ignore. Unknown (third
 	// party) families keep every field raw: conservative, never wrong.

@@ -139,7 +139,7 @@ func NewSystemOn(plan *network.Plan, cfg SystemConfig) (*System, error) {
 		s.col.LatHist = cfg.Metrics.Histogram("latency_cycles",
 			metrics.Labels{}, metrics.ExpBuckets(4, 2, 14))
 	}
-	ports := make([]network.Port, plan.PMs)
+	ports := make([]node.Port, plan.PMs)
 	for id := 0; id < plan.PMs; id++ {
 		pm, err := node.NewPM(id, node.Config{
 			Workload:   cfg.Workload,
@@ -255,6 +255,11 @@ func (s *System) StepCycles(n int64) error {
 // matters for callers driving the system through StepCycles.
 func (s *System) Close() { s.engine.CloseWorkers() }
 
+// DefaultWatchdogCycles is the stall-detection horizon a RunConfig with
+// WatchdogCycles 0 runs under. The facade's cache key resolves the
+// same zero through this constant, so the two cannot disagree.
+const DefaultWatchdogCycles = 20000
+
 // RunConfig controls the batch-means run.
 type RunConfig struct {
 	// WarmupCycles is the discarded first batch, in PM cycles.
@@ -263,7 +268,8 @@ type RunConfig struct {
 	BatchCycles int64
 	// Batches is the number of retained batches.
 	Batches int
-	// WatchdogCycles stalls-detection horizon (0 = default 20000).
+	// WatchdogCycles is the stall-detection horizon (0 =
+	// DefaultWatchdogCycles).
 	WatchdogCycles int64
 	// Timeout bounds the run's wall-clock time; exceeding it aborts
 	// with an error wrapping ErrTimeout (0 = no limit). The deadline
@@ -439,7 +445,7 @@ func (s *System) RunCtx(ctx context.Context, rc RunConfig) (res Result, err erro
 	}
 	wd := rc.WatchdogCycles
 	if wd == 0 {
-		wd = 20000
+		wd = DefaultWatchdogCycles
 	}
 	s.engine.WatchdogTicks = wd * s.ticksPerCycle
 	var deadline time.Time

@@ -342,21 +342,14 @@ func TestTraceCapturesLifecycles(t *testing.T) {
 	// Every delivered packet's timeline must start with its issue (for
 	// requests) or begin after one (responses are new packets), and
 	// hops must be monotone in time.
+	last := map[uint64]int64{}
 	checked := 0
-	for _, id := range rec.PacketIDs() {
-		tl := rec.Timeline(id)
-		last := int64(-1)
-		delivered := false
-		for _, e := range tl {
-			if e.Tick < last {
-				t.Fatalf("timeline of #%d not monotone: %v", id, tl)
-			}
-			last = e.Tick
-			if e.Kind == trace.Deliver {
-				delivered = true
-			}
+	for _, e := range rec.Events() {
+		if e.Tick < last[e.Packet] {
+			t.Fatalf("timeline of #%d not monotone at %v", e.Packet, e)
 		}
-		if delivered {
+		last[e.Packet] = e.Tick
+		if e.Kind == trace.Deliver {
 			checked++
 		}
 	}

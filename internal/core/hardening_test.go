@@ -16,6 +16,7 @@ import (
 	"ringmesh/internal/fault"
 	"ringmesh/internal/metrics"
 	"ringmesh/internal/network"
+	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/sim"
 	"ringmesh/internal/trace"
@@ -61,7 +62,7 @@ func init() {
 				return workload.Uniform{P: n}, nil
 			},
 			Description: "test network that panics mid-run",
-			Build: func(ports []network.Port, engine *sim.Engine) (network.Model, error) {
+			Build: func(ports []node.Port, engine *sim.Engine) (network.Model, error) {
 				return &panicNet{at: 50}, nil
 			},
 		}, nil

@@ -60,12 +60,6 @@ func (c Config) bufferFlits() int {
 	return c.BufferFlits
 }
 
-// PMPort is what the network needs from each processing module.
-type PMPort interface {
-	node.Injector
-	node.Deliverer
-}
-
 // move is a staged crossbar transfer for one output port.
 type move struct {
 	ok bool
@@ -112,7 +106,7 @@ type router struct {
 	injIdx    int
 	stagedInj move
 
-	pm PMPort
+	pm node.Port
 
 	// flt is the installed per-port fault state; nil (the common
 	// case) costs one pointer check per router per cycle. See
@@ -166,7 +160,7 @@ func (n *Network) SetTracer(t *trace.Recorder) {
 
 // New builds the mesh network connecting the given PMs (len must be
 // Spec.PMs()).
-func New(cfg Config, pms []PMPort, engine *sim.Engine) (*Network, error) {
+func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

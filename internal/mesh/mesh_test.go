@@ -3,6 +3,7 @@ package mesh
 import (
 	"testing"
 
+	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/sim"
 	"ringmesh/internal/topo"
@@ -41,6 +42,7 @@ func (f *fakePM) Deliver(p *packet.Packet, now int64) {
 	f.delivered = append(f.delivered, p)
 	f.deliverAt = append(f.deliverAt, now)
 }
+func (f *fakePM) HasPending() bool { return len(f.pendResp)+len(f.pendReq) > 0 }
 
 type harness struct {
 	engine *sim.Engine
@@ -53,7 +55,7 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	t.Helper()
 	engine := &sim.Engine{}
 	pms := make([]*fakePM, cfg.Spec.PMs())
-	ports := make([]PMPort, len(pms))
+	ports := make([]node.Port, len(pms))
 	for i := range pms {
 		pms[i] = &fakePM{}
 		ports[i] = pms[i]
@@ -114,7 +116,7 @@ func TestBufferDepthResolution(t *testing.T) {
 func TestNewRejectsWrongPMCount(t *testing.T) {
 	engine := &sim.Engine{}
 	if _, err := New(Config{Spec: topo.MustMeshSpec(2), LineBytes: 32},
-		make([]PMPort, 3), engine); err == nil {
+		make([]node.Port, 3), engine); err == nil {
 		t.Fatal("wrong PM count accepted")
 	}
 }

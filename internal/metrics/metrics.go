@@ -491,17 +491,6 @@ func (r *Registry) Series() []*Series {
 	return out
 }
 
-// Lookup returns the series with the given key.
-func (r *Registry) Lookup(key string) (*Series, bool) {
-	if r == nil {
-		return nil, false
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s, ok := r.index[key]
-	return s, ok
-}
-
 // Reset clears every counter and ratio backing — the warmup-aware
 // reset: the core runner calls it when the batch-means method
 // discards the first batch, so exported series cover the measured

@@ -6,6 +6,7 @@ import (
 	"ringmesh/internal/fault"
 	"ringmesh/internal/mesh"
 	"ringmesh/internal/metrics"
+	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/ring"
 	"ringmesh/internal/sim"
@@ -98,19 +99,15 @@ func ringFactory(cfg Config) (*Plan, error) {
 			return workload.NewRingLocality(pms, r)
 		},
 		Description: fmt.Sprintf("ring %s cl=%dB (%s)", spec, rc.LineBytes, rc.Switching),
-		Build: func(ports []Port, engine *sim.Engine) (Model, error) {
-			pmPorts := make([]ring.PMPort, len(ports))
-			for i, p := range ports {
-				pmPorts[i] = p
-			}
+		Build: func(ports []node.Port, engine *sim.Engine) (Model, error) {
 			if rc.Switching == ring.Slotted {
-				sn, err := ring.NewSlotted(rc, pmPorts, engine)
+				sn, err := ring.NewSlotted(rc, ports, engine)
 				if err != nil {
 					return nil, err
 				}
 				return hierModel{sn}, nil
 			}
-			wn, err := ring.New(rc, pmPorts, engine)
+			wn, err := ring.New(rc, ports, engine)
 			if err != nil {
 				return nil, err
 			}
@@ -163,12 +160,8 @@ func meshFactory(cfg Config) (*Plan, error) {
 			return workload.NewMeshLocality(mc.Spec, r)
 		},
 		Description: fmt.Sprintf("mesh %s cl=%dB buf=%d", mc.Spec, mc.LineBytes, mc.BufferFlits),
-		Build: func(ports []Port, engine *sim.Engine) (Model, error) {
-			pmPorts := make([]mesh.PMPort, len(ports))
-			for i, p := range ports {
-				pmPorts[i] = p
-			}
-			net, err := mesh.New(mc, pmPorts, engine)
+		Build: func(ports []node.Port, engine *sim.Engine) (Model, error) {
+			net, err := mesh.New(mc, ports, engine)
 			if err != nil {
 				return nil, err
 			}

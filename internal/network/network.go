@@ -20,7 +20,7 @@
 // Packets enter a Model through the PM ports it was built with (the
 // network pulls pending request/response packets during its commit
 // phase — the paper's NIC injection-queue model) and leave through
-// Port.Deliver.
+// node.Port.Deliver.
 package network
 
 import (
@@ -81,16 +81,6 @@ type Stats struct {
 	// Link is the aggregate link utilization in [0,1] for flat
 	// networks (zero when PerLevel is the meaningful view).
 	Link float64
-}
-
-// Port is what a model needs from each processing module: a source of
-// pending packets to inject and a sink for delivered ones.
-type Port interface {
-	node.Injector
-	node.Deliverer
-	// HasPending reports whether the Injector holds a packet of either
-	// class, so a model can ask once per cycle before peeking twice.
-	HasPending() bool
 }
 
 // Model is one interconnect: a synchronously clocked component that
@@ -169,7 +159,7 @@ type Plan struct {
 	// caller registers the returned Model on the engine (period 1);
 	// models with internally faster clocks use TicksPerCycle to slow
 	// the rest of the system down instead.
-	Build func(ports []Port, engine *sim.Engine) (Model, error)
+	Build func(ports []node.Port, engine *sim.Engine) (Model, error)
 }
 
 // Factory resolves a Config into a Plan, validating it in the

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/sim"
 )
@@ -176,7 +177,7 @@ func TestBuiltinsAdvertiseCapabilities(t *testing.T) {
 				t.Fatal(err)
 			}
 			engine := &sim.Engine{}
-			ports := make([]Port, plan.PMs)
+			ports := make([]node.Port, plan.PMs)
 			for i := range ports {
 				ports[i] = stubPort{}
 			}

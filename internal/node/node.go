@@ -7,8 +7,7 @@
 // processor and memory modules are essentially the same as in the
 // ring simulator"); only the network interface controller differs, so
 // the NIC implementations live in internal/ring and internal/mesh and
-// talk to the PM through the Injector/Deliverer interfaces defined
-// here.
+// talk to the PM through the Port interface defined here.
 package node
 
 import (
@@ -45,6 +44,16 @@ type Deliverer interface {
 	// immediately; requests join the memory queue). now is in engine
 	// ticks.
 	Deliver(p *packet.Packet, now int64)
+}
+
+// Port is what a network model needs from each processing module: a
+// source of pending packets to inject and a sink for delivered ones.
+type Port interface {
+	Injector
+	Deliverer
+	// HasPending reports whether the Injector holds a packet of either
+	// class, so a model can ask once per cycle before peeking twice.
+	HasPending() bool
 }
 
 // Collector aggregates the run's measurements across all PMs.
@@ -485,11 +494,12 @@ func (pm *PM) PopPendingRequest() *packet.Packet {
 }
 
 // Outstanding returns the processor's current in-flight transaction
-// count (for tests).
+// count. Only tests call it: it is how they observe the T-window.
 func (pm *PM) Outstanding() int { return pm.outstanding }
 
 // QueuedInMemory returns the depth of the memory request queue
-// (including the request in service), for tests and diagnostics.
+// (including the request in service). Only tests call it: it is how
+// they observe memory queueing.
 func (pm *PM) QueuedInMemory() int {
 	n := len(pm.memQ)
 	if pm.memServing != nil {

@@ -240,17 +240,6 @@ func (q *FIFO) Pop() Flit {
 	return f
 }
 
-// HoldsOnly reports whether every buffered flit belongs to pkt (used
-// by acceptance rules that admit one packet at a time).
-func (q *FIFO) HoldsOnly(pkt *Packet) bool {
-	for k := 0; k < q.n; k++ {
-		if q.buf[q.slot(k)].Pkt != pkt {
-			return false
-		}
-	}
-	return true
-}
-
 // EachPacket calls fn once per buffered flit's packet (callers dedup;
 // used by the ring bubble rule's residency count).
 func (q *FIFO) EachPacket(fn func(*Packet)) {

@@ -171,24 +171,6 @@ func TestFIFOZeroCapPanics(t *testing.T) {
 	NewFIFO(0)
 }
 
-func TestHoldsOnly(t *testing.T) {
-	q := NewFIFO(4)
-	a := &Packet{ID: 1, Flits: 2}
-	b := &Packet{ID: 2, Flits: 2}
-	if !q.HoldsOnly(a) {
-		t.Fatal("empty FIFO holds only anything")
-	}
-	q.Push(Flit{a, 0})
-	q.Push(Flit{a, 1})
-	if !q.HoldsOnly(a) || q.HoldsOnly(b) {
-		t.Fatal("HoldsOnly wrong for single-packet FIFO")
-	}
-	q.Push(Flit{b, 0})
-	if q.HoldsOnly(a) {
-		t.Fatal("HoldsOnly wrong for mixed FIFO")
-	}
-}
-
 // Property: FIFO preserves order and count under arbitrary push/pop
 // interleavings.
 func TestQuickFIFO(t *testing.T) {
@@ -240,7 +222,7 @@ func TestQuickSizing(t *testing.T) {
 	}
 }
 
-// The FIFO is a ring: order, HoldsOnly and EachPacket must hold across
+// The FIFO is a ring: order and EachPacket must hold across
 // the wrap, and a popped slot must not keep its packet reachable.
 func TestFIFOWrapAndRelease(t *testing.T) {
 	q := NewFIFO(3)
@@ -255,8 +237,8 @@ func TestFIFOWrapAndRelease(t *testing.T) {
 			t.Fatalf("pop %d = %v", i, got)
 		}
 	}
-	if q.Len() != 2 || !q.HoldsOnly(a) || q.HoldsOnly(b) {
-		t.Fatalf("after wrap: len %d, HoldsOnly(a) %v", q.Len(), q.HoldsOnly(a))
+	if q.Len() != 2 {
+		t.Fatalf("after wrap: len %d", q.Len())
 	}
 	var seen []int
 	q.EachPacket(func(p *Packet) { seen = append(seen, int(p.ID)) })

@@ -88,22 +88,13 @@ func (c Config) TicksPerCycle() int64 {
 	return 1
 }
 
-// PMPort is what the network needs from each processing module.
-type PMPort interface {
-	node.Injector
-	node.Deliverer
-	// HasPending reports whether either pending list holds a packet,
-	// so a NIC with a free output register asks its PM once per cycle.
-	HasPending() bool
-}
-
 // nic couples a leaf-ring station with its PM. The station's
 // injection queues are the paper's output response and request
 // registers (each holding exactly one packet), kept filled from the
 // PM's pending lists.
 type nic struct {
 	st *station
-	pm PMPort
+	pm node.Port
 }
 
 // refill moves whole pending packets from the PM into empty NIC
@@ -174,7 +165,7 @@ func (n *Network) SetTracer(t *trace.Recorder) {
 // New builds the network for cfg connecting the given PMs (len must
 // equal cfg.Spec.PMs()). The network clocks its rings itself (see
 // ringInst.period); register the Network on the engine with period 1.
-func New(cfg Config, pms []PMPort, engine *sim.Engine) (*Network, error) {
+func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -219,7 +210,7 @@ func (n *Network) addStation(name string, level, injectFlits int) *station {
 // when non-nil, is the upper station of the IRI above this ring; the
 // IRI's lower station joins this ring as the last slot. Stations are
 // appended to n.stations and wired in ring order.
-func (n *Network) buildRing(level, base int, pms []PMPort, parentUpper *station) {
+func (n *Network) buildRing(level, base int, pms []node.Port, parentUpper *station) {
 	spec := n.cfg.Spec
 	branches := spec.Levels[level]
 	inst := &ringInst{

@@ -3,6 +3,7 @@ package ring
 import (
 	"testing"
 
+	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/rng"
 	"ringmesh/internal/sim"
@@ -57,7 +58,7 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	t.Helper()
 	engine := &sim.Engine{}
 	pms := make([]*fakePM, cfg.Spec.PMs())
-	ports := make([]PMPort, len(pms))
+	ports := make([]node.Port, len(pms))
 	for i := range pms {
 		pms[i] = &fakePM{id: i}
 		ports[i] = pms[i]
@@ -125,7 +126,7 @@ func TestTicksPerCycle(t *testing.T) {
 func TestNewRejectsWrongPMCount(t *testing.T) {
 	engine := &sim.Engine{}
 	_, err := New(Config{Spec: topo.MustRingSpec(4), LineBytes: 32},
-		make([]PMPort, 3), engine)
+		make([]node.Port, 3), engine)
 	if err == nil {
 		t.Fatal("wrong PM count accepted")
 	}

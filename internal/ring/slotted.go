@@ -42,6 +42,7 @@ import (
 
 	"ringmesh/internal/fault"
 	"ringmesh/internal/metrics"
+	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/sim"
 	"ringmesh/internal/stats"
@@ -241,7 +242,7 @@ func (n *SlottedNetwork) SetTracer(t *trace.Recorder) { n.tracer = t }
 // snic couples a station with its PM.
 type snic struct {
 	st      *sstation
-	pm      PMPort
+	pm      node.Port
 	outResp *spktQueue
 	outReq  *spktQueue
 	period  int64
@@ -249,7 +250,7 @@ type snic struct {
 
 // NewSlotted builds the slotted-ring network for cfg (the same
 // topology, sizing and clocking rules as the wormhole network).
-func NewSlotted(cfg Config, pms []PMPort, engine *sim.Engine) (*SlottedNetwork, error) {
+func NewSlotted(cfg Config, pms []node.Port, engine *sim.Engine) (*SlottedNetwork, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -281,7 +282,7 @@ func NewSlotted(cfg Config, pms []PMPort, engine *sim.Engine) (*SlottedNetwork, 
 // buildRing mirrors the wormhole builder: leaf rings carry NICs,
 // internal rings carry child IRI upper stations, and every non-global
 // ring ends with its parent IRI's lower station.
-func (n *SlottedNetwork) buildRing(level, base int, pms []PMPort, parentLower *sstation) {
+func (n *SlottedNetwork) buildRing(level, base int, pms []node.Port, parentLower *sstation) {
 	spec := n.cfg.Spec
 	branches := spec.Levels[level]
 	var slots []*sstation

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/rng"
 	"ringmesh/internal/sim"
@@ -22,7 +23,7 @@ func newSlottedHarness(t *testing.T, cfg Config) *slottedHarness {
 	t.Helper()
 	engine := &sim.Engine{}
 	pms := make([]*fakePM, cfg.Spec.PMs())
-	ports := make([]PMPort, len(pms))
+	ports := make([]node.Port, len(pms))
 	for i := range pms {
 		pms[i] = &fakePM{id: i}
 		ports[i] = pms[i]
@@ -161,7 +162,7 @@ func slottedConservation(seed uint64, shape, nPkts uint8) (ok, reordered bool) {
 	line := lines[int(seed%uint64(len(lines)))]
 	engine := &sim.Engine{}
 	pms := make([]*fakePM, spec.PMs())
-	ports := make([]PMPort, len(pms))
+	ports := make([]node.Port, len(pms))
 	for i := range pms {
 		pms[i] = &fakePM{id: i}
 		ports[i] = pms[i]

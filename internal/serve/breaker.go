@@ -10,7 +10,7 @@ import (
 // traffic at all. Tripping is failure-count based — transport errors
 // and submit-path 5xxs count, job-level outcomes do not — and
 // re-admission is probe-based, not traffic-based: the coordinator's
-// health loop polls an ejected worker's /healthz once per cooldown
+// health loop asks an ejected worker's /readyz once per cooldown
 // and closes the breaker on success, so a flapping replica soaks up
 // health probes instead of real points. (That replaces the
 // traditional half-open state: there is never a "trial" user request,

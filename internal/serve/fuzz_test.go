@@ -33,7 +33,9 @@ func fuzzSeedLines(f *testing.F) [][]byte {
 // bytes — torn writes, bit flips, hostile JSON — must yield a record
 // or an error, never a panic. Any line it does accept must survive a
 // re-encode/re-decode round trip, so replay and compaction agree on
-// what the record says.
+// what the record says. The disk-cache entry is the same frame with
+// another version and separator, so every input is also fed to its
+// decoder, under the same never-panic contract.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, line := range fuzzSeedLines(f) {
 		f.Add(line)
@@ -45,7 +47,12 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte(journalVersion + "   "))
 	f.Add([]byte(journalVersion + " zz -1 {}"))
+	entry := encodeEntry([]byte(`{"latency":1}`))
+	f.Add(entry)
+	f.Add(entry[:len(entry)-3])
+	f.Add([]byte(diskFormatVersion + " zz -1\n{}"))
 	f.Fuzz(func(t *testing.T, line []byte) {
+		_, _ = decodeEntry(line)       // must never panic
 		rec, err := decodeRecord(line) // must never panic
 		if err != nil {
 			return

@@ -366,3 +366,49 @@ func TestJournalGoldenLinesReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestParentFixturesLoad pins the bytes on disk across the move to one
+// frame codec: parent-entry.rmr and parent-journal.wal were written by
+// the daemon built from the commit before it (a finished run, then a
+// run killed -9 mid-flight). Both must load, and re-framing each
+// payload must reproduce the parent's bytes exactly.
+func TestParentFixturesLoad(t *testing.T) {
+	entry, err := os.ReadFile(filepath.Join("testdata", "parent-entry.rmr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := decodeEntry(entry)
+	if err != nil {
+		t.Fatalf("parent entry: %v", err)
+	}
+	if res.LatencyCycles <= 0 {
+		t.Fatalf("parent entry decoded to an empty result: %+v", res)
+	}
+	_, payload, _ := bytes.Cut(entry, []byte("\n"))
+	if got := encodeEntry(payload); !bytes.Equal(got, entry) {
+		t.Fatalf("re-framed entry differs from the parent's bytes:\n got: %s\nwant: %s", got, entry)
+	}
+
+	wal, err := os.ReadFile(filepath.Join("testdata", "parent-journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []string
+	for _, line := range bytes.Split(bytes.TrimSuffix(wal, []byte("\n")), []byte("\n")) {
+		rec, err := decodeRecord(line)
+		if err != nil {
+			t.Fatalf("parent journal line %q: %v", line, err)
+		}
+		ops = append(ops, rec.Op+" "+rec.ID)
+		got, err := encodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append(line, '\n'); !bytes.Equal(got, want) {
+			t.Fatalf("re-encoded record differs from the parent's bytes:\n got: %s\nwant: %s", got, want)
+		}
+	}
+	if want := "accepted j000001,done j000001,accepted j000002"; strings.Join(ops, ",") != want {
+		t.Fatalf("parent journal holds %v; want %s", ops, want)
+	}
+}

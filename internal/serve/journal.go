@@ -2,8 +2,6 @@ package serve
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -56,7 +54,8 @@ type journalRecord struct {
 	auto bool
 }
 
-// encodeRecord frames one record as a single self-checking line:
+// encodeRecord frames one record as a single self-checking line (the
+// frame of frame.go with a space separator, newline-terminated):
 //
 //	ringmeshd-wal-v1 <sha256(payload) hex> <len(payload)> <payload>\n
 //
@@ -68,16 +67,7 @@ func encodeRecord(rec journalRecord) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum := sha256.Sum256(payload)
-	line := make([]byte, 0, len(journalVersion)+len(payload)+80)
-	line = append(line, journalVersion...)
-	line = append(line, ' ')
-	line = append(line, hex.EncodeToString(sum[:])...)
-	line = strconv.AppendInt(append(line, ' '), int64(len(payload)), 10)
-	line = append(line, ' ')
-	line = append(line, payload...)
-	line = append(line, '\n')
-	return line, nil
+	return append(sealFrame(journalVersion, ' ', payload), '\n'), nil
 }
 
 // decodeRecord parses one journal line (without trailing newline),
@@ -86,31 +76,11 @@ func encodeRecord(rec journalRecord) ([]byte, error) {
 // panic — and is fuzzed to hold that contract.
 func decodeRecord(line []byte) (journalRecord, error) {
 	var rec journalRecord
-	s := string(line)
-	rest, ok := strings.CutPrefix(s, journalVersion+" ")
-	if !ok {
-		return rec, fmt.Errorf("bad version prefix")
+	payload, err := openFrame(line, journalVersion, ' ')
+	if err != nil {
+		return rec, err
 	}
-	sumHex, rest, ok := strings.Cut(rest, " ")
-	if !ok {
-		return rec, fmt.Errorf("missing checksum field")
-	}
-	lenStr, payload, ok := strings.Cut(rest, " ")
-	if !ok {
-		return rec, fmt.Errorf("missing length field")
-	}
-	n, err := strconv.Atoi(lenStr)
-	if err != nil || n < 0 {
-		return rec, fmt.Errorf("bad length field %q", lenStr)
-	}
-	if n != len(payload) {
-		return rec, fmt.Errorf("payload %d bytes, header says %d (torn write?)", len(payload), n)
-	}
-	sum := sha256.Sum256([]byte(payload))
-	if got := hex.EncodeToString(sum[:]); got != sumHex {
-		return rec, fmt.Errorf("checksum mismatch (stored %.8s, computed %.8s)", sumHex, got)
-	}
-	if err := json.Unmarshal([]byte(payload), &rec); err != nil {
+	if err := json.Unmarshal(payload, &rec); err != nil {
 		return rec, fmt.Errorf("payload decode: %w", err)
 	}
 	if rec.Op == "" || rec.ID == "" {
@@ -131,7 +101,7 @@ const compactEvery = 1024
 // accepted job survives kill -9. Replay on startup re-enqueues
 // unfinished jobs under their original IDs and classes; compaction
 // rewrites the log to only the records that still matter, with the
-// same temp-file + fsync + atomic-rename discipline as the disk cache.
+// same publishAtomic as the disk cache.
 type jobJournal struct {
 	mu        sync.Mutex
 	dir       string
@@ -276,38 +246,24 @@ func (w *jobJournal) quarantineLine(line []byte, lineNo int, cause error) {
 }
 
 // compact rewrites the journal down to the accepted records of live
-// (still queued or running) jobs: temp file, fsync, atomic rename —
-// a crash mid-compaction leaves either the complete old log or the
-// complete new one, never a mix.
+// (still queued or running) jobs — at most a queue's worth, so the new
+// log is built in memory and published in one piece: a crash
+// mid-compaction leaves either the complete old log or the complete
+// new one, never a mix.
 func (w *jobJournal) compact(live []journalRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	tmp, err := os.CreateTemp(w.dir, ".journal-*.tmp")
-	if err != nil {
-		return fmt.Errorf("serve: journal compact: %w", err)
-	}
-	defer os.Remove(tmp.Name())
+	var log []byte
 	for _, rec := range live {
 		line, err := encodeRecord(rec)
 		if err != nil {
-			tmp.Close()
 			return fmt.Errorf("serve: journal compact encode: %w", err)
 		}
-		if _, err := tmp.Write(line); err != nil {
-			tmp.Close()
-			return fmt.Errorf("serve: journal compact write: %w", err)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: journal compact sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: journal compact close: %w", err)
+		log = append(log, line...)
 	}
 	path := filepath.Join(w.dir, journalFile)
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("serve: journal compact rename: %w", err)
+	if err := publishAtomic(path, log); err != nil {
+		return fmt.Errorf("serve: journal compact: %w", err)
 	}
 	// Reopen the append handle: the old descriptor points at the
 	// now-unlinked previous log.

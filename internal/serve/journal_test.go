@@ -59,6 +59,13 @@ func TestJournalRecordRoundtrip(t *testing.T) {
 	if got.Config == nil || *got.Config != cfg {
 		t.Fatalf("roundtrip config = %+v; want %+v", got.Config, cfg)
 	}
+	// Beyond json.Marshal, framing a record costs one allocation.
+	payload := []byte(`{"op":"done","id":"j000042"}`)
+	if n := testing.AllocsPerRun(100, func() {
+		_ = append(sealFrame(journalVersion, ' ', payload), '\n')
+	}); n != 1 {
+		t.Fatalf("framing a record allocates %v times; want 1", n)
+	}
 }
 
 func TestJournalDecodeRejectsCorruption(t *testing.T) {
@@ -306,6 +313,18 @@ func TestJournalCompaction(t *testing.T) {
 	}
 	if !strings.Contains(string(data), opRunning) {
 		t.Fatal("append after compaction missing from the log")
+	}
+	if n := jl.compactions.Value(); n != 1 {
+		t.Fatalf("compactions = %d; want 1", n)
+	}
+
+	// A journal that cannot write counts the failure and carries on.
+	if err := jl.close(); err != nil {
+		t.Fatal(err)
+	}
+	jl.append(journalRecord{Op: opDone, ID: "j000002"})
+	if n := jl.appendErrs.Value(); n != 1 {
+		t.Fatalf("append errors after close = %d; want 1", n)
 	}
 }
 

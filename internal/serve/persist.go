@@ -1,17 +1,12 @@
 package serve
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"ringmesh"
 	"ringmesh/internal/metrics"
@@ -40,7 +35,8 @@ const quarantineDir = "quarantine"
 // never a prefix.
 //
 // On-disk format (version, checksum and length in a single header
-// line, then the JSON payload):
+// line, then the JSON payload; the frame of frame.go with a newline
+// separator):
 //
 //	ringmeshd-disk-v1 <sha256(payload) hex> <len(payload)>\n
 //	<payload: ringmesh.Result as JSON>
@@ -118,40 +114,18 @@ func (d *diskStore) load(key string) (ringmesh.Result, bool) {
 	return res, true
 }
 
-// store durably writes a result under key: marshal, temp file in the
-// same directory, fsync, atomic rename. Failures are counted and
-// logged but never propagated — the disk tier is an accelerator, and
-// a write that did not land only costs a future recomputation.
+// store durably writes a result under key (marshal, publishAtomic).
+// Failures are counted and logged but never propagated — the disk tier
+// is an accelerator, and a write that did not land only costs a future
+// recomputation.
 func (d *diskStore) store(key string, res ringmesh.Result) {
 	payload, err := json.Marshal(res)
+	if err == nil {
+		err = publishAtomic(d.path(key), encodeEntry(payload))
+	}
 	if err != nil {
 		d.ioErrors.Inc()
-		d.log.Warn("disk cache encode failed", "key", shortKey(key), "err", err)
-		return
-	}
-	entry := encodeEntry(payload)
-	tmp, err := os.CreateTemp(d.dir, ".tmp-*")
-	if err != nil {
-		d.ioErrors.Inc()
-		d.log.Warn("disk cache temp create failed", "key", shortKey(key), "err", err)
-		return
-	}
-	// The rename is what publishes the entry; everything before it can
-	// fail (or the process can die) without ever exposing a torn file.
-	_, werr := tmp.Write(entry)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), d.path(key))
-	}
-	if werr != nil {
-		_ = os.Remove(tmp.Name())
-		d.ioErrors.Inc()
-		d.log.Warn("disk cache write failed", "key", shortKey(key), "err", werr)
+		d.log.Warn("disk cache write failed", "key", shortKey(key), "err", err)
 		return
 	}
 	d.writes.Inc()
@@ -174,9 +148,7 @@ func (d *diskStore) quarantine(key string, reason error) {
 
 // encodeEntry renders the on-disk bytes for a payload.
 func encodeEntry(payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	header := fmt.Sprintf("%s %s %d\n", diskFormatVersion, hex.EncodeToString(sum[:]), len(payload))
-	return append([]byte(header), payload...)
+	return sealFrame(diskFormatVersion, '\n', payload)
 }
 
 // decodeEntry verifies an entry's header (version, length, checksum)
@@ -184,28 +156,9 @@ func encodeEntry(payload []byte) []byte {
 // quarantines.
 func decodeEntry(raw []byte) (ringmesh.Result, error) {
 	var res ringmesh.Result
-	nl := bytes.IndexByte(raw, '\n')
-	if nl < 0 {
-		return res, fmt.Errorf("no header line")
-	}
-	fields := strings.Fields(string(raw[:nl]))
-	if len(fields) != 3 {
-		return res, fmt.Errorf("malformed header %q", string(raw[:nl]))
-	}
-	if fields[0] != diskFormatVersion {
-		return res, fmt.Errorf("format version %q, want %q", fields[0], diskFormatVersion)
-	}
-	wantLen, err := strconv.Atoi(fields[2])
+	payload, err := openFrame(raw, diskFormatVersion, '\n')
 	if err != nil {
-		return res, fmt.Errorf("bad length field %q", fields[2])
-	}
-	payload := raw[nl+1:]
-	if len(payload) != wantLen {
-		return res, fmt.Errorf("payload %d bytes, header says %d (torn write?)", len(payload), wantLen)
-	}
-	sum := sha256.Sum256(payload)
-	if got := hex.EncodeToString(sum[:]); got != fields[1] {
-		return res, fmt.Errorf("checksum mismatch (stored %.8s, computed %.8s)", fields[1], got)
+		return res, err
 	}
 	if err := json.Unmarshal(payload, &res); err != nil {
 		return res, fmt.Errorf("payload decode: %w", err)

@@ -135,6 +135,33 @@ func TestDiskStoreQuarantinesCorruptEntries(t *testing.T) {
 	}
 }
 
+// TestDiskStoreCountsIOErrors: a read or a write the file system
+// refuses (here a directory squatting on the entry's name) is a counted
+// miss or a counted lost write — never an error to the caller, and
+// never a temp file left behind.
+func TestDiskStoreCountsIOErrors(t *testing.T) {
+	d := newTestDisk(t)
+	if err := os.Mkdir(d.path("k"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(d.path("k"), "x"), nil, 0o644); err != nil {
+		t.Fatal(err) // non-empty, so a rename cannot replace it
+	}
+	if _, ok := d.load("k"); ok {
+		t.Fatal("directory served as a hit")
+	}
+	d.store("k", fullResult())
+	if got := d.ioErrors.Value(); got != 2 {
+		t.Fatalf("io errors = %d; want 2 (the read and the write)", got)
+	}
+	if d.writes.Value() != 0 || d.misses.Value() != 1 {
+		t.Fatalf("writes=%d misses=%d; want 0 and 1", d.writes.Value(), d.misses.Value())
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(d.dir, ".tmp-*")); len(tmps) != 0 {
+		t.Fatalf("failed write left temp files: %v", tmps)
+	}
+}
+
 // TestCacheRecomputesAfterQuarantine drives the same scenario through
 // the resultCache: a corrupted disk entry must trigger recomputation
 // (the compute callback runs), not a wrong answer and not an error.

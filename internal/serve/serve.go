@@ -441,9 +441,11 @@ func (s *Server) journalTerminal(j *job, failed bool) {
 }
 
 // register stores a job for polling, dropping the oldest finished
-// documents past the retention bound. A job arriving without an ID
-// gets a fresh one; journal replay pre-assigns the original ID (the
-// counter has already been advanced past every journaled ID).
+// documents past the retention bound; live jobs are skipped, never
+// dropped, so one long job does not pin everything admitted after it.
+// A job arriving without an ID gets a fresh one; journal replay
+// pre-assigns the original ID (the counter has already been advanced
+// past every journaled ID).
 func (s *Server) register(j *job) {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
@@ -454,12 +456,15 @@ func (s *Server) register(j *job) {
 	s.jobs[j.id] = j
 	s.jobOrder = append(s.jobOrder, j.id)
 	for len(s.jobOrder) > jobRetain {
-		oldest := s.jobOrder[0]
-		if old, ok := s.jobs[oldest]; ok && !old.finished() {
-			break // never drop live jobs; retention resumes when they end
+		i := slices.IndexFunc(s.jobOrder, func(id string) bool {
+			old, ok := s.jobs[id]
+			return !ok || old.finished()
+		})
+		if i < 0 {
+			break // every retained job is live
 		}
-		delete(s.jobs, oldest)
-		s.jobOrder = s.jobOrder[1:]
+		delete(s.jobs, s.jobOrder[i])
+		s.jobOrder = slices.Delete(s.jobOrder, i, i+1)
 	}
 }
 

@@ -321,6 +321,9 @@ func TestRateLimit(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second POST = %d: %s; want 429", resp.StatusCode, raw)
 	}
+	if !strings.Contains(getMetrics(t, ts.URL), "ringmeshd_requests_rate_limited_total 1\n") {
+		t.Error("metrics missing ringmeshd_requests_rate_limited_total 1")
+	}
 	// Reads are not gated: polling survives a spent submission budget.
 	resp2, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -549,5 +552,45 @@ func TestJobRetention(t *testing.T) {
 	}
 	if _, ok := s.lookup(fmt.Sprintf("j%06d", jobRetain+10)); !ok {
 		t.Fatalf("newest job missing")
+	}
+}
+
+// TestJobRetentionSkipsLiveJob: one job that never finishes must not
+// pin the documents admitted behind it. Retention drops the oldest
+// finished document and steps over live ones.
+func TestJobRetentionSkipsLiveJob(t *testing.T) {
+	s := &Server{jobs: map[string]*job{}}
+	h := s.Handler()
+	status := func(id string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id, nil))
+		return rec.Code
+	}
+	blocked := testJob("", kindRun, 1) // stands for a long sweep: never finished
+	s.register(blocked)
+	for i := 0; i < 2*jobRetain; i++ {
+		j := testJob("", kindRun, 1)
+		j.finish([]outcome{{}}, nil)
+		s.register(j)
+	}
+	if n := len(s.jobs); n > jobRetain+1 || n != len(s.jobOrder) {
+		t.Fatalf("table holds %d documents (%d ordered); want at most %d", n, len(s.jobOrder), jobRetain+1)
+	}
+	if got := status(blocked.id); got != http.StatusOK {
+		t.Fatalf("live job answers %d; want 200", got)
+	}
+	// Finished jobs are j000002 .. j(2*jobRetain+1). The bound counts
+	// the live document too, so the newest jobRetain-1 finished ones
+	// stay beside it.
+	newest := 2*jobRetain + 1
+	for _, n := range []int{newest, newest - (jobRetain - 2)} {
+		if got := status(fmt.Sprintf("j%06d", n)); got != http.StatusOK {
+			t.Errorf("finished job %d answers %d; want 200", n, got)
+		}
+	}
+	for _, n := range []int{2, newest - (jobRetain - 1)} {
+		if got := status(fmt.Sprintf("j%06d", n)); got != http.StatusNotFound {
+			t.Errorf("finished job %d answers %d; want 404", n, got)
+		}
 	}
 }

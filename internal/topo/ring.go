@@ -101,21 +101,13 @@ func (r RingSpec) PMs() int {
 	return p
 }
 
-// NumRings returns the total number of rings at every level.
-func (r RingSpec) NumRings() int {
-	total, width := 0, 1
-	for i := 0; i < len(r.Levels); i++ {
-		total += width
-		width *= r.Levels[i]
-	}
-	return total
-}
-
 // Digits decomposes PM id p into its per-level child indices
 // (mixed-radix representation): digit[i] selects the child taken at
 // level i on the way from the global ring to the PM. Digits are
 // ordered most-significant (global) first, so DFS PM numbering makes
-// every subtree a contiguous id range.
+// every subtree a contiguous id range. RingHops strips the same digits
+// in registers and no production code calls Digits; it stays as the
+// independently written oracle ring_test.go checks RingHops against.
 func (r RingSpec) Digits(p int) []int {
 	r.checkPM(p)
 	d := make([]int, len(r.Levels))

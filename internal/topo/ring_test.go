@@ -52,10 +52,6 @@ func TestPMsAndRings(t *testing.T) {
 	if spec.NumLevels() != 3 {
 		t.Fatalf("levels = %d", spec.NumLevels())
 	}
-	// 1 global + 2 intermediate + 6 local rings.
-	if spec.NumRings() != 9 {
-		t.Fatalf("rings = %d", spec.NumRings())
-	}
 }
 
 func TestDigitsRoundTrip(t *testing.T) {

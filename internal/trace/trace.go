@@ -74,23 +74,15 @@ func (e Event) String() string {
 // capacity (hop events are plentiful).
 const DefaultCap = 1 << 20
 
-// Recorder accumulates events up to a capacity. Once full, the
-// default mode counts and drops new events (keeping the oldest — the
-// run's beginning); KeepLatest instead overwrites the oldest so the
-// retained window always ends at the most recent event.
+// Recorder accumulates events up to a capacity. Once full it counts
+// and drops new events, keeping the oldest — the run's beginning.
 type Recorder struct {
 	// Cap bounds retained events (0 = DefaultCap).
 	Cap int
 	// OnlyPacket, when non-zero, restricts recording to one packet id.
 	OnlyPacket uint64
-	// KeepLatest switches the full recorder to a ring buffer: new
-	// events overwrite the oldest instead of being dropped. Useful
-	// when the interesting window is the end of the run (a stall, a
-	// saturation collapse) rather than its start.
-	KeepLatest bool
 
 	events  []Event
-	start   int // ring-buffer read position (KeepLatest, once full)
 	dropped int64
 }
 
@@ -107,18 +99,7 @@ func (r *Recorder) Record(tick int64, kind Kind, p *packet.Packet, where string)
 	if max <= 0 {
 		max = DefaultCap
 	}
-	ev := Event{
-		Tick: tick, Kind: kind, Packet: p.ID, Type: p.Type,
-		Src: p.Src, Dst: p.Dst, Where: where,
-	}
 	if len(r.events) >= max {
-		if !r.KeepLatest {
-			r.dropped++
-			return
-		}
-		// Ring-buffer mode: overwrite the oldest retained event.
-		r.events[r.start] = ev
-		r.start = (r.start + 1) % len(r.events)
 		r.dropped++
 		return
 	}
@@ -129,26 +110,18 @@ func (r *Recorder) Record(tick int64, kind Kind, p *packet.Packet, where string)
 		copy(grown, r.events)
 		r.events = grown
 	}
-	r.events = append(r.events, ev)
+	r.events = append(r.events, Event{
+		Tick: tick, Kind: kind, Packet: p.ID, Type: p.Type,
+		Src: p.Src, Dst: p.Dst, Where: where,
+	})
 }
 
-// ordered returns the retained events oldest-first without copying;
-// the two slices are consecutive chunks of the ring buffer (the
-// second is empty until a KeepLatest recorder wraps).
-func (r *Recorder) ordered() ([]Event, []Event) {
-	return r.events[r.start:], r.events[:r.start]
-}
-
-// Events returns the recorded events in order (oldest first).
+// Events returns a copy of the recorded events, oldest first.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	a, b := r.ordered()
-	out := make([]Event, 0, len(r.events))
-	out = append(out, a...)
-	out = append(out, b...)
-	return out
+	return append(make([]Event, 0, len(r.events)), r.events...)
 }
 
 // Dropped reports how many events exceeded the capacity.
@@ -159,64 +132,20 @@ func (r *Recorder) Dropped() int64 {
 	return r.dropped
 }
 
-// Timeline returns the events of one packet in order.
-func (r *Recorder) Timeline(packetID uint64) []Event {
-	if r == nil {
-		return nil
-	}
-	var out []Event
-	a, b := r.ordered()
-	for _, chunk := range [][]Event{a, b} {
-		for _, e := range chunk {
-			if e.Packet == packetID {
-				out = append(out, e)
-			}
-		}
-	}
-	return out
-}
-
-// PacketIDs returns the distinct packet ids seen, in first-appearance
-// order.
-func (r *Recorder) PacketIDs() []uint64 {
-	if r == nil {
-		return nil
-	}
-	seen := map[uint64]bool{}
-	var out []uint64
-	a, b := r.ordered()
-	for _, chunk := range [][]Event{a, b} {
-		for _, e := range chunk {
-			if !seen[e.Packet] {
-				seen[e.Packet] = true
-				out = append(out, e.Packet)
-			}
-		}
-	}
-	return out
-}
-
 // Write renders all retained events oldest-first, one per line,
-// followed by a note counting events lost to the capacity bound (the
-// newest in the default mode, the oldest under KeepLatest).
+// followed by a note counting the events dropped past the capacity
+// bound.
 func (r *Recorder) Write(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	a, b := r.ordered()
-	for _, chunk := range [][]Event{a, b} {
-		for _, e := range chunk {
-			if _, err := fmt.Fprintln(w, e); err != nil {
-				return err
-			}
+	for _, e := range r.events {
+		if _, err := fmt.Fprintln(w, e); err != nil {
+			return err
 		}
 	}
 	if r.dropped > 0 {
-		note := "dropped beyond capacity; oldest retained"
-		if r.KeepLatest {
-			note = "overwritten beyond capacity; latest retained"
-		}
-		if _, err := fmt.Fprintf(w, "(%d events %s)\n", r.dropped, note); err != nil {
+		if _, err := fmt.Fprintf(w, "(%d events dropped beyond capacity; oldest retained)\n", r.dropped); err != nil {
 			return err
 		}
 	}

@@ -15,8 +15,8 @@ func pkt(id uint64) *packet.Packet {
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(1, Issue, pkt(1), "pm0") // must not panic
-	if r.Events() != nil || r.Timeline(1) != nil || r.PacketIDs() != nil {
-		t.Fatal("nil recorder should return nil slices")
+	if r.Events() != nil {
+		t.Fatal("nil recorder should return a nil slice")
 	}
 	if r.Dropped() != 0 {
 		t.Fatal("nil recorder dropped count")
@@ -35,13 +35,15 @@ func TestRecordAndTimeline(t *testing.T) {
 	if len(r.Events()) != 4 {
 		t.Fatalf("events = %d", len(r.Events()))
 	}
-	tl := r.Timeline(1)
+	// Events keep recording order, so one packet's timeline is a filter.
+	var tl []Event
+	for _, e := range r.Events() {
+		if e.Packet == 1 {
+			tl = append(tl, e)
+		}
+	}
 	if len(tl) != 3 || tl[0].Kind != Issue || tl[2].Kind != Deliver {
 		t.Fatalf("timeline = %v", tl)
-	}
-	ids := r.PacketIDs()
-	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
-		t.Fatalf("ids = %v", ids)
 	}
 }
 
@@ -68,69 +70,6 @@ func TestCapacityDrop(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "3 events dropped") {
 		t.Fatalf("drop note missing:\n%s", buf.String())
-	}
-}
-
-func TestKeepLatestWrapAround(t *testing.T) {
-	r := &Recorder{Cap: 3, KeepLatest: true}
-	for i := 0; i < 8; i++ {
-		r.Record(int64(i), Hop, pkt(uint64(i)), "x")
-	}
-	evts := r.Events()
-	if len(evts) != 3 {
-		t.Fatalf("events = %d, want 3", len(evts))
-	}
-	// The retained window must be the newest three, oldest first.
-	for i, want := range []int64{5, 6, 7} {
-		if evts[i].Tick != want {
-			t.Fatalf("events[%d].Tick = %d, want %d (got %v)", i, evts[i].Tick, want, evts)
-		}
-	}
-	if r.Dropped() != 5 {
-		t.Fatalf("dropped = %d, want 5", r.Dropped())
-	}
-	// Timeline and PacketIDs follow the same oldest-first order.
-	ids := r.PacketIDs()
-	if len(ids) != 3 || ids[0] != 5 || ids[1] != 6 || ids[2] != 7 {
-		t.Fatalf("ids = %v", ids)
-	}
-	if tl := r.Timeline(6); len(tl) != 1 || tl[0].Tick != 6 {
-		t.Fatalf("timeline = %v", tl)
-	}
-	var buf bytes.Buffer
-	if err := r.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "5 events overwritten") {
-		t.Fatalf("overwrite note missing:\n%s", out)
-	}
-	// Lines must render oldest-first even after the buffer wrapped.
-	if i5, i7 := strings.Index(out, "t=5"), strings.Index(out, "t=7"); i5 < 0 || i7 < 0 || i5 > i7 {
-		t.Fatalf("wrapped order wrong:\n%s", out)
-	}
-}
-
-func TestKeepLatestBelowCapacity(t *testing.T) {
-	r := &Recorder{Cap: 8, KeepLatest: true}
-	for i := 0; i < 3; i++ {
-		r.Record(int64(i), Hop, pkt(1), "x")
-	}
-	evts := r.Events()
-	if len(evts) != 3 || r.Dropped() != 0 {
-		t.Fatalf("events=%d dropped=%d", len(evts), r.Dropped())
-	}
-	for i, e := range evts {
-		if e.Tick != int64(i) {
-			t.Fatalf("events[%d].Tick = %d", i, e.Tick)
-		}
-	}
-	var buf bytes.Buffer
-	if err := r.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "overwritten") {
-		t.Fatalf("unexpected overwrite note:\n%s", buf.String())
 	}
 }
 

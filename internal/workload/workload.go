@@ -158,7 +158,9 @@ func (l *MeshLocality) String() string {
 }
 
 // Uniform sends references uniformly over all PMs including the local
-// one — identical to either locality model at R = 1.
+// one — identical to either locality model at R = 1. No production
+// code builds one; it stays as a steering fixture of the PM tests
+// (internal/node).
 type Uniform struct{ P int }
 
 // Target implements Pattern.
@@ -168,8 +170,9 @@ func (u Uniform) Target(src int, r *rng.Source) int { return r.Intn(u.P) }
 func (u Uniform) String() string { return "uniform" }
 
 // Hotspot directs a fraction of references at a single hot PM and the
-// rest uniformly — a classical stress pattern used in the extension
-// benches (not in the paper's figures).
+// rest uniformly. It is in none of the paper's figures and no
+// production code builds one; it stays because the PM tests
+// (internal/node) steer every reference at a chosen PM with it.
 type Hotspot struct {
 	P        int
 	Hot      int
