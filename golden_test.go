@@ -250,30 +250,44 @@ func TestMetricsGlobalRingRunsHotter(t *testing.T) {
 
 // TestGoldenMetricsSeries pins the metrics-on time series themselves,
 // not just the Result they must not perturb: nic_inject_stall_cycles
-// is evaluated inside the ring station's commit from live queue
-// lengths and ring_link_util reads the per-station link counters, so
-// a rewrite of the station tick has to reproduce every sampled value.
-// The digests are sha256 of WriteMetricsCSV; re-record them only with
-// a deliberate modelling change.
+// is counted inside the ring station tick from live queue lengths,
+// mesh_ecube_turns per router across row shards, fault_events_total
+// by the fault driver, and the utilization series read the link
+// counters, so a rewrite of any tick has to reproduce every sampled
+// value. The digests are sha256 of WriteMetricsCSV; re-record them
+// only with a deliberate modelling change.
 func TestGoldenMetricsSeries(t *testing.T) {
+	ring338 := Config{Network: "ring", Topology: "3:3:8", LineBytes: 32}
+	ring234 := Config{Network: "ring", Topology: "2:3:4", LineBytes: 32}
+	mesh := Config{Network: "mesh", Nodes: 64, LineBytes: 32, BufferFlits: 4}
+	with := func(cfg Config, edit func(*Config)) Config { edit(&cfg); return cfg }
 	cases := []struct {
-		name        string
-		doubleSpeed bool
-		want        string
+		name string
+		cfg  Config
+		want string
 	}{
-		{"ring-3:3:8-32B", false, "e2abd784eb5afa1b88eeccfd7534cffafa9c63a4b6105e911f52b79846db6ecc"},
-		{"ring-3:3:8-32B-double-global", true, "4ddbf74ffce6b326c87d49eb0051ed00a255b745aedebf28915416da95b06dab"},
+		{"ring-3:3:8-32B", ring338, "e2abd784eb5afa1b88eeccfd7534cffafa9c63a4b6105e911f52b79846db6ecc"},
+		{"ring-3:3:8-32B-double-global", with(ring338, func(c *Config) { c.DoubleSpeedGlobal = true }),
+			"4ddbf74ffce6b326c87d49eb0051ed00a255b745aedebf28915416da95b06dab"},
+		{"ring-2:3:4-32B-faults", with(ring234, func(c *Config) {
+			c.FaultPlan = "stutter@600+2000:node=0;slowdown@1500+800:node=3,factor=3"
+		}), "bac3f7742e91f6ec902247b8cb70b52981f48cfaa7f30dbc127d1457829c8258"},
+		{"ring-2:3:4-32B-slotted-fault", with(ring234, func(c *Config) {
+			c.SlottedSwitching, c.FaultPlan = true, "stutter@600+2000:node=0"
+		}), "fdab2d52543920a9582e65bf6dbb1c8ba6fc3f31caf156bb21d3c5b3eaff49a1"},
+		{"mesh-8x8-32B-4flit-workers4", with(mesh, func(c *Config) { c.Workers = 4 }),
+			"d42a796b9337837016ed002c2e9ff83a2610ac3ca789654d97f3c5ba2f7f3b0c"},
+		{"mesh-4x4-32B-4flit-fault", with(mesh, func(c *Config) { c.Nodes, c.FaultPlan = 16, "stutter@600+2000:node=5" }),
+			"015db7e3926a910ca8eb3e2c63cbf9a6018d5ff30cc3d4c184312f2ba1632383"},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			sys, err := NewSystem(Config{
-				Network: "ring", Topology: "3:3:8", LineBytes: 32,
-				DoubleSpeedGlobal: tc.doubleSpeed,
-				Workload:          PaperWorkload(), Seed: goldenSeed,
-				Metrics: true, MetricsIntervalCycles: 50,
-			})
+			cfg := tc.cfg
+			cfg.Workload, cfg.Seed = PaperWorkload(), goldenSeed
+			cfg.Metrics, cfg.MetricsIntervalCycles = true, 50
+			sys, err := NewSystem(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

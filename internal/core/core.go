@@ -163,16 +163,18 @@ func NewSystemOn(plan *network.Plan, cfg SystemConfig) (*System, error) {
 	}
 	model.SetTracer(cfg.Tracer)
 	if cfg.FaultPlan != nil {
-		// Before DescribeMetrics, so the model can attach its
-		// fault-event counter to the installed schedule.
+		// Before DescribeMetrics, so the model can export the
+		// installed schedule's applied-event count.
 		if err := model.ApplyFaultPlan(cfg.FaultPlan); err != nil {
 			return nil, err
 		}
 	}
-	model.DescribeMetrics(cfg.Metrics)
 	s.metrics = cfg.Metrics
-	if cfg.Metrics != nil && cfg.MetricsInterval > 0 {
-		s.sampler = metrics.NewSampler(cfg.Metrics, cfg.MetricsInterval*tpc, nil)
+	if cfg.Metrics != nil {
+		model.DescribeMetrics(cfg.Metrics)
+		if cfg.MetricsInterval > 0 {
+			s.sampler = metrics.NewSampler(cfg.Metrics, cfg.MetricsInterval*tpc, nil)
+		}
 	}
 	s.net = model
 	s.engine.Register(model, 1)

@@ -36,7 +36,7 @@ func (p *panicNet) Compute(now int64) {
 }
 func (p *panicNet) Commit(int64)                            {}
 func (p *panicNet) BufferedFlits() int                      { return 0 }
-func (p *panicNet) Stats() network.Stats                    { return network.Stats{} }
+func (p *panicNet) Stats() sim.NetStats                     { return sim.NetStats{} }
 func (p *panicNet) ResetUtilization()                       {}
 func (p *panicNet) SetTracer(*trace.Recorder)               {}
 func (p *panicNet) DescribeMetrics(*metrics.Registry)       {}

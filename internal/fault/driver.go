@@ -1,7 +1,5 @@
 package fault
 
-import "ringmesh/internal/metrics"
-
 // Scheduled is one materialized event bound to its model-specific
 // application (set a station's fault state, degrade a router port).
 type Scheduled struct {
@@ -19,9 +17,6 @@ type Scheduled struct {
 type Driver struct {
 	sched  []Scheduled
 	cursor int
-	// Counter, when attached (metrics enabled), counts applied events
-	// as fault_events_total. Nil-safe.
-	Counter *metrics.Counter
 }
 
 // NewDriver wraps a schedule sorted by At (as Plan.Materialize
@@ -38,10 +33,13 @@ func NewDriver(sched []Scheduled) *Driver {
 func (d *Driver) Step(now int64) {
 	for d.cursor < len(d.sched) && d.sched[d.cursor].At <= now {
 		d.sched[d.cursor].Apply()
-		d.Counter.Inc()
 		d.cursor++
 	}
 }
+
+// Applied returns how many events have fired so far (the models
+// export it as fault_events_total).
+func (d *Driver) Applied() int64 { return int64(d.cursor) }
 
 // SlowFactor maps an event to the per-target slowdown state: 0 means
 // the link is dead (LinkStutter), k >= 2 means act every k-th

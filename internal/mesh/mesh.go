@@ -119,6 +119,11 @@ type router struct {
 	// direction is what the metrics registry exports; the aggregate
 	// Utilization() view merges them.
 	linkUtil [topo.NumPorts]stats.Utilization
+	// turns counts e-cube dimension turns: head flits leaving an
+	// east/west input through a north/south output. Kept per router
+	// because row shards commit concurrently; exported summed as
+	// mesh_ecube_turns.
+	turns int64
 }
 
 // Network is the mesh interconnect as a sim.Component.
@@ -137,11 +142,6 @@ type Network struct {
 
 	// faults is the installed fault schedule; nil for fault-free runs.
 	faults *fault.Driver
-
-	// turns, when non-nil (metrics enabled), counts e-cube dimension
-	// turns: head flits leaving an east/west input through a
-	// north/south output.
-	turns *metrics.Counter
 }
 
 // SetTracer attaches an optional lifecycle recorder (nil-safe).
@@ -334,10 +334,8 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 		}
 		if mv.f.Head() {
 			r.rr[o] = (int(mv.in) + 1) % int(topo.NumPorts)
-			if n.turns != nil &&
-				(mv.in == topo.East || mv.in == topo.West) &&
-				(o == topo.North || o == topo.South) {
-				n.turns.Inc()
+			if (mv.in == topo.East || mv.in == topo.West) && (o == topo.North || o == topo.South) {
+				r.turns++
 			}
 		}
 		// Deposit.
@@ -420,14 +418,12 @@ func (n *Network) ResetUtilization() {
 //     occupancy per port direction across the mesh, read only at
 //     sample time.
 //   - mesh_ecube_turns: head flits turning from the X dimension into
-//     the Y dimension (counted only while a registry is attached).
+//     the Y dimension, summed over the routers' counts.
+//   - fault_events_total: fault events applied, when a plan is
+//     installed.
 //
-// Nil-safe: a nil registry registers nothing and leaves the hot path
-// unchanged.
+// Every instrument reads state the tick keeps anyway.
 func (n *Network) DescribeMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
 	for o := topo.Direction(0); o < topo.NumPorts; o++ {
 		if o == topo.Local {
 			continue
@@ -451,11 +447,20 @@ func (n *Network) DescribeMetrics(reg *metrics.Registry) {
 				return float64(total)
 			})
 	}
-	n.turns = reg.Counter("mesh_ecube_turns", metrics.Labels{})
+	reg.CounterFunc("mesh_ecube_turns", metrics.Labels{}, func() int64 {
+		var total int64
+		for _, r := range n.routers {
+			total += r.turns
+		}
+		return total
+	})
 	if n.faults != nil {
-		n.faults.Counter = reg.Counter("fault_events_total", metrics.Labels{})
+		reg.CounterFunc("fault_events_total", metrics.Labels{}, n.faults.Applied)
 	}
 }
+
+// Stats implements network.Model.
+func (n *Network) Stats() sim.NetStats { return sim.NetStats{Link: n.Utilization()} }
 
 // BufferedFlits counts flits resident in all router input FIFOs plus
 // partially injected packets' remaining flits (for tests and liveness

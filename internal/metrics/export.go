@@ -62,32 +62,42 @@ func (s *Sampler) WriteJSONL(w io.Writer) error {
 //	# TYPE ring_link_util gauge
 //	ring_link_util{link="L0"} 0.58
 //
-// Series sharing a name are grouped under one TYPE comment, in
-// registration order. Nil-safe (writes nothing), and safe to call
-// concurrently with counter updates and registrations (it renders a
-// snapshot of the series registered at entry).
+// Series sharing a name form one group under one TYPE comment, as the
+// exposition format requires, however their registrations
+// interleaved: groups in the order of each name's first registration,
+// series in registration order within a group. Nil-safe (writes
+// nothing), and safe to call concurrently with counter updates and
+// registrations (it renders a snapshot of the series registered at
+// entry).
 func (r *Registry) WriteText(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	lastName := ""
+	var names []string
+	groups := map[string][]*Series{}
 	for _, s := range r.Series() {
-		if s.Name != lastName {
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", s.Name, s.Kind); err != nil {
-				return err
-			}
-			lastName = s.Name
+		if _, seen := groups[s.Name]; !seen {
+			names = append(names, s.Name)
 		}
-		if s.Kind == KindHistogram {
-			if err := writeHistogram(w, s); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "%s%s %s\n",
-			s.Name, s.Labels.promString(),
-			strconv.FormatFloat(s.Value(), 'g', -1, 64)); err != nil {
+		groups[s.Name] = append(groups[s.Name], s)
+	}
+	for _, name := range names {
+		group := groups[name]
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, group[0].Kind); err != nil {
 			return err
+		}
+		for _, s := range group {
+			if s.Kind == KindHistogram {
+				if err := writeHistogram(w, s); err != nil {
+					return err
+				}
+				continue
+			}
+			if _, err := fmt.Fprintf(w, "%s%s %s\n",
+				s.Name, s.Labels.promString(),
+				strconv.FormatFloat(s.Value(), 'g', -1, 64)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -11,22 +11,24 @@
 // observation-only — attaching a registry must never change a
 // simulation result bit-for-bit (the golden tests enforce this).
 //
-// Three instrument kinds cover the models' needs:
+// Three instrument kinds cover the models' needs, and each only reads
+// state the models keep anyway, so a model ticks the same code with
+// or without a registry:
 //
-//   - Counter: a monotonically increasing event count (injection
-//     stalls, e-cube turns). Owned and reset by the registry.
+//   - Counter: a monotonically increasing event count. A model
+//     registers a read view of a count it always keeps (injection
+//     stalls, e-cube turns, applied fault events) with CounterFunc;
+//     the serving daemon's concurrent counts are atomic Counters.
 //   - Gauge: an instantaneous value read through a callback at sample
-//     time (queue occupancy). Zero hot-path cost: nothing is recorded
-//     until the sampler looks.
+//     time (queue occupancy).
 //   - Ratio: busy-over-capacity utilization backed by one or more
-//     existing stats.Utilization counters (link utilization). The
-//     models already maintain these for their end-of-run stats, so
-//     registering them adds no new hot-path work.
+//     existing stats.Utilization counters (link utilization), the ones
+//     the models maintain for their end-of-run stats.
 //
 // The measurement clock is warmup-aware: Registry.Reset (called by
 // the core runner when the batch-means method discards its first
-// batch) clears counters and ratio backings so exported series cover
-// the measured interval only.
+// batch) rebases counter series on their current count and clears
+// ratio backings, so exported series cover the measured interval only.
 package metrics
 
 import (
@@ -144,12 +146,10 @@ func (k Kind) String() string {
 	}
 }
 
-// Counter is a monotonically increasing event count. The nil Counter
-// (handed out by a nil Registry) ignores every call, so instrumented
-// hot paths cost one pointer test when metrics are disabled. Counters
-// are atomic, so concurrent jobs may share one (the serving daemon's
-// cache and queue counters); the single-threaded simulation hot paths
-// pay one uncontended atomic add.
+// Counter is a monotonically increasing, atomic event count, so
+// concurrent jobs may share one (the serving daemon's cache and queue
+// counters). The nil Counter (handed out by a nil Registry) ignores
+// every call.
 type Counter struct{ v atomic.Int64 }
 
 // Add records n events.
@@ -319,10 +319,21 @@ type Series struct {
 	// Kind classifies the instrument.
 	Kind Kind
 
-	counter *Counter
-	gauge   func() float64
-	ratios  []*stats.Utilization
-	hist    *Histogram
+	// count reads a counter series' raw count; base is the count at the
+	// last Registry.Reset, so the series reads count() - base.
+	count  func() int64
+	base   atomic.Int64
+	gauge  func() float64
+	ratios []*stats.Utilization
+	hist   *Histogram
+}
+
+// counted returns a counter series' count since the last reset. base
+// is read first: the count is monotonic, so a racing Reset can never
+// make the difference negative.
+func (s *Series) counted() int64 {
+	base := s.base.Load()
+	return s.count() - base
 }
 
 // Hist returns the series' histogram instrument (nil unless the series
@@ -343,7 +354,7 @@ func (s *Series) Key() string { return s.Name + s.Labels.String() }
 func (s *Series) Value() float64 {
 	switch s.Kind {
 	case KindCounter:
-		return float64(s.counter.Value())
+		return float64(s.counted())
 	case KindGauge:
 		return s.gauge()
 	case KindHistogram:
@@ -363,7 +374,7 @@ func (s *Series) Value() float64 {
 func (s *Series) raw() (int64, int64) {
 	switch s.Kind {
 	case KindCounter:
-		return s.counter.Value(), 0
+		return s.counted(), 0
 	case KindHistogram:
 		return s.hist.Count(), 0
 	case KindRatio:
@@ -420,8 +431,21 @@ func (r *Registry) Counter(name string, l Labels) *Counter {
 		return nil
 	}
 	c := &Counter{}
-	r.register(&Series{Name: name, Labels: l, Kind: KindCounter, counter: c})
+	r.CounterFunc(name, l, c.Value)
 	return c
+}
+
+// CounterFunc registers a counter series that reads a count its owner
+// keeps through f, at sample and snapshot time only. f must be
+// monotonic. A nil registry registers nothing.
+func (r *Registry) CounterFunc(name string, l Labels, f func() int64) {
+	if r == nil {
+		return
+	}
+	if f == nil {
+		panic(fmt.Sprintf("metrics: CounterFunc(%s%s) with nil callback", name, l))
+	}
+	r.register(&Series{Name: name, Labels: l, Kind: KindCounter, count: f})
 }
 
 // Gauge registers a pull-based gauge series: f is invoked at sample
@@ -491,11 +515,11 @@ func (r *Registry) Series() []*Series {
 	return out
 }
 
-// Reset clears every counter and ratio backing — the warmup-aware
-// reset: the core runner calls it when the batch-means method
-// discards the first batch, so exported series cover the measured
-// interval only. Gauges are instantaneous and have nothing to clear.
-// Nil-safe.
+// Reset rebases every counter series on its current count and clears
+// every histogram and ratio backing — the warmup-aware reset: the core
+// runner calls it when the batch-means method discards the first
+// batch, so exported series cover the measured interval only. Gauges
+// are instantaneous and have nothing to clear. Nil-safe.
 func (r *Registry) Reset() {
 	if r == nil {
 		return
@@ -503,7 +527,7 @@ func (r *Registry) Reset() {
 	for _, s := range r.Series() {
 		switch s.Kind {
 		case KindCounter:
-			s.counter.v.Store(0)
+			s.base.Store(s.count())
 		case KindHistogram:
 			s.hist.reset()
 		case KindRatio:

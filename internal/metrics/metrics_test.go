@@ -21,6 +21,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 		t.Fatal("nil counter accumulated")
 	}
 	reg.Gauge("g", Labels{}, nil) // nil callback must not panic via nil registry
+	reg.CounterFunc("f", Labels{}, nil)
 	reg.Ratio("r", Labels{})
 	reg.Reset()
 	if reg.Series() != nil {
@@ -86,19 +87,124 @@ func TestCounterGaugeRatioValues(t *testing.T) {
 		t.Fatalf("values = %v", vals)
 	}
 
-	// Reset clears counters and ratio backings; gauges are untouched.
+	// Reset rebases counter series and clears ratio backings; gauges
+	// are untouched.
 	reg.Reset()
-	if c.Value() != 0 {
-		t.Fatal("counter survived reset")
+	g = 9
+	for _, s := range reg.Series() {
+		if s.Name == "events" && s.Value() != 0 {
+			t.Fatal("counter series survived reset")
+		}
+		if s.Name == "depth" && s.Value() != 9 {
+			t.Fatal("gauge not live after reset")
+		}
 	}
 	if b, cap := u1.Counts(); b != 0 || cap != 0 {
 		t.Fatal("ratio backing survived reset")
 	}
-	g = 9
-	for _, s := range reg.Series() {
-		if s.Name == "depth" && s.Value() != 9 {
-			t.Fatal("gauge not live after reset")
+}
+
+// A CounterFunc series reads a count its owner keeps, and Reset
+// rebases the series without touching the owner's count.
+func TestCounterFuncReadsAndRebases(t *testing.T) {
+	reg := &Registry{}
+	var stalls int64
+	reg.CounterFunc("stalls", Labels{Node: "nic0"}, func() int64 { return stalls })
+	s := reg.Series()[0]
+	if s.Kind != KindCounter {
+		t.Fatalf("kind = %v, want counter", s.Kind)
+	}
+	stalls = 7
+	if s.Value() != 7 {
+		t.Fatalf("value = %g, want the callback's 7", s.Value())
+	}
+	reg.Reset()
+	if s.Value() != 0 || stalls != 7 {
+		t.Fatalf("after reset: value = %g, owner's count = %d; want 0 and 7", s.Value(), stalls)
+	}
+	stalls += 5
+	if s.Value() != 5 {
+		t.Fatalf("value = %g, want the 5 counted since the reset", s.Value())
+	}
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# TYPE stalls counter\n" + `stalls{node="nic0"} 5` + "\n"; text.String() != want {
+		t.Fatalf("text:\n%s\nwant:\n%s", text.String(), want)
+	}
+}
+
+// After the warmup reset (registry and sampler together, as the core
+// runner does), each sampler window of a CounterFunc series is exactly
+// the count taken in that window.
+func TestCounterFuncSamplerAfterReset(t *testing.T) {
+	reg := &Registry{}
+	var turns int64
+	reg.CounterFunc("turns", Labels{}, func() int64 { return turns })
+	s := NewSampler(reg, 10, nil)
+	turns = 40 // warmup
+	s.OnCycle(9, 0)
+	reg.Reset()
+	s.Reset()
+	var want []float64
+	for w, n := range []int64{3, 0, 11} {
+		turns += n
+		want = append(want, float64(n))
+		s.OnCycle(int64(10*w+19), 0)
+	}
+	rows := s.Samples()
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows after reset, want %d", len(rows), len(want))
+	}
+	for i, row := range rows {
+		if row.Values[0] != want[i] {
+			t.Fatalf("window %d = %g, want %g", i, row.Values[0], want[i])
 		}
+	}
+}
+
+// Interleaved registrations of several families still render each
+// family as one group under one TYPE line, in first-registration
+// order (the exposition format allows one TYPE line per name).
+func TestWriteTextGroupsInterleavedFamilies(t *testing.T) {
+	reg := &Registry{}
+	for _, class := range []string{"a", "b"} {
+		reg.Counter("admit_total", Labels{Class: class}).Inc()
+		reg.Counter("shed_total", Labels{Class: class})
+		reg.Gauge("depth", Labels{Class: class}, func() float64 { return 2 })
+	}
+	reg.Gauge("depth", Labels{}, func() float64 { return 4 })
+	reg.Histogram("wait", Labels{Class: "a"}, []float64{1})
+	reg.Counter("admit_total", Labels{Class: "c"})
+	reg.Histogram("wait", Labels{Class: "b"}, []float64{1})
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	want := `# TYPE admit_total counter
+admit_total{class="a"} 1
+admit_total{class="b"} 1
+admit_total{class="c"} 0
+# TYPE shed_total counter
+shed_total{class="a"} 0
+shed_total{class="b"} 0
+# TYPE depth gauge
+depth{class="a"} 2
+depth{class="b"} 2
+depth 4
+# TYPE wait histogram
+wait_bucket{class="a",le="1"} 0
+wait_bucket{class="a",le="+Inf"} 0
+wait_sum{class="a"} 0
+wait_count{class="a"} 0
+wait_bucket{class="b",le="1"} 0
+wait_bucket{class="b",le="+Inf"} 0
+wait_sum{class="b"} 0
+wait_count{class="b"} 0
+`
+	if text.String() != want {
+		t.Fatalf("text:\n%s\nwant:\n%s", text.String(), want)
 	}
 }
 
@@ -162,9 +268,9 @@ func TestSamplerReset(t *testing.T) {
 	if len(rows) != 1 || rows[0].Values[0] != 3 {
 		t.Fatalf("post-reset window = %v, want [3]", rows)
 	}
-	// Registry.Reset zeroes the counter below the baseline; the next
-	// window must difference against the reset state, not go negative
-	// silently — the runner always resets both together.
+	// Registry.Reset rebases the series below the sampler's baseline;
+	// the next window must difference against the reset state, not go
+	// negative silently — the runner always resets both together.
 	reg.Reset()
 	s.Reset()
 	c.Add(2)

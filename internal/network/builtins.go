@@ -3,15 +3,12 @@ package network
 import (
 	"fmt"
 
-	"ringmesh/internal/fault"
 	"ringmesh/internal/mesh"
-	"ringmesh/internal/metrics"
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/ring"
 	"ringmesh/internal/sim"
 	"ringmesh/internal/topo"
-	"ringmesh/internal/trace"
 	"ringmesh/internal/workload"
 )
 
@@ -22,52 +19,6 @@ func init() {
 	Register("ring", ringFactory)
 	Register("mesh", meshFactory)
 }
-
-// hierNet is the shared surface of the wormhole and slotted ring
-// models: everything Model requires except the stats snapshot, plus
-// the per-level utilization the snapshot is built from and the
-// optional capabilities (invariant checking, fault injection, stall
-// forensics, parallel partitioning) both built-ins implement.
-// Embedding the interface makes the wrapper advertise the
-// capabilities too.
-type hierNet interface {
-	sim.Component
-	BufferedFlits() int
-	ResetUtilization()
-	CheckInvariants() error
-	ApplyFaultPlan(*fault.Plan) error
-	BuildStallReport(now int64) *sim.StallReport
-	SetTracer(*trace.Recorder)
-	DescribeMetrics(*metrics.Registry)
-	Partition() *sim.Partition
-	UtilizationByLevel() []float64
-}
-
-// hierModel adapts a hierarchical network (per-level utilization) to
-// the Model stats snapshot.
-type hierModel struct{ hierNet }
-
-func (m hierModel) Stats() Stats { return Stats{PerLevel: m.UtilizationByLevel()} }
-
-// flatNet is the surface of a flat network reporting one aggregate
-// link utilization (the mesh model).
-type flatNet interface {
-	sim.Component
-	BufferedFlits() int
-	ResetUtilization()
-	CheckInvariants() error
-	ApplyFaultPlan(*fault.Plan) error
-	BuildStallReport(now int64) *sim.StallReport
-	SetTracer(*trace.Recorder)
-	DescribeMetrics(*metrics.Registry)
-	Partition() *sim.Partition
-	Utilization() float64
-}
-
-// flatModel adapts a flat network to the Model stats snapshot.
-type flatModel struct{ flatNet }
-
-func (m flatModel) Stats() Stats { return Stats{Link: m.Utilization()} }
 
 func ringFactory(cfg Config) (*Plan, error) {
 	spec, err := ringSpecFor(cfg)
@@ -100,18 +51,20 @@ func ringFactory(cfg Config) (*Plan, error) {
 		},
 		Description: fmt.Sprintf("ring %s cl=%dB (%s)", spec, rc.LineBytes, rc.Switching),
 		Build: func(ports []node.Port, engine *sim.Engine) (Model, error) {
+			// Each constructor's error is returned beside a nil Model,
+			// never beside a typed nil pointer.
 			if rc.Switching == ring.Slotted {
 				sn, err := ring.NewSlotted(rc, ports, engine)
 				if err != nil {
 					return nil, err
 				}
-				return hierModel{sn}, nil
+				return sn, nil
 			}
 			wn, err := ring.New(rc, ports, engine)
 			if err != nil {
 				return nil, err
 			}
-			return hierModel{wn}, nil
+			return wn, nil
 		},
 	}, nil
 }
@@ -165,7 +118,7 @@ func meshFactory(cfg Config) (*Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			return flatModel{net}, nil
+			return net, nil
 		},
 	}, nil
 }

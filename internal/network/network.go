@@ -72,17 +72,6 @@ type Config struct {
 	UnsafeNoVC bool
 }
 
-// Stats is a topology-agnostic snapshot of a model's utilization
-// counters since the last ResetUtilization.
-type Stats struct {
-	// PerLevel is link utilization per hierarchy level in [0,1]
-	// (index 0 = top/global level); nil for flat networks.
-	PerLevel []float64
-	// Link is the aggregate link utilization in [0,1] for flat
-	// networks (zero when PerLevel is the meaningful view).
-	Link float64
-}
-
 // Model is one interconnect: a synchronously clocked component that
 // carries packets between the PM ports it was built with.
 type Model interface {
@@ -91,19 +80,19 @@ type Model interface {
 	// network's buffers (its in-flight load), for liveness accounting
 	// and conservation tests.
 	BufferedFlits() int
-	// Stats snapshots the utilization counters.
-	Stats() Stats
+	// Stats snapshots the utilization counters since the last
+	// ResetUtilization.
+	Stats() sim.NetStats
 	// ResetUtilization clears the counters (called at warmup end).
 	ResetUtilization()
 	// SetTracer attaches an optional packet-lifecycle recorder
 	// (nil-safe).
 	SetTracer(*trace.Recorder)
-	// DescribeMetrics registers the model's instruments — link
-	// utilization ratios, queue occupancy gauges, stall counters —
-	// into reg (nil-safe: a nil registry leaves the model
-	// uninstrumented at zero cost). Instrumentation is
-	// observation-only: attaching a registry must not change any
-	// simulation result.
+	// DescribeMetrics registers read views of the model's state — link
+	// utilization ratios, queue occupancy gauges, the stall and turn
+	// counts it always keeps — into reg, which is non-nil: the runner
+	// calls it only when metrics are enabled. Registering must not
+	// change the tick, so no simulation result can depend on it.
 	DescribeMetrics(reg *metrics.Registry)
 	// CheckInvariants audits the model's internal invariants (buffer
 	// bounds, flow-control bookkeeping, deadlock-freedom

@@ -4,9 +4,19 @@ import (
 	"strings"
 	"testing"
 
+	"ringmesh/internal/mesh"
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
+	"ringmesh/internal/ring"
 	"ringmesh/internal/sim"
+)
+
+// The built-in models implement Model themselves; the factories hand
+// them out unwrapped.
+var (
+	_ Model = (*ring.Network)(nil)
+	_ Model = (*ring.SlottedNetwork)(nil)
+	_ Model = (*mesh.Network)(nil)
 )
 
 func mustPanic(t *testing.T, want string, fn func()) {

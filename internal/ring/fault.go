@@ -63,43 +63,34 @@ func (s *sstation) fltBlockedSlot(now, stepIdx int64) bool {
 
 // ApplyFaultPlan implements network.Model for the wormhole
 // network. Call once, after construction and before the first tick.
-func (n *Network) ApplyFaultPlan(p *fault.Plan) error {
-	events, err := p.Materialize(len(n.stations), 1)
-	if err != nil {
-		return err
-	}
-	tpc := n.cfg.TicksPerCycle()
-	sched := make([]fault.Scheduled, 0, len(events))
-	for _, ev := range events {
-		st := &n.stations[ev.Node]
-		f := &stFault{until: ev.End() * tpc, factor: fault.SlowFactor(ev)}
-		sched = append(sched, fault.Scheduled{
-			At:    ev.Start * tpc,
-			Apply: func() { st.flt = f },
-		})
-	}
-	n.faults = fault.NewDriver(sched)
-	return nil
+func (n *Network) ApplyFaultPlan(p *fault.Plan) (err error) {
+	n.faults, err = faultDriver(p, len(n.stations), n.cfg.TicksPerCycle(),
+		func(i int, f *stFault) { n.stations[i].flt = f })
+	return err
 }
 
-// ApplyFaultPlan implements network.Model for the slotted
-// network, with the same station indexing and time scaling as the
-// wormhole model.
-func (n *SlottedNetwork) ApplyFaultPlan(p *fault.Plan) error {
-	events, err := p.Materialize(len(n.stations), 1)
+// ApplyFaultPlan implements network.Model for the slotted network.
+func (n *SlottedNetwork) ApplyFaultPlan(p *fault.Plan) (err error) {
+	n.faults, err = faultDriver(p, len(n.stations), n.cfg.TicksPerCycle(),
+		func(i int, f *stFault) { n.stations[i].flt = f })
+	return err
+}
+
+// faultDriver materializes p over a network's stations and schedules
+// each event's fault state, scaled to engine ticks by tpc; install
+// puts a fault on the station with that build-order index.
+func faultDriver(p *fault.Plan, stations int, tpc int64, install func(i int, f *stFault)) (*fault.Driver, error) {
+	events, err := p.Materialize(stations, 1)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	tpc := n.cfg.TicksPerCycle()
 	sched := make([]fault.Scheduled, 0, len(events))
 	for _, ev := range events {
-		st := n.stations[ev.Node]
-		f := &stFault{until: ev.End() * tpc, factor: fault.SlowFactor(ev)}
+		i, f := ev.Node, &stFault{until: ev.End() * tpc, factor: fault.SlowFactor(ev)}
 		sched = append(sched, fault.Scheduled{
 			At:    ev.Start * tpc,
-			Apply: func() { st.flt = f },
+			Apply: func() { install(i, f) },
 		})
 	}
-	n.faults = fault.NewDriver(sched)
-	return nil
+	return fault.NewDriver(sched), nil
 }

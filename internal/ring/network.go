@@ -338,16 +338,13 @@ func levelLabel(lvl int) string { return fmt.Sprintf("L%d", lvl) }
 //     work).
 //   - iri_queue_flits{node,queue=up|down,class=req|rsp}: per-IRI
 //     queue occupancy gauges, read only at sample time.
-//   - nic_inject_stall_cycles{node}: per-NIC injection-stall counter
-//     (see station.commit), attached only while a registry is
-//     present.
+//   - nic_inject_stall_cycles{node}: per-NIC injection-stall cycles,
+//     the count every station keeps (see station.countStall).
+//   - fault_events_total: fault events applied, when a plan is
+//     installed.
 //
-// Nil-safe: a nil registry registers nothing and attaches no
-// counters, so the disabled hot path is unchanged.
+// Every instrument reads state the tick keeps anyway.
 func (n *Network) DescribeMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
 	perLevel := make([][]*stats.Utilization, n.cfg.Spec.NumLevels())
 	for i := range n.stations {
 		st := &n.stations[i]
@@ -374,13 +371,17 @@ func (n *Network) DescribeMetrics(reg *metrics.Registry) {
 		}
 	}
 	for id := range n.nics {
-		n.nics[id].st.stall = reg.Counter("nic_inject_stall_cycles",
-			metrics.Labels{Node: fmt.Sprintf("nic%d", id)})
+		st := n.nics[id].st
+		reg.CounterFunc("nic_inject_stall_cycles", metrics.Labels{Node: fmt.Sprintf("nic%d", id)},
+			func() int64 { return st.stalls })
 	}
 	if n.faults != nil {
-		n.faults.Counter = reg.Counter("fault_events_total", metrics.Labels{})
+		reg.CounterFunc("fault_events_total", metrics.Labels{}, n.faults.Applied)
 	}
 }
+
+// Stats implements network.Model.
+func (n *Network) Stats() sim.NetStats { return sim.NetStats{PerLevel: n.UtilizationByLevel()} }
 
 // UtilizationByLevel returns link utilization aggregated per ring
 // level (index 0 = global ring, last = local rings), in [0, 1].

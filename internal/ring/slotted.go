@@ -153,15 +153,15 @@ type sstation struct {
 
 	util *stats.Utilization
 
-	// stall, when non-nil (metrics enabled, NIC stations only), counts
-	// slot-steps where a whole packet was ready to inject but the
-	// passing slot could not take it (occupied, or the admission rule
-	// refused).
-	stall *metrics.Counter
+	// stalls counts slot-steps where a whole packet was ready to inject
+	// but the passing slot could not take it (occupied, or the
+	// admission rule refused). Exported per NIC as
+	// nic_inject_stall_cycles.
+	stalls int64
 }
 
 // hasReady reports whether any inject queue holds a packet injectable
-// at tick now. Only evaluated when the stall counter is attached.
+// at tick now.
 func (s *sstation) hasReady(now int64) bool {
 	for _, q := range s.inject {
 		if _, ok := q.peek(now); ok {
@@ -416,8 +416,8 @@ func (n *SlottedNetwork) stepRing(r *sring, now int64) (moved int) {
 			}
 			busy = busy || injected
 		}
-		if st.stall != nil && !injected && st.hasReady(now) {
-			st.stall.Inc()
+		if !injected && st.hasReady(now) {
+			st.stalls++
 		}
 		if busy {
 			st.util.Busy(1)
@@ -490,11 +490,7 @@ func (n *SlottedNetwork) refillNIC(nc *snic, now int64) {
 // utilization as ring_link_util, per-IRI transfer-queue occupancy in
 // flits, per-NIC injection stalls counted in slot-steps), so the two
 // switching techniques export directly comparable telemetry.
-// Nil-safe.
 func (n *SlottedNetwork) DescribeMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
 	perLevel := make([][]*stats.Utilization, n.cfg.Spec.NumLevels())
 	for _, st := range n.stations {
 		perLevel[st.level] = append(perLevel[st.level], st.util)
@@ -520,13 +516,17 @@ func (n *SlottedNetwork) DescribeMetrics(reg *metrics.Registry) {
 		}
 	}
 	for id, nc := range n.nics {
-		nc.st.stall = reg.Counter("nic_inject_stall_cycles",
-			metrics.Labels{Node: fmt.Sprintf("nic%d", id)})
+		st := nc.st
+		reg.CounterFunc("nic_inject_stall_cycles", metrics.Labels{Node: fmt.Sprintf("nic%d", id)},
+			func() int64 { return st.stalls })
 	}
 	if n.faults != nil {
-		n.faults.Counter = reg.Counter("fault_events_total", metrics.Labels{})
+		reg.CounterFunc("fault_events_total", metrics.Labels{}, n.faults.Applied)
 	}
 }
+
+// Stats implements network.Model.
+func (n *SlottedNetwork) Stats() sim.NetStats { return sim.NetStats{PerLevel: n.UtilizationByLevel()} }
 
 // UtilizationByLevel returns per-level slot utilization in [0,1]
 // (index 0 = global).

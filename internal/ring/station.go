@@ -56,7 +56,6 @@ package ring
 import (
 	"fmt"
 
-	"ringmesh/internal/metrics"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/stats"
 	"ringmesh/internal/trace"
@@ -204,11 +203,11 @@ type station struct {
 	flt *stFault
 
 	util stats.Utilization
-	// stall, when non-nil (metrics enabled, NIC stations only), counts
-	// injection-stall cycles: active cycles where an injection queue
-	// held flits but no injection-queue flit crossed the output link
-	// (either nothing moved or transit traffic won the link).
-	stall *metrics.Counter
+	// stalls counts injection-stall cycles: active cycles where an
+	// injection queue held flits but no injection-queue flit crossed
+	// the output link (either nothing moved or transit traffic won the
+	// link). Exported per NIC as nic_inject_stall_cycles.
+	stalls int64
 
 	// vcs are the per-virtual-channel transit paths.
 	vcs [numVCs]vcState
@@ -326,14 +325,16 @@ func (s *station) candidate(v int) (packet.Flit, *packet.FIFO, bool) {
 
 // compute stages at most one outgoing flit for this cycle based on
 // start-of-cycle state, arbitrating the physical link round-robin
-// between the two virtual channels.
+// between the two virtual channels, and counts the cycle's injection
+// stall, which that decision settles.
 func (s *station) compute(now int64) {
 	s.staged = false
 	if s.flt != nil && s.fltBlocked(now) {
-		return // output link faulted: nothing crosses this cycle
+		s.countStall() // output link faulted: nothing crosses this cycle
+		return
 	}
 	if s.idle() {
-		return
+		return // nothing queued, so no stall either
 	}
 	v := int(s.lastVC)
 	for k := 0; k < numVCs; k++ {
@@ -360,7 +361,18 @@ func (s *station) compute(now int64) {
 		s.stagedVC = uint8(v)
 		s.stagedSrc = src
 		s.stagedRoute = route
-		return
+		break
+	}
+	s.countStall()
+}
+
+// countStall counts this cycle as an injection stall when
+// injection-queue flits wait but none is staged to cross the output
+// link. A NIC's queues change only in its own commit and the refill
+// after it, so the compute-time count is the one commit would see.
+func (s *station) countStall() {
+	if (!s.staged || s.stagedSrc == nil) && s.queuedFlits() > 0 {
+		s.stalls++
 	}
 }
 
@@ -400,9 +412,6 @@ func (s *station) accepts(f packet.Flit, v int, fromInject bool) (routeKind, boo
 // Returns true when a flit moved (for the engine's progress counter).
 func (s *station) commit(now int64) bool {
 	s.util.Tick(1)
-	if s.stall != nil && (!s.staged || s.stagedSrc == nil) && s.queuedFlits() > 0 {
-		s.stall.Inc()
-	}
 	if !s.staged {
 		return false
 	}

@@ -33,6 +33,31 @@ func moved(text, name string) bool {
 	return false
 }
 
+// typeLinesOnce returns the metric names a scrape declares, failing
+// the test on a name whose TYPE line repeats: the exposition format
+// allows one per family, with all its samples contiguous.
+func typeLinesOnce(t *testing.T, text string) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	for _, m := range typeLine.FindAllStringSubmatch(text, -1) {
+		if names[m[1]] {
+			t.Errorf("scrape declares # TYPE %s more than once", m[1])
+		}
+		names[m[1]] = true
+	}
+	return names
+}
+
+// TestFreshScrapeTypesOnce scrapes a freshly built server, whose
+// per-class families are registered interleaved and whose queue depth
+// gauges come from two places: each name still has one TYPE line.
+func TestFreshScrapeTypesOnce(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	if names := typeLinesOnce(t, getMetrics(t, ts.URL)); !names["ringmeshd_admit_total"] || !names["ringmeshd_queue_depth"] {
+		t.Errorf("fresh scrape lacks the per-class families: %v", names)
+	}
+}
+
 // TestMetricAudit holds /metrics and README's "Daemon metrics" table
 // to each other: a scripted session (journal replay, miss, hit,
 // eviction, disk hit, analytic, auto + upgrade; a shed under a full
@@ -57,8 +82,8 @@ func TestMetricAudit(t *testing.T) {
 	scrape := func(base string, mustMove ...string) {
 		t.Helper()
 		text := getMetrics(t, base)
-		for _, m := range typeLine.FindAllStringSubmatch(text, -1) {
-			exported[m[1]] = true
+		for name := range typeLinesOnce(t, text) {
+			exported[name] = true
 		}
 		for _, name := range mustMove {
 			if !moved(text, name) {

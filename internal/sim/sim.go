@@ -47,6 +47,18 @@ type Component interface {
 	Commit(now int64)
 }
 
+// NetStats is a network component's topology-agnostic snapshot of its
+// link utilization since the last reset — with StallReport, one of the
+// two reports a network model hands the runner.
+type NetStats struct {
+	// PerLevel is link utilization per hierarchy level in [0,1]
+	// (index 0 = top/global level); nil for flat networks.
+	PerLevel []float64
+	// Link is the aggregate link utilization in [0,1] for flat
+	// networks (zero when PerLevel is the meaningful view).
+	Link float64
+}
+
 // schedule groups the components sharing one clock period. Groups are
 // kept in first-seen order; within a group, registration order.
 type schedule struct {

@@ -11,10 +11,21 @@ import (
 // the complete telemetry stack attached — metrics registry, latency
 // histogram, parallel engine with phase-timing — and demands the same
 // Results bit for bit once the new distribution fields are scrubbed.
-// This is the ISSUE's acceptance gate in one test: percentiles, phase
-// stats and the exported histograms are observation-only, so enabling
-// them must never perturb the simulation.
+// Percentiles, phase stats and the exported histograms are
+// observation-only, so enabling them must never perturb the
+// simulation. The mesh case runs sharded by rows while its sampler
+// reads the per-router turn counts, so under -race this also checks
+// that those reads are ordered after every shard's commit.
 func TestGoldenResultsWithFullTelemetry(t *testing.T) {
+	meshes := 0
+	for _, tc := range goldenCases() {
+		if tc.cfg.Network == "mesh" {
+			meshes++
+		}
+	}
+	if meshes == 0 {
+		t.Fatal("no mesh among the golden cases: the sharded metrics read goes unchecked")
+	}
 	for _, tc := range goldenCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -28,6 +39,9 @@ func TestGoldenResultsWithFullTelemetry(t *testing.T) {
 			sys, err := NewSystem(cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if cfg.Network == "mesh" && !sys.Parallel() {
+				t.Fatal("the mesh did not shard at Workers=4")
 			}
 			got, err := sys.Run(tc.opt)
 			if err != nil {
