@@ -45,8 +45,8 @@
 //
 // Coordinator mode: -coordinator -worker-addrs=h1:8080,h2:8080 fans
 // jobs out to worker daemons over the same HTTP API instead of
-// simulating locally, with bounded retries, hedged dispatches for
-// slow points, per-worker circuit breakers re-admitted via health
+// simulating locally, one worker per point at a time, with bounded
+// retries, per-worker circuit breakers re-admitted via readiness
 // probes, and degraded sweep responses (completed points plus a
 // structured per-point error report) when replicas die mid-sweep.
 //
@@ -84,7 +84,6 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		workers      = flag.Int("workers", 0, "job pool size: jobs executing at once, each point on the serial engine (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "pending job bound across all classes; at the bound lower classes are shed first")
-		classDepth   = flag.Int("class-depth", 0, "per-class pending job bound (0 = only the shared -queue bound applies)")
 		journalDir   = flag.String("journal-dir", "", "crash-safe job journal directory; accepted jobs survive kill -9 and replay on restart (empty = off)")
 		cacheEntries = flag.Int("cache-entries", 256, "result cache bound (LRU)")
 		cacheDir     = flag.String("cache-dir", "", "durable disk cache directory; results survive restarts and may be shared by replicas (empty = memory only)")
@@ -100,7 +99,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validateFlags(*workers, *queue, *classDepth, *cacheEntries, *rate, *burst, *maxBody,
+	if err := validateFlags(*workers, *queue, *cacheEntries, *rate, *burst, *maxBody,
 		*jobTimeout, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "ringmeshd:", err)
 		os.Exit(2)
@@ -120,7 +119,6 @@ func main() {
 	srv, err := serve.New(serve.Options{
 		Workers:      *workers,
 		QueueDepth:   *queue,
-		ClassDepth:   *classDepth,
 		JournalDir:   *journalDir,
 		CacheEntries: *cacheEntries,
 		CacheDir:     *cacheDir,
@@ -224,15 +222,13 @@ func parseLevel(s string) (slog.Level, error) {
 }
 
 // validateFlags rejects nonsense values with messages naming the flag.
-func validateFlags(workers, queue, classDepth, cacheEntries int, rate float64, burst int,
+func validateFlags(workers, queue, cacheEntries int, rate float64, burst int,
 	maxBody int64, jobTimeout, drainTimeout time.Duration) error {
 	switch {
 	case workers < 0:
 		return fmt.Errorf("-workers %d < 0", workers)
 	case queue < 1:
 		return fmt.Errorf("-queue %d < 1", queue)
-	case classDepth < 0:
-		return fmt.Errorf("-class-depth %d < 0", classDepth)
 	case cacheEntries < 1:
 		return fmt.Errorf("-cache-entries %d < 1", cacheEntries)
 	case rate < 0:

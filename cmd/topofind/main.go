@@ -123,7 +123,7 @@ func main() {
 
 	sortCandidates(cands)
 	printTable(cands, *nodes, *line, ringCap, *maxBranch, *pareto, frontier)
-	if want, ok := paperEntry(*nodes, *line); ok {
+	if want, ok := network.PaperTable2[[2]int{*nodes, *line}]; ok {
 		fmt.Printf("\npaper Table 2 entry: %s\n", want)
 	}
 }
@@ -361,27 +361,6 @@ func printTable(cands []candidate, nodes, line, ringCap, maxBranch int, pareto b
 		fmt.Printf(" %s %-12s %-7d %-6d %-10.2f %-10.1f %s\n",
 			marker, c.Spec, c.Spec.NumLevels(), c.IRIs, c.Hops, c.Analytic, simCol)
 	}
-}
-
-// paperEntry returns the published Table 2 topology when the paper
-// lists this (nodes, line) combination.
-func paperEntry(nodes, line int) (string, bool) {
-	table := map[[2]int]string{
-		{4, 16}: "4", {6, 16}: "6", {8, 16}: "8", {12, 16}: "12",
-		{18, 16}: "2:9", {24, 16}: "2:12", {36, 16}: "3:12",
-		{54, 16}: "2:3:9", {72, 16}: "2:3:12", {108, 16}: "3:3:12",
-		{4, 32}: "4", {6, 32}: "6", {8, 32}: "8", {12, 32}: "2:6",
-		{18, 32}: "3:6", {24, 32}: "3:8", {36, 32}: "2:3:6",
-		{54, 32}: "3:3:6", {72, 32}: "3:3:8", {108, 32}: "2:3:3:6",
-		{4, 64}: "4", {6, 64}: "6", {8, 64}: "2:4", {12, 64}: "2:6",
-		{18, 64}: "3:6", {24, 64}: "2:2:6", {36, 64}: "2:3:6",
-		{54, 64}: "3:3:6", {72, 64}: "2:2:3:6", {108, 64}: "2:3:3:6",
-		{4, 128}: "4", {6, 128}: "2:3", {8, 128}: "2:4", {12, 128}: "3:4",
-		{18, 128}: "3:2:3", {24, 128}: "2:3:4", {36, 128}: "3:3:4",
-		{54, 128}: "3:3:2:3", {72, 128}: "2:3:3:4", {108, 128}: "3:3:3:4",
-	}
-	s, ok := table[[2]int{nodes, line}]
-	return s, ok
 }
 
 func fail(code int, err error) {

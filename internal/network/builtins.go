@@ -188,3 +188,20 @@ func BestRingSpec(specs []topo.RingSpec) topo.RingSpec {
 // count per cache line size (Section 3, Figure 6): the largest ring
 // that shows almost no degradation under R=1.0, C=0.04, T=4.
 var SingleRingCapacity = map[int]int{16: 12, 32: 8, 64: 6, 128: 4}
+
+// PaperTable2 is the paper's published Table 2: the hierarchy it
+// lists for each (processors, cache line size) pair. RingTopologyFor
+// is the procedure behind it; the experiments and topofind print the
+// published entry beside that procedure's pick.
+var PaperTable2 = map[[2]int]string{
+	{4, 16}: "4", {4, 32}: "4", {4, 64}: "4", {4, 128}: "4",
+	{6, 16}: "6", {6, 32}: "6", {6, 64}: "6", {6, 128}: "2:3",
+	{8, 16}: "8", {8, 32}: "8", {8, 64}: "2:4", {8, 128}: "2:4",
+	{12, 16}: "12", {12, 32}: "2:6", {12, 64}: "2:6", {12, 128}: "3:4",
+	{18, 16}: "2:9", {18, 32}: "3:6", {18, 64}: "3:6", {18, 128}: "3:2:3",
+	{24, 16}: "2:12", {24, 32}: "3:8", {24, 64}: "2:2:6", {24, 128}: "2:3:4",
+	{36, 16}: "3:12", {36, 32}: "2:3:6", {36, 64}: "2:3:6", {36, 128}: "3:3:4",
+	{54, 16}: "2:3:9", {54, 32}: "3:3:6", {54, 64}: "3:3:6", {54, 128}: "3:3:2:3",
+	{72, 16}: "2:3:12", {72, 32}: "3:3:8", {72, 64}: "2:2:3:6", {72, 128}: "2:3:3:4",
+	{108, 16}: "3:3:12", {108, 32}: "2:3:3:6", {108, 64}: "2:3:3:6", {108, 128}: "3:3:3:4",
+}

@@ -77,15 +77,14 @@ func (e *shedError) Error() string {
 	return fmt.Sprintf("serve: %s job shed: %s", e.class, e.reason)
 }
 
-// admitter is the priority admission layer: one bounded FIFO per
-// class, drained by a deficit-round-robin scheduler. It replaces the
+// admitter is the priority admission layer: one FIFO per class,
+// drained by a deficit-round-robin scheduler. It replaces the
 // single job channel so interactive work overtakes queued bulk sweeps
 // instead of waiting behind them. Safe for concurrent use.
 //
-// Bounds are enforced on two axes: a per-class depth (one class can
-// never occupy the whole daemon) and a total depth (the admission
-// point for load shedding). When the total is reached, an arriving job
-// may evict the newest job of a strictly less urgent class — the
+// One bound, the total depth across all classes, is the admission
+// point for load shedding. When it is reached, an arriving job may
+// evict the newest job of a strictly less urgent class — the
 // lowest class first — so a batch flood can never wedge out
 // interactive submissions; an arriving job with nothing below it is
 // shed itself.
@@ -93,7 +92,6 @@ type admitter struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queues  [numClasses][]*job
-	depths  [numClasses]int
 	weights [numClasses]int
 	credits [numClasses]int
 	total   int
@@ -102,20 +100,15 @@ type admitter struct {
 }
 
 // newAdmitter builds the admission layer. total bounds the sum of all
-// queues; depths bounds each class (entries < 1 default to total);
-// weights below 1 default to defaultClassWeights. Gauges for per-class
-// and total depth are registered in reg.
-func newAdmitter(total int, depths, weights [numClasses]int, reg *metrics.Registry) *admitter {
+// queues; weights below 1 default to defaultClassWeights. Gauges for
+// per-class and total depth are registered in reg.
+func newAdmitter(total int, weights [numClasses]int, reg *metrics.Registry) *admitter {
 	if total < 1 {
 		total = 1
 	}
 	a := &admitter{max: total}
 	a.cond = sync.NewCond(&a.mu)
 	for c := class(0); c < numClasses; c++ {
-		a.depths[c] = depths[c]
-		if a.depths[c] < 1 {
-			a.depths[c] = total
-		}
 		a.weights[c] = weights[c]
 		if a.weights[c] < 1 {
 			a.weights[c] = defaultClassWeights[c]
@@ -151,9 +144,6 @@ func (a *admitter) enqueue(j *job) (victim *job, err error) {
 		return nil, errDraining
 	}
 	c := j.class
-	if len(a.queues[c]) >= a.depths[c] {
-		return nil, &shedError{class: c, reason: fmt.Sprintf("class queue full (%d)", a.depths[c])}
-	}
 	if a.total >= a.max {
 		for v := numClasses - 1; int(v) > int(c); v-- {
 			if n := len(a.queues[v]); n > 0 {

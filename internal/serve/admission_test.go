@@ -27,9 +27,9 @@ func leakCheck(t *testing.T, slack int) {
 }
 
 // testAdmitter builds an admitter with the given total bound and
-// default class depths/weights, on a throwaway registry.
+// default class weights, on a throwaway registry.
 func testAdmitter(total int) *admitter {
-	return newAdmitter(total, [numClasses]int{}, [numClasses]int{}, &metrics.Registry{})
+	return newAdmitter(total, [numClasses]int{}, &metrics.Registry{})
 }
 
 // testJob builds a bare job of the given kind with n points, for
@@ -76,7 +76,7 @@ func TestAdmitterPriorityOrder(t *testing.T) {
 // backlogged, one credit-refill cycle serves weight-many jobs of each
 // class — bulk is throttled, not starved.
 func TestAdmitterDRRSharesUnderSaturation(t *testing.T) {
-	a := newAdmitter(64, [numClasses]int{}, [numClasses]int{2, 1, 1}, &metrics.Registry{})
+	a := newAdmitter(64, [numClasses]int{2, 1, 1}, &metrics.Registry{})
 	for i := range 8 {
 		for c := class(0); c < numClasses; c++ {
 			if _, err := a.enqueue(classedJob(fmt.Sprintf("%s%d", c, i), c)); err != nil {
@@ -132,21 +132,6 @@ func TestAdmitterEvictsLowestClassFirst(t *testing.T) {
 	}
 	if se.class != classInteractive {
 		t.Fatalf("shed class = %s; want interactive", se.class)
-	}
-}
-
-func TestAdmitterPerClassBound(t *testing.T) {
-	a := newAdmitter(16, [numClasses]int{1, 1, 1}, [numClasses]int{}, &metrics.Registry{})
-	if _, err := a.enqueue(classedJob("a", classBatch)); err != nil {
-		t.Fatalf("first batch: %v", err)
-	}
-	var se *shedError
-	if _, err := a.enqueue(classedJob("b", classBatch)); !errors.As(err, &se) {
-		t.Fatalf("batch past class bound = %v; want shedError", err)
-	}
-	// Other classes are unaffected by a full sibling.
-	if _, err := a.enqueue(classedJob("c", classInteractive)); err != nil {
-		t.Fatalf("interactive with full batch class: %v", err)
 	}
 }
 

@@ -56,11 +56,10 @@ type workerClient struct {
 
 // coordinator fans simulation points out to worker daemons over the
 // ordinary HTTP API, with the failure handling a long sweep needs to
-// survive real machines: bounded retries with jittered exponential
-// backoff on transient classes, a hedged second dispatch when a point
-// exceeds the p95 of completed points, and a per-worker circuit
-// breaker (see breaker.go) that ejects flapping replicas and
-// re-admits them via health probes.
+// survive real machines: each point goes to one worker at a time,
+// with bounded retries and jittered exponential backoff on transient
+// classes, and a per-worker circuit breaker (see breaker.go) that
+// ejects flapping replicas and re-admits them via readiness probes.
 //
 // The coordinator never simulates locally; its local result cache
 // (including the durable tier) sits in front of it, so repeated
@@ -76,20 +75,12 @@ type coordinator struct {
 	backoffBase  time.Duration // first retry wait; doubles per retry
 	backoffCap   time.Duration
 	pollEvery    time.Duration // job-document poll cadence
-	probeEvery   time.Duration // health-probe loop cadence
+	probeEvery   time.Duration // readiness-probe loop cadence
 	probeTimeout time.Duration
-	hedgeFloor   time.Duration // never hedge earlier than this
-	hedgeMinObs  int64         // completed points before hedging arms
 
 	log *slog.Logger
 
-	// pointDur feeds hedging: the p95 of completed-point durations is
-	// the "this is taking too long" threshold.
-	pointDur *metrics.Histogram
-
 	retries      *metrics.Counter
-	hedges       *metrics.Counter
-	hedgeWins    *metrics.Counter
 	trips        *metrics.Counter
 	readmissions *metrics.Counter
 	pointsFailed *metrics.Counter
@@ -109,14 +100,9 @@ func newCoordinator(addrs []string, reg *metrics.Registry, log *slog.Logger) *co
 		pollEvery:    25 * time.Millisecond,
 		probeEvery:   time.Second,
 		probeTimeout: 2 * time.Second,
-		hedgeFloor:   50 * time.Millisecond,
-		hedgeMinObs:  5,
 		log:          log,
 
-		pointDur:     reg.Histogram("ringmeshd_coord_point_seconds", metrics.Labels{}, secondsBuckets),
 		retries:      reg.Counter("ringmeshd_coord_retries_total", metrics.Labels{}),
-		hedges:       reg.Counter("ringmeshd_coord_hedges_total", metrics.Labels{}),
-		hedgeWins:    reg.Counter("ringmeshd_coord_hedge_wins_total", metrics.Labels{}),
 		trips:        reg.Counter("ringmeshd_coord_breaker_trips_total", metrics.Labels{}),
 		readmissions: reg.Counter("ringmeshd_coord_readmissions_total", metrics.Labels{}),
 		pointsFailed: reg.Counter("ringmeshd_coord_points_failed_total", metrics.Labels{}),
@@ -184,17 +170,16 @@ func (co *coordinator) probe(ctx context.Context, w *workerClient) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// pick returns the next admitted worker round-robin, excluding not
-// (nil: no exclusion). With every breaker open (or only the excluded
-// worker left) it reports a transient "unavailable" dispatch error —
+// pick returns the next admitted worker round-robin. With every
+// breaker open it reports a transient "unavailable" dispatch error —
 // retried with backoff, during which the probe loop may re-admit
 // someone.
-func (co *coordinator) pick(not *workerClient) (*workerClient, error) {
+func (co *coordinator) pick() (*workerClient, error) {
 	n := len(co.workers)
 	start := int(co.cursor.Add(1) % uint64(n))
 	for i := 0; i < n; i++ {
 		w := co.workers[(start+i)%n]
-		if w != not && w.br.admitted() {
+		if w.br.admitted() {
 			return w, nil
 		}
 	}
@@ -218,29 +203,12 @@ func (co *coordinator) backoff(attempt int) time.Duration {
 	return d/2 + time.Duration(rand.Int64N(int64(d)))
 }
 
-// hedgeDelay returns how long a dispatch may run before a hedged
-// second dispatch launches — the p95 of completed points, floored —
-// or 0 (hedging disarmed) until enough points have completed for the
-// p95 to mean anything.
-func (co *coordinator) hedgeDelay() time.Duration {
-	if co.pointDur.Count() < co.hedgeMinObs {
-		return 0
-	}
-	d := time.Duration(co.pointDur.Quantile(0.95) * float64(time.Second))
-	if d < co.hedgeFloor {
-		d = co.hedgeFloor
-	}
-	return d
-}
-
 // runPoint obtains one point's result from the worker fleet: dispatch
-// (hedged when slow), classify, retry transient failures with
+// it to one admitted worker, classify, retry transient failures with
 // jittered backoff, give up on deterministic ones. It returns the
 // result, the number of attempts consumed (for SweepPoint.Attempts),
 // and the terminal error if every attempt failed.
 func (co *coordinator) runPoint(ctx context.Context, cfg ringmesh.Config, opt ringmesh.RunOptions, tr *obs.Trace) (ringmesh.Result, int, error) {
-	start := time.Now()
-	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			co.retries.Inc()
@@ -253,93 +221,25 @@ func (co *coordinator) runPoint(ctx context.Context, cfg ringmesh.Config, opt ri
 				}
 			}
 		}
-		res, err := co.attempt(ctx, cfg, opt, tr, attempt)
+		res, err := co.dispatch(ctx, cfg, opt, tr, attempt)
 		if err == nil {
-			co.pointDur.Observe(time.Since(start).Seconds())
 			return res, attempt + 1, nil
 		}
-		lastErr = err
 		var de *dispatchError
 		if !errors.As(err, &de) || !de.transient || ctx.Err() != nil || attempt >= co.maxRetries {
-			return ringmesh.Result{}, attempt + 1, lastErr
+			return ringmesh.Result{}, attempt + 1, err
 		}
 	}
 }
 
-// dial is one dispatch goroutine's outcome.
-type dial struct {
-	res    ringmesh.Result
-	err    error
-	hedged bool
-}
-
-// attempt runs one (possibly hedged) dispatch round: a primary
-// dispatch, plus — if the point outlives the hedge delay — a second
-// dispatch on a different worker. First success wins and cancels the
-// loser; the round fails only when every launched dispatch failed.
-func (co *coordinator) attempt(ctx context.Context, cfg ringmesh.Config, opt ringmesh.RunOptions, tr *obs.Trace, attempt int) (ringmesh.Result, error) {
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	primary, err := co.pick(nil)
+// dispatch submits one run to the next admitted worker and sees it
+// through to a terminal job state, recording a span per dispatch so
+// retries are visible in the job trace.
+func (co *coordinator) dispatch(ctx context.Context, cfg ringmesh.Config, opt ringmesh.RunOptions, tr *obs.Trace, attempt int) (ringmesh.Result, error) {
+	w, err := co.pick()
 	if err != nil {
 		return ringmesh.Result{}, err
 	}
-	ch := make(chan dial, 2) // buffered: a losing dispatch never blocks
-	launch := func(w *workerClient, hedged bool) {
-		go func() {
-			res, err := co.dispatch(actx, w, cfg, opt, tr, attempt, hedged)
-			ch <- dial{res: res, err: err, hedged: hedged}
-		}()
-	}
-	launch(primary, false)
-	inFlight := 1
-
-	var hedgeC <-chan time.Time
-	if d := co.hedgeDelay(); d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	var firstErr error
-	for {
-		select {
-		case <-ctx.Done():
-			return ringmesh.Result{}, &dispatchError{
-				worker: primary.name, class: "canceled",
-				status: http.StatusServiceUnavailable, transient: true, err: ctx.Err(),
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if w, err := co.pick(primary); err == nil {
-				co.hedges.Inc()
-				co.log.Info("hedging slow point", "primary", primary.name, "hedge", w.name)
-				launch(w, true)
-				inFlight++
-			}
-		case d := <-ch:
-			inFlight--
-			if d.err == nil {
-				if d.hedged {
-					co.hedgeWins.Inc()
-				}
-				return d.res, nil
-			}
-			if firstErr == nil {
-				firstErr = d.err
-			}
-			if inFlight == 0 {
-				return ringmesh.Result{}, firstErr
-			}
-			// A dispatch failed but its hedge partner is still running;
-			// wait for it.
-		}
-	}
-}
-
-// dispatch submits one run to one worker and sees it through to a
-// terminal job state, recording a span per dispatch so retries and
-// hedges are visible in the job trace.
-func (co *coordinator) dispatch(ctx context.Context, w *workerClient, cfg ringmesh.Config, opt ringmesh.RunOptions, tr *obs.Trace, attempt int, hedged bool) (ringmesh.Result, error) {
 	w.dispatched.Inc()
 	start := time.Now()
 	res, err := co.dispatchRaw(ctx, w, cfg, opt)
@@ -352,15 +252,11 @@ func (co *coordinator) dispatch(ctx context.Context, w *workerClient, cfg ringme
 			outcome = de.class
 		}
 	}
-	attrs := []obs.Attr{
+	tr.Record(obs.SpanRecord{Name: "dispatch", Start: start, Dur: time.Since(start), Attrs: []obs.Attr{
 		{Key: "worker", Value: w.name},
 		{Key: "attempt", Value: fmt.Sprintf("%d", attempt)},
 		{Key: "outcome", Value: outcome},
-	}
-	if hedged {
-		attrs = append(attrs, obs.Attr{Key: "hedged", Value: "true"})
-	}
-	tr.Record(obs.SpanRecord{Name: "dispatch", Start: start, Dur: time.Since(start), Attrs: attrs})
+	}})
 	return res, err
 }
 

@@ -58,8 +58,8 @@ func TestCoordinatorDispatchSuccess(t *testing.T) {
 	if err != nil || attempts != 1 || r.LatencyCycles != 11 {
 		t.Fatalf("runPoint = (%v, %d, %v); want (11, 1, nil)", r.LatencyCycles, attempts, err)
 	}
-	if co.retries.Value() != 0 || co.hedges.Value() != 0 {
-		t.Fatalf("retries=%d hedges=%d; want 0/0", co.retries.Value(), co.hedges.Value())
+	if co.retries.Value() != 0 {
+		t.Fatalf("retries = %d; want 0", co.retries.Value())
 	}
 }
 
@@ -204,51 +204,55 @@ func TestCoordinatorProbeReadmitsRecoveredWorker(t *testing.T) {
 	}
 }
 
-// TestCoordinatorHedgesSlowPoint: once enough points have completed
-// for a p95, a dispatch that outlives it gets a hedged twin on another
-// worker, and the first success wins.
-func TestCoordinatorHedgesSlowPoint(t *testing.T) {
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-time.After(300 * time.Millisecond):
-		case <-r.Context().Done():
-			return
+// TestCoordinatorHealthyFleetDispatchesEachPointOnce: the paper's size
+// sweep over a healthy two-worker fleet whose answer time grows with
+// the point's size (1 ms per node, so the last points are the slowest)
+// costs exactly one worker job per point — no point is submitted twice.
+func TestCoordinatorHealthyFleetDispatchesEachPointOnce(t *testing.T) {
+	var posts atomic.Int64
+	worker := func() *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/runs" {
+				w.WriteHeader(http.StatusOK)
+				return
+			}
+			posts.Add(1)
+			var req runRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+				return
+			}
+			select {
+			case <-time.After(time.Duration(req.Config.Nodes) * time.Millisecond):
+			case <-r.Context().Done():
+				return
+			}
+			res := res(float64(req.Config.Nodes))
+			writeJSON(w, http.StatusOK, JobView{State: JobDone, Result: &res})
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	w1, w2 := worker(), worker()
+	_, ts := newTestServer(t, Options{Workers: 2, WorkerAddrs: []string{w1.URL, w2.URL}})
+
+	sizes := []int{4, 9, 16, 25, 36, 49, 64, 81, 100, 121}
+	resp, raw := postJSON(t, ts.URL+"/v1/sweeps",
+		sweepRequest{Config: testConfig(), Options: testOptions(), Sizes: sizes})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST sweep = %d: %s", resp.StatusCode, raw)
+	}
+	v := awaitJobView(t, ts.URL, decodeDoc(t, raw).ID)
+	if v.State != JobDone || v.Degraded || len(v.Points) != len(sizes) {
+		t.Fatalf("state=%s degraded=%v points=%d; want all %d points done", v.State, v.Degraded, len(v.Points), len(sizes))
+	}
+	if got := posts.Load(); got != int64(len(sizes)) {
+		t.Fatalf("workers received %d submissions for %d points", got, len(sizes))
+	}
+	for _, p := range v.Points {
+		if p.Attempts != 1 {
+			t.Fatalf("point %d took %d attempts; want 1", p.Nodes, p.Attempts)
 		}
-		res := res(1)
-		writeJSON(w, http.StatusOK, JobView{State: JobDone, Result: &res})
-	}))
-	t.Cleanup(slow.Close)
-	fast := stubOK(t, 2)
-
-	co := newTestCoordinator(slow.URL, fast.URL)
-	co.hedgeFloor = 5 * time.Millisecond
-	for i := int64(0); i < co.hedgeMinObs; i++ {
-		co.pointDur.Observe(0.001) // a history of fast points arms hedging
-	}
-	co.cursor.Store(1) // primary dispatch goes to the slow worker
-
-	r, attempts, err := co.runPoint(context.Background(), testConfig(), *testOptions(), nil)
-	if err != nil || attempts != 1 || r.LatencyCycles != 2 {
-		t.Fatalf("runPoint = (%v, %d, %v); want the hedge's 2 in one attempt", r.LatencyCycles, attempts, err)
-	}
-	if co.hedges.Value() != 1 || co.hedgeWins.Value() != 1 {
-		t.Fatalf("hedges=%d wins=%d; want 1/1", co.hedges.Value(), co.hedgeWins.Value())
-	}
-}
-
-// TestCoordinatorHedgingDisarmedWithoutHistory: with fewer completed
-// points than hedgeMinObs there is no p95 worth trusting — no hedge
-// fires no matter how slow the point is.
-func TestCoordinatorHedgingDisarmedWithoutHistory(t *testing.T) {
-	co := newTestCoordinator(stubOK(t, 1).URL, stubOK(t, 2).URL)
-	if d := co.hedgeDelay(); d != 0 {
-		t.Fatalf("hedgeDelay = %v with no history; want 0 (disarmed)", d)
-	}
-	for i := int64(0); i < co.hedgeMinObs; i++ {
-		co.pointDur.Observe(0.001)
-	}
-	if d := co.hedgeDelay(); d < co.hedgeFloor {
-		t.Fatalf("hedgeDelay = %v; want at least the %v floor", d, co.hedgeFloor)
 	}
 }
 

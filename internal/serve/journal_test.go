@@ -343,7 +343,7 @@ func TestJournalStackPreservesGoldenBytes(t *testing.T) {
 		return awaitJob(t, ts.URL, decodeDoc(t, raw).ID, false).Result
 	}
 	plain := run(Options{})
-	journaled := run(Options{JournalDir: t.TempDir(), ClassDepth: 8})
+	journaled := run(Options{JournalDir: t.TempDir()})
 	if len(plain) == 0 || !bytes.Equal(plain, journaled) {
 		t.Fatalf("results differ with the journal stack enabled:\nplain:     %s\njournaled: %s", plain, journaled)
 	}

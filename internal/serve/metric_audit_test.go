@@ -177,7 +177,7 @@ func TestMetricAudit(t *testing.T) {
 	}
 	scrape(cts.URL,
 		"ringmeshd_coord_worker_dispatches_total", "ringmeshd_coord_worker_failures_total",
-		"ringmeshd_coord_worker_admitted", "ringmeshd_coord_point_seconds")
+		"ringmeshd_coord_worker_admitted", "ringmeshd_coord_retries_total")
 
 	var missing, stale []string
 	for name := range exported {

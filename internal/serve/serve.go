@@ -35,10 +35,6 @@ type Options struct {
 	// less urgent class, or is shed itself with 503 + Retry-After when
 	// nothing less urgent is queued (default 64).
 	QueueDepth int
-	// ClassDepth bounds each priority class's queue individually, so no
-	// single class can occupy the whole daemon (default: QueueDepth,
-	// i.e. only the shared bound applies).
-	ClassDepth int
 	// JournalDir, when non-empty, enables the crash-safe job journal:
 	// an fsync'd append-only log of job state transitions, replayed on
 	// startup so accepted-but-unfinished jobs survive kill -9 and
@@ -55,9 +51,9 @@ type Options struct {
 	CacheDir string
 	// WorkerAddrs switches the server into coordinator mode: instead
 	// of simulating locally, it fans work out to the worker daemons at
-	// these base URLs (e.g. "http://10.0.0.7:8080") with retries,
-	// hedging and per-worker circuit breakers, and merges partial
-	// failures into degraded responses. Empty means normal
+	// these base URLs (e.g. "http://10.0.0.7:8080") with retries and
+	// per-worker circuit breakers, and merges partial failures into
+	// degraded responses. Empty means normal
 	// (simulating) mode.
 	WorkerAddrs []string
 	// Rate is the per-client request budget in requests/second
@@ -98,9 +94,9 @@ type Server struct {
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
-	// adm is the priority admission layer: per-class bounded queues
-	// drained by a weighted scheduler. journal, when non-nil, is the
-	// crash-safe WAL of job state transitions.
+	// adm is the priority admission layer: per-class queues under one
+	// shared bound, drained by a weighted scheduler. journal, when
+	// non-nil, is the crash-safe WAL of job state transitions.
 	adm     *admitter
 	journal *jobJournal
 	wait    func()
@@ -178,7 +174,6 @@ func New(opt Options) (*Server, error) {
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	depths := [numClasses]int{opt.ClassDepth, opt.ClassDepth, opt.ClassDepth}
 	s := &Server{
 		opt:     opt,
 		reg:     reg,
@@ -186,7 +181,7 @@ func New(opt Options) (*Server, error) {
 		limit:   newRateLimiter(opt.Rate, opt.Burst),
 		baseCtx: ctx,
 		cancel:  cancel,
-		adm:     newAdmitter(opt.QueueDepth, depths, defaultClassWeights, reg),
+		adm:     newAdmitter(opt.QueueDepth, defaultClassWeights, reg),
 		jobs:    map[string]*job{},
 		log:     opt.Logger,
 		hists:   map[string]*metrics.Histogram{},

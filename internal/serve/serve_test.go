@@ -341,7 +341,7 @@ func TestQueueBounds(t *testing.T) {
 	// arrival evicts it, and a second batch arrival — with nothing less
 	// urgent queued — is shed itself.
 	s := &Server{reg: &metrics.Registry{}, log: slog.New(slog.NewTextHandler(io.Discard, nil)), jobs: map[string]*job{}}
-	s.adm = newAdmitter(1, [numClasses]int{}, [numClasses]int{}, s.reg)
+	s.adm = newAdmitter(1, [numClasses]int{}, s.reg)
 	for c := class(0); c < numClasses; c++ {
 		l := metrics.Labels{Class: c.String()}
 		s.admitted[c] = s.reg.Counter("ringmeshd_admit_total", l)

@@ -144,8 +144,9 @@ type Config struct {
 	// queue occupancy and stall counters, sampled every
 	// MetricsIntervalCycles and exportable via System.WriteMetricsCSV,
 	// WriteMetricsJSONL and WriteMetricsSnapshot. Disabled (the
-	// default), instrumentation costs nothing: the models hold nil
-	// counters whose methods no-op.
+	// default), no registry exists and nothing samples: the models
+	// still keep their plain always-on counts (stalls, turns, applied
+	// fault events), which only a registry reads.
 	Metrics bool `json:"metrics,omitempty"`
 	// MetricsIntervalCycles is the sampling period in PM clock cycles
 	// (0 = default 100). Only meaningful with Metrics set.
