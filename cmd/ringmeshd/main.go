@@ -19,11 +19,13 @@
 // Admission control: every submission carries a priority class
 // (interactive, batch, background; default interactive, /v1/batch
 // defaults to batch) drained by a weighted scheduler so interactive
-// runs preempt bulk work, and an optional end-to-end deadline
-// (X-Ringmeshd-Deadline header or deadline_ms field) that flows from
-// the queue through the engine to coordinator dispatches. Under
-// saturation the lowest class is shed first, with Retry-After and a
-// structured {"error","class","retry_after_ms"} body.
+// runs preempt bulk work. Admission refuses work only at the -queue
+// bound: the lowest class is shed first, with Retry-After and a
+// structured {"error","class","retry_after_ms"} body. An optional
+// end-to-end deadline (X-Ringmeshd-Deadline header or deadline_ms
+// field) is enforced at dequeue and through the run's context, which
+// carries it to coordinator dispatches; a job that runs out of it
+// fails with kind "deadline" (504).
 //
 // Multi-fidelity serving: submissions may carry a fidelity field —
 // "simulate" (default), "analytic" (inline closed-form estimate,
@@ -89,18 +91,14 @@ func main() {
 		cacheDir     = flag.String("cache-dir", "", "durable disk cache directory; results survive restarts and may be shared by replicas (empty = memory only)")
 		coord        = flag.Bool("coordinator", false, "coordinator mode: fan jobs out to -worker-addrs instead of simulating locally")
 		workerAddrs  = flag.String("worker-addrs", "", "comma-separated worker base URLs for -coordinator, e.g. http://h1:8080,http://h2:8080")
-		rate         = flag.Float64("rate", 0, "per-client request rate limit in req/s (0 = off)")
-		burst        = flag.Int("burst", 0, "per-client burst size (0 = 2x rate)")
 		maxBody      = flag.Int64("max-body", 1<<20, "request body bound in bytes")
-		jobTimeout   = flag.Duration("job-timeout", 0, "wall-clock bound per job, e.g. 5m (0 = none)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 		pprofOn      = flag.Bool("pprof", false, "mount Go profiling endpoints under /debug/pprof (exposes stacks and heap contents)")
 		logLevel     = flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	)
 	flag.Parse()
 
-	if err := validateFlags(*workers, *queue, *cacheEntries, *rate, *burst, *maxBody,
-		*jobTimeout, *drainTimeout); err != nil {
+	if err := validateFlags(*workers, *queue, *cacheEntries, *maxBody, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "ringmeshd:", err)
 		os.Exit(2)
 	}
@@ -123,10 +121,7 @@ func main() {
 		CacheEntries: *cacheEntries,
 		CacheDir:     *cacheDir,
 		WorkerAddrs:  addrsList,
-		Rate:         *rate,
-		Burst:        *burst,
 		MaxBody:      *maxBody,
-		JobTimeout:   *jobTimeout,
 		Logger:       logger,
 		EnablePprof:  *pprofOn,
 	})
@@ -222,8 +217,7 @@ func parseLevel(s string) (slog.Level, error) {
 }
 
 // validateFlags rejects nonsense values with messages naming the flag.
-func validateFlags(workers, queue, cacheEntries int, rate float64, burst int,
-	maxBody int64, jobTimeout, drainTimeout time.Duration) error {
+func validateFlags(workers, queue, cacheEntries int, maxBody int64, drainTimeout time.Duration) error {
 	switch {
 	case workers < 0:
 		return fmt.Errorf("-workers %d < 0", workers)
@@ -231,14 +225,8 @@ func validateFlags(workers, queue, cacheEntries int, rate float64, burst int,
 		return fmt.Errorf("-queue %d < 1", queue)
 	case cacheEntries < 1:
 		return fmt.Errorf("-cache-entries %d < 1", cacheEntries)
-	case rate < 0:
-		return fmt.Errorf("-rate %g < 0", rate)
-	case burst < 0:
-		return fmt.Errorf("-burst %d < 0", burst)
 	case maxBody < 1:
 		return fmt.Errorf("-max-body %d < 1", maxBody)
-	case jobTimeout < 0:
-		return fmt.Errorf("-job-timeout %s < 0", jobTimeout)
 	case drainTimeout < 1*time.Second:
 		return fmt.Errorf("-drain-timeout %s < 1s", drainTimeout)
 	default:

@@ -59,11 +59,11 @@ func parseClass(s string, def class) (class, error) {
 	}
 }
 
-// defaultClassWeights are the deficit-round-robin shares: per refill
+// classWeights are the fixed deficit-round-robin shares: per refill
 // cycle under full load, 16 interactive jobs run for every 4 batch and
 // 1 background. Interactive dominates without starving the rest — a
 // queued batch job always runs within one refill cycle.
-var defaultClassWeights = [numClasses]int{16, 4, 1}
+var classWeights = [numClasses]int{16, 4, 1}
 
 // shedError reports a submission (or an already-queued victim) shed by
 // the admission layer, carrying the class the HTTP layer echoes in the
@@ -92,7 +92,6 @@ type admitter struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queues  [numClasses][]*job
-	weights [numClasses]int
 	credits [numClasses]int
 	total   int
 	max     int
@@ -100,21 +99,14 @@ type admitter struct {
 }
 
 // newAdmitter builds the admission layer. total bounds the sum of all
-// queues; weights below 1 default to defaultClassWeights. Gauges for
-// per-class and total depth are registered in reg.
-func newAdmitter(total int, weights [numClasses]int, reg *metrics.Registry) *admitter {
+// queues. Per-class depth gauges are registered in reg.
+func newAdmitter(total int, reg *metrics.Registry) *admitter {
 	if total < 1 {
 		total = 1
 	}
-	a := &admitter{max: total}
+	a := &admitter{max: total, credits: classWeights}
 	a.cond = sync.NewCond(&a.mu)
 	for c := class(0); c < numClasses; c++ {
-		a.weights[c] = weights[c]
-		if a.weights[c] < 1 {
-			a.weights[c] = defaultClassWeights[c]
-		}
-		a.credits[c] = a.weights[c]
-		c := c
 		reg.Gauge("ringmeshd_queue_depth", metrics.Labels{Class: c.String()}, func() float64 {
 			a.mu.Lock()
 			defer a.mu.Unlock()
@@ -210,9 +202,7 @@ func (a *admitter) next() (j *job, ok bool) {
 				a.total--
 				return j, true
 			}
-			for c := class(0); c < numClasses; c++ {
-				a.credits[c] = a.weights[c]
-			}
+			a.credits = classWeights
 		}
 	}
 }
@@ -252,38 +242,10 @@ func classFromCtx(ctx context.Context) (class, bool) {
 	return c, ok
 }
 
-// costMinObs is how many computed points of a network the per-point
-// duration histogram must hold before the admission-time deadline
-// feasibility check trusts its p95; below it, optimistic admission
-// (the in-queue expiry check still catches doomed jobs).
-const costMinObs = 8
-
-// estimateCost predicts a job's end-to-end time from the telemetry the
-// daemon already collects: the p95 queue wait of its family plus, for
-// every point, the p95 duration of one computed point of that point's
-// network. ok=false (some network not observed enough yet) means "no
-// idea" — admit optimistically.
-func (s *Server) estimateCost(j *job) (time.Duration, bool) {
-	var est float64
-	for _, p := range j.points {
-		h := s.histogram("ringmeshd_point_run_seconds",
-			metrics.Labels{Family: p.cfg.Network}, pointBuckets)
-		if h.Count() < costMinObs {
-			return 0, false
-		}
-		est += h.Quantile(0.95)
-	}
-	if wait := s.histogram("ringmeshd_job_queue_wait_seconds",
-		metrics.Labels{Family: j.family}, secondsBuckets); wait.Count() > 0 {
-		est += wait.Quantile(0.95)
-	}
-	return time.Duration(est * float64(time.Second)), true
-}
-
-// retryAfter advises a shed or rate-limited client how long to back
-// off: the queued backlog divided by the worker pool, priced at the
-// mean completed-run duration when telemetry has one, clamped to
-// [1s, 30s] so the advice is never absurd in either direction.
+// retryAfter advises a shed client how long to back off: the queued
+// backlog divided by the worker pool, priced at the mean completed-run
+// duration when telemetry has one, clamped to [1s, 30s] so the advice
+// is never absurd in either direction.
 func (s *Server) retryAfter(family string) time.Duration {
 	mean := 0.5 // seconds; placeholder until telemetry accumulates
 	if run := s.histogram("ringmeshd_job_run_seconds",

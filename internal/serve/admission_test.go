@@ -26,10 +26,10 @@ func leakCheck(t *testing.T, slack int) {
 	t.Cleanup(func() { waitGoroutinesBelow(t, base+slack) })
 }
 
-// testAdmitter builds an admitter with the given total bound and
-// default class weights, on a throwaway registry.
+// testAdmitter builds an admitter with the given total bound on a
+// throwaway registry.
 func testAdmitter(total int) *admitter {
-	return newAdmitter(total, [numClasses]int{}, &metrics.Registry{})
+	return newAdmitter(total, &metrics.Registry{})
 }
 
 // testJob builds a bare job of the given kind with n points, for
@@ -74,28 +74,31 @@ func TestAdmitterPriorityOrder(t *testing.T) {
 
 // TestAdmitterDRRSharesUnderSaturation: with every class continuously
 // backlogged, one credit-refill cycle serves weight-many jobs of each
-// class — bulk is throttled, not starved.
+// class (16/4/1) in priority order — bulk is throttled, not starved.
 func TestAdmitterDRRSharesUnderSaturation(t *testing.T) {
-	a := newAdmitter(64, [numClasses]int{2, 1, 1}, &metrics.Registry{})
-	for i := range 8 {
+	a := testAdmitter(128)
+	for i := range 40 {
 		for c := class(0); c < numClasses; c++ {
 			if _, err := a.enqueue(classedJob(fmt.Sprintf("%s%d", c, i), c)); err != nil {
 				t.Fatalf("enqueue: %v", err)
 			}
 		}
 	}
-	var got []string
-	for range 8 {
-		j, ok := a.next()
-		if !ok {
-			t.Fatal("next = closed with jobs queued")
+	var got, want []string
+	for cycle := range 2 {
+		for c := class(0); c < numClasses; c++ {
+			for i := range classWeights[c] {
+				want = append(want, fmt.Sprintf("%s%d", c, cycle*classWeights[c]+i))
+				j, ok := a.next()
+				if !ok {
+					t.Fatal("next = closed with jobs queued")
+				}
+				got = append(got, j.id)
+			}
 		}
-		got = append(got, j.id)
 	}
-	// Two full cycles of weights 2/1/1: interactive ×2, batch, background.
-	want := "interactive0 interactive1 batch0 background0 interactive2 interactive3 batch1 background1"
-	if s := strings.Join(got, " "); s != want {
-		t.Fatalf("DRR order = %q; want %q", s, want)
+	if g, w := strings.Join(got, " "), strings.Join(want, " "); g != w {
+		t.Fatalf("DRR order = %q; want %q", g, w)
 	}
 }
 
@@ -317,89 +320,106 @@ func TestDeadlineExpiredInQueueSkipsWorker(t *testing.T) {
 	}
 }
 
-// TestDeadlineInfeasibleRejectedAtAdmission: once the run-duration
-// histogram has enough observations, a deadline the telemetry says
-// cannot be met is refused with 504 before touching the queue.
-func TestDeadlineInfeasibleRejectedAtAdmission(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+// meshRun is testConfig at another size and seed.
+func meshRun(nodes int, seed uint64) ringmesh.Config {
+	cfg := testConfig()
+	cfg.Nodes, cfg.Seed = nodes, seed
+	return cfg
+}
 
-	// Train the mesh family histogram past costMinObs completed runs.
-	for i := range costMinObs {
-		cfg := testConfig()
-		cfg.Seed = uint64(100 + i)
-		resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: cfg, Options: testOptions()})
-		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+// largeRun is the schedule of the 11x11 training runs: the largest size
+// of the paper's figures, tens of times the cost of a 2x2 testOptions
+// run.
+var largeRun = &ringmesh.RunOptions{WarmupCycles: 500, BatchCycles: 500, Batches: 3}
+
+// simCost times one direct simulation of cfg, outside any daemon.
+func simCost(t *testing.T, cfg ringmesh.Config, opt *ringmesh.RunOptions) time.Duration {
+	t.Helper()
+	start := time.Now()
+	if _, err := ringmesh.Run(cfg, *opt); err != nil {
+		t.Fatal(err)
+	}
+	return time.Since(start)
+}
+
+// trainOnLargeRuns gives the daemon at base a history of eight
+// uncached 11x11 runs, one after another — enough for a p95 of run
+// durations to look trustworthy — and returns the direct cost of one
+// such run.
+func trainOnLargeRuns(t *testing.T, base string) time.Duration {
+	t.Helper()
+	for i := range 8 {
+		resp, raw := postJSON(t, base+"/v1/runs", runRequest{Config: meshRun(121, uint64(100+i)), Options: largeRun})
+		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("training POST %d = %d: %s", i, resp.StatusCode, raw)
 		}
-		awaitJob(t, ts.URL, decodeDoc(t, raw).ID, false)
+		awaitJob(t, base, decodeDoc(t, raw).ID, false)
 	}
+	return simCost(t, meshRun(121, 99), largeRun)
+}
 
-	cfg := testConfig()
-	cfg.Seed = 999 // uncached, so the submission cannot short-circuit
+// feasibleDeadline is a budget a third of one training run: at least
+// three times the cost of a 2x2 testOptions run (the test fails if this
+// machine does not separate the two), yet below every run the daemon
+// has seen so far.
+func feasibleDeadline(t *testing.T, large time.Duration) time.Duration {
+	t.Helper()
+	d, small := large/3, simCost(t, meshRun(4, 98), testOptions())
+	if 3*small > d {
+		t.Fatalf("2x2 run costs %s, 11x11 run %s: the schedules no longer separate them", small, large)
+	}
+	t.Logf("deadline %s: 2x2 run %s, 11x11 run %s", d, small, large)
+	return d
+}
+
+// TestDeadlineFeasibleAfterLargerRuns: a daemon that has only run large
+// meshes still admits a small run whose deadline it can meet, and
+// finishes it: the large runs' durations say nothing about its cost.
+func TestDeadlineFeasibleAfterLargerRuns(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	deadline := feasibleDeadline(t, trainOnLargeRuns(t, ts.URL))
+
 	resp, raw := postJSON(t, ts.URL+"/v1/runs",
-		runRequest{Config: cfg, Options: testOptions(), DeadlineMS: 1})
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("infeasible deadline POST = %d: %s; want 504", resp.StatusCode, raw)
+		runRequest{Config: meshRun(4, 999), Options: testOptions(), DeadlineMS: deadline.Milliseconds()})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("2x2 run with a %s deadline = %d: %s; want 202", deadline, resp.StatusCode, raw)
 	}
-	var eb errorBody
-	mustUnmarshal(t, raw, &eb)
-	if !strings.Contains(eb.Error, "deadline infeasible") {
-		t.Fatalf("infeasible body = %+v", eb)
-	}
-	if !strings.Contains(getMetrics(t, ts.URL), `ringmeshd_deadline_rejected_total{class="interactive"} 1`) {
-		t.Error("metrics missing deadline_rejected counter")
-	}
-
-	// A cached config bypasses the feasibility check entirely: the
-	// answer is free.
-	cached := testConfig()
-	cached.Seed = 100
-	resp, raw = postJSON(t, ts.URL+"/v1/runs",
-		runRequest{Config: cached, Options: testOptions(), DeadlineMS: 1})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cached POST with tiny deadline = %d: %s; want 200", resp.StatusCode, raw)
+	if d := awaitJob(t, ts.URL, decodeDoc(t, raw).ID, true); d.State != JobDone {
+		t.Fatalf("2x2 run with a %s deadline = %s %+v; want done", deadline, d.State, d.Error)
 	}
 }
 
-// TestDeadlineCostIsPerPoint: the feasibility estimate prices a job as
-// the sum of its points, each at the p95 of one computed point. Pricing
-// a four-entry batch at four whole-batch durations (units x the p95 of
-// job durations, which for a batch are whole batches) refused any
-// deadline under ~4x the true cost.
-func TestDeadlineCostIsPerPoint(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
+// TestDeadlineLapsesMidRun: a deadline well below the run's cost is
+// enforced by the run's context. The job fails with kind deadline, its
+// point is not cached, and the worker is free for the next job.
+func TestDeadlineLapsesMidRun(t *testing.T) {
+	leakCheck(t, 2)
+	s, ts := newTestServer(t, Options{Workers: 1})
+	cfg := meshRun(121, 7)
+	deadline := max(10*time.Millisecond, simCost(t, meshRun(121, 8), largeRun)/5)
 
-	seed := uint64(5000)
-	batch := func(deadlineMS int64) batchRequest {
-		req := batchRequest{DeadlineMS: deadlineMS}
-		for range 4 {
-			cfg := testConfig()
-			cfg.Seed = seed
-			seed++
-			req.Runs = append(req.Runs, batchRunRequest{Config: cfg,
-				Options: &ringmesh.RunOptions{WarmupCycles: 1000, BatchCycles: 2000, Batches: 3}})
-		}
-		return req
-	}
-	// Train past costMinObs batches, timing each from the outside (the
-	// poll cadence only lengthens t, which loosens the deadline below).
-	var t95 time.Duration
-	for i := range costMinObs {
-		start := time.Now()
-		resp, raw := postJSON(t, ts.URL+"/v1/batch", batch(0))
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("training batch %d = %d: %s", i, resp.StatusCode, raw)
-		}
-		awaitJob(t, ts.URL, decodeDoc(t, raw).ID, false)
-		t95 = max(t95, time.Since(start))
-	}
-
-	resp, raw := postJSON(t, ts.URL+"/v1/batch", batch(2*t95.Milliseconds()))
+	resp, raw := postJSON(t, ts.URL+"/v1/runs",
+		runRequest{Config: cfg, Options: largeRun, DeadlineMS: deadline.Milliseconds()})
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("batch with a deadline of twice a batch's duration (%s) = %d: %s; want 202",
-			2*t95, resp.StatusCode, raw)
+		t.Fatalf("deadline POST = %d: %s", resp.StatusCode, raw)
+	}
+	d := awaitJob(t, ts.URL, decodeDoc(t, raw).ID, true)
+	if d.State != JobFailed || d.Error == nil || d.Error.Kind != "deadline" || d.Error.Status != http.StatusGatewayTimeout {
+		t.Fatalf("run past its %s deadline = %s %+v; want failed/deadline/504", deadline, d.State, d.Error)
+	}
+	if strings.Contains(d.Error.Message, "before execution") {
+		t.Fatalf("deadline lapsed in queue (%q); want it to lapse mid-run", d.Error.Message)
+	}
+
+	misses := s.cache.misses.Value()
+	resp, raw = postJSON(t, ts.URL+"/v1/runs", runRequest{Config: cfg, Options: largeRun})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resubmission = %d: %s; want 202 (nothing cached)", resp.StatusCode, raw)
 	}
 	awaitJob(t, ts.URL, decodeDoc(t, raw).ID, false)
+	if got := s.cache.misses.Value() - misses; got != 1 {
+		t.Fatalf("resubmission cost %d cache misses; want 1 simulation", got)
+	}
 }
 
 func TestDeadlineHeaderParsedAndBodyWins(t *testing.T) {
@@ -497,28 +517,6 @@ func TestFinishBatchClassifiesWholesaleFailure(t *testing.T) {
 	}
 	if v := j2.view(); v.State != JobDone || !v.Degraded {
 		t.Fatalf("partial batch view = state %s degraded %v; want done/degraded", v.State, v.Degraded)
-	}
-}
-
-func TestRateLimitCarriesRetryAfter(t *testing.T) {
-	_, ts := newTestServer(t, Options{Rate: 0.5, Burst: 1})
-
-	req := runRequest{Config: testConfig(), Options: testOptions()}
-	resp, raw := postJSON(t, ts.URL+"/v1/runs", req)
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		t.Fatalf("first POST = %d: %s", resp.StatusCode, raw)
-	}
-	resp, raw = postJSON(t, ts.URL+"/v1/runs", req)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second POST = %d: %s; want 429", resp.StatusCode, raw)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Fatalf("429 Retry-After = %q; want \"2\" (one token at 0.5/s)", ra)
-	}
-	var eb errorBody
-	mustUnmarshal(t, raw, &eb)
-	if eb.RetryAfterMS != 2000 {
-		t.Fatalf("429 retry_after_ms = %d; want 2000", eb.RetryAfterMS)
 	}
 }
 

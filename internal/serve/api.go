@@ -70,9 +70,9 @@ type batchRequest struct {
 const deadlineHeader = "X-Ringmeshd-Deadline"
 
 // errorBody is the JSON error envelope on non-2xx responses. Shed and
-// rate-limited responses additionally carry the affected class and a
-// retry hint mirroring the Retry-After header (in milliseconds, since
-// the header only has whole-second resolution).
+// draining responses additionally carry a retry hint mirroring the
+// Retry-After header (in milliseconds, since the header only has
+// whole-second resolution), and a shed one the affected class.
 type errorBody struct {
 	Error        string `json:"error"`
 	Class        string `json:"class,omitempty"`
@@ -125,10 +125,10 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// writeBackoff answers a shed, draining or rate-limited request with
-// the documented backpressure contract: a Retry-After header in whole
-// seconds (rounded up, so never 0) plus a structured body carrying the
-// class (when known) and the millisecond-precision retry hint.
+// writeBackoff answers a shed or draining request with the documented
+// backpressure contract: a Retry-After header in whole seconds (rounded
+// up, so never 0) plus a structured body carrying the class (when
+// known) and the millisecond-precision retry hint.
 func writeBackoff(w http.ResponseWriter, status int, class string, retryAfter time.Duration, format string, args ...any) {
 	secs := int64((retryAfter + time.Second - 1) / time.Second)
 	if secs < 1 {
@@ -142,8 +142,8 @@ func writeBackoff(w http.ResponseWriter, status int, class string, retryAfter ti
 	})
 }
 
-// clientKey identifies a client for rate limiting: the source address
-// without the ephemeral port.
+// clientKey identifies a client in logs: the source address without
+// the ephemeral port.
 func clientKey(r *http.Request) string {
 	host, _, err := net.SplitHostPort(r.RemoteAddr)
 	if err != nil {
@@ -154,25 +154,12 @@ func clientKey(r *http.Request) string {
 
 // gate applies the request checks every submission endpoint shares:
 // drain state (a draining server accepts no new jobs, cached or not),
-// rate limit, then body decode with unknown fields rejected.
+// then body decode with unknown fields rejected.
 // It reports false after writing the error response.
 func (s *Server) gate(w http.ResponseWriter, r *http.Request, into any) bool {
 	if s.drainingNow() {
 		s.rejected.Inc()
 		writeBackoff(w, http.StatusServiceUnavailable, "", time.Second, "%v", errDraining)
-		return false
-	}
-	if !s.limit.allow(clientKey(r)) {
-		s.rateLimited.Inc()
-		// The token bucket refills at Rate/sec, so one inter-token gap is
-		// the honest earliest retry (whole-second floor: 1s).
-		ra := time.Second
-		if s.opt.Rate > 0 {
-			if gap := time.Duration(float64(time.Second) / s.opt.Rate); gap > ra {
-				ra = gap
-			}
-		}
-		writeBackoff(w, http.StatusTooManyRequests, "", ra, "rate limit exceeded")
 		return false
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxBody))
@@ -222,28 +209,6 @@ func submitMeta(r *http.Request, bodyClass string, deadlineMS int64, def class) 
 		deadline = time.Now().Add(time.Duration(deadlineMS) * time.Millisecond)
 	}
 	return cls, deadline, nil
-}
-
-// rejectInfeasible refuses a deadline the collected run telemetry says
-// cannot be met — estimated queue wait plus run cost already exceeds
-// the remaining budget — so the job fails in microseconds at admission
-// instead of burning a worker to produce an answer nobody wants. With
-// no telemetry yet the job is admitted optimistically (the in-queue
-// expiry check still catches it). Reports true after writing the 504.
-func (s *Server) rejectInfeasible(w http.ResponseWriter, j *job) bool {
-	if j.deadline.IsZero() {
-		return false
-	}
-	est, ok := s.estimateCost(j)
-	if !ok || time.Until(j.deadline) >= est {
-		return false
-	}
-	s.deadlineRej[j.class].Inc()
-	s.log.Warn("deadline infeasible at admission", "class", j.class.String(),
-		"family", j.family, "budget", time.Until(j.deadline), "estimate", est)
-	writeError(w, http.StatusGatewayTimeout,
-		"deadline infeasible: %s remaining, estimated cost %s", time.Until(j.deadline).Round(time.Millisecond), est.Round(time.Millisecond))
-	return true
 }
 
 // The three submission endpoints are decoders: each reads its own
@@ -361,10 +326,10 @@ func (s *Server) buildJob(w http.ResponseWriter, r *http.Request, sub journalRec
 
 // submit is the one tail of every submission, ending in the first of:
 // an inline answer (every point an exact cache hit or answerable
-// analytically: 200, the job never queued), a deadline the telemetry
-// rules out (504), admission into the class queues (202), or its
-// refusal (503 with Retry-After, unless the job may degrade to an
-// analytic answer).
+// analytically: 200, the job never queued), admission into the class
+// queues (202), or its refusal (503 with Retry-After, unless the job
+// may degrade to an analytic answer). A deadline is not judged here:
+// the executor enforces it at dequeue and through the run's context.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, j *job) {
 	start := time.Now()
 	// A job answered here never touches the queue (or its deadline), so
@@ -378,9 +343,6 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, j *job) {
 	}
 	if outs != nil {
 		s.respondInline(w, r, j, outs, start, false)
-		return
-	}
-	if s.rejectInfeasible(w, j) {
 		return
 	}
 	if err := s.admit(j); err != nil {

@@ -277,7 +277,7 @@ func (co *coordinator) dispatchRaw(ctx context.Context, w *workerClient, cfg rin
 	if dl, ok := ctx.Deadline(); ok {
 		rem := time.Until(dl).Milliseconds()
 		if rem < 1 {
-			rem = 1 // let the worker reject it with its own taxonomy
+			rem = 1 // spent: the worker fails the job as kind deadline at dequeue
 		}
 		rr.DeadlineMS = rem
 	}

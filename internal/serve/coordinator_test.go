@@ -306,6 +306,29 @@ func TestCoordinatorJobFailureKeepsWorkerAdmitted(t *testing.T) {
 	}
 }
 
+// TestCoordinatorTightDeadlineKeepsWorkerAdmitted: a real worker with a
+// history of large runs takes small points under a deadline it can
+// meet. Each point lands on the first attempt, and the breaker hears
+// nothing: a tight but feasible deadline is no evidence of a sick
+// worker.
+func TestCoordinatorTightDeadlineKeepsWorkerAdmitted(t *testing.T) {
+	_, worker := newTestServer(t, Options{Workers: 1})
+	deadline := feasibleDeadline(t, trainOnLargeRuns(t, worker.URL))
+	co := newTestCoordinator(worker.URL)
+
+	for seed := uint64(901); seed <= 902; seed++ {
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		_, attempts, err := co.runPoint(ctx, meshRun(4, seed), *testOptions(), nil)
+		cancel()
+		if err != nil || attempts != 1 {
+			t.Fatalf("2x2 point under a %s deadline = (%d attempts, %v); want one attempt, no error", deadline, attempts, err)
+		}
+	}
+	if co.trips.Value() != 0 || !co.workers[0].br.admitted() {
+		t.Fatalf("trips=%d admitted=%v; want the worker untouched", co.trips.Value(), co.workers[0].br.admitted())
+	}
+}
+
 // fleetStub simulates a worker daemon wire-faithfully enough for e2e
 // coordinator tests: synchronous cached-style answers for most sizes,
 // and an async job that fails with the given taxonomy error for sizes

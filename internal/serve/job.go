@@ -82,7 +82,7 @@ func classify(err error) *JobError {
 	case errors.Is(err, ringmesh.ErrTimeout):
 		je.Status, je.Kind = http.StatusGatewayTimeout, "timeout"
 	case errors.Is(err, errDeadlineExpired), errors.Is(err, context.DeadlineExceeded):
-		// A client deadline (or the server's JobTimeout) ran out — the
+		// The client's deadline ran out (in queue or mid-run) — the
 		// same meaning as an engine wall-clock timeout, surfaced under
 		// its own kind so callers can tell "the run was slow" from "the
 		// budget was short".

@@ -138,7 +138,7 @@ func TestMetricAudit(t *testing.T) {
 		"ringmeshd_disk_cache_writes_total", "ringmeshd_fidelity_requests_total",
 		"ringmeshd_fidelity_analytic_answers_total", "ringmeshd_fidelity_upgrades_total",
 		"ringmeshd_fidelity_answer_seconds", "ringmeshd_job_queue_wait_seconds",
-		"ringmeshd_job_run_seconds", "ringmeshd_point_run_seconds",
+		"ringmeshd_job_run_seconds",
 		"go_goroutines", "go_heap_alloc_bytes")
 
 	// One busy worker and a one-slot queue: the second background run

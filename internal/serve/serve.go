@@ -56,15 +56,8 @@ type Options struct {
 	// degraded responses. Empty means normal
 	// (simulating) mode.
 	WorkerAddrs []string
-	// Rate is the per-client request budget in requests/second
-	// (0 disables rate limiting).
-	Rate float64
-	// Burst is the per-client burst size (default 2*Rate, minimum 1).
-	Burst int
 	// MaxBody bounds request bodies in bytes (default 1 MiB).
 	MaxBody int64
-	// JobTimeout bounds each job's wall-clock time (0 = none).
-	JobTimeout time.Duration
 	// Logger receives structured job-lifecycle events with request and
 	// job IDs (nil: events are discarded).
 	Logger *slog.Logger
@@ -86,7 +79,6 @@ type Server struct {
 	opt   Options
 	reg   *metrics.Registry
 	cache *resultCache
-	limit *rateLimiter
 	// coord is non-nil in coordinator mode (Options.WorkerAddrs set):
 	// jobs are dispatched to worker daemons instead of simulated here.
 	coord *coordinator
@@ -109,16 +101,14 @@ type Server struct {
 	jobOrder []string
 	nextID   int64
 
-	accepted    *metrics.Counter
-	rejected    *metrics.Counter
-	rateLimited *metrics.Counter
-	completed   *metrics.Counter
-	failed      *metrics.Counter
+	accepted  *metrics.Counter
+	rejected  *metrics.Counter
+	completed *metrics.Counter
+	failed    *metrics.Counter
 
 	// Per-class admission outcomes, indexed by class.
 	admitted    [numClasses]*metrics.Counter
 	shed        [numClasses]*metrics.Counter
-	deadlineRej [numClasses]*metrics.Counter
 	deadlineExp [numClasses]*metrics.Counter
 
 	// Multi-fidelity serving counters: requests by requested mode,
@@ -156,9 +146,6 @@ func New(opt Options) (*Server, error) {
 	if opt.CacheEntries < 1 {
 		opt.CacheEntries = 256
 	}
-	if opt.Burst < 1 {
-		opt.Burst = int(2 * opt.Rate)
-	}
 	if opt.MaxBody < 1 {
 		opt.MaxBody = 1 << 20
 	}
@@ -178,25 +165,22 @@ func New(opt Options) (*Server, error) {
 		opt:     opt,
 		reg:     reg,
 		cache:   newResultCache(opt.CacheEntries, disk, reg),
-		limit:   newRateLimiter(opt.Rate, opt.Burst),
 		baseCtx: ctx,
 		cancel:  cancel,
-		adm:     newAdmitter(opt.QueueDepth, defaultClassWeights, reg),
+		adm:     newAdmitter(opt.QueueDepth, reg),
 		jobs:    map[string]*job{},
 		log:     opt.Logger,
 		hists:   map[string]*metrics.Histogram{},
 
-		accepted:    reg.Counter("ringmeshd_jobs_accepted_total", metrics.Labels{}),
-		rejected:    reg.Counter("ringmeshd_jobs_rejected_total", metrics.Labels{}),
-		rateLimited: reg.Counter("ringmeshd_requests_rate_limited_total", metrics.Labels{}),
-		completed:   reg.Counter("ringmeshd_jobs_completed_total", metrics.Labels{}),
-		failed:      reg.Counter("ringmeshd_jobs_failed_total", metrics.Labels{}),
+		accepted:  reg.Counter("ringmeshd_jobs_accepted_total", metrics.Labels{}),
+		rejected:  reg.Counter("ringmeshd_jobs_rejected_total", metrics.Labels{}),
+		completed: reg.Counter("ringmeshd_jobs_completed_total", metrics.Labels{}),
+		failed:    reg.Counter("ringmeshd_jobs_failed_total", metrics.Labels{}),
 	}
 	for c := class(0); c < numClasses; c++ {
 		l := metrics.Labels{Class: c.String()}
 		s.admitted[c] = reg.Counter("ringmeshd_admit_total", l)
 		s.shed[c] = reg.Counter("ringmeshd_shed_total", l)
-		s.deadlineRej[c] = reg.Counter("ringmeshd_deadline_rejected_total", l)
 		s.deadlineExp[c] = reg.Counter("ringmeshd_deadline_expired_total", l)
 	}
 	s.fidRequests = map[string]*metrics.Counter{}
@@ -532,16 +516,10 @@ func (s *Server) execute(j *job) {
 	j.mu.Lock()
 	j.state = JobRunning
 	j.mu.Unlock()
-	// The execution context stacks the server's per-job timeout and the
-	// client's absolute deadline; whichever is tighter cancels the run,
-	// and in coordinator mode the remaining budget rides along to the
-	// dispatched worker.
+	// The client's absolute deadline cancels the run through its
+	// context, and in coordinator mode the remaining budget rides along
+	// to the dispatched worker.
 	ctx := s.baseCtx
-	if s.opt.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opt.JobTimeout)
-		defer cancel()
-	}
 	if !j.deadline.IsZero() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, j.deadline)
@@ -601,30 +579,17 @@ func (s *Server) execute(j *job) {
 		"family", j.family, "dur", runDur)
 }
 
-// pointBuckets spans 1ms to ~2 minutes in x1.5 steps. The admission
-// cost estimate sums one p95 per point of a job, so the quantile's
-// error — a bucket's width — multiplies by the point count: the x4
-// steps of secondsBuckets would price a batch up to four times over.
-var pointBuckets = metrics.ExpBuckets(0.001, 1.5, 30)
-
-// resolve obtains one point's result through the cache, timing each
-// computation it actually performs into the per-point duration
-// histogram of the point's own network — the admission cost estimate's
-// input (see estimateCost).
+// resolve obtains one point's result through the cache, computing a
+// miss by dispatching it to the fleet (coordinator mode) or simulating
+// it here.
 func (s *Server) resolve(ctx context.Context, j *job, p point) outcome {
 	o := outcome{attempts: 1}
 	o.res, o.cached, o.err = s.cache.do(ctx, p.key, j.tr, func() (res ringmesh.Result, err error) {
-		start := time.Now()
 		if s.coord != nil {
 			res, o.attempts, err = s.coord.runPoint(ctx, p.cfg, p.opt, j.tr)
-		} else {
-			res, err = s.simulate(ctx, j, p)
+			return res, err
 		}
-		if err == nil {
-			s.histogram("ringmeshd_point_run_seconds",
-				metrics.Labels{Family: p.cfg.Network}, pointBuckets).Observe(time.Since(start).Seconds())
-		}
-		return res, err
+		return s.simulate(ctx, j, p)
 	})
 	if o.err != nil {
 		if s.coord != nil {

@@ -309,39 +309,13 @@ func TestSweepPopulatesRunCache(t *testing.T) {
 	}
 }
 
-func TestRateLimit(t *testing.T) {
-	_, ts := newTestServer(t, Options{Rate: 0.001, Burst: 1})
-
-	req := runRequest{Config: testConfig(), Options: testOptions()}
-	resp, raw := postJSON(t, ts.URL+"/v1/runs", req)
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		t.Fatalf("first POST = %d: %s", resp.StatusCode, raw)
-	}
-	resp, raw = postJSON(t, ts.URL+"/v1/runs", req)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second POST = %d: %s; want 429", resp.StatusCode, raw)
-	}
-	if !strings.Contains(getMetrics(t, ts.URL), "ringmeshd_requests_rate_limited_total 1\n") {
-		t.Error("metrics missing ringmeshd_requests_rate_limited_total 1")
-	}
-	// Reads are not gated: polling survives a spent submission budget.
-	resp2, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("healthz during rate limit = %d", resp2.StatusCode)
-	}
-}
-
 func TestQueueBounds(t *testing.T) {
 	// Constructed directly (no running workers) so the queue state is
 	// deterministic. One total slot, background queued first: a batch
 	// arrival evicts it, and a second batch arrival — with nothing less
 	// urgent queued — is shed itself.
 	s := &Server{reg: &metrics.Registry{}, log: slog.New(slog.NewTextHandler(io.Discard, nil)), jobs: map[string]*job{}}
-	s.adm = newAdmitter(1, [numClasses]int{}, s.reg)
+	s.adm = newAdmitter(1, s.reg)
 	for c := class(0); c < numClasses; c++ {
 		l := metrics.Labels{Class: c.String()}
 		s.admitted[c] = s.reg.Counter("ringmeshd_admit_total", l)
