@@ -2,7 +2,7 @@
 // models of the two simulated networks — exact zero-load round-trip
 // latency and bisection-bandwidth saturation bounds (model.go) — one
 // entry point, Estimate, that evaluates them for a resolved
-// configuration (≈ 350 µs for the 72-PM ring 3:3:8, ≈ 3.5 ms for the
+// configuration (≈ 350 µs for the 72-PM ring 3:3:8, ≈ 0.2 ms for the
 // 11x11 mesh: the ledger's fidelity.estimate_us_* probes), and the
 // recorded validation table that says how far the estimate may sit
 // from the simulator (bounds.go). The facade's Run is the only place

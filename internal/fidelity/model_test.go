@@ -173,15 +173,24 @@ func TestAvgTransactionFlits(t *testing.T) {
 	}
 }
 
-// A ring estimate draws about 2 000 (src, dst) pairs and allocates for
-// the resolve, the locality and the result, never per draw: ring hops
-// used to cost two digit slices a call, 15 838 allocations an estimate.
+// An estimate draws about 2 000 (src, dst) pairs and allocates for the
+// resolve, the locality and the result, never per draw or per source:
+// ring hops used to cost two digit slices a call (15 838 allocations an
+// estimate), and the 11x11 mesh's locality table a sorted slice per
+// source (498).
 func TestEstimateAllocations(t *testing.T) {
-	cfg := validationConfig("ring", "3:3:8", 32, 0, 0.04)
-	if _, _, err := estimate(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(10, func() { estimate(cfg) }); n > 64 {
-		t.Errorf("ring 3:3:8: %v allocations per estimate, want <= 64", n)
+	for _, c := range []struct {
+		cfg core.SystemConfig
+		max float64
+	}{
+		{validationConfig("ring", "3:3:8", 32, 0, 0.04), 64},
+		{validationConfig("mesh", "11x11", 32, 4, 0.04), 32},
+	} {
+		if _, _, err := estimate(c.cfg); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(10, func() { estimate(c.cfg) }); n > c.max {
+			t.Errorf("%s %s: %v allocations per estimate, want <= %v", c.cfg.Network, c.cfg.Net.Topology, n, c.max)
+		}
 	}
 }

@@ -22,7 +22,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"ringmesh/internal/rng"
 	"ringmesh/internal/topo"
@@ -42,7 +41,10 @@ type Pattern interface {
 }
 
 // regionSize returns the number of remote PMs in an access region of
-// fraction R on a machine of p PMs: ⌈R·(p−1)⌉ clamped to [0, p−1].
+// fraction R on a machine of p PMs: ⌈R·(p−1)⌉ clamped to [1, p−1] for
+// R > 0 (0 for R ≤ 0 or a single PM). The ceiling tolerates 1e-7 of
+// float error, so 0.1·120 = 12.000000000000002 still reads 12; the
+// lower clamp keeps an R that small from rounding to no remote PM.
 func regionSize(p int, r float64) int {
 	if r <= 0 {
 		return 0
@@ -51,10 +53,7 @@ func regionSize(p int, r float64) int {
 		return p - 1
 	}
 	n := int(r*float64(p-1) + 0.9999999)
-	if n > p-1 {
-		n = p - 1
-	}
-	return n
+	return min(max(n, 1), p-1)
 }
 
 // RingLocality is the paper's locality model for hierarchical rings:
@@ -109,47 +108,71 @@ func (l *RingLocality) String() string {
 // ⌈R(P−1)⌉ nearest PMs by Manhattan distance (ties broken by PM id)
 // plus the local PM. Note the paper points out this model slightly
 // favours meshes — it minimizes mesh hop counts by construction.
+//
+// All P regions live in one flat table: source src's region is
+// regions[src*stride : (src+1)*stride], src itself first, then the
+// remote PMs in (hop distance, id) order.
 type MeshLocality struct {
-	regions [][]int // per-src: region including src itself
+	regions []int
+	stride  int // region length: 1 + ⌈R(P−1)⌉
 	r       float64
 }
 
 // NewMeshLocality builds the mesh access pattern over mesh m with
-// region fraction r in (0, 1].
+// region fraction r in (0, 1]. Each source's region is one counting
+// sort by hop distance: prefix sums over the distance histogram give
+// each distance's first slot, and a scan of the destinations in
+// ascending id order fills them, so ids stay ascending within a
+// distance (the tie-break) and src, the only PM at distance 0, lands
+// first. The cost is O(P²) time and the same three allocations at any
+// size.
 func NewMeshLocality(m topo.MeshSpec, r float64) (*MeshLocality, error) {
 	if r <= 0 || r > 1 {
 		return nil, fmt.Errorf("workload: R = %v outside (0,1]", r)
 	}
-	p := m.PMs()
-	n := regionSize(p, r)
-	regions := make([][]int, p)
+	k, p := m.K, m.PMs()
+	stride := regionSize(p, r) + 1
+	regions := make([]int, p*stride)
+	next := make([]int, 2*k-1) // per hop distance 0 … 2(K−1)
 	for src := 0; src < p; src++ {
-		others := make([]int, 0, p-1)
-		for d := 0; d < p; d++ {
-			if d != src {
-				others = append(others, d)
+		sx, sy := src%k, src/k
+		clear(next)
+		for y := 0; y < k; y++ {
+			dy := absInt(y - sy)
+			for x := 0; x < k; x++ {
+				next[dy+absInt(x-sx)]++
 			}
 		}
-		s := src
-		sort.Slice(others, func(i, j int) bool {
-			di, dj := m.HopDistance(s, others[i]), m.HopDistance(s, others[j])
-			if di != dj {
-				return di < dj
+		slot := 0
+		for d, c := range next {
+			next[d] = slot
+			slot += c
+		}
+		region := regions[src*stride : (src+1)*stride]
+		for y := 0; y < k; y++ {
+			dy := absInt(y - sy)
+			for x := 0; x < k; x++ {
+				d := dy + absInt(x-sx)
+				if i := next[d]; i < stride {
+					region[i] = y*k + x
+				}
+				next[d]++
 			}
-			return others[i] < others[j]
-		})
-		region := make([]int, 0, n+1)
-		region = append(region, src)
-		region = append(region, others[:n]...)
-		regions[src] = region
+		}
 	}
-	return &MeshLocality{regions: regions, r: r}, nil
+	return &MeshLocality{regions: regions, stride: stride, r: r}, nil
+}
+
+func absInt(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 // Target implements Pattern.
 func (l *MeshLocality) Target(src int, r *rng.Source) int {
-	region := l.regions[src]
-	return region[r.Intn(len(region))]
+	return l.regions[src*l.stride+r.Intn(l.stride)]
 }
 
 // String implements Pattern.

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -21,10 +23,29 @@ func TestRegionSize(t *testing.T) {
 		{121, 0.1, 12}, // ceil(0.1*120)
 		{121, 0.3, 36},
 		{4, 0.01, 1}, // tiny R still reaches one neighbour
+		// R(P−1) below the ceiling's 1e-7 float tolerance used to
+		// round to an empty region.
+		{2, 1e-9, 1},
+		{1024, 1e-9, 1},
+		{1, 1e-9, 0},
 	}
 	for _, c := range cases {
 		if got := regionSize(c.p, c.r); got != c.want {
 			t.Errorf("regionSize(%d, %v) = %d, want %d", c.p, c.r, got, c.want)
+		}
+	}
+}
+
+// regionSize's float ceiling must agree with the exact integer ceiling
+// ⌈(P−1)·a/b⌉ at every machine size and at the R values the figures use.
+func TestRegionSizeIsExactCeiling(t *testing.T) {
+	for _, f := range [][2]int{{1, 20}, {1, 10}, {1, 5}, {3, 10}, {1, 2}, {1, 1}} {
+		a, b := f[0], f[1]
+		r := float64(a) / float64(b)
+		for p := 1; p <= 1024; p++ {
+			if got, want := regionSize(p, r), ((p-1)*a+b-1)/b; got != want {
+				t.Errorf("regionSize(%d, %d/%d) = %d, want %d", p, a, b, got, want)
+			}
 		}
 	}
 }
@@ -119,6 +140,71 @@ func TestMeshLocalityFull(t *testing.T) {
 	}
 	if len(seen) != 9 {
 		t.Fatalf("R=1.0 mesh should reach all PMs, reached %d", len(seen))
+	}
+}
+
+// sortedOthers is the reference construction: per source, every other
+// PM sorted by (hop distance, id). A region of n remote PMs is src
+// followed by the first n of them.
+func sortedOthers(m topo.MeshSpec) [][]int {
+	p := m.PMs()
+	all := make([][]int, p)
+	for src := 0; src < p; src++ {
+		others := make([]int, 0, p-1)
+		for d := 0; d < p; d++ {
+			if d != src {
+				others = append(others, d)
+			}
+		}
+		sort.Slice(others, func(i, j int) bool {
+			di, dj := m.HopDistance(src, others[i]), m.HopDistance(src, others[j])
+			if di != dj {
+				return di < dj
+			}
+			return others[i] < others[j]
+		})
+		all[src] = others
+	}
+	return all
+}
+
+// The counting-sorted table holds, element for element, the regions a
+// (distance, id) comparison sort gives, so every draw is unchanged.
+func TestMeshLocalityRegionsMatchSortReference(t *testing.T) {
+	sides := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 16, 32}
+	for _, k := range sides {
+		m := topo.MustMeshSpec(k)
+		ref := sortedOthers(m)
+		for _, r := range []float64{0.05, 0.1, 0.2, 0.3, 0.5, 1.0} {
+			l, err := NewMeshLocality(m, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := regionSize(m.PMs(), r)
+			for src, others := range ref {
+				want := append([]int{src}, others[:n]...)
+				got := l.regions[src*l.stride : (src+1)*l.stride]
+				if !slices.Equal(got, want) {
+					t.Fatalf("%v R=%v src %d: region %v, want %v", m, r, src, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Building the table allocates the same handful of objects at any mesh
+// size: no per-source slices.
+func TestMeshLocalityAllocations(t *testing.T) {
+	allocs := func(k int) float64 {
+		m := topo.MustMeshSpec(k)
+		return testing.AllocsPerRun(100, func() {
+			if _, err := NewMeshLocality(m, 0.3); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(4), allocs(32); small != large {
+		t.Fatalf("NewMeshLocality allocates %v objects at 4x4 but %v at 32x32", small, large)
 	}
 }
 

@@ -83,6 +83,36 @@ func TestRunMeshRejectsNonSquare(t *testing.T) {
 	}
 }
 
+// Every accepted R > 0 gives each PM at least one remote target: an
+// R(P−1) under 1e-7 used to round to an empty access region, so a run
+// reported latency 0 with no error and an estimate failed with "no
+// remote targets sampled".
+func TestTinyRegionReachesARemotePM(t *testing.T) {
+	w := PaperWorkload()
+	w.R = 1e-9
+	for _, cfg := range []Config{
+		{Network: "ring", Topology: "2:8", LineBytes: 32, Workload: w, Seed: 1},
+		{Network: "mesh", Nodes: 16, LineBytes: 32, BufferFlits: 4, Workload: w, Seed: 1},
+	} {
+		res, err := Run(cfg, QuickRunOptions())
+		if err != nil {
+			t.Fatalf("%s run: %v", cfg.Network, err)
+		}
+		if res.LatencyCycles <= 0 || res.Throughput <= 0 {
+			t.Errorf("%s run at R=1e-9: latency %v, throughput %v, want both > 0",
+				cfg.Network, res.LatencyCycles, res.Throughput)
+		}
+		cfg.Fidelity = "analytic"
+		est, err := Estimate(cfg, QuickRunOptions())
+		if err != nil {
+			t.Fatalf("%s estimate: %v", cfg.Network, err)
+		}
+		if est.LatencyCycles <= 0 {
+			t.Errorf("%s estimate at R=1e-9: latency %v, want > 0", cfg.Network, est.LatencyCycles)
+		}
+	}
+}
+
 func TestStepCycles(t *testing.T) {
 	sys, err := NewSystem(Config{Network: "ring", Topology: "4", LineBytes: 32,
 		Workload: PaperWorkload(), Seed: 1})
