@@ -51,6 +51,19 @@ base="http://$addr"
 
 grep -q '"ok"' <<<"$(curl -fsS "$base/healthz")" || { echo "FAIL: healthz"; exit 1; }
 
+# A run that cannot have a confidence interval — one batch, or one PM
+# where every access is local — is a 400 at submission naming the rule,
+# never a 202 whose job document then fails to encode.
+refused=$(mktemp)
+onebatch='{"config":{"network":"mesh","nodes":16,"line_bytes":32,"buffer_flits":4,"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":42},"options":{"warmup_cycles":500,"batch_cycles":500,"batches":1}}'
+code=$(curl -sS -o "$refused" -w '%{http_code}' -X POST "$base/v1/runs" -d "$onebatch")
+[ "$code" = "400" ] && grep -q 'at least 2 batches' "$refused" \
+  || { echo "FAIL: one-batch run = $code:"; cat "$refused"; exit 1; }
+onepm='{"config":{"network":"ring","topology":"1","line_bytes":32,"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":42},"options":{"warmup_cycles":500,"batch_cycles":500,"batches":2}}'
+code=$(curl -sS -o "$refused" -w '%{http_code}' -X POST "$base/v1/runs" -d "$onepm")
+[ "$code" = "400" ] && grep -q 'at least 2 PMs' "$refused" \
+  || { echo "FAIL: one-PM run = $code:"; cat "$refused"; exit 1; }
+
 body='{"config":{"network":"mesh","nodes":16,"line_bytes":32,"buffer_flits":4,"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":42},"options":{"warmup_cycles":500,"batch_cycles":500,"batches":2}}'
 
 first=$(curl -fsS -X POST "$base/v1/runs" -d "$body" | tr -d '[:space:]')

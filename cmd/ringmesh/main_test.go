@@ -94,7 +94,7 @@ func TestMetricsOut(t *testing.T) {
 // nothing on stdout.
 func TestBadSchedulesExitConfig(t *testing.T) {
 	for _, c := range []string{
-		"-warmup -1", "-batch 0", "-batches 0", "-timeout -5s",
+		"-warmup -1", "-batch 0", "-batches 0", "-batches 1", "-timeout -5s", "-topo 1", "-net mesh -nodes 1",
 		"-R 1.5", "-C 0", "-T 0", "-read-prob 2", "-fault-plan bogus@", "-fidelity auto", "-fidelity nonesuch",
 	} {
 		var stdout, stderr bytes.Buffer

@@ -160,7 +160,7 @@ func TestRunTimeoutFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sys.Run(RunOptions{WarmupCycles: 1 << 40, BatchCycles: 1 << 40, Batches: 1,
+	_, err = sys.Run(RunOptions{WarmupCycles: 1 << 40, BatchCycles: 1 << 40, Batches: 2,
 		Timeout: time.Millisecond})
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
@@ -177,7 +177,7 @@ func TestRunContextCancelFacade(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = sys.RunContext(ctx, RunOptions{WarmupCycles: 1 << 40, BatchCycles: 1 << 40, Batches: 1})
+	_, err = sys.RunContext(ctx, RunOptions{WarmupCycles: 1 << 40, BatchCycles: 1 << 40, Batches: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -1,6 +1,7 @@
 package ringmesh
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -72,5 +73,37 @@ func TestOneRoadImportGraph(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunShapesAreAliases keeps each run shape declared once: the
+// facade names the internal declarations, so no field-by-field
+// converter between a public and an internal copy can come back.
+func TestRunShapesAreAliases(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "ringmesh.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"Workload": false, "RunOptions": false, "Result": false, "ErrorBound": false, "StallDiagnosis": false}
+	for _, decl := range file.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.TYPE {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			ts := spec.(*ast.TypeSpec)
+			if _, shape := want[ts.Name.Name]; !shape {
+				continue
+			}
+			if !ts.Assign.IsValid() {
+				t.Errorf("ringmesh.go declares %s as a type of its own; alias the internal declaration", ts.Name.Name)
+			}
+			want[ts.Name.Name] = true
+		}
+	}
+	for name, found := range want {
+		if !found {
+			t.Errorf("ringmesh.go does not declare %s", name)
+		}
 	}
 }

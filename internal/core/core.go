@@ -262,32 +262,37 @@ func (s *System) Close() { s.engine.CloseWorkers() }
 // same zero through this constant, so the two cannot disagree.
 const DefaultWatchdogCycles = 20000
 
-// RunConfig controls the batch-means run.
+// RunConfig is the batch-means measurement schedule; the public
+// ringmesh.RunOptions is this type, and its JSON names are the serving
+// API's wire format.
 type RunConfig struct {
 	// WarmupCycles is the discarded first batch, in PM cycles.
-	WarmupCycles int64
+	WarmupCycles int64 `json:"warmup_cycles"`
 	// BatchCycles is the length of each retained batch.
-	BatchCycles int64
-	// Batches is the number of retained batches.
-	Batches int
-	// WatchdogCycles is the stall-detection horizon (0 =
-	// DefaultWatchdogCycles).
-	WatchdogCycles int64
+	BatchCycles int64 `json:"batch_cycles"`
+	// Batches is the number of retained batches: at least 2, since a
+	// confidence interval needs two batch means.
+	Batches int `json:"batches"`
+	// WatchdogCycles overrides the stall-detection horizon in PM
+	// cycles (0 = DefaultWatchdogCycles): the run aborts after this
+	// many cycles without a single flit movement while packets are in
+	// flight.
+	WatchdogCycles int64 `json:"watchdog_cycles,omitempty"`
 	// Timeout bounds the run's wall-clock time; exceeding it aborts
 	// with an error wrapping ErrTimeout (0 = no limit). The deadline
 	// is checked between 1024-cycle chunks, so simulation results are
 	// unaffected for runs that finish in time.
-	Timeout time.Duration
+	Timeout time.Duration `json:"timeout_ns,omitempty"`
 	// FailOnStall turns a watchdog trip into a returned error (the
 	// model's *sim.StallError when it can diagnose itself) instead of
 	// the default Result.Stalled marker that lets sweeps plot
 	// saturation points.
-	FailOnStall bool
+	FailOnStall bool `json:"fail_on_stall,omitempty"`
 }
 
-// DefaultRunConfig returns run lengths that give tight confidence
-// intervals for the paper's operating points in a few tens of
-// milliseconds per point.
+// DefaultRunConfig returns the schedule used for the paper
+// reproduction: 4000-cycle warmup plus eight 4000-cycle batches, tight
+// confidence intervals in a few tens of milliseconds per point.
 func DefaultRunConfig() RunConfig {
 	return RunConfig{WarmupCycles: 4000, BatchCycles: 4000, Batches: 8}
 }
@@ -309,8 +314,8 @@ func (rc RunConfig) Validate() error {
 		return fmt.Errorf("warmup_cycles %d < 0", rc.WarmupCycles)
 	case rc.BatchCycles < 1:
 		return fmt.Errorf("batch_cycles %d < 1", rc.BatchCycles)
-	case rc.Batches < 1:
-		return fmt.Errorf("batches %d < 1", rc.Batches)
+	case rc.Batches < 2:
+		return fmt.Errorf("batches %d < 2: a confidence interval needs at least 2 batches", rc.Batches)
 	case rc.WatchdogCycles < 0:
 		return fmt.Errorf("watchdog_cycles %d < 0", rc.WatchdogCycles)
 	case rc.Timeout < 0:
@@ -320,47 +325,76 @@ func (rc RunConfig) Validate() error {
 	}
 }
 
-// Result summarizes one simulation run.
+// Result reports one run's measurements, exact or analytic. The public
+// ringmesh.Result is this type: its JSON form is what ringmeshd serves
+// and caches, so the field order and names are wire format.
 type Result struct {
-	// Latency is the average round-trip access latency in PM clock
-	// cycles (the paper's primary metric).
-	Latency float64
-	// LatencyCI is the 95% confidence half-width on Latency.
-	LatencyCI float64
-	// Observations is the number of completed transactions measured.
-	Observations int64
-	// RingUtil is per-level ring utilization in [0,1] (index 0 =
-	// global ring); nil for flat (mesh-like) systems.
-	RingUtil []float64
-	// MeshUtil is aggregate inter-router link utilization in [0,1];
-	// zero for hierarchical (ring-like) systems.
-	MeshUtil float64
-	// Throughput is completed transactions per PM cycle (whole
-	// system).
-	Throughput float64
-	// Issued, Completed, Local are transaction counts over the whole
+	// LatencyCycles is the average round-trip access latency in PM
+	// clock cycles — the paper's primary metric.
+	LatencyCycles float64 `json:"latency_cycles"`
+	// LatencyCI95 is the 95% confidence half-width on LatencyCycles.
+	LatencyCI95 float64 `json:"latency_ci95"`
+	// Observations is the number of completed transactions measured
+	// (after warmup).
+	Observations int64 `json:"observations"`
+	// RingUtilization is the per-level link utilization in [0,1]
+	// (index 0 = global ring, last = local rings); nil for meshes.
+	RingUtilization []float64 `json:"ring_utilization,omitempty"`
+	// MeshUtilization is the aggregate inter-router link utilization
+	// in [0,1]; zero for rings.
+	MeshUtilization float64 `json:"mesh_utilization,omitempty"`
+	// Throughput is completed transactions per PM cycle over the whole
+	// system.
+	Throughput float64 `json:"throughput"`
+	// Issued, Completed and Local count transactions over the whole
 	// run (including warmup).
-	Issued, Completed, Local int64
+	Issued    int64 `json:"issued"`
+	Completed int64 `json:"completed"`
+	Local     int64 `json:"local"`
 	// LatencyP50, LatencyP95, LatencyP99 and LatencyMax describe the
 	// latency distribution when the system was built with Histogram
 	// set (zero otherwise).
-	LatencyP50, LatencyP95, LatencyP99, LatencyMax float64
+	LatencyP50 float64 `json:"latency_p50,omitempty"`
+	LatencyP95 float64 `json:"latency_p95,omitempty"`
+	LatencyP99 float64 `json:"latency_p99,omitempty"`
+	LatencyMax float64 `json:"latency_max,omitempty"`
 	// BatchesCorrelated flags strong lag-1 autocorrelation among batch
 	// means (|r| > 0.5): the batches are too short relative to the
-	// system's time constants and LatencyCI understates uncertainty.
-	BatchesCorrelated bool
-	// Stalled is set when the deadlock watchdog tripped; the other
-	// fields then describe the run up to the stall.
-	Stalled bool
-	// Stall carries the model's forensic snapshot when Stalled is set
-	// and the model's BuildStallReport produced one; nil otherwise.
-	Stall *sim.StallReport
+	// system's time constants and LatencyCI95 understates uncertainty;
+	// lengthen BatchCycles before trusting it.
+	BatchesCorrelated bool `json:"batches_correlated,omitempty"`
 	// Saturated is set when processors spent most of their time
 	// blocked on the T-window: the realized miss-generation rate fell
 	// below half the configured rate C, so the network is past its
-	// saturation point and the latency estimate understates open-loop
+	// saturation point and the latency is a lower bound on open-loop
 	// delay.
-	Saturated bool
+	Saturated bool `json:"saturated,omitempty"`
+	// Stalled is set when the no-progress watchdog tripped; the other
+	// fields then describe the run up to the stall.
+	Stalled bool `json:"stalled,omitempty"`
+	// Stall carries the model's forensic snapshot when Stalled is set
+	// and the model can diagnose itself; nil otherwise.
+	Stall *sim.StallDiagnosis `json:"stall,omitempty"`
+	// Fidelity labels non-exact answers with the backend that produced
+	// them ("analytic"); empty for exact simulation results, so
+	// pre-fidelity result documents are byte-identical.
+	Fidelity string `json:"fidelity,omitempty"`
+	// ErrorBound carries the recorded validation envelope when
+	// Fidelity is "analytic" and the configuration's family has one;
+	// nil on exact results.
+	ErrorBound *ErrorBound `json:"error_bound,omitempty"`
+}
+
+// ErrorBound is the recorded analytic-vs-simulate validation envelope
+// attached to analytic answers: the worst relative latency error
+// observed (plus margin) when both backends ran the golden configs at
+// low load. See internal/fidelity and results/analytic-bounds.csv.
+type ErrorBound struct {
+	// MaxRelErr is the admitted relative latency error at low load
+	// (0.03 = within 3% of the simulator).
+	MaxRelErr float64 `json:"max_rel_err"`
+	// Basis states what the bound was recorded against.
+	Basis string `json:"basis"`
 }
 
 // ErrTimeout marks a run aborted for exceeding RunConfig.Timeout.
@@ -491,18 +525,18 @@ func (s *System) RunCtx(ctx context.Context, rc RunConfig) (res Result, err erro
 
 	totalCycles := float64(rc.BatchCycles) * float64(rc.Batches)
 	res = Result{
-		Latency:      s.col.Latency.Mean(),
-		LatencyCI:    s.col.Latency.HalfWidth(),
-		Observations: s.col.Latency.Observations(),
-		Issued:       s.col.Issued,
-		Completed:    s.col.Completed,
-		Local:        s.col.Local,
-		Stalled:      stalled,
+		LatencyCycles: s.col.Latency.Mean(),
+		LatencyCI95:   s.col.Latency.HalfWidth(),
+		Observations:  s.col.Latency.Observations(),
+		Issued:        s.col.Issued,
+		Completed:     s.col.Completed,
+		Local:         s.col.Local,
+		Stalled:       stalled,
 	}
 	if stalled {
 		var se *sim.StallError
 		if errors.As(stallErr, &se) {
-			res.Stall = se.Report
+			res.Stall = se.Report.Diagnosis()
 		}
 	}
 	if totalCycles > 0 {
@@ -516,8 +550,8 @@ func (s *System) RunCtx(ctx context.Context, rc RunConfig) (res Result, err erro
 		res.LatencyMax = s.col.Hist.Quantile(1)
 	}
 	ns := s.net.Stats()
-	res.RingUtil = ns.PerLevel
-	res.MeshUtil = ns.Link
+	res.RingUtilization = ns.PerLevel
+	res.MeshUtilization = ns.Link
 	// Saturation: compare realized generation (remote + local misses)
 	// against the configured rate C over the whole run including
 	// warmup.

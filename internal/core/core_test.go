@@ -46,13 +46,13 @@ func TestRingSystemEndToEnd(t *testing.T) {
 	if res.Observations == 0 {
 		t.Fatal("no transactions completed")
 	}
-	if res.Latency <= 0 {
-		t.Fatalf("latency = %v", res.Latency)
+	if res.LatencyCycles <= 0 {
+		t.Fatalf("latency = %v", res.LatencyCycles)
 	}
-	if len(res.RingUtil) != 2 {
-		t.Fatalf("ring util levels = %d", len(res.RingUtil))
+	if len(res.RingUtilization) != 2 {
+		t.Fatalf("ring util levels = %d", len(res.RingUtilization))
 	}
-	if res.MeshUtil != 0 {
+	if res.MeshUtilization != 0 {
 		t.Fatal("ring system reported mesh utilization")
 	}
 	if res.Completed > res.Issued {
@@ -72,10 +72,10 @@ func TestMeshSystemEndToEnd(t *testing.T) {
 	if res.Stalled || res.Observations == 0 {
 		t.Fatalf("bad run: %+v", res)
 	}
-	if res.MeshUtil <= 0 || res.MeshUtil > 1 {
-		t.Fatalf("mesh utilization = %v", res.MeshUtil)
+	if res.MeshUtilization <= 0 || res.MeshUtilization > 1 {
+		t.Fatalf("mesh utilization = %v", res.MeshUtilization)
 	}
-	if res.RingUtil != nil {
+	if res.RingUtilization != nil {
 		t.Fatal("mesh system reported ring utilization")
 	}
 }
@@ -93,7 +93,7 @@ func TestDeterminism(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	if a.Latency != b.Latency || a.Issued != b.Issued || a.Completed != b.Completed {
+	if a.LatencyCycles != b.LatencyCycles || a.Issued != b.Issued || a.Completed != b.Completed {
 		t.Fatalf("non-deterministic: %+v vs %+v", a, b)
 	}
 }
@@ -109,7 +109,7 @@ func TestSeedsChangeResults(t *testing.T) {
 		}
 		return res
 	}
-	if mk(1).Latency == mk(2).Latency {
+	if mk(1).LatencyCycles == mk(2).LatencyCycles {
 		t.Fatal("different seeds gave identical latency (suspicious)")
 	}
 }
@@ -137,14 +137,18 @@ func TestBadConfigsRejected(t *testing.T) {
 
 func TestRunConfigValidation(t *testing.T) {
 	sys, _ := NewSystem(ringCfg("4", 32))
-	if _, err := sys.Run(RunConfig{BatchCycles: 0, Batches: 1}); err == nil {
+	if _, err := sys.Run(RunConfig{BatchCycles: 0, Batches: 2}); err == nil {
 		t.Fatal("zero batch cycles accepted")
 	}
 	if _, err := sys.Run(RunConfig{BatchCycles: 100, Batches: 0}); err == nil {
 		t.Fatal("zero batches accepted")
 	}
+	// One batch mean has no spread: its CI would be +Inf.
+	if _, err := sys.Run(RunConfig{BatchCycles: 100, Batches: 1}); err == nil {
+		t.Fatal("one batch accepted")
+	}
 	// Read as "off", a negative horizon would disarm stall detection.
-	if _, err := sys.Run(RunConfig{BatchCycles: 100, Batches: 1, WatchdogCycles: -1}); err == nil {
+	if _, err := sys.Run(RunConfig{BatchCycles: 100, Batches: 2, WatchdogCycles: -1}); err == nil {
 		t.Fatal("negative watchdog accepted")
 	}
 }
@@ -161,7 +165,7 @@ func TestLatencyGrowsWithRingSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Latency
+		return res.LatencyCycles
 	}
 	small, large := lat("4"), lat("3:8")
 	if large <= small {
@@ -181,7 +185,7 @@ func TestMeshBufferOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Latency
+		return res.LatencyCycles
 	}
 	l1, l4, lcl := lat(1), lat(4), lat(0)
 	if !(l1 > l4 && l4 >= lcl) {
@@ -202,7 +206,7 @@ func TestLocalityHelpsRings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Latency
+		return res.LatencyCycles
 	}
 	if full, local := lat(1.0), lat(0.1); local >= full {
 		t.Fatalf("locality did not help: R=1.0 %v vs R=0.1 %v", full, local)
@@ -223,7 +227,7 @@ func TestDoubleSpeedGlobalHelps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Latency
+		return res.LatencyCycles
 	}
 	normal, double := lat(false), lat(true)
 	if double >= normal {

@@ -122,7 +122,7 @@ func TestRunTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := RunConfig{WarmupCycles: 1 << 40, BatchCycles: 1 << 40, Batches: 1,
+	rc := RunConfig{WarmupCycles: 1 << 40, BatchCycles: 1 << 40, Batches: 2,
 		Timeout: time.Millisecond}
 	if _, err := sys.Run(rc); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
@@ -136,7 +136,7 @@ func TestRunContextCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = sys.RunCtx(ctx, RunConfig{WarmupCycles: 1 << 40, BatchCycles: 1 << 40, Batches: 1})
+	_, err = sys.RunCtx(ctx, RunConfig{WarmupCycles: 1 << 40, BatchCycles: 1 << 40, Batches: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -222,9 +222,9 @@ func TestStallReportOnResult(t *testing.T) {
 		t.Fatal("Result.Stalled set but Result.Stall is nil")
 	}
 	if len(res.Stall.ActiveFaults) == 0 {
-		t.Errorf("report omits the active fault:\n%s", res.Stall.Summary())
+		t.Errorf("report omits the active fault:\n%s", res.Stall.Summary)
 	}
 	if len(res.Stall.Cycles) == 0 {
-		t.Errorf("report names no cycle for the faulted link:\n%s", res.Stall.Summary())
+		t.Errorf("report names no cycle for the faulted link:\n%s", res.Stall.Summary)
 	}
 }

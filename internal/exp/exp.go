@@ -188,7 +188,7 @@ func (e Experiment) Run(spec Spec) (Output, error) {
 		s := Series{Label: c.label}
 		for _, p := range c.points {
 			r := results[slot[p.cfg]]
-			pt := Point{X: p.x, Y: r.Latency, CI: r.LatencyCI, Saturated: r.Saturated, Stalled: r.Stalled}
+			pt := Point{X: p.x, Y: r.LatencyCycles, CI: r.LatencyCI95, Saturated: r.Saturated, Stalled: r.Stalled}
 			if c.y != nil {
 				pt.Y, pt.CI = c.y(r), 0
 			}

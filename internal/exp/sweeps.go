@@ -35,8 +35,8 @@ func mmrp(T int, R float64) workload.MMRP {
 // utilMetric picks a ring utilization level as the Y value (percent).
 func utilMetric(level int) metric {
 	return func(r core.Result) float64 {
-		if level < len(r.RingUtil) {
-			return 100 * r.RingUtil[level]
+		if level < len(r.RingUtilization) {
+			return 100 * r.RingUtilization[level]
 		}
 		return 0
 	}
@@ -44,14 +44,14 @@ func utilMetric(level int) metric {
 
 // localUtilMetric reports the lowest-level (local ring) utilization.
 func localUtilMetric(r core.Result) float64 {
-	if len(r.RingUtil) == 0 {
+	if len(r.RingUtilization) == 0 {
 		return 0
 	}
-	return 100 * r.RingUtil[len(r.RingUtil)-1]
+	return 100 * r.RingUtilization[len(r.RingUtilization)-1]
 }
 
 // meshUtilMetric reports the mesh's aggregate link utilization.
-func meshUtilMetric(r core.Result) float64 { return 100 * r.MeshUtil }
+func meshUtilMetric(r core.Result) float64 { return 100 * r.MeshUtilization }
 
 // --- points --------------------------------------------------------------
 

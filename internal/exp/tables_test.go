@@ -127,11 +127,11 @@ func TestThreeAndTwoLevelSweeps(t *testing.T) {
 
 // resultWithUtil builds a core.Result carrying ring utilizations.
 func resultWithUtil(u []float64) (r coreResult) {
-	r.RingUtil = u
+	r.RingUtilization = u
 	return r
 }
 
 func resultWithMeshUtil(u float64) (r coreResult) {
-	r.MeshUtil = u
+	r.MeshUtilization = u
 	return r
 }

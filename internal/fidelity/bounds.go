@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"ringmesh/internal/core"
 	"ringmesh/internal/network"
 )
 
@@ -37,16 +38,6 @@ type BoundRow struct {
 	RelErr      float64
 	Gate        bool
 	Bound       float64
-}
-
-// Bound is the error envelope a serving layer attaches to an
-// analytic-labeled answer.
-type Bound struct {
-	// MaxRelErr is the recorded worst-case relative latency error of
-	// the analytic backend against the simulator at low load.
-	MaxRelErr float64
-	// Basis says what the bound was recorded against, for humans.
-	Basis string
 }
 
 var (
@@ -131,14 +122,14 @@ func FormatBounds(rows []BoundRow) string {
 // rows (third-party networks are never analytically answerable
 // anyway). Estimate attaches the same bound to every answer; this
 // wrapper serves callers that hold a configuration but no estimate.
-func BoundFor(networkName string, cfg network.Config) (Bound, bool) {
+func BoundFor(networkName string, cfg network.Config) (core.ErrorBound, bool) {
 	plan, err := network.New(networkName, cfg)
 	if err != nil {
-		return Bound{}, false
+		return core.ErrorBound{}, false
 	}
 	b := boundFor(plan, cfg)
 	if b == nil {
-		return Bound{}, false
+		return core.ErrorBound{}, false
 	}
 	return *b, true
 }
@@ -147,7 +138,7 @@ func BoundFor(networkName string, cfg network.Config) (Bound, bool) {
 // gated row matching it exactly when one exists, else the worst gated
 // bound across its network family (conservative — the family-wide
 // envelope always covers the per-config one), else nil.
-func boundFor(plan *network.Plan, cfg network.Config) *Bound {
+func boundFor(plan *network.Plan, cfg network.Config) *core.ErrorBound {
 	rows, err := Bounds()
 	if err != nil {
 		return nil
@@ -166,7 +157,7 @@ func boundFor(plan *network.Plan, cfg network.Config) *Bound {
 		exact := r.Topology == plan.Topology && r.LineBytes == cfg.LineBytes &&
 			(plan.Name != "mesh" || r.BufferFlits == cfg.BufferFlits)
 		if exact {
-			return &Bound{
+			return &core.ErrorBound{
 				MaxRelErr: r.Bound,
 				Basis: fmt.Sprintf("low-load validation of %s %s @%dB (C=%g)",
 					r.Network, r.Topology, r.LineBytes, r.C),
@@ -180,7 +171,7 @@ func boundFor(plan *network.Plan, cfg network.Config) *Bound {
 	if familyRows == 0 {
 		return nil
 	}
-	return &Bound{
+	return &core.ErrorBound{
 		MaxRelErr: familyMax,
 		Basis: fmt.Sprintf("worst case over %d validated %s configs at low load",
 			familyRows, plan.Name),

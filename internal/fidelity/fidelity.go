@@ -65,8 +65,9 @@ func Normalize(name string) (string, error) {
 // Estimate answers a configuration from the closed-form models:
 // expected zero-load round-trip latency under the M-MRP target
 // distribution, plus a saturation verdict and the predicted bottleneck
-// utilization from the bisection bounds, with the recorded validation
-// bound for its geometry (nil when the family has none). plan is cfg's
+// utilization from the bisection bounds. The answer is labeled
+// (Fidelity) and carries the recorded validation bound for its
+// geometry (ErrorBound, nil when the family has none). plan is cfg's
 // geometry as network.New resolved it and cfg.MemLatency the cycles to
 // model (the caller resolves the zero default); the run schedule, seed
 // and histogram play no part, which is why CacheKey zeroes them for
@@ -76,9 +77,9 @@ func Normalize(name string) (string, error) {
 // envelope rather than guessing: serving layers fall back to exact
 // simulation on that error, so refusal costs a queue slot, never a
 // wrong labeled answer.
-func Estimate(plan *network.Plan, cfg core.SystemConfig) (core.Result, *Bound, error) {
+func Estimate(plan *network.Plan, cfg core.SystemConfig) (core.Result, error) {
 	if err := unsupported(cfg); err != nil {
-		return core.Result{}, nil, err
+		return core.Result{}, err
 	}
 	var (
 		roundTrip func(src, dst int, read bool) int
@@ -88,30 +89,30 @@ func Estimate(plan *network.Plan, cfg core.SystemConfig) (core.Result, *Bound, e
 	case "ring":
 		spec, err := topo.ParseRingSpec(plan.Topology)
 		if err != nil {
-			return core.Result{}, nil, err
+			return core.Result{}, err
 		}
 		roundTrip = func(src, dst int, read bool) int { return ringRoundTrip(spec, cfg, src, dst, read) }
 		capacity = ringBisectionBound(spec, cfg)
 	case "mesh":
 		spec, err := topo.ParseMeshSpec(plan.Topology)
 		if err != nil {
-			return core.Result{}, nil, err
+			return core.Result{}, err
 		}
 		roundTrip = func(src, dst int, read bool) int { return meshRoundTrip(spec, cfg, src, dst, read) }
 		capacity = meshBisectionBound(spec, cfg)
 	default:
-		return core.Result{}, nil, fmt.Errorf("%w: no analytic model for network %q", ErrUnsupported, plan.Name)
+		return core.Result{}, fmt.Errorf("%w: no analytic model for network %q", ErrUnsupported, plan.Name)
 	}
 	pat, err := plan.Locality(cfg.Workload.R)
 	if err != nil {
-		return core.Result{}, nil, err
+		return core.Result{}, err
 	}
 	readProb := cfg.Workload.ReadProb
 	lat, remote, err := sampleTargets(plan.PMs, pat, func(src, dst int) float64 {
 		return readProb*float64(roundTrip(src, dst, true)) + (1-readProb)*float64(roundTrip(src, dst, false))
 	})
 	if err != nil {
-		return core.Result{}, nil, err
+		return core.Result{}, err
 	}
 
 	// Local accesses bypass the network, so the offered network load
@@ -120,9 +121,11 @@ func Estimate(plan *network.Plan, cfg core.SystemConfig) (core.Result, *Bound, e
 	// exactly the simulator's Saturated verdict at the knee.
 	offered := cfg.Workload.C * remote
 	res := core.Result{
-		Latency:    lat,
-		Throughput: math.Min(offered, capacity) * float64(plan.PMs),
-		Saturated:  capacity > 0 && offered > capacity,
+		LatencyCycles: lat,
+		Throughput:    math.Min(offered, capacity) * float64(plan.PMs),
+		Saturated:     capacity > 0 && offered > capacity,
+		Fidelity:      Analytic,
+		ErrorBound:    boundFor(plan, cfg.Net),
 	}
 	// Report the predicted bottleneck utilization in the family's
 	// utilization slot so tier-labeled answers still carry a load
@@ -132,11 +135,11 @@ func Estimate(plan *network.Plan, cfg core.SystemConfig) (core.Result, *Bound, e
 		util = math.Min(1, offered/capacity)
 	}
 	if plan.Name == "ring" {
-		res.RingUtil = []float64{util}
+		res.RingUtilization = []float64{util}
 	} else {
-		res.MeshUtil = util
+		res.MeshUtilization = util
 	}
-	return res, boundFor(plan, cfg.Net), nil
+	return res, nil
 }
 
 // unsupported rejects configuration features the analytic formulas do

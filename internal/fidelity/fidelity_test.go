@@ -67,10 +67,10 @@ func validationConfig(netName, topology string, line, buf int, c float64) core.S
 
 // estimate resolves the geometry as the facade does and answers the
 // configuration analytically.
-func estimate(cfg core.SystemConfig) (core.Result, *Bound, error) {
+func estimate(cfg core.SystemConfig) (core.Result, error) {
 	plan, err := network.New(cfg.Network, cfg.Net)
 	if err != nil {
-		return core.Result{}, nil, err
+		return core.Result{}, err
 	}
 	return Estimate(plan, cfg)
 }
@@ -79,7 +79,7 @@ func estimate(cfg core.SystemConfig) (core.Result, *Bound, error) {
 // flit-level engine on the given schedule.
 func bothTiers(t *testing.T, cfg core.SystemConfig, rc core.RunConfig) (est, exact core.Result) {
 	t.Helper()
-	est, _, err := estimate(cfg)
+	est, err := estimate(cfg)
 	if err != nil {
 		t.Fatalf("analytic: %v", err)
 	}
@@ -122,11 +122,11 @@ func TestAnalyticWithinRecordedBounds(t *testing.T) {
 				}
 				cfg := validationConfig(gc.network, gc.topology, gc.line, gc.buf, pt.c)
 				est, exact := bothTiers(t, cfg, validationRun)
-				if exact.Latency <= 0 {
-					t.Fatalf("simulator produced latency %v", exact.Latency)
+				if exact.LatencyCycles <= 0 {
+					t.Fatalf("simulator produced latency %v", exact.LatencyCycles)
 				}
-				relErr := math.Abs(est.Latency-exact.Latency) / exact.Latency
-				t.Logf("analytic %.4f vs simulated %.4f (rel err %.4f)", est.Latency, exact.Latency, relErr)
+				relErr := math.Abs(est.LatencyCycles-exact.LatencyCycles) / exact.LatencyCycles
+				t.Logf("analytic %.4f vs simulated %.4f (rel err %.4f)", est.LatencyCycles, exact.LatencyCycles, relErr)
 
 				if record {
 					recorded = append(recorded, BoundRow{
@@ -135,8 +135,8 @@ func TestAnalyticWithinRecordedBounds(t *testing.T) {
 						LineBytes:   gc.line,
 						BufferFlits: gc.buf,
 						C:           pt.c,
-						Analytic:    est.Latency,
-						Simulated:   exact.Latency,
+						Analytic:    est.LatencyCycles,
+						Simulated:   exact.LatencyCycles,
 						RelErr:      relErr,
 						Gate:        pt.gate,
 						Bound:       admittedBound(relErr),
@@ -317,7 +317,7 @@ func TestAnalyticUnsupported(t *testing.T) {
 	cases["deterministic"] = c
 
 	for name, cfg := range cases {
-		if _, _, err := estimate(cfg); !errors.Is(err, ErrUnsupported) {
+		if _, err := estimate(cfg); !errors.Is(err, ErrUnsupported) {
 			t.Errorf("%s: err = %v, want ErrUnsupported", name, err)
 		}
 	}
@@ -326,7 +326,7 @@ func TestAnalyticUnsupported(t *testing.T) {
 	// own message), not an unsupported-feature refusal.
 	c = base()
 	c.Network = "nonesuch"
-	if _, _, err := estimate(c); err == nil {
+	if _, err := estimate(c); err == nil {
 		t.Error("unknown network accepted")
 	}
 }
@@ -337,26 +337,26 @@ func TestAnalyticUnsupported(t *testing.T) {
 // trickle load that it does not.
 func TestAnalyticSaturationVerdict(t *testing.T) {
 	low := validationConfig("ring", "2:4", 32, 0, 0.0005)
-	res, _, err := estimate(low)
+	res, err := estimate(low)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Saturated {
 		t.Error("trickle load marked saturated")
 	}
-	if len(res.RingUtil) == 0 || res.RingUtil[0] <= 0 || res.RingUtil[0] > 0.1 {
-		t.Errorf("trickle-load utilization %v implausible", res.RingUtil)
+	if len(res.RingUtilization) == 0 || res.RingUtilization[0] <= 0 || res.RingUtilization[0] > 0.1 {
+		t.Errorf("trickle-load utilization %v implausible", res.RingUtilization)
 	}
 
 	high := validationConfig("ring", "2:4", 32, 0, 0.5)
-	res, _, err = estimate(high)
+	res, err = estimate(high)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Saturated {
 		t.Error("C=0.5 not marked saturated")
 	}
-	if res.RingUtil[0] != 1 {
-		t.Errorf("saturated utilization = %v, want clamped 1", res.RingUtil)
+	if res.RingUtilization[0] != 1 {
+		t.Errorf("saturated utilization = %v, want clamped 1", res.RingUtilization)
 	}
 }

@@ -78,12 +78,12 @@ func TestRingSimulatorMatchesZeroLoadModel(t *testing.T) {
 			MemLatency: node.DefaultMemLatency,
 			Seed:       3,
 		}, core.RunConfig{WarmupCycles: 20000, BatchCycles: 50000, Batches: 4})
-		want := est.Latency
+		want := est.LatencyCycles
 		if res.Observations < 50 {
 			t.Fatalf("%v: too few observations (%d)", tc.spec, res.Observations)
 		}
-		if math.Abs(res.Latency-want) > 0.05*want+1 {
-			t.Fatalf("%v %dB: simulated %0.2f vs model %0.2f", tc.spec, tc.line, res.Latency, want)
+		if math.Abs(res.LatencyCycles-want) > 0.05*want+1 {
+			t.Fatalf("%v %dB: simulated %0.2f vs model %0.2f", tc.spec, tc.line, res.LatencyCycles, want)
 		}
 	}
 }
@@ -103,13 +103,13 @@ func TestMeshSimulatorMatchesZeroLoadModel(t *testing.T) {
 			MemLatency: node.DefaultMemLatency,
 			Seed:       3,
 		}, core.RunConfig{WarmupCycles: 20000, BatchCycles: 50000, Batches: 4})
-		want := est.Latency
+		want := est.LatencyCycles
 		if res.Observations < 50 {
 			t.Fatalf("%dx%d: too few observations (%d)", tc.k, tc.k, res.Observations)
 		}
-		if math.Abs(res.Latency-want) > 0.05*want+1 {
+		if math.Abs(res.LatencyCycles-want) > 0.05*want+1 {
 			t.Fatalf("%dx%d %dB buf=%d: simulated %0.2f vs model %0.2f",
-				tc.k, tc.k, tc.line, tc.buf, res.Latency, want)
+				tc.k, tc.k, tc.line, tc.buf, res.LatencyCycles, want)
 		}
 	}
 }
@@ -186,7 +186,7 @@ func TestEstimateAllocations(t *testing.T) {
 		{validationConfig("ring", "3:3:8", 32, 0, 0.04), 64},
 		{validationConfig("mesh", "11x11", 32, 4, 0.04), 32},
 	} {
-		if _, _, err := estimate(c.cfg); err != nil {
+		if _, err := estimate(c.cfg); err != nil {
 			t.Fatal(err)
 		}
 		if n := testing.AllocsPerRun(10, func() { estimate(c.cfg) }); n > c.max {

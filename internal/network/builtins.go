@@ -12,9 +12,12 @@ import (
 	"ringmesh/internal/workload"
 )
 
-// The two built-in models of the paper. These factories are the only
-// place in the codebase that knows ring from mesh; everything above
-// resolves topologies through the registry.
+// The two built-in models of the paper. These factories build the
+// models; everything above resolves topologies through the registry.
+// Three places above still switch on the family name, because each
+// holds per-family knowledge the registry does not carry: the analytic
+// tier's formulas (fidelity.Estimate), its validation-table lookup
+// (fidelity's boundFor) and the fields a family ignores (CacheKey).
 func init() {
 	Register("ring", ringFactory)
 	Register("mesh", meshFactory)

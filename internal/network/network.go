@@ -178,7 +178,9 @@ func Register(name string, f Factory) {
 	factories[name] = f
 }
 
-// New resolves a registered topology into a Plan.
+// New resolves a registered topology into a Plan. A geometry needs at
+// least 2 PMs: on one, every access is local, no latency is measured
+// and the run has no confidence interval.
 func New(name string, cfg Config) (*Plan, error) {
 	regMu.RLock()
 	f, ok := factories[name]
@@ -189,6 +191,9 @@ func New(name string, cfg Config) (*Plan, error) {
 	plan, err := f(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if plan.PMs < 2 {
+		return nil, fmt.Errorf("network: %s %s has %d PM; a run needs at least 2 PMs", name, plan.Topology, plan.PMs)
 	}
 	plan.Name = name
 	return plan, nil

@@ -180,7 +180,7 @@ func TestFloodInteractiveSurvives(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 3})
 
 	// Occupy the only worker far beyond the test's lifetime.
-	long := &ringmesh.RunOptions{WarmupCycles: 500_000_000, BatchCycles: 1000, Batches: 1}
+	long := &ringmesh.RunOptions{WarmupCycles: 500_000_000, BatchCycles: 1000, Batches: 2}
 	resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: testConfig(), Options: long})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("occupier POST = %d: %s", resp.StatusCode, raw)
@@ -285,7 +285,7 @@ func TestDeadlineExpiredInQueueSkipsWorker(t *testing.T) {
 	leakCheck(t, 2)
 	s, ts := newTestServer(t, Options{Workers: 1})
 
-	long := &ringmesh.RunOptions{WarmupCycles: 500_000_000, BatchCycles: 1000, Batches: 1}
+	long := &ringmesh.RunOptions{WarmupCycles: 500_000_000, BatchCycles: 1000, Batches: 2}
 	resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: testConfig(), Options: long})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("occupier POST = %d: %s", resp.StatusCode, raw)

@@ -113,12 +113,18 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON encodes before it commits the status, so a document that
+// does not encode (a NaN or an infinity in a result) is a 500 naming
+// the encode error, never a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	doc, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		status = http.StatusInternalServerError
+		doc, _ = json.MarshalIndent(errorBody{Error: "encode response: " + err.Error()}, "", "  ")
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(doc, '\n'))
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {

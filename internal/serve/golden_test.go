@@ -129,7 +129,7 @@ func TestWireGoldenRun(t *testing.T) {
 func TestWireGoldenRunDegraded(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 
-	long := &ringmesh.RunOptions{WarmupCycles: 500_000_000, BatchCycles: 1000, Batches: 1}
+	long := &ringmesh.RunOptions{WarmupCycles: 500_000_000, BatchCycles: 1000, Batches: 2}
 	resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: testConfig(), Options: long})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("occupier POST = %d: %s", resp.StatusCode, raw)

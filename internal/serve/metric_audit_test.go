@@ -144,7 +144,7 @@ func TestMetricAudit(t *testing.T) {
 	// One busy worker and a one-slot queue: the second background run
 	// that insists on simulation is shed.
 	fs, fts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
-	long := &ringmesh.RunOptions{WarmupCycles: 500_000_000, BatchCycles: 1000, Batches: 1}
+	long := &ringmesh.RunOptions{WarmupCycles: 500_000_000, BatchCycles: 1000, Batches: 2}
 	resp, raw := postJSON(t, fts.URL+"/v1/runs", runRequest{Config: seeded(1), Options: long})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("occupier POST = %d: %s", resp.StatusCode, raw)

@@ -248,6 +248,21 @@ func TestSubmissionValidation(t *testing.T) {
 		t.Fatalf("bad options POST = %d: %s", resp.StatusCode, raw)
 	}
 
+	// Runs that cannot have a confidence interval — one batch, one PM —
+	// are refused at submission with the model's rule, not accepted and
+	// then served as a document that does not encode.
+	opt = *testOptions()
+	opt.Batches = 1
+	resp, raw = postJSON(t, ts.URL+"/v1/runs", runRequest{Config: testConfig(), Options: &opt})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "at least 2 batches") {
+		t.Fatalf("one-batch POST = %d: %s", resp.StatusCode, raw)
+	}
+	cfg = ringmesh.Config{Network: "ring", Topology: "1", LineBytes: 32, Workload: ringmesh.PaperWorkload()}
+	resp, raw = postJSON(t, ts.URL+"/v1/runs", runRequest{Config: cfg, Options: testOptions()})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "at least 2 PMs") {
+		t.Fatalf("one-PM POST = %d: %s", resp.StatusCode, raw)
+	}
+
 	// Unknown fields are rejected, not ignored.
 	resp, raw = postJSON(t, ts.URL+"/v1/runs", map[string]any{"config": testConfig(), "sizes": []int{4}})
 	if resp.StatusCode != http.StatusBadRequest {
@@ -274,6 +289,39 @@ func TestSubmissionValidation(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job GET = %d", resp2.StatusCode)
+	}
+}
+
+// TestUnencodableJobDocumentIs500: a run that stalls before its first
+// measured batch closes has no confidence interval (+Inf), which JSON
+// cannot carry. Its job document is a 500 naming the encode error, not
+// a 200 with an empty body.
+func TestUnencodableJobDocumentIs500(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	cfg := ringmesh.Config{Network: "ring", Topology: "2:4", LineBytes: 32,
+		Workload: ringmesh.Workload{R: 1, C: 1, T: 16, ReadProb: 0.7}, Seed: 1,
+		FaultPlan: "stutter@600+1000000:node=0"}
+	opt := &ringmesh.RunOptions{WarmupCycles: 500, BatchCycles: 100_000, Batches: 2, WatchdogCycles: 2000}
+	resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: cfg, Options: opt})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST = %d: %s", resp.StatusCode, raw)
+	}
+	j, _ := s.lookup(decodeDoc(t, raw).ID)
+	select {
+	case <-j.done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("stalling run never finished")
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + j.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var eb errorBody
+	if resp.StatusCode != http.StatusInternalServerError || json.Unmarshal(body, &eb) != nil ||
+		!strings.Contains(eb.Error, "unsupported value") {
+		t.Fatalf("GET job = %d: %q; want 500 naming the encode error", resp.StatusCode, body)
 	}
 }
 
@@ -406,7 +454,7 @@ func TestDrainDeadlineCancelsJobs(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
 
 	// A run long enough that the drain deadline fires first.
-	long := &ringmesh.RunOptions{WarmupCycles: 500_000_000, BatchCycles: 1000, Batches: 1}
+	long := &ringmesh.RunOptions{WarmupCycles: 500_000_000, BatchCycles: 1000, Batches: 2}
 	resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: testConfig(), Options: long})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST = %d: %s", resp.StatusCode, raw)

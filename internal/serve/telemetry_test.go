@@ -198,7 +198,7 @@ func TestWatchTerminatesWhenJobCanceledMidRun(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s, ts := newTestServer(t, Options{Workers: 1})
 
-	long := &ringmesh.RunOptions{WarmupCycles: 500_000_000, BatchCycles: 1000, Batches: 1}
+	long := &ringmesh.RunOptions{WarmupCycles: 500_000_000, BatchCycles: 1000, Batches: 2}
 	resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: testConfig(), Options: long})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST = %d: %s", resp.StatusCode, raw)

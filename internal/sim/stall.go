@@ -94,6 +94,35 @@ func (r *StallReport) Summary() string {
 	return b.String()
 }
 
+// StallDiagnosis is the part of a StallReport a run's result carries
+// on the wire: what was buffered, which senders' waits close into
+// cycles (a true deadlock) or not (livelock or starvation), and a
+// rendering of the rest.
+type StallDiagnosis struct {
+	// Tick is the engine tick the watchdog tripped at.
+	Tick int64 `json:"tick"`
+	// BufferedFlits is the network's total buffered load at the stall.
+	BufferedFlits int `json:"buffered_flits"`
+	// Cycles lists the wait-for cycles found, each as the node names
+	// around the loop; a non-empty list names a deadlock's culprits.
+	Cycles [][]string `json:"cycles,omitempty"`
+	// ActiveFaults describes the injected faults active at the stall.
+	ActiveFaults []string `json:"active_faults,omitempty"`
+	// Summary is a compact human-readable rendering of the full
+	// report (buffers, wait-for edges, oldest stuck packets).
+	Summary string `json:"summary"`
+}
+
+// Diagnosis condenses the report into its wire form (nil for a nil
+// report).
+func (r *StallReport) Diagnosis() *StallDiagnosis {
+	if r == nil {
+		return nil
+	}
+	return &StallDiagnosis{Tick: r.Tick, BufferedFlits: r.BufferedFlits,
+		Cycles: r.Cycles, ActiveFaults: r.ActiveFaults, Summary: r.Summary()}
+}
+
 // StallError is the watchdog error carrying the forensic snapshot. It
 // unwraps to ErrStalled, so errors.Is(err, ErrStalled) matches.
 type StallError struct {

@@ -215,35 +215,38 @@ func (h Hotspot) String() string {
 	return fmt.Sprintf("hotspot(pm=%d, f=%.2f)", h.Hot, h.Fraction)
 }
 
-// MMRP bundles the paper's three workload attributes plus the
-// read/write mix. It is pure configuration; the processor model
-// consumes it.
+// MMRP is the paper's M-MRP synthetic workload: every processor
+// issues cache misses over an access region of its R·(P−1) closest
+// PMs, at rate C misses per cycle, blocking after T outstanding
+// transactions. It is pure configuration; the processor model
+// consumes it. The public ringmesh.Workload is this type, so the JSON
+// names are the ringmeshd serving API's wire format.
 type MMRP struct {
-	// R is the access-region fraction in (0, 1].
-	R float64
-	// C is the per-cycle cache miss probability (0.04 in the paper).
-	C float64
-	// T is the outstanding-transaction window (1, 2 or 4 in the
-	// paper).
-	T int
-	// ReadProb is the probability a miss is a read (0.7 in the
-	// paper).
-	ReadProb float64
-	// Deterministic, when true, spaces misses exactly 1/C cycles
-	// apart instead of sampling geometric gaps (ablation option).
-	Deterministic bool
-	// OpenLoop, when true, keeps generating misses even while the
-	// processor is blocked on its T-window; excess misses queue at
-	// the processor (unboundedly, so a run held far past saturation
-	// grows memory with its length) and their latency counts from
-	// generation time.
+	// R is the access-region fraction in (0, 1]; 1.0 means no
+	// locality (uniform over the machine).
+	R float64 `json:"r"`
+	// C is the per-cycle cache miss probability (paper: 0.04).
+	C float64 `json:"c"`
+	// T is the number of outstanding transactions a processor may
+	// have before blocking (paper: 1, 2 or 4).
+	T int `json:"t"`
+	// ReadProb is the probability a miss is a read (paper: 0.7).
+	ReadProb float64 `json:"read_prob"`
+	// Deterministic spaces misses exactly 1/C cycles apart instead of
+	// geometrically (an ablation option; the paper's generator is
+	// stochastic).
+	Deterministic bool `json:"deterministic,omitempty"`
+	// OpenLoop keeps generating misses while the processor is blocked
+	// on its T-window; excess misses queue at the processor
+	// (unboundedly, so a run held far past saturation grows memory
+	// with its length) and their latency counts from generation time.
 	// This is the strict reading of the paper's "the rate at which
 	// requests are generated is independent of the number of
 	// outstanding requests"; the default (closed-loop) pauses
 	// generation while blocked, which reproduces the paper's clear
 	// T-dependence at low loads. An ablation experiment compares the
 	// two.
-	OpenLoop bool
+	OpenLoop bool `json:"open_loop,omitempty"`
 }
 
 // Validate checks the attribute ranges.

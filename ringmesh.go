@@ -29,7 +29,16 @@
 //
 // Results report the paper's metrics: average round-trip access
 // latency in processor clock cycles (with a 95% confidence interval
-// from the batch-means method) and network utilization.
+// from the batch-means method) and network utilization. A run
+// therefore needs a schedule of at least 2 batches and a geometry of
+// at least 2 PMs; anything less is refused as a configuration error.
+//
+// Each run shape is declared once. Workload, RunOptions, Result,
+// ErrorBound and StallDiagnosis are aliases of the internal
+// declarations the simulator itself fills in (workload.MMRP,
+// core.RunConfig, core.Result, core.ErrorBound, sim.StallDiagnosis);
+// the field docs and JSON tags live there, and no code converts
+// between a public and an internal copy.
 package ringmesh
 
 import (
@@ -37,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"ringmesh/internal/core"
 	"ringmesh/internal/fault"
@@ -52,46 +60,30 @@ import (
 	"ringmesh/internal/workload"
 )
 
-// Workload is the paper's M-MRP synthetic workload: every processor
-// issues cache misses over an access region of its R·(P−1) closest
-// PMs, at rate C misses per cycle, blocking after T outstanding
-// transactions.
-//
-// The JSON field names (here and on Config, RunOptions, Result and
-// SweepPoint) are the ringmeshd serving API's wire format; see the
-// README's Serving section.
-type Workload struct {
-	// R is the access-region fraction in (0, 1]; 1.0 means no
-	// locality (uniform over the machine).
-	R float64 `json:"r"`
-	// C is the per-cycle cache miss probability (paper: 0.04).
-	C float64 `json:"c"`
-	// T is the number of outstanding transactions a processor may
-	// have before blocking (paper: 1, 2 or 4).
-	T int `json:"t"`
-	// ReadProb is the probability a miss is a read (paper: 0.7).
-	ReadProb float64 `json:"read_prob"`
-	// Deterministic spaces misses exactly 1/C cycles apart instead of
-	// geometrically (an ablation option; the paper's generator is
-	// stochastic).
-	Deterministic bool `json:"deterministic,omitempty"`
-	// OpenLoop keeps generating misses while the processor is blocked
-	// on its T-window, queueing them at the processor; latency then
-	// counts from generation time. See the workload package for why
-	// the closed-loop default matches the paper's reported behaviour.
-	OpenLoop bool `json:"open_loop,omitempty"`
-}
+// The run shapes, each declared once in the package that fills it in.
+// Their JSON names (like Config's and SweepPoint's) are the ringmeshd
+// serving API's wire format; see the README's Serving section.
+type (
+	// Workload is the paper's M-MRP synthetic workload (R, C, T and the
+	// read mix; see workload.MMRP).
+	Workload = workload.MMRP
+	// RunOptions is the batch-means measurement schedule, at least 2
+	// batches (see core.RunConfig).
+	RunOptions = core.RunConfig
+	// Result reports one run's measurements, exact or analytic (see
+	// core.Result).
+	Result = core.Result
+	// ErrorBound is the recorded validation envelope on an analytic
+	// Result (see core.ErrorBound).
+	ErrorBound = core.ErrorBound
+	// StallDiagnosis is the model's forensic snapshot when the
+	// no-progress watchdog trips (see sim.StallDiagnosis).
+	StallDiagnosis = sim.StallDiagnosis
+)
 
 // PaperWorkload returns the paper's baseline workload: R=1.0, C=0.04,
 // T=4, 70% reads.
-func PaperWorkload() Workload {
-	return Workload{R: 1.0, C: 0.04, T: 4, ReadProb: 0.7}
-}
-
-func (w Workload) internal() workload.MMRP {
-	return workload.MMRP{R: w.R, C: w.C, T: w.T, ReadProb: w.ReadProb,
-		Deterministic: w.Deterministic, OpenLoop: w.OpenLoop}
-}
+func PaperWorkload() Workload { return workload.PaperDefaults() }
 
 // Config describes a system over any registered interconnect. Network
 // selects the model by registry name; the topology-specific fields
@@ -110,7 +102,8 @@ type Config struct {
 	Topology string `json:"topology,omitempty"`
 	// Nodes is the processor count, used when Topology is empty (and
 	// cross-checked against it otherwise). Ring hierarchies derive
-	// via the paper's Table 2 methodology; meshes must be square.
+	// via the paper's Table 2 methodology; meshes must be square. Every
+	// geometry needs at least 2 PMs.
 	Nodes int `json:"nodes,omitempty"`
 	// LineBytes is the cache line size: 16, 32, 64 or 128.
 	LineBytes int `json:"line_bytes"`
@@ -192,107 +185,12 @@ type Config struct {
 	Fidelity string `json:"fidelity,omitempty"`
 }
 
-// RunOptions controls the batch-means measurement schedule.
-type RunOptions struct {
-	// WarmupCycles is the discarded first batch.
-	WarmupCycles int64 `json:"warmup_cycles"`
-	// BatchCycles is the length of each retained batch.
-	BatchCycles int64 `json:"batch_cycles"`
-	// Batches is the number of retained batches.
-	Batches int `json:"batches"`
-	// WatchdogCycles overrides the stall-detection horizon in PM
-	// cycles (0 = default 20000): the run aborts after this many
-	// cycles without a single flit movement while packets are in
-	// flight.
-	WatchdogCycles int64 `json:"watchdog_cycles,omitempty"`
-	// Timeout bounds the run's wall-clock time; exceeding it returns
-	// an error wrapping ErrTimeout (0 = no limit).
-	Timeout time.Duration `json:"timeout_ns,omitempty"`
-	// FailOnStall turns a watchdog trip into a returned error — which
-	// unwraps to ErrStalled and carries the diagnosis (see
-	// DiagnoseStall) — instead of the default Result.Stalled marker
-	// that lets sweeps plot saturation points.
-	FailOnStall bool `json:"fail_on_stall,omitempty"`
-}
-
 // DefaultRunOptions returns the schedule used for the paper
 // reproduction: 4000-cycle warmup plus eight 4000-cycle batches.
-func DefaultRunOptions() RunOptions {
-	return RunOptions{WarmupCycles: 4000, BatchCycles: 4000, Batches: 8}
-}
+func DefaultRunOptions() RunOptions { return core.DefaultRunConfig() }
 
 // QuickRunOptions returns a shortened schedule for smoke tests.
-func QuickRunOptions() RunOptions {
-	return RunOptions{WarmupCycles: 1000, BatchCycles: 1000, Batches: 4}
-}
-
-// Validate range-checks the schedule (core.RunConfig.Validate, the one
-// rule every entry point applies): a negative watchdog horizon or
-// timeout is rejected rather than read as "off".
-func (o RunOptions) Validate() error { return o.internal().Validate() }
-
-func (o RunOptions) internal() core.RunConfig {
-	return core.RunConfig{
-		WarmupCycles:   o.WarmupCycles,
-		BatchCycles:    o.BatchCycles,
-		Batches:        o.Batches,
-		WatchdogCycles: o.WatchdogCycles,
-		Timeout:        o.Timeout,
-		FailOnStall:    o.FailOnStall,
-	}
-}
-
-// Result reports one simulation run's measurements.
-type Result struct {
-	// LatencyCycles is the average round-trip access latency in PM
-	// clock cycles — the paper's primary metric.
-	LatencyCycles float64 `json:"latency_cycles"`
-	// LatencyCI95 is the 95% confidence half-width on LatencyCycles.
-	LatencyCI95 float64 `json:"latency_ci95"`
-	// Observations is the number of completed transactions measured
-	// (after warmup).
-	Observations int64 `json:"observations"`
-	// RingUtilization is the per-level link utilization in [0,1]
-	// (index 0 = global ring, last = local rings); nil for meshes.
-	RingUtilization []float64 `json:"ring_utilization,omitempty"`
-	// MeshUtilization is the aggregate inter-router link utilization
-	// in [0,1]; zero for rings.
-	MeshUtilization float64 `json:"mesh_utilization,omitempty"`
-	// Throughput is completed transactions per cycle over the whole
-	// system.
-	Throughput float64 `json:"throughput"`
-	// Issued, Completed and Local count transactions over the run.
-	Issued    int64 `json:"issued"`
-	Completed int64 `json:"completed"`
-	Local     int64 `json:"local"`
-	// LatencyP50, LatencyP95, LatencyP99 and LatencyMax describe the
-	// latency distribution when Histogram was requested (zero
-	// otherwise).
-	LatencyP50 float64 `json:"latency_p50,omitempty"`
-	LatencyP95 float64 `json:"latency_p95,omitempty"`
-	LatencyP99 float64 `json:"latency_p99,omitempty"`
-	LatencyMax float64 `json:"latency_max,omitempty"`
-	// BatchesCorrelated flags strong autocorrelation among batch
-	// means: lengthen BatchCycles before trusting LatencyCI95.
-	BatchesCorrelated bool `json:"batches_correlated,omitempty"`
-	// Saturated marks runs past the network's saturation point
-	// (processors spent most of their time blocked); the latency is
-	// then a lower bound on open-loop delay.
-	Saturated bool `json:"saturated,omitempty"`
-	// Stalled marks runs aborted by the no-progress watchdog.
-	Stalled bool `json:"stalled,omitempty"`
-	// Stall carries the model's forensic snapshot when Stalled is set
-	// and the model can diagnose itself; nil otherwise.
-	Stall *StallDiagnosis `json:"stall,omitempty"`
-	// Fidelity labels non-exact answers with the backend that produced
-	// them ("analytic"); empty for exact simulation results, so
-	// pre-fidelity result documents are byte-identical.
-	Fidelity string `json:"fidelity,omitempty"`
-	// ErrorBound carries the recorded validation envelope when
-	// Fidelity is "analytic" and the configuration's family has one;
-	// nil on exact results.
-	ErrorBound *ErrorBound `json:"error_bound,omitempty"`
-}
+func QuickRunOptions() RunOptions { return core.QuickRunConfig() }
 
 // SweepPoint is one measurement of a size sweep, as the serving
 // daemon's sweep job documents report it (POST /v1/sweeps).
@@ -310,38 +208,6 @@ type SweepPoint struct {
 	Attempts int `json:"attempts"`
 }
 
-// ErrorBound is the recorded analytic-vs-simulate validation envelope
-// attached to analytic-fidelity results: the worst relative latency
-// error observed (plus margin) when both backends ran the golden
-// configs at low load. See internal/fidelity and
-// results/analytic-bounds.csv.
-type ErrorBound struct {
-	// MaxRelErr is the admitted relative latency error at low load
-	// (0.03 = within 3% of the simulator).
-	MaxRelErr float64 `json:"max_rel_err"`
-	// Basis states what the bound was recorded against.
-	Basis string `json:"basis"`
-}
-
-// StallDiagnosis is the structured snapshot a model builds when the
-// no-progress watchdog trips: what was buffered where, which senders
-// were waiting on which, and whether those waits close into cycles (a
-// true deadlock) or not (livelock or starvation).
-type StallDiagnosis struct {
-	// Tick is the engine tick the watchdog tripped at.
-	Tick int64 `json:"tick"`
-	// BufferedFlits is the network's total buffered load at the stall.
-	BufferedFlits int `json:"buffered_flits"`
-	// Cycles lists the wait-for cycles found, each as the node names
-	// around the loop; a non-empty list names a deadlock's culprits.
-	Cycles [][]string `json:"cycles,omitempty"`
-	// ActiveFaults describes the injected faults active at the stall.
-	ActiveFaults []string `json:"active_faults,omitempty"`
-	// Summary is a compact human-readable rendering of the full
-	// report (buffers, wait-for edges, oldest stuck packets).
-	Summary string `json:"summary"`
-}
-
 // ErrStalled matches (via errors.Is) any run error caused by the
 // no-progress watchdog: a routing deadlock or flow-control livelock.
 var ErrStalled = sim.ErrStalled
@@ -357,42 +223,7 @@ func DiagnoseStall(err error) *StallDiagnosis {
 	if !errors.As(err, &se) {
 		return nil
 	}
-	return diagnosisFrom(se.Report)
-}
-
-func diagnosisFrom(rep *sim.StallReport) *StallDiagnosis {
-	if rep == nil {
-		return nil
-	}
-	return &StallDiagnosis{
-		Tick:          rep.Tick,
-		BufferedFlits: rep.BufferedFlits,
-		Cycles:        rep.Cycles,
-		ActiveFaults:  rep.ActiveFaults,
-		Summary:       rep.Summary(),
-	}
-}
-
-func fromCore(r core.Result) Result {
-	return Result{
-		LatencyCycles:     r.Latency,
-		LatencyCI95:       r.LatencyCI,
-		Observations:      r.Observations,
-		RingUtilization:   r.RingUtil,
-		MeshUtilization:   r.MeshUtil,
-		Throughput:        r.Throughput,
-		Issued:            r.Issued,
-		Completed:         r.Completed,
-		Local:             r.Local,
-		LatencyP50:        r.LatencyP50,
-		LatencyP95:        r.LatencyP95,
-		LatencyP99:        r.LatencyP99,
-		LatencyMax:        r.LatencyMax,
-		BatchesCorrelated: r.BatchesCorrelated,
-		Saturated:         r.Saturated,
-		Stalled:           r.Stalled,
-		Stall:             diagnosisFrom(r.Stall),
-	}
+	return se.Report.Diagnosis()
 }
 
 // TraceEvent is one recorded packet lifecycle step (see Config.Trace).
@@ -480,8 +311,7 @@ func resolve(cfg Config) (resolved, error) {
 	if err != nil {
 		return resolved{}, err
 	}
-	wl := cfg.Workload.internal()
-	if err := wl.Validate(); err != nil {
+	if err := cfg.Workload.Validate(); err != nil {
 		return resolved{}, err
 	}
 	var faults *fault.Plan
@@ -497,7 +327,7 @@ func resolve(cfg Config) (resolved, error) {
 	return resolved{fidelity: fid, plan: plan, sys: core.SystemConfig{
 		Network:    cfg.Network,
 		Net:        net,
-		Workload:   wl,
+		Workload:   cfg.Workload,
 		MemLatency: memLatency,
 		Seed:       cfg.Seed,
 		Histogram:  cfg.Histogram,
@@ -553,11 +383,7 @@ func (s *System) Run(opt RunOptions) (Result, error) {
 // wall-clock time, and an internal model panic is recovered into an
 // error instead of crashing the caller.
 func (s *System) RunContext(ctx context.Context, opt RunOptions) (Result, error) {
-	r, err := s.inner.RunCtx(ctx, opt.internal())
-	if err != nil {
-		return Result{}, err
-	}
-	return fromCore(r), nil
+	return s.inner.RunCtx(ctx, opt)
 }
 
 // StepCycles advances the simulation by n PM clock cycles without
@@ -726,18 +552,7 @@ func Estimate(cfg Config, _ RunOptions) (Result, error) {
 	return r.estimate()
 }
 
-func (r resolved) estimate() (Result, error) {
-	cr, bound, err := fidelity.Estimate(r.plan, r.sys)
-	if err != nil {
-		return Result{}, err
-	}
-	res := fromCore(cr)
-	res.Fidelity = fidelity.Analytic
-	if bound != nil {
-		res.ErrorBound = &ErrorBound{MaxRelErr: bound.MaxRelErr, Basis: bound.Basis}
-	}
-	return res, nil
-}
+func (r resolved) estimate() (Result, error) { return fidelity.Estimate(r.plan, r.sys) }
 
 // Fidelities returns the valid values for Config.Fidelity — the fixed
 // pair of answer tiers (the serving daemon additionally accepts
