@@ -257,6 +257,27 @@ func benchEstimate(b *testing.B, cfg Config) {
 	}
 }
 
+// BenchmarkAnalyticTriage is the analytic-triage workload in seconds:
+// one op answers each of the 464 triage candidates (triage_test.go)
+// once at R=1.0, T=4, and ns/estimate is the mean cost of one answer.
+func BenchmarkAnalyticTriage(b *testing.B) {
+	b.ReportAllocs()
+	cands := triageCandidates()
+	for i := range cands {
+		cands[i].Workload = Workload{R: 1.0, C: 0.04, T: 4, ReadProb: 0.7}
+	}
+	opt := DefaultRunOptions()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, cfg := range cands {
+			if _, err := Estimate(cfg, opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cands)), "ns/estimate")
+}
+
 // BenchmarkRingTopologyFor is the Table 2 hierarchy pick under every
 // nodes:N ring resolve (and so under CacheKey); one op is the six
 // sizes of the ledger's topo.ring_for_nodes_us probe at 32-byte lines.

@@ -3,7 +3,7 @@
 // behind the paper's Table 2 — at three fidelities:
 //
 //	(default)   analytic: score every admissible hierarchy with the
-//	            closed-form estimator, 130-310 µs a candidate
+//	            closed-form estimator, ≈ 0.1 ms a candidate
 //	-simulate   exact: simulate every admissible hierarchy, fanned out
 //	            over -workers parallel workers
 //	-pareto     multi-fidelity: triage every hierarchy analytically,

@@ -2,7 +2,7 @@
 // models of the two simulated networks — exact zero-load round-trip
 // latency and bisection-bandwidth saturation bounds (model.go) — one
 // entry point, Estimate, that evaluates them for a resolved
-// configuration (≈ 350 µs for the 72-PM ring 3:3:8, ≈ 0.2 ms for the
+// configuration (≈ 0.1 ms for the 72-PM ring 3:3:8, ≈ 0.2 ms for the
 // 11x11 mesh: the ledger's fidelity.estimate_us_* probes), and the
 // recorded validation table that says how far the estimate may sit
 // from the simulator (bounds.go). The facade's Run is the only place
@@ -81,9 +81,13 @@ func Estimate(plan *network.Plan, cfg core.SystemConfig) (core.Result, error) {
 	if err := unsupported(cfg); err != nil {
 		return core.Result{}, err
 	}
+	// A round trip is the pair's request-plus-response hops plus the
+	// transaction kind's pair-free cycles (model.go), so the pair-free
+	// terms are computed once here, not once per drawn pair.
 	var (
-		roundTrip func(src, dst int, read bool) int
-		capacity  float64 // sustainable remote transactions per PM-cycle
+		hops          func(src, dst int) int
+		kRead, kWrite int
+		capacity      float64 // sustainable remote transactions per PM-cycle
 	)
 	switch plan.Name {
 	case "ring":
@@ -91,14 +95,16 @@ func Estimate(plan *network.Plan, cfg core.SystemConfig) (core.Result, error) {
 		if err != nil {
 			return core.Result{}, err
 		}
-		roundTrip = func(src, dst int, read bool) int { return ringRoundTrip(spec, cfg, src, dst, read) }
+		hops = spec.RoundTripHops
+		kRead, kWrite = ringPairFree(cfg, true), ringPairFree(cfg, false)
 		capacity = ringBisectionBound(spec, cfg)
 	case "mesh":
 		spec, err := topo.ParseMeshSpec(plan.Topology)
 		if err != nil {
 			return core.Result{}, err
 		}
-		roundTrip = func(src, dst int, read bool) int { return meshRoundTrip(spec, cfg, src, dst, read) }
+		hops = func(src, dst int) int { return 2 * spec.HopDistance(src, dst) }
+		kRead, kWrite = meshPairFree(cfg, true), meshPairFree(cfg, false)
 		capacity = meshBisectionBound(spec, cfg)
 	default:
 		return core.Result{}, fmt.Errorf("%w: no analytic model for network %q", ErrUnsupported, plan.Name)
@@ -107,10 +113,7 @@ func Estimate(plan *network.Plan, cfg core.SystemConfig) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
-	readProb := cfg.Workload.ReadProb
-	lat, remote, err := sampleTargets(plan.PMs, pat, func(src, dst int) float64 {
-		return readProb*float64(roundTrip(src, dst, true)) + (1-readProb)*float64(roundTrip(src, dst, false))
-	})
+	lat, remote, err := sampleTargets(plan.PMs, pat, hops, kRead, kWrite, cfg.Workload.ReadProb)
 	if err != nil {
 		return core.Result{}, err
 	}

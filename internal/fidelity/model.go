@@ -15,57 +15,58 @@ import (
 // probability (Workload.ReadProb) and the mesh router buffer depth
 // (Net.BufferFlits, 0 = cl).
 
-// ringRoundTrip returns the exact zero-load round-trip latency of one
-// transaction between src and dst on the given hierarchy, matching
-// the simulator's pipeline: the request tail arrives h_req+f_req-1
-// cycles after issue, memory picks it up next cycle and serves for
-// MemLatency, and the response tail lands h_resp+f_resp-1 cycles
-// after injection.
-func ringRoundTrip(spec topo.RingSpec, cfg core.SystemConfig, src, dst int, read bool) int {
-	reqType, respType := packet.ReadRequest, packet.ReadResponse
-	if !read {
-		reqType, respType = packet.WriteRequest, packet.WriteResponse
-	}
-	fReq := packet.RingSizing.PacketFlits(reqType, cfg.Net.LineBytes)
-	fResp := packet.RingSizing.PacketFlits(respType, cfg.Net.LineBytes)
-	hReq := spec.RingHops(src, dst)
-	hResp := spec.RingHops(dst, src)
-	return hReq + fReq + hResp + fResp + cfg.MemLatency - 1
+// A transaction's zero-load round trip is the request's and the
+// response's hops plus a pair-free term: flits, memory pickup and
+// service. On both sizings a read and a write have the same pair-free
+// cycles (request and response trade the payload), so ReadProb never
+// moves the zero-load latency; the estimator still weighs the two
+// kinds, so the answer does not depend on that coincidence.
+
+// ringPairFree returns the pair-free cycles of one ring transaction,
+// matching the simulator's pipeline: the request tail arrives
+// h_req+f_req-1 cycles after issue, memory picks it up next cycle and
+// serves for MemLatency, and the response tail lands h_resp+f_resp-1
+// cycles after injection. Its pair term is RingSpec.RoundTripHops.
+func ringPairFree(cfg core.SystemConfig, read bool) int {
+	return transactionFlits(packet.RingSizing, cfg.Net.LineBytes, read) + cfg.MemLatency - 1
 }
 
-// meshRoundTrip is the mesh analogue. With buffers of two or more
-// flits a worm streams at full rate: injection starts one cycle after
-// issue and the tail arrives 1+h+f cycles in. With 1-flit buffers the
-// one-cycle credit loop lets each buffer accept a flit only every
-// other cycle, halving the streaming rate — the root of the paper's
-// 1-flit-buffer results — and delivery takes h+2f cycles (both
-// validated against the flit-level simulator). Memory pickup adds one
-// cycle before its fixed service time.
-func meshRoundTrip(spec topo.MeshSpec, cfg core.SystemConfig, src, dst int, read bool) int {
-	reqType, respType := packet.ReadRequest, packet.ReadResponse
-	if !read {
-		reqType, respType = packet.WriteRequest, packet.WriteResponse
+// meshPairFree is the mesh analogue, whose pair term is twice the
+// e-cube distance. With buffers of two or more flits a worm streams at
+// full rate: injection starts one cycle after issue and the tail
+// arrives 1+h+f cycles in. With 1-flit buffers the one-cycle credit
+// loop lets each buffer accept a flit only every other cycle, halving
+// the streaming rate — the root of the paper's 1-flit-buffer results —
+// and delivery takes h+2f cycles (both validated against the
+// flit-level simulator). Memory pickup adds one cycle before its fixed
+// service time.
+func meshPairFree(cfg core.SystemConfig, read bool) int {
+	f := transactionFlits(packet.MeshSizing, cfg.Net.LineBytes, read)
+	if cfg.Net.BufferFlits == 1 {
+		return 2*f + 1 + cfg.MemLatency // h+2f each way
 	}
-	fReq := packet.MeshSizing.PacketFlits(reqType, cfg.Net.LineBytes)
-	fResp := packet.MeshSizing.PacketFlits(respType, cfg.Net.LineBytes)
-	h := spec.HopDistance(src, dst)
-	deliver := func(f int) int {
-		if cfg.Net.BufferFlits == 1 {
-			return h + 2*f
-		}
-		return 1 + h + f
+	return f + 2 + 1 + cfg.MemLatency // 1+h+f each way
+}
+
+// transactionFlits returns the request's plus the response's flits of
+// one read or write transaction.
+func transactionFlits(s packet.Sizing, line int, read bool) int {
+	if read {
+		return s.PacketFlits(packet.ReadRequest, line) + s.PacketFlits(packet.ReadResponse, line)
 	}
-	return deliver(fReq) + 1 + cfg.MemLatency + deliver(fResp)
+	return s.PacketFlits(packet.WriteRequest, line) + s.PacketFlits(packet.WriteResponse, line)
 }
 
 // sampleTargets walks the pattern's target distribution once by
 // deterministic dense sampling (fixed seed, so the "analytic" value is
 // itself reproducible; with thousands of draws per machine the
-// sampling error is well under a cycle) and returns the mean of
-// lat(src,dst) over the remote draws — local accesses bypass the
-// network, and the simulator measures remote ones only — and the
-// fraction of draws that were remote.
-func sampleTargets(pms int, pat workload.Pattern, lat func(src, dst int) float64) (meanLat, remoteFrac float64, err error) {
+// sampling error is well under a cycle) and returns the mean
+// zero-load round trip over the remote draws — local accesses bypass
+// the network, and the simulator measures remote ones only — and the
+// fraction of draws that were remote. A draw's round trip is
+// hops(src, dst) plus the read or write transaction's pair-free
+// cycles, weighted by readProb.
+func sampleTargets(pms int, pat workload.Pattern, hops func(src, dst int) int, kRead, kWrite int, readProb float64) (meanLat, remoteFrac float64, err error) {
 	const draws = 2000
 	r := rng.New(0xA11A11A)
 	total, remote, all := 0.0, 0, 0
@@ -76,7 +77,8 @@ func sampleTargets(pms int, pat workload.Pattern, lat func(src, dst int) float64
 			if dst == src {
 				continue
 			}
-			total += lat(src, dst)
+			h := hops(src, dst)
+			total += readProb*float64(h+kRead) + (1-readProb)*float64(h+kWrite)
 			remote++
 		}
 	}
@@ -140,9 +142,5 @@ func meshBisectionBound(spec topo.MeshSpec, cfg core.SystemConfig) float64 {
 // response) of one transaction.
 func avgTransactionFlits(s packet.Sizing, cfg core.SystemConfig) float64 {
 	line, readProb := cfg.Net.LineBytes, cfg.Workload.ReadProb
-	read := float64(s.PacketFlits(packet.ReadRequest, line) +
-		s.PacketFlits(packet.ReadResponse, line))
-	write := float64(s.PacketFlits(packet.WriteRequest, line) +
-		s.PacketFlits(packet.WriteResponse, line))
-	return readProb*read + (1-readProb)*write
+	return readProb*float64(transactionFlits(s, line, true)) + (1-readProb)*float64(transactionFlits(s, line, false))
 }

@@ -27,6 +27,44 @@ func modelConfig(line, memLatency int, readProb float64) core.SystemConfig {
 	}
 }
 
+// ringRoundTrip is the per-pair zero-load round trip of one ring
+// transaction, term by term as the simulator's pipeline spends it:
+// request hops and flits, memory pickup and service, response hops and
+// flits. The estimator splits it into RoundTripHops and ringPairFree;
+// this is the oracle the split is checked against.
+func ringRoundTrip(spec topo.RingSpec, cfg core.SystemConfig, src, dst int, read bool) int {
+	reqType, respType := packet.ReadRequest, packet.ReadResponse
+	if !read {
+		reqType, respType = packet.WriteRequest, packet.WriteResponse
+	}
+	fReq := packet.RingSizing.PacketFlits(reqType, cfg.Net.LineBytes)
+	fResp := packet.RingSizing.PacketFlits(respType, cfg.Net.LineBytes)
+	hReq := spec.RingHops(src, dst)
+	hResp := spec.RingHops(dst, src)
+	return hReq + fReq + hResp + fResp + cfg.MemLatency - 1
+}
+
+// meshRoundTrip is the mesh oracle: each worm is delivered 1+h+f
+// cycles after it is pending with buffers of two or more flits, h+2f
+// with 1-flit buffers, and memory pickup adds one cycle before its
+// service time.
+func meshRoundTrip(spec topo.MeshSpec, cfg core.SystemConfig, src, dst int, read bool) int {
+	reqType, respType := packet.ReadRequest, packet.ReadResponse
+	if !read {
+		reqType, respType = packet.WriteRequest, packet.WriteResponse
+	}
+	fReq := packet.MeshSizing.PacketFlits(reqType, cfg.Net.LineBytes)
+	fResp := packet.MeshSizing.PacketFlits(respType, cfg.Net.LineBytes)
+	h := spec.HopDistance(src, dst)
+	deliver := func(f int) int {
+		if cfg.Net.BufferFlits == 1 {
+			return h + 2*f
+		}
+		return 1 + h + f
+	}
+	return deliver(fReq) + 1 + cfg.MemLatency + deliver(fResp)
+}
+
 func TestRingRoundTripFormula(t *testing.T) {
 	// 2-node ring, 64B lines, read: h=1 each way, req 1 flit, resp 5
 	// flits, mem 10 → 1+1+1+5+10-1 = 17 (matches the timing test in
@@ -57,6 +95,71 @@ func TestMeshRoundTripFormula(t *testing.T) {
 	p.Net.BufferFlits = 1
 	if got := meshRoundTrip(spec, p, 0, 1, true); got != 45 {
 		t.Fatalf("mesh 1-flit round trip = %d, want 45", got)
+	}
+}
+
+// The estimator's split — a pair term plus a pair-free term per
+// transaction kind — must equal the per-pair oracle for every ordered
+// pair of every hierarchy of 2..72 PMs with at most 4 levels, branching
+// at most 3 and leaf rings of at most 16, and of every mesh
+// 2x2..11x11 at each buffer depth the formula distinguishes, at all
+// four line sizes.
+func TestPairSplitMatchesRoundTrip(t *testing.T) {
+	for _, line := range []int{16, 32, 64, 128} {
+		cfg := modelConfig(line, 10, 0.7)
+		for _, read := range []bool{true, false} {
+			k := ringPairFree(cfg, read)
+			for p := 2; p <= 72; p++ {
+				for _, spec := range topo.EnumerateRingSpecs(p, 4, 3, 16) {
+					for src := 0; src < p; src++ {
+						for dst := 0; dst < p; dst++ {
+							if src == dst {
+								continue
+							}
+							if got, want := spec.RoundTripHops(src, dst)+k, ringRoundTrip(spec, cfg, src, dst, read); got != want {
+								t.Fatalf("ring %s %dB read=%v %d->%d: split %d, oracle %d", spec, line, read, src, dst, got, want)
+							}
+						}
+					}
+				}
+			}
+			for _, buf := range []int{0, 1, 2, 4} {
+				cfg := cfg
+				cfg.Net.BufferFlits = buf
+				k := meshPairFree(cfg, read)
+				for n := 2; n <= 11; n++ {
+					spec := topo.MustMeshSpec(n)
+					for src := 0; src < n*n; src++ {
+						for dst := 0; dst < n*n; dst++ {
+							if src == dst {
+								continue
+							}
+							if got, want := 2*spec.HopDistance(src, dst)+k, meshRoundTrip(spec, cfg, src, dst, read); got != want {
+								t.Fatalf("mesh %dx%d %dB buf=%d read=%v %d->%d: split %d, oracle %d", n, n, line, buf, read, src, dst, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Request and response trade the payload, so a read and a write have
+// the same pair-free cycles on both sizings and ReadProb does not move
+// the zero-load latency (DESIGN §4.8).
+func TestReadWritePairFreeEqual(t *testing.T) {
+	for _, line := range []int{16, 32, 64, 128} {
+		for _, buf := range []int{0, 1, 2, 4} {
+			cfg := modelConfig(line, 10, 0.7)
+			cfg.Net.BufferFlits = buf
+			if r, w := ringPairFree(cfg, true), ringPairFree(cfg, false); r != w {
+				t.Errorf("ring %dB: read %d, write %d pair-free cycles", line, r, w)
+			}
+			if r, w := meshPairFree(cfg, true), meshPairFree(cfg, false); r != w {
+				t.Errorf("mesh %dB buf=%d: read %d, write %d pair-free cycles", line, buf, r, w)
+			}
+		}
 	}
 }
 
@@ -95,6 +198,8 @@ func TestMeshSimulatorMatchesZeroLoadModel(t *testing.T) {
 		{3, 32, 4},
 		{4, 64, 0},
 		{2, 128, 1},
+		{4, 16, 2},
+		{4, 128, 2},
 	} {
 		est, res := bothTiers(t, core.SystemConfig{
 			Network:    "mesh",
