@@ -127,8 +127,10 @@ func BenchmarkSimRing72(b *testing.B) {
 }
 
 // BenchmarkSimRing72LowLoad is the paper's low-load regime (R=0.2,
-// T=1: most stations idle on most cycles, as in most points of Figs
-// 6-21), where the tick's cost is the station visit, not the flits.
+// T=1, as in most points of Figs 6-21). Fewer stations hold flits than
+// at R=1.0/T=4 — 41 % against 51 % of station-cycles — yet a low-load
+// PM-cycle costs no less: the ledger's ring.ns_per_pmcycle_lo is at or
+// above ring.ns_per_pmcycle_hi.
 func BenchmarkSimRing72LowLoad(b *testing.B) {
 	benchCycles(b, Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
 		Workload: Workload{R: 0.2, C: 0.04, T: 1, ReadProb: 0.7}, Seed: 1})
@@ -166,6 +168,41 @@ func BenchmarkSimMesh121(b *testing.B) {
 func BenchmarkSimMesh121OneFlit(b *testing.B) {
 	benchCycles(b, Config{Network: "mesh", Nodes: 121, LineBytes: 128, BufferFlits: 1,
 		Workload: PaperWorkload(), Seed: 1})
+}
+
+// benchSimOp times one op of the repository benchmark's ring-sim or
+// mesh-sim workload (bench/simload.go): a high-load run (R=1.0, T=4)
+// then a low-load run (R=0.2, T=1) of cfg's system, each built fresh
+// and run on opt's schedule. Two `go test -c` binaries A/B a tick
+// change in seconds: -bench 'SimOp$' -benchtime 20x -count 10.
+func benchSimOp(b *testing.B, cfg Config, opt RunOptions) {
+	b.Helper()
+	loads := []Workload{
+		{R: 1.0, C: 0.04, T: 4, ReadProb: 0.7},
+		{R: 0.2, C: 0.04, T: 1, ReadProb: 0.7},
+	}
+	for i := 0; i < b.N; i++ {
+		for k, wl := range loads {
+			cfg.Workload, cfg.Seed = wl, uint64(2*i+k+1)
+			if _, err := Run(cfg, opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkRingSimOp is one ring-sim op: 3:3:8 at 32-byte lines, 1000
+// warmup cycles plus three 1000-cycle batches per run.
+func BenchmarkRingSimOp(b *testing.B) {
+	benchSimOp(b, Config{Network: "ring", Topology: "3:3:8", LineBytes: 32},
+		RunOptions{WarmupCycles: 1000, BatchCycles: 1000, Batches: 3})
+}
+
+// BenchmarkMeshSimOp is one mesh-sim op: the 11x11 mesh with 4-flit
+// buffers, 500 warmup cycles plus three 500-cycle batches per run.
+func BenchmarkMeshSimOp(b *testing.B) {
+	benchSimOp(b, Config{Network: "mesh", Topology: "11x11", LineBytes: 32, BufferFlits: 4},
+		RunOptions{WarmupCycles: 500, BatchCycles: 500, Batches: 3})
 }
 
 // --- engine micro-benchmarks -------------------------------------------

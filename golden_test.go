@@ -122,8 +122,126 @@ func goldenCases() []goldenCase {
 				Saturated:       true,
 			},
 		},
+		// The generator modes and memory latencies the paper workload
+		// leaves at their defaults: the open-loop queue of misses, the
+		// deterministic gap, and a memory service time at both ends.
+		{
+			name: "ring-2:3:4-32B-open-loop",
+			cfg: Config{
+				Network:   "ring",
+				Topology:  "2:3:4",
+				LineBytes: 32,
+				Workload:  editWorkload(PaperWorkload(), func(w *Workload) { w.OpenLoop = true }),
+				Seed:      goldenSeed,
+			},
+			opt: QuickRunOptions(),
+			want: Result{
+				LatencyCycles:   1071.6239430351577,
+				LatencyCI95:     837.1473432248462,
+				Observations:    2247,
+				RingUtilization: []float64{0.585375, 0.7709375, 0.3489833333333333},
+				Throughput:      0.56175,
+				Issued:          2851,
+				Completed:       2756,
+				Local:           96,
+			},
+		},
+		{
+			name: "mesh-4x4-32B-4flit-open-loop",
+			cfg: Config{
+				Network:     "mesh",
+				Topology:    "4x4",
+				LineBytes:   32,
+				BufferFlits: 4,
+				Workload:    editWorkload(PaperWorkload(), func(w *Workload) { w.OpenLoop = true }),
+				Seed:        goldenSeed,
+			},
+			opt: QuickRunOptions(),
+			want: Result{
+				LatencyCycles:   696.0120547945205,
+				LatencyCI95:     452.4668567118693,
+				Observations:    1825,
+				MeshUtilization: 0.40411458333333333,
+				Throughput:      0.45625,
+				Issued:          2320,
+				Completed:       2256,
+				Local:           149,
+			},
+		},
+		{
+			name: "ring-2:3:4-32B-deterministic",
+			cfg: Config{
+				Network:   "ring",
+				Topology:  "2:3:4",
+				LineBytes: 32,
+				Workload:  editWorkload(PaperWorkload(), func(w *Workload) { w.Deterministic = true }),
+				Seed:      goldenSeed,
+			},
+			opt: QuickRunOptions(),
+			want: Result{
+				LatencyCycles:     137.34622222222228,
+				LatencyCI95:       49.92273498225115,
+				Observations:      2250,
+				RingUtilization:   []float64{0.587, 0.78425, 0.35134166666666666},
+				Throughput:        0.5625,
+				Issued:            2826,
+				Completed:         2755,
+				Local:             101,
+				BatchesCorrelated: true,
+			},
+		},
+		{
+			name: "mesh-4x4-32B-4flit-memlat1",
+			cfg: Config{
+				Network:          "mesh",
+				Topology:         "4x4",
+				LineBytes:        32,
+				BufferFlits:      4,
+				MemLatencyCycles: 1,
+				Workload:         PaperWorkload(),
+				Seed:             goldenSeed,
+			},
+			opt: QuickRunOptions(),
+			want: Result{
+				LatencyCycles:   91.62857142857145,
+				LatencyCI95:     5.6769660114227,
+				Observations:    1715,
+				MeshUtilization: 0.3894947916666667,
+				Throughput:      0.42875,
+				Issued:          2180,
+				Completed:       2127,
+				Local:           125,
+			},
+		},
+		{
+			name: "mesh-4x4-32B-4flit-memlat40",
+			cfg: Config{
+				Network:          "mesh",
+				Topology:         "4x4",
+				LineBytes:        32,
+				BufferFlits:      4,
+				MemLatencyCycles: 40,
+				Workload:         PaperWorkload(),
+				Seed:             goldenSeed,
+			},
+			opt: QuickRunOptions(),
+			want: Result{
+				LatencyCycles:     150.2887537993921,
+				LatencyCI95:       5.864013511643658,
+				Observations:      1316,
+				MeshUtilization:   0.2984583333333333,
+				Throughput:        0.329,
+				Issued:            1682,
+				Completed:         1628,
+				Local:             102,
+				BatchesCorrelated: true,
+			},
+		},
 	}
 }
+
+// editWorkload returns w edited by edit.
+func editWorkload(w Workload, edit func(*Workload)) Workload { edit(&w); return w }
 
 func TestGoldenResults(t *testing.T) {
 	for _, tc := range goldenCases() {

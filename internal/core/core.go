@@ -155,8 +155,8 @@ func NewSystemOn(plan *network.Plan, cfg SystemConfig) (*System, error) {
 		}
 		s.pms = append(s.pms, pm)
 		ports[id] = pm
-		s.engine.Register(pm, tpc)
 	}
+	s.engine.Register(pmSet(s.pms), tpc)
 	model, err := plan.Build(ports, s.engine)
 	if err != nil {
 		return nil, err
@@ -186,6 +186,19 @@ func NewSystemOn(plan *network.Plan, cfg SystemConfig) (*System, error) {
 	}
 	s.wireOnCycle()
 	return s, nil
+}
+
+// pmSet is every PM as one engine component, committing in id order.
+type pmSet []*node.PM
+
+// Compute implements sim.Component: PMs stage nothing.
+func (pmSet) Compute(int64) {}
+
+// Commit implements sim.Component.
+func (ps pmSet) Commit(now int64) {
+	for _, pm := range ps {
+		pm.Commit(now)
+	}
 }
 
 // wireOnCycle installs the engine per-tick hook, composing the

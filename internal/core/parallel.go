@@ -12,7 +12,6 @@ package core
 import (
 	"fmt"
 
-	"ringmesh/internal/node"
 	"ringmesh/internal/sim"
 )
 
@@ -22,27 +21,18 @@ import (
 // gated on the PM clock period exactly like the serial schedule's
 // period groups.
 type coreShard struct {
-	pms  []*node.PM
+	pms  pmSet
 	tpc  int64
 	comp sim.Shard
 }
 
 // Compute implements sim.Shard.
-func (cs *coreShard) Compute(now int64) {
-	if now%cs.tpc == 0 {
-		for _, pm := range cs.pms {
-			pm.Compute(now)
-		}
-	}
-	cs.comp.Compute(now)
-}
+func (cs *coreShard) Compute(now int64) { cs.comp.Compute(now) }
 
 // CommitPhase implements sim.Shard.
 func (cs *coreShard) CommitPhase(phase int, now int64) int {
 	if phase == 0 && now%cs.tpc == 0 {
-		for _, pm := range cs.pms {
-			pm.Commit(now)
-		}
+		cs.pms.Commit(now)
 	}
 	return cs.comp.CommitPhase(phase, now)
 }

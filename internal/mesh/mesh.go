@@ -14,6 +14,7 @@ package mesh
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ringmesh/internal/fault"
 	"ringmesh/internal/metrics"
@@ -99,6 +100,9 @@ type router struct {
 	outLockIn [topo.NumPorts]topo.Direction
 	rr        [topo.NumPorts]int
 	staged    [topo.NumPorts]move
+	// stagedOut has bit o set while staged[o] holds a move, so the
+	// commit visits only the outputs that carry a flit.
+	stagedOut uint8
 
 	// Injection register: the packet the PM is currently streaming
 	// into the local input FIFO.
@@ -114,9 +118,10 @@ type router struct {
 	flt *rtrFault
 
 	// linkUtil counts flits sent on each of this router's outgoing
-	// neighbour links, per direction (capacity accrues only for links
-	// that exist; the Local slot stays unused). Keeping the split by
-	// direction is what the metrics registry exports; the aggregate
+	// neighbour links, per direction, against the mesh clock
+	// (Network.cycles; only links that exist are bound to it, so the
+	// Local slot and edge slots accrue no capacity). Keeping the split
+	// by direction is what the metrics registry exports; the aggregate
 	// Utilization() view merges them.
 	linkUtil [topo.NumPorts]stats.Utilization
 	// turns counts e-cube dimension turns: head flits leaving an
@@ -142,6 +147,10 @@ type Network struct {
 
 	// faults is the installed fault schedule; nil for fault-free runs.
 	faults *fault.Driver
+
+	// cycles counts the mesh's cycles: the clock every link's
+	// utilization takes its capacity from.
+	cycles int64
 }
 
 // SetTracer attaches an optional lifecycle recorder (nil-safe).
@@ -185,6 +194,7 @@ func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 		for o := topo.Direction(0); o < topo.Local; o++ {
 			if nb := cfg.Spec.Neighbor(r.id, o); nb >= 0 {
 				r.nbr[o] = n.routers[nb]
+				r.linkUtil[o].Bind(&n.cycles)
 			}
 		}
 	}
@@ -194,11 +204,18 @@ func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 // Compute implements sim.Component: stage every router's crossbar
 // transfers and PM injections from start-of-cycle state.
 func (n *Network) Compute(now int64) {
-	if n.faults != nil {
-		n.faults.Step(now)
-	}
+	n.begin(now)
 	for _, r := range n.routers {
 		n.computeRouter(r, now)
+	}
+}
+
+// begin opens a cycle: it advances the link clock and steps the fault
+// schedule. The parallel partition runs it as its serial prologue.
+func (n *Network) begin(now int64) {
+	n.cycles++
+	if n.faults != nil {
+		n.faults.Step(now)
 	}
 }
 
@@ -280,6 +297,7 @@ func (n *Network) computeRouter(r *router, now int64) {
 				}
 			}
 			r.staged[o] = move{ok: true, in: in, f: f}
+			r.stagedOut |= 1 << o
 		}
 	}
 
@@ -309,15 +327,9 @@ func (n *Network) Commit(now int64) {
 // are staged in the shard's outbox instead of performed (see
 // partition.go) — everything else is byte-for-byte the serial commit.
 func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
-	for o := topo.Direction(0); o < topo.NumPorts; o++ {
-		nb := r.nbr[o]
-		if nb != nil {
-			r.linkUtil[o].Tick(1)
-		}
+	for mask := r.stagedOut; mask != 0; mask &= mask - 1 {
+		o := topo.Direction(bits.TrailingZeros8(mask))
 		mv := r.staged[o]
-		if !mv.ok {
-			continue
-		}
 		r.staged[o] = move{}
 		got := r.inputs[mv.in].Pop()
 		if got != mv.f {
@@ -347,6 +359,7 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 			if n.tracer != nil && mv.f.Head() {
 				n.tracer.Record(now, trace.Hop, mv.f.Pkt, n.labels[r.id][o])
 			}
+			nb := r.nbr[o]
 			dst := &nb.inputs[opposite[o]]
 			if sh != nil && nb.y != sh.row {
 				sh.outbox = append(sh.outbox, deferredPush{fifo: dst, f: mv.f})
@@ -357,6 +370,7 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 		}
 		moved++
 	}
+	r.stagedOut = 0
 
 	// Apply injection, then reload the injection register so a fresh
 	// packet (possibly issued by the PM's commit earlier this tick)
@@ -373,7 +387,7 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 		r.stagedInj = move{}
 		moved++
 	}
-	if r.injPkt == nil {
+	if r.injPkt == nil && r.pm.HasPending() {
 		if p, ok := r.pm.PendingResponse(); ok {
 			r.pm.PopPendingResponse()
 			r.injPkt, r.injIdx = p, 0
@@ -478,13 +492,20 @@ func (n *Network) BufferedFlits() int {
 	return total
 }
 
-// CheckInvariants returns an error if any buffer exceeds capacity.
+// CheckInvariants returns an error if any buffer exceeds capacity or,
+// between ticks, a router still holds a staged move.
 func (n *Network) CheckInvariants() error {
 	for _, r := range n.routers {
 		for p := topo.Direction(0); p < topo.NumPorts; p++ {
 			if r.inputs[p].Len() > r.inputs[p].Cap() {
 				return fmt.Errorf("mesh: router %d input %s over capacity", r.id, p)
 			}
+			if r.staged[p] != (move{}) {
+				return fmt.Errorf("mesh: router %d output %s kept a staged move past its tick", r.id, p)
+			}
+		}
+		if r.stagedOut != 0 || r.stagedInj != (move{}) {
+			return fmt.Errorf("mesh: router %d kept staged state past its tick (mask %05b)", r.id, r.stagedOut)
 		}
 	}
 	return nil

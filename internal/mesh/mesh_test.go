@@ -367,3 +367,24 @@ func TestGeometryMatchesSpec(t *testing.T) {
 		}
 	}
 }
+
+// CheckInvariants, which every harness runs between ticks, fails when
+// a router's staged mask or a staged move outlives its tick.
+func TestCheckInvariantsCatchesStagedMoves(t *testing.T) {
+	h := newHarness(t, Config{Spec: topo.MeshSpec{K: 2}, LineBytes: 32, BufferFlits: 4})
+	r := h.net.routers[1]
+	r.stagedOut = 1 << topo.East
+	if err := h.net.CheckInvariants(); err == nil {
+		t.Error("a staged-output bit survived the tick, but CheckInvariants passed")
+	}
+	r.stagedOut = 0
+	r.staged[topo.East] = move{ok: true}
+	if err := h.net.CheckInvariants(); err == nil {
+		t.Error("a staged move survived the tick, but CheckInvariants passed")
+	}
+	r.staged[topo.East] = move{}
+	r.stagedInj = move{ok: true}
+	if err := h.net.CheckInvariants(); err == nil {
+		t.Error("a staged injection survived the tick, but CheckInvariants passed")
+	}
+}

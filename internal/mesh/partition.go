@@ -41,8 +41,9 @@ type rowShard struct {
 
 // Compute implements sim.Shard: stage this row's crossbar transfers
 // and injections. Reads of neighbouring rows' FIFO occupancy are safe
-// — all state is frozen during the compute phase. Fault stepping is
-// not repeated here; the partition's Prologue runs it serially.
+// — all state is frozen during the compute phase. The link clock and
+// fault stepping are not repeated here; the partition's Prologue runs
+// them serially.
 func (s *rowShard) Compute(now int64) {
 	for _, r := range s.routers {
 		s.n.computeRouter(r, now)
@@ -74,10 +75,7 @@ func (n *Network) Partition() *sim.Partition {
 	if k < 2 {
 		return nil
 	}
-	p := &sim.Partition{}
-	if n.faults != nil { // a fault plan is installed before Partition is called
-		p.Prologue = n.faults.Step
-	}
+	p := &sim.Partition{Prologue: n.begin}
 	for row := 0; row < k; row++ {
 		p.Shards = append(p.Shards, sim.PartitionShard{
 			Name: fmt.Sprintf("row%d", row),

@@ -72,13 +72,15 @@ func TestCounterGaugeRatioValues(t *testing.T) {
 	c := reg.Counter("events", Labels{})
 	g := 3.5
 	reg.Gauge("depth", Labels{}, func() float64 { return g })
+	var clock int64
 	var u1, u2 stats.Utilization
+	u1.Bind(&clock)
+	u2.Bind(&clock)
 	reg.Ratio("util", Labels{}, &u1, &u2)
 
 	c.Add(7)
 	u1.Busy(3)
-	u1.Tick(4)
-	u2.Tick(4) // merged: 3 busy / 8 capacity
+	clock += 4 // merged: 3 busy / 8 capacity
 	vals := map[string]float64{}
 	for _, s := range reg.Series() {
 		vals[s.Key()] = s.Value()
@@ -213,7 +215,9 @@ wait_count{class="b"} 0
 func TestSamplerWindows(t *testing.T) {
 	reg := &Registry{}
 	c := reg.Counter("events", Labels{})
+	var clock int64
 	var u stats.Utilization
+	u.Bind(&clock)
 	reg.Ratio("util", Labels{}, &u)
 	depth := 0.0
 	reg.Gauge("depth", Labels{}, func() float64 { return depth })
@@ -224,7 +228,7 @@ func TestSamplerWindows(t *testing.T) {
 	}
 	for tick := int64(0); tick < 20; tick++ {
 		c.Inc()
-		u.Tick(1)
+		clock++
 		if tick < 10 {
 			u.Busy(1) // first window fully busy, second idle
 		}
@@ -294,16 +298,18 @@ func TestSamplerFilter(t *testing.T) {
 func TestExporters(t *testing.T) {
 	reg := &Registry{}
 	c := reg.Counter("turns", Labels{Node: "router0"})
+	var clock int64
 	var u stats.Utilization
+	u.Bind(&clock)
 	reg.Ratio("link_util", Labels{Link: "L0"}, &u)
 	c.Add(4)
 	u.Busy(1)
-	u.Tick(2)
+	clock += 2
 
 	s := NewSampler(reg, 2, nil)
 	c.Add(1)
 	u.Busy(1)
-	u.Tick(2)
+	clock += 2
 	s.OnCycle(1, 0)
 
 	var csv strings.Builder

@@ -12,6 +12,7 @@ package node
 
 import (
 	"fmt"
+	"math"
 
 	"ringmesh/internal/metrics"
 	"ringmesh/internal/packet"
@@ -230,18 +231,30 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// never is the due tick of an event that is not scheduled.
+const never = math.MaxInt64
+
 // PM is one processing module: processor + local memory + the pending
-// queues its NIC drains. It implements sim.Component (all state
-// changes happen in Commit; see the engine's two-phase discipline) as
-// well as Injector and Deliverer.
+// queues its NIC drains. It implements Port, and Commit advances it by
+// one PM clock cycle. It sleeps until due: it keeps the absolute ticks
+// of its next events, not per-cycle countdowns, so a Commit before the
+// earlier of them returns at once; a delivery wakes it.
 type PM struct {
 	ID  int
 	cfg Config
 	col *Collector
 	rnd *rng.Source
+	tpc int64 // engine ticks per PM cycle
 
-	// Processor state.
-	gap         int // PM cycles until the next miss fires
+	// wake is the first tick whose Commit has work to do.
+	wake int64
+
+	// Processor state. missAt is the tick the next miss fires, or never
+	// while gap, the PM cycles left until it (this one included), is
+	// frozen: before the first cycle, and while a closed-loop processor
+	// is suspended on its T-window.
+	gap         int
+	missAt      int64
 	outstanding int
 	// queuedMisses holds generation timestamps of misses awaiting a
 	// free outstanding slot (open-loop mode only).
@@ -252,9 +265,11 @@ type PM struct {
 	pendingReq  []*packet.Packet
 	pendingResp []*packet.Packet
 
-	// Memory controller: FIFO of requests, one served at a time.
+	// Memory controller: FIFO of requests, one served at a time;
+	// memDone is the tick the request in service completes (never when
+	// idle).
 	memQ       []*packet.Packet
-	memRemain  int
+	memDone    int64
 	memServing *packet.Packet
 
 	memLatency int
@@ -278,6 +293,9 @@ func NewPM(id int, cfg Config, col *Collector) (*PM, error) {
 		cfg:        cfg,
 		col:        col,
 		rnd:        rng.Derive(cfg.Seed, uint64(id)),
+		tpc:        col.TicksPerCycle,
+		missAt:     never,
+		memDone:    never,
 		memLatency: ml,
 	}
 	if cfg.Tracer != nil {
@@ -346,26 +364,25 @@ func (pm *PM) sampleGap() int {
 	return pm.rnd.Geometric(pm.cfg.Workload.C) + 1
 }
 
-// Compute implements sim.Component. PMs stage nothing: all their
-// state is private or append/pop-disjoint with the NICs, so the work
-// happens in Commit.
-func (pm *PM) Compute(now int64) {}
-
-// Commit implements sim.Component: advance the memory controller and
-// the processor by one PM cycle.
+// Commit advances the memory controller and the processor by the PM
+// cycle at tick now. PMs stage nothing: all their state is private or
+// append/pop-disjoint with the NICs, so the work happens in Commit.
 func (pm *PM) Commit(now int64) {
+	if now < pm.wake {
+		return
+	}
 	pm.stepMemory(now)
 	pm.stepProcessor(now)
+	pm.wake = min(pm.memDone, pm.missAt)
 }
 
 func (pm *PM) stepMemory(now int64) {
 	if pm.memServing != nil {
-		pm.memRemain--
-		if pm.memRemain > 0 {
+		if now < pm.memDone {
 			return
 		}
 		req := pm.memServing
-		pm.memServing = nil
+		pm.memServing, pm.memDone = nil, never
 		resp := &packet.Packet{
 			ID:    pm.allocID(),
 			Type:  packet.ResponseFor(req.Type),
@@ -376,28 +393,35 @@ func (pm *PM) stepMemory(now int64) {
 		resp.Flits = pm.cfg.Sizing.PacketFlits(resp.Type, pm.cfg.LineBytes)
 		pm.pendingResp = append(pm.pendingResp, resp)
 	}
-	if pm.memServing == nil && len(pm.memQ) > 0 {
+	if len(pm.memQ) > 0 {
 		pm.memServing = pm.memQ[0]
 		copy(pm.memQ, pm.memQ[1:])
 		pm.memQ = pm.memQ[:len(pm.memQ)-1]
-		pm.memRemain = pm.memLatency
+		pm.memDone = now + int64(pm.memLatency)*pm.tpc
 	}
 }
 
 func (pm *PM) stepProcessor(now int64) {
 	open := pm.cfg.Workload.OpenLoop
 	if !open && pm.outstanding >= pm.cfg.Workload.T {
-		// Closed loop: generation is suspended until a response
-		// arrives.
+		// Closed loop: generation is suspended, its gap frozen, until a
+		// response arrives.
 		return
 	}
-	pm.gap--
-	if pm.gap <= 0 {
-		pm.gap = pm.sampleGap()
+	if pm.missAt == never {
+		pm.missAt = now + int64(pm.gap-1)*pm.tpc
+	}
+	if now >= pm.missAt {
+		gap := pm.sampleGap()
 		if open {
 			pm.queuedMisses = append(pm.queuedMisses, now)
 		} else {
 			pm.issueMiss(now)
+		}
+		if !open && pm.outstanding >= pm.cfg.Workload.T {
+			pm.gap, pm.missAt = gap, never
+		} else {
+			pm.missAt = now + int64(gap)*pm.tpc
 		}
 	}
 	if open {
@@ -440,12 +464,15 @@ func (pm *PM) issueMiss(genTime int64) {
 	pm.noteIssued(read)
 }
 
-// Deliver implements Deliverer.
+// Deliver implements Deliverer. A response may unsuspend the processor
+// or free a slot for a queued miss, and a request may start the memory,
+// so either wakes the PM.
 func (pm *PM) Deliver(p *packet.Packet, now int64) {
 	if p.Dst != pm.ID {
 		panic(fmt.Sprintf("node: PM %d received %s", pm.ID, p))
 	}
 	pm.cfg.Tracer.Record(now, trace.Deliver, p, pm.label)
+	pm.wake = 0
 	if p.Type.IsResponse() {
 		pm.outstanding--
 		if pm.outstanding < 0 {

@@ -1,9 +1,12 @@
 package node
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"ringmesh/internal/packet"
+	"ringmesh/internal/rng"
 	"ringmesh/internal/workload"
 )
 
@@ -304,25 +307,194 @@ func TestOpenLoopMissQueueDoesNotCreep(t *testing.T) {
 	cfg.Workload.T = 1
 	cfg.Pattern = workload.Hotspot{P: 4, Hot: 1, Fraction: 1}
 	pm := mustPM(t, 0, cfg, col)
-	step := func(now int64) {
+	// The PM keeps absolute due ticks, so time only moves forward, also
+	// across AllocsPerRun's warm-up call.
+	now := int64(0)
+	step := func() {
 		pm.Commit(now)
 		if req, ok := pm.PendingRequest(); ok { // answer at once: the window never stays full
 			pm.PopPendingRequest()
 			pm.Deliver(&packet.Packet{Type: packet.ReadResponse, Src: 1, Dst: 0, Issue: req.Issue, Flits: 5}, now)
 		}
+		now++
 	}
-	for now := int64(0); now < 1000; now++ {
-		step(now)
+	for now < 1000 {
+		step()
 	}
 	if col.Issued == 0 {
 		t.Fatal("no misses issued")
 	}
 	// 400 misses, each one request packet plus the test's response.
 	if avg := testing.AllocsPerRun(1, func() {
-		for now := int64(1000); now < 11000; now++ {
-			step(now)
+		for i := 0; i < 10000; i++ {
+			step()
 		}
 	}); avg != 2*400 {
 		t.Fatalf("%.0f allocations for 400 open-loop misses, want 800 (the packets)", avg)
+	}
+}
+
+// countdownPM is the reference the due-tick PM is held to: the PM as
+// it was when every Commit counted the processor's gap and the memory's
+// service time down by one PM cycle. It shares the PM's queues,
+// generator and collector hooks, so only the scheduling differs.
+type countdownPM struct {
+	*PM
+	gap       int // PM cycles until the next miss fires
+	memRemain int // PM cycles left on the request in service
+}
+
+func newCountdownPM(t *testing.T, id int, cfg Config, col *Collector) *countdownPM {
+	pm := mustPM(t, id, cfg, col)
+	return &countdownPM{PM: pm, gap: pm.gap}
+}
+
+func (c *countdownPM) Commit(now int64) {
+	c.stepMemory(now)
+	c.stepProcessor(now)
+}
+
+func (c *countdownPM) stepMemory(now int64) {
+	pm := c.PM
+	if pm.memServing != nil {
+		c.memRemain--
+		if c.memRemain > 0 {
+			return
+		}
+		req := pm.memServing
+		pm.memServing = nil
+		resp := &packet.Packet{
+			ID:    pm.allocID(),
+			Type:  packet.ResponseFor(req.Type),
+			Src:   pm.ID,
+			Dst:   req.Src,
+			Issue: req.Issue,
+		}
+		resp.Flits = pm.cfg.Sizing.PacketFlits(resp.Type, pm.cfg.LineBytes)
+		pm.pendingResp = append(pm.pendingResp, resp)
+	}
+	if pm.memServing == nil && len(pm.memQ) > 0 {
+		pm.memServing = pm.memQ[0]
+		copy(pm.memQ, pm.memQ[1:])
+		pm.memQ = pm.memQ[:len(pm.memQ)-1]
+		c.memRemain = pm.memLatency
+	}
+}
+
+func (c *countdownPM) stepProcessor(now int64) {
+	pm := c.PM
+	open := pm.cfg.Workload.OpenLoop
+	if !open && pm.outstanding >= pm.cfg.Workload.T {
+		return
+	}
+	c.gap--
+	if c.gap <= 0 {
+		c.gap = pm.sampleGap()
+		if open {
+			pm.queuedMisses = append(pm.queuedMisses, now)
+		} else {
+			pm.issueMiss(now)
+		}
+	}
+	if open {
+		for len(pm.queuedMisses) > 0 && pm.outstanding < pm.cfg.Workload.T {
+			at := pm.queuedMisses[0]
+			copy(pm.queuedMisses, pm.queuedMisses[1:])
+			pm.queuedMisses = pm.queuedMisses[:len(pm.queuedMisses)-1]
+			pm.issueMiss(at)
+		}
+	}
+}
+
+// committer is a PM under test: its Port plus the engine's Commit.
+type committer interface {
+	Port
+	Commit(now int64)
+}
+
+// driveRandomNetwork plays a seeded random network against PM 0 of a
+// 4-PM system for the given ticks and returns its log: every packet the
+// PM hands out (type, src, dst, issue tick, pickup tick), every
+// completion latency, and the collector's totals. The network picks
+// each class up with probability 1/2 per tick, answers each request
+// 1-60 ticks later, and sends requests of its own; deliveries land on
+// every tick, also between the PM ticks of a double-speed clock. Its
+// choices depend only on the seed and on what the PM did, so two PMs
+// that behave identically produce identical logs.
+func driveRandomNetwork(pm committer, col *Collector, tpc int64, seed uint64, ticks int64) []string {
+	net := rng.New(seed)
+	type arrival struct {
+		at int64
+		p  *packet.Packet
+	}
+	var inbound []arrival
+	var log []string
+	for now := int64(0); now < ticks; now++ {
+		if now%tpc == 0 {
+			pm.Commit(now)
+		}
+		if p, ok := pm.PendingResponse(); ok && net.Bernoulli(0.5) {
+			pm.PopPendingResponse()
+			log = append(log, fmt.Sprintf("%d out %v %d->%d issue %d", now, p.Type, p.Src, p.Dst, p.Issue))
+		}
+		if p, ok := pm.PendingRequest(); ok && net.Bernoulli(0.5) {
+			pm.PopPendingRequest()
+			log = append(log, fmt.Sprintf("%d out %v %d->%d issue %d", now, p.Type, p.Src, p.Dst, p.Issue))
+			resp := &packet.Packet{Type: packet.ResponseFor(p.Type), Src: p.Dst, Dst: 0, Issue: p.Issue, Flits: 1}
+			inbound = append(inbound, arrival{now + 1 + int64(net.Intn(60)), resp})
+		}
+		if net.Bernoulli(0.03) {
+			req := &packet.Packet{Type: packet.ReadRequest, Src: 1 + net.Intn(3), Dst: 0, Issue: now, Flits: 1}
+			inbound = append(inbound, arrival{now + 1 + int64(net.Intn(60)), req})
+		}
+		inbound = slices.DeleteFunc(inbound, func(a arrival) bool {
+			if a.at != now {
+				return false
+			}
+			pm.Deliver(a.p, now)
+			if a.p.Type.IsResponse() {
+				log = append(log, fmt.Sprintf("%d done latency %d", now, now-a.p.Issue))
+			}
+			return true
+		})
+	}
+	return append(log, fmt.Sprintf("issued %d completed %d local %d reads %d writes %d mean %v",
+		col.Issued, col.Completed, col.Local, col.Reads, col.Writes, col.Latency.Mean()))
+}
+
+// TestDueTicksMatchCountdown holds the due-tick PM to the countdown
+// reference through the same random delivery schedule, in both
+// generator modes, at one and two ticks per PM cycle and at a short and
+// the default memory latency.
+func TestDueTicksMatchCountdown(t *testing.T) {
+	for _, open := range []bool{false, true} {
+		for _, det := range []bool{false, true} {
+			for _, tpc := range []int64{1, 2} {
+				for _, memLat := range []int{1, 10} {
+					name := fmt.Sprintf("open=%v/det=%v/tpc=%d/mem=%d", open, det, tpc, memLat)
+					t.Run(name, func(t *testing.T) {
+						cfg := testConfig()
+						cfg.Workload.C, cfg.Workload.T = 0.1, 2
+						cfg.Workload.OpenLoop, cfg.Workload.Deterministic = open, det
+						cfg.MemLatency = memLat
+						const seed, ticks = 7, 20000
+						wantCol, gotCol := NewCollector(tpc), NewCollector(tpc)
+						want := driveRandomNetwork(newCountdownPM(t, 0, cfg, wantCol), wantCol, tpc, seed, ticks)
+						got := driveRandomNetwork(mustPM(t, 0, cfg, gotCol), gotCol, tpc, seed, ticks)
+						if gotCol.Completed < 100 {
+							t.Fatalf("only %d completions: the schedule exercises too little", gotCol.Completed)
+						}
+						for i := range min(len(got), len(want)) {
+							if got[i] != want[i] {
+								t.Fatalf("event %d: got %q, countdown reference %q", i, got[i], want[i])
+							}
+						}
+						if len(got) != len(want) {
+							t.Fatalf("%d events, countdown reference %d", len(got), len(want))
+						}
+					})
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ringmesh/internal/fault"
 	"ringmesh/internal/metrics"
@@ -100,7 +101,7 @@ type nic struct {
 // refill moves whole pending packets from the PM into empty NIC
 // output registers (commit phase; the PM pending lists are written
 // only by the PM's own commit, which runs earlier in the tick — see
-// the registration order in internal/core).
+// the registration order in internal/core), waking the station.
 func (n *nic) refill() {
 	resp, req := &n.st.inject[qResp], &n.st.inject[qReq]
 	if !(resp.Empty() || req.Empty()) || !n.pm.HasPending() {
@@ -112,6 +113,7 @@ func (n *nic) refill() {
 			for i := 0; i < p.Flits; i++ {
 				resp.Push(packet.Flit{Pkt: p, Index: i})
 			}
+			n.st.wake()
 		}
 	}
 	if req.Empty() {
@@ -120,6 +122,7 @@ func (n *nic) refill() {
 			for i := 0; i < p.Flits; i++ {
 				req.Push(packet.Flit{Pkt: p, Index: i})
 			}
+			n.st.wake()
 		}
 	}
 }
@@ -132,7 +135,14 @@ type Network struct {
 	// deterministic DFS order the tick, the fault plan's node indices
 	// and the delivery order all follow.
 	stations []station
-	nics     []nic // indexed by PM id
+	// busy and staged are bitsets over the station slab: bit i of busy
+	// is set while station i may hold a flit (every push into its
+	// queues sets it; the compute that finds it idle clears it), bit i
+	// of staged while it has a flit staged to commit this tick. A PM
+	// tick visits only the busy stations and commits only the staged
+	// ones, in ascending bit order, which is build order.
+	busy, staged []uint64
+	nics         []nic // indexed by PM id
 	// iris lists the Inter-Ring Interfaces, parents first, by their
 	// upper station. An IRI, a 2x2 crossbar between a lower and an upper
 	// ring, is a pair of stations that are each other's peer: the upper
@@ -181,10 +191,14 @@ func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 		rings *= spec.Levels[level]
 		numIRIs += rings
 	}
+	numStations := len(pms) + 2*numIRIs
+	words := (numStations + 63) / 64
 	n := &Network{
 		cfg:      cfg,
 		clFlits:  packet.RingSizing.CacheLineFlits(cfg.LineBytes),
-		stations: make([]station, 0, len(pms)+2*numIRIs),
+		stations: make([]station, 0, numStations),
+		busy:     make([]uint64, words),
+		staged:   make([]uint64, words),
 		nics:     make([]nic, len(pms)),
 		iris:     make([]*station, 0, numIRIs),
 		engine:   engine,
@@ -199,9 +213,11 @@ func (n *Network) addStation(name string, level, injectFlits int) *station {
 	if len(n.stations) == cap(n.stations) {
 		panic("ring: station slab undersized")
 	}
-	n.stations = n.stations[:len(n.stations)+1]
-	st := &n.stations[len(n.stations)-1]
+	i := len(n.stations)
+	n.stations = n.stations[:i+1]
+	st := &n.stations[i]
 	st.init(name, level, n.clFlits, injectFlits)
+	st.busyWord, st.busyBit = &n.busy[i/64], 1<<(i%64)
 	return st
 }
 
@@ -267,6 +283,7 @@ func (n *Network) buildRing(level, base int, pms []node.Port, parentUpper *stati
 	for i, st := range inst.stations {
 		st.downstream = inst.stations[(i+1)%len(inst.stations)]
 		st.ring = inst
+		st.util.Bind(&inst.cycles)
 	}
 }
 
@@ -281,7 +298,10 @@ func (n *Network) pmTick(now int64) bool {
 // global returns the top-level ring (built last).
 func (n *Network) global() *ringInst { return n.rings[len(n.rings)-1] }
 
-// Compute implements sim.Component.
+// Compute implements sim.Component. On a PM tick it visits the busy
+// stations only: an idle station stages nothing and counts no stall,
+// so skipping it changes nothing. The global-only ticks of a
+// double-speed ring walk the global ring's stations.
 func (n *Network) Compute(now int64) {
 	if n.faults != nil {
 		n.faults.Step(now)
@@ -291,10 +311,19 @@ func (n *Network) Compute(now int64) {
 		return
 	}
 	for _, r := range n.rings {
-		r.stagedInj = [numVCs]int{}
+		r.begin()
 	}
-	for i := range n.stations {
-		n.stations[i].compute(now)
+	for w, word := range n.busy {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			st := &n.stations[w*64+b]
+			if st.compute(now) {
+				n.busy[w] &^= 1 << b
+			} else if st.staged {
+				n.staged[w] |= 1 << b
+			}
+		}
 	}
 }
 
@@ -303,8 +332,12 @@ func (n *Network) Compute(now int64) {
 func (n *Network) Commit(now int64) {
 	moved := 0
 	if n.pmTick(now) {
-		for i := range n.stations {
-			if n.stations[i].commit(now) {
+		for w, word := range n.staged {
+			n.staged[w] = 0
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &= word - 1
+				n.stations[w*64+b].commit(now)
 				moved++
 			}
 		}
@@ -422,9 +455,10 @@ func (n *Network) BufferedFlits() int {
 func (n *Network) NumStations() int { return len(n.stations) }
 
 // CheckInvariants returns an error if any transit buffer exceeds its
-// capacity, any ring violates the bubble bound, or a ring's residency
-// counters differ from a recount of the packets on its transit paths;
-// used by property tests.
+// capacity, a station holding a flit is missing from the busy set, a
+// staged transfer outlived its tick, any ring violates the bubble
+// bound, or a ring's residency counters differ from a recount of the
+// packets on its transit paths; used by property tests between ticks.
 func (n *Network) CheckInvariants() error {
 	for i := range n.stations {
 		st := &n.stations[i]
@@ -432,6 +466,12 @@ func (n *Network) CheckInvariants() error {
 			if st.vcs[v].buf.Len() > st.vcs[v].buf.Cap() {
 				return fmt.Errorf("ring: %s vc%d transit over capacity", st.name, v)
 			}
+		}
+		if !st.idle() && n.busy[i/64]&st.busyBit == 0 {
+			return fmt.Errorf("ring: %s holds flits but is not in the busy set", st.name)
+		}
+		if st.staged || n.staged[i/64]&st.busyBit != 0 {
+			return fmt.Errorf("ring: %s kept a staged transfer past its tick", st.name)
 		}
 	}
 	for i, r := range n.rings {

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"slices"
 	"testing"
 
 	"ringmesh/internal/node"
@@ -518,5 +519,38 @@ func TestRouteWalkMatchesSpec(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The busy set never skips work: CheckInvariants, which every harness
+// runs between ticks, fails when a station holding a flit is missing
+// from the busy set or a staged transfer outlives its tick.
+func TestCheckInvariantsCatchesSkippedWork(t *testing.T) {
+	h := newHarness(t, Config{Spec: topo.MustRingSpec(2, 4), LineBytes: 32})
+	h.pms[0].pendResp = append(h.pms[0].pendResp, mkPkt(1, packet.ReadResponse, 0, 7, 32))
+	h.run(t, 3)
+	i := slices.IndexFunc(h.net.stations, func(st station) bool { return !st.idle() })
+	if i < 0 {
+		t.Fatal("no station holds a flit")
+	}
+	st, word := &h.net.stations[i], &h.net.busy[i/64]
+	*word &^= st.busyBit
+	if err := h.net.CheckInvariants(); err == nil {
+		t.Errorf("%s holds flits outside the busy set, but CheckInvariants passed", st.name)
+	}
+	*word |= st.busyBit
+	st.staged = true
+	if err := h.net.CheckInvariants(); err == nil {
+		t.Errorf("%s kept a staged flit, but CheckInvariants passed", st.name)
+	}
+	st.staged = false
+	h.net.staged[i/64] |= st.busyBit
+	if err := h.net.CheckInvariants(); err == nil {
+		t.Errorf("%s kept its staged bit, but CheckInvariants passed", st.name)
+	}
+	h.net.staged[i/64] = 0
+	h.run(t, 100)
+	if len(h.pms[7].delivered) != 1 {
+		t.Fatalf("delivered %d packets, want 1", len(h.pms[7].delivered))
 	}
 }

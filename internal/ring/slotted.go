@@ -151,7 +151,9 @@ type sstation struct {
 	// fault.go.
 	flt *stFault
 
-	util *stats.Utilization
+	// util counts the steps the station's slot carried a packet
+	// against its ring's step clock (sring.steps).
+	util stats.Utilization
 
 	// stalls counts slot-steps where a whole packet was ready to inject
 	// but the passing slot could not take it (occupied, or the
@@ -198,6 +200,9 @@ type sring struct {
 	// slotPeriod is the ticks between slot advances: cl ring cycles,
 	// doubled for non-global rings under double-speed clocking.
 	slotPeriod int64
+	// steps counts the slot advances: the clock every station's
+	// utilization takes its capacity from.
+	steps int64
 }
 
 // mayAdmit applies the ascent admission rule described in the package
@@ -294,7 +299,6 @@ func (n *SlottedNetwork) buildRing(level, base int, pms []node.Port, parentLower
 			st := &sstation{
 				name:  fmt.Sprintf("snic%d", pmID),
 				level: level,
-				util:  &stats.Utilization{},
 			}
 			id := pmID
 			st.exits = func(dst int) bool { return dst == id }
@@ -320,7 +324,6 @@ func (n *SlottedNetwork) buildRing(level, base int, pms []node.Port, parentLower
 			upper := &sstation{
 				name:  fmt.Sprintf("siri[%d,%d).up", lo, hi),
 				level: level,
-				util:  &stats.Utilization{},
 			}
 			l, h := lo, hi
 			upper.exits = func(dst int) bool { return dst >= l && dst < h }
@@ -330,7 +333,6 @@ func (n *SlottedNetwork) buildRing(level, base int, pms []node.Port, parentLower
 			lower := &sstation{
 				name:  fmt.Sprintf("siri[%d,%d).down", lo, hi),
 				level: level + 1,
-				util:  &stats.Utilization{},
 			}
 			lower.exits = func(dst int) bool { return dst < l || dst >= h }
 			lower.exitResp, lower.exitReq = upResp, upReq
@@ -346,12 +348,16 @@ func (n *SlottedNetwork) buildRing(level, base int, pms []node.Port, parentLower
 		n.stations = append(n.stations, parentLower)
 		slots = append(slots, parentLower)
 	}
-	n.rings = append(n.rings, &sring{
+	r := &sring{
 		stations: slots,
 		slots:    make([]sslot, len(slots)),
 		lo:       base,
 		hi:       base + spec.SubtreeSize(level),
-	})
+	}
+	for _, st := range slots {
+		st.util.Bind(&r.steps)
+	}
+	n.rings = append(n.rings, r)
 }
 
 // Compute implements sim.Component. All slotted movement is internal
@@ -392,8 +398,8 @@ func (n *SlottedNetwork) Partition() *sim.Partition { return nil }
 // of progress events (extractions and injections).
 func (n *SlottedNetwork) stepRing(r *sring, now int64) (moved int) {
 	r.headPos = (r.headPos - 1 + len(r.slots)) % len(r.slots)
+	r.steps++
 	for i, st := range r.stations {
-		st.util.Tick(1)
 		slot := r.slotAt(i)
 		if st.flt != nil && st.fltBlockedSlot(now, now/r.slotPeriod) {
 			// The station's ring attachment is faulted: it neither
@@ -493,7 +499,7 @@ func (n *SlottedNetwork) refillNIC(nc *snic, now int64) {
 func (n *SlottedNetwork) DescribeMetrics(reg *metrics.Registry) {
 	perLevel := make([][]*stats.Utilization, n.cfg.Spec.NumLevels())
 	for _, st := range n.stations {
-		perLevel[st.level] = append(perLevel[st.level], st.util)
+		perLevel[st.level] = append(perLevel[st.level], &st.util)
 	}
 	for lvl, backing := range perLevel {
 		reg.Ratio("ring_link_util", metrics.Labels{Link: levelLabel(lvl)}, backing...)
@@ -534,7 +540,7 @@ func (n *SlottedNetwork) UtilizationByLevel() []float64 {
 	levels := n.cfg.Spec.NumLevels()
 	aggr := make([]stats.Utilization, levels)
 	for _, st := range n.stations {
-		aggr[st.level].Merge(st.util)
+		aggr[st.level].Merge(&st.util)
 	}
 	out := make([]float64, levels)
 	for i := range aggr {

@@ -111,6 +111,9 @@ type ringInst struct {
 	// current compute phase, so simultaneous injections cannot
 	// overshoot the bubble bound.
 	stagedInj [numVCs]int
+	// cycles counts the ring's active cycles: the clock every station's
+	// link utilization takes its capacity from.
+	cycles int64
 	// resident counts the packets admitted to each channel's transit
 	// path, from the commit of an injected head that continues on the
 	// ring until the commit of the tail flit that leaves it. Counting
@@ -145,10 +148,16 @@ func (r *ringInst) mayAdmitNewResident(v int) bool {
 	return r.resident[v]+r.stagedInj[v] <= len(r.stations)-2
 }
 
+// begin opens one of the ring's active cycles.
+func (r *ringInst) begin() {
+	r.stagedInj = [numVCs]int{}
+	r.cycles++
+}
+
 // compute stages this cycle's transfer at every station of the ring
 // (all stations of a ring share its clock).
 func (r *ringInst) compute(now int64) {
-	r.stagedInj = [numVCs]int{}
+	r.begin()
 	for _, st := range r.stations {
 		st.compute(now)
 	}
@@ -159,7 +168,8 @@ func (r *ringInst) compute(now int64) {
 func (r *ringInst) commit(now int64) int {
 	moved := 0
 	for _, st := range r.stations {
-		if st.commit(now) {
+		if st.staged {
+			st.commit(now)
 			moved++
 		}
 	}
@@ -202,6 +212,13 @@ type station struct {
 	// fault.go.
 	flt *stFault
 
+	// busyWord and busyBit locate the station's bit in its network's
+	// busy set (Network.busy), which every push into its queues sets.
+	busyWord *uint64
+	busyBit  uint64
+
+	// util counts the flits crossing the output link against the
+	// ring's clock (ringInst.cycles).
 	util stats.Utilization
 	// stalls counts injection-stall cycles: active cycles where an
 	// injection queue held flits but no injection-queue flit crossed
@@ -260,6 +277,10 @@ func (s *station) init(name string, level, clFlits, injectFlits int) {
 		s.inject[i] = packet.MakeFIFO(injectFlits)
 	}
 }
+
+// wake puts the station in its network's busy set: it may hold a
+// flit.
+func (s *station) wake() { *s.busyWord |= s.busyBit }
 
 // exits reports whether a packet to dst leaves the ring at this
 // station.
@@ -326,15 +347,16 @@ func (s *station) candidate(v int) (packet.Flit, *packet.FIFO, bool) {
 // compute stages at most one outgoing flit for this cycle based on
 // start-of-cycle state, arbitrating the physical link round-robin
 // between the two virtual channels, and counts the cycle's injection
-// stall, which that decision settles.
-func (s *station) compute(now int64) {
-	s.staged = false
+// stall, which that decision settles. It reports whether the station
+// was found idle, holding no flit. Nothing is staged on entry: every
+// staged station commits in the same tick.
+func (s *station) compute(now int64) (idle bool) {
 	if s.flt != nil && s.fltBlocked(now) {
 		s.countStall() // output link faulted: nothing crosses this cycle
-		return
+		return false
 	}
 	if s.idle() {
-		return // nothing queued, so no stall either
+		return true // nothing queued, so no stall either
 	}
 	v := int(s.lastVC)
 	for k := 0; k < numVCs; k++ {
@@ -364,6 +386,7 @@ func (s *station) compute(now int64) {
 		break
 	}
 	s.countStall()
+	return false
 }
 
 // countStall counts this cycle as an injection stall when
@@ -409,12 +432,8 @@ func (s *station) accepts(f packet.Flit, v int, fromInject bool) (routeKind, boo
 
 // commit applies this cycle's staged transfer: pop from the source,
 // update the wormhole lock, and deposit into the downstream station.
-// Returns true when a flit moved (for the engine's progress counter).
-func (s *station) commit(now int64) bool {
-	s.util.Tick(1)
-	if !s.staged {
-		return false
-	}
+// Only stations that staged a flit commit.
+func (s *station) commit(now int64) {
 	s.staged = false
 	f, v, route := s.stagedF, int(s.stagedVC), s.stagedRoute
 	s.lastVC = s.stagedVC
@@ -455,12 +474,12 @@ func (s *station) commit(now int64) bool {
 	}
 	s.downstream.receive(f, v, route, now)
 	s.util.Busy(1)
-	return true
 }
 
 // receive absorbs a flit arriving from upstream on channel v (commit
 // phase). For head flits the route was decided by accepts during
 // compute and is passed through; body flits must follow their head.
+// A flit pushed into a queue wakes the queue's station.
 func (s *station) receive(f packet.Flit, v int, route routeKind, now int64) {
 	vc := &s.vcs[v]
 	if f.Head() {
@@ -476,12 +495,14 @@ func (s *station) receive(f packet.Flit, v int, route routeKind, now int64) {
 	switch {
 	case route != routeExit:
 		vc.buf.Push(f)
+		s.wake()
 	case s.deliver != nil:
 		if f.Tail() {
 			s.deliver(f.Pkt, now)
 		}
 	default:
 		s.peer.inject[injectClass(f.Pkt)].Push(f)
+		s.peer.wake()
 	}
 }
 

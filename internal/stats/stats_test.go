@@ -210,25 +210,37 @@ func TestTCritical(t *testing.T) {
 }
 
 func TestUtilization(t *testing.T) {
+	var clock int64
 	var u Utilization
 	if u.Value() != 0 {
 		t.Fatal("empty utilization should be 0")
 	}
-	u.Tick(10)
+	u.Bind(&clock)
+	clock += 10
 	u.Busy(4)
 	if !almostEq(u.Value(), 0.4, 1e-12) {
 		t.Fatalf("value = %v", u.Value())
 	}
+	var other int64
 	var v Utilization
-	v.Tick(10)
+	v.Bind(&other)
+	other += 10
 	v.Busy(6)
-	u.Merge(&v)
-	if !almostEq(u.Value(), 0.5, 1e-12) {
-		t.Fatalf("merged value = %v", u.Value())
+	var m Utilization
+	m.Merge(&u)
+	m.Merge(&v)
+	if !almostEq(m.Value(), 0.5, 1e-12) {
+		t.Fatalf("merged value = %v", m.Value())
 	}
 	u.Reset()
 	if u.Value() != 0 {
 		t.Fatal("reset failed")
+	}
+	// The clock keeps running past a Reset: capacity counts from it.
+	clock += 5
+	u.Busy(1)
+	if busy, capacity := u.Counts(); busy != 1 || capacity != 5 {
+		t.Fatalf("counts after reset = %d/%d, want 1/5", busy, capacity)
 	}
 }
 
@@ -318,8 +330,10 @@ func TestBatchMeansCorrelated(t *testing.T) {
 // operands in every direction: an unticked counter must act as the
 // identity and never poison the merged ratio with a 0/0 division.
 func TestUtilizationMergeZeroCapacity(t *testing.T) {
+	clock := int64(0)
 	var active Utilization
-	active.Tick(10)
+	active.Bind(&clock)
+	clock += 10
 	active.Busy(5)
 
 	var empty Utilization
