@@ -91,8 +91,9 @@ profile:
 		-cpuprofile cpu.prof -memprofile mem.prof .
 	@echo "profiles written: cpu.prof mem.prof (go tool pprof ringmesh.test <file>)"
 
-# Boot the serving daemon, submit the same run twice, and assert the
-# second is answered from the result cache (end-to-end, over HTTP).
+# Drive the serving daemon end to end over HTTP, in six stages: cache
+# hit, durability across kill -9, coordinator partial failure, overload
+# shedding, journal replay and `auto` fidelity.
 smoke-ringmeshd:
 	bash ci/smoke_ringmeshd.sh
 

@@ -1,26 +1,28 @@
 #!/usr/bin/env bash
-# Smoke test for the serving daemon: build ringmeshd, boot it with
-# profiling enabled (-pprof), check health and metrics (including
-# latency histogram buckets and a CPU profile fetch), submit the same run twice and
-# assert the second is answered from the result cache — including a
-# resubmission with a different "workers" value, which must still hit
-# (the cache key ignores the execution-only Workers field) — fetch the
-# job's lifecycle trace, then shut down gracefully with SIGTERM.
-#
-# Then the two resilience claims, end to end:
-#   - durability: boot with -cache-dir, kill -9 mid-load, restart over
-#     the same directory, and prove the pre-crash result is served
-#     from the disk tier (the cache-hit counters are the proof, not
-#     wall-clock);
-#   - partial failure: boot a 1-coordinator/2-worker trio, kill the
-#     workers mid-sweep, and prove the response is a partial-success
-#     merge (completed points + structured point_errors + degraded),
-#     with retries and breaker trips visible on /metrics.
-#
-# Later stages add overload (priority admission + shedding), the
-# crash-safe journal, and multi-fidelity serving (an auto request
-# answered analytically under load, upgraded to exact in the
-# background).
+# Smoke test for the serving daemon, end to end over HTTP, in six
+# stages:
+#   1. cache hit: boot with -pprof, check health, metrics (latency
+#      histogram buckets) and a CPU profile fetch, submit the same run
+#      twice and assert the second is answered from the result cache —
+#      also when resubmitted with a different "workers" value, which the
+#      cache key ignores — fetch the job's lifecycle trace, and shut
+#      down gracefully with SIGTERM;
+#   2. durability across kill -9: boot with -cache-dir, kill -9
+#      mid-load, restart over the same directory, and prove the
+#      pre-crash result is served from the disk tier (the cache-hit
+#      counters are the proof, not wall-clock);
+#   3. coordinator partial failure: boot a 1-coordinator/2-worker trio,
+#      kill the workers mid-sweep, and prove the response is a
+#      partial-success merge (completed points + structured
+#      point_errors + degraded), with retries and breaker trips visible
+#      on /metrics;
+#   4. overload shedding: at a full queue the next submission is a 503
+#      with Retry-After and a structured body, and every queued job
+#      still finishes;
+#   5. journal replay: kill -9 with jobs running and queued, restart
+#      over the journal, and every job finishes under its original ID;
+#   6. auto fidelity: an auto request is answered analytically while
+#      the worker is busy, and its upgrade job lands the exact result.
 #
 # No dependencies beyond curl and the Go toolchain.
 set -euo pipefail
@@ -317,11 +319,11 @@ kill -TERM "$cpid"; wait "$cpid" || { echo "FAIL: coordinator exited dirty"; exi
 echo "PASS: coordinator smoke (fleet killed mid-sweep; merged degraded response with retries+breaker trips)"
 
 # ---------------------------------------------------------------------
-# Stage 4: overload. One worker, a tiny queue, a long occupier, and a
-# background flood filling every slot. An interactive submission must
-# still admit (evicting background), further background work must be
-# shed with 503 + Retry-After + the structured body, and the per-class
-# admit/shed counters must tell the story on /metrics.
+# Stage 4: overload. One worker, a three-job queue, a long occupier
+# and three queued jobs. The fourth submission is shed with 503 +
+# Retry-After + a structured {"error","retry_after_ms"} body, nothing
+# queued is evicted, and the admit/shed counters tell the story on
+# /metrics.
 
 flog=$(mktemp)
 boot "$flog" -workers 1 -queue 3
@@ -330,7 +332,7 @@ fpid=$BOOT_PID; fbase="http://$BOOT_ADDR"
 occupier='{"config":{"network":"mesh","nodes":256,"line_bytes":32,"buffer_flits":4,"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":20},"options":{"warmup_cycles":20000,"batch_cycles":20000,"batches":8}}'
 oid=$(submit_id "$fbase" "$occupier")
 [ -n "$oid" ] || { echo "FAIL: no occupier id"; exit 1; }
-# Wait until the worker picks it up, so the flood below only competes
+# Wait until the worker picks it up, so the jobs below only compete
 # for queue slots, never for the worker.
 started=""
 for _ in $(seq 1 100); do
@@ -341,69 +343,39 @@ for _ in $(seq 1 100); do
 done
 [ -n "$started" ] || { echo "FAIL: occupier never started"; exit 1; }
 
-bgbody() { printf '{"config":{"network":"mesh","nodes":16,"line_bytes":32,"buffer_flits":4,"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":%d},"class":"background","options":{"warmup_cycles":500,"batch_cycles":500,"batches":2}}' "$1"; }
-bglast=""
+# Distinct seeds, so the single-flight cache cannot collapse them.
+runbody() { printf '{"config":{"network":"mesh","nodes":16,"line_bytes":32,"buffer_flits":4,"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":%d},"options":{"warmup_cycles":500,"batch_cycles":500,"batches":2}}' "$1"; }
+qids=()
 for i in 21 22 23; do
-  bglast=$(submit_id "$fbase" "$(bgbody "$i")")
-  [ -n "$bglast" ] || { echo "FAIL: background flood job $i rejected early"; exit 1; }
+  qid=$(submit_id "$fbase" "$(runbody "$i")")
+  [ -n "$qid" ] || { echo "FAIL: job $i rejected below the queue bound"; exit 1; }
+  qids+=("$qid")
 done
 
-# Interactive (default class) still admits at the full queue.
-inter='{"config":{"network":"mesh","nodes":16,"line_bytes":32,"buffer_flits":4,"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":24},"options":{"warmup_cycles":500,"batch_cycles":500,"batches":2}}'
-iid=$(submit_id "$fbase" "$inter")
-[ -n "$iid" ] || { echo "FAIL: interactive submission shed under background flood"; exit 1; }
-
-# Its victim: the newest background job, failed with the shed taxonomy.
-vdoc=$(curl -fsS "$fbase/v1/jobs/$bglast" | tr -d '[:space:]')
-case "$vdoc" in
-  *'"state":"failed"'*'"kind":"shed"'*|*'"kind":"shed"'*'"state":"failed"'*) ;;
-  *) echo "FAIL: evicted background job not failed/shed: $vdoc"; exit 1 ;;
-esac
-
-# One more background submission has nothing to evict. Spelled with an
-# explicit "simulate" tier it keeps the hard backpressure contract:
-# 503, Retry-After, structured body — never a silent downgrade.
 shedhdr=$(mktemp); shedbody=$(mktemp)
-simbody='{"config":{"network":"mesh","nodes":16,"line_bytes":32,"buffer_flits":4,"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":25},"class":"background","fidelity":"simulate","options":{"warmup_cycles":500,"batch_cycles":500,"batches":2}}'
-code=$(curl -sS -D "$shedhdr" -o "$shedbody" -w '%{http_code}' -X POST "$fbase/v1/runs" -d "$simbody")
-[ "$code" = "503" ] || { echo "FAIL: saturated explicit-simulate POST = $code"; cat "$shedbody"; exit 1; }
+code=$(curl -sS -D "$shedhdr" -o "$shedbody" -w '%{http_code}' -X POST "$fbase/v1/runs" -d "$(runbody 24)")
+[ "$code" = "503" ] || { echo "FAIL: POST at a full queue = $code"; cat "$shedbody"; exit 1; }
 grep -qi '^retry-after: [1-9]' "$shedhdr" || { echo "FAIL: shed 503 missing Retry-After:"; cat "$shedhdr"; exit 1; }
-grep -q '"class": *"background"' "$shedbody" || { echo "FAIL: shed body missing class:"; cat "$shedbody"; exit 1; }
 grep -q '"retry_after_ms": *[1-9]' "$shedbody" || { echo "FAIL: shed body missing retry_after_ms:"; cat "$shedbody"; exit 1; }
+if grep -q '"class"' "$shedbody"; then echo "FAIL: shed body names a class:"; cat "$shedbody"; exit 1; fi
 
-# The same submission with no named tier degrades instead of 503: an
-# immediate analytic answer, labeled and marked degraded.
-deg=$(curl -fsS -X POST "$fbase/v1/runs" -d "$(bgbody 26)" | tr -d '[:space:]')
-case "$deg" in
-  *'"degraded":true'*) ;;
-  *) echo "FAIL: fidelity-agnostic background run not degraded: $deg"; exit 1 ;;
-esac
-case "$deg" in
-  *'"fidelity":"analytic"'*'"max_rel_err":'*) ;;
-  *) echo "FAIL: degraded answer not analytic with a bound: $deg"; exit 1 ;;
-esac
-
-# Liveness vs readiness: both up, readiness carrying per-class depths.
+# Liveness vs readiness: both up, readiness carrying the queued count.
 grep -q '"ok"' <<<"$(curl -fsS "$fbase/healthz")" || { echo "FAIL: healthz under flood"; exit 1; }
-grep -q '"interactive"' <<<"$(curl -fsS "$fbase/readyz")" || { echo "FAIL: readyz missing class depths"; exit 1; }
+grep -q '"queued"' <<<"$(curl -fsS "$fbase/readyz")" || { echo "FAIL: readyz missing the queued count"; exit 1; }
 
 fmetrics=$(curl -fsS "$fbase/metrics")
-grep -q 'ringmeshd_admit_total{class="interactive"} 2' <<<"$fmetrics" \
-  || { echo "FAIL: interactive admit counter:"; echo "$fmetrics" | grep admit; exit 1; }
-# Four background sheds: the evicted flood job, the explicit-simulate
-# 503, and the degraded run's own failed admit plus its (also shed)
-# upgrade attempt.
-grep -q 'ringmeshd_shed_total{class="background"} 4' <<<"$fmetrics" \
-  || { echo "FAIL: background shed counter:"; echo "$fmetrics" | grep shed; exit 1; }
-grep -q '^ringmeshd_fidelity_degraded_total 1$' <<<"$fmetrics" \
-  || { echo "FAIL: degrade counter:"; echo "$fmetrics" | grep fidelity; exit 1; }
+grep -q '^ringmeshd_shed_total 1$' <<<"$fmetrics" \
+  || { echo "FAIL: shed counter:"; echo "$fmetrics" | grep shed; exit 1; }
+grep -q '^ringmeshd_admit_total 4$' <<<"$fmetrics" \
+  || { echo "FAIL: admit counter:"; echo "$fmetrics" | grep admit; exit 1; }
 
-# The interactive job completes once the occupier finishes; the two
-# surviving background jobs drain behind it.
-await "$fbase" "$iid" >/dev/null
+# The three queued jobs finish once the occupier is through.
+for qid in "${qids[@]}"; do
+  await "$fbase" "$qid" >/dev/null
+done
 kill -TERM "$fpid"; wait "$fpid" || { echo "FAIL: flood daemon exited dirty"; exit 1; }
 
-echo "PASS: overload smoke (interactive admitted+completed under background flood; shed with Retry-After)"
+echo "PASS: overload smoke (fourth job shed with Retry-After at a full queue; the three queued finished)"
 
 # ---------------------------------------------------------------------
 # Stage 5: crash-safe journal. Boot with -journal-dir, stack one
@@ -450,10 +422,10 @@ kill -TERM "$jpid2"; wait "$jpid2" || { echo "FAIL: journal daemon exited dirty"
 echo "PASS: journal smoke (kill -9 with 4 unfinished jobs; restart replayed all under original IDs)"
 
 # ---------------------------------------------------------------------
-# Stage 6: multi-fidelity serving. Flood a single-worker daemon with
-# background jobs, then ask for a cache-cold run at fidelity "auto":
-# the answer must come back immediately — analytic-labeled, carrying
-# its recorded error bound and a background upgrade job ID — while the
+# Stage 6: multi-fidelity serving. Queue jobs behind a single busy
+# worker, then ask for a cache-cold run at fidelity "auto": the answer
+# must come back immediately — analytic-labeled, carrying its recorded
+# error bound and the ID of its upgrade job — while the
 # exact result lands later under its own cache key. The upgrade job
 # must finish with an unlabeled exact result, and the fidelity
 # counters must tell the story on /metrics.
@@ -462,13 +434,13 @@ alog=$(mktemp)
 boot "$alog" -workers 1
 apid=$BOOT_PID; abase="http://$BOOT_ADDR"
 
-# Occupy the worker and stack a background flood behind it, so the
-# auto request below cannot possibly be answered by a quick exact run.
+# Occupy the worker and queue jobs behind it, so the auto request
+# below cannot possibly be answered by a quick exact run.
 aoid=$(submit_id "$abase" "$occupier")
 [ -n "$aoid" ] || { echo "FAIL: no occupier id on fidelity daemon"; exit 1; }
 for i in 41 42 43; do
-  fid=$(submit_id "$abase" "$(bgbody "$i")")
-  [ -n "$fid" ] || { echo "FAIL: background flood job $i rejected"; exit 1; }
+  fid=$(submit_id "$abase" "$(runbody "$i")")
+  [ -n "$fid" ] || { echo "FAIL: queued job $i rejected"; exit 1; }
 done
 
 autobody='{"config":{"network":"mesh","nodes":36,"line_bytes":32,"buffer_flits":4,"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":44},"options":{"warmup_cycles":500,"batch_cycles":500,"batches":2},"fidelity":"auto"}'
@@ -484,8 +456,8 @@ esac
 upid=$(printf '%s' "$auto" | sed -n 's/.*"upgrade_job_id":"\([^"]*\)".*/\1/p')
 [ -n "$upid" ] || { echo "FAIL: auto answer missing upgrade job id: $auto"; exit 1; }
 
-# The upgrade runs at the back of the background queue and must land
-# the exact, unlabeled result.
+# The upgrade runs at the back of the queue and must land the exact,
+# unlabeled result.
 updoc=$(await "$abase" "$upid")
 case "$updoc" in
   *'"fidelity":"analytic"'*) echo "FAIL: upgrade result still analytic: $updoc"; exit 1 ;;

@@ -11,17 +11,16 @@
 //
 // Endpoints: POST /v1/runs, POST /v1/sweeps, POST /v1/batch,
 // GET /v1/jobs/{id} (?watch=1 for SSE), GET /healthz (liveness),
-// GET /readyz (readiness with per-class queue depths), GET /metrics.
+// GET /readyz (readiness with the queued job count), GET /metrics.
 //
 // Execution: -workers jobs run at once, every point on the serial
 // engine (DESIGN.md §8); a request's own "workers" value is ignored.
 //
-// Admission control: every submission carries a priority class
-// (interactive, batch, background; default interactive, /v1/batch
-// defaults to batch) drained by a weighted scheduler so interactive
-// runs preempt bulk work. Admission refuses work only at the -queue
-// bound: the lowest class is shed first, with Retry-After and a
-// structured {"error","class","retry_after_ms"} body. An optional
+// Admission control: every queued job waits in one FIFO of at most
+// -queue jobs. Admission refuses work only at that bound: the arrival
+// is shed with 503, Retry-After and a structured
+// {"error","retry_after_ms"} body, and a queued job is never evicted.
+// A "class" field in a body is accepted and ignored. An optional
 // end-to-end deadline (X-Ringmeshd-Deadline header or deadline_ms
 // field) is enforced at dequeue and through the run's context, which
 // carries it to coordinator dispatches; a job that runs out of it
@@ -30,12 +29,11 @@
 // Multi-fidelity serving: submissions may carry a fidelity field —
 // "simulate" (default), "analytic" (inline closed-form estimate,
 // labeled with its recorded error bound, never queued), or "auto"
-// (cache hit if available, else an analytic answer plus a background
-// "upgrade to exact" job whose ID rides in the response). Estimates
-// and exact results live under distinct cache keys; under admission
-// pressure, background runs that named no tier degrade to
-// analytic-with-upgrade instead of 503. ringmeshd_fidelity_* counters
-// and per-fidelity latency histograms appear on /metrics.
+// (cache hit if available, else an analytic answer plus an "upgrade
+// to exact" job, queued best-effort, whose ID rides in the response).
+// Estimates and exact results live under distinct cache keys.
+// ringmeshd_fidelity_* counters and per-fidelity latency histograms
+// appear on /metrics.
 //
 // Durability: -cache-dir adds a disk tier under the in-memory result
 // cache (checksummed files, atomic renames), so results survive
@@ -43,7 +41,7 @@
 // directory. -journal-dir additionally journals every job state
 // transition to an fsync'd write-ahead log, so accepted-but-unfinished
 // jobs survive kill -9 too: on restart the journal replays and
-// re-enqueues them under their original IDs and classes.
+// re-enqueues them under their original IDs.
 //
 // Coordinator mode: -coordinator -worker-addrs=h1:8080,h2:8080 fans
 // jobs out to worker daemons over the same HTTP API instead of
@@ -85,7 +83,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		workers      = flag.Int("workers", 0, "job pool size: jobs executing at once, each point on the serial engine (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 64, "pending job bound across all classes; at the bound lower classes are shed first")
+		queue        = flag.Int("queue", 64, "pending job bound; jobs run first in, first out, and an arrival at the bound is shed with 503 + Retry-After")
 		journalDir   = flag.String("journal-dir", "", "crash-safe job journal directory; accepted jobs survive kill -9 and replay on restart (empty = off)")
 		cacheEntries = flag.Int("cache-entries", 256, "result cache bound (LRU)")
 		cacheDir     = flag.String("cache-dir", "", "durable disk cache directory; results survive restarts and may be shared by replicas (empty = memory only)")

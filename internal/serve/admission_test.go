@@ -1,19 +1,22 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"ringmesh"
-	"ringmesh/internal/metrics"
 )
 
 // leakCheck registers a cleanup asserting the goroutine count returns
@@ -26,255 +29,210 @@ func leakCheck(t *testing.T, slack int) {
 	t.Cleanup(func() { waitGoroutinesBelow(t, base+slack) })
 }
 
-// testAdmitter builds an admitter with the given total bound on a
-// throwaway registry.
-func testAdmitter(total int) *admitter {
-	return newAdmitter(total, &metrics.Registry{})
-}
-
 // testJob builds a bare job of the given kind with n points, for
-// tests that drive the queues or finish directly.
+// tests that drive the queue or finish directly.
 func testJob(id, kind string, n int) *job {
 	return newJob(id, journalRecord{Kind: kind}, make([]point, n), "")
 }
 
-func classedJob(id string, c class) *job {
-	j := testJob(id, kindRun, 1)
-	j.class = c
-	return j
-}
-
-func TestAdmitterPriorityOrder(t *testing.T) {
-	a := testAdmitter(16)
-	// Queue background and batch first, interactive last: the scheduler
-	// must still hand out interactive first.
-	for _, j := range []*job{
-		classedJob("bg1", classBackground),
-		classedJob("ba1", classBatch),
-		classedJob("in1", classInteractive),
-		classedJob("in2", classInteractive),
+// TestAdmitterFIFO: one queue under one bound hands jobs out in arrival
+// order whatever their kind, an arrival at the bound is shed and leaves
+// the queue as it was, and after close the queued jobs still come out
+// before ok=false.
+func TestAdmitterFIFO(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		bound  int
+		arrive []*job
+		shed   string // arrivals refused, in order
+		order  string // what next hands out, in order
+	}{
+		{"arrival order across kinds", 8, []*job{
+			testJob("r1", kindRun, 1), testJob("s1", kindSweep, 3),
+			testJob("b1", kindBatch, 2), testJob("r2", kindRun, 1),
+		}, "", "r1 s1 b1 r2"},
+		{"shed at the bound", 2, []*job{
+			testJob("a", kindBatch, 2), testJob("b", kindRun, 1),
+			testJob("c", kindRun, 1), testJob("d", kindSweep, 2),
+		}, "c d", "a b"},
 	} {
-		if _, err := a.enqueue(j); err != nil {
-			t.Fatalf("enqueue %s: %v", j.id, err)
-		}
-	}
-	var got []string
-	for range 4 {
-		j, ok := a.next()
-		if !ok {
-			t.Fatal("next = closed with jobs queued")
-		}
-		got = append(got, j.id)
-	}
-	want := "in1 in2 ba1 bg1"
-	if s := strings.Join(got, " "); s != want {
-		t.Fatalf("drain order = %q; want %q", s, want)
-	}
-}
-
-// TestAdmitterDRRSharesUnderSaturation: with every class continuously
-// backlogged, one credit-refill cycle serves weight-many jobs of each
-// class (16/4/1) in priority order — bulk is throttled, not starved.
-func TestAdmitterDRRSharesUnderSaturation(t *testing.T) {
-	a := testAdmitter(128)
-	for i := range 40 {
-		for c := class(0); c < numClasses; c++ {
-			if _, err := a.enqueue(classedJob(fmt.Sprintf("%s%d", c, i), c)); err != nil {
-				t.Fatalf("enqueue: %v", err)
-			}
-		}
-	}
-	var got, want []string
-	for cycle := range 2 {
-		for c := class(0); c < numClasses; c++ {
-			for i := range classWeights[c] {
-				want = append(want, fmt.Sprintf("%s%d", c, cycle*classWeights[c]+i))
-				j, ok := a.next()
-				if !ok {
-					t.Fatal("next = closed with jobs queued")
+		t.Run(tc.name, func(t *testing.T) {
+			a := newAdmitter(tc.bound)
+			var shed []string
+			for _, j := range tc.arrive {
+				before := a.depth()
+				var se *shedError
+				if err := a.enqueue(j); errors.As(err, &se) {
+					shed = append(shed, j.id)
+					if a.depth() != before {
+						t.Errorf("shed %s changed the depth %d -> %d", j.id, before, a.depth())
+					}
+				} else if err != nil {
+					t.Fatalf("enqueue %s: %v", j.id, err)
 				}
-				got = append(got, j.id)
 			}
-		}
-	}
-	if g, w := strings.Join(got, " "), strings.Join(want, " "); g != w {
-		t.Fatalf("DRR order = %q; want %q", g, w)
-	}
-}
-
-func TestAdmitterEvictsLowestClassFirst(t *testing.T) {
-	a := testAdmitter(2)
-	bg := classedJob("bg", classBackground)
-	ba := classedJob("ba", classBatch)
-	for _, j := range []*job{bg, ba} {
-		if _, err := a.enqueue(j); err != nil {
-			t.Fatalf("enqueue %s: %v", j.id, err)
-		}
-	}
-	// Interactive arrival at the full bound: background (lowest) is the
-	// victim, not batch.
-	victim, err := a.enqueue(classedJob("in", classInteractive))
-	if err != nil {
-		t.Fatalf("interactive at full queue: %v", err)
-	}
-	if victim == nil || victim.id != "bg" {
-		t.Fatalf("victim = %+v; want bg", victim)
-	}
-	// A second interactive evicts batch (now the lowest queued below it).
-	victim, err = a.enqueue(classedJob("in2", classInteractive))
-	if err != nil {
-		t.Fatalf("second interactive: %v", err)
-	}
-	if victim == nil || victim.id != "ba" {
-		t.Fatalf("victim = %+v; want ba", victim)
-	}
-	// A third has nothing below it left: shed itself.
-	var se *shedError
-	if _, err := a.enqueue(classedJob("in3", classInteractive)); !errors.As(err, &se) {
-		t.Fatalf("interactive with no lower class queued = %v; want shedError", err)
-	}
-	if se.class != classInteractive {
-		t.Fatalf("shed class = %s; want interactive", se.class)
+			a.close()
+			if err := a.enqueue(testJob("late", kindRun, 1)); !errors.Is(err, errDraining) {
+				t.Fatalf("enqueue after close = %v; want errDraining", err)
+			}
+			var order []string
+			for j, ok := a.next(); ok; j, ok = a.next() {
+				order = append(order, j.id)
+			}
+			if got := strings.Join(shed, " "); got != tc.shed {
+				t.Errorf("shed = %q; want %q", got, tc.shed)
+			}
+			if got := strings.Join(order, " "); got != tc.order {
+				t.Errorf("order = %q; want %q", got, tc.order)
+			}
+		})
 	}
 }
 
 func TestAdmitterForceEnqueueBypassesBounds(t *testing.T) {
-	a := testAdmitter(1)
-	if _, err := a.enqueue(classedJob("a", classInteractive)); err != nil {
+	a := newAdmitter(1)
+	if err := a.enqueue(testJob("a", kindRun, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// Replay path: past every bound, never shed.
-	a.forceEnqueue(classedJob("replayed", classInteractive))
+	// Replay path: past the bound, never shed.
+	a.forceEnqueue(testJob("replayed", kindRun, 1))
 	if d := a.depth(); d != 2 {
 		t.Fatalf("depth after forceEnqueue = %d; want 2", d)
 	}
 }
 
-func TestParseClass(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		def  class
-		want class
-		ok   bool
-	}{
-		{"", classInteractive, classInteractive, true},
-		{"", classBatch, classBatch, true},
-		{"interactive", classBatch, classInteractive, true},
-		{"batch", classInteractive, classBatch, true},
-		{"background", classInteractive, classBackground, true},
-		{"urgent", classInteractive, 0, false},
-	} {
-		got, err := parseClass(tc.in, tc.def)
-		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
-			t.Errorf("parseClass(%q) = %v, %v; want %v ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
+// holdWorker occupies the worker of a one-worker server until the test
+// ends or calls release: it holds a run's computation open in the
+// result cache, then submits that run, so the worker that picks it up
+// waits on the held computation. It returns the run's job ID.
+func holdWorker(t *testing.T, s *Server, base string) (id string, release func()) {
+	t.Helper()
+	cfg, opt := meshRun(16, 77), testOptions()
+	key, err := ringmesh.CacheKey(cfg, *opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestFloodInteractiveSurvives is the acceptance scenario: one busy
-// worker, a background flood filling the queue, and an interactive
-// submission that must still admit (evicting background) while further
-// background work is shed with the Retry-After contract.
-func TestFloodInteractiveSurvives(t *testing.T) {
-	leakCheck(t, 2)
-	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 3})
-
-	// Occupy the only worker far beyond the test's lifetime.
-	long := &ringmesh.RunOptions{WarmupCycles: 500_000_000, BatchCycles: 1000, Batches: 2}
-	resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: testConfig(), Options: long})
+	held, gate, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		s.cache.do(context.Background(), key, nil, func() (ringmesh.Result, error) {
+			close(held)
+			<-gate
+			return ringmesh.Run(cfg, *opt)
+		})
+	}()
+	<-held
+	release = sync.OnceFunc(func() { close(gate); <-done })
+	t.Cleanup(release)
+	resp, raw := postJSON(t, base+"/v1/runs", runRequest{Config: cfg, Options: opt})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("occupier POST = %d: %s", resp.StatusCode, raw)
 	}
-	waitForRunning(t, s, decodeDoc(t, raw).ID)
+	id = decodeDoc(t, raw).ID
+	waitForRunning(t, s, id)
+	return id, release
+}
 
-	// Background flood fills every queue slot (distinct seeds so the
-	// single-flight cache cannot collapse them).
-	var bgIDs []string
-	for i := range 3 {
-		cfg := testConfig()
-		cfg.Seed = uint64(1000 + i)
-		resp, raw := postJSON(t, ts.URL+"/v1/runs",
-			runRequest{Config: cfg, Options: long, Class: "background"})
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("background %d POST = %d: %s", i, resp.StatusCode, raw)
+// sumSeries adds up every sample of a series in a scrape, whatever its
+// labels — what a Prometheus sum() by name computes.
+func sumSeries(t *testing.T, text, name string) float64 {
+	t.Helper()
+	sum := 0.0
+	re := regexp.MustCompile(`(?m)^` + name + `(?:\{[^}]*\})? (\S+)$`)
+	for _, m := range re.FindAllStringSubmatch(text, -1) {
+		v, err := strconv.ParseFloat(m[1], 64)
+		if err != nil {
+			t.Fatal(err)
 		}
-		bgIDs = append(bgIDs, decodeDoc(t, raw).ID)
+		sum += v
+	}
+	return sum
+}
+
+// TestQueueDepthIsOneSeries: with k jobs queued, the queue depth summed
+// by name reads k — the daemon exports it once, not once per label set
+// and again as a total.
+func TestQueueDepthIsOneSeries(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	holdWorker(t, s, ts.URL)
+	const k = 3
+	for i := range k {
+		resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: meshRun(16, uint64(300+i)), Options: testOptions()})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST %d = %d: %s", i, resp.StatusCode, raw)
+		}
+	}
+	if got := sumSeries(t, getMetrics(t, ts.URL), "ringmeshd_queue_depth"); got != k {
+		t.Fatalf("ringmeshd_queue_depth summed by name = %g; want %d", got, k)
+	}
+}
+
+// TestFloodShedsAtBound is the overload scenario: with the only worker
+// held and the queue full, an arrival is refused with the backpressure
+// contract (503, Retry-After, a structured body), nothing queued is
+// touched, and once the worker is free every admitted job completes.
+func TestFloodShedsAtBound(t *testing.T) {
+	leakCheck(t, 2)
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 3})
+	occupier, release := holdWorker(t, s, ts.URL)
+
+	// Distinct seeds, so the single-flight cache cannot collapse them.
+	ids := []string{occupier}
+	for i := range 3 {
+		resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: meshRun(16, uint64(1000+i)), Options: testOptions()})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST %d = %d: %s", i, resp.StatusCode, raw)
+		}
+		ids = append(ids, decodeDoc(t, raw).ID)
 	}
 
-	// Interactive still admits: the newest background job is evicted.
-	cfg := testConfig()
-	cfg.Seed = 7
-	resp, raw = postJSON(t, ts.URL+"/v1/runs", runRequest{Config: cfg, Options: long})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("interactive POST under flood = %d: %s; want 202", resp.StatusCode, raw)
-	}
-	evicted := awaitJob(t, ts.URL, bgIDs[len(bgIDs)-1], true)
-	if evicted.State != JobFailed || evicted.Error == nil || evicted.Error.Kind != "shed" {
-		t.Fatalf("evicted background job = %s %+v; want failed/shed", evicted.State, evicted.Error)
-	}
-
-	// Another background submission that explicitly demands exact
-	// simulation has nothing below it: shed with the documented
-	// backpressure contract (never silently downgraded).
-	cfg.Seed = 8
-	resp, raw = postJSON(t, ts.URL+"/v1/runs",
-		runRequest{Config: cfg, Options: long, Class: "background", Fidelity: "simulate"})
+	resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: meshRun(16, 1003), Options: testOptions()})
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("background POST at saturation = %d: %s; want 503", resp.StatusCode, raw)
+		t.Fatalf("POST at the bound = %d: %s; want 503", resp.StatusCode, raw)
 	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
 		t.Fatalf("shed 503 Retry-After = %q; want >= 1s", ra)
 	}
-	var eb errorBody
-	mustUnmarshal(t, raw, &eb)
-	if eb.Class != "background" || eb.RetryAfterMS < 1000 || eb.Error == "" {
-		t.Fatalf("shed body = %+v; want class=background, retry_after_ms >= 1000", eb)
+	var body map[string]any
+	mustUnmarshal(t, raw, &body)
+	if ms, _ := body["retry_after_ms"].(float64); len(body) != 2 || body["error"] == "" || ms < 1000 {
+		t.Fatalf("shed body = %s; want exactly error and retry_after_ms >= 1000", raw)
 	}
 
-	// A fidelity-agnostic background submission degrades instead: an
-	// analytic-labeled answer with its error bound, not a 503. The
-	// upgrade job cannot admit under the same pressure, so no ID.
-	cfg.Seed = 9
-	resp, raw = postJSON(t, ts.URL+"/v1/runs",
-		runRequest{Config: cfg, Options: long, Class: "background"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("agnostic background POST at saturation = %d: %s; want degraded 200", resp.StatusCode, raw)
-	}
-	deg := decodeDoc(t, raw)
-	if deg.State != JobDone || !deg.Degraded || deg.Result == nil {
-		t.Fatalf("degraded doc = %+v; want done/degraded with a result", deg)
-	}
-	var dres ringmesh.Result
-	mustUnmarshal(t, deg.Result, &dres)
-	if dres.Fidelity != "analytic" || dres.ErrorBound == nil {
-		t.Fatalf("degraded result fidelity = %q bound = %v; want labeled analytic with a bound",
-			dres.Fidelity, dres.ErrorBound)
-	}
-
-	// The per-class and fidelity counters prove the story on /metrics:
-	// background sheds are the evicted job, the explicit-simulate
-	// rejection, the degraded job's failed admission and its upgrade
-	// attempt; exactly one answer was served at degraded fidelity.
 	mtext := getMetrics(t, ts.URL)
-	for _, want := range []string{
-		`ringmeshd_admit_total{class="interactive"} 2`,
-		`ringmeshd_admit_total{class="background"} 3`,
-		`ringmeshd_shed_total{class="background"} 4`,
-		`ringmeshd_queue_depth{class="interactive"} 1`,
-		`ringmeshd_fidelity_degraded_total 1`,
-		`ringmeshd_fidelity_analytic_answers_total 1`,
-		`ringmeshd_fidelity_upgrades_total 0`,
-	} {
-		if !strings.Contains(mtext, want) {
+	for _, want := range []string{"ringmeshd_admit_total 4", "ringmeshd_shed_total 1", "ringmeshd_queue_depth 3"} {
+		if !regexp.MustCompile(`(?m)^` + want + `$`).MatchString(mtext) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
 
-	// Cancel the flood so cleanup doesn't wait on 500M-cycle runs.
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := s.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Drain = %v; want deadline exceeded", err)
+	release()
+	for _, id := range ids {
+		if d := awaitJob(t, ts.URL, id, false); d.State != JobDone {
+			t.Errorf("admitted job %s = %s; want done", id, d.State)
+		}
+	}
+}
+
+// TestClassFieldIgnored: older clients and coordinators send a
+// priority class; every submission body still accepts it, and the job
+// is queued and documented like any other.
+func TestClassFieldIgnored(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for path, body := range map[string]any{
+		"/v1/runs":   runRequest{Config: meshRun(16, 400), Options: testOptions(), Class: "background"},
+		"/v1/sweeps": sweepRequest{Config: meshRun(0, 401), Sizes: []int{4}, Options: testOptions(), Class: "background"},
+		"/v1/batch": batchRequest{Runs: []batchRunRequest{{Config: meshRun(16, 402), Options: testOptions()}},
+			Class: "background"},
+	} {
+		resp, raw := postJSON(t, ts.URL+path, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST %s with a class = %d: %s; want 202", path, resp.StatusCode, raw)
+		}
+		if bytes.Contains(raw, []byte(`"class"`)) {
+			t.Errorf("POST %s answered with a class: %s", path, raw)
+		}
+		awaitJob(t, ts.URL, decodeDoc(t, raw).ID, false)
 	}
 }
 
@@ -315,7 +273,7 @@ func TestDeadlineExpiredInQueueSkipsWorker(t *testing.T) {
 	if !strings.Contains(d.Error.Message, "before execution") {
 		t.Fatalf("expired job message = %q; want the in-queue termination, not a run timeout", d.Error.Message)
 	}
-	if !strings.Contains(getMetrics(t, ts.URL), `ringmeshd_deadline_expired_total{class="interactive"} 1`) {
+	if !strings.Contains(getMetrics(t, ts.URL), "ringmeshd_deadline_expired_total 1") {
 		t.Error("metrics missing deadline_expired counter")
 	}
 }
@@ -425,14 +383,14 @@ func TestDeadlineLapsesMidRun(t *testing.T) {
 func TestDeadlineHeaderParsedAndBodyWins(t *testing.T) {
 	r, _ := http.NewRequest(http.MethodPost, "/v1/runs", nil)
 	r.Header.Set(deadlineHeader, "10s")
-	_, dl, err := submitMeta(r, "", 0, classInteractive)
+	dl, err := submitDeadline(r, 0)
 	if err != nil || dl.IsZero() {
 		t.Fatalf("header deadline = %v, %v; want set", dl, err)
 	}
 	if until := time.Until(dl); until < 9*time.Second || until > 11*time.Second {
 		t.Fatalf("header deadline %s out; want ~10s", until)
 	}
-	_, dl, err = submitMeta(r, "", 60_000, classInteractive)
+	dl, err = submitDeadline(r, 60_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,10 +398,10 @@ func TestDeadlineHeaderParsedAndBodyWins(t *testing.T) {
 		t.Fatalf("body deadline %s; want body's 60s to win over header's 10s", until)
 	}
 	r.Header.Set(deadlineHeader, "not-a-duration")
-	if _, _, err := submitMeta(r, "", 0, classInteractive); err == nil {
+	if _, err := submitDeadline(r, 0); err == nil {
 		t.Fatal("bad header accepted")
 	}
-	if _, _, err := submitMeta(r, "", -5, classInteractive); err == nil {
+	if _, err := submitDeadline(r, -5); err == nil {
 		t.Fatal("negative deadline_ms accepted")
 	}
 }
@@ -463,8 +421,8 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Fatalf("batch POST = %d: %s", resp.StatusCode, raw)
 	}
 	doc := decodeDoc(t, raw)
-	if doc.Kind != kindBatch || doc.Class != "batch" {
-		t.Fatalf("batch doc kind=%s class=%s; want batch/batch", doc.Kind, doc.Class)
+	if doc.Kind != kindBatch {
+		t.Fatalf("batch doc kind=%s; want batch", doc.Kind)
 	}
 	final := awaitJob(t, ts.URL, doc.ID, false)
 	if len(final.Items) != 3 {
@@ -482,11 +440,7 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Fatalf("batch progress = %g; want 1", final.Progress)
 	}
 
-	// Class override and validation errors.
-	resp, raw = postJSON(t, ts.URL+"/v1/batch", batchRequest{Runs: runs, Class: "urgent"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad class POST = %d: %s", resp.StatusCode, raw)
-	}
+	// Validation errors.
 	resp, raw = postJSON(t, ts.URL+"/v1/batch", batchRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch POST = %d: %s", resp.StatusCode, raw)
@@ -520,8 +474,8 @@ func TestFinishBatchClassifiesWholesaleFailure(t *testing.T) {
 	}
 }
 
-// TestReadyReportsQueueDepths: /readyz carries per-class depths while
-// ready.
+// TestReadyReportsQueueDepths: /readyz carries the queued job count
+// while ready.
 func TestReadyReportsQueueDepths(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	resp, err := http.Get(ts.URL + "/readyz")
@@ -532,17 +486,12 @@ func TestReadyReportsQueueDepths(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("readyz = %d; want 200", resp.StatusCode)
 	}
-	var body readyBody
+	var body map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Status != "ready" {
-		t.Fatalf("readyz status = %q", body.Status)
-	}
-	for _, c := range []string{"interactive", "batch", "background"} {
-		if _, ok := body.Queues[c]; !ok {
-			t.Errorf("readyz missing queue depth for %q: %+v", c, body.Queues)
-		}
+	if len(body) != 2 || body["status"] != "ready" || body["queued"] != 0.0 {
+		t.Fatalf("readyz = %v; want exactly status ready and queued 0", body)
 	}
 }
 

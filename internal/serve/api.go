@@ -17,17 +17,20 @@ import (
 
 // runRequest is the POST /v1/runs body: a facade Config (snake_case
 // wire names, see ringmesh.Config) plus an optional run schedule
-// (omitted: DefaultRunOptions), an optional priority class (omitted:
-// interactive) and an optional relative deadline in milliseconds
-// (omitted or 0: none; overrides the X-Ringmeshd-Deadline header).
+// (omitted: DefaultRunOptions) and an optional relative deadline in
+// milliseconds (omitted or 0: none; overrides the X-Ringmeshd-Deadline
+// header).
 type runRequest struct {
-	Config     ringmesh.Config      `json:"config"`
-	Options    *ringmesh.RunOptions `json:"options"`
-	Class      string               `json:"class,omitempty"`
-	DeadlineMS int64                `json:"deadline_ms,omitempty"`
+	Config  ringmesh.Config      `json:"config"`
+	Options *ringmesh.RunOptions `json:"options"`
+	// Class is accepted and ignored: older clients and coordinators send
+	// a priority class, the body rejects unknown fields, and every job
+	// joins one FIFO.
+	Class      string `json:"class,omitempty"`
+	DeadlineMS int64  `json:"deadline_ms,omitempty"`
 	// Fidelity selects the answer tier: "simulate" (default), an
 	// inline "analytic" estimate, or the "auto" policy (cache, else
-	// analytic with a background upgrade job). Wins over
+	// analytic with an upgrade job). Wins over
 	// config.fidelity when both are set. See fidelity.go.
 	Fidelity string `json:"fidelity,omitempty"`
 }
@@ -38,7 +41,7 @@ type sweepRequest struct {
 	Config     ringmesh.Config      `json:"config"`
 	Sizes      []int                `json:"sizes"`
 	Options    *ringmesh.RunOptions `json:"options"`
-	Class      string               `json:"class,omitempty"`
+	Class      string               `json:"class,omitempty"` // ignored, see runRequest.Class
 	DeadlineMS int64                `json:"deadline_ms,omitempty"`
 	// Fidelity selects the answer tier for every point (see
 	// runRequest.Fidelity).
@@ -46,18 +49,18 @@ type sweepRequest struct {
 }
 
 // batchRunRequest is one entry of a batch submission: a config plus an
-// optional schedule. Class and deadline live on the batch, not its
-// entries — the batch is one prioritized unit.
+// optional schedule. The deadline lives on the batch, not its entries —
+// the batch is one unit.
 type batchRunRequest struct {
 	Config  ringmesh.Config      `json:"config"`
 	Options *ringmesh.RunOptions `json:"options"`
 }
 
 // batchRequest is the POST /v1/batch body: many runs submitted as one
-// job under a single class (omitted: batch) and optional deadline.
+// job under one optional deadline.
 type batchRequest struct {
 	Runs       []batchRunRequest `json:"runs"`
-	Class      string            `json:"class,omitempty"`
+	Class      string            `json:"class,omitempty"` // ignored, see runRequest.Class
 	DeadlineMS int64             `json:"deadline_ms,omitempty"`
 	// Fidelity applies to entries whose config does not set its own
 	// (an entry's config.fidelity wins). See runRequest.Fidelity.
@@ -72,10 +75,9 @@ const deadlineHeader = "X-Ringmeshd-Deadline"
 // errorBody is the JSON error envelope on non-2xx responses. Shed and
 // draining responses additionally carry a retry hint mirroring the
 // Retry-After header (in milliseconds, since the header only has
-// whole-second resolution), and a shed one the affected class.
+// whole-second resolution).
 type errorBody struct {
 	Error        string `json:"error"`
-	Class        string `json:"class,omitempty"`
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 }
 
@@ -83,14 +85,14 @@ type errorBody struct {
 //
 //	POST /v1/runs              submit one simulation
 //	POST /v1/sweeps            submit a size sweep
-//	POST /v1/batch             submit many runs as one prioritized unit
+//	POST /v1/batch             submit many runs as one job
 //	                           (each: 202, or 200 when every point was answered
 //	                           at submission — cache hits, analytic estimates)
 //	GET  /v1/jobs/{id}         poll a job document; ?watch=1 streams SSE
 //	GET  /v1/jobs/{id}/trace   job lifecycle spans as Chrome trace-event JSON
 //	GET  /healthz              liveness: 200 while the process serves at all
-//	GET  /readyz               readiness: 503 while draining, else 200 with
-//	                           per-class queue depths
+//	GET  /readyz               readiness: 503 while draining, else 200; both
+//	                           carry the number of queued jobs
 //	GET  /metrics              Prometheus-style text snapshot
 //	GET  /debug/pprof/...      Go profiling endpoints (only with EnablePprof)
 func (s *Server) Handler() http.Handler {
@@ -132,18 +134,17 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // writeBackoff answers a shed or draining request with the documented
-// backpressure contract: a Retry-After header in whole seconds (rounded
-// up, so never 0) plus a structured body carrying the class (when
-// known) and the millisecond-precision retry hint.
-func writeBackoff(w http.ResponseWriter, status int, class string, retryAfter time.Duration, format string, args ...any) {
+// backpressure contract: a 503 with a Retry-After header in whole
+// seconds (rounded up, so never 0) plus a structured body carrying the
+// millisecond-precision retry hint.
+func writeBackoff(w http.ResponseWriter, retryAfter time.Duration, err error) {
 	secs := int64((retryAfter + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-	writeJSON(w, status, errorBody{
-		Error:        fmt.Sprintf(format, args...),
-		Class:        class,
+	writeJSON(w, http.StatusServiceUnavailable, errorBody{
+		Error:        err.Error(),
 		RetryAfterMS: retryAfter.Milliseconds(),
 	})
 }
@@ -165,7 +166,7 @@ func clientKey(r *http.Request) string {
 func (s *Server) gate(w http.ResponseWriter, r *http.Request, into any) bool {
 	if s.drainingNow() {
 		s.rejected.Inc()
-		writeBackoff(w, http.StatusServiceUnavailable, "", time.Second, "%v", errDraining)
+		writeBackoff(w, time.Second, errDraining)
 		return false
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxBody))
@@ -191,30 +192,26 @@ func optionsOr(o *ringmesh.RunOptions) ringmesh.RunOptions {
 	return *o
 }
 
-// submitMeta resolves a submission's priority class and absolute
-// deadline. The deadline is relative at the wire (header: a Go
-// duration; body: milliseconds, winning over the header) and absolute
-// from here on, so queue time counts against it.
-func submitMeta(r *http.Request, bodyClass string, deadlineMS int64, def class) (class, time.Time, error) {
-	cls, err := parseClass(bodyClass, def)
-	if err != nil {
-		return 0, time.Time{}, err
-	}
+// submitDeadline resolves a submission's absolute deadline. The
+// deadline is relative at the wire (header: a Go duration; body:
+// milliseconds, winning over the header) and absolute from here on, so
+// queue time counts against it.
+func submitDeadline(r *http.Request, deadlineMS int64) (time.Time, error) {
 	if deadlineMS < 0 {
-		return 0, time.Time{}, fmt.Errorf("deadline_ms %d < 0", deadlineMS)
+		return time.Time{}, fmt.Errorf("deadline_ms %d < 0", deadlineMS)
 	}
 	var deadline time.Time
 	if h := r.Header.Get(deadlineHeader); h != "" {
 		d, err := time.ParseDuration(h)
 		if err != nil || d <= 0 {
-			return 0, time.Time{}, fmt.Errorf("bad %s header %q: want a positive Go duration like \"30s\"", deadlineHeader, h)
+			return time.Time{}, fmt.Errorf("bad %s header %q: want a positive Go duration like \"30s\"", deadlineHeader, h)
 		}
 		deadline = time.Now().Add(d)
 	}
 	if deadlineMS > 0 {
 		deadline = time.Now().Add(time.Duration(deadlineMS) * time.Millisecond)
 	}
-	return cls, deadline, nil
+	return deadline, nil
 }
 
 // The three submission endpoints are decoders: each reads its own
@@ -226,18 +223,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !s.gate(w, r, &req) {
 		return
 	}
-	mode, explicit, err := s.resolveFidelity(req.Fidelity, &req.Config)
+	mode, err := s.resolveFidelity(req.Fidelity, &req.Config)
 	if err != nil {
 		s.badRequest(w, r, err)
 		return
 	}
 	opt := optionsOr(req.Options)
 	j := s.buildJob(w, r, journalRecord{Kind: kindRun, Config: &req.Config, Options: &opt,
-		auto: mode == fidelity.Auto}, req.Class, req.DeadlineMS, classInteractive)
+		auto: mode == fidelity.Auto}, req.DeadlineMS)
 	if j == nil {
 		return
 	}
-	j.allowDegrade = j.class == classBackground && !explicit && mode == fidelity.Simulate
 	s.submit(w, r, j)
 }
 
@@ -246,24 +242,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.gate(w, r, &req) {
 		return
 	}
-	mode, _, err := s.resolveFidelity(req.Fidelity, &req.Config)
+	mode, err := s.resolveFidelity(req.Fidelity, &req.Config)
 	if err != nil {
 		s.badRequest(w, r, err)
 		return
 	}
 	opt := optionsOr(req.Options)
 	j := s.buildJob(w, r, journalRecord{Kind: kindSweep, Config: &req.Config, Options: &opt,
-		Sizes: req.Sizes, auto: mode == fidelity.Auto}, req.Class, req.DeadlineMS, classInteractive)
+		Sizes: req.Sizes, auto: mode == fidelity.Auto}, req.DeadlineMS)
 	if j == nil {
 		return
 	}
 	s.submit(w, r, j)
 }
 
-// handleBatch accepts many runs as one prioritized unit: one job, one
-// class (default batch), one deadline, one journal record — the bulk
-// counterpart to /v1/runs that the admission classes exist to keep out
-// of interactive traffic's way.
+// handleBatch accepts many runs as one unit: one job, one deadline, one
+// journal record — the bulk counterpart to /v1/runs.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if !s.gate(w, r, &req) {
@@ -286,8 +280,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		entries[i] = batchEntry{Config: br.Config, Options: optionsOr(br.Options), auto: auto}
 	}
-	j := s.buildJob(w, r, journalRecord{Kind: kindBatch, Entries: entries},
-		req.Class, req.DeadlineMS, classBatch)
+	j := s.buildJob(w, r, journalRecord{Kind: kindBatch, Entries: entries}, req.DeadlineMS)
 	if j == nil {
 		return
 	}
@@ -305,13 +298,11 @@ func (s *Server) badRequest(w http.ResponseWriter, r *http.Request, err error) {
 	writeError(w, http.StatusBadRequest, "%v", err)
 }
 
-// buildJob resolves a decoded submission's class and deadline and
-// expands it into a job of validated points. It reports nil after
-// writing the 400.
-func (s *Server) buildJob(w http.ResponseWriter, r *http.Request, sub journalRecord,
-	bodyClass string, deadlineMS int64, def class) *job {
+// buildJob resolves a decoded submission's deadline and expands it
+// into a job of validated points. It reports nil after writing the 400.
+func (s *Server) buildJob(w http.ResponseWriter, r *http.Request, sub journalRecord, deadlineMS int64) *job {
 	start := time.Now()
-	cls, deadline, err := submitMeta(r, bodyClass, deadlineMS, def)
+	deadline, err := submitDeadline(r, deadlineMS)
 	if err != nil {
 		s.badRequest(w, r, err)
 		return nil
@@ -322,7 +313,7 @@ func (s *Server) buildJob(w http.ResponseWriter, r *http.Request, sub journalRec
 		return nil
 	}
 	j := newJob("", sub, points, family)
-	j.class, j.deadline = cls, deadline
+	j.deadline = deadline
 	j.tr.Record(obs.SpanRecord{
 		Name: "validate", Start: start, Dur: time.Since(start),
 		Attrs: []obs.Attr{{Key: "points", Value: strconv.Itoa(len(points))}},
@@ -332,46 +323,34 @@ func (s *Server) buildJob(w http.ResponseWriter, r *http.Request, sub journalRec
 
 // submit is the one tail of every submission, ending in the first of:
 // an inline answer (every point an exact cache hit or answerable
-// analytically: 200, the job never queued), admission into the class
-// queues (202), or its refusal (503 with Retry-After, unless the job
-// may degrade to an analytic answer). A deadline is not judged here:
-// the executor enforces it at dequeue and through the run's context.
+// analytically: 200, the job never queued), admission into the queue
+// (202), or its refusal (503 with Retry-After). A deadline is not
+// judged here: the executor enforces it at dequeue and through the
+// run's context.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, j *job) {
 	start := time.Now()
 	// A job answered here never touches the queue (or its deadline), so
 	// cached replays cost one map lookup per point even when the queue
 	// is saturated.
-	outs, err := s.answerInline(j, false)
+	outs, err := s.answerInline(j)
 	if err != nil {
 		s.rejected.Inc()
 		s.badRequest(w, r, fmt.Errorf("analytic fidelity: %w", err))
 		return
 	}
 	if outs != nil {
-		s.respondInline(w, r, j, outs, start, false)
+		s.respondInline(w, r, j, outs, start)
 		return
 	}
 	if err := s.admit(j); err != nil {
-		// A background run the client left fidelity-agnostic degrades to
-		// an analytic answer (with a best-effort upgrade job) instead of
-		// a 503 when admission sheds it. Its journal record is already
-		// terminal — a crash cannot resurrect it.
-		var se *shedError
-		if errors.As(err, &se) && j.allowDegrade {
-			if outs, _ := s.answerInline(j, true); outs != nil {
-				s.respondInline(w, r, j, outs, j.enqueuedAt, true)
-				return
-			}
-		}
 		s.rejected.Inc()
-		s.log.Warn(j.sub.Kind+" rejected", "client", clientKey(r), "class", j.class.String(), "err", err)
-		writeBackoff(w, http.StatusServiceUnavailable, j.class.String(), s.retryAfter(j.family), "%v", err)
+		s.log.Warn(j.sub.Kind+" rejected", "client", clientKey(r), "err", err)
+		writeBackoff(w, s.retryAfter(j.family), err)
 		return
 	}
 	j.tr.Record(obs.SpanRecord{Name: "enqueue", Start: j.enqueuedAt, Dur: time.Since(j.enqueuedAt)})
 	s.accepted.Inc()
-	s.log.Info(j.sub.Kind+" accepted", "job", j.id, "class", j.class.String(),
-		"family", j.family, "client", clientKey(r))
+	s.log.Info(j.sub.Kind+" accepted", "job", j.id, "family", j.family, "client", clientKey(r))
 	writeJSON(w, http.StatusAccepted, j.view())
 }
 
@@ -456,16 +435,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// readyBody is the /readyz document: the gate state plus per-class
-// queue depths, so load balancers and coordinators can both stop
-// routing early and see where the backlog lives.
+// readyBody is the /readyz document: the gate state plus the number of
+// queued jobs, so load balancers and coordinators can both stop
+// routing early and see the backlog.
 type readyBody struct {
-	Status string         `json:"status"`
-	Queues map[string]int `json:"queues"`
+	Status string `json:"status"`
+	Queued int    `json:"queued"`
 }
 
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	body := readyBody{Status: "ready", Queues: s.adm.classDepths()}
+	body := readyBody{Status: "ready", Queued: s.adm.depth()}
 	if s.drainingNow() {
 		body.Status = "draining"
 		writeJSON(w, http.StatusServiceUnavailable, body)

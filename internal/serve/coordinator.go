@@ -268,12 +268,8 @@ func (co *coordinator) dispatch(ctx context.Context, cfg ringmesh.Config, opt ri
 // ejection).
 func (co *coordinator) dispatchRaw(ctx context.Context, w *workerClient, cfg ringmesh.Config, opt ringmesh.RunOptions) (ringmesh.Result, error) {
 	rr := runRequest{Config: cfg, Options: &opt}
-	// End-to-end propagation: the dispatched run inherits the job's
-	// class on the worker's own admission queues, and whatever remains
-	// of the deadline becomes the worker's budget for this point.
-	if c, ok := classFromCtx(ctx); ok {
-		rr.Class = c.String()
-	}
+	// End-to-end propagation: whatever remains of the deadline becomes
+	// the worker's budget for this point.
 	if dl, ok := ctx.Deadline(); ok {
 		rem := time.Until(dl).Milliseconds()
 		if rem < 1 {
@@ -413,9 +409,10 @@ func (co *coordinator) pollJob(ctx context.Context, w *workerClient, id string) 
 			// The worker's HTTP service is healthy; the job failed with a
 			// classified error. Canceled (worker draining), timeout,
 			// deadline (this worker's remaining budget ran out — another
-			// may be faster) and shed (this worker evicted it under load)
-			// are attempt-scoped and retried elsewhere; config, stall and
-			// runtime (model panic) are deterministic and are not.
+			// may be faster) and shed (sent by older workers, which evicted
+			// queued jobs under load) are attempt-scoped and retried
+			// elsewhere; config, stall and runtime (model panic) are
+			// deterministic and are not.
 			w.br.success()
 			je := view.Error
 			if je == nil {

@@ -9,17 +9,14 @@ package serve
 //	"simulate" (or omitted)  exact simulation
 //	"analytic"               inline closed-form estimate, never queued
 //	"auto"                   cache hit if available, else an analytic
-//	                         answer plus a background "upgrade to
-//	                         exact" job whose ID rides in the response
+//	                         answer plus an "upgrade to exact" job
+//	                         whose ID rides in the response
 //
 // Auto is an admission policy, not an answer tier: it is resolved
 // before cache keys exist and never enters one. Analytic results live
 // under their own cache keys (fidelity joins the key), so an estimate
-// can never be served as an exact result. Under admission pressure,
-// background-class runs whose client did not name a tier degrade to
-// analytic-with-upgrade instead of 503, observable via the
-// ringmeshd_fidelity_* counters. answerInline is the one place all of
-// this is decided.
+// can never be served as an exact result. answerInline is the one
+// place all of this is decided.
 
 import (
 	"net/http"
@@ -41,40 +38,35 @@ var fidelityBuckets = metrics.ExpBuckets(1e-6, 4, 12)
 // config (the top-level field wins) and resolves the serving mode:
 // fidelity.Simulate, fidelity.Analytic or fidelity.Auto. Auto is
 // cleared from the config here so cache keys are always computed for
-// a concrete tier. explicit reports whether the client named a tier
-// itself, which gates shed-pressure degradation — a client that
-// explicitly asked to "simulate" is never silently answered
-// analytically.
-func (s *Server) resolveFidelity(reqFid string, cfg *ringmesh.Config) (mode string, explicit bool, err error) {
+// a concrete tier.
+func (s *Server) resolveFidelity(reqFid string, cfg *ringmesh.Config) (mode string, err error) {
 	if reqFid != "" {
 		cfg.Fidelity = reqFid
 	}
-	raw := cfg.Fidelity
-	if raw == fidelity.Auto {
+	if cfg.Fidelity == fidelity.Auto {
 		cfg.Fidelity = ""
 		s.fidRequests[fidelity.Auto].Inc()
-		return fidelity.Auto, false, nil
+		return fidelity.Auto, nil
 	}
-	mode, err = fidelity.Normalize(raw)
+	mode, err = fidelity.Normalize(cfg.Fidelity)
 	if err != nil {
-		return "", false, err
+		return "", err
 	}
 	s.fidRequests[mode].Inc()
-	return mode, raw != "", nil
+	return mode, nil
 }
 
 // answerInline resolves every point of j without the queue: an exact
 // cache hit keeps its full fidelity, and a point that asked for the
-// analytic tier — or may be answered from it: auto, or any point when
-// force is set (the shed-pressure degrade) — is estimated through the
-// result cache under its analytic key, so estimates and exact results
-// never collide and identical estimates coalesce. It returns nil
+// analytic tier, or for auto, is estimated through the result cache
+// under its analytic key, so estimates and exact results never collide
+// and identical estimates coalesce. It returns nil
 // outcomes when some point needs the simulator, including an auto
 // point the analytic model refuses (counted as a fallback): refusal
 // costs a queue slot, never a wrong labeled answer. Only a refused
 // point that asked for the analytic tier by name is an error — the
 // client named a tier that cannot answer this configuration.
-func (s *Server) answerInline(j *job, force bool) ([]outcome, error) {
+func (s *Server) answerInline(j *job) ([]outcome, error) {
 	outs := make([]outcome, len(j.points))
 	for i := range j.points {
 		p := &j.points[i]
@@ -84,7 +76,7 @@ func (s *Server) answerInline(j *job, force bool) ([]outcome, error) {
 				outs[i] = outcome{res: res, cached: true, attempts: 1}
 				continue
 			}
-			if !p.auto && !force {
+			if !p.auto {
 				return nil, nil
 			}
 		}
@@ -141,17 +133,15 @@ func (s *Server) upgradeOf(j *job, outs []outcome) *job {
 	if points == nil {
 		return nil
 	}
-	u := newJob("", sub, points, j.family)
-	u.class = classBackground
-	return u
+	return newJob("", sub, points, j.family)
 }
 
 // respondInline finishes a job answerInline resolved and writes the
 // 200, with the ID of its upgrade job in the document when one was
-// admitted. That admission is best-effort: under the same pressure
-// that degraded the original request the upgrade is usually shed too,
-// and the caller simply gets no upgrade ID.
-func (s *Server) respondInline(w http.ResponseWriter, r *http.Request, j *job, outs []outcome, start time.Time, degraded bool) {
+// admitted. The upgrade joins the same queue as every other job and is
+// best-effort: when the queue is full it is shed, and the caller simply
+// gets no upgrade ID.
+func (s *Server) respondInline(w http.ResponseWriter, r *http.Request, j *job, outs []outcome, start time.Time) {
 	upgradeID := ""
 	if u := s.upgradeOf(j, outs); u != nil {
 		if err := s.admit(u); err != nil {
@@ -163,15 +153,12 @@ func (s *Server) respondInline(w http.ResponseWriter, r *http.Request, j *job, o
 		}
 	}
 	j.mu.Lock()
-	j.degraded, j.upgradeID = degraded, upgradeID
+	j.upgradeID = upgradeID
 	j.mu.Unlock()
 	j.finish(outs, nil)
 	s.register(j) // last: an inline answer takes the ID after its upgrade's
 	s.accepted.Inc()
 	s.completed.Inc()
-	if degraded {
-		s.fidDegraded.Inc()
-	}
 	analytic := slices.ContainsFunc(outs, func(o outcome) bool { return o.res.Fidelity != "" })
 	if analytic {
 		s.fidAnalyticAnswers.Inc()
@@ -179,8 +166,7 @@ func (s *Server) respondInline(w http.ResponseWriter, r *http.Request, j *job, o
 			metrics.Labels{Fidelity: fidelity.Analytic}, fidelityBuckets).
 			Observe(time.Since(start).Seconds())
 	}
-	// Five attributes: slog keeps that many in the record itself.
 	s.log.Info(j.sub.Kind+" answered inline", "job", j.id, "family", j.family,
-		"degraded", degraded, "upgrade", upgradeID, "client", clientKey(r))
+		"upgrade", upgradeID, "client", clientKey(r))
 	writeJSON(w, http.StatusOK, j.view())
 }

@@ -73,9 +73,6 @@ func TestAutoRunAnalyticThenUpgrade(t *testing.T) {
 	if exact.Fidelity != "" || exact.ErrorBound != nil {
 		t.Fatalf("upgrade result fidelity=%q bound=%v; want unlabeled exact", exact.Fidelity, exact.ErrorBound)
 	}
-	if up.Class != "background" {
-		t.Fatalf("upgrade job class = %s; want background", up.Class)
-	}
 
 	// A repeat auto request now prefers the cached exact result over a
 	// fresh estimate.

@@ -13,9 +13,9 @@ func fuzzSeedLines(f *testing.F) [][]byte {
 	opt := *testOptions()
 	var lines [][]byte
 	for _, rec := range []journalRecord{
-		{Op: opAccepted, ID: "j000001", Kind: kindRun, Class: "interactive", Config: &cfg, Options: &opt},
-		{Op: opAccepted, ID: "j000002", Kind: kindSweep, Class: "background", Config: &cfg, Options: &opt, Sizes: []int{4, 16}},
-		{Op: opAccepted, ID: "j000003", Kind: kindBatch, Class: "batch", Entries: []batchEntry{{Config: cfg, Options: opt}}},
+		{Op: opAccepted, ID: "j000001", Kind: kindRun, Config: &cfg, Options: &opt},
+		{Op: opAccepted, ID: "j000002", Kind: kindSweep, Config: &cfg, Options: &opt, Sizes: []int{4, 16}},
+		{Op: opAccepted, ID: "j000003", Kind: kindBatch, Entries: []batchEntry{{Config: cfg, Options: opt}}},
 		{Op: opRunning, ID: "j000001"},
 		{Op: opDone, ID: "j000001"},
 		{Op: opFailed, ID: "j000002"},
@@ -65,7 +65,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded record does not decode: %v", err)
 		}
-		if rec2.Op != rec.Op || rec2.ID != rec.ID || rec2.Kind != rec.Kind || rec2.Class != rec.Class {
+		if rec2.Op != rec.Op || rec2.ID != rec.ID || rec2.Kind != rec.Kind {
 			t.Fatalf("round trip drift: %+v -> %+v", rec, rec2)
 		}
 	})

@@ -115,43 +115,12 @@ func TestWireGoldenRun(t *testing.T) {
 	cfg := testConfig()
 	cfg.Seed = 43
 	auto := submitFinal(t, ts.URL, "/v1/runs",
-		runRequest{Config: cfg, Options: testOptions(), Fidelity: "auto", Class: "batch"})
+		runRequest{Config: cfg, Options: testOptions(), Fidelity: "auto"})
 	checkGolden(t, "run-auto", auto)
 	checkGolden(t, "run-auto-upgrade", awaitRaw(t, ts.URL, decodeDoc(t, auto).Upgrade))
 
 	checkGolden(t, "run-failed", submitFinal(t, ts.URL, "/v1/runs",
 		runRequest{Config: stallConfig(), Options: stallOptions()}))
-}
-
-// TestWireGoldenRunDegraded pins the shed-pressure degrade: with the
-// worker busy and the queue full, a background run that named no tier
-// is answered analytically and marked degraded.
-func TestWireGoldenRunDegraded(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
-
-	long := &ringmesh.RunOptions{WarmupCycles: 500_000_000, BatchCycles: 1000, Batches: 2}
-	resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: testConfig(), Options: long})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("occupier POST = %d: %s", resp.StatusCode, raw)
-	}
-	waitForRunning(t, s, decodeDoc(t, raw).ID)
-	cfg := testConfig()
-	cfg.Seed = 2
-	resp, raw = postJSON(t, ts.URL+"/v1/runs", runRequest{Config: cfg, Options: long, Class: "background"})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("queue filler POST = %d: %s", resp.StatusCode, raw)
-	}
-
-	cfg.Seed = 3
-	resp, raw = postJSON(t, ts.URL+"/v1/runs", runRequest{Config: cfg, Options: long, Class: "background"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("background POST at saturation = %d: %s; want degraded 200", resp.StatusCode, raw)
-	}
-	checkGolden(t, "run-degraded", raw)
-
-	ctx, cancel := drainCtx()
-	cancel() // the occupier never finishes on its own
-	_ = s.Drain(ctx)
 }
 
 // TestWireGoldenSweep pins the sweep job document in the shapes a
@@ -265,7 +234,7 @@ func TestJournalGoldenAcceptedLines(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, JournalDir: dir})
 
 	submitFinal(t, ts.URL, "/v1/runs",
-		runRequest{Config: testConfig(), Options: testOptions(), Class: "background", DeadlineMS: 60_000})
+		runRequest{Config: testConfig(), Options: testOptions(), DeadlineMS: 60_000})
 	cfg := testConfig()
 	cfg.Nodes = 0
 	submitFinal(t, ts.URL, "/v1/sweeps",
@@ -326,13 +295,13 @@ func TestJournalGoldenLinesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []struct {
-		kind, class, family string
-		deadline            bool
-		nodes               []int // per point, in document order
+		kind, family string
+		deadline     bool
+		nodes        []int // per point, in document order
 	}{
-		{kindRun, "background", "mesh", true, []int{0}},
-		{kindSweep, "interactive", "mesh", false, []int{16, 25}},
-		{kindBatch, "batch", "batch", false, []int{0, 0}},
+		{kindRun, "mesh", true, []int{0}},
+		{kindSweep, "mesh", false, []int{16, 25}},
+		{kindBatch, "batch", false, []int{0, 0}},
 	}
 	lines := bytes.Split(bytes.TrimSpace(wal), []byte("\n"))
 	if len(lines) != len(want) {
@@ -348,10 +317,9 @@ func TestJournalGoldenLinesReplay(t *testing.T) {
 			t.Fatalf("line %d: %v", i, err)
 		}
 		w := want[i]
-		if j.id != rec.ID || j.sub.Kind != w.kind || j.class.String() != w.class ||
-			j.family != w.family || j.deadline.IsZero() == w.deadline {
-			t.Errorf("line %d rebuilt as id=%s kind=%s class=%s family=%s deadline=%v; want %s %+v",
-				i, j.id, j.sub.Kind, j.class, j.family, j.deadline, rec.ID, w)
+		if j.id != rec.ID || j.sub.Kind != w.kind || j.family != w.family || j.deadline.IsZero() == w.deadline {
+			t.Errorf("line %d rebuilt as id=%s kind=%s family=%s deadline=%v; want %s %+v",
+				i, j.id, j.sub.Kind, j.family, j.deadline, rec.ID, w)
 		}
 		if len(j.points) != len(w.nodes) {
 			t.Fatalf("line %d expanded to %d points; want %d", i, len(j.points), len(w.nodes))

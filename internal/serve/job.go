@@ -15,9 +15,9 @@ import (
 )
 
 // Job kinds: a single run, a size sweep, or a batch of runs submitted
-// as one prioritized unit. The kind is the wire shape — how a
-// submission expands into points and how the document renders them;
-// everything in between works on the point list alone.
+// as one unit. The kind is the wire shape — how a submission expands
+// into points and how the document renders them; everything in between
+// works on the point list alone.
 const (
 	kindRun   = "run"
 	kindSweep = "sweep"
@@ -69,7 +69,6 @@ func classify(err error) *JobError {
 	}
 	je := &JobError{Message: err.Error()}
 	var ce *configError
-	var se *shedError
 	var de *dispatchError
 	switch {
 	case errors.As(err, &de):
@@ -87,8 +86,6 @@ func classify(err error) *JobError {
 		// its own kind so callers can tell "the run was slow" from "the
 		// budget was short".
 		je.Status, je.Kind = http.StatusGatewayTimeout, "deadline"
-	case errors.As(err, &se):
-		je.Status, je.Kind = http.StatusServiceUnavailable, "shed"
 	case errors.Is(err, context.Canceled):
 		je.Status, je.Kind = http.StatusServiceUnavailable, "canceled"
 	default:
@@ -225,19 +222,12 @@ type job struct {
 	points []point
 	family string // topology family, for metric labels
 
-	// class is the admission priority; deadline, when set, is the
-	// absolute wall-clock instant after which the client no longer wants
-	// the answer (zero: no deadline).
-	class    class
+	// deadline, when set, is the absolute wall-clock instant after which
+	// the client no longer wants the answer (zero: no deadline).
 	deadline time.Time
 	// journaled marks jobs whose accepted record landed in the WAL, so
 	// terminal transitions know whether to journal too.
 	journaled bool
-	// allowDegrade permits answering the job analytically (with a
-	// best-effort upgrade job) if admission would shed it: set only for
-	// background-class runs whose client did not name a fidelity tier,
-	// so an explicit "simulate" request is never silently downgraded.
-	allowDegrade bool
 
 	// Progress: finished points, plus — for a single-point job — engine
 	// ticks out of totalTicks, fed by the engine's per-cycle hook (the
@@ -258,7 +248,7 @@ type job struct {
 	degraded  bool
 	upgradeID string
 	outcomes  []outcome     // index-aligned with points; nil until finished
-	err       error         // job-level failure: shed, expired or canceled
+	err       error         // job-level failure: expired or canceled
 	done      chan struct{} // closed on completion (done or failed)
 }
 
@@ -268,8 +258,6 @@ type JobView struct {
 	ID    string   `json:"id"`
 	Kind  string   `json:"kind"`
 	State JobState `json:"state"`
-	// Class is the admission priority class the job was accepted under.
-	Class string `json:"class"`
 	// DeadlineUnixNS is the absolute client deadline, when one was set.
 	DeadlineUnixNS int64 `json:"deadline_unix_ns,omitempty"`
 	// Cached is true when the result was replayed from the cache (or a
@@ -280,11 +268,9 @@ type JobView struct {
 	Progress float64               `json:"progress"`
 	Result   *ringmesh.Result      `json:"result,omitempty"`
 	Points   []ringmesh.SweepPoint `json:"points,omitempty"`
-	// Degraded marks a response that is less than what was asked for: a
-	// sweep or batch that completed with some points missing (Points
-	// holds every size that succeeded and PointErrors classifies the
-	// rest; a batch item carries its own error), or a background run
-	// answered analytically under shed pressure.
+	// Degraded marks a sweep or batch that completed with some points
+	// missing: Points holds every size that succeeded and PointErrors
+	// classifies the rest; a batch item carries its own error.
 	Degraded    bool         `json:"degraded,omitempty"`
 	PointErrors []PointError `json:"point_errors,omitempty"`
 	// UpgradeJobID names the background job enqueued to land the exact
@@ -339,7 +325,6 @@ func (j *job) view() JobView {
 		ID:           j.id,
 		Kind:         j.sub.Kind,
 		State:        j.state,
-		Class:        j.class.String(),
 		Degraded:     j.degraded,
 		UpgradeJobID: j.upgradeID,
 		Progress:     p,
@@ -396,9 +381,9 @@ func (j *job) view() JobView {
 }
 
 // finish records the outcome and closes the completion channel, with
-// one rule for every kind: the job failed when err is set (shed,
-// expired or canceled: an aborted attempt, not an answer) or no point
-// succeeded; otherwise it is done, and degraded when some point failed.
+// one rule for every kind: the job failed when err is set (expired or
+// canceled: an aborted attempt, not an answer) or no point succeeded;
+// otherwise it is done, and degraded when some point failed.
 func (j *job) finish(outs []outcome, err error) (failed bool) {
 	ok := 0
 	for _, o := range outs {
@@ -415,7 +400,7 @@ func (j *job) finish(outs []outcome, err error) (failed bool) {
 		if ok == 0 {
 			j.state = JobFailed
 		}
-		j.degraded = j.degraded || (ok > 0 && ok < len(outs))
+		j.degraded = ok > 0 && ok < len(outs)
 	}
 	failed = j.state == JobFailed
 	j.mu.Unlock()

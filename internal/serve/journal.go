@@ -40,15 +40,18 @@ const (
 // replayed job whose work finished before the crash re-resolves
 // through the cache without re-simulating.
 type journalRecord struct {
-	Op       string               `json:"op"`
-	ID       string               `json:"id"`
-	Kind     string               `json:"kind,omitempty"`
-	Class    string               `json:"class,omitempty"`
-	Deadline int64                `json:"deadline_unix_ns,omitempty"`
-	Config   *ringmesh.Config     `json:"config,omitempty"`
-	Options  *ringmesh.RunOptions `json:"options,omitempty"`
-	Sizes    []int                `json:"sizes,omitempty"`
-	Entries  []batchEntry         `json:"entries,omitempty"`
+	Op   string `json:"op"`
+	ID   string `json:"id"`
+	Kind string `json:"kind,omitempty"`
+	// LegacyClass is the priority class older daemons wrote. Nothing
+	// reads it and new records leave it empty; it is decoded only so an
+	// old record re-encodes to its own bytes.
+	LegacyClass string               `json:"class,omitempty"`
+	Deadline    int64                `json:"deadline_unix_ns,omitempty"`
+	Config      *ringmesh.Config     `json:"config,omitempty"`
+	Options     *ringmesh.RunOptions `json:"options,omitempty"`
+	Sizes       []int                `json:"sizes,omitempty"`
+	Entries     []batchEntry         `json:"entries,omitempty"`
 	// auto marks a run or sweep submitted under the auto policy (never
 	// journaled, like batchEntry.auto).
 	auto bool
@@ -99,7 +102,7 @@ const compactEvery = 1024
 // jobJournal is the crash-safety log: an append-only file of
 // checksummed state-transition records, fsync'd per append so an
 // accepted job survives kill -9. Replay on startup re-enqueues
-// unfinished jobs under their original IDs and classes; compaction
+// unfinished jobs under their original IDs; compaction
 // rewrites the log to only the records that still matter, with the
 // same publishAtomic as the disk cache.
 type jobJournal struct {
@@ -306,10 +309,10 @@ func numericID(id string) (int64, bool) {
 
 // acceptedRecord builds the opAccepted record for a job — the one
 // record that must carry everything needed to rebuild it after a
-// crash: its submission, class and deadline.
+// crash: its submission and deadline.
 func acceptedRecord(j *job) journalRecord {
 	rec := j.sub
-	rec.Op, rec.ID, rec.Class = opAccepted, j.id, j.class.String()
+	rec.Op, rec.ID = opAccepted, j.id
 	if !j.deadline.IsZero() {
 		rec.Deadline = j.deadline.UnixNano()
 	}
@@ -321,16 +324,11 @@ func acceptedRecord(j *job) journalRecord {
 // keys are recomputed rather than journaled — key derivation may
 // evolve between versions and must stay authoritative.
 func jobFromRecord(rec journalRecord) (*job, error) {
-	cls, err := parseClass(rec.Class, classInteractive)
-	if err != nil {
-		return nil, err
-	}
 	points, family, err := expand(rec)
 	if err != nil {
 		return nil, fmt.Errorf("record %s: %w", rec.ID, err)
 	}
 	j := newJob(rec.ID, rec, points, family)
-	j.class = cls
 	if rec.Deadline != 0 {
 		j.deadline = time.Unix(0, rec.Deadline)
 	}

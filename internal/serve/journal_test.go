@@ -36,7 +36,6 @@ func TestJournalRecordRoundtrip(t *testing.T) {
 		Op:       opAccepted,
 		ID:       "j000042",
 		Kind:     kindRun,
-		Class:    "background",
 		Deadline: time.Now().Add(time.Minute).UnixNano(),
 		Config:   &cfg,
 		Options:  &opt,
@@ -52,8 +51,7 @@ func TestJournalRecordRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode own encoding: %v", err)
 	}
-	if got.Op != rec.Op || got.ID != rec.ID || got.Kind != rec.Kind ||
-		got.Class != rec.Class || got.Deadline != rec.Deadline {
+	if got.Op != rec.Op || got.ID != rec.ID || got.Kind != rec.Kind || got.Deadline != rec.Deadline {
 		t.Fatalf("roundtrip = %+v; want %+v", got, rec)
 	}
 	if got.Config == nil || *got.Config != cfg {
@@ -101,9 +99,10 @@ func TestJournalDecodeRejectsCorruption(t *testing.T) {
 // TestJournalReplayCompletesUnfinishedJobs is the crash-recovery
 // acceptance scenario, with the "crash" simulated by hand-writing the
 // WAL a kill -9 would leave behind: three accepted-but-unfinished jobs
-// (a run, a sweep, a batch) plus one already-done job. A fresh server
-// must replay the three under their original IDs and classes, complete
-// them, and resume its ID counter past every journaled ID.
+// (a run, a sweep, a batch) plus one already-done job, each carrying
+// the priority class older daemons wrote. A fresh server must replay
+// the three under their original IDs, complete them, and resume its ID
+// counter past every journaled ID.
 func TestJournalReplayCompletesUnfinishedJobs(t *testing.T) {
 	leakCheck(t, 2)
 	dir := t.TempDir()
@@ -113,14 +112,14 @@ func TestJournalReplayCompletesUnfinishedJobs(t *testing.T) {
 	sweepCfg := cfg
 	sweepCfg.Nodes = 0 // sweeps take nodes from sizes
 	jl.append(journalRecord{Op: opAccepted, ID: "j000001", Kind: kindRun,
-		Class: "interactive", Config: &cfg, Options: &opt})
+		LegacyClass: "interactive", Config: &cfg, Options: &opt})
 	jl.append(journalRecord{Op: opAccepted, ID: "j000002", Kind: kindSweep,
-		Class: "background", Config: &sweepCfg, Options: &opt, Sizes: []int{4, 16}})
+		LegacyClass: "background", Config: &sweepCfg, Options: &opt, Sizes: []int{4, 16}})
 	jl.append(journalRecord{Op: opRunning, ID: "j000002"}) // as older daemons wrote; still unfinished
 	jl.append(journalRecord{Op: opAccepted, ID: "j000003", Kind: kindBatch,
-		Class: "batch", Entries: []batchEntry{{Config: cfg, Options: opt}}})
+		LegacyClass: "batch", Entries: []batchEntry{{Config: cfg, Options: opt}}})
 	jl.append(journalRecord{Op: opAccepted, ID: "j000004", Kind: kindRun,
-		Class: "interactive", Config: &cfg, Options: &opt})
+		LegacyClass: "interactive", Config: &cfg, Options: &opt})
 	jl.append(journalRecord{Op: opDone, ID: "j000004"})
 	if err := jl.close(); err != nil {
 		t.Fatal(err)
@@ -128,15 +127,9 @@ func TestJournalReplayCompletesUnfinishedJobs(t *testing.T) {
 
 	_, ts := newTestServer(t, Options{JournalDir: dir})
 
-	for id, wantClass := range map[string]string{
-		"j000001": "interactive", "j000002": "background", "j000003": "batch",
-	} {
-		d := awaitJob(t, ts.URL, id, false)
-		if d.ID != id {
+	for _, id := range []string{"j000001", "j000002", "j000003"} {
+		if d := awaitJob(t, ts.URL, id, false); d.ID != id {
 			t.Fatalf("replayed job answered as %s; want original ID %s", d.ID, id)
-		}
-		if d.Class != wantClass {
-			t.Fatalf("job %s class = %q; want %q preserved across restart", id, d.Class, wantClass)
 		}
 	}
 	// The finished job was not resurrected.
@@ -171,8 +164,7 @@ func TestJournalReplayQuarantinesCorruptLines(t *testing.T) {
 	dir := t.TempDir()
 	jl := openTestJournal(t, dir)
 	cfg, opt := testConfig(), *testOptions()
-	jl.append(journalRecord{Op: opAccepted, ID: "j000001", Kind: kindRun,
-		Class: "interactive", Config: &cfg, Options: &opt})
+	jl.append(journalRecord{Op: opAccepted, ID: "j000001", Kind: kindRun, Config: &cfg, Options: &opt})
 	if err := jl.close(); err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +214,7 @@ func TestJournalReplayExpiredDeadline(t *testing.T) {
 	jl := openTestJournal(t, dir)
 	cfg, opt := testConfig(), *testOptions()
 	jl.append(journalRecord{Op: opAccepted, ID: "j000001", Kind: kindRun,
-		Class: "interactive", Deadline: time.Now().Add(-time.Second).UnixNano(),
-		Config: &cfg, Options: &opt})
+		Deadline: time.Now().Add(-time.Second).UnixNano(), Config: &cfg, Options: &opt})
 	if err := jl.close(); err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +327,7 @@ func TestJournalStackPreservesGoldenBytes(t *testing.T) {
 		t.Helper()
 		_, ts := newTestServer(t, opt)
 		resp, raw := postJSON(t, ts.URL+"/v1/runs",
-			runRequest{Config: testConfig(), Options: testOptions(), Class: "batch", DeadlineMS: 60_000})
+			runRequest{Config: testConfig(), Options: testOptions(), DeadlineMS: 60_000})
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("POST = %d: %s", resp.StatusCode, raw)
 		}

@@ -48,13 +48,12 @@ func typeLinesOnce(t *testing.T, text string) map[string]bool {
 	return names
 }
 
-// TestFreshScrapeTypesOnce scrapes a freshly built server, whose
-// per-class families are registered interleaved and whose queue depth
-// gauges come from two places: each name still has one TYPE line.
+// TestFreshScrapeTypesOnce scrapes a freshly built server: each name,
+// the admission families included, has one TYPE line.
 func TestFreshScrapeTypesOnce(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	if names := typeLinesOnce(t, getMetrics(t, ts.URL)); !names["ringmeshd_admit_total"] || !names["ringmeshd_queue_depth"] {
-		t.Errorf("fresh scrape lacks the per-class families: %v", names)
+		t.Errorf("fresh scrape lacks the admission families: %v", names)
 	}
 }
 
@@ -108,7 +107,7 @@ func TestMetricAudit(t *testing.T) {
 	cacheDir, journalDir := t.TempDir(), t.TempDir()
 	left, opt := seeded(99), *testOptions()
 	jl := openTestJournal(t, journalDir)
-	jl.append(journalRecord{Op: opAccepted, ID: "j000001", Kind: kindRun, Class: "interactive", Config: &left, Options: &opt})
+	jl.append(journalRecord{Op: opAccepted, ID: "j000001", Kind: kindRun, Config: &left, Options: &opt})
 	if err := jl.close(); err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +140,8 @@ func TestMetricAudit(t *testing.T) {
 		"ringmeshd_job_run_seconds",
 		"go_goroutines", "go_heap_alloc_bytes")
 
-	// One busy worker and a one-slot queue: the second background run
-	// that insists on simulation is shed.
+	// One busy worker and a one-slot queue: the second queued run is
+	// shed.
 	fs, fts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 	long := &ringmesh.RunOptions{WarmupCycles: 500_000_000, BatchCycles: 1000, Batches: 2}
 	resp, raw := postJSON(t, fts.URL+"/v1/runs", runRequest{Config: seeded(1), Options: long})
@@ -153,9 +152,9 @@ func TestMetricAudit(t *testing.T) {
 	waitForRunning(t, fs, occupier)
 	for i, want := range []int{http.StatusAccepted, http.StatusServiceUnavailable} {
 		resp, raw := postJSON(t, fts.URL+"/v1/runs",
-			runRequest{Config: seeded(uint64(10 + i)), Options: long, Class: "background", Fidelity: "simulate"})
+			runRequest{Config: seeded(uint64(10 + i)), Options: long})
 		if resp.StatusCode != want {
-			t.Fatalf("background POST %d = %d: %s; want %d", i, resp.StatusCode, raw, want)
+			t.Fatalf("POST %d = %d: %s; want %d", i, resp.StatusCode, raw, want)
 		}
 	}
 	scrape(fts.URL, "ringmeshd_shed_total", "ringmeshd_jobs_rejected_total",

@@ -30,15 +30,14 @@ type Options struct {
 	// (default GOMAXPROCS). Every served point runs the serial engine —
 	// the job, not the tick, is the unit that scales with cores.
 	Workers int
-	// QueueDepth bounds total pending jobs across all priority classes;
-	// at the bound an arriving job sheds the newest queued job of a
-	// less urgent class, or is shed itself with 503 + Retry-After when
-	// nothing less urgent is queued (default 64).
+	// QueueDepth bounds the pending jobs, served first in, first out;
+	// an arrival at the bound is shed with 503 + Retry-After, and a
+	// queued job is never evicted (default 64).
 	QueueDepth int
 	// JournalDir, when non-empty, enables the crash-safe job journal:
 	// an fsync'd append-only log of job state transitions, replayed on
 	// startup so accepted-but-unfinished jobs survive kill -9 and
-	// re-enqueue under their original IDs and classes. Empty disables
+	// re-enqueue under their original IDs and deadlines. Empty disables
 	// journaling (accepted jobs die with the process).
 	JournalDir string
 	// CacheEntries bounds the result cache (default 256).
@@ -86,8 +85,7 @@ type Server struct {
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
-	// adm is the priority admission layer: per-class queues under one
-	// shared bound, drained by a weighted scheduler. journal, when
+	// adm is the admission layer: one bounded FIFO. journal, when
 	// non-nil, is the crash-safe WAL of job state transitions.
 	adm     *admitter
 	journal *jobJournal
@@ -106,18 +104,18 @@ type Server struct {
 	completed *metrics.Counter
 	failed    *metrics.Counter
 
-	// Per-class admission outcomes, indexed by class.
-	admitted    [numClasses]*metrics.Counter
-	shed        [numClasses]*metrics.Counter
-	deadlineExp [numClasses]*metrics.Counter
+	// Admission outcomes: jobs queued, arrivals shed at the bound, and
+	// queued jobs whose deadline passed before a worker took them.
+	admitted    *metrics.Counter
+	shed        *metrics.Counter
+	deadlineExp *metrics.Counter
 
 	// Multi-fidelity serving counters: requests by requested mode,
-	// inline analytic answers, enqueued upgrade jobs, shed-pressure
-	// degrades, and auto→exact fallbacks (see fidelity.go).
+	// inline analytic answers, enqueued upgrade jobs, and auto→exact
+	// fallbacks (see fidelity.go).
 	fidRequests        map[string]*metrics.Counter
 	fidAnalyticAnswers *metrics.Counter
 	fidUpgrades        *metrics.Counter
-	fidDegraded        *metrics.Counter
 	fidFallback        *metrics.Counter
 
 	log *slog.Logger
@@ -167,7 +165,7 @@ func New(opt Options) (*Server, error) {
 		cache:   newResultCache(opt.CacheEntries, disk, reg),
 		baseCtx: ctx,
 		cancel:  cancel,
-		adm:     newAdmitter(opt.QueueDepth, reg),
+		adm:     newAdmitter(opt.QueueDepth),
 		jobs:    map[string]*job{},
 		log:     opt.Logger,
 		hists:   map[string]*metrics.Histogram{},
@@ -176,12 +174,10 @@ func New(opt Options) (*Server, error) {
 		rejected:  reg.Counter("ringmeshd_jobs_rejected_total", metrics.Labels{}),
 		completed: reg.Counter("ringmeshd_jobs_completed_total", metrics.Labels{}),
 		failed:    reg.Counter("ringmeshd_jobs_failed_total", metrics.Labels{}),
-	}
-	for c := class(0); c < numClasses; c++ {
-		l := metrics.Labels{Class: c.String()}
-		s.admitted[c] = reg.Counter("ringmeshd_admit_total", l)
-		s.shed[c] = reg.Counter("ringmeshd_shed_total", l)
-		s.deadlineExp[c] = reg.Counter("ringmeshd_deadline_expired_total", l)
+
+		admitted:    reg.Counter("ringmeshd_admit_total", metrics.Labels{}),
+		shed:        reg.Counter("ringmeshd_shed_total", metrics.Labels{}),
+		deadlineExp: reg.Counter("ringmeshd_deadline_expired_total", metrics.Labels{}),
 	}
 	s.fidRequests = map[string]*metrics.Counter{}
 	for _, f := range []string{fidelity.Simulate, fidelity.Analytic, fidelity.Auto} {
@@ -189,7 +185,6 @@ func New(opt Options) (*Server, error) {
 	}
 	s.fidAnalyticAnswers = reg.Counter("ringmeshd_fidelity_analytic_answers_total", metrics.Labels{})
 	s.fidUpgrades = reg.Counter("ringmeshd_fidelity_upgrades_total", metrics.Labels{})
-	s.fidDegraded = reg.Counter("ringmeshd_fidelity_degraded_total", metrics.Labels{})
 	s.fidFallback = reg.Counter("ringmeshd_fidelity_fallback_total", metrics.Labels{})
 	reg.Gauge("ringmeshd_queue_depth", metrics.Labels{}, func() float64 {
 		return float64(s.adm.depth())
@@ -218,8 +213,8 @@ func New(opt Options) (*Server, error) {
 		go s.coord.probeLoop(s.baseCtx)
 	}
 	// The journal replays before the workers start: unfinished jobs
-	// from before a crash re-enter their class queues under their
-	// original IDs, and only then does execution begin.
+	// from before a crash re-enter the queue under their original IDs,
+	// and only then does execution begin.
 	if opt.JournalDir != "" {
 		journal, err := openJournal(opt.JournalDir, reg, opt.Logger)
 		if err != nil {
@@ -249,7 +244,7 @@ func New(opt Options) (*Server, error) {
 }
 
 // replayJournal re-admits every unfinished journaled job, preserving
-// IDs, classes and deadlines, and compacts the log down to what is
+// IDs and deadlines, and compacts the log down to what is
 // still live. Records that decode but cannot be rebuilt into a job
 // (e.g. a config the current version rejects) are journaled as failed
 // rather than dropped, so they never resurrect again.
@@ -277,8 +272,7 @@ func (s *Server) replayJournal() error {
 		s.adm.forceEnqueue(j)
 		s.journal.replayed.Inc()
 		live = append(live, rec)
-		s.log.Info("job replayed from journal", "job", j.id,
-			"kind", j.sub.Kind, "class", j.class.String())
+		s.log.Info("job replayed from journal", "job", j.id, "kind", j.sub.Kind)
 	}
 	if err := s.journal.compact(live); err != nil {
 		// Compaction is an optimization; a journal that still holds
@@ -342,12 +336,10 @@ func (s *Server) drainingNow() bool {
 
 // admit runs the admission pipeline for a job: drain check, a place in
 // the job table (and with it an ID), the journaled acceptance (before
-// the queues ever see the job, so a crash can never find a running job
-// the journal has not accepted), then class-queue admission. A shed
-// victim — a queued lower-class job evicted to make room — is failed
-// and journaled here; a rejection of j itself takes it out of the table
-// again and journals a terminal record so the accepted record never
-// resurrects it.
+// the queue ever sees the job, so a crash can never find a running job
+// the journal has not accepted), then the queue. A refusal takes j out
+// of the table again and journals a terminal record so the accepted
+// record never resurrects it.
 func (s *Server) admit(j *job) error {
 	s.submitMu.Lock()
 	defer s.submitMu.Unlock()
@@ -355,42 +347,25 @@ func (s *Server) admit(j *job) error {
 		return errDraining
 	}
 	s.register(j)
-	// Stamped before the queues see the job: a worker may pick it up the
-	// instant it enters its class queue, and reads this to reconstruct
-	// the queue-wait span.
+	// Stamped before the queue sees the job: a worker may pick it up the
+	// instant it is queued, and reads this to reconstruct the queue-wait
+	// span.
 	j.enqueuedAt = time.Now()
 	if s.journal != nil {
 		s.journal.append(acceptedRecord(j))
 		j.journaled = true
 	}
-	victim, err := s.adm.enqueue(j)
-	if err != nil {
+	if err := s.adm.enqueue(j); err != nil {
 		s.unregister(j)
 		s.journalTerminal(j, true)
 		var se *shedError
 		if errors.As(err, &se) {
-			s.shed[j.class].Inc()
+			s.shed.Inc()
 		}
 		return err
 	}
-	if victim != nil {
-		s.shed[victim.class].Inc()
-		s.abort(victim, &shedError{
-			class:  victim.class,
-			reason: fmt.Sprintf("evicted by %s arrival under full queue", j.class),
-		})
-		s.log.Warn("job shed", "job", victim.id, "class", victim.class.String(),
-			"evicted_by", j.id)
-	}
-	s.admitted[j.class].Inc()
+	s.admitted.Inc()
 	return nil
-}
-
-// abort fails a queued job that will never run.
-func (s *Server) abort(j *job, err error) {
-	s.failed.Inc()
-	s.journalTerminal(j, true)
-	j.finish(nil, err)
 }
 
 // journalTerminal records a job's final transition and compacts the
@@ -447,7 +422,7 @@ func (s *Server) register(j *job) {
 	}
 }
 
-// unregister removes a job the queues refused.
+// unregister removes a job the queue refused.
 func (s *Server) unregister(j *job) {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
@@ -488,7 +463,7 @@ func (s *Server) histogram(name string, l metrics.Labels, buckets []float64) *me
 // worker fleet — same cache, same key, same result. A simulating
 // daemon works through its points one at a time (cross-job parallelism
 // comes from the worker pool, and burning the whole pool on one sweep
-// or batch would defeat the admission classes); a coordinator keeps
+// or batch would stall every job queued behind it); a coordinator keeps
 // twice the fleet size in flight, which keeps every worker's queue fed
 // without flooding a small fleet with a large grid all at once. One
 // dead worker or one doomed point degrades the response instead of
@@ -497,10 +472,12 @@ func (s *Server) execute(j *job) {
 	// A deadline that expired while the job sat in queue terminates it
 	// here, before it occupies the worker for any simulation time.
 	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
-		s.deadlineExp[j.class].Inc()
-		s.abort(j, errDeadlineExpired)
+		s.deadlineExp.Inc()
+		s.failed.Inc()
+		s.journalTerminal(j, true)
+		j.finish(nil, errDeadlineExpired)
 		s.log.Warn("job expired in queue", "job", j.id, "kind", j.sub.Kind,
-			"class", j.class.String(), "deadline", j.deadline)
+			"deadline", j.deadline)
 		return
 	}
 	// Reconstruct the queue-wait span: the interval between queue
@@ -511,7 +488,7 @@ func (s *Server) execute(j *job) {
 		s.histogram("ringmeshd_job_queue_wait_seconds",
 			metrics.Labels{Family: j.family}, secondsBuckets).Observe(wait.Seconds())
 		s.log.Info("job started", "job", j.id, "kind", j.sub.Kind,
-			"class", j.class.String(), "family", j.family, "queue_wait", wait)
+			"family", j.family, "queue_wait", wait)
 	}
 	j.mu.Lock()
 	j.state = JobRunning
@@ -525,7 +502,6 @@ func (s *Server) execute(j *job) {
 		ctx, cancel = context.WithDeadline(ctx, j.deadline)
 		defer cancel()
 	}
-	ctx = ctxWithClass(ctx, j.class)
 	runStart := time.Now()
 
 	width := 1

@@ -79,7 +79,6 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 type jobDoc struct {
 	ID       string          `json:"id"`
 	Kind     string          `json:"kind"`
-	Class    string          `json:"class"`
 	State    JobState        `json:"state"`
 	Cached   bool            `json:"cached"`
 	Degraded bool            `json:"degraded"`
@@ -359,37 +358,31 @@ func TestSweepPopulatesRunCache(t *testing.T) {
 
 func TestQueueBounds(t *testing.T) {
 	// Constructed directly (no running workers) so the queue state is
-	// deterministic. One total slot, background queued first: a batch
-	// arrival evicts it, and a second batch arrival — with nothing less
-	// urgent queued — is shed itself.
-	s := &Server{reg: &metrics.Registry{}, log: slog.New(slog.NewTextHandler(io.Discard, nil)), jobs: map[string]*job{}}
-	s.adm = newAdmitter(1, s.reg)
-	for c := class(0); c < numClasses; c++ {
-		l := metrics.Labels{Class: c.String()}
-		s.admitted[c] = s.reg.Counter("ringmeshd_admit_total", l)
-		s.shed[c] = s.reg.Counter("ringmeshd_shed_total", l)
+	// deterministic. One slot: the first job queues, and the second is
+	// shed, taken out of the job table again, and evicts nothing.
+	reg := &metrics.Registry{}
+	s := &Server{reg: reg, log: slog.New(slog.NewTextHandler(io.Discard, nil)), jobs: map[string]*job{},
+		adm:      newAdmitter(1),
+		admitted: reg.Counter("ringmeshd_admit_total", metrics.Labels{}),
+		shed:     reg.Counter("ringmeshd_shed_total", metrics.Labels{}),
 	}
-	bg := testJob("a", kindRun, 1)
-	bg.class = classBackground
-	if err := s.admit(bg); err != nil {
+	a := testJob("", kindRun, 1)
+	if err := s.admit(a); err != nil {
 		t.Fatalf("admit into empty queue: %v", err)
 	}
-	batch := testJob("b", kindRun, 1)
-	batch.class = classBatch
-	if err := s.admit(batch); err != nil {
-		t.Fatalf("admit at full queue with lower class queued: %v; want eviction", err)
-	}
-	if !bg.finished() {
-		t.Fatal("background victim not finished after eviction")
-	}
-	if bg.view().Error == nil || bg.view().Error.Kind != "shed" {
-		t.Fatalf("victim error = %+v; want kind shed", bg.view().Error)
-	}
+	b := testJob("", kindBatch, 2)
 	var se *shedError
-	batch2 := testJob("c", kindRun, 1)
-	batch2.class = classBatch
-	if err := s.admit(batch2); !errors.As(err, &se) {
+	if err := s.admit(b); !errors.As(err, &se) {
 		t.Fatalf("admit into full queue = %v; want shedError", err)
+	}
+	if _, ok := s.lookup(b.id); ok {
+		t.Fatal("shed job still in the job table")
+	}
+	if a.finished() || s.adm.depth() != 1 {
+		t.Fatalf("queued job finished=%v, depth %d after a shed; want it still queued alone", a.finished(), s.adm.depth())
+	}
+	if s.admitted.Value() != 1 || s.shed.Value() != 1 {
+		t.Fatalf("admitted %d shed %d; want 1 and 1", s.admitted.Value(), s.shed.Value())
 	}
 	s.draining = true
 	d := testJob("d", kindRun, 1)
