@@ -1,7 +1,7 @@
 // Command ringmesh runs a single interconnect simulation from flags
 // and prints the measured metrics. The network is selected by its
-// registry name, so the command needs no per-topology code: any model
-// registered with the network package is runnable from here.
+// family name ("ring" or "mesh"), so the command needs no per-topology
+// code: the library resolves the name and the family's fields.
 //
 // Examples:
 //

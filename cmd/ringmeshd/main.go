@@ -1,5 +1,5 @@
 // Command ringmeshd serves simulations over HTTP/JSON: clients POST
-// run and sweep jobs against any registered network model, poll (or
+// run and sweep jobs against either network model, poll (or
 // SSE-watch) job documents, and identical jobs are answered from a
 // content-addressed result cache — sound because simulations are
 // deterministic (see DESIGN.md §7).

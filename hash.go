@@ -30,8 +30,9 @@ type canonicalRun struct {
 	PMs      int    `json:"pms"`
 
 	LineBytes int `json:"line_bytes"`
-	// Family-specific geometry. Fields a family is known to ignore are
-	// zeroed by CacheKey so they cannot split equivalent configs.
+	// Family-specific geometry, read from the resolved plan's Net, where
+	// fields the family ignores are already zero so they cannot split
+	// equivalent configs.
 	BufferFlits       int  `json:"buffer_flits"`
 	DoubleSpeedGlobal bool `json:"double_speed_global"`
 	SlottedSwitching  bool `json:"slotted_switching"`
@@ -68,15 +69,15 @@ type canonicalRun struct {
 // Canonicalization makes equivalent spellings of one configuration
 // collapse onto one key:
 //
-//   - the geometry is resolved through the topology registry, so
+//   - the geometry is resolved through network.New, so
 //     Nodes: 64 and Topology: "8x8" hash equal (and invalid configs
 //     fail here, with the model's own validation message);
 //   - defaulted fields are resolved (MemLatencyCycles 0 = 10,
 //     WatchdogCycles 0 = 20000);
 //   - the fault plan is parsed and re-rendered canonically, so "" and
 //     "none" (both observationally free) hash equal;
-//   - fields a network family is known to ignore are zeroed (a mesh
-//     hashes the same with or without DoubleSpeedGlobal);
+//   - fields a network family ignores are zeroed (the plan's Net: a
+//     mesh hashes the same with or without DoubleSpeedGlobal);
 //   - observation-only fields never enter the hash: Metrics, Trace,
 //     PhaseStats and their companions cannot change a Result
 //     (golden-tested), and RunOptions.Timeout and FailOnStall only
@@ -98,18 +99,19 @@ func CacheKey(cfg Config, opt RunOptions) (string, error) {
 		return "", err
 	}
 
+	net := r.plan.Net
 	c := canonicalRun{
 		Version:  cacheKeyVersion,
 		Network:  cfg.Network,
 		Topology: r.plan.Topology,
 		PMs:      r.plan.PMs,
 
-		LineBytes:         cfg.LineBytes,
-		BufferFlits:       cfg.BufferFlits,
-		DoubleSpeedGlobal: cfg.DoubleSpeedGlobal,
-		SlottedSwitching:  cfg.SlottedSwitching,
-		IRIQueueFlits:     0, // not reachable through the facade Config
-		UnsafeNoVC:        cfg.UnsafeNoVC,
+		LineBytes:         net.LineBytes,
+		BufferFlits:       net.BufferFlits,
+		DoubleSpeedGlobal: net.DoubleSpeedGlobal,
+		SlottedSwitching:  net.SlottedSwitching,
+		IRIQueueFlits:     net.IRIQueueFlits,
+		UnsafeNoVC:        net.UnsafeNoVC,
 
 		Workload:   cfg.Workload,
 		MemLatency: r.sys.MemLatency,
@@ -124,17 +126,6 @@ func CacheKey(cfg Config, opt RunOptions) (string, error) {
 	}
 	if c.WatchdogCycles == 0 {
 		c.WatchdogCycles = core.DefaultWatchdogCycles
-	}
-	// Zero the fields the built-in families ignore. Unknown (third
-	// party) families keep every field raw: conservative, never wrong.
-	switch cfg.Network {
-	case "ring":
-		c.BufferFlits = 0
-	case "mesh":
-		c.DoubleSpeedGlobal = false
-		c.SlottedSwitching = false
-		c.IRIQueueFlits = 0
-		c.UnsafeNoVC = false
 	}
 	// Fidelity joins the key so an analytic estimate can never answer a
 	// request for an exact result (or vice versa). Simulate stays "" —

@@ -1,6 +1,7 @@
 package ringmesh
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -287,5 +288,66 @@ func TestCacheKeyFidelity(t *testing.T) {
 	acfg.Fidelity = "nonesuch"
 	if _, err := CacheKey(acfg, aopt); err == nil {
 		t.Fatal("CacheKey minted a key for an unknown fidelity")
+	}
+}
+
+// TestIgnoredFieldsAnswerAsPlain pins the one rule for a field a family
+// does not read: setting it moves neither the cache key, at either
+// tier, nor the analytic outcome — the same Result bytes, or the same
+// refusal — so a fresh estimate and a cache hit can never disagree.
+func TestIgnoredFieldsAnswerAsPlain(t *testing.T) {
+	ring, _ := baseRing()
+	ringDoubleSpeed := ring // refused for a field the ring does read
+	ringDoubleSpeed.DoubleSpeedGlobal = true
+	mesh, _ := baseMesh()
+	families := []struct {
+		plains  []Config
+		ignored map[string]func(*Config)
+	}{
+		{[]Config{ring, ringDoubleSpeed}, map[string]func(*Config){
+			"buffer_flits": func(c *Config) { c.BufferFlits = 16 },
+		}},
+		{[]Config{mesh}, map[string]func(*Config){
+			"double_speed_global": func(c *Config) { c.DoubleSpeedGlobal = true },
+			"slotted_switching":   func(c *Config) { c.SlottedSwitching = true },
+			"unsafe_no_vc":        func(c *Config) { c.UnsafeNoVC = true },
+		}},
+	}
+	outcome := func(cfg Config) string {
+		cfg.Fidelity = "analytic"
+		res, err := Estimate(cfg, RunOptions{})
+		if err != nil {
+			return "refused: " + err.Error()
+		}
+		raw, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	for _, fam := range families {
+		for _, plain := range fam.plains {
+			// A fault plan is refused whatever the geometry: the
+			// refusal must not move either.
+			faulted := plain
+			faulted.FaultPlan = "stutter@10+10:node=0"
+			for _, base := range []Config{plain, faulted} {
+				for field, set := range fam.ignored {
+					cfg := base
+					set(&cfg)
+					name := base.Network + " " + field
+					for _, fid := range []string{"simulate", "analytic"} {
+						want, got := base, cfg
+						want.Fidelity, got.Fidelity = fid, fid
+						if k, w := mustKey(t, got, RunOptions{}), mustKey(t, want, RunOptions{}); k != w {
+							t.Errorf("%s: %s key %s, plain %s", name, fid, k, w)
+						}
+					}
+					if got, want := outcome(cfg), outcome(base); got != want {
+						t.Errorf("%s (fault plan %q):\n got  %s\n want %s", name, base.FaultPlan, got, want)
+					}
+				}
+			}
+		}
 	}
 }

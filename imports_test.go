@@ -107,3 +107,63 @@ func TestRunShapesAreAliases(t *testing.T) {
 		}
 	}
 }
+
+// TestFamilyNamesComparedInOnePlace keeps per-family knowledge in one
+// place: network.New's switch and the Plan.Net it fills decide what a
+// family reads, and internal/fidelity's formulas tell the families
+// apart. Anywhere else, comparing against "ring" or "mesh" — in a case
+// clause or with == / != — is a second copy of that knowledge, free to
+// drift from the first. bench/ is a module of its own and not held to
+// it.
+func TestFamilyNamesComparedInOnePlace(t *testing.T) {
+	isFamily := func(e ast.Expr) bool {
+		lit, ok := e.(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return false
+		}
+		s, _ := strconv.Unquote(lit.Value)
+		return s == "ring" || s == "mesh"
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if d.IsDir() {
+			switch path {
+			case ".git", ".bench_build", "bench", "internal/network", "internal/fidelity":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			var operands []ast.Expr
+			switch n := n.(type) {
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					operands = []ast.Expr{n.X, n.Y}
+				}
+			case *ast.CaseClause:
+				operands = n.List
+			}
+			for _, e := range operands {
+				if isFamily(e) {
+					t.Errorf("%s compares against a network family name; ask the resolved plan (network.Plan.Net) instead", fset.Position(e.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

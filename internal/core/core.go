@@ -49,9 +49,10 @@ type System struct {
 	topology      string
 }
 
-// SystemConfig configures a system over any registered interconnect.
+// SystemConfig configures a system over either interconnect.
 type SystemConfig struct {
-	// Network is the registered topology name ("ring", "mesh", ...).
+	// Network is the family name network.New resolves: "ring" or
+	// "mesh".
 	Network string
 	// Net is the topology-agnostic network configuration.
 	Net network.Config
@@ -98,8 +99,8 @@ type SystemConfig struct {
 	PhaseStats bool
 }
 
-// NewSystem builds a multiprocessor around any registered
-// interconnect model.
+// NewSystem builds a multiprocessor around the interconnect
+// cfg.Network names.
 func NewSystem(cfg SystemConfig) (*System, error) {
 	plan, err := network.New(cfg.Network, cfg.Net)
 	if err != nil {
@@ -109,8 +110,8 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 }
 
 // NewSystemOn is NewSystem for a caller that already resolved the
-// geometry: plan must be what network.New returns for cfg.Network and
-// cfg.Net.
+// geometry: plan is what network.New returns for cfg.Network and
+// cfg.Net, or, in tests, a stub model's hand-made plan.
 func NewSystemOn(plan *network.Plan, cfg SystemConfig) (*System, error) {
 	if err := cfg.Workload.Validate(); err != nil {
 		return nil, err

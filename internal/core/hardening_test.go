@@ -2,9 +2,9 @@ package core
 
 // Hardened-execution tests: panic recovery at the Run boundary,
 // wall-clock timeouts, context cancellation, and a model's refusal of
-// a fault plan. The stub "paniktest" network below is registered
-// once for the whole test binary; it moves no packets and detonates
-// at a fixed tick, which is all the recovery path needs.
+// a fault plan. The stub "paniktest" network below is handed to
+// NewSystemOn as an already-resolved plan; it moves no packets and
+// detonates at a fixed tick, which is all the recovery path needs.
 
 import (
 	"context"
@@ -47,31 +47,27 @@ func (p *panicNet) ApplyFaultPlan(*fault.Plan) error {
 	return errors.New("paniktest does not support fault injection")
 }
 
-func init() {
-	network.Register("paniktest", func(cfg network.Config) (*network.Plan, error) {
-		n := cfg.Nodes
-		if n == 0 {
-			n = 4
-		}
-		return &network.Plan{
-			Topology:      "paniktest",
-			PMs:           n,
-			TicksPerCycle: 1,
-			Sizing:        packet.RingSizing,
-			Locality: func(r float64) (workload.Pattern, error) {
-				return workload.Uniform{P: n}, nil
-			},
-			Description: "test network that panics mid-run",
-			Build: func(ports []node.Port, engine *sim.Engine) (network.Model, error) {
-				return &panicNet{at: 50}, nil
-			},
-		}, nil
-	})
+// panicPlan is the stub network's resolved geometry: 4 PMs.
+func panicPlan() *network.Plan {
+	return &network.Plan{
+		Name:          "paniktest",
+		Topology:      "paniktest",
+		PMs:           4,
+		TicksPerCycle: 1,
+		Sizing:        packet.RingSizing,
+		Locality: func(r float64) (workload.Pattern, error) {
+			return workload.Uniform{P: 4}, nil
+		},
+		Description: "test network that panics mid-run",
+		Build: func(ports []node.Port, engine *sim.Engine) (network.Model, error) {
+			return &panicNet{at: 50}, nil
+		},
+	}
 }
 
 func panicSys(t *testing.T) *System {
 	t.Helper()
-	sys, err := NewSystem(SystemConfig{
+	sys, err := NewSystemOn(panicPlan(), SystemConfig{
 		Network:  "paniktest",
 		Net:      network.Config{LineBytes: 32},
 		Workload: workload.PaperDefaults(),
@@ -105,7 +101,7 @@ func TestFaultPlanRejectedWithoutCapability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewSystem(SystemConfig{
+	_, err = NewSystemOn(panicPlan(), SystemConfig{
 		Network:   "paniktest",
 		Net:       network.Config{LineBytes: 32},
 		Workload:  workload.PaperDefaults(),

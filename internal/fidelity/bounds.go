@@ -119,15 +119,14 @@ func FormatBounds(rows []BoundRow) string {
 
 // BoundFor returns the recorded error bound for a configuration, or
 // not found when it does not resolve or its family has no validated
-// rows (third-party networks are never analytically answerable
-// anyway). Estimate attaches the same bound to every answer; this
+// rows. Estimate attaches the same bound to every answer; this
 // wrapper serves callers that hold a configuration but no estimate.
 func BoundFor(networkName string, cfg network.Config) (core.ErrorBound, bool) {
 	plan, err := network.New(networkName, cfg)
 	if err != nil {
 		return core.ErrorBound{}, false
 	}
-	b := boundFor(plan, cfg)
+	b := boundFor(plan)
 	if b == nil {
 		return core.ErrorBound{}, false
 	}
@@ -138,7 +137,7 @@ func BoundFor(networkName string, cfg network.Config) (core.ErrorBound, bool) {
 // gated row matching it exactly when one exists, else the worst gated
 // bound across its network family (conservative — the family-wide
 // envelope always covers the per-config one), else nil.
-func boundFor(plan *network.Plan, cfg network.Config) *core.ErrorBound {
+func boundFor(plan *network.Plan) *core.ErrorBound {
 	rows, err := Bounds()
 	if err != nil {
 		return nil
@@ -152,10 +151,10 @@ func boundFor(plan *network.Plan, cfg network.Config) *core.ErrorBound {
 			continue
 		}
 		// Mesh buffer depth changes the round-trip formula, so it joins
-		// the exact match; rings ignore BufferFlits entirely (exactly as
-		// CacheKey zeroes it).
-		exact := r.Topology == plan.Topology && r.LineBytes == cfg.LineBytes &&
-			(plan.Name != "mesh" || r.BufferFlits == cfg.BufferFlits)
+		// the exact match; a ring's plan.Net carries BufferFlits 0, as
+		// every recorded ring row does.
+		exact := r.Topology == plan.Topology && r.LineBytes == plan.Net.LineBytes &&
+			r.BufferFlits == plan.Net.BufferFlits
 		if exact {
 			return &core.ErrorBound{
 				MaxRelErr: r.Bound,

@@ -39,8 +39,10 @@ const (
 )
 
 // ErrUnsupported marks a configuration the analytic models do not
-// cover (slotted switching, double-speed global rings, fault plans,
-// open-loop or deterministic workloads, third-party topologies).
+// cover (slotted switching, double-speed global rings or disabled
+// virtual channels on a ring, fault plans, open-loop or deterministic
+// workloads). A field the family ignores is never a reason: a mesh
+// carrying a ring-only flag gets the plain mesh's answer.
 // Serving layers treat it as "fall back to exact", not as a failure.
 var ErrUnsupported = errors.New("fidelity: configuration outside the analytic model's validated envelope")
 
@@ -78,6 +80,9 @@ func Normalize(name string) (string, error) {
 // simulation on that error, so refusal costs a queue slot, never a
 // wrong labeled answer.
 func Estimate(plan *network.Plan, cfg core.SystemConfig) (core.Result, error) {
+	// The formulas, the envelope and the bound read the family's own
+	// view of the request, so an ignored field cannot refuse an answer.
+	cfg.Net = plan.Net
 	if err := unsupported(cfg); err != nil {
 		return core.Result{}, err
 	}
@@ -89,8 +94,8 @@ func Estimate(plan *network.Plan, cfg core.SystemConfig) (core.Result, error) {
 		kRead, kWrite int
 		capacity      float64 // sustainable remote transactions per PM-cycle
 	)
-	switch plan.Name {
-	case "ring":
+	ring := plan.Name == "ring" // else a mesh: New resolves no third family
+	if ring {
 		spec, err := topo.ParseRingSpec(plan.Topology)
 		if err != nil {
 			return core.Result{}, err
@@ -98,7 +103,7 @@ func Estimate(plan *network.Plan, cfg core.SystemConfig) (core.Result, error) {
 		hops = spec.RoundTripHops
 		kRead, kWrite = ringPairFree(cfg, true), ringPairFree(cfg, false)
 		capacity = ringBisectionBound(spec, cfg)
-	case "mesh":
+	} else {
 		spec, err := topo.ParseMeshSpec(plan.Topology)
 		if err != nil {
 			return core.Result{}, err
@@ -106,8 +111,6 @@ func Estimate(plan *network.Plan, cfg core.SystemConfig) (core.Result, error) {
 		hops = func(src, dst int) int { return 2 * spec.HopDistance(src, dst) }
 		kRead, kWrite = meshPairFree(cfg, true), meshPairFree(cfg, false)
 		capacity = meshBisectionBound(spec, cfg)
-	default:
-		return core.Result{}, fmt.Errorf("%w: no analytic model for network %q", ErrUnsupported, plan.Name)
 	}
 	pat, err := plan.Locality(cfg.Workload.R)
 	if err != nil {
@@ -128,7 +131,7 @@ func Estimate(plan *network.Plan, cfg core.SystemConfig) (core.Result, error) {
 		Throughput:    math.Min(offered, capacity) * float64(plan.PMs),
 		Saturated:     capacity > 0 && offered > capacity,
 		Fidelity:      Analytic,
-		ErrorBound:    boundFor(plan, cfg.Net),
+		ErrorBound:    boundFor(plan),
 	}
 	// Report the predicted bottleneck utilization in the family's
 	// utilization slot so tier-labeled answers still carry a load
@@ -137,7 +140,7 @@ func Estimate(plan *network.Plan, cfg core.SystemConfig) (core.Result, error) {
 	if capacity > 0 {
 		util = math.Min(1, offered/capacity)
 	}
-	if plan.Name == "ring" {
+	if ring {
 		res.RingUtilization = []float64{util}
 	} else {
 		res.MeshUtilization = util

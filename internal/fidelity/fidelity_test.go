@@ -253,7 +253,7 @@ func TestBoundFor(t *testing.T) {
 	}
 
 	if _, ok := BoundFor("nonesuch", network.Config{Topology: "3x3", LineBytes: 32}); ok {
-		t.Error("bound invented for unregistered network")
+		t.Error("bound invented for an unknown network")
 	}
 }
 
@@ -292,15 +292,21 @@ func TestAnalyticUnsupported(t *testing.T) {
 	}
 	cases := map[string]core.SystemConfig{}
 
-	c := base()
+	// Ring-only features are refused on a ring; on a mesh they are
+	// ignored fields, answered as the plain mesh (the root package's
+	// TestIgnoredFieldsAnswerAsPlain pins that).
+	ringBase := func() core.SystemConfig {
+		return validationConfig("ring", "2:4", 32, 0, 0.04)
+	}
+	c := ringBase()
 	c.Net.SlottedSwitching = true
 	cases["slotted"] = c
 
-	c = validationConfig("ring", "2:4", 32, 0, 0.04)
+	c = ringBase()
 	c.Net.DoubleSpeedGlobal = true
 	cases["double-speed"] = c
 
-	c = base()
+	c = ringBase()
 	c.Net.UnsafeNoVC = true
 	cases["no-vc"] = c
 
@@ -322,8 +328,8 @@ func TestAnalyticUnsupported(t *testing.T) {
 		}
 	}
 
-	// An unregistered network is a configuration error (the registry's
-	// own message), not an unsupported-feature refusal.
+	// An unknown network is a configuration error (network.New's own
+	// message), not an unsupported-feature refusal.
 	c = base()
 	c.Network = "nonesuch"
 	if _, err := estimate(c); err == nil {

@@ -12,18 +12,8 @@ import (
 	"ringmesh/internal/workload"
 )
 
-// The two built-in models of the paper. These factories build the
-// models; everything above resolves topologies through the registry.
-// Three places above still switch on the family name, because each
-// holds per-family knowledge the registry does not carry: the analytic
-// tier's formulas (fidelity.Estimate), its validation-table lookup
-// (fidelity's boundFor) and the fields a family ignores (CacheKey).
-func init() {
-	Register("ring", ringFactory)
-	Register("mesh", meshFactory)
-}
-
-func ringFactory(cfg Config) (*Plan, error) {
+// ringPlan resolves a hierarchy. A ring ignores BufferFlits.
+func ringPlan(cfg Config) (*Plan, error) {
 	spec, err := ringSpecFor(cfg)
 	if err != nil {
 		return nil, err
@@ -44,6 +34,8 @@ func ringFactory(cfg Config) (*Plan, error) {
 		return nil, err
 	}
 	pms := spec.PMs()
+	net := cfg
+	net.BufferFlits = 0
 	return &Plan{
 		Topology:      spec.String(),
 		PMs:           pms,
@@ -53,6 +45,7 @@ func ringFactory(cfg Config) (*Plan, error) {
 			return workload.NewRingLocality(pms, r)
 		},
 		Description: fmt.Sprintf("ring %s cl=%dB (%s)", spec, rc.LineBytes, rc.Switching),
+		Net:         net,
 		Build: func(ports []node.Port, engine *sim.Engine) (Model, error) {
 			// Each constructor's error is returned beside a nil Model,
 			// never beside a typed nil pointer.
@@ -94,7 +87,10 @@ func ringSpecFor(cfg Config) (topo.RingSpec, error) {
 	return topo.RingSpec{}, fmt.Errorf("network: ring needs Topology or Nodes")
 }
 
-func meshFactory(cfg Config) (*Plan, error) {
+// meshPlan resolves a square mesh. A mesh ignores the ring-only
+// fields: DoubleSpeedGlobal, SlottedSwitching, IRIQueueFlits and
+// UnsafeNoVC.
+func meshPlan(cfg Config) (*Plan, error) {
 	nodes, err := meshNodesFor(cfg)
 	if err != nil {
 		return nil, err
@@ -116,6 +112,7 @@ func meshFactory(cfg Config) (*Plan, error) {
 			return workload.NewMeshLocality(mc.Spec, r)
 		},
 		Description: fmt.Sprintf("mesh %s cl=%dB buf=%d", mc.Spec, mc.LineBytes, mc.BufferFlits),
+		Net:         Config{Topology: cfg.Topology, Nodes: cfg.Nodes, LineBytes: cfg.LineBytes, BufferFlits: cfg.BufferFlits},
 		Build: func(ports []node.Port, engine *sim.Engine) (Model, error) {
 			net, err := mesh.New(mc, ports, engine)
 			if err != nil {

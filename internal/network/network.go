@@ -1,16 +1,16 @@
-// Package network defines the topology-agnostic interconnect
-// abstraction the rest of the simulator is built on: a Model
-// interface every network implements, and a string-keyed registry of
-// topology factories so that adding a new interconnect (a torus, a
-// hybrid ring-mesh) is a one-package drop-in — register a factory and
-// every layer above (system assembly, sweeps, experiments, command
-// line tools) can drive it without modification.
+// Package network defines the interconnect abstraction the rest of the
+// simulator is built on: a Model interface both of the paper's networks
+// implement — hierarchical rings and square 2D meshes — and New, the one
+// place that turns a family name and a Config into a resolved Plan.
+// Every layer above (system assembly, sweeps, experiments, the analytic
+// tier, command-line tools) drives either family through that Plan.
 //
 // The split of responsibilities:
 //
-//   - A Factory resolves a Config (what the user asked for) into a
-//     Plan (everything the assembly layer must know before the PMs
-//     exist: node count, clocking, packet sizing, locality pattern).
+//   - New resolves a Config (what the user asked for) into a Plan
+//     (everything the assembly layer must know before the PMs exist:
+//     node count, clocking, packet sizing, locality pattern, and the
+//     request as the family reads it).
 //   - The Plan's Build hook then constructs the Model proper, wired
 //     to the per-PM injection/delivery ports.
 //   - The Model is a sim.Component plus the small measurement surface
@@ -25,8 +25,6 @@ package network
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"ringmesh/internal/fault"
 	"ringmesh/internal/metrics"
@@ -37,10 +35,10 @@ import (
 	"ringmesh/internal/workload"
 )
 
-// Config is the topology-agnostic network configuration. Each model
+// Config is the topology-agnostic network configuration. Each family
 // interprets the fields it understands and ignores the rest (the same
-// contract as a shared flag set), so one Config type can describe any
-// registered topology.
+// contract as a shared flag set), so one Config type can describe
+// either; Plan.Net is the request with the ignored fields zeroed.
 type Config struct {
 	// Topology is the model-specific shape in its canonical notation:
 	// ring hierarchies use the paper's colon notation ("2:3:4"),
@@ -128,7 +126,7 @@ type Model interface {
 // Plan is a resolved network blueprint: everything the assembly layer
 // needs to size, clock and wire a system before the PMs exist.
 type Plan struct {
-	// Name is the registry key that produced this plan.
+	// Name is the family New resolved: "ring" or "mesh".
 	Name string
 	// Topology is the canonical resolved shape (e.g. "3:3:8", "8x8").
 	Topology string
@@ -144,6 +142,13 @@ type Plan struct {
 	Locality func(r float64) (workload.Pattern, error)
 	// Description is a one-line human-readable summary.
 	Description string
+	// Net is the request as this family reads it: the Config with
+	// every field the family ignores set to zero (a ring's BufferFlits;
+	// a mesh's DoubleSpeedGlobal, SlottedSwitching, IRIQueueFlits and
+	// UnsafeNoVC). The cache key, the analytic tier's envelope and its
+	// validation bound all read it, so a foreign field can never change
+	// an answer.
+	Net Config
 	// Build constructs the model attached to the given PM ports. The
 	// caller registers the returned Model on the engine (period 1);
 	// models with internally faster clocks use TicksPerCycle to slow
@@ -151,44 +156,22 @@ type Plan struct {
 	Build func(ports []node.Port, engine *sim.Engine) (Model, error)
 }
 
-// Factory resolves a Config into a Plan, validating it in the
-// process.
-type Factory func(cfg Config) (*Plan, error)
-
-var (
-	regMu     sync.RWMutex
-	factories = map[string]Factory{}
-)
-
-// Register adds a topology factory under a name. It panics on an
-// empty name, a nil factory, or a duplicate registration — all are
-// programmer errors in an init chain, not runtime conditions.
-func Register(name string, f Factory) {
-	if name == "" {
-		panic("network: Register with empty topology name")
-	}
-	if f == nil {
-		panic(fmt.Sprintf("network: Register(%q) with nil factory", name))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := factories[name]; dup {
-		panic(fmt.Sprintf("network: topology %q registered twice", name))
-	}
-	factories[name] = f
-}
-
-// New resolves a registered topology into a Plan. A geometry needs at
-// least 2 PMs: on one, every access is local, no latency is measured
-// and the run has no confidence interval.
+// New resolves a family name and a Config into a Plan. A geometry
+// needs at least 2 PMs: on one, every access is local, no latency is
+// measured and the run has no confidence interval.
 func New(name string, cfg Config) (*Plan, error) {
-	regMu.RLock()
-	f, ok := factories[name]
-	regMu.RUnlock()
-	if !ok {
+	var (
+		plan *Plan
+		err  error
+	)
+	switch name {
+	case "ring":
+		plan, err = ringPlan(cfg)
+	case "mesh":
+		plan, err = meshPlan(cfg)
+	default:
 		return nil, fmt.Errorf("network: unknown topology %q (registered: %v)", name, Names())
 	}
-	plan, err := f(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -199,14 +182,5 @@ func New(name string, cfg Config) (*Plan, error) {
 	return plan, nil
 }
 
-// Names lists the registered topology names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(factories))
-	for name := range factories {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+// Names lists the family names New accepts, sorted.
+func Names() []string { return []string{"mesh", "ring"} }

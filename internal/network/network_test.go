@@ -1,6 +1,7 @@
 package network
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 	"ringmesh/internal/sim"
 )
 
-// The built-in models implement Model themselves; the factories hand
+// Both families' models implement Model themselves; the plans hand
 // them out unwrapped.
 var (
 	_ Model = (*ring.Network)(nil)
@@ -19,42 +20,12 @@ var (
 	_ Model = (*mesh.Network)(nil)
 )
 
-func mustPanic(t *testing.T, want string, fn func()) {
-	t.Helper()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatalf("expected panic containing %q, got none", want)
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, want) {
-			t.Fatalf("panic = %v, want it to contain %q", r, want)
-		}
-	}()
-	fn()
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	// "ring" is registered by the built-in init chain.
-	mustPanic(t, "registered twice", func() {
-		Register("ring", func(Config) (*Plan, error) { return &Plan{}, nil })
-	})
-}
-
-func TestRegisterRejectsBadArguments(t *testing.T) {
-	mustPanic(t, "empty topology name", func() {
-		Register("", func(Config) (*Plan, error) { return &Plan{}, nil })
-	})
-	mustPanic(t, "nil factory", func() {
-		Register("torus", nil)
-	})
-}
-
 func TestNewUnknownTopology(t *testing.T) {
 	_, err := New("hypercube", Config{Nodes: 64, LineBytes: 32})
 	if err == nil {
-		t.Fatal("expected an error for an unregistered topology")
+		t.Fatal("expected an error for an unknown topology")
 	}
-	// The error must name the registered alternatives.
+	// The error must name the alternatives.
 	for _, want := range []string{"hypercube", "ring", "mesh"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
@@ -63,21 +34,8 @@ func TestNewUnknownTopology(t *testing.T) {
 }
 
 func TestNamesListsBuiltins(t *testing.T) {
-	names := Names()
-	if len(names) < 2 {
-		t.Fatalf("Names() = %v, want at least ring and mesh", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("Names() = %v, not sorted", names)
-		}
-	}
-	found := map[string]bool{}
-	for _, n := range names {
-		found[n] = true
-	}
-	if !found["ring"] || !found["mesh"] {
-		t.Fatalf("Names() = %v, missing a built-in", names)
+	if names := Names(); !reflect.DeepEqual(names, []string{"mesh", "ring"}) {
+		t.Fatalf("Names() = %v, want [mesh ring]", names)
 	}
 }
 
@@ -143,15 +101,32 @@ func TestMeshPlanResolution(t *testing.T) {
 }
 
 // TestFactoriesIgnoreForeignFields checks the shared-flag-set
-// contract: fields a model doesn't understand must not fail its
-// resolution, so one Config can be built from a single command-line
-// flag set.
+// contract: fields a family doesn't read must not fail its resolution,
+// so one Config can be built from a single command-line flag set, and
+// Plan.Net must carry them as zero, so nothing keyed or judged on it
+// can tell them apart.
 func TestFactoriesIgnoreForeignFields(t *testing.T) {
-	if _, err := New("ring", Config{Nodes: 24, LineBytes: 32, BufferFlits: 4}); err != nil {
-		t.Errorf("ring rejected a mesh-only field: %v", err)
+	for _, tc := range []struct {
+		name           string
+		plain, foreign Config
+	}{
+		{"ring", Config{Nodes: 24, LineBytes: 32}, Config{Nodes: 24, LineBytes: 32, BufferFlits: 4}},
+		{"mesh", Config{Nodes: 64, LineBytes: 32, BufferFlits: 4}, Config{Nodes: 64, LineBytes: 32, BufferFlits: 4,
+			DoubleSpeedGlobal: true, SlottedSwitching: true, IRIQueueFlits: 8, UnsafeNoVC: true}},
+	} {
+		plan, err := New(tc.name, tc.foreign)
+		if err != nil {
+			t.Errorf("%s rejected a foreign field: %v", tc.name, err)
+			continue
+		}
+		if !reflect.DeepEqual(plan.Net, tc.plain) {
+			t.Errorf("%s Plan.Net = %+v, want the foreign fields zeroed: %+v", tc.name, plan.Net, tc.plain)
+		}
 	}
-	if _, err := New("mesh", Config{Nodes: 64, LineBytes: 32, DoubleSpeedGlobal: true, SlottedSwitching: true, IRIQueueFlits: 8}); err != nil {
-		t.Errorf("mesh rejected ring-only fields: %v", err)
+	// The fields a family reads pass through unchanged.
+	own := Config{Topology: "2:4", LineBytes: 64, DoubleSpeedGlobal: true, IRIQueueFlits: 8}
+	if plan, err := New("ring", own); err != nil || plan.Net != own {
+		t.Errorf("ring Plan.Net = %+v, %v; want %+v", plan.Net, err, own)
 	}
 }
 
@@ -165,10 +140,10 @@ func (stubPort) PopPendingRequest() *packet.Packet       { panic("empty") }
 func (stubPort) Deliver(*packet.Packet, int64)           {}
 func (stubPort) HasPending() bool                        { return false }
 
-// TestBuiltinsAdvertiseCapabilities builds every registered built-in
-// and asserts a fresh network passes its own invariant audit. (That
-// each implements invariant checking, fault injection, partitioning
-// and stall forensics is the Model interface's business: the compiler
+// TestBuiltinsAdvertiseCapabilities builds both families and asserts
+// a fresh network passes its own invariant audit. (That each
+// implements invariant checking, fault injection, partitioning and
+// stall forensics is the Model interface's business: the compiler
 // checks it.)
 func TestBuiltinsAdvertiseCapabilities(t *testing.T) {
 	cfgs := map[string][]Config{

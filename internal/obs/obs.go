@@ -3,14 +3,13 @@
 // bounded per-job timeline, with Chrome trace-event JSON export, plus
 // the parallel engine's phase-timing aggregate (PhaseStats).
 //
-// The package follows the repo's nil-disables convention: a nil *Trace
-// hands out nil *Spans and every method no-ops, so instrumented paths
-// cost one pointer test when tracing is off. Unlike the metrics
-// registry — cumulative instruments scraped at sample time — a trace
-// is an episodic record: each span is one interval in one job's life
-// (validate, queue-wait, run, a shard's commit phase), and the
-// timeline is bounded so a pathological job cannot grow memory without
-// limit.
+// The package follows the repo's nil-disables convention: every method
+// of a nil *Trace no-ops, so instrumented paths cost one pointer test
+// when tracing is off. Unlike the metrics registry — cumulative
+// instruments scraped at sample time — a trace is an episodic record:
+// each span is one interval in one job's life (validate, queue-wait,
+// run, a shard's commit phase), and the timeline is bounded so a
+// pathological job cannot grow memory without limit.
 package obs
 
 import (
@@ -60,39 +59,9 @@ func NewTrace(max int) *Trace {
 	return &Trace{max: max}
 }
 
-// Span is one in-flight interval started by Trace.Start. End completes
-// it. The nil Span (from a nil Trace) ignores every call.
-type Span struct {
-	tr    *Trace
-	name  string
-	start time.Time
-	attrs []Attr
-}
-
-// Start opens a span at the current time. Nil-safe: a nil trace
-// returns a nil span.
-func (t *Trace) Start(name string, attrs ...Attr) *Span {
-	if t == nil {
-		return nil
-	}
-	return &Span{tr: t, name: name, start: time.Now(), attrs: attrs}
-}
-
-// End completes the span and records it into the trace.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	s.tr.Record(SpanRecord{
-		Name:  s.name,
-		Start: s.start,
-		Dur:   time.Since(s.start),
-		Attrs: s.attrs,
-	})
-}
-
-// Record appends an already-measured span (the queue-wait span is
-// reconstructed from the enqueue timestamp rather than held open).
+// Record appends an already-measured span: callers time the interval
+// themselves (the queue-wait span is reconstructed from the enqueue
+// timestamp rather than held open).
 // Nil-safe; spans past the bound are dropped and counted.
 func (t *Trace) Record(r SpanRecord) {
 	if t == nil {

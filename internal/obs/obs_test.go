@@ -9,12 +9,7 @@ import (
 
 func TestNilTraceIsFree(t *testing.T) {
 	var tr *Trace
-	sp := tr.Start("x", Attr{"k", "v"})
-	if sp != nil {
-		t.Fatalf("nil trace returned non-nil span")
-	}
-	sp.End() // must not panic
-	tr.Record(SpanRecord{Name: "y"})
+	tr.Record(SpanRecord{Name: "y", Attrs: []Attr{{"k", "v"}}}) // must not panic
 	if tr.Spans() != nil || tr.Dropped() != 0 {
 		t.Fatalf("nil trace holds state")
 	}
@@ -29,8 +24,9 @@ func TestNilTraceIsFree(t *testing.T) {
 
 func TestTraceSpans(t *testing.T) {
 	tr := NewTrace(16)
-	tr.Start("validate", Attr{"kind", "run"}, Attr{"family", "mesh"}).End()
-	tr.Start("run").End()
+	start := time.Now()
+	tr.Record(SpanRecord{Name: "validate", Start: start, Dur: time.Millisecond, Attrs: []Attr{{"kind", "run"}, {"family", "mesh"}}})
+	tr.Record(SpanRecord{Name: "run", TID: 1, Start: start.Add(time.Millisecond), Dur: 2 * time.Millisecond})
 	spans := tr.Spans()
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(spans))
@@ -38,18 +34,20 @@ func TestTraceSpans(t *testing.T) {
 	if spans[0].Name != "validate" || len(spans[0].Attrs) != 2 {
 		t.Fatalf("first span wrong: %+v", spans[0])
 	}
-	if spans[1].Name != "run" {
+	if spans[1].Name != "run" || spans[1].TID != 1 || spans[1].Dur != 2*time.Millisecond {
 		t.Fatalf("second span wrong: %+v", spans[1])
 	}
-	if spans[0].Dur < 0 {
-		t.Fatalf("negative duration")
+	// Spans is a snapshot: writing to it leaves the trace alone.
+	spans[0].Name = "mutated"
+	if tr.Spans()[0].Name != "validate" {
+		t.Fatalf("Spans shares storage with the trace")
 	}
 }
 
 func TestTraceBound(t *testing.T) {
 	tr := NewTrace(2)
 	for i := 0; i < 5; i++ {
-		tr.Start("s").End()
+		tr.Record(SpanRecord{Name: "s"})
 	}
 	if n := len(tr.Spans()); n != 2 {
 		t.Fatalf("bound not enforced: %d spans", n)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"strings"
@@ -187,6 +188,40 @@ func TestAnalyticRefusalPaths(t *testing.T) {
 
 	if body := getMetrics(t, ts.URL); !strings.Contains(body, "ringmeshd_fidelity_fallback_total 1") {
 		t.Errorf("metrics missing fallback counter:\n%s", body)
+	}
+}
+
+// TestIgnoredFieldAnswerIndependentOfCache: a mesh ignores the
+// ring-only double_speed_global, so an analytic run carrying it gets
+// the plain mesh's answer whether or not that answer is already
+// cached — the same status and result on a fresh daemon as on one
+// that just answered the plain mesh.
+func TestIgnoredFieldAnswerIndependentOfCache(t *testing.T) {
+	plain := testConfig()
+	foreign := plain
+	foreign.DoubleSpeedGlobal = true
+	run := func(ts string, cfg ringmesh.Config) (int, []byte) {
+		resp, raw := postJSON(t, ts+"/v1/runs", runRequest{Config: cfg, Options: testOptions(), Fidelity: "analytic"})
+		if resp.StatusCode != http.StatusOK {
+			return resp.StatusCode, raw
+		}
+		return resp.StatusCode, decodeDoc(t, raw).Result
+	}
+
+	_, fresh := newTestServer(t, Options{})
+	freshStatus, freshBody := run(fresh.URL, foreign)
+
+	_, warm := newTestServer(t, Options{})
+	if status, raw := run(warm.URL, plain); status != http.StatusOK {
+		t.Fatalf("plain mesh analytic POST = %d: %s", status, raw)
+	}
+	warmStatus, warmBody := run(warm.URL, foreign)
+
+	if freshStatus != warmStatus || !bytes.Equal(freshBody, warmBody) {
+		t.Fatalf("fresh daemon: %d %s\nafter a plain-mesh request: %d %s", freshStatus, freshBody, warmStatus, warmBody)
+	}
+	if freshStatus != http.StatusOK {
+		t.Fatalf("mesh with an ignored ring-only field = %d: %s", freshStatus, freshBody)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,8 @@ import (
 var (
 	// auditRow matches one row of README's "Daemon metrics" table.
 	auditRow = regexp.MustCompile("(?m)^\\| `((?:ringmeshd|go)_[a-z_]+)` \\|")
+	// auditCount matches the table's stated size in the prose above it.
+	auditCount = regexp.MustCompile(`exports (\d+) distinct series`)
 	// typeLine matches the exposition's one line per distinct series.
 	typeLine = regexp.MustCompile(`(?m)^# TYPE (\S+) `)
 )
@@ -76,6 +79,11 @@ func TestMetricAudit(t *testing.T) {
 			t.Errorf("README lists %s twice", m[1])
 		}
 		table[m[1]] = true
+	}
+	if m := auditCount.FindSubmatch(readme); m == nil {
+		t.Error(`README does not say how many series /metrics "exports N distinct series"`)
+	} else if n, _ := strconv.Atoi(string(m[1])); n != len(table) {
+		t.Errorf("README says /metrics exports %d distinct series; its table lists %d", n, len(table))
 	}
 	exported := map[string]bool{}
 	scrape := func(base string, mustMove ...string) {

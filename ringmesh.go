@@ -25,7 +25,7 @@
 //	    Workload:    ringmesh.PaperWorkload(),
 //	}, ringmesh.DefaultRunOptions())
 //
-// Topologies lists the registered network names.
+// Topologies lists the network family names: "mesh" and "ring".
 //
 // Results report the paper's metrics: average round-trip access
 // latency in processor clock cycles (with a 95% confidence interval
@@ -85,15 +85,15 @@ type (
 // T=4, 70% reads.
 func PaperWorkload() Workload { return workload.PaperDefaults() }
 
-// Config describes a system over any registered interconnect. Network
-// selects the model by registry name; the topology-specific fields
-// (Topology, BufferFlits, DoubleSpeedGlobal, ...) are interpreted by
-// the model that understands them and ignored by the others, the same
-// contract as a shared command-line flag set.
+// Config describes a system over either interconnect. Network selects
+// the model by family name; the topology-specific fields (Topology,
+// BufferFlits, DoubleSpeedGlobal, ...) are interpreted by the model
+// that understands them and ignored by the other, the same contract as
+// a shared command-line flag set. An ignored field changes nothing: not
+// the run, not the cache key, not the analytic answer.
 type Config struct {
-	// Network is the registered interconnect name; see Topologies().
-	// Built-ins: "ring" (hierarchical rings) and "mesh" (square 2D
-	// bi-directional mesh).
+	// Network is the interconnect family: "ring" (hierarchical rings)
+	// or "mesh" (square 2D bi-directional mesh); see Topologies().
 	Network string `json:"network"`
 	// Topology names the geometry in the model's own notation — the
 	// paper's colon notation for rings ("2:3:4", "12"), "KxK" for
@@ -284,7 +284,7 @@ type resolved struct {
 	// fidelity is the normalized answer tier (fidelity.Simulate or
 	// fidelity.Analytic).
 	fidelity string
-	// plan is the geometry as the topology registry resolved it.
+	// plan is the geometry as network.New resolved it.
 	plan *network.Plan
 	// sys is the configuration as both tiers read it: network,
 	// validated workload, memory latency with its default filled in,
@@ -338,7 +338,7 @@ func resolve(cfg Config) (resolved, error) {
 }
 
 // NewSystem builds a multiprocessor over the interconnect named by
-// cfg.Network, resolved through the topology registry. Only exact
+// cfg.Network, resolved through network.New. Only exact
 // (simulate-fidelity) systems can be built and stepped; analytic
 // configurations are answered by Estimate or Run instead.
 func NewSystem(cfg Config) (*System, error) {
@@ -510,8 +510,8 @@ func (s *System) Describe() string { return s.inner.Describe() }
 // configured by node count alone.
 func (s *System) Topology() string { return s.inner.Topology() }
 
-// Run builds and measures a system over any registered interconnect
-// in one call. It is the one place that chooses the answer tier from
+// Run builds and measures a system over either interconnect in one
+// call. It is the one place that chooses the answer tier from
 // Config.Fidelity: exact simulation by default, the closed-form models
 // (see Estimate) when the config asks for them.
 func Run(cfg Config, opt RunOptions) (Result, error) {
@@ -570,8 +570,8 @@ func CanonicalTopology(cfg Config) (topology string, pms int, err error) {
 	return r.plan.Topology, r.plan.PMs, nil
 }
 
-// Topologies returns the names of all registered interconnect models,
-// sorted; valid values for Config.Network.
+// Topologies returns the two interconnect family names, sorted: the
+// valid values for Config.Network.
 func Topologies() []string { return network.Names() }
 
 // OptimalRingTopology returns the best hierarchy (paper Table 2

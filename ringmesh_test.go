@@ -403,7 +403,7 @@ func TestGenericRunUnknownNetwork(t *testing.T) {
 	_, err := Run(Config{Network: "torus", Nodes: 64, LineBytes: 32,
 		Workload: PaperWorkload()}, QuickRunOptions())
 	if err == nil {
-		t.Fatal("expected an error for an unregistered network")
+		t.Fatal("expected an error for an unknown network")
 	}
 	if !strings.Contains(err.Error(), "torus") {
 		t.Errorf("error %q does not name the unknown topology", err)
