@@ -1,127 +1,113 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
+	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
+	"ringmesh/internal/network"
 	"ringmesh/internal/topo"
 )
 
-func spec(t *testing.T, s string) topo.RingSpec {
-	t.Helper()
-	r, err := topo.ParseRingSpec(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+// runCmd drives the command in-process and returns its exit code and
+// both streams.
+func runCmd(args ...string) (int, string, string) {
+	var stdout, stderr bytes.Buffer
+	code := run(args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
 }
 
-func TestIRICount(t *testing.T) {
+// starred returns the topology of the row marked with "*".
+func starred(t *testing.T, out string) string {
+	t.Helper()
+	for _, l := range strings.Split(out, "\n") {
+		if f := strings.Fields(l); len(f) > 1 && f[0] == "*" {
+			return f[1]
+		}
+	}
+	t.Fatalf("no starred row in:\n%s", out)
+	return ""
+}
+
+// TestStarIsTable2Pick: without -simulate, the starred hierarchy is
+// the one the table2 experiment and nodes:N resolve pick, in every
+// cell of the paper's Table 2.
+func TestStarIsTable2Pick(t *testing.T) {
+	for cell := range network.PaperTable2 {
+		p, line := cell[0], cell[1]
+		want, err := network.RingTopologyFor(p, line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, out, errOut := runCmd("-nodes", fmt.Sprint(p), "-line", fmt.Sprint(line))
+		if code != 0 {
+			t.Fatalf("%d PMs / %dB: exit %d: %s", p, line, code, errOut)
+		}
+		if got := starred(t, out); got != want.String() {
+			t.Errorf("%d PMs / %dB: starred %s; RingTopologyFor says %s", p, line, got, want)
+		}
+	}
+}
+
+func TestExitCodes(t *testing.T) {
 	cases := []struct {
-		spec string
-		want int
+		args    []string
+		code    int
+		wantErr string
 	}{
-		{"8", 0},        // flat ring: no interfaces
-		{"2:4", 2},      // two local rings under the global
-		{"2:3:12", 8},   // 2 level-1 rings + 6 local rings
-		{"3:3:8", 12},   // 3 + 9
-		{"2:2:2:3", 14}, // 2 + 4 + 8
-		{"3:3:3:4", 39}, // 3 + 9 + 27
+		{[]string{"-line", "48"}, 2, "unsupported line size 48B"},
+		{[]string{"-pareto"}, 2, "flag provided but not defined: -pareto"},
+		{[]string{"-nodes", "7", "-line", "128"}, 1, "no admissible ring topology for 7 PMs"},
+		{[]string{"-nodes", "1"}, 1, "at least 2 PMs"},
 	}
 	for _, c := range cases {
-		if got := iriCount(spec(t, c.spec)); got != c.want {
-			t.Errorf("iriCount(%s) = %d; want %d", c.spec, got, c.want)
+		code, out, errOut := runCmd(c.args...)
+		if code != c.code || !strings.Contains(errOut, c.wantErr) || out != "" {
+			t.Errorf("topofind %v: exit %d, stdout %q, stderr %q; want exit %d naming %q",
+				c.args, code, out, errOut, c.code, c.wantErr)
 		}
 	}
 }
 
-func TestMarkFrontier(t *testing.T) {
-	cands := []candidate{
-		{Spec: spec(t, "3:8"), Analytic: 30, IRIs: 3},      // cheapest: on frontier
-		{Spec: spec(t, "2:3:4"), Analytic: 28, IRIs: 8},    // fastest: on frontier
-		{Spec: spec(t, "3:2:4"), Analytic: 29, IRIs: 9},    // dominated by 2:3:4
-		{Spec: spec(t, "2:2:6"), Analytic: 29.5, IRIs: 6},  // mid tradeoff, on frontier
-		{Spec: spec(t, "2:2:2:3"), Analytic: 31, IRIs: 14}, // dominated by everything
-	}
-	if n := markFrontier(cands); n != 3 {
-		t.Fatalf("frontier size = %d; want 3", n)
-	}
-	want := map[string]bool{"3:8": true, "2:3:4": true, "2:2:6": true}
-	for _, c := range cands {
-		if c.Frontier != want[c.Spec.String()] {
-			t.Errorf("%s frontier = %v; want %v", c.Spec, c.Frontier, want[c.Spec.String()])
+// TestSimulateSameAtAnyWorkerCount: every simulated latency lands in
+// its own candidate's slot, so the report is byte-identical however
+// many workers ran it.
+func TestSimulateSameAtAnyWorkerCount(t *testing.T) {
+	var outs [2]string
+	for i, w := range []string{"1", "2"} {
+		code, out, errOut := runCmd("-nodes", "12", "-line", "32", "-simulate", "-workers", w)
+		if code != 0 {
+			t.Fatalf("-workers %s: exit %d: %s", w, code, errOut)
 		}
+		outs[i] = out
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("-workers 1 and 2 differ:\n%s\n---\n%s", outs[0], outs[1])
+	}
+	if strings.Contains(outs[0], " -\n") {
+		t.Fatalf("a candidate has no simulated latency:\n%s", outs[0])
 	}
 }
 
-// TestMarkFrontierTies: identical points must not dominate each other
-// out of existence.
-func TestMarkFrontierTies(t *testing.T) {
-	cands := []candidate{
-		{Spec: spec(t, "2:4"), Analytic: 20, IRIs: 2},
-		{Spec: spec(t, "8"), Analytic: 20, IRIs: 2},
-	}
-	if n := markFrontier(cands); n != 2 {
-		t.Fatalf("tied frontier size = %d; want both kept", n)
-	}
-}
-
-func TestStateRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.json")
-	hdr := stateHeader{Nodes: 24, Line: 32, Seed: 1, MaxLevels: 4, MaxBranch: 3}
-	st := stateFile{stateHeader: hdr, Simulated: map[string]simScore{
-		"3:8":   {Latency: 119.2, Saturated: false},
-		"2:3:4": {Latency: 124.2, Saturated: true},
-	}}
-	if err := saveState(path, st); err != nil {
-		t.Fatal(err)
-	}
-	got, err := loadState(path, hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got["3:8"].Latency != 119.2 || !got["2:3:4"].Saturated {
-		t.Fatalf("loadState = %+v; want the saved scores back", got)
-	}
-
-	// A checkpoint from a different search must be refused, field by
-	// field.
-	for _, other := range []stateHeader{
-		{Nodes: 72, Line: 32, Seed: 1, MaxLevels: 4, MaxBranch: 3},
-		{Nodes: 24, Line: 64, Seed: 1, MaxLevels: 4, MaxBranch: 3},
-		{Nodes: 24, Line: 32, Seed: 2, MaxLevels: 4, MaxBranch: 3},
-		{Nodes: 24, Line: 32, Seed: 1, MaxLevels: 3, MaxBranch: 3},
-		{Nodes: 24, Line: 32, Seed: 1, MaxLevels: 4, MaxBranch: 2},
-	} {
-		if _, err := loadState(path, other); err == nil {
-			t.Errorf("loadState accepted mismatched header %+v", other)
-		}
-	}
-}
-
-func TestLoadStateTornFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.json")
-	if err := os.WriteFile(path, []byte(`{"nodes": 24, "sim`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadState(path, stateHeader{Nodes: 24}); err == nil {
-		t.Fatal("loadState accepted a torn checkpoint")
-	}
-}
-
+// TestSortCandidatesDeterministic: -simulate orders by simulated
+// latency and keeps the Table 2 order among equal latencies.
 func TestSortCandidatesDeterministic(t *testing.T) {
-	sim := func(l float64) *simScore { return &simScore{Latency: l} }
-	cands := []candidate{
-		{Spec: spec(t, "2:2:6"), Analytic: 31, IRIs: 6},
-		{Spec: spec(t, "2:3:4"), Analytic: 28, IRIs: 8, Sim: sim(124.2)},
-		{Spec: spec(t, "3:2:4"), Analytic: 29, IRIs: 9},
-		{Spec: spec(t, "3:8"), Analytic: 30, IRIs: 3, Sim: sim(119.2)},
+	spec := func(s string) topo.RingSpec {
+		r, err := topo.ParseRingSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	sortCandidates(cands)
-	// Simulated candidates first by exact latency, then the rest by
-	// analytic latency.
-	want := []string{"3:8", "2:3:4", "3:2:4", "2:2:6"}
+	cands := []candidate{
+		{Spec: spec("3:4"), Simulated: 36.6},
+		{Spec: spec("2:6"), Simulated: 36.4},
+		{Spec: spec("2:2:3"), Simulated: 36.4},
+		{Spec: spec("2:3:2"), Simulated: 30},
+	}
+	sortBySimulated(cands)
+	want := []string{"2:3:2", "2:6", "2:2:3", "3:4"}
 	for i, w := range want {
 		if got := cands[i].Spec.String(); got != w {
 			t.Fatalf("order[%d] = %s; want %s (full order %v)", i, got, w, cands)

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"ringmesh/internal/network"
 )
 
 // baseMesh returns a valid mesh configuration the hash tests mutate.
@@ -112,6 +114,29 @@ func TestCacheKeyEquivalentSpellings(t *testing.T) {
 	rcfg.BufferFlits = 16
 	if got := mustKey(t, rcfg, ropt); got != rbase {
 		t.Errorf("ring key moved with mesh-only BufferFlits: %s vs %s", got, rbase)
+	}
+
+	// Ring nodes:N vs the Table 2 hierarchy it resolves to, in every
+	// cell of the paper's table.
+	for cell := range network.PaperTable2 {
+		ncfg, nopt := baseRing()
+		ncfg.Nodes, ncfg.LineBytes = cell[0], cell[1]
+		tcfg := ncfg
+		topology, err := OptimalRingTopology(cell[0], cell[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		tcfg.Topology = topology
+		if nk, tk := mustKey(t, ncfg, nopt), mustKey(t, tcfg, nopt); nk != tk {
+			t.Errorf("ring %d PMs / %dB: nodes key %s, topology %s key %s", cell[0], cell[1], nk, topology, tk)
+		}
+		nTopo, _, err := CanonicalTopology(ncfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tTopo, _, err := CanonicalTopology(tcfg); err != nil || nTopo != tTopo || nTopo != topology {
+			t.Errorf("ring %d PMs / %dB: canonical %s from nodes, %s (%v) from topology %s", cell[0], cell[1], nTopo, tTopo, err, topology)
+		}
 	}
 
 	// Random fault generators: elided defaults spell out to the same

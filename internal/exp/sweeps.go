@@ -146,25 +146,20 @@ func ringLadder(line int) []int {
 }
 
 // sweepTopologyFor returns a hierarchy for n PMs at the given line
-// size, following the paper's construction: leaf rings bounded by the
-// single-ring capacity and internal branching of at most three. Where
-// the paper sweeps past the last balanced configuration (its latency
-// figures extend beyond Table 2's largest entries) the branching
-// bound is widened until a hierarchy exists.
+// size, following the paper's construction: the first of
+// network.RankedRingSpecs at internal branching of at most three,
+// which is the Table 2 pick (network.RingTopologyFor). Where the paper sweeps past the last balanced configuration (its
+// latency figures extend beyond Table 2's largest entries) the
+// branching bound is widened until a hierarchy exists.
 func sweepTopologyFor(n, line int) (topo.RingSpec, error) {
-	if spec, err := network.RingTopologyFor(n, line); err == nil {
-		return spec, nil
-	}
-	cap := network.SingleRingCapacity[line]
-	if cap == 0 {
-		return topo.RingSpec{}, fmt.Errorf("exp: unsupported line size %dB", line)
-	}
-	for branch := 4; branch <= 8; branch++ {
-		if specs := topo.EnumerateRingSpecs(n, 4, branch, cap); len(specs) > 0 {
-			return network.BestRingSpec(specs), nil
+	var err error
+	for branch := 3; branch <= 8; branch++ {
+		var specs []topo.RingSpec
+		if specs, err = network.RankedRingSpecs(n, line, 4, branch); err == nil {
+			return specs[0], nil
 		}
 	}
-	return topo.RingSpec{}, fmt.Errorf("exp: no ring topology for %d PMs at %dB lines", n, line)
+	return topo.RingSpec{}, err
 }
 
 // specsForSizes maps node counts to sweep topologies, dropping sizes

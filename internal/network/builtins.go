@@ -1,7 +1,9 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ringmesh/internal/mesh"
 	"ringmesh/internal/node"
@@ -151,37 +153,44 @@ func meshNodesFor(cfg Config) (int, error) {
 }
 
 // RingTopologyFor returns the hierarchy the paper's Table 2 would use
-// for the given PM count and cache line size: leaf rings hold at most
-// the single-ring capacity for that line size (12/8/6/4 PMs for
-// 16/32/64/128-byte lines, Section 3) and every internal ring carries
-// at most three children (the bisection-bandwidth limit the paper
-// derives). Among the admissible hierarchies it picks BestRingSpec.
+// for the given PM count and cache line size: the first of
+// RankedRingSpecs with at most four levels and internal branching of
+// at most three (the bisection-bandwidth limit the paper derives).
 func RingTopologyFor(pms, lineBytes int) (topo.RingSpec, error) {
-	leaf, ok := SingleRingCapacity[lineBytes]
-	if !ok {
-		return topo.RingSpec{}, fmt.Errorf("network: unsupported line size %dB", lineBytes)
+	specs, err := RankedRingSpecs(pms, lineBytes, 4, 3)
+	if err != nil {
+		return topo.RingSpec{}, err
 	}
-	specs := topo.EnumerateRingSpecs(pms, 4, 3, leaf)
-	if len(specs) == 0 {
-		return topo.RingSpec{}, fmt.Errorf("network: no admissible ring topology for %d PMs at %dB lines", pms, lineBytes)
-	}
-	return BestRingSpec(specs), nil
+	return specs[0], nil
 }
 
-// BestRingSpec picks, from a non-empty list of candidate hierarchies,
-// the one with the fewest levels, then the smallest average hop
-// distance (the first such in list order).
-func BestRingSpec(specs []topo.RingSpec) topo.RingSpec {
-	best := specs[0]
-	bestHops := best.AverageRingHops()
-	for _, s := range specs[1:] {
-		h := s.AverageRingHops()
-		if s.NumLevels() < best.NumLevels() ||
-			(s.NumLevels() == best.NumLevels() && h < bestHops) {
-			best, bestHops = s, h
-		}
+// RankedRingSpecs lists every admissible hierarchy for the given PM
+// count and cache line size — at most maxLevels levels, internal
+// branching of 2..maxBranch, leaf rings no larger than the single-ring
+// capacity (12/8/6/4 PMs for 16/32/64/128-byte lines, Section 3) — in
+// Table 2 order: fewest levels, then smallest average hop distance,
+// ties in enumeration order. The first element is the pick; the list
+// is never empty when err is nil. Fewer than 2 PMs is refused, as
+// every run refuses it.
+func RankedRingSpecs(pms, lineBytes, maxLevels, maxBranch int) ([]topo.RingSpec, error) {
+	leaf, ok := SingleRingCapacity[lineBytes]
+	if !ok {
+		return nil, fmt.Errorf("network: unsupported line size %dB", lineBytes)
 	}
-	return best
+	if pms < 2 {
+		return nil, fmt.Errorf("network: a ring needs at least 2 PMs, got %d", pms)
+	}
+	specs := topo.EnumerateRingSpecs(pms, maxLevels, maxBranch, leaf)
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("network: no admissible ring topology for %d PMs at %dB lines", pms, lineBytes)
+	}
+	slices.SortStableFunc(specs, func(a, b topo.RingSpec) int {
+		if c := cmp.Compare(a.NumLevels(), b.NumLevels()); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.AverageRingHops(), b.AverageRingHops())
+	})
+	return specs, nil
 }
 
 // SingleRingCapacity is the paper's conservative single-ring node
@@ -191,8 +200,9 @@ var SingleRingCapacity = map[int]int{16: 12, 32: 8, 64: 6, 128: 4}
 
 // PaperTable2 is the paper's published Table 2: the hierarchy it
 // lists for each (processors, cache line size) pair. RingTopologyFor
-// is the procedure behind it; the experiments and topofind print the
-// published entry beside that procedure's pick.
+// is our procedure for it (it matches 26 of the 40 entries; the paper
+// does not state its tie-break); the table2 experiment and topofind
+// print the published entry beside that pick.
 var PaperTable2 = map[[2]int]string{
 	{4, 16}: "4", {4, 32}: "4", {4, 64}: "4", {4, 128}: "4",
 	{6, 16}: "6", {6, 32}: "6", {6, 64}: "6", {6, 128}: "2:3",

@@ -10,6 +10,7 @@ import (
 	"ringmesh/internal/packet"
 	"ringmesh/internal/ring"
 	"ringmesh/internal/sim"
+	"ringmesh/internal/topo"
 )
 
 // Both families' models implement Model themselves; the plans hand
@@ -174,6 +175,57 @@ func TestBuiltinsAdvertiseCapabilities(t *testing.T) {
 			if err := model.CheckInvariants(); err != nil {
 				t.Errorf("%s fresh network fails its own audit: %v", desc, err)
 			}
+		}
+	}
+}
+
+// TestRankedRingSpecs: the ranking holds every admissible hierarchy
+// once, ordered by levels and then average hops, with enumeration
+// order kept among equal keys; RingTopologyFor is its first element.
+func TestRankedRingSpecs(t *testing.T) {
+	for cell := range PaperTable2 {
+		p, line := cell[0], cell[1]
+		ranked, err := RankedRingSpecs(p, line, 4, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enum := topo.EnumerateRingSpecs(p, 4, 3, SingleRingCapacity[line])
+		pos := map[string]int{}
+		for i, s := range enum {
+			pos[s.String()] = i
+		}
+		if len(ranked) != len(enum) {
+			t.Fatalf("%d PMs / %dB: %d ranked, %d enumerated", p, line, len(ranked), len(enum))
+		}
+		before := func(a, b topo.RingSpec) bool {
+			if a.NumLevels() != b.NumLevels() {
+				return a.NumLevels() < b.NumLevels()
+			}
+			if a.AverageRingHops() != b.AverageRingHops() {
+				return a.AverageRingHops() < b.AverageRingHops()
+			}
+			return pos[a.String()] < pos[b.String()]
+		}
+		for i := 1; i < len(ranked); i++ {
+			if !before(ranked[i-1], ranked[i]) {
+				t.Errorf("%d PMs / %dB: %s ranked before %s", p, line, ranked[i-1], ranked[i])
+			}
+		}
+		if pick, _ := RingTopologyFor(p, line); pick.String() != ranked[0].String() {
+			t.Errorf("%d PMs / %dB: RingTopologyFor %s, ranking starts %s", p, line, pick, ranked[0])
+		}
+	}
+	for _, c := range []struct {
+		pms, line int
+		want      string
+	}{
+		{1, 32, "at least 2 PMs"},
+		{0, 32, "at least 2 PMs"},
+		{24, 48, "unsupported line size"},
+		{7, 128, "no admissible"},
+	} {
+		if _, err := RankedRingSpecs(c.pms, c.line, 4, 3); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("RankedRingSpecs(%d, %d) = %v; want %q", c.pms, c.line, err, c.want)
 		}
 	}
 }

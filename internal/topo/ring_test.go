@@ -336,7 +336,7 @@ func TestClosedFormsMatchOracles(t *testing.T) {
 				}
 			}
 		}
-		// Bit-equal, not close: BestRingSpec breaks ties on this float.
+		// Bit-equal, not close: RankedRingSpecs breaks ties on this float.
 		if got, want := spec.AverageRingHops(), oracleAverageRingHops(spec); got != want {
 			t.Fatalf("%s: AverageRingHops = %v, oracle %v", spec, got, want)
 		}

@@ -574,9 +574,13 @@ func CanonicalTopology(cfg Config) (topology string, pms int, err error) {
 // valid values for Config.Network.
 func Topologies() []string { return network.Names() }
 
-// OptimalRingTopology returns the best hierarchy (paper Table 2
-// methodology) for the given processor count and cache line size, in
-// colon notation.
+// OptimalRingTopology returns the paper's Table 2 hierarchy for the
+// given processor count and cache line size, in colon notation: among
+// the hierarchies with leaf rings no larger than SingleRingCapacity
+// and internal branching of at most three, the one with the fewest
+// levels, then the fewest average hops. It is the hierarchy a ring
+// Config with only Nodes resolves to; fewer than 2 processors are
+// refused.
 func OptimalRingTopology(nodes, lineBytes int) (string, error) {
 	spec, err := network.RingTopologyFor(nodes, lineBytes)
 	if err != nil {

@@ -132,8 +132,10 @@ func TestOptimalRingTopology(t *testing.T) {
 	if s != "3:3:8" {
 		t.Fatalf("topology for 72@32B = %s, want 3:3:8 (paper Table 2)", s)
 	}
-	if _, err := OptimalRingTopology(7, 128); err == nil {
-		t.Fatal("impossible size accepted")
+	for _, c := range [][2]int{{7, 128}, {1, 32}} {
+		if s, err := OptimalRingTopology(c[0], c[1]); err == nil {
+			t.Errorf("OptimalRingTopology(%d, %d) = %s; want an error", c[0], c[1], s)
+		}
 	}
 }
 
