@@ -42,11 +42,12 @@ loc:
 # A short benchmark pass that exercises the engine fast paths without
 # running the full figure sweeps: both models, the ring at low load (the
 # busy-station set) and with a double-speed global ring (the period-2
-# path), and the geometry under the analytic tier (estimates, the Table
+# path), the 11x11 mesh with 1-flit buffers that fig16 runs (every worm
+# stalls on its downstream space check), and the geometry under the analytic tier (estimates, the Table
 # 2 pick, the 11x11 build), plus one op each of the whole analytic
 # triage and of the ring-sim and mesh-sim workloads.
 bench-smoke:
-	$(GO) test -run=NONE -bench='BenchmarkEngineStep|BenchmarkSimRing24|BenchmarkSimMesh16|BenchmarkSimRing72LowLoad|BenchmarkSimRing72DoubleSpeed|BenchmarkAnalyticEstimate|BenchmarkRingTopologyFor|BenchmarkNewSystemMesh121' -benchtime=100x .
+	$(GO) test -run=NONE -bench='BenchmarkEngineStep|BenchmarkSimRing24|BenchmarkSimMesh16|BenchmarkSimMesh121OneFlit|BenchmarkSimRing72LowLoad|BenchmarkSimRing72DoubleSpeed|BenchmarkAnalyticEstimate|BenchmarkRingTopologyFor|BenchmarkNewSystemMesh121' -benchtime=100x .
 	$(GO) test -run=NONE -bench='BenchmarkAnalyticTriage$$|BenchmarkRingSimOp$$|BenchmarkMeshSimOp$$' -benchtime=1x .
 
 # The perf gate: compare the two highest-numbered rows of the committed

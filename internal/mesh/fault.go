@@ -78,7 +78,7 @@ func (n *Network) ApplyFaultPlan(p *fault.Plan) error {
 	}
 	sched := make([]fault.Scheduled, 0, len(events))
 	for _, ev := range events {
-		r := n.routers[ev.Node]
+		r := &n.routers[ev.Node]
 		ports := faultPorts(ev)
 		until, factor := ev.End(), fault.SlowFactor(ev)
 		sched = append(sched, fault.Scheduled{
@@ -121,7 +121,8 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 		})
 	}
 
-	for _, r := range n.routers {
+	for id := range n.routers {
+		r := &n.routers[id]
 		buffered := 0
 		for i := topo.Direction(0); i < topo.NumPorts; i++ {
 			buffered += r.inputs[i].Len()

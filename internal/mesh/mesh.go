@@ -33,9 +33,16 @@ type Config struct {
 	// LineBytes is the cache line size (fixes cl = 4 + line/4 flits).
 	LineBytes int
 	// BufferFlits is the input FIFO depth per router port in flits:
-	// the paper evaluates 1, 4, and cl. Zero means cl.
+	// the paper evaluates 1, 4, and cl. Zero means cl; at most
+	// MaxBufferFlits.
 	BufferFlits int
 }
+
+// MaxBufferFlits caps the input FIFO depth. The paper's deepest buffer
+// is cl = 36 flits (128-byte lines); New allocates every FIFO's storage
+// up front, so an unbounded depth would let one request ask for
+// gigabytes.
+const MaxBufferFlits = 256
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
@@ -47,8 +54,8 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("mesh: unsupported cache line size %dB (the paper's sizings cover 16, 32, 64 and 128)", c.LineBytes)
 	}
-	if c.BufferFlits < 0 {
-		return fmt.Errorf("mesh: BufferFlits = %d", c.BufferFlits)
+	if c.BufferFlits < 0 || c.BufferFlits > MaxBufferFlits {
+		return fmt.Errorf("mesh: BufferFlits = %d (want 0 for cl, or 1..%d)", c.BufferFlits, MaxBufferFlits)
 	}
 	return nil
 }
@@ -69,14 +76,14 @@ type move struct {
 }
 
 // heads is a router's five input heads as decoded at the start of a
-// cycle. f[i].Pkt is nil when input i is empty; want[i] is the output a
-// packet head is routed to — noPort for an empty input and for body
-// flits, which follow their worm's lock instead — and bit o of wanted
-// is set when some packet head wants output o.
+// cycle. f[i].Pkt is nil when input i is empty. Bit i of req[o] is set
+// when input i holds a packet head routed to output o — body flits
+// follow their worm's lock instead — and bit o of wanted is set when
+// req[o] is not empty.
 type heads struct {
 	f      [topo.NumPorts]packet.Flit
-	want   [topo.NumPorts]topo.Direction
-	wanted uint
+	req    [topo.NumPorts]uint8
+	wanted uint8
 }
 
 const noPort topo.Direction = -1
@@ -95,11 +102,14 @@ type router struct {
 	inputs [topo.NumPorts]packet.FIFO
 	// outLock / outLockIn implement wormhole: while a packet is in
 	// flight through output o, the crossbar connection from input
-	// outLockIn[o] is held.
+	// outLockIn[o] is held, and bit o of lockedOut is set, so the
+	// compute visits only outputs that are locked or requested.
 	outLock   [topo.NumPorts]*packet.Packet
 	outLockIn [topo.NumPorts]topo.Direction
-	rr        [topo.NumPorts]int
-	staged    [topo.NumPorts]move
+	lockedOut uint8
+	// rr[o] is the input output o's round-robin search starts from.
+	rr     [topo.NumPorts]uint8
+	staged [topo.NumPorts]move
 	// stagedOut has bit o set while staged[o] holds a move, so the
 	// commit visits only the outputs that carry a flit.
 	stagedOut uint8
@@ -133,8 +143,10 @@ type router struct {
 
 // Network is the mesh interconnect as a sim.Component.
 type Network struct {
-	cfg     Config
-	routers []*router
+	cfg Config
+	// routers is one slab in tick (row-major id) order; routers point
+	// at their neighbours inside it, so it never grows.
+	routers []router
 	// coord is each PM id's (x, y): with the router's own position, all
 	// that routing a packet head needs.
 	coord  []struct{ x, y int }
@@ -177,23 +189,24 @@ func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 		return nil, fmt.Errorf("mesh: %d PMs supplied for %s (%d)",
 			len(pms), cfg.Spec, cfg.Spec.PMs())
 	}
-	n := &Network{cfg: cfg, engine: engine}
 	depth := cfg.bufferFlits()
-	n.coord = make([]struct{ x, y int }, cfg.Spec.PMs())
-	for id := range n.coord {
-		r := &router{id: id, pm: pms[id]}
+	n := &Network{cfg: cfg, engine: engine, routers: make([]router, len(pms))}
+	n.coord = make([]struct{ x, y int }, len(pms))
+	// Every input FIFO's storage, router by router and port by port.
+	slab := make([]packet.Flit, len(pms)*int(topo.NumPorts)*depth)
+	for id := range n.routers {
+		r := &n.routers[id]
+		r.id, r.pm = id, pms[id]
 		r.x, r.y = cfg.Spec.Coord(id)
 		n.coord[id].x, n.coord[id].y = r.x, r.y
-		for p := topo.Direction(0); p < topo.NumPorts; p++ {
-			r.inputs[p] = *packet.NewFIFO(depth)
-			r.outLockIn[p] = -1
+		for p := range r.inputs {
+			r.inputs[p] = packet.FIFOOver(slab[:depth:depth])
+			slab = slab[depth:]
+			r.outLockIn[p] = noPort
 		}
-		n.routers = append(n.routers, r)
-	}
-	for _, r := range n.routers {
 		for o := topo.Direction(0); o < topo.Local; o++ {
-			if nb := cfg.Spec.Neighbor(r.id, o); nb >= 0 {
-				r.nbr[o] = n.routers[nb]
+			if nb := cfg.Spec.Neighbor(id, o); nb >= 0 {
+				r.nbr[o] = &n.routers[nb]
 				r.linkUtil[o].Bind(&n.cycles)
 			}
 		}
@@ -205,8 +218,8 @@ func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 // transfers and PM injections from start-of-cycle state.
 func (n *Network) Compute(now int64) {
 	n.begin(now)
-	for _, r := range n.routers {
-		n.computeRouter(r, now)
+	for i := range n.routers {
+		n.computeRouter(&n.routers[i], now)
 	}
 }
 
@@ -220,19 +233,20 @@ func (n *Network) begin(now int64) {
 }
 
 // decode reads r's five input heads once from start-of-cycle state,
-// routing each packet head, and reports whether any input holds a flit.
+// routing each packet head into its output's request mask, and reports
+// whether any input holds a flit. h must be zero on entry.
 func (n *Network) decode(r *router, h *heads) (busy bool) {
 	for i := range h.f {
 		f, _ := r.inputs[i].Peek()
-		h.f[i], h.want[i] = f, noPort
 		if f.Pkt == nil {
 			continue
 		}
-		busy = true
+		h.f[i], busy = f, true
 		if f.Head() {
 			d := n.coord[f.Pkt.Dst]
-			h.want[i] = topo.ECube(r.x, r.y, d.x, d.y)
-			h.wanted |= 1 << h.want[i]
+			o := topo.ECube(r.x, r.y, d.x, d.y)
+			h.req[o] |= 1 << i
+			h.wanted |= 1 << o
 		}
 	}
 	return busy
@@ -255,28 +269,31 @@ func (r *router) pickMove(h *heads, o topo.Direction) (in topo.Direction, f pack
 		}
 		return i, h.f[i], true
 	}
-	if h.wanted&(1<<o) == 0 {
+	req := h.req[o]
+	if req == 0 {
 		return -1, packet.Flit{}, false
 	}
-	// Round-robin arbitration among inputs whose head flit is a packet
-	// head routed to this output (wanted says there is one).
-	for i := topo.Direction(r.rr[o]); ; i = (i + 1) % topo.NumPorts {
-		if h.want[i] == o {
-			return i, h.f[i], true
-		}
+	// Round-robin arbitration among the requesting inputs: the first
+	// one at or after rr[o], wrapping to the lowest.
+	if late := req >> r.rr[o] << r.rr[o]; late != 0 {
+		req = late
 	}
+	i := topo.Direction(bits.TrailingZeros8(req))
+	return i, h.f[i], true
 }
 
 // computeRouter stages r's crossbar transfers and injection. r.staged
 // is all clear on entry — commitRouter clears every move it applies —
-// so a router holding no flits stages nothing after the decode.
+// so a router holding no flits stages nothing after the decode, and
+// only outputs that are requested or locked can carry a flit.
 func (n *Network) computeRouter(r *router, now int64) {
 	if r.flt != nil && now >= r.flt.maxUntil {
 		r.flt = nil // every fault window has passed
 	}
 	var h heads
 	if n.decode(r, &h) {
-		for o := topo.Direction(0); o < topo.NumPorts; o++ {
+		for live := h.wanted | r.lockedOut; live != 0; live &= live - 1 {
+			o := topo.Direction(bits.TrailingZeros8(live))
 			if r.flt != nil && r.flt.blocked(o, now) {
 				continue // this output port is faulted this cycle
 			}
@@ -312,8 +329,8 @@ func (n *Network) computeRouter(r *router, now int64) {
 // engine once per commit (batched) rather than per flit movement.
 func (n *Network) Commit(now int64) {
 	moved := 0
-	for _, r := range n.routers {
-		moved += n.commitRouter(r, now, nil)
+	for i := range n.routers {
+		moved += n.commitRouter(&n.routers[i], now, nil)
 	}
 	if moved > 0 {
 		n.engine.ProgressN(moved)
@@ -339,13 +356,15 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 		if mv.f.Head() && !mv.f.Tail() {
 			r.outLock[o] = mv.f.Pkt
 			r.outLockIn[o] = mv.in
+			r.lockedOut |= 1 << o
 		}
 		if mv.f.Tail() {
 			r.outLock[o] = nil
-			r.outLockIn[o] = -1
+			r.outLockIn[o] = noPort
+			r.lockedOut &^= 1 << o
 		}
 		if mv.f.Head() {
-			r.rr[o] = (int(mv.in) + 1) % int(topo.NumPorts)
+			r.rr[o] = uint8(mv.in+1) % uint8(topo.NumPorts)
 			if (mv.in == topo.East || mv.in == topo.West) && (o == topo.North || o == topo.South) {
 				r.turns++
 			}
@@ -406,7 +425,8 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 // aggregate and the per-direction series always agree.
 func (n *Network) Utilization() float64 {
 	var u stats.Utilization
-	for _, r := range n.routers {
+	for i := range n.routers {
+		r := &n.routers[i]
 		for o := topo.Direction(0); o < topo.NumPorts; o++ {
 			u.Merge(&r.linkUtil[o])
 		}
@@ -416,7 +436,8 @@ func (n *Network) Utilization() float64 {
 
 // ResetUtilization clears link counters (warmup end).
 func (n *Network) ResetUtilization() {
-	for _, r := range n.routers {
+	for i := range n.routers {
+		r := &n.routers[i]
 		for o := topo.Direction(0); o < topo.NumPorts; o++ {
 			r.linkUtil[o].Reset()
 		}
@@ -443,7 +464,8 @@ func (n *Network) DescribeMetrics(reg *metrics.Registry) {
 			continue
 		}
 		backing := make([]*stats.Utilization, 0, len(n.routers))
-		for _, r := range n.routers {
+		for i := range n.routers {
+			r := &n.routers[i]
 			if n.cfg.Spec.Neighbor(r.id, o) >= 0 {
 				backing = append(backing, &r.linkUtil[o])
 			}
@@ -455,16 +477,16 @@ func (n *Network) DescribeMetrics(reg *metrics.Registry) {
 		reg.Gauge("mesh_input_buffer_flits", metrics.Labels{Queue: o.String()},
 			func() float64 {
 				total := 0
-				for _, r := range n.routers {
-					total += r.inputs[o].Len()
+				for i := range n.routers {
+					total += n.routers[i].inputs[o].Len()
 				}
 				return float64(total)
 			})
 	}
 	reg.CounterFunc("mesh_ecube_turns", metrics.Labels{}, func() int64 {
 		var total int64
-		for _, r := range n.routers {
-			total += r.turns
+		for i := range n.routers {
+			total += n.routers[i].turns
 		}
 		return total
 	})
@@ -481,7 +503,8 @@ func (n *Network) Stats() sim.NetStats { return sim.NetStats{Link: n.Utilization
 // accounting).
 func (n *Network) BufferedFlits() int {
 	total := 0
-	for _, r := range n.routers {
+	for i := range n.routers {
+		r := &n.routers[i]
 		for p := topo.Direction(0); p < topo.NumPorts; p++ {
 			total += r.inputs[p].Len()
 		}
@@ -492,13 +515,18 @@ func (n *Network) BufferedFlits() int {
 	return total
 }
 
-// CheckInvariants returns an error if any buffer exceeds capacity or,
-// between ticks, a router still holds a staged move.
+// CheckInvariants returns an error if any buffer exceeds capacity, an
+// output's lock bit disagrees with its lock or, between ticks, a router
+// still holds a staged move.
 func (n *Network) CheckInvariants() error {
-	for _, r := range n.routers {
+	for i := range n.routers {
+		r := &n.routers[i]
 		for p := topo.Direction(0); p < topo.NumPorts; p++ {
 			if r.inputs[p].Len() > r.inputs[p].Cap() {
 				return fmt.Errorf("mesh: router %d input %s over capacity", r.id, p)
+			}
+			if (r.outLock[p] != nil) != (r.lockedOut&(1<<p) != 0) {
+				return fmt.Errorf("mesh: router %d output %s lock bit disagrees with its lock", r.id, p)
 			}
 			if r.staged[p] != (move{}) {
 				return fmt.Errorf("mesh: router %d output %s kept a staged move past its tick", r.id, p)

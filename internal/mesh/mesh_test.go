@@ -86,14 +86,21 @@ func mkPkt(id uint64, typ packet.Type, src, dst, lineBytes int) *packet.Packet {
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := Config{Spec: topo.MustMeshSpec(3), LineBytes: 32, BufferFlits: 4}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
+	good := []Config{
+		{Spec: topo.MustMeshSpec(3), LineBytes: 32, BufferFlits: 4},
+		{Spec: topo.MustMeshSpec(3), LineBytes: 128, BufferFlits: 36}, // cl, the paper's deepest
+		{Spec: topo.MustMeshSpec(3), LineBytes: 32, BufferFlits: MaxBufferFlits},
+	}
+	for i, c := range good {
+		if err := c.Validate(); err != nil {
+			t.Fatalf("good config %d: %v", i, err)
+		}
 	}
 	bad := []Config{
 		{Spec: topo.MeshSpec{K: 0}, LineBytes: 32},
 		{Spec: topo.MustMeshSpec(3), LineBytes: 0},
 		{Spec: topo.MustMeshSpec(3), LineBytes: 32, BufferFlits: -1},
+		{Spec: topo.MustMeshSpec(3), LineBytes: 32, BufferFlits: MaxBufferFlits + 1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -229,7 +236,8 @@ func TestEcubePathShape(t *testing.T) {
 	// Routers on the e-cube path 0→1→2→5→8 must have sent flits;
 	// others must not.
 	onPath := map[int]bool{0: true, 1: true, 2: true, 5: true}
-	for id, r := range h.net.routers {
+	for id := range h.net.routers {
+		r := &h.net.routers[id]
 		busy := false
 		for o := topo.Direction(0); o < topo.NumPorts; o++ {
 			if r.linkUtil[o].Value() > 0 {
@@ -330,13 +338,14 @@ func TestUtilizationAccounting(t *testing.T) {
 
 // The build-time geometry the tick runs on must be topo.MeshSpec's: for
 // every router, each neighbour pointer equals Neighbor, and a packet
-// head decoded at that router wants exactly the port Route names, for
-// every destination.
+// head decoded at that router sets exactly its input's bit in the
+// request mask of the port Route names, for every destination.
 func TestGeometryMatchesSpec(t *testing.T) {
 	for k := 1; k <= 12; k++ {
 		spec := topo.MustMeshSpec(k)
 		h := newHarness(t, Config{Spec: spec, LineBytes: 32, BufferFlits: 1})
-		for id, r := range h.net.routers {
+		for id := range h.net.routers {
+			r := &h.net.routers[id]
 			if x, y := spec.Coord(id); r.id != id || r.x != x || r.y != y {
 				t.Fatalf("K=%d router %d: built as id %d at (%d,%d)", k, id, r.id, r.x, r.y)
 			}
@@ -359,9 +368,11 @@ func TestGeometryMatchesSpec(t *testing.T) {
 				busy := h.net.decode(r, &hd)
 				r.inputs[in].Pop()
 				want := spec.Route(id, dst)
-				if !busy || hd.want[in] != want || hd.wanted != 1<<want {
-					t.Fatalf("K=%d router %d → %d via %s input: decoded want %s (mask %b), Route says %s",
-						k, id, dst, in, hd.want[in], hd.wanted, want)
+				var wantReq [topo.NumPorts]uint8
+				wantReq[want] = 1 << in
+				if !busy || hd.req != wantReq || hd.wanted != 1<<want {
+					t.Fatalf("K=%d router %d → %d via %s input: decoded requests %05b (outputs %05b), Route says %s",
+						k, id, dst, in, hd.req, hd.wanted, want)
 				}
 			}
 		}
@@ -369,10 +380,11 @@ func TestGeometryMatchesSpec(t *testing.T) {
 }
 
 // CheckInvariants, which every harness runs between ticks, fails when
-// a router's staged mask or a staged move outlives its tick.
+// a router's staged mask or a staged move outlives its tick, or an
+// output's lock bit disagrees with its lock.
 func TestCheckInvariantsCatchesStagedMoves(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MeshSpec{K: 2}, LineBytes: 32, BufferFlits: 4})
-	r := h.net.routers[1]
+	r := &h.net.routers[1]
 	r.stagedOut = 1 << topo.East
 	if err := h.net.CheckInvariants(); err == nil {
 		t.Error("a staged-output bit survived the tick, but CheckInvariants passed")
@@ -386,5 +398,15 @@ func TestCheckInvariantsCatchesStagedMoves(t *testing.T) {
 	r.stagedInj = move{ok: true}
 	if err := h.net.CheckInvariants(); err == nil {
 		t.Error("a staged injection survived the tick, but CheckInvariants passed")
+	}
+	r.stagedInj = move{}
+	r.lockedOut = 1 << topo.South
+	if err := h.net.CheckInvariants(); err == nil {
+		t.Error("an output's lock bit is set without a lock, but CheckInvariants passed")
+	}
+	r.lockedOut = 0
+	r.outLock[topo.South] = &packet.Packet{}
+	if err := h.net.CheckInvariants(); err == nil {
+		t.Error("an output is locked without its lock bit, but CheckInvariants passed")
 	}
 }

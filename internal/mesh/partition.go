@@ -35,7 +35,7 @@ type deferredPush struct {
 type rowShard struct {
 	n       *Network
 	row     int // row index: the y of routers [row*K, row*K+K)
-	routers []*router
+	routers []router
 	outbox  []deferredPush
 }
 
@@ -45,8 +45,8 @@ type rowShard struct {
 // fault stepping are not repeated here; the partition's Prologue runs
 // them serially.
 func (s *rowShard) Compute(now int64) {
-	for _, r := range s.routers {
-		s.n.computeRouter(r, now)
+	for i := range s.routers {
+		s.n.computeRouter(&s.routers[i], now)
 	}
 }
 
@@ -62,8 +62,8 @@ func (s *rowShard) CommitPhase(phase int, now int64) int {
 		return 0
 	}
 	moved := 0
-	for _, r := range s.routers {
-		moved += s.n.commitRouter(r, now, s)
+	for i := range s.routers {
+		moved += s.n.commitRouter(&s.routers[i], now, s)
 	}
 	return moved
 }

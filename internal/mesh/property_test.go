@@ -16,43 +16,19 @@ import (
 func TestQuickRandomTrafficConservation(t *testing.T) {
 	f := func(seed uint64, kRaw, bufRaw, nPkts uint8) bool {
 		k := int(kRaw%3) + 2 // 2..4
-		bufs := []int{1, 2, 4, 0}
-		buf := bufs[int(bufRaw)%len(bufs)]
-		lines := []int{16, 32, 64, 128}
-		line := lines[int(seed%uint64(len(lines)))]
+		buf := scriptBuffers[int(bufRaw)%len(scriptBuffers)]
+		line := scriptLines[int(seed%uint64(len(scriptLines)))]
 		spec := topo.MustMeshSpec(k)
 		h := newHarness(t, Config{Spec: spec, LineBytes: line, BufferFlits: buf})
-		r := rng.New(seed)
 		total := int(nPkts%30) + 1
 		type key struct {
 			src, dst int
 			resp     bool
 		}
 		order := map[key][]uint64{}
-		for i := 0; i < total; i++ {
-			src := r.Intn(spec.PMs())
-			dst := r.Intn(spec.PMs())
-			var typ packet.Type
-			switch r.Intn(4) {
-			case 0:
-				typ = packet.ReadRequest
-			case 1:
-				typ = packet.ReadResponse
-			case 2:
-				typ = packet.WriteRequest
-			default:
-				typ = packet.WriteResponse
-			}
-			p := &packet.Packet{
-				ID: uint64(i + 1), Type: typ, Src: src, Dst: dst,
-				Flits: packet.MeshSizing.PacketFlits(typ, line),
-			}
-			if typ.IsResponse() {
-				h.pms[src].pendResp = append(h.pms[src].pendResp, p)
-			} else {
-				h.pms[src].pendReq = append(h.pms[src].pendReq, p)
-			}
-			kk := key{src, dst, typ.IsResponse()}
+		for _, p := range randomPackets(rng.New(seed), spec.PMs(), line, total) {
+			enqueue(h.pms[p.Src], p)
+			kk := key{p.Src, p.Dst, p.Type.IsResponse()}
 			order[kk] = append(order[kk], p.ID)
 		}
 		for tick := 0; tick < 40000; tick++ {
@@ -99,6 +75,38 @@ func TestQuickRandomTrafficConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The random scripts' buffer depths (0 is cl) and line sizes.
+var (
+	scriptBuffers = []int{1, 2, 4, 0}
+	scriptLines   = []int{16, 32, 64, 128}
+)
+
+// randomPackets draws a script of n packets, IDs 1..n, with uniform
+// random endpoints and types.
+func randomPackets(r *rng.Source, pms, line, n int) []*packet.Packet {
+	types := []packet.Type{packet.ReadRequest, packet.ReadResponse, packet.WriteRequest, packet.WriteResponse}
+	pkts := make([]*packet.Packet, n)
+	for i := range pkts {
+		src := r.Intn(pms)
+		dst := r.Intn(pms)
+		typ := types[r.Intn(len(types))]
+		pkts[i] = &packet.Packet{
+			ID: uint64(i + 1), Type: typ, Src: src, Dst: dst,
+			Flits: packet.MeshSizing.PacketFlits(typ, line),
+		}
+	}
+	return pkts
+}
+
+// enqueue queues p at its PM, responses and requests apart.
+func enqueue(pm *fakePM, p *packet.Packet) {
+	if p.Type.IsResponse() {
+		pm.pendResp = append(pm.pendResp, p)
+	} else {
+		pm.pendReq = append(pm.pendReq, p)
 	}
 }
 

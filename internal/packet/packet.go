@@ -164,26 +164,32 @@ func (f Flit) String() string {
 type FIFO struct {
 	cap int
 	// buf is a ring of cap slots, allocated on the first push (many
-	// FIFOs — mesh edge inputs, idle VCs — never hold a flit); the n
-	// buffered flits start at head and wrap.
+	// FIFOs — idle VCs, unused IRI queues — never hold a flit) unless
+	// FIFOOver supplied it; the n buffered flits start at head and wrap.
 	buf     []Flit
 	head, n int
 }
 
-// NewFIFO returns a FIFO holding at most capacity flits.
-func NewFIFO(capacity int) *FIFO {
-	q := MakeFIFO(capacity)
-	return &q
-}
-
-// MakeFIFO is NewFIFO by value, for owners that keep their queues
-// inside their own struct (the ring station). Use the result in place:
-// a copy of a FIFO that has held a flit shares its storage.
+// MakeFIFO returns a FIFO holding at most capacity flits, by value, for
+// owners that keep their queues inside their own struct (the ring
+// station). Use the result in place: a copy of a FIFO that has held a
+// flit shares its storage.
 func MakeFIFO(capacity int) FIFO {
 	if capacity <= 0 {
 		panic("packet: FIFO capacity must be positive")
 	}
 	return FIFO{cap: capacity}
+}
+
+// FIFOOver is MakeFIFO over caller-owned storage: the queue holds at
+// most len(buf) flits and never allocates, for owners that lay many
+// queues out in one slab (the mesh). Use the result in place, and hand
+// no two queues overlapping storage.
+func FIFOOver(buf []Flit) FIFO {
+	if len(buf) == 0 {
+		panic("packet: FIFO capacity must be positive")
+	}
+	return FIFO{cap: len(buf), buf: buf}
 }
 
 // Cap returns the capacity in flits.

@@ -107,7 +107,7 @@ func TestFlitHeadTail(t *testing.T) {
 }
 
 func TestFIFOOrder(t *testing.T) {
-	q := NewFIFO(4)
+	q := MakeFIFO(4)
 	p := &Packet{ID: 1, Flits: 4}
 	for i := 0; i < 4; i++ {
 		q.Push(Flit{p, i})
@@ -127,7 +127,7 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestFIFOPeek(t *testing.T) {
-	q := NewFIFO(2)
+	q := MakeFIFO(2)
 	if _, ok := q.Peek(); ok {
 		t.Fatal("peek on empty should report !ok")
 	}
@@ -143,7 +143,7 @@ func TestFIFOPeek(t *testing.T) {
 }
 
 func TestFIFOOverflowPanics(t *testing.T) {
-	q := NewFIFO(1)
+	q := MakeFIFO(1)
 	q.Push(Flit{&Packet{Flits: 1}, 0})
 	defer func() {
 		if recover() == nil {
@@ -159,23 +159,24 @@ func TestFIFOUnderflowPanics(t *testing.T) {
 			t.Fatal("pop from empty FIFO did not panic")
 		}
 	}()
-	NewFIFO(1).Pop()
+	q := MakeFIFO(1)
+	q.Pop()
 }
 
 func TestFIFOZeroCapPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewFIFO(0) did not panic")
+			t.Fatal("MakeFIFO(0) did not panic")
 		}
 	}()
-	NewFIFO(0)
+	MakeFIFO(0)
 }
 
 // Property: FIFO preserves order and count under arbitrary push/pop
 // interleavings.
 func TestQuickFIFO(t *testing.T) {
 	f := func(ops []bool) bool {
-		q := NewFIFO(8)
+		q := MakeFIFO(8)
 		next, expect := 0, 0
 		p := &Packet{Flits: 1 << 30}
 		for _, push := range ops {
@@ -225,7 +226,7 @@ func TestQuickSizing(t *testing.T) {
 // The FIFO is a ring: order and EachPacket must hold across
 // the wrap, and a popped slot must not keep its packet reachable.
 func TestFIFOWrapAndRelease(t *testing.T) {
-	q := NewFIFO(3)
+	q := MakeFIFO(3)
 	a := &Packet{ID: 1, Flits: 1 << 30}
 	b := &Packet{ID: 2, Flits: 1 << 30}
 	for i := 0; i < 2; i++ {
@@ -252,4 +253,46 @@ func TestFIFOWrapAndRelease(t *testing.T) {
 			t.Fatalf("slot %d still references %s after its flit was popped", i, f.Pkt)
 		}
 	}
+}
+
+// A FIFO over caller-owned storage holds len(buf) flits in exactly
+// those slots: it never allocates, never writes past its window of a
+// shared slab, and still wraps and releases popped slots.
+func TestFIFOOverStaysInItsStorage(t *testing.T) {
+	slab := make([]Flit, 9)
+	p := &Packet{ID: 1, Flits: 1 << 30}
+	sentinel := Flit{&Packet{ID: 99}, 7}
+	slab[2], slab[6] = sentinel, sentinel
+	q := FIFOOver(slab[3:6:6])
+	if q.Cap() != 3 {
+		t.Fatalf("cap = %d, want 3", q.Cap())
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 7; i++ {
+			q.Push(Flit{p, i})
+			if q.Len() == 3 {
+				q.Pop()
+				q.Pop()
+			}
+		}
+		for !q.Empty() {
+			q.Pop()
+		}
+	}); allocs != 0 {
+		t.Fatalf("%.0f allocations per run", allocs)
+	}
+	if slab[2] != sentinel || slab[6] != sentinel {
+		t.Fatal("FIFO wrote outside its storage")
+	}
+	for i, f := range slab[3:6] {
+		if f.Pkt != nil {
+			t.Fatalf("slot %d still references %s after its flit was popped", i, f.Pkt)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FIFOOver(empty) did not panic")
+		}
+	}()
+	FIFOOver(nil)
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -250,6 +251,31 @@ func TestHostileGeometryIs400(t *testing.T) {
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "invalid config") {
 				t.Errorf("%s %s: POST = %d: %s", geom, fid, resp.StatusCode, raw)
+			}
+		}
+	}
+}
+
+// TestHugeMeshBufferIs400: a mesh input buffer deeper than the 256-flit
+// cap (mesh.MaxBufferFlits) is a configuration error under every
+// fidelity.
+// At 50 M flits a 2x2 mesh's FIFOs would take gigabytes, which used to
+// OOM-kill the daemon.
+func TestHugeMeshBufferIs400(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	client := &http.Client{Timeout: time.Second}
+	for _, buf := range []int{257, 50000000} {
+		for _, fid := range []string{"analytic", "auto", "simulate"} {
+			body := fmt.Sprintf(`{"config":{"network":"mesh","topology":"2x2","buffer_flits":%d,"line_bytes":32,`+
+				`"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7}},"fidelity":"%s"}`, buf, fid)
+			resp, err := client.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("buffer %d %s: %v", buf, fid, err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "BufferFlits") {
+				t.Errorf("buffer %d %s: POST = %d: %s", buf, fid, resp.StatusCode, raw)
 			}
 		}
 	}
