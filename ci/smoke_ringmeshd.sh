@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Smoke test for the serving daemon, end to end over HTTP, in six
 # stages:
-#   1. cache hit: boot with -pprof, check health, metrics (latency
-#      histogram buckets) and a CPU profile fetch, submit the same run
-#      twice and assert the second is answered from the result cache —
-#      also when resubmitted with a different "workers" value, which the
-#      cache key ignores — fetch the job's lifecycle trace, and shut
-#      down gracefully with SIGTERM;
+#   1. cache hit: boot with -pprof and -workers 2, check health,
+#      metrics (latency histogram buckets) and a CPU profile fetch,
+#      submit the same run twice and assert the second is answered from
+#      the result cache — also when resubmitted with a different
+#      "workers" value, which the cache key ignores — fetch the job's
+#      lifecycle trace, post a batch naming one new run twice (its
+#      points fan out over both simulation slots) and assert the first
+#      entry computed and the second was cached, and shut down
+#      gracefully with SIGTERM;
 #   2. durability across kill -9: boot with -cache-dir, kill -9
 #      mid-load, restart over the same directory, and prove the
 #      pre-crash result is served from the disk tier (the cache-hit
@@ -33,7 +36,7 @@ bin=$(mktemp -d)/ringmeshd
 log=$(mktemp)
 go build -o "$bin" ./cmd/ringmeshd
 
-"$bin" -addr 127.0.0.1:0 -pprof >"$log" 2>&1 &
+"$bin" -addr 127.0.0.1:0 -pprof -workers 2 >"$log" 2>&1 &
 pid=$!
 cleanup() { kill "$pid" 2>/dev/null || true; }
 trap cleanup EXIT
@@ -133,6 +136,26 @@ prof=$(mktemp)
 curl -fsS -o "$prof" "$base/debug/pprof/profile?seconds=1" \
   || { echo "FAIL: pprof profile fetch"; exit 1; }
 [ -s "$prof" ] || { echo "FAIL: empty CPU profile"; exit 1; }
+
+# A batch naming one new run twice fans its points out over both
+# simulation slots, yet the repeat still resolves after its original:
+# items[0] computed (no "cached" field) and items[1] cached.
+run43='{"config":{"network":"mesh","nodes":16,"line_bytes":32,"buffer_flits":4,"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":43},"options":{"warmup_cycles":500,"batch_cycles":500,"batches":2}}'
+bresp=$(curl -fsS -X POST "$base/v1/batch" -d "{\"runs\":[$run43,$run43]}" | tr -d '[:space:]')
+bid=$(printf '%s' "$bresp" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+[ -n "$bid" ] || { echo "FAIL: no job id in batch response: $bresp"; exit 1; }
+bdoc=""
+for _ in $(seq 1 200); do
+  bdoc=$(curl -fsS "$base/v1/jobs/$bid" | tr -d '[:space:]')
+  case "$bdoc" in
+    *'"state":"done"'*|*'"state":"failed"'*) break ;;
+  esac
+  sleep 0.1
+done
+case "$bdoc" in
+  *'"state":"done"'*'"index":0,"topology":"4x4","result"'*'"index":1,"topology":"4x4","cached":true,'*) ;;
+  *) echo "FAIL: batch [A, A] did not compute items[0] and cache items[1]: $bdoc"; exit 1 ;;
+esac
 
 # Graceful shutdown: SIGTERM must drain and exit 0.
 kill -TERM "$pid"

@@ -13,8 +13,10 @@
 // GET /v1/jobs/{id} (?watch=1 for SSE), GET /healthz (liveness),
 // GET /readyz (readiness with the queued job count), GET /metrics.
 //
-// Execution: -workers jobs run at once, every point on the serial
-// engine (DESIGN.md §8); a request's own "workers" value is ignored.
+// Execution: -workers simulations run at once, each on the serial
+// engine (DESIGN.md §8), and a sweep or batch spreads its points over
+// whichever of them are idle; a request's own "workers" value is
+// ignored.
 //
 // Admission control: every queued job waits in one FIFO of at most
 // -queue jobs. Admission refuses work only at that bound: the arrival
@@ -82,7 +84,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", 0, "job pool size: jobs executing at once, each point on the serial engine (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "simulations at once, each on the serial engine; a sweep or batch uses the idle ones (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "pending job bound; jobs run first in, first out, and an arrival at the bound is shed with 503 + Retry-After")
 		journalDir   = flag.String("journal-dir", "", "crash-safe job journal directory; accepted jobs survive kill -9 and replay on restart (empty = off)")
 		cacheEntries = flag.Int("cache-entries", 256, "result cache bound (LRU)")

@@ -26,9 +26,11 @@ const jobRetain = 1024
 // Options configures a Server. The zero value selects the defaults
 // noted per field.
 type Options struct {
-	// Workers is the job pool size: how many jobs execute at once
-	// (default GOMAXPROCS). Every served point runs the serial engine —
-	// the job, not the tick, is the unit that scales with cores.
+	// Workers is how many simulations run at once (default
+	// GOMAXPROCS), and how many jobs the pool executes at once. A sweep
+	// or batch spreads its points over whichever of those simulation
+	// slots are idle. Every served point runs the serial engine — the
+	// point, not the tick, is the unit that scales with cores.
 	Workers int
 	// QueueDepth bounds the pending jobs, served first in, first out;
 	// an arrival at the bound is shed with 503 + Retry-After, and a
@@ -90,6 +92,11 @@ type Server struct {
 	adm     *admitter
 	journal *jobJournal
 	wait    func()
+
+	// sims holds one token per simulation in flight, Workers at most.
+	// Goroutines blocked on it are served first in, first out, so a
+	// freed slot goes to the longest waiter whichever job it is from.
+	sims chan struct{}
 
 	submitMu sync.Mutex // orders draining checks, journal appends and enqueues
 	draining bool
@@ -166,6 +173,7 @@ func New(opt Options) (*Server, error) {
 		baseCtx: ctx,
 		cancel:  cancel,
 		adm:     newAdmitter(opt.QueueDepth),
+		sims:    make(chan struct{}, opt.Workers),
 		jobs:    map[string]*job{},
 		log:     opt.Logger,
 		hists:   map[string]*metrics.Histogram{},
@@ -461,13 +469,16 @@ func (s *Server) histogram(name string, l metrics.Labels, buckets []float64) *me
 // compute once and share the result), computing a missed point by
 // simulating it here or, in coordinator mode, by dispatching it to the
 // worker fleet — same cache, same key, same result. A simulating
-// daemon works through its points one at a time (cross-job parallelism
-// comes from the worker pool, and burning the whole pool on one sweep
-// or batch would stall every job queued behind it); a coordinator keeps
-// twice the fleet size in flight, which keeps every worker's queue fed
-// without flooding a small fleet with a large grid all at once. One
-// dead worker or one doomed point degrades the response instead of
-// voiding it (see job.finish).
+// daemon fans a job's points out Workers wide, and every simulation
+// waits for a slot (see resolve): a sweep or batch uses the slots other
+// jobs leave idle, and a job arriving behind it waits for one of its
+// points, not all of them. A coordinator keeps twice the fleet size in
+// flight, which keeps every worker's queue fed without flooding a small
+// fleet with a large grid all at once. Points that share a cache key
+// resolve in index order on one goroutine, as a serial loop would: the
+// first computes and each repeat is a hit on it. One dead worker or one
+// doomed point degrades the response instead of voiding it (see
+// job.finish).
 func (s *Server) execute(j *job) {
 	// A deadline that expired while the job sat in queue terminates it
 	// here, before it occupies the worker for any simulation time.
@@ -504,7 +515,7 @@ func (s *Server) execute(j *job) {
 	}
 	runStart := time.Now()
 
-	width := 1
+	width := s.opt.Workers
 	if s.coord != nil {
 		width = 2 * len(s.coord.workers)
 	}
@@ -514,9 +525,15 @@ func (s *Server) execute(j *job) {
 	for i := range outs {
 		outs[i].err = context.Canceled
 	}
-	pool.ForEach(ctx, width, len(j.points), func(i int) error {
-		outs[i] = s.resolve(ctx, j, j.points[i])
-		j.pointsDone.Add(1)
+	groups := keyGroups(j.points)
+	pool.ForEach(ctx, width, len(groups), func(g int) error {
+		for _, i := range groups[g] {
+			if ctx.Err() != nil {
+				break
+			}
+			outs[i] = s.resolve(ctx, j, j.points[i])
+			j.pointsDone.Add(1)
+		}
 		return nil
 	})
 	// A context that died under a failing point fails the job wholesale:
@@ -555,9 +572,27 @@ func (s *Server) execute(j *job) {
 		"family", j.family, "dur", runDur)
 }
 
+// keyGroups lists, for each distinct cache key in order of first
+// occurrence, the indexes of the points that carry it, ascending.
+func keyGroups(points []point) [][]int {
+	at := make(map[string]int, len(points))
+	var groups [][]int
+	for i, p := range points {
+		g, ok := at[p.key]
+		if !ok {
+			g = len(groups)
+			at[p.key] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return groups
+}
+
 // resolve obtains one point's result through the cache, computing a
 // miss by dispatching it to the fleet (coordinator mode) or simulating
-// it here.
+// it here in one of the Workers simulation slots. Only the simulation
+// holds a slot: a hit or a coalesced wait never takes one.
 func (s *Server) resolve(ctx context.Context, j *job, p point) outcome {
 	o := outcome{attempts: 1}
 	o.res, o.cached, o.err = s.cache.do(ctx, p.key, j.tr, func() (res ringmesh.Result, err error) {
@@ -565,6 +600,12 @@ func (s *Server) resolve(ctx context.Context, j *job, p point) outcome {
 			res, o.attempts, err = s.coord.runPoint(ctx, p.cfg, p.opt, j.tr)
 			return res, err
 		}
+		select {
+		case s.sims <- struct{}{}:
+		case <-ctx.Done():
+			return ringmesh.Result{}, ctx.Err()
+		}
+		defer func() { <-s.sims }()
 		return s.simulate(ctx, j, p)
 	})
 	if o.err != nil {
@@ -594,8 +635,8 @@ func (s *Server) simulate(ctx context.Context, j *job, p point) (ringmesh.Result
 		}
 		return res, nil
 	}
-	// The server owns the machine split, not the client: the pool runs
-	// Workers jobs at once, so every point runs the serial engine
+	// The server owns the machine split, not the client: Workers
+	// simulations run at once, so every point runs the serial engine
 	// whatever workers value the request carries. Sound to override —
 	// Workers is execution-only and excluded from the cache key.
 	cfg.Workers = 1
