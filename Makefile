@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check staticcheck race loc bench-smoke bench-compare bench-test bench-run-smoke bench-probe-smoke profile smoke-ringmeshd fuzz-smoke results-check ci
+.PHONY: all build test vet fmt-check staticcheck race loc examples-smoke bench-smoke bench-compare bench-test bench-run-smoke bench-probe-smoke profile smoke-ringmeshd fuzz-smoke results-check ci
 
 all: build
 
@@ -38,6 +38,11 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
+
+# Run every program under examples/ once: README sends users to them,
+# and a build alone does not show that they still run (about 7 s).
+examples-smoke:
+	@for d in examples/*/; do echo "examples-smoke: $$d"; $(GO) run "./$$d" >/dev/null || exit 1; done
 
 # A short benchmark pass that exercises the engine fast paths without
 # running the full figure sweeps: both models, the ring at low load (the
@@ -119,4 +124,4 @@ results-check:
 # deliberate differences: `race` stands for ci.yml's `test` step (the
 # same tests; ci.yml runs the race pass as a job of its own to keep the
 # main job quick), and results-check (2.5 minutes) is left to ci.yml.
-ci: vet fmt-check staticcheck build loc race fuzz-smoke bench-smoke bench-compare bench-test bench-run-smoke bench-probe-smoke smoke-ringmeshd
+ci: vet fmt-check staticcheck build loc race examples-smoke fuzz-smoke bench-smoke bench-compare bench-test bench-run-smoke bench-probe-smoke smoke-ringmeshd

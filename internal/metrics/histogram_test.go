@@ -10,7 +10,7 @@ import (
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(3) // must not panic
-	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatalf("nil histogram not empty")
 	}
 	var r *Registry
@@ -42,32 +42,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if math.Abs(h.Sum()-113) > 1e-9 {
 		t.Errorf("sum %g, want 113", h.Sum())
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	var r Registry
-	h := r.Histogram("lat", Labels{}, ExpBuckets(1, 2, 10))
-	if h.Quantile(0.5) != 0 {
-		t.Fatalf("empty quantile not zero")
-	}
-	for i := 0; i < 1000; i++ {
-		h.Observe(float64(i % 100))
-	}
-	q50 := h.Quantile(0.5)
-	// The exact median is ~50; the bucket scheme bounds the estimate
-	// within the enclosing bucket [32, 64].
-	if q50 < 32 || q50 > 64 {
-		t.Errorf("q50 = %g, want within bucket [32, 64]", q50)
-	}
-	if q99, q50 := h.Quantile(0.99), h.Quantile(0.5); q99 < q50 {
-		t.Errorf("quantiles not monotone: q99 %g < q50 %g", q99, q50)
-	}
-	// Values past the last bound saturate at that bound.
-	h2 := r.Histogram("lat2", Labels{}, []float64{1, 2})
-	h2.Observe(1000)
-	if got := h2.Quantile(0.5); got != 2 {
-		t.Errorf("overflow quantile %g, want saturated 2", got)
 	}
 }
 

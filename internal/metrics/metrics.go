@@ -69,22 +69,22 @@ type Labels struct {
 	Fidelity string
 }
 
+// pairs lists every label as (key, value) in the fixed key order both
+// renderings use; a renderer skips the empty ones.
+func (l Labels) pairs() [][2]string {
+	return [][2]string{{"link", l.Link}, {"node", l.Node}, {"queue", l.Queue}, {"class", l.Class},
+		{"family", l.Family}, {"outcome", l.Outcome}, {"fidelity", l.Fidelity}}
+}
+
 // String renders the labels in {k=v,...} form with a fixed key order,
 // or "" when all labels are empty.
 func (l Labels) String() string {
 	var parts []string
-	add := func(k, v string) {
-		if v != "" {
-			parts = append(parts, k+"="+v)
+	for _, kv := range l.pairs() {
+		if kv[1] != "" {
+			parts = append(parts, kv[0]+"="+kv[1])
 		}
 	}
-	add("link", l.Link)
-	add("node", l.Node)
-	add("queue", l.Queue)
-	add("class", l.Class)
-	add("family", l.Family)
-	add("outcome", l.Outcome)
-	add("fidelity", l.Fidelity)
 	if len(parts) == 0 {
 		return ""
 	}
@@ -96,20 +96,10 @@ func (l Labels) String() string {
 // additional pairs (the histogram exporter's "le" bound).
 func (l Labels) promString(extra ...[2]string) string {
 	var parts []string
-	add := func(k, v string) {
-		if v != "" {
-			parts = append(parts, fmt.Sprintf("%s=%q", k, v))
+	for _, kv := range append(l.pairs(), extra...) {
+		if kv[1] != "" {
+			parts = append(parts, fmt.Sprintf("%s=%q", kv[0], kv[1]))
 		}
-	}
-	add("link", l.Link)
-	add("node", l.Node)
-	add("queue", l.Queue)
-	add("class", l.Class)
-	add("family", l.Family)
-	add("outcome", l.Outcome)
-	add("fidelity", l.Fidelity)
-	for _, kv := range extra {
-		add(kv[0], kv[1])
 	}
 	if len(parts) == 0 {
 		return ""
@@ -260,45 +250,6 @@ func (h *Histogram) BucketCounts() []int64 {
 		out[i] = h.counts[i].Load()
 	}
 	return out
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) by locating the
-// bucket holding the target rank and interpolating linearly inside it.
-// Observations in the +Inf bucket report the last finite bound (the
-// estimate saturates there; widen the buckets if that matters). Zero
-// when empty or nil.
-func (h *Histogram) Quantile(q float64) float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(n)
-	var cum float64
-	for i := range h.counts {
-		c := float64(h.counts[i].Load())
-		if c == 0 {
-			continue
-		}
-		if cum+c >= target {
-			if i >= len(h.bounds) { // +Inf bucket: saturate at the last bound
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			frac := (target - cum) / c
-			return lo + frac*(h.bounds[i]-lo)
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 // reset clears all state (the registry's warmup-aware Reset).

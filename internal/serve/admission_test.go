@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,69 +36,99 @@ func testJob(id, kind string, n int) *job {
 	return newJob(id, journalRecord{Kind: kind}, make([]point, n), "")
 }
 
-// TestAdmitterFIFO: one queue under one bound hands jobs out in arrival
-// order whatever their kind, an arrival at the bound is shed and leaves
-// the queue as it was, and after close the queued jobs still come out
-// before ok=false.
-func TestAdmitterFIFO(t *testing.T) {
+// queueBody is a submission of the given kind that the daemon has to
+// queue: distinct seeds keep the cache from answering it inline.
+func queueBody(kind string, seed uint64) (path string, body any) {
+	switch kind {
+	case kindSweep:
+		return "/v1/sweeps", sweepRequest{Config: meshRun(0, seed), Sizes: []int{4, 9}, Options: testOptions()}
+	case kindBatch:
+		return "/v1/batch", batchRequest{Runs: []batchRunRequest{
+			{Config: meshRun(16, seed), Options: testOptions()},
+			{Config: meshRun(4, seed), Options: testOptions()},
+		}}
+	}
+	return "/v1/runs", runRequest{Config: meshRun(16, seed), Options: testOptions()}
+}
+
+// TestQueueFIFO: with the only worker held, jobs of every kind start in
+// arrival order, an arrival at the bound is shed and leaves the queue
+// as it was, and once Drain begins nothing new is admitted while the
+// queued jobs still run to completion.
+func TestQueueFIFO(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		bound  int
-		arrive []*job
-		shed   string // arrivals refused, in order
-		order  string // what next hands out, in order
+		arrive [][2]string // label, kind
+		shed   string      // arrivals refused, in order
+		order  string      // the admitted jobs, in the order they started
 	}{
-		{"arrival order across kinds", 8, []*job{
-			testJob("r1", kindRun, 1), testJob("s1", kindSweep, 3),
-			testJob("b1", kindBatch, 2), testJob("r2", kindRun, 1),
+		{"arrival order across kinds", 8, [][2]string{
+			{"r1", kindRun}, {"s1", kindSweep}, {"b1", kindBatch}, {"r2", kindRun},
 		}, "", "r1 s1 b1 r2"},
-		{"shed at the bound", 2, []*job{
-			testJob("a", kindBatch, 2), testJob("b", kindRun, 1),
-			testJob("c", kindRun, 1), testJob("d", kindSweep, 2),
+		{"shed at the bound", 2, [][2]string{
+			{"a", kindBatch}, {"b", kindRun}, {"c", kindRun}, {"d", kindSweep},
 		}, "c d", "a b"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a := newAdmitter(tc.bound)
+			s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: tc.bound})
+			_, release := holdWorker(t, s, ts.URL)
+			labels := map[string]string{} // job ID -> label
 			var shed []string
-			for _, j := range tc.arrive {
-				before := a.depth()
-				var se *shedError
-				if err := a.enqueue(j); errors.As(err, &se) {
-					shed = append(shed, j.id)
-					if a.depth() != before {
-						t.Errorf("shed %s changed the depth %d -> %d", j.id, before, a.depth())
+			for i, a := range tc.arrive {
+				path, body := queueBody(a[1], uint64(500+10*i))
+				before := len(s.queue)
+				resp, raw := postJSON(t, ts.URL+path, body)
+				switch resp.StatusCode {
+				case http.StatusAccepted:
+					labels[decodeDoc(t, raw).ID] = a[0]
+				case http.StatusServiceUnavailable:
+					shed = append(shed, a[0])
+					if len(s.queue) != before {
+						t.Errorf("shed %s changed the depth %d -> %d", a[0], before, len(s.queue))
 					}
-				} else if err != nil {
-					t.Fatalf("enqueue %s: %v", j.id, err)
+				default:
+					t.Fatalf("POST %s = %d: %s", a[0], resp.StatusCode, raw)
 				}
 			}
-			a.close()
-			if err := a.enqueue(testJob("late", kindRun, 1)); !errors.Is(err, errDraining) {
-				t.Fatalf("enqueue after close = %v; want errDraining", err)
+
+			drained := make(chan error, 1)
+			go func() { drained <- s.Drain(context.Background()) }()
+			for !s.drainingNow() {
+				time.Sleep(time.Millisecond)
 			}
-			var order []string
-			for j, ok := a.next(); ok; j, ok = a.next() {
-				order = append(order, j.id)
+			path, body := queueBody(kindRun, 599)
+			if resp, raw := postJSON(t, ts.URL+path, body); resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("POST while draining = %d: %s; want 503", resp.StatusCode, raw)
 			}
+			release()
+			if err := <-drained; err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
+
+			// One worker: a job starts when its queue wait ends.
+			var started []string
+			at := map[string]time.Time{}
+			for id, label := range labels {
+				j, _ := s.lookup(id)
+				if v := j.view(); v.State != JobDone {
+					t.Fatalf("queued job %s = %s; want done after the drain", label, v.State)
+				}
+				for _, sp := range j.tr.Spans() {
+					if sp.Name == "queue-wait" {
+						at[label] = sp.Start.Add(sp.Dur)
+					}
+				}
+				started = append(started, label)
+			}
+			sort.Slice(started, func(a, b int) bool { return at[started[a]].Before(at[started[b]]) })
 			if got := strings.Join(shed, " "); got != tc.shed {
 				t.Errorf("shed = %q; want %q", got, tc.shed)
 			}
-			if got := strings.Join(order, " "); got != tc.order {
-				t.Errorf("order = %q; want %q", got, tc.order)
+			if got := strings.Join(started, " "); got != tc.order {
+				t.Errorf("start order = %q; want %q", got, tc.order)
 			}
 		})
-	}
-}
-
-func TestAdmitterForceEnqueueBypassesBounds(t *testing.T) {
-	a := newAdmitter(1)
-	if err := a.enqueue(testJob("a", kindRun, 1)); err != nil {
-		t.Fatal(err)
-	}
-	// Replay path: past the bound, never shed.
-	a.forceEnqueue(testJob("replayed", kindRun, 1))
-	if d := a.depth(); d != 2 {
-		t.Fatalf("depth after forceEnqueue = %d; want 2", d)
 	}
 }
 

@@ -216,44 +216,37 @@ func submitDeadline(r *http.Request, deadlineMS int64) (time.Time, error) {
 
 // The three submission endpoints are decoders: each reads its own
 // request shape, resolves the fidelity policy into the submission, has
-// buildJob expand that into a job, and hands the job to submit.
+// buildJob expand that into a job, and hands the job to submit. A run
+// and a sweep differ only in their sizes, so they share submitConfig.
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
-	if !s.gate(w, r, &req) {
-		return
+	if s.gate(w, r, &req) {
+		s.submitConfig(w, r, kindRun, req.Config, req.Options, nil, req.Fidelity, req.DeadlineMS)
 	}
-	mode, err := s.resolveFidelity(req.Fidelity, &req.Config)
-	if err != nil {
-		s.badRequest(w, r, err)
-		return
-	}
-	opt := optionsOr(req.Options)
-	j := s.buildJob(w, r, journalRecord{Kind: kindRun, Config: &req.Config, Options: &opt,
-		auto: mode == fidelity.Auto}, req.DeadlineMS)
-	if j == nil {
-		return
-	}
-	s.submit(w, r, j)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	if !s.gate(w, r, &req) {
-		return
+	if s.gate(w, r, &req) {
+		s.submitConfig(w, r, kindSweep, req.Config, req.Options, req.Sizes, req.Fidelity, req.DeadlineMS)
 	}
-	mode, err := s.resolveFidelity(req.Fidelity, &req.Config)
+}
+
+// submitConfig submits a run (sizes nil) or a sweep of one config.
+func (s *Server) submitConfig(w http.ResponseWriter, r *http.Request, kind string, cfg ringmesh.Config,
+	options *ringmesh.RunOptions, sizes []int, fid string, deadlineMS int64) {
+	mode, err := s.resolveFidelity(fid, &cfg)
 	if err != nil {
 		s.badRequest(w, r, err)
 		return
 	}
-	opt := optionsOr(req.Options)
-	j := s.buildJob(w, r, journalRecord{Kind: kindSweep, Config: &req.Config, Options: &opt,
-		Sizes: req.Sizes, auto: mode == fidelity.Auto}, req.DeadlineMS)
-	if j == nil {
-		return
+	opt := optionsOr(options)
+	j := s.buildJob(w, r, journalRecord{Kind: kind, Config: &cfg, Options: &opt,
+		Sizes: sizes, auto: mode == fidelity.Auto}, deadlineMS)
+	if j != nil {
+		s.submit(w, r, j)
 	}
-	s.submit(w, r, j)
 }
 
 // handleBatch accepts many runs as one unit: one job, one deadline, one
@@ -444,7 +437,7 @@ type readyBody struct {
 }
 
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	body := readyBody{Status: "ready", Queued: s.adm.depth()}
+	body := readyBody{Status: "ready", Queued: len(s.queue)}
 	if s.drainingNow() {
 		body.Status = "draining"
 		writeJSON(w, http.StatusServiceUnavailable, body)

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"ringmesh/internal/fidelity"
 	"ringmesh/internal/metrics"
 )
 
@@ -509,5 +510,51 @@ func TestServerCoordinatedRunCachesLocally(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("worker dispatched %d times; want 1", calls.Load())
+	}
+}
+
+// TestServerCoordinatedAnalyticEntryStaysLocal: the analytic entry of
+// a queued mixed batch is estimated by the coordinator itself, as at
+// submission; only the entry that needs the simulator reaches the
+// fleet.
+func TestServerCoordinatedAnalyticEntryStaysLocal(t *testing.T) {
+	var mu sync.Mutex
+	var posted []string // each POSTed config's fidelity
+	w := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/runs" {
+			rw.WriteHeader(http.StatusOK)
+			return
+		}
+		var req runRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			writeJSON(rw, http.StatusBadRequest, map[string]string{"error": err.Error()})
+			return
+		}
+		mu.Lock()
+		posted = append(posted, req.Config.Fidelity)
+		mu.Unlock()
+		res := res(3)
+		writeJSON(rw, http.StatusOK, JobView{State: JobDone, Result: &res})
+	}))
+	t.Cleanup(w.Close)
+	_, ts := newTestServer(t, Options{Workers: 2, WorkerAddrs: []string{w.URL}})
+
+	analytic := testConfig()
+	analytic.Fidelity = fidelity.Analytic
+	resp, raw := postJSON(t, ts.URL+"/v1/batch", batchRequest{Runs: []batchRunRequest{
+		{Config: testConfig(), Options: testOptions()}, {Config: analytic, Options: testOptions()},
+	}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST mixed batch = %d: %s; want 202", resp.StatusCode, raw)
+	}
+	v := awaitJobView(t, ts.URL, decodeDoc(t, raw).ID)
+	if v.State != JobDone || len(v.Items) != 2 || v.Items[1].Result == nil ||
+		v.Items[1].Result.Fidelity != fidelity.Analytic {
+		t.Fatalf("mixed batch = state %s items %+v; want done with an analytic second item", v.State, v.Items)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(posted) != 1 || posted[0] == fidelity.Analytic {
+		t.Fatalf("the fleet received fidelities %q; want the simulate entry alone", posted)
 	}
 }

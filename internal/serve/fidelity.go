@@ -97,8 +97,11 @@ func (s *Server) answerInline(j *job) ([]outcome, error) {
 }
 
 // estimate answers one point from the analytic tier, through the
-// result cache under the point's analytic key. (Its own function so
-// the cached-run path through answerInline allocates no closure.)
+// result cache under the point's analytic key, at submission
+// (answerInline) or in a queued job (resolve). A refusal (an
+// unsupported feature) is a configuration error: the tier cannot
+// answer this config. (Its own function so the cached-run path through
+// answerInline allocates no closure.)
 func (s *Server) estimate(j *job, p *point) (ringmesh.Result, bool, error) {
 	cfg := p.cfg
 	cfg.Fidelity = fidelity.Analytic
@@ -106,7 +109,11 @@ func (s *Server) estimate(j *job, p *point) (ringmesh.Result, bool, error) {
 	// validation: keying its analytic spelling cannot fail.
 	key, _ := ringmesh.CacheKey(cfg, p.opt)
 	return s.cache.do(s.baseCtx, key, j.tr, func() (ringmesh.Result, error) {
-		return ringmesh.Estimate(cfg, p.opt)
+		res, err := ringmesh.Estimate(cfg, p.opt)
+		if err != nil {
+			return ringmesh.Result{}, &configError{err}
+		}
+		return res, nil
 	})
 }
 

@@ -226,6 +226,59 @@ func TestJournalReplayExpiredDeadline(t *testing.T) {
 	}
 }
 
+// TestJournalReplayPassesQueueBound: a journal holding more unfinished
+// jobs than QueueDepth replays every one of them, and none is shed:
+// they were admitted before the crash.
+func TestJournalReplayPassesQueueBound(t *testing.T) {
+	dir := t.TempDir()
+	jl := openTestJournal(t, dir)
+	opt := *testOptions()
+	ids := []string{"j000001", "j000002", "j000003"}
+	for i, id := range ids {
+		cfg := meshRun(16, uint64(700+i))
+		jl.append(journalRecord{Op: opAccepted, ID: id, Kind: kindRun, Config: &cfg, Options: &opt})
+	}
+	if err := jl.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	built := make(chan *Server, 1)
+	go func() {
+		s, err := New(Options{Workers: 1, QueueDepth: 1, JournalDir: dir})
+		if err != nil {
+			t.Error(err)
+		}
+		built <- s
+	}()
+	var s *Server
+	select {
+	case s = <-built:
+	case <-time.After(10 * time.Second):
+		t.Fatal("New blocked replaying more jobs than QueueDepth")
+	}
+	if s == nil {
+		t.FailNow()
+	}
+	t.Cleanup(func() {
+		ctx, cancel := drainCtx()
+		defer cancel()
+		_ = s.Drain(ctx)
+	})
+	for _, id := range ids {
+		j, ok := s.lookup(id)
+		if !ok {
+			t.Fatalf("job %s not replayed", id)
+		}
+		<-j.done
+		if v := j.view(); v.State != JobDone {
+			t.Fatalf("replayed job %s = %s; want done", id, v.State)
+		}
+	}
+	if r, shed := s.journal.replayed.Value(), s.shed.Value(); r != 3 || shed != 0 {
+		t.Fatalf("replayed %d, shed %d; want 3 and 0", r, shed)
+	}
+}
+
 // TestJournalLifecycleRecords: a job served normally leaves a
 // journal whose replay finds nothing unfinished.
 func TestJournalLifecycleRecords(t *testing.T) {

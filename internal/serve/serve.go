@@ -34,7 +34,8 @@ type Options struct {
 	Workers int
 	// QueueDepth bounds the pending jobs, served first in, first out;
 	// an arrival at the bound is shed with 503 + Retry-After, and a
-	// queued job is never evicted (default 64).
+	// queued job is never evicted (default 64). Jobs replayed from the
+	// journal are queued past the bound, never shed.
 	QueueDepth int
 	// JournalDir, when non-empty, enables the crash-safe job journal:
 	// an fsync'd append-only log of job state transitions, replayed on
@@ -87,9 +88,12 @@ type Server struct {
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
-	// adm is the admission layer: one bounded FIFO. journal, when
-	// non-nil, is the crash-safe WAL of job state transitions.
-	adm     *admitter
+	// queue is the one FIFO of admitted jobs, QueueDepth deep (deeper
+	// after a journal replay, see replayJournal). admit is its only
+	// sender and sheds at the bound under submitMu, so a send never
+	// blocks; Drain closes it. journal, when non-nil, is the crash-safe
+	// WAL of job state transitions.
+	queue   chan *job
 	journal *jobJournal
 	wait    func()
 
@@ -98,7 +102,7 @@ type Server struct {
 	// freed slot goes to the longest waiter whichever job it is from.
 	sims chan struct{}
 
-	submitMu sync.Mutex // orders draining checks, journal appends and enqueues
+	submitMu sync.Mutex // orders draining checks, journal appends, sends and the close
 	draining bool
 
 	jobsMu   sync.Mutex
@@ -172,7 +176,7 @@ func New(opt Options) (*Server, error) {
 		cache:   newResultCache(opt.CacheEntries, disk, reg),
 		baseCtx: ctx,
 		cancel:  cancel,
-		adm:     newAdmitter(opt.QueueDepth),
+		queue:   make(chan *job, opt.QueueDepth),
 		sims:    make(chan struct{}, opt.Workers),
 		jobs:    map[string]*job{},
 		log:     opt.Logger,
@@ -195,7 +199,7 @@ func New(opt Options) (*Server, error) {
 	s.fidUpgrades = reg.Counter("ringmeshd_fidelity_upgrades_total", metrics.Labels{})
 	s.fidFallback = reg.Counter("ringmeshd_fidelity_fallback_total", metrics.Labels{})
 	reg.Gauge("ringmeshd_queue_depth", metrics.Labels{}, func() float64 {
-		return float64(s.adm.depth())
+		return float64(len(s.queue))
 	})
 	// Go runtime health, sampled at scrape time. ReadMemStats is a
 	// stop-the-world call measured in microseconds — fine at scrape
@@ -238,11 +242,7 @@ func New(opt Options) (*Server, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				j, ok := s.adm.next()
-				if !ok {
-					return
-				}
+			for j := range s.queue {
 				s.execute(j)
 			}
 		}()
@@ -266,7 +266,10 @@ func (s *Server) replayJournal() error {
 		s.nextID = maxID
 	}
 	s.jobsMu.Unlock()
-	var live []journalRecord
+	// These jobs were admitted before the crash, so they pass the bound:
+	// shedding them on a depth check would turn a restart into silent
+	// data loss. The queue holds them all on top of QueueDepth.
+	s.queue = make(chan *job, s.opt.QueueDepth+len(unfinished))
 	for _, rec := range unfinished {
 		j, jerr := jobFromRecord(rec)
 		if jerr != nil {
@@ -277,16 +280,11 @@ func (s *Server) replayJournal() error {
 		j.journaled = true
 		s.register(j)
 		j.enqueuedAt = time.Now()
-		s.adm.forceEnqueue(j)
+		s.queue <- j
 		s.journal.replayed.Inc()
-		live = append(live, rec)
 		s.log.Info("job replayed from journal", "job", j.id, "kind", j.sub.Kind)
 	}
-	if err := s.journal.compact(live); err != nil {
-		// Compaction is an optimization; a journal that still holds
-		// already-terminal records replays correctly next time too.
-		s.log.Warn("journal compaction failed", "err", err)
-	}
+	s.compactJournal()
 	return nil
 }
 
@@ -299,8 +297,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.submitMu.Lock()
 	if !s.draining {
 		s.draining = true
-		s.adm.close()
-		s.log.Info("drain started", "queued", s.adm.depth())
+		close(s.queue) // the executors finish what is queued, then return
+		s.log.Info("drain started", "queued", len(s.queue))
 	}
 	s.submitMu.Unlock()
 	done := make(chan struct{})
@@ -363,15 +361,13 @@ func (s *Server) admit(j *job) error {
 		s.journal.append(acceptedRecord(j))
 		j.journaled = true
 	}
-	if err := s.adm.enqueue(j); err != nil {
+	if len(s.queue) >= s.opt.QueueDepth {
 		s.unregister(j)
 		s.journalTerminal(j, true)
-		var se *shedError
-		if errors.As(err, &se) {
-			s.shed.Inc()
-		}
-		return err
+		s.shed.Inc()
+		return &shedError{bound: s.opt.QueueDepth}
 	}
+	s.queue <- j
 	s.admitted.Inc()
 	return nil
 }
@@ -388,17 +384,27 @@ func (s *Server) journalTerminal(j *job, failed bool) {
 	}
 	s.journal.append(journalRecord{Op: op, ID: j.id})
 	if s.journal.needsCompaction() {
-		s.jobsMu.Lock()
-		var live []journalRecord
-		for _, id := range s.jobOrder {
-			if lj, ok := s.jobs[id]; ok && lj.journaled && !lj.finished() {
-				live = append(live, acceptedRecord(lj))
-			}
+		s.compactJournal()
+	}
+}
+
+// compactJournal rewrites the journal down to the accepted records of
+// the journaled jobs not yet finished, in admission order. During
+// replay the job table holds exactly the replayed jobs, each carrying
+// its record as its submission, so the rewrite keeps their bytes.
+func (s *Server) compactJournal() {
+	s.jobsMu.Lock()
+	var live []journalRecord
+	for _, id := range s.jobOrder {
+		if j, ok := s.jobs[id]; ok && j.journaled && !j.finished() {
+			live = append(live, acceptedRecord(j))
 		}
-		s.jobsMu.Unlock()
-		if err := s.journal.compact(live); err != nil {
-			s.log.Warn("journal compaction failed", "err", err)
-		}
+	}
+	s.jobsMu.Unlock()
+	if err := s.journal.compact(live); err != nil {
+		// Compaction is an optimization; a journal that still holds
+		// already-terminal records replays correctly next time too.
+		s.log.Warn("journal compaction failed", "err", err)
 	}
 }
 
@@ -589,25 +595,31 @@ func keyGroups(points []point) [][]int {
 	return groups
 }
 
-// resolve obtains one point's result through the cache, computing a
-// miss by dispatching it to the fleet (coordinator mode) or simulating
-// it here in one of the Workers simulation slots. Only the simulation
-// holds a slot: a hit or a coalesced wait never takes one.
+// resolve obtains one point's result through the cache. A point that
+// names the analytic tier is estimated here in either mode, as at
+// submission; any other miss is dispatched to the fleet (coordinator
+// mode) or simulated here in one of the Workers simulation slots. Only
+// the simulation holds a slot: an estimate, a hit or a coalesced wait
+// never takes one.
 func (s *Server) resolve(ctx context.Context, j *job, p point) outcome {
 	o := outcome{attempts: 1}
-	o.res, o.cached, o.err = s.cache.do(ctx, p.key, j.tr, func() (res ringmesh.Result, err error) {
-		if s.coord != nil {
-			res, o.attempts, err = s.coord.runPoint(ctx, p.cfg, p.opt, j.tr)
-			return res, err
-		}
-		select {
-		case s.sims <- struct{}{}:
-		case <-ctx.Done():
-			return ringmesh.Result{}, ctx.Err()
-		}
-		defer func() { <-s.sims }()
-		return s.simulate(ctx, j, p)
-	})
+	if p.cfg.Fidelity == fidelity.Analytic {
+		o.res, o.cached, o.err = s.estimate(j, &p)
+	} else {
+		o.res, o.cached, o.err = s.cache.do(ctx, p.key, j.tr, func() (res ringmesh.Result, err error) {
+			if s.coord != nil {
+				res, o.attempts, err = s.coord.runPoint(ctx, p.cfg, p.opt, j.tr)
+				return res, err
+			}
+			select {
+			case s.sims <- struct{}{}:
+			case <-ctx.Done():
+				return ringmesh.Result{}, ctx.Err()
+			}
+			defer func() { <-s.sims }()
+			return s.simulate(ctx, j, p)
+		})
+	}
 	if o.err != nil {
 		if s.coord != nil {
 			s.coord.pointsFailed.Inc()
@@ -623,18 +635,6 @@ func (s *Server) resolve(ctx context.Context, j *job, p point) outcome {
 // watchers see live completion fractions.
 func (s *Server) simulate(ctx context.Context, j *job, p point) (ringmesh.Result, error) {
 	cfg := p.cfg
-	// Analytic-fidelity work routes to the closed-form estimator: no
-	// system is built, no ticks run, and the result comes back labeled
-	// with its recorded error bound. Its refusals (unsupported
-	// features) are configuration errors — the client asked for a tier
-	// that cannot answer this config.
-	if cfg.Fidelity == fidelity.Analytic {
-		res, err := ringmesh.Estimate(cfg, p.opt)
-		if err != nil {
-			return ringmesh.Result{}, &configError{err}
-		}
-		return res, nil
-	}
 	// The server owns the machine split, not the client: Workers
 	// simulations run at once, so every point runs the serial engine
 	// whatever workers value the request carries. Sound to override —

@@ -362,7 +362,7 @@ func TestQueueBounds(t *testing.T) {
 	// shed, taken out of the job table again, and evicts nothing.
 	reg := &metrics.Registry{}
 	s := &Server{reg: reg, log: slog.New(slog.NewTextHandler(io.Discard, nil)), jobs: map[string]*job{},
-		adm:      newAdmitter(1),
+		opt: Options{QueueDepth: 1}, queue: make(chan *job, 1),
 		admitted: reg.Counter("ringmeshd_admit_total", metrics.Labels{}),
 		shed:     reg.Counter("ringmeshd_shed_total", metrics.Labels{}),
 	}
@@ -378,8 +378,8 @@ func TestQueueBounds(t *testing.T) {
 	if _, ok := s.lookup(b.id); ok {
 		t.Fatal("shed job still in the job table")
 	}
-	if a.finished() || s.adm.depth() != 1 {
-		t.Fatalf("queued job finished=%v, depth %d after a shed; want it still queued alone", a.finished(), s.adm.depth())
+	if a.finished() || len(s.queue) != 1 {
+		t.Fatalf("queued job finished=%v, depth %d after a shed; want it still queued alone", a.finished(), len(s.queue))
 	}
 	if s.admitted.Value() != 1 || s.shed.Value() != 1 {
 		t.Fatalf("admitted %d shed %d; want 1 and 1", s.admitted.Value(), s.shed.Value())

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"regexp"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"ringmesh"
+	"ringmesh/internal/fidelity"
 )
 
 // TestWorkersFieldDoesNotSplitCache pins the serving-side half of the
@@ -257,4 +259,48 @@ func TestSimulationSlots(t *testing.T) {
 		}
 		<-batch.done
 	})
+}
+
+// TestQueuedAnalyticEntryTakesNoSlot: the analytic entry of a queued
+// mixed batch is estimated at once, as at submission, while slow
+// simulations hold every slot; it does not wait for a slot behind them.
+func TestQueuedAnalyticEntryTakesNoSlot(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2})
+	slow := &ringmesh.RunOptions{WarmupCycles: 500_000_000, BatchCycles: 1000, Batches: 2}
+	holder := submitQueued(t, s, ts.URL, "/v1/batch", batchRequest{Runs: []batchRunRequest{
+		{Config: meshRun(121, 41), Options: slow}, {Config: meshRun(121, 42), Options: slow},
+	}})
+	awaitSlots(t, s, 2, holder)
+
+	analytic := meshRun(121, 43)
+	analytic.Fidelity = fidelity.Analytic
+	key, err := ringmesh.CacheKey(analytic, *slotRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := submitQueued(t, s, ts.URL, "/v1/batch", batchRequest{Runs: []batchRunRequest{
+		{Config: meshRun(121, 44), Options: slotRun}, {Config: analytic, Options: slotRun},
+	}})
+	timeout := time.After(10 * time.Second)
+	for {
+		s.cache.mu.Lock()
+		_, cached := s.cache.entries[key]
+		s.cache.mu.Unlock()
+		if cached {
+			break
+		}
+		select {
+		case <-timeout:
+			t.Fatal("the analytic entry was not estimated while the simulations held both slots")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	if len(s.sims) != 2 || holder.finished() || mixed.finished() {
+		t.Fatalf("slots taken %d, holder finished %v, mixed batch finished %v; want 2, false, false",
+			len(s.sims), holder.finished(), mixed.finished())
+	}
+	// Cancel the slow simulations rather than wait for them.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = s.Drain(ctx)
 }
