@@ -97,9 +97,9 @@ profile:
 		-cpuprofile cpu.prof -memprofile mem.prof .
 	@echo "profiles written: cpu.prof mem.prof (go tool pprof ringmesh.test <file>)"
 
-# Drive the serving daemon end to end over HTTP, in six stages: cache
-# hit, durability across kill -9, coordinator partial failure, overload
-# shedding, journal replay and `auto` fidelity.
+# Drive the serving daemon end to end over HTTP, in five stages: cache
+# hit, durability across kill -9, overload shedding, journal replay and
+# `auto` fidelity.
 smoke-ringmeshd:
 	bash ci/smoke_ringmeshd.sh
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Smoke test for the serving daemon, end to end over HTTP, in six
+# Smoke test for the serving daemon, end to end over HTTP, in five
 # stages:
 #   1. cache hit: boot with -pprof and -workers 2, check health,
 #      metrics (latency histogram buckets) and a CPU profile fetch,
@@ -14,17 +14,12 @@
 #      mid-load, restart over the same directory, and prove the
 #      pre-crash result is served from the disk tier (the cache-hit
 #      counters are the proof, not wall-clock);
-#   3. coordinator partial failure: boot a 1-coordinator/2-worker trio,
-#      kill the workers mid-sweep, and prove the response is a
-#      partial-success merge (completed points + structured
-#      point_errors + degraded), with retries and breaker trips visible
-#      on /metrics;
-#   4. overload shedding: at a full queue the next submission is a 503
+#   3. overload shedding: at a full queue the next submission is a 503
 #      with Retry-After and a structured body, and every queued job
 #      still finishes;
-#   5. journal replay: kill -9 with jobs running and queued, restart
+#   4. journal replay: kill -9 with jobs running and queued, restart
 #      over the journal, and every job finishes under its original ID;
-#   6. auto fidelity: an auto request is answered analytically while
+#   5. auto fidelity: an auto request is answered analytically while
 #      the worker is busy, and its upgrade job lands the exact result.
 #
 # No dependencies beyond curl and the Go toolchain.
@@ -260,89 +255,7 @@ kill -TERM "$dpid2"; wait "$dpid2" || { echo "FAIL: durable daemon exited dirty"
 echo "PASS: durability smoke (kill -9 survived; restart served job from disk, 0 misses)"
 
 # ---------------------------------------------------------------------
-# Stage 3: coordinator partial failure. A 1-coordinator/2-worker trio
-# runs a sweep; both workers are killed -9 mid-sweep. The merged
-# response must carry every completed point plus structured errors for
-# the rest — degraded, not void — with the retry/breaker machinery
-# visible on /metrics.
-
-wlog1=$(mktemp); wlog2=$(mktemp); clog=$(mktemp)
-boot "$wlog1"
-wpid1=$BOOT_PID; waddr1=$BOOT_ADDR
-boot "$wlog2"
-wpid2=$BOOT_PID; waddr2=$BOOT_ADDR
-boot "$clog" -coordinator -worker-addrs "$waddr1,$waddr2"
-cpid=$BOOT_PID; cbase="http://$BOOT_ADDR"
-
-# Small sizes first (they complete before the kill), big sizes last
-# (they are still in flight when the workers die).
-sweep='{"config":{"network":"mesh","line_bytes":32,"buffer_flits":4,"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":9},"options":{"warmup_cycles":4000,"batch_cycles":4000,"batches":6},"sizes":[16,36,64,100,400,576,784,900]}'
-sres=$(curl -fsS -X POST "$cbase/v1/sweeps" -d "$sweep" | tr -d '[:space:]')
-sid=$(printf '%s' "$sres" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
-[ -n "$sid" ] || { echo "FAIL: no sweep id: $sres"; exit 1; }
-
-# Wait until at least one point has completed, then kill the fleet.
-progressed=""
-for _ in $(seq 1 300); do
-  sdoc=$(curl -fsS "$cbase/v1/jobs/$sid" | tr -d '[:space:]')
-  case "$sdoc" in
-    *'"progress":0,'*|*'"progress":0}'*) sleep 0.1 ;;
-    *) progressed=yes; break ;;
-  esac
-done
-[ -n "$progressed" ] || { echo "FAIL: sweep made no progress: $sdoc"; exit 1; }
-kill -9 "$wpid1" "$wpid2"
-{ wait "$wpid1" "$wpid2"; } 2>/dev/null || true
-
-# The sweep must still terminate "done" — degraded, with the
-# completed points merged in and the dead points classified.
-sfinal=""
-for _ in $(seq 1 600); do
-  sfinal=$(curl -fsS "$cbase/v1/jobs/$sid" | tr -d '[:space:]')
-  case "$sfinal" in
-    *'"state":"done"'*|*'"state":"failed"'*) break ;;
-  esac
-  sleep 0.1
-done
-case "$sfinal" in
-  *'"state":"done"'*) ;;
-  *) echo "FAIL: sweep did not merge after worker loss: $sfinal"; exit 1 ;;
-esac
-case "$sfinal" in
-  *'"degraded":true'*) ;;
-  *) echo "FAIL: sweep not marked degraded: $sfinal"; exit 1 ;;
-esac
-case "$sfinal" in
-  *'"points":['*'"nodes":16'*) ;;
-  *) echo "FAIL: completed points missing from merged response: $sfinal"; exit 1 ;;
-esac
-case "$sfinal" in
-  *'"point_errors":['*'"kind":'*) ;;
-  *) echo "FAIL: no structured per-point errors: $sfinal"; exit 1 ;;
-esac
-
-cmetrics=$(curl -fsS "$cbase/metrics")
-grep -q '^ringmeshd_coord_retries_total [1-9]' <<<"$cmetrics" \
-  || { echo "FAIL: no retries recorded:"; echo "$cmetrics" | grep coord; exit 1; }
-grep -q '^ringmeshd_coord_breaker_trips_total [1-9]' <<<"$cmetrics" \
-  || { echo "FAIL: no breaker trips recorded:"; echo "$cmetrics" | grep coord; exit 1; }
-grep -q '^ringmeshd_coord_points_failed_total [1-9]' <<<"$cmetrics" \
-  || { echo "FAIL: no failed points recorded:"; echo "$cmetrics" | grep coord; exit 1; }
-
-# Dispatch attempts (including retries against the dead fleet) are
-# visible in the sweep's trace.
-strace=$(curl -fsS "$cbase/v1/jobs/$sid/trace")
-case "$strace" in
-  *'"dispatch"'*) ;;
-  *) echo "FAIL: no dispatch spans in sweep trace"; exit 1 ;;
-esac
-
-kill -TERM "$cpid"; wait "$cpid" || { echo "FAIL: coordinator exited dirty"; exit 1; }
-
-echo "PASS: coordinator smoke (fleet killed mid-sweep; merged degraded response with retries+breaker trips)"
-
-# ---------------------------------------------------------------------
-# Stage 4: overload. One worker, a three-job queue, a long occupier
+# Stage 3: overload. One worker, a three-job queue, a long occupier
 # and three queued jobs. The fourth submission is shed with 503 +
 # Retry-After + a structured {"error","retry_after_ms"} body, nothing
 # queued is evicted, and the admit/shed counters tell the story on
@@ -401,7 +314,7 @@ kill -TERM "$fpid"; wait "$fpid" || { echo "FAIL: flood daemon exited dirty"; ex
 echo "PASS: overload smoke (fourth job shed with Retry-After at a full queue; the three queued finished)"
 
 # ---------------------------------------------------------------------
-# Stage 5: crash-safe journal. Boot with -journal-dir, stack one
+# Stage 4: crash-safe journal. Boot with -journal-dir, stack one
 # running job and three queued ones, kill -9 — no drain, no fsync
 # beyond what every append already did — then restart over the same
 # directory and demand all four complete under their original IDs,
@@ -445,7 +358,7 @@ kill -TERM "$jpid2"; wait "$jpid2" || { echo "FAIL: journal daemon exited dirty"
 echo "PASS: journal smoke (kill -9 with 4 unfinished jobs; restart replayed all under original IDs)"
 
 # ---------------------------------------------------------------------
-# Stage 6: multi-fidelity serving. Queue jobs behind a single busy
+# Stage 5: multi-fidelity serving. Queue jobs behind a single busy
 # worker, then ask for a cache-cold run at fidelity "auto": the answer
 # must come back immediately — analytic-labeled, carrying its recorded
 # error bound and the ID of its upgrade job — while the

@@ -24,9 +24,8 @@
 // {"error","retry_after_ms"} body, and a queued job is never evicted.
 // A "class" field in a body is accepted and ignored. An optional
 // end-to-end deadline (X-Ringmeshd-Deadline header or deadline_ms
-// field) is enforced at dequeue and through the run's context, which
-// carries it to coordinator dispatches; a job that runs out of it
-// fails with kind "deadline" (504).
+// field) is enforced at dequeue and through the run's context; a job
+// that runs out of it fails with kind "deadline" (504).
 //
 // Multi-fidelity serving: submissions may carry a fidelity field —
 // "simulate" (default), "analytic" (inline closed-form estimate,
@@ -44,13 +43,6 @@
 // transition to an fsync'd write-ahead log, so accepted-but-unfinished
 // jobs survive kill -9 too: on restart the journal replays and
 // re-enqueues them under their original IDs.
-//
-// Coordinator mode: -coordinator -worker-addrs=h1:8080,h2:8080 fans
-// jobs out to worker daemons over the same HTTP API instead of
-// simulating locally, one worker per point at a time, with bounded
-// retries, per-worker circuit breakers re-admitted via readiness
-// probes, and degraded sweep responses (completed points plus a
-// structured per-point error report) when replicas die mid-sweep.
 //
 // SIGINT/SIGTERM drain gracefully: new submissions get 503 while
 // queued and in-flight jobs finish (bounded by -drain-timeout), then
@@ -89,8 +81,6 @@ func main() {
 		journalDir   = flag.String("journal-dir", "", "crash-safe job journal directory; accepted jobs survive kill -9 and replay on restart (empty = off)")
 		cacheEntries = flag.Int("cache-entries", 256, "result cache bound (LRU)")
 		cacheDir     = flag.String("cache-dir", "", "durable disk cache directory; results survive restarts and may be shared by replicas (empty = memory only)")
-		coord        = flag.Bool("coordinator", false, "coordinator mode: fan jobs out to -worker-addrs instead of simulating locally")
-		workerAddrs  = flag.String("worker-addrs", "", "comma-separated worker base URLs for -coordinator, e.g. http://h1:8080,http://h2:8080")
 		maxBody      = flag.Int64("max-body", 1<<20, "request body bound in bytes")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 		pprofOn      = flag.Bool("pprof", false, "mount Go profiling endpoints under /debug/pprof (exposes stacks and heap contents)")
@@ -99,11 +89,6 @@ func main() {
 	flag.Parse()
 
 	if err := validateFlags(*workers, *queue, *cacheEntries, *maxBody, *drainTimeout); err != nil {
-		fmt.Fprintln(os.Stderr, "ringmeshd:", err)
-		os.Exit(2)
-	}
-	addrsList, err := parseWorkerAddrs(*coord, *workerAddrs)
-	if err != nil {
 		fmt.Fprintln(os.Stderr, "ringmeshd:", err)
 		os.Exit(2)
 	}
@@ -120,7 +105,6 @@ func main() {
 		JournalDir:   *journalDir,
 		CacheEntries: *cacheEntries,
 		CacheDir:     *cacheDir,
-		WorkerAddrs:  addrsList,
 		MaxBody:      *maxBody,
 		Logger:       logger,
 		EnablePprof:  *pprofOn,
@@ -136,8 +120,7 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("listening", "addr", ln.Addr().String(), "pprof", *pprofOn,
-		"cache_dir", *cacheDir, "journal_dir", *journalDir,
-		"coordinator", *coord, "workers", len(addrsList))
+		"cache_dir", *cacheDir, "journal_dir", *journalDir)
 
 	httpSrv := &http.Server{
 		Handler:           srv.Handler(),
@@ -172,32 +155,6 @@ func main() {
 	}
 	logger.Info("stopped")
 	os.Exit(code)
-}
-
-// parseWorkerAddrs validates the coordinator flag pair and splits the
-// worker list, defaulting bare host:port entries to http://.
-func parseWorkerAddrs(coordinator bool, addrs string) ([]string, error) {
-	if !coordinator && addrs == "" {
-		return nil, nil
-	}
-	if coordinator != (addrs != "") {
-		return nil, fmt.Errorf("-coordinator and -worker-addrs must be used together")
-	}
-	var out []string
-	for _, a := range strings.Split(addrs, ",") {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			continue
-		}
-		if !strings.HasPrefix(a, "http://") && !strings.HasPrefix(a, "https://") {
-			a = "http://" + a
-		}
-		out = append(out, strings.TrimRight(a, "/"))
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-worker-addrs %q names no workers", addrs)
-	}
-	return out, nil
 }
 
 // parseLevel maps the -log-level flag onto slog levels.

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"sort"
@@ -245,9 +247,57 @@ func TestFloodShedsAtBound(t *testing.T) {
 	}
 }
 
-// TestClassFieldIgnored: older clients and coordinators send a
-// priority class; every submission body still accepts it, and the job
-// is queued and documented like any other.
+// TestShedLeavesNoTrace: an arrival shed at the bound is refused before
+// it is journaled or numbered. With the worker held and the one queue
+// slot taken, the third POST gets 503, the journal holds no record for
+// it, and the next admitted job takes the ID it would have burned.
+func TestShedLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1, JournalDir: dir})
+	occupier, release := holdWorker(t, s, ts.URL)
+	path, body := queueBody(kindRun, 700)
+	resp, raw := postJSON(t, ts.URL+path, body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("queued POST = %d: %s", resp.StatusCode, raw)
+	}
+	queued := decodeDoc(t, raw).ID
+	path, body = queueBody(kindRun, 701)
+	if resp, raw := postJSON(t, ts.URL+path, body); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("POST at the bound = %d: %s; want 503", resp.StatusCode, raw)
+	}
+
+	wal, err := os.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, line := range bytes.Split(bytes.TrimSpace(wal), []byte("\n")) {
+		rec, err := decodeRecord(line)
+		if err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		lines = append(lines, rec.Op+" "+rec.ID)
+	}
+	want := fmt.Sprintf("accepted %s,accepted %s", occupier, queued)
+	if got := strings.Join(lines, ","); got != want {
+		t.Errorf("journal after the shed holds %s; want %s", got, want)
+	}
+
+	release()
+	awaitJob(t, ts.URL, queued, false)
+	path, body = queueBody(kindRun, 702)
+	resp, raw = postJSON(t, ts.URL+path, body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST after the queue emptied = %d: %s", resp.StatusCode, raw)
+	}
+	if id := decodeDoc(t, raw).ID; id != "j000003" {
+		t.Errorf("next admitted job is %s; want j000003, the ID the shed arrival never took", id)
+	}
+}
+
+// TestClassFieldIgnored: older clients send a priority class; every
+// submission body still accepts it, and the job is queued and
+// documented like any other.
 func TestClassFieldIgnored(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	for path, body := range map[string]any{

@@ -23,9 +23,9 @@ import (
 type runRequest struct {
 	Config  ringmesh.Config      `json:"config"`
 	Options *ringmesh.RunOptions `json:"options"`
-	// Class is accepted and ignored: older clients and coordinators send
-	// a priority class, the body rejects unknown fields, and every job
-	// joins one FIFO.
+	// Class is accepted and ignored: older clients send a priority
+	// class, the body rejects unknown fields, and every job joins one
+	// FIFO.
 	Class      string `json:"class,omitempty"`
 	DeadlineMS int64  `json:"deadline_ms,omitempty"`
 	// Fidelity selects the answer tier: "simulate" (default), an
@@ -429,8 +429,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // readyBody is the /readyz document: the gate state plus the number of
-// queued jobs, so load balancers and coordinators can both stop
-// routing early and see the backlog.
+// queued jobs, so a load balancer can both stop routing early and see
+// the backlog.
 type readyBody struct {
 	Status string `json:"status"`
 	Queued int    `json:"queued"`

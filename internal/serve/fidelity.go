@@ -73,7 +73,7 @@ func (s *Server) answerInline(j *job) ([]outcome, error) {
 		named := p.cfg.Fidelity == fidelity.Analytic
 		if !named {
 			if res, ok := s.cache.get(p.key); ok {
-				outs[i] = outcome{res: res, cached: true, attempts: 1}
+				outs[i] = outcome{res: res, cached: true}
 				continue
 			}
 			if !p.auto {
@@ -91,7 +91,7 @@ func (s *Server) answerInline(j *job) ([]outcome, error) {
 			s.log.Info("analytic model refused the point; it needs the queue", "err", err)
 			return nil, nil
 		}
-		outs[i] = outcome{res: res, cached: cached, attempts: 1}
+		outs[i] = outcome{res: res, cached: cached}
 	}
 	return outs, nil
 }

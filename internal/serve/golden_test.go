@@ -6,10 +6,10 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"ringmesh"
 )
@@ -143,8 +143,7 @@ func TestWireGoldenSweep(t *testing.T) {
 	awaitRaw(t, ts.URL, decodeDoc(t, auto).Upgrade)
 }
 
-// TestLocalSweepDegradesOnFailedPoint: a simulating daemon merges a
-// sweep exactly as a coordinator does — a size that fails at run time
+// TestLocalSweepDegradesOnFailedPoint: a size that fails at run time
 // (here: stalls) is classified in point_errors and the other sizes come
 // back, where the sweep used to fail wholesale at the first bad size.
 // Its golden is the one recorded after the point-list job, not before.
@@ -172,21 +171,74 @@ func TestLocalSweepDegradesOnFailedPoint(t *testing.T) {
 	checkGolden(t, "sweep-degraded-local", raw)
 }
 
-// TestWireGoldenSweepCoordinated pins the merged document of a
-// coordinated sweep: some points failed (degraded, point_errors) and
-// every point failed (failed, classified by the first).
-func TestWireGoldenSweepCoordinated(t *testing.T) {
-	_, worker := newTestServer(t, Options{Workers: 1})
-	s, ts := newTestServer(t, Options{Workers: 1, WorkerAddrs: []string{worker.URL}})
-	s.coord.workers[0].name = "w0" // the address carries an ephemeral port
-	s.coord.pollEvery = 2 * time.Millisecond
+// TestSweepDegradedPointsMatchSingleRuns: when a sweep's points spread
+// over two workers and one of them fails, each surviving point carries
+// exactly the result a standalone run of its size gives on a fresh
+// daemon, so a degraded answer never mixes up which size measured what.
+func TestSweepDegradedPointsMatchSingleRuns(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
 
 	cfg := stallConfig()
 	cfg.Nodes = 0
-	req := sweepRequest{Config: cfg, Sizes: []int{12, 8, 4}, Options: stallOptions()}
-	checkGolden(t, "sweep-degraded", submitFinal(t, ts.URL, "/v1/sweeps", req))
-	req.Sizes = []int{8}
-	checkGolden(t, "sweep-failed", submitFinal(t, ts.URL, "/v1/sweeps", req))
+	var v JobView
+	mustUnmarshal(t, submitFinal(t, ts.URL, "/v1/sweeps",
+		sweepRequest{Config: cfg, Sizes: []int{4, 8, 12}, Options: stallOptions()}), &v)
+	if v.State != JobDone || !v.Degraded || len(v.Points) != 2 || len(v.PointErrors) != 1 {
+		t.Fatalf("state=%s degraded=%v points=%d point_errors=%d; want done, degraded, 2 points and 1 point error",
+			v.State, v.Degraded, len(v.Points), len(v.PointErrors))
+	}
+
+	_, fresh := newTestServer(t, Options{Workers: 1})
+	for _, p := range v.Points {
+		one := stallConfig()
+		one.Nodes = p.Nodes
+		var rv JobView
+		mustUnmarshal(t, submitFinal(t, fresh.URL, "/v1/runs",
+			runRequest{Config: one, Options: stallOptions()}), &rv)
+		if rv.State != JobDone || rv.Result == nil {
+			t.Fatalf("single run at %d nodes: state=%s error=%+v", p.Nodes, rv.State, rv.Error)
+		}
+		if !reflect.DeepEqual(p.Result, *rv.Result) {
+			t.Fatalf("sweep point %d = %+v; single run = %+v", p.Nodes, p.Result, *rv.Result)
+		}
+		if p.Attempts != 1 {
+			t.Fatalf("sweep point %d attempts = %d; want 1", p.Nodes, p.Attempts)
+		}
+	}
+}
+
+// TestSweepAllPointsFailed: a sweep whose every size fails is failed
+// wholesale, classified by the point's stall, with no points and the
+// failure reported in point_errors.
+func TestSweepAllPointsFailed(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+
+	cfg := stallConfig()
+	cfg.Nodes = 0
+	var v JobView
+	mustUnmarshal(t, submitFinal(t, ts.URL, "/v1/sweeps",
+		sweepRequest{Config: cfg, Sizes: []int{8}, Options: stallOptions()}), &v)
+	if v.State != JobFailed || v.Degraded || len(v.Points) != 0 || len(v.PointErrors) != 1 {
+		t.Fatalf("state=%s degraded=%v points=%d point_errors=%d; want failed with one point error",
+			v.State, v.Degraded, len(v.Points), len(v.PointErrors))
+	}
+	if v.Error == nil || v.Error.Kind != "stall" || v.Error.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("job error = %+v; want the point's stall", v.Error)
+	}
+	if pe := v.PointErrors[0]; pe.Nodes != 8 || pe.Error == nil || pe.Error.Kind != "stall" {
+		t.Fatalf("point error = %+v; want size 8 classified as a stall", pe)
+	}
+}
+
+// TestWireGoldenSweepFailed pins the document of a sweep whose every
+// point failed.
+func TestWireGoldenSweepFailed(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+
+	cfg := stallConfig()
+	cfg.Nodes = 0
+	checkGolden(t, "sweep-failed", submitFinal(t, ts.URL, "/v1/sweeps",
+		sweepRequest{Config: cfg, Sizes: []int{8}, Options: stallOptions()}))
 }
 
 // TestWireGoldenBatch pins the batch job document in each terminal

@@ -61,18 +61,14 @@ func (e *configError) Unwrap() error { return e.err }
 // was still queued: it is failed without ever occupying a worker.
 var errDeadlineExpired = errors.New("serve: deadline expired before execution")
 
-// classify maps a run error onto the job-document error taxonomy. A
-// coordinator dispatch error carries its own classification.
+// classify maps a run error onto the job-document error taxonomy.
 func classify(err error) *JobError {
 	if err == nil {
 		return nil
 	}
 	je := &JobError{Message: err.Error()}
 	var ce *configError
-	var de *dispatchError
 	switch {
-	case errors.As(err, &de):
-		je.Status, je.Kind, je.Message = de.status, de.class, de.Error()
 	case errors.As(err, &ce):
 		je.Status, je.Kind = http.StatusBadRequest, "config"
 	case errors.Is(err, ringmesh.ErrStalled):
@@ -141,10 +137,9 @@ type point struct {
 
 // outcome is what became of one point.
 type outcome struct {
-	res      ringmesh.Result
-	cached   bool // replayed from the cache or a coalesced computation
-	attempts int  // dispatches it took (1 unless a coordinator retried)
-	err      error
+	res    ringmesh.Result
+	cached bool // replayed from the cache or a coalesced computation
+	err    error
 }
 
 // newPoint validates one configuration and schedule and keys it; where
@@ -359,7 +354,7 @@ func (j *job) view() JobView {
 				break
 			}
 			v.Points = append(v.Points, ringmesh.SweepPoint{
-				Nodes: pt.nodes, Topology: pt.topo, Result: res, Attempts: o.attempts,
+				Nodes: pt.nodes, Topology: pt.topo, Result: res, Attempts: 1,
 			})
 		default:
 			if je == nil {
@@ -368,8 +363,8 @@ func (j *job) view() JobView {
 		}
 	}
 	// Every point failed: the job carries the first point's
-	// classification, so a sweep that died entirely of connect errors
-	// reports as such, not as a generic 500.
+	// classification, so a sweep whose every size stalled reports a
+	// stall, not a generic 500.
 	if j.state == JobFailed && firstErr != nil {
 		v.Error = firstErr
 		if noun, listed := map[string]string{kindSweep: "points", kindBatch: "batch entries"}[j.sub.Kind]; listed {

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"regexp"
 	"sort"
@@ -63,8 +62,7 @@ func TestFreshScrapeTypesOnce(t *testing.T) {
 // TestMetricAudit holds /metrics and README's "Daemon metrics" table
 // to each other: a scripted session (journal replay, miss, hit,
 // eviction, disk hit, analytic, auto + upgrade; a shed under a full
-// queue; a coordinator with one dead worker) exports every series the
-// daemon has, and the test fails on an exported series without a table
+// queue) exports every series the daemon has, and the test fails on an exported series without a table
 // row — add the row, with the question the series answers, or delete
 // the series — and on a row that is never exported. Series the session
 // is built to move must also have moved.
@@ -172,19 +170,6 @@ func TestMetricAudit(t *testing.T) {
 	cancel()
 	awaitJob(t, fts.URL, occupier, true)
 	scrape(fts.URL, "ringmeshd_jobs_failed_total")
-
-	// A coordinator whose first worker refuses connections.
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	cs, cts := newTestServer(t, Options{WorkerAddrs: []string{dead.URL, fleetStub(t, nil).URL}})
-	cs.coord.backoffBase = time.Millisecond
-	cs.coord.pollEvery = 2 * time.Millisecond
-	for seed := uint64(1); seed <= 4; seed++ {
-		run(cts.URL, seeded(seed), "")
-	}
-	scrape(cts.URL,
-		"ringmeshd_coord_worker_dispatches_total", "ringmeshd_coord_worker_failures_total",
-		"ringmeshd_coord_worker_admitted", "ringmeshd_coord_retries_total")
 
 	var missing, stale []string
 	for name := range exported {

@@ -51,13 +51,6 @@ type Options struct {
 	// kill -9) and N replicas can share one mounted directory. Empty
 	// keeps the cache memory-only.
 	CacheDir string
-	// WorkerAddrs switches the server into coordinator mode: instead
-	// of simulating locally, it fans work out to the worker daemons at
-	// these base URLs (e.g. "http://10.0.0.7:8080") with retries and
-	// per-worker circuit breakers, and merges partial failures into
-	// degraded responses. Empty means normal
-	// (simulating) mode.
-	WorkerAddrs []string
 	// MaxBody bounds request bodies in bytes (default 1 MiB).
 	MaxBody int64
 	// Logger receives structured job-lifecycle events with request and
@@ -81,9 +74,6 @@ type Server struct {
 	opt   Options
 	reg   *metrics.Registry
 	cache *resultCache
-	// coord is non-nil in coordinator mode (Options.WorkerAddrs set):
-	// jobs are dispatched to worker daemons instead of simulated here.
-	coord *coordinator
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -218,12 +208,6 @@ func New(opt Options) (*Server, error) {
 		runtime.ReadMemStats(&m)
 		return float64(m.PauseTotalNs) / 1e9
 	})
-	if len(opt.WorkerAddrs) > 0 {
-		s.coord = newCoordinator(opt.WorkerAddrs, reg, opt.Logger)
-		// The probe loop re-admits ejected workers; it stops when the
-		// base context dies (drain completion or drain-deadline cancel).
-		go s.coord.probeLoop(s.baseCtx)
-	}
 	// The journal replays before the workers start: unfinished jobs
 	// from before a crash re-enter the queue under their original IDs,
 	// and only then does execution begin.
@@ -308,8 +292,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		// Every job has finished; cancel the base context so background
-		// machinery (the coordinator's health-probe loop) stops too.
 		s.cancel()
 		s.closeJournal()
 		s.log.Info("drain complete")
@@ -340,17 +322,20 @@ func (s *Server) drainingNow() bool {
 	return s.draining
 }
 
-// admit runs the admission pipeline for a job: drain check, a place in
-// the job table (and with it an ID), the journaled acceptance (before
-// the queue ever sees the job, so a crash can never find a running job
-// the journal has not accepted), then the queue. A refusal takes j out
-// of the table again and journals a terminal record so the accepted
-// record never resurrects it.
+// admit runs the admission pipeline for a job: drain check, the queue
+// bound, a place in the job table (and with it an ID), the journaled
+// acceptance (before the queue ever sees the job, so a crash can never
+// find a running job the journal has not accepted), then the queue. A
+// refusal leaves no trace: no ID, no table entry, no journal record.
 func (s *Server) admit(j *job) error {
 	s.submitMu.Lock()
 	defer s.submitMu.Unlock()
 	if s.draining {
 		return errDraining
+	}
+	if len(s.queue) >= s.opt.QueueDepth {
+		s.shed.Inc()
+		return &shedError{bound: s.opt.QueueDepth}
 	}
 	s.register(j)
 	// Stamped before the queue sees the job: a worker may pick it up the
@@ -360,12 +345,6 @@ func (s *Server) admit(j *job) error {
 	if s.journal != nil {
 		s.journal.append(acceptedRecord(j))
 		j.journaled = true
-	}
-	if len(s.queue) >= s.opt.QueueDepth {
-		s.unregister(j)
-		s.journalTerminal(j, true)
-		s.shed.Inc()
-		return &shedError{bound: s.opt.QueueDepth}
 	}
 	s.queue <- j
 	s.admitted.Inc()
@@ -436,16 +415,6 @@ func (s *Server) register(j *job) {
 	}
 }
 
-// unregister removes a job the queue refused.
-func (s *Server) unregister(j *job) {
-	s.jobsMu.Lock()
-	defer s.jobsMu.Unlock()
-	delete(s.jobs, j.id)
-	if i := slices.Index(s.jobOrder, j.id); i >= 0 {
-		s.jobOrder = slices.Delete(s.jobOrder, i, i+1)
-	}
-}
-
 // lookup finds a job by id.
 func (s *Server) lookup(id string) (*job, bool) {
 	s.jobsMu.Lock()
@@ -472,19 +441,14 @@ func (s *Server) histogram(name string, l metrics.Labels, buckets []float64) *me
 
 // execute is the one executor: it resolves every point of a job
 // through the result cache (single-flight: concurrent identical points
-// compute once and share the result), computing a missed point by
-// simulating it here or, in coordinator mode, by dispatching it to the
-// worker fleet — same cache, same key, same result. A simulating
-// daemon fans a job's points out Workers wide, and every simulation
-// waits for a slot (see resolve): a sweep or batch uses the slots other
-// jobs leave idle, and a job arriving behind it waits for one of its
-// points, not all of them. A coordinator keeps twice the fleet size in
-// flight, which keeps every worker's queue fed without flooding a small
-// fleet with a large grid all at once. Points that share a cache key
-// resolve in index order on one goroutine, as a serial loop would: the
-// first computes and each repeat is a hit on it. One dead worker or one
-// doomed point degrades the response instead of voiding it (see
-// job.finish).
+// compute once and share the result), simulating a missed point here.
+// It fans a job's points out Workers wide, and every simulation waits
+// for a slot (see resolve): a sweep or batch uses the slots other jobs
+// leave idle, and a job arriving behind it waits for one of its points,
+// not all of them. Points that share a cache key resolve in index order
+// on one goroutine, as a serial loop would: the first computes and each
+// repeat is a hit on it. One doomed point degrades the response instead
+// of voiding it (see job.finish).
 func (s *Server) execute(j *job) {
 	// A deadline that expired while the job sat in queue terminates it
 	// here, before it occupies the worker for any simulation time.
@@ -511,8 +475,7 @@ func (s *Server) execute(j *job) {
 	j.state = JobRunning
 	j.mu.Unlock()
 	// The client's absolute deadline cancels the run through its
-	// context, and in coordinator mode the remaining budget rides along
-	// to the dispatched worker.
+	// context.
 	ctx := s.baseCtx
 	if !j.deadline.IsZero() {
 		var cancel context.CancelFunc
@@ -521,10 +484,6 @@ func (s *Server) execute(j *job) {
 	}
 	runStart := time.Now()
 
-	width := s.opt.Workers
-	if s.coord != nil {
-		width = 2 * len(s.coord.workers)
-	}
 	// A point the loop never reaches (the context died first) counts as
 	// failed, not as an empty success.
 	outs := make([]outcome, len(j.points))
@@ -532,7 +491,7 @@ func (s *Server) execute(j *job) {
 		outs[i].err = context.Canceled
 	}
 	groups := keyGroups(j.points)
-	pool.ForEach(ctx, width, len(groups), func(g int) error {
+	pool.ForEach(ctx, s.opt.Workers, len(groups), func(g int) error {
 		for _, i := range groups[g] {
 			if ctx.Err() != nil {
 				break
@@ -596,21 +555,16 @@ func keyGroups(points []point) [][]int {
 }
 
 // resolve obtains one point's result through the cache. A point that
-// names the analytic tier is estimated here in either mode, as at
-// submission; any other miss is dispatched to the fleet (coordinator
-// mode) or simulated here in one of the Workers simulation slots. Only
+// names the analytic tier is estimated here, as at submission; any
+// other miss is simulated in one of the Workers simulation slots. Only
 // the simulation holds a slot: an estimate, a hit or a coalesced wait
 // never takes one.
 func (s *Server) resolve(ctx context.Context, j *job, p point) outcome {
-	o := outcome{attempts: 1}
+	var o outcome
 	if p.cfg.Fidelity == fidelity.Analytic {
 		o.res, o.cached, o.err = s.estimate(j, &p)
 	} else {
-		o.res, o.cached, o.err = s.cache.do(ctx, p.key, j.tr, func() (res ringmesh.Result, err error) {
-			if s.coord != nil {
-				res, o.attempts, err = s.coord.runPoint(ctx, p.cfg, p.opt, j.tr)
-				return res, err
-			}
+		o.res, o.cached, o.err = s.cache.do(ctx, p.key, j.tr, func() (ringmesh.Result, error) {
 			select {
 			case s.sims <- struct{}{}:
 			case <-ctx.Done():
@@ -621,9 +575,6 @@ func (s *Server) resolve(ctx context.Context, j *job, p point) outcome {
 		})
 	}
 	if o.err != nil {
-		if s.coord != nil {
-			s.coord.pointsFailed.Inc()
-		}
 		s.log.Warn("point failed", "job", j.id, "nodes", p.cfg.Nodes,
 			"kind", classify(o.err).Kind, "err", o.err)
 	}

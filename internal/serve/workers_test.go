@@ -83,15 +83,12 @@ func repeatRound(seed uint64) []repeatJob {
 
 // TestRepeatedKeysKeepTheirAnswer: a job that names one cache key twice
 // reports the first occurrence computed and every repeat cached, however
-// wide its points fan out — on a two-slot daemon and through a
-// coordinator alike — and its documents are byte for byte those of a
-// one-worker daemon given the same jobs one at a time.
+// wide its points fan out on a two-slot daemon, and its documents are
+// byte for byte those of a one-worker daemon given the same jobs one at
+// a time.
 func TestRepeatedKeysKeepTheirAnswer(t *testing.T) {
 	_, ref := newTestServer(t, Options{Workers: 1})
 	local, lts := newTestServer(t, Options{Workers: 2})
-	_, worker := newTestServer(t, Options{Workers: 2})
-	coord, cts := newTestServer(t, Options{Workers: 2, WorkerAddrs: []string{worker.URL}})
-	coord.coord.pollEvery = 2 * time.Millisecond
 
 	for round := range 20 {
 		jobs := repeatRound(uint64(1000 + 10*round))
@@ -99,32 +96,26 @@ func TestRepeatedKeysKeepTheirAnswer(t *testing.T) {
 		for _, rj := range jobs {
 			want = append(want, idField.ReplaceAll(submitFinal(t, ref.URL, rj.path, rj.body), nil))
 		}
-		for _, side := range []struct {
-			name string
-			s    *Server
-			url  string
-		}{{"local", local, lts.URL}, {"coordinator", coord, cts.URL}} {
-			// All three at once, so their points contend for the slots.
-			queued := make([]*job, len(jobs))
-			for k, rj := range jobs {
-				queued[k] = submitQueued(t, side.s, side.url, rj.path, rj.body)
+		// All three at once, so their points contend for the slots.
+		queued := make([]*job, len(jobs))
+		for k, rj := range jobs {
+			queued[k] = submitQueued(t, local, lts.URL, rj.path, rj.body)
+		}
+		for k, rj := range jobs {
+			j := queued[k]
+			got := idField.ReplaceAll(awaitRaw(t, lts.URL, j.id), nil)
+			j.mu.Lock()
+			outs := j.outcomes
+			j.mu.Unlock()
+			for i, o := range outs {
+				if o.cached == rj.first[i] {
+					t.Errorf("round %d: %s point %d cached = %v; want %v",
+						round, rj.path, i, o.cached, !rj.first[i])
+				}
 			}
-			for k, rj := range jobs {
-				j := queued[k]
-				got := idField.ReplaceAll(awaitRaw(t, side.url, j.id), nil)
-				j.mu.Lock()
-				outs := j.outcomes
-				j.mu.Unlock()
-				for i, o := range outs {
-					if o.cached == rj.first[i] {
-						t.Errorf("%s round %d: %s point %d cached = %v; want %v",
-							side.name, round, rj.path, i, o.cached, !rj.first[i])
-					}
-				}
-				if !bytes.Equal(got, want[k]) {
-					t.Errorf("%s round %d: %s document differs from one worker's:\n got: %s\nwant: %s",
-						side.name, round, rj.path, got, want[k])
-				}
+			if !bytes.Equal(got, want[k]) {
+				t.Errorf("round %d: %s document differs from one worker's:\n got: %s\nwant: %s",
+					round, rj.path, got, want[k])
 			}
 		}
 	}

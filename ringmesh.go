@@ -202,9 +202,8 @@ type SweepPoint struct {
 	Topology string `json:"topology"`
 	// Result holds the measurements.
 	Result Result `json:"result"`
-	// Attempts is how many dispatches this point took (1 = first try;
-	// a coordinator re-dispatches a point whose worker failed, on the
-	// same seed, so a retried point is still reproducible).
+	// Attempts is always 1: the daemon simulates every point once. It
+	// is kept on the wire for existing clients.
 	Attempts int `json:"attempts"`
 }
 
