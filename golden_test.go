@@ -397,6 +397,25 @@ func TestGoldenMetricsSeries(t *testing.T) {
 			"d42a796b9337837016ed002c2e9ff83a2610ac3ca789654d97f3c5ba2f7f3b0c"},
 		{"mesh-4x4-32B-4flit-fault", with(mesh, func(c *Config) { c.Nodes, c.FaultPlan = 16, "stutter@600+2000:node=5" }),
 			"015db7e3926a910ca8eb3e2c63cbf9a6018d5ff30cc3d4c184312f2ba1632383"},
+		// Slowed outputs act on every factor-th of their own cycles: a
+		// double-speed run checks the tick scaling (station 0 is on the
+		// global ring, station 2 a half-rate NIC), the slotted run the
+		// slot-step index, and the mesh run the per-port rule with the
+		// ejection port a slowdown also touches.
+		{"ring-2:3:4-32B-double-global-slow-faults", with(ring234, func(c *Config) {
+			c.DoubleSpeedGlobal = true
+			c.FaultPlan = "slowdown@600+2000:node=0,factor=3;degrade@1500+800:node=2,port=0,factor=2"
+		}), "10cd34d0d808b11325d38dc1ff3ed03dc74059e092c2928981db6557db43f684"},
+		{"ring-2:3:4-32B-slotted-slowdown", with(ring234, func(c *Config) {
+			c.SlottedSwitching, c.FaultPlan = true, "slowdown@600+2000:node=0,factor=3;slowdown@900+900:node=5,factor=2"
+		}), "c7f98d372197bcc336b07508048cc6c22a19efa4c6aae0a79beebffc4ade9f70"},
+		{"mesh-4x4-32B-4flit-slow-faults", with(mesh, func(c *Config) {
+			c.Nodes, c.FaultPlan = 16, "degrade@600+2000:node=5,port=2,factor=3;slowdown@1500+800:node=6,factor=2"
+		}), "a50198a8ed29d8e0cee566c61c61e3633bd73aafd63d8559ec95db6db16a43bb"},
+		{"ring-2:3:4-32B-rand-faults", with(ring234, func(c *Config) { c.FaultPlan = "rand:events=12,seed=5,horizon=3000" }),
+			"956f426ec21c9c25b2ce18a7468347ef4be8d3dff744ab31101e01d6769a0fbb"},
+		{"mesh-4x4-32B-4flit-rand-faults", with(mesh, func(c *Config) { c.Nodes, c.FaultPlan = 16, "rand:events=12,seed=5,horizon=3000" }),
+			"9d9ec04885926ae458b1dc6a24ed623b168a84a466fe5719ac23003829ec0b42"},
 	}
 	for _, tc := range cases {
 		tc := tc

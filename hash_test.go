@@ -260,6 +260,21 @@ func TestCacheKeyStable(t *testing.T) {
 	if got := mustKey(t, cfg, opt); got != pinned {
 		t.Fatalf("explicit simulate fidelity drifted the key:\n got %s\nwant %s", got, pinned)
 	}
+
+	// Faulted keys hash the plan's canonical rendering: an explicit
+	// plan, and a generator whose elided defaults (mean-dur 64,
+	// max-factor 4) hash equal to their explicit spelling.
+	for _, tc := range []struct{ plan, want string }{
+		{"stutter@600+2000:node=5;degrade@100+50:node=1,port=2,factor=3", "5cf481b0e38a135b1173156ba812e8d090f4dad8559971b04c948fb2e2116575"},
+		{"rand:events=3,seed=9,horizon=2000", "11c43fff823c6735557b1b3634cadc0c6a590c1bcf850af5028ee0bf501b0200"},
+		{"rand:events=3,seed=9,horizon=2000,mean-dur=64,max-factor=4", "11c43fff823c6735557b1b3634cadc0c6a590c1bcf850af5028ee0bf501b0200"},
+	} {
+		fcfg, fopt := baseMesh()
+		fcfg.FaultPlan = tc.plan
+		if got := mustKey(t, fcfg, fopt); got != tc.want {
+			t.Errorf("CacheKey with fault plan %q drifted:\n got %s\nwant %s", tc.plan, got, tc.want)
+		}
+	}
 }
 
 // TestCacheKeyFidelity pins the multi-fidelity contract: the two
