@@ -33,7 +33,7 @@ func parallelWorkerCounts() []int {
 // schedule — the pinned Default-schedule results stay covered by
 // TestGoldenResults, while the Workers sweep, several runs per case,
 // stays fast enough for -race on one core — plus one fault-plan case
-// per family: the mesh steps its fault driver in the partition's
+// per family: the mesh's fault schedule is stepped in the partition's
 // serial prologue, a path no fault-free case reaches.
 func parallelCases() []goldenCase {
 	cases := goldenCases()

@@ -370,7 +370,7 @@ func TestMetricsGlobalRingRunsHotter(t *testing.T) {
 // not just the Result they must not perturb: nic_inject_stall_cycles
 // is counted inside the ring station tick from live queue lengths,
 // mesh_ecube_turns per router across row shards, fault_events_total
-// by the fault driver, and the utilization series read the link
+// by the fault schedule, and the utilization series read the link
 // counters, so a rewrite of any tick has to reproduce every sampled
 // value. The digests are sha256 of WriteMetricsCSV; re-record them
 // only with a deliberate modelling change.

@@ -5,10 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"ringmesh/internal/core"
-	"ringmesh/internal/fault"
 	"ringmesh/internal/fidelity"
 )
 
@@ -74,8 +72,9 @@ type canonicalRun struct {
 //     fail here, with the model's own validation message);
 //   - defaulted fields are resolved (MemLatencyCycles 0 = 10,
 //     WatchdogCycles 0 = 20000);
-//   - the fault plan is parsed and re-rendered canonically, so "" and
-//     "none" (both observationally free) hash equal;
+//   - the fault plan is parsed and re-rendered canonically
+//     (fault.Plan.Canonical), so "" and "none" (both observationally
+//     free) hash equal, and so do elided and explicit rand: defaults;
 //   - fields a network family ignores are zeroed (the plan's Net: a
 //     mesh hashes the same with or without DoubleSpeedGlobal);
 //   - observation-only fields never enter the hash: Metrics, Trace,
@@ -117,7 +116,7 @@ func CacheKey(cfg Config, opt RunOptions) (string, error) {
 		MemLatency: r.sys.MemLatency,
 		Seed:       cfg.Seed,
 		Histogram:  cfg.Histogram,
-		FaultPlan:  canonicalFaultPlan(r.sys.FaultPlan),
+		FaultPlan:  r.sys.FaultPlan.Canonical(),
 
 		WarmupCycles:   opt.WarmupCycles,
 		BatchCycles:    opt.BatchCycles,
@@ -150,33 +149,4 @@ func CacheKey(cfg Config, opt RunOptions) (string, error) {
 	}
 	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// canonicalFaultPlan re-renders a parsed fault plan in a canonical
-// spelling: "" for every observationally-free plan (empty
-// string, "none", a generator asked for zero events — the golden
-// tests prove these bit-identical to no plan at all), the
-// round-trippable event DSL otherwise. Event order is preserved, not
-// sorted: Plan.Materialize breaks start-cycle ties by plan order, so
-// reordered events are not provably equivalent.
-func canonicalFaultPlan(plan *fault.Plan) string {
-	if plan == nil || plan.Empty() {
-		return ""
-	}
-	parts := make([]string, 0, len(plan.Events)+1)
-	for _, e := range plan.Events {
-		parts = append(parts, e.String())
-	}
-	if g := plan.Gen; g != nil && g.Events > 0 {
-		mean, factor := g.MeanDuration, g.MaxFactor
-		if mean == 0 {
-			mean = 64 // GenSpec's documented defaults, resolved so
-		}
-		if factor == 0 {
-			factor = 4 // explicit and elided spellings hash equal
-		}
-		parts = append(parts, fmt.Sprintf("rand:events=%d,seed=%d,horizon=%d,mean-dur=%d,max-factor=%d",
-			g.Events, g.Seed, g.Horizon, mean, factor))
-	}
-	return strings.Join(parts, ";")
 }

@@ -78,10 +78,10 @@ type SystemConfig struct {
 	// warmup batch is discarded, so its rows cover the measured
 	// interval.
 	MetricsInterval int64
-	// FaultPlan, when non-nil, is installed into the network before
-	// the first tick (network.Model.ApplyFaultPlan). An empty plan
-	// exercises the subsystem without scheduling anything and leaves
-	// results bit-identical to a nil plan.
+	// FaultPlan, when non-nil, is materialized over the network's
+	// fault targets (network.Model.FaultTargets) and stepped before
+	// every network compute. An empty plan is validated, schedules
+	// nothing, and leaves results bit-identical to a nil plan.
 	FaultPlan *fault.Plan
 	// Workers, when > 1, runs the tick loop across a goroutine pool if
 	// the network model partitions itself (see network.Model.Partition
@@ -163,30 +163,49 @@ func NewSystemOn(plan *network.Plan, cfg SystemConfig) (*System, error) {
 		return nil, err
 	}
 	model.SetTracer(cfg.Tracer)
+	var faults *fault.Schedule
 	if cfg.FaultPlan != nil {
-		// Before DescribeMetrics, so the model can export the
-		// installed schedule's applied-event count.
-		if err := model.ApplyFaultPlan(cfg.FaultPlan); err != nil {
+		if faults, err = fault.NewSchedule(cfg.FaultPlan, model.FaultTargets(), tpc); err != nil {
 			return nil, err
 		}
 	}
 	s.metrics = cfg.Metrics
 	if cfg.Metrics != nil {
 		model.DescribeMetrics(cfg.Metrics)
+		if faults != nil {
+			cfg.Metrics.CounterFunc("fault_events_total", metrics.Labels{}, faults.Applied)
+		}
 		if cfg.MetricsInterval > 0 {
-			s.sampler = metrics.NewSampler(cfg.Metrics, cfg.MetricsInterval*tpc, nil)
+			s.sampler = metrics.NewSampler(cfg.Metrics, cfg.MetricsInterval*tpc)
 		}
 	}
 	s.net = model
-	s.engine.Register(model, 1)
+	if faults != nil {
+		s.engine.Register(faultedNet{model, faults}, 1)
+	} else {
+		s.engine.Register(model, 1)
+	}
 	s.engine.InFlight = s.col.InFlight
 	engine := s.engine
 	s.engine.Diagnose = func() *sim.StallReport { return model.BuildStallReport(engine.Now()) }
-	if err := s.applyParallel(cfg); err != nil {
+	if err := s.applyParallel(cfg, faults); err != nil {
 		return nil, err
 	}
 	s.wireOnCycle()
 	return s, nil
+}
+
+// faultedNet is the network as the engine runs it under a fault plan:
+// each compute first installs the gates due at that tick.
+type faultedNet struct {
+	network.Model
+	faults *fault.Schedule
+}
+
+// Compute implements sim.Component.
+func (f faultedNet) Compute(now int64) {
+	f.faults.Step(now)
+	f.Model.Compute(now)
 }
 
 // pmSet is every PM as one engine component, committing in id order.

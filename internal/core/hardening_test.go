@@ -43,9 +43,7 @@ func (p *panicNet) DescribeMetrics(*metrics.Registry)       {}
 func (p *panicNet) CheckInvariants() error                  { return nil }
 func (p *panicNet) Partition() *sim.Partition               { return nil }
 func (p *panicNet) BuildStallReport(int64) *sim.StallReport { return nil }
-func (p *panicNet) ApplyFaultPlan(*fault.Plan) error {
-	return errors.New("paniktest does not support fault injection")
-}
+func (p *panicNet) FaultTargets() fault.Targets             { return fault.Targets{} }
 
 // panicPlan is the stub network's resolved geometry: 4 PMs.
 func panicPlan() *network.Plan {

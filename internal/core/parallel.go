@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 
+	"ringmesh/internal/fault"
 	"ringmesh/internal/sim"
 )
 
@@ -42,7 +43,7 @@ func (cs *coreShard) CommitPhase(phase int, now int64) int {
 // engine serial. A malformed partition (PM ranges that do not tile
 // [0, PMs) in shard order) is a model bug and fails construction
 // rather than falling back.
-func (s *System) applyParallel(cfg SystemConfig) error {
+func (s *System) applyParallel(cfg SystemConfig, faults *fault.Schedule) error {
 	if cfg.Workers <= 1 || cfg.Tracer != nil {
 		return nil
 	}
@@ -74,6 +75,16 @@ func (s *System) applyParallel(cfg SystemConfig) error {
 		return fmt.Errorf("core: partition owns no shard for PMs [%d,%d)", next, s.pmCount)
 	}
 
+	// The serial schedule steps faults inside the network's compute;
+	// here the shards must not race on it, so the prologue does.
+	if prologue := part.Prologue; faults != nil {
+		part.Prologue = func(now int64) {
+			faults.Step(now)
+			if prologue != nil {
+				prologue(now)
+			}
+		}
+	}
 	s.col.ShardByPM(s.pmCount)
 	col := s.col
 	s.engine.SetParallel(&sim.ParallelPlan{

@@ -1,6 +1,8 @@
 // Package fault defines the deterministic, seed-driven fault-injection
-// subsystem: a Plan of scheduled degradation events that a network
-// model applies to itself through network.Model's ApplyFaultPlan.
+// subsystem and owns every rule of it: the Plan DSL and its canonical
+// rendering, materialization over a model's targets, the Schedule that
+// installs each event's gates on time, and the Gate rule a model asks
+// before an output acts.
 //
 // The design constraints, in order:
 //
@@ -11,15 +13,15 @@
 //     SplitMix64 streams (internal/rng), never math/rand or time.
 //   - Zero cost when disabled. A nil or empty plan must leave the
 //     models' hot paths bit-identical to a build without the
-//     subsystem; golden_test.go enforces this. Models achieve it by
-//     holding a nil fault pointer per station/router and a sorted
-//     schedule consumed by an O(1)-amortized cursor.
+//     subsystem; golden_test.go enforces this. A model holds one nil
+//     *Gates per station or router, and an empty plan builds no
+//     Schedule at all.
 //   - Model independence. Events speak in (node, port, cycle) terms;
-//     each model maps them onto its own structures (ring stations,
-//     slotted stations, mesh router output ports) in ApplyFaultPlan.
+//     a model only describes its targets (Targets) and asks its gates,
+//     passing its own cycle index.
 //
-// Times are PM clock cycles; models clocked faster than the PMs scale
-// them by their ticks-per-cycle factor when materializing.
+// Times are PM clock cycles; NewSchedule scales them by the system's
+// ticks-per-cycle factor.
 package fault
 
 import (
@@ -173,17 +175,22 @@ func (g GenSpec) Validate() error {
 	return nil
 }
 
+// withDefaults resolves a zero MeanDuration to 64 cycles and a zero
+// MaxFactor to 4.
+func (g GenSpec) withDefaults() GenSpec {
+	if g.MeanDuration == 0 {
+		g.MeanDuration = 64
+	}
+	if g.MaxFactor == 0 {
+		g.MaxFactor = 4
+	}
+	return g
+}
+
 // generate draws the spec's events for a model with nodes targets and
 // ports output ports each. Deterministic in (spec, nodes, ports).
 func (g GenSpec) generate(nodes, ports int) []Event {
-	meanDur := g.MeanDuration
-	if meanDur == 0 {
-		meanDur = 64
-	}
-	maxFactor := g.MaxFactor
-	if maxFactor == 0 {
-		maxFactor = 4
-	}
+	g = g.withDefaults()
 	src := rng.New(g.Seed)
 	out := make([]Event, 0, g.Events)
 	for i := 0; i < g.Events; i++ {
@@ -191,13 +198,13 @@ func (g GenSpec) generate(nodes, ports int) []Event {
 			Kind:     Kind(src.Intn(int(numKinds))),
 			Node:     src.Intn(nodes),
 			Start:    int64(src.Intn(int(g.Horizon))),
-			Duration: 1 + int64(src.Intn(int(2*meanDur))),
+			Duration: 1 + int64(src.Intn(int(2*g.MeanDuration))),
 		}
 		if e.Kind == PortDegrade {
 			e.Port = src.Intn(ports)
 		}
 		if e.slowsDown() {
-			e.Factor = 2 + src.Intn(maxFactor-1)
+			e.Factor = 2 + src.Intn(g.MaxFactor-1)
 		}
 		out = append(out, e)
 	}
@@ -231,7 +238,7 @@ func (p *Plan) Materialize(nodes, ports int) ([]Event, error) {
 		return nil, nil
 	}
 	if nodes <= 0 || ports <= 0 {
-		return nil, fmt.Errorf("fault: materialize over %d nodes / %d ports", nodes, ports)
+		return nil, fmt.Errorf("fault: a model with %d targets of %d ports supports no fault injection", nodes, ports)
 	}
 	out := make([]Event, 0, len(p.Events))
 	for _, e := range p.Events {
@@ -255,25 +262,24 @@ func (p *Plan) Materialize(nodes, ports int) ([]Event, error) {
 	return out, nil
 }
 
-// String renders the plan in the Parse DSL.
-func (p *Plan) String() string {
+// Canonical renders the plan in the Parse DSL, the form CacheKey
+// hashes: "" for every plan that schedules nothing (nil, "none", a
+// generator asked for no events), and otherwise the events in plan
+// order, since Materialize breaks start ties by it, then the generator
+// with its defaults spelled out, so that elided and explicit spellings
+// render equal.
+func (p *Plan) Canonical() string {
 	if p.Empty() {
-		return "none"
+		return ""
 	}
 	parts := make([]string, 0, len(p.Events)+1)
 	for _, e := range p.Events {
 		parts = append(parts, e.String())
 	}
 	if p.Gen != nil && p.Gen.Events > 0 {
-		g := p.Gen
-		s := fmt.Sprintf("rand:events=%d,seed=%d,horizon=%d", g.Events, g.Seed, g.Horizon)
-		if g.MeanDuration != 0 {
-			s += fmt.Sprintf(",mean-dur=%d", g.MeanDuration)
-		}
-		if g.MaxFactor != 0 {
-			s += fmt.Sprintf(",max-factor=%d", g.MaxFactor)
-		}
-		parts = append(parts, s)
+		g := p.Gen.withDefaults()
+		parts = append(parts, fmt.Sprintf("rand:events=%d,seed=%d,horizon=%d,mean-dur=%d,max-factor=%d",
+			g.Events, g.Seed, g.Horizon, g.MeanDuration, g.MaxFactor))
 	}
 	return strings.Join(parts, ";")
 }

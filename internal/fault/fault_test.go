@@ -60,25 +60,38 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestStringRoundTrip(t *testing.T) {
-	for _, s := range []string{
-		"stutter@1000+200:node=3",
-		"slowdown@500+100:node=0,factor=4",
-		"degrade@0+50:node=5,port=1,factor=2",
-		"stutter@1+2:node=0;rand:events=3,seed=7,horizon=500",
-		"none",
+func TestCanonicalRoundTrip(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"stutter@1000+200:node=3", "stutter@1000+200:node=3"},
+		{"slowdown@500+100:node=0,factor=4", "slowdown@500+100:node=0,factor=4"},
+		{"degrade@0+50:node=5,port=1,factor=2", "degrade@0+50:node=5,port=1,factor=2"},
+		{"slowdown@5+1:node=2", "slowdown@5+1:node=2,factor=2"},
+		{"stutter@1+2:node=0,factor=7", "stutter@1+2:node=0"},
+		{"stutter@1+2:node=0;rand:events=3,seed=7,horizon=500",
+			"stutter@1+2:node=0;rand:events=3,seed=7,horizon=500,mean-dur=64,max-factor=4"},
+		{"none", ""},
+		{"none;none", ""},
 	} {
-		p, err := Parse(s)
+		p, err := Parse(tc.in)
 		if err != nil {
-			t.Fatalf("Parse(%q): %v", s, err)
+			t.Fatalf("Parse(%q): %v", tc.in, err)
 		}
-		p2, err := Parse(p.String())
+		if got := p.Canonical(); got != tc.want {
+			t.Errorf("Canonical(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+		if tc.want == "" {
+			continue
+		}
+		p2, err := Parse(tc.want)
 		if err != nil {
-			t.Fatalf("re-Parse(%q): %v", p.String(), err)
+			t.Fatalf("re-Parse(%q): %v", tc.want, err)
 		}
-		if !reflect.DeepEqual(p, p2) {
-			t.Errorf("round trip of %q lost information: %+v vs %+v", s, p, p2)
+		if got := p2.Canonical(); got != tc.want {
+			t.Errorf("Canonical(%q) = %q: not a fixed point", tc.want, got)
 		}
+	}
+	if got := (&Plan{Gen: &GenSpec{Seed: 3, Horizon: 10}}).Canonical(); got != "" {
+		t.Errorf("zero-event generator renders %q, want empty", got)
 	}
 }
 
@@ -154,5 +167,51 @@ func TestEmpty(t *testing.T) {
 	ev, err := nilPlan.Materialize(4, 1)
 	if err != nil || len(ev) != 0 {
 		t.Fatalf("nil plan materialize = %v, %v", ev, err)
+	}
+}
+
+// TestScheduleInstallsGates pins the port rule, the tick scaling and
+// later-start-wins overlap on a four-link target with an ejection port.
+func TestScheduleInstallsGates(t *testing.T) {
+	p, err := Parse("stutter@1+4:node=0;slowdown@2+1:node=1,factor=3;degrade@3+5:node=0,port=2,factor=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slots [2]*Gates
+	s, err := NewSchedule(p, Targets{Slots: []**Gates{&slots[0], &slots[1]}, Links: 4, Eject: true}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Step(1)
+	if slots[0] != nil || s.Applied() != 0 {
+		t.Fatal("an event fired before its scaled start")
+	}
+	s.Step(6)
+	if s.Applied() != 3 {
+		t.Fatalf("applied %d events by tick 6, want 3", s.Applied())
+	}
+	for port, want := range []string{"dead", "dead", "slowed x2", "dead", ""} {
+		g := slots[0].Port(port)
+		if got := g.Active(6); got != (want != "") {
+			t.Fatalf("node 0 port %d active = %v, want %q", port, got, want)
+		}
+		if want != "" && !strings.Contains(g.Describe("n0", "output"), want) {
+			t.Errorf("node 0 port %d: %s, want %s", port, g.Describe("n0", "output"), want)
+		}
+	}
+	if !slots[0].Port(0).Blocked(9, 9) || slots[0].Port(0).Blocked(10, 10) {
+		t.Error("stutter window is not [2, 10) ticks")
+	}
+	if g := slots[0].Port(2); !g.Blocked(6, 1) || g.Blocked(6, 2) || g.Blocked(16, 1) {
+		t.Error("degrade does not act on every 2nd cycle until tick 16")
+	}
+	for port := 0; port < 5; port++ {
+		if g := slots[1].Port(port); !g.Active(4) || g.Dead(4) || g.Active(6) {
+			t.Errorf("slowdown on node 1 port %d is not a slowed window [4, 6)", port)
+		}
+	}
+	var none *Gates
+	if none.Port(0).Active(0) || none.Port(0).Dead(0) {
+		t.Error("a target no event reached reports a fault")
 	}
 }

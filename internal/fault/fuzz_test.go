@@ -5,9 +5,10 @@ import (
 )
 
 // FuzzParse holds the plan-DSL parser to its contract: arbitrary input
-// must produce a plan or an error — never a panic — and any accepted
-// plan must re-parse from its own String() to the same normal form
-// (String is the -fault-plan flag's round-trip format).
+// must produce a plan or an error — never a panic — and the canonical
+// rendering CacheKey hashes must be a fixed point: rendering an
+// accepted plan, parsing that and rendering again gives the same
+// string, and a plan that schedules nothing renders empty.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"none",
@@ -30,6 +31,15 @@ func FuzzParse(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	none, err := Parse("none")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range []*Plan{none, {Gen: &GenSpec{Seed: 9, Horizon: 2000}}} {
+		if got := p.Canonical(); got != "" {
+			f.Fatalf("plan %+v schedules nothing but renders %q", p, got)
+		}
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		p, err := Parse(input) // must never panic
 		if err != nil {
@@ -38,14 +48,19 @@ func FuzzParse(f *testing.F) {
 		if p == nil {
 			t.Fatalf("Parse(%q) = nil plan, nil error", input)
 		}
-		// Accepted plans normalize: String() re-parses to itself.
-		norm := p.String()
+		norm := p.Canonical()
+		if (norm == "") != p.Empty() {
+			t.Fatalf("Parse(%q): Canonical %q, Empty %v", input, norm, p.Empty())
+		}
+		if norm == "" {
+			return
+		}
 		p2, err := Parse(norm)
 		if err != nil {
-			t.Fatalf("Parse(%q) ok but its String %q does not re-parse: %v", input, norm, err)
+			t.Fatalf("Parse(%q) ok but its rendering %q does not re-parse: %v", input, norm, err)
 		}
-		if got := p2.String(); got != norm {
-			t.Fatalf("String round-trip unstable: %q -> %q -> %q", input, norm, got)
+		if got := p2.Canonical(); got != norm {
+			t.Fatalf("canonical rendering unstable: %q -> %q -> %q", input, norm, got)
 		}
 	})
 }

@@ -1,28 +1,12 @@
 package mesh
 
-// Fault injection and stall forensics for the mesh model (the
-// ApplyFaultPlan and BuildStallReport halves of network.Model). Event
-// node indices are router ids (row-major, same as PM ids); event times
-// are PM cycles, which equal engine ticks for the mesh.
-//
-// Fault semantics, per event kind:
-//
-//   - LinkStutter (factor 0): all four neighbour output ports die —
-//     the router forwards nothing while local ejection keeps working,
-//     so delivered packets still drain.
-//   - NodeSlowdown (factor k >= 2): every output port, including
-//     ejection, acts only on every k-th cycle.
-//   - PortDegrade: only the named neighbour output port (Port indexes
-//     topo.Direction: 0 north, 1 south, 2 east, 3 west) is degraded —
-//     dead when Factor resolves to 0, otherwise slowed.
-//
-// PM injection into the local input FIFO is not gated: a fault models
-// the router's switching fabric and links, not the PM, and injection
-// self-limits once the local FIFO fills.
-//
-// Overlapping events on one router merge per port, later start times
-// overwriting earlier ones. Expired state self-clears at the next
-// compute, returning the router to a single nil check.
+// Fault targets and stall forensics for the mesh model. An event's
+// node is a router id (row-major, same as PM ids); its port is a
+// neighbour output in topo.Direction order (0 north, 1 south, 2 east,
+// 3 west), and Local, the ejection port, comes last. DESIGN §6 holds
+// what each kind does. PM injection into the local input FIFO is never
+// gated: a fault models the router's switching fabric and links, not
+// the PM, and injection self-limits once the local FIFO fills.
 
 import (
 	"fmt"
@@ -33,72 +17,13 @@ import (
 	"ringmesh/internal/topo"
 )
 
-// neighbourPorts is the number of fault-addressable output ports per
-// router (the four directions; Local is only affected by NodeSlowdown).
-const neighbourPorts = int(topo.Local)
-
-// rtrFault is one router's installed per-port fault state.
-type rtrFault struct {
-	until  [topo.NumPorts]int64 // first tick port is healthy again
-	factor [topo.NumPorts]int64 // 0 = dead; k >= 2 = act every k-th cycle
-	// maxUntil is the last until across ports; once now passes it the
-	// whole struct is dropped.
-	maxUntil int64
-}
-
-// blocked reports whether output o is suppressed this cycle.
-func (f *rtrFault) blocked(o topo.Direction, now int64) bool {
-	if now >= f.until[o] {
-		return false
+// FaultTargets implements network.Model: one target per router.
+func (n *Network) FaultTargets() fault.Targets {
+	t := fault.Targets{Links: int(topo.Local), Eject: true}
+	for i := range n.routers {
+		t.Slots = append(t.Slots, &n.routers[i].flt)
 	}
-	if f.factor[o] == 0 {
-		return true
-	}
-	return now%f.factor[o] != 0
-}
-
-// ports returns the output ports an event touches.
-func faultPorts(ev fault.Event) []topo.Direction {
-	switch ev.Kind {
-	case fault.LinkStutter:
-		return []topo.Direction{topo.North, topo.South, topo.East, topo.West}
-	case fault.PortDegrade:
-		return []topo.Direction{topo.Direction(ev.Port)}
-	default: // NodeSlowdown: the whole crossbar, ejection included
-		return []topo.Direction{topo.North, topo.South, topo.East, topo.West, topo.Local}
-	}
-}
-
-// ApplyFaultPlan implements network.Model. Call once, after
-// construction and before the first tick.
-func (n *Network) ApplyFaultPlan(p *fault.Plan) error {
-	events, err := p.Materialize(len(n.routers), neighbourPorts)
-	if err != nil {
-		return err
-	}
-	sched := make([]fault.Scheduled, 0, len(events))
-	for _, ev := range events {
-		r := &n.routers[ev.Node]
-		ports := faultPorts(ev)
-		until, factor := ev.End(), fault.SlowFactor(ev)
-		sched = append(sched, fault.Scheduled{
-			At: ev.Start,
-			Apply: func() {
-				if r.flt == nil {
-					r.flt = &rtrFault{}
-				}
-				for _, o := range ports {
-					r.flt.until[o] = until
-					r.flt.factor[o] = factor
-				}
-				if until > r.flt.maxUntil {
-					r.flt.maxUntil = until
-				}
-			},
-		})
-	}
-	n.faults = fault.NewDriver(sched)
-	return nil
+	return t
 }
 
 // BuildStallReport implements network.Model. E-cube routing
@@ -137,18 +62,9 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 				Capacity: int(topo.NumPorts) * n.cfg.bufferFlits(),
 			})
 		}
-		if r.flt != nil {
-			for o := topo.Direction(0); o < topo.NumPorts; o++ {
-				if now >= r.flt.until[o] {
-					continue
-				}
-				if r.flt.factor[o] == 0 {
-					rep.ActiveFaults = append(rep.ActiveFaults,
-						fmt.Sprintf("%s %s: output dead until tick %d", rname(r.id), o, r.flt.until[o]))
-				} else {
-					rep.ActiveFaults = append(rep.ActiveFaults,
-						fmt.Sprintf("%s %s: slowed x%d until tick %d", rname(r.id), o, r.flt.factor[o], r.flt.until[o]))
-				}
+		for o := topo.Direction(0); o < topo.NumPorts; o++ {
+			if gate := r.flt.Port(int(o)); gate.Active(now) {
+				rep.ActiveFaults = append(rep.ActiveFaults, gate.Describe(fmt.Sprintf("%s %s", rname(r.id), o), "output"))
 			}
 		}
 		var h heads
@@ -168,7 +84,7 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 				}
 				continue
 			}
-			if r.flt != nil && now < r.flt.until[o] && r.flt.factor[o] == 0 {
+			if r.flt.Port(int(o)).Dead(now) {
 				rep.WaitFor = append(rep.WaitFor, sim.WaitEdge{
 					From: rname(r.id), To: rname(r.id),
 					Why: fmt.Sprintf("%s output port faulted", o),

@@ -28,7 +28,7 @@ func mustPlan(t *testing.T, s string) *fault.Plan {
 // crosses normally.
 func TestLinkStutterBlocksForwardingThenRecovers(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustMeshSpec(2), LineBytes: 32, BufferFlits: 4})
-	if err := h.net.ApplyFaultPlan(mustPlan(t, "stutter@0+40:node=0")); err != nil {
+	if err := h.applyFaults(mustPlan(t, "stutter@0+40:node=0")); err != nil {
 		t.Fatal(err)
 	}
 	p := mkPkt(1, packet.ReadRequest, 0, 1, 32)
@@ -51,7 +51,7 @@ func TestLinkStutterBlocksForwardingThenRecovers(t *testing.T) {
 // (see TestNeighborDelivery) happens strictly later.
 func TestNodeSlowdownDelaysDelivery(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustMeshSpec(2), LineBytes: 32, BufferFlits: 4})
-	if err := h.net.ApplyFaultPlan(mustPlan(t, "slowdown@0+1000:node=0,factor=4")); err != nil {
+	if err := h.applyFaults(mustPlan(t, "slowdown@0+1000:node=0,factor=4")); err != nil {
 		t.Fatal(err)
 	}
 	p := mkPkt(1, packet.ReadRequest, 0, 1, 32)
@@ -70,7 +70,7 @@ func TestNodeSlowdownDelaysDelivery(t *testing.T) {
 // router, and the parked packet among the oldest.
 func TestStallReportNamesFaultedRouter(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustMeshSpec(2), LineBytes: 32, BufferFlits: 4})
-	if err := h.net.ApplyFaultPlan(mustPlan(t, "stutter@0+100000:node=0")); err != nil {
+	if err := h.applyFaults(mustPlan(t, "stutter@0+100000:node=0")); err != nil {
 		t.Fatal(err)
 	}
 	p := mkPkt(1, packet.ReadRequest, 0, 1, 32)
@@ -105,10 +105,10 @@ func TestStallReportNamesFaultedRouter(t *testing.T) {
 
 func TestApplyFaultPlanValidates(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustMeshSpec(2), LineBytes: 32, BufferFlits: 4})
-	if err := h.net.ApplyFaultPlan(mustPlan(t, "stutter@0+10:node=99")); err == nil {
+	if err := h.applyFaults(mustPlan(t, "stutter@0+10:node=99")); err == nil {
 		t.Fatal("out-of-range node accepted")
 	}
-	if err := h.net.ApplyFaultPlan(mustPlan(t, "degrade@0+10:node=0,port=7,factor=2")); err == nil {
+	if err := h.applyFaults(mustPlan(t, "degrade@0+10:node=0,port=7,factor=2")); err == nil {
 		t.Fatal("out-of-range port accepted")
 	}
 }
@@ -135,7 +135,7 @@ func TestStallReportWaitEdges(t *testing.T) {
 	}
 	for _, tc := range cases {
 		h := newHarness(t, Config{Spec: topo.MustMeshSpec(3), LineBytes: 32, BufferFlits: 4})
-		if err := h.net.ApplyFaultPlan(mustPlan(t, tc.plan)); err != nil {
+		if err := h.applyFaults(mustPlan(t, tc.plan)); err != nil {
 			t.Fatal(err)
 		}
 		h.pms[0].pendReq = append(h.pms[0].pendReq, mkPkt(1, packet.WriteRequest, 0, 2, 32))

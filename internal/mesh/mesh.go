@@ -122,10 +122,10 @@ type router struct {
 
 	pm node.Port
 
-	// flt is the installed per-port fault state; nil (the common
-	// case) costs one pointer check per router per cycle. See
-	// fault.go.
-	flt *rtrFault
+	// flt holds the router's fault gates, one per output in
+	// topo.Direction order; nil (the common case) costs one pointer
+	// check per compute.
+	flt *fault.Gates
 
 	// linkUtil counts flits sent on each of this router's outgoing
 	// neighbour links, per direction, against the mesh clock
@@ -156,9 +156,6 @@ type Network struct {
 	// attached so that no event formats one.
 	tracer *trace.Recorder
 	labels [][topo.NumPorts]string
-
-	// faults is the installed fault schedule; nil for fault-free runs.
-	faults *fault.Driver
 
 	// cycles counts the mesh's cycles: the clock every link's
 	// utilization takes its capacity from.
@@ -223,14 +220,9 @@ func (n *Network) Compute(now int64) {
 	}
 }
 
-// begin opens a cycle: it advances the link clock and steps the fault
-// schedule. The parallel partition runs it as its serial prologue.
-func (n *Network) begin(now int64) {
-	n.cycles++
-	if n.faults != nil {
-		n.faults.Step(now)
-	}
-}
+// begin opens a cycle: it advances the link clock. The parallel
+// partition runs it as its serial prologue.
+func (n *Network) begin(int64) { n.cycles++ }
 
 // decode reads r's five input heads once from start-of-cycle state,
 // routing each packet head into its output's request mask, and reports
@@ -287,14 +279,11 @@ func (r *router) pickMove(h *heads, o topo.Direction) (in topo.Direction, f pack
 // so a router holding no flits stages nothing after the decode, and
 // only outputs that are requested or locked can carry a flit.
 func (n *Network) computeRouter(r *router, now int64) {
-	if r.flt != nil && now >= r.flt.maxUntil {
-		r.flt = nil // every fault window has passed
-	}
 	var h heads
-	if n.decode(r, &h) {
+	if flt := r.flt; n.decode(r, &h) {
 		for live := h.wanted | r.lockedOut; live != 0; live &= live - 1 {
 			o := topo.Direction(bits.TrailingZeros8(live))
-			if r.flt != nil && r.flt.blocked(o, now) {
+			if flt != nil && flt[o].Blocked(now, now) {
 				continue // this output port is faulted this cycle
 			}
 			in, f, ok := r.pickMove(&h, o)
@@ -454,8 +443,6 @@ func (n *Network) ResetUtilization() {
 //     sample time.
 //   - mesh_ecube_turns: head flits turning from the X dimension into
 //     the Y dimension, summed over the routers' counts.
-//   - fault_events_total: fault events applied, when a plan is
-//     installed.
 //
 // Every instrument reads state the tick keeps anyway.
 func (n *Network) DescribeMetrics(reg *metrics.Registry) {
@@ -490,9 +477,6 @@ func (n *Network) DescribeMetrics(reg *metrics.Registry) {
 		}
 		return total
 	})
-	if n.faults != nil {
-		reg.CounterFunc("fault_events_total", metrics.Labels{}, n.faults.Applied)
-	}
 }
 
 // Stats implements network.Model.

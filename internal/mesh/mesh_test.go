@@ -3,6 +3,7 @@ package mesh
 import (
 	"testing"
 
+	"ringmesh/internal/fault"
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/sim"
@@ -49,6 +50,7 @@ type harness struct {
 	net    *Network
 	pms    []*fakePM
 	spec   topo.MeshSpec
+	faults *fault.Schedule
 }
 
 func newHarness(t *testing.T, cfg Config) *harness {
@@ -68,10 +70,25 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	return &harness{engine: engine, net: net, pms: pms, spec: cfg.Spec}
 }
 
+// applyFaults schedules p over the network's fault targets; step runs
+// it before every tick, as the assembly layer does.
+func (h *harness) applyFaults(p *fault.Plan) (err error) {
+	h.faults, err = fault.NewSchedule(p, h.net.FaultTargets(), 1)
+	return err
+}
+
+// step advances the harness one tick.
+func (h *harness) step() {
+	if h.faults != nil {
+		h.faults.Step(h.engine.Now())
+	}
+	h.engine.Step()
+}
+
 func (h *harness) run(t *testing.T, ticks int) {
 	t.Helper()
 	for i := 0; i < ticks; i++ {
-		h.engine.Step()
+		h.step()
 		if err := h.net.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,10 @@ package mesh
 // TestTickMatchesReference drives it and the production tick from the
 // same random injection scripts and fault plans and requires the same
 // per-packet delivery cycles and the same buffered flits on every
-// cycle.
+// cycle. The reference also keeps its own copy of the fault rules as
+// the mesh applied them before internal/fault owned them: a per-router
+// until and factor per output, with the ports each kind touches listed
+// here.
 
 import (
 	"fmt"
@@ -42,13 +45,23 @@ type refRouter struct {
 	injIdx    int
 	stagedInj move
 	pm        node.Port
-	flt       *rtrFault
+	flt       refFault
+}
+
+// refFault is one router's fault state: per output, the first tick it
+// is healthy again and its factor (0 dead, k acts every k-th cycle).
+type refFault struct {
+	until, factor [topo.NumPorts]int64
+}
+
+func (f *refFault) blocked(o topo.Direction, now int64) bool {
+	return now < f.until[o] && (f.factor[o] == 0 || now%f.factor[o] != 0)
 }
 
 type refNetwork struct {
 	routers []*refRouter
 	coord   []struct{ x, y int }
-	faults  *fault.Driver
+	events  []fault.Event // not yet applied, sorted by start
 }
 
 func newRefNetwork(cfg Config, pms []node.Port) *refNetwork {
@@ -73,33 +86,32 @@ func newRefNetwork(cfg Config, pms []node.Port) *refNetwork {
 	return n
 }
 
-func (n *refNetwork) applyFaultPlan(p *fault.Plan) error {
-	events, err := p.Materialize(len(n.routers), neighbourPorts)
-	if err != nil {
-		return err
+func (n *refNetwork) applyFaultPlan(p *fault.Plan) (err error) {
+	n.events, err = p.Materialize(len(n.routers), int(topo.Local))
+	return err
+}
+
+// stepFaults applies every event due at now: a stutter kills the four
+// neighbour outputs, a slowdown slows all five, a degrade its port.
+func (n *refNetwork) stepFaults(now int64) {
+	for ; len(n.events) > 0 && n.events[0].Start <= now; n.events = n.events[1:] {
+		ev := n.events[0]
+		lo, hi, factor := topo.Direction(ev.Port), topo.Direction(ev.Port)+1, int64(ev.Factor)
+		switch ev.Kind {
+		case fault.LinkStutter:
+			lo, hi, factor = topo.North, topo.Local, 0
+		case fault.NodeSlowdown:
+			lo, hi = topo.North, topo.NumPorts
+		}
+		r := n.routers[ev.Node]
+		for o := lo; o < hi; o++ {
+			r.flt.until[o], r.flt.factor[o] = ev.End(), factor
+		}
 	}
-	var sched []fault.Scheduled
-	for _, ev := range events {
-		r, ports := n.routers[ev.Node], faultPorts(ev)
-		until, factor := ev.End(), fault.SlowFactor(ev)
-		sched = append(sched, fault.Scheduled{At: ev.Start, Apply: func() {
-			if r.flt == nil {
-				r.flt = &rtrFault{}
-			}
-			for _, o := range ports {
-				r.flt.until[o], r.flt.factor[o] = until, factor
-			}
-			r.flt.maxUntil = max(r.flt.maxUntil, until)
-		}})
-	}
-	n.faults = fault.NewDriver(sched)
-	return nil
 }
 
 func (n *refNetwork) tick(now int64) {
-	if n.faults != nil {
-		n.faults.Step(now)
-	}
+	n.stepFaults(now)
 	for _, r := range n.routers {
 		n.compute(r, now)
 	}
@@ -109,9 +121,6 @@ func (n *refNetwork) tick(now int64) {
 }
 
 func (n *refNetwork) compute(r *refRouter, now int64) {
-	if r.flt != nil && now >= r.flt.maxUntil {
-		r.flt = nil
-	}
 	var h refHeads
 	for i := range h.f {
 		f, _ := r.inputs[i].Peek()
@@ -123,7 +132,7 @@ func (n *refNetwork) compute(r *refRouter, now int64) {
 		}
 	}
 	for o := topo.Direction(0); o < topo.NumPorts; o++ {
-		if r.flt != nil && r.flt.blocked(o, now) {
+		if r.flt.blocked(o, now) {
 			continue
 		}
 		in, f, ok := r.pick(&h, o)
@@ -272,7 +281,7 @@ func TestTickMatchesReference(t *testing.T) {
 		}
 		ref := newRefNetwork(cfg, refPorts)
 		if plan != nil {
-			if err := h.net.ApplyFaultPlan(plan); err != nil {
+			if err := h.applyFaults(plan); err != nil {
 				t.Fatal(err)
 			}
 			if err := ref.applyFaultPlan(plan); err != nil {
@@ -286,7 +295,7 @@ func TestTickMatchesReference(t *testing.T) {
 		}
 
 		for now := int64(0); now < 40000; now++ {
-			h.engine.Step()
+			h.step()
 			ref.tick(now)
 			if err := h.net.CheckInvariants(); err != nil {
 				t.Fatalf("seed %d cycle %d: %v", seed, now, err)

@@ -129,7 +129,7 @@ func TestExpBuckets(t *testing.T) {
 func TestHistogramSampler(t *testing.T) {
 	var r Registry
 	h := r.Histogram("lat", Labels{}, []float64{1, 2})
-	s := NewSampler(&r, 10, nil)
+	s := NewSampler(&r, 10)
 	h.Observe(1)
 	h.Observe(2)
 	s.OnCycle(9, 0) // first boundary: windowed count delta = 2

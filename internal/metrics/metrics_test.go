@@ -27,7 +27,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if reg.Series() != nil {
 		t.Fatal("nil registry has series")
 	}
-	if s := NewSampler(reg, 10, nil); s != nil {
+	if s := NewSampler(reg, 10); s != nil {
 		t.Fatal("sampler over nil registry")
 	}
 	var sp *Sampler
@@ -144,7 +144,7 @@ func TestCounterFuncSamplerAfterReset(t *testing.T) {
 	reg := &Registry{}
 	var turns int64
 	reg.CounterFunc("turns", Labels{}, func() int64 { return turns })
-	s := NewSampler(reg, 10, nil)
+	s := NewSampler(reg, 10)
 	turns = 40 // warmup
 	s.OnCycle(9, 0)
 	reg.Reset()
@@ -222,7 +222,7 @@ func TestSamplerWindows(t *testing.T) {
 	depth := 0.0
 	reg.Gauge("depth", Labels{}, func() float64 { return depth })
 
-	s := NewSampler(reg, 10, nil)
+	s := NewSampler(reg, 10)
 	if got := s.Keys(); len(got) != 3 {
 		t.Fatalf("keys = %v", got)
 	}
@@ -259,7 +259,7 @@ func TestSamplerWindows(t *testing.T) {
 func TestSamplerReset(t *testing.T) {
 	reg := &Registry{}
 	c := reg.Counter("events", Labels{})
-	s := NewSampler(reg, 5, nil)
+	s := NewSampler(reg, 5)
 	c.Add(100)
 	s.OnCycle(4, 0)
 	s.Reset()
@@ -285,16 +285,6 @@ func TestSamplerReset(t *testing.T) {
 	}
 }
 
-func TestSamplerFilter(t *testing.T) {
-	reg := &Registry{}
-	reg.Counter("keep", Labels{})
-	reg.Counter("drop", Labels{})
-	s := NewSampler(reg, 1, func(sr *Series) bool { return sr.Name == "keep" })
-	if got := s.Keys(); len(got) != 1 || got[0] != "keep" {
-		t.Fatalf("keys = %v", got)
-	}
-}
-
 func TestExporters(t *testing.T) {
 	reg := &Registry{}
 	c := reg.Counter("turns", Labels{Node: "router0"})
@@ -306,7 +296,7 @@ func TestExporters(t *testing.T) {
 	u.Busy(1)
 	clock += 2
 
-	s := NewSampler(reg, 2, nil)
+	s := NewSampler(reg, 2)
 	c.Add(1)
 	u.Busy(1)
 	clock += 2

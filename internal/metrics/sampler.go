@@ -36,20 +36,18 @@ type Sampler struct {
 	samples []Sample
 }
 
-// NewSampler selects the registry series accepted by filter (nil
-// selects all) and samples them every interval ticks. It returns nil
+// NewSampler selects every registry series and samples them every
+// interval ticks. It returns nil
 // for a nil registry or a non-positive interval — and a nil *Sampler
 // is safe to use everywhere, so callers wire it unconditionally.
-func NewSampler(reg *Registry, interval int64, filter func(*Series) bool) *Sampler {
+func NewSampler(reg *Registry, interval int64) *Sampler {
 	if reg == nil || interval <= 0 {
 		return nil
 	}
 	s := &Sampler{reg: reg, interval: interval}
 	for _, sr := range reg.Series() {
-		if filter == nil || filter(sr) {
-			s.selected = append(s.selected, sr)
-			s.keys = append(s.keys, sr.Key())
-		}
+		s.selected = append(s.selected, sr)
+		s.keys = append(s.keys, sr.Key())
 	}
 	s.prevA = make([]int64, len(s.selected))
 	s.prevB = make([]int64, len(s.selected))

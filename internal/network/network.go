@@ -98,12 +98,12 @@ type Model interface {
 	// violated, or nil. The runner calls it after every run, property
 	// tests after every tick.
 	CheckInvariants() error
-	// ApplyFaultPlan materializes and installs the plan's fault
-	// schedule. Called at most once, after construction and before the
-	// first tick. Implementations must be deterministic — the same
-	// (plan, topology) pair always yields the same schedule — and an
-	// empty plan must leave results bit-identical to no plan at all.
-	ApplyFaultPlan(p *fault.Plan) error
+	// FaultTargets describes what a fault plan can reach: each target's
+	// gate field, in event node order, and its outputs. The assembly
+	// layer builds a fault.Schedule over them and steps it before every
+	// compute; the model only asks its gates. A model that offers no
+	// targets refuses every fault plan.
+	FaultTargets() fault.Targets
 	// Partition describes the model's ownership sharding for parallel
 	// execution — groups of components such that no two shards commit
 	// to the same buffers (per-row for the mesh) — or nil to decline,
@@ -112,8 +112,8 @@ type Model interface {
 	// must be observation-equivalent: executing one at any worker count
 	// yields results bit-identical to the serial schedule (the golden
 	// fixed-seed tests pin this). A non-nil partition must hold at
-	// least two shards. Called at most once, after construction and any
-	// fault-plan installation, before the first tick.
+	// least two shards. Called at most once, after construction, before
+	// the first tick.
 	Partition() *sim.Partition
 	// BuildStallReport snapshots buffer occupancy, the wait-for graph
 	// among blocked senders, and the oldest in-flight packets when the

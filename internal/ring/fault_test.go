@@ -34,7 +34,7 @@ func flatCfg(line int) Config {
 // its NIC for exactly the fault window.
 func TestStationFaultBlocksThenRecovers(t *testing.T) {
 	h := newHarness(t, flatCfg(32))
-	if err := h.net.ApplyFaultPlan(mustPlan(t, "stutter@0+50:node=0")); err != nil {
+	if err := h.applyFaults(mustPlan(t, "stutter@0+50:node=0")); err != nil {
 		t.Fatal(err)
 	}
 	p := mkPkt(1, packet.ReadRequest, 0, 2, 32)
@@ -59,7 +59,7 @@ func TestSlottedStationFaultBlocksThenRecovers(t *testing.T) {
 	cfg := flatCfg(32)
 	cfg.Switching = Slotted
 	h := newSlottedHarness(t, cfg)
-	if err := h.net.ApplyFaultPlan(mustPlan(t, "stutter@0+60:node=0")); err != nil {
+	if err := h.applyFaults(mustPlan(t, "stutter@0+60:node=0")); err != nil {
 		t.Fatal(err)
 	}
 	p := mkPkt(1, packet.ReadRequest, 0, 2, 32)
@@ -79,7 +79,7 @@ func TestSlottedStationFaultBlocksThenRecovers(t *testing.T) {
 // station, and the packet among the oldest.
 func TestStallReportNamesFaultedStation(t *testing.T) {
 	h := newHarness(t, flatCfg(32))
-	if err := h.net.ApplyFaultPlan(mustPlan(t, "stutter@0+100000:node=1")); err != nil {
+	if err := h.applyFaults(mustPlan(t, "stutter@0+100000:node=1")); err != nil {
 		t.Fatal(err)
 	}
 	// 0 -> 2 passes through station 1, whose output is dead: the worm
@@ -110,11 +110,11 @@ func TestStallReportNamesFaultedStation(t *testing.T) {
 
 func TestRingApplyFaultPlanValidates(t *testing.T) {
 	h := newHarness(t, flatCfg(32))
-	if err := h.net.ApplyFaultPlan(mustPlan(t, "stutter@0+10:node=42")); err == nil {
+	if err := h.applyFaults(mustPlan(t, "stutter@0+10:node=42")); err == nil {
 		t.Fatal("out-of-range station accepted")
 	}
 	// Rings have a single output port per station.
-	if err := h.net.ApplyFaultPlan(mustPlan(t, "degrade@0+10:node=0,port=1,factor=2")); err == nil {
+	if err := h.applyFaults(mustPlan(t, "degrade@0+10:node=0,port=1,factor=2")); err == nil {
 		t.Fatal("out-of-range port accepted")
 	}
 }

@@ -21,18 +21,6 @@ import (
 	"ringmesh/internal/sim"
 )
 
-// faultActive reports fault state without the self-clearing side
-// effect of fltBlocked (forensics must not mutate).
-func faultActive(f *stFault, now int64) bool { return f != nil && now < f.until }
-
-// faultDescr renders one installed fault for StallReport.ActiveFaults.
-func faultDescr(name string, f *stFault) string {
-	if f.factor == 0 {
-		return fmt.Sprintf("%s: output link dead until tick %d", name, f.until)
-	}
-	return fmt.Sprintf("%s: slowed x%d until tick %d", name, f.factor, f.until)
-}
-
 // BuildStallReport implements network.Model for the wormhole
 // network.
 func (n *Network) BuildStallReport(now int64) *sim.StallReport {
@@ -50,8 +38,9 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 				Node: st.name, Flits: b, Capacity: numVCs * n.clFlits,
 			})
 		}
-		if faultActive(st.flt, now) {
-			rep.ActiveFaults = append(rep.ActiveFaults, faultDescr(st.name, st.flt))
+		gate := st.flt.Port(0)
+		if gate.Active(now) {
+			rep.ActiveFaults = append(rep.ActiveFaults, gate.Describe(st.name, "output link"))
 		}
 		for v := 0; v < numVCs; v++ {
 			f, src, ok := st.candidate(v)
@@ -72,7 +61,7 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 				}
 				continue
 			}
-			if faultActive(st.flt, now) && st.flt.factor == 0 {
+			if gate.Dead(now) {
 				rep.WaitFor = append(rep.WaitFor,
 					sim.WaitEdge{From: st.name, To: st.name, Why: "output link faulted"})
 				continue
@@ -223,9 +212,9 @@ func (n *SlottedNetwork) BuildStallReport(now int64) *sim.StallReport {
 	}
 
 	for _, st := range n.stations {
-		if faultActive(st.flt, now) {
-			rep.ActiveFaults = append(rep.ActiveFaults, faultDescr(st.name, st.flt))
-			if st.flt.factor == 0 {
+		if gate := st.flt.Port(0); gate.Active(now) {
+			rep.ActiveFaults = append(rep.ActiveFaults, gate.Describe(st.name, "output link"))
+			if gate.Dead(now) {
 				rep.WaitFor = append(rep.WaitFor,
 					sim.WaitEdge{From: st.name, To: st.name, Why: "ring attachment faulted"})
 			}

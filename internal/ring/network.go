@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"ringmesh/internal/fault"
 	"ringmesh/internal/metrics"
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
@@ -153,10 +152,6 @@ type Network struct {
 	rings  []*ringInst // post-order: the global ring is last
 	engine *sim.Engine
 
-	// faults is the installed fault schedule; nil for fault-free runs
-	// (the common case), keeping the hot path at one nil check.
-	faults *fault.Driver
-
 	tracer *trace.Recorder
 }
 
@@ -303,9 +298,6 @@ func (n *Network) global() *ringInst { return n.rings[len(n.rings)-1] }
 // so skipping it changes nothing. The global-only ticks of a
 // double-speed ring walk the global ring's stations.
 func (n *Network) Compute(now int64) {
-	if n.faults != nil {
-		n.faults.Step(now)
-	}
 	if !n.pmTick(now) {
 		n.global().compute(now)
 		return
@@ -373,8 +365,6 @@ func levelLabel(lvl int) string { return fmt.Sprintf("L%d", lvl) }
 //     queue occupancy gauges, read only at sample time.
 //   - nic_inject_stall_cycles{node}: per-NIC injection-stall cycles,
 //     the count every station keeps (see station.countStall).
-//   - fault_events_total: fault events applied, when a plan is
-//     installed.
 //
 // Every instrument reads state the tick keeps anyway.
 func (n *Network) DescribeMetrics(reg *metrics.Registry) {
@@ -407,9 +397,6 @@ func (n *Network) DescribeMetrics(reg *metrics.Registry) {
 		st := n.nics[id].st
 		reg.CounterFunc("nic_inject_stall_cycles", metrics.Labels{Node: fmt.Sprintf("nic%d", id)},
 			func() int64 { return st.stalls })
-	}
-	if n.faults != nil {
-		reg.CounterFunc("fault_events_total", metrics.Labels{}, n.faults.Applied)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"ringmesh/internal/fault"
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/rng"
@@ -53,6 +54,7 @@ type harness struct {
 	engine *sim.Engine
 	net    *Network
 	pms    []*fakePM
+	faults *fault.Schedule
 }
 
 func newHarness(t *testing.T, cfg Config) *harness {
@@ -72,9 +74,19 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	return &harness{engine: engine, net: net, pms: pms}
 }
 
+// applyFaults schedules p over the network's fault targets; run steps
+// it before every tick, as the assembly layer does.
+func (h *harness) applyFaults(p *fault.Plan) (err error) {
+	h.faults, err = fault.NewSchedule(p, h.net.FaultTargets(), 1)
+	return err
+}
+
 func (h *harness) run(t *testing.T, ticks int) {
 	t.Helper()
 	for i := 0; i < ticks; i++ {
+		if h.faults != nil {
+			h.faults.Step(h.engine.Now())
+		}
 		h.engine.Step()
 		if err := h.net.CheckInvariants(); err != nil {
 			t.Fatal(err)

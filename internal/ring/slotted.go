@@ -146,10 +146,9 @@ type sstation struct {
 	// (responses before requests).
 	inject []*spktQueue
 
-	// flt is the installed fault on this station's ring attachment;
-	// nil (the common case) costs one pointer check per slot step. See
-	// fault.go.
-	flt *stFault
+	// flt is the station's fault gate (port 0, its ring attachment);
+	// nil (the common case) costs one pointer check per slot step.
+	flt *fault.Gates
 
 	// util counts the steps the station's slot carried a packet
 	// against its ring's step clock (sring.steps).
@@ -236,9 +235,6 @@ type SlottedNetwork struct {
 	iris     []*siri
 	engine   *sim.Engine
 	tracer   *trace.Recorder
-
-	// faults is the installed fault schedule; nil for fault-free runs.
-	faults *fault.Driver
 }
 
 // SetTracer attaches an optional lifecycle recorder (nil-safe).
@@ -369,9 +365,6 @@ func (n *SlottedNetwork) Compute(now int64) {}
 // Commit implements sim.Component. Progress is reported to the engine
 // once per commit (batched).
 func (n *SlottedNetwork) Commit(now int64) {
-	if n.faults != nil {
-		n.faults.Step(now)
-	}
 	moved := 0
 	for _, r := range n.rings {
 		if now%r.slotPeriod != 0 {
@@ -401,7 +394,7 @@ func (n *SlottedNetwork) stepRing(r *sring, now int64) (moved int) {
 	r.steps++
 	for i, st := range r.stations {
 		slot := r.slotAt(i)
-		if st.flt != nil && st.fltBlockedSlot(now, now/r.slotPeriod) {
+		if st.flt != nil && st.flt[0].Blocked(now, now/r.slotPeriod) {
 			// The station's ring attachment is faulted: it neither
 			// extracts nor injects; an occupied slot rides past (the
 			// slotted ring's natural NACK behaviour).
@@ -525,9 +518,6 @@ func (n *SlottedNetwork) DescribeMetrics(reg *metrics.Registry) {
 		st := nc.st
 		reg.CounterFunc("nic_inject_stall_cycles", metrics.Labels{Node: fmt.Sprintf("nic%d", id)},
 			func() int64 { return st.stalls })
-	}
-	if n.faults != nil {
-		reg.CounterFunc("fault_events_total", metrics.Labels{}, n.faults.Applied)
 	}
 }
 

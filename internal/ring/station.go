@@ -56,6 +56,7 @@ package ring
 import (
 	"fmt"
 
+	"ringmesh/internal/fault"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/stats"
 	"ringmesh/internal/trace"
@@ -207,10 +208,9 @@ type station struct {
 	stagedF   packet.Flit
 	stagedSrc *packet.FIFO // nil means the channel's transit buffer
 
-	// flt is the installed fault on this station's output link; nil
-	// (the common case) costs one pointer check per compute. See
-	// fault.go.
-	flt *stFault
+	// flt is the station's fault gate (port 0, its output link); nil
+	// (the common case) costs one pointer check per compute.
+	flt *fault.Gates
 
 	// busyWord and busyBit locate the station's bit in its network's
 	// busy set (Network.busy), which every push into its queues sets.
@@ -351,7 +351,9 @@ func (s *station) candidate(v int) (packet.Flit, *packet.FIFO, bool) {
 // was found idle, holding no flit. Nothing is staged on entry: every
 // staged station commits in the same tick.
 func (s *station) compute(now int64) (idle bool) {
-	if s.flt != nil && s.fltBlocked(now) {
+	// The station's own cycle index is now/period: compute only runs on
+	// ticks its ring's period divides.
+	if s.flt != nil && s.flt[0].Blocked(now, now/s.ring.period) {
 		s.countStall() // output link faulted: nothing crosses this cycle
 		return false
 	}
