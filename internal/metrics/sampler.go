@@ -36,17 +36,16 @@ type Sampler struct {
 	samples []Sample
 }
 
-// NewSampler selects every registry series and samples them every
-// interval ticks. It returns nil
-// for a nil registry or a non-positive interval — and a nil *Sampler
-// is safe to use everywhere, so callers wire it unconditionally.
+// NewSampler selects every series registered so far and samples them
+// every interval ticks. It returns nil for a nil registry or a
+// non-positive interval — and a nil *Sampler is safe to use
+// everywhere, so callers wire it unconditionally.
 func NewSampler(reg *Registry, interval int64) *Sampler {
 	if reg == nil || interval <= 0 {
 		return nil
 	}
-	s := &Sampler{reg: reg, interval: interval}
-	for _, sr := range reg.Series() {
-		s.selected = append(s.selected, sr)
+	s := &Sampler{reg: reg, interval: interval, selected: reg.Series()}
+	for _, sr := range s.selected {
 		s.keys = append(s.keys, sr.Key())
 	}
 	s.prevA = make([]int64, len(s.selected))
