@@ -99,6 +99,79 @@ func goldenCases() []goldenCase {
 			},
 		},
 		{
+			// Slotted switching under a double-speed global ring: the
+			// global ring steps its slots on sub-cycle boundaries.
+			name: "ring-2:3:4-32B-slotted-double-global",
+			cfg: Config{
+				Network:           "ring",
+				Topology:          "2:3:4",
+				LineBytes:         32,
+				SlottedSwitching:  true,
+				DoubleSpeedGlobal: true,
+				Workload:          PaperWorkload(),
+				Seed:              goldenSeed,
+			},
+			opt: QuickRunOptions(),
+			want: Result{
+				LatencyCycles:   298.14159292035396,
+				LatencyCI95:     34.10612791697762,
+				Observations:    1130,
+				RingUtilization: []float64{0.4409448818897638, 0.7307764441110277, 0.6014253563390848},
+				Throughput:      0.2825,
+				Issued:          1468,
+				Completed:       1381,
+				Local:           57,
+				Saturated:       true,
+			},
+		},
+		{
+			// A single double-speed ring: the global ring is the leaf
+			// ring, so its second step of a PM cycle delivers to PMs.
+			name: "ring-8-32B-double-global",
+			cfg: Config{
+				Network:           "ring",
+				Topology:          "8",
+				LineBytes:         32,
+				DoubleSpeedGlobal: true,
+				Workload:          PaperWorkload(),
+				Seed:              goldenSeed,
+			},
+			opt: QuickRunOptions(),
+			want: Result{
+				LatencyCycles:   19.398589065255724,
+				LatencyCI95:     1.360998528545069,
+				Observations:    1134,
+				RingUtilization: []float64{0.282640625},
+				Throughput:      0.2835,
+				Issued:          1423,
+				Completed:       1421,
+				Local:           193,
+			},
+		},
+		{
+			name: "ring-8-32B-slotted-double-global",
+			cfg: Config{
+				Network:           "ring",
+				Topology:          "8",
+				LineBytes:         32,
+				SlottedSwitching:  true,
+				DoubleSpeedGlobal: true,
+				Workload:          PaperWorkload(),
+				Seed:              goldenSeed,
+			},
+			opt: QuickRunOptions(),
+			want: Result{
+				LatencyCycles:   29.239804964539015,
+				LatencyCI95:     0.7193136074036156,
+				Observations:    1128,
+				RingUtilization: []float64{0.5117172853393326},
+				Throughput:      0.282,
+				Issued:          1410,
+				Completed:       1408,
+				Local:           191,
+			},
+		},
+		{
 			// An 8x8 mesh with the paper's 4-flit buffers.
 			name: "mesh-8x8-32B-4flit",
 			cfg: Config{
@@ -240,11 +313,46 @@ func goldenCases() []goldenCase {
 	}
 }
 
+// faultedGoldenCases pins fault plans on the clocking paths the
+// fault-free cases cover. They stay out of goldenCases, whose other
+// users replace or add plans of their own.
+func faultedGoldenCases() []goldenCase {
+	return []goldenCase{
+		{
+			// Station 0 sits on the double-speed global ring, station 5
+			// is a PM-clocked NIC.
+			name: "ring-2:3:4-32B-slotted-double-global-faults",
+			cfg: Config{
+				Network:           "ring",
+				Topology:          "2:3:4",
+				LineBytes:         32,
+				SlottedSwitching:  true,
+				DoubleSpeedGlobal: true,
+				Workload:          PaperWorkload(),
+				Seed:              goldenSeed,
+				FaultPlan:         "stutter@600+2000:node=0;slowdown@900+900:node=5,factor=3;slowdown@1200+1500:node=1,factor=2",
+			},
+			opt: QuickRunOptions(),
+			want: Result{
+				LatencyCycles:   580.3714285714286,
+				LatencyCI95:     2028.908200693366,
+				Observations:    665,
+				RingUtilization: []float64{0.656355455568054, 0.6421605401350338, 0.5658414603650913},
+				Throughput:      0.16625,
+				Issued:          907,
+				Completed:       820,
+				Local:           33,
+				Saturated:       true,
+			},
+		},
+	}
+}
+
 // editWorkload returns w edited by edit.
 func editWorkload(w Workload, edit func(*Workload)) Workload { edit(&w); return w }
 
 func TestGoldenResults(t *testing.T) {
-	for _, tc := range goldenCases() {
+	for _, tc := range append(goldenCases(), faultedGoldenCases()...) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
