@@ -494,7 +494,7 @@ func TestGoldenMetricsSeries(t *testing.T) {
 	}{
 		{"ring-3:3:8-32B", ring338, "e2abd784eb5afa1b88eeccfd7534cffafa9c63a4b6105e911f52b79846db6ecc"},
 		{"ring-3:3:8-32B-double-global", with(ring338, func(c *Config) { c.DoubleSpeedGlobal = true }),
-			"4ddbf74ffce6b326c87d49eb0051ed00a255b745aedebf28915416da95b06dab"},
+			"d46254a8be01eca8558287ca0cf624aadddb4fa74c568fa8920cd0a2473c78ef"},
 		{"ring-2:3:4-32B-faults", with(ring234, func(c *Config) {
 			c.FaultPlan = "stutter@600+2000:node=0;slowdown@1500+800:node=3,factor=3"
 		}), "bac3f7742e91f6ec902247b8cb70b52981f48cfaa7f30dbc127d1457829c8258"},
@@ -506,14 +506,14 @@ func TestGoldenMetricsSeries(t *testing.T) {
 		{"mesh-4x4-32B-4flit-fault", with(mesh, func(c *Config) { c.Nodes, c.FaultPlan = 16, "stutter@600+2000:node=5" }),
 			"015db7e3926a910ca8eb3e2c63cbf9a6018d5ff30cc3d4c184312f2ba1632383"},
 		// Slowed outputs act on every factor-th of their own cycles: a
-		// double-speed run checks the tick scaling (station 0 is on the
-		// global ring, station 2 a half-rate NIC), the slotted run the
+		// double-speed run checks both clocks (station 0 is on the
+		// global ring, station 2 a PM-clocked NIC), the slotted run the
 		// slot-step index, and the mesh run the per-port rule with the
 		// ejection port a slowdown also touches.
 		{"ring-2:3:4-32B-double-global-slow-faults", with(ring234, func(c *Config) {
 			c.DoubleSpeedGlobal = true
 			c.FaultPlan = "slowdown@600+2000:node=0,factor=3;degrade@1500+800:node=2,port=0,factor=2"
-		}), "10cd34d0d808b11325d38dc1ff3ed03dc74059e092c2928981db6557db43f684"},
+		}), "b21d157043b82094799f08672d23f04143af3011fc0641db0b87b337a3658df2"},
 		{"ring-2:3:4-32B-slotted-slowdown", with(ring234, func(c *Config) {
 			c.SlottedSwitching, c.FaultPlan = true, "slowdown@600+2000:node=0,factor=3;slowdown@900+900:node=5,factor=2"
 		}), "c7f98d372197bcc336b07508048cc6c22a19efa4c6aae0a79beebffc4ade9f70"},

@@ -42,11 +42,10 @@ type System struct {
 	sampler  *metrics.Sampler
 	userHook func(now int64, moved uint64)
 
-	ticksPerCycle int64
-	pmCount       int
-	workloadC     float64
-	desc          string
-	topology      string
+	pmCount   int
+	workloadC float64
+	desc      string
+	topology  string
 }
 
 // SystemConfig configures a system over either interconnect.
@@ -120,15 +119,13 @@ func NewSystemOn(plan *network.Plan, cfg SystemConfig) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	tpc := plan.TicksPerCycle
 	s := &System{
-		engine:        &sim.Engine{},
-		col:           node.NewCollector(tpc),
-		ticksPerCycle: tpc,
-		pmCount:       plan.PMs,
-		workloadC:     cfg.Workload.C,
-		desc:          plan.Description,
-		topology:      plan.Topology,
+		engine:    &sim.Engine{},
+		col:       node.NewCollector(),
+		pmCount:   plan.PMs,
+		workloadC: cfg.Workload.C,
+		desc:      plan.Description,
+		topology:  plan.Topology,
 	}
 	if cfg.Histogram {
 		s.col.Hist = stats.NewHistogram(4096, 1)
@@ -157,7 +154,7 @@ func NewSystemOn(plan *network.Plan, cfg SystemConfig) (*System, error) {
 		s.pms = append(s.pms, pm)
 		ports[id] = pm
 	}
-	s.engine.Register(pmSet(s.pms), tpc)
+	s.engine.Register(pmSet(s.pms), 1)
 	model, err := plan.Build(ports, s.engine)
 	if err != nil {
 		return nil, err
@@ -165,7 +162,7 @@ func NewSystemOn(plan *network.Plan, cfg SystemConfig) (*System, error) {
 	model.SetTracer(cfg.Tracer)
 	var faults *fault.Schedule
 	if cfg.FaultPlan != nil {
-		if faults, err = fault.NewSchedule(cfg.FaultPlan, model.FaultTargets(), tpc); err != nil {
+		if faults, err = fault.NewSchedule(cfg.FaultPlan, model.FaultTargets()); err != nil {
 			return nil, err
 		}
 	}
@@ -176,7 +173,7 @@ func NewSystemOn(plan *network.Plan, cfg SystemConfig) (*System, error) {
 			cfg.Metrics.CounterFunc("fault_events_total", metrics.Labels{}, faults.Applied)
 		}
 		if cfg.MetricsInterval > 0 {
-			s.sampler = metrics.NewSampler(cfg.Metrics, cfg.MetricsInterval*tpc)
+			s.sampler = metrics.NewSampler(cfg.Metrics, cfg.MetricsInterval)
 		}
 	}
 	s.net = model
@@ -266,10 +263,6 @@ func (s *System) Sampler() *metrics.Sampler { return s.sampler }
 // and the model partitioned itself). Read only after a run completes.
 func (s *System) PhaseStats() *obs.PhaseStats { return s.engine.PhaseStats() }
 
-// TicksPerCycle returns engine ticks per PM clock cycle (2 on
-// double-speed-global configurations, else 1).
-func (s *System) TicksPerCycle() int64 { return s.ticksPerCycle }
-
 // PMs returns the number of processing modules.
 func (s *System) PMs() int { return s.pmCount }
 
@@ -280,10 +273,9 @@ func (s *System) Describe() string { return s.desc }
 // "8x8").
 func (s *System) Topology() string { return s.topology }
 
-// StepCycles advances the system by n PM clock cycles.
-func (s *System) StepCycles(n int64) error {
-	return s.engine.Run(n * s.ticksPerCycle)
-}
+// StepCycles advances the system by n PM clock cycles, one engine tick
+// each.
+func (s *System) StepCycles(n int64) error { return s.engine.Run(n) }
 
 // Close releases the engine's worker goroutines (parallel mode; no-op
 // otherwise). Run/RunCtx already release them on return, so Close only
@@ -466,7 +458,7 @@ func (s *System) runCycles(ctx context.Context, n int64, deadline time.Time) err
 		if step > chunkCycles {
 			step = chunkCycles
 		}
-		if err := s.engine.Run(step * s.ticksPerCycle); err != nil {
+		if err := s.engine.Run(step); err != nil {
 			return err
 		}
 		done += step
@@ -516,7 +508,7 @@ func (s *System) RunCtx(ctx context.Context, rc RunConfig) (res Result, err erro
 	if wd == 0 {
 		wd = DefaultWatchdogCycles
 	}
-	s.engine.WatchdogTicks = wd * s.ticksPerCycle
+	s.engine.WatchdogTicks = wd
 	var deadline time.Time
 	if rc.Timeout > 0 {
 		deadline = time.Now().Add(rc.Timeout)

@@ -249,15 +249,16 @@ func TestStepCyclesAndAccessors(t *testing.T) {
 	if sys.Engine().Now() != 10 {
 		t.Fatalf("engine at %d", sys.Engine().Now())
 	}
-	// Double-speed systems advance two ticks per cycle.
+	// A double-speed global ring takes its second step inside the
+	// cycle: the engine still ticks once per PM cycle.
 	cfg := ringCfg("2:2:2", 32)
 	cfg.Net.DoubleSpeedGlobal = true
 	sys2, _ := NewSystem(cfg)
 	if err := sys2.StepCycles(10); err != nil {
 		t.Fatal(err)
 	}
-	if sys2.Engine().Now() != 20 {
-		t.Fatalf("double-speed engine at %d ticks, want 20", sys2.Engine().Now())
+	if sys2.Engine().Now() != 10 {
+		t.Fatalf("double-speed engine at %d ticks, want 10", sys2.Engine().Now())
 	}
 }
 

@@ -48,11 +48,10 @@ func (p *panicNet) FaultTargets() fault.Targets             { return fault.Targe
 // panicPlan is the stub network's resolved geometry: 4 PMs.
 func panicPlan() *network.Plan {
 	return &network.Plan{
-		Name:          "paniktest",
-		Topology:      "paniktest",
-		PMs:           4,
-		TicksPerCycle: 1,
-		Sizing:        packet.RingSizing,
+		Name:     "paniktest",
+		Topology: "paniktest",
+		PMs:      4,
+		Sizing:   packet.RingSizing,
 		Locality: func(r float64) (workload.Pattern, error) {
 			return workload.Uniform{P: 4}, nil
 		},

@@ -17,13 +17,10 @@ import (
 )
 
 // coreShard pairs one model shard with the PMs it owns. The PMs commit
-// first, in phase 0 — the serial engine registers PMs before the
-// network, so within a tick every PM's commit precedes the network's —
-// gated on the PM clock period exactly like the serial schedule's
-// period groups.
+// first, in phase 0: the serial engine registers PMs before the
+// network, so within a tick every PM's commit precedes the network's.
 type coreShard struct {
 	pms  pmSet
-	tpc  int64
 	comp sim.Shard
 }
 
@@ -32,7 +29,7 @@ func (cs *coreShard) Compute(now int64) { cs.comp.Compute(now) }
 
 // CommitPhase implements sim.Shard.
 func (cs *coreShard) CommitPhase(phase int, now int64) int {
-	if phase == 0 && now%cs.tpc == 0 {
+	if phase == 0 {
 		cs.pms.Commit(now)
 	}
 	return cs.comp.CommitPhase(phase, now)
@@ -66,7 +63,6 @@ func (s *System) applyParallel(cfg SystemConfig, faults *fault.Schedule) error {
 		next = ps.PMHi
 		shards = append(shards, &coreShard{
 			pms:  s.pms[ps.PMLo:ps.PMHi],
-			tpc:  s.ticksPerCycle,
 			comp: ps.Comp,
 		})
 		names = append(names, ps.Name)

@@ -20,12 +20,12 @@
 //     a model only describes its targets (Targets) and asks its gates,
 //     passing its own cycle index.
 //
-// Times are PM clock cycles; NewSchedule scales them by the system's
-// ticks-per-cycle factor.
+// Times are PM clock cycles, the engine's tick.
 package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -161,16 +161,25 @@ type GenSpec struct {
 	MaxFactor int
 }
 
-// Validate checks the generation spec.
+// MaxGenEvents bounds a generator's events: a plan is materialized in
+// full before the run starts.
+const MaxGenEvents = 65536
+
+// Validate checks the generation spec: besides the ranges, every event
+// it can draw must end within int64 (start <= horizon-1, duration <=
+// 2*mean-dur).
 func (g GenSpec) Validate() error {
-	if g.Events < 0 {
-		return fmt.Errorf("fault: rand: events = %d", g.Events)
+	if g.Events < 0 || g.Events > MaxGenEvents {
+		return fmt.Errorf("fault: rand: events = %d outside [0,%d]", g.Events, MaxGenEvents)
 	}
 	if g.Events > 0 && g.Horizon <= 0 {
 		return fmt.Errorf("fault: rand: horizon must be > 0 to place %d events", g.Events)
 	}
 	if g.MeanDuration < 0 || g.MaxFactor < 0 || (g.MaxFactor > 0 && g.MaxFactor < 2) {
 		return fmt.Errorf("fault: rand: bad mean-dur %d / max-factor %d", g.MeanDuration, g.MaxFactor)
+	}
+	if d := g.withDefaults(); d.MeanDuration > (math.MaxInt64-max(d.Horizon-1, 0))/2 {
+		return fmt.Errorf("fault: rand: horizon %d + 2*mean-dur %d overflows int64", d.Horizon, d.MeanDuration)
 	}
 	return nil
 }
@@ -355,6 +364,9 @@ func parseEvent(item string) (Event, error) {
 	if err1 != nil || err2 != nil {
 		return Event{}, fmt.Errorf("fault: event %q: bad start/duration", item)
 	}
+	if dur > 0 && start > math.MaxInt64-dur {
+		return Event{}, fmt.Errorf("fault: event %q: start+duration overflows int64", item)
+	}
 	e := Event{Kind: kind, Start: start, Duration: dur, Node: -1}
 	if kvs != "" {
 		for _, kv := range strings.Split(kvs, ",") {
@@ -366,13 +378,15 @@ func parseEvent(item string) (Event, error) {
 			if err != nil {
 				return Event{}, fmt.Errorf("fault: event %q: %q is not an integer", item, valStr)
 			}
-			switch strings.TrimSpace(key) {
-			case "node":
+			switch key = strings.TrimSpace(key); {
+			case key == "node":
 				e.Node = val
-			case "port":
+			case key == "port" && kind == PortDegrade:
 				e.Port = val
-			case "factor":
+			case key == "factor" && e.slowsDown():
 				e.Factor = val
+			case key == "port" || key == "factor":
+				return Event{}, fmt.Errorf("fault: event %q: %s takes no %s=", item, kind, key)
 			default:
 				return Event{}, fmt.Errorf("fault: event %q: unknown key %q", item, key)
 			}

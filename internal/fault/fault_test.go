@@ -60,13 +60,50 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseBounds pins the model-independent bounds Parse enforces, so
+// that no accepted plan can exhaust memory or overflow a window: each
+// refused plan's error names what is wrong, and each plan at the bound
+// is accepted.
+func TestParseBounds(t *testing.T) {
+	for _, tc := range []struct{ in, why string }{
+		{"rand:events=65537,seed=1,horizon=10", "events"},
+		{"rand:events=1000000000000,seed=1,horizon=10", "events"},
+		{"rand:events=1,seed=1,horizon=10,mean-dur=4611686018427387904", "mean-dur"},
+		{"rand:events=1,seed=1,horizon=9223372036854775807", "mean-dur"},
+		{"stutter@1+9223372036854775807:node=0", "start+duration"},
+		{"slowdown@9223372036854775807+1:node=2", "start+duration"},
+		{"stutter@600+2000:node=0,factor=4", "stutter takes no factor="},
+		{"stutter@600+2000:node=0,port=1", "stutter takes no port="},
+		{"slowdown@600+2000:node=0,port=1,factor=2", "slowdown takes no port="},
+	} {
+		_, err := Parse(tc.in)
+		if err == nil || !strings.Contains(err.Error(), tc.why) {
+			t.Errorf("Parse(%q) = %v, want an error naming %q", tc.in, err, tc.why)
+		}
+	}
+	for _, in := range []string{
+		"rand:events=65536,seed=1,horizon=10",
+		"rand:events=1,seed=1,horizon=10,mean-dur=4611686018427387899",
+		"stutter@0+9223372036854775807:node=0",
+		"degrade@0+10:node=0,port=1,factor=3",
+	} {
+		p, err := Parse(in)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", in, err)
+			continue
+		}
+		if _, err := p.Materialize(12, 4); err != nil {
+			t.Errorf("Materialize(%q): %v", in, err)
+		}
+	}
+}
+
 func TestCanonicalRoundTrip(t *testing.T) {
 	for _, tc := range []struct{ in, want string }{
 		{"stutter@1000+200:node=3", "stutter@1000+200:node=3"},
 		{"slowdown@500+100:node=0,factor=4", "slowdown@500+100:node=0,factor=4"},
 		{"degrade@0+50:node=5,port=1,factor=2", "degrade@0+50:node=5,port=1,factor=2"},
 		{"slowdown@5+1:node=2", "slowdown@5+1:node=2,factor=2"},
-		{"stutter@1+2:node=0,factor=7", "stutter@1+2:node=0"},
 		{"stutter@1+2:node=0;rand:events=3,seed=7,horizon=500",
 			"stutter@1+2:node=0;rand:events=3,seed=7,horizon=500,mean-dur=64,max-factor=4"},
 		{"none", ""},
@@ -170,44 +207,45 @@ func TestEmpty(t *testing.T) {
 	}
 }
 
-// TestScheduleInstallsGates pins the port rule, the tick scaling and
-// later-start-wins overlap on a four-link target with an ejection port.
+// TestScheduleInstallsGates pins the port rule, the windows in PM
+// cycles and later-start-wins overlap on a four-link target with an
+// ejection port.
 func TestScheduleInstallsGates(t *testing.T) {
 	p, err := Parse("stutter@1+4:node=0;slowdown@2+1:node=1,factor=3;degrade@3+5:node=0,port=2,factor=2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var slots [2]*Gates
-	s, err := NewSchedule(p, Targets{Slots: []**Gates{&slots[0], &slots[1]}, Links: 4, Eject: true}, 2)
+	s, err := NewSchedule(p, Targets{Slots: []**Gates{&slots[0], &slots[1]}, Links: 4, Eject: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Step(1)
+	s.Step(0)
 	if slots[0] != nil || s.Applied() != 0 {
-		t.Fatal("an event fired before its scaled start")
+		t.Fatal("an event fired before its start")
 	}
-	s.Step(6)
+	s.Step(3)
 	if s.Applied() != 3 {
-		t.Fatalf("applied %d events by tick 6, want 3", s.Applied())
+		t.Fatalf("applied %d events by cycle 3, want 3", s.Applied())
 	}
 	for port, want := range []string{"dead", "dead", "slowed x2", "dead", ""} {
 		g := slots[0].Port(port)
-		if got := g.Active(6); got != (want != "") {
+		if got := g.Active(3); got != (want != "") {
 			t.Fatalf("node 0 port %d active = %v, want %q", port, got, want)
 		}
 		if want != "" && !strings.Contains(g.Describe("n0", "output"), want) {
 			t.Errorf("node 0 port %d: %s, want %s", port, g.Describe("n0", "output"), want)
 		}
 	}
-	if !slots[0].Port(0).Blocked(9, 9) || slots[0].Port(0).Blocked(10, 10) {
-		t.Error("stutter window is not [2, 10) ticks")
+	if !slots[0].Port(0).Blocked(4, 4) || slots[0].Port(0).Blocked(5, 5) {
+		t.Error("stutter window is not [1, 5)")
 	}
-	if g := slots[0].Port(2); !g.Blocked(6, 1) || g.Blocked(6, 2) || g.Blocked(16, 1) {
-		t.Error("degrade does not act on every 2nd cycle until tick 16")
+	if g := slots[0].Port(2); !g.Blocked(3, 1) || g.Blocked(3, 2) || g.Blocked(8, 1) {
+		t.Error("degrade does not act on every 2nd cycle until cycle 8")
 	}
 	for port := 0; port < 5; port++ {
-		if g := slots[1].Port(port); !g.Active(4) || g.Dead(4) || g.Active(6) {
-			t.Errorf("slowdown on node 1 port %d is not a slowed window [4, 6)", port)
+		if g := slots[1].Port(port); !g.Active(2) || g.Dead(2) || g.Active(3) {
+			t.Errorf("slowdown on node 1 port %d is not a slowed window [2, 3)", port)
 		}
 	}
 	var none *Gates

@@ -8,7 +8,9 @@ import (
 // must produce a plan or an error — never a panic — and the canonical
 // rendering CacheKey hashes must be a fixed point: rendering an
 // accepted plan, parsing that and rendering again gives the same
-// string, and a plan that schedules nothing renders empty.
+// string, a plan that schedules nothing renders empty, and every
+// accepted plan materializes over 12 targets of 4 ports without a
+// panic.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"none",
@@ -28,6 +30,10 @@ func FuzzParse(f *testing.F) {
 		"stutter@@+:node",
 		"rand:rand:rand",
 		"stutter@1+2:node=0;rand:events=1,seed=1,horizon=9;rand:events=2,seed=2,horizon=9",
+		"stutter@600+2000:node=0,factor=4",
+		"rand:events=1,seed=1,horizon=10,mean-dur=4611686018427387904",
+		"rand:events=1000000000000,seed=1,horizon=10",
+		"stutter@1+9223372036854775807:node=0",
 	} {
 		f.Add(seed)
 	}
@@ -61,6 +67,14 @@ func FuzzParse(f *testing.F) {
 		}
 		if got := p2.Canonical(); got != norm {
 			t.Fatalf("canonical rendering unstable: %q -> %q -> %q", input, norm, got)
+		}
+		// Every accepted plan materializes without a panic.
+		if events, err := p.Materialize(12, 4); err == nil {
+			for _, e := range events {
+				if e.End() < e.Start {
+					t.Fatalf("Parse(%q): event %s ends before it starts", input, e)
+				}
+			}
 		}
 	})
 }

@@ -6,12 +6,12 @@ import "fmt"
 // network model asks before an output acts; DESIGN §6 tabulates which
 // outputs each kind touches and which cycle index each family passes.
 type Gate struct {
-	until  int64 // first engine tick the gate no longer applies
+	until  int64 // first PM cycle the gate no longer applies
 	factor int64 // 0: the output is dead; k >= 2: it acts on every k-th cycle
 }
 
-// Blocked reports whether the output may not act at engine tick now,
-// cycle being the caller's own cycle index at that tick.
+// Blocked reports whether the output may not act at PM cycle now,
+// cycle being the index of the output's own clock cycle in progress.
 func (g *Gate) Blocked(now, cycle int64) bool {
 	return now < g.until && (g.factor == 0 || cycle%g.factor != 0)
 }
@@ -19,7 +19,7 @@ func (g *Gate) Blocked(now, cycle int64) bool {
 // Active reports whether a fault holds the output at now (nil-safe).
 func (g *Gate) Active(now int64) bool { return g != nil && now < g.until }
 
-// Dead reports whether the output is dead at now (nil-safe).
+// Dead reports whether the output is dead at PM cycle now (nil-safe).
 func (g *Gate) Dead(now int64) bool { return g.Active(now) && g.factor == 0 }
 
 // Describe renders an active gate for a stall report: who names the
@@ -70,31 +70,25 @@ func (t Targets) ports(e Event) (lo, hi int) {
 	return 0, t.Links
 }
 
-// Schedule is a plan materialized over a model's targets, with its
-// times in engine ticks. The assembly layer steps it before every
-// network compute.
+// Schedule is a plan materialized over a model's targets. The assembly
+// layer steps it before every network compute.
 type Schedule struct {
 	events []Event // sorted by Start
 	t      Targets
 	next   int
 }
 
-// NewSchedule materializes p over t, scaling its PM cycles by tpc
-// engine ticks per cycle. It returns nil when p schedules nothing, so
-// an empty plan runs exactly like no plan.
-func NewSchedule(p *Plan, t Targets, tpc int64) (*Schedule, error) {
+// NewSchedule materializes p over t. It returns nil when p schedules
+// nothing, so an empty plan runs exactly like no plan.
+func NewSchedule(p *Plan, t Targets) (*Schedule, error) {
 	events, err := p.Materialize(len(t.Slots), t.Links)
 	if err != nil || len(events) == 0 {
 		return nil, err
 	}
-	for i := range events {
-		events[i].Start *= tpc
-		events[i].Duration *= tpc
-	}
 	return &Schedule{events: events, t: t}, nil
 }
 
-// Step installs the gates of every event due at or before tick now. A
+// Step installs the gates of every event due at or before PM cycle now. A
 // later event overwrites the gates of the outputs it touches.
 func (s *Schedule) Step(now int64) {
 	for ; s.next < len(s.events) && s.events[s.next].Start <= now; s.next++ {

@@ -361,7 +361,7 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 		// Deposit.
 		if o == topo.Local {
 			if mv.f.Tail() {
-				r.pm.Deliver(mv.f.Pkt, now)
+				r.pm.Deliver(mv.f.Pkt, now, false)
 			}
 		} else {
 			if n.tracer != nil && mv.f.Head() {

@@ -39,7 +39,7 @@ func (f *fakePM) PopPendingRequest() *packet.Packet {
 	f.pendReq = f.pendReq[1:]
 	return p
 }
-func (f *fakePM) Deliver(p *packet.Packet, now int64) {
+func (f *fakePM) Deliver(p *packet.Packet, now int64, _ bool) {
 	f.delivered = append(f.delivered, p)
 	f.deliverAt = append(f.deliverAt, now)
 }
@@ -73,7 +73,7 @@ func newHarness(t *testing.T, cfg Config) *harness {
 // applyFaults schedules p over the network's fault targets; step runs
 // it before every tick, as the assembly layer does.
 func (h *harness) applyFaults(p *fault.Plan) (err error) {
-	h.faults, err = fault.NewSchedule(p, h.net.FaultTargets(), 1)
+	h.faults, err = fault.NewSchedule(p, h.net.FaultTargets())
 	return err
 }
 

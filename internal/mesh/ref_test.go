@@ -197,7 +197,7 @@ func (n *refNetwork) commit(r *refRouter, now int64) {
 		}
 		if o == topo.Local {
 			if mv.f.Tail() {
-				r.pm.Deliver(mv.f.Pkt, now)
+				r.pm.Deliver(mv.f.Pkt, now, false)
 			}
 		} else {
 			r.nbr[o].inputs[o.Opposite()].Push(mv.f)

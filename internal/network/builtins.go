@@ -39,10 +39,9 @@ func ringPlan(cfg Config) (*Plan, error) {
 	net := cfg
 	net.BufferFlits = 0
 	return &Plan{
-		Topology:      spec.String(),
-		PMs:           pms,
-		TicksPerCycle: rc.TicksPerCycle(),
-		Sizing:        packet.RingSizing,
+		Topology: spec.String(),
+		PMs:      pms,
+		Sizing:   packet.RingSizing,
 		Locality: func(r float64) (workload.Pattern, error) {
 			return workload.NewRingLocality(pms, r)
 		},
@@ -106,10 +105,9 @@ func meshPlan(cfg Config) (*Plan, error) {
 		return nil, err
 	}
 	return &Plan{
-		Topology:      mc.Spec.String(),
-		PMs:           nodes,
-		TicksPerCycle: 1,
-		Sizing:        packet.MeshSizing,
+		Topology: mc.Spec.String(),
+		PMs:      nodes,
+		Sizing:   packet.MeshSizing,
 		Locality: func(r float64) (workload.Pattern, error) {
 			return workload.NewMeshLocality(mc.Spec, r)
 		},

@@ -132,9 +132,6 @@ type Plan struct {
 	Topology string
 	// PMs is the number of processing modules the network connects.
 	PMs int
-	// TicksPerCycle is engine ticks per PM clock cycle (>1 when part
-	// of the network is clocked faster than the PMs).
-	TicksPerCycle int64
 	// Sizing is the packet sizing rule (flit width, header flits).
 	Sizing packet.Sizing
 	// Locality returns the M-MRP target sampler for access-region
@@ -150,9 +147,9 @@ type Plan struct {
 	// an answer.
 	Net Config
 	// Build constructs the model attached to the given PM ports. The
-	// caller registers the returned Model on the engine (period 1);
-	// models with internally faster clocks use TicksPerCycle to slow
-	// the rest of the system down instead.
+	// caller registers the returned Model on the engine, whose tick is
+	// one PM cycle; a model with a faster clock runs its extra cycles
+	// inside its own tick.
 	Build func(ports []node.Port, engine *sim.Engine) (Model, error)
 }
 

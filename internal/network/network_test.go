@@ -49,19 +49,6 @@ func TestRingPlanResolution(t *testing.T) {
 	if plan.Name != "ring" || plan.Topology != "3:3:8" || plan.PMs != 72 {
 		t.Errorf("plan = %q %q %d PMs, want ring 3:3:8 72", plan.Name, plan.Topology, plan.PMs)
 	}
-	if plan.TicksPerCycle != 1 {
-		t.Errorf("TicksPerCycle = %d, want 1", plan.TicksPerCycle)
-	}
-
-	// The double-speed global ring doubles the engine rate.
-	fast, err := New("ring", Config{Topology: "3:3:8", LineBytes: 32, DoubleSpeedGlobal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.TicksPerCycle != 2 {
-		t.Errorf("double-speed TicksPerCycle = %d, want 2", fast.TicksPerCycle)
-	}
-
 	// Topology and Nodes are cross-checked when both are given.
 	if _, err := New("ring", Config{Topology: "2:3:4", Nodes: 25, LineBytes: 32}); err == nil {
 		t.Error("expected a PM-count mismatch error")
@@ -79,10 +66,6 @@ func TestMeshPlanResolution(t *testing.T) {
 	if plan.Name != "mesh" || plan.Topology != "8x8" || plan.PMs != 64 {
 		t.Errorf("plan = %q %q %d PMs, want mesh 8x8 64", plan.Name, plan.Topology, plan.PMs)
 	}
-	if plan.TicksPerCycle != 1 {
-		t.Errorf("TicksPerCycle = %d, want 1", plan.TicksPerCycle)
-	}
-
 	// The "KxK" notation resolves and cross-checks.
 	byName, err := New("mesh", Config{Topology: "8x8", LineBytes: 32})
 	if err != nil {
@@ -138,7 +121,7 @@ func (stubPort) PendingResponse() (*packet.Packet, bool) { return nil, false }
 func (stubPort) PopPendingResponse() *packet.Packet      { panic("empty") }
 func (stubPort) PendingRequest() (*packet.Packet, bool)  { return nil, false }
 func (stubPort) PopPendingRequest() *packet.Packet       { panic("empty") }
-func (stubPort) Deliver(*packet.Packet, int64)           {}
+func (stubPort) Deliver(*packet.Packet, int64, bool)     {}
 func (stubPort) HasPending() bool                        { return false }
 
 // TestBuiltinsAdvertiseCapabilities builds both families and asserts

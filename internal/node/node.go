@@ -40,11 +40,12 @@ type Injector interface {
 
 // Deliverer receives packets that exit the network at this PM.
 type Deliverer interface {
-	// Deliver hands over a completely received packet. Delivery never
-	// blocks: the PM is a perfect sink (responses are consumed
-	// immediately; requests join the memory queue). now is in engine
-	// ticks.
-	Deliver(p *packet.Packet, now int64)
+	// Deliver hands over a completely received packet at PM cycle now;
+	// late marks one a double-speed global ring handed over in its
+	// second cycle, half a PM cycle later. Delivery never blocks: the
+	// PM is a perfect sink (responses are consumed immediately;
+	// requests join the memory queue).
+	Deliver(p *packet.Packet, now int64, late bool)
 }
 
 // Port is what a network model needs from each processing module: a
@@ -68,9 +69,6 @@ type Collector struct {
 	// metrics histogram so /metrics exports the distribution as
 	// Prometheus _bucket series. Observation-only, like Hist.
 	LatHist *metrics.Histogram
-	// TicksPerCycle converts engine ticks to PM cycles (2 when the
-	// global ring is double-clocked, else 1).
-	TicksPerCycle int64
 
 	// Issued counts remote transactions injected; Completed counts
 	// responses received; Local counts local accesses that bypassed
@@ -91,28 +89,22 @@ type Collector struct {
 }
 
 // cell is one PM's measurement staging slot in sharded mode. The
-// integer counters are commutative deltas; lat holds the tick's
-// completion latencies (at most one per tick: a PM receives at most
-// one packet tail per tick), which must be folded into the
+// integer counters are commutative deltas; lat holds the cycle's
+// completion latencies (at most one per cycle: a mesh PM receives at
+// most one packet tail per cycle), which must be folded into the
 // order-dependent accumulators in serial delivery order.
 type cell struct {
 	issued, completed, local int64
 	reads, writes            int64
 	inFlight                 int64
 	nextID                   uint64
-	lat                      []int64
+	lat                      []float64
 }
 
 // NewCollector returns a collector using batch means that discard the
 // first batch, per the paper's output-analysis method.
-func NewCollector(ticksPerCycle int64) *Collector {
-	if ticksPerCycle < 1 {
-		ticksPerCycle = 1
-	}
-	return &Collector{
-		Latency:       stats.NewBatchMeans(1),
-		TicksPerCycle: ticksPerCycle,
-	}
+func NewCollector() *Collector {
+	return &Collector{Latency: stats.NewBatchMeans(1)}
 }
 
 // InFlight reports whether any transaction is outstanding anywhere —
@@ -137,15 +129,15 @@ func (c *Collector) issued(read bool) {
 	}
 }
 
-func (c *Collector) completed(latencyTicks int64) {
+func (c *Collector) completed(cycles float64) {
 	c.Completed++
 	c.inFlight--
-	c.observe(latencyTicks)
+	c.observe(cycles)
 }
 
-// observe feeds one completion latency (in ticks) to the accumulators.
-func (c *Collector) observe(latencyTicks int64) {
-	cycles := float64(latencyTicks) / float64(c.TicksPerCycle)
+// observe feeds one completion latency (in PM cycles) to the
+// accumulators.
+func (c *Collector) observe(cycles float64) {
 	c.Latency.Add(cycles)
 	if c.Hist != nil {
 		c.Hist.Add(cycles)
@@ -159,7 +151,7 @@ func (c *Collector) observe(latencyTicks int64) {
 func (c *Collector) ShardByPM(n int) {
 	c.cells = make([]cell, n)
 	for i := range c.cells {
-		c.cells[i].lat = make([]int64, 0, 2)
+		c.cells[i].lat = make([]float64, 0, 2)
 	}
 }
 
@@ -231,12 +223,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// never is the due tick of an event that is not scheduled.
+// never is the due cycle of an event that is not scheduled.
 const never = math.MaxInt64
 
 // PM is one processing module: processor + local memory + the pending
 // queues its NIC drains. It implements Port, and Commit advances it by
-// one PM clock cycle. It sleeps until due: it keeps the absolute ticks
+// one PM clock cycle. It sleeps until due: it keeps the absolute cycles
 // of its next events, not per-cycle countdowns, so a Commit before the
 // earlier of them returns at once; a delivery wakes it.
 type PM struct {
@@ -244,12 +236,11 @@ type PM struct {
 	cfg Config
 	col *Collector
 	rnd *rng.Source
-	tpc int64 // engine ticks per PM cycle
 
-	// wake is the first tick whose Commit has work to do.
+	// wake is the first cycle whose Commit has work to do.
 	wake int64
 
-	// Processor state. missAt is the tick the next miss fires, or never
+	// Processor state. missAt is the cycle the next miss fires, or never
 	// while gap, the PM cycles left until it (this one included), is
 	// frozen: before the first cycle, and while a closed-loop processor
 	// is suspended on its T-window.
@@ -266,7 +257,7 @@ type PM struct {
 	pendingResp []*packet.Packet
 
 	// Memory controller: FIFO of requests, one served at a time;
-	// memDone is the tick the request in service completes (never when
+	// memDone is the cycle the request in service completes (never when
 	// idle).
 	memQ       []*packet.Packet
 	memDone    int64
@@ -293,7 +284,6 @@ func NewPM(id int, cfg Config, col *Collector) (*PM, error) {
 		cfg:        cfg,
 		col:        col,
 		rnd:        rng.Derive(cfg.Seed, uint64(id)),
-		tpc:        col.TicksPerCycle,
 		missAt:     never,
 		memDone:    never,
 		memLatency: ml,
@@ -345,15 +335,15 @@ func (pm *PM) noteLocal() {
 	pm.col.Local++
 }
 
-func (pm *PM) noteCompleted(latencyTicks int64) {
+func (pm *PM) noteCompleted(cycles float64) {
 	if pm.col.cells != nil {
 		cl := &pm.col.cells[pm.ID]
 		cl.completed++
 		cl.inFlight--
-		cl.lat = append(cl.lat, latencyTicks)
+		cl.lat = append(cl.lat, cycles)
 		return
 	}
-	pm.col.completed(latencyTicks)
+	pm.col.completed(cycles)
 }
 
 // sampleGap draws the cycles until the next miss.
@@ -364,8 +354,8 @@ func (pm *PM) sampleGap() int {
 	return pm.rnd.Geometric(pm.cfg.Workload.C) + 1
 }
 
-// Commit advances the memory controller and the processor by the PM
-// cycle at tick now. PMs stage nothing: all their state is private or
+// Commit advances the memory controller and the processor by PM cycle
+// now. PMs stage nothing: all their state is private or
 // append/pop-disjoint with the NICs, so the work happens in Commit.
 func (pm *PM) Commit(now int64) {
 	if now < pm.wake {
@@ -397,7 +387,7 @@ func (pm *PM) stepMemory(now int64) {
 		pm.memServing = pm.memQ[0]
 		copy(pm.memQ, pm.memQ[1:])
 		pm.memQ = pm.memQ[:len(pm.memQ)-1]
-		pm.memDone = now + int64(pm.memLatency)*pm.tpc
+		pm.memDone = now + int64(pm.memLatency)
 	}
 }
 
@@ -409,7 +399,7 @@ func (pm *PM) stepProcessor(now int64) {
 		return
 	}
 	if pm.missAt == never {
-		pm.missAt = now + int64(pm.gap-1)*pm.tpc
+		pm.missAt = now + int64(pm.gap-1)
 	}
 	if now >= pm.missAt {
 		gap := pm.sampleGap()
@@ -421,7 +411,7 @@ func (pm *PM) stepProcessor(now int64) {
 		if !open && pm.outstanding >= pm.cfg.Workload.T {
 			pm.gap, pm.missAt = gap, never
 		} else {
-			pm.missAt = now + int64(gap)*pm.tpc
+			pm.missAt = now + int64(gap)
 		}
 	}
 	if open {
@@ -467,7 +457,7 @@ func (pm *PM) issueMiss(genTime int64) {
 // Deliver implements Deliverer. A response may unsuspend the processor
 // or free a slot for a queued miss, and a request may start the memory,
 // so either wakes the PM.
-func (pm *PM) Deliver(p *packet.Packet, now int64) {
+func (pm *PM) Deliver(p *packet.Packet, now int64, late bool) {
 	if p.Dst != pm.ID {
 		panic(fmt.Sprintf("node: PM %d received %s", pm.ID, p))
 	}
@@ -478,7 +468,11 @@ func (pm *PM) Deliver(p *packet.Packet, now int64) {
 		if pm.outstanding < 0 {
 			panic(fmt.Sprintf("node: PM %d outstanding underflow", pm.ID))
 		}
-		pm.noteCompleted(now - p.Issue)
+		cycles := float64(now - p.Issue)
+		if late {
+			cycles += 0.5
+		}
+		pm.noteCompleted(cycles)
 		return
 	}
 	pm.memQ = append(pm.memQ, p)

@@ -57,7 +57,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestMissGenerationRate(t *testing.T) {
-	col := NewCollector(1)
+	col := NewCollector()
 	cfg := testConfig()
 	cfg.Workload.T = 1 << 30 // never block
 	pm := mustPM(t, 0, cfg, col)
@@ -79,7 +79,7 @@ func TestMissGenerationRate(t *testing.T) {
 }
 
 func TestDeterministicGaps(t *testing.T) {
-	col := NewCollector(1)
+	col := NewCollector()
 	cfg := testConfig()
 	cfg.Workload.Deterministic = true
 	cfg.Workload.T = 1 << 30
@@ -104,7 +104,7 @@ func TestDeterministicGaps(t *testing.T) {
 }
 
 func TestReadWriteMix(t *testing.T) {
-	col := NewCollector(1)
+	col := NewCollector()
 	cfg := testConfig()
 	cfg.Workload.T = 1 << 30
 	cfg.Pattern = workload.Hotspot{P: 4, Hot: 3, Fraction: 1} // never local from PM 0
@@ -119,7 +119,7 @@ func TestReadWriteMix(t *testing.T) {
 }
 
 func TestOutstandingWindowBlocks(t *testing.T) {
-	col := NewCollector(1)
+	col := NewCollector()
 	cfg := testConfig()
 	cfg.Workload.T = 2
 	cfg.Pattern = workload.Hotspot{P: 4, Hot: 1, Fraction: 1}
@@ -139,7 +139,7 @@ func TestOutstandingWindowBlocks(t *testing.T) {
 	// A response unblocks one slot.
 	req, _ := pm.PendingRequest()
 	resp := &packet.Packet{ID: 99, Type: packet.ReadResponse, Src: 1, Dst: 0, Issue: req.Issue, Flits: 5}
-	pm.Deliver(resp, 50)
+	pm.Deliver(resp, 50, false)
 	if pm.Outstanding() != 1 {
 		t.Fatalf("outstanding after response = %d", pm.Outstanding())
 	}
@@ -149,12 +149,12 @@ func TestOutstandingWindowBlocks(t *testing.T) {
 }
 
 func TestMemoryServiceProducesResponse(t *testing.T) {
-	col := NewCollector(1)
+	col := NewCollector()
 	cfg := testConfig()
 	cfg.MemLatency = 5
 	pm := mustPM(t, 2, cfg, col)
 	req := &packet.Packet{ID: 7, Type: packet.ReadRequest, Src: 0, Dst: 2, Issue: 100, Flits: 1}
-	pm.Deliver(req, 110)
+	pm.Deliver(req, 110, false)
 	if pm.QueuedInMemory() != 1 {
 		t.Fatalf("memory queue = %d", pm.QueuedInMemory())
 	}
@@ -186,13 +186,13 @@ func TestMemoryServiceProducesResponse(t *testing.T) {
 }
 
 func TestWriteGetsHeaderOnlyAck(t *testing.T) {
-	col := NewCollector(1)
+	col := NewCollector()
 	cfg := testConfig()
 	cfg.MemLatency = 1
 	pm := mustPM(t, 1, cfg, col)
 	req := &packet.Packet{ID: 8, Type: packet.WriteRequest, Src: 0, Dst: 1, Issue: 0,
 		Flits: packet.RingSizing.PacketFlits(packet.WriteRequest, 64)}
-	pm.Deliver(req, 0)
+	pm.Deliver(req, 0, false)
 	for now := int64(1); now < 10; now++ {
 		pm.Commit(now)
 	}
@@ -206,14 +206,14 @@ func TestWriteGetsHeaderOnlyAck(t *testing.T) {
 }
 
 func TestMemoryFIFOOrder(t *testing.T) {
-	col := NewCollector(1)
+	col := NewCollector()
 	cfg := testConfig()
 	cfg.MemLatency = 2
 	pm := mustPM(t, 1, cfg, col)
 	a := &packet.Packet{ID: 1, Type: packet.ReadRequest, Src: 0, Dst: 1, Flits: 1}
 	b := &packet.Packet{ID: 2, Type: packet.ReadRequest, Src: 2, Dst: 1, Flits: 1}
-	pm.Deliver(a, 0)
-	pm.Deliver(b, 0)
+	pm.Deliver(a, 0, false)
+	pm.Deliver(b, 0, false)
 	var order []int
 	for now := int64(1); now < 20; now++ {
 		pm.Commit(now)
@@ -230,32 +230,34 @@ func TestMemoryFIFOOrder(t *testing.T) {
 }
 
 func TestDeliverWrongPMPanics(t *testing.T) {
-	col := NewCollector(1)
+	col := NewCollector()
 	pm := mustPM(t, 0, testConfig(), col)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("misrouted packet accepted")
 		}
 	}()
-	pm.Deliver(&packet.Packet{ID: 1, Type: packet.ReadRequest, Src: 1, Dst: 3, Flits: 1}, 0)
+	pm.Deliver(&packet.Packet{ID: 1, Type: packet.ReadRequest, Src: 1, Dst: 3, Flits: 1}, 0, false)
 }
 
+// A response a double-speed global ring hands over in its second step
+// of a cycle arrives half a PM cycle late, and its latency says so.
 func TestCollectorLatencyNormalization(t *testing.T) {
-	col := NewCollector(2) // double-speed: 2 ticks per PM cycle
-	col.inFlight = 1
-	col.completed(100) // 100 ticks = 50 PM cycles
-	col.Latency.CloseBatch()
-	col.inFlight = 1
-	col.completed(100)
-	col.Latency.CloseBatch()
-	// First batch is discarded; second holds 50.
-	if got := col.Latency.Mean(); got != 50 {
-		t.Fatalf("normalized latency = %v, want 50", got)
+	col := NewCollector()
+	pm := mustPM(t, 0, testConfig(), col)
+	for _, late := range []bool{false, true} {
+		pm.outstanding, col.inFlight = 1, 1
+		pm.Deliver(&packet.Packet{Type: packet.ReadResponse, Src: 1, Dst: 0, Issue: 50, Flits: 1}, 100, late)
+		col.Latency.CloseBatch()
+	}
+	// First batch is discarded; second holds the late one.
+	if got := col.Latency.Mean(); got != 50.5 {
+		t.Fatalf("late delivery latency = %v, want 50.5", got)
 	}
 }
 
 func TestCollectorInFlight(t *testing.T) {
-	col := NewCollector(1)
+	col := NewCollector()
 	if col.InFlight() {
 		t.Fatal("fresh collector reports in-flight")
 	}
@@ -270,7 +272,7 @@ func TestCollectorInFlight(t *testing.T) {
 }
 
 func TestInjectionQueuesFIFO(t *testing.T) {
-	col := NewCollector(1)
+	col := NewCollector()
 	cfg := testConfig()
 	cfg.Workload.T = 8
 	cfg.Pattern = workload.Hotspot{P: 4, Hot: 2, Fraction: 1}
@@ -300,7 +302,7 @@ func TestInjectionQueuesFIFO(t *testing.T) {
 // re-slicing from the front creeps the backing array forward and
 // reallocates it forever.
 func TestOpenLoopMissQueueDoesNotCreep(t *testing.T) {
-	col := NewCollector(1)
+	col := NewCollector()
 	cfg := testConfig()
 	cfg.Workload.OpenLoop = true
 	cfg.Workload.Deterministic = true
@@ -314,7 +316,7 @@ func TestOpenLoopMissQueueDoesNotCreep(t *testing.T) {
 		pm.Commit(now)
 		if req, ok := pm.PendingRequest(); ok { // answer at once: the window never stays full
 			pm.PopPendingRequest()
-			pm.Deliver(&packet.Packet{Type: packet.ReadResponse, Src: 1, Dst: 0, Issue: req.Issue, Flits: 5}, now)
+			pm.Deliver(&packet.Packet{Type: packet.ReadResponse, Src: 1, Dst: 0, Issue: req.Issue, Flits: 5}, now, false)
 		}
 		now++
 	}
@@ -413,14 +415,14 @@ type committer interface {
 }
 
 // driveRandomNetwork plays a seeded random network against PM 0 of a
-// 4-PM system for the given ticks and returns its log: every packet the
-// PM hands out (type, src, dst, issue tick, pickup tick), every
-// completion latency, and the collector's totals. The network picks
-// each class up with probability 1/2 per tick, answers each request
-// 1-60 ticks later, and sends requests of its own; deliveries land on
-// every tick, also between the PM ticks of a double-speed clock. Its
-// choices depend only on the seed and on what the PM did, so two PMs
-// that behave identically produce identical logs.
+// 4-PM system and returns its log: every packet the PM hands out (type,
+// src, dst, issue cycle, pickup tick), every completion latency, and
+// the collector's totals. The network takes tpc ticks per PM cycle, as
+// a double-speed global ring takes two; it picks each class up with
+// probability 1/2 per tick, answers each request 1-60 ticks later, and
+// sends requests of its own, and a delivery in a cycle's second tick
+// is late. Its choices depend only on the seed and on what the PM did,
+// so two PMs that behave identically produce identical logs.
 func driveRandomNetwork(pm committer, col *Collector, tpc int64, seed uint64, ticks int64) []string {
 	net := rng.New(seed)
 	type arrival struct {
@@ -430,8 +432,9 @@ func driveRandomNetwork(pm committer, col *Collector, tpc int64, seed uint64, ti
 	var inbound []arrival
 	var log []string
 	for now := int64(0); now < ticks; now++ {
+		cycle := now / tpc
 		if now%tpc == 0 {
-			pm.Commit(now)
+			pm.Commit(cycle)
 		}
 		if p, ok := pm.PendingResponse(); ok && net.Bernoulli(0.5) {
 			pm.PopPendingResponse()
@@ -444,16 +447,16 @@ func driveRandomNetwork(pm committer, col *Collector, tpc int64, seed uint64, ti
 			inbound = append(inbound, arrival{now + 1 + int64(net.Intn(60)), resp})
 		}
 		if net.Bernoulli(0.03) {
-			req := &packet.Packet{Type: packet.ReadRequest, Src: 1 + net.Intn(3), Dst: 0, Issue: now, Flits: 1}
+			req := &packet.Packet{Type: packet.ReadRequest, Src: 1 + net.Intn(3), Dst: 0, Issue: cycle, Flits: 1}
 			inbound = append(inbound, arrival{now + 1 + int64(net.Intn(60)), req})
 		}
 		inbound = slices.DeleteFunc(inbound, func(a arrival) bool {
 			if a.at != now {
 				return false
 			}
-			pm.Deliver(a.p, now)
+			pm.Deliver(a.p, cycle, now%tpc == 1)
 			if a.p.Type.IsResponse() {
-				log = append(log, fmt.Sprintf("%d done latency %d", now, now-a.p.Issue))
+				log = append(log, fmt.Sprintf("%d done latency %d", now, cycle-a.p.Issue))
 			}
 			return true
 		})
@@ -462,10 +465,11 @@ func driveRandomNetwork(pm committer, col *Collector, tpc int64, seed uint64, ti
 		col.Issued, col.Completed, col.Local, col.Reads, col.Writes, col.Latency.Mean()))
 }
 
-// TestDueTicksMatchCountdown holds the due-tick PM to the countdown
+// TestDueTicksMatchCountdown holds the due-cycle PM to the countdown
 // reference through the same random delivery schedule, in both
-// generator modes, at one and two ticks per PM cycle and at a short and
-// the default memory latency.
+// generator modes, with one and two network ticks per PM cycle (the
+// second delivering late) and at a short and the default memory
+// latency.
 func TestDueTicksMatchCountdown(t *testing.T) {
 	for _, open := range []bool{false, true} {
 		for _, det := range []bool{false, true} {
@@ -478,7 +482,7 @@ func TestDueTicksMatchCountdown(t *testing.T) {
 						cfg.Workload.OpenLoop, cfg.Workload.Deterministic = open, det
 						cfg.MemLatency = memLat
 						const seed, ticks = 7, 20000
-						wantCol, gotCol := NewCollector(tpc), NewCollector(tpc)
+						wantCol, gotCol := NewCollector(), NewCollector()
 						want := driveRandomNetwork(newCountdownPM(t, 0, cfg, wantCol), wantCol, tpc, seed, ticks)
 						got := driveRandomNetwork(mustPM(t, 0, cfg, gotCol), gotCol, tpc, seed, ticks)
 						if gotCol.Completed < 100 {

@@ -22,9 +22,9 @@ type Config struct {
 	// exactly one cache-line packet).
 	LineBytes int
 	// DoubleSpeedGlobal clocks the global ring at twice the speed of
-	// all other rings and the PMs (paper Section 6). The engine then
-	// ticks at the global rate and everything else runs with period
-	// 2.
+	// all other rings and the PMs (paper Section 6): the network runs
+	// the global ring's second cycle of every PM cycle at the end of
+	// its commit.
 	DoubleSpeedGlobal bool
 	// IRIQueueFlits overrides the capacity of the IRI up/down queues
 	// (per class) in flits; 0 means cl, the paper's value. Wormhole
@@ -77,15 +77,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ring: UnsafeNoVC applies to wormhole switching only (slotted rings have no virtual channels to disable)")
 	}
 	return nil
-}
-
-// TicksPerCycle returns how many engine ticks make one PM clock cycle
-// under this configuration.
-func (c Config) TicksPerCycle() int64 {
-	if c.DoubleSpeedGlobal {
-		return 2
-	}
-	return 1
 }
 
 // nic couples a leaf-ring station with its PM. The station's
@@ -168,8 +159,8 @@ func (n *Network) SetTracer(t *trace.Recorder) {
 }
 
 // New builds the network for cfg connecting the given PMs (len must
-// equal cfg.Spec.PMs()). The network clocks its rings itself (see
-// ringInst.period); register the Network on the engine with period 1.
+// equal cfg.Spec.PMs()). One engine tick is one PM cycle; a
+// double-speed global ring's second cycle runs inside Commit.
 func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -228,12 +219,6 @@ func (n *Network) buildRing(level, base int, pms []node.Port, parentUpper *stati
 		lo:         base,
 		hi:         base + spec.SubtreeSize(level),
 		unsafeNoVC: n.cfg.UnsafeNoVC,
-		period:     1,
-	}
-	// With a double-speed global ring the engine tick is the global
-	// ring cycle and every other ring runs at half rate.
-	if n.cfg.DoubleSpeedGlobal && level != 0 {
-		inst.period = 2
 	}
 	iriQ := n.cfg.IRIQueueFlits
 	if iriQ == 0 {
@@ -282,26 +267,13 @@ func (n *Network) buildRing(level, base int, pms []node.Port, parentUpper *stati
 	}
 }
 
-// pmTick reports whether now is a tick of the PM clock, on which
-// every ring acts. On the ticks between (they exist only under a
-// double-speed global ring) the global ring alone does.
-func (n *Network) pmTick(now int64) bool {
-	tpc := n.cfg.TicksPerCycle()
-	return tpc == 1 || now%tpc == 0
-}
-
 // global returns the top-level ring (built last).
 func (n *Network) global() *ringInst { return n.rings[len(n.rings)-1] }
 
-// Compute implements sim.Component. On a PM tick it visits the busy
-// stations only: an idle station stages nothing and counts no stall,
-// so skipping it changes nothing. The global-only ticks of a
-// double-speed ring walk the global ring's stations.
+// Compute implements sim.Component: every ring's cycle of PM cycle
+// now. It visits the busy stations only: an idle station stages
+// nothing and counts no stall, so skipping it changes nothing.
 func (n *Network) Compute(now int64) {
-	if !n.pmTick(now) {
-		n.global().compute(now)
-		return
-	}
 	for _, r := range n.rings {
 		r.begin()
 	}
@@ -319,31 +291,43 @@ func (n *Network) Compute(now int64) {
 	}
 }
 
-// Commit implements sim.Component. Progress is reported to the
-// engine once per commit (batched) rather than per station.
+// Commit implements sim.Component: it applies the staged transfers
+// and refills the NICs; a double-speed global ring then takes its
+// second cycle of the PM cycle, walking its own stations, and a single
+// double-speed ring, which is also the leaf ring, refills its NICs
+// again. Progress is reported to the engine once per commit (batched)
+// rather than per station.
 func (n *Network) Commit(now int64) {
 	moved := 0
-	if n.pmTick(now) {
-		for w, word := range n.staged {
-			n.staged[w] = 0
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &= word - 1
-				n.stations[w*64+b].commit(now)
-				moved++
-			}
+	for w, word := range n.staged {
+		n.staged[w] = 0
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			n.stations[w*64+b].commit(now)
+			moved++
 		}
-	} else {
-		moved = n.global().commit(now)
+	}
+	n.refill()
+	if n.cfg.DoubleSpeedGlobal {
+		g := n.global()
+		g.late = true
+		g.compute(now)
+		moved += g.commit(now)
+		g.late = false
+		if len(n.rings) == 1 {
+			n.refill()
+		}
 	}
 	if moved > 0 {
 		n.engine.ProgressN(moved)
 	}
-	// Every NIC sits on a leaf ring, and all leaf rings share a clock.
-	if n.nics[0].st.ring.active(now) {
-		for i := range n.nics {
-			n.nics[i].refill()
-		}
+}
+
+// refill tops up every NIC's output registers from its PM.
+func (n *Network) refill() {
+	for i := range n.nics {
+		n.nics[i].refill()
 	}
 }
 

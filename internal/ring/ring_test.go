@@ -44,7 +44,7 @@ func (f *fakePM) PopPendingRequest() *packet.Packet {
 	return p
 }
 func (f *fakePM) HasPending() bool { return len(f.pendResp)+len(f.pendReq) > 0 }
-func (f *fakePM) Deliver(p *packet.Packet, now int64) {
+func (f *fakePM) Deliver(p *packet.Packet, now int64, _ bool) {
 	f.delivered = append(f.delivered, p)
 	f.deliverAt = append(f.deliverAt, now)
 }
@@ -77,7 +77,7 @@ func newHarness(t *testing.T, cfg Config) *harness {
 // applyFaults schedules p over the network's fault targets; run steps
 // it before every tick, as the assembly layer does.
 func (h *harness) applyFaults(p *fault.Plan) (err error) {
-	h.faults, err = fault.NewSchedule(p, h.net.FaultTargets(), 1)
+	h.faults, err = fault.NewSchedule(p, h.net.FaultTargets())
 	return err
 }
 
@@ -122,17 +122,6 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("bad config %d accepted", i)
 		}
-	}
-}
-
-func TestTicksPerCycle(t *testing.T) {
-	c := Config{Spec: topo.MustRingSpec(4), LineBytes: 32}
-	if c.TicksPerCycle() != 1 {
-		t.Fatal("normal speed should be 1 tick/cycle")
-	}
-	c.DoubleSpeedGlobal = true
-	if c.TicksPerCycle() != 2 {
-		t.Fatal("double speed should be 2 ticks/cycle")
 	}
 }
 
@@ -233,7 +222,7 @@ func TestResponsePriorityAtInjection(t *testing.T) {
 func TestTransitPriority(t *testing.T) {
 	st := &station{}
 	st.init("s", 0, 3, 3)
-	st.ring = &ringInst{stations: []*station{st}, lo: 0, hi: 8, period: 1}
+	st.ring = &ringInst{stations: []*station{st}, lo: 0, hi: 8}
 	outResp, outReq := &st.inject[qResp], &st.inject[qReq]
 
 	transit := &packet.Packet{ID: 1, Type: packet.ReadResponse, Dst: 3, Flits: 3}
@@ -325,14 +314,14 @@ func TestStormNoDeadlock(t *testing.T) {
 	}
 }
 
-// Double-speed global ring: stations on the global ring act every
-// tick, others every second tick; traffic still flows end to end.
+// Double-speed global ring: stations on the global ring act twice per
+// PM cycle, others once; traffic still flows end to end.
 func TestDoubleSpeedGlobalDelivery(t *testing.T) {
 	spec := topo.MustRingSpec(3, 2, 2)
 	h := newHarness(t, Config{Spec: spec, LineBytes: 32, DoubleSpeedGlobal: true})
 	p := mkPkt(1, packet.ReadRequest, 0, 11, 32)
 	h.pms[0].pendReq = append(h.pms[0].pendReq, p)
-	h.run(t, 400)
+	h.run(t, 200)
 	if len(h.pms[11].delivered) != 1 {
 		t.Fatal("packet not delivered under double-speed clocking")
 	}
@@ -352,8 +341,8 @@ func TestDoubleSpeedIsFaster(t *testing.T) {
 				id++
 			}
 		}
-		ticks := int64(0)
-		for ; ticks < 10000; ticks++ {
+		cycles := int64(0)
+		for ; cycles < 5000; cycles++ {
 			h.engine.Step()
 			done := 0
 			for _, pm := range h.pms {
@@ -362,10 +351,6 @@ func TestDoubleSpeedIsFaster(t *testing.T) {
 			if done == 16 {
 				break
 			}
-		}
-		cycles := ticks
-		if dbl {
-			cycles /= 2 // normalize ticks to PM cycles
 		}
 		return cycles
 	}

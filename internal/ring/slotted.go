@@ -78,7 +78,7 @@ const slottedIRIDepth = 4
 // readyPkt is a packet awaiting injection.
 type readyPkt struct {
 	pkt *packet.Packet
-	at  int64 // tick from which injection may start
+	at  int64 // sub-cycle from which injection may start
 }
 
 // spktQueue is a bounded store-and-forward packet FIFO (an IRI up or
@@ -92,7 +92,7 @@ func newSPktQueue(capacity int) *spktQueue { return &spktQueue{cap: capacity} }
 
 func (q *spktQueue) count() int { return len(q.items) }
 
-// push stores a whole packet, injectable from tick at. It reports
+// push stores a whole packet, injectable from sub-cycle at. It reports
 // whether there was room.
 func (q *spktQueue) push(p *packet.Packet, at int64) bool {
 	if len(q.items) >= q.cap {
@@ -102,7 +102,7 @@ func (q *spktQueue) push(p *packet.Packet, at int64) bool {
 	return true
 }
 
-// peek returns the oldest packet if it is injectable at tick now.
+// peek returns the oldest packet if it is injectable at sub-cycle now.
 func (q *spktQueue) peek(now int64) (*packet.Packet, bool) {
 	if len(q.items) == 0 || now < q.items[0].at {
 		return nil, false
@@ -110,7 +110,7 @@ func (q *spktQueue) peek(now int64) (*packet.Packet, bool) {
 	return q.items[0].pkt, true
 }
 
-// pop removes the oldest packet if it is injectable at tick now.
+// pop removes the oldest packet if it is injectable at sub-cycle now.
 func (q *spktQueue) pop(now int64) (*packet.Packet, bool) {
 	p, ok := q.peek(now)
 	if !ok {
@@ -138,7 +138,7 @@ type sstation struct {
 	// delivers to the local PM (always accepted); exitResp/exitReq
 	// are the request/response transfer queues for IRI exits.
 	exits    func(dst int) bool
-	exitPM   func(p *packet.Packet, now int64)
+	exitPM   func(p *packet.Packet, now int64, late bool)
 	exitResp *spktQueue
 	exitReq  *spktQueue
 
@@ -162,7 +162,7 @@ type sstation struct {
 }
 
 // hasReady reports whether any inject queue holds a packet injectable
-// at tick now.
+// at sub-cycle now.
 func (s *sstation) hasReady(now int64) bool {
 	for _, q := range s.inject {
 		if _, ok := q.peek(now); ok {
@@ -196,8 +196,8 @@ type sring struct {
 	// (headPos + i) mod S.
 	headPos  int
 	occupied int
-	// slotPeriod is the ticks between slot advances: cl ring cycles,
-	// doubled for non-global rings under double-speed clocking.
+	// slotPeriod is the sub-cycles between slot advances: cl ring
+	// cycles, doubled for non-global rings under double-speed clocking.
 	slotPeriod int64
 	// steps counts the slot advances: the clock every station's
 	// utilization takes its capacity from.
@@ -246,11 +246,16 @@ type snic struct {
 	pm      node.Port
 	outResp *spktQueue
 	outReq  *spktQueue
-	period  int64
 }
 
 // NewSlotted builds the slotted-ring network for cfg (the same
 // topology, sizing and clocking rules as the wormhole network).
+//
+// The network keeps its own clock in sub-cycles, the global ring's
+// cycles: two per PM cycle under a double-speed global ring, else one.
+// Its store-and-forward readiness stamps need that resolution; it
+// converts to PM cycles wherever it meets the rest of the system
+// (subCycle and pmCycle).
 func NewSlotted(cfg Config, pms []node.Port, engine *sim.Engine) (*SlottedNetwork, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -270,11 +275,6 @@ func NewSlotted(cfg Config, pms []node.Port, engine *sim.Engine) (*SlottedNetwor
 		r.slotPeriod = int64(n.clFlits)
 		if cfg.DoubleSpeedGlobal && r.stations[0].level != 0 {
 			r.slotPeriod *= 2
-		}
-	}
-	if cfg.DoubleSpeedGlobal {
-		for _, nc := range n.nics {
-			nc.period = 2
 		}
 	}
 	return n, nil
@@ -301,7 +301,7 @@ func (n *SlottedNetwork) buildRing(level, base int, pms []node.Port, parentLower
 			st.exitPM = pm.Deliver
 			outResp, outReq := newSPktQueue(1), newSPktQueue(1)
 			st.inject = []*spktQueue{outResp, outReq}
-			n.nics[pmID] = &snic{st: st, pm: pm, outResp: outResp, outReq: outReq, period: 1}
+			n.nics[pmID] = &snic{st: st, pm: pm, outResp: outResp, outReq: outReq}
 			n.stations = append(n.stations, st)
 			slots = append(slots, st)
 		}
@@ -362,39 +362,63 @@ func (n *SlottedNetwork) buildRing(level, base int, pms []node.Port, parentLower
 // timing).
 func (n *SlottedNetwork) Compute(now int64) {}
 
-// Commit implements sim.Component. Progress is reported to the engine
-// once per commit (batched).
+// Commit implements sim.Component: PM cycle now's first sub-cycle,
+// then the NIC refill (NICs are PM-clocked), then under a double-speed
+// global ring the second. Progress is reported to the engine once per
+// commit (batched).
 func (n *SlottedNetwork) Commit(now int64) {
-	moved := 0
-	for _, r := range n.rings {
-		if now%r.slotPeriod != 0 {
-			continue
-		}
-		moved += n.stepRing(r, now)
+	t := n.subCycle(now)
+	moved := n.stepRings(t)
+	for _, nc := range n.nics {
+		n.refillNIC(nc, t)
+	}
+	if n.cfg.DoubleSpeedGlobal {
+		moved += n.stepRings(t + 1)
 	}
 	if moved > 0 {
 		n.engine.ProgressN(moved)
 	}
-	for _, nc := range n.nics {
-		if now%nc.period == 0 {
-			n.refillNIC(nc, now)
+}
+
+// subCycle returns the first sub-cycle of PM cycle now.
+func (n *SlottedNetwork) subCycle(now int64) int64 {
+	if n.cfg.DoubleSpeedGlobal {
+		return 2 * now
+	}
+	return now
+}
+
+// pmCycle returns the PM cycle sub-cycle t falls in.
+func (n *SlottedNetwork) pmCycle(t int64) int64 {
+	if n.cfg.DoubleSpeedGlobal {
+		return t / 2
+	}
+	return t
+}
+
+// stepRings steps every ring whose slot clock ticks at sub-cycle t.
+func (n *SlottedNetwork) stepRings(t int64) (moved int) {
+	for _, r := range n.rings {
+		if t%r.slotPeriod == 0 {
+			moved += n.stepRing(r, t)
 		}
 	}
+	return moved
 }
 
 // Partition implements network.Model by declining, like the wormhole
 // network's.
 func (n *SlottedNetwork) Partition() *sim.Partition { return nil }
 
-// stepRing advances one ring by one slot position and lets every
-// station process the slot now in front of it. It returns the number
-// of progress events (extractions and injections).
+// stepRing advances one ring by one slot position at sub-cycle now
+// and lets every station process the slot now in front of it. It
+// returns the number of progress events (extractions and injections).
 func (n *SlottedNetwork) stepRing(r *sring, now int64) (moved int) {
 	r.headPos = (r.headPos - 1 + len(r.slots)) % len(r.slots)
 	r.steps++
 	for i, st := range r.stations {
 		slot := r.slotAt(i)
-		if st.flt != nil && st.flt[0].Blocked(now, now/r.slotPeriod) {
+		if st.flt != nil && st.flt[0].Blocked(n.pmCycle(now), r.steps-1) {
 			// The station's ring attachment is faulted: it neither
 			// extracts nor injects; an occupied slot rides past (the
 			// slotted ring's natural NACK behaviour).
@@ -436,11 +460,12 @@ func (n *SlottedNetwork) processOccupied(r *sring, st *sstation, slot *sslot, no
 	if st.exitPM != nil {
 		slot.pkt = nil
 		r.occupied--
-		st.exitPM(p, now)
+		// The second sub-cycle of a PM cycle delivers half a cycle late.
+		st.exitPM(p, n.pmCycle(now), n.cfg.DoubleSpeedGlobal && now%2 == 1)
 		return true
 	}
 	// Store-and-forward: injectable on the next ring from the next
-	// tick. Queue full means NACK — the packet rides on and retries
+	// sub-cycle. Queue full means NACK — the packet rides on and retries
 	// next lap.
 	if st.exitQueueFor(p).push(p, now+1) {
 		slot.pkt = nil
@@ -461,7 +486,7 @@ func (n *SlottedNetwork) tryInject(r *sring, st *sstation, slot *sslot, now int6
 		q.pop(now)
 		slot.pkt = head
 		r.occupied++
-		n.tracer.Record(now, trace.Inject, head, st.name)
+		n.tracer.Record(n.pmCycle(now), trace.Inject, head, st.name)
 		return true
 	}
 	return false

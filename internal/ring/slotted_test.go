@@ -40,7 +40,7 @@ func newSlottedHarness(t *testing.T, cfg Config) *slottedHarness {
 
 // applyFaults is harness.applyFaults for the slotted network.
 func (h *slottedHarness) applyFaults(p *fault.Plan) (err error) {
-	h.faults, err = fault.NewSchedule(p, h.net.FaultTargets(), 1)
+	h.faults, err = fault.NewSchedule(p, h.net.FaultTargets())
 	return err
 }
 
@@ -277,13 +277,10 @@ func TestSlottedDoubleSpeed(t *testing.T) {
 			Switching: Slotted, DoubleSpeedGlobal: dbl,
 		})
 		h.pms[0].pendReq = append(h.pms[0].pendReq, mkPkt(1, packet.ReadRequest, 0, 11, 64))
-		for tick := int64(1); tick <= 5000; tick++ {
+		for cycle := int64(1); cycle <= 2500; cycle++ {
 			h.engine.Step()
 			if len(h.pms[11].delivered) == 1 {
-				if dbl {
-					return tick / 2 // normalize ticks to PM cycles
-				}
-				return tick
+				return cycle
 			}
 		}
 		t.Fatal("not delivered")

@@ -104,16 +104,17 @@ type ringInst struct {
 	// Config.UnsafeNoVC): every packet classes as descent and the
 	// bubble rule admits unconditionally.
 	unsafeNoVC bool
-	// period is the clock divider, in engine ticks, of every station on
-	// this ring: 1 except on the PM-clocked rings below a double-speed
-	// global ring, which act every second tick.
-	period int64
+	// late is set while a double-speed global ring runs its second
+	// cycle of a PM cycle: a packet it delivers arrives half a PM cycle
+	// after one delivered in the first.
+	late bool
 	// stagedInj counts injections granted per channel during the
 	// current compute phase, so simultaneous injections cannot
 	// overshoot the bubble bound.
 	stagedInj [numVCs]int
-	// cycles counts the ring's active cycles: the clock every station's
-	// link utilization takes its capacity from.
+	// cycles counts the ring's cycles: the clock every station's link
+	// utilization takes its capacity from, and, less one, the index of
+	// the cycle in progress.
 	cycles int64
 	// resident counts the packets admitted to each channel's transit
 	// path, from the commit of an injected head that continues on the
@@ -125,9 +126,6 @@ type ringInst struct {
 	// locks and requires equality.
 	resident [numVCs]int
 }
-
-// active reports whether the ring's stations act on this tick.
-func (r *ringInst) active(now int64) bool { return r.period == 1 || now%r.period == 0 }
 
 // class returns the virtual channel a packet to dst uses on this ring.
 func (r *ringInst) class(dst int) int {
@@ -149,7 +147,7 @@ func (r *ringInst) mayAdmitNewResident(v int) bool {
 	return r.resident[v]+r.stagedInj[v] <= len(r.stations)-2
 }
 
-// begin opens one of the ring's active cycles.
+// begin opens one of the ring's cycles.
 func (r *ringInst) begin() {
 	r.stagedInj = [numVCs]int{}
 	r.cycles++
@@ -251,7 +249,7 @@ type station struct {
 	// is the other half of the IRI, whose injection queues this
 	// station's exit fills (IRI stations). Exactly one is set on every
 	// station of a built network.
-	deliver func(p *packet.Packet, now int64)
+	deliver func(p *packet.Packet, now int64, late bool)
 	peer    *station
 
 	// tracer is the optional lifecycle recorder; hopLabel is the
@@ -351,9 +349,7 @@ func (s *station) candidate(v int) (packet.Flit, *packet.FIFO, bool) {
 // was found idle, holding no flit. Nothing is staged on entry: every
 // staged station commits in the same tick.
 func (s *station) compute(now int64) (idle bool) {
-	// The station's own cycle index is now/period: compute only runs on
-	// ticks its ring's period divides.
-	if s.flt != nil && s.flt[0].Blocked(now, now/s.ring.period) {
+	if s.flt != nil && s.flt[0].Blocked(now, s.ring.cycles-1) {
 		s.countStall() // output link faulted: nothing crosses this cycle
 		return false
 	}
@@ -500,7 +496,7 @@ func (s *station) receive(f packet.Flit, v int, route routeKind, now int64) {
 		s.wake()
 	case s.deliver != nil:
 		if f.Tail() {
-			s.deliver(f.Pkt, now)
+			s.deliver(f.Pkt, now, s.ring.late)
 		}
 	default:
 		s.peer.inject[injectClass(f.Pkt)].Push(f)

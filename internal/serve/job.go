@@ -224,12 +224,12 @@ type job struct {
 	// terminal transitions know whether to journal too.
 	journaled bool
 
-	// Progress: finished points, plus — for a single-point job — engine
-	// ticks out of totalTicks, fed by the engine's per-cycle hook (the
+	// Progress: finished points, plus — for a single-point job — PM
+	// cycles out of totalCycles, fed by the engine's per-cycle hook (the
 	// executing worker writes, watchers read, hence atomic).
-	tick       atomic.Int64
-	totalTicks atomic.Int64
-	pointsDone atomic.Int64
+	cycle       atomic.Int64
+	totalCycles atomic.Int64
+	pointsDone  atomic.Int64
 
 	// tr is the job's lifecycle span timeline (validate, enqueue,
 	// queue-wait, run, cache-store), served at GET /v1/jobs/{id}/trace.
@@ -303,8 +303,8 @@ func (j *job) progress() float64 {
 		return 0
 	}
 	done := float64(j.pointsDone.Load())
-	if total := j.totalTicks.Load(); total > 0 {
-		done += float64(j.tick.Load()) / float64(total)
+	if total := j.totalCycles.Load(); total > 0 {
+		done += float64(j.cycle.Load()) / float64(total)
 	}
 	return min(1, done/float64(len(j.points)))
 }

@@ -596,9 +596,8 @@ func (s *Server) simulate(ctx context.Context, j *job, p point) (ringmesh.Result
 		return ringmesh.Result{}, &configError{err}
 	}
 	if len(j.points) == 1 {
-		cycles := p.opt.WarmupCycles + p.opt.BatchCycles*int64(p.opt.Batches)
-		j.totalTicks.Store(cycles * sys.TicksPerCycle())
-		sys.OnCycle(func(tick int64, _ uint64) { j.tick.Store(tick) })
+		j.totalCycles.Store(p.opt.WarmupCycles + p.opt.BatchCycles*int64(p.opt.Batches))
+		sys.OnCycle(func(cycle int64, _ uint64) { j.cycle.Store(cycle) })
 	}
 	return sys.RunContext(ctx, p.opt)
 }

@@ -407,21 +407,20 @@ func (s *System) PhaseStats() *obs.PhaseStats { return s.inner.PhaseStats() }
 // Close only matters for callers driving the system via StepCycles.
 func (s *System) Close() { s.inner.Close() }
 
-// OnCycle registers f to be called once at the end of every engine
-// tick with the tick just completed and the number of flit movements
+// OnCycle registers f to be called once at the end of every PM clock
+// cycle with the cycle just completed and the number of flit movements
 // it produced — the per-cycle observability hook for instantaneous
 // load traces. Pass nil to detach. The hook composes with the metrics
-// sampler, so both can observe every tick. Note that ticks run faster
-// than PM cycles on double-speed-global configurations.
+// sampler, so both can observe every cycle. A double-speed global
+// ring's two steps of a cycle count as one call.
 func (s *System) OnCycle(f func(tick int64, flitsMoved uint64)) {
 	s.inner.OnCycle(f)
 }
 
 // MetricSample is one sampled metrics row (see Config.Metrics).
 type MetricSample struct {
-	// Cycle is the PM clock cycle of the sample (ticks divided by the
-	// ticks-per-cycle factor, so values are comparable across
-	// double-speed-global configurations).
+	// Cycle is the number of PM clock cycles completed when the sample
+	// was taken.
 	Cycle int64
 	// Values holds one value per MetricNames entry, index-aligned:
 	// windowed utilization in [0,1] for ratio series, windowed deltas
@@ -445,10 +444,9 @@ func (s *System) MetricSamples() []MetricSample {
 	if raw == nil {
 		return nil
 	}
-	tpc := s.inner.TicksPerCycle()
 	out := make([]MetricSample, len(raw))
 	for i, r := range raw {
-		out[i] = MetricSample{Cycle: (r.Tick + 1) / tpc, Values: r.Values}
+		out[i] = MetricSample{Cycle: r.Tick + 1, Values: r.Values}
 	}
 	return out
 }
@@ -494,12 +492,6 @@ func (s *System) WriteTrace(w io.Writer) error {
 
 // PMs returns the number of processing modules.
 func (s *System) PMs() int { return s.inner.PMs() }
-
-// TicksPerCycle returns engine ticks per PM clock cycle (2 on
-// double-speed-global configurations, else 1) — the factor for
-// converting OnCycle tick counts into PM cycles, e.g. when feeding a
-// progress gauge.
-func (s *System) TicksPerCycle() int64 { return s.inner.TicksPerCycle() }
 
 // Describe returns a one-line summary of the system.
 func (s *System) Describe() string { return s.inner.Describe() }

@@ -2,6 +2,7 @@ package ringmesh
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -496,6 +497,44 @@ func TestMetricsExportAndUserHookCompose(t *testing.T) {
 	}
 	if !strings.Contains(snap.String(), "# TYPE ring_link_util gauge") {
 		t.Fatalf("snapshot missing TYPE line:\n%s", snap.String())
+	}
+}
+
+// TestOneClockDoubleSpeed: the engine tick is the PM cycle on every
+// system. On a double-speed global ring, StepCycles(n) fires OnCycle
+// once per cycle, ending at tick n-1, and the sampler's rows fall at
+// ticks I-1, 2I-1, ... for MetricsIntervalCycles I.
+func TestOneClockDoubleSpeed(t *testing.T) {
+	const n, interval = 300, 40
+	sys, err := NewSystem(Config{
+		Network: "ring", Topology: "3:3:8", LineBytes: 32, DoubleSpeedGlobal: true,
+		Workload: PaperWorkload(), Seed: 3,
+		Metrics: true, MetricsIntervalCycles: interval,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls, last := 0, int64(-1)
+	sys.OnCycle(func(tick int64, _ uint64) { calls, last = calls+1, tick })
+	if err := sys.StepCycles(n); err != nil {
+		t.Fatal(err)
+	}
+	if calls != n || last != n-1 {
+		t.Fatalf("StepCycles(%d) fired OnCycle %d times, last tick %d; want %d, last %d", n, calls, last, n, n-1)
+	}
+	var csv bytes.Buffer
+	if err := sys.WriteMetricsCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSpace(csv.String()), "\n")[1:]
+	if len(rows) != n/interval {
+		t.Fatalf("%d sampled rows, want %d", len(rows), n/interval)
+	}
+	for i, row := range rows {
+		tick, _, _ := strings.Cut(row, ",")
+		if want := strconv.Itoa((i+1)*interval - 1); tick != want {
+			t.Fatalf("row %d sampled at tick %s, want %s", i, tick, want)
+		}
 	}
 }
 
