@@ -114,7 +114,7 @@ func main() {
 			fmt.Printf("  %3d-%-3d flits %6.1f%% %s\n", lo, hi, 100*float64(n)/float64(len(samples)), bar)
 		}
 	}
-	fmt.Println("\nThe hook fires every engine tick, so instantaneous-load traces")
+	fmt.Println("\nThe hook fires once per PM cycle, so instantaneous-load traces")
 	fmt.Println("attach outside the network models instead of instrumenting them.")
 
 	// 4. Sampled metrics: per-level link utilization over time on a

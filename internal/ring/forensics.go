@@ -220,7 +220,7 @@ func (n *SlottedNetwork) BuildStallReport(now int64) *sim.StallReport {
 			}
 		}
 		for _, q := range st.inject {
-			if p, ok := q.peek(n.subCycle(now)); ok {
+			if p, ok := q.peek(now * n.sub); ok {
 				addPkt(p, st.name)
 				r := ringOf[st]
 				if !r.mayAdmit(p) {

@@ -291,12 +291,10 @@ func (n *Network) Compute(now int64) {
 	}
 }
 
-// Commit implements sim.Component: it applies the staged transfers
-// and refills the NICs; a double-speed global ring then takes its
-// second cycle of the PM cycle, walking its own stations, and a single
-// double-speed ring, which is also the leaf ring, refills its NICs
-// again. Progress is reported to the engine once per commit (batched)
-// rather than per station.
+// Commit implements sim.Component: it applies the staged transfers and
+// refills the NICs; then a double-speed global ring runs its second
+// cycle, refilling again when it is the leaf ring. Progress is
+// reported to the engine once per commit (batched).
 func (n *Network) Commit(now int64) {
 	moved := 0
 	for w, word := range n.staged {

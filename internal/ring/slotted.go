@@ -235,6 +235,10 @@ type SlottedNetwork struct {
 	iris     []*siri
 	engine   *sim.Engine
 	tracer   *trace.Recorder
+	// sub is the sub-cycles, global ring cycles, per PM cycle: 2 under
+	// a double-speed global ring, else 1. Slot clocks and readiness
+	// stamps count sub-cycles; PMs, gates and traces see PM cycles.
+	sub int64
 }
 
 // SetTracer attaches an optional lifecycle recorder (nil-safe).
@@ -250,12 +254,6 @@ type snic struct {
 
 // NewSlotted builds the slotted-ring network for cfg (the same
 // topology, sizing and clocking rules as the wormhole network).
-//
-// The network keeps its own clock in sub-cycles, the global ring's
-// cycles: two per PM cycle under a double-speed global ring, else one.
-// Its store-and-forward readiness stamps need that resolution; it
-// converts to PM cycles wherever it meets the rest of the system
-// (subCycle and pmCycle).
 func NewSlotted(cfg Config, pms []node.Port, engine *sim.Engine) (*SlottedNetwork, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -269,6 +267,10 @@ func NewSlotted(cfg Config, pms []node.Port, engine *sim.Engine) (*SlottedNetwor
 		clFlits: packet.RingSizing.CacheLineFlits(cfg.LineBytes),
 		nics:    make([]*snic, len(pms)),
 		engine:  engine,
+		sub:     1,
+	}
+	if cfg.DoubleSpeedGlobal {
+		n.sub = 2
 	}
 	n.buildRing(0, 0, pms, nil)
 	for _, r := range n.rings {
@@ -362,48 +364,26 @@ func (n *SlottedNetwork) buildRing(level, base int, pms []node.Port, parentLower
 // timing).
 func (n *SlottedNetwork) Compute(now int64) {}
 
-// Commit implements sim.Component: PM cycle now's first sub-cycle,
-// then the NIC refill (NICs are PM-clocked), then under a double-speed
-// global ring the second. Progress is reported to the engine once per
-// commit (batched).
+// Commit implements sim.Component: PM cycle now's sub-cycles, with
+// the NIC refill (NICs are PM-clocked) after the first. Progress is
+// reported to the engine once per commit (batched).
 func (n *SlottedNetwork) Commit(now int64) {
-	t := n.subCycle(now)
-	moved := n.stepRings(t)
-	for _, nc := range n.nics {
-		n.refillNIC(nc, t)
-	}
-	if n.cfg.DoubleSpeedGlobal {
-		moved += n.stepRings(t + 1)
+	moved := 0
+	for t := now * n.sub; t < (now+1)*n.sub; t++ {
+		for _, r := range n.rings {
+			if t%r.slotPeriod == 0 {
+				moved += n.stepRing(r, t)
+			}
+		}
+		if t == now*n.sub {
+			for _, nc := range n.nics {
+				n.refillNIC(nc, t)
+			}
+		}
 	}
 	if moved > 0 {
 		n.engine.ProgressN(moved)
 	}
-}
-
-// subCycle returns the first sub-cycle of PM cycle now.
-func (n *SlottedNetwork) subCycle(now int64) int64 {
-	if n.cfg.DoubleSpeedGlobal {
-		return 2 * now
-	}
-	return now
-}
-
-// pmCycle returns the PM cycle sub-cycle t falls in.
-func (n *SlottedNetwork) pmCycle(t int64) int64 {
-	if n.cfg.DoubleSpeedGlobal {
-		return t / 2
-	}
-	return t
-}
-
-// stepRings steps every ring whose slot clock ticks at sub-cycle t.
-func (n *SlottedNetwork) stepRings(t int64) (moved int) {
-	for _, r := range n.rings {
-		if t%r.slotPeriod == 0 {
-			moved += n.stepRing(r, t)
-		}
-	}
-	return moved
 }
 
 // Partition implements network.Model by declining, like the wormhole
@@ -418,7 +398,7 @@ func (n *SlottedNetwork) stepRing(r *sring, now int64) (moved int) {
 	r.steps++
 	for i, st := range r.stations {
 		slot := r.slotAt(i)
-		if st.flt != nil && st.flt[0].Blocked(n.pmCycle(now), r.steps-1) {
+		if st.flt != nil && st.flt[0].Blocked(now/n.sub, r.steps-1) {
 			// The station's ring attachment is faulted: it neither
 			// extracts nor injects; an occupied slot rides past (the
 			// slotted ring's natural NACK behaviour).
@@ -460,8 +440,8 @@ func (n *SlottedNetwork) processOccupied(r *sring, st *sstation, slot *sslot, no
 	if st.exitPM != nil {
 		slot.pkt = nil
 		r.occupied--
-		// The second sub-cycle of a PM cycle delivers half a cycle late.
-		st.exitPM(p, n.pmCycle(now), n.cfg.DoubleSpeedGlobal && now%2 == 1)
+		// A PM cycle's second sub-cycle delivers half a cycle late.
+		st.exitPM(p, now/n.sub, now%n.sub == 1)
 		return true
 	}
 	// Store-and-forward: injectable on the next ring from the next
@@ -486,7 +466,7 @@ func (n *SlottedNetwork) tryInject(r *sring, st *sstation, slot *sslot, now int6
 		q.pop(now)
 		slot.pkt = head
 		r.occupied++
-		n.tracer.Record(n.pmCycle(now), trace.Inject, head, st.name)
+		n.tracer.Record(now/n.sub, trace.Inject, head, st.name)
 		return true
 	}
 	return false
