@@ -215,8 +215,8 @@ func (c *benchComp) Compute(now int64) { c.n++ }
 func (c *benchComp) Commit(now int64)  { c.n++ }
 
 // BenchmarkEngineStepUniform measures the per-tick dispatch cost on
-// the uniform fast path (every component at period 1 — the common,
-// non-double-speed configuration).
+// the uniform fast path (every component at period 1, as in every
+// system).
 func BenchmarkEngineStepUniform(b *testing.B) {
 	var e sim.Engine
 	for i := 0; i < 64; i++ {
@@ -249,7 +249,8 @@ func BenchmarkEngineStepParallel4(b *testing.B) { benchParallelMesh(b, 4) }
 func BenchmarkEngineStepParallel8(b *testing.B) { benchParallelMesh(b, 8) }
 
 // BenchmarkEngineStepMixed measures the grouped multi-rate path
-// (half the components at period 2, as in a double-speed-global run).
+// (half the components at period 2), which only the benchmark's
+// sim.step_ns_mixed64 probe still takes.
 func BenchmarkEngineStepMixed(b *testing.B) {
 	var e sim.Engine
 	for i := 0; i < 64; i++ {

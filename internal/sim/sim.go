@@ -11,13 +11,13 @@
 // paper) and makes results independent of component registration
 // order.
 //
-// Multi-rate clocking (paper Section 6, the double-speed global ring)
-// is expressed with per-component periods: the engine ticks at the
-// fastest clock and a component with period k acts every k-th tick.
-// Components are bucketed by period at registration time, so the hot
-// loop pays one divisibility check per distinct period instead of one
-// per component — and none at all on the uniform fast path (every
-// period 1, which is every non-double-speed configuration).
+// A component may act at a period: with period k it acts every k-th
+// tick. Components are bucketed by period at registration time, so the
+// hot loop pays one divisibility check per distinct period instead of
+// one per component — and none at all on the uniform fast path (every
+// period 1, which is every system: a tick is one PM cycle, and a
+// double-speed global ring takes its second step inside the ring
+// model).
 package sim
 
 import (
