@@ -160,7 +160,7 @@ func atoiTrim(s string) (int, error) {
 	return n, nil
 }
 
-var update = goflag.Bool("update", false, "re-record testdata/tiny.golden (full pass only)")
+var update = goflag.Bool("update", false, "re-record testdata/*.golden (tiny.golden: full pass only)")
 
 // artifactDigest is the SHA-256 of an output's text and CSV renderings,
 // the two files cmd/experiments writes per experiment.

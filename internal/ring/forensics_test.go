@@ -27,10 +27,14 @@ import (
 var update = flag.Bool("update", false, "re-record testdata/*.golden")
 
 // renderStall prints the parts of a report the ring builder derives
-// from station state: wait-for edges, cycles and the oldest packets.
+// from station state: buffers, wait-for edges, cycles and the oldest
+// packets.
 func renderStall(rep *sim.StallReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "buffered flits: %d\n", rep.BufferedFlits)
+	for _, s := range rep.Buffers {
+		fmt.Fprintf(&b, "buffer: %s %d/%d\n", s.Node, s.Flits, s.Capacity)
+	}
 	for _, f := range rep.ActiveFaults {
 		fmt.Fprintf(&b, "fault: %s\n", f)
 	}
@@ -93,21 +97,50 @@ func TestStallReportWaitEdges(t *testing.T) {
 			if !errors.As(err, &se) || se.Report == nil {
 				t.Fatalf("err = %v, want a *sim.StallError with a report", err)
 			}
-			got := renderStall(se.Report)
-			path := filepath.Join("testdata", "stall-"+tc.name+".golden")
-			if *update {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Errorf("stall report changed\n got:\n%s\nwant:\n%s", got, want)
-			}
+			checkStallGolden(t, tc.name, renderStall(se.Report))
 		})
+	}
+}
+
+// The slotted builder, read straight from the model after a fixed run:
+// a loaded 2:4 slotted ring whose station 0 stays dead from cycle 500,
+// so NACKed packets, full IRI queues and starved NICs pile up behind it.
+func TestSlottedStallReportGolden(t *testing.T) {
+	plan, err := fault.Parse("stutter@500+1000000:node=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(core.SystemConfig{
+		Network:   "ring",
+		Net:       network.Config{Topology: "2:4", LineBytes: 32, SlottedSwitching: true},
+		Workload:  workload.MMRP{R: 1, C: 1, T: 16, ReadProb: 0.7},
+		Seed:      1,
+		FaultPlan: plan,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.StepCycles(3000); err != nil {
+		t.Fatal(err)
+	}
+	rep := sys.Engine().Diagnose()
+	checkStallGolden(t, "slotted-2x4-dead", renderStall(rep)+rep.Summary()+"\n")
+}
+
+func checkStallGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "stall-"+name+".golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("stall report changed\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
