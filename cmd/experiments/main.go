@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"ringmesh/internal/exp"
-	"ringmesh/internal/plot"
 )
 
 func main() {
@@ -86,7 +85,7 @@ func main() {
 			os.Exit(1)
 		}
 		if *plotIt && len(out.Series) > 0 {
-			if err := drawChart(out); err != nil {
+			if err := exp.WritePlot(os.Stdout, out); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
@@ -122,24 +121,4 @@ func writeFiles(dir string, out exp.Output) error {
 	}
 	defer csvf.Close()
 	return exp.WriteCSV(csvf, out)
-}
-
-// drawChart renders an experiment's series as one ASCII chart.
-func drawChart(out exp.Output) error {
-	series := make([]plot.Series, 0, len(out.Series))
-	for _, s := range out.Series {
-		ps := plot.Series{Label: s.Label}
-		for _, p := range s.Points {
-			ps.X = append(ps.X, p.X)
-			ps.Y = append(ps.Y, p.Y)
-		}
-		series = append(series, ps)
-	}
-	return plot.Render(os.Stdout, series, plot.Options{
-		Title:  out.ID + ": " + out.Title,
-		XLabel: out.XLabel,
-		YLabel: out.YLabel,
-		Width:  72,
-		Height: 22,
-	})
 }

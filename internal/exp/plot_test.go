@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-
-	"ringmesh/internal/plot"
 )
 
 // plotFixture is a fixed two-series output: curves of different
@@ -24,21 +23,8 @@ func plotFixture() Output {
 
 // The chart cmd/experiments -plot prints, pinned byte for byte.
 func TestPlotGolden(t *testing.T) {
-	out := plotFixture()
-	series := make([]plot.Series, 0, len(out.Series))
-	for _, s := range out.Series {
-		ps := plot.Series{Label: s.Label}
-		for _, p := range s.Points {
-			ps.X = append(ps.X, p.X)
-			ps.Y = append(ps.Y, p.Y)
-		}
-		series = append(series, ps)
-	}
 	var buf bytes.Buffer
-	if err := plot.Render(&buf, series, plot.Options{
-		Title: out.ID + ": " + out.Title, XLabel: out.XLabel, YLabel: out.YLabel,
-		Width: 72, Height: 22,
-	}); err != nil {
+	if err := WritePlot(&buf, plotFixture()); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "plot.golden")
@@ -54,5 +40,48 @@ func TestPlotGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("chart changed\n got:\n%s\nwant:\n%s", buf.Bytes(), want)
+	}
+}
+
+func writePlot(t *testing.T, out Output) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WritePlot(&buf, out); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+func TestWritePlotBasics(t *testing.T) {
+	out := writePlot(t, plotFixture())
+	if !strings.HasPrefix(out, "figX: latency vs system size\n") {
+		t.Fatal("missing title")
+	}
+	if !strings.Contains(out, "ring") || !strings.Contains(out, "mesh") {
+		t.Fatal("missing legend entries")
+	}
+	if !strings.Contains(out, "*") || !strings.Contains(out, "+") {
+		t.Fatal("missing series markers")
+	}
+	if !strings.Contains(out, "(PMs)") {
+		t.Fatal("missing x label")
+	}
+	// Title, 22 plot rows, two axis rows and a two-line legend.
+	if lines := strings.Count(out, "\n"); lines != 27 {
+		t.Fatalf("%d lines, want 27", lines)
+	}
+}
+
+func TestWritePlotEmpty(t *testing.T) {
+	out := writePlot(t, Output{ID: "e", Series: []Series{{Label: "none"}}})
+	if !strings.Contains(out, "no data") {
+		t.Fatalf("empty render = %q", out)
+	}
+}
+
+func TestWritePlotSinglePoint(t *testing.T) {
+	out := writePlot(t, Output{ID: "p", Series: []Series{{Label: "p", Points: []Point{{X: 5, Y: 7}}}}})
+	if !strings.Contains(out, "*") {
+		t.Fatal("single point not drawn")
 	}
 }

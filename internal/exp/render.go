@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -137,4 +139,70 @@ func WriteCSV(w io.Writer, out Output) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// The chart's plot area in characters, and the markers that tell up to
+// eight series apart.
+const plotWidth, plotHeight = 72, 22
+
+var plotMarkers = []byte{'*', '+', 'o', 'x', '#', '@', '%', '&'}
+
+// WritePlot draws an output's series as one ASCII line chart, so a
+// figure can be eyeballed in a terminal without a plotting dependency.
+// The y axis starts at zero; where two series meet, the later one's
+// marker shows.
+func WritePlot(w io.Writer, out Output) error {
+	xmin, xmax := math.Inf(1), math.Inf(-1)
+	ymin, ymax := math.Inf(1), math.Inf(-1)
+	pts := 0
+	for _, s := range out.Series {
+		for _, p := range s.Points {
+			xmin, xmax = math.Min(xmin, p.X), math.Max(xmax, p.X)
+			ymin, ymax = math.Min(ymin, p.Y), math.Max(ymax, p.Y)
+			pts++
+		}
+	}
+	if pts == 0 {
+		_, err := fmt.Fprintln(w, "(no data)")
+		return err
+	}
+	if xmax == xmin {
+		xmax = xmin + 1
+	}
+	if ymax == ymin {
+		ymax = ymin + 1
+	}
+	ymin = math.Min(ymin, 0)
+
+	grid := make([][]byte, plotHeight)
+	for r := range grid {
+		grid[r] = bytes.Repeat([]byte{' '}, plotWidth)
+	}
+	for si, s := range out.Series {
+		for _, p := range s.Points {
+			cx := int((p.X - xmin) / (xmax - xmin) * (plotWidth - 1))
+			row := plotHeight - 1 - int((p.Y-ymin)/(ymax-ymin)*(plotHeight-1))
+			if row >= 0 && row < plotHeight && cx >= 0 && cx < plotWidth {
+				grid[row][cx] = plotMarkers[si%len(plotMarkers)]
+			}
+		}
+	}
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s: %s\n", out.ID, out.Title)
+	for r, row := range grid {
+		fmt.Fprintf(&b, "%8.1f |%s\n", ymax-(ymax-ymin)*float64(r)/(plotHeight-1), row)
+	}
+	fmt.Fprintf(&b, "%8s +%s\n", "", strings.Repeat("-", plotWidth))
+	left, right := fmt.Sprintf("%.0f", xmin), fmt.Sprintf("%.0f", xmax)
+	if out.XLabel != "" {
+		right += " (" + out.XLabel + ")"
+	}
+	gap := max(plotWidth-len(left)-len(right), 1)
+	fmt.Fprintf(&b, "%8s  %s%s%s\n", "", left, strings.Repeat(" ", gap), right)
+	for si, s := range out.Series {
+		fmt.Fprintf(&b, "%10c %s\n", plotMarkers[si%len(plotMarkers)], s.Label)
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }

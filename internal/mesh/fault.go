@@ -31,37 +31,18 @@ func (n *Network) FaultTargets() fault.Targets {
 // fault pinned traffic (dead ports show up as self-loop cycles) or a
 // flow-control bug; either way the wait-for graph names the culprit.
 func (n *Network) BuildStallReport(now int64) *sim.StallReport {
-	rep := &sim.StallReport{BufferedFlits: n.BufferedFlits()}
+	rep := sim.NewStallReport(now, n.BufferedFlits())
 	rname := func(id int) string { return fmt.Sprintf("router%d", id) }
-
-	seen := map[*packet.Packet]bool{}
-	addPkt := func(p *packet.Packet, where string) {
-		if p == nil || seen[p] {
-			return
-		}
-		seen[p] = true
-		rep.Oldest = append(rep.Oldest, sim.StuckPacket{
-			ID: p.ID, Type: p.Type.String(), Src: p.Src, Dst: p.Dst,
-			AgeTicks: now - p.Issue, Where: where,
-		})
-	}
 
 	for id := range n.routers {
 		r := &n.routers[id]
 		buffered := 0
 		for i := topo.Direction(0); i < topo.NumPorts; i++ {
 			buffered += r.inputs[i].Len()
-			r.inputs[i].EachPacket(func(p *packet.Packet) { addPkt(p, rname(r.id)) })
+			r.inputs[i].EachPacket(func(p *packet.Packet) { rep.Stuck(p, rname(r.id)) })
 		}
-		if r.injPkt != nil {
-			addPkt(r.injPkt, rname(r.id)+".inj")
-		}
-		if buffered > 0 {
-			rep.Buffers = append(rep.Buffers, sim.BufferStat{
-				Node: rname(r.id), Flits: buffered,
-				Capacity: int(topo.NumPorts) * n.cfg.bufferFlits(),
-			})
-		}
+		rep.Stuck(r.injPkt, rname(r.id)+".inj")
+		rep.Buffer(rname(r.id), buffered, int(topo.NumPorts)*n.cfg.bufferFlits())
 		for o := topo.Direction(0); o < topo.NumPorts; o++ {
 			if gate := r.flt.Port(int(o)); gate.Active(now) {
 				rep.ActiveFaults = append(rep.ActiveFaults, gate.Describe(fmt.Sprintf("%s %s", rname(r.id), o), "output"))
@@ -76,34 +57,25 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 				// on the upstream router feeding that input.
 				if r.outLock[o] != nil && r.outLockIn[o] != topo.Local {
 					if up := r.nbr[r.outLockIn[o]]; up != nil {
-						rep.WaitFor = append(rep.WaitFor, sim.WaitEdge{
-							From: rname(r.id), To: rname(up.id),
-							Why: fmt.Sprintf("committed worm on %s output, flits still upstream", o),
-						})
+						rep.Wait(rname(r.id), rname(up.id),
+							fmt.Sprintf("committed worm on %s output, flits still upstream", o))
 					}
 				}
 				continue
 			}
 			if r.flt.Port(int(o)).Dead(now) {
-				rep.WaitFor = append(rep.WaitFor, sim.WaitEdge{
-					From: rname(r.id), To: rname(r.id),
-					Why: fmt.Sprintf("%s output port faulted", o),
-				})
+				rep.Wait(rname(r.id), rname(r.id), fmt.Sprintf("%s output port faulted", o))
 				continue
 			}
 			if o == topo.Local {
 				continue // ejection always succeeds
 			}
 			if nb := r.nbr[o]; nb != nil && nb.inputs[opposite[o]].Space() < 1 {
-				rep.WaitFor = append(rep.WaitFor, sim.WaitEdge{
-					From: rname(r.id), To: rname(nb.id),
-					Why: fmt.Sprintf("%s carrying %s: downstream input full", o, f.Pkt),
-				})
+				rep.Wait(rname(r.id), rname(nb.id),
+					fmt.Sprintf("%s carrying %s: downstream input full", o, f.Pkt))
 			}
 		}
 	}
 
-	rep.Cycles = sim.DetectCycles(rep.WaitFor)
-	rep.Oldest = sim.SortOldest(rep.Oldest, 5)
-	return rep
+	return rep.Finish()
 }

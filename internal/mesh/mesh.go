@@ -396,11 +396,9 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 		moved++
 	}
 	if r.injPkt == nil && r.pm.HasPending() {
-		if p, ok := r.pm.PendingResponse(); ok {
-			r.pm.PopPendingResponse()
+		if p, ok := r.pm.TakeResponse(); ok {
 			r.injPkt, r.injIdx = p, 0
-		} else if p, ok := r.pm.PendingRequest(); ok {
-			r.pm.PopPendingRequest()
+		} else if p, ok := r.pm.TakeRequest(); ok {
 			r.injPkt, r.injIdx = p, 0
 		}
 	}

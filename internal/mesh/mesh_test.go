@@ -17,27 +17,15 @@ type fakePM struct {
 	deliverAt []int64
 }
 
-func (f *fakePM) PendingResponse() (*packet.Packet, bool) {
-	if len(f.pendResp) == 0 {
+func (f *fakePM) TakeResponse() (*packet.Packet, bool) { return take(&f.pendResp) }
+func (f *fakePM) TakeRequest() (*packet.Packet, bool)  { return take(&f.pendReq) }
+func take(q *[]*packet.Packet) (*packet.Packet, bool) {
+	if len(*q) == 0 {
 		return nil, false
 	}
-	return f.pendResp[0], true
-}
-func (f *fakePM) PopPendingResponse() *packet.Packet {
-	p := f.pendResp[0]
-	f.pendResp = f.pendResp[1:]
-	return p
-}
-func (f *fakePM) PendingRequest() (*packet.Packet, bool) {
-	if len(f.pendReq) == 0 {
-		return nil, false
-	}
-	return f.pendReq[0], true
-}
-func (f *fakePM) PopPendingRequest() *packet.Packet {
-	p := f.pendReq[0]
-	f.pendReq = f.pendReq[1:]
-	return p
+	p := (*q)[0]
+	*q = (*q)[1:]
+	return p, true
 }
 func (f *fakePM) Deliver(p *packet.Packet, now int64, _ bool) {
 	f.delivered = append(f.delivered, p)

@@ -212,11 +212,9 @@ func (n *refNetwork) commit(r *refRouter, now int64) {
 		r.stagedInj = move{}
 	}
 	if r.injPkt == nil && r.pm.HasPending() {
-		if p, ok := r.pm.PendingResponse(); ok {
-			r.pm.PopPendingResponse()
+		if p, ok := r.pm.TakeResponse(); ok {
 			r.injPkt, r.injIdx = p, 0
-		} else if p, ok := r.pm.PendingRequest(); ok {
-			r.pm.PopPendingRequest()
+		} else if p, ok := r.pm.TakeRequest(); ok {
 			r.injPkt, r.injIdx = p, 0
 		}
 	}

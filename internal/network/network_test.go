@@ -117,12 +117,10 @@ func TestFactoriesIgnoreForeignFields(t *testing.T) {
 // stubPort is a do-nothing PM port for building models in tests.
 type stubPort struct{}
 
-func (stubPort) PendingResponse() (*packet.Packet, bool) { return nil, false }
-func (stubPort) PopPendingResponse() *packet.Packet      { panic("empty") }
-func (stubPort) PendingRequest() (*packet.Packet, bool)  { return nil, false }
-func (stubPort) PopPendingRequest() *packet.Packet       { panic("empty") }
-func (stubPort) Deliver(*packet.Packet, int64, bool)     {}
-func (stubPort) HasPending() bool                        { return false }
+func (stubPort) TakeResponse() (*packet.Packet, bool) { return nil, false }
+func (stubPort) TakeRequest() (*packet.Packet, bool)  { return nil, false }
+func (stubPort) Deliver(*packet.Packet, int64, bool)  {}
+func (stubPort) HasPending() bool                     { return false }
 
 // TestBuiltinsAdvertiseCapabilities builds both families and asserts
 // a fresh network passes its own invariant audit. (That each

@@ -22,40 +22,27 @@ import (
 	"ringmesh/internal/workload"
 )
 
-// Injector is the view a NIC has of its PM's outbound traffic. The
-// NIC pulls: it peeks at the oldest pending packet of a class and pops
-// it once it has accepted it into a network buffer. Responses and
-// requests are exposed separately because both NIC designs prioritize
-// responses at injection.
-type Injector interface {
-	// PendingResponse returns the oldest response awaiting injection.
-	PendingResponse() (*packet.Packet, bool)
-	// PopPendingResponse removes and returns it.
-	PopPendingResponse() *packet.Packet
-	// PendingRequest returns the oldest request awaiting injection.
-	PendingRequest() (*packet.Packet, bool)
-	// PopPendingRequest removes and returns it.
-	PopPendingRequest() *packet.Packet
-}
-
-// Deliverer receives packets that exit the network at this PM.
-type Deliverer interface {
+// Port is what a network model needs from each processing module: a
+// source of pending packets to inject and a sink for delivered ones.
+// The NIC pulls: each of its two output registers holds exactly one
+// cache-line packet, and it takes the PM's oldest pending packet of a
+// class when that register is free. Responses and requests are taken
+// separately because both NIC designs prioritize responses at
+// injection.
+type Port interface {
+	// HasPending reports whether a packet of either class awaits the
+	// NIC, so a model can ask once per cycle before taking.
+	HasPending() bool
+	// TakeResponse removes and returns the oldest pending response.
+	TakeResponse() (*packet.Packet, bool)
+	// TakeRequest removes and returns the oldest pending request.
+	TakeRequest() (*packet.Packet, bool)
 	// Deliver hands over a completely received packet at PM cycle now;
 	// late marks one a double-speed global ring handed over in its
 	// second cycle, half a PM cycle later. Delivery never blocks: the
 	// PM is a perfect sink (responses are consumed immediately;
 	// requests join the memory queue).
 	Deliver(p *packet.Packet, now int64, late bool)
-}
-
-// Port is what a network model needs from each processing module: a
-// source of pending packets to inject and a sink for delivered ones.
-type Port interface {
-	Injector
-	Deliverer
-	// HasPending reports whether the Injector holds a packet of either
-	// class, so a model can ask once per cycle before peeking twice.
-	HasPending() bool
 }
 
 // Collector aggregates the run's measurements across all PMs.
@@ -110,9 +97,6 @@ func NewCollector() *Collector {
 // InFlight reports whether any transaction is outstanding anywhere —
 // the engine watchdog's liveness predicate.
 func (c *Collector) InFlight() bool { return c.inFlight > 0 }
-
-// Outstanding returns the number of transactions in flight.
-func (c *Collector) Outstanding() int64 { return c.inFlight }
 
 func (c *Collector) allocID() uint64 {
 	c.nextID++
@@ -454,7 +438,7 @@ func (pm *PM) issueMiss(genTime int64) {
 	pm.noteIssued(read)
 }
 
-// Deliver implements Deliverer. A response may unsuspend the processor
+// Deliver implements Port. A response may unsuspend the processor
 // or free a slot for a queued miss, and a request may start the memory,
 // so either wakes the PM.
 func (pm *PM) Deliver(p *packet.Packet, now int64, late bool) {
@@ -482,36 +466,21 @@ func (pm *PM) Deliver(p *packet.Packet, now int64, late bool) {
 // pickup — the one question an idle NIC asks every cycle.
 func (pm *PM) HasPending() bool { return len(pm.pendingResp)+len(pm.pendingReq) > 0 }
 
-// PendingResponse implements Injector.
-func (pm *PM) PendingResponse() (*packet.Packet, bool) {
-	if len(pm.pendingResp) == 0 {
+// TakeResponse implements Port.
+func (pm *PM) TakeResponse() (*packet.Packet, bool) { return take(&pm.pendingResp) }
+
+// TakeRequest implements Port.
+func (pm *PM) TakeRequest() (*packet.Packet, bool) { return take(&pm.pendingReq) }
+
+// take pops the head of a pending list, keeping its backing array.
+func take(q *[]*packet.Packet) (*packet.Packet, bool) {
+	if len(*q) == 0 {
 		return nil, false
 	}
-	return pm.pendingResp[0], true
-}
-
-// PopPendingResponse implements Injector.
-func (pm *PM) PopPendingResponse() *packet.Packet {
-	p := pm.pendingResp[0]
-	copy(pm.pendingResp, pm.pendingResp[1:])
-	pm.pendingResp = pm.pendingResp[:len(pm.pendingResp)-1]
-	return p
-}
-
-// PendingRequest implements Injector.
-func (pm *PM) PendingRequest() (*packet.Packet, bool) {
-	if len(pm.pendingReq) == 0 {
-		return nil, false
-	}
-	return pm.pendingReq[0], true
-}
-
-// PopPendingRequest implements Injector.
-func (pm *PM) PopPendingRequest() *packet.Packet {
-	p := pm.pendingReq[0]
-	copy(pm.pendingReq, pm.pendingReq[1:])
-	pm.pendingReq = pm.pendingReq[:len(pm.pendingReq)-1]
-	return p
+	p := (*q)[0]
+	copy(*q, (*q)[1:])
+	*q = (*q)[:len(*q)-1]
+	return p, true
 }
 
 // Outstanding returns the processor's current in-flight transaction

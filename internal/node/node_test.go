@@ -137,7 +137,7 @@ func TestOutstandingWindowBlocks(t *testing.T) {
 		t.Fatalf("issued = %d, want 2", col.Issued)
 	}
 	// A response unblocks one slot.
-	req, _ := pm.PendingRequest()
+	req, _ := pm.TakeRequest()
 	resp := &packet.Packet{ID: 99, Type: packet.ReadResponse, Src: 1, Dst: 0, Issue: req.Issue, Flits: 5}
 	pm.Deliver(resp, 50, false)
 	if pm.Outstanding() != 1 {
@@ -161,10 +161,13 @@ func TestMemoryServiceProducesResponse(t *testing.T) {
 	// Service takes 5 PM cycles: pick up on the first Commit, respond
 	// after 5 more.
 	var gotAt int64 = -1
+	var resp *packet.Packet
 	for now := int64(111); now < 130; now++ {
 		pm.Commit(now)
-		if _, ok := pm.PendingResponse(); ok && gotAt < 0 {
-			gotAt = now
+		if gotAt < 0 {
+			if p, ok := pm.TakeResponse(); ok {
+				resp, gotAt = p, now
+			}
 		}
 	}
 	if gotAt < 0 {
@@ -173,7 +176,6 @@ func TestMemoryServiceProducesResponse(t *testing.T) {
 	if gotAt-111 != 5 {
 		t.Fatalf("response after %d cycles, want 5", gotAt-111)
 	}
-	resp := pm.PopPendingResponse()
 	if resp.Type != packet.ReadResponse || resp.Dst != 0 || resp.Src != 2 {
 		t.Fatalf("bad response %v", resp)
 	}
@@ -196,7 +198,10 @@ func TestWriteGetsHeaderOnlyAck(t *testing.T) {
 	for now := int64(1); now < 10; now++ {
 		pm.Commit(now)
 	}
-	resp := pm.PopPendingResponse()
+	resp, ok := pm.TakeResponse()
+	if !ok {
+		t.Fatal("no response produced")
+	}
 	if resp.Type != packet.WriteResponse {
 		t.Fatalf("type = %v", resp.Type)
 	}
@@ -218,10 +223,11 @@ func TestMemoryFIFOOrder(t *testing.T) {
 	for now := int64(1); now < 20; now++ {
 		pm.Commit(now)
 		for {
-			if _, ok := pm.PendingResponse(); !ok {
+			p, ok := pm.TakeResponse()
+			if !ok {
 				break
 			}
-			order = append(order, pm.PopPendingResponse().Dst)
+			order = append(order, p.Dst)
 		}
 	}
 	if len(order) != 2 || order[0] != 0 || order[1] != 2 {
@@ -262,7 +268,7 @@ func TestCollectorInFlight(t *testing.T) {
 		t.Fatal("fresh collector reports in-flight")
 	}
 	col.issued(true)
-	if !col.InFlight() || col.Outstanding() != 1 {
+	if !col.InFlight() || col.inFlight != 1 {
 		t.Fatal("issued not tracked")
 	}
 	col.completed(10)
@@ -285,10 +291,11 @@ func TestInjectionQueuesFIFO(t *testing.T) {
 	}
 	var ids []uint64
 	for {
-		if _, ok := pm.PendingRequest(); !ok {
+		p, ok := pm.TakeRequest()
+		if !ok {
 			break
 		}
-		ids = append(ids, pm.PopPendingRequest().ID)
+		ids = append(ids, p.ID)
 	}
 	for i := 1; i < len(ids); i++ {
 		if ids[i] <= ids[i-1] {
@@ -314,8 +321,7 @@ func TestOpenLoopMissQueueDoesNotCreep(t *testing.T) {
 	now := int64(0)
 	step := func() {
 		pm.Commit(now)
-		if req, ok := pm.PendingRequest(); ok { // answer at once: the window never stays full
-			pm.PopPendingRequest()
+		if req, ok := pm.TakeRequest(); ok { // answer at once: the window never stays full
 			pm.Deliver(&packet.Packet{Type: packet.ReadResponse, Src: 1, Dst: 0, Issue: req.Issue, Flits: 5}, now, false)
 		}
 		now++
@@ -436,15 +442,17 @@ func driveRandomNetwork(pm committer, col *Collector, tpc int64, seed uint64, ti
 		if now%tpc == 0 {
 			pm.Commit(cycle)
 		}
-		if p, ok := pm.PendingResponse(); ok && net.Bernoulli(0.5) {
-			pm.PopPendingResponse()
-			log = append(log, fmt.Sprintf("%d out %v %d->%d issue %d", now, p.Type, p.Src, p.Dst, p.Issue))
+		if net.Bernoulli(0.5) {
+			if p, ok := pm.TakeResponse(); ok {
+				log = append(log, fmt.Sprintf("%d out %v %d->%d issue %d", now, p.Type, p.Src, p.Dst, p.Issue))
+			}
 		}
-		if p, ok := pm.PendingRequest(); ok && net.Bernoulli(0.5) {
-			pm.PopPendingRequest()
-			log = append(log, fmt.Sprintf("%d out %v %d->%d issue %d", now, p.Type, p.Src, p.Dst, p.Issue))
-			resp := &packet.Packet{Type: packet.ResponseFor(p.Type), Src: p.Dst, Dst: 0, Issue: p.Issue, Flits: 1}
-			inbound = append(inbound, arrival{now + 1 + int64(net.Intn(60)), resp})
+		if net.Bernoulli(0.5) {
+			if p, ok := pm.TakeRequest(); ok {
+				log = append(log, fmt.Sprintf("%d out %v %d->%d issue %d", now, p.Type, p.Src, p.Dst, p.Issue))
+				resp := &packet.Packet{Type: packet.ResponseFor(p.Type), Src: p.Dst, Dst: 0, Issue: p.Issue, Flits: 1}
+				inbound = append(inbound, arrival{now + 1 + int64(net.Intn(60)), resp})
+			}
 		}
 		if net.Bernoulli(0.03) {
 			req := &packet.Packet{Type: packet.ReadRequest, Src: 1 + net.Intn(3), Dst: 0, Issue: cycle, Flits: 1}

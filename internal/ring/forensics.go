@@ -24,7 +24,7 @@ import (
 // BuildStallReport implements network.Model for the wormhole
 // network.
 func (n *Network) BuildStallReport(now int64) *sim.StallReport {
-	rep := &sim.StallReport{BufferedFlits: n.BufferedFlits()}
+	rep := sim.NewStallReport(now, n.BufferedFlits())
 
 	pred := map[*station]*station{}
 	for i := range n.stations {
@@ -33,16 +33,13 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 
 	for i := range n.stations {
 		st := &n.stations[i]
-		if b := st.bufferedFlits(); b > 0 {
-			rep.Buffers = append(rep.Buffers, sim.BufferStat{
-				Node: st.name, Flits: b, Capacity: numVCs * n.clFlits,
-			})
-		}
+		rep.Buffer(st.name, st.bufferedFlits(), numVCs*n.clFlits)
 		gate := st.flt.Port(0)
 		if gate.Active(now) {
 			rep.ActiveFaults = append(rep.ActiveFaults, gate.Describe(st.name, "output link"))
 		}
 		for v := 0; v < numVCs; v++ {
+			st.vcs[v].buf.EachPacket(func(p *packet.Packet) { rep.Stuck(p, st.name) })
 			f, src, ok := st.candidate(v)
 			if !ok {
 				// A committed worm whose next flit has not arrived
@@ -55,15 +52,13 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 						from, why = st.peer, "committed to a worm still crossing the IRI queue"
 					}
 					if from != nil {
-						rep.WaitFor = append(rep.WaitFor,
-							sim.WaitEdge{From: st.name, To: from.name, Why: why})
+						rep.Wait(st.name, from.name, why)
 					}
 				}
 				continue
 			}
 			if gate.Dead(now) {
-				rep.WaitFor = append(rep.WaitFor,
-					sim.WaitEdge{From: st.name, To: st.name, Why: "output link faulted"})
+				rep.Wait(st.name, st.name, "output link faulted")
 				continue
 			}
 			if _, accepted := st.downstream.accepts(f, v, src != nil); accepted {
@@ -85,64 +80,28 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 			} else if src != nil && d.vcs[v].buf.Space() >= 1 {
 				why = fmt.Sprintf("bubble rule: vc%d transit path full ring-wide", v)
 			}
-			rep.WaitFor = append(rep.WaitFor,
-				sim.WaitEdge{From: st.name, To: to.name, Why: why})
+			rep.Wait(st.name, to.name, why)
 		}
 	}
 
-	// An IRI station is named after the buffers it injects from
+	// Packets waiting in NIC registers, then in IRI queues. An IRI
+	// station is named after the buffers it injects from
 	// ("iri[lo,hi).up" drains the up buffers).
+	for id := range n.nics {
+		st := n.nics[id].st
+		for q := range st.inject {
+			st.inject[q].EachPacket(func(p *packet.Packet) { rep.Stuck(p, st.name+".out") })
+		}
+	}
 	for _, upper := range n.iris {
 		for _, st := range [...]*station{upper, upper.peer} {
-			if l := st.queuedFlits(); l > 0 {
-				rep.Buffers = append(rep.Buffers, sim.BufferStat{
-					Node: st.name, Flits: l,
-					Capacity: st.inject[qResp].Cap() + st.inject[qReq].Cap(),
-				})
+			rep.Buffer(st.name, st.queuedFlits(), st.inject[qResp].Cap()+st.inject[qReq].Cap())
+			for q := range st.inject {
+				st.inject[q].EachPacket(func(p *packet.Packet) { rep.Stuck(p, st.name) })
 			}
 		}
 	}
-
-	rep.Cycles = sim.DetectCycles(rep.WaitFor)
-	rep.Oldest = sim.SortOldest(n.stuckPackets(now), 5)
-	return rep
-}
-
-// stuckPackets snapshots every distinct packet with flits buffered in
-// the network, tagged with the first buffer it was found in.
-func (n *Network) stuckPackets(now int64) []sim.StuckPacket {
-	var out []sim.StuckPacket
-	seen := map[*packet.Packet]bool{}
-	collect := func(where string, q *packet.FIFO) {
-		q.EachPacket(func(p *packet.Packet) {
-			if seen[p] {
-				return
-			}
-			seen[p] = true
-			out = append(out, sim.StuckPacket{
-				ID: p.ID, Type: p.Type.String(), Src: p.Src, Dst: p.Dst,
-				AgeTicks: now - p.Issue, Where: where,
-			})
-		})
-	}
-	for i := range n.stations {
-		st := &n.stations[i]
-		for v := range st.vcs {
-			collect(st.name, &st.vcs[v].buf)
-		}
-	}
-	queues := func(where string, st *station) {
-		collect(where, &st.inject[qResp])
-		collect(where, &st.inject[qReq])
-	}
-	for id := range n.nics {
-		queues(n.nics[id].st.name+".out", n.nics[id].st)
-	}
-	for _, upper := range n.iris {
-		queues(upper.name, upper)
-		queues(upper.peer.name, upper.peer)
-	}
-	return out
+	return rep.Finish()
 }
 
 // BuildStallReport implements network.Model for the slotted
@@ -152,7 +111,7 @@ func (n *Network) stuckPackets(now int64) []sim.StuckPacket {
 // by full occupancy. Ring instances appear as "sring[lo,hi)" nodes so
 // those relationships still form cycles.
 func (n *SlottedNetwork) BuildStallReport(now int64) *sim.StallReport {
-	rep := &sim.StallReport{BufferedFlits: n.BufferedFlits()}
+	rep := sim.NewStallReport(now, n.BufferedFlits())
 
 	drain := map[*spktQueue]*sstation{}
 	for _, st := range n.stations {
@@ -168,18 +127,6 @@ func (n *SlottedNetwork) BuildStallReport(now int64) *sim.StallReport {
 		}
 	}
 
-	seen := map[*packet.Packet]bool{}
-	addPkt := func(p *packet.Packet, where string) {
-		if p == nil || seen[p] {
-			return
-		}
-		seen[p] = true
-		rep.Oldest = append(rep.Oldest, sim.StuckPacket{
-			ID: p.ID, Type: p.Type.String(), Src: p.Src, Dst: p.Dst,
-			AgeTicks: now - p.Issue, Where: where,
-		})
-	}
-
 	for _, r := range n.rings {
 		flits := 0
 		for i := range r.slots {
@@ -188,7 +135,7 @@ func (n *SlottedNetwork) BuildStallReport(now int64) *sim.StallReport {
 				continue
 			}
 			flits += p.Flits
-			addPkt(p, ringName(r))
+			rep.Stuck(p, ringName(r))
 			// A circulating packet blocked at its exit: find its exit
 			// station on this ring and the queue that refuses it.
 			for _, st := range r.stations {
@@ -196,63 +143,41 @@ func (n *SlottedNetwork) BuildStallReport(now int64) *sim.StallReport {
 					continue
 				}
 				if q := st.exitQueueFor(p); q.count() >= q.cap {
-					rep.WaitFor = append(rep.WaitFor, sim.WaitEdge{
-						From: ringName(r), To: drain[q].name,
-						Why: "IRI transfer queue full (packet NACKed each lap)",
-					})
+					rep.Wait(ringName(r), drain[q].name, "IRI transfer queue full (packet NACKed each lap)")
 				}
 				break
 			}
 		}
-		if flits > 0 {
-			rep.Buffers = append(rep.Buffers, sim.BufferStat{
-				Node: ringName(r), Flits: flits, Capacity: len(r.slots) * n.clFlits,
-			})
-		}
+		rep.Buffer(ringName(r), flits, len(r.slots)*n.clFlits)
 	}
 
 	for _, st := range n.stations {
 		if gate := st.flt.Port(0); gate.Active(now) {
 			rep.ActiveFaults = append(rep.ActiveFaults, gate.Describe(st.name, "output link"))
 			if gate.Dead(now) {
-				rep.WaitFor = append(rep.WaitFor,
-					sim.WaitEdge{From: st.name, To: st.name, Why: "ring attachment faulted"})
+				rep.Wait(st.name, st.name, "ring attachment faulted")
 			}
 		}
 		for _, q := range st.inject {
 			if p, ok := q.peek(now * n.sub); ok {
-				addPkt(p, st.name)
+				rep.Stuck(p, st.name)
 				r := ringOf[st]
 				if !r.mayAdmit(p) {
-					rep.WaitFor = append(rep.WaitFor, sim.WaitEdge{
-						From: st.name, To: ringName(r),
-						Why: "no admissible slot (ring occupancy at the ascent bound)",
-					})
+					rep.Wait(st.name, ringName(r), "no admissible slot (ring occupancy at the ascent bound)")
 				}
 			}
 			for _, it := range q.items {
-				addPkt(it.pkt, st.name)
+				rep.Stuck(it.pkt, st.name)
 			}
 		}
 	}
 
 	for _, ir := range n.iris {
 		name := fmt.Sprintf("siri[%d,%d)", ir.lo, ir.hi)
-		if l := ir.upResp.bufferedFlits() + ir.upReq.bufferedFlits(); l > 0 {
-			rep.Buffers = append(rep.Buffers, sim.BufferStat{
-				Node: name + ".up", Flits: l,
-				Capacity: (ir.upResp.cap + ir.upReq.cap) * n.clFlits,
-			})
-		}
-		if l := ir.downResp.bufferedFlits() + ir.downReq.bufferedFlits(); l > 0 {
-			rep.Buffers = append(rep.Buffers, sim.BufferStat{
-				Node: name + ".down", Flits: l,
-				Capacity: (ir.downResp.cap + ir.downReq.cap) * n.clFlits,
-			})
-		}
+		rep.Buffer(name+".up", ir.upResp.bufferedFlits()+ir.upReq.bufferedFlits(),
+			(ir.upResp.cap+ir.upReq.cap)*n.clFlits)
+		rep.Buffer(name+".down", ir.downResp.bufferedFlits()+ir.downReq.bufferedFlits(),
+			(ir.downResp.cap+ir.downReq.cap)*n.clFlits)
 	}
-
-	rep.Cycles = sim.DetectCycles(rep.WaitFor)
-	rep.Oldest = sim.SortOldest(rep.Oldest, 5)
-	return rep
+	return rep.Finish()
 }

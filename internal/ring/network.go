@@ -91,15 +91,16 @@ type nic struct {
 // refill moves whole pending packets from the PM into empty NIC
 // output registers (commit phase; the PM pending lists are written
 // only by the PM's own commit, which runs earlier in the tick — see
-// the registration order in internal/core), waking the station.
+// the registration order in internal/core), waking the station. A
+// register holds one cache line's flits, the longest packet, so a
+// taken packet always fits.
 func (n *nic) refill() {
 	resp, req := &n.st.inject[qResp], &n.st.inject[qReq]
 	if !(resp.Empty() || req.Empty()) || !n.pm.HasPending() {
 		return
 	}
 	if resp.Empty() {
-		if p, ok := n.pm.PendingResponse(); ok && p.Flits <= resp.Cap() {
-			n.pm.PopPendingResponse()
+		if p, ok := n.pm.TakeResponse(); ok {
 			for i := 0; i < p.Flits; i++ {
 				resp.Push(packet.Flit{Pkt: p, Index: i})
 			}
@@ -107,8 +108,7 @@ func (n *nic) refill() {
 		}
 	}
 	if req.Empty() {
-		if p, ok := n.pm.PendingRequest(); ok && p.Flits <= req.Cap() {
-			n.pm.PopPendingRequest()
+		if p, ok := n.pm.TakeRequest(); ok {
 			for i := 0; i < p.Flits; i++ {
 				req.Push(packet.Flit{Pkt: p, Index: i})
 			}

@@ -476,14 +476,12 @@ func (n *SlottedNetwork) tryInject(r *sring, st *sstation, slot *sslot, now int6
 // registers.
 func (n *SlottedNetwork) refillNIC(nc *snic, now int64) {
 	if nc.outResp.count() == 0 {
-		if p, ok := nc.pm.PendingResponse(); ok {
-			nc.pm.PopPendingResponse()
+		if p, ok := nc.pm.TakeResponse(); ok {
 			nc.outResp.push(p, now+1)
 		}
 	}
 	if nc.outReq.count() == 0 {
-		if p, ok := nc.pm.PendingRequest(); ok {
-			nc.pm.PopPendingRequest()
+		if p, ok := nc.pm.TakeRequest(); ok {
 			nc.outReq.push(p, now+1)
 		}
 	}

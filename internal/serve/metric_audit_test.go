@@ -156,6 +156,19 @@ func TestMetricAudit(t *testing.T) {
 	}
 	occupier := decodeDoc(t, raw).ID
 	waitForRunning(t, fs, occupier)
+	// A job turns running before its point reaches the cache; the
+	// in-flight gauge moves once the run holds its cache flight.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		fs.cache.mu.Lock()
+		flights := len(fs.cache.inflight)
+		fs.cache.mu.Unlock()
+		if flights == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("occupier holds %d cache flights after 10 s, want 1", flights)
+		}
+	}
 	for i, want := range []int{http.StatusAccepted, http.StatusServiceUnavailable} {
 		resp, raw := postJSON(t, fts.URL+"/v1/runs",
 			runRequest{Config: seeded(uint64(10 + i)), Options: long})

@@ -8,11 +8,19 @@ package sim
 // packets, any active injected faults — which Run wraps into the
 // returned StallError. errors.Is(err, ErrStalled) keeps working
 // through Unwrap, so existing stall handling is unchanged.
+//
+// The rules every model shares live here: a model's builder opens a
+// report with NewStallReport, names what only it knows (non-empty
+// buffers, blocked senders, where each stuck packet sits, its active
+// faults) and ends with Finish, which finds the wait-for cycles and
+// keeps the oldest packets.
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"ringmesh/internal/packet"
 )
 
 // BufferStat is one node's buffer occupancy at stall time.
@@ -63,6 +71,55 @@ type StallReport struct {
 	Oldest []StuckPacket
 	// ActiveFaults describes injected faults active at stall time.
 	ActiveFaults []string
+
+	// now and seen serve the builder: the stall time packet ages are
+	// taken from, and the packets already noted. Finish clears both.
+	now  int64
+	seen map[*packet.Packet]bool
+}
+
+// NewStallReport opens a report a model fills at PM cycle now with
+// bufferedFlits in flight.
+func NewStallReport(now int64, bufferedFlits int) *StallReport {
+	return &StallReport{BufferedFlits: bufferedFlits, now: now, seen: map[*packet.Packet]bool{}}
+}
+
+// Buffer records node's occupancy; an empty buffer is left out.
+func (r *StallReport) Buffer(node string, flits, capacity int) {
+	if flits > 0 {
+		r.Buffers = append(r.Buffers, BufferStat{Node: node, Flits: flits, Capacity: capacity})
+	}
+}
+
+// Wait records that from cannot make progress until to does.
+func (r *StallReport) Wait(from, to, why string) {
+	r.WaitFor = append(r.WaitFor, WaitEdge{From: from, To: to, Why: why})
+}
+
+// Stuck notes packet p as sitting at where, unless p is nil or already
+// noted (a worm spans several buffers; the first one visited names it).
+func (r *StallReport) Stuck(p *packet.Packet, where string) {
+	if p == nil || r.seen[p] {
+		return
+	}
+	r.seen[p] = true
+	r.Oldest = append(r.Oldest, StuckPacket{
+		ID: p.ID, Type: p.Type.String(), Src: p.Src, Dst: p.Dst,
+		AgeTicks: r.now - p.Issue, Where: where,
+	})
+}
+
+// Finish finds the wait-for cycles, keeps the five oldest packets
+// (oldest first; ties stay in the order they were noted) and returns
+// the report.
+func (r *StallReport) Finish() *StallReport {
+	r.Cycles = detectCycles(r.WaitFor)
+	sort.SliceStable(r.Oldest, func(i, j int) bool { return r.Oldest[i].AgeTicks > r.Oldest[j].AgeTicks })
+	if len(r.Oldest) > 5 {
+		r.Oldest = r.Oldest[:5]
+	}
+	r.now, r.seen = 0, nil
+	return r
 }
 
 // Summary renders a compact human-readable report (what cmd/ringmesh
@@ -143,11 +200,11 @@ func (e *StallError) Error() string {
 // Unwrap makes errors.Is(err, ErrStalled) hold.
 func (e *StallError) Unwrap() error { return ErrStalled }
 
-// DetectCycles finds elementary cycles in the wait-for graph by DFS
+// detectCycles finds elementary cycles in the wait-for graph by DFS
 // (bounded at 8 distinct cycles — enough to name the deadlock without
 // enumerating a dense graph's exponential cycle space). Deterministic:
 // nodes are visited in first-appearance order of the edge list.
-func DetectCycles(edges []WaitEdge) [][]string {
+func detectCycles(edges []WaitEdge) [][]string {
 	const limit = 8
 	adj := map[string][]string{}
 	var nodes []string
@@ -215,14 +272,4 @@ func canonicalCycle(cyc []string) string {
 	rotated = append(rotated, cyc[best:]...)
 	rotated = append(rotated, cyc[:best]...)
 	return strings.Join(rotated, "\x00")
-}
-
-// SortOldest orders stuck packets oldest-first and truncates to n
-// (a helper for model report builders).
-func SortOldest(pkts []StuckPacket, n int) []StuckPacket {
-	sort.SliceStable(pkts, func(i, j int) bool { return pkts[i].AgeTicks > pkts[j].AgeTicks })
-	if len(pkts) > n {
-		pkts = pkts[:n]
-	}
-	return pkts
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"ringmesh/internal/packet"
 )
 
 func TestDetectCyclesFindsLoop(t *testing.T) {
@@ -14,7 +16,7 @@ func TestDetectCyclesFindsLoop(t *testing.T) {
 		{From: "c", To: "a", Why: "full"},
 		{From: "x", To: "a", Why: "full"}, // feeder, not part of a cycle
 	}
-	cycles := DetectCycles(edges)
+	cycles := detectCycles(edges)
 	if len(cycles) != 1 {
 		t.Fatalf("cycles = %v, want exactly one", cycles)
 	}
@@ -24,7 +26,7 @@ func TestDetectCyclesFindsLoop(t *testing.T) {
 }
 
 func TestDetectCyclesSelfLoop(t *testing.T) {
-	cycles := DetectCycles([]WaitEdge{{From: "n", To: "n", Why: "link faulted"}})
+	cycles := detectCycles([]WaitEdge{{From: "n", To: "n", Why: "link faulted"}})
 	if len(cycles) != 1 || len(cycles[0]) != 1 || cycles[0][0] != "n" {
 		t.Fatalf("self-loop cycles = %v", cycles)
 	}
@@ -34,10 +36,10 @@ func TestDetectCyclesAcyclic(t *testing.T) {
 	edges := []WaitEdge{
 		{From: "a", To: "b"}, {From: "b", To: "c"}, {From: "a", To: "c"},
 	}
-	if cycles := DetectCycles(edges); len(cycles) != 0 {
+	if cycles := detectCycles(edges); len(cycles) != 0 {
 		t.Fatalf("acyclic graph reported cycles %v", cycles)
 	}
-	if cycles := DetectCycles(nil); len(cycles) != 0 {
+	if cycles := detectCycles(nil); len(cycles) != 0 {
 		t.Fatalf("empty graph reported cycles %v", cycles)
 	}
 }
@@ -51,7 +53,7 @@ func TestDetectCyclesDedupsRotations(t *testing.T) {
 		{From: "b", To: "c"},
 		{From: "c", To: "b"},
 	}
-	cycles := DetectCycles(edges)
+	cycles := detectCycles(edges)
 	if len(cycles) != 1 {
 		t.Fatalf("cycles = %v, want the b<->c loop once", cycles)
 	}
@@ -134,14 +136,36 @@ func TestDiagnosePanicFallsBackToBareError(t *testing.T) {
 }
 
 func TestSortOldest(t *testing.T) {
-	pkts := []StuckPacket{
-		{ID: 1, AgeTicks: 10},
-		{ID: 2, AgeTicks: 300},
-		{ID: 3, AgeTicks: 50},
+	rep := NewStallReport(400, 0)
+	pkts := make([]*packet.Packet, 8)
+	for i := range pkts {
+		pkts[i] = &packet.Packet{ID: uint64(i + 1), Issue: int64(100 * (i % 4))}
 	}
-	got := SortOldest(pkts, 2)
-	if len(got) != 2 || got[0].ID != 2 || got[1].ID != 3 {
-		t.Fatalf("SortOldest = %+v", got)
+	for _, p := range pkts {
+		rep.Stuck(p, "q")
+	}
+	rep.Stuck(pkts[0], "later") // already noted: keeps its first place
+	rep.Stuck(nil, "q")
+	var got []uint64
+	for _, p := range rep.Finish().Oldest {
+		got = append(got, p.ID)
+	}
+	// Ages 400, 300, 200, 100 twice each: oldest first, ties in the
+	// order noted, cut at five.
+	if want := []uint64{1, 5, 2, 6, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("oldest IDs = %v, want %v", got, want)
+	}
+	if rep.Oldest[0].AgeTicks != 400 || rep.Oldest[0].Where != "q" {
+		t.Fatalf("oldest = %+v", rep.Oldest[0])
+	}
+}
+
+func TestBufferSkipsEmpty(t *testing.T) {
+	rep := NewStallReport(0, 3)
+	rep.Buffer("a", 0, 4)
+	rep.Buffer("b", 3, 4)
+	if want := []BufferStat{{Node: "b", Flits: 3, Capacity: 4}}; !reflect.DeepEqual(rep.Finish().Buffers, want) {
+		t.Fatalf("buffers = %+v, want %+v", rep.Buffers, want)
 	}
 }
 
