@@ -3,6 +3,8 @@ package ringmesh
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -471,6 +473,58 @@ func TestMetricsGlobalRingRunsHotter(t *testing.T) {
 	}
 	if !(gSum > lSum) {
 		t.Fatalf("sampled global util %.3f not above local %.3f", gSum/float64(len(samples)), lSum/float64(len(samples)))
+	}
+}
+
+// TestLinkUtilSeriesMatchResult pins that the exported link-utilization
+// series and the Result read the same counters over the same measured
+// interval: after Run, each ring_link_util{link=Lk} equals
+// RingUtilization[k] exactly, and the four mesh_link_util directions
+// (each K(K-1) links of a KxK mesh) average to MeshUtilization.
+func TestLinkUtilSeriesMatchResult(t *testing.T) {
+	for _, cfg := range []Config{
+		{Network: "ring", Topology: "3:3:8", LineBytes: 32},
+		{Network: "ring", Topology: "2:4", LineBytes: 32, SlottedSwitching: true},
+		{Network: "mesh", Topology: "8x8", LineBytes: 32},
+	} {
+		cfg.Workload, cfg.Seed, cfg.Metrics = PaperWorkload(), goldenSeed, true
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run(QuickRunOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mesh []float64
+		rings := 0
+		for _, s := range sys.inner.Metrics().Series() {
+			switch s.Name {
+			case "ring_link_util":
+				var k int
+				if _, err := fmt.Sscanf(s.Labels.Link, "L%d", &k); err != nil || k >= len(res.RingUtilization) {
+					t.Fatalf("%s %s: series %s has no Result level", cfg.Network, cfg.Topology, s.Key())
+				}
+				if got, want := s.Value(), res.RingUtilization[k]; got != want {
+					t.Errorf("%s %s: %s = %v, RingUtilization[%d] = %v", cfg.Network, cfg.Topology, s.Key(), got, k, want)
+				}
+				rings++
+			case "mesh_link_util":
+				mesh = append(mesh, s.Value())
+			}
+		}
+		if rings != len(res.RingUtilization) {
+			t.Errorf("%s %s: %d ring_link_util series for %d levels", cfg.Network, cfg.Topology, rings, len(res.RingUtilization))
+		}
+		if cfg.Network == "mesh" {
+			if len(mesh) != 4 {
+				t.Fatalf("mesh %s: %d mesh_link_util series, want 4", cfg.Topology, len(mesh))
+			}
+			mean := (mesh[0] + mesh[1] + mesh[2] + mesh[3]) / 4
+			if math.Abs(mean-res.MeshUtilization) > 1e-12 || res.MeshUtilization == 0 {
+				t.Errorf("mesh %s: mean direction util %v, MeshUtilization %v", cfg.Topology, mean, res.MeshUtilization)
+			}
+		}
 	}
 }
 
