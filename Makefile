@@ -46,8 +46,8 @@ examples-smoke:
 
 # A short benchmark pass that exercises the engine fast paths without
 # running the full figure sweeps: both models, the ring at low load (the
-# busy-station set) and with a double-speed global ring (the period-2
-# path), the 11x11 mesh with 1-flit buffers that fig16 runs (every worm
+# busy-station set) and with a double-speed global ring (its second
+# step inside the ring's own tick), the 11x11 mesh with 1-flit buffers that fig16 runs (every worm
 # stalls on its downstream space check), and the geometry under the analytic tier (estimates, the Table
 # 2 pick, the 11x11 build), plus one op each of the whole analytic
 # triage and of the ring-sim and mesh-sim workloads.
@@ -104,12 +104,14 @@ smoke-ringmeshd:
 	bash ci/smoke_ringmeshd.sh
 
 # A short native-fuzz pass over the hostile-input parsers: the fault
-# plan DSL and the job-journal record decoder must never panic. The
-# seed corpora also run as plain tests in `make test`; this target
-# additionally mutates for a few seconds per target.
+# plan DSL, the job-journal record decoder and the facade's Config
+# (resolve, cache key, estimate, a short build and step) must never
+# panic. The seed corpora also run as plain tests in `make test`; this
+# target additionally mutates for a few seconds per target.
 fuzz-smoke:
 	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzParse -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s
+	$(GO) test . -run '^$$' -fuzz FuzzConfig -fuzztime 5s
 
 # Regenerate every table and figure at the paper-fidelity schedule and
 # require results/ to be byte-current (analytic-bounds.csv belongs to

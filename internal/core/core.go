@@ -37,6 +37,10 @@ type System struct {
 	col    *node.Collector
 	pms    []*node.PM
 	net    network.Model
+	// links is the model's link list, read once at build; perLevel
+	// reports each group on its own (rings) instead of merged (meshes).
+	links    []sim.LinkGroup
+	perLevel bool
 
 	metrics  *metrics.Registry
 	sampler  *metrics.Sampler
@@ -66,10 +70,11 @@ type SystemConfig struct {
 	Histogram bool
 	// Tracer optionally records per-packet lifecycle events.
 	Tracer *trace.Recorder
-	// Metrics, when non-nil, receives the network model's instruments
-	// (per-link utilization, queue occupancy, stall counters); see
-	// network.Model.DescribeMetrics. Instrumentation is
-	// observation-only and never changes simulation results.
+	// Metrics, when non-nil, receives the link utilization series
+	// (network.Model.Links) and the model's own instruments (queue
+	// occupancy, stall counters; network.Model.DescribeMetrics).
+	// Instrumentation is observation-only and never changes simulation
+	// results.
 	Metrics *metrics.Registry
 	// MetricsInterval, when > 0 together with Metrics, attaches a
 	// time-series sampler snapshotting every MetricsInterval PM clock
@@ -166,8 +171,12 @@ func NewSystemOn(plan *network.Plan, cfg SystemConfig) (*System, error) {
 			return nil, err
 		}
 	}
+	s.links, s.perLevel = model.Links(), plan.PerLevel
 	s.metrics = cfg.Metrics
 	if cfg.Metrics != nil {
+		for _, g := range s.links {
+			cfg.Metrics.Ratio(plan.Name+"_link_util", metrics.Labels{Link: g.Label}, g.Links...)
+		}
 		model.DescribeMetrics(cfg.Metrics)
 		if faults != nil {
 			cfg.Metrics.CounterFunc("fault_events_total", metrics.Labels{}, faults.Applied)
@@ -523,7 +532,11 @@ func (s *System) RunCtx(ctx context.Context, rc RunConfig) (res Result, err erro
 		stalled, stallErr = true, err
 	}
 	s.col.Latency.CloseBatch() // discarded by the batch-means filter
-	s.net.ResetUtilization()
+	for _, g := range s.links {
+		for _, u := range g.Links {
+			u.Reset()
+		}
+	}
 	// Warmup-aware metrics reset: counters and sampled series restart
 	// with the measured interval, mirroring the batch-means discard.
 	s.metrics.Reset()
@@ -574,9 +587,17 @@ func (s *System) RunCtx(ctx context.Context, rc RunConfig) (res Result, err erro
 		res.LatencyP99 = s.col.Hist.Quantile(0.99)
 		res.LatencyMax = s.col.Hist.Quantile(1)
 	}
-	ns := s.net.Stats()
-	res.RingUtilization = ns.PerLevel
-	res.MeshUtilization = ns.Link
+	var all stats.Utilization
+	for _, g := range s.links {
+		u := stats.Sum(g.Links...)
+		if s.perLevel {
+			res.RingUtilization = append(res.RingUtilization, u.Value())
+		}
+		all.Merge(&u)
+	}
+	if !s.perLevel {
+		res.MeshUtilization = all.Value()
+	}
 	// Saturation: compare realized generation (remote + local misses)
 	// against the configured rate C over the whole run including
 	// warmup.

@@ -35,9 +35,7 @@ func (p *panicNet) Compute(now int64) {
 	}
 }
 func (p *panicNet) Commit(int64)                            {}
-func (p *panicNet) BufferedFlits() int                      { return 0 }
-func (p *panicNet) Stats() sim.NetStats                     { return sim.NetStats{} }
-func (p *panicNet) ResetUtilization()                       {}
+func (p *panicNet) Links() []sim.LinkGroup                  { return nil }
 func (p *panicNet) SetTracer(*trace.Recorder)               {}
 func (p *panicNet) DescribeMetrics(*metrics.Registry)       {}
 func (p *panicNet) CheckInvariants() error                  { return nil }

@@ -130,9 +130,8 @@ type router struct {
 	// linkUtil counts flits sent on each of this router's outgoing
 	// neighbour links, per direction, against the mesh clock
 	// (Network.cycles; only links that exist are bound to it, so the
-	// Local slot and edge slots accrue no capacity). Keeping the split
-	// by direction is what the metrics registry exports; the aggregate
-	// Utilization() view merges them.
+	// Local slot and edge slots accrue no capacity). Links lists the
+	// bound ones by direction.
 	linkUtil [topo.NumPorts]stats.Utilization
 	// turns counts e-cube dimension turns: head flits leaving an
 	// east/west input through a north/south output. Kept per router
@@ -405,37 +404,25 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 	return moved
 }
 
-// Utilization returns aggregate inter-router link utilization in
-// [0, 1] — busy link-cycles over available link-cycles, the paper's
-// "percent of maximum network utilization" for meshes. It merges the
-// same per-direction counters the metrics registry exports, so the
-// aggregate and the per-direction series always agree.
-func (n *Network) Utilization() float64 {
-	var u stats.Utilization
-	for i := range n.routers {
-		r := &n.routers[i]
-		for o := topo.Direction(0); o < topo.NumPorts; o++ {
-			u.Merge(&r.linkUtil[o])
+// Links implements network.Model: one group per direction of the
+// routers' bound outgoing links, whose merged busy over capacity is the
+// paper's "percent of maximum network utilization" for meshes.
+func (n *Network) Links() []sim.LinkGroup {
+	groups := make([]sim.LinkGroup, 0, topo.Local)
+	for o := topo.Direction(0); o < topo.Local; o++ {
+		g := sim.LinkGroup{Label: o.String()}
+		for i := range n.routers {
+			if r := &n.routers[i]; r.nbr[o] != nil {
+				g.Links = append(g.Links, &r.linkUtil[o])
+			}
 		}
+		groups = append(groups, g)
 	}
-	return u.Value()
-}
-
-// ResetUtilization clears link counters (warmup end).
-func (n *Network) ResetUtilization() {
-	for i := range n.routers {
-		r := &n.routers[i]
-		for o := topo.Direction(0); o < topo.NumPorts; o++ {
-			r.linkUtil[o].Reset()
-		}
-	}
+	return groups
 }
 
 // DescribeMetrics registers the mesh's instruments:
 //
-//   - mesh_link_util{link=north|east|south|west}: per-direction link
-//     utilization aggregated across routers, backed by the existing
-//     per-router counters (no new hot-path work).
 //   - mesh_input_buffer_flits{queue=<direction>}: total input-FIFO
 //     occupancy per port direction across the mesh, read only at
 //     sample time.
@@ -444,19 +431,6 @@ func (n *Network) ResetUtilization() {
 //
 // Every instrument reads state the tick keeps anyway.
 func (n *Network) DescribeMetrics(reg *metrics.Registry) {
-	for o := topo.Direction(0); o < topo.NumPorts; o++ {
-		if o == topo.Local {
-			continue
-		}
-		backing := make([]*stats.Utilization, 0, len(n.routers))
-		for i := range n.routers {
-			r := &n.routers[i]
-			if n.cfg.Spec.Neighbor(r.id, o) >= 0 {
-				backing = append(backing, &r.linkUtil[o])
-			}
-		}
-		reg.Ratio("mesh_link_util", metrics.Labels{Link: o.String()}, backing...)
-	}
 	for o := topo.Direction(0); o < topo.NumPorts; o++ {
 		o := o
 		reg.Gauge("mesh_input_buffer_flits", metrics.Labels{Queue: o.String()},
@@ -476,9 +450,6 @@ func (n *Network) DescribeMetrics(reg *metrics.Registry) {
 		return total
 	})
 }
-
-// Stats implements network.Model.
-func (n *Network) Stats() sim.NetStats { return sim.NetStats{Link: n.Utilization()} }
 
 // BufferedFlits counts flits resident in all router input FIFOs plus
 // partially injected packets' remaining flits (for tests and liveness

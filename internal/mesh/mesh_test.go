@@ -7,6 +7,7 @@ import (
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/sim"
+	"ringmesh/internal/stats"
 	"ringmesh/internal/topo"
 )
 
@@ -181,7 +182,7 @@ func TestLocalLoopback(t *testing.T) {
 	if len(h.pms[0].delivered) != 1 {
 		t.Fatal("loopback packet not delivered")
 	}
-	if h.net.Utilization() != 0 {
+	if u, _ := meshUtil(h.net); u != 0 {
 		t.Fatal("loopback must not use inter-router links")
 	}
 }
@@ -329,16 +330,22 @@ func TestUtilizationAccounting(t *testing.T) {
 	if len(h.pms[1].delivered) != 1 {
 		t.Fatal("not delivered")
 	}
-	u := h.net.Utilization()
 	// 8 busy cycles over 20 ticks x 8 directed links.
 	want := 8.0 / 160.0
-	if u < want-1e-9 || u > want+1e-9 {
-		t.Fatalf("utilization = %v, want %v", u, want)
+	if got, links := meshUtil(h.net); links != 8 || got < want-1e-9 || got > want+1e-9 {
+		t.Fatalf("utilization over %d links = %v, want %v over 8", links, got, want)
 	}
-	h.net.ResetUtilization()
-	if h.net.Utilization() != 0 {
-		t.Fatal("reset failed")
+}
+
+// meshUtil merges every listed link's counter, as the runner does for
+// MeshUtilization, and says how many links it merged.
+func meshUtil(n *Network) (float64, int) {
+	var links []*stats.Utilization
+	for _, g := range n.Links() {
+		links = append(links, g.Links...)
 	}
+	u := stats.Sum(links...)
+	return u.Value(), len(links)
 }
 
 // The build-time geometry the tick runs on must be topo.MeshSpec's: for

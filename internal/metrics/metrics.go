@@ -27,8 +27,9 @@
 //
 // The measurement clock is warmup-aware: Registry.Reset (called by
 // the core runner when the batch-means method discards its first
-// batch) rebases counter series on their current count and clears
-// ratio backings, so exported series cover the measured interval only.
+// batch) rebases counter series on their current count, and the runner
+// resets the link counters behind the ratios, so exported series cover
+// the measured interval only.
 package metrics
 
 import (
@@ -311,10 +312,7 @@ func (s *Series) Value() float64 {
 	case KindHistogram:
 		return float64(s.hist.Count())
 	default:
-		var u stats.Utilization
-		for _, r := range s.ratios {
-			u.Merge(r)
-		}
+		u := stats.Sum(s.ratios...)
 		return u.Value()
 	}
 }
@@ -329,10 +327,7 @@ func (s *Series) raw() (int64, int64) {
 	case KindHistogram:
 		return s.hist.Count(), 0
 	case KindRatio:
-		var u stats.Utilization
-		for _, r := range s.ratios {
-			u.Merge(r)
-		}
+		u := stats.Sum(s.ratios...)
 		return u.Counts()
 	default:
 		return 0, 0
@@ -467,10 +462,12 @@ func (r *Registry) Series() []*Series {
 }
 
 // Reset rebases every counter series on its current count and clears
-// every histogram and ratio backing — the warmup-aware reset: the core
-// runner calls it when the batch-means method discards the first
-// batch, so exported series cover the measured interval only. Gauges
-// are instantaneous and have nothing to clear. Nil-safe.
+// every histogram — the warmup-aware reset: the core runner calls it
+// when the batch-means method discards the first batch, so exported
+// series cover the measured interval only. Gauges are instantaneous and
+// have nothing to clear; ratio backings belong to their owner, which
+// resets them itself (the runner resets a model's link counters once).
+// Nil-safe.
 func (r *Registry) Reset() {
 	if r == nil {
 		return
@@ -481,10 +478,6 @@ func (r *Registry) Reset() {
 			s.base.Store(s.count())
 		case KindHistogram:
 			s.hist.reset()
-		case KindRatio:
-			for _, u := range s.ratios {
-				u.Reset()
-			}
 		}
 	}
 }

@@ -41,6 +41,7 @@ func ringPlan(cfg Config) (*Plan, error) {
 	return &Plan{
 		Topology: spec.String(),
 		PMs:      pms,
+		PerLevel: true,
 		Sizing:   packet.RingSizing,
 		Locality: func(r float64) (workload.Pattern, error) {
 			return workload.NewRingLocality(pms, r)

@@ -14,8 +14,8 @@
 //   - The Plan's Build hook then constructs the Model proper, wired
 //     to the per-PM injection/delivery ports.
 //   - The Model is a sim.Component plus the small measurement surface
-//     the batch-means runner needs (buffered-flit accounting, a stats
-//     snapshot, invariant checks).
+//     the batch-means runner needs (its links, metrics views,
+//     invariant checks, a stall report).
 //
 // Packets enter a Model through the PM ports it was built with (the
 // network pulls pending request/response packets during its commit
@@ -74,23 +74,20 @@ type Config struct {
 // carries packets between the PM ports it was built with.
 type Model interface {
 	sim.Component
-	// BufferedFlits reports the flits currently resident in the
-	// network's buffers (its in-flight load), for liveness accounting
-	// and conservation tests.
-	BufferedFlits() int
-	// Stats snapshots the utilization counters since the last
-	// ResetUtilization.
-	Stats() sim.NetStats
-	// ResetUtilization clears the counters (called at warmup end).
-	ResetUtilization()
+	// Links lists the model's links once, as labeled groups of the
+	// utilization counters its tick keeps: one per ring level, or one
+	// per mesh direction. The runner owns everything done with them
+	// (the warmup reset, the <family>_link_util series, the Result's
+	// utilization), so a model never walks its own counters.
+	Links() []sim.LinkGroup
 	// SetTracer attaches an optional packet-lifecycle recorder
 	// (nil-safe).
 	SetTracer(*trace.Recorder)
-	// DescribeMetrics registers read views of the model's state — link
-	// utilization ratios, queue occupancy gauges, the stall and turn
-	// counts it always keeps — into reg, which is non-nil: the runner
-	// calls it only when metrics are enabled. Registering must not
-	// change the tick, so no simulation result can depend on it.
+	// DescribeMetrics registers read views of the model's state — queue
+	// occupancy gauges, the stall and turn counts it always keeps —
+	// into reg, which is non-nil: the runner calls it only when metrics
+	// are enabled, after registering the link series. Registering must
+	// not change the tick, so no simulation result can depend on it.
 	DescribeMetrics(reg *metrics.Registry)
 	// CheckInvariants audits the model's internal invariants (buffer
 	// bounds, flow-control bookkeeping, deadlock-freedom
@@ -128,6 +125,10 @@ type Model interface {
 type Plan struct {
 	// Name is the family New resolved: "ring" or "mesh".
 	Name string
+	// PerLevel says the model's link groups are hierarchy levels, each
+	// reported on its own (Result.RingUtilization), rather than parts
+	// of one aggregate (Result.MeshUtilization).
+	PerLevel bool
 	// Topology is the canonical resolved shape (e.g. "3:3:8", "8x8").
 	Topology string
 	// PMs is the number of processing modules the network connects.

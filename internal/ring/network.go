@@ -8,7 +8,6 @@ import (
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/sim"
-	"ringmesh/internal/stats"
 	"ringmesh/internal/topo"
 	"ringmesh/internal/trace"
 )
@@ -335,14 +334,29 @@ func (n *Network) refill() {
 // any Workers (the measurement is recorded in DESIGN §8).
 func (n *Network) Partition() *sim.Partition { return nil }
 
-// levelLabel names hierarchy level lvl for metrics ("L0" = global).
-func levelLabel(lvl int) string { return fmt.Sprintf("L%d", lvl) }
+// levelGroups returns one empty link group per hierarchy level,
+// labeled "L0" (global) to "L<levels-1>" (local rings).
+func levelGroups(levels int) []sim.LinkGroup {
+	groups := make([]sim.LinkGroup, levels)
+	for lvl := range groups {
+		groups[lvl].Label = fmt.Sprintf("L%d", lvl)
+	}
+	return groups
+}
+
+// Links implements network.Model: every station's outgoing link, by
+// the level of its ring.
+func (n *Network) Links() []sim.LinkGroup {
+	groups := levelGroups(n.cfg.Spec.NumLevels())
+	for i := range n.stations {
+		st := &n.stations[i]
+		groups[st.level].Links = append(groups[st.level].Links, &st.util)
+	}
+	return groups
+}
 
 // DescribeMetrics registers the ring family's instruments:
 //
-//   - ring_link_util{link=L<level>}: per-level link utilization,
-//     backed by the stations' existing counters (no new hot-path
-//     work).
 //   - iri_queue_flits{node,queue=up|down,class=req|rsp}: per-IRI
 //     queue occupancy gauges, read only at sample time.
 //   - nic_inject_stall_cycles{node}: per-NIC injection-stall cycles,
@@ -350,14 +364,6 @@ func levelLabel(lvl int) string { return fmt.Sprintf("L%d", lvl) }
 //
 // Every instrument reads state the tick keeps anyway.
 func (n *Network) DescribeMetrics(reg *metrics.Registry) {
-	perLevel := make([][]*stats.Utilization, n.cfg.Spec.NumLevels())
-	for i := range n.stations {
-		st := &n.stations[i]
-		perLevel[st.level] = append(perLevel[st.level], &st.util)
-	}
-	for lvl, backing := range perLevel {
-		reg.Ratio("ring_link_util", metrics.Labels{Link: levelLabel(lvl)}, backing...)
-	}
 	for _, upper := range n.iris {
 		node := fmt.Sprintf("iri[%d,%d)", upper.exitLo, upper.exitHi)
 		for _, q := range []struct {
@@ -379,33 +385,6 @@ func (n *Network) DescribeMetrics(reg *metrics.Registry) {
 		st := n.nics[id].st
 		reg.CounterFunc("nic_inject_stall_cycles", metrics.Labels{Node: fmt.Sprintf("nic%d", id)},
 			func() int64 { return st.stalls })
-	}
-}
-
-// Stats implements network.Model.
-func (n *Network) Stats() sim.NetStats { return sim.NetStats{PerLevel: n.UtilizationByLevel()} }
-
-// UtilizationByLevel returns link utilization aggregated per ring
-// level (index 0 = global ring, last = local rings), in [0, 1].
-func (n *Network) UtilizationByLevel() []float64 {
-	levels := n.cfg.Spec.NumLevels()
-	out := make([]float64, levels)
-	aggr := make([]stats.Utilization, levels)
-	for i := range n.stations {
-		st := &n.stations[i]
-		aggr[st.level].Merge(&st.util)
-	}
-	for i := range aggr {
-		out[i] = aggr[i].Value()
-	}
-	return out
-}
-
-// ResetUtilization clears all link utilization counters (called at
-// warmup end).
-func (n *Network) ResetUtilization() {
-	for i := range n.stations {
-		n.stations[i].util.Reset()
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"ringmesh/internal/packet"
 	"ringmesh/internal/rng"
 	"ringmesh/internal/sim"
+	"ringmesh/internal/stats"
 	"ringmesh/internal/topo"
 )
 
@@ -355,18 +356,15 @@ func TestUtilizationCounts(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustRingSpec(4), LineBytes: 32})
 	h.pms[0].pendReq = append(h.pms[0].pendReq, mkPkt(1, packet.ReadRequest, 0, 2, 32))
 	h.run(t, 10)
-	u := h.net.UtilizationByLevel()
-	if len(u) != 1 {
-		t.Fatalf("levels = %d", len(u))
+	groups := h.net.Links()
+	if len(groups) != 1 || groups[0].Label != "L0" || len(groups[0].Links) != 4 {
+		t.Fatalf("link groups = %+v, want L0 with 4 links", groups)
 	}
 	// 2 link-crossings over 10 ticks x 4 stations = 2/40.
+	u := stats.Sum(groups[0].Links...)
 	want := 2.0 / 40.0
-	if u[0] < want-1e-9 || u[0] > want+1e-9 {
-		t.Fatalf("utilization = %v, want %v", u[0], want)
-	}
-	h.net.ResetUtilization()
-	if got := h.net.UtilizationByLevel()[0]; got != 0 {
-		t.Fatalf("utilization after reset = %v", got)
+	if got := u.Value(); got < want-1e-9 || got > want+1e-9 {
+		t.Fatalf("utilization = %v, want %v", got, want)
 	}
 }
 

@@ -487,19 +487,22 @@ func (n *SlottedNetwork) refillNIC(nc *snic, now int64) {
 	}
 }
 
-// DescribeMetrics registers the slotted model's instruments under the
-// same names and labels as the wormhole model (per-level slot
-// utilization as ring_link_util, per-IRI transfer-queue occupancy in
-// flits, per-NIC injection stalls counted in slot-steps), so the two
-// switching techniques export directly comparable telemetry.
-func (n *SlottedNetwork) DescribeMetrics(reg *metrics.Registry) {
-	perLevel := make([][]*stats.Utilization, n.cfg.Spec.NumLevels())
+// Links implements network.Model: every station's slot counter, by
+// the level of its ring, labeled as the wormhole model's links are.
+func (n *SlottedNetwork) Links() []sim.LinkGroup {
+	groups := levelGroups(n.cfg.Spec.NumLevels())
 	for _, st := range n.stations {
-		perLevel[st.level] = append(perLevel[st.level], &st.util)
+		groups[st.level].Links = append(groups[st.level].Links, &st.util)
 	}
-	for lvl, backing := range perLevel {
-		reg.Ratio("ring_link_util", metrics.Labels{Link: levelLabel(lvl)}, backing...)
-	}
+	return groups
+}
+
+// DescribeMetrics registers the slotted model's instruments under the
+// same names and labels as the wormhole model (per-IRI transfer-queue
+// occupancy in flits, per-NIC injection stalls counted in slot-steps),
+// so the two switching techniques export directly comparable
+// telemetry.
+func (n *SlottedNetwork) DescribeMetrics(reg *metrics.Registry) {
 	for _, ir := range n.iris {
 		node := fmt.Sprintf("iri[%d,%d)", ir.lo, ir.hi)
 		for _, q := range []struct {
@@ -521,31 +524,6 @@ func (n *SlottedNetwork) DescribeMetrics(reg *metrics.Registry) {
 		st := nc.st
 		reg.CounterFunc("nic_inject_stall_cycles", metrics.Labels{Node: fmt.Sprintf("nic%d", id)},
 			func() int64 { return st.stalls })
-	}
-}
-
-// Stats implements network.Model.
-func (n *SlottedNetwork) Stats() sim.NetStats { return sim.NetStats{PerLevel: n.UtilizationByLevel()} }
-
-// UtilizationByLevel returns per-level slot utilization in [0,1]
-// (index 0 = global).
-func (n *SlottedNetwork) UtilizationByLevel() []float64 {
-	levels := n.cfg.Spec.NumLevels()
-	aggr := make([]stats.Utilization, levels)
-	for _, st := range n.stations {
-		aggr[st.level].Merge(&st.util)
-	}
-	out := make([]float64, levels)
-	for i := range aggr {
-		out[i] = aggr[i].Value()
-	}
-	return out
-}
-
-// ResetUtilization clears slot counters.
-func (n *SlottedNetwork) ResetUtilization() {
-	for _, st := range n.stations {
-		st.util.Reset()
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"ringmesh/internal/packet"
 	"ringmesh/internal/rng"
 	"ringmesh/internal/sim"
+	"ringmesh/internal/stats"
 	"ringmesh/internal/topo"
 )
 
@@ -321,12 +322,11 @@ func TestSlottedUtilization(t *testing.T) {
 	h := newSlottedHarness(t, Config{Spec: topo.MustRingSpec(4), LineBytes: 32, Switching: Slotted})
 	h.pms[0].pendResp = append(h.pms[0].pendResp, mkPkt(1, packet.ReadResponse, 0, 2, 32))
 	h.run(t, 60)
-	u := h.net.UtilizationByLevel()
-	if len(u) != 1 || u[0] <= 0 || u[0] > 1 {
-		t.Fatalf("utilization = %v", u)
+	groups := h.net.Links()
+	if len(groups) != 1 || groups[0].Label != "L0" {
+		t.Fatalf("link groups = %+v, want L0 only", groups)
 	}
-	h.net.ResetUtilization()
-	if h.net.UtilizationByLevel()[0] != 0 {
-		t.Fatal("reset failed")
+	if u := stats.Sum(groups[0].Links...); u.Value() <= 0 || u.Value() > 1 {
+		t.Fatalf("utilization = %v", u.Value())
 	}
 }

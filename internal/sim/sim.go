@@ -25,6 +25,7 @@ import (
 
 	"ringmesh/internal/obs"
 	"ringmesh/internal/pool"
+	"ringmesh/internal/stats"
 )
 
 // Component is one synchronously clocked piece of the system (a
@@ -47,16 +48,14 @@ type Component interface {
 	Commit(now int64)
 }
 
-// NetStats is a network component's topology-agnostic snapshot of its
-// link utilization since the last reset — with StallReport, one of the
-// two reports a network model hands the runner.
-type NetStats struct {
-	// PerLevel is link utilization per hierarchy level in [0,1]
-	// (index 0 = top/global level); nil for flat networks.
-	PerLevel []float64
-	// Link is the aggregate link utilization in [0,1] for flat
-	// networks (zero when PerLevel is the meaningful view).
-	Link float64
+// LinkGroup is one named set of a network's links and the utilization
+// counters behind them: a ring level ("L0" = global) or a mesh
+// direction ("north"), bound links only. The runner reads a model's
+// groups once, resets them at the warmup discard, exports each as
+// <family>_link_util and folds them into the Result.
+type LinkGroup struct {
+	Label string
+	Links []*stats.Utilization
 }
 
 // schedule groups the components sharing one clock period. Groups are

@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -91,9 +92,13 @@ func (r *StallReport) Buffer(node string, flits, capacity int) {
 	}
 }
 
-// Wait records that from cannot make progress until to does.
+// Wait records that from cannot make progress until to does, unless
+// the report already holds that edge (several packets can wait on one
+// dependency, and the graph counts dependencies).
 func (r *StallReport) Wait(from, to, why string) {
-	r.WaitFor = append(r.WaitFor, WaitEdge{From: from, To: to, Why: why})
+	if e := (WaitEdge{From: from, To: to, Why: why}); !slices.Contains(r.WaitFor, e) {
+		r.WaitFor = append(r.WaitFor, e)
+	}
 }
 
 // Stuck notes packet p as sitting at where, unless p is nil or already

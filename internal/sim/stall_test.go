@@ -169,6 +169,20 @@ func TestBufferSkipsEmpty(t *testing.T) {
 	}
 }
 
+// A wait edge is a dependency, not a blocked packet: two packets
+// waiting on the same thing for the same reason add one edge.
+func TestWaitDropsRepeatedEdges(t *testing.T) {
+	rep := NewStallReport(0, 0)
+	rep.Wait("a", "b", "full")
+	rep.Wait("a", "b", "full")
+	rep.Wait("a", "b", "faulted")
+	rep.Wait("b", "a", "full")
+	want := []WaitEdge{{"a", "b", "full"}, {"a", "b", "faulted"}, {"b", "a", "full"}}
+	if got := rep.Finish().WaitFor; !reflect.DeepEqual(got, want) {
+		t.Fatalf("wait edges = %+v, want %+v", got, want)
+	}
+}
+
 func TestSummaryNilSafe(t *testing.T) {
 	var r *StallReport
 	if r.Summary() == "" {

@@ -253,6 +253,15 @@ func (u *Utilization) Merge(other *Utilization) {
 	u.merged += capacity
 }
 
+// Sum merges every counter in us into one aggregate.
+func Sum(us ...*Utilization) Utilization {
+	var total Utilization
+	for _, u := range us {
+		total.Merge(u)
+	}
+	return total
+}
+
 // Histogram is a fixed-width bucket histogram for latency
 // distributions; values beyond the last bucket go to an overflow bin.
 type Histogram struct {
