@@ -393,6 +393,49 @@ func TestJournalStackPreservesGoldenBytes(t *testing.T) {
 	}
 }
 
+// TestJobIDsNeverReissued: a job ID names one job for good. Across
+// restarts, with or without a journal, no boot hands out an ID an
+// earlier boot gave out, whether that ID was journaled (a queued run)
+// or not (a repeat answered from the cache), and whether or not an idle
+// boot in between compacted the journal to nothing.
+func TestJobIDsNeverReissued(t *testing.T) {
+	cases := []struct {
+		name    string
+		journal bool
+		boots   [][]uint64 // per boot, the seeds of the runs it is sent; a repeat is a cache hit
+	}{
+		{"cached answer, restart over the journal", true, [][]uint64{{1, 1}, {2}}},
+		{"two restarts, the middle one idle", true, [][]uint64{{3}, nil, {4}}},
+		{"no journal", false, [][]uint64{{5, 5}, {5, 5}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := ""
+			if tc.journal {
+				dir = t.TempDir()
+			}
+			givenBy := map[string]int{}
+			for b, seeds := range tc.boots {
+				s, ts := newTestServer(t, Options{Workers: 1, JournalDir: dir})
+				for _, seed := range seeds {
+					id := decodeDoc(t, submitFinal(t, ts.URL, "/v1/runs",
+						runRequest{Config: meshRun(16, seed), Options: testOptions()})).ID
+					if first, ok := givenBy[id]; ok {
+						t.Errorf("boot %d gave out %s, which boot %d already gave out", b+1, id, first+1)
+					}
+					givenBy[id] = b
+				}
+				ctx, cancel := drainCtx()
+				err := s.Drain(ctx)
+				cancel()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func drainCtx() (ctx context.Context, cancel context.CancelFunc) {
 	return context.WithTimeout(context.Background(), 10*time.Second)
 }
