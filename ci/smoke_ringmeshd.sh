@@ -20,9 +20,11 @@
 #      with Retry-After and a structured body, and every queued job
 #      still finishes;
 #   4. journal replay: kill -9 with jobs running and queued, restart
-#      over the journal, and every job finishes under its original ID;
+#      over the journal, every job finishes under its original ID, and
+#      a new job gets none of those IDs;
 #   5. auto fidelity: an auto request is answered analytically while
-#      the worker is busy, and its upgrade job lands the exact result.
+#      the worker is busy, its upgrade job lands the exact result, and
+#      the upgrade, being best-effort, writes nothing to the journal.
 #
 # No dependencies beyond curl and the Go toolchain.
 set -euo pipefail
@@ -329,7 +331,8 @@ echo "PASS: overload smoke (fourth job shed with Retry-After at a full queue; th
 # running job and three queued ones, kill -9 — no drain, no fsync
 # beyond what every append already did — then restart over the same
 # directory and demand all four complete under their original IDs,
-# with the replay visible on /metrics.
+# with the replay visible on /metrics, and that the restarted daemon
+# gives a new job an ID none of the four had.
 
 journaldir=$(mktemp -d)
 jlog1=$(mktemp)
@@ -364,9 +367,15 @@ grep -q '^ringmeshd_journal_replayed_total 4$' <<<"$jmetrics" \
 grep -q '^ringmeshd_journal_quarantined_total 0$' <<<"$jmetrics" \
   || { echo "FAIL: clean journal quarantined records:"; echo "$jmetrics" | grep journal; exit 1; }
 
+newid=$(submit_id "$jbase2" "$(runbody 34)")
+[ -n "$newid" ] || { echo "FAIL: no job id from the restarted journal daemon"; exit 1; }
+for jid in "${jids[@]}"; do
+  [ "$newid" != "$jid" ] || { echo "FAIL: restart reissued the pre-kill ID $jid"; exit 1; }
+done
+
 kill -TERM "$jpid2"; wait "$jpid2" || { echo "FAIL: journal daemon exited dirty"; exit 1; }
 
-echo "PASS: journal smoke (kill -9 with 4 unfinished jobs; restart replayed all under original IDs)"
+echo "PASS: journal smoke (kill -9 with 4 unfinished jobs; restart replayed all under original IDs, new job $newid)"
 
 # ---------------------------------------------------------------------
 # Stage 5: multi-fidelity serving. Queue jobs behind a single busy
@@ -375,10 +384,11 @@ echo "PASS: journal smoke (kill -9 with 4 unfinished jobs; restart replayed all 
 # error bound and the ID of its upgrade job — while the
 # exact result lands later under its own cache key. The upgrade job
 # must finish with an unlabeled exact result, and the fidelity
-# counters must tell the story on /metrics.
+# counters must tell the story on /metrics. The daemon journals: the
+# upgrade is best-effort and must append nothing to it.
 
 alog=$(mktemp)
-boot "$alog" -workers 1
+boot "$alog" -workers 1 -journal-dir "$(mktemp -d)"
 apid=$BOOT_PID; abase="http://$BOOT_ADDR"
 
 # Occupy the worker and queue jobs behind it, so the auto request
@@ -411,6 +421,11 @@ case "$updoc" in
   *'"observations":'*) ;;
   *) echo "FAIL: upgrade result not a simulation: $updoc"; exit 1 ;;
 esac
+# The one worker ran the occupier and the three queued jobs before the
+# upgrade: accepted + done for each is 8 appends, and the upgrade adds
+# none.
+grep -q '^ringmeshd_journal_appends_total 8$' <<<"$(curl -fsS "$abase/metrics")" \
+  || { echo "FAIL: journal appends with the upgrade landed:"; curl -fsS "$abase/metrics" | grep journal; exit 1; }
 
 # A repeat auto request now prefers the cached exact result: no label,
 # no new upgrade.
@@ -435,5 +450,5 @@ grep -q 'ringmeshd_fidelity_answer_seconds_bucket{fidelity="analytic",le="+Inf"}
 
 kill -TERM "$apid"; wait "$apid" || { echo "FAIL: fidelity daemon exited dirty"; exit 1; }
 
-echo "PASS: fidelity smoke (auto answered analytically under flood; upgrade landed the exact result)"
+echo "PASS: fidelity smoke (auto answered analytically under flood; upgrade landed the exact result, unjournaled)"
 echo "PASS: ringmeshd smoke"

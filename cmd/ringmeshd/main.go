@@ -7,7 +7,10 @@
 //	ringmeshd -addr :8080
 //	curl -s localhost:8080/healthz
 //	curl -s -X POST localhost:8080/v1/runs -d '{"config":{"network":"mesh","nodes":64,"line_bytes":32,"buffer_flits":4,"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":42}}'
-//	curl -s localhost:8080/v1/jobs/j000001
+//	curl -s localhost:8080/v1/jobs/K5RQ2ZWA-1
+//
+// Job IDs are opaque: a random per-boot prefix plus a sequence number,
+// so no ID is reused across restarts.
 //
 // Endpoints: POST /v1/runs, POST /v1/sweeps, POST /v1/batch,
 // GET /v1/jobs/{id} (?watch=1 for SSE), GET /healthz (liveness),
@@ -31,7 +34,8 @@
 // "simulate" (default), "analytic" (inline closed-form estimate,
 // labeled with its recorded error bound, never queued), or "auto"
 // (cache hit if available, else an analytic answer plus an "upgrade
-// to exact" job, queued best-effort, whose ID rides in the response).
+// to exact" job, queued best-effort and never journaled, whose ID
+// rides in the response).
 // Estimates and exact results live under distinct cache keys.
 // ringmeshd_fidelity_* counters and per-fidelity latency histograms
 // appear on /metrics.

@@ -46,10 +46,31 @@ func mustKey(t *testing.T, cfg Config, opt RunOptions) string {
 // TestCacheKeyEquivalentSpellings pins the collapse half of the
 // cache-correctness contract: every spelling of one logical
 // configuration must hash to one key, or the cache loses hits it is
-// entitled to.
+// entitled to. The cache serves one spelling's Result for another, so
+// a spelling must also run, under QuickRunOptions, to a Result whose
+// JSON is its base's byte for byte (every case below but the Table 2
+// cells, which would run 40 rings).
 func TestCacheKeyEquivalentSpellings(t *testing.T) {
 	cfg, opt := baseMesh()
 	base := mustKey(t, cfg, opt)
+	// quickJSON runs c under QuickRunOptions, with the spelling's own
+	// changes to the schedule applied, and encodes the Result.
+	quickJSON := func(t *testing.T, c Config, mutate func(*Config, *RunOptions)) []byte {
+		t.Helper()
+		o := QuickRunOptions()
+		mutate(&c, &o)
+		res, err := Run(c, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	same := func(*Config, *RunOptions) {}
+	baseJSON := quickJSON(t, cfg, same)
 
 	cases := []struct {
 		name   string
@@ -104,16 +125,23 @@ func TestCacheKeyEquivalentSpellings(t *testing.T) {
 			if got := mustKey(t, cfg, opt); got != base {
 				t.Errorf("key changed: %s vs base %s", got, base)
 			}
+			mesh, _ := baseMesh()
+			if got := quickJSON(t, mesh, tc.mutate); string(got) != string(baseJSON) {
+				t.Errorf("same key, different Result:\n got: %s\nbase: %s", got, baseJSON)
+			}
 		})
 	}
 
 	// Ring side: BufferFlits is mesh-only, so a ring config must hash
 	// the same with or without it.
 	rcfg, ropt := baseRing()
-	rbase := mustKey(t, rcfg, ropt)
+	rbase, rJSON := mustKey(t, rcfg, ropt), quickJSON(t, rcfg, same)
 	rcfg.BufferFlits = 16
 	if got := mustKey(t, rcfg, ropt); got != rbase {
 		t.Errorf("ring key moved with mesh-only BufferFlits: %s vs %s", got, rbase)
+	}
+	if got := quickJSON(t, rcfg, same); string(got) != string(rJSON) {
+		t.Errorf("ring Result moved with mesh-only BufferFlits:\n got: %s\nbase: %s", got, rJSON)
 	}
 
 	// Ring nodes:N vs the Table 2 hierarchy it resolves to, in every
@@ -143,10 +171,13 @@ func TestCacheKeyEquivalentSpellings(t *testing.T) {
 	// schedule as explicit ones.
 	gcfg, gopt := baseMesh()
 	gcfg.FaultPlan = "rand:events=3,seed=9,horizon=2000"
-	gbase := mustKey(t, gcfg, gopt)
+	gbase, gJSON := mustKey(t, gcfg, gopt), quickJSON(t, gcfg, same)
 	gcfg.FaultPlan = "rand:events=3,seed=9,horizon=2000,mean-dur=64,max-factor=4"
 	if got := mustKey(t, gcfg, gopt); got != gbase {
 		t.Errorf("generator key moved with explicit defaults: %s vs %s", got, gbase)
+	}
+	if got := quickJSON(t, gcfg, same); string(got) != string(gJSON) {
+		t.Errorf("generator Result moved with explicit defaults:\n got: %s\nbase: %s", got, gJSON)
 	}
 }
 

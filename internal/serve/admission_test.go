@@ -250,7 +250,8 @@ func TestFloodShedsAtBound(t *testing.T) {
 // TestShedLeavesNoTrace: an arrival shed at the bound is refused before
 // it is journaled or numbered. With the worker held and the one queue
 // slot taken, the third POST gets 503, the journal holds no record for
-// it, and the next admitted job takes the ID it would have burned.
+// it, and the next admitted job takes the sequence number it would have
+// burned.
 func TestShedLeavesNoTrace(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1, JournalDir: dir})
@@ -290,8 +291,15 @@ func TestShedLeavesNoTrace(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST after the queue emptied = %d: %s", resp.StatusCode, raw)
 	}
-	if id := decodeDoc(t, raw).ID; id != "j000003" {
-		t.Errorf("next admitted job is %s; want j000003, the ID the shed arrival never took", id)
+	seq := func(id string) int {
+		n, err := strconv.Atoi(strings.TrimPrefix(id, s.idPrefix))
+		if err != nil {
+			t.Fatalf("ID %s is not the boot prefix %s plus a sequence number", id, s.idPrefix)
+		}
+		return n
+	}
+	if got, want := seq(decodeDoc(t, raw).ID), seq(queued)+1; got != want {
+		t.Errorf("next admitted job is number %d; want %d, the number the shed arrival never took", got, want)
 	}
 }
 

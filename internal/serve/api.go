@@ -335,7 +335,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, j *job) {
 		s.respondInline(w, r, j, outs, start)
 		return
 	}
-	if err := s.admit(j); err != nil {
+	if err := s.admit(j, true); err != nil {
 		s.rejected.Inc()
 		s.log.Warn(j.sub.Kind+" rejected", "client", clientKey(r), "err", err)
 		writeBackoff(w, s.retryAfter(j.family), err)

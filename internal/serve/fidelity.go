@@ -147,11 +147,12 @@ func (s *Server) upgradeOf(j *job, outs []outcome) *job {
 // 200, with the ID of its upgrade job in the document when one was
 // admitted. The upgrade joins the same queue as every other job and is
 // best-effort: when the queue is full it is shed, and the caller simply
-// gets no upgrade ID.
+// gets no upgrade ID; it is never journaled, so a crash loses it the
+// same way, and its ID then reads 404.
 func (s *Server) respondInline(w http.ResponseWriter, r *http.Request, j *job, outs []outcome, start time.Time) {
 	upgradeID := ""
 	if u := s.upgradeOf(j, outs); u != nil {
-		if err := s.admit(u); err != nil {
+		if err := s.admit(u, false); err != nil {
 			s.log.Info("upgrade job not admitted", "kind", u.sub.Kind, "err", err)
 		} else {
 			upgradeID = u.id
@@ -163,7 +164,7 @@ func (s *Server) respondInline(w http.ResponseWriter, r *http.Request, j *job, o
 	j.upgradeID = upgradeID
 	j.mu.Unlock()
 	j.finish(outs, nil)
-	s.register(j) // last: an inline answer takes the ID after its upgrade's
+	s.register(j)
 	s.accepted.Inc()
 	s.completed.Inc()
 	analytic := slices.ContainsFunc(outs, func(o outcome) bool { return o.res.Fidelity != "" })

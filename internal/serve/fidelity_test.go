@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -102,6 +104,63 @@ func TestAutoRunAnalyticThenUpgrade(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestAutoUpgradeNotJournaled: an auto answer's upgrade job is
+// best-effort, so it costs the journal nothing. With the worker held,
+// an auto answer appends no record; the WAL never names the upgrade;
+// and after a restart over the same directory nothing is replayed and
+// the upgrade's ID reads 404.
+func TestAutoUpgradeNotJournaled(t *testing.T) {
+	leakCheck(t, 2)
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Options{Workers: 1, JournalDir: dir})
+	_, release := holdWorker(t, s, ts.URL)
+	appends := func() float64 {
+		return sumSeries(t, getMetrics(t, ts.URL), "ringmeshd_journal_appends_total")
+	}
+	before := appends()
+	resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: meshRun(16, 45), Options: testOptions(), Fidelity: "auto"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("auto POST = %d: %s", resp.StatusCode, raw)
+	}
+	upgrade := decodeDoc(t, raw).Upgrade
+	if upgrade == "" {
+		t.Fatalf("auto answer carries no upgrade job ID: %s", raw)
+	}
+	if n := appends() - before; n != 0 {
+		t.Errorf("an auto answer appended %g journal records; want 0", n)
+	}
+
+	release()
+	awaitJob(t, ts.URL, upgrade, false)
+	ctx, cancel := drainCtx()
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSpace(wal), []byte("\n")) {
+		if rec, err := decodeRecord(line); err != nil || rec.ID == upgrade {
+			t.Errorf("journal line %s (%v); want no record of the upgrade %s", line, err, upgrade)
+		}
+	}
+
+	_, ts2 := newTestServer(t, Options{Workers: 1, JournalDir: dir})
+	if n := sumSeries(t, getMetrics(t, ts2.URL), "ringmeshd_journal_replayed_total"); n != 0 {
+		t.Errorf("restart replayed %g jobs; want none", n)
+	}
+	get, err := http.Get(ts2.URL + "/v1/jobs/" + upgrade)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get.Body.Close()
+	if get.StatusCode != http.StatusNotFound {
+		t.Errorf("GET the upgrade after a restart = %d; want 404", get.StatusCode)
 	}
 }
 

@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"flag"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -25,9 +28,22 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden")
 // on the wall clock.
 var deadlineField = regexp.MustCompile(`"deadline_unix_ns": \d+`)
 
-func checkGolden(t *testing.T, name string, got []byte) {
+// parentIDs respells the IDs s minted in text the way the daemon that
+// recorded the goldens did: "j" and the sequence number in six digits.
+func parentIDs(s *Server, text string) string {
+	minted := regexp.MustCompile(regexp.QuoteMeta(s.idPrefix) + `\d+`)
+	return minted.ReplaceAllStringFunc(text, func(id string) string {
+		n, _ := strconv.Atoi(strings.TrimPrefix(id, s.idPrefix))
+		return fmt.Sprintf("j%06d", n)
+	})
+}
+
+// checkGolden compares a job document s served with its golden, after
+// normalising its wall-clock deadline and its IDs' boot prefix.
+func checkGolden(t *testing.T, s *Server, name string, got []byte) {
 	t.Helper()
 	got = deadlineField.ReplaceAll(got, []byte(`"deadline_unix_ns": 0`))
+	got = []byte(parentIDs(s, string(got)))
 	path := filepath.Join("testdata", name+".golden")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -103,43 +119,43 @@ func stallOptions() *ringmesh.RunOptions {
 
 // TestWireGoldenRun pins the run job document in each terminal shape.
 func TestWireGoldenRun(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
+	s, ts := newTestServer(t, Options{Workers: 1})
 
 	req := runRequest{Config: testConfig(), Options: testOptions(), DeadlineMS: 60_000}
-	checkGolden(t, "run-done", submitFinal(t, ts.URL, "/v1/runs", req))
-	checkGolden(t, "run-cached", submitFinal(t, ts.URL, "/v1/runs", req))
+	checkGolden(t, s, "run-done", submitFinal(t, ts.URL, "/v1/runs", req))
+	checkGolden(t, s, "run-cached", submitFinal(t, ts.URL, "/v1/runs", req))
 
 	req = runRequest{Config: testConfig(), Options: testOptions(), Fidelity: "analytic"}
-	checkGolden(t, "run-analytic", submitFinal(t, ts.URL, "/v1/runs", req))
+	checkGolden(t, s, "run-analytic", submitFinal(t, ts.URL, "/v1/runs", req))
 
 	cfg := testConfig()
 	cfg.Seed = 43
 	auto := submitFinal(t, ts.URL, "/v1/runs",
 		runRequest{Config: cfg, Options: testOptions(), Fidelity: "auto"})
-	checkGolden(t, "run-auto", auto)
-	checkGolden(t, "run-auto-upgrade", awaitRaw(t, ts.URL, decodeDoc(t, auto).Upgrade))
+	checkGolden(t, s, "run-auto", auto)
+	checkGolden(t, s, "run-auto-upgrade", awaitRaw(t, ts.URL, decodeDoc(t, auto).Upgrade))
 
-	checkGolden(t, "run-failed", submitFinal(t, ts.URL, "/v1/runs",
+	checkGolden(t, s, "run-failed", submitFinal(t, ts.URL, "/v1/runs",
 		runRequest{Config: stallConfig(), Options: stallOptions()}))
 }
 
 // TestWireGoldenSweep pins the sweep job document in the shapes a
 // simulating daemon produces.
 func TestWireGoldenSweep(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
+	s, ts := newTestServer(t, Options{Workers: 1})
 
 	req := sweepRequest{Config: testConfig(), Sizes: []int{25, 16}, Options: testOptions()}
-	checkGolden(t, "sweep-done", submitFinal(t, ts.URL, "/v1/sweeps", req))
-	checkGolden(t, "sweep-cached", submitFinal(t, ts.URL, "/v1/sweeps", req))
+	checkGolden(t, s, "sweep-done", submitFinal(t, ts.URL, "/v1/sweeps", req))
+	checkGolden(t, s, "sweep-cached", submitFinal(t, ts.URL, "/v1/sweeps", req))
 
 	req.Fidelity = "analytic"
-	checkGolden(t, "sweep-analytic", submitFinal(t, ts.URL, "/v1/sweeps", req))
+	checkGolden(t, s, "sweep-analytic", submitFinal(t, ts.URL, "/v1/sweeps", req))
 
 	// 16 is cached exactly, 9 and 36 are not: the auto answer mixes an
 	// exact point with analytic ones.
 	req = sweepRequest{Config: testConfig(), Sizes: []int{36, 16, 9}, Options: testOptions(), Fidelity: "auto"}
 	auto := submitFinal(t, ts.URL, "/v1/sweeps", req)
-	checkGolden(t, "sweep-auto", auto)
+	checkGolden(t, s, "sweep-auto", auto)
 	awaitRaw(t, ts.URL, decodeDoc(t, auto).Upgrade)
 }
 
@@ -148,7 +164,7 @@ func TestWireGoldenSweep(t *testing.T) {
 // back, where the sweep used to fail wholesale at the first bad size.
 // Its golden is the one recorded after the point-list job, not before.
 func TestLocalSweepDegradesOnFailedPoint(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
+	s, ts := newTestServer(t, Options{Workers: 1})
 
 	cfg := stallConfig()
 	cfg.Nodes = 0
@@ -168,7 +184,7 @@ func TestLocalSweepDegradesOnFailedPoint(t *testing.T) {
 	if pe := v.PointErrors[0].Error; pe.Kind != "stall" || pe.Status != http.StatusUnprocessableEntity || pe.Stall == nil {
 		t.Fatalf("point error = %+v; want a stall with its diagnosis", pe)
 	}
-	checkGolden(t, "sweep-degraded-local", raw)
+	checkGolden(t, s, "sweep-degraded-local", raw)
 }
 
 // TestSweepDegradedPointsMatchSingleRuns: when a sweep's points spread
@@ -233,18 +249,18 @@ func TestSweepAllPointsFailed(t *testing.T) {
 // TestWireGoldenSweepFailed pins the document of a sweep whose every
 // point failed.
 func TestWireGoldenSweepFailed(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
+	s, ts := newTestServer(t, Options{Workers: 1})
 
 	cfg := stallConfig()
 	cfg.Nodes = 0
-	checkGolden(t, "sweep-failed", submitFinal(t, ts.URL, "/v1/sweeps",
+	checkGolden(t, s, "sweep-failed", submitFinal(t, ts.URL, "/v1/sweeps",
 		sweepRequest{Config: cfg, Sizes: []int{8}, Options: stallOptions()}))
 }
 
 // TestWireGoldenBatch pins the batch job document in each terminal
 // shape.
 func TestWireGoldenBatch(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
+	s, ts := newTestServer(t, Options{Workers: 1})
 
 	var runs []batchRunRequest
 	for i := range 3 {
@@ -253,13 +269,13 @@ func TestWireGoldenBatch(t *testing.T) {
 		runs = append(runs, batchRunRequest{Config: cfg, Options: testOptions()})
 	}
 	req := batchRequest{Runs: runs}
-	checkGolden(t, "batch-done", submitFinal(t, ts.URL, "/v1/batch", req))
-	checkGolden(t, "batch-cached", submitFinal(t, ts.URL, "/v1/batch", req))
+	checkGolden(t, s, "batch-done", submitFinal(t, ts.URL, "/v1/batch", req))
+	checkGolden(t, s, "batch-cached", submitFinal(t, ts.URL, "/v1/batch", req))
 
 	stall := batchRunRequest{Config: stallConfig(), Options: stallOptions()}
-	checkGolden(t, "batch-degraded", submitFinal(t, ts.URL, "/v1/batch",
+	checkGolden(t, s, "batch-degraded", submitFinal(t, ts.URL, "/v1/batch",
 		batchRequest{Runs: []batchRunRequest{runs[0], stall}, DeadlineMS: 60_000}))
-	checkGolden(t, "batch-failed", submitFinal(t, ts.URL, "/v1/batch",
+	checkGolden(t, s, "batch-failed", submitFinal(t, ts.URL, "/v1/batch",
 		batchRequest{Runs: []batchRunRequest{stall, stall}}))
 
 	acfg := testConfig()
@@ -274,8 +290,8 @@ func TestWireGoldenBatch(t *testing.T) {
 		},
 		Fidelity: "auto",
 	})
-	checkGolden(t, "batch-auto", auto)
-	checkGolden(t, "batch-auto-upgrade", awaitRaw(t, ts.URL, decodeDoc(t, auto).Upgrade))
+	checkGolden(t, s, "batch-auto", auto)
+	checkGolden(t, s, "batch-auto-upgrade", awaitRaw(t, ts.URL, decodeDoc(t, auto).Upgrade))
 }
 
 // TestJournalGoldenAcceptedLines pins the accepted record the journal
@@ -316,21 +332,21 @@ func TestJournalGoldenAcceptedLines(t *testing.T) {
 		if rec.Op != opAccepted {
 			continue
 		}
+		// The checksum covers the ID and the deadline, so the line is
+		// re-framed around their normalised values.
+		rec.ID = parentIDs(s, rec.ID)
 		if rec.Deadline != 0 {
-			// The checksum covers the deadline, so the line is re-framed
-			// around the normalised value; lines without one stay raw.
 			rec.Deadline = 1
-			if line, err = encodeRecord(rec); err != nil {
-				t.Fatal(err)
-			}
-			line = bytes.TrimSuffix(line, []byte("\n"))
 		}
-		got = append(append(got, line...), '\n')
+		if line, err = encodeRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, line...)
 	}
 	if n := strings.Count(string(got), "\n"); n != 3 {
 		t.Fatalf("journal holds %d accepted records; want 3:\n%s", n, got)
 	}
-	checkGolden(t, "journal-accepted", got)
+	checkGolden(t, s, "journal-accepted", got)
 }
 
 // TestJournalGoldenLinesReplay feeds the accepted lines an earlier
@@ -431,4 +447,26 @@ func TestParentFixturesLoad(t *testing.T) {
 	if want := "accepted j000001,done j000001,accepted j000002"; strings.Join(ops, ",") != want {
 		t.Fatalf("parent journal holds %v; want %s", ops, want)
 	}
+
+	// Replayed, the unfinished j000002 keeps its ID, and a job admitted
+	// after it gets another.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journalFile), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Options{Workers: 1, JournalDir: dir})
+	if _, ok := s.lookup("j000002"); !ok {
+		t.Fatal("parent journal's unfinished j000002 not replayed under its ID")
+	}
+	resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: testConfig(), Options: testOptions()})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST after the replay = %d: %s", resp.StatusCode, raw)
+	}
+	if id := decodeDoc(t, raw).ID; id == "j000002" {
+		t.Fatalf("job admitted after the replay took the replayed job's ID %s", id)
+	}
+	// The replayed run is long: cancel it rather than wait it out.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = s.Drain(ctx)
 }

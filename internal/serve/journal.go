@@ -7,8 +7,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -179,15 +177,13 @@ func (w *jobJournal) needsCompaction() bool {
 }
 
 // replay scans the journal and returns the accepted records of jobs
-// with no terminal record, in acceptance order, plus the highest
-// numeric ID seen (so the server's ID counter resumes past every
-// journaled ID and replayed jobs keep their names without collisions).
-// A corrupt or torn line is quarantined and scanning continues — one
-// bad record never hides the rest of the log.
-func (w *jobJournal) replay() (unfinished []journalRecord, maxID int64, err error) {
+// with no terminal record, in acceptance order. A corrupt or torn line
+// is quarantined and scanning continues — one bad record never hides
+// the rest of the log.
+func (w *jobJournal) replay() (unfinished []journalRecord, err error) {
 	f, err := os.Open(filepath.Join(w.dir, journalFile))
 	if err != nil {
-		return nil, 0, fmt.Errorf("serve: journal replay: %w", err)
+		return nil, fmt.Errorf("serve: journal replay: %w", err)
 	}
 	defer f.Close()
 
@@ -216,19 +212,16 @@ func (w *jobJournal) replay() (unfinished []journalRecord, maxID int64, err erro
 		case opDone, opFailed:
 			delete(accepted, rec.ID)
 		}
-		if n, ok := numericID(rec.ID); ok && n > maxID {
-			maxID = n
-		}
 	}
 	if serr := sc.Err(); serr != nil {
-		return nil, 0, fmt.Errorf("serve: journal scan: %w", serr)
+		return nil, fmt.Errorf("serve: journal scan: %w", serr)
 	}
 	for _, id := range order {
 		if rec, ok := accepted[id]; ok {
 			unfinished = append(unfinished, rec)
 		}
 	}
-	return unfinished, maxID, nil
+	return unfinished, nil
 }
 
 // quarantineLine preserves an un-decodable journal line for
@@ -292,19 +285,6 @@ func (w *jobJournal) close() error {
 	err := w.f.Close()
 	w.f = nil
 	return err
-}
-
-// numericID extracts the numeric suffix of a job ID ("j000042" → 42).
-func numericID(id string) (int64, bool) {
-	s := strings.TrimPrefix(id, "j")
-	if s == id || s == "" {
-		return 0, false
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
 }
 
 // acceptedRecord builds the opAccepted record for a job — the one

@@ -2,12 +2,14 @@ package serve
 
 import (
 	"context"
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -40,8 +42,9 @@ type Options struct {
 	// JournalDir, when non-empty, enables the crash-safe job journal:
 	// an fsync'd append-only log of job state transitions, replayed on
 	// startup so accepted-but-unfinished jobs survive kill -9 and
-	// re-enqueue under their original IDs and deadlines. Empty disables
-	// journaling (accepted jobs die with the process).
+	// re-enqueue under their original IDs and deadlines. An auto
+	// answer's upgrade job is best-effort and never journaled. Empty
+	// disables journaling (accepted jobs die with the process).
 	JournalDir string
 	// CacheEntries bounds the result cache (default 256).
 	CacheEntries int
@@ -98,6 +101,10 @@ type Server struct {
 	jobsMu   sync.Mutex
 	jobs     map[string]*job
 	jobOrder []string
+	// idPrefix is chosen once per boot, so a minted ID (idPrefix plus
+	// nextID) names one job across restarts and never has the j%06d
+	// shape older daemons journaled; see register.
+	idPrefix string
 	nextID   int64
 
 	accepted  *metrics.Counter
@@ -169,8 +176,10 @@ func New(opt Options) (*Server, error) {
 		queue:   make(chan *job, opt.QueueDepth),
 		sims:    make(chan struct{}, opt.Workers),
 		jobs:    map[string]*job{},
-		log:     opt.Logger,
-		hists:   map[string]*metrics.Histogram{},
+		// Eight base32 characters: 40 random bits per boot.
+		idPrefix: rand.Text()[:8] + "-",
+		log:      opt.Logger,
+		hists:    map[string]*metrics.Histogram{},
 
 		accepted:  reg.Counter("ringmeshd_jobs_accepted_total", metrics.Labels{}),
 		rejected:  reg.Counter("ringmeshd_jobs_rejected_total", metrics.Labels{}),
@@ -241,15 +250,10 @@ func New(opt Options) (*Server, error) {
 // (e.g. a config the current version rejects) are journaled as failed
 // rather than dropped, so they never resurrect again.
 func (s *Server) replayJournal() error {
-	unfinished, maxID, err := s.journal.replay()
+	unfinished, err := s.journal.replay()
 	if err != nil {
 		return err
 	}
-	s.jobsMu.Lock()
-	if maxID > s.nextID {
-		s.nextID = maxID
-	}
-	s.jobsMu.Unlock()
 	// These jobs were admitted before the crash, so they pass the bound:
 	// shedding them on a depth check would turn a restart into silent
 	// data loss. The queue holds them all on top of QueueDepth.
@@ -324,10 +328,12 @@ func (s *Server) drainingNow() bool {
 
 // admit runs the admission pipeline for a job: drain check, the queue
 // bound, a place in the job table (and with it an ID), the journaled
-// acceptance (before the queue ever sees the job, so a crash can never
-// find a running job the journal has not accepted), then the queue. A
-// refusal leaves no trace: no ID, no table entry, no journal record.
-func (s *Server) admit(j *job) error {
+// acceptance of a durable job (before the queue ever sees the job, so a
+// crash can never find a running job the journal has not accepted),
+// then the queue. A refusal leaves no trace: no ID, no table entry, no
+// journal record. A job admitted not durable is never journaled: a
+// crash loses it as a shed would.
+func (s *Server) admit(j *job, durable bool) error {
 	s.submitMu.Lock()
 	defer s.submitMu.Unlock()
 	if s.draining {
@@ -342,7 +348,7 @@ func (s *Server) admit(j *job) error {
 	// instant it is queued, and reads this to reconstruct the queue-wait
 	// span.
 	j.enqueuedAt = time.Now()
-	if s.journal != nil {
+	if durable && s.journal != nil {
 		s.journal.append(acceptedRecord(j))
 		j.journaled = true
 	}
@@ -390,15 +396,15 @@ func (s *Server) compactJournal() {
 // register stores a job for polling, dropping the oldest finished
 // documents past the retention bound; live jobs are skipped, never
 // dropped, so one long job does not pin everything admitted after it.
-// A job arriving without an ID gets a fresh one; journal replay
-// pre-assigns the original ID (the counter has already been advanced
-// past every journaled ID).
+// A job arriving without an ID gets the next one of this boot; a
+// replayed job keeps the ID it was journaled under.
 func (s *Server) register(j *job) {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
 	if j.id == "" {
 		s.nextID++
-		j.id = fmt.Sprintf("j%06d", s.nextID)
+		// One allocation, not fmt's two: every request mints an ID.
+		j.id = string(strconv.AppendInt([]byte(s.idPrefix), s.nextID, 10))
 	}
 	s.jobs[j.id] = j
 	s.jobOrder = append(s.jobOrder, j.id)

@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -367,12 +366,12 @@ func TestQueueBounds(t *testing.T) {
 		shed:     reg.Counter("ringmeshd_shed_total", metrics.Labels{}),
 	}
 	a := testJob("", kindRun, 1)
-	if err := s.admit(a); err != nil {
+	if err := s.admit(a, true); err != nil {
 		t.Fatalf("admit into empty queue: %v", err)
 	}
 	b := testJob("", kindBatch, 2)
 	var se *shedError
-	if err := s.admit(b); !errors.As(err, &se) {
+	if err := s.admit(b, true); !errors.As(err, &se) {
 		t.Fatalf("admit into full queue = %v; want shedError", err)
 	}
 	if _, ok := s.lookup(b.id); ok {
@@ -386,7 +385,7 @@ func TestQueueBounds(t *testing.T) {
 	}
 	s.draining = true
 	d := testJob("d", kindRun, 1)
-	if err := s.admit(d); !errors.Is(err, errDraining) {
+	if err := s.admit(d, true); !errors.Is(err, errDraining) {
 		t.Fatalf("admit while draining = %v; want errDraining", err)
 	}
 }
@@ -550,7 +549,7 @@ func TestMetricsAndHealth(t *testing.T) {
 
 func TestJobRetention(t *testing.T) {
 	s := &Server{jobs: map[string]*job{}}
-	var first string
+	var first, newest string
 	for i := 0; i < jobRetain+10; i++ {
 		j := testJob("", kindRun, 1)
 		j.finish([]outcome{{}}, nil)
@@ -558,6 +557,7 @@ func TestJobRetention(t *testing.T) {
 		if i == 0 {
 			first = j.id
 		}
+		newest = j.id
 	}
 	if len(s.jobs) != jobRetain {
 		t.Fatalf("retained %d jobs; want %d", len(s.jobs), jobRetain)
@@ -565,7 +565,7 @@ func TestJobRetention(t *testing.T) {
 	if _, ok := s.lookup(first); ok {
 		t.Fatalf("oldest finished job survived retention")
 	}
-	if _, ok := s.lookup(fmt.Sprintf("j%06d", jobRetain+10)); !ok {
+	if _, ok := s.lookup(newest); !ok {
 		t.Fatalf("newest job missing")
 	}
 }
@@ -583,10 +583,12 @@ func TestJobRetentionSkipsLiveJob(t *testing.T) {
 	}
 	blocked := testJob("", kindRun, 1) // stands for a long sweep: never finished
 	s.register(blocked)
+	ids := []string{"", blocked.id} // ids[n] is the nth job registered
 	for i := 0; i < 2*jobRetain; i++ {
 		j := testJob("", kindRun, 1)
 		j.finish([]outcome{{}}, nil)
 		s.register(j)
+		ids = append(ids, j.id)
 	}
 	if n := len(s.jobs); n > jobRetain+1 || n != len(s.jobOrder) {
 		t.Fatalf("table holds %d documents (%d ordered); want at most %d", n, len(s.jobOrder), jobRetain+1)
@@ -594,17 +596,17 @@ func TestJobRetentionSkipsLiveJob(t *testing.T) {
 	if got := status(blocked.id); got != http.StatusOK {
 		t.Fatalf("live job answers %d; want 200", got)
 	}
-	// Finished jobs are j000002 .. j(2*jobRetain+1). The bound counts
-	// the live document too, so the newest jobRetain-1 finished ones
-	// stay beside it.
+	// Finished jobs are the 2nd .. (2*jobRetain+1)th registered. The
+	// bound counts the live document too, so the newest jobRetain-1
+	// finished ones stay beside it.
 	newest := 2*jobRetain + 1
 	for _, n := range []int{newest, newest - (jobRetain - 2)} {
-		if got := status(fmt.Sprintf("j%06d", n)); got != http.StatusOK {
+		if got := status(ids[n]); got != http.StatusOK {
 			t.Errorf("finished job %d answers %d; want 200", n, got)
 		}
 	}
 	for _, n := range []int{2, newest - (jobRetain - 1)} {
-		if got := status(fmt.Sprintf("j%06d", n)); got != http.StatusNotFound {
+		if got := status(ids[n]); got != http.StatusNotFound {
 			t.Errorf("finished job %d answers %d; want 404", n, got)
 		}
 	}
