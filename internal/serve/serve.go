@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"crypto/rand"
+	"encoding/base32"
 	"errors"
 	"fmt"
 	"io"
@@ -141,7 +142,8 @@ var secondsBuckets = metrics.ExpBuckets(0.001, 4, 10)
 // New builds a Server and starts its worker pool. It fails only when
 // an explicitly requested capability cannot be provided (a CacheDir
 // that cannot be created) — durability asked for and silently not
-// delivered would be worse than not starting.
+// delivered would be worse than not starting — or when the system's
+// random source cannot supply the boot's ID prefix.
 func New(opt Options) (*Server, error) {
 	if opt.Workers < 1 {
 		opt.Workers = runtime.GOMAXPROCS(0)
@@ -158,6 +160,11 @@ func New(opt Options) (*Server, error) {
 	if opt.Logger == nil {
 		opt.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+	// Eight base32 characters: 40 random bits per boot.
+	var boot [5]byte
+	if _, err := rand.Read(boot[:]); err != nil {
+		return nil, err
+	}
 	reg := &metrics.Registry{}
 	var disk *diskStore
 	if opt.CacheDir != "" {
@@ -168,16 +175,15 @@ func New(opt Options) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		opt:     opt,
-		reg:     reg,
-		cache:   newResultCache(opt.CacheEntries, disk, reg),
-		baseCtx: ctx,
-		cancel:  cancel,
-		queue:   make(chan *job, opt.QueueDepth),
-		sims:    make(chan struct{}, opt.Workers),
-		jobs:    map[string]*job{},
-		// Eight base32 characters: 40 random bits per boot.
-		idPrefix: rand.Text()[:8] + "-",
+		opt:      opt,
+		reg:      reg,
+		cache:    newResultCache(opt.CacheEntries, disk, reg),
+		baseCtx:  ctx,
+		cancel:   cancel,
+		queue:    make(chan *job, opt.QueueDepth),
+		sims:     make(chan struct{}, opt.Workers),
+		jobs:     map[string]*job{},
+		idPrefix: base32.StdEncoding.EncodeToString(boot[:]) + "-",
 		log:      opt.Logger,
 		hists:    map[string]*metrics.Histogram{},
 
