@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -201,6 +202,91 @@ func TestExplicitAnalyticRun(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestEstimatesStayOutOfCache: an estimate is computed on every
+// request, so with a disk tier a named analytic answer and an auto
+// answer (its upgrade held in the queue) take no cache entry, write no
+// entry file, and the second is computed again, not a hit on the first.
+func TestEstimatesStayOutOfCache(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Options{Workers: 1, CacheDir: dir})
+	_, release := holdWorker(t, s, ts.URL)
+	defer release()
+	for _, fid := range []string{"analytic", "auto"} {
+		resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: meshRun(16, 46), Options: testOptions(), Fidelity: fid})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s POST = %d: %s", fid, resp.StatusCode, raw)
+		}
+		if doc := decodeDoc(t, raw); doc.Cached {
+			t.Errorf("%s answer cached=true; an estimate is computed on every request", fid)
+		}
+	}
+	body := getMetrics(t, ts.URL)
+	for _, name := range []string{"ringmeshd_cache_entries", "ringmeshd_disk_cache_writes_total"} {
+		if n := sumSeries(t, body, name); n != 0 {
+			t.Errorf("%s = %g after two estimates; want 0", name, n)
+		}
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*"+entrySuffix)); len(files) != 0 {
+		t.Errorf("estimates wrote %v; want no entry file", files)
+	}
+}
+
+// TestStoredEstimateNotServed: an estimate an older daemon stored under
+// the analytic key is never read back. The entry is re-sealed with
+// other numbers, as a model change would leave it; a daemon booted over
+// it must answer with a fresh Estimate, not cached.
+func TestStoredEstimateNotServed(t *testing.T) {
+	dir := t.TempDir()
+	cfg, opt := ringmesh.Config{Network: "ring", Topology: "24", LineBytes: 32,
+		Workload: ringmesh.PaperWorkload(), Seed: 42}, testOptions()
+	acfg := cfg
+	acfg.Fidelity = "analytic"
+	akey, err := ringmesh.CacheKey(acfg, *opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ringmesh.Estimate(acfg, *opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newDiskStore(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.store(akey, want)
+	raw, err := os.ReadFile(d.path(akey))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := decodeEntry(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale.LatencyCycles = 1
+	payload, err := json.Marshal(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(d.path(akey), encodeEntry(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Options{CacheDir: dir})
+	wantJSON, _ := json.Marshal(want)
+	for _, fid := range []string{"analytic", "auto"} {
+		resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: cfg, Options: opt, Fidelity: fid})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s POST = %d: %s", fid, resp.StatusCode, raw)
+		}
+		doc := decodeDoc(t, raw)
+		gotJSON, _ := json.Marshal(decodeResult(t, doc))
+		if doc.Cached || !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("%s answer cached=%v %s; want cached=false and a fresh Estimate %s",
+				fid, doc.Cached, gotJSON, wantJSON)
 		}
 	}
 }
