@@ -144,3 +144,33 @@ func TestHistogramSampler(t *testing.T) {
 			rows[0].Values[0], rows[1].Values[0])
 	}
 }
+
+// TestHistogramRegisteredAgain: asking for a registered histogram again
+// with equal bounds returns it, one series; different bounds, or
+// another kind of series under the key, panic.
+func TestHistogramRegisteredAgain(t *testing.T) {
+	reg := &Registry{}
+	l := Labels{Family: "mesh"}
+	h := reg.Histogram("run_seconds", l, []float64{1, 2})
+	if again := reg.Histogram("run_seconds", l, []float64{1, 2}); again != h {
+		t.Fatal("equal name, labels and bounds registered a second histogram")
+	}
+	reg.Counter("events", l)
+	if n := len(reg.Series()); n != 2 {
+		t.Fatalf("%d series; want 2", n)
+	}
+	for name, register := range map[string]func(){
+		"a histogram with other bounds":     func() { reg.Histogram("run_seconds", l, []float64{1, 3}) },
+		"a counter under a histogram's key": func() { reg.Counter("run_seconds", l) },
+		"a histogram under a counter's key": func() { reg.Histogram("events", l, []float64{1, 2}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			register()
+		}()
+	}
+}

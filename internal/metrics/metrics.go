@@ -35,6 +35,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -353,21 +354,28 @@ type Registry struct {
 	index  map[string]*Series
 }
 
-// register adds s, panicking on a duplicate key — duplicate
-// instrument registration is a programmer error in a model's
-// DescribeMetrics, not a runtime condition.
-func (r *Registry) register(s *Series) {
+// register adds s and returns it, panicking on a duplicate key —
+// duplicate instrument registration is a programmer error in a model's
+// DescribeMetrics, not a runtime condition. The one exception is a
+// histogram with the bounds of the one already registered under its
+// key: that one is returned, so a label-fanned histogram is looked up
+// by registering it again.
+func (r *Registry) register(s *Series) *Series {
 	key := s.Key()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.index == nil {
 		r.index = map[string]*Series{}
 	}
-	if _, dup := r.index[key]; dup {
+	if old, dup := r.index[key]; dup {
+		if s.Kind == KindHistogram && old.Kind == KindHistogram && slices.Equal(s.hist.bounds, old.hist.bounds) {
+			return old
+		}
 		panic(fmt.Sprintf("metrics: series %s registered twice", key))
 	}
 	r.index[key] = s
 	r.series = append(r.series, s)
+	return s
 }
 
 // Counter registers and returns a counter series. A nil registry
@@ -409,8 +417,10 @@ func (r *Registry) Gauge(name string, l Labels, f func() float64) {
 
 // Histogram registers and returns a histogram series with the given
 // ascending bucket upper bounds (an overflow +Inf bucket is added
-// implicitly). A nil registry returns a nil histogram, whose methods
-// all no-op.
+// implicitly). Asked again for the same name, labels and bounds, it
+// returns the histogram already registered; different bounds, or
+// another kind of series under the key, panic. A nil registry returns
+// a nil histogram, whose methods all no-op.
 func (r *Registry) Histogram(name string, l Labels, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
@@ -425,8 +435,7 @@ func (r *Registry) Histogram(name string, l Labels, bounds []float64) *Histogram
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]atomic.Int64, len(bounds)+1),
 	}
-	r.register(&Series{Name: name, Labels: l, Kind: KindHistogram, hist: h})
-	return h
+	return r.register(&Series{Name: name, Labels: l, Kind: KindHistogram, hist: h}).hist
 }
 
 // Ratio registers a utilization series backed by the given

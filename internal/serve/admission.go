@@ -21,7 +21,7 @@ func (e *shedError) Error() string {
 // is never absurd in either direction.
 func (s *Server) retryAfter(family string) time.Duration {
 	mean := 0.5 // seconds; placeholder until telemetry accumulates
-	if run := s.histogram("ringmeshd_job_run_seconds",
+	if run := s.reg.Histogram("ringmeshd_job_run_seconds",
 		metrics.Labels{Family: family, Outcome: "done"}, secondsBuckets); run.Count() > 0 {
 		mean = run.Sum() / float64(run.Count())
 	}

@@ -13,10 +13,12 @@ package serve
 //	                         whose ID rides in the response
 //
 // Auto is an admission policy, not an answer tier: it is resolved
-// before cache keys exist and never enters one. Analytic results live
-// under their own cache keys (fidelity joins the key), so an estimate
-// can never be served as an exact result. answerInline is the one
-// place all of this is decided.
+// before cache keys exist and never enters one. An estimate never
+// enters the result cache either: it costs ~0.1 ms, and its key
+// carries no model version, so a stored estimate could outlive a
+// change to the model. The cache holds only results that cost a
+// simulation to recompute, and an estimate is never reported cached.
+// answerInline is the one place all of this is decided.
 
 import (
 	"net/http"
@@ -58,9 +60,7 @@ func (s *Server) resolveFidelity(reqFid string, cfg *ringmesh.Config) (mode stri
 
 // answerInline resolves every point of j without the queue: an exact
 // cache hit keeps its full fidelity, and a point that asked for the
-// analytic tier, or for auto, is estimated through the result cache
-// under its analytic key, so estimates and exact results never collide
-// and identical estimates coalesce. It returns nil
+// analytic tier, or for auto, is estimated afresh. It returns nil
 // outcomes when some point needs the simulator, including an auto
 // point the analytic model refuses (counted as a fallback): refusal
 // costs a queue slot, never a wrong labeled answer. Only a refused
@@ -80,7 +80,7 @@ func (s *Server) answerInline(j *job) ([]outcome, error) {
 				return nil, nil
 			}
 		}
-		res, cached, err := s.estimate(j, p)
+		res, err := estimate(p)
 		if err != nil && named {
 			return nil, err
 		}
@@ -91,30 +91,23 @@ func (s *Server) answerInline(j *job) ([]outcome, error) {
 			s.log.Info("analytic model refused the point; it needs the queue", "err", err)
 			return nil, nil
 		}
-		outs[i] = outcome{res: res, cached: cached}
+		outs[i] = outcome{res: res}
 	}
 	return outs, nil
 }
 
-// estimate answers one point from the analytic tier, through the
-// result cache under the point's analytic key, at submission
-// (answerInline) or in a queued job (resolve). A refusal (an
-// unsupported feature) is a configuration error: the tier cannot
-// answer this config. (Its own function so the cached-run path through
-// answerInline allocates no closure.)
-func (s *Server) estimate(j *job, p *point) (ringmesh.Result, bool, error) {
+// estimate answers one point from the analytic tier, at submission
+// (answerInline) or in a queued job (resolve), with a plain call: no
+// cache, no single-flight. A refusal (an unsupported feature) is a
+// configuration error: the tier cannot answer this config.
+func estimate(p *point) (ringmesh.Result, error) {
 	cfg := p.cfg
 	cfg.Fidelity = fidelity.Analytic
-	// The point validated at submission and fidelity does not enter
-	// validation: keying its analytic spelling cannot fail.
-	key, _ := ringmesh.CacheKey(cfg, p.opt)
-	return s.cache.do(s.baseCtx, key, j.tr, func() (ringmesh.Result, error) {
-		res, err := ringmesh.Estimate(cfg, p.opt)
-		if err != nil {
-			return ringmesh.Result{}, &configError{err}
-		}
-		return res, nil
-	})
+	res, err := ringmesh.Estimate(cfg, p.opt)
+	if err != nil {
+		return ringmesh.Result{}, &configError{err}
+	}
+	return res, nil
 }
 
 // upgradeOf builds the background job that lands the exact results of
@@ -170,7 +163,7 @@ func (s *Server) respondInline(w http.ResponseWriter, r *http.Request, j *job, o
 	analytic := slices.ContainsFunc(outs, func(o outcome) bool { return o.res.Fidelity != "" })
 	if analytic {
 		s.fidAnalyticAnswers.Inc()
-		s.histogram("ringmeshd_fidelity_answer_seconds",
+		s.reg.Histogram("ringmeshd_fidelity_answer_seconds",
 			metrics.Labels{Fidelity: fidelity.Analytic}, fidelityBuckets).
 			Observe(time.Since(start).Seconds())
 	}

@@ -167,7 +167,7 @@ func TestAutoUpgradeNotJournaled(t *testing.T) {
 
 // TestExplicitAnalyticRun asks for the analytic tier by name: the
 // answer is inline, labeled, never queued, and the second request is
-// a cache hit under the analytic key.
+// estimated again, not served from the cache.
 func TestExplicitAnalyticRun(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	req := runRequest{Config: testConfig(), Options: testOptions(), Fidelity: "analytic"}
@@ -190,8 +190,8 @@ func TestExplicitAnalyticRun(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("repeat analytic POST = %d: %s", resp.StatusCode, raw)
 	}
-	if doc = decodeDoc(t, raw); !doc.Cached {
-		t.Fatalf("repeat analytic run cached=%v; want analytic-key cache hit", doc.Cached)
+	if doc = decodeDoc(t, raw); doc.Cached {
+		t.Fatalf("repeat analytic run cached=%v; want a fresh estimate", doc.Cached)
 	}
 
 	body := getMetrics(t, ts.URL)
@@ -516,7 +516,8 @@ func TestAutoSweep(t *testing.T) {
 
 // TestAutoBatch mixes an explicit-analytic entry with a batch-level
 // auto entry: the batch is answered inline, only the auto entry is
-// upgraded to exact, and the repeat batch is fully cached.
+// upgraded to exact, and the repeat batch serves that entry from the
+// cache and estimates the analytic entry afresh.
 func TestAutoBatch(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	acfg := testConfig()
@@ -560,9 +561,13 @@ func TestAutoBatch(t *testing.T) {
 		t.Fatalf("second auto batch POST = %d: %s", resp.StatusCode, raw)
 	}
 	doc = decodeDoc(t, raw)
-	if doc.State != JobDone || !doc.Cached || doc.Upgrade != "" {
-		t.Fatalf("second auto batch = state=%s cached=%v upgrade=%q; want fully cached, no upgrade",
+	if doc.State != JobDone || doc.Cached || doc.Upgrade != "" {
+		t.Fatalf("second auto batch = state=%s cached=%v upgrade=%q; want done, not wholly cached, no upgrade",
 			doc.State, doc.Cached, doc.Upgrade)
+	}
+	if doc.Items[0].Cached || !doc.Items[1].Cached {
+		t.Fatalf("second batch items cached = %v, %v; want false (estimate), true (exact)",
+			doc.Items[0].Cached, doc.Items[1].Cached)
 	}
 	if doc.Items[0].Result.Fidelity != "analytic" || doc.Items[1].Result.Fidelity != "" {
 		t.Fatalf("second batch fidelities = %q, %q; want analytic, exact",

@@ -332,14 +332,10 @@ func (j *job) view() JobView {
 		return v
 	}
 	v.Cached = true
-	var firstErr *JobError
 	for i, o := range j.outcomes {
 		pt := j.points[i]
 		v.Cached = v.Cached && o.cached
 		je := classify(o.err)
-		if firstErr == nil {
-			firstErr = je
-		}
 		res := o.res
 		switch j.sub.Kind {
 		case kindBatch:
@@ -365,39 +361,52 @@ func (j *job) view() JobView {
 	// Every point failed: the job carries the first point's
 	// classification, so a sweep whose every size stalled reports a
 	// stall, not a generic 500.
-	if j.state == JobFailed && firstErr != nil {
-		v.Error = firstErr
+	if failed, _, je := verdict(j.outcomes, nil); failed && je != nil {
+		v.Error = je
 		if noun, listed := map[string]string{kindSweep: "points", kindBatch: "batch entries"}[j.sub.Kind]; listed {
-			v.Error = &JobError{Status: firstErr.Status, Kind: firstErr.Kind,
-				Message: fmt.Sprintf("all %d %s failed; first: %s", len(j.outcomes), noun, firstErr.Message)}
+			v.Error = &JobError{Status: je.Status, Kind: je.Kind,
+				Message: fmt.Sprintf("all %d %s failed; first: %s", len(j.outcomes), noun, je.Message)}
 		}
 	}
 	return v
 }
 
-// finish records the outcome and closes the completion channel, with
-// one rule for every kind: the job failed when err is set (expired or
-// canceled: an aborted attempt, not an answer) or no point succeeded;
-// otherwise it is done, and degraded when some point failed.
-func (j *job) finish(outs []outcome, err error) (failed bool) {
+// verdict is the one rule for how a job ended, whatever its kind: it
+// failed when err is set (expired or canceled: an aborted attempt, not
+// an answer) or no point succeeded, and je then classifies the failure
+// as err, or else as the first point's error; otherwise it is done,
+// and degraded when some point failed.
+func verdict(outs []outcome, err error) (failed, degraded bool, je *JobError) {
+	if err != nil {
+		return true, false, classify(err)
+	}
 	ok := 0
 	for _, o := range outs {
 		if o.err == nil {
 			ok++
 		}
 	}
-	j.mu.Lock()
-	if err != nil {
-		j.state, j.err = JobFailed, err
-	} else {
-		j.outcomes = outs
-		j.state = JobDone
-		if ok == 0 {
-			j.state = JobFailed
+	if ok == 0 {
+		if len(outs) > 0 {
+			je = classify(outs[0].err)
 		}
-		j.degraded = ok > 0 && ok < len(outs)
+		return true, false, je
 	}
-	failed = j.state == JobFailed
+	return false, ok < len(outs), nil
+}
+
+// finish records the outcome under verdict's rule and closes the
+// completion channel; a job-level err keeps no outcomes.
+func (j *job) finish(outs []outcome, err error) (failed bool) {
+	failed, degraded, _ := verdict(outs, err)
+	j.mu.Lock()
+	j.state, j.err, j.degraded = JobDone, err, degraded
+	if failed {
+		j.state = JobFailed
+	}
+	if err == nil {
+		j.outcomes = outs
+	}
 	j.mu.Unlock()
 	close(j.done)
 	return failed

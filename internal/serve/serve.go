@@ -128,11 +128,6 @@ type Server struct {
 	fidFallback        *metrics.Counter
 
 	log *slog.Logger
-
-	// histMu guards hists, the label-fanned histograms registered on
-	// first use (see histogram).
-	histMu sync.Mutex
-	hists  map[string]*metrics.Histogram
 }
 
 // secondsBuckets spans 1ms to ~4.4 minutes in x4 steps — wide enough
@@ -185,7 +180,6 @@ func New(opt Options) (*Server, error) {
 		jobs:     map[string]*job{},
 		idPrefix: base32.StdEncoding.EncodeToString(boot[:]) + "-",
 		log:      opt.Logger,
-		hists:    map[string]*metrics.Histogram{},
 
 		accepted:  reg.Counter("ringmeshd_jobs_accepted_total", metrics.Labels{}),
 		rejected:  reg.Counter("ringmeshd_jobs_rejected_total", metrics.Labels{}),
@@ -435,22 +429,6 @@ func (s *Server) lookup(id string) (*job, bool) {
 	return j, ok
 }
 
-// histogram returns the registered histogram for (name, labels),
-// registering it on first use. The registry panics on duplicate
-// registration, so every dynamically-labeled series goes through this
-// lookup-or-register layer.
-func (s *Server) histogram(name string, l metrics.Labels, buckets []float64) *metrics.Histogram {
-	key := name + l.String()
-	s.histMu.Lock()
-	defer s.histMu.Unlock()
-	if h, ok := s.hists[key]; ok {
-		return h
-	}
-	h := s.reg.Histogram(name, l, buckets)
-	s.hists[key] = h
-	return h
-}
-
 // execute is the one executor: it resolves every point of a job
 // through the result cache (single-flight: concurrent identical points
 // compute once and share the result), simulating a missed point here.
@@ -467,8 +445,8 @@ func (s *Server) execute(j *job) {
 	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
 		s.deadlineExp.Inc()
 		s.failed.Inc()
-		s.journalTerminal(j, true)
 		j.finish(nil, errDeadlineExpired)
+		s.journalTerminal(j, true)
 		s.log.Warn("job expired in queue", "job", j.id, "kind", j.sub.Kind,
 			"deadline", j.deadline)
 		return
@@ -478,7 +456,7 @@ func (s *Server) execute(j *job) {
 	if !j.enqueuedAt.IsZero() {
 		wait := time.Since(j.enqueuedAt)
 		j.tr.Record(obs.SpanRecord{Name: "queue-wait", Start: j.enqueuedAt, Dur: wait})
-		s.histogram("ringmeshd_job_queue_wait_seconds",
+		s.reg.Histogram("ringmeshd_job_queue_wait_seconds",
 			metrics.Labels{Family: j.family}, secondsBuckets).Observe(wait.Seconds())
 		s.log.Info("job started", "job", j.id, "kind", j.sub.Kind,
 			"family", j.family, "queue_wait", wait)
@@ -520,31 +498,36 @@ func (s *Server) execute(j *job) {
 	if ctx.Err() != nil && slices.ContainsFunc(outs, func(o outcome) bool { return o.err != nil }) {
 		err = fmt.Errorf("%s canceled: %w", j.sub.Kind, ctx.Err())
 	}
-	failed := j.finish(outs, err)
-
+	// The job is counted, traced and timed before finish publishes its
+	// state, so a client that sees it done finds its metrics too; the
+	// journal's fsync comes after, off that client's path.
+	failed, _, je := verdict(outs, err)
 	runDur := time.Since(runStart)
 	how := "done"
 	if failed {
-		how = j.view().Error.Kind
+		how = je.Kind
 		s.failed.Inc()
 	} else {
 		s.completed.Inc()
 	}
-	s.journalTerminal(j, failed)
 	j.tr.Record(obs.SpanRecord{
 		Name: "run", Start: runStart, Dur: runDur,
 		Attrs: []obs.Attr{{Key: "outcome", Value: how}},
 	})
-	s.histogram("ringmeshd_job_run_seconds",
+	s.reg.Histogram("ringmeshd_job_run_seconds",
 		metrics.Labels{Family: j.family, Outcome: how}, secondsBuckets).Observe(runDur.Seconds())
+	if !failed {
+		// Whatever the analytic tier can answer never queues (answerInline).
+		s.reg.Histogram("ringmeshd_fidelity_answer_seconds",
+			metrics.Labels{Fidelity: fidelity.Simulate}, fidelityBuckets).Observe(runDur.Seconds())
+	}
+	j.finish(outs, err)
+	s.journalTerminal(j, failed)
 	if failed {
 		s.log.Warn("job failed", "job", j.id, "kind", j.sub.Kind,
 			"family", j.family, "outcome", how, "dur", runDur)
 		return
 	}
-	// Whatever the analytic tier can answer never queues (answerInline).
-	s.histogram("ringmeshd_fidelity_answer_seconds",
-		metrics.Labels{Fidelity: fidelity.Simulate}, fidelityBuckets).Observe(runDur.Seconds())
 	s.log.Info("job finished", "job", j.id, "kind", j.sub.Kind,
 		"family", j.family, "dur", runDur)
 }
@@ -566,15 +549,16 @@ func keyGroups(points []point) [][]int {
 	return groups
 }
 
-// resolve obtains one point's result through the cache. A point that
-// names the analytic tier is estimated here, as at submission; any
-// other miss is simulated in one of the Workers simulation slots. Only
-// the simulation holds a slot: an estimate, a hit or a coalesced wait
+// resolve obtains one point's result. A point that names the analytic
+// tier is estimated here, as at submission, and never touches the
+// cache; any other point goes through the cache, and a miss is
+// simulated in one of the Workers simulation slots. Only the
+// simulation holds a slot: an estimate, a hit or a coalesced wait
 // never takes one.
 func (s *Server) resolve(ctx context.Context, j *job, p point) outcome {
 	var o outcome
 	if p.cfg.Fidelity == fidelity.Analytic {
-		o.res, o.cached, o.err = s.estimate(j, &p)
+		o.res, o.err = estimate(&p)
 	} else {
 		o.res, o.cached, o.err = s.cache.do(ctx, p.key, j.tr, func() (ringmesh.Result, error) {
 			select {

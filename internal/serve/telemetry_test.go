@@ -269,3 +269,36 @@ func TestWatchTerminatesDuringDrain(t *testing.T) {
 	ts.Close()
 	waitGoroutinesBelow(t, base+2)
 }
+
+// TestDoneJobIsInMetrics: a job reads done only once its metrics are
+// in. For each of a few quick runs, a scrape made the moment the watch
+// stream's done event arrives counts that job in the completed counter
+// and in the run histogram. The journal's fsync, which follows done,
+// holds the window open on code that observes them after done.
+func TestDoneJobIsInMetrics(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, JournalDir: t.TempDir()})
+	for i := range 8 {
+		resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: meshRun(16, uint64(500+i)), Options: testOptions()})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST %d = %d: %s", i, resp.StatusCode, raw)
+		}
+		id := decodeDoc(t, raw).ID
+		watch, err := http.Get(ts.URL + "/v1/jobs/" + id + "?watch=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(watch.Body)
+		for sc.Scan() && sc.Text() != "event: done" {
+		}
+		watch.Body.Close()
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		body := getMetrics(t, ts.URL)
+		for _, name := range []string{"ringmeshd_jobs_completed_total", "ringmeshd_job_run_seconds_count"} {
+			if n := sumSeries(t, body, name); n != float64(i+1) {
+				t.Fatalf("job %d read done with %s = %g; want %d", i, name, n, i+1)
+			}
+		}
+	}
+}

@@ -265,21 +265,13 @@ func TestQueuedAnalyticEntryTakesNoSlot(t *testing.T) {
 
 	analytic := meshRun(121, 43)
 	analytic.Fidelity = fidelity.Analytic
-	key, err := ringmesh.CacheKey(analytic, *slotRun)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mixed := submitQueued(t, s, ts.URL, "/v1/batch", batchRequest{Runs: []batchRunRequest{
 		{Config: meshRun(121, 44), Options: slotRun}, {Config: analytic, Options: slotRun},
 	}})
 	timeout := time.After(10 * time.Second)
-	for {
-		s.cache.mu.Lock()
-		_, cached := s.cache.entries[key]
-		s.cache.mu.Unlock()
-		if cached {
-			break
-		}
+	// The simulated entry waits for a slot, so the one point done is
+	// the estimate.
+	for mixed.pointsDone.Load() == 0 {
 		select {
 		case <-timeout:
 			t.Fatal("the analytic entry was not estimated while the simulations held both slots")
