@@ -15,7 +15,9 @@ import (
 // the assembly layers has to reproduce these numbers bit for bit —
 // same seed, same throughput and latency — or it has changed the
 // simulation, not just the code. Update the constants only when a
-// deliberate modelling change is made (and say so in DESIGN.md).
+// deliberate modelling change is made (and say so in DESIGN.md), and
+// bump cacheKeyVersion: TestGoldenRepinBumpsCacheKeyVersion fails
+// until you do.
 
 const goldenSeed = 12345
 

@@ -13,7 +13,8 @@ import (
 // cacheKeyVersion tags the canonical form; bump it whenever the
 // simulation semantics change in a way that alters results for an
 // unchanged (Config, RunOptions) pair, so stale cached results can
-// never be served as current ones.
+// never be served as current ones. TestGoldenRepinBumpsCacheKeyVersion
+// fails when a golden Result is re-pinned without a bump.
 const cacheKeyVersion = "ringmesh-v1"
 
 // canonicalRun is the canonical form CacheKey hashes: every field

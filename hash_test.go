@@ -1,6 +1,8 @@
 package ringmesh
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -305,6 +307,63 @@ func TestCacheKeyStable(t *testing.T) {
 		if got := mustKey(t, fcfg, fopt); got != tc.want {
 			t.Errorf("CacheKey with fault plan %q drifted:\n got %s\nwant %s", tc.plan, got, tc.want)
 		}
+	}
+}
+
+// goldenWantDigests records, per cacheKeyVersion, the sha256 over each
+// case in versionedGoldens: its name, then the JSON of its want.
+var goldenWantDigests = map[string]string{
+	"ringmesh-v1": "0db26a8ca2467dc41196fbeac233f65f3d5c643cd740e45d96ca0498ea81b0ab",
+}
+
+// versionedGoldens are the golden cases whose pinned Results the
+// digest covers: those of goldenCases and faultedGoldenCases when the
+// guard was written, listed by name so adding a case does not trip it.
+var versionedGoldens = []string{
+	"ring-2:3:4-32B",
+	"ring-3:3:8-32B-double-global",
+	"ring-2:3:4-32B-slotted",
+	"ring-2:3:4-32B-slotted-double-global",
+	"ring-8-32B-double-global",
+	"ring-8-32B-slotted-double-global",
+	"mesh-8x8-32B-4flit",
+	"ring-2:3:4-32B-open-loop",
+	"mesh-4x4-32B-4flit-open-loop",
+	"ring-2:3:4-32B-deterministic",
+	"mesh-4x4-32B-4flit-memlat1",
+	"mesh-4x4-32B-4flit-memlat40",
+	"ring-2:3:4-32B-slotted-double-global-faults",
+}
+
+// TestGoldenRepinBumpsCacheKeyVersion: a re-pinned golden means
+// results changed for an unchanged (Config, RunOptions), and a daemon
+// with a disk cache would keep serving the old ones under the old key.
+// So the golden Results are pinned by one digest recorded against the
+// current cacheKeyVersion, and re-pinning any of them without a bump
+// fails here.
+func TestGoldenRepinBumpsCacheKeyVersion(t *testing.T) {
+	wants := map[string]Result{}
+	for _, tc := range append(goldenCases(), faultedGoldenCases()...) {
+		wants[tc.name] = tc.want
+	}
+	h := sha256.New()
+	for _, name := range versionedGoldens {
+		want, ok := wants[name]
+		if !ok {
+			t.Fatalf("golden case %q is gone; restore it or bump cacheKeyVersion and drop it here", name)
+		}
+		raw, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(name))
+		h.Write(raw)
+	}
+	if got, recorded := hex.EncodeToString(h.Sum(nil)), goldenWantDigests[cacheKeyVersion]; got != recorded {
+		t.Fatalf("golden Results digest under cacheKeyVersion %q = %s; recorded %q.\n"+
+			"A re-pinned golden changes results for an unchanged (Config, RunOptions): "+
+			"bump cacheKeyVersion in hash.go, then record %s under the new version in goldenWantDigests.",
+			cacheKeyVersion, got, recorded, got)
 	}
 }
 
