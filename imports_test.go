@@ -1,11 +1,15 @@
 package ringmesh
 
 import (
+	"bufio"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
+	"path"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -69,6 +73,133 @@ func TestOneRoadImportGraph(t *testing.T) {
 		if n := strings.Count(string(src), "network.New("); n > 0 && (n > 1 || !resolvers[path]) {
 			t.Errorf("%s resolves a geometry itself (%d network.New calls); take the facade's, or a *network.Plan", path, n)
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNoStdlibNewerThanGoMod keeps the module buildable at the Go
+// version go.mod names: CI installs exactly that toolchain, and a newer
+// local one (whose vet does not flag it) builds code that calls
+// standard-library API the older one lacks. It lists the package-level
+// funcs, types, consts and vars that $GOROOT/api/go1.N.txt adds for
+// every N above go.mod's version, and fails on any selector pkg.Name in
+// the root module or bench/ that resolves through the file's imports to
+// one of them. Struct-field and method lines name older types and are
+// skipped. A toolchain no newer than go.mod has no such files, and the
+// test skips.
+func TestNoStdlibNewerThanGoMod(t *testing.T) {
+	mod, err := os.ReadFile("go.mod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	minor := -1
+	for _, line := range strings.Split(string(mod), "\n") {
+		if v, ok := strings.CutPrefix(strings.TrimSpace(line), "go 1."); ok {
+			v, _, _ = strings.Cut(v, ".")
+			if minor, err = strconv.Atoi(v); err != nil {
+				t.Fatalf("go.mod: go line %q: %v", line, err)
+			}
+		}
+	}
+	if minor < 0 {
+		t.Fatal("go.mod names no go version")
+	}
+	goroot, err := exec.Command("go", "env", "GOROOT").Output()
+	if err != nil {
+		t.Skipf("no go command to locate GOROOT: %v", err)
+	}
+	// newer maps "import/path.Name" to the release that added it.
+	newer := map[string]string{}
+	for n := minor + 1; ; n++ {
+		release := fmt.Sprintf("go1.%d", n)
+		f, err := os.Open(filepath.Join(strings.TrimSpace(string(goroot)), "api", release+".txt"))
+		if err != nil {
+			break
+		}
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			pkg, decl, ok := strings.Cut(strings.TrimPrefix(sc.Text(), "pkg "), ", ")
+			if !ok {
+				continue
+			}
+			pkg, _, _ = strings.Cut(pkg, " ") // "syscall (linux-386)"
+			kind, rest, _ := strings.Cut(decl, " ")
+			name := strings.FieldsFunc(rest, func(r rune) bool { return r == ' ' || r == '(' || r == '[' || r == ',' })
+			if len(name) == 0 {
+				continue
+			}
+			switch kind {
+			case "type":
+				// "type T struct, F int" and "type I interface, M()"
+				// are a field or method of T, not T itself.
+				if after := strings.TrimPrefix(rest, name[0]+" "); strings.HasPrefix(after, "struct, ") || strings.HasPrefix(after, "interface, ") {
+					continue
+				}
+			case "func", "const", "var":
+			default:
+				continue
+			}
+			newer[pkg+"."+name[0]] = release
+		}
+		f.Close()
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(newer) == 0 {
+		t.Skipf("this toolchain lists no API newer than go.mod's go 1.%d", minor)
+	}
+
+	err = filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if file == ".bench_build" || file == ".git" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(file, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			return err
+		}
+		imports := map[string]string{} // local name -> import path
+		for _, spec := range f.Imports {
+			imp, _ := strconv.Unquote(spec.Path.Value)
+			name := path.Base(imp)
+			if v := strings.TrimPrefix(name, "v"); v != name && v != "" && strings.Trim(v, "0123456789") == "" {
+				name = path.Base(path.Dir(imp)) // math/rand/v2 is package rand
+			}
+			if spec.Name != nil {
+				name = spec.Name.Name
+			}
+			imports[name] = imp
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			// Obj is nil for a package name; a local that shadows one
+			// resolves to its declaration.
+			if id, ok := sel.X.(*ast.Ident); ok && id.Obj == nil {
+				if imp, ok := imports[id.Name]; ok {
+					if release, ok := newer[imp+"."+sel.Sel.Name]; ok {
+						t.Errorf("%s: %s.%s is %s API, newer than go.mod's go 1.%d",
+							fset.Position(sel.Pos()), id.Name, sel.Sel.Name, release, minor)
+					}
+				}
+			}
+			return true
+		})
 		return nil
 	})
 	if err != nil {
