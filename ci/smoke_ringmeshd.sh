@@ -23,8 +23,9 @@
 #      over the journal, every job finishes under its original ID, and
 #      a new job gets none of those IDs;
 #   5. auto fidelity: an auto request is answered analytically while
-#      the worker is busy, its upgrade job lands the exact result, and
-#      the upgrade, being best-effort, writes nothing to the journal.
+#      the worker is busy, its upgrade job lands the exact result, the
+#      upgrade, being best-effort, writes nothing to the journal, and
+#      the estimate writes nothing to the disk cache.
 #
 # No dependencies beyond curl and the Go toolchain.
 set -euo pipefail
@@ -385,10 +386,12 @@ echo "PASS: journal smoke (kill -9 with 4 unfinished jobs; restart replayed all 
 # exact result lands later under its own cache key. The upgrade job
 # must finish with an unlabeled exact result, and the fidelity
 # counters must tell the story on /metrics. The daemon journals: the
-# upgrade is best-effort and must append nothing to it.
+# upgrade is best-effort and must append nothing to it. It also keeps a
+# disk cache: an estimate is recomputed on every request, so only the
+# simulated results are written to it.
 
 alog=$(mktemp)
-boot "$alog" -workers 1 -journal-dir "$(mktemp -d)"
+boot "$alog" -workers 1 -journal-dir "$(mktemp -d)" -cache-dir "$(mktemp -d)"
 apid=$BOOT_PID; abase="http://$BOOT_ADDR"
 
 # Occupy the worker and queue jobs behind it, so the auto request
@@ -426,6 +429,10 @@ esac
 # none.
 grep -q '^ringmeshd_journal_appends_total 8$' <<<"$(curl -fsS "$abase/metrics")" \
   || { echo "FAIL: journal appends with the upgrade landed:"; curl -fsS "$abase/metrics" | grep journal; exit 1; }
+# The disk cache holds the five simulations (occupier, three queued
+# runs, upgrade) and not the estimate.
+grep -q '^ringmeshd_disk_cache_writes_total 5$' <<<"$(curl -fsS "$abase/metrics")" \
+  || { echo "FAIL: disk cache writes with the upgrade landed:"; curl -fsS "$abase/metrics" | grep disk_cache; exit 1; }
 
 # A repeat auto request now prefers the cached exact result: no label,
 # no new upgrade.
@@ -450,5 +457,5 @@ grep -q 'ringmeshd_fidelity_answer_seconds_bucket{fidelity="analytic",le="+Inf"}
 
 kill -TERM "$apid"; wait "$apid" || { echo "FAIL: fidelity daemon exited dirty"; exit 1; }
 
-echo "PASS: fidelity smoke (auto answered analytically under flood; upgrade landed the exact result, unjournaled)"
+echo "PASS: fidelity smoke (auto answered analytically under flood; upgrade landed the exact result, unjournaled; estimate not cached)"
 echo "PASS: ringmeshd smoke"
