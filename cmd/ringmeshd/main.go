@@ -36,7 +36,8 @@
 // (cache hit if available, else an analytic answer plus an "upgrade
 // to exact" job, queued best-effort and never journaled, whose ID
 // rides in the response).
-// Estimates and exact results live under distinct cache keys.
+// Estimates are computed on every request and never cached; exact
+// results are.
 // ringmeshd_fidelity_* counters and per-fidelity latency histograms
 // appear on /metrics.
 //

@@ -133,7 +133,7 @@ func CacheKey(cfg Config, opt RunOptions) (string, error) {
 	// byte-identical (pinned by TestCacheKeyStable). The closed-form
 	// backend reads no RNG and runs no schedule, so seed, histogram and
 	// the warmup/batch/watchdog schedule are zeroed for analytic keys:
-	// equivalent analytic requests collapse onto one cache entry.
+	// equivalent analytic requests collapse onto one key.
 	if r.fidelity != fidelity.Simulate {
 		c.Fidelity = r.fidelity
 		c.Seed = 0

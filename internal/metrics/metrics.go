@@ -356,10 +356,8 @@ type Registry struct {
 
 // register adds s and returns it, panicking on a duplicate key —
 // duplicate instrument registration is a programmer error in a model's
-// DescribeMetrics, not a runtime condition. The one exception is a
-// histogram with the bounds of the one already registered under its
-// key: that one is returned, so a label-fanned histogram is looked up
-// by registering it again.
+// DescribeMetrics, not a runtime condition — except that a histogram
+// equal to the registered one returns that one instead.
 func (r *Registry) register(s *Series) *Series {
 	key := s.Key()
 	r.mu.Lock()
@@ -417,10 +415,9 @@ func (r *Registry) Gauge(name string, l Labels, f func() float64) {
 
 // Histogram registers and returns a histogram series with the given
 // ascending bucket upper bounds (an overflow +Inf bucket is added
-// implicitly). Asked again for the same name, labels and bounds, it
-// returns the histogram already registered; different bounds, or
-// another kind of series under the key, panic. A nil registry returns
-// a nil histogram, whose methods all no-op.
+// implicitly), or the one registered with equal name, labels and
+// bounds; other bounds or kinds under the key panic. A nil registry
+// returns a nil histogram, whose methods all no-op.
 func (r *Registry) Histogram(name string, l Labels, bounds []float64) *Histogram {
 	if r == nil {
 		return nil

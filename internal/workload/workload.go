@@ -244,8 +244,9 @@ type MMRP struct {
 	// requests are generated is independent of the number of
 	// outstanding requests"; the default (closed-loop) pauses
 	// generation while blocked, which reproduces the paper's clear
-	// T-dependence at low loads. An ablation experiment compares the
-	// two.
+	// T-dependence at low loads. No experiment sets it: the open-loop
+	// goldens pin it, TestOpenLoopWorkload compares the two modes, and
+	// the analytic tier refuses it.
 	OpenLoop bool `json:"open_loop,omitempty"`
 }
 
