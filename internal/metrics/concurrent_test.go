@@ -9,8 +9,9 @@ import (
 
 // TestRegistryConcurrentJobs exercises the sharing contract the
 // serving daemon depends on: several job goroutines increment shared
-// counters and read gauges while exporter goroutines snapshot and
-// render the same registry, all concurrently (run under -race in CI).
+// counters, read gauges and look a shared histogram up by registering
+// it again, while exporter goroutines snapshot and render the same
+// registry, all concurrently (run under -race in CI).
 // Ratio series are deliberately absent — their backings stay owned by
 // one single-threaded simulation (see the Registry doc).
 func TestRegistryConcurrentJobs(t *testing.T) {
@@ -35,6 +36,7 @@ func TestRegistryConcurrentJobs(t *testing.T) {
 					misses.Add(1)
 				}
 				inflight.Add(-1)
+				reg.Histogram("test_job_seconds", Labels{}, []float64{1, 2}).Observe(1)
 				// Jobs also register their own instruments mid-flight
 				// (distinct keys per goroutine), racing the exporters.
 				if i == rounds/2 {
@@ -65,8 +67,11 @@ func TestRegistryConcurrentJobs(t *testing.T) {
 	if got := hits.Value() + misses.Value(); got != jobs*rounds {
 		t.Fatalf("counted %d events, want %d", got, jobs*rounds)
 	}
-	if got := len(reg.Series()); got != 3+jobs {
-		t.Fatalf("registry holds %d series, want %d", got, 3+jobs)
+	if got := reg.Histogram("test_job_seconds", Labels{}, []float64{1, 2}).Count(); got != jobs*rounds {
+		t.Fatalf("histogram counted %d observations, want %d", got, jobs*rounds)
+	}
+	if got := len(reg.Series()); got != 4+jobs {
+		t.Fatalf("registry holds %d series, want %d", got, 4+jobs)
 	}
 }
 

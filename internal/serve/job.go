@@ -397,7 +397,7 @@ func verdict(outs []outcome, err error) (failed, degraded bool, je *JobError) {
 
 // finish records the outcome under verdict's rule and closes the
 // completion channel; a job-level err keeps no outcomes.
-func (j *job) finish(outs []outcome, err error) (failed bool) {
+func (j *job) finish(outs []outcome, err error) {
 	failed, degraded, _ := verdict(outs, err)
 	j.mu.Lock()
 	j.state, j.err, j.degraded = JobDone, err, degraded
@@ -409,7 +409,6 @@ func (j *job) finish(outs []outcome, err error) (failed bool) {
 	}
 	j.mu.Unlock()
 	close(j.done)
-	return failed
 }
 
 // finished reports whether the job has completed (either way).

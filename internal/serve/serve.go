@@ -431,14 +431,15 @@ func (s *Server) lookup(id string) (*job, bool) {
 
 // execute is the one executor: it resolves every point of a job
 // through the result cache (single-flight: concurrent identical points
-// compute once and share the result), simulating a missed point here.
+// compute once and share the result), simulating a missed point here;
+// a point that names the analytic tier is estimated instead.
 // It fans a job's points out Workers wide, and every simulation waits
 // for a slot (see resolve): a sweep or batch uses the slots other jobs
 // leave idle, and a job arriving behind it waits for one of its points,
 // not all of them. Points that share a cache key resolve in index order
 // on one goroutine, as a serial loop would: the first computes and each
 // repeat is a hit on it. One doomed point degrades the response instead
-// of voiding it (see job.finish).
+// of voiding it (see verdict).
 func (s *Server) execute(j *job) {
 	// A deadline that expired while the job sat in queue terminates it
 	// here, before it occupies the worker for any simulation time.
