@@ -1,6 +1,8 @@
 package ringmesh
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -91,5 +93,37 @@ func TestEstimateGolden(t *testing.T) {
 	}
 	if b.String() != string(want) {
 		t.Errorf("analytic estimates drifted from %s:\n got:\n%s\nwant:\n%s", path, b.String(), want)
+	}
+}
+
+// estimateGoldenDigests records, per analyticKeyVersion, the sha256 of
+// testdata/estimate.golden without its key lines: every configuration
+// and answer it pins.
+var estimateGoldenDigests = map[string]string{
+	"analytic-v1": "3bd449ff8fc7eb41b7063b4db2ff98581ef4eff43cf88ff42fcee32e1d17fb1c",
+}
+
+// TestEstimateRepinBumpsAnalyticKeyVersion: re-pinned estimates mean
+// Estimate answers differently for an unchanged (Config, RunOptions),
+// and any cache keyed by CacheKey would keep serving the old answers.
+// So the pinned answers are covered by one digest recorded against the
+// current analyticKeyVersion, and re-pinning them without a bump fails
+// here. The key lines are left out: they move with the version itself.
+func TestEstimateRepinBumpsAnalyticKeyVersion(t *testing.T) {
+	raw, err := os.ReadFile("testdata/estimate.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		if !strings.HasPrefix(line, "  key ") {
+			h.Write([]byte(line))
+		}
+	}
+	if got, recorded := hex.EncodeToString(h.Sum(nil)), estimateGoldenDigests[analyticKeyVersion]; got != recorded {
+		t.Fatalf("estimate golden digest under analyticKeyVersion %q = %s; recorded %q.\n"+
+			"Re-pinned estimates change answers for an unchanged (Config, RunOptions): "+
+			"bump analyticKeyVersion in hash.go, then record %s under the new version in estimateGoldenDigests.",
+			analyticKeyVersion, got, recorded, got)
 	}
 }

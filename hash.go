@@ -17,6 +17,13 @@ import (
 // fails when a golden Result is re-pinned without a bump.
 const cacheKeyVersion = "ringmesh-v1"
 
+// analyticKeyVersion tags the closed-form model inside analytic keys
+// only; bump it whenever Estimate's answer changes for an unchanged
+// (Config, RunOptions), so a cached estimate is never served for a
+// newer model. TestEstimateRepinBumpsAnalyticKeyVersion fails when
+// testdata/estimate.golden's answers are re-pinned without a bump.
+const analyticKeyVersion = "analytic-v1"
+
 // canonicalRun is the canonical form CacheKey hashes: every field
 // that can change a Result, normalized so equivalent spellings of one
 // logical configuration collapse onto one key. Field order is fixed
@@ -55,6 +62,9 @@ type canonicalRun struct {
 	// closed-form backend. The two tiers produce different numbers for
 	// one configuration, so they must never share a key.
 	Fidelity string `json:"fidelity,omitempty"`
+	// AnalyticVersion is analyticKeyVersion on analytic keys and ""
+	// (omitted) on simulate keys, which therefore keep their bytes.
+	AnalyticVersion string `json:"analytic_v,omitempty"`
 }
 
 // CacheKey returns the canonical content hash of a simulation's
@@ -133,9 +143,12 @@ func CacheKey(cfg Config, opt RunOptions) (string, error) {
 	// byte-identical (pinned by TestCacheKeyStable). The closed-form
 	// backend reads no RNG and runs no schedule, so seed, histogram and
 	// the warmup/batch/watchdog schedule are zeroed for analytic keys:
-	// equivalent analytic requests collapse onto one key.
+	// equivalent analytic requests collapse onto one key. The
+	// closed-form model's own version joins instead, so a model change
+	// moves every analytic key.
 	if r.fidelity != fidelity.Simulate {
 		c.Fidelity = r.fidelity
+		c.AnalyticVersion = analyticKeyVersion
 		c.Seed = 0
 		c.Histogram = false
 		c.WarmupCycles = 0

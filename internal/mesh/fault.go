@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"ringmesh/internal/fault"
-	"ringmesh/internal/packet"
 	"ringmesh/internal/sim"
 	"ringmesh/internal/topo"
 )
@@ -32,14 +31,16 @@ func (n *Network) FaultTargets() fault.Targets {
 // flow-control bug; either way the wait-for graph names the culprit.
 func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 	rep := sim.NewStallReport(now, n.BufferedFlits())
-	rname := func(id int) string { return fmt.Sprintf("router%d", id) }
+	rname := func(id int32) string { return fmt.Sprintf("router%d", id) }
 
 	for id := range n.routers {
 		r := &n.routers[id]
 		buffered := 0
 		for i := topo.Direction(0); i < topo.NumPorts; i++ {
-			buffered += r.inputs[i].Len()
-			r.inputs[i].EachPacket(func(p *packet.Packet) { rep.Stuck(p, rname(r.id)) })
+			buffered += int(r.qn[i])
+			for k := 0; k < int(r.qn[i]); k++ {
+				rep.Stuck(n.queued(r, i, k).pkt, rname(r.id))
+			}
 		}
 		rep.Stuck(r.injPkt, rname(r.id)+".inj")
 		rep.Buffer(rname(r.id), buffered, int(topo.NumPorts)*n.cfg.bufferFlits())
@@ -55,8 +56,8 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 			if !ok {
 				// A locked worm whose next flit has not arrived waits
 				// on the upstream router feeding that input.
-				if r.outLock[o] != nil && r.outLockIn[o] != topo.Local {
-					if up := r.nbr[r.outLockIn[o]]; up != nil {
+				if in := topo.Direction(r.outLockIn[o]); r.outLock[o] != nil && in != topo.Local {
+					if up := r.nbr[in]; up != nil {
 						rep.Wait(rname(r.id), rname(up.id),
 							fmt.Sprintf("committed worm on %s output, flits still upstream", o))
 					}
@@ -70,9 +71,9 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 			if o == topo.Local {
 				continue // ejection always succeeds
 			}
-			if nb := r.nbr[o]; nb != nil && nb.inputs[opposite[o]].Space() < 1 {
+			if nb := r.nbr[o]; nb != nil && !nb.space(opposite[o]) {
 				rep.Wait(rname(r.id), rname(nb.id),
-					fmt.Sprintf("%s carrying %s: downstream input full", o, f.Pkt))
+					fmt.Sprintf("%s carrying %s: downstream input full", o, f.pkt))
 			}
 		}
 	}

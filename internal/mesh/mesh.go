@@ -14,6 +14,7 @@ package mesh
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"ringmesh/internal/fault"
@@ -57,6 +58,13 @@ func (c Config) Validate() error {
 	if c.BufferFlits < 0 || c.BufferFlits > MaxBufferFlits {
 		return fmt.Errorf("mesh: BufferFlits = %d (want 0 for cl, or 1..%d)", c.BufferFlits, MaxBufferFlits)
 	}
+	// Routers index the flit slab and hold their coordinates in narrow
+	// integers (see router); a mesh this large could not be allocated
+	// anyway.
+	if k := int64(c.Spec.K); k > math.MaxInt16 || k*k*int64(topo.NumPorts)*int64(c.bufferFlits()) > math.MaxInt32 {
+		return fmt.Errorf("mesh: side %d with %d-flit buffers is too large (at most %d buffer slots)",
+			c.Spec.K, c.bufferFlits(), math.MaxInt32)
+	}
 	return nil
 }
 
@@ -68,20 +76,30 @@ func (c Config) bufferFlits() int {
 	return c.BufferFlits
 }
 
-// move is a staged crossbar transfer for one output port.
-type move struct {
-	ok bool
-	in topo.Direction
-	f  packet.Flit
+// flit is a buffered mesh flit: its packet, its index in the packet,
+// whether it is the packet's tail and, for a head, the output it takes
+// at the router that holds it. push fixes out from the destination's
+// coordinates, so decode routes a head without following pkt.
+type flit struct {
+	pkt  *packet.Packet
+	idx  int32
+	tail bool
+	out  int8
 }
 
+// head reports whether f is its packet's first (routing) flit.
+func (f flit) head() bool { return f.idx == 0 }
+
+// String renders the flit as packet.Flit does, for panics and tests.
+func (f flit) String() string { return packet.Flit{Pkt: f.pkt, Index: int(f.idx)}.String() }
+
 // heads is a router's five input heads as decoded at the start of a
-// cycle. f[i].Pkt is nil when input i is empty. Bit i of req[o] is set
+// cycle. f[i].pkt is nil when input i is empty. Bit i of req[o] is set
 // when input i holds a packet head routed to output o — body flits
 // follow their worm's lock instead — and bit o of wanted is set when
 // req[o] is not empty.
 type heads struct {
-	f      [topo.NumPorts]packet.Flit
+	f      [topo.NumPorts]flit
 	req    [topo.NumPorts]uint8
 	wanted uint8
 }
@@ -91,53 +109,104 @@ const noPort topo.Direction = -1
 // opposite is topo.Direction.Opposite for the four neighbour ports.
 var opposite = [topo.Local]topo.Direction{topo.South, topo.North, topo.West, topo.East}
 
-// router is one mesh NIC: a 5x5 crossbar with input buffering.
+// router is one mesh NIC: a 5x5 crossbar with input buffering. Its
+// state packs into four cache lines (TestRouterFootprint bounds the
+// size), the first holding the queue headers, port state and injection
+// register that decode and an idle router's visit read; link counters
+// live on the Network.
 type router struct {
-	id int
-	// Geometry fixed at build time, so the tick never divides: own
-	// position (y is also the owning row shard) and the neighbour behind
-	// each output port, nil at the mesh edge and for Local.
-	x, y   int
-	nbr    [topo.NumPorts]*router
-	inputs [topo.NumPorts]packet.FIFO
-	// outLock / outLockIn implement wormhole: while a packet is in
-	// flight through output o, the crossbar connection from input
-	// outLockIn[o] is held, and bit o of lockedOut is set, so the
-	// compute visits only outputs that are locked or requested.
-	outLock   [topo.NumPorts]*packet.Packet
-	outLockIn [topo.NumPorts]topo.Direction
-	lockedOut uint8
-	// rr[o] is the input output o's round-robin search starts from.
-	rr     [topo.NumPorts]uint8
-	staged [topo.NumPorts]move
+	// base is where the router's window of the network's flit slab
+	// starts: input i's ring of depth slots follows at base+i*depth, and
+	// its qn[i] buffered flits start at slot qh[i] and wrap. Every input
+	// has exactly one producer (the neighbour behind it, or the PM), so
+	// under the row partition two shards never push through one header.
+	base   int32
+	id     int32
+	x, y   int16 // own position; y is also the owning row shard
+	depth  uint16
+	qh, qn [topo.NumPorts]uint16
+	// lockedOut has bit o set while outLock[o] holds a worm, so the
+	// compute visits only outputs that are locked or requested;
 	// stagedOut has bit o set while staged[o] holds a move, so the
 	// commit visits only the outputs that carry a flit.
-	stagedOut uint8
-
-	// Injection register: the packet the PM is currently streaming
-	// into the local input FIFO.
+	lockedOut, stagedOut uint8
+	// outLockIn[o] is the input whose worm holds output o (see outLock);
+	// stagedIn[o] the input staged[o] pops. Both are noPort when unset.
+	outLockIn, stagedIn [topo.NumPorts]int8
+	// rr[o] is the input output o's round-robin search starts from.
+	rr [topo.NumPorts]uint8
+	// Injection register: the packet the PM is currently streaming into
+	// the local input, the index of its next flit, and whether that flit
+	// is staged this cycle.
+	injStaged bool
+	injIdx    int32
 	injPkt    *packet.Packet
-	injIdx    int
-	stagedInj move
 
 	pm node.Port
-
 	// flt holds the router's fault gates, one per output in
 	// topo.Direction order; nil (the common case) costs one pointer
 	// check per compute.
 	flt *fault.Gates
-
-	// linkUtil counts flits sent on each of this router's outgoing
-	// neighbour links, per direction, against the mesh clock
-	// (Network.cycles; only links that exist are bound to it, so the
-	// Local slot and edge slots accrue no capacity). Links lists the
-	// bound ones by direction.
-	linkUtil [topo.NumPorts]stats.Utilization
+	// nbr is the neighbour behind each neighbour port, nil at the mesh
+	// edge.
+	nbr [topo.Local]*router
 	// turns counts e-cube dimension turns: head flits leaving an
 	// east/west input through a north/south output. Kept per router
 	// because row shards commit concurrently; exported summed as
 	// mesh_ecube_turns.
 	turns int64
+
+	// outLock implements wormhole: while a packet is in flight through
+	// output o, the crossbar connection from input outLockIn[o] is held.
+	outLock [topo.NumPorts]*packet.Packet
+	staged  [topo.NumPorts]flit
+}
+
+// slot returns the slab index of input in's k-th buffered flit, 0
+// being its head.
+func (r *router) slot(in topo.Direction, k int) int {
+	s, d := int(r.qh[in])+k, int(r.depth)
+	if s >= d {
+		s -= d
+	}
+	return int(r.base) + int(in)*d + s
+}
+
+// space reports whether input in has room for a flit.
+func (r *router) space(in topo.Direction) bool { return r.qn[in] < r.depth }
+
+// queued returns r's input in's k-th buffered flit, 0 being its head.
+func (n *Network) queued(r *router, in topo.Direction, k int) flit { return n.slab[r.slot(in, k)] }
+
+// push appends f to r's input in, first fixing a head's output at r.
+// It panics when the input is full: callers check space first, so a
+// violation is a flow-control bug.
+func (n *Network) push(r *router, in topo.Direction, f flit) {
+	if !r.space(in) {
+		panic("mesh: push into full input (flow-control violation)")
+	}
+	if f.head() {
+		d := n.coord[f.pkt.Dst]
+		f.out = int8(topo.ECube(int(r.x), int(r.y), d.x, d.y))
+	}
+	n.slab[r.slot(in, int(r.qn[in]))] = f
+	r.qn[in]++
+}
+
+// pop removes and returns r's input in's head flit. It panics when the
+// input is empty.
+func (n *Network) pop(r *router, in topo.Direction) flit {
+	if r.qn[in] == 0 {
+		panic("mesh: pop from empty input")
+	}
+	i := r.slot(in, 0)
+	f := n.slab[i]
+	n.slab[i] = flit{} // do not pin the popped packet while the input idles
+	if r.qh[in]++; r.qh[in] == r.depth {
+		r.qh[in] = 0
+	}
+	r.qn[in]--
+	return f
 }
 
 // Network is the mesh interconnect as a sim.Component.
@@ -146,7 +215,9 @@ type Network struct {
 	// routers is one slab in tick (row-major id) order; routers point
 	// at their neighbours inside it, so it never grows.
 	routers []router
-	// coord is each PM id's (x, y): with the router's own position, all
+	// slab is every input's storage, router by router and port by port.
+	slab []flit
+	// coord is each PM id's (x, y): with a router's own position, all
 	// that routing a packet head needs.
 	coord  []struct{ x, y int }
 	engine *sim.Engine
@@ -156,6 +227,12 @@ type Network struct {
 	tracer *trace.Recorder
 	labels [][topo.NumPorts]string
 
+	// linkUtil[id][o] counts flits router id sent on its outgoing
+	// neighbour link o against the mesh clock (cycles; only links that
+	// exist are bound to it, so edge slots accrue no capacity). It is
+	// kept off the routers, whose lines the tick reads every cycle;
+	// Links lists the bound counters by direction.
+	linkUtil [][topo.Local]stats.Utilization
 	// cycles counts the mesh's cycles: the clock every link's
 	// utilization takes its capacity from.
 	cycles int64
@@ -188,22 +265,23 @@ func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 	depth := cfg.bufferFlits()
 	n := &Network{cfg: cfg, engine: engine, routers: make([]router, len(pms))}
 	n.coord = make([]struct{ x, y int }, len(pms))
-	// Every input FIFO's storage, router by router and port by port.
-	slab := make([]packet.Flit, len(pms)*int(topo.NumPorts)*depth)
+	n.linkUtil = make([][topo.Local]stats.Utilization, len(pms))
+	window := int(topo.NumPorts) * depth
+	n.slab = make([]flit, len(pms)*window)
 	for id := range n.routers {
 		r := &n.routers[id]
-		r.id, r.pm = id, pms[id]
-		r.x, r.y = cfg.Spec.Coord(id)
-		n.coord[id].x, n.coord[id].y = r.x, r.y
-		for p := range r.inputs {
-			r.inputs[p] = packet.FIFOOver(slab[:depth:depth])
-			slab = slab[depth:]
-			r.outLockIn[p] = noPort
+		r.id, r.pm = int32(id), pms[id]
+		x, y := cfg.Spec.Coord(id)
+		r.x, r.y = int16(x), int16(y)
+		n.coord[id].x, n.coord[id].y = x, y
+		r.base, r.depth = int32(id*window), uint16(depth)
+		for p := range r.outLockIn {
+			r.outLockIn[p], r.stagedIn[p] = int8(noPort), int8(noPort)
 		}
 		for o := topo.Direction(0); o < topo.Local; o++ {
 			if nb := cfg.Spec.Neighbor(id, o); nb >= 0 {
 				r.nbr[o] = &n.routers[nb]
-				r.linkUtil[o].Bind(&n.cycles)
+				n.linkUtil[id][o].Bind(&n.cycles)
 			}
 		}
 	}
@@ -224,18 +302,18 @@ func (n *Network) Compute(now int64) {
 func (n *Network) begin(int64) { n.cycles++ }
 
 // decode reads r's five input heads once from start-of-cycle state,
-// routing each packet head into its output's request mask, and reports
-// whether any input holds a flit. h must be zero on entry.
+// entering each packet head in the request mask of the output push
+// fixed for it, and reports whether any input holds a flit. h must be
+// zero on entry.
 func (n *Network) decode(r *router, h *heads) (busy bool) {
-	for i := range h.f {
-		f, _ := r.inputs[i].Peek()
-		if f.Pkt == nil {
+	for i := topo.Direction(0); i < topo.NumPorts; i++ {
+		if r.qn[i] == 0 {
 			continue
 		}
+		f := n.queued(r, i, 0)
 		h.f[i], busy = f, true
-		if f.Head() {
-			d := n.coord[f.Pkt.Dst]
-			o := topo.ECube(r.x, r.y, d.x, d.y)
+		if f.head() {
+			o := uint8(f.out)
 			h.req[o] |= 1 << i
 			h.wanted |= 1 << o
 		}
@@ -247,22 +325,22 @@ func (n *Network) decode(r *router, h *heads) (busy bool) {
 // input it comes from, judged from the decoded start-of-cycle heads. It
 // is pure, so the stall forensics can re-ask the same question the
 // switching logic asks.
-func (r *router) pickMove(h *heads, o topo.Direction) (in topo.Direction, f packet.Flit, ok bool) {
+func (r *router) pickMove(h *heads, o topo.Direction) (in topo.Direction, f flit, ok bool) {
 	if lock := r.outLock[o]; lock != nil {
 		// Continue the locked worm; bubbles keep the lock.
-		i := r.outLockIn[o]
-		if h.f[i].Pkt == nil {
-			return -1, packet.Flit{}, false
+		i := topo.Direction(r.outLockIn[o])
+		if h.f[i].pkt == nil {
+			return -1, flit{}, false
 		}
-		if h.f[i].Pkt != lock {
+		if h.f[i].pkt != lock {
 			panic(fmt.Sprintf("mesh: router %d would interleave %s into %s",
-				r.id, h.f[i].Pkt, lock))
+				r.id, h.f[i].pkt, lock))
 		}
 		return i, h.f[i], true
 	}
 	req := h.req[o]
 	if req == 0 {
-		return -1, packet.Flit{}, false
+		return -1, flit{}, false
 	}
 	// Round-robin arbitration among the requesting inputs: the first
 	// one at or after rr[o], wrapping to the lowest.
@@ -295,22 +373,20 @@ func (n *Network) computeRouter(r *router, now int64) {
 				nb := r.nbr[o]
 				if nb == nil {
 					panic(fmt.Sprintf("mesh: router %d routed %s off the edge (%s)",
-						r.id, f.Pkt, o))
+						r.id, f.pkt, o))
 				}
-				if nb.inputs[opposite[o]].Space() < 1 {
+				if !nb.space(opposite[o]) {
 					continue
 				}
 			}
-			r.staged[o] = move{ok: true, in: in, f: f}
+			r.staged[o], r.stagedIn[o] = f, int8(in)
 			r.stagedOut |= 1 << o
 		}
 	}
 
-	// Injection: stream the current packet into the local input FIFO,
-	// one flit per cycle.
-	if r.injPkt != nil && r.inputs[topo.Local].Space() >= 1 {
-		r.stagedInj = move{ok: true, f: packet.Flit{Pkt: r.injPkt, Index: r.injIdx}}
-	}
+	// Injection: stream the current packet into the local input, one
+	// flit per cycle.
+	r.injStaged = r.injPkt != nil && r.space(topo.Local)
 }
 
 // Commit implements sim.Component. Progress is reported to the
@@ -334,46 +410,44 @@ func (n *Network) Commit(now int64) {
 func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 	for mask := r.stagedOut; mask != 0; mask &= mask - 1 {
 		o := topo.Direction(bits.TrailingZeros8(mask))
-		mv := r.staged[o]
-		r.staged[o] = move{}
-		got := r.inputs[mv.in].Pop()
-		if got != mv.f {
-			panic(fmt.Sprintf("mesh: router %d staged %s but popped %s", r.id, mv.f, got))
+		f, in := r.staged[o], topo.Direction(r.stagedIn[o])
+		r.staged[o], r.stagedIn[o] = flit{}, int8(noPort)
+		if got := n.pop(r, in); got != f {
+			panic(fmt.Sprintf("mesh: router %d staged %s but popped %s", r.id, f, got))
 		}
 		// Lock maintenance and round-robin advance.
-		if mv.f.Head() && !mv.f.Tail() {
-			r.outLock[o] = mv.f.Pkt
-			r.outLockIn[o] = mv.in
+		if f.head() && !f.tail {
+			r.outLock[o] = f.pkt
+			r.outLockIn[o] = int8(in)
 			r.lockedOut |= 1 << o
 		}
-		if mv.f.Tail() {
+		if f.tail {
 			r.outLock[o] = nil
-			r.outLockIn[o] = noPort
+			r.outLockIn[o] = int8(noPort)
 			r.lockedOut &^= 1 << o
 		}
-		if mv.f.Head() {
-			r.rr[o] = uint8(mv.in+1) % uint8(topo.NumPorts)
-			if (mv.in == topo.East || mv.in == topo.West) && (o == topo.North || o == topo.South) {
+		if f.head() {
+			r.rr[o] = uint8(in+1) % uint8(topo.NumPorts)
+			if (in == topo.East || in == topo.West) && (o == topo.North || o == topo.South) {
 				r.turns++
 			}
 		}
 		// Deposit.
 		if o == topo.Local {
-			if mv.f.Tail() {
-				r.pm.Deliver(mv.f.Pkt, now, false)
+			if f.tail {
+				r.pm.Deliver(f.pkt, now, false)
 			}
 		} else {
-			if n.tracer != nil && mv.f.Head() {
-				n.tracer.Record(now, trace.Hop, mv.f.Pkt, n.labels[r.id][o])
+			if n.tracer != nil && f.head() {
+				n.tracer.Record(now, trace.Hop, f.pkt, n.labels[r.id][o])
 			}
 			nb := r.nbr[o]
-			dst := &nb.inputs[opposite[o]]
-			if sh != nil && nb.y != sh.row {
-				sh.outbox = append(sh.outbox, deferredPush{fifo: dst, f: mv.f})
+			if sh != nil && int(nb.y) != sh.row {
+				sh.outbox = append(sh.outbox, deferredPush{to: nb, in: opposite[o], f: f})
 			} else {
-				dst.Push(mv.f)
+				n.push(nb, opposite[o], f)
 			}
-			r.linkUtil[o].Busy(1)
+			n.linkUtil[r.id][o].Busy(1)
 		}
 		moved++
 	}
@@ -382,16 +456,16 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 	// Apply injection, then reload the injection register so a fresh
 	// packet (possibly issued by the PM's commit earlier this tick)
 	// starts streaming next cycle.
-	if r.stagedInj.ok {
-		if n.tracer != nil && r.stagedInj.f.Head() {
-			n.tracer.Record(now, trace.Inject, r.stagedInj.f.Pkt, n.labels[r.id][topo.Local])
+	if r.injStaged {
+		f := flit{pkt: r.injPkt, idx: r.injIdx, tail: int(r.injIdx) == r.injPkt.Flits-1}
+		if n.tracer != nil && f.head() {
+			n.tracer.Record(now, trace.Inject, f.pkt, n.labels[r.id][topo.Local])
 		}
-		r.inputs[topo.Local].Push(r.stagedInj.f)
-		r.injIdx++
-		if r.injIdx == r.injPkt.Flits {
+		n.push(r, topo.Local, f)
+		if r.injIdx++; f.tail {
 			r.injPkt, r.injIdx = nil, 0
 		}
-		r.stagedInj = move{}
+		r.injStaged = false
 		moved++
 	}
 	if r.injPkt == nil && r.pm.HasPending() {
@@ -412,8 +486,8 @@ func (n *Network) Links() []sim.LinkGroup {
 	for o := topo.Direction(0); o < topo.Local; o++ {
 		g := sim.LinkGroup{Label: o.String()}
 		for i := range n.routers {
-			if r := &n.routers[i]; r.nbr[o] != nil {
-				g.Links = append(g.Links, &r.linkUtil[o])
+			if n.routers[i].nbr[o] != nil {
+				g.Links = append(g.Links, &n.linkUtil[i][o])
 			}
 		}
 		groups = append(groups, g)
@@ -437,7 +511,7 @@ func (n *Network) DescribeMetrics(reg *metrics.Registry) {
 			func() float64 {
 				total := 0
 				for i := range n.routers {
-					total += n.routers[i].inputs[o].Len()
+					total += int(n.routers[i].qn[o])
 				}
 				return float64(total)
 			})
@@ -459,33 +533,47 @@ func (n *Network) BufferedFlits() int {
 	for i := range n.routers {
 		r := &n.routers[i]
 		for p := topo.Direction(0); p < topo.NumPorts; p++ {
-			total += r.inputs[p].Len()
+			total += int(r.qn[p])
 		}
 		if r.injPkt != nil {
-			total += r.injPkt.Flits - r.injIdx
+			total += r.injPkt.Flits - int(r.injIdx)
 		}
 	}
 	return total
 }
 
-// CheckInvariants returns an error if any buffer exceeds capacity, an
-// output's lock bit disagrees with its lock or, between ticks, a router
-// still holds a staged move.
+// CheckInvariants returns an error if any input holds more flits than
+// its depth, a queued head's output is not the e-cube route from the
+// router holding it, an output's lock bit disagrees with its lock or,
+// between ticks, a router still holds a staged move or input.
 func (n *Network) CheckInvariants() error {
 	for i := range n.routers {
 		r := &n.routers[i]
 		for p := topo.Direction(0); p < topo.NumPorts; p++ {
-			if r.inputs[p].Len() > r.inputs[p].Cap() {
+			if r.qn[p] > r.depth {
 				return fmt.Errorf("mesh: router %d input %s over capacity", r.id, p)
+			}
+			for k := 0; k < int(r.qn[p]); k++ {
+				if f := n.queued(r, p, k); f.head() {
+					d := n.coord[f.pkt.Dst]
+					if want := topo.ECube(int(r.x), int(r.y), d.x, d.y); topo.Direction(f.out) != want {
+						return fmt.Errorf("mesh: router %d input %s holds %s routed %s, e-cube says %s",
+							r.id, p, f, topo.Direction(f.out), want)
+					}
+				}
 			}
 			if (r.outLock[p] != nil) != (r.lockedOut&(1<<p) != 0) {
 				return fmt.Errorf("mesh: router %d output %s lock bit disagrees with its lock", r.id, p)
 			}
-			if r.staged[p] != (move{}) {
+			if r.staged[p] != (flit{}) {
 				return fmt.Errorf("mesh: router %d output %s kept a staged move past its tick", r.id, p)
 			}
+			if r.stagedIn[p] != int8(noPort) {
+				return fmt.Errorf("mesh: router %d output %s kept its staged input %s past its tick",
+					r.id, p, topo.Direction(r.stagedIn[p]))
+			}
 		}
-		if r.stagedOut != 0 || r.stagedInj != (move{}) {
+		if r.stagedOut != 0 || r.injStaged {
 			return fmt.Errorf("mesh: router %d kept staged state past its tick (mask %05b)", r.id, r.stagedOut)
 		}
 	}

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"testing"
+	"unsafe"
 
 	"ringmesh/internal/fault"
 	"ringmesh/internal/node"
@@ -107,6 +108,8 @@ func TestConfigValidate(t *testing.T) {
 		{Spec: topo.MustMeshSpec(3), LineBytes: 0},
 		{Spec: topo.MustMeshSpec(3), LineBytes: 32, BufferFlits: -1},
 		{Spec: topo.MustMeshSpec(3), LineBytes: 32, BufferFlits: MaxBufferFlits + 1},
+		{Spec: topo.MeshSpec{K: 1296}, LineBytes: 32, BufferFlits: MaxBufferFlits}, // over 2^31 slots
+		{Spec: topo.MeshSpec{K: 1 << 20}, LineBytes: 32, BufferFlits: 1},           // coordinates overflow int16
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -243,10 +246,9 @@ func TestEcubePathShape(t *testing.T) {
 	// others must not.
 	onPath := map[int]bool{0: true, 1: true, 2: true, 5: true}
 	for id := range h.net.routers {
-		r := &h.net.routers[id]
 		busy := false
-		for o := topo.Direction(0); o < topo.NumPorts; o++ {
-			if r.linkUtil[o].Value() > 0 {
+		for o := topo.Direction(0); o < topo.Local; o++ {
+			if h.net.linkUtil[id][o].Value() > 0 {
 				busy = true
 			}
 		}
@@ -350,35 +352,33 @@ func meshUtil(n *Network) (float64, int) {
 
 // The build-time geometry the tick runs on must be topo.MeshSpec's: for
 // every router, each neighbour pointer equals Neighbor, and a packet
-// head decoded at that router sets exactly its input's bit in the
-// request mask of the port Route names, for every destination.
+// head pushed into and decoded at that router sets exactly its input's
+// bit in the request mask of the port Route names, for every
+// destination.
 func TestGeometryMatchesSpec(t *testing.T) {
 	for k := 1; k <= 12; k++ {
 		spec := topo.MustMeshSpec(k)
 		h := newHarness(t, Config{Spec: spec, LineBytes: 32, BufferFlits: 1})
 		for id := range h.net.routers {
 			r := &h.net.routers[id]
-			if x, y := spec.Coord(id); r.id != id || r.x != x || r.y != y {
+			if x, y := spec.Coord(id); int(r.id) != id || int(r.x) != x || int(r.y) != y {
 				t.Fatalf("K=%d router %d: built as id %d at (%d,%d)", k, id, r.id, r.x, r.y)
 			}
-			for o := topo.Direction(0); o < topo.NumPorts; o++ {
-				want := -1
-				if o != topo.Local {
-					want = spec.Neighbor(id, o)
-					if opposite[o] != o.Opposite() {
-						t.Fatalf("opposite[%s] = %s", o, opposite[o])
-					}
+			for o := topo.Direction(0); o < topo.Local; o++ {
+				want := spec.Neighbor(id, o)
+				if opposite[o] != o.Opposite() {
+					t.Fatalf("opposite[%s] = %s", o, opposite[o])
 				}
-				if got := r.nbr[o]; (got == nil) != (want < 0) || got != nil && got.id != want {
+				if got := r.nbr[o]; (got == nil) != (want < 0) || got != nil && int(got.id) != want {
 					t.Fatalf("K=%d router %d %s: neighbour %v, want id %d", k, id, o, got, want)
 				}
 			}
 			for dst := 0; dst < spec.PMs(); dst++ {
 				in := topo.Direction(dst % int(topo.NumPorts))
-				r.inputs[in].Push(packet.Flit{Pkt: mkPkt(1, packet.ReadRequest, 0, dst, 32)})
+				h.net.push(r, in, flit{pkt: mkPkt(1, packet.ReadRequest, 0, dst, 32)})
 				var hd heads
 				busy := h.net.decode(r, &hd)
-				r.inputs[in].Pop()
+				h.net.pop(r, in)
 				want := spec.Route(id, dst)
 				var wantReq [topo.NumPorts]uint8
 				wantReq[want] = 1 << in
@@ -392,8 +392,10 @@ func TestGeometryMatchesSpec(t *testing.T) {
 }
 
 // CheckInvariants, which every harness runs between ticks, fails when
-// a router's staged mask or a staged move outlives its tick, or an
-// output's lock bit disagrees with its lock.
+// a router's staged mask, a staged move or a staged input outlives its
+// tick, an output's lock bit disagrees with its lock, an input holds
+// more flits than its depth, or a queued head carries an output that is
+// not the e-cube route from the router holding it.
 func TestCheckInvariantsCatchesStagedMoves(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MeshSpec{K: 2}, LineBytes: 32, BufferFlits: 4})
 	r := &h.net.routers[1]
@@ -402,16 +404,21 @@ func TestCheckInvariantsCatchesStagedMoves(t *testing.T) {
 		t.Error("a staged-output bit survived the tick, but CheckInvariants passed")
 	}
 	r.stagedOut = 0
-	r.staged[topo.East] = move{ok: true}
+	r.staged[topo.East] = flit{idx: 1}
 	if err := h.net.CheckInvariants(); err == nil {
 		t.Error("a staged move survived the tick, but CheckInvariants passed")
 	}
-	r.staged[topo.East] = move{}
-	r.stagedInj = move{ok: true}
+	r.staged[topo.East] = flit{}
+	r.stagedIn[topo.East] = int8(topo.North)
+	if err := h.net.CheckInvariants(); err == nil {
+		t.Error("a staged input survived the tick, but CheckInvariants passed")
+	}
+	r.stagedIn[topo.East] = int8(noPort)
+	r.injStaged = true
 	if err := h.net.CheckInvariants(); err == nil {
 		t.Error("a staged injection survived the tick, but CheckInvariants passed")
 	}
-	r.stagedInj = move{}
+	r.injStaged = false
 	r.lockedOut = 1 << topo.South
 	if err := h.net.CheckInvariants(); err == nil {
 		t.Error("an output's lock bit is set without a lock, but CheckInvariants passed")
@@ -420,5 +427,39 @@ func TestCheckInvariantsCatchesStagedMoves(t *testing.T) {
 	r.outLock[topo.South] = &packet.Packet{}
 	if err := h.net.CheckInvariants(); err == nil {
 		t.Error("an output is locked without its lock bit, but CheckInvariants passed")
+	}
+	r.outLock[topo.South] = nil
+	r.qn[topo.West] = r.depth + 1
+	if err := h.net.CheckInvariants(); err == nil {
+		t.Error("an input holds more flits than its depth, but CheckInvariants passed")
+	}
+	r.qn[topo.West] = 0
+
+	// Router 1 sits at (1, 0): a head for PM 3 at (1, 1) goes south.
+	// Queue it behind a body flit, so the check must look past the
+	// input's front, then misroute it as if it were still at router 0.
+	h.net.push(r, topo.West, flit{pkt: mkPkt(1, packet.ReadRequest, 0, 2, 32), idx: 1})
+	h.net.push(r, topo.West, flit{pkt: mkPkt(2, packet.ReadRequest, 0, 3, 32)})
+	if err := h.net.CheckInvariants(); err != nil {
+		t.Fatalf("a correctly routed head fails CheckInvariants: %v", err)
+	}
+	head := h.net.queued(r, topo.West, 1)
+	if topo.Direction(head.out) != topo.South {
+		t.Fatalf("push routed the head %s at router 1, want south", topo.Direction(head.out))
+	}
+	h.net.slab[r.slot(topo.West, 1)].out = int8(topo.East)
+	if err := h.net.CheckInvariants(); err == nil {
+		t.Error("a queued head carries another router's route, but CheckInvariants passed")
+	}
+}
+
+// The router's hot state must stay small: a tick visits every router,
+// and 808 bytes a router (13 cache lines) was what the packed layout
+// replaced. Growing it past the bound is a decision to make in the
+// open, with a ledger row that shows it pays.
+func TestRouterFootprint(t *testing.T) {
+	const bound = 352
+	if got := unsafe.Sizeof(router{}); got > bound {
+		t.Fatalf("router is %d bytes, bound %d", got, bound)
 	}
 }

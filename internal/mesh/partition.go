@@ -3,19 +3,20 @@ package mesh
 import (
 	"fmt"
 
-	"ringmesh/internal/packet"
 	"ringmesh/internal/sim"
+	"ringmesh/internal/topo"
 )
 
 // Ownership partition of the mesh for the parallel tick engine: one
-// shard per router row. A row owns its routers' input FIFOs, injection
+// shard per router row. A row owns its routers' inputs, injection
 // registers, PM ports, and utilization counters, so everything a row's
 // commit touches is row-local except pushes across a row boundary (a
 // flit leaving through a North or South output). Those are staged in
 // the committing shard's outbox during commit phase 0 and applied in
-// phase 1, after a barrier — each boundary FIFO has exactly one
-// producing router, so the outbox flush is contention-free and pushes
-// land in the same order as the serial schedule. Deferring a push is
+// phase 1, after a barrier — each boundary input has exactly one
+// producing router and a queue header of its own, so the outbox flush
+// is contention-free and pushes land in the same order as the serial
+// schedule. Deferring a push is
 // invisible to every router because all phase-0 decisions were staged
 // from start-of-tick state (a consumer pops only flits that were
 // buffered at tick start, and space checks were frozen at compute), so
@@ -25,10 +26,12 @@ import (
 // order — increasing router id, which is increasing PM id — which is
 // the order the measurement layer drains its per-PM cells in.
 
-// deferredPush is one staged cross-row flit transfer.
+// deferredPush is one staged cross-row flit transfer: flit f goes to
+// router to's input in.
 type deferredPush struct {
-	fifo *packet.FIFO
-	f    packet.Flit
+	to *router
+	in topo.Direction
+	f  flit
 }
 
 // rowShard is one row of routers plus its cross-row outbox.
@@ -40,7 +43,7 @@ type rowShard struct {
 }
 
 // Compute implements sim.Shard: stage this row's crossbar transfers
-// and injections. Reads of neighbouring rows' FIFO occupancy are safe
+// and injections. Reads of neighbouring rows' input occupancy are safe
 // — all state is frozen during the compute phase. The link clock and
 // fault stepping are not repeated here; the partition's Prologue runs
 // them serially.
@@ -55,7 +58,8 @@ func (s *rowShard) Compute(now int64) {
 func (s *rowShard) CommitPhase(phase int, now int64) int {
 	if phase != 0 {
 		for i := range s.outbox {
-			s.outbox[i].fifo.Push(s.outbox[i].f)
+			d := &s.outbox[i]
+			s.n.push(d.to, d.in, d.f)
 			s.outbox[i] = deferredPush{}
 		}
 		s.outbox = s.outbox[:0]

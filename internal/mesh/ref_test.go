@@ -32,6 +32,13 @@ type refHeads struct {
 	wanted uint
 }
 
+// refMove is a staged crossbar transfer for one output port.
+type refMove struct {
+	ok bool
+	in topo.Direction
+	f  packet.Flit
+}
+
 type refRouter struct {
 	id        int
 	x, y      int
@@ -40,10 +47,10 @@ type refRouter struct {
 	outLock   [topo.NumPorts]*packet.Packet
 	outLockIn [topo.NumPorts]topo.Direction
 	rr        [topo.NumPorts]int
-	staged    [topo.NumPorts]move
+	staged    [topo.NumPorts]refMove
 	injPkt    *packet.Packet
 	injIdx    int
-	stagedInj move
+	stagedInj refMove
 	pm        node.Port
 	flt       refFault
 }
@@ -148,10 +155,10 @@ func (n *refNetwork) compute(r *refRouter, now int64) {
 				continue
 			}
 		}
-		r.staged[o] = move{ok: true, in: in, f: f}
+		r.staged[o] = refMove{ok: true, in: in, f: f}
 	}
 	if r.injPkt != nil && r.inputs[topo.Local].Space() >= 1 {
-		r.stagedInj = move{ok: true, f: packet.Flit{Pkt: r.injPkt, Index: r.injIdx}}
+		r.stagedInj = refMove{ok: true, f: packet.Flit{Pkt: r.injPkt, Index: r.injIdx}}
 	}
 }
 
@@ -182,7 +189,7 @@ func (n *refNetwork) commit(r *refRouter, now int64) {
 		if !mv.ok {
 			continue
 		}
-		r.staged[o] = move{}
+		r.staged[o] = refMove{}
 		if got := r.inputs[mv.in].Pop(); got != mv.f {
 			panic(fmt.Sprintf("refmesh: router %d staged %s but popped %s", r.id, mv.f, got))
 		}
@@ -209,7 +216,7 @@ func (n *refNetwork) commit(r *refRouter, now int64) {
 		if r.injIdx == r.injPkt.Flits {
 			r.injPkt, r.injIdx = nil, 0
 		}
-		r.stagedInj = move{}
+		r.stagedInj = refMove{}
 	}
 	if r.injPkt == nil && r.pm.HasPending() {
 		if p, ok := r.pm.TakeResponse(); ok {
@@ -256,7 +263,7 @@ func deliveries(pms []*fakePM) []delivery {
 // fault plan, the production tick and the reference tick deliver every
 // packet at the same cycle and hold the same flits on every cycle.
 func TestTickMatchesReference(t *testing.T) {
-	const scripts = 2000
+	const scripts = 10000
 	start := time.Now()
 	f := func(seed uint64, kRaw, bufRaw, nPkts, faultRaw uint8) bool {
 		cfg := Config{

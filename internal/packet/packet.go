@@ -156,16 +156,15 @@ func (f Flit) String() string {
 	return fmt.Sprintf("%s flit %d/%d%s", f.Pkt, f.Index+1, f.Pkt.Flits, role)
 }
 
-// FIFO is a bounded flit queue used for every buffer in the system
-// (ring transit buffers, IRI up/down queues, mesh input buffers). The
-// bound is in flits. A FIFO never interleaves: flits are enqueued in
+// FIFO is a bounded flit queue: the ring's transit buffers and IRI
+// up/down queues. The bound is in flits. A FIFO never interleaves: flits are enqueued in
 // arrival order and the network's acceptance rules guarantee packets
 // arrive contiguously per link.
 type FIFO struct {
 	cap int
 	// buf is a ring of cap slots, allocated on the first push (many
-	// FIFOs — idle VCs, unused IRI queues — never hold a flit) unless
-	// FIFOOver supplied it; the n buffered flits start at head and wrap.
+	// FIFOs — idle VCs, unused IRI queues — never hold a flit); the n
+	// buffered flits start at head and wrap.
 	buf     []Flit
 	head, n int
 }
@@ -179,17 +178,6 @@ func MakeFIFO(capacity int) FIFO {
 		panic("packet: FIFO capacity must be positive")
 	}
 	return FIFO{cap: capacity}
-}
-
-// FIFOOver is MakeFIFO over caller-owned storage: the queue holds at
-// most len(buf) flits and never allocates, for owners that lay many
-// queues out in one slab (the mesh). Use the result in place, and hand
-// no two queues overlapping storage.
-func FIFOOver(buf []Flit) FIFO {
-	if len(buf) == 0 {
-		panic("packet: FIFO capacity must be positive")
-	}
-	return FIFO{cap: len(buf), buf: buf}
 }
 
 // Cap returns the capacity in flits.

@@ -254,45 +254,3 @@ func TestFIFOWrapAndRelease(t *testing.T) {
 		}
 	}
 }
-
-// A FIFO over caller-owned storage holds len(buf) flits in exactly
-// those slots: it never allocates, never writes past its window of a
-// shared slab, and still wraps and releases popped slots.
-func TestFIFOOverStaysInItsStorage(t *testing.T) {
-	slab := make([]Flit, 9)
-	p := &Packet{ID: 1, Flits: 1 << 30}
-	sentinel := Flit{&Packet{ID: 99}, 7}
-	slab[2], slab[6] = sentinel, sentinel
-	q := FIFOOver(slab[3:6:6])
-	if q.Cap() != 3 {
-		t.Fatalf("cap = %d, want 3", q.Cap())
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		for i := 0; i < 7; i++ {
-			q.Push(Flit{p, i})
-			if q.Len() == 3 {
-				q.Pop()
-				q.Pop()
-			}
-		}
-		for !q.Empty() {
-			q.Pop()
-		}
-	}); allocs != 0 {
-		t.Fatalf("%.0f allocations per run", allocs)
-	}
-	if slab[2] != sentinel || slab[6] != sentinel {
-		t.Fatal("FIFO wrote outside its storage")
-	}
-	for i, f := range slab[3:6] {
-		if f.Pkt != nil {
-			t.Fatalf("slot %d still references %s after its flit was popped", i, f.Pkt)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FIFOOver(empty) did not panic")
-		}
-	}()
-	FIFOOver(nil)
-}

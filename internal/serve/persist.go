@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -71,7 +70,7 @@ func newDiskStore(dir string, reg *metrics.Registry, log *slog.Logger) (*diskSto
 		return nil, fmt.Errorf("serve: disk cache at %s: %w", dir, err)
 	}
 	if log == nil {
-		log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		log = discardLogger()
 	}
 	return &diskStore{
 		dir:         dir,

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -130,6 +131,13 @@ type Server struct {
 	log *slog.Logger
 }
 
+// discardLogger is the logger a Server or disk store runs with when
+// given none: its level is above every record's, so a log call returns
+// at the handler's Enabled check without formatting anything.
+func discardLogger() *slog.Logger {
+	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+}
+
 // secondsBuckets spans 1ms to ~4.4 minutes in x4 steps — wide enough
 // for both queue waits under load and multi-minute simulations.
 var secondsBuckets = metrics.ExpBuckets(0.001, 4, 10)
@@ -153,7 +161,7 @@ func New(opt Options) (*Server, error) {
 		opt.MaxBody = 1 << 20
 	}
 	if opt.Logger == nil {
-		opt.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		opt.Logger = discardLogger()
 	}
 	// Eight base32 characters: 40 random bits per boot.
 	var boot [5]byte
@@ -396,6 +404,8 @@ func (s *Server) compactJournal() {
 // register stores a job for polling, dropping the oldest finished
 // documents past the retention bound; live jobs are skipped, never
 // dropped, so one long job does not pin everything admitted after it.
+// The common case, a finished oldest job, drops the front in O(1); only
+// a live one at the front costs a scan.
 // A job arriving without an ID gets the next one of this boot; a
 // replayed job keeps the ID it was journaled under.
 func (s *Server) register(j *job) {
@@ -409,6 +419,12 @@ func (s *Server) register(j *job) {
 	s.jobs[j.id] = j
 	s.jobOrder = append(s.jobOrder, j.id)
 	for len(s.jobOrder) > jobRetain {
+		if old, ok := s.jobs[s.jobOrder[0]]; !ok || old.finished() {
+			delete(s.jobs, s.jobOrder[0])
+			s.jobOrder[0] = "" // the backing array outlives this slice
+			s.jobOrder = s.jobOrder[1:]
+			continue
+		}
 		i := slices.IndexFunc(s.jobOrder, func(id string) bool {
 			old, ok := s.jobs[id]
 			return !ok || old.finished()

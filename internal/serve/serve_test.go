@@ -570,6 +570,18 @@ func TestJobRetention(t *testing.T) {
 	}
 }
 
+// TestDefaultLoggerFormatsNothing: without Options.Logger the server
+// logs through a handler that no record passes, so a request's Info
+// lines cost an Enabled check, not a formatted record.
+func TestDefaultLoggerFormatsNothing(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	for _, lvl := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError} {
+		if s.log.Enabled(context.Background(), lvl) {
+			t.Errorf("default logger enables %s records", lvl)
+		}
+	}
+}
+
 // TestJobRetentionSkipsLiveJob: one job that never finishes must not
 // pin the documents admitted behind it. Retention drops the oldest
 // finished document and steps over live ones.
