@@ -14,7 +14,6 @@ package mesh
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"ringmesh/internal/fault"
@@ -58,12 +57,11 @@ func (c Config) Validate() error {
 	if c.BufferFlits < 0 || c.BufferFlits > MaxBufferFlits {
 		return fmt.Errorf("mesh: BufferFlits = %d (want 0 for cl, or 1..%d)", c.BufferFlits, MaxBufferFlits)
 	}
-	// Routers index the flit slab and hold their coordinates in narrow
-	// integers (see router); a mesh this large could not be allocated
-	// anyway.
-	if k := int64(c.Spec.K); k > math.MaxInt16 || k*k*int64(topo.NumPorts)*int64(c.bufferFlits()) > math.MaxInt32 {
-		return fmt.Errorf("mesh: side %d with %d-flit buffers is too large (at most %d buffer slots)",
-			c.Spec.K, c.bufferFlits(), math.MaxInt32)
+	// topo.NewMeshSpec's bound, checked again for a spec built
+	// directly: routers hold their slab offset and coordinates in
+	// narrow integers.
+	if c.Spec.K > topo.MaxPMs/c.Spec.K {
+		return fmt.Errorf("mesh: %dx%d exceeds %d PMs", c.Spec.K, c.Spec.K, topo.MaxPMs)
 	}
 	return nil
 }

@@ -108,8 +108,7 @@ func TestConfigValidate(t *testing.T) {
 		{Spec: topo.MustMeshSpec(3), LineBytes: 0},
 		{Spec: topo.MustMeshSpec(3), LineBytes: 32, BufferFlits: -1},
 		{Spec: topo.MustMeshSpec(3), LineBytes: 32, BufferFlits: MaxBufferFlits + 1},
-		{Spec: topo.MeshSpec{K: 1296}, LineBytes: 32, BufferFlits: MaxBufferFlits}, // over 2^31 slots
-		{Spec: topo.MeshSpec{K: 1 << 20}, LineBytes: 32, BufferFlits: 1},           // coordinates overflow int16
+		{Spec: topo.MeshSpec{K: 33}, LineBytes: 32, BufferFlits: 4}, // 1 089 PMs
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
