@@ -50,9 +50,9 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 			}
 		}
 		var h heads
-		n.decode(r, &h)
+		r.decode(&h)
 		for o := topo.Direction(0); o < topo.NumPorts; o++ {
-			_, f, ok := r.pickMove(&h, o)
+			_, f, ok := n.pickMove(r, &h, o)
 			if !ok {
 				// A locked worm whose next flit has not arrived waits
 				// on the upstream router feeding that input.
@@ -71,7 +71,7 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 			if o == topo.Local {
 				continue // ejection always succeeds
 			}
-			if nb := r.nbr[o]; nb != nil && !nb.space(opposite[o]) {
+			if nb := r.nbr[o]; nb != nil && !n.space(nb, opposite[o]) {
 				rep.Wait(rname(r.id), rname(nb.id),
 					fmt.Sprintf("%s carrying %s: downstream input full", o, f.pkt))
 			}

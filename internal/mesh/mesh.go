@@ -76,8 +76,9 @@ func (c Config) bufferFlits() int {
 
 // flit is a buffered mesh flit: its packet, its index in the packet,
 // whether it is the packet's tail and, for a head, the output it takes
-// at the router that holds it. push fixes out from the destination's
-// coordinates, so decode routes a head without following pkt.
+// at the router that holds it (noPort for a body flit). push fixes out
+// from the destination's coordinates, so the tick routes a head
+// without following pkt.
 type flit struct {
 	pkt  *packet.Packet
 	idx  int32
@@ -92,13 +93,13 @@ func (f flit) head() bool { return f.idx == 0 }
 func (f flit) String() string { return packet.Flit{Pkt: f.pkt, Index: int(f.idx)}.String() }
 
 // heads is a router's five input heads as decoded at the start of a
-// cycle. f[i].pkt is nil when input i is empty. Bit i of req[o] is set
-// when input i holds a packet head routed to output o — body flits
-// follow their worm's lock instead — and bit o of wanted is set when
-// req[o] is not empty.
+// cycle: bit i of req[o] is set when input i's front flit is a packet
+// head routed to output o — body flits follow their worm's lock
+// instead — and bit o of wanted is set when req[o] is not empty.
 type heads struct {
-	f      [topo.NumPorts]flit
-	req    [topo.NumPorts]uint8
+	// req[topo.NumPorts] collects the inputs without a head in front,
+	// so that decode needs no branch.
+	req    [topo.NumPorts + 1]uint8
 	wanted uint8
 }
 
@@ -113,16 +114,17 @@ var opposite = [topo.Local]topo.Direction{topo.South, topo.North, topo.West, top
 // register that decode and an idle router's visit read; link counters
 // live on the Network.
 type router struct {
-	// base is where the router's window of the network's flit slab
-	// starts: input i's ring of depth slots follows at base+i*depth, and
-	// its qn[i] buffered flits start at slot qh[i] and wrap. Every input
-	// has exactly one producer (the neighbour behind it, or the PM), so
-	// under the row partition two shards never push through one header.
-	base   int32
-	id     int32
-	x, y   int16 // own position; y is also the owning row shard
-	depth  uint16
-	qh, qn [topo.NumPorts]uint16
+	id   int32
+	x, y int16 // own position; y is also the owning row shard
+	// Input i's ring is the network's depth slab slots from
+	// slot(r, i, 0) on, its qn[i] buffered flits start at its slot qh[i]
+	// and wrap, and frontOut[i] is the out of its front flit (noPort
+	// when it is empty or a body flit), so decode reads no slot. Every
+	// input has exactly one producer (the neighbour behind it, or the
+	// PM), so under the row partition two shards never push through one
+	// header.
+	qh, qn   [topo.NumPorts]uint16
+	frontOut [topo.NumPorts]int8
 	// lockedOut has bit o set while outLock[o] holds a worm, so the
 	// compute visits only outputs that are locked or requested;
 	// stagedOut has bit o set while staged[o] holds a move, so the
@@ -160,50 +162,57 @@ type router struct {
 	staged  [topo.NumPorts]flit
 }
 
-// slot returns the slab index of input in's k-th buffered flit, 0
-// being its head.
-func (r *router) slot(in topo.Direction, k int) int {
-	s, d := int(r.qh[in])+k, int(r.depth)
+// slot returns the slab index of r's input in's k-th buffered flit, 0
+// being its front.
+func (n *Network) slot(r *router, in topo.Direction, k int) int {
+	s, d := int(r.qh[in])+k, n.depth
 	if s >= d {
 		s -= d
 	}
-	return int(r.base) + int(in)*d + s
+	return (int(r.id)*int(topo.NumPorts)+int(in))*d + s
 }
 
-// space reports whether input in has room for a flit.
-func (r *router) space(in topo.Direction) bool { return r.qn[in] < r.depth }
+// space reports whether r's input in has room for a flit.
+func (n *Network) space(r *router, in topo.Direction) bool { return int(r.qn[in]) < n.depth }
 
-// queued returns r's input in's k-th buffered flit, 0 being its head.
-func (n *Network) queued(r *router, in topo.Direction, k int) flit { return n.slab[r.slot(in, k)] }
+// queued returns r's input in's k-th buffered flit, 0 being its front.
+func (n *Network) queued(r *router, in topo.Direction, k int) flit { return n.slab[n.slot(r, in, k)] }
 
-// push appends f to r's input in, first fixing a head's output at r.
-// It panics when the input is full: callers check space first, so a
-// violation is a flow-control bug.
+// push appends f to r's input in, first fixing its out at r. It panics
+// when the input is full: callers check space first, so a violation is
+// a flow-control bug.
 func (n *Network) push(r *router, in topo.Direction, f flit) {
-	if !r.space(in) {
+	if !n.space(r, in) {
 		panic("mesh: push into full input (flow-control violation)")
 	}
+	f.out = int8(noPort)
 	if f.head() {
 		d := n.coord[f.pkt.Dst]
 		f.out = int8(topo.ECube(int(r.x), int(r.y), d.x, d.y))
 	}
-	n.slab[r.slot(in, int(r.qn[in]))] = f
+	if r.qn[in] == 0 {
+		r.frontOut[in] = f.out
+	}
+	n.slab[n.slot(r, in, int(r.qn[in]))] = f
 	r.qn[in]++
 }
 
-// pop removes and returns r's input in's head flit. It panics when the
-// input is empty.
+// pop removes and returns r's input in's front flit. It panics when
+// the input is empty.
 func (n *Network) pop(r *router, in topo.Direction) flit {
 	if r.qn[in] == 0 {
 		panic("mesh: pop from empty input")
 	}
-	i := r.slot(in, 0)
+	i := n.slot(r, in, 0)
 	f := n.slab[i]
 	n.slab[i] = flit{} // do not pin the popped packet while the input idles
-	if r.qh[in]++; r.qh[in] == r.depth {
+	if r.qh[in]++; int(r.qh[in]) == n.depth {
 		r.qh[in] = 0
 	}
-	r.qn[in]--
+	r.frontOut[in] = int8(noPort)
+	if r.qn[in]--; r.qn[in] > 0 {
+		r.frontOut[in] = n.queued(r, in, 0).out
+	}
 	return f
 }
 
@@ -213,8 +222,10 @@ type Network struct {
 	// routers is one slab in tick (row-major id) order; routers point
 	// at their neighbours inside it, so it never grows.
 	routers []router
-	// slab is every input's storage, router by router and port by port.
-	slab []flit
+	// slab is every input's storage, router by router and port by port,
+	// depth slots each.
+	slab  []flit
+	depth int
 	// coord is each PM id's (x, y): with a router's own position, all
 	// that routing a packet head needs.
 	coord  []struct{ x, y int }
@@ -264,17 +275,15 @@ func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 	n := &Network{cfg: cfg, engine: engine, routers: make([]router, len(pms))}
 	n.coord = make([]struct{ x, y int }, len(pms))
 	n.linkUtil = make([][topo.Local]stats.Utilization, len(pms))
-	window := int(topo.NumPorts) * depth
-	n.slab = make([]flit, len(pms)*window)
+	n.slab, n.depth = make([]flit, len(pms)*int(topo.NumPorts)*depth), depth
 	for id := range n.routers {
 		r := &n.routers[id]
 		r.id, r.pm = int32(id), pms[id]
 		x, y := cfg.Spec.Coord(id)
 		r.x, r.y = int16(x), int16(y)
 		n.coord[id].x, n.coord[id].y = x, y
-		r.base, r.depth = int32(id*window), uint16(depth)
 		for p := range r.outLockIn {
-			r.outLockIn[p], r.stagedIn[p] = int8(noPort), int8(noPort)
+			r.frontOut[p], r.outLockIn[p], r.stagedIn[p] = int8(noPort), int8(noPort), int8(noPort)
 		}
 		for o := topo.Direction(0); o < topo.Local; o++ {
 			if nb := cfg.Spec.Neighbor(id, o); nb >= 0 {
@@ -299,42 +308,36 @@ func (n *Network) Compute(now int64) {
 // partition runs it as its serial prologue.
 func (n *Network) begin(int64) { n.cycles++ }
 
-// decode reads r's five input heads once from start-of-cycle state,
-// entering each packet head in the request mask of the output push
-// fixed for it, and reports whether any input holds a flit. h must be
-// zero on entry.
-func (n *Network) decode(r *router, h *heads) (busy bool) {
+// decode reads r's five front routes once from start-of-cycle state,
+// entering each front head in the request mask of the output push fixed
+// for it, and reports whether any input holds a flit. h must be zero on
+// entry.
+func (r *router) decode(h *heads) (busy bool) {
 	for i := topo.Direction(0); i < topo.NumPorts; i++ {
-		if r.qn[i] == 0 {
-			continue
-		}
-		f := n.queued(r, i, 0)
-		h.f[i], busy = f, true
-		if f.head() {
-			o := uint8(f.out)
-			h.req[o] |= 1 << i
-			h.wanted |= 1 << o
-		}
+		o := min(uint8(r.frontOut[i]), uint8(topo.NumPorts)) // noPort → the spare slot
+		h.req[o] |= 1 << i
+		h.wanted |= 1 << o
 	}
-	return busy
+	h.wanted &= 1<<topo.NumPorts - 1
+	return r.qn[0]|r.qn[1]|r.qn[2]|r.qn[3]|r.qn[4] != 0
 }
 
 // pickMove returns the flit output o would carry this cycle and the
 // input it comes from, judged from the decoded start-of-cycle heads. It
 // is pure, so the stall forensics can re-ask the same question the
 // switching logic asks.
-func (r *router) pickMove(h *heads, o topo.Direction) (in topo.Direction, f flit, ok bool) {
+func (n *Network) pickMove(r *router, h *heads, o topo.Direction) (in topo.Direction, f flit, ok bool) {
 	if lock := r.outLock[o]; lock != nil {
 		// Continue the locked worm; bubbles keep the lock.
 		i := topo.Direction(r.outLockIn[o])
-		if h.f[i].pkt == nil {
+		if r.qn[i] == 0 {
 			return -1, flit{}, false
 		}
-		if h.f[i].pkt != lock {
+		if f = n.queued(r, i, 0); f.pkt != lock {
 			panic(fmt.Sprintf("mesh: router %d would interleave %s into %s",
-				r.id, h.f[i].pkt, lock))
+				r.id, f.pkt, lock))
 		}
-		return i, h.f[i], true
+		return i, f, true
 	}
 	req := h.req[o]
 	if req == 0 {
@@ -346,7 +349,7 @@ func (r *router) pickMove(h *heads, o topo.Direction) (in topo.Direction, f flit
 		req = late
 	}
 	i := topo.Direction(bits.TrailingZeros8(req))
-	return i, h.f[i], true
+	return i, n.queued(r, i, 0), true
 }
 
 // computeRouter stages r's crossbar transfers and injection. r.staged
@@ -355,13 +358,13 @@ func (r *router) pickMove(h *heads, o topo.Direction) (in topo.Direction, f flit
 // only outputs that are requested or locked can carry a flit.
 func (n *Network) computeRouter(r *router, now int64) {
 	var h heads
-	if flt := r.flt; n.decode(r, &h) {
+	if flt := r.flt; r.decode(&h) {
 		for live := h.wanted | r.lockedOut; live != 0; live &= live - 1 {
 			o := topo.Direction(bits.TrailingZeros8(live))
 			if flt != nil && flt[o].Blocked(now, now) {
 				continue // this output port is faulted this cycle
 			}
-			in, f, ok := r.pickMove(&h, o)
+			in, f, ok := n.pickMove(r, &h, o)
 			if !ok {
 				continue
 			}
@@ -373,7 +376,7 @@ func (n *Network) computeRouter(r *router, now int64) {
 					panic(fmt.Sprintf("mesh: router %d routed %s off the edge (%s)",
 						r.id, f.pkt, o))
 				}
-				if !nb.space(opposite[o]) {
+				if !n.space(nb, opposite[o]) {
 					continue
 				}
 			}
@@ -384,7 +387,7 @@ func (n *Network) computeRouter(r *router, now int64) {
 
 	// Injection: stream the current packet into the local input, one
 	// flit per cycle.
-	r.injStaged = r.injPkt != nil && r.space(topo.Local)
+	r.injStaged = r.injPkt != nil && n.space(r, topo.Local)
 }
 
 // Commit implements sim.Component. Progress is reported to the
@@ -541,24 +544,35 @@ func (n *Network) BufferedFlits() int {
 }
 
 // CheckInvariants returns an error if any input holds more flits than
-// its depth, a queued head's output is not the e-cube route from the
-// router holding it, an output's lock bit disagrees with its lock or,
-// between ticks, a router still holds a staged move or input.
+// its depth, a queued flit's out is not the e-cube route from the
+// router holding it (noPort for a body flit), an input's frontOut is
+// not its front flit's out, an output's lock bit disagrees with its
+// lock or, between ticks, a router still holds a staged move or input.
 func (n *Network) CheckInvariants() error {
 	for i := range n.routers {
 		r := &n.routers[i]
 		for p := topo.Direction(0); p < topo.NumPorts; p++ {
-			if r.qn[p] > r.depth {
+			if int(r.qn[p]) > n.depth {
 				return fmt.Errorf("mesh: router %d input %s over capacity", r.id, p)
 			}
+			front := noPort
 			for k := 0; k < int(r.qn[p]); k++ {
-				if f := n.queued(r, p, k); f.head() {
+				f, want := n.queued(r, p, k), noPort
+				if f.head() {
 					d := n.coord[f.pkt.Dst]
-					if want := topo.ECube(int(r.x), int(r.y), d.x, d.y); topo.Direction(f.out) != want {
-						return fmt.Errorf("mesh: router %d input %s holds %s routed %s, e-cube says %s",
-							r.id, p, f, topo.Direction(f.out), want)
-					}
+					want = topo.ECube(int(r.x), int(r.y), d.x, d.y)
 				}
+				if topo.Direction(f.out) != want {
+					return fmt.Errorf("mesh: router %d input %s holds %s routed %s, e-cube says %s",
+						r.id, p, f, topo.Direction(f.out), want)
+				}
+				if k == 0 {
+					front = want
+				}
+			}
+			if topo.Direction(r.frontOut[p]) != front {
+				return fmt.Errorf("mesh: router %d input %s front route %s, its front flit's %s",
+					r.id, p, topo.Direction(r.frontOut[p]), front)
 			}
 			if (r.outLock[p] != nil) != (r.lockedOut&(1<<p) != 0) {
 				return fmt.Errorf("mesh: router %d output %s lock bit disagrees with its lock", r.id, p)

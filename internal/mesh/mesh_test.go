@@ -376,12 +376,12 @@ func TestGeometryMatchesSpec(t *testing.T) {
 				in := topo.Direction(dst % int(topo.NumPorts))
 				h.net.push(r, in, flit{pkt: mkPkt(1, packet.ReadRequest, 0, dst, 32)})
 				var hd heads
-				busy := h.net.decode(r, &hd)
+				busy := r.decode(&hd)
 				h.net.pop(r, in)
 				want := spec.Route(id, dst)
 				var wantReq [topo.NumPorts]uint8
 				wantReq[want] = 1 << in
-				if !busy || hd.req != wantReq || hd.wanted != 1<<want {
+				if !busy || [topo.NumPorts]uint8(hd.req[:topo.NumPorts]) != wantReq || hd.wanted != 1<<want {
 					t.Fatalf("K=%d router %d → %d via %s input: decoded requests %05b (outputs %05b), Route says %s",
 						k, id, dst, in, hd.req, hd.wanted, want)
 				}
@@ -393,8 +393,9 @@ func TestGeometryMatchesSpec(t *testing.T) {
 // CheckInvariants, which every harness runs between ticks, fails when
 // a router's staged mask, a staged move or a staged input outlives its
 // tick, an output's lock bit disagrees with its lock, an input holds
-// more flits than its depth, or a queued head carries an output that is
-// not the e-cube route from the router holding it.
+// more flits than its depth, a queued head carries an output that is
+// not the e-cube route from the router holding it, or an input's front
+// route disagrees with its front flit.
 func TestCheckInvariantsCatchesStagedMoves(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MeshSpec{K: 2}, LineBytes: 32, BufferFlits: 4})
 	r := &h.net.routers[1]
@@ -428,7 +429,7 @@ func TestCheckInvariantsCatchesStagedMoves(t *testing.T) {
 		t.Error("an output is locked without its lock bit, but CheckInvariants passed")
 	}
 	r.outLock[topo.South] = nil
-	r.qn[topo.West] = r.depth + 1
+	r.qn[topo.West] = uint16(h.net.depth) + 1
 	if err := h.net.CheckInvariants(); err == nil {
 		t.Error("an input holds more flits than its depth, but CheckInvariants passed")
 	}
@@ -446,9 +447,14 @@ func TestCheckInvariantsCatchesStagedMoves(t *testing.T) {
 	if topo.Direction(head.out) != topo.South {
 		t.Fatalf("push routed the head %s at router 1, want south", topo.Direction(head.out))
 	}
-	h.net.slab[r.slot(topo.West, 1)].out = int8(topo.East)
+	h.net.slab[h.net.slot(r, topo.West, 1)].out = int8(topo.East)
 	if err := h.net.CheckInvariants(); err == nil {
 		t.Error("a queued head carries another router's route, but CheckInvariants passed")
+	}
+	h.net.slab[h.net.slot(r, topo.West, 1)].out = int8(topo.South)
+	r.frontOut[topo.West] = int8(topo.South)
+	if err := h.net.CheckInvariants(); err == nil {
+		t.Error("an input's front route disagrees with its front flit, but CheckInvariants passed")
 	}
 }
 
