@@ -190,11 +190,9 @@ func (n *Network) push(r *router, in topo.Direction, f flit) {
 		d := n.coord[f.pkt.Dst]
 		f.out = int8(topo.ECube(int(r.x), int(r.y), d.x, d.y))
 	}
-	if r.qn[in] == 0 {
-		r.frontOut[in] = f.out
-	}
 	n.slab[n.slot(r, in, int(r.qn[in]))] = f
 	r.qn[in]++
+	r.frontOut[in] = n.queued(r, in, 0).out // f's, if the input was empty
 }
 
 // pop removes and returns r's input in's front flit. It panics when
@@ -205,16 +203,19 @@ func (n *Network) pop(r *router, in topo.Direction) flit {
 	}
 	i := n.slot(r, in, 0)
 	f := n.slab[i]
-	n.slab[i] = flit{} // do not pin the popped packet while the input idles
+	n.slab[i] = emptySlot // do not pin the popped packet while the input idles
 	if r.qh[in]++; int(r.qh[in]) == n.depth {
 		r.qh[in] = 0
 	}
-	r.frontOut[in] = int8(noPort)
-	if r.qn[in]--; r.qn[in] > 0 {
-		r.frontOut[in] = n.queued(r, in, 0).out
-	}
+	r.qn[in]--
+	r.frontOut[in] = n.queued(r, in, 0).out // noPort once the input is empty
 	return f
 }
+
+// emptySlot is every slab slot that holds no flit, so that the front
+// slot's out is noPort exactly when an input is empty or a body flit
+// is in front, and push and pop set frontOut without a branch.
+var emptySlot = flit{out: int8(noPort)}
 
 // Network is the mesh interconnect as a sim.Component.
 type Network struct {
@@ -276,6 +277,9 @@ func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 	n.coord = make([]struct{ x, y int }, len(pms))
 	n.linkUtil = make([][topo.Local]stats.Utilization, len(pms))
 	n.slab, n.depth = make([]flit, len(pms)*int(topo.NumPorts)*depth), depth
+	for i := range n.slab {
+		n.slab[i] = emptySlot
+	}
 	for id := range n.routers {
 		r := &n.routers[id]
 		r.id, r.pm = int32(id), pms[id]
