@@ -116,10 +116,10 @@ var opposite = [topo.Local]topo.Direction{topo.South, topo.North, topo.West, top
 type router struct {
 	id   int32
 	x, y int16 // own position; y is also the owning row shard
-	// Input i's ring is the network's depth slab slots from
-	// slot(r, i, 0) on, its qn[i] buffered flits start at its slot qh[i]
-	// and wrap, and frontOut[i] is the out of its front flit (noPort
-	// when it is empty or a body flit), so decode reads no slot. Every
+	// Input i is a ring of depth slots in the network's slab (see
+	// slot): its qn[i] buffered flits start at position qh[i] and wrap,
+	// and frontOut[i] is the out of its front flit (noPort when it is
+	// empty or a body flit), so decode reads no slot. Every
 	// input has exactly one producer (the neighbour behind it, or the
 	// PM), so under the row partition two shards never push through one
 	// header.

@@ -16,11 +16,11 @@ import (
 // phase 1, after a barrier — each boundary input has exactly one
 // producing router and a queue header of its own, so the outbox flush
 // is contention-free and pushes land in the same order as the serial
-// schedule. Deferring a push is
-// invisible to every router because all phase-0 decisions were staged
-// from start-of-tick state (a consumer pops only flits that were
-// buffered at tick start, and space checks were frozen at compute), so
-// the end-of-tick state is bit-identical to the serial commit.
+// schedule. Deferring a push is invisible to every router because all
+// phase-0 decisions were staged from start-of-tick state (a consumer
+// pops only flits that were buffered at tick start, and space checks
+// were frozen at compute), so the end-of-tick state is bit-identical to
+// the serial commit.
 //
 // Serial same-tick completions happen in commitRouter's iteration
 // order — increasing router id, which is increasing PM id — which is
