@@ -103,13 +103,12 @@ profile:
 smoke-ringmeshd:
 	bash ci/smoke_ringmeshd.sh
 
-# A short native-fuzz pass over the hostile-input parsers: the fault
-# plan DSL, the job-journal record decoder and the facade's Config
-# (resolve, cache key, estimate, a short build and step) must never
-# panic. The seed corpora also run as plain tests in `make test`; this
-# target additionally mutates for a few seconds per target.
+# A short native-fuzz pass over the hostile-input parsers: the
+# job-journal record decoder and the facade's Config (resolve, cache
+# key, estimate, a short build and step) must never panic. The seed
+# corpora also run as plain tests in `make test`; this target
+# additionally mutates for a few seconds per target.
 fuzz-smoke:
-	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzParse -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s
 	$(GO) test . -run '^$$' -fuzz FuzzConfig -fuzztime 5s
 

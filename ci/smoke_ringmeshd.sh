@@ -2,8 +2,8 @@
 # Smoke test for the serving daemon, end to end over HTTP, in five
 # stages:
 #   1. cache hit: boot with -pprof and -workers 2, check health,
-#      that a fault plan past the DSL's bounds is refused with a 400
-#      while the daemon stays up,
+#      that a request naming fault_plan (a field the daemon no longer
+#      has) is refused with a 400 naming it while the daemon stays up,
 #      metrics (latency histogram buckets) and a CPU profile fetch,
 #      submit the same run twice and assert the second is answered from
 #      the result cache — also when resubmitted with a different
@@ -68,13 +68,13 @@ onepm='{"config":{"network":"ring","topology":"1","line_bytes":32,"workload":{"r
 code=$(curl -sS -o "$refused" -w '%{http_code}' -X POST "$base/v1/runs" -d "$onepm")
 [ "$code" = "400" ] && grep -q 'at least 2 PMs' "$refused" \
   || { echo "FAIL: one-PM run = $code:"; cat "$refused"; exit 1; }
-# A fault plan whose generated windows would overflow int64 is a 400 at
-# submission naming the bound, and the daemon stays up: it used to be
-# answered 202 and then crash the process in the worker.
-hugedur='{"config":{"network":"ring","topology":"2:4","line_bytes":32,"fault_plan":"rand:events=1,seed=1,horizon=10,mean-dur=4611686018427387904","workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":42},"options":{"warmup_cycles":500,"batch_cycles":500,"batches":2}}'
-code=$(curl -sS -o "$refused" -w '%{http_code}' -X POST "$base/v1/runs" -d "$hugedur")
-[ "$code" = "400" ] && grep -q 'mean-dur' "$refused" \
-  || { echo "FAIL: huge mean-dur fault plan = $code:"; cat "$refused"; exit 1; }
+# The daemon has no fault plans: a request naming one is a 400 naming
+# the field, never a fault-free run under the client's job ID, and the
+# daemon stays up.
+faulted='{"config":{"network":"ring","topology":"2:4","line_bytes":32,"fault_plan":"stutter@600+2000:node=0","workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":42},"options":{"warmup_cycles":500,"batch_cycles":500,"batches":2}}'
+code=$(curl -sS -o "$refused" -w '%{http_code}' -X POST "$base/v1/runs" -d "$faulted")
+[ "$code" = "400" ] && grep -q 'unknown field \\"fault_plan\\"' "$refused" \
+  || { echo "FAIL: fault_plan request = $code:"; cat "$refused"; exit 1; }
 code=$(curl -sS -o /dev/null -w '%{http_code}' "$base/healthz")
 [ "$code" = "200" ] || { echo "FAIL: healthz = $code after the refused fault plan"; exit 1; }
 

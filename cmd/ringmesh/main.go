@@ -9,7 +9,7 @@
 //	ringmesh -net ring -topo 5:3:4 -line 128 -double-global
 //	ringmesh -net mesh -nodes 64 -line 64 -buf 4 -R 0.3 -T 2
 //	ringmesh -net mesh -topo 8x8 -line 32
-//	ringmesh -net ring -topo 2:4 -fault-plan 'stutter@2000+1000:node=3'
+//	ringmesh -net ring -topo 3:3:8 -C 1 -T 16 -seed 5 -unsafe-no-vc
 //	ringmesh -net mesh -topo 8x8 -timeout 30s
 //	ringmesh -net ring -topo 3:3:8 -fidelity analytic
 //
@@ -68,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		batches = fs.Int("batches", 8, "retained batches")
 		tracePk = fs.Uint64("trace-packet", 0, "print the lifecycle of this packet id (0 = off)")
 
-		faultPlan = fs.String("fault-plan", "", `fault plan DSL: ";"-separated events "kind@start+dur:node=N[,port=P][,factor=F]" (kinds stutter/slowdown/degrade), or "rand:events=E,seed=S,horizon=H"`)
 		timeout   = fs.Duration("timeout", 0, "wall-clock bound for the run, e.g. 30s (0 = none)")
 		noVC      = fs.Bool("unsafe-no-vc", false, "disable the ring's deadlock-avoidance virtual channels (forensics demos; wormhole ring only)")
 		workersF  = fs.Int("workers", 1, "parallel tick workers (meshes only, rings run serial; 1 = serial engine; results are bit-identical at any count)")
@@ -107,7 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Trace:             *tracePk != 0,
 		TraceOnlyPacket:   *tracePk,
 		Metrics:           *metricsOn || *metricsOut != "",
-		FaultPlan:         *faultPlan,
 		Fidelity:          *fidelityF,
 
 		MetricsIntervalCycles: *metricsInt,

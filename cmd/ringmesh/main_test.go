@@ -17,9 +17,9 @@ const short = "-warmup 500 -batch 500 -batches 3"
 
 // goldenCases drives every output shape the command has: both
 // networks, every ring knob, the analytic tier, the percentile,
-// trace and metrics printouts, a fault plan, a stall (exit 3, forensic
-// summary on stderr) and rejected flag sets (exit 2, one line on
-// stderr).
+// trace and metrics printouts, a stall (the paper's 72-PM hierarchy
+// deadlocked with its virtual channels off: exit 3, forensic summary on
+// stderr) and rejected flag sets (exit 2, one line on stderr).
 var goldenCases = []string{
 	"-net ring -topo 2:4 -line 32 " + short,
 	"-net mesh -nodes 16 -line 32 -buf 1 -R 0.3 " + short,
@@ -29,8 +29,7 @@ var goldenCases = []string{
 	"-net mesh -nodes 64 -line 128 -buf 1 -C 0.5 -fidelity analytic",
 	"-net ring -topo 2:3 -trace-packet 5 " + short,
 	"-net mesh -topo 3x3 -metrics -metrics-interval 250 " + short,
-	"-net ring -topo 2:4 -seed 1 -warmup 500 -batch 1000 -batches 3 -fault-plan stutter@600+2000:node=0",
-	"-net ring -topo 2:4 -line 32 -seed 1 -R 1 -C 1 -T 16 -unsafe-no-vc -fault-plan stutter@3000+4000:node=0 -warmup 2000 -batch 30000 -batches 4",
+	"-net ring -topo 3:3:8 -line 32 -seed 5 -R 1 -C 1 -T 16 -unsafe-no-vc -warmup 2000 -batch 30000 -batches 4",
 	"-net torus",
 	"-net mesh -nodes 15",
 	"-net ring -nodes 7 -line 128",
@@ -95,7 +94,7 @@ func TestMetricsOut(t *testing.T) {
 func TestBadSchedulesExitConfig(t *testing.T) {
 	for _, c := range []string{
 		"-warmup -1", "-batch 0", "-batches 0", "-batches 1", "-timeout -5s", "-topo 1", "-net mesh -nodes 1",
-		"-R 1.5", "-C 0", "-T 0", "-read-prob 2", "-fault-plan bogus@", "-fidelity auto", "-fidelity nonesuch",
+		"-R 1.5", "-C 0", "-T 0", "-read-prob 2", "-fidelity auto", "-fidelity nonesuch",
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(strings.Fields(c), &stdout, &stderr); code != exitConfig {
@@ -104,5 +103,18 @@ func TestBadSchedulesExitConfig(t *testing.T) {
 		if stdout.Len() != 0 || strings.Count(stderr.String(), "\n") != 1 || !strings.HasPrefix(stderr.String(), "ringmesh: ") {
 			t.Errorf("%s: stdout %q stderr %q, want one ringmesh: line on stderr", c, &stdout, &stderr)
 		}
+	}
+}
+
+// TestRemovedFlagExitsConfig: a flag the command no longer has is a
+// configuration error (exit 2) that names the flag, never a run that
+// silently ignores it.
+func TestRemovedFlagExitsConfig(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-fault-plan", "x"}, &stdout, &stderr); code != exitConfig {
+		t.Errorf("exit %d, want %d", code, exitConfig)
+	}
+	if stdout.Len() != 0 || !strings.HasPrefix(stderr.String(), "flag provided but not defined: -fault-plan\n") {
+		t.Errorf("stdout %q stderr %.60q, want the flag named on stderr", &stdout, &stderr)
 	}
 }

@@ -32,22 +32,9 @@ func parallelWorkerCounts() []int {
 // parallelCases returns every golden configuration on a Quick
 // schedule — the pinned Default-schedule results stay covered by
 // TestGoldenResults, while the Workers sweep, several runs per case,
-// stays fast enough for -race on one core — plus one fault-plan case
-// per family: the mesh's fault schedule is stepped in the partition's
-// serial prologue, a path no fault-free case reaches.
+// stays fast enough for -race on one core.
 func parallelCases() []goldenCase {
 	cases := goldenCases()
-	cases = append(cases,
-		goldenCase{name: "ring-2:3:4-32B-faults", cfg: Config{
-			Network: "ring", Topology: "2:3:4", LineBytes: 32,
-			Workload: PaperWorkload(), Seed: goldenSeed,
-			FaultPlan: "slowdown@500+2000:node=3,factor=4; degrade@1000+1500:node=8,factor=2",
-		}},
-		goldenCase{name: "mesh-4x4-32B-faults", cfg: Config{
-			Network: "mesh", Topology: "4x4", LineBytes: 32, BufferFlits: 4,
-			Workload: PaperWorkload(), Seed: goldenSeed,
-			FaultPlan: "slowdown@500+2000:node=3,factor=4; stutter@1000+300:node=5",
-		}})
 	for i := range cases {
 		cases[i].opt = QuickRunOptions()
 	}

@@ -15,7 +15,7 @@ import (
 // unchanged (Config, RunOptions) pair, so stale cached results can
 // never be served as current ones. TestGoldenRepinBumpsCacheKeyVersion
 // fails when a golden Result is re-pinned without a bump.
-const cacheKeyVersion = "ringmesh-v1"
+const cacheKeyVersion = "ringmesh-v2"
 
 // analyticKeyVersion tags the closed-form model inside analytic keys
 // only; bump it whenever Estimate's answer changes for an unchanged
@@ -49,7 +49,6 @@ type canonicalRun struct {
 	MemLatency int      `json:"mem_latency"` // resolved default
 	Seed       uint64   `json:"seed"`
 	Histogram  bool     `json:"histogram"`
-	FaultPlan  string   `json:"fault_plan"` // canonical rendering, "" when empty
 
 	WarmupCycles   int64 `json:"warmup_cycles"`
 	BatchCycles    int64 `json:"batch_cycles"`
@@ -83,9 +82,6 @@ type canonicalRun struct {
 //     fail here, with the model's own validation message);
 //   - defaulted fields are resolved (MemLatencyCycles 0 = 10,
 //     WatchdogCycles 0 = 20000);
-//   - the fault plan is parsed and re-rendered canonically
-//     (fault.Plan.Canonical), so "" and "none" (both observationally
-//     free) hash equal, and so do elided and explicit rand: defaults;
 //   - fields a network family ignores are zeroed (the plan's Net: a
 //     mesh hashes the same with or without DoubleSpeedGlobal);
 //   - observation-only fields never enter the hash: Metrics, Trace,
@@ -127,7 +123,6 @@ func CacheKey(cfg Config, opt RunOptions) (string, error) {
 		MemLatency: r.sys.MemLatency,
 		Seed:       cfg.Seed,
 		Histogram:  cfg.Histogram,
-		FaultPlan:  r.sys.FaultPlan.Canonical(),
 
 		WarmupCycles:   opt.WarmupCycles,
 		BatchCycles:    opt.BatchCycles,

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"ringmesh/internal/network"
@@ -109,9 +108,6 @@ func TestCacheKeyEquivalentSpellings(t *testing.T) {
 		{"fail-on-stall does not change the result value", func(_ *Config, o *RunOptions) {
 			o.FailOnStall = true
 		}},
-		{"fault plan none vs empty", func(c *Config, _ *RunOptions) {
-			c.FaultPlan = "none"
-		}},
 		{"fidelity empty vs explicit simulate", func(c *Config, _ *RunOptions) {
 			c.Fidelity = "simulate"
 		}},
@@ -169,18 +165,6 @@ func TestCacheKeyEquivalentSpellings(t *testing.T) {
 		}
 	}
 
-	// Random fault generators: elided defaults spell out to the same
-	// schedule as explicit ones.
-	gcfg, gopt := baseMesh()
-	gcfg.FaultPlan = "rand:events=3,seed=9,horizon=2000"
-	gbase, gJSON := mustKey(t, gcfg, gopt), quickJSON(t, gcfg, same)
-	gcfg.FaultPlan = "rand:events=3,seed=9,horizon=2000,mean-dur=64,max-factor=4"
-	if got := mustKey(t, gcfg, gopt); got != gbase {
-		t.Errorf("generator key moved with explicit defaults: %s vs %s", got, gbase)
-	}
-	if got := quickJSON(t, gcfg, same); string(got) != string(gJSON) {
-		t.Errorf("generator Result moved with explicit defaults:\n got: %s\nbase: %s", got, gJSON)
-	}
 }
 
 // TestCacheKeyDistinguishesSemanticChanges pins the split half of the
@@ -210,8 +194,6 @@ func TestCacheKeyDistinguishesSemanticChanges(t *testing.T) {
 		{"open-loop generation", func(c *Config, _ *RunOptions) { c.Workload.OpenLoop = true }},
 		{"mem latency", func(c *Config, _ *RunOptions) { c.MemLatencyCycles = 30 }},
 		{"histogram (changes observation set)", func(c *Config, _ *RunOptions) { c.Histogram = true }},
-		{"fault plan", func(c *Config, _ *RunOptions) { c.FaultPlan = "stutter@1000+200:node=3" }},
-		{"fault generator seed", func(c *Config, _ *RunOptions) { c.FaultPlan = "rand:events=3,seed=9,horizon=2000" }},
 		{"warmup", func(_ *Config, o *RunOptions) { o.WarmupCycles = 8000 }},
 		{"batch cycles", func(_ *Config, o *RunOptions) { o.BatchCycles = 2000 }},
 		{"batches", func(_ *Config, o *RunOptions) { o.Batches = 16 }},
@@ -259,13 +241,6 @@ func TestCacheKeyInvalidConfig(t *testing.T) {
 	if _, err := CacheKey(cfg, opt); err == nil {
 		t.Fatalf("CacheKey accepted a zero miss rate")
 	}
-
-	cfg, opt = baseMesh()
-	cfg.FaultPlan = "frobnicate@10+5:node=0"
-	_, err := CacheKey(cfg, opt)
-	if err == nil || !strings.Contains(err.Error(), "frobnicate") {
-		t.Fatalf("CacheKey fault-plan error = %v; want mention of bad kind", err)
-	}
 }
 
 // TestCacheKeyStable pins one literal key so accidental changes to the
@@ -281,7 +256,7 @@ func TestCacheKeyStable(t *testing.T) {
 	if a != b {
 		t.Fatalf("CacheKey not deterministic: %s vs %s", a, b)
 	}
-	const pinned = "dc67a09abefee27b3a3a43a308f87b2d581250cee9a14dfc7a284939d35c3c5a"
+	const pinned = "11f42efd1bc053584aeadeb274f08347b275018a808509d8be65f3ef949a8df0"
 	if a != pinned {
 		t.Fatalf("CacheKey canonical form drifted:\n got %s\nwant %s", a, pinned)
 	}
@@ -294,31 +269,17 @@ func TestCacheKeyStable(t *testing.T) {
 		t.Fatalf("explicit simulate fidelity drifted the key:\n got %s\nwant %s", got, pinned)
 	}
 
-	// Faulted keys hash the plan's canonical rendering: an explicit
-	// plan, and a generator whose elided defaults (mean-dur 64,
-	// max-factor 4) hash equal to their explicit spelling.
-	for _, tc := range []struct{ plan, want string }{
-		{"stutter@600+2000:node=5;degrade@100+50:node=1,port=2,factor=3", "5cf481b0e38a135b1173156ba812e8d090f4dad8559971b04c948fb2e2116575"},
-		{"rand:events=3,seed=9,horizon=2000", "11c43fff823c6735557b1b3634cadc0c6a590c1bcf850af5028ee0bf501b0200"},
-		{"rand:events=3,seed=9,horizon=2000,mean-dur=64,max-factor=4", "11c43fff823c6735557b1b3634cadc0c6a590c1bcf850af5028ee0bf501b0200"},
-	} {
-		fcfg, fopt := baseMesh()
-		fcfg.FaultPlan = tc.plan
-		if got := mustKey(t, fcfg, fopt); got != tc.want {
-			t.Errorf("CacheKey with fault plan %q drifted:\n got %s\nwant %s", tc.plan, got, tc.want)
-		}
-	}
 }
 
 // goldenWantDigests records, per cacheKeyVersion, the sha256 over each
 // case in versionedGoldens: its name, then the JSON of its want.
 var goldenWantDigests = map[string]string{
-	"ringmesh-v1": "0db26a8ca2467dc41196fbeac233f65f3d5c643cd740e45d96ca0498ea81b0ab",
+	"ringmesh-v2": "dc6588d81344cdfc994c71d62372b93bd0c05bce54770d65d13b1beef522b17e",
 }
 
 // versionedGoldens are the golden cases whose pinned Results the
-// digest covers: those of goldenCases and faultedGoldenCases when the
-// guard was written, listed by name so adding a case does not trip it.
+// digest covers: those of goldenCases when the guard was written,
+// listed by name so adding a case does not trip it.
 var versionedGoldens = []string{
 	"ring-2:3:4-32B",
 	"ring-3:3:8-32B-double-global",
@@ -332,7 +293,6 @@ var versionedGoldens = []string{
 	"ring-2:3:4-32B-deterministic",
 	"mesh-4x4-32B-4flit-memlat1",
 	"mesh-4x4-32B-4flit-memlat40",
-	"ring-2:3:4-32B-slotted-double-global-faults",
 }
 
 // TestGoldenRepinBumpsCacheKeyVersion: a re-pinned golden means
@@ -343,7 +303,7 @@ var versionedGoldens = []string{
 // fails here.
 func TestGoldenRepinBumpsCacheKeyVersion(t *testing.T) {
 	wants := map[string]Result{}
-	for _, tc := range append(goldenCases(), faultedGoldenCases()...) {
+	for _, tc := range goldenCases() {
 		wants[tc.name] = tc.want
 	}
 	h := sha256.New()
@@ -456,26 +416,20 @@ func TestIgnoredFieldsAnswerAsPlain(t *testing.T) {
 		return string(raw)
 	}
 	for _, fam := range families {
-		for _, plain := range fam.plains {
-			// A fault plan is refused whatever the geometry: the
-			// refusal must not move either.
-			faulted := plain
-			faulted.FaultPlan = "stutter@10+10:node=0"
-			for _, base := range []Config{plain, faulted} {
-				for field, set := range fam.ignored {
-					cfg := base
-					set(&cfg)
-					name := base.Network + " " + field
-					for _, fid := range []string{"simulate", "analytic"} {
-						want, got := base, cfg
-						want.Fidelity, got.Fidelity = fid, fid
-						if k, w := mustKey(t, got, RunOptions{}), mustKey(t, want, RunOptions{}); k != w {
-							t.Errorf("%s: %s key %s, plain %s", name, fid, k, w)
-						}
+		for _, base := range fam.plains {
+			for field, set := range fam.ignored {
+				cfg := base
+				set(&cfg)
+				name := base.Network + " " + field
+				for _, fid := range []string{"simulate", "analytic"} {
+					want, got := base, cfg
+					want.Fidelity, got.Fidelity = fid, fid
+					if k, w := mustKey(t, got, RunOptions{}), mustKey(t, want, RunOptions{}); k != w {
+						t.Errorf("%s: %s key %s, plain %s", name, fid, k, w)
 					}
-					if got, want := outcome(cfg), outcome(base); got != want {
-						t.Errorf("%s (fault plan %q):\n got  %s\n want %s", name, base.FaultPlan, got, want)
-					}
+				}
+				if got, want := outcome(cfg), outcome(base); got != want {
+					t.Errorf("%s:\n got  %s\n want %s", name, got, want)
 				}
 			}
 		}

@@ -21,8 +21,7 @@ import (
 // reach the simulator through package ringmesh alone; the geometry is
 // resolved in three places — the facade's resolve, core.NewSystem for
 // the harnesses that assemble systems directly, and the BoundFor
-// wrapper bench/ compiles against — and nowhere else. Instrumentation
-// only reads: internal/fault keeps no metrics instrument of its own.
+// wrapper bench/ compiles against — and nowhere else.
 func TestOneRoadImportGraph(t *testing.T) {
 	// cmd/ringmesh is held to the stricter rule below.
 	facadeOnly := []string{"cmd/ringmeshd/", "internal/serve/", "examples/"}
@@ -50,9 +49,6 @@ func TestOneRoadImportGraph(t *testing.T) {
 			imp, _ := strconv.Unquote(spec.Path.Value)
 			if imp == "ringmesh/internal/analytic" {
 				t.Errorf("%s imports %s, which was folded into internal/fidelity", path, imp)
-			}
-			if strings.HasPrefix(path, "internal/fault/") && imp == "ringmesh/internal/metrics" {
-				t.Errorf("%s imports %s; the driver's cursor is the count, the models export it", path, imp)
 			}
 			for _, dir := range facadeOnly {
 				if strings.HasPrefix(path, dir) && (imp == "ringmesh/internal/core" || imp == "ringmesh/internal/network") {

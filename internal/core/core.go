@@ -20,7 +20,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"ringmesh/internal/fault"
 	"ringmesh/internal/metrics"
 	"ringmesh/internal/network"
 	"ringmesh/internal/node"
@@ -82,11 +81,6 @@ type SystemConfig struct {
 	// warmup batch is discarded, so its rows cover the measured
 	// interval.
 	MetricsInterval int64
-	// FaultPlan, when non-nil, is materialized over the network's
-	// fault targets (network.Model.FaultTargets) and stepped before
-	// every network compute. An empty plan is validated, schedules
-	// nothing, and leaves results bit-identical to a nil plan.
-	FaultPlan *fault.Plan
 	// Workers, when > 1, runs the tick loop across a goroutine pool if
 	// the network model partitions itself (see network.Model.Partition
 	// and internal/core/parallel.go; the mesh does, the rings decline).
@@ -165,12 +159,6 @@ func NewSystemOn(plan *network.Plan, cfg SystemConfig) (*System, error) {
 		return nil, err
 	}
 	model.SetTracer(cfg.Tracer)
-	var faults *fault.Schedule
-	if cfg.FaultPlan != nil {
-		if faults, err = fault.NewSchedule(cfg.FaultPlan, model.FaultTargets()); err != nil {
-			return nil, err
-		}
-	}
 	s.links, s.perLevel = model.Links(), plan.PerLevel
 	s.metrics = cfg.Metrics
 	if cfg.Metrics != nil {
@@ -178,40 +166,20 @@ func NewSystemOn(plan *network.Plan, cfg SystemConfig) (*System, error) {
 			cfg.Metrics.Ratio(plan.Name+"_link_util", metrics.Labels{Link: g.Label}, g.Links...)
 		}
 		model.DescribeMetrics(cfg.Metrics)
-		if faults != nil {
-			cfg.Metrics.CounterFunc("fault_events_total", metrics.Labels{}, faults.Applied)
-		}
 		if cfg.MetricsInterval > 0 {
 			s.sampler = metrics.NewSampler(cfg.Metrics, cfg.MetricsInterval)
 		}
 	}
 	s.net = model
-	if faults != nil {
-		s.engine.Register(faultedNet{model, faults}, 1)
-	} else {
-		s.engine.Register(model, 1)
-	}
+	s.engine.Register(model, 1)
 	s.engine.InFlight = s.col.InFlight
 	engine := s.engine
 	s.engine.Diagnose = func() *sim.StallReport { return model.BuildStallReport(engine.Now()) }
-	if err := s.applyParallel(cfg, faults); err != nil {
+	if err := s.applyParallel(cfg); err != nil {
 		return nil, err
 	}
 	s.wireOnCycle()
 	return s, nil
-}
-
-// faultedNet is the network as the engine runs it under a fault plan:
-// each compute first installs the gates due at that tick.
-type faultedNet struct {
-	network.Model
-	faults *fault.Schedule
-}
-
-// Compute implements sim.Component.
-func (f faultedNet) Compute(now int64) {
-	f.faults.Step(now)
-	f.Model.Compute(now)
 }
 
 // pmSet is every PM as one engine component, committing in id order.

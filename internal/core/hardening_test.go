@@ -1,8 +1,8 @@
 package core
 
 // Hardened-execution tests: panic recovery at the Run boundary,
-// wall-clock timeouts, context cancellation, and a model's refusal of
-// a fault plan. The stub "paniktest" network below is handed to
+// wall-clock timeouts, context cancellation and stall forensics on a
+// genuine deadlock. The stub "paniktest" network below is handed to
 // NewSystemOn as an already-resolved plan; it moves no packets and
 // detonates at a fixed tick, which is all the recovery path needs.
 
@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"ringmesh/internal/fault"
 	"ringmesh/internal/metrics"
 	"ringmesh/internal/network"
 	"ringmesh/internal/node"
@@ -24,9 +23,8 @@ import (
 )
 
 // panicNet is a minimal network.Model that panics in Compute at a
-// fixed tick. It refuses fault plans, declines to partition and has no
-// stall report to give, which doubles as coverage for each of those
-// answers.
+// fixed tick. It declines to partition and has no stall report to
+// give, which doubles as coverage for both answers.
 type panicNet struct{ at int64 }
 
 func (p *panicNet) Compute(now int64) {
@@ -41,7 +39,6 @@ func (p *panicNet) DescribeMetrics(*metrics.Registry)       {}
 func (p *panicNet) CheckInvariants() error                  { return nil }
 func (p *panicNet) Partition() *sim.Partition               { return nil }
 func (p *panicNet) BuildStallReport(int64) *sim.StallReport { return nil }
-func (p *panicNet) FaultTargets() fault.Targets             { return fault.Targets{} }
 
 // panicPlan is the stub network's resolved geometry: 4 PMs.
 func panicPlan() *network.Plan {
@@ -91,23 +88,6 @@ func TestRunRecoversModelPanic(t *testing.T) {
 	}
 }
 
-func TestFaultPlanRejectedWithoutCapability(t *testing.T) {
-	plan, err := fault.Parse("stutter@10+10:node=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = NewSystemOn(panicPlan(), SystemConfig{
-		Network:   "paniktest",
-		Net:       network.Config{LineBytes: 32},
-		Workload:  workload.PaperDefaults(),
-		Seed:      1,
-		FaultPlan: plan,
-	})
-	if err == nil || !strings.Contains(err.Error(), "fault injection") {
-		t.Fatalf("err = %v, want a does-not-support-fault-injection error", err)
-	}
-}
-
 func TestRunTimeout(t *testing.T) {
 	sys, err := NewSystem(ringCfg("2:4", 32))
 	if err != nil {
@@ -133,24 +113,23 @@ func TestRunContextCanceled(t *testing.T) {
 	}
 }
 
-// TestDeadlockForensics is the acceptance scenario: with the ring's
-// deadlock-avoidance VCs disabled, a transient dead link at full load
-// pushes the hierarchy into a genuine deadlock that persists after
-// the fault clears, and the returned error both unwraps to
-// sim.ErrStalled and carries a StallReport naming a wait-for cycle.
-func TestDeadlockForensics(t *testing.T) {
-	plan, err := fault.Parse("stutter@3000+4000:node=0")
-	if err != nil {
-		t.Fatal(err)
+// deadlockCfg is the paper's 72-PM hierarchy at full load with the
+// ring's deadlock-avoidance VCs disabled: its IRI queues close a
+// wait-for cycle about 190 cycles in, and nothing moves after that.
+func deadlockCfg() SystemConfig {
+	return SystemConfig{
+		Network:  "ring",
+		Net:      network.Config{Topology: "3:3:8", LineBytes: 32, UnsafeNoVC: true},
+		Workload: workload.MMRP{R: 1, C: 1, T: 16, ReadProb: 0.7},
+		Seed:     5,
 	}
-	sys, err := NewSystem(SystemConfig{
-		Network: "ring",
-		Net: network.Config{Topology: "2:4", LineBytes: 32,
-			UnsafeNoVC: true, IRIQueueFlits: 4},
-		Workload:  workload.MMRP{R: 1, C: 1, T: 16, ReadProb: 0.7},
-		Seed:      1,
-		FaultPlan: plan,
-	})
+}
+
+// TestDeadlockForensics is the acceptance scenario: the deadlocking
+// hierarchy returns an error that both unwraps to sim.ErrStalled and
+// carries a StallReport naming a wait-for cycle.
+func TestDeadlockForensics(t *testing.T) {
+	sys, err := NewSystem(deadlockCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +149,6 @@ func TestDeadlockForensics(t *testing.T) {
 	if len(rep.Cycles) == 0 {
 		t.Fatalf("deadlock report names no wait-for cycle:\n%s", rep.Summary())
 	}
-	// The watchdog tripped long after the 4000-cycle fault expired:
-	// the deadlock is the ring's own, not the fault still holding it.
-	if len(rep.ActiveFaults) != 0 {
-		t.Errorf("fault still active at stall time: %v", rep.ActiveFaults)
-	}
 	if rep.BufferedFlits == 0 {
 		t.Error("deadlocked network reports no buffered flits")
 	}
@@ -187,17 +161,7 @@ func TestDeadlockForensics(t *testing.T) {
 // FailOnStall a tripped watchdog still surfaces the forensics on
 // Result.Stall while the run returns normally.
 func TestStallReportOnResult(t *testing.T) {
-	plan, err := fault.Parse("stutter@1000+1000000:node=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := NewSystem(SystemConfig{
-		Network:   "ring",
-		Net:       network.Config{Topology: "2:4", LineBytes: 32},
-		Workload:  workload.MMRP{R: 1, C: 1, T: 16, ReadProb: 0.7},
-		Seed:      1,
-		FaultPlan: plan,
-	})
+	sys, err := NewSystem(deadlockCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,15 +171,12 @@ func TestStallReportOnResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Stalled {
-		t.Fatal("permanent dead link did not trip the watchdog")
+		t.Fatal("the deadlock did not trip the watchdog")
 	}
 	if res.Stall == nil {
 		t.Fatal("Result.Stalled set but Result.Stall is nil")
 	}
-	if len(res.Stall.ActiveFaults) == 0 {
-		t.Errorf("report omits the active fault:\n%s", res.Stall.Summary)
-	}
 	if len(res.Stall.Cycles) == 0 {
-		t.Errorf("report names no cycle for the faulted link:\n%s", res.Stall.Summary)
+		t.Errorf("report names no cycle for the deadlock:\n%s", res.Stall.Summary)
 	}
 }

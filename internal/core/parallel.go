@@ -12,7 +12,6 @@ package core
 import (
 	"fmt"
 
-	"ringmesh/internal/fault"
 	"ringmesh/internal/sim"
 )
 
@@ -40,7 +39,7 @@ func (cs *coreShard) CommitPhase(phase int, now int64) int {
 // engine serial. A malformed partition (PM ranges that do not tile
 // [0, PMs) in shard order) is a model bug and fails construction
 // rather than falling back.
-func (s *System) applyParallel(cfg SystemConfig, faults *fault.Schedule) error {
+func (s *System) applyParallel(cfg SystemConfig) error {
 	if cfg.Workers <= 1 || cfg.Tracer != nil {
 		return nil
 	}
@@ -71,16 +70,6 @@ func (s *System) applyParallel(cfg SystemConfig, faults *fault.Schedule) error {
 		return fmt.Errorf("core: partition owns no shard for PMs [%d,%d)", next, s.pmCount)
 	}
 
-	// The serial schedule steps faults inside the network's compute;
-	// here the shards must not race on it, so the prologue does.
-	if prologue := part.Prologue; faults != nil {
-		part.Prologue = func(now int64) {
-			faults.Step(now)
-			if prologue != nil {
-				prologue(now)
-			}
-		}
-	}
 	s.col.ShardByPM(s.pmCount)
 	col := s.col
 	s.engine.SetParallel(&sim.ParallelPlan{

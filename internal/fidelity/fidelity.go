@@ -40,8 +40,7 @@ const (
 
 // ErrUnsupported marks a configuration the analytic models do not
 // cover (slotted switching, double-speed global rings or disabled
-// virtual channels on a ring, fault plans, open-loop or deterministic
-// workloads). A field the family ignores is never a reason: a mesh
+// virtual channels on a ring, open-loop or deterministic workloads). A field the family ignores is never a reason: a mesh
 // carrying a ring-only flag gets the plain mesh's answer.
 // Serving layers treat it as "fall back to exact", not as a failure.
 var ErrUnsupported = errors.New("fidelity: configuration outside the analytic model's validated envelope")
@@ -158,8 +157,6 @@ func unsupported(cfg core.SystemConfig) error {
 		return fmt.Errorf("%w: double-speed global ring", ErrUnsupported)
 	case cfg.Net.UnsafeNoVC:
 		return fmt.Errorf("%w: virtual channels disabled", ErrUnsupported)
-	case cfg.FaultPlan != nil && !cfg.FaultPlan.Empty():
-		return fmt.Errorf("%w: fault plans", ErrUnsupported)
 	case cfg.Workload.OpenLoop:
 		return fmt.Errorf("%w: open-loop workload", ErrUnsupported)
 	case cfg.Workload.Deterministic:

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ringmesh/internal/core"
-	"ringmesh/internal/fault"
 	"ringmesh/internal/network"
 	"ringmesh/internal/node"
 	"ringmesh/internal/workload"
@@ -286,10 +285,6 @@ func TestAnalyticUnsupported(t *testing.T) {
 	base := func() core.SystemConfig {
 		return validationConfig("mesh", "3x3", 32, 4, 0.04)
 	}
-	plan, err := fault.Parse("stutter@10+10:node=0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := map[string]core.SystemConfig{}
 
 	// Ring-only features are refused on a ring; on a mesh they are
@@ -309,10 +304,6 @@ func TestAnalyticUnsupported(t *testing.T) {
 	c = ringBase()
 	c.Net.UnsafeNoVC = true
 	cases["no-vc"] = c
-
-	c = base()
-	c.FaultPlan = plan
-	cases["faults"] = c
 
 	c = base()
 	c.Workload.OpenLoop = true

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"ringmesh/internal/fault"
 	"ringmesh/internal/metrics"
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
@@ -143,10 +142,6 @@ type router struct {
 	injPkt    *packet.Packet
 
 	pm node.Port
-	// flt holds the router's fault gates, one per output in
-	// topo.Direction order; nil (the common case) costs one pointer
-	// check per compute.
-	flt *fault.Gates
 	// nbr is the neighbour behind each neighbour port, nil at the mesh
 	// edge.
 	nbr [topo.Local]*router
@@ -304,7 +299,7 @@ func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 func (n *Network) Compute(now int64) {
 	n.begin(now)
 	for i := range n.routers {
-		n.computeRouter(&n.routers[i], now)
+		n.computeRouter(&n.routers[i])
 	}
 }
 
@@ -360,14 +355,11 @@ func (n *Network) pickMove(r *router, h *heads, o topo.Direction) (in topo.Direc
 // is all clear on entry — commitRouter clears every move it applies —
 // so a router holding no flits stages nothing after the decode, and
 // only outputs that are requested or locked can carry a flit.
-func (n *Network) computeRouter(r *router, now int64) {
+func (n *Network) computeRouter(r *router) {
 	var h heads
-	if flt := r.flt; r.decode(&h) {
+	if r.decode(&h) {
 		for live := h.wanted | r.lockedOut; live != 0; live &= live - 1 {
 			o := topo.Direction(bits.TrailingZeros8(live))
-			if flt != nil && flt[o].Blocked(now, now) {
-				continue // this output port is faulted this cycle
-			}
 			in, f, ok := n.pickMove(r, &h, o)
 			if !ok {
 				continue

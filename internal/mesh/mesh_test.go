@@ -1,10 +1,10 @@
 package mesh
 
 import (
+	"strings"
 	"testing"
 	"unsafe"
 
-	"ringmesh/internal/fault"
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/sim"
@@ -40,7 +40,6 @@ type harness struct {
 	net    *Network
 	pms    []*fakePM
 	spec   topo.MeshSpec
-	faults *fault.Schedule
 }
 
 func newHarness(t *testing.T, cfg Config) *harness {
@@ -60,25 +59,10 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	return &harness{engine: engine, net: net, pms: pms, spec: cfg.Spec}
 }
 
-// applyFaults schedules p over the network's fault targets; step runs
-// it before every tick, as the assembly layer does.
-func (h *harness) applyFaults(p *fault.Plan) (err error) {
-	h.faults, err = fault.NewSchedule(p, h.net.FaultTargets())
-	return err
-}
-
-// step advances the harness one tick.
-func (h *harness) step() {
-	if h.faults != nil {
-		h.faults.Step(h.engine.Now())
-	}
-	h.engine.Step()
-}
-
 func (h *harness) run(t *testing.T, ticks int) {
 	t.Helper()
 	for i := 0; i < ticks; i++ {
-		h.step()
+		h.engine.Step()
 		if err := h.net.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
@@ -463,8 +447,43 @@ func TestCheckInvariantsCatchesStagedMoves(t *testing.T) {
 // replaced. Growing it past the bound is a decision to make in the
 // open, with a ledger row that shows it pays.
 func TestRouterFootprint(t *testing.T) {
-	const bound = 352
+	const bound = 240
 	if got := unsafe.Sizeof(router{}); got > bound {
 		t.Fatalf("router is %d bytes, bound %d", got, bound)
+	}
+}
+
+// BuildStallReport asks pickMove the same question the switching logic
+// asks, so the waits it names are pinned here edge for edge, between
+// input channels. Two writes from routers 0 and 1 to router 2 contend
+// for router 1's east output: router 1's own worm wins it, so the worm
+// from router 0 backs up behind a full input. Behind one-flit buffers a
+// worm also moves every other cycle, and its locked output waits on the
+// input upstream that holds the worm.
+func TestStallReportWaitEdges(t *testing.T) {
+	cases := []struct {
+		buf, at int
+		want    []string
+	}{
+		{4, 10, []string{
+			"router0.local -> router1.west: east carrying #1 write-req 0→2 (12 flits): downstream input full",
+		}},
+		{1, 4, []string{
+			"router0.local -> router1.west: east carrying #1 write-req 0→2 (12 flits): downstream input full",
+			"router2.west -> router1.local: committed worm on local output, flits still upstream",
+		}},
+	}
+	for _, tc := range cases {
+		h := newHarness(t, Config{Spec: topo.MustMeshSpec(3), LineBytes: 32, BufferFlits: tc.buf})
+		h.pms[0].pendReq = append(h.pms[0].pendReq, mkPkt(1, packet.WriteRequest, 0, 2, 32))
+		h.pms[1].pendReq = append(h.pms[1].pendReq, mkPkt(2, packet.WriteRequest, 1, 2, 32))
+		h.run(t, tc.at)
+		var got []string
+		for _, e := range h.net.BuildStallReport(int64(tc.at)).WaitFor {
+			got = append(got, e.From+" -> "+e.To+": "+e.Why)
+		}
+		if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+			t.Errorf("buffers %d at tick %d: waits\n%q\nwant\n%q", tc.buf, tc.at, got, tc.want)
+		}
 	}
 }

@@ -44,12 +44,11 @@ type rowShard struct {
 
 // Compute implements sim.Shard: stage this row's crossbar transfers
 // and injections. Reads of neighbouring rows' input occupancy are safe
-// — all state is frozen during the compute phase. The link clock and
-// fault stepping are not repeated here; the partition's Prologue runs
-// them serially.
-func (s *rowShard) Compute(now int64) {
+// — all state is frozen during the compute phase. The link clock
+// is not advanced here; the partition's Prologue runs it serially.
+func (s *rowShard) Compute(int64) {
 	for i := range s.routers {
-		s.n.computeRouter(&s.routers[i], now)
+		s.n.computeRouter(&s.routers[i])
 	}
 }
 

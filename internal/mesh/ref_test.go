@@ -6,12 +6,8 @@ package mesh
 // output each input head wants, and every cycle visits all five
 // outputs and arbitrates by scanning want[] round-robin from rr[o].
 // TestTickMatchesReference drives it and the production tick from the
-// same random injection scripts and fault plans and requires the same
-// per-packet delivery cycles and the same buffered flits on every
-// cycle. The reference also keeps its own copy of the fault rules as
-// the mesh applied them before internal/fault owned them: a per-router
-// until and factor per output, with the ports each kind touches listed
-// here.
+// same random injection scripts and requires the same per-packet
+// delivery cycles and the same buffered flits on every cycle.
 
 import (
 	"fmt"
@@ -19,7 +15,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"ringmesh/internal/fault"
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/rng"
@@ -52,23 +47,11 @@ type refRouter struct {
 	injIdx    int
 	stagedInj refMove
 	pm        node.Port
-	flt       refFault
-}
-
-// refFault is one router's fault state: per output, the first tick it
-// is healthy again and its factor (0 dead, k acts every k-th cycle).
-type refFault struct {
-	until, factor [topo.NumPorts]int64
-}
-
-func (f *refFault) blocked(o topo.Direction, now int64) bool {
-	return now < f.until[o] && (f.factor[o] == 0 || now%f.factor[o] != 0)
 }
 
 type refNetwork struct {
 	routers []*refRouter
 	coord   []struct{ x, y int }
-	events  []fault.Event // not yet applied, sorted by start
 }
 
 func newRefNetwork(cfg Config, pms []node.Port) *refNetwork {
@@ -93,32 +76,7 @@ func newRefNetwork(cfg Config, pms []node.Port) *refNetwork {
 	return n
 }
 
-func (n *refNetwork) applyFaultPlan(p *fault.Plan) (err error) {
-	n.events, err = p.Materialize(len(n.routers), int(topo.Local))
-	return err
-}
-
-// stepFaults applies every event due at now: a stutter kills the four
-// neighbour outputs, a slowdown slows all five, a degrade its port.
-func (n *refNetwork) stepFaults(now int64) {
-	for ; len(n.events) > 0 && n.events[0].Start <= now; n.events = n.events[1:] {
-		ev := n.events[0]
-		lo, hi, factor := topo.Direction(ev.Port), topo.Direction(ev.Port)+1, int64(ev.Factor)
-		switch ev.Kind {
-		case fault.LinkStutter:
-			lo, hi, factor = topo.North, topo.Local, 0
-		case fault.NodeSlowdown:
-			lo, hi = topo.North, topo.NumPorts
-		}
-		r := n.routers[ev.Node]
-		for o := lo; o < hi; o++ {
-			r.flt.until[o], r.flt.factor[o] = ev.End(), factor
-		}
-	}
-}
-
 func (n *refNetwork) tick(now int64) {
-	n.stepFaults(now)
 	for _, r := range n.routers {
 		n.compute(r, now)
 	}
@@ -139,9 +97,6 @@ func (n *refNetwork) compute(r *refRouter, now int64) {
 		}
 	}
 	for o := topo.Direction(0); o < topo.NumPorts; o++ {
-		if r.flt.blocked(o, now) {
-			continue
-		}
 		in, f, ok := r.pick(&h, o)
 		if !ok {
 			continue
@@ -259,23 +214,18 @@ func deliveries(pms []*fakePM) []delivery {
 }
 
 // Differential oracle: on random meshes (K 2–5), buffer depths 1, 2,
-// 4 and cl, all four line sizes and, for one script in three, a random
-// fault plan, the production tick and the reference tick deliver every
+// 4 and cl and all four line sizes, the production tick and the reference tick deliver every
 // packet at the same cycle and hold the same flits on every cycle.
 func TestTickMatchesReference(t *testing.T) {
 	const scripts = 10000
 	start := time.Now()
-	f := func(seed uint64, kRaw, bufRaw, nPkts, faultRaw uint8) bool {
+	f := func(seed uint64, kRaw, bufRaw, nPkts uint8) bool {
 		cfg := Config{
 			Spec:        topo.MustMeshSpec(int(kRaw%4) + 2),
 			LineBytes:   scriptLines[seed%uint64(len(scriptLines))],
 			BufferFlits: scriptBuffers[int(bufRaw)%len(scriptBuffers)],
 		}
 		pkts := randomPackets(rng.New(seed), cfg.Spec.PMs(), cfg.LineBytes, int(nPkts%30)+1)
-		var plan *fault.Plan
-		if faultRaw%3 == 0 {
-			plan = &fault.Plan{Gen: &fault.GenSpec{Seed: seed, Events: int(faultRaw%8) + 1, Horizon: 200}}
-		}
 
 		h := newHarness(t, cfg)
 		refPMs := make([]*fakePM, len(h.pms))
@@ -285,14 +235,6 @@ func TestTickMatchesReference(t *testing.T) {
 			refPorts[i] = refPMs[i]
 		}
 		ref := newRefNetwork(cfg, refPorts)
-		if plan != nil {
-			if err := h.applyFaults(plan); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.applyFaultPlan(plan); err != nil {
-				t.Fatal(err)
-			}
-		}
 		for _, p := range pkts {
 			q := *p
 			enqueue(h.pms[p.Src], p)
@@ -300,7 +242,7 @@ func TestTickMatchesReference(t *testing.T) {
 		}
 
 		for now := int64(0); now < 40000; now++ {
-			h.step()
+			h.engine.Step()
 			ref.tick(now)
 			if err := h.net.CheckInvariants(); err != nil {
 				t.Fatalf("seed %d cycle %d: %v", seed, now, err)

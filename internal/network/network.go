@@ -26,7 +26,6 @@ package network
 import (
 	"fmt"
 
-	"ringmesh/internal/fault"
 	"ringmesh/internal/metrics"
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
@@ -95,12 +94,6 @@ type Model interface {
 	// violated, or nil. The runner calls it after every run, property
 	// tests after every tick.
 	CheckInvariants() error
-	// FaultTargets describes what a fault plan can reach: each target's
-	// gate field, in event node order, and its outputs. The assembly
-	// layer builds a fault.Schedule over them and steps it before every
-	// compute; the model only asks its gates. A model that offers no
-	// targets refuses every fault plan.
-	FaultTargets() fault.Targets
 	// Partition describes the model's ownership sharding for parallel
 	// execution — groups of components such that no two shards commit
 	// to the same buffers (per-row for the mesh) — or nil to decline,

@@ -34,10 +34,6 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 	for i := range n.stations {
 		st := &n.stations[i]
 		rep.Buffer(st.name, st.bufferedFlits(), numVCs*n.clFlits)
-		gate := st.flt.Port(0)
-		if gate.Active(now) {
-			rep.ActiveFaults = append(rep.ActiveFaults, gate.Describe(st.name, "output link"))
-		}
 		for v := 0; v < numVCs; v++ {
 			st.vcs[v].buf.EachPacket(func(p *packet.Packet) { rep.Stuck(p, st.name) })
 			f, src, ok := st.candidate(v)
@@ -55,10 +51,6 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 						rep.Wait(st.name, from.name, why)
 					}
 				}
-				continue
-			}
-			if gate.Dead(now) {
-				rep.Wait(st.name, st.name, "output link faulted")
 				continue
 			}
 			if _, accepted := st.downstream.accepts(f, v, src != nil); accepted {
@@ -152,12 +144,6 @@ func (n *SlottedNetwork) BuildStallReport(now int64) *sim.StallReport {
 	}
 
 	for _, st := range n.stations {
-		if gate := st.flt.Port(0); gate.Active(now) {
-			rep.ActiveFaults = append(rep.ActiveFaults, gate.Describe(st.name, "output link"))
-			if gate.Dead(now) {
-				rep.Wait(st.name, st.name, "ring attachment faulted")
-			}
-		}
 		for _, q := range st.inject {
 			if p, ok := q.peek(now * n.sub); ok {
 				rep.Stuck(p, st.name)

@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"ringmesh/internal/core"
-	"ringmesh/internal/fault"
 	"ringmesh/internal/network"
 	"ringmesh/internal/sim"
 	"ringmesh/internal/workload"
@@ -35,9 +34,6 @@ func renderStall(rep *sim.StallReport) string {
 	for _, s := range rep.Buffers {
 		fmt.Fprintf(&b, "buffer: %s %d/%d\n", s.Node, s.Flits, s.Capacity)
 	}
-	for _, f := range rep.ActiveFaults {
-		fmt.Fprintf(&b, "fault: %s\n", f)
-	}
 	for _, e := range rep.WaitFor {
 		fmt.Fprintf(&b, "wait: %s -> %s: %s\n", e.From, e.To, e.Why)
 	}
@@ -51,80 +47,63 @@ func renderStall(rep *sim.StallReport) string {
 	return b.String()
 }
 
+// The hierarchy deadlock the package comment documents: the paper's
+// 72-PM configuration at T=2 under full load, VCs off (seed 6 closes
+// the cycle around tick 19 000; most seeds survive this run length).
 func TestStallReportWaitEdges(t *testing.T) {
-	cases := []struct {
-		name, topology, plan string
-		t                    int
-		seed                 uint64
-		noVC                 bool
-	}{
-		// The hierarchy deadlock the package comment documents: the
-		// paper's 72-PM configuration at T=2 under full load, VCs off
-		// (seed 6 closes the cycle around tick 19 000; most seeds
-		// survive this run length).
-		{"novc-3x3x8-T2", "3:3:8", "", 2, 6, true},
-		// A transient dead link at full load wedges the VC-less 2:4
-		// ring for good; the fault has expired by the time of the trip.
-		{"novc-2x4-deadlink", "2:4", "stutter@3000+4000:node=0", 16, 1, true},
-		// A permanently dead NIC output with the VCs on: the fault is
-		// still active at the trip, and the refusals behind it include
-		// the bubble rule and worms committed across the dead link.
-		{"vc-2x4-faulted", "2:4", "stutter@1000+1000000:node=0", 16, 1, false},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := core.SystemConfig{
-				Network:  "ring",
-				Net:      network.Config{Topology: tc.topology, LineBytes: 32, UnsafeNoVC: tc.noVC},
-				Workload: workload.MMRP{R: 1, C: 1, T: tc.t, ReadProb: 0.7},
-				Seed:     tc.seed,
-			}
-			if tc.plan != "" {
-				plan, err := fault.Parse(tc.plan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.FaultPlan = plan
-			}
-			sys, err := core.NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = sys.Run(core.RunConfig{WarmupCycles: 2000, BatchCycles: 20000, Batches: 4,
-				WatchdogCycles: 5000, FailOnStall: true})
-			var se *sim.StallError
-			if !errors.As(err, &se) || se.Report == nil {
-				t.Fatalf("err = %v, want a *sim.StallError with a report", err)
-			}
-			checkStallGolden(t, tc.name, renderStall(se.Report))
+	t.Run("novc-3x3x8-T2", func(t *testing.T) {
+		sys, err := core.NewSystem(core.SystemConfig{
+			Network:  "ring",
+			Net:      network.Config{Topology: "3:3:8", LineBytes: 32, UnsafeNoVC: true},
+			Workload: workload.MMRP{R: 1, C: 1, T: 2, ReadProb: 0.7},
+			Seed:     6,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sys.Run(core.RunConfig{WarmupCycles: 2000, BatchCycles: 20000, Batches: 4,
+			WatchdogCycles: 5000, FailOnStall: true})
+		var se *sim.StallError
+		if !errors.As(err, &se) || se.Report == nil {
+			t.Fatalf("err = %v, want a *sim.StallError with a report", err)
+		}
+		checkStallGolden(t, "novc-3x3x8-T2", renderStall(se.Report))
+	})
 }
 
-// The slotted builder, read straight from the model after a fixed run:
-// a loaded 2:4 slotted ring whose station 0 stays dead from cycle 500,
-// so NACKed packets, full IRI queues and starved NICs pile up behind it.
-func TestSlottedStallReportGolden(t *testing.T) {
-	plan, err := fault.Parse("stutter@500+1000000:node=0")
-	if err != nil {
-		t.Fatal(err)
-	}
+// snapshot reads the stall report of a loaded 2:3:4 ring (C=1, T=16,
+// seed 1) after 3500 cycles, the report an operator would get by
+// asking a running system. Nothing is stalled, but at that load and
+// instant every refusal the builder knows shows: full transit buffers
+// and IRI queues, the bubble rule, worms committed behind a link or
+// across an IRI queue and, on the slotted ring, NACKed packets and
+// injections with no admissible slot.
+func snapshot(t *testing.T, slotted bool) *sim.StallReport {
+	t.Helper()
 	sys, err := core.NewSystem(core.SystemConfig{
-		Network:   "ring",
-		Net:       network.Config{Topology: "2:4", LineBytes: 32, SlottedSwitching: true},
-		Workload:  workload.MMRP{R: 1, C: 1, T: 16, ReadProb: 0.7},
-		Seed:      1,
-		FaultPlan: plan,
+		Network:  "ring",
+		Net:      network.Config{Topology: "2:3:4", LineBytes: 32, SlottedSwitching: slotted},
+		Workload: workload.MMRP{R: 1, C: 1, T: 16, ReadProb: 0.7},
+		Seed:     1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.StepCycles(3000); err != nil {
+	if err := sys.StepCycles(3500); err != nil {
 		t.Fatal(err)
 	}
-	rep := sys.Engine().Diagnose()
-	checkStallGolden(t, "slotted-2x4-dead", renderStall(rep)+rep.Summary()+"\n")
+	return sys.Engine().Diagnose()
+}
+
+// The wormhole builder on a loaded system with the VCs on.
+func TestWormholeStallReportGolden(t *testing.T) {
+	checkStallGolden(t, "vc-2x3x4-loaded", renderStall(snapshot(t, false)))
+}
+
+// The slotted builder on the same loaded system.
+func TestSlottedStallReportGolden(t *testing.T) {
+	rep := snapshot(t, true)
+	checkStallGolden(t, "slotted-2x3x4-loaded", renderStall(rep)+rep.Summary()+"\n")
 }
 
 func checkStallGolden(t *testing.T, name, got string) {

@@ -121,8 +121,7 @@ type Network struct {
 	cfg     Config
 	clFlits int
 	// stations holds every station by value in build order — the
-	// deterministic DFS order the tick, the fault plan's node indices
-	// and the delivery order all follow.
+	// deterministic DFS order the tick and the delivery order follow.
 	stations []station
 	// busy and staged are bitsets over the station slab: bit i of busy
 	// is set while station i may hold a flit (every push into its
@@ -281,7 +280,7 @@ func (n *Network) Compute(now int64) {
 			b := bits.TrailingZeros64(word)
 			word &= word - 1
 			st := &n.stations[w*64+b]
-			if st.compute(now) {
+			if st.compute() {
 				n.busy[w] &^= 1 << b
 			} else if st.staged {
 				n.staged[w] |= 1 << b
@@ -309,7 +308,7 @@ func (n *Network) Commit(now int64) {
 	if n.cfg.DoubleSpeedGlobal {
 		g := n.global()
 		g.late = true
-		g.compute(now)
+		g.compute()
 		moved += g.commit(now)
 		g.late = false
 		if len(n.rings) == 1 {

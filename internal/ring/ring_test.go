@@ -3,8 +3,8 @@ package ring
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
-	"ringmesh/internal/fault"
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/rng"
@@ -43,7 +43,6 @@ type harness struct {
 	engine *sim.Engine
 	net    *Network
 	pms    []*fakePM
-	faults *fault.Schedule
 }
 
 func newHarness(t *testing.T, cfg Config) *harness {
@@ -63,19 +62,9 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	return &harness{engine: engine, net: net, pms: pms}
 }
 
-// applyFaults schedules p over the network's fault targets; run steps
-// it before every tick, as the assembly layer does.
-func (h *harness) applyFaults(p *fault.Plan) (err error) {
-	h.faults, err = fault.NewSchedule(p, h.net.FaultTargets())
-	return err
-}
-
 func (h *harness) run(t *testing.T, ticks int) {
 	t.Helper()
 	for i := 0; i < ticks; i++ {
-		if h.faults != nil {
-			h.faults.Step(h.engine.Now())
-		}
 		h.engine.Step()
 		if err := h.net.CheckInvariants(); err != nil {
 			t.Fatal(err)
@@ -535,5 +524,15 @@ func TestCheckInvariantsCatchesSkippedWork(t *testing.T) {
 	h.run(t, 100)
 	if len(h.pms[7].delivered) != 1 {
 		t.Fatalf("delivered %d packets, want 1", len(h.pms[7].delivered))
+	}
+}
+
+// The station's state must stay small: a tick visits every busy
+// station. Growing it past the bound is a decision to make in the open,
+// with a ledger row that shows it pays.
+func TestStationFootprint(t *testing.T) {
+	const bound = 448
+	if got := unsafe.Sizeof(station{}); got > bound {
+		t.Fatalf("station is %d bytes, bound %d", got, bound)
 	}
 }

@@ -40,7 +40,6 @@ package ring
 import (
 	"fmt"
 
-	"ringmesh/internal/fault"
 	"ringmesh/internal/metrics"
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
@@ -145,10 +144,6 @@ type sstation struct {
 	// inject is the priority-ordered list of outgoing packet queues
 	// (responses before requests).
 	inject []*spktQueue
-
-	// flt is the station's fault gate (port 0, its ring attachment);
-	// nil (the common case) costs one pointer check per slot step.
-	flt *fault.Gates
 
 	// util counts the steps the station's slot carried a packet
 	// against its ring's step clock (sring.steps).
@@ -398,15 +393,6 @@ func (n *SlottedNetwork) stepRing(r *sring, now int64) (moved int) {
 	r.steps++
 	for i, st := range r.stations {
 		slot := r.slotAt(i)
-		if st.flt != nil && st.flt[0].Blocked(now/n.sub, r.steps-1) {
-			// The station's ring attachment is faulted: it neither
-			// extracts nor injects; an occupied slot rides past (the
-			// slotted ring's natural NACK behaviour).
-			if slot.pkt != nil {
-				st.util.Busy(1)
-			}
-			continue
-		}
 		busy := slot.pkt != nil
 		injected := false
 		if slot.pkt != nil && n.processOccupied(r, st, slot, now) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ringmesh/internal/fault"
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/rng"
@@ -19,7 +18,6 @@ type slottedHarness struct {
 	engine *sim.Engine
 	net    *SlottedNetwork
 	pms    []*fakePM
-	faults *fault.Schedule
 }
 
 func newSlottedHarness(t *testing.T, cfg Config) *slottedHarness {
@@ -39,18 +37,9 @@ func newSlottedHarness(t *testing.T, cfg Config) *slottedHarness {
 	return &slottedHarness{engine: engine, net: net, pms: pms}
 }
 
-// applyFaults is harness.applyFaults for the slotted network.
-func (h *slottedHarness) applyFaults(p *fault.Plan) (err error) {
-	h.faults, err = fault.NewSchedule(p, h.net.FaultTargets())
-	return err
-}
-
 func (h *slottedHarness) run(t *testing.T, ticks int) {
 	t.Helper()
 	for i := 0; i < ticks; i++ {
-		if h.faults != nil {
-			h.faults.Step(h.engine.Now())
-		}
 		h.engine.Step()
 		if err := h.net.CheckInvariants(); err != nil {
 			t.Fatal(err)

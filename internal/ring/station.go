@@ -56,7 +56,6 @@ package ring
 import (
 	"fmt"
 
-	"ringmesh/internal/fault"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/stats"
 	"ringmesh/internal/trace"
@@ -155,10 +154,10 @@ func (r *ringInst) begin() {
 
 // compute stages this cycle's transfer at every station of the ring
 // (all stations of a ring share its clock).
-func (r *ringInst) compute(now int64) {
+func (r *ringInst) compute() {
 	r.begin()
 	for _, st := range r.stations {
-		st.compute(now)
+		st.compute()
 	}
 }
 
@@ -205,10 +204,6 @@ type station struct {
 	lastVC    uint8
 	stagedF   packet.Flit
 	stagedSrc *packet.FIFO // nil means the channel's transit buffer
-
-	// flt is the station's fault gate (port 0, its output link); nil
-	// (the common case) costs one pointer check per compute.
-	flt *fault.Gates
 
 	// busyWord and busyBit locate the station's bit in its network's
 	// busy set (Network.busy), which every push into its queues sets.
@@ -348,11 +343,7 @@ func (s *station) candidate(v int) (packet.Flit, *packet.FIFO, bool) {
 // stall, which that decision settles. It reports whether the station
 // was found idle, holding no flit. Nothing is staged on entry: every
 // staged station commits in the same tick.
-func (s *station) compute(now int64) (idle bool) {
-	if s.flt != nil && s.flt[0].Blocked(now, s.ring.cycles-1) {
-		s.countStall() // output link faulted: nothing crosses this cycle
-		return false
-	}
+func (s *station) compute() (idle bool) {
 	if s.idle() {
 		return true // nothing queued, so no stall either
 	}

@@ -401,28 +401,29 @@ func TestHostileGeometryIs400(t *testing.T) {
 	}
 }
 
-// TestHostileFaultPlanIs400: a fault plan that could never be
-// materialized — a generator whose durations overflow int64, or one
-// asking for a trillion events — is a configuration error at
-// submission. It used to be answered 202 and then panic or exhaust
-// memory in the worker, taking the daemon down.
+// TestHostileFaultPlanIs400: the daemon has no fault plans, so a
+// request that names one — a run, a sweep or a batch entry — is a 400
+// naming the field, never a fault-free run under the client's job ID,
+// and the daemon stays healthy.
 func TestHostileFaultPlanIs400(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	client := &http.Client{Timeout: time.Second}
-	for plan, why := range map[string]string{
-		"rand:events=1,seed=1,horizon=10,mean-dur=4611686018427387904": "mean-dur",
-		"rand:events=1000000000000,seed=1,horizon=10":                  "events",
+	const cfg = `{"network":"ring","topology":"2:4","line_bytes":32,"fault_plan":"stutter@600+2000:node=0",` +
+		`"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7}}`
+	const opt = `{"warmup_cycles":100,"batch_cycles":100,"batches":2}`
+	for path, body := range map[string]string{
+		"/v1/runs":   `{"config":` + cfg + `,"options":` + opt + `}`,
+		"/v1/sweeps": `{"config":` + cfg + `,"sizes":[4,8],"options":` + opt + `}`,
+		"/v1/batch":  `{"runs":[{"config":` + cfg + `,"options":` + opt + `}]}`,
 	} {
-		body := `{"config":{"network":"ring","topology":"2:4","line_bytes":32,"fault_plan":"` + plan +
-			`","workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7}},"options":{"warmup_cycles":100,"batch_cycles":100,"batches":2}}`
-		resp, err := client.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		resp, err := client.Post(ts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
-			t.Fatalf("%s: %v", plan, err)
+			t.Fatalf("%s: %v", path, err)
 		}
 		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), why) {
-			t.Errorf("%s: POST = %d: %s", plan, resp.StatusCode, raw)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), `unknown field \"fault_plan\"`) {
+			t.Errorf("%s: POST = %d: %s", path, resp.StatusCode, raw)
 		}
 	}
 	resp, err := client.Get(ts.URL + "/healthz")

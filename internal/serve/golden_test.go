@@ -96,19 +96,18 @@ func submitFinal(t *testing.T, base, path string, body any) []byte {
 	return nil
 }
 
-// stallConfig wedges at 8 PMs and completes at 4 and 12: without
-// virtual channels a dead link at full load deadlocks the single
-// 8-station ring (the watchdog horizon outlasts the fault, so the
-// stall is the ring's, not the link's).
+// stallConfig wedges at 72 PMs and completes at 4 and 12: without
+// virtual channels the paper's 3:3:8 hierarchy at full load closes a
+// wait-for cycle of IRI queues about 190 cycles in, while the smaller
+// rings run out the schedule.
 func stallConfig() ringmesh.Config {
 	return ringmesh.Config{
 		Network:    "ring",
-		Nodes:      8,
+		Nodes:      72,
 		LineBytes:  32,
 		Workload:   ringmesh.Workload{R: 1, C: 1, T: 16, ReadProb: 0.7},
-		Seed:       1,
+		Seed:       5,
 		UnsafeNoVC: true,
-		FaultPlan:  "stutter@1000+2500:node=0",
 	}
 }
 
@@ -169,7 +168,7 @@ func TestLocalSweepDegradesOnFailedPoint(t *testing.T) {
 	cfg := stallConfig()
 	cfg.Nodes = 0
 	raw := submitFinal(t, ts.URL, "/v1/sweeps",
-		sweepRequest{Config: cfg, Sizes: []int{12, 8, 4}, Options: stallOptions()})
+		sweepRequest{Config: cfg, Sizes: []int{12, 72, 4}, Options: stallOptions()})
 	var v JobView
 	mustUnmarshal(t, raw, &v)
 	if v.State != JobDone || !v.Degraded {
@@ -178,8 +177,8 @@ func TestLocalSweepDegradesOnFailedPoint(t *testing.T) {
 	if len(v.Points) != 2 || v.Points[0].Nodes != 4 || v.Points[1].Nodes != 12 {
 		t.Fatalf("points = %+v; want sizes 4 and 12", v.Points)
 	}
-	if len(v.PointErrors) != 1 || v.PointErrors[0].Nodes != 8 {
-		t.Fatalf("point_errors = %+v; want exactly size 8", v.PointErrors)
+	if len(v.PointErrors) != 1 || v.PointErrors[0].Nodes != 72 {
+		t.Fatalf("point_errors = %+v; want exactly size 72", v.PointErrors)
 	}
 	if pe := v.PointErrors[0].Error; pe.Kind != "stall" || pe.Status != http.StatusUnprocessableEntity || pe.Stall == nil {
 		t.Fatalf("point error = %+v; want a stall with its diagnosis", pe)
@@ -198,7 +197,7 @@ func TestSweepDegradedPointsMatchSingleRuns(t *testing.T) {
 	cfg.Nodes = 0
 	var v JobView
 	mustUnmarshal(t, submitFinal(t, ts.URL, "/v1/sweeps",
-		sweepRequest{Config: cfg, Sizes: []int{4, 8, 12}, Options: stallOptions()}), &v)
+		sweepRequest{Config: cfg, Sizes: []int{4, 72, 12}, Options: stallOptions()}), &v)
 	if v.State != JobDone || !v.Degraded || len(v.Points) != 2 || len(v.PointErrors) != 1 {
 		t.Fatalf("state=%s degraded=%v points=%d point_errors=%d; want done, degraded, 2 points and 1 point error",
 			v.State, v.Degraded, len(v.Points), len(v.PointErrors))
@@ -233,7 +232,7 @@ func TestSweepAllPointsFailed(t *testing.T) {
 	cfg.Nodes = 0
 	var v JobView
 	mustUnmarshal(t, submitFinal(t, ts.URL, "/v1/sweeps",
-		sweepRequest{Config: cfg, Sizes: []int{8}, Options: stallOptions()}), &v)
+		sweepRequest{Config: cfg, Sizes: []int{72}, Options: stallOptions()}), &v)
 	if v.State != JobFailed || v.Degraded || len(v.Points) != 0 || len(v.PointErrors) != 1 {
 		t.Fatalf("state=%s degraded=%v points=%d point_errors=%d; want failed with one point error",
 			v.State, v.Degraded, len(v.Points), len(v.PointErrors))
@@ -241,8 +240,8 @@ func TestSweepAllPointsFailed(t *testing.T) {
 	if v.Error == nil || v.Error.Kind != "stall" || v.Error.Status != http.StatusUnprocessableEntity {
 		t.Fatalf("job error = %+v; want the point's stall", v.Error)
 	}
-	if pe := v.PointErrors[0]; pe.Nodes != 8 || pe.Error == nil || pe.Error.Kind != "stall" {
-		t.Fatalf("point error = %+v; want size 8 classified as a stall", pe)
+	if pe := v.PointErrors[0]; pe.Nodes != 72 || pe.Error == nil || pe.Error.Kind != "stall" {
+		t.Fatalf("point error = %+v; want size 72 classified as a stall", pe)
 	}
 }
 
@@ -254,7 +253,7 @@ func TestWireGoldenSweepFailed(t *testing.T) {
 	cfg := stallConfig()
 	cfg.Nodes = 0
 	checkGolden(t, s, "sweep-failed", submitFinal(t, ts.URL, "/v1/sweeps",
-		sweepRequest{Config: cfg, Sizes: []int{8}, Options: stallOptions()}))
+		sweepRequest{Config: cfg, Sizes: []int{72}, Options: stallOptions()}))
 }
 
 // TestWireGoldenBatch pins the batch job document in each terminal
@@ -350,8 +349,8 @@ func TestJournalGoldenAcceptedLines(t *testing.T) {
 }
 
 // TestJournalGoldenLinesReplay feeds the accepted lines an earlier
-// binary wrote (the golden was recorded before the point-list job)
-// through replay's decoder and expand: a journal from before an
+// binary wrote (the run and sweep lines were recorded before the
+// point-list job) through replay's decoder and expand: a journal from before an
 // upgrade must rebuild the same jobs after it.
 func TestJournalGoldenLinesReplay(t *testing.T) {
 	wal, err := os.ReadFile(filepath.Join("testdata", "journal-accepted.golden"))
@@ -401,6 +400,67 @@ func TestJournalGoldenLinesReplay(t *testing.T) {
 			t.Errorf("replayed run keyed %s; want the submission's key %s", j.points[0].key, runKey)
 		}
 	}
+}
+
+// TestJournalFaultPlanRecordQuarantined: journal-fault-plan.wal is a
+// batch record an older daemon wrote for a request with a fault plan,
+// copied byte for byte from the accepted-lines golden of its day. This
+// daemon has no fault plans, and running the rest of the record would
+// answer the client's job ID with a fault-free result: a wrong answer.
+// So replay quarantines the line as it stands and never runs it, while
+// the fault-free records around it decode, re-encode to their own bytes
+// and replay as before.
+func TestJournalFaultPlanRecordQuarantined(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "journal-fault-plan.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeRecord(bytes.TrimSuffix(old, []byte("\n"))); err == nil || !strings.Contains(err.Error(), "fault_plan") {
+		t.Fatalf("decoding the old fault-plan record: err = %v; want one naming fault_plan", err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "journal-accepted.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.SplitAfter(golden, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		rec, err := decodeRecord(bytes.TrimSuffix(line, []byte("\n")))
+		if err != nil {
+			t.Fatalf("golden line %q: %v", line, err)
+		}
+		if got, err := encodeRecord(rec); err != nil || !bytes.Equal(got, line) {
+			t.Fatalf("golden line re-encodes to %q (%v); want its own bytes %q", got, err, line)
+		}
+	}
+
+	parent, err := os.ReadFile(filepath.Join("testdata", "parent-journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journalFile), append(old, parent...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Options{Workers: 1, JournalDir: dir})
+	if _, ok := s.lookup("j000003"); ok {
+		t.Fatal("the fault-plan record was replayed as a job")
+	}
+	if _, ok := s.lookup("j000002"); !ok {
+		t.Fatal("parent journal's unfinished j000002 not replayed under its ID")
+	}
+	kept, err := os.ReadFile(filepath.Join(dir, quarantineDir, "line-000001.rec"))
+	if err != nil || !bytes.Equal(kept, old) {
+		t.Fatalf("quarantined line = %q (%v); want the record's bytes", kept, err)
+	}
+	if !strings.Contains(getMetrics(t, ts.URL), "ringmeshd_journal_quarantined_total 1") {
+		t.Error("metrics do not count the quarantined record")
+	}
+	// The replayed parent run is long: cancel it rather than wait it out.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = s.Drain(ctx)
 }
 
 // TestParentFixturesLoad pins the bytes on disk across the move to one

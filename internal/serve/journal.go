@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -74,15 +76,23 @@ func encodeRecord(rec journalRecord) ([]byte, error) {
 // decodeRecord parses one journal line (without trailing newline),
 // verifying version, length and checksum before trusting a byte of
 // JSON. It must reject arbitrary corruption with an error — never
-// panic — and is fuzzed to hold that contract.
+// panic — and is fuzzed to hold that contract. The payload decodes
+// strictly, as a request does: a record naming a field this daemon
+// lacks (an older daemon's fault plan) asked for something it can no
+// longer run, so replay quarantines it instead of running the rest.
 func decodeRecord(line []byte) (journalRecord, error) {
 	var rec journalRecord
 	payload, err := openFrame(line, journalVersion, ' ')
 	if err != nil {
 		return rec, err
 	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rec); err != nil {
 		return rec, fmt.Errorf("payload decode: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return rec, fmt.Errorf("payload decode: data after the record")
 	}
 	if rec.Op == "" || rec.ID == "" {
 		return rec, fmt.Errorf("record missing op or id")

@@ -296,9 +296,7 @@ func TestSubmissionValidation(t *testing.T) {
 // a 200 with an empty body.
 func TestUnencodableJobDocumentIs500(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
-	cfg := ringmesh.Config{Network: "ring", Topology: "2:4", LineBytes: 32,
-		Workload: ringmesh.Workload{R: 1, C: 1, T: 16, ReadProb: 0.7}, Seed: 1,
-		FaultPlan: "stutter@600+1000000:node=0"}
+	cfg := stallConfig()
 	opt := &ringmesh.RunOptions{WarmupCycles: 500, BatchCycles: 100_000, Batches: 2, WatchdogCycles: 2000}
 	resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: cfg, Options: opt})
 	if resp.StatusCode != http.StatusAccepted {

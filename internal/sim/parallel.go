@@ -16,7 +16,7 @@
 // changes what any component observed, and the end-of-tick state is
 // bit-identical to the serial schedule.
 //
-// All order-sensitive work — fault injection, statistics that use
+// All order-sensitive work — shared clocks, statistics that use
 // order-dependent floating-point accumulation, the progress watchdog,
 // the per-cycle hook — runs in serial sections on worker 0 (the
 // Prologue before Compute and the engine epilogue after the second
@@ -79,8 +79,8 @@ type Partition struct {
 	// order, which is sound exactly because shards share no buffers.
 	Shards []PartitionShard
 	// Prologue, when non-nil, runs serially on worker 0 before each
-	// tick's Compute phase (fault injection steps here: the fault
-	// driver is a serial cursor walk the shards must not race on).
+	// tick's Compute phase (the mesh advances its shared link clock
+	// here, which the shards must not race on).
 	Prologue func(now int64)
 }
 
@@ -168,7 +168,7 @@ func (e *Engine) shardRange(w int) (lo, hi int) {
 // gang. The whole tick loop runs inside one gang dispatch; per tick
 // the workers cross four barriers:
 //
-//	worker 0: prologue (fault step) — or raise stop
+//	worker 0: prologue — or raise stop
 //	barrier   ── all: Compute own shards
 //	barrier   ── all: CommitPhase 0 own shards
 //	barrier   ── all: CommitPhase 1 own shards

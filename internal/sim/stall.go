@@ -5,14 +5,14 @@ package sim
 // without a flit moving. The Diagnose hook lets the network model
 // contribute a structured snapshot — buffer occupancy, a wait-for
 // graph over blocked senders with cycle detection, the oldest stuck
-// packets, any active injected faults — which Run wraps into the
+// packets — which Run wraps into the
 // returned StallError. errors.Is(err, ErrStalled) keeps working
 // through Unwrap, so existing stall handling is unchanged.
 //
 // The rules every model shares live here: a model's builder opens a
 // report with NewStallReport, names what only it knows (non-empty
-// buffers, blocked senders, where each stuck packet sits, its active
-// faults) and ends with Finish, which finds the wait-for cycles and
+// buffers, blocked senders, where each stuck packet sits) and ends
+// with Finish, which finds the wait-for cycles and
 // keeps the oldest packets.
 
 import (
@@ -33,12 +33,11 @@ type BufferStat struct {
 }
 
 // WaitEdge is one blocked dependency: From cannot make progress until
-// To does. A self-edge (From == To) marks an externally imposed block
-// such as a faulted link.
+// To does.
 type WaitEdge struct {
 	From, To string
 	// Why states the blocking condition ("transit buffer full",
-	// "exit queue full", "output link faulted", ...).
+	// "IRI transfer queue full", ...).
 	Why string
 }
 
@@ -64,14 +63,11 @@ type StallReport struct {
 	Buffers []BufferStat
 	// WaitFor is the blocked-dependency graph among named nodes.
 	WaitFor []WaitEdge
-	// Cycles are the wait-for cycles found in WaitFor (each a node
-	// sequence; a one-element cycle is a self-block such as a faulted
-	// link). A true routing deadlock shows at least one.
+	// Cycles are the wait-for cycles found in WaitFor, each a node
+	// sequence. A true routing deadlock shows at least one.
 	Cycles [][]string
 	// Oldest lists the longest-stuck packets, oldest first.
 	Oldest []StuckPacket
-	// ActiveFaults describes injected faults active at stall time.
-	ActiveFaults []string
 
 	// now and seen serve the builder: the stall time packet ages are
 	// taken from, and the packets already noted. Finish clears both.
@@ -150,9 +146,6 @@ func (r *StallReport) Summary() string {
 		fmt.Fprintf(&b, "\n  stuck: #%d %s %d->%d, issued %d ticks ago, at %s",
 			p.ID, p.Type, p.Src, p.Dst, p.AgeTicks, p.Where)
 	}
-	for _, f := range r.ActiveFaults {
-		fmt.Fprintf(&b, "\n  fault: %s", f)
-	}
 	return b.String()
 }
 
@@ -168,8 +161,6 @@ type StallDiagnosis struct {
 	// Cycles lists the wait-for cycles found, each as the node names
 	// around the loop; a non-empty list names a deadlock's culprits.
 	Cycles [][]string `json:"cycles,omitempty"`
-	// ActiveFaults describes the injected faults active at the stall.
-	ActiveFaults []string `json:"active_faults,omitempty"`
 	// Summary is a compact human-readable rendering of the full
 	// report (buffers, wait-for edges, oldest stuck packets).
 	Summary string `json:"summary"`
@@ -182,7 +173,7 @@ func (r *StallReport) Diagnosis() *StallDiagnosis {
 		return nil
 	}
 	return &StallDiagnosis{Tick: r.Tick, BufferedFlits: r.BufferedFlits,
-		Cycles: r.Cycles, ActiveFaults: r.ActiveFaults, Summary: r.Summary()}
+		Cycles: r.Cycles, Summary: r.Summary()}
 }
 
 // StallError is the watchdog error carrying the forensic snapshot. It

@@ -48,7 +48,6 @@ import (
 	"io"
 
 	"ringmesh/internal/core"
-	"ringmesh/internal/fault"
 	"ringmesh/internal/fidelity"
 	"ringmesh/internal/metrics"
 	"ringmesh/internal/network"
@@ -138,22 +137,12 @@ type Config struct {
 	// MetricsIntervalCycles and exportable via System.WriteMetricsCSV,
 	// WriteMetricsJSONL and WriteMetricsSnapshot. Disabled (the
 	// default), no registry exists and nothing samples: the models
-	// still keep their plain always-on counts (stalls, turns, applied
-	// fault events), which only a registry reads.
+	// still keep their plain always-on counts (stalls, turns), which
+	// only a registry reads.
 	Metrics bool `json:"metrics,omitempty"`
 	// MetricsIntervalCycles is the sampling period in PM clock cycles
 	// (0 = default 100). Only meaningful with Metrics set.
 	MetricsIntervalCycles int64 `json:"metrics_interval_cycles,omitempty"`
-	// FaultPlan schedules deterministic hardware faults, in the fault
-	// DSL: semicolon-separated events of the form
-	// "kind@start+duration:node=N[,port=P][,factor=F]" with kinds
-	// link-stutter, node-slowdown and port-degrade, or
-	// "rand:events=E,seed=S,horizon=H" for a seeded random plan, or
-	// "none" to enable the subsystem with an empty schedule. Times are
-	// PM cycles; node indices are model-specific (ring: station build
-	// order, mesh: router ids). Empty string disables fault injection
-	// entirely; an empty plan ("none") is bit-identical to disabled.
-	FaultPlan string `json:"fault_plan,omitempty"`
 	// UnsafeNoVC disables the ring model's virtual channels and bubble
 	// flow control (wormhole only), restoring the paper-era hierarchy
 	// deadlock. For forensics demonstrations and ablations — never for
@@ -276,8 +265,8 @@ func (s *System) PacketTimeline(id uint64) []TraceEvent {
 }
 
 // resolved is what every entry point reads of a Config: the one place
-// a configuration becomes a geometry, a validated workload and a
-// parsed fault plan. NewSystem, Estimate, CacheKey and
+// a configuration becomes a geometry and a validated workload.
+// NewSystem, Estimate, CacheKey and
 // CanonicalTopology are each a few lines over it.
 type resolved struct {
 	// fidelity is the normalized answer tier (fidelity.Simulate or
@@ -287,7 +276,7 @@ type resolved struct {
 	plan *network.Plan
 	// sys is the configuration as both tiers read it: network,
 	// validated workload, memory latency with its default filled in,
-	// seed, parsed fault plan. The observation attachments (tracer,
+	// seed. The observation attachments (tracer,
 	// metrics) are NewSystem's to add.
 	sys core.SystemConfig
 }
@@ -313,12 +302,6 @@ func resolve(cfg Config) (resolved, error) {
 	if err := cfg.Workload.Validate(); err != nil {
 		return resolved{}, err
 	}
-	var faults *fault.Plan
-	if cfg.FaultPlan != "" {
-		if faults, err = fault.Parse(cfg.FaultPlan); err != nil {
-			return resolved{}, err
-		}
-	}
 	memLatency := cfg.MemLatencyCycles
 	if memLatency == 0 {
 		memLatency = node.DefaultMemLatency
@@ -330,7 +313,6 @@ func resolve(cfg Config) (resolved, error) {
 		MemLatency: memLatency,
 		Seed:       cfg.Seed,
 		Histogram:  cfg.Histogram,
-		FaultPlan:  faults,
 		Workers:    cfg.Workers,
 		PhaseStats: cfg.PhaseStats,
 	}}, nil
@@ -527,8 +509,8 @@ func Run(cfg Config, opt RunOptions) (Result, error) {
 // (Result.Fidelity) and carries the recorded validation envelope
 // (Result.ErrorBound) when its network family has one. Estimation
 // fails for configurations outside the validated envelope — slotted
-// switching, double-speed global rings, fault plans, open-loop or
-// deterministic workloads — rather than returning an unlabeled guess;
+// switching, double-speed global rings, open-loop or deterministic
+// workloads — rather than returning an unlabeled guess;
 // callers fall back to exact simulation. A configuration naming the
 // exact tier is refused, as NewSystem refuses an analytic one: Run is
 // what chooses between them.

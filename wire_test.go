@@ -38,14 +38,14 @@ func TestResultWireDigests(t *testing.T) {
 			want: "b8764dddeea8188e95f22eec421d964d7c235528c01091c3f0a4f882b7390a7c",
 		},
 		{
-			// The dead link appears after the second batch closed, so
-			// the watchdog trips with a finite CI on record.
+			// The VC-less 72-PM hierarchy deadlocks about 19 350 cycles
+			// in, after the second batch closed, so the watchdog trips
+			// with a finite CI on record.
 			name: "stall-after-two-batches",
-			cfg: Config{Network: "ring", Topology: "2:4", LineBytes: 32,
-				Workload: Workload{R: 1, C: 1, T: 16, ReadProb: 0.7}, Seed: 1,
-				FaultPlan: "stutter@3500+1000000:node=0"},
-			opt:  RunOptions{WarmupCycles: 500, BatchCycles: 1000, Batches: 8, WatchdogCycles: 2000},
-			want: "53d515476f3e94764dc0cee3a08c72b217e91a248845c78620ac2fac72ea8904",
+			cfg: Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
+				Workload: Workload{R: 1, C: 1, T: 2, ReadProb: 0.7}, Seed: 6, UnsafeNoVC: true},
+			opt:  RunOptions{WarmupCycles: 2000, BatchCycles: 8000, Batches: 8, WatchdogCycles: 2000},
+			want: "5c0f16d8b34b5aa7810e4af50c03c49e631e6a59ae3b309f2582a17ef5cdb8ed",
 		},
 	}
 	for _, tc := range cases {
