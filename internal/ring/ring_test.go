@@ -20,6 +20,7 @@ type fakePM struct {
 	pendResp  []*packet.Packet
 	delivered []*packet.Packet
 	deliverAt []int64
+	lateAt    []bool
 }
 
 func (f *fakePM) TakeResponse() (*packet.Packet, bool) { return take(&f.pendResp) }
@@ -33,9 +34,10 @@ func take(q *[]*packet.Packet) (*packet.Packet, bool) {
 	return p, true
 }
 func (f *fakePM) HasPending() bool { return len(f.pendResp)+len(f.pendReq) > 0 }
-func (f *fakePM) Deliver(p *packet.Packet, now int64, _ bool) {
+func (f *fakePM) Deliver(p *packet.Packet, now int64, late bool) {
 	f.delivered = append(f.delivered, p)
 	f.deliverAt = append(f.deliverAt, now)
+	f.lateAt = append(f.lateAt, late)
 }
 
 // harness builds a network over fake PMs.
