@@ -205,6 +205,34 @@ func BenchmarkMeshSimOp(b *testing.B) {
 		RunOptions{WarmupCycles: 500, BatchCycles: 500, Batches: 3})
 }
 
+// BenchmarkPaperFigsRound is one round of the repository benchmark's
+// paper-figs workload (bench/figload.go): fig11, fig16 and fig19 at a
+// 250-cycle warmup plus three 250-cycle batches per point, two point
+// workers, the serial engine and seed 42. Two `go test -c` binaries
+// A/B a change to the figure path in seconds: -bench 'PaperFigsRound$'
+// -benchtime 1x -count 10.
+func BenchmarkPaperFigsRound(b *testing.B) {
+	spec := exp.DefaultSpec()
+	spec.Seed = 42
+	spec.Run.WarmupCycles, spec.Run.BatchCycles, spec.Run.Batches = 250, 250, 3
+	spec.Workers, spec.EngineWorkers = 2, 1
+	var exps []exp.Experiment
+	for _, id := range []string{"fig11", "fig16", "fig19"} {
+		e, ok := exp.ByID(id)
+		if !ok {
+			b.Fatalf("experiment %s not registered", id)
+		}
+		exps = append(exps, e)
+	}
+	for i := 0; i < b.N; i++ {
+		for _, e := range exps {
+			if _, err := e.Run(spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // --- engine micro-benchmarks -------------------------------------------
 
 // benchComp is a minimal component whose work per phase is a single

@@ -5,14 +5,15 @@ package ring
 // they re-ask each station the same question compute asks every cycle
 // — "what would you send, and would downstream take it?" — and turn
 // every refusal into a wait-for edge. All inspection uses the same
-// pure start-of-cycle predicates the switching logic uses (Peek and
-// space checks), so building a report never mutates model state.
+// pure start-of-cycle predicates the switching logic uses (candidate,
+// accepts and the queue counts), so building a report never mutates
+// model state.
 //
-// Edges point at the agent that must act before the blocked sender
-// can: the downstream station for transit-buffer refusals, and the
-// station that drains the target IRI queue for exit refusals — the
+// Edges point at what must move before the blocked sender can: the
+// downstream transit buffer for transit refusals, and the IRI queue
+// the exit fills (drained by the peer station) for exit refusals — the
 // indirection that lets a hierarchy deadlock appear as a closed cycle
-// of stations in the report.
+// in the report.
 
 import (
 	"fmt"
@@ -21,10 +22,36 @@ import (
 	"ringmesh/internal/sim"
 )
 
+// queueNames names a station's queues in wait-for edges.
+var queueNames = [numQueues]string{"vc0", "vc1", "rsp", "req"}
+
 // BuildStallReport implements network.Model for the wormhole
-// network.
+// network. With the virtual channels on, a wait edge runs between
+// queues, not stations: a transit buffer is "<station>.vc<v>", an
+// injection queue "<station>.rsp" or "<station>.req", and each edge
+// leaves the queue holding the blocked flit for the queue it must
+// enter (or, for a worm stalled on a bubble, the queue upstream that
+// holds the rest of it). A station mixes both channels and its
+// injection queues, so edges between stations would close cycles the
+// channels' acyclic waits-for chain (package comment) never has. With
+// them off (Config.UnsafeNoVC) every packet shares one channel and the
+// edges stay between stations.
 func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 	rep := sim.NewStallReport(now, n.BufferedFlits())
+	node := func(s *station, q int) string {
+		if n.cfg.UnsafeNoVC {
+			return s.name
+		}
+		return s.name + "." + queueNames[q]
+	}
+	// feed is the queue s sends channel v's flits from: the locked
+	// worm's source, else the transit buffer.
+	feed := func(s *station, v int) int {
+		if s.locked&(1<<v) != 0 {
+			return int(s.txQ[v])
+		}
+		return v
+	}
 
 	pred := map[*station]*station{}
 	for i := range n.stations {
@@ -35,44 +62,49 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 		st := &n.stations[i]
 		rep.Buffer(st.name, st.bufferedFlits(), numVCs*n.clFlits)
 		for v := 0; v < numVCs; v++ {
-			st.vcs[v].buf.EachPacket(func(p *packet.Packet) { rep.Stuck(p, st.name) })
-			f, src, ok := st.candidate(v)
-			if !ok {
+			n.eachPacket(st, v, func(p *packet.Packet) { rep.Stuck(p, st.name) })
+			q, d := st.candidate(v)
+			if d == 0 {
 				// A committed worm whose next flit has not arrived
 				// waits on whoever feeds its source queue: the upstream
 				// station, or — locked on an IRI queue — the peer whose
-				// exit fills it (a NIC's registers hold whole packets).
-				if vc := &st.vcs[v]; vc.txPkt != nil {
-					from, why := pred[st], "committed to a worm whose flits are still upstream"
-					if vc.txSrc != nil {
+				// exit fills it from its own upstream (a NIC's
+				// registers hold whole packets).
+				if st.locked&(1<<v) != 0 {
+					src := int(st.txQ[v])
+					from, w, why := pred[st], v, "committed to a worm whose flits are still upstream"
+					if src >= numVCs {
 						from, why = st.peer, "committed to a worm still crossing the IRI queue"
+						for u := 0; u < numVCs && !n.cfg.UnsafeNoVC; u++ {
+							if st.peer.inPkt[u] == st.txPkt[v] {
+								from, w = pred[st.peer], u
+							}
+						}
 					}
 					if from != nil {
-						rep.Wait(st.name, from.name, why)
+						rep.Wait(node(st, src), node(from, feed(from, w)), why)
 					}
 				}
 				continue
 			}
-			if _, accepted := st.downstream.accepts(f, v, src != nil); accepted {
+			if _, accepted := st.downstream.accepts(d, v, q >= numVCs); accepted {
 				continue // this flit can move next cycle; not blocked
 			}
-			d := st.downstream
-			exiting := false
-			if f.Head() {
-				exiting = d.exits(f.Pkt.Dst)
-			} else {
-				exiting = d.vcs[v].inPkt == f.Pkt && d.vcs[v].inRoute == routeExit
+			dn := st.downstream
+			exiting := d&decExit != 0
+			if d&decHead == 0 {
+				exiting = dn.inRoute[v] == routeExit
 			}
-			to, why := d, fmt.Sprintf("vc%d transit buffer full", v)
+			to, why := node(dn, v), fmt.Sprintf("vc%d transit buffer full", v)
 			if exiting {
 				// The peer drains the queue this exit fills.
-				if d.peer != nil {
-					to, why = d.peer, "IRI transfer queue full"
+				if dn.peer != nil {
+					to, why = node(dn.peer, exitQueue(d)), "IRI transfer queue full"
 				}
-			} else if src != nil && d.vcs[v].buf.Space() >= 1 {
+			} else if q >= numVCs && dn.qn[v] < dn.qcap[v] {
 				why = fmt.Sprintf("bubble rule: vc%d transit path full ring-wide", v)
 			}
-			rep.Wait(st.name, to.name, why)
+			rep.Wait(node(st, q), to, why)
 		}
 	}
 
@@ -81,15 +113,15 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 	// ("iri[lo,hi).up" drains the up buffers).
 	for id := range n.nics {
 		st := n.nics[id].st
-		for q := range st.inject {
-			st.inject[q].EachPacket(func(p *packet.Packet) { rep.Stuck(p, st.name+".out") })
+		for q := qResp; q <= qReq; q++ {
+			n.eachPacket(st, q, func(p *packet.Packet) { rep.Stuck(p, st.name+".out") })
 		}
 	}
 	for _, upper := range n.iris {
 		for _, st := range [...]*station{upper, upper.peer} {
-			rep.Buffer(st.name, st.queuedFlits(), st.inject[qResp].Cap()+st.inject[qReq].Cap())
-			for q := range st.inject {
-				st.inject[q].EachPacket(func(p *packet.Packet) { rep.Stuck(p, st.name) })
+			rep.Buffer(st.name, st.queuedFlits(), int(st.qcap[qResp]+st.qcap[qReq]))
+			for q := qResp; q <= qReq; q++ {
+				n.eachPacket(st, q, func(p *packet.Packet) { rep.Stuck(p, st.name) })
 			}
 		}
 	}

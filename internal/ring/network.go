@@ -8,6 +8,7 @@ import (
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/sim"
+	"ringmesh/internal/stats"
 	"ringmesh/internal/topo"
 	"ringmesh/internal/trace"
 )
@@ -26,8 +27,8 @@ type Config struct {
 	// its commit.
 	DoubleSpeedGlobal bool
 	// IRIQueueFlits overrides the capacity of the IRI up/down queues
-	// (per class) in flits; 0 means cl, the paper's value. Wormhole
-	// switching only.
+	// (per class) in flits; 0 means cl, the paper's value; at most
+	// MaxIRIQueueFlits. Wormhole switching only.
 	IRIQueueFlits int
 	// Switching selects the switching technique: Wormhole (the
 	// paper's model, default) or Slotted (the Hector/NUMAchine
@@ -42,6 +43,12 @@ type Config struct {
 	// Never set it in measurement runs.
 	UnsafeNoVC bool
 }
+
+// MaxIRIQueueFlits caps the IRI queue depth. The paper's queues hold
+// one cache-line packet, at most 9 flits; New allocates every queue's
+// storage up front, so an unbounded depth would let one request ask for
+// gigabytes.
+const MaxIRIQueueFlits = 256
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
@@ -65,8 +72,8 @@ func (c Config) Validate() error {
 	if c.Switching != Wormhole && c.Switching != Slotted {
 		return fmt.Errorf("ring: unknown switching technique %d", c.Switching)
 	}
-	if c.IRIQueueFlits < 0 {
-		return fmt.Errorf("ring: IRIQueueFlits = %d", c.IRIQueueFlits)
+	if c.IRIQueueFlits < 0 || c.IRIQueueFlits > MaxIRIQueueFlits {
+		return fmt.Errorf("ring: IRIQueueFlits = %d (want 0 for cl, or up to %d)", c.IRIQueueFlits, MaxIRIQueueFlits)
 	}
 	if cl := packet.RingSizing.CacheLineFlits(c.LineBytes); c.IRIQueueFlits > 0 && c.IRIQueueFlits < cl {
 		return fmt.Errorf("ring: IRIQueueFlits = %d holds less than one %dB cache-line packet (%d flits); a worm crossing the IRI would wedge forever",
@@ -87,31 +94,25 @@ type nic struct {
 	pm node.Port
 }
 
-// refill moves whole pending packets from the PM into empty NIC
+// refill moves whole pending packets from c's PM into its empty
 // output registers (commit phase; the PM pending lists are written
 // only by the PM's own commit, which runs earlier in the tick — see
 // the registration order in internal/core), waking the station. A
 // register holds one cache line's flits, the longest packet, so a
 // taken packet always fits.
-func (n *nic) refill() {
-	resp, req := &n.st.inject[qResp], &n.st.inject[qReq]
-	if !(resp.Empty() || req.Empty()) || !n.pm.HasPending() {
+func (n *Network) refillNIC(c *nic) {
+	st := c.st
+	if st.qn[qResp] != 0 && st.qn[qReq] != 0 || !c.pm.HasPending() {
 		return
 	}
-	if resp.Empty() {
-		if p, ok := n.pm.TakeResponse(); ok {
-			for i := 0; i < p.Flits; i++ {
-				resp.Push(packet.Flit{Pkt: p, Index: i})
-			}
-			n.st.wake()
+	if st.qn[qResp] == 0 {
+		if p, ok := c.pm.TakeResponse(); ok {
+			n.inject(st, qResp, p)
 		}
 	}
-	if req.Empty() {
-		if p, ok := n.pm.TakeRequest(); ok {
-			for i := 0; i < p.Flits; i++ {
-				req.Push(packet.Flit{Pkt: p, Index: i})
-			}
-			n.st.wake()
+	if st.qn[qReq] == 0 {
+		if p, ok := c.pm.TakeRequest(); ok {
+			n.inject(st, qReq, p)
 		}
 	}
 }
@@ -123,6 +124,15 @@ type Network struct {
 	// stations holds every station by value in build order — the
 	// deterministic DFS order the tick and the delivery order follow.
 	stations []station
+	// slab is every station's queue storage, station by station in
+	// build order, each station's four windows in queue order (see
+	// station.window). A slot that holds no flit is zero.
+	slab []flit
+	// util[i] counts the flits station i sends on its output link
+	// against its ring's clock (ringInst.cycles). It is kept off the
+	// stations, whose first lines the tick reads every cycle; Links
+	// lists the counters by ring level.
+	util []stats.Utilization
 	// busy and staged are bitsets over the station slab: bit i of busy
 	// is set while station i may hold a flit (every push into its
 	// queues sets it; the compute that finds it idle clears it), bit i
@@ -177,10 +187,14 @@ func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 	}
 	numStations := len(pms) + 2*numIRIs
 	words := (numStations + 63) / 64
+	cl := packet.RingSizing.CacheLineFlits(cfg.LineBytes)
+	slots := len(pms)*(numVCs+numInject)*cl + 2*numIRIs*(numVCs*cl+numInject*cfg.iriQueueFlits())
 	n := &Network{
 		cfg:      cfg,
-		clFlits:  packet.RingSizing.CacheLineFlits(cfg.LineBytes),
+		clFlits:  cl,
 		stations: make([]station, 0, numStations),
+		slab:     make([]flit, 0, slots),
+		util:     make([]stats.Utilization, numStations),
 		busy:     make([]uint64, words),
 		staged:   make([]uint64, words),
 		nics:     make([]nic, len(pms)),
@@ -191,17 +205,35 @@ func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 	return n, nil
 }
 
-// addStation appends a station to the preallocated slab (stations
-// point at each other, so the slab must never grow) and returns it.
-func (n *Network) addStation(name string, level, injectFlits int) *station {
-	if len(n.stations) == cap(n.stations) {
-		panic("ring: station slab undersized")
+// iriQueueFlits resolves the configured IRI queue depth (0 → cl).
+func (c Config) iriQueueFlits() int {
+	if c.IRIQueueFlits == 0 {
+		return packet.RingSizing.CacheLineFlits(c.LineBytes)
 	}
-	i := len(n.stations)
-	n.stations = n.stations[:i+1]
+	return c.IRIQueueFlits
+}
+
+// addStation appends a station to the preallocated station slab
+// (stations point at each other, so it must never grow), gives it
+// transit buffers of one cache-line packet each and injection queues
+// of injectFlits in the flit slab, and returns it.
+func (n *Network) addStation(name string, level, injectFlits int) *station {
+	i, base := len(n.stations), len(n.slab)
+	size := numVCs*n.clFlits + numInject*injectFlits
+	if i == cap(n.stations) || base+size > cap(n.slab) {
+		panic("ring: station or flit slab undersized")
+	}
+	n.stations, n.slab = n.stations[:i+1], n.slab[:base+size]
 	st := &n.stations[i]
-	st.init(name, level, n.clFlits, injectFlits)
-	st.busyWord, st.busyBit = &n.busy[i/64], 1<<(i%64)
+	st.name, st.level = name, level
+	for q := range st.qcap {
+		st.qoff[q], st.qcap[q] = int32(base), uint16(n.clFlits)
+		if q >= numVCs {
+			st.qcap[q] = uint16(injectFlits)
+		}
+		base += int(st.qcap[q])
+	}
+	st.id, st.busyWord, st.busyBit = int32(i), &n.busy[i/64], 1<<(i%64)
 	return st
 }
 
@@ -218,10 +250,7 @@ func (n *Network) buildRing(level, base int, pms []node.Port, parentUpper *stati
 		hi:         base + spec.SubtreeSize(level),
 		unsafeNoVC: n.cfg.UnsafeNoVC,
 	}
-	iriQ := n.cfg.IRIQueueFlits
-	if iriQ == 0 {
-		iriQ = n.clFlits
-	}
+	iriQ := n.cfg.iriQueueFlits()
 
 	if level == spec.NumLevels()-1 {
 		// Leaf ring: one NIC per PM.
@@ -261,7 +290,7 @@ func (n *Network) buildRing(level, base int, pms []node.Port, parentUpper *stati
 	for i, st := range inst.stations {
 		st.downstream = inst.stations[(i+1)%len(inst.stations)]
 		st.ring = inst
-		st.util.Bind(&inst.cycles)
+		n.util[st.id].Bind(&inst.cycles)
 	}
 }
 
@@ -300,7 +329,7 @@ func (n *Network) Commit(now int64) {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &= word - 1
-			n.stations[w*64+b].commit(now)
+			n.commit(&n.stations[w*64+b], now)
 			moved++
 		}
 	}
@@ -308,8 +337,7 @@ func (n *Network) Commit(now int64) {
 	if n.cfg.DoubleSpeedGlobal {
 		g := n.global()
 		g.late = true
-		g.compute()
-		moved += g.commit(now)
+		moved += n.step(g, now)
 		g.late = false
 		if len(n.rings) == 1 {
 			n.refill()
@@ -320,10 +348,27 @@ func (n *Network) Commit(now int64) {
 	}
 }
 
+// step runs one cycle of ring r alone, visiting every station of it
+// (a double-speed global ring's second cycle), and returns how many
+// flits moved.
+func (n *Network) step(r *ringInst, now int64) (moved int) {
+	r.begin()
+	for _, st := range r.stations {
+		st.compute()
+	}
+	for _, st := range r.stations {
+		if st.staged {
+			n.commit(st, now)
+			moved++
+		}
+	}
+	return moved
+}
+
 // refill tops up every NIC's output registers from its PM.
 func (n *Network) refill() {
 	for i := range n.nics {
-		n.nics[i].refill()
+		n.refillNIC(&n.nics[i])
 	}
 }
 
@@ -349,7 +394,7 @@ func (n *Network) Links() []sim.LinkGroup {
 	groups := levelGroups(n.cfg.Spec.NumLevels())
 	for i := range n.stations {
 		st := &n.stations[i]
-		groups[st.level].Links = append(groups[st.level].Links, &st.util)
+		groups[st.level].Links = append(groups[st.level].Links, &n.util[i])
 	}
 	return groups
 }
@@ -366,18 +411,19 @@ func (n *Network) DescribeMetrics(reg *metrics.Registry) {
 	for _, upper := range n.iris {
 		node := fmt.Sprintf("iri[%d,%d)", upper.exitLo, upper.exitHi)
 		for _, q := range []struct {
-			fifo         *packet.FIFO
+			st           *station
+			q            int
 			queue, class string
 		}{
-			{&upper.inject[qReq], "up", "req"},
-			{&upper.inject[qResp], "up", "rsp"},
-			{&upper.peer.inject[qReq], "down", "req"},
-			{&upper.peer.inject[qResp], "down", "rsp"},
+			{upper, qReq, "up", "req"},
+			{upper, qResp, "up", "rsp"},
+			{upper.peer, qReq, "down", "req"},
+			{upper.peer, qResp, "down", "rsp"},
 		} {
-			fifo := q.fifo
+			qn := &q.st.qn[q.q]
 			reg.Gauge("iri_queue_flits",
 				metrics.Labels{Node: node, Queue: q.queue, Class: q.class},
-				func() float64 { return float64(fifo.Len()) })
+				func() float64 { return float64(*qn) })
 		}
 	}
 	for id := range n.nics {
@@ -401,17 +447,41 @@ func (n *Network) BufferedFlits() int {
 // NumStations returns the number of ring attachments (for tests).
 func (n *Network) NumStations() int { return len(n.stations) }
 
-// CheckInvariants returns an error if any transit buffer exceeds its
-// capacity, a station holding a flit is missing from the busy set, a
-// staged transfer outlived its tick, any ring violates the bubble
-// bound, or a ring's residency counters differ from a recount of the
-// packets on its transit paths; used by property tests between ticks.
+// CheckInvariants returns an error if any queue exceeds its capacity,
+// a slot past a queue's count is not empty, a buffered flit's decode
+// byte differs from a fresh decode at the station holding it, a
+// queue's front byte is not its front flit's, a station holding a flit
+// is missing from the busy set, a staged transfer outlived its tick,
+// any ring violates the bubble bound, or a ring's residency counters
+// differ from a recount of the packets on its transit paths; used by
+// property tests between ticks.
 func (n *Network) CheckInvariants() error {
 	for i := range n.stations {
 		st := &n.stations[i]
-		for v := range st.vcs {
-			if st.vcs[v].buf.Len() > st.vcs[v].buf.Cap() {
-				return fmt.Errorf("ring: %s vc%d transit over capacity", st.name, v)
+		for q := 0; q < numQueues; q++ {
+			off, size := st.window(q)
+			if int(st.qn[q]) > size {
+				return fmt.Errorf("ring: %s queue %d over capacity", st.name, q)
+			}
+			for k := 0; k < size; k++ {
+				f := n.slab[st.slot(q, k)]
+				if k >= int(st.qn[q]) {
+					if f != (flit{}) {
+						return fmt.Errorf("ring: %s queue %d holds %s past its %d flits", st.name, q, f, st.qn[q])
+					}
+					continue
+				}
+				want := decode(f.pkt, int(f.idx))
+				if f.idx == 0 {
+					want |= st.route(f.pkt.Dst)
+				}
+				if f.dec != want {
+					return fmt.Errorf("ring: %s queue %d holds %s decoded %#x, a fresh decode says %#x",
+						st.name, q, f, f.dec, want)
+				}
+			}
+			if front := n.slab[off+int(st.qh[q])].dec; st.front[q] != front {
+				return fmt.Errorf("ring: %s queue %d front byte %#x, its front slot's %#x", st.name, q, st.front[q], front)
 			}
 		}
 		if !st.idle() && n.busy[i/64]&st.busyBit == 0 {
@@ -430,7 +500,7 @@ func (n *Network) CheckInvariants() error {
 				return fmt.Errorf("ring: ring %d vc%d has %d residents in %d buffers (bubble violated)",
 					i, v, res, len(r.stations))
 			}
-			if got := r.recountResidents(v); got != r.resident[v] {
+			if got := n.recountResidents(r, v); got != r.resident[v] {
 				return fmt.Errorf("ring: ring %d vc%d counts %d residents but %d packets are on its transit path",
 					i, v, r.resident[v], got)
 			}
@@ -439,20 +509,28 @@ func (n *Network) CheckInvariants() error {
 	return nil
 }
 
+// eachPacket calls fn once per flit buffered in s's queue q, front
+// first, with the flit's packet.
+func (n *Network) eachPacket(s *station, q int, fn func(*packet.Packet)) {
+	for k := 0; k < int(s.qn[q]); k++ {
+		fn(n.slab[s.slot(q, k)].pkt)
+	}
+}
+
 // recountResidents counts, from the buffers and locks alone, the
-// packets on channel v's transit path: every packet with a flit in a
-// transit buffer, plus every worm still streaming out of an injection
-// queue whose head continued on the ring (its flits may all have left
-// the transit buffers again while its body is still crossing).
-func (r *ringInst) recountResidents(v int) int {
+// packets on ring r's channel v's transit path: every packet with a
+// flit in a transit buffer, plus every worm still streaming out of an
+// injection queue whose head continued on the ring (its flits may all
+// have left the transit buffers again while its body is still
+// crossing).
+func (n *Network) recountResidents(r *ringInst, v int) int {
 	on := map[*packet.Packet]bool{}
 	for _, st := range r.stations {
-		vc := &st.vcs[v]
-		vc.buf.EachPacket(func(p *packet.Packet) { on[p] = true })
+		n.eachPacket(st, v, func(p *packet.Packet) { on[p] = true })
 		// While the lock holds, downstream's inPkt is this worm and
 		// inRoute is where its head went.
-		if vc.txSrc != nil && st.downstream.vcs[v].inRoute == routeContinue {
-			on[vc.txPkt] = true
+		if st.locked&(1<<v) != 0 && st.txQ[v] >= numVCs && st.downstream.inRoute[v] == routeContinue {
+			on[st.txPkt[v]] = true
 		}
 	}
 	return len(on)

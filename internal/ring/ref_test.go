@@ -43,7 +43,7 @@ type refStation struct {
 	lo, hi   int         // the exit range
 	outside  bool        // exit what lies outside [lo, hi)
 	transit  [numVCs]packet.FIFO
-	inject   [numInject]packet.FIFO
+	inject   [2]packet.FIFO
 	lockPkt  [numVCs]*packet.Packet // output wormhole lock per channel
 	lockSrc  [numVCs]int
 	inPkt    [numVCs]*packet.Packet // the worm streaming in per channel
@@ -134,11 +134,18 @@ func (r *refRing) vc(dst int) int {
 
 func (s *refStation) exits(dst int) bool { return (dst >= s.lo && dst < s.hi) != s.outside }
 
+// Injection queue indices of the reference station: responses before
+// requests.
+const (
+	refResp = 0
+	refReq  = 1
+)
+
 func class(p *packet.Packet) int {
 	if p.Type.IsResponse() {
-		return qResp
+		return refResp
 	}
-	return qReq
+	return refReq
 }
 
 // queue returns the FIFO a move's src names.
@@ -264,7 +271,7 @@ func step(rings []*refRing, now int64) (moved int) {
 // output registers and reports how many it took.
 func (n *refNetwork) refill() (took int) {
 	for _, st := range n.nics {
-		for i, take := range [numInject]func() (*packet.Packet, bool){st.pm.TakeResponse, st.pm.TakeRequest} {
+		for i, take := range [...]func() (*packet.Packet, bool){refResp: st.pm.TakeResponse, refReq: st.pm.TakeRequest} {
 			if !st.inject[i].Empty() || !st.pm.HasPending() {
 				continue
 			}
@@ -298,7 +305,7 @@ func (n *refNetwork) tick(now int64) bool {
 func (n *refNetwork) buffered(i int) (transit, queued int) {
 	st := n.stations[i]
 	return st.transit[vcDescent].Len() + st.transit[vcAscent].Len(),
-		st.inject[qResp].Len() + st.inject[qReq].Len()
+		st.inject[refResp].Len() + st.inject[refReq].Len()
 }
 
 // refDelivery is one delivered packet: which, where, when and whether

@@ -200,28 +200,23 @@ func TestResponsePriorityAtInjection(t *testing.T) {
 // holds both a transit packet and an injectable packet of the same
 // channel, the transit packet is selected.
 func TestTransitPriority(t *testing.T) {
-	st := &station{}
-	st.init("s", 0, 3, 3)
-	st.ring = &ringInst{stations: []*station{st}, lo: 0, hi: 8}
-	outResp, outReq := &st.inject[qResp], &st.inject[qReq]
+	h := newHarness(t, Config{Spec: topo.MustRingSpec(8), LineBytes: 32})
+	n, st := h.net, &h.net.stations[0]
 
-	transit := &packet.Packet{ID: 1, Type: packet.ReadResponse, Dst: 3, Flits: 3}
+	transit := &packet.Packet{ID: 1, Type: packet.ReadResponse, Src: 6, Dst: 3, Flits: 3}
 	local := &packet.Packet{ID: 2, Type: packet.ReadResponse, Dst: 3, Flits: 3}
-	st.vcs[vcDescent].buf.Push(packet.Flit{Pkt: transit, Index: 0})
-	for i := 0; i < 3; i++ {
-		outResp.Push(packet.Flit{Pkt: local, Index: i})
-	}
-	f, src, ok := st.candidate(vcDescent)
-	if !ok || f.Pkt != transit || src != nil {
-		t.Fatalf("candidate = %v from %v, want transit packet", f, src)
+	n.push(st, vcDescent, flit{pkt: transit, dec: decode(transit, 0)})
+	n.inject(st, qResp, local)
+	q, d := st.candidate(vcDescent)
+	if q != vcDescent || d != decPresent|decHead|decResp {
+		t.Fatalf("candidate = queue %d decoded %#x, want the transit packet", q, d)
 	}
 	// Response injection beats request injection once transit drains.
-	st.vcs[vcDescent].buf.Pop()
+	n.pop(st, vcDescent)
 	req := &packet.Packet{ID: 3, Type: packet.ReadRequest, Dst: 3, Flits: 1}
-	outReq.Push(packet.Flit{Pkt: req, Index: 0})
-	f, src, ok = st.candidate(vcDescent)
-	if !ok || f.Pkt != local || src != outResp {
-		t.Fatalf("candidate = %v, want the response packet", f)
+	n.inject(st, qReq, req)
+	if q, d = st.candidate(vcDescent); q != qResp || d == 0 {
+		t.Fatalf("candidate = queue %d, want the response packet", q)
 	}
 }
 
@@ -363,7 +358,8 @@ func TestUtilizationCounts(t *testing.T) {
 func TestIRIQueueOverride(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustRingSpec(2, 2), LineBytes: 32, IRIQueueFlits: 12})
 	for _, upper := range h.net.iris {
-		up, down := upper.inject[qResp].Cap(), upper.peer.inject[qReq].Cap()
+		_, up := upper.window(qResp)
+		_, down := upper.peer.window(qReq)
 		if up != 12 || down != 12 {
 			t.Fatalf("IRI queue caps = %d/%d, want 12", up, down)
 		}
@@ -529,12 +525,76 @@ func TestCheckInvariantsCatchesSkippedWork(t *testing.T) {
 	}
 }
 
-// The station's state must stay small: a tick visits every busy
+// CheckInvariants also fails on a stale decode: a front byte that is
+// not its front slot's, a slot past a queue's count that is not empty,
+// and a buffered head whose route bits differ from a fresh decode at
+// the station holding it.
+func TestCheckInvariantsCatchesStaleDecode(t *testing.T) {
+	h := newHarness(t, Config{Spec: topo.MustRingSpec(2, 4), LineBytes: 32})
+	p := mkPkt(1, packet.ReadResponse, 0, 7, 32)
+	h.pms[0].pendResp = append(h.pms[0].pendResp, p)
+	h.run(t, 1) // the refill has put p into NIC 0's response register
+	n, st := h.net, h.net.nics[0].st
+	if st.qn[qResp] != uint16(p.Flits) || st.qn[qReq] != 0 {
+		t.Fatalf("NIC 0 holds %v flits, want %d responses", st.qn, p.Flits)
+	}
+	front, off := st.slot(qResp, 0), st.slot(qReq, 0)
+	for _, c := range []struct {
+		name string
+		flip func()
+	}{
+		{"stale front byte", func() { st.front[qResp] ^= decExit }},
+		{"slot past the count", func() { n.slab[off].pkt, n.slab[off].dec = p, n.slab[off].dec^decPresent }},
+		{"stale route bits", func() { n.slab[front].dec ^= decAscent; st.front[qResp] ^= decAscent }},
+		{"body decoded as a head", func() { n.slab[st.slot(qResp, 1)].dec ^= decHead }},
+	} {
+		c.flip()
+		if err := n.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants passed", c.name)
+		}
+		c.flip()
+		n.slab[off].pkt = nil
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatalf("%s: restored state fails: %v", c.name, err)
+		}
+	}
+	h.run(t, 100)
+	if len(h.pms[7].delivered) != 1 {
+		t.Fatalf("delivered %d packets, want 1", len(h.pms[7].delivered))
+	}
+}
+
+// The station's state must stay small, and what compute reads on every
+// visit must share its first cache line: a tick visits every busy
 // station. Growing it past the bound is a decision to make in the open,
 // with a ledger row that shows it pays.
 func TestStationFootprint(t *testing.T) {
-	const bound = 448
+	const bound = 224
 	if got := unsafe.Sizeof(station{}); got > bound {
 		t.Fatalf("station is %d bytes, bound %d", got, bound)
+	}
+	var s station
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"front", unsafe.Offsetof(s.front), unsafe.Sizeof(s.front)},
+		{"qn", unsafe.Offsetof(s.qn), unsafe.Sizeof(s.qn)},
+		{"staged", unsafe.Offsetof(s.staged), unsafe.Sizeof(s.staged)},
+		{"stagedRoute", unsafe.Offsetof(s.stagedRoute), unsafe.Sizeof(s.stagedRoute)},
+		{"stagedVC", unsafe.Offsetof(s.stagedVC), unsafe.Sizeof(s.stagedVC)},
+		{"stagedQ", unsafe.Offsetof(s.stagedQ), unsafe.Sizeof(s.stagedQ)},
+		{"stagedFront", unsafe.Offsetof(s.stagedFront), unsafe.Sizeof(s.stagedFront)},
+		{"lastVC", unsafe.Offsetof(s.lastVC), unsafe.Sizeof(s.lastVC)},
+		{"locked", unsafe.Offsetof(s.locked), unsafe.Sizeof(s.locked)},
+		{"txQ", unsafe.Offsetof(s.txQ), unsafe.Sizeof(s.txQ)},
+		{"inRoute", unsafe.Offsetof(s.inRoute), unsafe.Sizeof(s.inRoute)},
+		{"downstream", unsafe.Offsetof(s.downstream), unsafe.Sizeof(s.downstream)},
+		{"ring", unsafe.Offsetof(s.ring), unsafe.Sizeof(s.ring)},
+		{"peer", unsafe.Offsetof(s.peer), unsafe.Sizeof(s.peer)},
+	} {
+		if f.off+f.size > 64 {
+			t.Errorf("station.%s ends at byte %d, past the first cache line", f.name, f.off+f.size)
+		}
 	}
 }

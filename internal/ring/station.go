@@ -57,7 +57,6 @@ import (
 	"fmt"
 
 	"ringmesh/internal/packet"
-	"ringmesh/internal/stats"
 	"ringmesh/internal/trace"
 )
 
@@ -76,20 +75,61 @@ const (
 	numVCs    = 2
 )
 
-// Injection queue indices, in injection priority order (responses
-// before requests, both after transit traffic).
+// Queue indices: a station's four queues are the transit buffer of
+// each virtual channel (index = channel), then the injection queues in
+// priority order (responses before requests, both after transit
+// traffic).
 const (
-	qResp     = 0
-	qReq      = 1
+	qResp     = numVCs
+	qReq      = numVCs + 1
 	numInject = 2
+	numQueues = numVCs + numInject
 )
 
-// injectClass returns the injection queue index of p's class.
-func injectClass(p *packet.Packet) int {
-	if p.Type.IsResponse() {
-		return qResp
+// The decode byte (flit.dec) push fixes for a flit at the station that
+// holds it. The first four bits travel with the flit; the route bits
+// are set for a head only, from its destination and the holding
+// station's ring and exit, so the tick routes a head without following
+// its packet. An empty slot is zero.
+const (
+	decPresent uint8 = 1 << iota // the slot holds a flit
+	decHead                      // the packet's first (routing) flit
+	decTail                      // the packet's last flit
+	decResp                      // the packet is a response (its IRI queue class)
+	decAscent                    // head: the packet rides the ascent channel on this ring
+	decExit                      // head: the packet leaves the ring at the next station
+
+	decKept = decPresent | decHead | decTail | decResp // what a hop keeps
+)
+
+// exitQueue returns the IRI queue a flit's decode byte joins: the
+// response queue for responses, else the request queue.
+func exitQueue(d uint8) int { return qReq - int(d/decResp&1) }
+
+// flit is a buffered ring flit: its packet, its index in the packet and
+// its decode byte.
+type flit struct {
+	pkt *packet.Packet
+	idx int32
+	dec uint8
+}
+
+// String renders the flit as packet.Flit does, for panics and tests.
+func (f flit) String() string { return packet.Flit{Pkt: f.pkt, Index: int(f.idx)}.String() }
+
+// decode returns the decode byte of p's flit i before any route bits.
+func decode(p *packet.Packet, i int) uint8 {
+	d := decPresent
+	if i == 0 {
+		d |= decHead
 	}
-	return qReq
+	if i == p.Flits-1 {
+		d |= decTail
+	}
+	if p.Type.IsResponse() {
+		d |= decResp
+	}
+	return d
 }
 
 // ringInst groups the stations of one physical ring and owns the
@@ -152,85 +192,66 @@ func (r *ringInst) begin() {
 	r.cycles++
 }
 
-// compute stages this cycle's transfer at every station of the ring
-// (all stations of a ring share its clock).
-func (r *ringInst) compute() {
-	r.begin()
-	for _, st := range r.stations {
-		st.compute()
-	}
-}
-
-// commit applies the ring's staged transfers and returns how many
-// flits moved.
-func (r *ringInst) commit(now int64) int {
-	moved := 0
-	for _, st := range r.stations {
-		if st.staged {
-			st.commit(now)
-			moved++
-		}
-	}
-	return moved
-}
-
-// vcState is one virtual channel's state at a station.
-type vcState struct {
-	// buf is the transit buffer (capacity: one cache-line packet).
-	buf packet.FIFO
-	// txPkt/txSrc: wormhole lock within this channel; txSrc nil means
-	// the transit buffer, else one of the station's injection queues.
-	txPkt *packet.Packet
-	txSrc *packet.FIFO
-	// inPkt/inRoute: the packet currently streaming in from upstream
-	// on this channel, and where its head was routed.
-	inPkt   *packet.Packet
-	inRoute routeKind
-}
-
-// station is one attachment on a unidirectional ring. All of a
-// station's state sits in the struct itself (the queues by value), and
-// a network's stations are allocated as one slice in tick order, so a
-// station-cycle walks memory forwards. The fields the tick reads on
-// every visit come first.
+// station is one attachment on a unidirectional ring. Its four queues
+// are windows over the network's flit slab (Network.slab), and a
+// network's stations are allocated as one slice in tick order, so a
+// station-cycle walks memory forwards. The first cache line holds what
+// compute reads on every visit: the queues' front bytes and counts, the
+// staging slot, the locks and the links to the neighbours it asks
+// (TestStationFootprint pins it).
 type station struct {
+	// front[q] is the decode byte of queue q's front slot, zero when q
+	// is empty; push and pop keep it. qn[q] counts q's flits.
+	front [numQueues]uint8
+	qn    [numQueues]uint16
 	// Per-cycle staging: the single flit crossing this station's
-	// output link this cycle.
+	// output link this cycle, by channel, source queue and route, and
+	// its decode byte, which commit compares with the popped flit's.
 	staged      bool
 	stagedRoute routeKind
 	stagedVC    uint8
+	stagedQ     uint8
+	stagedFront uint8
 	// lastVC is the round-robin pointer for link arbitration between
 	// channels.
-	lastVC    uint8
-	stagedF   packet.Flit
-	stagedSrc *packet.FIFO // nil means the channel's transit buffer
-
-	// busyWord and busyBit locate the station's bit in its network's
-	// busy set (Network.busy), which every push into its queues sets.
-	busyWord *uint64
-	busyBit  uint64
-
-	// util counts the flits crossing the output link against the
-	// ring's clock (ringInst.cycles).
-	util stats.Utilization
+	lastVC uint8
+	// locked has bit v set while channel v's output is committed to a
+	// worm (wormhole lock) streaming from queue txQ[v]; txPkt[v] is the
+	// worm.
+	locked uint8
+	txQ    [numVCs]uint8
+	// inRoute[v] is where the head of the packet streaming in on
+	// channel v was routed; inPkt[v] is that packet until its tail
+	// arrives.
+	inRoute [numVCs]routeKind
+	// qcap[q] is queue q's capacity in flits: one cache-line packet for
+	// a transit buffer, the register or IRI queue depth for an
+	// injection queue.
+	qcap [numQueues]uint16
+	// downstream is the next station around the ring; ring is the
+	// physical ring this station sits on.
+	downstream *station
+	ring       *ringInst
+	// peer is the other half of an IRI (nil on a NIC): the station
+	// whose injection queues this station's exit fills.
+	peer *station
 	// stalls counts injection-stall cycles: active cycles where an
 	// injection queue held flits but no injection-queue flit crossed
 	// the output link (either nothing moved or transit traffic won the
 	// link). Exported per NIC as nic_inject_stall_cycles.
 	stalls int64
 
-	// vcs are the per-virtual-channel transit paths.
-	vcs [numVCs]vcState
-	// inject are the injection queues this station drains onto the
-	// ring: a NIC's output response/request registers (filled from the
-	// PM by nic.refill), or the IRI buffers filled by the exit of the
-	// peer station on the other ring.
-	inject [numInject]packet.FIFO
+	// Queue q is the qcap[q] slab slots from offset qoff[q]; its flits
+	// start at window position qh[q] and wrap.
+	qh   [numQueues]uint16
+	qoff [numQueues]int32
+	// id is the station's index in the network's slab: its bit in the
+	// busy set (busyWord, busyBit) and its link counter.
+	id       int32
+	busyWord *uint64
+	busyBit  uint64
 
-	// downstream is the next station around the ring.
-	downstream *station
-	// ring is the physical ring this station sits on.
-	ring *ringInst
+	txPkt, inPkt [numVCs]*packet.Packet
 
 	// The exit rule: a packet to dst leaves the ring here when dst's
 	// membership of [exitLo, exitHi) differs from exitOutside — a NIC
@@ -239,13 +260,10 @@ type station struct {
 	// value exits nothing.
 	exitLo, exitHi int
 	exitOutside    bool
-	// The exit itself: deliver is the local PM's delivery port (NIC
-	// stations; a perfect sink, called when the tail flit lands), peer
-	// is the other half of the IRI, whose injection queues this
-	// station's exit fills (IRI stations). Exactly one is set on every
-	// station of a built network.
+	// deliver is the local PM's delivery port (NIC stations; a perfect
+	// sink, called when the tail flit lands). Every station of a built
+	// network sets exactly one of deliver and peer.
 	deliver func(p *packet.Packet, now int64, late bool)
-	peer    *station
 
 	// tracer is the optional lifecycle recorder; hopLabel is the
 	// "where" of this station's hop and exit events, built once when a
@@ -259,18 +277,6 @@ type station struct {
 	level int
 }
 
-// init prepares a zeroed station: transit buffers of one cache-line
-// packet each and injection queues of injectFlits.
-func (s *station) init(name string, level, clFlits, injectFlits int) {
-	s.name, s.level = name, level
-	for v := range s.vcs {
-		s.vcs[v].buf = packet.MakeFIFO(clFlits)
-	}
-	for i := range s.inject {
-		s.inject[i] = packet.MakeFIFO(injectFlits)
-	}
-}
-
 // wake puts the station in its network's busy set: it may hold a
 // flit.
 func (s *station) wake() { *s.busyWord |= s.busyBit }
@@ -281,60 +287,117 @@ func (s *station) exits(dst int) bool {
 	return (dst >= s.exitLo && dst < s.exitHi) != s.exitOutside
 }
 
+// route returns the route bits of a head to dst held at s: its channel
+// on s's ring and whether it exits at the next station.
+func (s *station) route(dst int) uint8 {
+	var d uint8
+	if s.ring.class(dst) == vcAscent {
+		d |= decAscent
+	}
+	if s.downstream.exits(dst) {
+		d |= decExit
+	}
+	return d
+}
+
+// window returns the slab offset and capacity of s's queue q.
+func (s *station) window(q int) (off, size int) { return int(s.qoff[q]), int(s.qcap[q]) }
+
+// slot returns the slab index of s's queue q's k-th flit, 0 being its
+// front.
+func (s *station) slot(q, k int) int {
+	off, size := s.window(q)
+	if k += int(s.qh[q]); k >= size {
+		k -= size
+	}
+	return off + k
+}
+
+// push appends f to s's queue q, first fixing its route bits at s (a
+// head's only read of its packet on this hop), and sets q's front
+// byte. It panics when q is full: callers check space first, so a
+// violation is a flow-control bug.
+func (n *Network) push(s *station, q int, f flit) {
+	off, size := s.window(q)
+	i := int(s.qh[q]) + int(s.qn[q])
+	if int(s.qn[q]) >= size {
+		panic(fmt.Sprintf("ring: %s push into full queue %d (flow-control violation)", s.name, q))
+	} else if i >= size {
+		i -= size
+	}
+	if f.dec &= decKept; f.dec&decHead != 0 {
+		f.dec |= s.route(f.pkt.Dst)
+	}
+	n.slab[off+i] = f
+	s.qn[q]++
+	s.front[q] = n.slab[off+int(s.qh[q])].dec // f's, if q was empty
+}
+
+// pop removes and returns s's queue q's front flit and sets q's front
+// byte. It panics when q is empty.
+func (n *Network) pop(s *station, q int) flit {
+	off, size := s.window(q)
+	if s.qn[q] == 0 {
+		panic(fmt.Sprintf("ring: %s pop from empty queue %d", s.name, q))
+	}
+	i := off + int(s.qh[q])
+	f := n.slab[i]
+	n.slab[i] = flit{} // do not pin the popped packet while the queue idles
+	if s.qh[q]++; int(s.qh[q]) == size {
+		s.qh[q] = 0
+	}
+	s.qn[q]--
+	s.front[q] = n.slab[off+int(s.qh[q])].dec // zero once q is empty
+	return f
+}
+
+// inject pushes all of p's flits into s's injection queue q.
+func (n *Network) inject(s *station, q int, p *packet.Packet) {
+	for i := 0; i < p.Flits; i++ {
+		n.push(s, q, flit{pkt: p, idx: int32(i), dec: decode(p, i)})
+	}
+	s.wake()
+}
+
 // exitSpace reports, from start-of-cycle state, whether the exit can
-// absorb this flit now. The PM is a perfect sink (DESIGN.md):
-// responses are consumed immediately and requests join the unbounded
-// memory queue.
-func (s *station) exitSpace(f packet.Flit) bool {
-	return s.deliver != nil || s.peer.inject[injectClass(f.Pkt)].Space() >= 1
+// absorb a flit with decode byte d now. The PM is a perfect sink
+// (DESIGN.md): responses are consumed immediately and requests join
+// the unbounded memory queue.
+func (s *station) exitSpace(d uint8) bool {
+	q := exitQueue(d)
+	return s.peer == nil || s.peer.qn[q] < s.peer.qcap[q]
 }
 
 // idle reports whether the station holds no flit in any of its
 // queues. Then no channel has a candidate: an unlocked channel finds
 // neither a transit head nor an injectable head, and a lock held over
 // an empty source is a bubble.
-func (s *station) idle() bool {
-	return s.vcs[vcDescent].buf.Empty() && s.vcs[vcAscent].buf.Empty() &&
-		s.inject[qResp].Empty() && s.inject[qReq].Empty()
-}
+func (s *station) idle() bool { return s.front == [numQueues]uint8{} }
 
-// candidate returns the flit channel v would send this cycle, its
-// source queue (nil = transit buffer), and whether one exists.
-func (s *station) candidate(v int) (packet.Flit, *packet.FIFO, bool) {
-	vc := &s.vcs[v]
-	if vc.txPkt != nil {
-		q := vc.txSrc
-		if q == nil {
-			q = &vc.buf
-		}
-		head, ok := q.Peek()
-		if !ok {
-			return packet.Flit{}, nil, false // bubble: wait for the worm
-		}
-		if head.Pkt != vc.txPkt {
-			panic(fmt.Sprintf("ring: %s vc%d would interleave %s into %s",
-				s.name, v, head.Pkt, vc.txPkt))
-		}
-		return head, vc.txSrc, true
+// candidate returns the queue channel v would send from this cycle and
+// the decode byte of its front flit, zero when there is none: the
+// locked worm's source (empty: a bubble, wait for the worm), else the
+// transit buffer, else the first injection queue whose front is a head
+// riding v. A mid-packet injection front belongs to a locked worm of
+// some channel, which the locked path consumes. It reads the front
+// bytes and the lock alone; commit checks the popped flit against the
+// lock (see checkPop).
+func (s *station) candidate(v int) (q int, d uint8) {
+	if s.locked&(1<<v) != 0 {
+		q = int(s.txQ[v])
+		return q, s.front[q]
 	}
-	if head, ok := vc.buf.Peek(); ok {
-		if !head.Head() {
-			panic(fmt.Sprintf("ring: %s vc%d transit head %s is mid-packet with no lock",
-				s.name, v, head))
-		}
-		return head, nil, true
+	if d = s.front[v]; d != 0 {
+		return v, d
 	}
-	for i := range s.inject {
-		q := &s.inject[i]
-		head, ok := q.Peek()
-		// Mid-packet inject heads belong to a locked worm of some
-		// channel; skip (the locked path above consumes them).
-		if !ok || !head.Head() || s.ring.class(head.Pkt.Dst) != v {
-			continue
-		}
-		return head, q, true
+	head := decHead | uint8(v)*decAscent // a head riding v
+	if d = s.front[qResp]; d&(decHead|decAscent) == head {
+		return qResp, d
 	}
-	return packet.Flit{}, nil, false
+	if d = s.front[qReq]; d&(decHead|decAscent) == head {
+		return qReq, d
+	}
+	return 0, 0
 }
 
 // compute stages at most one outgoing flit for this cycle based on
@@ -352,26 +415,23 @@ func (s *station) compute() (idle bool) {
 		if v++; v == numVCs {
 			v = 0
 		}
-		f, src, ok := s.candidate(v)
+		q, d := s.candidate(v)
+		if d == 0 {
+			continue
+		}
+		fromInject := q >= numVCs
+		route, ok := s.downstream.accepts(d, v, fromInject)
 		if !ok {
 			continue
 		}
-		fromInject := src != nil
-		route, ok := s.downstream.accepts(f, v, fromInject)
-		if !ok {
-			continue
-		}
-		if f.Head() && fromInject && route == routeContinue {
+		if d&decHead != 0 && fromInject && route == routeContinue {
 			// The packet becomes a new transit resident of the ring;
 			// account for it so simultaneous injections this cycle
 			// cannot overfill the channel (bubble rule).
 			s.ring.stagedInj[v]++
 		}
-		s.staged = true
-		s.stagedF = f
-		s.stagedVC = uint8(v)
-		s.stagedSrc = src
-		s.stagedRoute = route
+		s.staged, s.stagedRoute = true, route
+		s.stagedVC, s.stagedQ, s.stagedFront = uint8(v), uint8(q), d
 		break
 	}
 	s.countStall()
@@ -383,22 +443,21 @@ func (s *station) compute() (idle bool) {
 // link. A NIC's queues change only in its own commit and the refill
 // after it, so the compute-time count is the one commit would see.
 func (s *station) countStall() {
-	if (!s.staged || s.stagedSrc == nil) && s.queuedFlits() > 0 {
+	if (!s.staged || s.stagedQ < numVCs) && s.qn[qResp]|s.qn[qReq] != 0 {
 		s.stalls++
 	}
 }
 
-// accepts decides whether this station can absorb the offered flit on
-// channel v this cycle (judged from start-of-cycle buffer occupancy)
-// and which way the packet routes here. fromInject marks flits whose
-// source is an injection queue: their packets are not yet transit
-// residents of this ring, so continuing subjects them to the bubble
-// rule.
-func (s *station) accepts(f packet.Flit, v int, fromInject bool) (routeKind, bool) {
-	vc := &s.vcs[v]
-	if f.Head() {
-		if s.exits(f.Pkt.Dst) {
-			return routeExit, s.exitSpace(f) // false: blocked on the exit queue
+// accepts decides whether this station can absorb a flit with decode
+// byte d on channel v this cycle (judged from start-of-cycle buffer
+// occupancy) and which way the packet routes here. fromInject marks
+// flits whose source is an injection queue: their packets are not yet
+// transit residents of this ring, so continuing subjects them to the
+// bubble rule.
+func (s *station) accepts(d uint8, v int, fromInject bool) (routeKind, bool) {
+	if d&decHead != 0 {
+		if d&decExit != 0 {
+			return routeExit, s.exitSpace(d) // false: blocked on the exit queue
 		}
 		// Bubble rule: admit a new resident only while the channel
 		// keeps at least one buffer's worth of packets free ring-wide.
@@ -408,43 +467,40 @@ func (s *station) accepts(f packet.Flit, v int, fromInject bool) (routeKind, boo
 		if fromInject && !s.ring.mayAdmitNewResident(v) {
 			return routeContinue, false
 		}
-		return routeContinue, vc.buf.Space() >= 1
+		return routeContinue, s.qn[v] < s.qcap[v]
 	}
-	if vc.inPkt != f.Pkt {
-		panic(fmt.Sprintf("ring: %s vc%d got body flit %s before its head", s.name, v, f))
+	if s.inRoute[v] == routeExit {
+		return routeExit, s.exitSpace(d)
 	}
-	if vc.inRoute == routeExit {
-		return routeExit, s.exitSpace(f)
-	}
-	return routeContinue, vc.buf.Space() >= 1
+	return routeContinue, s.qn[v] < s.qcap[v]
 }
 
-// commit applies this cycle's staged transfer: pop from the source,
-// update the wormhole lock, and deposit into the downstream station.
-// Only stations that staged a flit commit.
-func (s *station) commit(now int64) {
+// commit applies s's staged transfer: pop from the source, update the
+// wormhole lock, and deposit into the downstream station. Only
+// stations that staged a flit commit.
+func (n *Network) commit(s *station, now int64) {
 	s.staged = false
-	f, v, route := s.stagedF, int(s.stagedVC), s.stagedRoute
+	v, q, route := int(s.stagedVC), int(s.stagedQ), s.stagedRoute
 	s.lastVC = s.stagedVC
-	vc := &s.vcs[v]
-	src := s.stagedSrc
-	if src == nil {
-		src = &vc.buf
+	f := n.pop(s, q)
+	if locked := s.locked&(1<<v) != 0; f.dec != s.stagedFront ||
+		locked && f.pkt != s.txPkt[v] || !locked && f.dec&decHead == 0 {
+		s.popPanic(f, v)
 	}
-	if got := src.Pop(); got != f {
-		panic(fmt.Sprintf("ring: %s staged %s but popped %s", s.name, f, got))
-	}
-	if f.Tail() {
-		vc.txPkt, vc.txSrc = nil, nil
+	head, tail := f.dec&decHead != 0, f.dec&decTail != 0
+	if tail {
+		s.locked &^= 1 << v
+		s.txPkt[v] = nil
 	} else {
-		vc.txPkt, vc.txSrc = f.Pkt, s.stagedSrc
+		s.locked |= 1 << v
+		s.txQ[v], s.txPkt[v] = uint8(q), f.pkt
 	}
-	if s.tracer != nil && f.Head() {
+	if s.tracer != nil && head {
 		kind := trace.Hop
 		if route == routeExit && s.downstream.peer != nil {
 			kind = trace.Exit
 		}
-		s.tracer.Record(now, kind, f.Pkt, s.hopLabel)
+		s.tracer.Record(now, kind, f.pkt, s.hopLabel)
 	}
 	// Residency bookkeeping for the bubble rule: an injected head that
 	// continues on the ring becomes a resident. Body flits follow the
@@ -455,53 +511,63 @@ func (s *station) commit(now int64) {
 	// was one. So a tail exiting from a transit buffer is exactly a
 	// resident leaving.
 	if route == routeContinue {
-		if f.Head() && s.stagedSrc != nil {
+		if head && q >= numVCs {
 			s.ring.resident[v]++
 		}
-	} else if f.Tail() && s.stagedSrc == nil {
+	} else if tail && q < numVCs {
 		s.ring.resident[v]--
 	}
-	s.downstream.receive(f, v, route, now)
-	s.util.Busy(1)
+	n.receive(s.downstream, f, v, route, now)
+	n.util[s.id].Busy(1)
 }
 
-// receive absorbs a flit arriving from upstream on channel v (commit
-// phase). For head flits the route was decided by accepts during
-// compute and is passed through; body flits must follow their head.
-// A flit pushed into a queue wakes the queue's station.
-func (s *station) receive(f packet.Flit, v int, route routeKind, now int64) {
-	vc := &s.vcs[v]
-	if f.Head() {
-		vc.inPkt = f.Pkt
-		vc.inRoute = route
-	} else if vc.inPkt != f.Pkt {
+// popPanic reports a flit commit popped for channel v that is not the
+// one compute staged (its decode byte differs from the staged front
+// byte), or that does not continue the channel's locked worm (a
+// different packet would interleave two worms on the link), or that is
+// mid-packet on an unlocked channel (its head is lost).
+func (s *station) popPanic(f flit, v int) {
+	if f.dec != s.stagedFront {
+		panic(fmt.Sprintf("ring: %s staged a flit decoded %#x but popped %s decoded %#x",
+			s.name, s.stagedFront, f, f.dec))
+	}
+	if s.locked&(1<<v) != 0 {
+		panic(fmt.Sprintf("ring: %s vc%d would interleave %s into %s", s.name, v, f, s.txPkt[v]))
+	}
+	panic(fmt.Sprintf("ring: %s vc%d sends mid-packet flit %s with no lock", s.name, v, f))
+}
+
+// receive absorbs at s a flit arriving from upstream on channel v
+// (commit phase). For head flits the route was decided by accepts
+// during compute and is passed through; body flits must follow their
+// head. A flit pushed into a queue wakes the queue's station.
+func (n *Network) receive(s *station, f flit, v int, route routeKind, now int64) {
+	if f.dec&decHead != 0 {
+		s.inPkt[v], s.inRoute[v] = f.pkt, route
+	} else if s.inPkt[v] != f.pkt {
 		panic(fmt.Sprintf("ring: %s vc%d received body flit %s before its head", s.name, v, f))
 	}
-	route = vc.inRoute
-	if f.Tail() {
-		vc.inPkt = nil
+	route = s.inRoute[v]
+	if f.dec&decTail != 0 {
+		s.inPkt[v] = nil
 	}
 	switch {
 	case route != routeExit:
-		vc.buf.Push(f)
+		n.push(s, v, f)
 		s.wake()
-	case s.deliver != nil:
-		if f.Tail() {
-			s.deliver(f.Pkt, now, s.ring.late)
+	case s.peer == nil:
+		if f.dec&decTail != 0 {
+			s.deliver(f.pkt, now, s.ring.late)
 		}
 	default:
-		s.peer.inject[injectClass(f.Pkt)].Push(f)
+		n.push(s.peer, exitQueue(f.dec), f)
 		s.peer.wake()
 	}
 }
 
 // bufferedFlits counts flits resident in this station's transit
 // buffers.
-func (s *station) bufferedFlits() int {
-	return s.vcs[vcDescent].buf.Len() + s.vcs[vcAscent].buf.Len()
-}
+func (s *station) bufferedFlits() int { return int(s.qn[vcDescent]) + int(s.qn[vcAscent]) }
 
 // queuedFlits counts flits waiting in this station's injection queues.
-func (s *station) queuedFlits() int {
-	return s.inject[qResp].Len() + s.inject[qReq].Len()
-}
+func (s *station) queuedFlits() int { return int(s.qn[qResp]) + int(s.qn[qReq]) }
