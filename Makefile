@@ -50,10 +50,11 @@ examples-smoke:
 # step inside the ring's own tick), the 11x11 mesh with 1-flit buffers that fig16 runs (every worm
 # stalls on its downstream space check), and the geometry under the analytic tier (estimates, the Table
 # 2 pick, the 11x11 build), plus one op each of the whole analytic
-# triage and of the ring-sim and mesh-sim workloads.
+# triage and of the ring-sim and mesh-sim workloads and one round of
+# the paper-figs workload.
 bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkEngineStep|BenchmarkSimRing24|BenchmarkSimMesh16|BenchmarkSimMesh121OneFlit|BenchmarkSimRing72LowLoad|BenchmarkSimRing72DoubleSpeed|BenchmarkAnalyticEstimate|BenchmarkRingTopologyFor|BenchmarkNewSystemMesh121' -benchtime=100x .
-	$(GO) test -run=NONE -bench='BenchmarkAnalyticTriage$$|BenchmarkRingSimOp$$|BenchmarkMeshSimOp$$' -benchtime=1x .
+	$(GO) test -run=NONE -bench='BenchmarkAnalyticTriage$$|BenchmarkRingSimOp$$|BenchmarkMeshSimOp$$|BenchmarkPaperFigsRound$$' -benchtime=1x .
 
 # The perf gate: compare the two highest-numbered rows of the committed
 # ledger (ci/ledger/BENCH_<pr>.json, each written on the reference box

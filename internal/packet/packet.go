@@ -156,10 +156,13 @@ func (f Flit) String() string {
 	return fmt.Sprintf("%s flit %d/%d%s", f.Pkt, f.Index+1, f.Pkt.Flits, role)
 }
 
-// FIFO is a bounded flit queue: the ring's transit buffers and IRI
-// up/down queues. The bound is in flits. A FIFO never interleaves: flits are enqueued in
-// arrival order and the network's acceptance rules guarantee packets
-// arrive contiguously per link.
+// FIFO is a bounded flit queue, the plain form of a network buffer. No
+// network model keeps its queues in FIFOs (each keeps windows over one
+// flit slab, with the routing decoded at push); the reference ticks
+// the ring and mesh tests check them against (ref_test.go in each
+// package) do. The bound is in flits. A FIFO never interleaves: flits
+// are enqueued in arrival order and the network's acceptance rules
+// guarantee packets arrive contiguously per link.
 type FIFO struct {
 	cap int
 	// buf is a ring of cap slots, allocated on the first push (many
@@ -170,18 +173,14 @@ type FIFO struct {
 }
 
 // MakeFIFO returns a FIFO holding at most capacity flits, by value, for
-// owners that keep their queues inside their own struct (the ring
-// station). Use the result in place: a copy of a FIFO that has held a
-// flit shares its storage.
+// owners that keep their queues inside their own struct. Use the result
+// in place: a copy of a FIFO that has held a flit shares its storage.
 func MakeFIFO(capacity int) FIFO {
 	if capacity <= 0 {
 		panic("packet: FIFO capacity must be positive")
 	}
 	return FIFO{cap: capacity}
 }
-
-// Cap returns the capacity in flits.
-func (q *FIFO) Cap() int { return q.cap }
 
 // Len returns the number of buffered flits.
 func (q *FIFO) Len() int { return q.n }
@@ -232,12 +231,4 @@ func (q *FIFO) Pop() Flit {
 	q.head = q.slot(1)
 	q.n--
 	return f
-}
-
-// EachPacket calls fn once per buffered flit's packet (callers dedup;
-// used by the ring bubble rule's residency count).
-func (q *FIFO) EachPacket(fn func(*Packet)) {
-	for k := 0; k < q.n; k++ {
-		fn(q.buf[q.slot(k)].Pkt)
-	}
 }

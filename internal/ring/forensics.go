@@ -44,14 +44,6 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 		}
 		return s.name + "." + queueNames[q]
 	}
-	// feed is the queue s sends channel v's flits from: the locked
-	// worm's source, else the transit buffer.
-	feed := func(s *station, v int) int {
-		if s.locked&(1<<v) != 0 {
-			return int(s.txQ[v])
-		}
-		return v
-	}
 
 	pred := map[*station]*station{}
 	for i := range n.stations {
@@ -69,20 +61,23 @@ func (n *Network) BuildStallReport(now int64) *sim.StallReport {
 				// waits on whoever feeds its source queue: the upstream
 				// station, or — locked on an IRI queue — the peer whose
 				// exit fills it from its own upstream (a NIC's
-				// registers hold whole packets).
+				// registers hold whole packets, so a NIC never waits
+				// here). The feeder still holds the worm's tail, so it
+				// is locked on the worm's channel, and the edge ends at
+				// the queue it streams from.
 				if st.locked&(1<<v) != 0 {
 					src := int(st.txQ[v])
 					from, w, why := pred[st], v, "committed to a worm whose flits are still upstream"
 					if src >= numVCs {
 						from, why = st.peer, "committed to a worm still crossing the IRI queue"
-						for u := 0; u < numVCs && !n.cfg.UnsafeNoVC; u++ {
+						for u := 0; from != nil && u < numVCs && !n.cfg.UnsafeNoVC; u++ {
 							if st.peer.inPkt[u] == st.txPkt[v] {
 								from, w = pred[st.peer], u
 							}
 						}
 					}
 					if from != nil {
-						rep.Wait(node(st, src), node(from, feed(from, w)), why)
+						rep.Wait(node(st, src), node(from, int(from.txQ[w])), why)
 					}
 				}
 				continue

@@ -248,8 +248,8 @@ func (s *refStation) commit(now int64) {
 	}
 }
 
-// step runs one cycle of the given rings and reports the flits moved.
-func step(rings []*refRing, now int64) (moved int) {
+// refStep runs one cycle of the given rings and reports the flits moved.
+func refStep(rings []*refRing, now int64) (moved int) {
 	for _, r := range rings {
 		r.stagedInj = [numVCs]int{}
 		for _, st := range r.stations {
@@ -288,11 +288,11 @@ func (n *refNetwork) refill() (took int) {
 
 // tick runs PM cycle now and reports whether anything moved.
 func (n *refNetwork) tick(now int64) bool {
-	moved := step(n.rings, now) + n.refill()
+	moved := refStep(n.rings, now) + n.refill()
 	if n.double {
 		g := n.rings[len(n.rings)-1]
 		g.late = true
-		moved += step([]*refRing{g}, now)
+		moved += refStep([]*refRing{g}, now)
 		g.late = false
 		if len(n.rings) == 1 {
 			moved += n.refill()

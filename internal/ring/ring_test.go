@@ -94,6 +94,8 @@ func TestConfigValidate(t *testing.T) {
 		{Spec: topo.MustRingSpec(4), LineBytes: 32, IRIQueueFlits: -1},
 		// Queue smaller than one cache-line worm: would wedge forever.
 		{Spec: topo.MustRingSpec(2, 4), LineBytes: 32, IRIQueueFlits: 1},
+		// Queue storage is allocated up front: the depth is bounded.
+		{Spec: topo.MustRingSpec(2, 4), LineBytes: 32, IRIQueueFlits: MaxIRIQueueFlits + 1},
 		{Spec: topo.MustRingSpec(4), LineBytes: 32, Switching: Switching(9)},
 		// Slotted rings have no VCs to disable.
 		{Spec: topo.MustRingSpec(4), LineBytes: 32, Switching: Slotted, UnsafeNoVC: true},
