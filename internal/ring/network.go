@@ -159,7 +159,7 @@ func (n *Network) SetTracer(t *trace.Recorder) {
 	n.tracer = t
 	for i := range n.stations {
 		st := &n.stations[i]
-		st.tracer, st.hopLabel = t, ""
+		st.hopLabel = ""
 		if t != nil {
 			st.hopLabel = st.name + "->" + st.downstream.name
 		}

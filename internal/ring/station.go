@@ -265,10 +265,8 @@ type station struct {
 	// network sets exactly one of deliver and peer.
 	deliver func(p *packet.Packet, now int64, late bool)
 
-	// tracer is the optional lifecycle recorder; hopLabel is the
-	// "where" of this station's hop and exit events, built once when a
-	// recorder is attached (see Network.SetTracer).
-	tracer   *trace.Recorder
+	// hopLabel is the "where" of this station's hop and exit events,
+	// built once when a recorder is attached (see Network.SetTracer).
 	hopLabel string
 
 	// name is used in panic messages, traces and stall reports.
@@ -495,12 +493,12 @@ func (n *Network) commit(s *station, now int64) {
 		s.locked |= 1 << v
 		s.txQ[v], s.txPkt[v] = uint8(q), f.pkt
 	}
-	if s.tracer != nil && head {
+	if n.tracer != nil && head {
 		kind := trace.Hop
 		if route == routeExit && s.downstream.peer != nil {
 			kind = trace.Exit
 		}
-		s.tracer.Record(now, kind, f.pkt, s.hopLabel)
+		n.tracer.Record(now, kind, f.pkt, s.hopLabel)
 	}
 	// Residency bookkeeping for the bubble rule: an injected head that
 	// continues on the ring becomes a resident. Body flits follow the
