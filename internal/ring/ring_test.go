@@ -571,7 +571,7 @@ func TestCheckInvariantsCatchesStaleDecode(t *testing.T) {
 // station. Growing it past the bound is a decision to make in the open,
 // with a ledger row that shows it pays.
 func TestStationFootprint(t *testing.T) {
-	const bound = 224
+	const bound = 216
 	if got := unsafe.Sizeof(station{}); got > bound {
 		t.Fatalf("station is %d bytes, bound %d", got, bound)
 	}
