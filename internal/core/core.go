@@ -36,9 +36,12 @@ type System struct {
 	col    *node.Collector
 	pms    []*node.PM
 	net    network.Model
-	// links is the model's link list, read once at build; perLevel
-	// reports each group on its own (rings) instead of merged (meshes).
+	// links is the model's link list, read once at build, and marks
+	// each group's reading at the warmup discard, where the Result's
+	// utilization counts from; perLevel reports each group on its own
+	// (rings) instead of merged (meshes).
 	links    []sim.LinkGroup
+	marks    []sim.LinkMark
 	perLevel bool
 
 	metrics  *metrics.Registry
@@ -163,7 +166,7 @@ func NewSystemOn(plan *network.Plan, cfg SystemConfig) (*System, error) {
 	s.metrics = cfg.Metrics
 	if cfg.Metrics != nil {
 		for _, g := range s.links {
-			cfg.Metrics.Ratio(plan.Name+"_link_util", metrics.Labels{Link: g.Label}, g.Links...)
+			cfg.Metrics.Ratio(plan.Name+"_link_util", metrics.Labels{Link: g.Label}, g)
 		}
 		model.DescribeMetrics(cfg.Metrics)
 		if cfg.MetricsInterval > 0 {
@@ -500,10 +503,9 @@ func (s *System) RunCtx(ctx context.Context, rc RunConfig) (res Result, err erro
 		stalled, stallErr = true, err
 	}
 	s.col.Latency.CloseBatch() // discarded by the batch-means filter
+	s.marks = s.marks[:0]
 	for _, g := range s.links {
-		for _, u := range g.Links {
-			u.Reset()
-		}
+		s.marks = append(s.marks, g.Mark())
 	}
 	// Warmup-aware metrics reset: counters and sampled series restart
 	// with the measured interval, mirroring the batch-means discard.
@@ -555,16 +557,16 @@ func (s *System) RunCtx(ctx context.Context, rc RunConfig) (res Result, err erro
 		res.LatencyP99 = s.col.Hist.Quantile(0.99)
 		res.LatencyMax = s.col.Hist.Quantile(1)
 	}
-	var all stats.Utilization
-	for _, g := range s.links {
-		u := stats.Sum(g.Links...)
+	var busy, capacity int64
+	for i, g := range s.links {
+		b, c := g.Since(s.marks[i])
 		if s.perLevel {
-			res.RingUtilization = append(res.RingUtilization, u.Value())
+			res.RingUtilization = append(res.RingUtilization, sim.Utilization(b, c))
 		}
-		all.Merge(&u)
+		busy, capacity = busy+b, capacity+c
 	}
 	if !s.perLevel {
-		res.MeshUtilization = all.Value()
+		res.MeshUtilization = sim.Utilization(busy, capacity)
 	}
 	// Saturation: compare realized generation (remote + local misses)
 	// against the configured rate C over the whole run including

@@ -20,7 +20,6 @@ import (
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/sim"
-	"ringmesh/internal/stats"
 	"ringmesh/internal/topo"
 	"ringmesh/internal/trace"
 )
@@ -233,14 +232,19 @@ type Network struct {
 	labels [][topo.NumPorts]string
 
 	// linkUtil[id][o] counts flits router id sent on its outgoing
-	// neighbour link o against the mesh clock (cycles; only links that
-	// exist are bound to it, so edge slots accrue no capacity). It is
-	// kept off the routers, whose lines the tick reads every cycle;
-	// Links lists the bound counters by direction.
-	linkUtil [][topo.Local]stats.Utilization
+	// neighbour link o; cycles counts the capacity. It is kept off the
+	// routers, whose lines the tick reads every cycle; Links lists the
+	// counters of the links that exist by direction, so edge slots
+	// count no capacity.
+	linkUtil [][topo.Local]int64
 	// cycles counts the mesh's cycles: the clock every link's
 	// utilization takes its capacity from.
 	cycles int64
+	// pending[id] is router id's PM's pending signal
+	// (node.Port.BindPending): nonzero while the PM holds a packet for
+	// the injection register. Each router has a word of its own, as
+	// row shards commit their PMs concurrently.
+	pending []uint64
 }
 
 // SetTracer attaches an optional lifecycle recorder (nil-safe).
@@ -270,7 +274,8 @@ func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 	depth := cfg.bufferFlits()
 	n := &Network{cfg: cfg, engine: engine, routers: make([]router, len(pms))}
 	n.coord = make([]struct{ x, y int }, len(pms))
-	n.linkUtil = make([][topo.Local]stats.Utilization, len(pms))
+	n.pending = make([]uint64, len(pms))
+	n.linkUtil = make([][topo.Local]int64, len(pms))
 	n.slab, n.depth = make([]flit, len(pms)*int(topo.NumPorts)*depth), depth
 	for i := range n.slab {
 		n.slab[i] = emptySlot
@@ -278,6 +283,7 @@ func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 	for id := range n.routers {
 		r := &n.routers[id]
 		r.id, r.pm = int32(id), pms[id]
+		pms[id].BindPending(&n.pending[id], 1)
 		x, y := cfg.Spec.Coord(id)
 		r.x, r.y = int16(x), int16(y)
 		n.coord[id].x, n.coord[id].y = x, y
@@ -287,7 +293,6 @@ func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 		for o := topo.Direction(0); o < topo.Local; o++ {
 			if nb := cfg.Spec.Neighbor(id, o); nb >= 0 {
 				r.nbr[o] = &n.routers[nb]
-				n.linkUtil[id][o].Bind(&n.cycles)
 			}
 		}
 	}
@@ -444,7 +449,7 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 			} else {
 				n.push(nb, opposite[o], f)
 			}
-			n.linkUtil[r.id][o].Busy(1)
+			n.linkUtil[r.id][o]++
 		}
 		moved++
 	}
@@ -452,7 +457,8 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 
 	// Apply injection, then reload the injection register so a fresh
 	// packet (possibly issued by the PM's commit earlier this tick)
-	// starts streaming next cycle.
+	// starts streaming next cycle. The PM's pending word says whether
+	// it has one; the port is asked only then.
 	if r.injStaged {
 		f := flit{pkt: r.injPkt, idx: r.injIdx, tail: int(r.injIdx) == r.injPkt.Flits-1}
 		if n.tracer != nil && f.head() {
@@ -465,7 +471,7 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 		r.injStaged = false
 		moved++
 	}
-	if r.injPkt == nil && r.pm.HasPending() {
+	if r.injPkt == nil && n.pending[r.id] != 0 {
 		if p, ok := r.pm.TakeResponse(); ok {
 			r.injPkt, r.injIdx = p, 0
 		} else if p, ok := r.pm.TakeRequest(); ok {
@@ -476,15 +482,15 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 }
 
 // Links implements network.Model: one group per direction of the
-// routers' bound outgoing links, whose merged busy over capacity is the
-// paper's "percent of maximum network utilization" for meshes.
+// routers' outgoing links that exist, whose merged busy over capacity
+// is the paper's "percent of maximum network utilization" for meshes.
 func (n *Network) Links() []sim.LinkGroup {
 	groups := make([]sim.LinkGroup, 0, topo.Local)
 	for o := topo.Direction(0); o < topo.Local; o++ {
-		g := sim.LinkGroup{Label: o.String()}
+		g := sim.LinkGroup{Label: o.String(), Clock: &n.cycles}
 		for i := range n.routers {
 			if n.routers[i].nbr[o] != nil {
-				g.Links = append(g.Links, &n.linkUtil[i][o])
+				g.Busy = append(g.Busy, &n.linkUtil[i][o])
 			}
 		}
 		groups = append(groups, g)
@@ -543,10 +549,14 @@ func (n *Network) BufferedFlits() int {
 // its depth, a queued flit's out is not the e-cube route from the
 // router holding it (noPort for a body flit), an input's frontOut is
 // not its front flit's out, an output's lock bit disagrees with its
-// lock or, between ticks, a router still holds a staged move or input.
+// lock, a PM's pending word disagrees with its pending state or,
+// between ticks, a router still holds a staged move or input.
 func (n *Network) CheckInvariants() error {
 	for i := range n.routers {
 		r := &n.routers[i]
+		if set := n.pending[i] != 0; !node.PendingAgrees(r.pm, set) {
+			return fmt.Errorf("mesh: router %d pending word %v disagrees with its PM", r.id, set)
+		}
 		for p := topo.Direction(0); p < topo.NumPorts; p++ {
 			if int(r.qn[p]) > n.depth {
 				return fmt.Errorf("mesh: router %d input %s over capacity", r.id, p)

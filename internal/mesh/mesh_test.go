@@ -8,7 +8,6 @@ import (
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/sim"
-	"ringmesh/internal/stats"
 	"ringmesh/internal/topo"
 )
 
@@ -17,17 +16,39 @@ type fakePM struct {
 	pendResp  []*packet.Packet
 	delivered []*packet.Packet
 	deliverAt []int64
+	// word and bit are the pending signal the network bound (nil until
+	// it binds, as for the reference ticks, which poll the fake).
+	word *uint64
+	bit  uint64
 }
 
-func (f *fakePM) TakeResponse() (*packet.Packet, bool) { return take(&f.pendResp) }
-func (f *fakePM) TakeRequest() (*packet.Packet, bool)  { return take(&f.pendReq) }
-func take(q *[]*packet.Packet) (*packet.Packet, bool) {
+func (f *fakePM) TakeResponse() (*packet.Packet, bool) { return f.take(&f.pendResp) }
+func (f *fakePM) TakeRequest() (*packet.Packet, bool)  { return f.take(&f.pendReq) }
+func (f *fakePM) take(q *[]*packet.Packet) (*packet.Packet, bool) {
 	if len(*q) == 0 {
 		return nil, false
 	}
 	p := (*q)[0]
 	*q = (*q)[1:]
+	f.signal()
 	return p, true
+}
+func (f *fakePM) BindPending(word *uint64, bit uint64) { f.word, f.bit = word, bit; f.signal() }
+
+// addReq and addResp queue p for the NIC, as a PM's commit does.
+func (f *fakePM) addReq(p *packet.Packet)  { f.pendReq = append(f.pendReq, p); f.signal() }
+func (f *fakePM) addResp(p *packet.Packet) { f.pendResp = append(f.pendResp, p); f.signal() }
+
+// signal sets the bound pending bit to HasPending.
+func (f *fakePM) signal() {
+	if f.word == nil {
+		return
+	}
+	if f.HasPending() {
+		*f.word |= f.bit
+	} else {
+		*f.word &^= f.bit
+	}
 }
 func (f *fakePM) Deliver(p *packet.Packet, now int64, _ bool) {
 	f.delivered = append(f.delivered, p)
@@ -125,7 +146,7 @@ func TestNewRejectsWrongPMCount(t *testing.T) {
 func TestNeighborDelivery(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustMeshSpec(2), LineBytes: 32, BufferFlits: 4})
 	p := mkPkt(1, packet.ReadRequest, 0, 1, 32) // 4 flits
-	h.pms[0].pendReq = append(h.pms[0].pendReq, p)
+	h.pms[0].addReq(p)
 	h.run(t, 30)
 	if len(h.pms[1].delivered) != 1 {
 		t.Fatal("packet not delivered")
@@ -147,7 +168,7 @@ func TestZeroLoadLatencyMatchesHops(t *testing.T) {
 	for _, c := range []struct{ src, dst int }{{0, 15}, {3, 12}, {5, 6}, {1, 13}} {
 		h := newHarness(t, Config{Spec: spec, LineBytes: 32, BufferFlits: 4})
 		p := mkPkt(1, packet.WriteRequest, c.src, c.dst, 32) // 12 flits
-		h.pms[c.src].pendReq = append(h.pms[c.src].pendReq, p)
+		h.pms[c.src].addReq(p)
 		h.run(t, 100)
 		if len(h.pms[c.dst].delivered) != 1 {
 			t.Fatalf("%d->%d not delivered", c.src, c.dst)
@@ -163,7 +184,7 @@ func TestZeroLoadLatencyMatchesHops(t *testing.T) {
 func TestLocalLoopback(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustMeshSpec(2), LineBytes: 32, BufferFlits: 4})
 	p := mkPkt(1, packet.ReadRequest, 0, 0, 32)
-	h.pms[0].pendReq = append(h.pms[0].pendReq, p)
+	h.pms[0].addReq(p)
 	h.run(t, 20)
 	if len(h.pms[0].delivered) != 1 {
 		t.Fatal("loopback packet not delivered")
@@ -179,8 +200,8 @@ func TestWormholeContention(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustMeshSpec(3), LineBytes: 128, BufferFlits: 4})
 	// 0 -> 2 and 3 -> 2 share the link into router 2's column? Use
 	// 0->2 (east,east) and 1->2 (east): both use link 1->2.
-	h.pms[0].pendResp = append(h.pms[0].pendResp, mkPkt(1, packet.ReadResponse, 0, 2, 128)) // 36 flits
-	h.pms[1].pendResp = append(h.pms[1].pendResp, mkPkt(2, packet.ReadResponse, 1, 2, 128))
+	h.pms[0].addResp(mkPkt(1, packet.ReadResponse, 0, 2, 128)) // 36 flits
+	h.pms[1].addResp(mkPkt(2, packet.ReadResponse, 1, 2, 128))
 	h.run(t, 300)
 	if len(h.pms[2].delivered) != 2 {
 		t.Fatalf("delivered %d packets, want 2", len(h.pms[2].delivered))
@@ -191,7 +212,7 @@ func TestWormholeContention(t *testing.T) {
 func TestOneFlitBuffers(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustMeshSpec(3), LineBytes: 64, BufferFlits: 1})
 	for i := 0; i < 4; i++ {
-		h.pms[0].pendResp = append(h.pms[0].pendResp, mkPkt(uint64(1+i), packet.ReadResponse, 0, 8, 64))
+		h.pms[0].addResp(mkPkt(uint64(1+i), packet.ReadResponse, 0, 8, 64))
 	}
 	h.run(t, 1000)
 	if len(h.pms[8].delivered) != 4 {
@@ -202,8 +223,8 @@ func TestOneFlitBuffers(t *testing.T) {
 // Responses are injected before requests.
 func TestResponseInjectionPriority(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustMeshSpec(2), LineBytes: 32, BufferFlits: 4})
-	h.pms[0].pendReq = append(h.pms[0].pendReq, mkPkt(1, packet.ReadRequest, 0, 1, 32))
-	h.pms[0].pendResp = append(h.pms[0].pendResp, mkPkt(2, packet.ReadResponse, 0, 1, 32))
+	h.pms[0].addReq(mkPkt(1, packet.ReadRequest, 0, 1, 32))
+	h.pms[0].addResp(mkPkt(2, packet.ReadResponse, 0, 1, 32))
 	h.run(t, 60)
 	if len(h.pms[1].delivered) != 2 {
 		t.Fatalf("delivered %d", len(h.pms[1].delivered))
@@ -220,7 +241,7 @@ func TestResponseInjectionPriority(t *testing.T) {
 func TestEcubePathShape(t *testing.T) {
 	spec := topo.MustMeshSpec(3)
 	h := newHarness(t, Config{Spec: spec, LineBytes: 16, BufferFlits: 4})
-	h.pms[0].pendReq = append(h.pms[0].pendReq, mkPkt(1, packet.ReadRequest, 0, 8, 16))
+	h.pms[0].addReq(mkPkt(1, packet.ReadRequest, 0, 8, 16))
 	h.run(t, 50)
 	if len(h.pms[8].delivered) != 1 {
 		t.Fatal("not delivered")
@@ -231,7 +252,7 @@ func TestEcubePathShape(t *testing.T) {
 	for id := range h.net.routers {
 		busy := false
 		for o := topo.Direction(0); o < topo.Local; o++ {
-			if h.net.linkUtil[id][o].Value() > 0 {
+			if h.net.linkUtil[id][o] > 0 {
 				busy = true
 			}
 		}
@@ -257,7 +278,7 @@ func TestStormDrains(t *testing.T) {
 			if d == s {
 				continue
 			}
-			h.pms[s].pendReq = append(h.pms[s].pendReq, mkPkt(id, packet.WriteRequest, s, d, 32))
+			h.pms[s].addReq(mkPkt(id, packet.WriteRequest, s, d, 32))
 			id++
 			total++
 		}
@@ -283,8 +304,8 @@ func TestRoundRobinFairness(t *testing.T) {
 	// targets that converge on router 4's east output: 3->5 and
 	// PM 4 -> 5: both use router 4's east link.
 	for i := 0; i < 6; i++ {
-		h.pms[3].pendResp = append(h.pms[3].pendResp, mkPkt(uint64(100+i), packet.ReadResponse, 3, 5, 16))
-		h.pms[4].pendResp = append(h.pms[4].pendResp, mkPkt(uint64(200+i), packet.ReadResponse, 4, 5, 16))
+		h.pms[3].addResp(mkPkt(uint64(100+i), packet.ReadResponse, 3, 5, 16))
+		h.pms[4].addResp(mkPkt(uint64(200+i), packet.ReadResponse, 4, 5, 16))
 	}
 	h.run(t, 1000)
 	if len(h.pms[5].delivered) != 12 {
@@ -310,7 +331,7 @@ func TestRoundRobinFairness(t *testing.T) {
 // 8 busy link-cycles at the sending router.
 func TestUtilizationAccounting(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustMeshSpec(2), LineBytes: 16, BufferFlits: 8})
-	h.pms[0].pendResp = append(h.pms[0].pendResp, mkPkt(1, packet.ReadResponse, 0, 1, 16)) // 8 flits
+	h.pms[0].addResp(mkPkt(1, packet.ReadResponse, 0, 1, 16)) // 8 flits
 	h.run(t, 20)
 	if len(h.pms[1].delivered) != 1 {
 		t.Fatal("not delivered")
@@ -322,15 +343,16 @@ func TestUtilizationAccounting(t *testing.T) {
 	}
 }
 
-// meshUtil merges every listed link's counter, as the runner does for
-// MeshUtilization, and says how many links it merged.
+// meshUtil merges every listed link's counts since the build, as the
+// runner does for MeshUtilization, and says how many links it merged.
 func meshUtil(n *Network) (float64, int) {
-	var links []*stats.Utilization
+	var busy, capacity int64
+	links := 0
 	for _, g := range n.Links() {
-		links = append(links, g.Links...)
+		b, c := g.Since(sim.LinkMark{})
+		busy, capacity, links = busy+b, capacity+c, links+len(g.Busy)
 	}
-	u := stats.Sum(links...)
-	return u.Value(), len(links)
+	return sim.Utilization(busy, capacity), links
 }
 
 // The build-time geometry the tick runs on must be topo.MeshSpec's: for
@@ -475,8 +497,8 @@ func TestStallReportWaitEdges(t *testing.T) {
 	}
 	for _, tc := range cases {
 		h := newHarness(t, Config{Spec: topo.MustMeshSpec(3), LineBytes: 32, BufferFlits: tc.buf})
-		h.pms[0].pendReq = append(h.pms[0].pendReq, mkPkt(1, packet.WriteRequest, 0, 2, 32))
-		h.pms[1].pendReq = append(h.pms[1].pendReq, mkPkt(2, packet.WriteRequest, 1, 2, 32))
+		h.pms[0].addReq(mkPkt(1, packet.WriteRequest, 0, 2, 32))
+		h.pms[1].addReq(mkPkt(2, packet.WriteRequest, 1, 2, 32))
 		h.run(t, tc.at)
 		var got []string
 		for _, e := range h.net.BuildStallReport(int64(tc.at)).WaitFor {

@@ -9,9 +9,10 @@ import (
 
 // Ownership partition of the mesh for the parallel tick engine: one
 // shard per router row. A row owns its routers' inputs, injection
-// registers, PM ports, and utilization counters, so everything a row's
-// commit touches is row-local except pushes across a row boundary (a
-// flit leaving through a North or South output). Those are staged in
+// registers, PM ports and their pending words, and utilization
+// counters, so everything a row's commit touches is row-local except
+// pushes across a row boundary (a flit leaving through a North or
+// South output). Those are staged in
 // the committing shard's outbox during commit phase 0 and applied in
 // phase 1, after a barrier — each boundary input has exactly one
 // producing router and a queue header of its own, so the outbox flush

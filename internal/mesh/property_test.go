@@ -104,9 +104,9 @@ func randomPackets(r *rng.Source, pms, line, n int) []*packet.Packet {
 // enqueue queues p at its PM, responses and requests apart.
 func enqueue(pm *fakePM, p *packet.Packet) {
 	if p.Type.IsResponse() {
-		pm.pendResp = append(pm.pendResp, p)
+		pm.addResp(p)
 	} else {
-		pm.pendReq = append(pm.pendReq, p)
+		pm.addReq(p)
 	}
 }
 
@@ -123,7 +123,7 @@ func TestExhaustiveConnectivityOneFlit(t *testing.T) {
 			p := &packet.Packet{ID: uint64(dst + 1), Type: packet.ReadRequest,
 				Src: src, Dst: dst,
 				Flits: packet.MeshSizing.PacketFlits(packet.ReadRequest, 32)}
-			h.pms[src].pendReq = append(h.pms[src].pendReq, p)
+			h.pms[src].addReq(p)
 		}
 		h.run(t, 3000)
 		for dst := 0; dst < spec.PMs(); dst++ {

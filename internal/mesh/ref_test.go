@@ -15,7 +15,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/rng"
 	"ringmesh/internal/topo"
@@ -46,7 +45,7 @@ type refRouter struct {
 	injPkt    *packet.Packet
 	injIdx    int
 	stagedInj refMove
-	pm        node.Port
+	pm        *fakePM // polled directly: the reference binds no pending word
 }
 
 type refNetwork struct {
@@ -54,7 +53,7 @@ type refNetwork struct {
 	coord   []struct{ x, y int }
 }
 
-func newRefNetwork(cfg Config, pms []node.Port) *refNetwork {
+func newRefNetwork(cfg Config, pms []*fakePM) *refNetwork {
 	n := &refNetwork{coord: make([]struct{ x, y int }, cfg.Spec.PMs())}
 	for id := range n.coord {
 		r := &refRouter{id: id, pm: pms[id]}
@@ -229,12 +228,10 @@ func TestTickMatchesReference(t *testing.T) {
 
 		h := newHarness(t, cfg)
 		refPMs := make([]*fakePM, len(h.pms))
-		refPorts := make([]node.Port, len(h.pms))
 		for i := range refPMs {
 			refPMs[i] = &fakePM{}
-			refPorts[i] = refPMs[i]
 		}
-		ref := newRefNetwork(cfg, refPorts)
+		ref := newRefNetwork(cfg, refPMs)
 		for _, p := range pkts {
 			q := *p
 			enqueue(h.pms[p.Src], p)

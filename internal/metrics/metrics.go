@@ -21,15 +21,14 @@
 //     the serving daemon's concurrent counts are atomic Counters.
 //   - Gauge: an instantaneous value read through a callback at sample
 //     time (queue occupancy).
-//   - Ratio: busy-over-capacity utilization backed by one or more
-//     existing stats.Utilization counters (link utilization), the ones
-//     the models maintain for their end-of-run stats.
+//   - Ratio: busy-over-capacity utilization of a group of links
+//     (sim.LinkGroup), read from the counters and the clock the models
+//     keep for their end-of-run stats.
 //
 // The measurement clock is warmup-aware: Registry.Reset (called by
 // the core runner when the batch-means method discards its first
-// batch) rebases counter series on their current count, and the runner
-// resets the link counters behind the ratios, so exported series cover
-// the measured interval only.
+// batch) rebases counter and ratio series on their current counts, so
+// exported series cover the measured interval only.
 package metrics
 
 import (
@@ -41,7 +40,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ringmesh/internal/stats"
+	"ringmesh/internal/sim"
 )
 
 // Labels is the small fixed label scheme keying a series. Empty
@@ -274,11 +273,14 @@ type Series struct {
 
 	// count reads a counter series' raw count; base is the count at the
 	// last Registry.Reset, so the series reads count() - base.
-	count  func() int64
-	base   atomic.Int64
-	gauge  func() float64
-	ratios []*stats.Utilization
-	hist   *Histogram
+	count func() int64
+	base  atomic.Int64
+	gauge func() float64
+	// links is a ratio series' group and mark its reading at the last
+	// Registry.Reset.
+	links sim.LinkGroup
+	mark  sim.LinkMark
+	hist  *Histogram
 }
 
 // counted returns a counter series' count since the last reset. base
@@ -313,8 +315,7 @@ func (s *Series) Value() float64 {
 	case KindHistogram:
 		return float64(s.hist.Count())
 	default:
-		u := stats.Sum(s.ratios...)
-		return u.Value()
+		return sim.Utilization(s.links.Since(s.mark))
 	}
 }
 
@@ -328,8 +329,7 @@ func (s *Series) raw() (int64, int64) {
 	case KindHistogram:
 		return s.hist.Count(), 0
 	case KindRatio:
-		u := stats.Sum(s.ratios...)
-		return u.Counts()
+		return s.links.Since(s.mark)
 	default:
 		return 0, 0
 	}
@@ -343,8 +343,8 @@ func (s *Series) raw() (int64, int64) {
 // reset and export serialize on an internal lock, and counters are
 // atomic — the contract the serving daemon relies on when concurrent
 // jobs report into one process-wide registry behind a single /metrics
-// endpoint. The exception is Ratio series: their stats.Utilization
-// backings stay owned by one single-threaded simulation, so a shared
+// endpoint. The exception is Ratio series: their link counters stay
+// owned by one single-threaded simulation, so a shared
 // registry should hold counters and gauges (over atomics) only, and
 // each simulated system keeps its own registry for ratio series as
 // before.
@@ -435,19 +435,18 @@ func (r *Registry) Histogram(name string, l Labels, bounds []float64) *Histogram
 	return r.register(&Series{Name: name, Labels: l, Kind: KindHistogram, hist: h}).hist
 }
 
-// Ratio registers a utilization series backed by the given
-// stats.Utilization counters (their merged busy/capacity is the
-// series value). The backings stay owned by the caller — typically a
-// model's existing link counters — so registration adds no hot-path
-// work. A nil registry registers nothing.
-func (r *Registry) Ratio(name string, l Labels, backing ...*stats.Utilization) {
+// Ratio registers a utilization series over link group g: its links'
+// busy cycles over the capacity g's clock offered them. The counters
+// stay owned by the model that keeps them, so registration adds no
+// hot-path work. A nil registry registers nothing.
+func (r *Registry) Ratio(name string, l Labels, g sim.LinkGroup) {
 	if r == nil {
 		return
 	}
-	if len(backing) == 0 {
-		panic(fmt.Sprintf("metrics: Ratio(%s%s) with no backing", name, l))
+	if len(g.Busy) == 0 {
+		panic(fmt.Sprintf("metrics: Ratio(%s%s) with no links", name, l))
 	}
-	r.register(&Series{Name: name, Labels: l, Kind: KindRatio, ratios: backing})
+	r.register(&Series{Name: name, Labels: l, Kind: KindRatio, links: g, mark: g.Mark()})
 }
 
 // Series returns the registered series in registration order (nil for
@@ -467,13 +466,11 @@ func (r *Registry) Series() []*Series {
 	return out
 }
 
-// Reset rebases every counter series on its current count and clears
-// every histogram — the warmup-aware reset: the core runner calls it
-// when the batch-means method discards the first batch, so exported
-// series cover the measured interval only. Gauges are instantaneous and
-// have nothing to clear; ratio backings belong to their owner, which
-// resets them itself (the runner resets a model's link counters once).
-// Nil-safe.
+// Reset rebases every counter and ratio series on its current counts
+// and clears every histogram — the warmup-aware reset: the core runner
+// calls it when the batch-means method discards the first batch, so
+// exported series cover the measured interval only. Gauges are
+// instantaneous and have nothing to clear. Nil-safe.
 func (r *Registry) Reset() {
 	if r == nil {
 		return
@@ -484,6 +481,8 @@ func (r *Registry) Reset() {
 			s.base.Store(s.count())
 		case KindHistogram:
 			s.hist.reset()
+		case KindRatio:
+			s.mark = s.links.Mark()
 		}
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"ringmesh/internal/stats"
+	"ringmesh/internal/sim"
 )
 
 // A nil registry hands out nil instruments and every call no-ops —
@@ -22,7 +22,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	}
 	reg.Gauge("g", Labels{}, nil) // nil callback must not panic via nil registry
 	reg.CounterFunc("f", Labels{}, nil)
-	reg.Ratio("r", Labels{})
+	reg.Ratio("r", Labels{}, sim.LinkGroup{})
 	reg.Reset()
 	if reg.Series() != nil {
 		t.Fatal("nil registry has series")
@@ -72,14 +72,11 @@ func TestCounterGaugeRatioValues(t *testing.T) {
 	c := reg.Counter("events", Labels{})
 	g := 3.5
 	reg.Gauge("depth", Labels{}, func() float64 { return g })
-	var clock int64
-	var u1, u2 stats.Utilization
-	u1.Bind(&clock)
-	u2.Bind(&clock)
-	reg.Ratio("util", Labels{}, &u1, &u2)
+	var clock, u1, u2 int64
+	reg.Ratio("util", Labels{}, sim.LinkGroup{Clock: &clock, Busy: []*int64{&u1, &u2}})
 
 	c.Add(7)
-	u1.Busy(3)
+	u1 += 3
 	clock += 4 // merged: 3 busy / 8 capacity
 	vals := map[string]float64{}
 	for _, s := range reg.Series() {
@@ -89,12 +86,18 @@ func TestCounterGaugeRatioValues(t *testing.T) {
 		t.Fatalf("values = %v", vals)
 	}
 
-	// Reset rebases counter series; gauges are untouched.
+	// Reset rebases counter and ratio series without touching the
+	// owners' counts; gauges are untouched.
 	reg.Reset()
 	g = 9
+	u2++
+	clock += 2 // since the reset: 1 busy / 4 capacity
 	for _, s := range reg.Series() {
 		if s.Name == "events" && s.Value() != 0 {
 			t.Fatal("counter series survived reset")
+		}
+		if s.Name == "util" && (s.Value() != 1.0/4.0 || u1 != 3) {
+			t.Fatalf("ratio after reset = %v (owner's count %d), want 1/4 (3)", s.Value(), u1)
 		}
 		if s.Name == "depth" && s.Value() != 9 {
 			t.Fatal("gauge not live after reset")
@@ -211,10 +214,8 @@ wait_count{class="b"} 0
 func TestSamplerWindows(t *testing.T) {
 	reg := &Registry{}
 	c := reg.Counter("events", Labels{})
-	var clock int64
-	var u stats.Utilization
-	u.Bind(&clock)
-	reg.Ratio("util", Labels{}, &u)
+	var clock, u int64
+	reg.Ratio("util", Labels{}, sim.LinkGroup{Clock: &clock, Busy: []*int64{&u}})
 	depth := 0.0
 	reg.Gauge("depth", Labels{}, func() float64 { return depth })
 
@@ -226,7 +227,7 @@ func TestSamplerWindows(t *testing.T) {
 		c.Inc()
 		clock++
 		if tick < 10 {
-			u.Busy(1) // first window fully busy, second idle
+			u++ // first window fully busy, second idle
 		}
 		depth = float64(tick)
 		s.OnCycle(tick, 0)
@@ -284,17 +285,15 @@ func TestSamplerReset(t *testing.T) {
 func TestExporters(t *testing.T) {
 	reg := &Registry{}
 	c := reg.Counter("turns", Labels{Node: "router0"})
-	var clock int64
-	var u stats.Utilization
-	u.Bind(&clock)
-	reg.Ratio("link_util", Labels{Link: "L0"}, &u)
+	var clock, u int64
+	reg.Ratio("link_util", Labels{Link: "L0"}, sim.LinkGroup{Clock: &clock, Busy: []*int64{&u}})
 	c.Add(4)
-	u.Busy(1)
+	u++
 	clock += 2
 
 	s := NewSampler(reg, 2)
 	c.Add(1)
-	u.Busy(1)
+	u++
 	clock += 2
 	s.OnCycle(1, 0)
 

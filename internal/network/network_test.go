@@ -11,6 +11,7 @@ import (
 	"ringmesh/internal/ring"
 	"ringmesh/internal/sim"
 	"ringmesh/internal/topo"
+	"ringmesh/internal/workload"
 )
 
 // Both families' models implement Model themselves; the plans hand
@@ -120,6 +121,7 @@ type stubPort struct{}
 func (stubPort) TakeResponse() (*packet.Packet, bool) { return nil, false }
 func (stubPort) TakeRequest() (*packet.Packet, bool)  { return nil, false }
 func (stubPort) Deliver(*packet.Packet, int64, bool)  {}
+func (stubPort) BindPending(*uint64, uint64)          {}
 func (stubPort) HasPending() bool                     { return false }
 
 // TestBuiltinsAdvertiseCapabilities builds both families and asserts
@@ -207,6 +209,104 @@ func TestRankedRingSpecs(t *testing.T) {
 	} {
 		if _, err := RankedRingSpecs(c.pms, c.line, 4, 3); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("RankedRingSpecs(%d, %d) = %v; want %q", c.pms, c.line, err, c.want)
+		}
+	}
+}
+
+// countingPort is a PM that counts the Take calls its network makes
+// and, of those, the ones made while it had nothing pending: the polls
+// the pending bit spares.
+type countingPort struct {
+	*node.PM
+	takes, idle int
+}
+
+func (c *countingPort) TakeResponse() (*packet.Packet, bool) {
+	c.count()
+	return c.PM.TakeResponse()
+}
+
+func (c *countingPort) TakeRequest() (*packet.Packet, bool) {
+	c.count()
+	return c.PM.TakeRequest()
+}
+
+func (c *countingPort) count() {
+	c.takes++
+	if !c.PM.HasPending() {
+		c.idle++
+	}
+}
+
+// portSet commits every PM, as the runner's PM component does.
+type portSet []*countingPort
+
+func (portSet) Compute(int64) {}
+func (ps portSet) Commit(now int64) {
+	for _, p := range ps {
+		p.Commit(now)
+	}
+}
+
+// At low load a network asks a PM for a packet only while its pending
+// bit is set: over a run of every model, no NIC or router takes from a
+// PM with nothing pending, while the PMs that have packets hand them
+// over. The count is of calls, not time, so it holds on any machine.
+func TestIdlePortsAreNotAsked(t *testing.T) {
+	cfgs := []struct {
+		family string
+		cfg    Config
+	}{
+		{"ring", Config{Topology: "2:3:4", LineBytes: 32}},
+		{"ring", Config{Topology: "2:3:4", LineBytes: 32, SlottedSwitching: true}},
+		{"ring", Config{Topology: "2:3:4", LineBytes: 32, DoubleSpeedGlobal: true}},
+		{"mesh", Config{Topology: "4x4", LineBytes: 32, BufferFlits: 4}},
+	}
+	for _, c := range cfgs {
+		plan, err := New(c.family, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl := workload.MMRP{R: 0.2, C: 0.01, T: 4, ReadProb: 0.7}
+		pattern, err := plan.Locality(wl.R)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := node.NewCollector()
+		engine := &sim.Engine{}
+		pms := make(portSet, plan.PMs)
+		ports := make([]node.Port, plan.PMs)
+		for id := range pms {
+			pm, err := node.NewPM(id, node.Config{Workload: wl, Pattern: pattern, Sizing: plan.Sizing,
+				LineBytes: c.cfg.LineBytes, Seed: 3}, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pms[id] = &countingPort{PM: pm}
+			ports[id] = pms[id]
+		}
+		engine.Register(pms, 1)
+		model, err := plan.Build(ports, engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine.Register(model, 1)
+		if err := engine.Run(5000); err != nil {
+			t.Fatal(err)
+		}
+		if err := model.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		takes, idle := 0, 0
+		for _, p := range pms {
+			takes, idle = takes+p.takes, idle+p.idle
+		}
+		desc := plan.Description
+		if col.Completed == 0 || takes == 0 {
+			t.Fatalf("%s: %d takes, %d completions: the run carried no traffic", desc, takes, col.Completed)
+		}
+		if idle != 0 {
+			t.Errorf("%s: %d of %d takes asked a PM with nothing pending", desc, idle, takes)
 		}
 	}
 }

@@ -24,15 +24,22 @@ import (
 
 // Port is what a network model needs from each processing module: a
 // source of pending packets to inject and a sink for delivered ones.
-// The NIC pulls: each of its two output registers holds exactly one
-// cache-line packet, and it takes the PM's oldest pending packet of a
-// class when that register is free. Responses and requests are taken
-// separately because both NIC designs prioritize responses at
-// injection.
+// The PM pushes: at build the network binds each port to a bit of a
+// word it owns, and the port keeps that bit equal to "a packet of
+// either class awaits the NIC", so an idle NIC reads a bit instead of
+// asking its PM. The NIC then takes: each of its two output registers
+// holds exactly one cache-line packet, and it takes the PM's oldest
+// pending packet of a class when that register is free. Responses and
+// requests are taken separately because both NIC designs prioritize
+// responses at injection.
 type Port interface {
-	// HasPending reports whether a packet of either class awaits the
-	// NIC, so a model can ask once per cycle before taking.
-	HasPending() bool
+	// BindPending makes bit (one set bit) of *word the port's pending
+	// signal: set while a packet of either class awaits the NIC, clear
+	// otherwise. The port sets it at once when it already holds one.
+	// The network reads the word in its commit, after every PM's; a
+	// word may carry the bits of several ports when one goroutine
+	// commits them all.
+	BindPending(word *uint64, bit uint64)
 	// TakeResponse removes and returns the oldest pending response.
 	TakeResponse() (*packet.Packet, bool)
 	// TakeRequest removes and returns the oldest pending request.
@@ -43,6 +50,15 @@ type Port interface {
 	// PM is a perfect sink (responses are consumed immediately;
 	// requests join the memory queue).
 	Deliver(p *packet.Packet, now int64, late bool)
+}
+
+// PendingAgrees reports whether set, the pending bit the network bound
+// for port p (BindPending), equals p's pending state. Every PM reports
+// that state through HasPending; a port that does not agrees. The
+// networks' invariant checks ask it.
+func PendingAgrees(p Port, set bool) bool {
+	hp, ok := p.(interface{ HasPending() bool })
+	return !ok || hp.HasPending() == set
 }
 
 // Collector aggregates the run's measurements across all PMs.
@@ -236,9 +252,14 @@ type PM struct {
 	queuedMisses []int64
 
 	// Pending packets awaiting NIC pickup (unbounded; the bounded
-	// buffers live in the NICs).
+	// buffers live in the NICs). pendBit of *pendWord is set exactly
+	// while either list is non-empty: the signal the network bound
+	// (BindPending), or a word of the PM's own until it does.
 	pendingReq  []*packet.Packet
 	pendingResp []*packet.Packet
+	pendWord    *uint64
+	pendBit     uint64
+	ownPend     uint64
 
 	// Memory controller: FIFO of requests, one served at a time;
 	// memDone is the cycle the request in service completes (never when
@@ -271,7 +292,9 @@ func NewPM(id int, cfg Config, col *Collector) (*PM, error) {
 		missAt:     never,
 		memDone:    never,
 		memLatency: ml,
+		pendBit:    1,
 	}
+	pm.pendWord = &pm.ownPend
 	if cfg.Tracer != nil {
 		pm.label = fmt.Sprintf("pm%d", id)
 	}
@@ -341,10 +364,16 @@ func (pm *PM) sampleGap() int {
 // Commit advances the memory controller and the processor by PM cycle
 // now. PMs stage nothing: all their state is private or
 // append/pop-disjoint with the NICs, so the work happens in Commit.
+// The sleep check is all Commit does itself, so that it inlines into
+// the caller's loop over PMs.
 func (pm *PM) Commit(now int64) {
-	if now < pm.wake {
-		return
+	if now >= pm.wake {
+		pm.step(now)
 	}
+}
+
+// step is the work of a Commit that is due.
+func (pm *PM) step(now int64) {
 	pm.stepMemory(now)
 	pm.stepProcessor(now)
 	pm.wake = min(pm.memDone, pm.missAt)
@@ -366,6 +395,7 @@ func (pm *PM) stepMemory(now int64) {
 		}
 		resp.Flits = pm.cfg.Sizing.PacketFlits(resp.Type, pm.cfg.LineBytes)
 		pm.pendingResp = append(pm.pendingResp, resp)
+		*pm.pendWord |= pm.pendBit
 	}
 	if len(pm.memQ) > 0 {
 		pm.memServing = pm.memQ[0]
@@ -434,6 +464,7 @@ func (pm *PM) issueMiss(genTime int64) {
 	req.Flits = pm.cfg.Sizing.PacketFlits(typ, pm.cfg.LineBytes)
 	pm.cfg.Tracer.Record(genTime, trace.Issue, req, pm.label)
 	pm.pendingReq = append(pm.pendingReq, req)
+	*pm.pendWord |= pm.pendBit
 	pm.outstanding++
 	pm.noteIssued(read)
 }
@@ -462,24 +493,37 @@ func (pm *PM) Deliver(p *packet.Packet, now int64, late bool) {
 	pm.memQ = append(pm.memQ, p)
 }
 
+// BindPending implements Port.
+func (pm *PM) BindPending(word *uint64, bit uint64) {
+	pm.pendWord, pm.pendBit = word, bit
+	if pm.HasPending() {
+		*word |= bit
+	}
+}
+
 // HasPending reports whether a packet of either class awaits NIC
-// pickup — the one question an idle NIC asks every cycle.
+// pickup: what the bound bit must equal. The networks read the bit;
+// their invariant checks and tests ask this.
 func (pm *PM) HasPending() bool { return len(pm.pendingResp)+len(pm.pendingReq) > 0 }
 
 // TakeResponse implements Port.
-func (pm *PM) TakeResponse() (*packet.Packet, bool) { return take(&pm.pendingResp) }
+func (pm *PM) TakeResponse() (*packet.Packet, bool) { return pm.take(&pm.pendingResp) }
 
 // TakeRequest implements Port.
-func (pm *PM) TakeRequest() (*packet.Packet, bool) { return take(&pm.pendingReq) }
+func (pm *PM) TakeRequest() (*packet.Packet, bool) { return pm.take(&pm.pendingReq) }
 
-// take pops the head of a pending list, keeping its backing array.
-func take(q *[]*packet.Packet) (*packet.Packet, bool) {
+// take pops the head of a pending list, keeping its backing array, and
+// clears the pending bit once both lists are empty.
+func (pm *PM) take(q *[]*packet.Packet) (*packet.Packet, bool) {
 	if len(*q) == 0 {
 		return nil, false
 	}
 	p := (*q)[0]
 	copy(*q, (*q)[1:])
 	*q = (*q)[:len(*q)-1]
+	if !pm.HasPending() {
+		*pm.pendWord &^= pm.pendBit
+	}
 	return p, true
 }
 

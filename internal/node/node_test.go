@@ -510,3 +510,73 @@ func TestDueTicksMatchCountdown(t *testing.T) {
 		}
 	}
 }
+
+// fixedTarget sends every reference to one PM.
+type fixedTarget int
+
+func (f fixedTarget) Target(int, *rng.Source) int { return int(f) }
+func (f fixedTarget) String() string              { return fmt.Sprintf("to pm%d", int(f)) }
+
+// The bit a network binds follows the PM's pending lists: a request
+// append sets it, a memory response append sets it, and it clears only
+// once both lists have drained. The PM touches no other bit of the
+// word.
+func TestPendingBitFollowsLists(t *testing.T) {
+	const others, bit = uint64(0b1001), uint64(0b0100)
+	bound := func(t *testing.T, id int, target fixedTarget) (*PM, *uint64) {
+		t.Helper()
+		cfg := testConfig()
+		cfg.Workload.C, cfg.Workload.Deterministic = 1, true // a miss every cycle
+		cfg.Pattern, cfg.MemLatency = target, 1
+		pm := mustPM(t, id, cfg, NewCollector())
+		word := others
+		pm.BindPending(&word, bit)
+		if word != others {
+			t.Fatalf("binding an empty PM set its bit: %#b", word)
+		}
+		return pm, &word
+	}
+
+	t.Run("request", func(t *testing.T) {
+		pm, word := bound(t, 0, 1)
+		pm.Commit(0) // the first miss, to pm1
+		if *word != others|bit || !pm.HasPending() {
+			t.Fatalf("after a request append the word is %#b, want %#b", *word, others|bit)
+		}
+	})
+
+	t.Run("memory response", func(t *testing.T) {
+		pm, word := bound(t, 0, 0) // every miss local: no request is ever queued
+		pm.Deliver(&packet.Packet{ID: 1, Type: packet.ReadRequest, Src: 2, Dst: 0, Flits: 1}, 0, false)
+		pm.Commit(0) // the memory takes the request
+		if *word != others {
+			t.Fatalf("the word is %#b before any packet is pending", *word)
+		}
+		pm.Commit(1) // and answers it
+		if *word != others|bit {
+			t.Fatalf("after a response append the word is %#b, want %#b", *word, others|bit)
+		}
+	})
+
+	t.Run("drain", func(t *testing.T) {
+		pm, word := bound(t, 0, 1)
+		pm.Deliver(&packet.Packet{ID: 1, Type: packet.ReadRequest, Src: 2, Dst: 0, Flits: 1}, 0, false)
+		pm.Commit(0) // a request out, the memory busy
+		pm.Commit(1) // the response, and another request
+		if _, ok := pm.TakeResponse(); !ok || *word != others|bit {
+			t.Fatalf("with requests still pending the word is %#b, want %#b", *word, others|bit)
+		}
+		for pm.HasPending() {
+			if *word != others|bit {
+				t.Fatalf("the bit cleared with packets pending: %#b", *word)
+			}
+			pm.TakeRequest()
+		}
+		if *word != others {
+			t.Fatalf("after both lists drained the word is %#b, want %#b", *word, others)
+		}
+		if _, ok := pm.TakeRequest(); ok || *word != others {
+			t.Fatalf("a take from empty lists left the word %#b", *word)
+		}
+	})
+}

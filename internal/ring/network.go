@@ -8,7 +8,6 @@ import (
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/sim"
-	"ringmesh/internal/stats"
 	"ringmesh/internal/topo"
 	"ringmesh/internal/trace"
 )
@@ -94,23 +93,22 @@ type nic struct {
 	pm node.Port
 }
 
-// refill moves whole pending packets from c's PM into its empty
-// output registers (commit phase; the PM pending lists are written
-// only by the PM's own commit, which runs earlier in the tick — see
-// the registration order in internal/core), waking the station. A
-// register holds one cache line's flits, the longest packet, so a
-// taken packet always fits.
-func (n *Network) refillNIC(c *nic) {
+// refillNIC moves whole pending packets from c's PM into its empty
+// output registers, waking the station, while the PM's pending bit,
+// bit of *word, is set: refill calls it only then, and the request
+// register asks again after the response register may have drained the
+// PM (commit phase; the PM pending lists and bits are written only by
+// the PM's own commit, which runs earlier in the tick — see the
+// registration order in internal/core). A register holds one cache
+// line's flits, the longest packet, so a taken packet always fits.
+func (n *Network) refillNIC(c *nic, word *uint64, bit uint64) {
 	st := c.st
-	if st.qn[qResp] != 0 && st.qn[qReq] != 0 || !c.pm.HasPending() {
-		return
-	}
 	if st.qn[qResp] == 0 {
 		if p, ok := c.pm.TakeResponse(); ok {
 			n.inject(st, qResp, p)
 		}
 	}
-	if st.qn[qReq] == 0 {
+	if st.qn[qReq] == 0 && *word&bit != 0 {
 		if p, ok := c.pm.TakeRequest(); ok {
 			n.inject(st, qReq, p)
 		}
@@ -128,11 +126,11 @@ type Network struct {
 	// build order, each station's four windows in queue order (see
 	// station.window). A slot that holds no flit is zero.
 	slab []flit
-	// util[i] counts the flits station i sends on its output link
-	// against its ring's clock (ringInst.cycles). It is kept off the
-	// stations, whose first lines the tick reads every cycle; Links
-	// lists the counters by ring level.
-	util []stats.Utilization
+	// util[i] counts the flits station i sends on its output link; its
+	// ring's clock (ringInst.cycles) counts the capacity. It is kept
+	// off the stations, whose first lines the tick reads every cycle;
+	// Links lists the counters by ring level.
+	util []int64
 	// busy and staged are bitsets over the station slab: bit i of busy
 	// is set while station i may hold a flit (every push into its
 	// queues sets it; the compute that finds it idle clears it), bit i
@@ -141,6 +139,10 @@ type Network struct {
 	// ones, in ascending bit order, which is build order.
 	busy, staged []uint64
 	nics         []nic // indexed by PM id
+	// pending is a bitset over nics: bit i is NIC i's PM's pending
+	// signal (node.Port.BindPending), set while the PM holds a packet
+	// for the NIC. A ring never shards, so PMs share its words.
+	pending []uint64
 	// iris lists the Inter-Ring Interfaces, parents first, by their
 	// upper station. An IRI, a 2x2 crossbar between a lower and an upper
 	// ring, is a pair of stations that are each other's peer: the upper
@@ -194,10 +196,11 @@ func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 		clFlits:  cl,
 		stations: make([]station, 0, numStations),
 		slab:     make([]flit, 0, slots),
-		util:     make([]stats.Utilization, numStations),
+		util:     make([]int64, numStations),
 		busy:     make([]uint64, words),
 		staged:   make([]uint64, words),
 		nics:     make([]nic, len(pms)),
+		pending:  make([]uint64, (len(pms)+63)/64),
 		iris:     make([]*station, 0, numIRIs),
 		engine:   engine,
 	}
@@ -260,6 +263,7 @@ func (n *Network) buildRing(level, base int, pms []node.Port, parentUpper *stati
 			st.exitLo, st.exitHi = id, id+1
 			st.deliver = pms[id].Deliver
 			n.nics[id] = nic{st: st, pm: pms[id]}
+			pms[id].BindPending(&n.pending[id/64], 1<<(id%64))
 			inst.stations = append(inst.stations, st)
 		}
 	} else {
@@ -290,7 +294,6 @@ func (n *Network) buildRing(level, base int, pms []node.Port, parentUpper *stati
 	for i, st := range inst.stations {
 		st.downstream = inst.stations[(i+1)%len(inst.stations)]
 		st.ring = inst
-		n.util[st.id].Bind(&inst.cycles)
 	}
 }
 
@@ -365,10 +368,16 @@ func (n *Network) step(r *ringInst, now int64) (moved int) {
 	return moved
 }
 
-// refill tops up every NIC's output registers from its PM.
+// refill tops up the output registers of every NIC whose PM has a
+// packet pending, in ascending NIC order; the others have nothing to
+// take.
 func (n *Network) refill() {
-	for i := range n.nics {
-		n.refillNIC(&n.nics[i])
+	for w, word := range n.pending {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			n.refillNIC(&n.nics[w*64+b], &n.pending[w], 1<<b)
+		}
 	}
 }
 
@@ -389,12 +398,14 @@ func levelGroups(levels int) []sim.LinkGroup {
 }
 
 // Links implements network.Model: every station's outgoing link, by
-// the level of its ring.
+// the level of its ring. The rings of a level tick together, so any
+// one's clock is the level's.
 func (n *Network) Links() []sim.LinkGroup {
 	groups := levelGroups(n.cfg.Spec.NumLevels())
 	for i := range n.stations {
 		st := &n.stations[i]
-		groups[st.level].Links = append(groups[st.level].Links, &n.util[i])
+		g := &groups[st.level]
+		g.Clock, g.Busy = &st.ring.cycles, append(g.Busy, &n.util[i])
 	}
 	return groups
 }
@@ -452,10 +463,16 @@ func (n *Network) NumStations() int { return len(n.stations) }
 // byte differs from a fresh decode at the station holding it, a
 // queue's front byte is not its front flit's, a station holding a flit
 // is missing from the busy set, a staged transfer outlived its tick,
-// any ring violates the bubble bound, or a ring's residency counters
-// differ from a recount of the packets on its transit paths; used by
-// property tests between ticks.
+// a NIC's pending bit differs from its PM's pending state, any ring
+// violates the bubble bound, or a ring's residency counters differ
+// from a recount of the packets on its transit paths; used by property
+// tests between ticks.
 func (n *Network) CheckInvariants() error {
+	for id := range n.nics {
+		if set := n.pending[id/64]&(1<<(id%64)) != 0; !node.PendingAgrees(n.nics[id].pm, set) {
+			return fmt.Errorf("ring: nic%d pending bit %v disagrees with its PM", id, set)
+		}
+	}
 	for i := range n.stations {
 		st := &n.stations[i]
 		for q := 0; q < numQueues; q++ {

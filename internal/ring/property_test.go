@@ -57,9 +57,9 @@ func TestQuickRandomTrafficConservation(t *testing.T) {
 				Flits: packet.RingSizing.PacketFlits(typ, line),
 			}
 			if typ.IsResponse() {
-				h.pms[src].pendResp = append(h.pms[src].pendResp, p)
+				h.pms[src].addResp(p)
 			} else {
-				h.pms[src].pendReq = append(h.pms[src].pendReq, p)
+				h.pms[src].addReq(p)
 			}
 			k := key{src, dst, typ.IsResponse()}
 			order[k] = append(order[k], p.ID)
@@ -137,7 +137,7 @@ func TestBubbleInvariantUnderSaturation(t *testing.T) {
 			p := &packet.Packet{ID: id, Type: packet.ReadResponse, Src: s, Dst: dst,
 				Flits: packet.RingSizing.PacketFlits(packet.ReadResponse, 128)}
 			id++
-			h.pms[s].pendResp = append(h.pms[s].pendResp, p)
+			h.pms[s].addResp(p)
 		}
 	}
 	for tick := 0; tick < 8000; tick++ {
@@ -167,7 +167,7 @@ func TestExhaustiveConnectivity(t *testing.T) {
 			h := newHarness(t, Config{Spec: spec, LineBytes: 32})
 			p := &packet.Packet{ID: 1, Type: packet.WriteRequest, Src: src, Dst: dst,
 				Flits: packet.RingSizing.PacketFlits(packet.WriteRequest, 32)}
-			h.pms[src].pendReq = append(h.pms[src].pendReq, p)
+			h.pms[src].addReq(p)
 			h.run(t, 120)
 			if len(h.pms[dst].delivered) != 1 {
 				t.Fatalf("%d -> %d not delivered", src, dst)

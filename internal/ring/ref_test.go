@@ -17,7 +17,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/rng"
 	"ringmesh/internal/topo"
@@ -39,7 +38,7 @@ type refStation struct {
 	ring     *refRing
 	down     *refStation
 	peer     *refStation // IRI stations: the other half
-	pm       node.Port   // NIC stations: the PM the exit delivers to
+	pm       *fakePM     // NIC stations: the PM the exit delivers to, polled directly
 	lo, hi   int         // the exit range
 	outside  bool        // exit what lies outside [lo, hi)
 	transit  [numVCs]packet.FIFO
@@ -69,7 +68,7 @@ type refNetwork struct {
 	double   bool
 }
 
-func newRefNetwork(cfg Config, pms []node.Port) *refNetwork {
+func newRefNetwork(cfg Config, pms []*fakePM) *refNetwork {
 	n := &refNetwork{nics: make([]*refStation, len(pms)), double: cfg.DoubleSpeedGlobal}
 	cl := packet.RingSizing.CacheLineFlits(cfg.LineBytes)
 	iriQ := cfg.IRIQueueFlits
@@ -386,12 +385,10 @@ func TestTickMatchesReference(t *testing.T) {
 
 		h := newHarness(t, cfg)
 		refPMs := make([]*fakePM, pms)
-		refPorts := make([]node.Port, pms)
 		for i := range refPMs {
 			refPMs[i] = &fakePM{id: i}
-			refPorts[i] = refPMs[i]
 		}
-		ref := newRefNetwork(cfg, refPorts)
+		ref := newRefNetwork(cfg, refPMs)
 		for now := int64(0); now < 20000; now++ {
 			for _, rel := range script {
 				if rel.at == now {
@@ -447,8 +444,8 @@ func TestTickMatchesReference(t *testing.T) {
 // enqueue appends p to its source PM's pending list of its class.
 func enqueue(pm *fakePM, p *packet.Packet) {
 	if p.Type.IsResponse() {
-		pm.pendResp = append(pm.pendResp, p)
+		pm.addResp(p)
 	} else {
-		pm.pendReq = append(pm.pendReq, p)
+		pm.addReq(p)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"ringmesh/internal/packet"
 	"ringmesh/internal/rng"
 	"ringmesh/internal/sim"
-	"ringmesh/internal/stats"
 	"ringmesh/internal/topo"
 )
 
@@ -21,17 +20,39 @@ type fakePM struct {
 	delivered []*packet.Packet
 	deliverAt []int64
 	lateAt    []bool
+	// word and bit are the pending signal the network bound (nil until
+	// it binds, as for the reference ticks, which poll the fake).
+	word *uint64
+	bit  uint64
 }
 
-func (f *fakePM) TakeResponse() (*packet.Packet, bool) { return take(&f.pendResp) }
-func (f *fakePM) TakeRequest() (*packet.Packet, bool)  { return take(&f.pendReq) }
-func take(q *[]*packet.Packet) (*packet.Packet, bool) {
+func (f *fakePM) TakeResponse() (*packet.Packet, bool) { return f.take(&f.pendResp) }
+func (f *fakePM) TakeRequest() (*packet.Packet, bool)  { return f.take(&f.pendReq) }
+func (f *fakePM) take(q *[]*packet.Packet) (*packet.Packet, bool) {
 	if len(*q) == 0 {
 		return nil, false
 	}
 	p := (*q)[0]
 	*q = (*q)[1:]
+	f.signal()
 	return p, true
+}
+func (f *fakePM) BindPending(word *uint64, bit uint64) { f.word, f.bit = word, bit; f.signal() }
+
+// addReq and addResp queue p for the NIC, as a PM's commit does.
+func (f *fakePM) addReq(p *packet.Packet)  { f.pendReq = append(f.pendReq, p); f.signal() }
+func (f *fakePM) addResp(p *packet.Packet) { f.pendResp = append(f.pendResp, p); f.signal() }
+
+// signal sets the bound pending bit to HasPending.
+func (f *fakePM) signal() {
+	if f.word == nil {
+		return
+	}
+	if f.HasPending() {
+		*f.word |= f.bit
+	} else {
+		*f.word &^= f.bit
+	}
 }
 func (f *fakePM) HasPending() bool { return len(f.pendResp)+len(f.pendReq) > 0 }
 func (f *fakePM) Deliver(p *packet.Packet, now int64, late bool) {
@@ -130,7 +151,7 @@ func TestStationCount(t *testing.T) {
 func TestSingleRingDeliveryTiming(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustRingSpec(2), LineBytes: 64})
 	p := mkPkt(1, packet.ReadRequest, 0, 1, 64)
-	h.pms[0].pendReq = append(h.pms[0].pendReq, p)
+	h.pms[0].addReq(p)
 	h.run(t, 5)
 	if len(h.pms[1].delivered) != 1 {
 		t.Fatalf("delivered %d packets", len(h.pms[1].delivered))
@@ -146,7 +167,7 @@ func TestSingleRingDeliveryTiming(t *testing.T) {
 func TestMultiFlitSerialization(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustRingSpec(2), LineBytes: 64})
 	p := mkPkt(1, packet.ReadResponse, 0, 1, 64) // 5 flits
-	h.pms[0].pendResp = append(h.pms[0].pendResp, p)
+	h.pms[0].addResp(p)
 	h.run(t, 10)
 	if len(h.pms[1].delivered) != 1 {
 		t.Fatalf("delivered %d packets", len(h.pms[1].delivered))
@@ -169,7 +190,7 @@ func TestZeroLoadLatencyMatchesRingHops(t *testing.T) {
 		h2 := newHarness(t, Config{Spec: spec, LineBytes: 32})
 		p := mkPkt(id, packet.ReadRequest, c.src, c.dst, 32)
 		id++
-		h2.pms[c.src].pendReq = append(h2.pms[c.src].pendReq, p)
+		h2.pms[c.src].addReq(p)
 		h2.run(t, 100)
 		if len(h2.pms[c.dst].delivered) != 1 {
 			t.Fatalf("%d->%d: not delivered", c.src, c.dst)
@@ -187,8 +208,8 @@ func TestResponsePriorityAtInjection(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustRingSpec(3), LineBytes: 32})
 	req := mkPkt(1, packet.ReadRequest, 0, 1, 32)
 	resp := mkPkt(2, packet.ReadResponse, 0, 1, 32) // 3 flits
-	h.pms[0].pendReq = append(h.pms[0].pendReq, req)
-	h.pms[0].pendResp = append(h.pms[0].pendResp, resp)
+	h.pms[0].addReq(req)
+	h.pms[0].addResp(resp)
 	h.run(t, 20)
 	if len(h.pms[1].delivered) != 2 {
 		t.Fatalf("delivered %d packets", len(h.pms[1].delivered))
@@ -230,9 +251,9 @@ func TestTransitPriority(t *testing.T) {
 func TestNoInterleaveUnderContention(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustRingSpec(6), LineBytes: 128})
 	for i := 0; i < 8; i++ {
-		h.pms[0].pendResp = append(h.pms[0].pendResp, mkPkt(uint64(100+i), packet.ReadResponse, 0, 3, 128))
-		h.pms[1].pendResp = append(h.pms[1].pendResp, mkPkt(uint64(200+i), packet.ReadResponse, 1, 3, 128))
-		h.pms[2].pendResp = append(h.pms[2].pendResp, mkPkt(uint64(300+i), packet.ReadResponse, 2, 3, 128))
+		h.pms[0].addResp(mkPkt(uint64(100+i), packet.ReadResponse, 0, 3, 128))
+		h.pms[1].addResp(mkPkt(uint64(200+i), packet.ReadResponse, 1, 3, 128))
+		h.pms[2].addResp(mkPkt(uint64(300+i), packet.ReadResponse, 2, 3, 128))
 	}
 	h.run(t, 600)
 	if len(h.pms[3].delivered) != 24 {
@@ -245,7 +266,7 @@ func TestHierarchyCrossRing(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustRingSpec(2, 2, 3), LineBytes: 64})
 	// PM 0 (first leaf) to PM 11 (last leaf): full ascent + descent.
 	p := mkPkt(1, packet.WriteRequest, 0, 11, 64)
-	h.pms[0].pendReq = append(h.pms[0].pendReq, p)
+	h.pms[0].addReq(p)
 	h.run(t, 200)
 	if len(h.pms[11].delivered) != 1 {
 		t.Fatal("cross-hierarchy packet not delivered")
@@ -273,7 +294,7 @@ func TestStormNoDeadlock(t *testing.T) {
 			if k%2 == 0 {
 				typ = packet.WriteRequest
 			}
-			h.pms[s].pendReq = append(h.pms[s].pendReq, mkPkt(id, typ, s, d, 32))
+			h.pms[s].addReq(mkPkt(id, typ, s, d, 32))
 			id++
 			total++
 		}
@@ -297,7 +318,7 @@ func TestDoubleSpeedGlobalDelivery(t *testing.T) {
 	spec := topo.MustRingSpec(3, 2, 2)
 	h := newHarness(t, Config{Spec: spec, LineBytes: 32, DoubleSpeedGlobal: true})
 	p := mkPkt(1, packet.ReadRequest, 0, 11, 32)
-	h.pms[0].pendReq = append(h.pms[0].pendReq, p)
+	h.pms[0].addReq(p)
 	h.run(t, 200)
 	if len(h.pms[11].delivered) != 1 {
 		t.Fatal("packet not delivered under double-speed clocking")
@@ -313,8 +334,7 @@ func TestDoubleSpeedIsFaster(t *testing.T) {
 		id := uint64(1)
 		for s := 0; s < 4; s++ { // first ring PMs blast the far ring
 			for k := 0; k < 4; k++ {
-				h.pms[s].pendResp = append(h.pms[s].pendResp,
-					mkPkt(id, packet.ReadResponse, s, 8+s, 128))
+				h.pms[s].addResp(mkPkt(id, packet.ReadResponse, s, 8+s, 128))
 				id++
 			}
 		}
@@ -342,16 +362,15 @@ func TestDoubleSpeedIsFaster(t *testing.T) {
 // link-cycles on exactly the links it traversed.
 func TestUtilizationCounts(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustRingSpec(4), LineBytes: 32})
-	h.pms[0].pendReq = append(h.pms[0].pendReq, mkPkt(1, packet.ReadRequest, 0, 2, 32))
+	h.pms[0].addReq(mkPkt(1, packet.ReadRequest, 0, 2, 32))
 	h.run(t, 10)
 	groups := h.net.Links()
-	if len(groups) != 1 || groups[0].Label != "L0" || len(groups[0].Links) != 4 {
+	if len(groups) != 1 || groups[0].Label != "L0" || len(groups[0].Busy) != 4 {
 		t.Fatalf("link groups = %+v, want L0 with 4 links", groups)
 	}
 	// 2 link-crossings over 10 ticks x 4 stations = 2/40.
-	u := stats.Sum(groups[0].Links...)
 	want := 2.0 / 40.0
-	if got := u.Value(); got < want-1e-9 || got > want+1e-9 {
+	if got := sim.Utilization(groups[0].Since(sim.LinkMark{})); got < want-1e-9 || got > want+1e-9 {
 		t.Fatalf("utilization = %v, want %v", got, want)
 	}
 }
@@ -405,9 +424,9 @@ func TestResidencyCountersMatchRecount(t *testing.T) {
 				p := mkPkt(id, typ, s, dst, 128)
 				id++
 				if typ.IsResponse() {
-					h.pms[s].pendResp = append(h.pms[s].pendResp, p)
+					h.pms[s].addResp(p)
 				} else {
-					h.pms[s].pendReq = append(h.pms[s].pendReq, p)
+					h.pms[s].addReq(p)
 				}
 			}
 		}
@@ -499,7 +518,7 @@ func TestRouteWalkMatchesSpec(t *testing.T) {
 // from the busy set or a staged transfer outlives its tick.
 func TestCheckInvariantsCatchesSkippedWork(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustRingSpec(2, 4), LineBytes: 32})
-	h.pms[0].pendResp = append(h.pms[0].pendResp, mkPkt(1, packet.ReadResponse, 0, 7, 32))
+	h.pms[0].addResp(mkPkt(1, packet.ReadResponse, 0, 7, 32))
 	h.run(t, 3)
 	i := slices.IndexFunc(h.net.stations, func(st station) bool { return !st.idle() })
 	if i < 0 {
@@ -534,7 +553,7 @@ func TestCheckInvariantsCatchesSkippedWork(t *testing.T) {
 func TestCheckInvariantsCatchesStaleDecode(t *testing.T) {
 	h := newHarness(t, Config{Spec: topo.MustRingSpec(2, 4), LineBytes: 32})
 	p := mkPkt(1, packet.ReadResponse, 0, 7, 32)
-	h.pms[0].pendResp = append(h.pms[0].pendResp, p)
+	h.pms[0].addResp(p)
 	h.run(t, 1) // the refill has put p into NIC 0's response register
 	n, st := h.net, h.net.nics[0].st
 	if st.qn[qResp] != uint16(p.Flits) || st.qn[qReq] != 0 {

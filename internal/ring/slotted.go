@@ -39,12 +39,12 @@ package ring
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ringmesh/internal/metrics"
 	"ringmesh/internal/node"
 	"ringmesh/internal/packet"
 	"ringmesh/internal/sim"
-	"ringmesh/internal/stats"
 	"ringmesh/internal/trace"
 )
 
@@ -145,9 +145,8 @@ type sstation struct {
 	// (responses before requests).
 	inject []*spktQueue
 
-	// util counts the steps the station's slot carried a packet
-	// against its ring's step clock (sring.steps).
-	util stats.Utilization
+	// id is the station's index in the network's stations and util.
+	id int
 
 	// stalls counts slot-steps where a whole packet was ready to inject
 	// but the passing slot could not take it (occupied, or the
@@ -195,7 +194,8 @@ type sring struct {
 	// cycles, doubled for non-global rings under double-speed clocking.
 	slotPeriod int64
 	// steps counts the slot advances: the clock every station's
-	// utilization takes its capacity from.
+	// utilization takes its capacity from. Every ring of a level steps
+	// together, so their clocks agree.
 	steps int64
 }
 
@@ -226,10 +226,16 @@ type SlottedNetwork struct {
 	clFlits  int
 	rings    []*sring
 	stations []*sstation
-	nics     []*snic
-	iris     []*siri
-	engine   *sim.Engine
-	tracer   *trace.Recorder
+	// util[i] counts the steps station i's slot carried a packet; its
+	// ring's step clock (sring.steps) counts the capacity.
+	util []int64
+	nics []*snic
+	// pending is a bitset over nics: bit i is NIC i's PM's pending
+	// signal (node.Port.BindPending), as in the wormhole network.
+	pending []uint64
+	iris    []*siri
+	engine  *sim.Engine
+	tracer  *trace.Recorder
 	// sub is the sub-cycles, global ring cycles, per PM cycle: 2 under
 	// a double-speed global ring, else 1. Slot clocks and readiness
 	// stamps count sub-cycles; PMs, gates and traces see PM cycles.
@@ -261,6 +267,7 @@ func NewSlotted(cfg Config, pms []node.Port, engine *sim.Engine) (*SlottedNetwor
 		cfg:     cfg,
 		clFlits: packet.RingSizing.CacheLineFlits(cfg.LineBytes),
 		nics:    make([]*snic, len(pms)),
+		pending: make([]uint64, (len(pms)+63)/64),
 		engine:  engine,
 		sub:     1,
 	}
@@ -268,6 +275,10 @@ func NewSlotted(cfg Config, pms []node.Port, engine *sim.Engine) (*SlottedNetwor
 		n.sub = 2
 	}
 	n.buildRing(0, 0, pms, nil)
+	n.util = make([]int64, len(n.stations))
+	for i, st := range n.stations {
+		st.id = i
+	}
 	for _, r := range n.rings {
 		r.slotPeriod = int64(n.clFlits)
 		if cfg.DoubleSpeedGlobal && r.stations[0].level != 0 {
@@ -299,6 +310,7 @@ func (n *SlottedNetwork) buildRing(level, base int, pms []node.Port, parentLower
 			outResp, outReq := newSPktQueue(1), newSPktQueue(1)
 			st.inject = []*spktQueue{outResp, outReq}
 			n.nics[pmID] = &snic{st: st, pm: pm, outResp: outResp, outReq: outReq}
+			pm.BindPending(&n.pending[pmID/64], 1<<(pmID%64))
 			n.stations = append(n.stations, st)
 			slots = append(slots, st)
 		}
@@ -347,9 +359,6 @@ func (n *SlottedNetwork) buildRing(level, base int, pms []node.Port, parentLower
 		lo:       base,
 		hi:       base + spec.SubtreeSize(level),
 	}
-	for _, st := range slots {
-		st.util.Bind(&r.steps)
-	}
 	n.rings = append(n.rings, r)
 }
 
@@ -371,9 +380,7 @@ func (n *SlottedNetwork) Commit(now int64) {
 			}
 		}
 		if t == now*n.sub {
-			for _, nc := range n.nics {
-				n.refillNIC(nc, t)
-			}
+			n.refill(t)
 		}
 	}
 	if moved > 0 {
@@ -409,7 +416,7 @@ func (n *SlottedNetwork) stepRing(r *sring, now int64) (moved int) {
 			st.stalls++
 		}
 		if busy {
-			st.util.Busy(1)
+			n.util[st.id]++
 		}
 	}
 	return moved
@@ -458,15 +465,28 @@ func (n *SlottedNetwork) tryInject(r *sring, st *sstation, slot *sslot, now int6
 	return false
 }
 
+// refill tops up the output registers of every NIC whose PM has a
+// packet pending, in ascending NIC order, at sub-cycle now.
+func (n *SlottedNetwork) refill(now int64) {
+	for w, word := range n.pending {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			n.refillNIC(n.nics[w*64+b], &n.pending[w], 1<<b, now)
+		}
+	}
+}
+
 // refillNIC loads pending packets from the PM into free NIC output
-// registers.
-func (n *SlottedNetwork) refillNIC(nc *snic, now int64) {
+// registers while its pending bit, bit of *word, is set, as the
+// wormhole network's does.
+func (n *SlottedNetwork) refillNIC(nc *snic, word *uint64, bit uint64, now int64) {
 	if nc.outResp.count() == 0 {
 		if p, ok := nc.pm.TakeResponse(); ok {
 			nc.outResp.push(p, now+1)
 		}
 	}
-	if nc.outReq.count() == 0 {
+	if nc.outReq.count() == 0 && *word&bit != 0 {
 		if p, ok := nc.pm.TakeRequest(); ok {
 			nc.outReq.push(p, now+1)
 		}
@@ -477,8 +497,11 @@ func (n *SlottedNetwork) refillNIC(nc *snic, now int64) {
 // the level of its ring, labeled as the wormhole model's links are.
 func (n *SlottedNetwork) Links() []sim.LinkGroup {
 	groups := levelGroups(n.cfg.Spec.NumLevels())
-	for _, st := range n.stations {
-		groups[st.level].Links = append(groups[st.level].Links, &st.util)
+	for _, r := range n.rings {
+		for _, st := range r.stations {
+			g := &groups[st.level]
+			g.Clock, g.Busy = &r.steps, append(g.Busy, &n.util[st.id])
+		}
 	}
 	return groups
 }
@@ -532,8 +555,14 @@ func (n *SlottedNetwork) BufferedFlits() int {
 	return total
 }
 
-// CheckInvariants verifies slot and queue bookkeeping.
+// CheckInvariants verifies slot and queue bookkeeping and that every
+// NIC's pending bit equals its PM's pending state.
 func (n *SlottedNetwork) CheckInvariants() error {
+	for id, nc := range n.nics {
+		if set := n.pending[id/64]&(1<<(id%64)) != 0; !node.PendingAgrees(nc.pm, set) {
+			return fmt.Errorf("ring: snic%d pending bit %v disagrees with its PM", id, set)
+		}
+	}
 	for ri, r := range n.rings {
 		occ := 0
 		for i := range r.slots {

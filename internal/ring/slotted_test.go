@@ -9,7 +9,6 @@ import (
 	"ringmesh/internal/packet"
 	"ringmesh/internal/rng"
 	"ringmesh/internal/sim"
-	"ringmesh/internal/stats"
 	"ringmesh/internal/topo"
 )
 
@@ -63,7 +62,7 @@ func TestSlottedHopTiming(t *testing.T) {
 	const line = 32 // cl = 3 flits
 	h := newSlottedHarness(t, Config{Spec: topo.MustRingSpec(4), LineBytes: line, Switching: Slotted})
 	p := mkPkt(1, packet.ReadRequest, 0, 1, line)
-	h.pms[0].pendReq = append(h.pms[0].pendReq, p)
+	h.pms[0].addReq(p)
 	h.run(t, 60)
 	if len(h.pms[1].delivered) != 1 {
 		t.Fatal("packet not delivered")
@@ -82,7 +81,7 @@ func TestSlottedDistanceScaling(t *testing.T) {
 	times := map[int]int64{}
 	for _, dst := range []int{1, 2, 3} {
 		h := newSlottedHarness(t, Config{Spec: topo.MustRingSpec(4), LineBytes: line, Switching: Slotted})
-		h.pms[0].pendReq = append(h.pms[0].pendReq, mkPkt(1, packet.ReadRequest, 0, dst, line))
+		h.pms[0].addReq(mkPkt(1, packet.ReadRequest, 0, dst, line))
 		h.run(t, 200)
 		if len(h.pms[dst].delivered) != 1 {
 			t.Fatalf("0->%d not delivered", dst)
@@ -98,7 +97,7 @@ func TestSlottedDistanceScaling(t *testing.T) {
 // adds whole-packet latency.
 func TestSlottedHierarchyDelivery(t *testing.T) {
 	h := newSlottedHarness(t, Config{Spec: topo.MustRingSpec(2, 2, 3), LineBytes: 32, Switching: Slotted})
-	h.pms[0].pendReq = append(h.pms[0].pendReq, mkPkt(1, packet.WriteRequest, 0, 11, 32))
+	h.pms[0].addReq(mkPkt(1, packet.WriteRequest, 0, 11, 32))
 	h.run(t, 1000)
 	if len(h.pms[11].delivered) != 1 {
 		t.Fatal("cross-hierarchy packet not delivered")
@@ -127,9 +126,9 @@ func TestSlottedStormDrains(t *testing.T) {
 			id++
 			total++
 			if typ.IsResponse() {
-				h.pms[s].pendResp = append(h.pms[s].pendResp, p)
+				h.pms[s].addResp(p)
 			} else {
-				h.pms[s].pendReq = append(h.pms[s].pendReq, p)
+				h.pms[s].addReq(p)
 			}
 		}
 	}
@@ -192,9 +191,9 @@ func slottedConservation(seed uint64, shape, nPkts uint8) (ok, reordered bool) {
 		}
 		p := mkPkt(uint64(i+1), typ, src, dst, line)
 		if typ.IsResponse() {
-			pms[src].pendResp = append(pms[src].pendResp, p)
+			pms[src].addResp(p)
 		} else {
-			pms[src].pendReq = append(pms[src].pendReq, p)
+			pms[src].addReq(p)
 		}
 		k := key{src, dst, typ.IsResponse()}
 		order[k] = append(order[k], p.ID)
@@ -266,7 +265,7 @@ func TestSlottedDoubleSpeed(t *testing.T) {
 			Spec: topo.MustRingSpec(3, 2, 2), LineBytes: 64,
 			Switching: Slotted, DoubleSpeedGlobal: dbl,
 		})
-		h.pms[0].pendReq = append(h.pms[0].pendReq, mkPkt(1, packet.ReadRequest, 0, 11, 64))
+		h.pms[0].addReq(mkPkt(1, packet.ReadRequest, 0, 11, 64))
 		for cycle := int64(1); cycle <= 2500; cycle++ {
 			h.engine.Step()
 			if len(h.pms[11].delivered) == 1 {
@@ -309,13 +308,13 @@ func TestSlottedMayAdmit(t *testing.T) {
 
 func TestSlottedUtilization(t *testing.T) {
 	h := newSlottedHarness(t, Config{Spec: topo.MustRingSpec(4), LineBytes: 32, Switching: Slotted})
-	h.pms[0].pendResp = append(h.pms[0].pendResp, mkPkt(1, packet.ReadResponse, 0, 2, 32))
+	h.pms[0].addResp(mkPkt(1, packet.ReadResponse, 0, 2, 32))
 	h.run(t, 60)
 	groups := h.net.Links()
 	if len(groups) != 1 || groups[0].Label != "L0" {
 		t.Fatalf("link groups = %+v, want L0 only", groups)
 	}
-	if u := stats.Sum(groups[0].Links...); u.Value() <= 0 || u.Value() > 1 {
-		t.Fatalf("utilization = %v", u.Value())
+	if u := sim.Utilization(groups[0].Since(sim.LinkMark{})); u <= 0 || u > 1 {
+		t.Fatalf("utilization = %v", u)
 	}
 }

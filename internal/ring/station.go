@@ -153,7 +153,8 @@ type ringInst struct {
 	stagedInj [numVCs]int
 	// cycles counts the ring's cycles: the clock every station's link
 	// utilization takes its capacity from, and, less one, the index of
-	// the cycle in progress.
+	// the cycle in progress. Every ring of a level begins its cycles
+	// together, so their clocks agree.
 	cycles int64
 	// resident counts the packets admitted to each channel's transit
 	// path, from the commit of an injected head that continues on the
@@ -516,7 +517,7 @@ func (n *Network) commit(s *station, now int64) {
 		s.ring.resident[v]--
 	}
 	n.receive(s.downstream, f, v, route, now)
-	n.util[s.id].Busy(1)
+	n.util[s.id]++
 }
 
 // popPanic reports a flit commit popped for channel v that is not the

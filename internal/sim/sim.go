@@ -25,7 +25,6 @@ import (
 
 	"ringmesh/internal/obs"
 	"ringmesh/internal/pool"
-	"ringmesh/internal/stats"
 )
 
 // Component is one synchronously clocked piece of the system (a
@@ -48,14 +47,47 @@ type Component interface {
 	Commit(now int64)
 }
 
-// LinkGroup is one named set of a network's links and the utilization
-// counters behind them: a ring level ("L0" = global) or a mesh
-// direction ("north"), bound links only. The runner reads a model's
-// groups once, resets them at the warmup discard, exports each as
-// <family>_link_util and folds them into the Result.
+// LinkGroup is one named set of a network's links: a ring level ("L0"
+// = global) or a mesh direction ("north"), bound links only. Busy[i]
+// points at link i's count of the flits it carried, a plain integer
+// its model adds to in the tick and never resets. Every link of a
+// group counts against Clock, the cycle count its model keeps once for
+// them all, so a tick of Clock offers each link one cycle of capacity.
+// The runner reads a model's groups once, marks them at the warmup
+// discard, exports each as <family>_link_util and folds them into the
+// Result.
 type LinkGroup struct {
 	Label string
-	Links []*stats.Utilization
+	Clock *int64
+	Busy  []*int64
+}
+
+// LinkMark is a reading of a group's counters, the base its
+// utilization counts from.
+type LinkMark struct{ busy, clock int64 }
+
+// Mark reads g's counters now.
+func (g LinkGroup) Mark() LinkMark {
+	m := LinkMark{clock: *g.Clock}
+	for _, b := range g.Busy {
+		m.busy += *b
+	}
+	return m
+}
+
+// Since returns the flits g's links carried since mark m and the
+// link-cycles they offered.
+func (g LinkGroup) Since(m LinkMark) (busy, capacity int64) {
+	now := g.Mark()
+	return now.busy - m.busy, int64(len(g.Busy)) * (now.clock - m.clock)
+}
+
+// Utilization returns busy/capacity, or 0 when no capacity was offered.
+func Utilization(busy, capacity int64) float64 {
+	if capacity == 0 {
+		return 0
+	}
+	return float64(busy) / float64(capacity)
 }
 
 // schedule groups the components sharing one clock period. Groups are

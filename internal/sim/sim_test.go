@@ -340,3 +340,47 @@ func TestOnCycleFiresWhileStalled(t *testing.T) {
 			stalledTicks, e.WatchdogTicks, ticks, moved)
 	}
 }
+
+// A link group's utilization counts from a mark: busy is what its
+// links carried since, capacity one cycle per link per tick of the
+// shared clock, and the clock keeps running past the mark.
+func TestLinkGroupSince(t *testing.T) {
+	var clock, a, b int64
+	g := LinkGroup{Label: "L0", Clock: &clock, Busy: []*int64{&a, &b}}
+	start := g.Mark()
+	clock += 10
+	a += 4
+	b += 6
+	if busy, capacity := g.Since(start); busy != 10 || capacity != 20 || Utilization(busy, capacity) != 0.5 {
+		t.Fatalf("since start = %d/%d, want 10/20", busy, capacity)
+	}
+	mark := g.Mark()
+	if busy, capacity := g.Since(mark); busy != 0 || capacity != 0 {
+		t.Fatalf("at the mark = %d/%d, want 0/0", busy, capacity)
+	}
+	clock += 5
+	a++
+	if busy, capacity := g.Since(mark); busy != 1 || capacity != 10 {
+		t.Fatalf("since the mark = %d/%d, want 1/10", busy, capacity)
+	}
+	if a != 5 || b != 6 {
+		t.Fatalf("marking touched the counters: %d, %d", a, b)
+	}
+}
+
+// No capacity reads as zero utilization, never as a 0/0 division, so
+// an unticked group merges into a sum as the identity.
+func TestUtilizationZeroCapacity(t *testing.T) {
+	if u := Utilization(0, 0); u != 0 {
+		t.Fatalf("Utilization(0, 0) = %v", u)
+	}
+	var clock int64
+	g := LinkGroup{Clock: &clock}
+	if busy, capacity := g.Since(LinkMark{}); busy != 0 || capacity != 0 {
+		t.Fatalf("empty group = %d/%d", busy, capacity)
+	}
+	clock += 7
+	if busy, capacity := g.Since(LinkMark{}); busy != 0 || capacity != 0 {
+		t.Fatalf("empty group after 7 ticks = %d/%d, want no capacity", busy, capacity)
+	}
+}

@@ -199,69 +199,6 @@ func tCritical95(df int) float64 {
 	return 1.96
 }
 
-// Utilization tracks how busy a resource is: busy event-counts against
-// elapsed capacity. For a link, call Busy(1) each cycle a flit is
-// transferred; capacity is the advance, since the last Reset, of the
-// link's clock — the count of active cycles its network keeps once for
-// all its links (Bind).
-type Utilization struct {
-	busy int64
-	// clock is the bound clock and since its reading at the last Reset;
-	// merged is the capacity folded in by Merge (an aggregate has no
-	// clock).
-	clock         *int64
-	since, merged int64
-}
-
-// Bind makes u's capacity the advance of *clock from now on.
-func (u *Utilization) Bind(clock *int64) { u.clock, u.since = clock, *clock }
-
-// Busy records n units of useful work.
-func (u *Utilization) Busy(n int64) { u.busy += n }
-
-// Value returns busy/capacity in [0,1] (0 when no capacity recorded).
-func (u *Utilization) Value() float64 {
-	busy, capacity := u.Counts()
-	if capacity == 0 {
-		return 0
-	}
-	return float64(busy) / float64(capacity)
-}
-
-// Counts returns the raw busy and capacity counters (for windowed
-// samplers that difference successive snapshots).
-func (u *Utilization) Counts() (busy, capacity int64) {
-	if u.clock == nil {
-		return u.busy, u.merged
-	}
-	return u.busy, u.merged + *u.clock - u.since
-}
-
-// Reset clears the counters; capacity counts from the clock's reading
-// now.
-func (u *Utilization) Reset() {
-	u.busy, u.merged = 0, 0
-	if u.clock != nil {
-		u.since = *u.clock
-	}
-}
-
-// Merge folds other into u.
-func (u *Utilization) Merge(other *Utilization) {
-	busy, capacity := other.Counts()
-	u.busy += busy
-	u.merged += capacity
-}
-
-// Sum merges every counter in us into one aggregate.
-func Sum(us ...*Utilization) Utilization {
-	var total Utilization
-	for _, u := range us {
-		total.Merge(u)
-	}
-	return total
-}
-
 // Histogram is a fixed-width bucket histogram for latency
 // distributions; values beyond the last bucket go to an overflow bin.
 type Histogram struct {

@@ -209,41 +209,6 @@ func TestTCritical(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	var clock int64
-	var u Utilization
-	if u.Value() != 0 {
-		t.Fatal("empty utilization should be 0")
-	}
-	u.Bind(&clock)
-	clock += 10
-	u.Busy(4)
-	if !almostEq(u.Value(), 0.4, 1e-12) {
-		t.Fatalf("value = %v", u.Value())
-	}
-	var other int64
-	var v Utilization
-	v.Bind(&other)
-	other += 10
-	v.Busy(6)
-	var m Utilization
-	m.Merge(&u)
-	m.Merge(&v)
-	if !almostEq(m.Value(), 0.5, 1e-12) {
-		t.Fatalf("merged value = %v", m.Value())
-	}
-	u.Reset()
-	if u.Value() != 0 {
-		t.Fatal("reset failed")
-	}
-	// The clock keeps running past a Reset: capacity counts from it.
-	clock += 5
-	u.Busy(1)
-	if busy, capacity := u.Counts(); busy != 1 || capacity != 5 {
-		t.Fatalf("counts after reset = %d/%d, want 1/5", busy, capacity)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(10, 10) // buckets [0,10)...[90,100)
 	for i := 0; i < 100; i++ {
@@ -323,37 +288,5 @@ func TestBatchMeansCorrelated(t *testing.T) {
 	c.CloseBatch()
 	if c.Correlated(0.1) {
 		t.Fatal("two batches cannot be judged correlated")
-	}
-}
-
-// TestUtilizationMergeZeroCapacity covers merging with zero-capacity
-// operands in every direction: an unticked counter must act as the
-// identity and never poison the merged ratio with a 0/0 division.
-func TestUtilizationMergeZeroCapacity(t *testing.T) {
-	clock := int64(0)
-	var active Utilization
-	active.Bind(&clock)
-	clock += 10
-	active.Busy(5)
-
-	var empty Utilization
-	active.Merge(&empty) // zero-capacity right operand: identity
-	if !almostEq(active.Value(), 0.5, 1e-12) {
-		t.Fatalf("merge with empty changed value: %v", active.Value())
-	}
-
-	var dst Utilization
-	dst.Merge(&active) // zero-capacity left operand: adopts the right
-	if !almostEq(dst.Value(), 0.5, 1e-12) {
-		t.Fatalf("empty.Merge(active) = %v, want 0.5", dst.Value())
-	}
-
-	var a, b Utilization
-	a.Merge(&b) // both empty: still defined, still zero
-	if a.Value() != 0 {
-		t.Fatalf("empty merge produced %v", a.Value())
-	}
-	if busy, capacity := a.Counts(); busy != 0 || capacity != 0 {
-		t.Fatalf("empty merge counts = %d/%d", busy, capacity)
 	}
 }
