@@ -86,6 +86,15 @@ const (
 	numQueues = numVCs + numInject
 )
 
+// vcMask and qMask bound a channel and a queue index. Both counts are
+// powers of two, so masking a valid index changes nothing, and the hot
+// paths mask their index once so that the compiler can drop the bounds
+// checks of every station array it indexes.
+const (
+	vcMask = numVCs - 1
+	qMask  = numQueues - 1
+)
+
 // The decode byte (flit.dec) push fixes for a flit at the station that
 // holds it. The first four bits travel with the flit; the route bits
 // are set for a head only, from its destination and the holding
@@ -317,6 +326,7 @@ func (s *station) slot(q, k int) int {
 // byte. It panics when q is full: callers check space first, so a
 // violation is a flow-control bug.
 func (n *Network) push(s *station, q int, f flit) {
+	q &= qMask
 	off, size := s.window(q)
 	i := int(s.qh[q]) + int(s.qn[q])
 	if int(s.qn[q]) >= size {
@@ -335,6 +345,7 @@ func (n *Network) push(s *station, q int, f flit) {
 // pop removes and returns s's queue q's front flit and sets q's front
 // byte. It panics when q is empty.
 func (n *Network) pop(s *station, q int) flit {
+	q &= qMask
 	off, size := s.window(q)
 	if s.qn[q] == 0 {
 		panic(fmt.Sprintf("ring: %s pop from empty queue %d", s.name, q))
@@ -380,10 +391,10 @@ func (s *station) idle() bool { return s.front == [numQueues]uint8{} }
 // riding v. A mid-packet injection front belongs to a locked worm of
 // some channel, which the locked path consumes. It reads the front
 // bytes and the lock alone; commit checks the popped flit against the
-// lock (see checkPop).
+// lock (see popPanic).
 func (s *station) candidate(v int) (q int, d uint8) {
 	if s.locked&(1<<v) != 0 {
-		q = int(s.txQ[v])
+		q = int(s.txQ[v] & qMask)
 		return q, s.front[q]
 	}
 	if d = s.front[v]; d != 0 {
@@ -411,9 +422,7 @@ func (s *station) compute() (idle bool) {
 	}
 	v := int(s.lastVC)
 	for k := 0; k < numVCs; k++ {
-		if v++; v == numVCs {
-			v = 0
-		}
+		v = (v + 1) & vcMask
 		q, d := s.candidate(v)
 		if d == 0 {
 			continue
@@ -454,6 +463,7 @@ func (s *station) countStall() {
 // transit residents of this ring, so continuing subjects them to the
 // bubble rule.
 func (s *station) accepts(d uint8, v int, fromInject bool) (routeKind, bool) {
+	v &= vcMask
 	if d&decHead != 0 {
 		if d&decExit != 0 {
 			return routeExit, s.exitSpace(d) // false: blocked on the exit queue
@@ -479,7 +489,7 @@ func (s *station) accepts(d uint8, v int, fromInject bool) (routeKind, bool) {
 // stations that staged a flit commit.
 func (n *Network) commit(s *station, now int64) {
 	s.staged = false
-	v, q, route := int(s.stagedVC), int(s.stagedQ), s.stagedRoute
+	v, q, route := int(s.stagedVC&vcMask), int(s.stagedQ&qMask), s.stagedRoute
 	s.lastVC = s.stagedVC
 	f := n.pop(s, q)
 	if locked := s.locked&(1<<v) != 0; f.dec != s.stagedFront ||
@@ -541,6 +551,7 @@ func (s *station) popPanic(f flit, v int) {
 // during compute and is passed through; body flits must follow their
 // head. A flit pushed into a queue wakes the queue's station.
 func (n *Network) receive(s *station, f flit, v int, route routeKind, now int64) {
+	v &= vcMask
 	if f.dec&decHead != 0 {
 		s.inPkt[v], s.inRoute[v] = f.pkt, route
 	} else if s.inPkt[v] != f.pkt {
