@@ -129,11 +129,13 @@ func BenchmarkSimRing72(b *testing.B) {
 // BenchmarkSimRing72LowLoad is the paper's low-load regime (R=0.2,
 // T=1, as in most points of Figs 6-21). Fewer stations hold flits than
 // at R=1.0/T=4 — 41 % against 51 % of station-cycles — yet a low-load
-// PM-cycle still costs no less, though idle NICs no longer ask their
-// PMs for packets: on a shared 2-vCPU Xeon (go1.24, three alternating
-// pairs of 30 000 ticks) it took 4.5-4.7 µs against BenchmarkSimRing72's
-// 3.7-4.2 µs, where polling every PM each cycle took 4.8-5.0 against
-// 4.1-4.5 µs.
+// PM-cycle costs about as much, though idle NICs no longer ask their
+// PMs for packets: its flits rarely block, so more of them move (38
+// against 31 flit moves a PM-cycle over 4 000 cycles at seed 3). On a
+// shared 2-vCPU Xeon (go1.24, three pairs of 30 000 ticks) it took
+// 3.7-4.0 µs against BenchmarkSimRing72's 3.1-4.2 µs; polling every PM
+// each cycle, with bounds checks on the station arrays, took 4.3-4.7
+// against 3.8-3.9 µs.
 func BenchmarkSimRing72LowLoad(b *testing.B) {
 	benchCycles(b, Config{Network: "ring", Topology: "3:3:8", LineBytes: 32,
 		Workload: Workload{R: 0.2, C: 0.04, T: 1, ReadProb: 0.7}, Seed: 1})

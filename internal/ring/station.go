@@ -95,6 +95,10 @@ const (
 	qMask  = numQueues - 1
 )
 
+// A count that is not a power of two makes this negative and stops the
+// build, since its mask would then change valid indices.
+const _ uint = -(numVCs&vcMask | numQueues&qMask)
+
 // The decode byte (flit.dec) push fixes for a flit at the station that
 // holds it. The first four bits travel with the flit; the route bits
 // are set for a head only, from its destination and the holding
