@@ -262,12 +262,12 @@ func BenchmarkEngineStepUniform(b *testing.B) {
 }
 
 // benchParallelMesh measures full-system tick throughput of the
-// 8x8 golden mesh at a fixed worker count. Workers=1 is the exact
-// serial path; the others run the sharded engine (one shard per mesh
-// row), so comparing the Parallel1/2/4/8 numbers gives the engine's
-// parallel speedup — meaningful only on a machine with that many
-// cores; on fewer cores the extra workers just measure barrier
-// overhead.
+// 8x8 golden mesh at a fixed worker count. Workers=1 is the serial
+// path; the others compute one shard per mesh row on the gang and
+// commit serially on worker 0, so comparing the Parallel1/2/4/8
+// numbers gives the engine's parallel speedup — meaningful only on a
+// machine with that many cores; on fewer cores the extra workers just
+// measure barrier overhead.
 func benchParallelMesh(b *testing.B, workers int) {
 	b.Helper()
 	benchSystem(b, Config{Network: "mesh", Topology: "8x8", LineBytes: 32,

@@ -3,6 +3,7 @@ package ringmesh
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -11,8 +12,8 @@ import (
 // worker engine shards (per router row): its cases run at Workers 2, 4
 // and NumCPU with the gang engaged and must equal the serial result
 // deeply — including the order-dependent Welford statistics behind
-// LatencyCycles and LatencyCI95, which the parallel engine reproduces
-// by draining per-PM completion cells in PM-id order. Every ring
+// LatencyCycles and LatencyCI95, which stay serial because only the
+// compute phase runs in parallel and the commit is the serial one. Every ring
 // declines to partition (DESIGN §8), so its cases pin the boundary
 // instead: Workers > 1 builds the serial engine, reports no phase
 // stats and returns the Workers=0 result. These tests run under -race
@@ -105,21 +106,39 @@ func TestParallelMatchesPinnedGoldens(t *testing.T) {
 	}
 }
 
-// TestParallelFallsBackSerially pins the decline path the sweep above
-// does not reach: a model that does shard, with Workers set and tracing
-// on, must run on the serial engine (the trace recorder is
-// unsynchronized).
-func TestParallelFallsBackSerially(t *testing.T) {
+// TestParallelTraceMatchesSerial pins tracing on the parallel engine:
+// a traced mesh at Workers=4 computes in parallel, and because every
+// trace event is recorded in the serial commit, its packet trace is
+// the serial run's, line for line.
+func TestParallelTraceMatchesSerial(t *testing.T) {
 	t.Parallel()
-	tsys, err := NewSystem(Config{
-		Network: "mesh", Topology: "4x4", LineBytes: 32, BufferFlits: 4,
-		Workload: PaperWorkload(), Seed: goldenSeed,
-		Workers: 4, Trace: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	trace := func(workers int) (string, bool) {
+		sys, err := NewSystem(Config{
+			Network: "mesh", Topology: "4x4", LineBytes: 32, BufferFlits: 4,
+			Workload: PaperWorkload(), Seed: goldenSeed,
+			Workers: workers, Trace: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Run(QuickRunOptions()); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := sys.WriteTrace(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String(), sys.Parallel()
 	}
-	if tsys.Parallel() {
-		t.Error("tracing is unsynchronized; want serial fallback with Workers set")
+	serial, _ := trace(0)
+	got, parallel := trace(4)
+	if !parallel {
+		t.Fatal("a traced 4x4 mesh at Workers=4 runs serial; want the parallel engine")
+	}
+	if serial == "" {
+		t.Fatal("the serial run recorded no trace")
+	}
+	if got != serial {
+		t.Errorf("Workers=4 trace (%d bytes) differs from the serial trace (%d bytes)", len(got), len(serial))
 	}
 }

@@ -476,7 +476,7 @@ func TestLinkUtilSeriesMatchResult(t *testing.T) {
 // TestGoldenMetricsSeries pins the metrics-on time series themselves,
 // not just the Result they must not perturb: nic_inject_stall_cycles
 // is counted inside the ring station tick from live queue lengths,
-// mesh_ecube_turns per router across row shards, and the utilization
+// mesh_ecube_turns in the mesh commit, and the utilization
 // series read the link counters, so a rewrite of any tick has to
 // reproduce every sampled value. The digests are sha256 of WriteMetricsCSV; re-record them
 // only with a deliberate modelling change.

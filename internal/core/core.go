@@ -84,16 +84,16 @@ type SystemConfig struct {
 	// warmup batch is discarded, so its rows cover the measured
 	// interval.
 	MetricsInterval int64
-	// Workers, when > 1, runs the tick loop across a goroutine pool if
+	// Workers, when > 1, computes each tick across a goroutine pool if
 	// the network model partitions itself (see network.Model.Partition
-	// and internal/core/parallel.go; the mesh does, the rings decline).
-	// Execution-only: any worker count produces results bit-identical
-	// to Workers <= 1, so Workers never enters result cache keys. Falls
-	// back to the serial engine when the model declines to partition or
-	// a tracer is attached.
+	// and internal/core/parallel.go; the mesh does, the rings decline),
+	// then commits it serially. Execution-only: any worker count
+	// produces results bit-identical to Workers <= 1, so Workers never
+	// enters result cache keys. Falls back to the serial engine when the
+	// model declines to partition.
 	Workers int
 	// PhaseStats, when true together with Workers > 1, times each
-	// shard's compute/commit phases and each worker's barrier waits
+	// shard's compute, the serial commit and each worker's barrier waits
 	// (see System.PhaseStats). Observation-only like Metrics: the
 	// schedule and results are bit-identical with it on or off, so it
 	// never enters result cache keys. Ignored on the serial path.

@@ -8,7 +8,6 @@ package exp
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sort"
 
 	"ringmesh/internal/core"
@@ -62,12 +61,9 @@ type Spec struct {
 	Run core.RunConfig
 	// Workers bounds concurrent simulations (0 = 1).
 	Workers int
-	// EngineWorkers is each mesh simulation's parallel tick worker count
-	// (0 or 1 = the exact serial engine; rings run it at any value). It
-	// is capped so Workers x EngineWorkers never exceeds the machine's
-	// CPUs — point-level and engine-level parallelism share one budget.
-	// Results are identical at any value: the parallel engine is
-	// golden-tested bit-identical to serial.
+	// EngineWorkers is ignored: every point runs the serial engine, and
+	// parallelism lives at the point level (Workers). The field stays
+	// for callers that still set it.
 	EngineWorkers int
 }
 
@@ -169,10 +165,9 @@ func (e Experiment) Run(spec Spec) (Output, error) {
 	cfgs, slot := distinctConfigs(curves)
 	// Each simulation writes only its own slot, so the fan-out needs no lock.
 	results := make([]core.Result, len(cfgs))
-	engineWorkers := pool.CapInner(runtime.NumCPU(), spec.Workers, spec.EngineWorkers)
 	errs := pool.ForEach(context.Background(), spec.Workers, len(cfgs), func(i int) error {
 		cfg := cfgs[i]
-		cfg.Seed, cfg.Workers = spec.Seed, engineWorkers
+		cfg.Seed = spec.Seed
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			return err

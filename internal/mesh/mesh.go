@@ -113,14 +113,11 @@ var opposite = [topo.Local]topo.Direction{topo.South, topo.North, topo.West, top
 // live on the Network.
 type router struct {
 	id   int32
-	x, y int16 // own position; y is also the owning row shard
+	x, y int16 // own position
 	// Input i is a ring of depth slots in the network's slab (see
 	// slot): its qn[i] buffered flits start at position qh[i] and wrap,
 	// and frontOut[i] is the out of its front flit (noPort when it is
-	// empty or a body flit), so decode reads no slot. Every
-	// input has exactly one producer (the neighbour behind it, or the
-	// PM), so under the row partition two shards never push through one
-	// header.
+	// empty or a body flit), so decode reads no slot.
 	qh, qn   [topo.NumPorts]uint16
 	frontOut [topo.NumPorts]int8
 	// lockedOut has bit o set while outLock[o] holds a worm, so the
@@ -144,11 +141,6 @@ type router struct {
 	// nbr is the neighbour behind each neighbour port, nil at the mesh
 	// edge.
 	nbr [topo.Local]*router
-	// turns counts e-cube dimension turns: head flits leaving an
-	// east/west input through a north/south output. Kept per router
-	// because row shards commit concurrently; exported summed as
-	// mesh_ecube_turns.
-	turns int64
 
 	// outLock implements wormhole: while a packet is in flight through
 	// output o, the crossbar connection from input outLockIn[o] is held.
@@ -240,10 +232,12 @@ type Network struct {
 	// cycles counts the mesh's cycles: the clock every link's
 	// utilization takes its capacity from.
 	cycles int64
-	// pending[id] is router id's PM's pending signal
-	// (node.Port.BindPending): nonzero while the PM holds a packet for
-	// the injection register. Each router has a word of its own, as
-	// row shards commit their PMs concurrently.
+	// turns counts e-cube dimension turns: head flits leaving an
+	// east/west input through a north/south output (mesh_ecube_turns).
+	turns int64
+	// pending is a bitset over routers: bit id is router id's PM's
+	// pending signal (node.Port.BindPending), set while the PM holds a
+	// packet for the injection register.
 	pending []uint64
 }
 
@@ -274,7 +268,7 @@ func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 	depth := cfg.bufferFlits()
 	n := &Network{cfg: cfg, engine: engine, routers: make([]router, len(pms))}
 	n.coord = make([]struct{ x, y int }, len(pms))
-	n.pending = make([]uint64, len(pms))
+	n.pending = make([]uint64, (len(pms)+63)/64)
 	n.linkUtil = make([][topo.Local]int64, len(pms))
 	n.slab, n.depth = make([]flit, len(pms)*int(topo.NumPorts)*depth), depth
 	for i := range n.slab {
@@ -283,7 +277,7 @@ func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 	for id := range n.routers {
 		r := &n.routers[id]
 		r.id, r.pm = int32(id), pms[id]
-		pms[id].BindPending(&n.pending[id], 1)
+		pms[id].BindPending(&n.pending[id/64], 1<<(id%64))
 		x, y := cfg.Spec.Coord(id)
 		r.x, r.y = int16(x), int16(y)
 		n.coord[id].x, n.coord[id].y = x, y
@@ -301,16 +295,11 @@ func New(cfg Config, pms []node.Port, engine *sim.Engine) (*Network, error) {
 
 // Compute implements sim.Component: stage every router's crossbar
 // transfers and PM injections from start-of-cycle state.
-func (n *Network) Compute(now int64) {
-	n.begin(now)
+func (n *Network) Compute(int64) {
 	for i := range n.routers {
 		n.computeRouter(&n.routers[i])
 	}
 }
-
-// begin opens a cycle: it advances the link clock. The parallel
-// partition runs it as its serial prologue.
-func (n *Network) begin(int64) { n.cycles++ }
 
 // decode reads r's five front routes once from start-of-cycle state,
 // entering each front head in the request mask of the output push fixed
@@ -391,12 +380,14 @@ func (n *Network) computeRouter(r *router) {
 	r.injStaged = r.injPkt != nil && n.space(r, topo.Local)
 }
 
-// Commit implements sim.Component. Progress is reported to the
+// Commit implements sim.Component: apply every router's staged
+// transfers and advance the link clock. Progress is reported to the
 // engine once per commit (batched) rather than per flit movement.
 func (n *Network) Commit(now int64) {
+	n.cycles++
 	moved := 0
 	for i := range n.routers {
-		moved += n.commitRouter(&n.routers[i], now, nil)
+		moved += n.commitRouter(&n.routers[i], now)
 	}
 	if moved > 0 {
 		n.engine.ProgressN(moved)
@@ -404,12 +395,8 @@ func (n *Network) Commit(now int64) {
 }
 
 // commitRouter applies one router's staged transfers and returns the
-// number of flit movements (crossbar transfers plus injections). sh is
-// nil on the serial path; under the parallel partition it is the
-// committing row shard, and pushes into a router another shard owns
-// are staged in the shard's outbox instead of performed (see
-// partition.go) — everything else is byte-for-byte the serial commit.
-func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
+// number of flit movements (crossbar transfers plus injections).
+func (n *Network) commitRouter(r *router, now int64) (moved int) {
 	for mask := r.stagedOut; mask != 0; mask &= mask - 1 {
 		o := topo.Direction(bits.TrailingZeros8(mask))
 		f, in := r.staged[o], topo.Direction(r.stagedIn[o])
@@ -431,7 +418,7 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 		if f.head() {
 			r.rr[o] = uint8(in+1) % uint8(topo.NumPorts)
 			if (in == topo.East || in == topo.West) && (o == topo.North || o == topo.South) {
-				r.turns++
+				n.turns++
 			}
 		}
 		// Deposit.
@@ -443,12 +430,7 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 			if n.tracer != nil && f.head() {
 				n.tracer.Record(now, trace.Hop, f.pkt, n.labels[r.id][o])
 			}
-			nb := r.nbr[o]
-			if sh != nil && int(nb.y) != sh.row {
-				sh.outbox = append(sh.outbox, deferredPush{to: nb, in: opposite[o], f: f})
-			} else {
-				n.push(nb, opposite[o], f)
-			}
+			n.push(r.nbr[o], opposite[o], f)
 			n.linkUtil[r.id][o]++
 		}
 		moved++
@@ -457,7 +439,7 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 
 	// Apply injection, then reload the injection register so a fresh
 	// packet (possibly issued by the PM's commit earlier this tick)
-	// starts streaming next cycle. The PM's pending word says whether
+	// starts streaming next cycle. The PM's pending bit says whether
 	// it has one; the port is asked only then.
 	if r.injStaged {
 		f := flit{pkt: r.injPkt, idx: r.injIdx, tail: int(r.injIdx) == r.injPkt.Flits-1}
@@ -471,7 +453,7 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 		r.injStaged = false
 		moved++
 	}
-	if r.injPkt == nil && n.pending[r.id] != 0 {
+	if id := uint32(r.id); r.injPkt == nil && n.pending[id/64]&(1<<(id%64)) != 0 {
 		if p, ok := r.pm.TakeResponse(); ok {
 			r.injPkt, r.injIdx = p, 0
 		} else if p, ok := r.pm.TakeRequest(); ok {
@@ -504,7 +486,7 @@ func (n *Network) Links() []sim.LinkGroup {
 //     occupancy per port direction across the mesh, read only at
 //     sample time.
 //   - mesh_ecube_turns: head flits turning from the X dimension into
-//     the Y dimension, summed over the routers' counts.
+//     the Y dimension.
 //
 // Every instrument reads state the tick keeps anyway.
 func (n *Network) DescribeMetrics(reg *metrics.Registry) {
@@ -519,13 +501,7 @@ func (n *Network) DescribeMetrics(reg *metrics.Registry) {
 				return float64(total)
 			})
 	}
-	reg.CounterFunc("mesh_ecube_turns", metrics.Labels{}, func() int64 {
-		var total int64
-		for i := range n.routers {
-			total += n.routers[i].turns
-		}
-		return total
-	})
+	reg.CounterFunc("mesh_ecube_turns", metrics.Labels{}, func() int64 { return n.turns })
 }
 
 // BufferedFlits counts flits resident in all router input FIFOs plus
@@ -549,13 +525,13 @@ func (n *Network) BufferedFlits() int {
 // its depth, a queued flit's out is not the e-cube route from the
 // router holding it (noPort for a body flit), an input's frontOut is
 // not its front flit's out, an output's lock bit disagrees with its
-// lock, a PM's pending word disagrees with its pending state or,
+// lock, a PM's pending bit disagrees with its pending state or,
 // between ticks, a router still holds a staged move or input.
 func (n *Network) CheckInvariants() error {
 	for i := range n.routers {
 		r := &n.routers[i]
-		if set := n.pending[i] != 0; !node.PendingAgrees(r.pm, set) {
-			return fmt.Errorf("mesh: router %d pending word %v disagrees with its PM", r.id, set)
+		if set := n.pending[i/64]&(1<<(i%64)) != 0; !node.PendingAgrees(r.pm, set) {
+			return fmt.Errorf("mesh: router %d pending bit %v disagrees with its PM", r.id, set)
 		}
 		for p := topo.Direction(0); p < topo.NumPorts; p++ {
 			if int(r.qn[p]) > n.depth {

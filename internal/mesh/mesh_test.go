@@ -469,7 +469,7 @@ func TestCheckInvariantsCatchesStagedMoves(t *testing.T) {
 // replaced. Growing it past the bound is a decision to make in the
 // open, with a ledger row that shows it pays.
 func TestRouterFootprint(t *testing.T) {
-	const bound = 240
+	const bound = 232
 	if got := unsafe.Sizeof(router{}); got > bound {
 		t.Fatalf("router is %d bytes, bound %d", got, bound)
 	}

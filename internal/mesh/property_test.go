@@ -136,3 +136,50 @@ func TestExhaustiveConnectivityOneFlit(t *testing.T) {
 		}
 	}
 }
+
+// TestLargeMeshRandomTrafficInvariants runs a 9x9 mesh — 81 routers,
+// so the pending bitset spans two words — under random traffic for a
+// few thousand ticks, checking every invariant each tick, then drains
+// it and checks that every packet arrived once, where it was sent.
+func TestLargeMeshRandomTrafficInvariants(t *testing.T) {
+	const released = 3000 // one packet a tick
+	spec := topo.MustMeshSpec(9)
+	h := newHarness(t, Config{Spec: spec, LineBytes: 32, BufferFlits: 2})
+	pkts := randomPackets(rng.New(54), spec.PMs(), 32, released)
+	upper := 0
+	for _, p := range pkts {
+		if p.Src >= 64 {
+			upper++
+		}
+	}
+	if upper == 0 {
+		t.Fatal("no packet starts at a router of the bitset's second word")
+	}
+	delivered := func() (n int) {
+		for _, pm := range h.pms {
+			n += len(pm.delivered)
+		}
+		return n
+	}
+	for tick := 0; tick < released || delivered() < released; tick++ {
+		if tick >= released+20000 {
+			t.Fatalf("%d of %d packets delivered 20000 ticks after the last release", delivered(), released)
+		}
+		if tick < released {
+			enqueue(h.pms[pkts[tick].Src], pkts[tick])
+		}
+		h.run(t, 1)
+	}
+	seen := map[uint64]bool{}
+	for id, pm := range h.pms {
+		for _, p := range pm.delivered {
+			if p.Dst != id || seen[p.ID] {
+				t.Fatalf("packet %s delivered at router %d (seen before: %v)", p, id, seen[p.ID])
+			}
+			seen[p.ID] = true
+		}
+	}
+	if h.net.BufferedFlits() != 0 {
+		t.Fatalf("%d flits still buffered after every packet arrived", h.net.BufferedFlits())
+	}
+}

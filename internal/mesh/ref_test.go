@@ -45,7 +45,7 @@ type refRouter struct {
 	injPkt    *packet.Packet
 	injIdx    int
 	stagedInj refMove
-	pm        *fakePM // polled directly: the reference binds no pending word
+	pm        *fakePM // polled directly: the reference binds no pending bit
 }
 
 type refNetwork struct {

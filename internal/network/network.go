@@ -94,16 +94,16 @@ type Model interface {
 	// violated, or nil. The runner calls it after every run, property
 	// tests after every tick.
 	CheckInvariants() error
-	// Partition describes the model's ownership sharding for parallel
-	// execution — groups of components such that no two shards commit
-	// to the same buffers (per-row for the mesh) — or nil to decline,
-	// as a model does when sharding would not pay (every ring) or has
-	// nothing to cut; callers then stay on the serial path. Partitions
-	// must be observation-equivalent: executing one at any worker count
-	// yields results bit-identical to the serial schedule (the golden
-	// fixed-seed tests pin this). A non-nil partition must hold at
-	// least two shards. Called at most once, after construction, before
-	// the first tick.
+	// Partition describes the model's compute sharding for parallel
+	// execution — shards that together stage what the model's Compute
+	// stages, each writing only its own staging (per-row for the mesh)
+	// — or nil to decline, as a model does when sharding would not pay
+	// (every ring) or has nothing to cut; callers then stay on the
+	// serial path. The model's Commit still runs serially after the
+	// shards, so computing them at any worker count yields results
+	// bit-identical to the serial schedule (the golden fixed-seed tests
+	// pin this). A non-nil partition must hold at least two shards.
+	// Called at most once, after construction, before the first tick.
 	Partition() *sim.Partition
 	// BuildStallReport snapshots buffer occupancy, the wait-for graph
 	// among blocked senders, and the oldest in-flight packets when the

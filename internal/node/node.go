@@ -37,8 +37,7 @@ type Port interface {
 	// signal: set while a packet of either class awaits the NIC, clear
 	// otherwise. The port sets it at once when it already holds one.
 	// The network reads the word in its commit, after every PM's; a
-	// word may carry the bits of several ports when one goroutine
-	// commits them all.
+	// word may carry the bits of several ports.
 	BindPending(word *uint64, bit uint64)
 	// TakeResponse removes and returns the oldest pending response.
 	TakeResponse() (*packet.Packet, bool)
@@ -81,27 +80,6 @@ type Collector struct {
 
 	inFlight int64
 	nextID   uint64
-
-	// cells, when non-nil, switches the collector into sharded mode
-	// for the parallel engine: every PM stages its measurement events
-	// into a private per-PM cell instead of the shared fields above,
-	// and DrainCells folds them back once per tick from the engine's
-	// serial epilogue. Serial runs never allocate cells, so their
-	// arithmetic is untouched.
-	cells []cell
-}
-
-// cell is one PM's measurement staging slot in sharded mode. The
-// integer counters are commutative deltas; lat holds the cycle's
-// completion latencies (at most one per cycle: a mesh PM receives at
-// most one packet tail per cycle), which must be folded into the
-// order-dependent accumulators in serial delivery order.
-type cell struct {
-	issued, completed, local int64
-	reads, writes            int64
-	inFlight                 int64
-	nextID                   uint64
-	lat                      []float64
 }
 
 // NewCollector returns a collector using batch means that discard the
@@ -143,42 +121,6 @@ func (c *Collector) observe(cycles float64) {
 		c.Hist.Add(cycles)
 	}
 	c.LatHist.Observe(cycles)
-}
-
-// ShardByPM switches the collector into sharded mode for n PMs (see
-// the cells field). Call before the first tick; the parallel engine's
-// epilogue must then call DrainCells every tick.
-func (c *Collector) ShardByPM(n int) {
-	c.cells = make([]cell, n)
-	for i := range c.cells {
-		c.cells[i].lat = make([]float64, 0, 2)
-	}
-}
-
-// DrainCells folds the per-PM cells into the shared aggregates, in
-// PM-id order: that is the order the serial engine observes same-tick
-// completions in (sim.Partition requires it), so the order-dependent
-// Welford accumulation behind Latency and Hist reproduces the serial
-// arithmetic bit for bit; the integer counters are commutative. Runs
-// once per tick on the parallel engine's serial epilogue (worker 0,
-// after the last commit barrier), which also makes InFlight safe for
-// the watchdog that runs right after.
-func (c *Collector) DrainCells() {
-	for i := range c.cells {
-		cl := &c.cells[i]
-		for _, lt := range cl.lat {
-			c.observe(lt)
-		}
-		cl.lat = cl.lat[:0]
-		c.Issued += cl.issued
-		c.Completed += cl.completed
-		c.Local += cl.local
-		c.Reads += cl.reads
-		c.Writes += cl.writes
-		c.inFlight += cl.inFlight
-		cl.issued, cl.completed, cl.local = 0, 0, 0
-		cl.reads, cl.writes, cl.inFlight = 0, 0, 0
-	}
 }
 
 // Config carries per-PM model parameters.
@@ -302,57 +244,6 @@ func NewPM(id int, cfg Config, col *Collector) (*PM, error) {
 	return pm, nil
 }
 
-// The noteX helpers route the PM's measurement events either to the
-// shared collector fields (serial mode) or to the PM's private cell
-// (sharded mode, where the shared fields must not be written
-// concurrently). Sharded packet ids carry the PM id in the high bits
-// so per-PM sequences never collide; ids are observation-only (trace
-// and forensics labels), so the different numbering cannot affect
-// simulation results.
-
-func (pm *PM) allocID() uint64 {
-	if pm.col.cells != nil {
-		cl := &pm.col.cells[pm.ID]
-		cl.nextID++
-		return uint64(pm.ID+1)<<40 | cl.nextID
-	}
-	return pm.col.allocID()
-}
-
-func (pm *PM) noteIssued(read bool) {
-	if pm.col.cells != nil {
-		cl := &pm.col.cells[pm.ID]
-		cl.issued++
-		cl.inFlight++
-		if read {
-			cl.reads++
-		} else {
-			cl.writes++
-		}
-		return
-	}
-	pm.col.issued(read)
-}
-
-func (pm *PM) noteLocal() {
-	if pm.col.cells != nil {
-		pm.col.cells[pm.ID].local++
-		return
-	}
-	pm.col.Local++
-}
-
-func (pm *PM) noteCompleted(cycles float64) {
-	if pm.col.cells != nil {
-		cl := &pm.col.cells[pm.ID]
-		cl.completed++
-		cl.inFlight--
-		cl.lat = append(cl.lat, cycles)
-		return
-	}
-	pm.col.completed(cycles)
-}
-
 // sampleGap draws the cycles until the next miss.
 func (pm *PM) sampleGap() int {
 	if pm.cfg.Workload.Deterministic {
@@ -387,7 +278,7 @@ func (pm *PM) stepMemory(now int64) {
 		req := pm.memServing
 		pm.memServing, pm.memDone = nil, never
 		resp := &packet.Packet{
-			ID:    pm.allocID(),
+			ID:    pm.col.allocID(),
 			Type:  packet.ResponseFor(req.Type),
 			Src:   pm.ID,
 			Dst:   req.Src,
@@ -446,7 +337,7 @@ func (pm *PM) issueMiss(genTime int64) {
 		// Local access: satisfied by the local memory without the
 		// network (paper Section 2). Not counted in round-trip
 		// latency and does not occupy an outstanding slot.
-		pm.noteLocal()
+		pm.col.Local++
 		return
 	}
 	read := pm.rnd.Bernoulli(pm.cfg.Workload.ReadProb)
@@ -455,7 +346,7 @@ func (pm *PM) issueMiss(genTime int64) {
 		typ = packet.WriteRequest
 	}
 	req := &packet.Packet{
-		ID:    pm.allocID(),
+		ID:    pm.col.allocID(),
 		Type:  typ,
 		Src:   pm.ID,
 		Dst:   dst,
@@ -466,7 +357,7 @@ func (pm *PM) issueMiss(genTime int64) {
 	pm.pendingReq = append(pm.pendingReq, req)
 	*pm.pendWord |= pm.pendBit
 	pm.outstanding++
-	pm.noteIssued(read)
+	pm.col.issued(read)
 }
 
 // Deliver implements Port. A response may unsuspend the processor
@@ -487,7 +378,7 @@ func (pm *PM) Deliver(p *packet.Packet, now int64, late bool) {
 		if late {
 			cycles += 0.5
 		}
-		pm.noteCompleted(cycles)
+		pm.col.completed(cycles)
 		return
 	}
 	pm.memQ = append(pm.memQ, p)

@@ -372,7 +372,7 @@ func (c *countdownPM) stepMemory(now int64) {
 		req := pm.memServing
 		pm.memServing = nil
 		resp := &packet.Packet{
-			ID:    pm.allocID(),
+			ID:    pm.col.allocID(),
 			Type:  packet.ResponseFor(req.Type),
 			Src:   pm.ID,
 			Dst:   req.Src,

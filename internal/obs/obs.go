@@ -8,7 +8,7 @@
 // when tracing is off. Unlike the metrics registry — cumulative
 // instruments scraped at sample time — a trace is an episodic record:
 // each span is one interval in one job's life (validate, queue-wait,
-// run, a shard's commit phase), and the timeline is bounded so a
+// run, a shard's compute phase), and the timeline is bounded so a
 // pathological job cannot grow memory without limit.
 package obs
 

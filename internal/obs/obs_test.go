@@ -99,7 +99,7 @@ func TestWriteChrome(t *testing.T) {
 func TestPhaseStatsNil(t *testing.T) {
 	var p *PhaseStats
 	p.AddCompute(0, time.Second) // must not panic
-	p.AddCommit(0, time.Second)
+	p.AddCommit(time.Second)
 	p.AddBarrierWait(0, time.Second)
 	p.AddTicks(1)
 	if p.TotalComputeNS() != 0 || p.TotalCommitNS() != 0 {
@@ -114,7 +114,7 @@ func TestPhaseStatsAccumulate(t *testing.T) {
 	p := NewPhaseStats([]string{"a", "b"}, 2)
 	p.AddCompute(0, 3*time.Millisecond)
 	p.AddCompute(1, 5*time.Millisecond)
-	p.AddCommit(0, time.Millisecond)
+	p.AddCommit(time.Millisecond)
 	p.AddBarrierWait(1, 100*time.Microsecond)
 	p.AddTicks(7)
 	if got := p.TotalComputeNS(); got != int64(8*time.Millisecond) {
@@ -127,7 +127,7 @@ func TestPhaseStatsAccumulate(t *testing.T) {
 		t.Errorf("barrier digests wrong")
 	}
 	s := p.String()
-	for _, want := range []string{"7 ticks", "shard a", "shard b", "worker 0", "worker 1"} {
+	for _, want := range []string{"7 ticks", "shard a", "shard b", "serial commit", "worker 0", "worker 1"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() missing %q:\n%s", want, s)
 		}

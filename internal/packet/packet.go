@@ -118,9 +118,6 @@ type Packet struct {
 	// the processor; responses inherit it from their request so that
 	// round-trip latency is response-arrival minus Issue.
 	Issue int64
-	// Inject is the cycle this packet entered a NIC output queue
-	// (used for network-only latency diagnostics).
-	Inject int64
 }
 
 // String renders a compact description for traces and test failures.

@@ -123,27 +123,3 @@ func (b *barrier) wait() {
 		}
 	}
 }
-
-// CapInner bounds inner (per-task) parallelism so that outer
-// concurrent tasks, each running inner workers, never oversubscribe a
-// budget of cpus: the returned value is at most cpus/outer, and at
-// least 1. The experiment grids use it to split the machine between
-// point-level and engine-level workers.
-func CapInner(cpus, outer, inner int) int {
-	if cpus < 1 {
-		cpus = 1
-	}
-	if outer < 1 {
-		outer = 1
-	}
-	if inner < 1 {
-		return 1
-	}
-	if cap := cpus / outer; inner > cap {
-		inner = cap
-	}
-	if inner < 1 {
-		inner = 1
-	}
-	return inner
-}

@@ -4,25 +4,29 @@ import (
 	"testing"
 )
 
-// tickShard is a minimal Shard whose phases each bump a counter, so
-// the tests below isolate the engine's dispatch and barrier cost from
-// any model work. misordered counts commit calls that were not phase 0
-// then phase 1 in turn.
-type tickShard struct{ computes, commits, misordered int64 }
+// tickShard is a minimal Shard that counts its computes, so the tests
+// below isolate the engine's dispatch and barrier cost from any model
+// work.
+type tickShard struct{ computes int64 }
 
 func (s *tickShard) Compute(now int64) { s.computes++ }
-func (s *tickShard) CommitPhase(phase int, now int64) int {
-	if int64(phase) != s.commits%2 {
-		s.misordered++
-	}
-	s.commits++
-	return 1
+
+// countComp is a registered component that counts its phases and
+// reports one progress event per commit.
+type countComp struct {
+	e                 *Engine
+	computes, commits int64
 }
 
-// parallelEngine builds an engine with nShards trivial shards on
-// workers workers.
-func parallelEngine(workers, nShards int) (*Engine, []*tickShard) {
-	var e Engine
+func (c *countComp) Compute(int64) { c.computes++ }
+func (c *countComp) Commit(int64)  { c.commits++; c.e.Progress() }
+
+// parallelEngine builds an engine with one registered component and
+// nShards trivial shards on workers workers.
+func parallelEngine(workers, nShards int) (*Engine, *countComp, []*tickShard) {
+	e := &Engine{}
+	comp := &countComp{e: e}
+	e.Register(comp, 1)
 	shards := make([]*tickShard, nShards)
 	plan := &ParallelPlan{Workers: workers}
 	for i := range shards {
@@ -30,7 +34,7 @@ func parallelEngine(workers, nShards int) (*Engine, []*tickShard) {
 		plan.Shards = append(plan.Shards, shards[i])
 	}
 	e.SetParallel(plan)
-	return &e, shards
+	return e, comp, shards
 }
 
 func TestSetParallelDegeneratePlansStaySerial(t *testing.T) {
@@ -52,20 +56,29 @@ func TestSetParallelDegeneratePlansStaySerial(t *testing.T) {
 }
 
 func TestParallelClampsWorkersToShards(t *testing.T) {
-	e, _ := parallelEngine(16, 3)
+	e, _, _ := parallelEngine(16, 3)
 	defer e.CloseWorkers()
 	if got := e.plan.Workers; got != 3 {
 		t.Fatalf("Workers = %d after clamp; want 3", got)
 	}
 }
 
-// TestParallelRunsEveryShardEveryPhase pins the two-phase tick: every
-// shard computes once, then sees commit phase 0 and phase 1, in that
-// order, every tick.
+// TestParallelRunsEveryShardEveryPhase pins the parallel tick: every
+// shard computes once a tick, and the registered components commit
+// once a tick and never compute (the shards stand in for their
+// Compute), with their progress reaching the per-cycle hook.
 func TestParallelRunsEveryShardEveryPhase(t *testing.T) {
 	const ticks = 100
-	e, shards := parallelEngine(2, 4)
+	e, comp, shards := parallelEngine(2, 4)
 	defer e.CloseWorkers()
+	var hooked, moved uint64
+	e.OnCycle = func(now int64, m uint64) {
+		if now != int64(hooked) {
+			t.Errorf("OnCycle saw tick %d, want %d", now, hooked)
+		}
+		hooked++
+		moved += m
+	}
 	if err := e.Run(ticks); err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +86,13 @@ func TestParallelRunsEveryShardEveryPhase(t *testing.T) {
 		if s.computes != ticks {
 			t.Errorf("shard %d: %d computes, want %d", i, s.computes, ticks)
 		}
-		if s.commits != 2*ticks || s.misordered != 0 {
-			t.Errorf("shard %d: %d commit calls, %d out of phase order; want %d, 0",
-				i, s.commits, s.misordered, 2*ticks)
-		}
+	}
+	if comp.computes != 0 || comp.commits != ticks {
+		t.Errorf("registered component: %d computes, %d commits; want 0, %d",
+			comp.computes, comp.commits, ticks)
+	}
+	if hooked != ticks || moved != ticks {
+		t.Errorf("OnCycle ran %d times with %d moves; want %d, %d", hooked, moved, ticks, ticks)
 	}
 	if e.Now() != ticks {
 		t.Errorf("Now = %d, want %d", e.Now(), ticks)
@@ -105,7 +121,7 @@ func TestSerialStepAllocationFree(t *testing.T) {
 // guarded is an accidental per-tick allocation (1.0+ per tick).
 func TestParallelRunAllocationBound(t *testing.T) {
 	const ticks = 500
-	e, _ := parallelEngine(4, 8)
+	e, _, _ := parallelEngine(4, 8)
 	defer e.CloseWorkers()
 	if err := e.Run(ticks); err != nil { // warm up: create the gang
 		t.Fatal(err)
@@ -120,31 +136,36 @@ func TestParallelRunAllocationBound(t *testing.T) {
 	}
 }
 
-// panicShard panics in the requested phase on the requested tick.
+// panicShard panics in its Compute on the requested tick.
 type panicShard struct {
 	tickShard
 	at int64
 }
 
-func (s *panicShard) CommitPhase(phase int, now int64) int {
+func (s *panicShard) Compute(now int64) {
 	if now == s.at {
 		panic("panicShard: boom")
 	}
-	return s.tickShard.CommitPhase(phase, now)
+	s.tickShard.Compute(now)
 }
 
 // TestParallelPanicReachesCaller pins the panic contract: a panic on
 // any worker winds the gang down and re-raises on the caller's
-// goroutine, where core's usual recovery path expects it.
+// goroutine, where core's usual recovery path expects it. The
+// panicking shard is on worker 1, so the panic crosses goroutines, and
+// the tick it panics in is never committed.
 func TestParallelPanicReachesCaller(t *testing.T) {
-	var e Engine
-	plan := &ParallelPlan{Workers: 2}
-	plan.Shards = append(plan.Shards, &panicShard{at: 10}, &tickShard{})
-	e.SetParallel(plan)
+	e := &Engine{}
+	comp := &countComp{e: e}
+	e.Register(comp, 1)
+	e.SetParallel(&ParallelPlan{Workers: 2, Shards: []Shard{&tickShard{}, &panicShard{at: 10}}})
 	defer e.CloseWorkers()
 	defer func() {
 		if r := recover(); r == nil {
 			t.Fatal("worker panic did not propagate to the caller")
+		}
+		if comp.commits != 10 {
+			t.Errorf("%d ticks committed before the panic at tick 10; want 10", comp.commits)
 		}
 	}()
 	_ = e.Run(100)

@@ -13,10 +13,10 @@
 //
 // A component may act at a period: with period k it acts every k-th
 // tick. Components are bucketed by period at registration time, so the
-// hot loop pays one divisibility check per distinct period instead of
-// one per component — and none at all on the uniform fast path (every
-// period 1, which is every system: a tick is one PM cycle, and a
-// double-speed global ring takes its second step inside the ring
+// hot loop pays one divisibility check per distinct period and phase
+// instead of one per component — and none at all on the uniform fast
+// path (every period 1, which is every system: a tick is one PM cycle,
+// and a double-speed global ring takes its second step inside the ring
 // model).
 package sim
 
@@ -30,15 +30,9 @@ import (
 // Component is one synchronously clocked piece of the system (a
 // network, a set of processing modules).
 //
-// Concurrency contract: under the engine's parallel mode (see
-// SetParallel) components are grouped into ownership shards that run
-// on different goroutines. Compute may therefore read any state — the
-// whole system is frozen during the compute phase — but must not
-// mutate anything visible outside its own shard; Commit may mutate
-// only buffers its shard owns, staging any cross-shard hand-off for a
-// later, barrier-separated commit phase. The serial engine is the
-// degenerate single-shard case of the same contract, which is why the
-// two schedules produce bit-identical results.
+// Under the engine's parallel mode (see SetParallel) a model's Compute
+// is replaced by shards that run on different goroutines, while every
+// Commit still runs on one goroutine in registration order.
 type Component interface {
 	// Compute stages this tick's transfers using only start-of-tick
 	// state. It must not mutate state visible to other components.
@@ -95,7 +89,6 @@ func Utilization(busy, capacity int64) float64 {
 type schedule struct {
 	period int64
 	comps  []Component
-	due    bool // staged by Step: period divides the current tick
 }
 
 // Engine runs registered components in lockstep.
@@ -138,17 +131,15 @@ type Engine struct {
 	Diagnose func() *StallReport
 
 	// Parallel mode (see parallel.go). When plan is non-nil, Run
-	// executes the plan's shards on a worker gang instead of the
-	// registered components; shardMoved holds each shard's progress
-	// count for the current tick, folded into progress — in shard
-	// order — by worker 0 at the end-of-tick barrier.
-	plan       *ParallelPlan
-	gang       *pool.Gang
-	shardMoved []int64
+	// computes the plan's shards on a worker gang instead of the
+	// registered components, then commits the registered components.
+	plan *ParallelPlan
+	gang *pool.Gang
 
 	// phaseStats, when non-nil (EnablePhaseStats), accumulates per-shard
-	// compute/commit durations and per-worker barrier waits during
-	// parallel runs. Observation-only; nil keeps the hot loop untimed.
+	// compute durations, the serial commit's duration and per-worker
+	// barrier waits during parallel runs. Observation-only; nil keeps
+	// the hot loop untimed.
 	phaseStats *obs.PhaseStats
 }
 
@@ -183,65 +174,61 @@ func (e *Engine) Register(c Component, period int64) {
 func (e *Engine) Now() int64 { return e.now }
 
 // Progress is called by components whenever they move a flit (or make
-// any other kind of forward progress the watchdog should count). It is
-// serial-path API: under the parallel mode, shards report movement via
-// CommitPhase's return value instead — per-shard counters the engine
-// folds deterministically at the end-of-tick barrier — because a
-// shared counter would race across workers.
+// any other kind of forward progress the watchdog should count), from
+// Commit: on either schedule that runs on one goroutine.
 func (e *Engine) Progress() { e.progress++ }
 
 // ProgressN reports n progress events at once. Components that move
 // many flits per commit batch their reporting through this instead of
-// one Progress call per flit. Like Progress, it must not be called
-// from inside a parallel shard's CommitPhase.
+// one Progress call per flit.
 func (e *Engine) ProgressN(n int) { e.progress += uint64(n) }
 
 // Step advances the simulation one tick.
 func (e *Engine) Step() {
 	now := e.now
-	before := e.progress
 	if !e.mixed {
 		// Uniform fast path: every component runs every tick; no
 		// divisibility checks, no group indirection.
 		for _, c := range e.flat {
 			c.Compute(now)
 		}
-		for _, c := range e.flat {
-			c.Commit(now)
-		}
 	} else {
 		for i := range e.groups {
-			g := &e.groups[i]
-			g.due = now%g.period == 0
-			if g.due {
+			if g := &e.groups[i]; now%g.period == 0 {
 				for _, c := range g.comps {
 					c.Compute(now)
 				}
 			}
 		}
+	}
+	e.commit(now)
+}
+
+// commit runs the Commit of every component due at tick now and closes
+// the tick: watchdog bookkeeping, the tick increment and the per-cycle
+// hook. Both schedules end every tick here.
+func (e *Engine) commit(now int64) {
+	before := e.progress
+	if !e.mixed {
+		for _, c := range e.flat {
+			c.Commit(now)
+		}
+	} else {
 		for i := range e.groups {
-			g := &e.groups[i]
-			if g.due {
+			if g := &e.groups[i]; now%g.period == 0 {
 				for _, c := range g.comps {
 					c.Commit(now)
 				}
 			}
 		}
 	}
-	e.endTick(now, e.progress-before)
-}
-
-// endTick closes tick now, during which moved progress events were
-// reported: watchdog bookkeeping, the tick increment and the per-cycle
-// hook. Both schedules end every tick here.
-func (e *Engine) endTick(now int64, moved uint64) {
 	if e.progress != e.lastProgress {
 		e.lastProgress = e.progress
 		e.lastMoveTick = now
 	}
 	e.now++
 	if e.OnCycle != nil {
-		e.OnCycle(now, moved)
+		e.OnCycle(now, e.progress-before)
 	}
 }
 
@@ -265,8 +252,8 @@ func (e *Engine) checkWatchdog() error {
 }
 
 // Run advances the simulation by ticks ticks, checking the watchdog.
-// With a parallel plan installed (SetParallel) the ticks execute on
-// the worker gang; otherwise the serial path below runs unchanged.
+// With a parallel plan installed (SetParallel) the ticks compute on
+// the worker gang; otherwise the serial path below runs.
 func (e *Engine) Run(ticks int64) error {
 	if e.plan != nil {
 		return e.runParallel(ticks)

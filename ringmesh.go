@@ -148,15 +148,15 @@ type Config struct {
 	// deadlock. For forensics demonstrations and ablations — never for
 	// measurement runs.
 	UnsafeNoVC bool `json:"unsafe_no_vc,omitempty"`
-	// Workers, when > 1, runs a mesh's tick loop across that many
-	// worker goroutines, one shard per router row. Meshes only; rings
-	// run serial at any value (their tick is shorter than the barriers
-	// a sharded one crosses), as does every system with Trace set.
-	// Execution-only: results are bit-identical at any worker count, so
-	// Workers does not enter result cache keys (see CacheKey).
+	// Workers, when > 1, computes a mesh's tick across that many worker
+	// goroutines, one shard per router row, and commits it on one.
+	// Meshes only; rings run serial at any value (their tick is shorter
+	// than the barriers a sharded one crosses). Execution-only: results
+	// and traces are bit-identical at any worker count, so Workers does
+	// not enter result cache keys (see CacheKey).
 	Workers int `json:"workers,omitempty"`
 	// PhaseStats, when true together with Workers > 1, times every
-	// shard's compute/commit phases and every worker's barrier waits
+	// shard's compute, the serial commit and every worker's barrier waits
 	// (see System.PhaseStats) — the shard-imbalance evidence for the
 	// parallel engine. Observation-only like Metrics: results are
 	// bit-identical with it on or off, and it never enters result
@@ -371,14 +371,14 @@ func (s *System) RunContext(ctx context.Context, opt RunOptions) (Result, error)
 // collecting batch statistics (useful for warm-starting or tracing).
 func (s *System) StepCycles(n int64) error { return s.inner.StepCycles(n) }
 
-// Parallel reports whether ticks execute on the parallel worker engine
-// (Config.Workers > 1 on an untraced mesh; meshes only, rings run
-// serial); false means the exact serial path runs.
+// Parallel reports whether ticks compute on the parallel worker engine
+// (Config.Workers > 1 on a mesh; rings run serial); false means the
+// serial path runs.
 func (s *System) Parallel() bool { return s.inner.Engine().Parallel() }
 
 // PhaseStats returns the parallel engine's phase-timing accumulator:
-// per-shard compute/commit durations and per-worker barrier-wait
-// distributions. Nil unless the system was built with Workers > 1 and
+// per-shard compute durations, the serial commit's duration and
+// per-worker barrier-wait distributions. Nil unless the system was built with Workers > 1 and
 // Config.PhaseStats and the model partitioned itself. Read it only
 // after a run has completed (the accumulator is unsynchronized by
 // design).
